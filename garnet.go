@@ -540,7 +540,9 @@ func (g *Deployment) SubscribeWithBacklog(tok Token, stream StreamID, c Consumer
 // (PermSubscribe; the location stream additionally needs PermLocation).
 // Store sequences are the 64-bit extended addresses stamped on
 // Delivery.StoreSeq — fromSeq 0 and toSeq ^uint64(0) select everything
-// retained.
+// retained. The result is the caller's to keep or change; its payloads
+// share one allocation made for this call, so copy out a payload that
+// should outlive the rest.
 func (g *Deployment) Replay(tok Token, stream StreamID, fromSeq, toSeq uint64) ([]Delivery, error) {
 	if err := g.requireStream(tok, stream); err != nil {
 		return nil, err

@@ -402,6 +402,8 @@ func (d *Deployment) PublishDerived(msg wire.Message, at time.Time) {
 // SubscribeWithReplay subscribes c to a single stream, replaying the
 // retained history from store sequence fromSeq onwards through c's
 // dispatch port ahead of live delivery — the late-joiner catch-up path.
+// The backlog is a fresh store.Range result nothing else references, as
+// the port's ownership of it requires (dispatch.SubscribeWithReplay).
 // The facade performs permission checks and calls this.
 func (d *Deployment) SubscribeWithReplay(c dispatch.Consumer, stream wire.StreamID, fromSeq uint64) (dispatch.SubscriptionID, int, error) {
 	return d.dispatcher.SubscribeWithReplay(c, stream, func() []filtering.Delivery {

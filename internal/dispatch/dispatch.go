@@ -506,10 +506,11 @@ func (d *Dispatcher) Dispatch(del filtering.Delivery) {
 	info.LastSeen = del.At
 	info.Count++
 
-	// Collect matching ports; duplicates (one consumer holding several
-	// matching subscriptions) are removed after the sort below, so the
-	// hot path allocates nothing beyond the slice itself.
-	var targets []*port
+	// Collect matching ports into pooled scratch; duplicates (one consumer
+	// holding several matching subscriptions) are removed after the sort
+	// below, so the hot path allocates nothing.
+	tp := getPortSlice()
+	targets := (*tp)[:0]
 	for _, sub := range sh.exact[del.Msg.Stream] {
 		targets = append(targets, sub.port)
 	}
@@ -526,9 +527,14 @@ func (d *Dispatcher) Dispatch(del filtering.Delivery) {
 	}
 	// Deterministic fan-out order for the synchronous mode; equal seq
 	// means same port, so after sorting duplicates are adjacent and one
-	// Compact pass de-duplicates per consumer in O(n log n) total.
-	targets = sortPorts(targets)
+	// Compact pass de-duplicates per consumer in O(n log n) total. A
+	// single target is both already.
+	*tp = targets // keep the grown backing (and everything to clear) with the pool
+	if len(targets) > 1 {
+		targets = sortPorts(targets)
+	}
 	d.deliverTargets(sh, del, targets)
+	putPortSlice(tp)
 }
 
 // sortPorts orders a fan-out set deterministically by port creation
@@ -617,8 +623,8 @@ func (d *Dispatcher) DispatchBatch(ds []filtering.Delivery) {
 	}
 }
 
-// portSlices pools DispatchBatch's fan-out scratch so batched dispatch
-// resolves targets without allocating at steady state.
+// portSlices pools the fan-out scratch so Dispatch and DispatchBatch
+// resolve targets without allocating at steady state.
 var portSlices = sync.Pool{
 	New: func() any { return new([]*port) },
 }
@@ -716,8 +722,12 @@ func (d *Dispatcher) dispatchRun(sh *shard, run []filtering.Delivery, wild []*su
 // are flushed behind it — minus any that carry a store sequence already
 // covered by the replay batch, the seq-based dedupe at the claim
 // boundary. fetch runs without dispatcher locks held and must return
-// deliveries in ascending StoreSeq order. It returns the subscription id
-// and the number of backlog messages replayed.
+// deliveries in ascending StoreSeq order. The slice fetch returns — its
+// backing array, up to its capacity — belongs to the port afterwards: an
+// async port may keep it as its queue instead of copying it, so fetch
+// must return memory nothing else reads or writes again (a fresh
+// store.Range result is exactly that). It returns the subscription id and
+// the number of backlog messages replayed.
 func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch func() []filtering.Delivery) (SubscriptionID, int, error) {
 	if c == nil {
 		return 0, 0, fmt.Errorf("%w: nil consumer", ErrBadPattern)
@@ -740,8 +750,9 @@ func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch
 	d.mu.Unlock()
 
 	replay := fetch()
+	n := len(replay)
 	p.endGate(replay, stream, d.opts.Mode == ModeSync, sh)
-	return sub.id, len(replay), nil
+	return sub.id, n, nil
 }
 
 // Discover lists every stream the dispatcher has seen, sorted by id — the

@@ -383,3 +383,57 @@ func TestSyncFanoutDeterministicOrder(t *testing.T) {
 		t.Fatalf("fan-out order = %v, want subscription order", order)
 	}
 }
+
+// TestSerialDispatchZeroAllocs pins that a warm serial Dispatch allocates
+// nothing: the fan-out set is pooled scratch, and a single target skips
+// the sort. The window includes the async drainers.
+func TestSerialDispatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
+	}
+	stream := wire.MustStreamID(1, 0)
+	sink := func(name string) Consumer {
+		return &BatchConsumerFunc{ConsumerName: name, Fn: func([]filtering.Delivery) {}}
+	}
+	for _, tc := range []struct {
+		name      string
+		subscribe func(t *testing.T, d *Dispatcher)
+	}{
+		{"one All consumer", func(t *testing.T, d *Dispatcher) {
+			if _, err := d.Subscribe(sink("all"), All()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Exact+BySensor+Where mix", func(t *testing.T, d *Dispatcher) {
+			both := sink("both") // matched twice: compacted to one delivery
+			for c, p := range map[Consumer]Pattern{
+				sink("exact"):  Exact(stream),
+				sink("sensor"): BySensor(stream.Sensor()),
+				sink("where"):  Where(func(m wire.Message) bool { return m.Stream == stream }),
+				both:           Exact(stream),
+			} {
+				if _, err := d.Subscribe(c, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := d.Subscribe(both, BySensor(stream.Sensor())); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(Options{Mode: ModeAsync, QueueCapacity: 1024})
+			tc.subscribe(t, d)
+			d.Start()
+			defer d.Stop()
+			msg := del(stream, 0)
+			allocs := testing.AllocsPerRun(5000, func() { d.Dispatch(msg) })
+			if allocs != 0 {
+				t.Fatalf("serial Dispatch: %.2f allocs/op, want 0", allocs)
+			}
+			if st := d.Stats(); st.Delivered == 0 || st.Orphaned != 0 {
+				t.Fatalf("nothing was delivered: %+v", st)
+			}
+		})
+	}
+}

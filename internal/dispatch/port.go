@@ -391,8 +391,8 @@ func (p *port) queueBufLocked() {
 
 // enqueueLocked is enqueue past the gate and floor checks. Caller holds
 // mu. The queue's physical ring can be larger than the capacity bound
-// after a catch-up burst (see enqueueGrowLocked); the overflow policy
-// keys on the logical capacity.
+// after a catch-up burst (see placeReplayLocked, enqueueGrowLocked); the
+// overflow policy keys on the logical capacity.
 func (p *port) enqueueLocked(d filtering.Delivery) bool {
 	if p.closed {
 		p.dropped.Inc()
@@ -417,10 +417,10 @@ func (p *port) enqueueLocked(d filtering.Delivery) bool {
 }
 
 // enqueueGrowLocked admits d unconditionally, doubling the physical ring
-// when full instead of applying the overflow policy — used for the
-// catch-up replay batch and its held backlog, which must not evict each
-// other while being placed. The queue drains back under the capacity
-// bound as the worker catches up. Caller holds mu.
+// when full instead of applying the overflow policy — used for the held
+// backlog of a catch-up, which must not evict the replay batch placed
+// just ahead of it. The queue drains back under the capacity bound as
+// the worker catches up. Caller holds mu.
 func (p *port) enqueueGrowLocked(d filtering.Delivery) bool {
 	if p.closed {
 		p.dropped.Inc()
@@ -429,17 +429,55 @@ func (p *port) enqueueGrowLocked(d filtering.Delivery) bool {
 	}
 	p.queueBufLocked()
 	if p.count == len(p.queue) {
-		grown := make([]filtering.Delivery, 2*len(p.queue))
-		for i := 0; i < p.count; i++ {
-			grown[i] = p.queue[(p.head+i)%len(p.queue)]
-		}
-		p.queue = grown
-		p.head = 0
+		p.resizeLocked(2 * len(p.queue))
 	}
 	p.queue[(p.head+p.count)%len(p.queue)] = d
 	p.count++
 	p.waiter.Wake()
 	return true
+}
+
+// resizeLocked moves the queued deliveries to a fresh physical ring of n
+// slots (n >= count), head first. Caller holds mu.
+func (p *port) resizeLocked(n int) {
+	grown := make([]filtering.Delivery, n)
+	if p.count > 0 {
+		k := copy(grown, p.queue[p.head:min(p.head+p.count, len(p.queue))])
+		copy(grown[k:], p.queue[:p.count-k])
+	}
+	p.queue, p.head = grown, 0
+}
+
+// placeReplayLocked queues a catch-up batch behind whatever the locked
+// queue holds, past the capacity bound rather than through the overflow
+// policy (the batch must not evict itself), with one wake-up. The port
+// owns batch from here on: onto an empty queue a batch of at least
+// capacity entries becomes the physical ring as it stands — no copy, and
+// whatever capacity the slice has beyond its length is the ring's slack
+// — and anything else is copied in bulk after at most one growth to the
+// exact size. A closed port drops the batch. Caller holds mu.
+func (p *port) placeReplayLocked(batch []filtering.Delivery) {
+	n := len(batch)
+	if n == 0 {
+		return
+	}
+	if p.closed {
+		p.dropped.Add(int64(n))
+		p.selfDrop.Add(int64(n))
+		return
+	}
+	if p.count == 0 && n >= p.capacity {
+		p.queue, p.head = batch[:cap(batch)], 0
+	} else {
+		if need := p.count + n; need > len(p.queue) {
+			p.resizeLocked(max(need, p.capacity))
+		}
+		tail := (p.head + p.count) % len(p.queue)
+		k := copy(p.queue[tail:], batch)
+		copy(p.queue, batch[k:])
+	}
+	p.count += n
+	p.waiter.Wake()
 }
 
 // tryHold diverts a sync-mode delivery into the catch-up gate, or drops
@@ -480,7 +518,9 @@ func (p *port) beginGate() {
 // counted as dispatcher deliveries (they never entered Dispatch);
 // flushed held ones are, on sh. In async mode everything goes through
 // the queue under one lock acquisition, growing the ring past the
-// capacity bound rather than letting the batch evict itself. In sync
+// capacity bound rather than letting the batch evict itself, and the
+// port takes ownership of replay (placeReplayLocked may keep the slice
+// as its ring). In sync
 // mode the replay and held batches are delivered inline on the calling
 // goroutine, draining repeatedly until no new deliveries arrived while
 // the previous batch was being consumed.
@@ -490,9 +530,7 @@ func (p *port) endGate(replay []filtering.Delivery, stream wire.StreamID, syncMo
 		if len(replay) > 0 {
 			p.raiseFloorLocked(stream, replay)
 		}
-		for _, d := range replay {
-			p.enqueueGrowLocked(d)
-		}
+		p.placeReplayLocked(replay)
 		if p.gateCount > 1 {
 			// Another catch-up on this port is still mid-replay: its
 			// endGate flushes the held backlog once every floor is in

@@ -51,9 +51,7 @@ const Schema = "garnet-bench-perf/v1"
 type scenario struct {
 	name string
 	area string // which BENCH_*.json report the results land in
-	// zeroAlloc holds the scenario's cells to 0 allocs/op, except cells
-	// marked variant "serial": those run today's per-message comparator
-	// path, which allocates by design.
+	// zeroAlloc holds every cell of the scenario to 0 allocs/op.
 	zeroAlloc bool
 	run       func(o Options, emit func(Result))
 }
@@ -468,9 +466,8 @@ func benchPipeline(shards, procs, msgs int) Result {
 // filter-shard lock per batch, one wildcard snapshot and one
 // subscriber resolution per stream run) sits inside the measured
 // window. The batch=1 cell is the serial comparator: it runs today's
-// per-message Ingest→Dispatch path under variant "serial", which is
-// exempt from the 0-alloc bar (serial Dispatch builds its target slice
-// per message by design); batched cells must not allocate.
+// per-message Ingest→Dispatch path under variant "serial". Neither
+// variant may allocate.
 func benchPipelineBatched(batch, shards, procs, msgs int) Result {
 	d := dispatch.New(dispatch.Options{Shards: shards})
 	streams := make([]wire.StreamID, publishers)
@@ -845,9 +842,7 @@ func Validate(r Report) error {
 		if !known {
 			return fmt.Errorf("result path %q is not a registered scenario", res.Path)
 		}
-		// Variant "serial" marks a batched scenario's per-message
-		// comparator cell; that path allocates by design.
-		if sc.zeroAlloc && res.Variant != "serial" && res.AllocsPerOp > AllocTolerance {
+		if sc.zeroAlloc && res.AllocsPerOp > AllocTolerance {
 			return fmt.Errorf("path %s (shards=%d procs=%d batch=%d) allocates %.3f/op, bar is %.2f",
 				res.Path, res.Shards, res.Procs, res.Batch, res.AllocsPerOp, AllocTolerance)
 		}

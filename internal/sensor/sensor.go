@@ -263,15 +263,20 @@ func (n *Node) Start() {
 	}
 	n.mu.Unlock()
 
-	// Sensor listeners stay non-Static: the medium re-reads Position on
-	// every broadcast and lazily re-buckets the node in its spatial
-	// index when it has roamed into another grid cell.
+	// A sensor whose mobility model is field.Static cannot move — the
+	// type says so — and attaches Static: the medium indexes it once and
+	// never reads its Position again. Any other model stays non-Static:
+	// the medium re-reads Position on every broadcast on the band and
+	// lazily re-buckets the node in its spatial index when it has roamed
+	// into another grid cell.
+	_, static := n.cfg.Mobility.(field.Static)
 	if n.cfg.Capabilities.Has(CapReceive) {
 		n.detach = n.medium.Attach(radio.BandDownlink, &radio.Listener{
 			Name:     fmt.Sprintf("sensor/%d", n.cfg.ID),
 			Position: n.Position,
 			Radius:   n.cfg.RxRadius,
 			Deliver:  n.onDownlink,
+			Static:   static,
 		})
 	}
 	if n.cfg.Relay.Enabled {
@@ -280,6 +285,7 @@ func (n *Node) Start() {
 			Position: n.Position,
 			Radius:   n.cfg.Relay.ListenRadius,
 			Deliver:  n.onOverheard,
+			Static:   static,
 		})
 	}
 }

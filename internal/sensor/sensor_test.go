@@ -671,3 +671,64 @@ func TestStaleControlIgnoredByIssueOrder(t *testing.T) {
 		t.Fatalf("payload control: applied=%d, want 3", st.ControlsApplied)
 	}
 }
+
+// nowCounter counts Now calls on the clock a node was built with.
+// Node.Position reads the clock exactly once per call, so with the medium
+// on a clock of its own the count is the number of Position calls the
+// medium makes.
+type nowCounter struct {
+	sim.Clock
+	calls int
+}
+
+func (c *nowCounter) Now() time.Time {
+	c.calls++
+	return c.Clock.Now()
+}
+
+// TestStaticMobilityAttachesStaticListeners pins that a sensor whose
+// mobility is field.Static is indexed once by the medium: broadcasts on
+// its bands make no Position call after Start, while any other mobility
+// model is still polled once per listener per broadcast.
+func TestStaticMobilityAttachesStaticListeners(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mobility field.Mobility
+		perBcast int
+	}{
+		{"static", field.Static{P: geo.Pt(0, 0)}, 0},
+		{"linear", field.Linear{Start: geo.Pt(0, 0), Epoch: epoch}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := sim.NewVirtualClock(epoch)
+			medium := radio.NewMedium(base, radio.Params{})
+			clock := &nowCounter{Clock: base}
+			cfg := basicConfig(1)
+			cfg.Mobility = tc.mobility
+			cfg.Capabilities = CapReceive
+			cfg.RxRadius = 100
+			cfg.Relay = RelayConfig{Enabled: true, ListenRadius: 100}
+			cfg.Streams[0].Enabled = false
+			n, err := New(clock, medium, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Start()
+			defer n.Stop()
+			if got := medium.Listeners(radio.BandDownlink) + medium.Listeners(radio.BandUplink); got != 2 {
+				t.Fatalf("node attached %d listeners, want downlink + relay", got)
+			}
+			before := clock.calls
+			const bcasts = 10
+			for i := 0; i < bcasts; i++ {
+				// Far out of range: nothing is delivered, so the only clock
+				// reads left are the medium's position checks.
+				medium.Broadcast(radio.BandDownlink, geo.Pt(1e6, 1e6), 1, []byte{1})
+				medium.Broadcast(radio.BandUplink, geo.Pt(1e6, 1e6), 1, []byte{1})
+			}
+			if got, want := clock.calls-before, 2*bcasts*tc.perBcast; got != want {
+				t.Fatalf("%d Position calls over %d broadcasts per band, want %d", got, bcasts, want)
+			}
+		})
+	}
+}

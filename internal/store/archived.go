@@ -576,82 +576,3 @@ func (s *Store) forgetArchiveLocked(sh *shard, as *archStream, id wire.StreamID,
 	s.arch.backend.Forget(id)
 	return int(*reason - before)
 }
-
-// visitArchivedBlockLocked opens and decodes one archived block and
-// visits its live entries within [from, to], observing the read
-// latency. A block that fails integrity checks is skipped — recovery
-// already dropped torn tails, so this is the defensive posture
-// visitColdLocked takes, not an expected path. Caller holds mu.
-func (s *Store) visitArchivedBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, from, to uint64, fn func(d filtering.Delivery) bool) bool {
-	c, ok := codec.ByID(ref.Codec)
-	if !ok {
-		return true
-	}
-	ds := decodePool.Get().(*decodeScratch)
-	var entries []filtering.Delivery
-	start := time.Now()
-	var err error
-	ds.buf, err = s.arch.backend.Open(ds.buf[:0], id, ref.LastSeq)
-	if err == nil {
-		entries, err = c.Decode(ds.entries[:0], id, ds.buf, &ds.sc)
-		ds.entries = entries
-	}
-	s.arch.readLat.ObserveDuration(time.Since(start))
-	cont := true
-	if err == nil {
-		sh.archiveReadMsgs += int64(len(entries))
-		lo := from
-		if ref.FirstSeq > lo {
-			lo = ref.FirstSeq
-		}
-		for i := range entries {
-			if entries[i].StoreSeq < lo {
-				continue
-			}
-			if entries[i].StoreSeq > to {
-				break
-			}
-			if !fn(entries[i]) {
-				cont = false
-				break
-			}
-		}
-	}
-	decodePool.Put(ds)
-	return cont
-}
-
-// visitArchiveLocked stitches the stream's archive tier — durable
-// blocks then pending spills, all sequences ascending — into a read
-// of [from, to]. Caller holds mu.
-func (s *Store) visitArchiveLocked(sh *shard, as *archStream, id wire.StreamID, from, to uint64, fn func(d filtering.Delivery) bool) bool {
-	for i := range as.refs {
-		ref := &as.refs[i]
-		if ref.LastSeq < from {
-			continue
-		}
-		if ref.FirstSeq > to {
-			return true
-		}
-		if !s.visitArchivedBlockLocked(sh, id, ref, from, to, fn) {
-			return false
-		}
-	}
-	for i := range as.pending {
-		b := &as.pending[i]
-		if b.lastSeq < from {
-			continue
-		}
-		if b.firstSeq > to {
-			return true
-		}
-		lo := from
-		if b.firstSeq > lo {
-			lo = b.firstSeq
-		}
-		if !visitColdLocked(b, id, lo, to, fn) {
-			return false
-		}
-	}
-	return true
-}

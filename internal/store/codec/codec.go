@@ -70,21 +70,47 @@ type Codec interface {
 	Encode(dst []byte, block []filtering.Delivery) []byte
 	// Decode appends the block's deliveries to dst, stamping stream onto
 	// every message. Payload bytes live in sc and are valid until the
-	// scratch is reused; callers that keep a delivery must copy.
+	// scratch is reused; callers that keep a delivery must copy, or
+	// attach a buffer they own (Scratch.Attach).
 	Decode(dst []filtering.Delivery, stream wire.StreamID, src []byte, sc *Scratch) ([]filtering.Delivery, error)
 }
 
 // Scratch is reusable decode memory: payload bytes land in one grown
 // buffer and the decoded deliveries alias it. Pool Scratches across
 // decodes; the zero value is ready to use.
+//
+// A reader that keeps what it decodes attaches a buffer of its own
+// instead: decodes then append their payload bytes to that buffer rather
+// than overwrite the recycled one, so the deliveries alias memory the
+// reader owns and stay valid after the scratch goes back to its pool.
 type Scratch struct {
-	bytes []byte
-	offs  []int
+	bytes    []byte
+	offs     []int
+	recycled []byte // the scratch's own buffer, parked while one is attached
+	attached bool
+}
+
+// Attach makes buf the payload buffer of the decodes that follow, until
+// Detach: each appends after whatever buf already holds. When buf runs
+// out of capacity, append moves the later payloads to a larger private
+// array — earlier deliveries keep aliasing the old one, both stay valid.
+func (sc *Scratch) Attach(buf []byte) {
+	sc.recycled, sc.bytes, sc.attached = sc.bytes, buf, true
+}
+
+// Detach returns the attached buffer, grown by the decodes since Attach,
+// and puts the scratch back on its own recycled one.
+func (sc *Scratch) Detach() []byte {
+	buf := sc.bytes
+	sc.bytes, sc.recycled, sc.attached = sc.recycled, nil, false
+	return buf
 }
 
 // reset prepares the scratch for one decode.
 func (sc *Scratch) reset() {
-	sc.bytes = sc.bytes[:0]
+	if !sc.attached {
+		sc.bytes = sc.bytes[:0]
+	}
 	sc.offs = sc.offs[:0]
 }
 

@@ -272,6 +272,54 @@ func TestCodecScratchReuse(t *testing.T) {
 	}
 }
 
+// TestCodecScratchAttach checks the keep-what-you-decode mode: with a
+// caller-owned buffer attached, consecutive decodes append their payload
+// bytes to it — whether it has room or has to grow — and the deliveries
+// stay intact after the buffer is detached and the scratch goes back to
+// recycling its own.
+func TestCodecScratchAttach(t *testing.T) {
+	blocks := testBlocks()
+	names := []string{"text-repeat", "constant-float", "incompressible"}
+	for _, c := range allCodecs() {
+		for _, room := range []int{0, 1 << 16} {
+			var sc Scratch
+			if _, err := c.Decode(nil, testStream, c.Encode(nil, blocks["single"]), &sc); err != nil {
+				t.Fatal(err) // gives the scratch a recycled buffer to get back
+			}
+			owned := make([]byte, 0, room)
+			sc.Attach(owned)
+			var got []filtering.Delivery
+			for _, name := range names {
+				var err error
+				if got, err = c.Decode(got, testStream, c.Encode(nil, blocks[name]), &sc); err != nil {
+					t.Fatalf("%s/%s: %v", c.Name(), name, err)
+				}
+			}
+			owned = sc.Detach()
+			// Recycle the scratch: nothing decoded above may move.
+			if _, err := c.Decode(nil, testStream, c.Encode(nil, blocks["incompressible"]), &sc); err != nil {
+				t.Fatal(err)
+			}
+			i, total := 0, 0
+			for _, name := range names {
+				for _, want := range blocks[name] {
+					if !bytes.Equal(got[i].Msg.Payload, want.Msg.Payload) {
+						t.Fatalf("%s room=%d %s: entry %d payload %x, want %x", c.Name(), room, name, i, got[i].Msg.Payload, want.Msg.Payload)
+					}
+					total += len(want.Msg.Payload)
+					i++
+				}
+			}
+			if len(owned) != total {
+				t.Fatalf("%s room=%d: attached buffer holds %d bytes, the payloads %d", c.Name(), room, len(owned), total)
+			}
+			if room > 0 && len(got[0].Msg.Payload) > 0 && &got[0].Msg.Payload[0] != &owned[0] {
+				t.Fatalf("%s: payloads do not live in the attached buffer", c.Name())
+			}
+		}
+	}
+}
+
 func TestCodecCompresses(t *testing.T) {
 	blocks := testBlocks()
 	for _, tc := range []struct {

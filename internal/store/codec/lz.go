@@ -169,7 +169,7 @@ func (lzCodec) Decode(dst []filtering.Delivery, stream wire.StreamID, src []byte
 		return dst, err
 	}
 	entries := dst[start:]
-	total := 0
+	base, total := len(sc.bytes), 0
 	for range entries {
 		n, err := r.uvarint()
 		if err != nil {
@@ -178,7 +178,7 @@ func (lzCodec) Decode(dst []filtering.Delivery, stream wire.StreamID, src []byte
 		if n > uint64(len(src))*256 {
 			return dst, corrupt("implausible payload length %d", n)
 		}
-		sc.offs = append(sc.offs, total, total+int(n))
+		sc.offs = append(sc.offs, base+total, base+total+int(n))
 		total += int(n)
 	}
 	mode, err := r.byte()

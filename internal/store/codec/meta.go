@@ -189,6 +189,8 @@ func encodeMeta(dst []byte, block []filtering.Delivery) []byte {
 
 // decodeMeta reads the metadata section, appending count deliveries with
 // nil payloads to dst. The payload section decoder fills payloads in.
+// On error dst may end in a partly decoded entry; every caller discards
+// what a failed decode appended.
 func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader) ([]filtering.Delivery, error) {
 	count, err := r.uvarint()
 	if err != nil {
@@ -225,7 +227,10 @@ func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader) ([]fi
 	var prevTS, prevDelta int64
 	prevRSSI := uint64(0)
 	for i := uint64(0); i < count; i++ {
-		var d filtering.Delivery
+		// Build the entry in place: with dst pre-sized by the reader this
+		// is the only write of its 96 bytes.
+		dst = append(dst, filtering.Delivery{})
+		d := &dst[len(dst)-1]
 		d.Msg.Stream = stream
 		if i > 0 {
 			gap, err := r.uvarint()
@@ -303,7 +308,6 @@ func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader) ([]fi
 				return dst, err
 			}
 		}
-		dst = append(dst, d)
 	}
 	return dst, nil
 }

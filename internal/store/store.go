@@ -37,6 +37,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -213,9 +214,11 @@ type Stats struct {
 	ArchivePendingBlocks int64
 	ArchiveQueueDepth    int
 
-	// Archive backend latency percentiles in milliseconds (exact order
-	// statistics over every spill write / block read so far); zero when
-	// nothing has been observed.
+	// Archive backend latency percentiles in milliseconds over every
+	// spill write / block read so far, from a fixed-bucket histogram:
+	// never above the exact order statistic and less than 3.2 % below it
+	// (metrics.HistogramRelativeError); zero when nothing has been
+	// observed.
 	ArchiveWriteP50Ms float64
 	ArchiveWriteP99Ms float64
 	ArchiveReadP50Ms  float64
@@ -897,8 +900,8 @@ func (s *Store) OldestSince(id wire.StreamID, from uint64) (seq uint64, size int
 	return seq, size, ok
 }
 
-// decodeScratch is the pooled working memory for lazily decompressing one
-// cold block on the read path.
+// decodeScratch is the pooled working memory for decompressing one
+// sealed block on the read path.
 type decodeScratch struct {
 	sc      codec.Scratch
 	entries []filtering.Delivery
@@ -907,56 +910,64 @@ type decodeScratch struct {
 
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// visitColdLocked decodes one cold block and visits its entries within
-// [from, to], returning false when fn stopped the walk. Decoded
-// deliveries borrow pooled scratch memory, valid only during fn — the
-// same borrow contract RangeFunc already imposes. A block that fails to
-// decode (which would take memory corruption — the store sealed it) is
-// skipped rather than taking the read path down. Caller holds mu.
-func visitColdLocked(b *coldBlock, id wire.StreamID, from, to uint64, fn func(d filtering.Delivery) bool) bool {
-	c, ok := codec.ByID(b.codec)
-	if !ok {
-		return true
-	}
-	ds := decodePool.Get().(*decodeScratch)
-	entries, err := c.Decode(ds.entries[:0], id, b.data, &ds.sc)
-	ds.entries = entries
-	cont := true
-	if err == nil {
-		for i := range entries {
-			if entries[i].StoreSeq < from {
-				continue
-			}
-			if entries[i].StoreSeq > to {
-				break
-			}
-			if !fn(entries[i]) {
-				cont = false
-				break
-			}
-		}
-	}
-	decodePool.Put(ds)
-	return cont
+// span is one sealed block of a stream's history as the tier walker
+// presents it, whichever tier holds it. firstSeq, count and rawBytes
+// are the live bookkeeping: a retention cut may have advanced them past
+// a dead prefix the immutable bytes still contain.
+type span struct {
+	codec    codec.ID
+	firstSeq uint64
+	lastSeq  uint64
+	count    int
+	rawBytes int64
+	data     []byte // encoded block; nil for an archived block, whose bytes the backend holds under lastSeq
 }
 
-// visitWarmLocked visits the stage and hot-ring entries within [from, to]
-// ascending, returning false when fn stopped the walk. Caller holds mu.
-func (r *ring) visitWarmLocked(from, to uint64, fn func(d filtering.Delivery) bool) bool {
+func spanOfBlock(b *coldBlock) span {
+	return span{codec: b.codec, firstSeq: b.firstSeq, lastSeq: b.lastSeq, count: b.count, rawBytes: b.rawBytes, data: b.data}
+}
+
+// walkLocked presents the stream's retained history that intersects
+// [from, to] in ascending sequence order: the sealed blocks — archived,
+// then pending spill, then cold — as spans, then the stage and hot-ring
+// entries one by one. It is the one place that knows the tier order;
+// every range read drives it. A span is handed over whole (its header
+// says it intersects, not which entries do); entries are borrowed store
+// memory. Either callback returning false stops the walk. Caller holds
+// mu.
+func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp span) bool, entry func(d *filtering.Delivery) bool) {
+	if as := sh.archived[id]; as != nil {
+		// A long-lived stream holds many archived blocks and a read walks
+		// them twice (size, then decode): skip to the window by search.
+		first := sort.Search(len(as.refs), func(i int) bool { return as.refs[i].LastSeq >= from })
+		for i := first; i < len(as.refs); i++ {
+			ref := &as.refs[i]
+			if ref.FirstSeq > to {
+				return
+			}
+			if !block(span{codec: ref.Codec, firstSeq: ref.FirstSeq, lastSeq: ref.LastSeq, count: int(ref.Count), rawBytes: ref.RawBytes}) {
+				return
+			}
+		}
+		if !walkBlocks(as.pending, from, to, block) {
+			return
+		}
+	}
+	r, ok := sh.streams[id]
+	if !ok || !walkBlocks(r.cold, from, to, block) {
+		return
+	}
 	for i := range r.stage {
 		seq := r.stage[i].StoreSeq
 		if seq < from {
 			continue
 		}
-		if seq > to {
-			return true
-		}
-		if !fn(r.stage[i]) {
-			return false
+		if seq > to || !entry(&r.stage[i]) {
+			return
 		}
 	}
 	if r.count == 0 {
-		return true
+		return
 	}
 	lo, hi := from, to
 	if low := r.oldestLocked(); lo < low {
@@ -966,73 +977,190 @@ func (r *ring) visitWarmLocked(from, to uint64, fn func(d filtering.Delivery) bo
 		hi = r.maxExt
 	}
 	for ext := lo; ext <= hi; ext++ {
-		if r.presentLocked(ext) && !fn(r.slots[ext&r.slotMask()]) {
+		if r.presentLocked(ext) && !entry(&r.slots[ext&r.slotMask()]) {
+			return
+		}
+	}
+}
+
+// walkBlocks presents the in-memory sealed blocks that intersect
+// [from, to]; false means the walk is over — past the window, or
+// stopped by the callback.
+func walkBlocks(blocks []coldBlock, from, to uint64, block func(sp span) bool) bool {
+	for i := range blocks {
+		b := &blocks[i]
+		if b.lastSeq < from {
+			continue
+		}
+		if b.firstSeq > to || !block(spanOfBlock(b)) {
 			return false
 		}
 	}
 	return true
 }
 
-// Range returns copies of the retained deliveries with extended sequences
-// in [from, to], ascending. Payloads are detached copies; the result is
-// safe to hold indefinitely.
+// decodeSpanLocked appends sp's physical entries to dst, payload bytes
+// going to ds.sc; an archived block is first read from the backend into
+// ds.buf, the read is timed and its entries counted as read
+// amplification. A block that fails to open or decode — which would
+// take corruption: the store sealed it and recovery already dropped
+// torn tails — leaves dst as it was and reports false, so reads skip it
+// rather than fail. Caller holds mu.
+func (s *Store) decodeSpanLocked(sh *shard, id wire.StreamID, sp *span, dst []filtering.Delivery, ds *decodeScratch) ([]filtering.Delivery, bool) {
+	c, ok := codec.ByID(sp.codec)
+	if !ok {
+		return dst, false
+	}
+	n := len(dst)
+	var err error
+	if sp.data != nil {
+		dst, err = c.Decode(dst, id, sp.data, &ds.sc)
+	} else {
+		start := time.Now()
+		if ds.buf, err = s.arch.backend.Open(ds.buf[:0], id, sp.lastSeq); err == nil {
+			dst, err = c.Decode(dst, id, ds.buf, &ds.sc)
+		}
+		s.arch.readLat.ObserveDuration(time.Since(start))
+		if err == nil {
+			sh.archiveReadMsgs += int64(len(dst) - n)
+		}
+	}
+	if err != nil {
+		clear(dst[n:])
+		return dst[:n], false
+	}
+	return dst, true
+}
+
+// liveWithin returns the sub-slice of a decoded span's entries that are
+// live (at or above the span's firstSeq) and inside [from, to].
+func liveWithin(entries []filtering.Delivery, sp *span, from, to uint64) []filtering.Delivery {
+	if sp.firstSeq > from {
+		from = sp.firstSeq
+	}
+	i, j := 0, len(entries)
+	for i < j && entries[i].StoreSeq < from {
+		i++
+	}
+	for j > i && entries[j-1].StoreSeq > to {
+		j--
+	}
+	return entries[i:j]
+}
+
+// visitSpanLocked decodes one span into pooled scratch and visits its
+// live entries within [from, to], returning false when fn stopped the
+// walk. The visited deliveries borrow the scratch, valid only during fn
+// — the borrow contract RangeFunc imposes. Caller holds mu.
+func (s *Store) visitSpanLocked(sh *shard, id wire.StreamID, sp *span, from, to uint64, fn func(d filtering.Delivery) bool) bool {
+	ds := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(ds)
+	ds.entries, _ = s.decodeSpanLocked(sh, id, sp, ds.entries[:0], ds)
+	for _, d := range liveWithin(ds.entries, sp, from, to) {
+		if !fn(d) {
+			return false
+		}
+	}
+	return true
+}
+
+// Range returns the retained deliveries with extended sequences in
+// [from, to], ascending. The result is the caller's: no delivery or
+// payload in it aliases store or pooled memory, so it is safe to hold
+// indefinitely, to mutate, and to hand on (SubscribeWithReplay's port
+// adopts it). All its payloads share one allocation, so keeping one
+// payload alive keeps the read's payload bytes alive.
 func (s *Store) Range(id wire.StreamID, from, to uint64) []filtering.Delivery {
 	return s.AppendRange(nil, id, from, to)
 }
 
-// AppendRange is Range appending into dst (payloads still freshly copied),
-// for callers that recycle the outer slice across replays.
+// AppendRange is Range appending into dst, for callers that recycle the
+// outer slice across replays (payloads are never recycled: they live in
+// an allocation made for this read).
+//
+// A read is one pass with one allocation of each kind. Every sealed
+// block's header carries its entry count and payload bytes, so the walk
+// first sums what intersects [from, to] — headers only, plus the stage
+// and hot entries themselves — grows dst once and allocates one payload
+// slab; then each block decodes straight into the tail of dst with its
+// payload bytes appended to the slab, and the stage and hot entries are
+// copied in behind them. A block is decoded whole and the entries
+// outside the window trimmed in place, so dst may be grown by up to two
+// blocks more than the result holds. Should a header understate (a
+// retention cut leaves a block's dead prefix in its bytes), append
+// moves the overflow to a private array; nothing is lost.
 func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to uint64) []filtering.Delivery {
-	s.RangeFunc(id, from, to, func(d filtering.Delivery) bool {
-		d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
-		dst = append(dst, d)
-		return true
-	})
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+
+	var count int
+	var raw int64
+	sh.walkLocked(id, from, to,
+		func(sp span) bool {
+			count += sp.count
+			raw += sp.rawBytes
+			return true
+		},
+		func(d *filtering.Delivery) bool {
+			count++
+			raw += int64(len(d.Msg.Payload))
+			return true
+		})
+	if count == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, count)
+	slab := make([]byte, 0, raw)
+
+	ds := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(ds)
+	sh.walkLocked(id, from, to,
+		func(sp span) bool {
+			n := len(dst)
+			ds.sc.Attach(slab)
+			dst, _ = s.decodeSpanLocked(sh, id, &sp, dst, ds)
+			slab = ds.sc.Detach()
+			block := dst[n:]
+			kept := copy(block, liveWithin(block, &sp, from, to))
+			clear(block[kept:])
+			dst = dst[:n+kept]
+			return true
+		},
+		func(d *filtering.Delivery) bool {
+			dst = append(dst, *d)
+			own := &dst[len(dst)-1].Msg.Payload
+			*own = nil
+			if p := d.Msg.Payload; len(p) > 0 {
+				slab = append(slab, p...)
+				*own = slab[len(slab)-len(p) : len(slab) : len(slab)]
+			}
+			return true
+		})
 	return dst
 }
 
 // RangeFunc visits retained deliveries with extended sequences in
-// [from, to] ascending, stopping early when fn returns false. Cold
-// compressed blocks are stitched in transparently, decompressed lazily
-// into pooled scratch one block at a time. The visited deliveries borrow
-// store memory: they are valid only during the fn call, which runs under
-// the stream's shard lock — fn must not call back into the Store and
-// must copy anything it keeps.
+// [from, to] ascending, stopping early when fn returns false. Sealed
+// blocks are stitched in transparently, decompressed lazily into pooled
+// scratch one block at a time. The visited deliveries borrow store
+// memory: they are valid only during the fn call, which runs under the
+// stream's shard lock — fn must not call back into the Store and must
+// copy anything it keeps.
 func (s *Store) RangeFunc(id wire.StreamID, from, to uint64, fn func(d filtering.Delivery) bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.archived != nil {
-		if as := sh.archived[id]; as != nil {
-			if !s.visitArchiveLocked(sh, as, id, from, to, fn) {
-				return
-			}
-		}
-	}
-	r, ok := sh.streams[id]
-	if !ok {
-		return
-	}
-	for bi := range r.cold {
-		b := &r.cold[bi]
-		if b.lastSeq < from {
-			continue
-		}
-		if b.firstSeq > to {
-			return
-		}
-		if !visitColdLocked(b, id, from, to, fn) {
-			return
-		}
-	}
-	r.visitWarmLocked(from, to, fn)
+	sh.walkLocked(id, from, to,
+		func(sp span) bool { return s.visitSpanLocked(sh, id, &sp, from, to, fn) },
+		func(d *filtering.Delivery) bool { return fn(*d) })
 }
 
 // WindowStats returns the number of retained deliveries and their total
 // payload bytes with extended sequences in [from, to] — what a replay of
 // that window would materialise. Policy views (the Orphanage) report
 // their backlog from this truth so byte/age eviction inside a window can
-// never make the view overstate what a claim will return. Cold blocks
+// never make the view overstate what a claim will return. Sealed blocks
 // wholly inside the window are summed from their headers without
 // decompressing; only the boundary blocks decode.
 func (s *Store) WindowStats(id wire.StreamID, from, to uint64) (count int, bytes int64) {
@@ -1044,67 +1172,16 @@ func (s *Store) WindowStats(id wire.StreamID, from, to uint64) (count int, bytes
 		bytes += int64(len(d.Msg.Payload))
 		return true
 	}
-	if sh.archived != nil {
-		if as := sh.archived[id]; as != nil {
-			for i := range as.refs {
-				ref := &as.refs[i]
-				if ref.LastSeq < from {
-					continue
-				}
-				if ref.FirstSeq > to {
-					return count, bytes
-				}
-				if ref.FirstSeq >= from && ref.LastSeq <= to {
-					count += int(ref.Count)
-					bytes += ref.RawBytes
-					continue
-				}
-				s.visitArchivedBlockLocked(sh, id, ref, from, to, acc)
+	sh.walkLocked(id, from, to,
+		func(sp span) bool {
+			if sp.firstSeq >= from && sp.lastSeq <= to {
+				count += sp.count
+				bytes += sp.rawBytes
+				return true
 			}
-			for bi := range as.pending {
-				b := &as.pending[bi]
-				if b.lastSeq < from {
-					continue
-				}
-				if b.firstSeq > to {
-					return count, bytes
-				}
-				if b.firstSeq >= from && b.lastSeq <= to {
-					count += b.count
-					bytes += b.rawBytes
-					continue
-				}
-				// A retention cut may leave dead prefix entries inside
-				// the block's physical bytes; the live firstSeq bounds
-				// what the decode may surface.
-				lo := from
-				if b.firstSeq > lo {
-					lo = b.firstSeq
-				}
-				visitColdLocked(b, id, lo, to, acc)
-			}
-		}
-	}
-	r, ok := sh.streams[id]
-	if !ok {
-		return count, bytes
-	}
-	for bi := range r.cold {
-		b := &r.cold[bi]
-		if b.lastSeq < from {
-			continue
-		}
-		if b.firstSeq > to {
-			return count, bytes
-		}
-		if b.firstSeq >= from && b.lastSeq <= to {
-			count += b.count
-			bytes += b.rawBytes
-			continue
-		}
-		visitColdLocked(b, id, from, to, acc)
-	}
-	r.visitWarmLocked(from, to, acc)
+			return s.visitSpanLocked(sh, id, &sp, from, to, acc)
+		},
+		func(d *filtering.Delivery) bool { return acc(*d) })
 	return count, bytes
 }
 
