@@ -19,13 +19,16 @@ import (
 	"github.com/garnet-middleware/garnet/internal/actuation"
 	"github.com/garnet-middleware/garnet/internal/dispatch"
 	"github.com/garnet-middleware/garnet/internal/experiments"
+	"github.com/garnet-middleware/garnet/internal/field"
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/geo"
 	"github.com/garnet-middleware/garnet/internal/radio"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/resource"
 	"github.com/garnet-middleware/garnet/internal/security"
+	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/sim"
+	"github.com/garnet-middleware/garnet/internal/transmit"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -513,6 +516,52 @@ func BenchmarkRadioBroadcast(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDownlinkFanout measures the return path's last hop: one
+// transmitter broadcast heard by 256 static receive-capable sensors (one
+// addressed, the rest decoding and discarding), then the clock advance
+// that delivers it. One op is one broadcast; with -benchmem, allocs/op is
+// allocations per broadcast and must stay 0 — one pooled hand-off on the
+// clock, and every sensor returning its frame.
+func BenchmarkDownlinkFanout(b *testing.B) {
+	const sensors = 256
+	clock := garnet.NewVirtualClock(time.Unix(0, 0))
+	m := radio.NewMedium(clock, radio.Params{Seed: 42})
+	for i := 0; i < sensors; i++ {
+		n, err := sensor.New(clock, m, sensor.Config{
+			ID:           wire.SensorID(i + 1),
+			Capabilities: sensor.CapReceive,
+			Mobility:     field.Static{P: geo.Pt(float64(i%16)*10, float64(i/16)*10)},
+			TxRange:      500,
+			Streams:      []sensor.StreamConfig{{Sampler: sensor.ConstantSampler([]byte("x")), Period: time.Second}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n.Start()
+		defer n.Stop()
+	}
+	tx := transmit.New(m, transmit.Config{Position: geo.Pt(75, 75), Range: 500})
+	ping := wire.ControlMessage{UpdateID: 1, Target: wire.MustStreamID(1, 0), Op: wire.OpPing, Issued: clock.Now()}
+	frame, err := ping.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 16; i++ { // warm the hand-off, lease and event pools
+		tx.Broadcast(frame)
+		clock.Advance(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Broadcast(frame)
+		clock.Advance(0)
+	}
+	b.StopTimer()
+	if got, want := m.Metrics().Deliveries.Value(), int64(sensors*(b.N+16)); got != want {
+		b.Fatalf("Deliveries = %d, want %d", got, want)
 	}
 }
 

@@ -20,10 +20,13 @@
 // randomness is derived per delivery from (medium seed, broadcast
 // counter, listener id) and all scheduling comes from a sim.Clock, so a
 // run is reproducible bit-for-bit regardless of the order the index
-// yields candidates in.
+// yields candidates in. A broadcast costs the clock one event per
+// distinct delay among its copies — one, on a channel without jitter —
+// not one per listener reached.
 package radio
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -102,13 +105,10 @@ var frameBufs = sync.Pool{
 	New: func() any { return new(frameLease) },
 }
 
-// leaseFrameBuf returns a pooled lease with a buffer of length n.
-func leaseFrameBuf(n int) *frameLease {
+// leaseFrameBuf returns a pooled lease holding a copy of data.
+func leaseFrameBuf(data []byte) *frameLease {
 	l := frameBufs.Get().(*frameLease)
-	if cap(l.buf) < n {
-		l.buf = make([]byte, n)
-	}
-	l.buf = l.buf[:n]
+	l.buf = append(l.buf[:0], data...)
 	l.released.Store(false)
 	return l
 }
@@ -132,7 +132,10 @@ func (f *Frame) Release() {
 // delivery callback. Position is queried at broadcast time so mobile nodes
 // (sensors on the downlink band) are heard at their current location.
 //
-// Deliver runs on the clock's callback goroutine and must not block.
+// Deliver runs on the clock's callback goroutine and must not block: the
+// copies of one broadcast that share a delay are delivered back-to-back
+// in ascending listener id on one callback, so a Deliver that blocks
+// delays its siblings.
 type Listener struct {
 	Name     string
 	Position func() geo.Point
@@ -309,59 +312,52 @@ func removeEntry(s []*listenerEntry, e *listenerEntry) []*listenerEntry {
 	return s
 }
 
-// delivery is one scheduled copy, decided under the medium lock and
-// dispatched outside it.
+// delivery is one copy of a broadcast: decided under the medium lock,
+// given its buffer outside it, handed to its listener by a handoff.
 type delivery struct {
 	l       *Listener
+	lease   *frameLease
 	delay   time.Duration
 	distSq  float64
-	corrupt bool
 	flipPos int
-	flipBit byte
+	flipBit byte // what corruption flips at flipPos; zero = delivered intact
 }
 
-// bcastScratch is the pooled per-broadcast working set: candidate ids
-// from the grid query plus the decided deliveries. Pooling it keeps the
-// whole broadcast path allocation-free at steady state.
-type bcastScratch struct {
-	ids        []int
-	deliveries []delivery
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &bcastScratch{ids: make([]int, 0, 64), deliveries: make([]delivery, 0, 64)}
-}}
-
-// pendingDelivery carries one copy from the decision under the lock to
-// its clock-scheduled hand-off. The fire closure is bound once per
-// pooled object, so scheduling a delivery allocates nothing.
-type pendingDelivery struct {
+// handoff is the pooled working set of one broadcast — candidate ids from
+// the grid query, then the decided copies — and, once scheduled, the one
+// clock event that delivers the copies: they share a delay, so they arrive
+// at one instant and fire back-to-back in ascending listener id.
+type handoff struct {
+	ids    []int
+	copies []delivery
 	m      *Medium
-	l      *Listener
-	lease  *frameLease
 	from   geo.Point
-	distSq float64
 	fire   func()
 }
 
-var pdPool sync.Pool
+var handoffPool = sync.Pool{New: func() any { return new(handoff) }}
 
-func init() {
-	// Assigned in init: the New hook references run, which references
-	// pdPool — a package-level literal would be an initialization cycle.
-	pdPool.New = func() any {
-		pd := new(pendingDelivery)
-		pd.fire = pd.run
-		return pd
+// newHandoff draws a handoff for a broadcast from the given position.
+func (m *Medium) newHandoff(from geo.Point) *handoff {
+	h := handoffPool.Get().(*handoff)
+	if h.fire == nil {
+		h.fire = h.run // bound once per pooled object: scheduling allocates nothing
 	}
+	h.m, h.from, h.ids = m, from, h.ids[:0]
+	return h
 }
 
-func (pd *pendingDelivery) run() {
-	m, l, lease, from, distSq := pd.m, pd.l, pd.lease, pd.from, pd.distSq
-	pd.m, pd.l, pd.lease = nil, nil, nil
-	pdPool.Put(pd) // locals are copied; safe even if Deliver re-broadcasts
-	m.metrics.Deliveries.Inc()
-	l.Deliver(Frame{Data: lease.buf, From: from, At: m.clock.Now(), DistSq: distSq, lease: lease})
+// run delivers the copies. A Deliver that broadcasts again draws another
+// handoff (h is pooled only at the end), which fires after h's other copies.
+func (h *handoff) run() {
+	m, at := h.m, h.m.clock.Now() // one instant: the copies share a delay
+	m.metrics.Deliveries.Add(int64(len(h.copies)))
+	for _, c := range h.copies {
+		c.l.Deliver(Frame{Data: c.lease.buf, From: h.from, At: at, DistSq: c.distSq, lease: c.lease})
+	}
+	clear(h.copies) // drop listener and lease references before pooling
+	h.copies, h.m = h.copies[:0], nil
+	handoffPool.Put(h)
 }
 
 // Broadcast offers a frame to the medium from a transmit position with a
@@ -370,19 +366,20 @@ func (pd *pendingDelivery) run() {
 // subject to loss, delay and corruption. The data slice is copied
 // immediately; the caller may reuse it.
 //
+// Copies that share a delay share one clock event and fire in (delay,
+// listener id) order: what one event per copy fires in on a VirtualClock.
+//
 // Cost is O(mobile listeners + grid cells + listeners reached): only the
 // spatial-index candidates are distance-checked, and each candidate's
 // loss/jitter/corruption comes from its own derived stream, so no global
 // RNG serialises concurrent broadcasts.
 func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []byte) {
 	m.metrics.Broadcasts.Inc()
-	sc := scratchPool.Get().(*bcastScratch)
-	sc.ids = sc.ids[:0]
-	sc.deliveries = sc.deliveries[:0]
+	h := m.newHandoff(from)
+	jitter := m.params.DelayMax - m.params.DelayMin
 
 	m.mu.Lock()
 	m.bcast++
-	bcast := m.bcast
 	bs := &m.bands[band-1]
 	// Lazily re-bucket mobile listeners: position functions are live (a
 	// sensor roams between broadcasts), so each mobile listener gets one
@@ -398,62 +395,74 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 	if bs.grid != nil {
 		if m.linearScan {
 			for _, e := range bs.order {
-				sc.ids = append(sc.ids, e.id)
+				h.ids = append(h.ids, e.id)
 			}
 		} else {
-			sc.ids = bs.grid.AppendCovering(sc.ids, from)
+			h.ids = bs.grid.AppendCovering(h.ids, from)
 			// Canonical scheduling order: grid bucketing details (cell
 			// size, overflow list, mobility re-bucket history) must never
 			// leak into the order equal-time deliveries fire in, so the
 			// candidate walk is pinned to ascending id. Grid cell size
 			// stays a pure performance knob.
-			slices.Sort(sc.ids)
+			slices.Sort(h.ids)
 		}
 	}
-	for _, id := range sc.ids {
+	for _, id := range h.ids {
 		e := m.byID[id]
 		d2 := from.DistSq(e.pos)
 		if d2 > txRangeSq || d2 > e.l.Radius*e.l.Radius {
 			continue
 		}
 		reached++
-		rng := newDeliveryRand(m.seed, bcast, e.id)
+		rng := newDeliveryRand(m.seed, m.bcast, e.id)
 		if m.params.LossProb > 0 && rng.float64() < m.params.LossProb {
 			m.metrics.Lost.Inc()
 			continue
 		}
 		dv := delivery{l: e.l, delay: m.params.DelayMin, distSq: d2}
-		if jitter := m.params.DelayMax - m.params.DelayMin; jitter > 0 {
-			dv.delay += time.Duration(rng.int64n(int64(jitter) + 1))
+		if jitter > 0 {
+			// Clamped as the clock clamps, so that every delay that means
+			// "now" lands in one group.
+			dv.delay = max(dv.delay+time.Duration(rng.int64n(int64(jitter)+1)), 0)
 		}
 		if m.params.CorruptProb > 0 && rng.float64() < m.params.CorruptProb && len(data) > 0 {
-			dv.corrupt = true
 			dv.flipPos = rng.intn(len(data))
 			dv.flipBit = byte(1) << rng.intn(8)
 		}
-		sc.deliveries = append(sc.deliveries, dv)
+		h.copies = append(h.copies, dv)
 	}
 	m.mu.Unlock()
 
 	if reached == 0 {
 		m.metrics.OutOfRange.Inc()
 	}
-	for i := range sc.deliveries {
-		dv := &sc.deliveries[i]
-		lease := leaseFrameBuf(len(data))
-		copy(lease.buf, data)
-		if dv.corrupt {
-			lease.buf[dv.flipPos] ^= dv.flipBit
+	if len(h.copies) == 0 {
+		h.m = nil
+		handoffPool.Put(h)
+		return
+	}
+	for i := range h.copies {
+		dv := &h.copies[i]
+		dv.lease = leaseFrameBuf(data)
+		if dv.flipBit != 0 {
+			dv.lease.buf[dv.flipPos] ^= dv.flipBit
 			m.metrics.Corrupted.Inc()
 		}
-		pd := pdPool.Get().(*pendingDelivery)
-		pd.m, pd.l, pd.lease, pd.from, pd.distSq = m, dv.l, lease, from, dv.distSq
-		m.sched(dv.delay, pd.fire)
 	}
-	for i := range sc.deliveries {
-		sc.deliveries[i] = delivery{} // drop listener references before pooling
+	if jitter > 0 {
+		// Distinct delays keep their own events: order by (delay, listener
+		// id) and peel each later run of equal delay off into its own handoff.
+		slices.SortStableFunc(h.copies, func(a, b delivery) int { return cmp.Compare(a.delay, b.delay) })
+		for i := len(h.copies) - 1; i > 0; i-- {
+			if h.copies[i-1].delay != h.copies[i].delay {
+				t := m.newHandoff(from)
+				t.copies = append(t.copies, h.copies[i:]...)
+				h.copies = slices.Delete(h.copies, i, len(h.copies)) // zeroes the tail
+				m.sched(t.copies[0].delay, t.fire)
+			}
+		}
 	}
-	scratchPool.Put(sc)
+	m.sched(h.copies[0].delay, h.fire)
 }
 
 // Listeners returns the number of listeners attached to a band.

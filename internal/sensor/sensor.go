@@ -406,6 +406,9 @@ func (n *Node) dieLocked() {
 
 // onDownlink processes a control frame heard on the downlink band.
 func (n *Node) onDownlink(f radio.Frame) {
+	// DecodeControl copies every field out of the frame, so its buffer goes
+	// back to the medium's pool on every path, addressed to us or not.
+	defer f.Release()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dead || !n.started {
@@ -542,6 +545,10 @@ func (n *Node) queueAckLocked(updateID uint16) {
 // that suppresses relay storms.
 func (n *Node) onOverheard(f radio.Frame) {
 	msg, _, err := wire.DecodeMessage(f.Data)
+	// DecodeMessage copied the payload and the relay re-encodes what it
+	// sends, so nothing aliases the frame's buffer past this point.
+	frameLen := len(f.Data)
+	f.Release()
 	if err != nil {
 		return // corrupt or foreign-format frame
 	}
@@ -559,7 +566,7 @@ func (n *Node) onOverheard(f radio.Frame) {
 		return
 	}
 	// Overhearing costs listening energy like any reception.
-	rxCost := n.cfg.Energy.RxPerByte * float64(len(f.Data))
+	rxCost := n.cfg.Energy.RxPerByte * float64(frameLen)
 	if n.cfg.Battery > 0 && n.energyUsed+rxCost > n.cfg.Battery {
 		n.dieLocked()
 		n.mu.Unlock()

@@ -732,3 +732,56 @@ func TestStaticMobilityAttachesStaticListeners(t *testing.T) {
 		})
 	}
 }
+
+// TestDownlinkDeliveryRecyclesFrame: every sensor in range hears every
+// control frame, addressed to it or not, and hands its copy's buffer back
+// to the medium — at steady state a downlink broadcast allocates nothing,
+// where a sensor that kept its frames cost a lease and a buffer per copy.
+func TestDownlinkDeliveryRecyclesFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
+	}
+	clock := sim.NewVirtualClock(epoch)
+	medium := radio.NewMedium(clock, radio.Params{})
+	const sensors = 16
+	nodes := make([]*Node, sensors)
+	for i := range nodes {
+		cfg := basicConfig(wire.SensorID(i + 1))
+		cfg.Capabilities = CapReceive
+		cfg.Streams[0].Enabled = false // no uplink traffic inside the measurement
+		n, err := New(clock, medium, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		defer n.Stop()
+		nodes[i] = n
+	}
+	// A repeated ping: applied and acked once, then only deduplicated.
+	ping := wire.ControlMessage{UpdateID: 7, Target: wire.MustStreamID(1, 0), Op: wire.OpPing, Issued: epoch}
+	frame, err := ping.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds int64
+	round := func() {
+		rounds++
+		medium.Broadcast(radio.BandDownlink, geo.Pt(0, 0), 100, frame)
+		clock.Advance(0)
+	}
+	for i := 0; i < 32; i++ {
+		round() // warm the medium's pools
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("%.2f allocations per downlink broadcast to %d sensors, want 0", allocs, sensors)
+	}
+	if got := medium.Metrics().Deliveries.Value(); got != rounds*sensors {
+		t.Fatalf("Deliveries = %d, want %d: not every sensor heard every frame", got, rounds*sensors)
+	}
+	if got := nodes[0].Stats().ControlsReceived; got != rounds {
+		t.Fatalf("addressed sensor decoded %d controls, want %d", got, rounds)
+	}
+	if got := nodes[1].Stats().ControlsReceived; got != 0 {
+		t.Fatalf("unaddressed sensor counted %d controls as its own", got)
+	}
+}

@@ -34,9 +34,9 @@ type Timer interface {
 // ScheduleFunc behaves like AfterFunc but returns no cancellation
 // handle, which lets implementations recycle their per-timer bookkeeping
 // (VirtualClock pools its heap events). Hot paths that schedule one
-// callback per delivered frame — the radio medium above all — probe for
-// this interface so a dense broadcast costs zero steady-state
-// allocations in the clock.
+// callback per broadcast — the radio medium above all — probe for this
+// interface so a dense field costs zero steady-state allocations in the
+// clock.
 type Scheduler interface {
 	// ScheduleFunc schedules f to run after d on this clock. It cannot
 	// be cancelled.

@@ -91,7 +91,7 @@ func (c *VirtualClock) AfterFunc(d time.Duration, f func()) Timer {
 
 // ScheduleFunc implements Scheduler: like AfterFunc but without a
 // cancellation handle, so the event is drawn from (and returned to) a
-// pool — the radio medium's per-delivery scheduling path allocates
+// pool — the radio medium's per-broadcast scheduling path allocates
 // nothing at steady state. Negative durations are treated as zero.
 func (c *VirtualClock) ScheduleFunc(d time.Duration, f func()) {
 	if d < 0 {
