@@ -41,9 +41,13 @@ import (
 // Delivery is one reconstructed (unique) stream message on its way to the
 // Dispatching Service.
 type Delivery struct {
-	Msg      wire.Message
-	At       time.Time // reception time of the accepted copy
-	Receiver string    // receiver that heard the accepted copy
+	Msg wire.Message
+	// At is the reception time of the accepted copy. Live deliveries
+	// carry the receiver's clock reading as taken; history replayed from
+	// the Stream Store carries the same instant (Equal, not ==) without
+	// its location or monotonic reading.
+	At       time.Time
+	Receiver string // receiver that heard the accepted copy
 	RSSI     float64
 	// StoreSeq is the Stream Store's 64-bit extended sequence assigned
 	// when the delivery was retained (the 16-bit wire Seq wraps; the

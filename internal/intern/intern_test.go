@@ -25,6 +25,12 @@ func TestCanonicalPointer(t *testing.T) {
 	if String("") != "" || Bytes(nil) != "" {
 		t.Fatalf("empty forms must pass through")
 	}
+	if i := Index("rx-" + fmt.Sprint(1)); i == 0 || i != Index(a) || !same(Lookup(i), a) {
+		t.Fatalf("Index/Lookup do not name the canonical string: index %d", i)
+	}
+	if Index("") != 0 || Lookup(0) != "" {
+		t.Fatalf("the empty string must be index 0")
+	}
 }
 
 func TestBytesZeroAllocWhenInterned(t *testing.T) {
@@ -53,7 +59,11 @@ func TestConcurrentConverge(t *testing.T) {
 			defer wg.Done()
 			out[g] = make([]string, names)
 			for i := 0; i < names; i++ {
-				out[g][i] = String(fmt.Sprintf("conv-%d", i))
+				if name := fmt.Sprintf("conv-%d", i); g%2 == 0 {
+					out[g][i] = String(name)
+				} else {
+					out[g][i] = Lookup(Index(name))
+				}
 			}
 		}(g)
 	}

@@ -35,8 +35,8 @@ type archiveState struct {
 }
 
 // archStream is one stream's archive-tier state, held in a per-shard
-// side map rather than on the ring so the 144-byte per-stream idle
-// footprint only grows for streams that actually spilled. All sequences
+// side map rather than on the ring so the per-stream idle footprint
+// only grows for streams that actually spilled. All sequences
 // in refs precede all in pending precede all in the cold tier; entries
 // below floor are logically deleted even where a straddling block still
 // physically holds them.

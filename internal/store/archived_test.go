@@ -273,7 +273,7 @@ func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 	})
 	defer s.Close()
 	id := wire.MustStreamID(1, 0)
-	payload := make([]byte, 8)
+	payload := make([]byte, 24) // too long for a slot: the arena is in play
 	put := func(seq int) {
 		binary.BigEndian.PutUint64(payload, math.Float64bits(20+0.25*float64(seq%32)))
 	}
@@ -287,13 +287,18 @@ func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 	if st := s.Stats(); st.ArchivedMessages == 0 && st.ArchivePendingBlocks == 0 {
 		t.Fatalf("warm-up never spilled: %+v", st)
 	}
+	w := watchArena(s, id)
 	allocs := testing.AllocsPerRun(2000, func() {
 		put(seq)
 		s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*50*time.Millisecond), payload))
 		seq++
+		w.observe()
 	})
 	if allocs != 0 {
 		t.Fatalf("archived steady-state Append allocates %v/op, want 0", allocs)
+	}
+	if w.compactions < 5 {
+		t.Fatalf("arena compacted %d times in 2000 appends: the measured loop missed it", w.compactions)
 	}
 }
 

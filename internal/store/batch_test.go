@@ -107,7 +107,7 @@ func TestAppendBatchMatchesSerialProperty(t *testing.T) {
 }
 
 // TestAppendBatchZeroAllocSteadyState pins the batched append path at
-// 0 allocs/op once rings and slot buffers are warm.
+// 0 allocs/op once rings and their payload arenas are warm.
 func TestAppendBatchZeroAllocSteadyState(t *testing.T) {
 	s := New(Options{MaxMessages: 128})
 	const n = 64
@@ -120,8 +120,7 @@ func TestAppendBatchZeroAllocSteadyState(t *testing.T) {
 		}
 		seq++
 	}
-	// Warm up: grow each ring to capacity and the slot buffers to the
-	// payload working-set size.
+	// Warm up: grow each ring and its arena to the working-set size.
 	for seq < 256 {
 		fill()
 		s.AppendBatch(ds)

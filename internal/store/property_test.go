@@ -308,12 +308,28 @@ func sameDeliveries(a, b []filtering.Delivery) error {
 	return nil
 }
 
+// propPayload draws a payload for the differentials: mostly a few dozen
+// bytes, now and then empty, one byte, or the wire's 65 535-byte maximum,
+// so one stream's arena holds all of them side by side.
+func propPayload(rng *rand.Rand) []byte {
+	n := rng.Intn(40)
+	if k := rng.Intn(24); k < 3 {
+		n = []int{0, 1, wire.MaxPayload}[k]
+	}
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
+
 // TestStoreMatchesReferenceProperty drives the sharded ring store and the
 // naive reference with identical randomized workloads — monotone runs,
 // forward jumps that cross the 16-bit wire-seq wrap, late out-of-order
-// fills, mixed payload sizes and advancing timestamps — under count, byte
-// and age bounds, and checks Range/Latest/Since and the retained totals
-// agree exactly at shard counts 1, 4 and 16.
+// fills, sequences re-appended with a different length, payloads from
+// empty to the wire maximum, advancing timestamps, and EvictTo and Forget
+// landing wherever the arena's compaction cycle happens to be — under
+// count, byte and age bounds, and checks Range/Latest/Since, the retained
+// totals and the hot tier's own invariants (checkArena) agree exactly at
+// shard counts 1, 4 and 16.
 func TestStoreMatchesReferenceProperty(t *testing.T) {
 	shardCounts := []int{1, 4, 16}
 	for trial := 0; trial < 12; trial++ {
@@ -333,6 +349,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 
 		streams := make([]wire.StreamID, 6)
 		wireSeq := make([]int, len(streams))
+		largest := make([]int, len(streams)) // payload, since the stream was last forgotten
 		for i := range streams {
 			streams[i] = wire.MustStreamID(wire.SensorID(rng.Intn(1000)+1), wire.StreamIndex(i))
 			wireSeq[i] = rng.Intn(wire.SeqCount) // random start, some near the wrap
@@ -350,12 +367,13 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 				wireSeq[si]++
 			case k < 9: // forward jump (may cross the wrap many times over a trial)
 				wireSeq[si] += rng.Intn(100) + 2
-			default: // late out-of-order fill behind the head
-				seq -= rng.Intn(40) + 1
+			default: // late out-of-order fill behind the head, or — at
+				// distance 0 — a sequence its successor will re-append
+				seq -= rng.Intn(41)
 			}
-			payload := make([]byte, rng.Intn(40))
-			for i := range payload {
-				payload[i] = byte(rng.Intn(256))
+			payload := propPayload(rng)
+			if len(payload) > largest[si] {
+				largest[si] = len(payload)
 			}
 			d := del(id, wire.Seq(seq), now, payload)
 
@@ -363,6 +381,38 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 			for i, s := range stores {
 				if ext := s.Append(d); ext != wantExt {
 					t.Fatalf("trial %d step %d shards=%d: ext %d, ref %d", trial, step, shardCounts[i], ext, wantExt)
+				}
+				checkArena(t, s, id, largest[si])
+			}
+
+			// Occasional policy eviction, wherever the stream's arena
+			// is between two compactions.
+			if step%45 == 44 {
+				ti := rng.Intn(len(streams))
+				var upto uint64
+				if first, ok := ref.firstSeq(streams[ti]); ok {
+					upto = first + uint64(rng.Intn(30))
+				}
+				forget := rng.Intn(4) == 0
+				var want int
+				if forget {
+					want = ref.forget(streams[ti])
+					largest[ti] = 0
+				} else {
+					want = ref.evictTo(streams[ti], upto)
+				}
+				for i, s := range stores {
+					var got int
+					if forget {
+						got = s.Forget(streams[ti])
+					} else {
+						got = s.EvictTo(streams[ti], upto)
+					}
+					if got != want {
+						t.Fatalf("trial %d step %d shards=%d: EvictTo(%d)/Forget(%v) = %d, ref %d",
+							trial, step, shardCounts[i], upto, forget, got, want)
+					}
+					checkArena(t, s, streams[ti], largest[ti])
 				}
 			}
 
@@ -424,9 +474,9 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 // hot stitching byte for byte. Each codec (and auto) runs at shard
 // counts 1, 4 and 16 over workloads mixing wire-seq wraps, forward
 // jumps, late fills, duplicate re-appends, per-stream payload shapes
-// chosen to favour different codecs, rotating receivers, flagged
-// messages, and occasional EvictTo (exercising the block split) and
-// Forget.
+// chosen to favour different codecs (the noise stream's lengths run from
+// empty to the wire maximum), rotating receivers, flagged messages, and
+// occasional EvictTo (exercising the block split) and Forget.
 func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 	shardCounts := []int{1, 4, 16}
 	codecs := []string{"raw", "gorilla", "rle", "lz", "auto"}
@@ -452,6 +502,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 
 			streams := make([]wire.StreamID, 4)
 			wireSeq := make([]int, len(streams))
+			largest := make(map[wire.StreamID]int) // payload, since the stream was last forgotten
 			for i := range streams {
 				streams[i] = wire.MustStreamID(wire.SensorID(rng.Intn(1000)+1), wire.StreamIndex(i))
 				wireSeq[i] = rng.Intn(wire.SeqCount) // some start near the wrap
@@ -475,11 +526,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 				case 2:
 					return []byte(fmt.Sprintf("sensor reading %d ok", step%32))
 				default:
-					b := make([]byte, rng.Intn(40))
-					for i := range b {
-						b[i] = byte(rng.Intn(256))
-					}
-					return b
+					return propPayload(rng)
 				}
 			}
 
@@ -517,12 +564,14 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 					d.Msg.FusedCount = byte(rng.Intn(5) + 1)
 				}
 
+				largest[id] = max(largest[id], len(d.Msg.Payload))
 				wantExt := ref.append(d)
 				for i, s := range stores {
 					if ext := s.Append(d); ext != wantExt {
 						t.Fatalf("codec=%s trial %d step %d shards=%d: ext %d, ref %d",
 							codecName, trial, step, shardCounts[i], ext, wantExt)
 					}
+					checkArena(t, s, id, largest[id])
 				}
 
 				// Occasional policy eviction: EvictTo forces cold-block
@@ -539,16 +588,19 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 							t.Fatalf("codec=%s trial %d step %d shards=%d: EvictTo(%d) = %d, ref %d",
 								codecName, trial, step, shardCounts[i], upto, got, want)
 						}
+						checkArena(t, s, tid, largest[tid])
 					}
 				}
 				if step%150 == 149 {
 					tid := streams[rng.Intn(len(streams))]
 					want := ref.forget(tid)
+					largest[tid] = 0
 					for i, s := range stores {
 						if got := s.Forget(tid); got != want {
 							t.Fatalf("codec=%s trial %d step %d shards=%d: Forget = %d, ref %d",
 								codecName, trial, step, shardCounts[i], got, want)
 						}
+						checkArena(t, s, tid, 0)
 					}
 				}
 

@@ -29,14 +29,24 @@
 // extended sequence (slot = seq mod ring size), grown on demand up to the
 // count bound. Retention is bounded per stream by count, payload bytes and
 // age; every bound evicts from the oldest end at append time, advancing a
-// window low-water mark one slot at a time, so eviction is O(1) amortised
-// and the append path allocates nothing at steady state: payload bytes are
-// copied into slot-owned buffers that are recycled in place when a slot is
-// reused, which also keeps borrowed radio frames zero-copy upstream — the
-// store never retains a reference to caller memory.
+// window low-water mark one slot at a time, so eviction is O(1) amortised.
+//
+// A ring is pointer-free memory the garbage collector never walks: an
+// array of slot records, one 64-byte cache line each, and a payload arena.
+// A delivery is packed into its slot field by field; a payload of up to 16
+// bytes is kept in the slot itself, a longer one is appended to the arena.
+// Either way the bytes are copied, which keeps borrowed radio frames
+// zero-copy upstream: the store never retains a reference to caller
+// memory. Evicted arena payloads leave dead bytes behind; a full arena is
+// compacted into the same array, so a ring at its bound allocates nothing
+// per append whatever its payloads' size, at the price of moving each
+// arena payload once more than a slot payload is. Reads unpack a Delivery
+// per hot entry, its payload lent from the ring under the shard lock.
 package store
 
 import (
+	"cmp"
+	"encoding/binary"
 	"slices"
 	"sort"
 	"sync"
@@ -44,6 +54,7 @@ import (
 	"unsafe"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
+	"github.com/garnet-middleware/garnet/internal/intern"
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/store/codec"
@@ -73,6 +84,15 @@ const (
 	// stream that only ever reported once should pay for exactly one
 	// retained delivery, not eight.
 	minRingSize = 1
+
+	// inlinePayload is the longest payload a hot slot holds itself. It
+	// rounds the slot up to one 64-byte cache line, so a reading of one or
+	// two 8-byte values is retained by writing that line and nothing
+	// else; longer payloads go to the ring's arena.
+	inlinePayload = 16
+	// arenaSlack is how far a ring's payload arena may exceed twice its
+	// live bytes plus its largest payload before it is cut back down.
+	arenaSlack = 64
 )
 
 // Defaults for the cold compressed tier (Options.Codec != "").
@@ -239,12 +259,11 @@ type StreamStats struct {
 	Bytes    int64 // their payload bytes as appended
 
 	// ResidentBytes estimates the stream's resident heap: the ring
-	// header, the hot slot array and stage backing at capacity, retained
-	// payload bytes, and the sealed blocks' headers plus compressed
-	// data. Receiver strings are interned process-wide and payload
-	// backing is counted at appended length, so this is an estimate —
-	// but one built from the same quantities the evictors charge, which
-	// makes it comparable across streams and honest about lazy
+	// header, the hot slot array, payload arena and stage backing at
+	// capacity, staged payload bytes, and the sealed blocks' headers
+	// plus compressed data. Receiver names are interned process-wide
+	// and allocator rounding is not counted, so this is an estimate —
+	// but one that is comparable across streams and honest about lazy
 	// allocation (a forgotten or idle stream shows only its header).
 	ResidentBytes int64
 
@@ -296,6 +315,10 @@ type shard struct {
 	// runs on one stream, so the common append skips the map hash.
 	lastID wire.StreamID
 	last   *ring
+	// The same for receiver names: consecutive deliveries mostly share
+	// one, and its intern index is then a string comparison away.
+	lastRx    string
+	lastRxIdx uint32
 
 	// Hot-path counters are plain ints under mu; retained totals are
 	// gauges so dashboards can read them without taking shard locks.
@@ -330,6 +353,10 @@ type shard struct {
 	// freeBufs recycles encoded-block buffers across streams so sealing
 	// allocates nothing at steady state.
 	freeBufs [][]byte
+
+	// packOrder is scratch for compacting a ring's arena: the slots that
+	// name arena bytes, in the order they lie there (see packLocked).
+	packOrder []int32
 }
 
 // paddedShard rounds a shard up to whole cache lines, keeping at least
@@ -361,22 +388,29 @@ func (sh *shard) recycleBufLocked(b []byte) {
 }
 
 // ring is one stream's retention state: a power-of-two circular buffer of
-// deliveries indexed by extended sequence, plus the unwrap state that
-// survives even when every entry has been evicted.
+// slots indexed by extended sequence, the arena their payloads live in,
+// plus the unwrap state that survives even when every entry has been
+// evicted.
 //
 // There is one ring per stream the store has ever seen, so its layout is
 // the store's idle footprint: the slot mask is derived from len(slots)
 // (see slotMask) instead of stored, the counts are int32 (both are
-// bounded by ring/budget sizes far below 2³¹), and the narrow fields sit
-// together at the tail — 144 bytes, one whole size class below the naive
-// 160-byte layout. The footprint test pins the ceiling.
+// bounded by ring/budget sizes far below 2³¹), and what every append
+// touches comes first, ahead of the cold tier's fields. The footprint
+// test pins header and one slot together.
 type ring struct {
-	slots []filtering.Delivery
+	slots []slot
+	// arena holds the hot payloads too long for their slots, each such
+	// slot naming its own range; held counts the bytes still named, the
+	// rest of len(arena) is dead (evicted, sealed or replaced) until the
+	// next compaction.
+	arena []byte
+	held  int64
 
 	// Retained window [minExt, maxExt], both present when count > 0.
 	// Entries inside the window may be holes (sequence gaps the radio
-	// lost); a slot is occupied iff its StoreSeq matches the probed
-	// extended sequence and lies inside the window.
+	// lost); a slot is occupied iff its ext is the probed extended
+	// sequence, and every unoccupied slot's ext is 0.
 	minExt, maxExt uint64
 	bytes          int64
 
@@ -384,6 +418,15 @@ type ring struct {
 	// state, with lastWire below). Kept across Forget so a stream's
 	// addresses never move backwards.
 	lastExt uint64
+
+	count     int32 // occupied hot slots
+	coldCount int32 // deliveries across cold
+	// largest is the longest payload put in the arena since the ring's
+	// backing was last released (creation or Forget): appending it beside
+	// a full window needs that much arena beyond the window's own bytes.
+	largest uint32
+	// lastWire is the wire sequence of lastExt (unwrap state).
+	lastWire wire.Seq
 
 	// Cold tier (compression enabled). Entries leave the hot ring oldest
 	// first into stage — a fixed-capacity slice whose spare elements park
@@ -398,11 +441,72 @@ type ring struct {
 	cold       []coldBlock
 	coldBytes  int64 // compressed bytes across cold
 	coldRaw    int64 // payload bytes those blocks represent
+}
 
-	count     int32 // occupied hot slots
-	coldCount int32 // deliveries across cold
-	// lastWire is the wire sequence of lastExt (unwrap state).
-	lastWire wire.Seq
+// slot is one hot-ring entry: a delivery packed with no pointer in it, so
+// a slot array is memory the collector never scans, and sized to one cache
+// line, which a slot array's allocation aligns it to. What a Delivery
+// holds by reference lives elsewhere — the receiver name in the intern
+// table, a payload longer than inlinePayload in the ring's arena — and
+// what the ring already knows is not stored: the stream is the ring's
+// key, and the wire sequence is the low 16 bits of ext (the unwrap keeps
+// ext ≡ seq mod 2¹⁶). At is kept as an instant, Unix seconds and
+// nanoseconds — the whole time.Time range, without location or monotonic
+// reading.
+type slot struct {
+	ext   uint64 // extended sequence; 0 marks the slot empty
+	sec   int64
+	rssi  float64
+	nsec  int32
+	size  uint32 // payload length
+	rx    uint32 // intern.Index of the receiver name
+	ack   uint16
+	flags wire.Flags
+	hop   uint8
+	fused uint8
+	// small is the payload itself when it fits; a longer one lies in the
+	// ring's arena, at the offset the first eight bytes here hold.
+	small [inlinePayload]byte
+}
+
+func (e *slot) at() time.Time { return time.Unix(e.sec, int64(e.nsec)) }
+
+func (e *slot) off() int { return int(binary.LittleEndian.Uint64(e.small[:])) }
+
+func (e *slot) setOff(off int) { binary.LittleEndian.PutUint64(e.small[:], uint64(off)) }
+
+// payloadLocked returns e's payload bytes where the ring keeps them,
+// capped so an append to the result cannot run into a neighbour.
+func (r *ring) payloadLocked(e *slot) []byte {
+	if e.size <= inlinePayload {
+		return e.small[:e.size:e.size]
+	}
+	end := e.off() + int(e.size)
+	return r.arena[e.off():end:end]
+}
+
+// vacateLocked empties an occupied slot and returns its payload's length:
+// the bytes leave the ring's count and, if they lay in the arena, go dead
+// there until the next compaction.
+func (r *ring) vacateLocked(e *slot) int64 {
+	n := int64(e.size)
+	r.bytes -= n
+	if n > inlinePayload {
+		r.held -= n
+	}
+	e.ext = 0
+	r.count--
+	return n
+}
+
+// deliveryLocked unpacks a hot entry. Its payload is lent from the ring:
+// valid under the shard lock, until the stream is next appended to.
+func (r *ring) deliveryLocked(id wire.StreamID, e *slot) filtering.Delivery {
+	return filtering.Delivery{
+		Msg: wire.Message{Flags: e.flags, Stream: id, Seq: wire.Seq(e.ext), AckID: e.ack,
+			HopCount: e.hop, FusedCount: e.fused, Payload: r.payloadLocked(e)},
+		At: e.at(), Receiver: intern.Lookup(e.rx), RSSI: e.rssi, StoreSeq: e.ext,
+	}
 }
 
 // slotMask converts an extended sequence into a slot index; len(slots)
@@ -491,7 +595,7 @@ func (s *Store) shardFor(id wire.StreamID) *shard {
 func (sh *shard) lookupSlowLocked(id wire.StreamID) *ring {
 	r, ok := sh.streams[id]
 	if !ok {
-		r = &ring{slots: make([]filtering.Delivery, minRingSize)}
+		r = &ring{slots: make([]slot, minRingSize)}
 		sh.streams[id] = r
 	}
 	sh.lastID, sh.last = id, r
@@ -501,7 +605,7 @@ func (sh *shard) lookupSlowLocked(id wire.StreamID) *ring {
 // presentLocked reports whether ext is occupied in r.
 func (r *ring) presentLocked(ext uint64) bool {
 	return r.count > 0 && ext >= r.minExt && ext <= r.maxExt &&
-		r.slots[ext&r.slotMask()].StoreSeq == ext
+		r.slots[ext&r.slotMask()].ext == ext
 }
 
 // Append retains one delivery and returns its extended sequence. The
@@ -509,10 +613,14 @@ func (r *ring) presentLocked(ext uint64) bool {
 // reused by the caller immediately. Deliveries whose extended sequence
 // falls below the stream's retained window (late out-of-order fills racing
 // eviction) are assigned their address but not stored.
+//
+// d.Receiver is retained as its index in the process-wide intern table,
+// which never forgets a string: it must name one of a bounded set of
+// identities (the deployment's receivers), never carry free-form data.
 func (s *Store) Append(d filtering.Delivery) uint64 {
 	sh := s.shardFor(d.Msg.Stream)
 	sh.mu.Lock()
-	ext := s.appendLocked(sh, d)
+	ext := s.appendLocked(sh, &d)
 	sh.mu.Unlock()
 	return ext
 }
@@ -533,7 +641,7 @@ func (s *Store) AppendBatch(ds []filtering.Delivery) {
 		}
 		sh.mu.Lock()
 		for k := i; k < j; k++ {
-			ds[k].StoreSeq = s.appendLocked(sh, ds[k])
+			ds[k].StoreSeq = s.appendLocked(sh, &ds[k])
 		}
 		sh.mu.Unlock()
 		i = j
@@ -541,8 +649,8 @@ func (s *Store) AppendBatch(ds []filtering.Delivery) {
 }
 
 // appendLocked is the per-delivery retention step shared by Append and
-// AppendBatch. Caller holds sh.mu.
-func (s *Store) appendLocked(sh *shard, d filtering.Delivery) uint64 {
+// AppendBatch; d is only read. Caller holds sh.mu.
+func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	sh.appended++
 	r := sh.last
 	if r == nil || sh.lastID != d.Msg.Stream {
@@ -550,7 +658,7 @@ func (s *Store) appendLocked(sh *shard, d filtering.Delivery) uint64 {
 	}
 	if r.slots == nil {
 		// Forget released the ring's backing; the stream resumed.
-		r.slots = make([]filtering.Delivery, minRingSize)
+		r.slots = make([]slot, minRingSize)
 	}
 
 	// Unwrap the 16-bit wire sequence into the 64-bit address space. A
@@ -593,10 +701,15 @@ func (s *Store) appendLocked(sh *shard, d filtering.Delivery) uint64 {
 		r.minExt, r.maxExt = ext, ext
 	} else if ext > r.maxExt {
 		// Advancing the window high end may push old entries out of the
-		// ring span; grow the ring first while the count bound allows,
-		// then evict whatever still falls below the new span.
-		for ext-r.minExt >= uint64(len(r.slots)) && len(r.slots) < s.ringMax {
-			r.growLocked(sh)
+		// ring span; grow the ring first — once, to the power of two the
+		// new span needs — while the count bound allows, then evict
+		// whatever still falls below the new span.
+		size := len(r.slots)
+		for ext-r.minExt >= uint64(size) && size < s.ringMax {
+			size <<= 1
+		}
+		if size > len(r.slots) {
+			r.growLocked(size)
 		}
 		if span := uint64(len(r.slots)); ext-r.minExt >= span {
 			target := ext - span + 1
@@ -611,29 +724,44 @@ func (s *Store) appendLocked(sh *shard, d filtering.Delivery) uint64 {
 			r.minExt = ext
 		}
 		r.maxExt = ext
-	}
-	// ext ≤ maxExt and ≥ minExt here when filling a gap.
-
-	slot := &r.slots[ext&r.slotMask()]
-	if slot.StoreSeq == ext && r.presentLocked(ext) {
-		// Duplicate append of a retained sequence (the filter screens
-		// these out upstream; be idempotent anyway): replace in place,
-		// and credit Duplicates so Appended − losses still reconciles
-		// with the retained gauge.
+	} else if e := &r.slots[ext&r.slotMask()]; e.ext == ext {
+		// Inside the window the address may be a gap to fill or, here,
+		// one already retained (the filter screens duplicates out
+		// upstream; be idempotent anyway): replace it — the slot is
+		// emptied here and refilled below — and credit Duplicates so
+		// Appended − losses still reconciles with the retained gauge.
 		sh.duplicates++
-		r.bytes -= int64(len(slot.Msg.Payload))
-		sh.retainedBytes.Add(-int64(len(slot.Msg.Payload)))
-		r.count--
+		sh.retainedBytes.Add(-r.vacateLocked(e))
 		sh.retainedMessages.Add(-1)
 	}
-	buf := slot.Msg.Payload
-	*slot = d
-	slot.Msg.Payload = append(buf[:0], d.Msg.Payload...)
-	slot.StoreSeq = ext
+
+	// The slot is packed field by field, and marked occupied last: making
+	// room in the arena may compact it, which must not take this slot for
+	// a payload it does not yet name.
+	if d.Receiver != sh.lastRx {
+		sh.lastRxIdx = intern.Index(d.Receiver)
+		sh.lastRx = intern.Lookup(sh.lastRxIdx) // the table's copy, not the caller's
+	}
+	p := d.Msg.Payload
+	e := &r.slots[ext&r.slotMask()]
+	*e = slot{
+		sec: d.At.Unix(), nsec: int32(d.At.Nanosecond()), rssi: d.RSSI,
+		size: uint32(len(p)), rx: sh.lastRxIdx, ack: d.Msg.AckID,
+		flags: d.Msg.Flags, hop: d.Msg.HopCount, fused: d.Msg.FusedCount,
+	}
+	if len(p) <= inlinePayload {
+		copy(e.small[:], p)
+	} else {
+		r.reserveLocked(sh, len(p))
+		e.setOff(len(r.arena))
+		r.arena = append(r.arena, p...)
+		r.held += int64(len(p))
+	}
+	e.ext = ext
 	r.count++
-	r.bytes += int64(len(slot.Msg.Payload))
+	r.bytes += int64(len(p))
 	sh.retainedMessages.Add(1)
-	sh.retainedBytes.Add(int64(len(slot.Msg.Payload)))
+	sh.retainedBytes.Add(int64(len(p)))
 
 	// Retention bounds, oldest-first. The newest entry always survives.
 	// With compression enabled these retirements seal into the cold tier
@@ -651,29 +779,83 @@ func (s *Store) appendLocked(sh *shard, d filtering.Delivery) uint64 {
 		cutoff := d.At.Add(-s.opts.MaxAge)
 		for r.count > 1 {
 			old := &r.slots[r.oldestLocked()&r.slotMask()]
-			if !old.At.Before(cutoff) {
+			if !old.at().Before(cutoff) {
 				break
 			}
 			s.retireLowestLocked(sh, r, d.Msg.Stream, &sh.evictedAge)
 		}
 	}
+	r.trimArenaLocked(sh)
 	return ext
 }
 
-// growLocked doubles the ring and re-homes retained entries (extended
-// sequences are stable; only the slot mapping changes). Caller holds mu.
-func (r *ring) growLocked(sh *shard) {
+// growLocked widens the ring to size slots and re-homes retained entries
+// (extended sequences are stable; only the slot mapping changes). Caller
+// holds mu.
+func (r *ring) growLocked(size int) {
 	old := r.slots
-	oldMask := uint64(len(old)) - 1
-	r.slots = make([]filtering.Delivery, len(old)*2)
-	if r.count == 0 {
-		return
-	}
-	for ext := r.minExt; ext <= r.maxExt; ext++ {
-		if e := old[ext&oldMask]; e.StoreSeq == ext {
-			r.slots[ext&r.slotMask()] = e
+	r.slots = make([]slot, size)
+	for i := range old {
+		if e := &old[i]; e.ext != 0 {
+			r.slots[e.ext&r.slotMask()] = *e
 		}
 	}
+}
+
+// reserveLocked makes room for n more payload bytes at the arena's end. A
+// full arena is compacted — into the same array while that leaves a
+// quarter of it free, so a ring at its bound recycles one array for ever,
+// whatever its payloads' size; else into a new one with room for the live
+// bytes twice over. Caller holds mu.
+func (r *ring) reserveLocked(sh *shard, n int) {
+	r.largest = max(r.largest, uint32(n))
+	switch live := int(r.held); {
+	case len(r.arena)+n <= cap(r.arena):
+	case 4*(live+n) > 3*cap(r.arena):
+		r.packLocked(sh, make([]byte, 2*live+n))
+	default:
+		r.packLocked(sh, r.arena[:cap(r.arena)])
+	}
+}
+
+// trimArenaLocked gives back arena capacity the window has shrunk away
+// from, which bounds it on every path: cap(arena) ≤ 2·held + largest +
+// arenaSlack once an append or eviction returns. Caller holds mu.
+func (r *ring) trimArenaLocked(sh *shard) {
+	if live := int(r.held); cap(r.arena) > 2*live+int(r.largest)+arenaSlack {
+		r.packLocked(sh, make([]byte, 2*live))
+	}
+}
+
+// packLocked moves the payloads the ring holds in its arena to the front
+// of dst, which becomes the arena and may be the arena's own array: each
+// payload is moved once, lowest offset first, so a move never lands on
+// bytes still to be moved. Payloads lie in arrival order, which is slot
+// order from the window's low end unless a late fill or a replacement
+// arrived out of sequence; only then is there anything to sort. Caller
+// holds mu.
+func (r *ring) packLocked(sh *shard, dst []byte) {
+	order, mask := sh.packOrder[:0], r.slotMask()
+	last, sorted := 0, true
+	for k := range r.slots {
+		i := (r.minExt + uint64(k)) & mask
+		if e := &r.slots[i]; e.ext != 0 && e.size > inlinePayload {
+			order = append(order, int32(i))
+			sorted = sorted && e.off() >= last
+			last = e.off()
+		}
+	}
+	if !sorted {
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(r.slots[a].off(), r.slots[b].off()) })
+	}
+	n := 0
+	for _, i := range order {
+		e := &r.slots[i]
+		p := r.payloadLocked(e)
+		e.setOff(n)
+		n += copy(dst[n:], p)
+	}
+	sh.packOrder, r.arena = order, dst[:n]
 }
 
 // oldestLocked returns the lowest occupied extended sequence. It never
@@ -701,16 +883,10 @@ func (s *Store) retireLowestLocked(sh *shard, r *ring, id wire.StreamID, reason 
 }
 
 // dropLowestLocked removes the oldest retained hot entry, crediting the
-// eviction to *reason. The slot keeps its payload buffer for reuse; only
-// the occupancy marker and accounting change. Caller holds mu.
+// eviction to *reason. Caller holds mu.
 func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 	ext := r.oldestLocked()
-	slot := &r.slots[ext&r.slotMask()]
-	r.bytes -= int64(len(slot.Msg.Payload))
-	sh.retainedBytes.Add(-int64(len(slot.Msg.Payload)))
-	slot.StoreSeq = 0
-	slot.Msg.Payload = slot.Msg.Payload[:0]
-	r.count--
+	sh.retainedBytes.Add(-r.vacateLocked(&r.slots[ext&r.slotMask()]))
 	sh.retainedMessages.Add(-1)
 	*reason++
 	r.minExt = ext + 1
@@ -720,8 +896,8 @@ func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 }
 
 // sealLowestLocked moves the oldest hot entry into the seal stage,
-// swapping the slot's payload buffer with the buffer parked in the spare
-// stage element so neither side allocates. A full stage seals into one
+// copying its payload out of the ring into the buffer parked in the
+// spare stage element, so nothing allocates. A full stage seals into one
 // compressed block. The entry stays retained throughout — the shard
 // gauges do not move. Caller holds mu.
 func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
@@ -729,17 +905,14 @@ func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
 		r.stage = make([]filtering.Delivery, 0, s.blockSize)
 	}
 	ext := r.oldestLocked()
-	slot := &r.slots[ext&r.slotMask()]
+	e := &r.slots[ext&r.slotMask()]
 	n := len(r.stage)
 	r.stage = r.stage[:n+1]
 	st := &r.stage[n]
 	parked := st.Msg.Payload
-	*st = *slot
-	r.stageBytes += int64(len(st.Msg.Payload))
-	r.bytes -= int64(len(slot.Msg.Payload))
-	slot.StoreSeq = 0
-	slot.Msg.Payload = parked[:0]
-	r.count--
+	*st = r.deliveryLocked(id, e)
+	st.Msg.Payload = append(parked[:0], st.Msg.Payload...)
+	r.stageBytes += r.vacateLocked(e)
 	r.minExt = ext + 1
 	if r.count == 0 {
 		r.minExt, r.maxExt = 0, 0
@@ -932,10 +1105,10 @@ func spanOfBlock(b *coldBlock) span {
 // then pending spill, then cold — as spans, then the stage and hot-ring
 // entries one by one. It is the one place that knows the tier order;
 // every range read drives it. A span is handed over whole (its header
-// says it intersects, not which entries do); entries are borrowed store
-// memory. Either callback returning false stops the walk. Caller holds
-// mu.
-func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp span) bool, entry func(d *filtering.Delivery) bool) {
+// says it intersects, not which entries do); an entry's payload is
+// borrowed store memory (a hot entry is unpacked for the call). Either
+// callback returning false stops the walk. Caller holds mu.
+func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp span) bool, entry func(d filtering.Delivery) bool) {
 	if as := sh.archived[id]; as != nil {
 		// A long-lived stream holds many archived blocks and a read walks
 		// them twice (size, then decode): skip to the window by search.
@@ -962,7 +1135,7 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp spa
 		if seq < from {
 			continue
 		}
-		if seq > to || !entry(&r.stage[i]) {
+		if seq > to || !entry(r.stage[i]) {
 			return
 		}
 	}
@@ -977,7 +1150,7 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp spa
 		hi = r.maxExt
 	}
 	for ext := lo; ext <= hi; ext++ {
-		if r.presentLocked(ext) && !entry(&r.slots[ext&r.slotMask()]) {
+		if r.presentLocked(ext) && !entry(r.deliveryLocked(id, &r.slots[ext&r.slotMask()])) {
 			return
 		}
 	}
@@ -1070,6 +1243,12 @@ func (s *Store) visitSpanLocked(sh *shard, id wire.StreamID, sp *span, from, to 
 // indefinitely, to mutate, and to hand on (SubscribeWithReplay's port
 // adopts it). All its payloads share one allocation, so keeping one
 // payload alive keeps the read's payload bytes alive.
+//
+// Replayed history — from Range or any other read — carries At as the
+// instant of reception: Equal to what was appended, in the local
+// location, without the monotonic reading. The hot ring keeps every
+// instant a time.Time can hold; sealed and archived blocks keep those
+// UnixNano can (years 1678 to 2262).
 func (s *Store) Range(id wire.StreamID, from, to uint64) []filtering.Delivery {
 	return s.AppendRange(nil, id, from, to)
 }
@@ -1102,7 +1281,7 @@ func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to
 			raw += sp.rawBytes
 			return true
 		},
-		func(d *filtering.Delivery) bool {
+		func(d filtering.Delivery) bool {
 			count++
 			raw += int64(len(d.Msg.Payload))
 			return true
@@ -1127,14 +1306,14 @@ func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to
 			dst = dst[:n+kept]
 			return true
 		},
-		func(d *filtering.Delivery) bool {
-			dst = append(dst, *d)
-			own := &dst[len(dst)-1].Msg.Payload
-			*own = nil
-			if p := d.Msg.Payload; len(p) > 0 {
+		func(d filtering.Delivery) bool {
+			p := d.Msg.Payload
+			d.Msg.Payload = nil
+			if len(p) > 0 {
 				slab = append(slab, p...)
-				*own = slab[len(slab)-len(p) : len(slab) : len(slab)]
+				d.Msg.Payload = slab[len(slab)-len(p) : len(slab) : len(slab)]
 			}
+			dst = append(dst, d)
 			return true
 		})
 	return dst
@@ -1153,7 +1332,7 @@ func (s *Store) RangeFunc(id wire.StreamID, from, to uint64, fn func(d filtering
 	defer sh.mu.Unlock()
 	sh.walkLocked(id, from, to,
 		func(sp span) bool { return s.visitSpanLocked(sh, id, &sp, from, to, fn) },
-		func(d *filtering.Delivery) bool { return fn(*d) })
+		fn)
 }
 
 // WindowStats returns the number of retained deliveries and their total
@@ -1181,7 +1360,7 @@ func (s *Store) WindowStats(id wire.StreamID, from, to uint64) (count int, bytes
 			}
 			return s.visitSpanLocked(sh, id, &sp, from, to, acc)
 		},
-		func(d *filtering.Delivery) bool { return acc(*d) })
+		acc)
 	return count, bytes
 }
 
@@ -1194,7 +1373,7 @@ func (s *Store) Latest(id wire.StreamID) (filtering.Delivery, bool) {
 	if !ok || r.count == 0 {
 		return filtering.Delivery{}, false
 	}
-	d := r.slots[r.maxExt&r.slotMask()]
+	d := r.deliveryLocked(id, &r.slots[r.maxExt&r.slotMask()])
 	d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
 	return d, true
 }
@@ -1224,7 +1403,7 @@ func (s *Store) Snapshot(pred func(wire.StreamID) bool) []filtering.Delivery {
 			if r.count == 0 || (pred != nil && !pred(id)) {
 				continue
 			}
-			d := r.slots[r.maxExt&r.slotMask()]
+			d := r.deliveryLocked(id, &r.slots[r.maxExt&r.slotMask()])
 			d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
 			out = append(out, d)
 		}
@@ -1268,6 +1447,7 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	for r.count > 0 && r.oldestLocked() < upto {
 		sh.dropLowestLocked(r, &sh.forgotten)
 	}
+	r.trimArenaLocked(sh)
 	return int(sh.forgotten - before)
 }
 
@@ -1324,10 +1504,10 @@ func (s *Store) splitColdBlockLocked(sh *shard, r *ring, upto uint64) {
 // so addresses never move backwards if the stream resumes. The Orphanage
 // calls this when it evicts an unclaimed stream, so Forget is the moment
 // a dead stream's memory must actually return to the heap: the slot ring,
-// seal stage and cold-block slice (with their parked payload buffers) are
-// released, not just emptied, leaving only the 144-byte ring header
-// behind the unwrap state. A resumed stream re-materialises its ring in
-// appendLocked.
+// payload arena, seal stage and cold-block slice (with their parked
+// payload buffers) are released, not just emptied, leaving only the ring
+// header behind the unwrap state. A resumed stream re-materialises its
+// ring in appendLocked.
 func (s *Store) Forget(id wire.StreamID) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -1344,7 +1524,7 @@ func (s *Store) Forget(id wire.StreamID) int {
 	}
 	n += int(r.count) + len(r.stage) + int(r.coldCount)
 	sh.evictAllLocked(r, &sh.forgotten)
-	r.slots, r.stage, r.cold = nil, nil, nil
+	r.slots, r.arena, r.largest, r.stage, r.cold = nil, nil, 0, nil, nil
 	return n
 }
 
@@ -1424,12 +1604,13 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 	}
 	const (
 		headerSize = int64(unsafe.Sizeof(ring{}))
-		slotSize   = int64(unsafe.Sizeof(filtering.Delivery{}))
+		slotSize   = int64(unsafe.Sizeof(slot{}))
+		stagedSize = int64(unsafe.Sizeof(filtering.Delivery{}))
 		blockSize  = int64(unsafe.Sizeof(coldBlock{}))
 	)
 	st.ResidentBytes = headerSize +
-		int64(cap(r.slots))*slotSize + r.bytes +
-		int64(cap(r.stage))*slotSize + r.stageBytes +
+		int64(cap(r.slots))*slotSize + int64(cap(r.arena)) +
+		int64(cap(r.stage))*stagedSize + r.stageBytes +
 		int64(cap(r.cold))*blockSize + r.coldBytes
 	if n := len(r.cold); n > 0 {
 		if c, ok := codec.ByID(r.cold[n-1].codec); ok {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -223,6 +224,28 @@ func TestRingGrowsFromSmallStart(t *testing.T) {
 			t.Fatalf("entry %d = seq %d ext %d", i, d.Msg.Seq, d.StoreSeq)
 		}
 	}
+
+	// One far jump on a one-slot ring widens it once, straight to the
+	// size the new span needs — not once per doubling on the way there.
+	const runs = 20
+	for i := 0; i <= runs; i++ {
+		s.Append(del(wire.MustStreamID(wire.SensorID(i+2), 0), 0, epoch, nil))
+	}
+	sensor := 2
+	allocs := testing.AllocsPerRun(runs, func() {
+		s.Append(del(wire.MustStreamID(wire.SensorID(sensor), 0), 200, epoch, nil))
+		sensor++
+	})
+	if allocs != 1 {
+		t.Fatalf("a 200-sequence jump on a one-slot ring allocates %v times, want 1", allocs)
+	}
+	jumped := wire.MustStreamID(2, 0)
+	if got := s.Range(jumped, 0, ^uint64(0)); len(got) != 2 || got[0].Msg.Seq != 0 || got[1].Msg.Seq != 200 {
+		t.Fatalf("after the jump the stream holds %v", got)
+	}
+	if n := len(s.shardFor(jumped).streams[jumped].slots); n != 256 {
+		t.Fatalf("ring widened to %d slots, want 256", n)
+	}
 }
 
 func TestShardingIsTransparent(t *testing.T) {
@@ -244,22 +267,59 @@ func TestShardingIsTransparent(t *testing.T) {
 	}
 }
 
-func TestAppendZeroAllocSteadyState(t *testing.T) {
-	s := New(Options{MaxMessages: 64})
-	id := wire.MustStreamID(1, 0)
-	payload := make([]byte, 32)
-	seq := 0
-	// Warm up: grow the ring to capacity and the slot buffers to the
-	// payload working-set size.
-	for ; seq < 256; seq++ {
-		s.Append(del(id, wire.Seq(seq), epoch, payload))
+// arenaWatch counts a stream's arena compactions from inside an
+// allocation-measured loop: appends only lengthen the arena, so it is
+// shorter than it was exactly when it was compacted in between.
+type arenaWatch struct {
+	sh          *shard
+	r           *ring
+	last        int
+	compactions int
+}
+
+func watchArena(s *Store, id wire.StreamID) *arenaWatch {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return &arenaWatch{sh: sh, r: sh.streams[id], last: len(sh.streams[id].arena)}
+}
+
+func (w *arenaWatch) observe() {
+	w.sh.mu.Lock()
+	n := len(w.r.arena)
+	w.sh.mu.Unlock()
+	if n < w.last {
+		w.compactions++
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Append(del(id, wire.Seq(seq), epoch, payload))
-		seq++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Append allocates %v/op, want 0", allocs)
+	w.last = n
+}
+
+func TestAppendZeroAllocSteadyState(t *testing.T) {
+	// The second case holds 2 MiB of live payload: a ring at its bound
+	// recycles its arena whatever the payloads' size.
+	for _, c := range []struct{ window, size int }{{64, 32}, {256, 8192}} {
+		s := New(Options{MaxMessages: c.window})
+		id := wire.MustStreamID(1, 0)
+		payload := make([]byte, c.size)
+		seq := 0
+		// Warm up: grow the ring and its payload arena to the working-set
+		// size.
+		for ; seq < 4*c.window; seq++ {
+			s.Append(del(id, wire.Seq(seq), epoch, payload))
+		}
+		w := watchArena(s, id)
+		allocs := testing.AllocsPerRun(16*c.window, func() {
+			s.Append(del(id, wire.Seq(seq), epoch, payload))
+			seq++
+			w.observe()
+		})
+		if allocs != 0 {
+			t.Fatalf("%d × %d B: steady-state Append allocates %v/op, want 0", c.window, c.size, allocs)
+		}
+		if w.compactions < 5 {
+			t.Fatalf("%d × %d B: arena compacted %d times in %d appends: the measured loop missed it",
+				c.window, c.size, w.compactions, 16*c.window)
+		}
 	}
 }
 
@@ -293,7 +353,7 @@ func compressedDel(id wire.StreamID, seq int) filtering.Delivery {
 func TestCompressedAppendZeroAllocSteadyState(t *testing.T) {
 	s := New(Options{MaxMessages: 16, Codec: "auto", BlockSize: 8, ColdBudget: 4096})
 	id := wire.MustStreamID(1, 0)
-	payload := make([]byte, 8) // reused: the store copies into its own slot buffers
+	payload := make([]byte, 24) // reused: the store copies into its own arena
 	put := func(seq int) {
 		binary.BigEndian.PutUint64(payload, math.Float64bits(20+0.25*float64(seq%32)))
 	}
@@ -306,20 +366,25 @@ func TestCompressedAppendZeroAllocSteadyState(t *testing.T) {
 	if st := s.Stats(); st.EvictedCold == 0 {
 		t.Fatalf("warm-up never hit the cold budget: %+v", st)
 	}
+	w := watchArena(s, id)
 	allocs := testing.AllocsPerRun(2000, func() {
 		put(seq)
 		s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*50*time.Millisecond), payload))
 		seq++
+		w.observe()
 	})
 	if allocs != 0 {
 		t.Fatalf("compressed steady-state Append allocates %v/op, want 0", allocs)
+	}
+	if w.compactions < 5 {
+		t.Fatalf("arena compacted %d times in 2000 appends: the measured loop missed it", w.compactions)
 	}
 }
 
 // TestCompressedBytesPerMessageRatio pins the headline win: on a smooth
 // synthetic numeric series the cold tier retains each delivery in at
 // least 5× fewer bytes than the hot ring's in-memory representation
-// (slot struct + payload).
+// (slot record + payload).
 func TestCompressedBytesPerMessageRatio(t *testing.T) {
 	s := New(Options{MaxMessages: 16, Codec: "gorilla", BlockSize: 64, ColdBudget: 1 << 30})
 	id := wire.MustStreamID(7, 1)
@@ -330,7 +395,7 @@ func TestCompressedBytesPerMessageRatio(t *testing.T) {
 	if !ok || st.ColdBlocks == 0 || st.ColdMessages == 0 {
 		t.Fatalf("nothing sealed: %+v (ok=%v)", st, ok)
 	}
-	slotSize := int64(unsafe.Sizeof(filtering.Delivery{})) + 8 // struct + payload
+	slotSize := int64(unsafe.Sizeof(slot{})) + 8 // record + payload
 	hot := slotSize * int64(st.ColdMessages)
 	if st.ColdBytes*5 > hot {
 		t.Fatalf("cold tier holds %d msgs in %d B (%.1f B/msg); hot representation %d B — under 5×",
@@ -464,12 +529,12 @@ func TestForgetReleasesBacking(t *testing.T) {
 	s := New(Options{Codec: "raw", BlockSize: 4, MaxMessages: 8})
 	id := wire.MustStreamID(1, 0)
 	for i := 0; i < 40; i++ {
-		s.Append(del(id, wire.Seq(i), epoch, []byte{byte(i)}))
+		s.Append(del(id, wire.Seq(i), epoch, bytes.Repeat([]byte{byte(i)}, 24)))
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	r := sh.streams[id]
-	populated := len(r.slots) > 0 && len(r.cold) > 0
+	populated := len(r.slots) > 0 && len(r.arena) > 0 && len(r.cold) > 0
 	sh.mu.Unlock()
 	if !populated {
 		t.Fatal("setup did not populate hot ring and cold tier")
@@ -477,9 +542,9 @@ func TestForgetReleasesBacking(t *testing.T) {
 	s.Forget(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if r.slots != nil || r.stage != nil || r.cold != nil {
-		t.Fatalf("Forget kept backing: slots=%d stage=%d cold=%d",
-			len(r.slots), len(r.stage), len(r.cold))
+	if r.slots != nil || r.arena != nil || r.stage != nil || r.cold != nil {
+		t.Fatalf("Forget kept backing: slots=%d arena=%d stage=%d cold=%d",
+			len(r.slots), cap(r.arena), len(r.stage), len(r.cold))
 	}
 	if r.lastExt == 0 {
 		t.Fatal("Forget lost the unwrap state")
@@ -494,5 +559,213 @@ func TestForgetReleasesBacking(t *testing.T) {
 	// unwrap state survives, the backing does not.
 	if want := int64(unsafe.Sizeof(ring{})); ss.ResidentBytes != want {
 		t.Fatalf("forgotten stream resident %d B, want header-only %d B", ss.ResidentBytes, want)
+	}
+}
+
+// TestAtRoundTripsEveryInstant holds the hot slot to the whole time.Time
+// range: it keeps At as Unix seconds and nanoseconds, so the zero Time,
+// instants outside the UnixNano range (before 1678, after 2262), other
+// locations and times carrying a monotonic reading all read back Equal —
+// through every read that unpacks a slot — and Since and the age bound
+// compare those same instants.
+func TestAtRoundTripsEveryInstant(t *testing.T) {
+	instants := []time.Time{
+		{},
+		time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+		time.Date(1000, 6, 15, 12, 0, 0, 999999999, time.UTC),
+		time.Unix(0, math.MinInt64).Add(-time.Nanosecond), // just outside UnixNano, 1677
+		epoch,
+		time.Date(2003, 5, 19, 9, 30, 0, 123456789, time.FixedZone("east", 5*3600)),
+		time.Now(), // carries a monotonic reading
+		time.Unix(0, math.MaxInt64).Add(time.Nanosecond), // just outside UnixNano, 2262
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Unix(1<<55, 5),
+	}
+	s := New(Options{})
+	id := wire.MustStreamID(1, 0)
+	for i, at := range instants {
+		s.Append(del(id, wire.Seq(i), at, []byte{byte(i)}))
+		if got, ok := s.Latest(id); !ok || !got.At.Equal(at) {
+			t.Fatalf("Latest after instant %d: At = %v, want %v", i, got.At, at)
+		}
+	}
+	got := s.Range(id, 0, ^uint64(0))
+	if len(got) != len(instants) {
+		t.Fatalf("Range returned %d of %d", len(got), len(instants))
+	}
+	i := 0
+	s.RangeFunc(id, 0, ^uint64(0), func(d filtering.Delivery) bool {
+		if at := instants[i]; !d.At.Equal(at) || !got[i].At.Equal(at) {
+			t.Fatalf("instant %d: RangeFunc %v, Range %v, want %v", i, d.At, got[i].At, at)
+		}
+		i++
+		return true
+	})
+	// Since compares the instants it is given with the instants kept:
+	// the year-3000 entry and the one after it are all that follow 2500.
+	if since := s.Since(id, time.Date(2500, 1, 1, 0, 0, 0, 0, time.UTC)); len(since) != 2 || since[0].Msg.Seq != 8 {
+		t.Fatalf("Since(2500) = %v", since)
+	}
+
+	// The age bound evicts by the same instants, monotonic reading or not.
+	aged := New(Options{MaxAge: time.Hour})
+	now := time.Now()
+	aged.Append(del(id, 0, time.Time{}, nil))
+	aged.Append(del(id, 1, now.Add(-2*time.Hour), nil))
+	aged.Append(del(id, 2, now.Add(-30*time.Minute), nil))
+	aged.Append(del(id, 3, now, nil))
+	if got := aged.Range(id, 0, ^uint64(0)); len(got) != 2 || got[0].Msg.Seq != 2 || aged.Stats().EvictedAge != 2 {
+		t.Fatalf("age bound kept %v, evicted %d", got, aged.Stats().EvictedAge)
+	}
+}
+
+// checkArena holds one stream's hot tier to its invariants: the slots'
+// payloads add up to the ring's byte count, those too long for a slot lie
+// inside the arena and add up to what the ring says it holds there, empty
+// slots are marked empty, and the arena's capacity stays within twice its
+// live bytes plus the stream's largest payload plus a constant — whatever
+// was appended, replaced, evicted or forgotten.
+func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
+	t.Helper()
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r, ok := sh.streams[id]
+	if !ok {
+		return
+	}
+	var count int32
+	var live, held int64
+	for i := range r.slots {
+		if e := &r.slots[i]; e.ext != 0 {
+			count++
+			live += int64(e.size)
+			if e.size > inlinePayload {
+				held += int64(e.size)
+			}
+			if !r.presentLocked(e.ext) {
+				t.Fatalf("stream %v: slot %d holds ext %d outside the window [%d, %d]", id, i, e.ext, r.minExt, r.maxExt)
+			}
+			if got := r.payloadLocked(e); len(got) != int(e.size) { // panics when out of range
+				t.Fatalf("stream %v: slot %d payload is %d bytes, size says %d", id, i, len(got), e.size)
+			}
+		}
+	}
+	if count != r.count || live != r.bytes || held != r.held || held > int64(len(r.arena)) {
+		t.Fatalf("stream %v: slots hold %d entries/%d B, %d B of them in the arena; ring says %d/%d, %d of the arena's %d B",
+			id, count, live, held, r.count, r.bytes, r.held, len(r.arena))
+	}
+	if bound := 2*int(held) + largest + arenaSlack; cap(r.arena) > bound {
+		t.Fatalf("stream %v: arena cap %d for %d live bytes (largest payload %d): bound %d", id, cap(r.arena), held, largest, bound)
+	}
+}
+
+// TestArenaPacksOutOfSequenceInPlace compacts, into its own array, an arena
+// whose payloads lie against sequence order — a window filled from the top
+// down with no dead byte between them, where moving in slot order would
+// write the second payload over the last one's bytes; then one replaced
+// here and there with other lengths — and reads every payload back after
+// every step.
+func TestArenaPacksOutOfSequenceInPlace(t *testing.T) {
+	const window = 64
+	s := New(Options{MaxMessages: window})
+	id := wire.MustStreamID(1, 0)
+	body := func(seq, n int) []byte { return bytes.Repeat([]byte{byte(seq), byte(n)}, n)[:n] }
+	want := map[uint64][]byte{}
+	put := func(seq, n int) {
+		ext := s.Append(del(id, wire.Seq(seq), epoch, body(seq, n)))
+		want[ext] = body(seq, n)
+		delete(want, ext-window)
+	}
+	check := func(when string) {
+		t.Helper()
+		n := 0
+		s.RangeFunc(id, 0, ^uint64(0), func(d filtering.Delivery) bool {
+			if !bytes.Equal(d.Msg.Payload, want[d.StoreSeq]) {
+				t.Fatalf("%s: payload of %d is % x, want % x", when, d.StoreSeq, d.Msg.Payload, want[d.StoreSeq])
+			}
+			n++
+			return true
+		})
+		if n != len(want) {
+			t.Fatalf("%s: read %d entries, want %d", when, n, len(want))
+		}
+		checkArena(t, s, id, 100)
+	}
+	put(0, 40)
+	for seq := window - 1; seq > 0; seq-- {
+		put(seq, 17+seq%30)
+	}
+	sh := s.shardFor(id)
+	r := sh.streams[id]
+	sh.mu.Lock()
+	r.packLocked(sh, r.arena[:cap(r.arena)])
+	sh.mu.Unlock()
+	check("packed after the top-down fill")
+
+	inPlace := 0
+	for seq := window; seq < 12*window; seq++ {
+		before, base := len(r.arena), unsafe.SliceData(r.arena)
+		put(seq, 17+seq%50)
+		if seq%7 == 0 {
+			put(seq-window/2, 100-seq%60) // replace one mid-window, another length
+		}
+		if len(r.arena) < before && unsafe.SliceData(r.arena) == base {
+			inPlace++
+		}
+		check(fmt.Sprint("after seq ", seq))
+	}
+	if inPlace < 3 {
+		t.Fatalf("arena compacted in place %d times: the script missed the path", inPlace)
+	}
+}
+
+// TestArenaStaysBounded walks the arena through the scripts that strand
+// capacity — a burst the age bound then evicts, one huge payload passing
+// through small ones, EvictTo down to one entry, a sequence replaced over
+// and over with different lengths, Forget and resumption — checking the
+// bound after every call.
+func TestArenaStaysBounded(t *testing.T) {
+	id := wire.MustStreamID(1, 0)
+	s := New(Options{MaxMessages: 64, MaxAge: time.Minute})
+	seq, now, largest := 0, epoch, 0
+	put := func(n int, dt time.Duration) {
+		now = now.Add(dt)
+		if n > largest {
+			largest = n
+		}
+		s.Append(del(id, wire.Seq(seq), now, bytes.Repeat([]byte{byte(seq)}, n)))
+		seq++
+		checkArena(t, s, id, largest)
+	}
+	for i := 0; i < 200; i++ { // burst: fills the ring, compacts in place
+		put(40, time.Millisecond)
+	}
+	put(40, time.Hour) // everything before it ages out
+	if st, _ := s.StreamStats(id); st.Count != 1 ||
+		st.ResidentBytes > int64(unsafe.Sizeof(ring{}))+64*int64(unsafe.Sizeof(slot{}))+2*40+40+arenaSlack {
+		t.Fatalf("after the age eviction the stream holds %d entries in %d resident bytes", st.Count, st.ResidentBytes)
+	}
+	for i := 0; i < 100; i++ { // one huge payload among small ones
+		put([]int{1, 0, 65535, 1, 7}[i%5], time.Millisecond)
+	}
+	for i := 0; i < 100; i++ { // the huge ones leave the window again
+		put(3, time.Millisecond)
+	}
+	last, _ := s.LastSeq(id)
+	s.EvictTo(id, last)
+	checkArena(t, s, id, largest)
+	for i := 0; i < 300; i++ { // replace one sequence with every length
+		seq--
+		put(i%50, 0)
+	}
+	s.Forget(id)
+	largest = 0 // a forgotten stream starts over
+	checkArena(t, s, id, largest)
+	for i := 0; i < 100; i++ {
+		put(17, time.Millisecond)
+	}
+	if got := s.Range(id, 0, ^uint64(0)); len(got) != 64 || !bytes.Equal(got[63].Msg.Payload, bytes.Repeat([]byte{byte(seq - 1)}, 17)) {
+		t.Fatalf("resumed stream holds %d entries", len(got))
 	}
 }
