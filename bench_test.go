@@ -565,6 +565,59 @@ func BenchmarkDownlinkFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkRealClockHandoff measures the uplink's first hop on the real
+// clock, where the medium's zero-delay hand-off crosses goroutines: one
+// static sensor heard by three receivers that count into a sink. One op
+// is one TriggerSample and its three deliveries observed — the window-1
+// case, a hand-off onto a worker started for it; with -benchmem allocs/op
+// is allocations per sample and must stay 1, the sensor's encoded frame
+// (no timer, one pooled hand-off, receivers returning their frames).
+func BenchmarkRealClockHandoff(b *testing.B) {
+	const receivers = 3
+	m := radio.NewMedium(sim.RealClock{}, radio.Params{Seed: 42})
+	var heard atomic.Int64
+	sampleHeard := make(chan struct{})
+	for i := 0; i < receivers; i++ {
+		rx := receiver.New(m, receiver.Config{Position: geo.Pt(float64(i)*10, 0), Radius: 100}, func(receiver.Reception) {
+			if heard.Add(1)%receivers == 0 {
+				sampleHeard <- struct{}{}
+			}
+		})
+		rx.Start()
+		defer rx.Stop()
+	}
+	n, err := sensor.New(sim.RealClock{}, m, sensor.Config{
+		ID:       1,
+		Mobility: field.Static{P: geo.Pt(10, 5)},
+		TxRange:  100,
+		// Sampled only by TriggerSample below: the period never elapses.
+		Streams: []sensor.StreamConfig{{Sampler: sensor.ConstantSampler([]byte("sample")), Period: time.Hour, Enabled: true}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.Start()
+	defer n.Stop()
+	sample := func() {
+		if err := n.TriggerSample(0); err != nil {
+			b.Fatal(err)
+		}
+		<-sampleHeard
+	}
+	for i := 0; i < 16; i++ { // warm the hand-off pool
+		sample()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sample()
+	}
+	b.StopTimer()
+	if got, want := m.Metrics().Deliveries.Value(), int64(receivers*(b.N+16)); got != want {
+		b.Fatalf("Deliveries = %d, want %d", got, want)
+	}
+}
+
 // BenchmarkE13ShardedDispatch regenerates the dispatch-sharding table.
 func BenchmarkE13ShardedDispatch(b *testing.B) { benchExperiment(b, "E13") }
 

@@ -200,11 +200,11 @@ func NewService(clock sim.Clock, send func(wire.ControlMessage), opts Options) *
 	}
 	// Pooled fire-and-forget timers only pay off on the virtual clock,
 	// whose scheduler recycles heap events. On real clocks (whose
-	// ScheduleFunc is a bare time.AfterFunc) the service keeps the
-	// AfterFunc cancellation handle instead, so an ack stops its retry
-	// timer immediately rather than retaining the pending record — and
-	// the consumer callback graph it captures — until the dead timer
-	// fires up to RetryInterval later.
+	// ScheduleFunc of a positive delay is a bare time.AfterFunc) the
+	// service keeps the AfterFunc cancellation handle instead, so an ack
+	// stops its retry timer immediately rather than retaining the pending
+	// record — and the consumer callback graph it captures — until the
+	// dead timer fires up to RetryInterval later.
 	if _, virtual := clock.(*sim.VirtualClock); virtual {
 		s.sched, _ = clock.(sim.Scheduler)
 	}

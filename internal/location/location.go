@@ -19,7 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -102,7 +104,11 @@ type hint struct {
 }
 
 type track struct {
-	obs    []observation // FIFO, bounded
+	// obs is the bounded reception window. It grows to the bound by append
+	// and is a ring from then on: oldest is the index of the oldest
+	// observation, which the next one overwrites.
+	obs    []observation
+	oldest int
 	hints  []hint
 	locSeq wire.Seq // sequence counter for published location messages
 }
@@ -115,6 +121,7 @@ type Service struct {
 	mu        sync.Mutex
 	receivers map[string]receiverSite
 	sensors   map[wire.SensorID]*track
+	latest    []observation // locateLocked's scratch: one observation per receiver
 }
 
 type receiverSite struct {
@@ -160,9 +167,12 @@ func (s *Service) ObserveReception(rc receiver.Reception) error {
 		return fmt.Errorf("%w: %q", ErrUnknownRx, rc.Receiver)
 	}
 	tr := s.trackLocked(rc.Msg.Stream.Sensor())
-	tr.obs = append(tr.obs, observation{receiver: rc.Receiver, rssi: rc.RSSI, at: rc.At})
-	if len(tr.obs) > s.opts.MaxObservationsPerSensor {
-		tr.obs = tr.obs[len(tr.obs)-s.opts.MaxObservationsPerSensor:]
+	o := observation{receiver: rc.Receiver, rssi: rc.RSSI, at: rc.At}
+	if len(tr.obs) < s.opts.MaxObservationsPerSensor {
+		tr.obs = append(tr.obs, o)
+	} else {
+		tr.obs[tr.oldest] = o
+		tr.oldest = (tr.oldest + 1) % len(tr.obs)
 	}
 	return nil
 }
@@ -214,27 +224,30 @@ func (s *Service) locateLocked(sensor wire.SensorID) (Estimate, error) {
 	cutoff := now.Add(-s.opts.ObservationWindow)
 
 	// Latest fresh observation per receiver, weighted by RSSI × freshness.
-	latest := make(map[string]observation)
-	for _, o := range tr.obs {
+	// Few receivers hear one sensor, so a linear scan of a reused scratch
+	// stands in for a map. Walking newest-first and letting an equal
+	// timestamp replace keeps, among equals, the one that arrived first.
+	latest := s.latest[:0]
+	for i := len(tr.obs) - 1; i >= 0; i-- {
+		o := tr.obs[(tr.oldest+i)%len(tr.obs)]
 		if o.at.Before(cutoff) {
 			continue
 		}
-		if prev, ok := latest[o.receiver]; !ok || o.at.After(prev.at) {
-			latest[o.receiver] = o
+		at := slices.IndexFunc(latest, func(l observation) bool { return l.receiver == o.receiver })
+		if at < 0 {
+			latest = append(latest, o)
+		} else if !o.at.Before(latest[at].at) {
+			latest[at] = o
 		}
 	}
+	s.latest = latest
+	slices.SortFunc(latest, func(a, b observation) int { return strings.Compare(a.receiver, b.receiver) }) // determinism
 	var (
 		pts      []geo.Point
 		wts      []float64
 		radiusWt float64
 	)
-	names := make([]string, 0, len(latest))
-	for name := range latest {
-		names = append(names, name)
-	}
-	sort.Strings(names) // determinism
-	for _, name := range names {
-		o := latest[name]
+	for _, o := range latest {
 		site := s.receivers[o.receiver]
 		freshness := 1 - float64(now.Sub(o.at))/float64(s.opts.ObservationWindow)
 		if freshness < 0.05 {

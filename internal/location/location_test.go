@@ -242,6 +242,90 @@ func TestObservationHistoryBounded(t *testing.T) {
 	}
 }
 
+// TestObservationWindowIsTheLastNInPlace: once the window is full it is
+// overwritten in place — a warm sensor's reception allocates nothing — and
+// a window that has wrapped many times estimates exactly what a fresh one
+// fed only the last N receptions does, including receptions whose
+// timestamps arrive out of order or tie.
+func TestObservationWindowIsTheLastNInPlace(t *testing.T) {
+	const window = 8
+	clock := sim.NewVirtualClock(epoch.Add(time.Minute))
+	var script []receiver.Reception
+	for i := 0; i < 5*window+3; i++ {
+		// Timestamps wander ±2 ms around a slow drift, so neighbours swap
+		// and tie; three receivers of unequal strength take turns.
+		at := clock.Now().Add(time.Duration(i/3)*time.Millisecond - time.Duration(i*7%5)*time.Millisecond)
+		script = append(script, obs(1, []string{"rx-a", "rx-b", "rx-c"}[i*5%3], 0.2+float64(i%7)/10, at))
+	}
+	wrapped, fresh := newService(clock), newService(clock)
+	wrapped.opts.MaxObservationsPerSensor, fresh.opts.MaxObservationsPerSensor = window, window
+	for i, rc := range script {
+		if err := wrapped.ObserveReception(rc); err != nil {
+			t.Fatal(err)
+		}
+		if i < window-1 {
+			continue
+		}
+		fresh.sensors = map[wire.SensorID]*track{}
+		for _, last := range script[i+1-window : i+1] {
+			if err := fresh.ObserveReception(last); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := wrapped.Locate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Locate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("after %d receptions the wrapped window estimates %+v, its last %d alone %+v", i+1, got, window, want)
+		}
+	}
+	// Which reception of one receiver counts: the latest by timestamp,
+	// whatever order they arrived in, and among equal timestamps the one
+	// that arrived first.
+	now := clock.Now()
+	for _, c := range []struct {
+		name   string
+		heard  []receiver.Reception
+		winner int
+	}{
+		{"tie keeps the first arrival", []receiver.Reception{obs(2, "rx-a", 0.3, now), obs(2, "rx-a", 0.8, now)}, 0},
+		{"late arrival of an older stamp loses", []receiver.Reception{obs(2, "rx-a", 0.3, now), obs(2, "rx-a", 0.8, now.Add(-time.Second))}, 0},
+		{"newer stamp wins", []receiver.Reception{obs(2, "rx-a", 0.3, now.Add(-time.Second)), obs(2, "rx-a", 0.8, now)}, 1},
+	} {
+		all, only := newService(clock), newService(clock)
+		for _, rc := range c.heard {
+			if err := all.ObserveReception(rc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := only.ObserveReception(c.heard[c.winner]); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := all.Locate(2)
+		want, _ := only.Locate(2)
+		if got != want || got.Receivers != 1 {
+			t.Fatalf("%s: estimate %+v, want that of reception %d alone %+v", c.name, got, c.winner, want)
+		}
+	}
+	// AllocsPerRun rounds down to a whole number, so one run is several
+	// windows' worth of receptions: a window that walked off its array
+	// would reallocate at least once in each.
+	rc := script[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4*window; i++ {
+			_ = wrapped.ObserveReception(rc)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d receptions of a warm sensor, want 0", allocs, 4*window)
+	}
+}
+
 func TestSensorsListing(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	s := newService(clock)

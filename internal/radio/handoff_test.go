@@ -235,16 +235,17 @@ func TestDetachAfterBroadcastStillDeliversScheduledCopy(t *testing.T) {
 	}
 }
 
-// TestReleaseIsExactlyOnceAcrossCopiesOfAHandoff: every recipient of a
-// hand-off releases its frame through two value copies; were a lease
-// pooled twice, two copies of the next broadcast would share a buffer.
+// TestReleaseIsExactlyOnceAcrossCopiesOfAHandoff: two recipients of every
+// hand-off release their frame through two value copies and the third
+// retains its frame. Were a double release counted twice, the hand-off
+// would be pooled under the retained frame and a later broadcast would
+// overwrite its bytes — two live broadcasts on one buffer.
 func TestReleaseIsExactlyOnceAcrossCopiesOfAHandoff(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	m := NewMedium(clock, Params{})
-	release := true
 	var kept []Frame
 	threeListeners(m, func(id int, f Frame) {
-		if !release {
+		if id == 2 {
 			kept = append(kept, f)
 			return
 		}
@@ -252,23 +253,113 @@ func TestReleaseIsExactlyOnceAcrossCopiesOfAHandoff(t *testing.T) {
 		f.Release()
 		g.Release()
 	})
-	for i := 0; i < 4; i++ {
-		m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("warm"))
+	const rounds = 8
+	for i := 0; i < rounds; i++ {
+		m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte{byte(i)})
 		clock.RunAll()
 	}
-	release = false
-	for i := 0; i < 4; i++ {
-		m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte{byte(i)})
+	if len(kept) != rounds {
+		t.Fatalf("%d frames retained, want %d", len(kept), rounds)
 	}
-	clock.RunAll()
 	for i, f := range kept {
-		f.Data[0] = 0xFF
-		for j, g := range kept {
-			if j != i && g.Data[0] == 0xFF {
-				t.Fatalf("retained frames %d and %d share a buffer: a lease was pooled twice", i, j)
-			}
+		if len(f.Data) != 1 || f.Data[0] != byte(i) {
+			t.Fatalf("frame retained from broadcast %d now reads %v: its hand-off was pooled while it was live", i, f.Data)
 		}
-		f.Data[0] = 0
+		if got := f.h.refs.Load(); got != 1 {
+			t.Fatalf("hand-off %d counts %d references with one copy unreleased", i, got)
+		}
+	}
+	// Releasing the last copy, twice, pools the hand-off once.
+	for i := range kept {
+		h, g := kept[i].h, kept[i]
+		kept[i].Release()
+		g.Release()
+		if got := h.refs.Load(); got != 0 {
+			t.Fatalf("hand-off %d counts %d references after its last release, want 0", i, got)
+		}
+	}
+}
+
+// TestPeeledHandoffCarriesItsOwnBytesAndCount: under jitter a broadcast
+// is several hand-offs, one per distinct delay; each holds its own copy of
+// the bytes and counts its own copies, so they are recycled independently.
+func TestPeeledHandoffCarriesItsOwnBytesAndCount(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	m := NewMedium(clock, Params{DelayMin: time.Millisecond, DelayMax: time.Millisecond + 2, Seed: 9})
+	var kept []Frame
+	for id := 0; id < 12; id++ {
+		m.Attach(BandUplink, &Listener{
+			Name: fmt.Sprintf("l%d", id), Position: fixed(geo.Pt(float64(id), 0)), Radius: 100, Static: true,
+			Deliver: func(f Frame) { kept = append(kept, f) },
+		})
+	}
+	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("peel"))
+	clock.RunAll()
+	copies := map[*handoff]int32{}
+	for _, f := range kept {
+		if string(f.Data) != "peel" {
+			t.Fatalf("copy carries %q", f.Data)
+		}
+		copies[f.h]++
+	}
+	if len(copies) < 2 {
+		t.Fatalf("%d hand-offs for 12 jittered copies: the case is vacuous", len(copies))
+	}
+	bufs := map[*byte]bool{}
+	for h, n := range copies {
+		bufs[&h.data[0]] = true
+		if got := h.refs.Load(); got != n {
+			t.Fatalf("hand-off with %d unreleased copies counts %d references", n, got)
+		}
+	}
+	if len(bufs) != len(copies) {
+		t.Fatalf("%d hand-offs share %d buffers", len(copies), len(bufs))
+	}
+	// Releasing one hand-off's copies leaves the others' bytes alone.
+	first := kept[0].h
+	for i := range kept {
+		if kept[i].h == first {
+			kept[i].Release()
+		}
+	}
+	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("next"))
+	clock.RunAll()
+	for _, f := range kept[:12] {
+		if f.Data != nil && string(f.Data) != "peel" {
+			t.Fatalf("unreleased copy now reads %q", f.Data)
+		}
+	}
+}
+
+// TestInlineReleaseDoesNotPoolARunningHandoff: recipients that release
+// inside Deliver have released every copy before run returns; the hand-off
+// must stay out of the pool until then, or the broadcast the last
+// recipient makes would draw it and rewrite the copies run is walking.
+func TestInlineReleaseDoesNotPoolARunningHandoff(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	m := NewMedium(clock, Params{})
+	var saw []string
+	var running *handoff
+	threeListeners(m, func(id int, f Frame) {
+		saw = append(saw, fmt.Sprintf("l%d:%s", id, f.Data))
+		h, first := f.h, string(f.Data) == "first"
+		f.Release()
+		if first && id == 2 {
+			running = h
+			if got := h.refs.Load(); got != 1 {
+				t.Errorf("running hand-off counts %d references after every copy was released, want 1", got)
+			}
+			m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("second"))
+		}
+	})
+	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("first"))
+	clock.RunAll()
+	want := []string{"l0:first", "l1:first", "l2:first", "l0:second", "l1:second", "l2:second"}
+	if !slices.Equal(saw, want) {
+		t.Fatalf("deliveries %v, want %v", saw, want)
+	}
+	if got := running.refs.Load(); got != 0 {
+		t.Fatalf("hand-off counts %d references after run returned, want 0", got)
 	}
 }
 

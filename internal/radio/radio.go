@@ -22,7 +22,9 @@
 // run is reproducible bit-for-bit regardless of the order the index
 // yields candidates in. A broadcast costs the clock one event per
 // distinct delay among its copies — one, on a channel without jitter —
-// not one per listener reached.
+// not one per listener reached, and holds its bytes once: the copies that
+// arrive intact share one read-only buffer, and only a corrupted copy
+// carries private bytes.
 package radio
 
 import (
@@ -65,15 +67,17 @@ func (b Band) String() string {
 	}
 }
 
-// Frame is a delivered radio frame. Data is owned by the recipient (each
-// delivery receives an independent copy, since corruption is simulated
-// per delivery).
+// Frame is a delivered radio frame. Data is shared and read-only: the
+// copies of one broadcast that arrive intact alias one buffer, so a
+// recipient must not write into it (a corrupted copy carries private
+// bytes, since corruption is simulated per delivery).
 //
-// The buffer behind Data is leased from a pool. A recipient that is done
-// with the frame — including every byte Data aliases — should call
-// Release to recycle the buffer; a recipient that retains Data (or hands
-// it to code that does) must simply not call Release, and the buffer
-// falls back to the garbage collector.
+// The buffer behind Data belongs to the pooled hand-off that delivered the
+// frame. A recipient that is done with the frame — including every byte
+// Data aliases — should call Release; the hand-off is recycled once every
+// copy it delivered has been released. A recipient that retains Data (or
+// hands it to code that does) must simply not call Release, and the
+// hand-off falls back to the garbage collector.
 type Frame struct {
 	Data []byte
 	From geo.Point // transmit position (ground truth; used only by the simulator)
@@ -84,47 +88,24 @@ type Frame struct {
 	// RSSI proxy from it without a per-frame distance calculation).
 	DistSq float64
 
-	lease *frameLease // pooled backing buffer; nil once released
+	h   *handoff // the hand-off whose buffer Data aliases; nil once released
+	idx int32    // which of h's copies this frame is
 }
 
-// frameLease is one pooled delivery buffer plus its release latch. The
-// latch lives here — not in the Frame — because Frames are passed and
-// stored by value: every copy of a delivered Frame shares the one lease,
-// so Release is exactly-once no matter how many copies call it.
-type frameLease struct {
-	buf      []byte
-	released atomic.Bool
-}
-
-// frameBufs pools delivery buffers: every listener reached by a broadcast
-// receives an independent copy of the frame (corruption is per delivery),
-// and a dense field delivers millions of them. Recipients that call
-// Frame.Release make the whole medium → receiver → filter drop path
-// allocation-free at steady state.
-var frameBufs = sync.Pool{
-	New: func() any { return new(frameLease) },
-}
-
-// leaseFrameBuf returns a pooled lease holding a copy of data.
-func leaseFrameBuf(data []byte) *frameLease {
-	l := frameBufs.Get().(*frameLease)
-	l.buf = append(l.buf[:0], data...)
-	l.released.Store(false)
-	return l
-}
-
-// Release returns the frame's buffer to the delivery pool and nils Data.
-// It is idempotent, including across copies of the same delivered Frame.
-// After Release every alias of Data is invalid: callers must have dropped
-// or copied anything they intend to keep.
+// Release gives the frame's share of its hand-off's buffer back and nils
+// Data. It is idempotent, including across copies of the same delivered
+// Frame: Frames are passed and stored by value, so the release latch lives
+// on the hand-off, one per delivered copy. After Release every alias of
+// Data is invalid: callers must have dropped or copied anything they
+// intend to keep.
 func (f *Frame) Release() {
-	l := f.lease
-	if l == nil {
+	h := f.h
+	if h == nil {
 		return
 	}
-	f.lease, f.Data = nil, nil
-	if !l.released.Swap(true) {
-		frameBufs.Put(l)
+	f.h, f.Data = nil, nil
+	if !h.released[f.idx].Swap(true) {
+		h.unref()
 	}
 }
 
@@ -135,7 +116,12 @@ func (f *Frame) Release() {
 // Deliver runs on the clock's callback goroutine and must not block: the
 // copies of one broadcast that share a delay are delivered back-to-back
 // in ascending listener id on one callback, so a Deliver that blocks
-// delays its siblings.
+// delays its siblings. On sim.RealClock a zero-delay callback runs on one
+// of a few shared delivery workers rather than on a goroutine of its own:
+// a Deliver that never returns no longer leaks just its own goroutine and
+// frame, it holds a worker, and enough of them stall zero-delay delivery
+// process-wide. Slow consumers belong behind an asynchronous port
+// (garnet.WithAsyncDispatch), not inside Deliver.
 type Listener struct {
 	Name     string
 	Position func() geo.Point
@@ -313,26 +299,35 @@ func removeEntry(s []*listenerEntry, e *listenerEntry) []*listenerEntry {
 }
 
 // delivery is one copy of a broadcast: decided under the medium lock,
-// given its buffer outside it, handed to its listener by a handoff.
+// handed to its listener by a handoff.
 type delivery struct {
 	l       *Listener
-	lease   *frameLease
 	delay   time.Duration
 	distSq  float64
 	flipPos int
 	flipBit byte // what corruption flips at flipPos; zero = delivered intact
+	private int  // a corrupted copy's bytes start here in handoff.private
 }
 
 // handoff is the pooled working set of one broadcast — candidate ids from
 // the grid query, then the decided copies — and, once scheduled, the one
 // clock event that delivers the copies: they share a delay, so they arrive
 // at one instant and fire back-to-back in ascending listener id.
+//
+// It is also the lease on what the copies carry: the broadcast's bytes are
+// held once and every intact copy aliases them. The handoff returns to its
+// pool when run and every delivered Frame have let go of it.
 type handoff struct {
 	ids    []int
 	copies []delivery
 	m      *Medium
 	from   geo.Point
 	fire   func()
+
+	data     []byte        // the broadcast's bytes
+	private  []byte        // the corrupted copies' bytes, len(data) each
+	released []atomic.Bool // one Release latch per copy
+	refs     atomic.Int32  // unreleased copies, plus one while run has not returned
 }
 
 var handoffPool = sync.Pool{New: func() any { return new(handoff) }}
@@ -347,24 +342,69 @@ func (m *Medium) newHandoff(from geo.Point) *handoff {
 	return h
 }
 
-// run delivers the copies. A Deliver that broadcasts again draws another
-// handoff (h is pooled only at the end), which fires after h's other copies.
-func (h *handoff) run() {
-	m, at := h.m, h.m.clock.Now() // one instant: the copies share a delay
-	m.metrics.Deliveries.Add(int64(len(h.copies)))
-	for _, c := range h.copies {
-		c.l.Deliver(Frame{Data: c.lease.buf, From: h.from, At: at, DistSq: c.distSq, lease: c.lease})
-	}
-	clear(h.copies) // drop listener and lease references before pooling
+// recycle pools a handoff nothing refers to any more.
+func (h *handoff) recycle() {
+	clear(h.copies) // drop listener references before pooling
 	h.copies, h.m = h.copies[:0], nil
 	handoffPool.Put(h)
 }
 
+// unref drops one reference; the last one out recycles the handoff.
+func (h *handoff) unref() {
+	if h.refs.Add(-1) == 0 {
+		h.recycle()
+	}
+}
+
+// schedule loads the broadcast's bytes — once, plus a private flipped copy
+// per corrupted delivery — arms the release latches and hands the handoff
+// to the clock. The caller must not touch h afterwards.
+func (h *handoff) schedule(data []byte) {
+	h.data = append(h.data[:0], data...)
+	h.private = h.private[:0]
+	for i := range h.copies {
+		if c := &h.copies[i]; c.flipBit != 0 {
+			c.private = len(h.private)
+			h.private = append(h.private, data...)
+			h.private[c.private+c.flipPos] ^= c.flipBit
+		}
+	}
+	n := len(h.copies)
+	if cap(h.released) < n {
+		h.released = make([]atomic.Bool, n)
+	} else {
+		h.released = h.released[:n]
+		for i := range h.released {
+			h.released[i].Store(false)
+		}
+	}
+	h.refs.Store(int32(n) + 1)
+	h.m.sched(h.copies[0].delay, h.fire)
+}
+
+// run delivers the copies. A Deliver that broadcasts again draws another
+// handoff (run holds a reference on h until it returns, whatever the
+// recipients release meanwhile), which fires after h's other copies.
+func (h *handoff) run() {
+	m, at := h.m, h.m.clock.Now() // one instant: the copies share a delay
+	m.metrics.Deliveries.Add(int64(len(h.copies)))
+	n := len(h.data)
+	intact := h.data[:n:n] // capacity clipped: an append by a recipient cannot reach a sibling's bytes
+	for i, c := range h.copies {
+		data := intact
+		if c.flipBit != 0 {
+			data = h.private[c.private : c.private+n : c.private+n]
+		}
+		c.l.Deliver(Frame{Data: data, From: h.from, At: at, DistSq: c.distSq, h: h, idx: int32(i)})
+	}
+	h.unref()
+}
+
 // Broadcast offers a frame to the medium from a transmit position with a
 // transmit range. Every listener on the band whose zone covers the
-// transmitter and that sits within txRange receives an independent copy,
-// subject to loss, delay and corruption. The data slice is copied
-// immediately; the caller may reuse it.
+// transmitter and that sits within txRange receives a copy, subject to
+// loss, delay and corruption. The data slice is copied immediately; the
+// caller may reuse it.
 //
 // Copies that share a delay share one clock event and fire in (delay,
 // listener id) order: what one event per copy fires in on a VirtualClock.
@@ -428,6 +468,7 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 		if m.params.CorruptProb > 0 && rng.float64() < m.params.CorruptProb && len(data) > 0 {
 			dv.flipPos = rng.intn(len(data))
 			dv.flipBit = byte(1) << rng.intn(8)
+			m.metrics.Corrupted.Inc()
 		}
 		h.copies = append(h.copies, dv)
 	}
@@ -437,17 +478,8 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 		m.metrics.OutOfRange.Inc()
 	}
 	if len(h.copies) == 0 {
-		h.m = nil
-		handoffPool.Put(h)
+		h.recycle()
 		return
-	}
-	for i := range h.copies {
-		dv := &h.copies[i]
-		dv.lease = leaseFrameBuf(data)
-		if dv.flipBit != 0 {
-			dv.lease.buf[dv.flipPos] ^= dv.flipBit
-			m.metrics.Corrupted.Inc()
-		}
 	}
 	if jitter > 0 {
 		// Distinct delays keep their own events: order by (delay, listener
@@ -458,11 +490,11 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 				t := m.newHandoff(from)
 				t.copies = append(t.copies, h.copies[i:]...)
 				h.copies = slices.Delete(h.copies, i, len(h.copies)) // zeroes the tail
-				m.sched(t.copies[0].delay, t.fire)
+				t.schedule(data)
 			}
 		}
 	}
-	m.sched(h.copies[0].delay, h.fire)
+	h.schedule(data)
 }
 
 // Listeners returns the number of listeners attached to a band.

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -202,24 +203,49 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 	}
 }
 
+// TestDeliveriesAreIndependentCopies: no delivery aliases the caller's
+// buffer, and a corrupted copy carries private bytes — it differs from its
+// intact siblings, which share the hand-off's one buffer, in exactly one
+// bit, and they are unchanged.
 func TestDeliveriesAreIndependentCopies(t *testing.T) {
+	const payload = "mutate-me"
 	clock := sim.NewVirtualClock(epoch)
-	m := NewMedium(clock, Params{})
-	var a, b collector
-	m.Attach(BandUplink, &Listener{Name: "a", Position: fixed(geo.Pt(0, 0)), Radius: 100, Deliver: a.deliver})
-	m.Attach(BandUplink, &Listener{Name: "b", Position: fixed(geo.Pt(0, 1)), Radius: 100, Deliver: b.deliver})
+	m := NewMedium(clock, Params{CorruptProb: 0.5, Seed: 4})
+	var c collector
+	for i := 0; i < 16; i++ {
+		m.Attach(BandUplink, &Listener{Name: "l", Position: fixed(geo.Pt(0, float64(i))), Radius: 100, Deliver: c.deliver})
+	}
 
-	buf := []byte("mutate-me")
+	buf := []byte(payload)
 	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, buf)
 	buf[0] = 'X' // caller reuses its buffer immediately
 	clock.RunAll()
 
-	if string(a.frames[0].Data) != "mutate-me" || string(b.frames[0].Data) != "mutate-me" {
-		t.Fatal("deliveries alias the caller's buffer")
+	intact, corrupted := 0, 0
+	for i, f := range c.frames {
+		diffBits := 0
+		for j := range f.Data {
+			diffBits += bits.OnesCount8(f.Data[j] ^ payload[j])
+		}
+		switch diffBits {
+		case 0:
+			intact++
+		case 1:
+			corrupted++
+			for j, g := range c.frames {
+				if j != i && &g.Data[0] == &f.Data[0] {
+					t.Fatalf("corrupted copy %d shares its bytes with copy %d", i, j)
+				}
+			}
+		default:
+			t.Fatalf("copy %d = %q: %d bits from what was broadcast", i, f.Data, diffBits)
+		}
 	}
-	a.frames[0].Data[0] = 'Y'
-	if string(b.frames[0].Data) != "mutate-me" {
-		t.Fatal("deliveries alias each other")
+	if intact < 2 || corrupted < 2 {
+		t.Fatalf("%d intact and %d corrupted copies: the case is vacuous", intact, corrupted)
+	}
+	if got := m.Metrics().Corrupted.Value(); got != int64(corrupted) {
+		t.Fatalf("Corrupted = %d, %d copies arrived corrupted", got, corrupted)
 	}
 }
 

@@ -422,12 +422,15 @@ func (n *Node) onDownlink(f radio.Frame) {
 	}
 	n.energyUsed += rxCost
 
+	// Every sensor in range hears every control frame and all but one
+	// discard it: read the address first and spend the checksum only on a
+	// frame that claims to be ours.
+	if target, ok := wire.ControlTarget(f.Data); !ok || target.Sensor() != n.cfg.ID {
+		return // truncated, or addressed to another sensor
+	}
 	ctrl, err := wire.DecodeControl(f.Data)
 	if err != nil {
 		return // corrupt or foreign frame
-	}
-	if ctrl.Target.Sensor() != n.cfg.ID {
-		return // addressed to another sensor
 	}
 	n.ctrlReceived.Inc()
 

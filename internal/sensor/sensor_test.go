@@ -2,6 +2,8 @@ package sensor
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -783,5 +785,106 @@ func TestDownlinkDeliveryRecyclesFrame(t *testing.T) {
 	}
 	if got := nodes[1].Stats().ControlsReceived; got != 0 {
 		t.Fatalf("unaddressed sensor counted %d controls as its own", got)
+	}
+}
+
+// TestDownlinkAddressScreenMatchesFullDecode: a sensor reads a control
+// frame's address before its checksum. Frame by frame that must count,
+// acknowledge and charge exactly what decoding first and comparing the
+// address afterwards does — in particular a frame whose corruption turned
+// a foreign address into ours still dies on the checksum.
+func TestDownlinkAddressScreenMatchesFullDecode(t *testing.T) {
+	const self, other = wire.SensorID(6), wire.SensorID(6 ^ 1) // one bit apart
+	encode := func(target wire.SensorID, id uint16) []byte {
+		c := wire.ControlMessage{UpdateID: id, Target: wire.MustStreamID(target, 0), Op: wire.OpPing, Issued: epoch}
+		frame, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	flip := func(frame []byte, bit int) []byte {
+		out := slices.Clone(frame)
+		out[bit/8] ^= 1 << (bit % 8)
+		return out
+	}
+	type frameCase struct {
+		name  string
+		frame []byte
+	}
+	cases := []frameCase{
+		{"own target intact", encode(self, 1)},
+		{"foreign target intact", encode(other, 2)},
+		{"foreign target, corrupt update id", flip(encode(other, 3), 1*8+2)},
+		{"truncated", encode(self, 4)[:wire.ControlSize-1]},
+		{"empty", nil},
+	}
+	// Own target with one flipped bit in each other field.
+	for field, at := range map[string]int{"version": 0, "update id": 1, "op": 7, "param": 8, "value": 9, "issued": 13, "checksum": wire.ControlSize - 1} {
+		cases = append(cases, frameCase{"own target, corrupt " + field, flip(encode(self, 5), at*8+3)})
+	}
+	// A flipped bit in the target itself that lands on our id.
+	var landed []byte
+	for bit := 3 * 8; bit < 7*8; bit++ {
+		f := flip(encode(other, 6), bit)
+		if target, _ := wire.ControlTarget(f); target.Sensor() == self {
+			landed = f
+		}
+	}
+	if landed == nil {
+		t.Fatal("no single-bit flip of the foreign target lands on our id: the case is vacuous")
+	}
+	cases = append(cases, frameCase{"foreign target corrupted into ours", landed})
+	slices.SortFunc(cases, func(a, b frameCase) int { return strings.Compare(a.name, b.name) })
+
+	clock, medium, tap := testRig(t)
+	cfg := basicConfig(self)
+	cfg.Capabilities = CapReceive
+	cfg.Streams[0].Enabled = false
+	cfg.Energy = EnergyParams{RxPerByte: 0.25}
+	n, err := New(clock, medium, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	defer n.Stop()
+
+	var want Stats
+	for _, c := range cases {
+		// Today's order, as the reference: listening energy, full decode,
+		// then the address.
+		want.EnergyUsed += cfg.Energy.RxPerByte * float64(len(c.frame))
+		if ctrl, err := wire.DecodeControl(c.frame); err == nil && ctrl.Target.Sensor() == self {
+			want.ControlsReceived++
+			want.ControlsApplied++ // a ping on a known stream always applies
+		}
+		medium.Broadcast(radio.BandDownlink, geo.Pt(0, 0), 1e9, c.frame)
+		clock.Advance(0)
+		got := n.Stats()
+		if got.ControlsReceived != want.ControlsReceived || got.ControlsApplied != want.ControlsApplied ||
+			got.ControlsIgnored != 0 || got.EnergyUsed != want.EnergyUsed {
+			t.Fatalf("after %q: received/applied/ignored/energy = %d/%d/%d/%v, full decode first gives %d/%d/0/%v",
+				c.name, got.ControlsReceived, got.ControlsApplied, got.ControlsIgnored, got.EnergyUsed,
+				want.ControlsReceived, want.ControlsApplied, want.EnergyUsed)
+		}
+	}
+	if want.ControlsReceived != 1 {
+		t.Fatalf("reference accepted %d frames, want exactly the intact own-target one", want.ControlsReceived)
+	}
+	// Exactly the accepted frame is acknowledged.
+	for i := 0; i < 2; i++ {
+		if err := n.TriggerSample(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.Advance(0)
+	var acks []uint16
+	for _, m := range tap.all() {
+		if m.Flags.Has(wire.FlagUpdateAck) {
+			acks = append(acks, m.AckID)
+		}
+	}
+	if !slices.Equal(acks, []uint16{1}) {
+		t.Fatalf("acknowledged %v, want [1]", acks)
 	}
 }

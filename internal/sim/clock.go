@@ -8,7 +8,11 @@
 // the benchmark harness on VirtualClock.
 package sim
 
-import "time"
+import (
+	"runtime"
+	"sync"
+	"time"
+)
 
 // Clock abstracts time for the middleware and the simulator.
 //
@@ -19,7 +23,9 @@ type Clock interface {
 	// AfterFunc schedules f to run after d has elapsed on this clock and
 	// returns a handle that can cancel it. Implementations may run f on an
 	// arbitrary goroutine (RealClock) or synchronously inside an Advance
-	// call (VirtualClock); f must therefore not block.
+	// call (VirtualClock); f must therefore not block. (A RealClock
+	// AfterFunc callback has a goroutine to itself; a zero-delay
+	// ScheduleFunc callback does not — see Scheduler.)
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
@@ -39,7 +45,14 @@ type Timer interface {
 // clock.
 type Scheduler interface {
 	// ScheduleFunc schedules f to run after d on this clock. It cannot
-	// be cancelled.
+	// be cancelled. f never runs inside the ScheduleFunc call, so it may
+	// take locks the caller holds.
+	//
+	// f must not block. On RealClock a zero-delay f runs on one of a few
+	// shared delivery workers (see RealClock.ScheduleFunc), not on a
+	// goroutine of its own: an f that never returns holds that worker for
+	// good, and as many of them as there are workers stall every
+	// zero-delay callback in the process.
 	ScheduleFunc(d time.Duration, f func())
 }
 
@@ -55,9 +68,93 @@ func (RealClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
 }
 
-// ScheduleFunc implements Scheduler.
+// ScheduleFunc implements Scheduler. A positive delay is a runtime timer.
+// A callback due now — the radio medium's hand-off on a channel without
+// delay — goes on one process-wide FIFO drained by resident workers
+// instead: a timer and a goroutine per callback cost more than the
+// callback, and each new goroutine grows its stack from the minimum down
+// the whole delivery path, where a worker's stack is already grown.
 func (RealClock) ScheduleFunc(d time.Duration, f func()) {
-	time.AfterFunc(d, f)
+	if d > 0 {
+		time.AfterFunc(d, f)
+		return
+	}
+	handoffs.schedule(f)
+}
+
+// handoffs runs every zero-delay RealClock.ScheduleFunc callback in the
+// process. At least two workers, so that one callback waiting on another
+// (which the contract forbids, but a mutex handed over is enough) cannot
+// stop the queue on a single-CPU host.
+var handoffs = newExecutor(max(2, runtime.GOMAXPROCS(0)))
+
+// executor runs callbacks in the order they were scheduled on at most
+// bound worker goroutines. Workers are started on demand — by the first
+// callback, and by one that arrives while every live worker is busy — and
+// exit when they find the queue empty: nothing idles, so there is nothing
+// to close, and under load the workers stay resident and no goroutine is
+// started per callback.
+type executor struct {
+	bound int
+
+	mu      sync.Mutex
+	queue   []func() // ring: queued callbacks are queue[head], queue[head+1], … (mod len)
+	head    int
+	queued  int
+	workers int    // live drain goroutines; each is running a callback or about to pop one
+	worker  func() // drain, bound once: starting a worker allocates nothing
+}
+
+func newExecutor(bound int) *executor {
+	e := &executor{bound: bound}
+	e.worker = e.drain
+	return e
+}
+
+// schedule queues f behind everything already queued.
+func (e *executor) schedule(f func()) {
+	e.mu.Lock()
+	if e.queued == len(e.queue) {
+		e.grow()
+	}
+	e.queue[(e.head+e.queued)&(len(e.queue)-1)] = f
+	e.queued++
+	start := e.workers < e.bound
+	if start {
+		e.workers++
+	}
+	e.mu.Unlock()
+	if start {
+		go e.worker()
+	}
+}
+
+// grow doubles the ring (a power of two, so positions wrap with a mask),
+// moving the queued callbacks to its front.
+func (e *executor) grow() {
+	bigger := make([]func(), max(16, 2*len(e.queue)))
+	n := copy(bigger, e.queue[e.head:])
+	copy(bigger[n:], e.queue[:e.head])
+	e.queue, e.head = bigger, 0
+}
+
+// drain pops and runs callbacks — no lock held while one runs — until
+// the queue is empty.
+func (e *executor) drain() {
+	for {
+		e.mu.Lock()
+		if e.queued == 0 {
+			e.workers--
+			e.mu.Unlock()
+			return
+		}
+		f := e.queue[e.head]
+		e.queue[e.head] = nil
+		e.head = (e.head + 1) & (len(e.queue) - 1)
+		e.queued--
+		e.mu.Unlock()
+		f()
+	}
 }
 
 type realTimer struct{ t *time.Timer }

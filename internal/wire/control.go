@@ -100,6 +100,19 @@ func (c *ControlMessage) Encode() ([]byte, error) {
 	return c.AppendEncode(make([]byte, 0, ControlSize))
 }
 
+// ControlTarget reads the stream a control frame is addressed to without
+// validating anything but the frame's length: every sensor in range hears
+// every downlink frame, and all but one of them need only this to discard
+// it. ok is false when b is too short to be a control frame. A frame whose
+// target matters to the caller must still pass DecodeControl — the target
+// bytes themselves may be what the channel corrupted.
+func ControlTarget(b []byte) (target StreamID, ok bool) {
+	if len(b) < ControlSize {
+		return 0, false
+	}
+	return StreamID(binary.BigEndian.Uint32(b[3:])), true
+}
+
 // DecodeControl decodes a control frame. It validates length, version,
 // reserved bits, op and checksum.
 func DecodeControl(b []byte) (ControlMessage, error) {

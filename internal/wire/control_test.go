@@ -37,6 +37,12 @@ func TestControlRoundTrip(t *testing.T) {
 			if got != tt.msg {
 				t.Errorf("got %+v, want %+v", got, tt.msg)
 			}
+			if target, ok := ControlTarget(frame); !ok || target != tt.msg.Target {
+				t.Errorf("ControlTarget = %v, %v, want %v", target, ok, tt.msg.Target)
+			}
+			if _, ok := ControlTarget(frame[:ControlSize-1]); ok {
+				t.Error("ControlTarget accepted a truncated frame")
+			}
 		})
 	}
 }
