@@ -12,17 +12,27 @@
 // wire.LocationStreamIndex, protected by registry.PermLocation — “location
 // data [treated] as any other data stream … protected by additional
 // security mechanisms” (§2).
+//
+// The service keeps exactly what Locate reads. A sensor's track holds one
+// observation per receiver that has heard it — the one with the greatest
+// timestamp — as a 24-byte record of receiver index, RSSI and nanoseconds:
+// no string, no time.Time, nothing for the garbage collector to walk.
+// Tracks are partitioned by wire.SensorID.Shard, the function the Filtering
+// and Dispatching Services partition by, each shard under its own lock; the
+// receiver registry is a copy-on-write table read with one atomic load, so
+// receptions of different sensors never meet on a lock.
 package location
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/geo"
@@ -74,8 +84,10 @@ type Options struct {
 	// ObservationWindow is how long a reception contributes to estimates.
 	// Default 10s.
 	ObservationWindow time.Duration
-	// MaxObservationsPerSensor bounds per-sensor reception history.
-	// Default 64.
+	// MaxObservationsPerSensor bounds per-sensor reception state: a track
+	// remembers one observation for each of at most this many distinct
+	// receivers, and a further receiver replaces the stalest. It does not
+	// age anything out — only ObservationWindow does. Default 64.
 	MaxObservationsPerSensor int
 	// HintUncertaintyBase scales hint uncertainty: a hint with confidence
 	// c has uncertainty (1-c)*HintUncertaintyBase + 1 metres. Default 50.
@@ -90,10 +102,16 @@ var (
 	ErrEstimateFormat = errors.New("location: bad estimate payload")
 )
 
+// observation is a receiver's freshest reception of one sensor. It holds no
+// pointers, so a field's worth of tracks costs the collector nothing. at is
+// wall-clock nanoseconds since the Unix epoch, without time.Time's monotonic
+// reading: if the wall clock steps back, observations stamped before the
+// step look newer than now and weigh as perfectly fresh until it catches up;
+// if it steps forward, they age by the step and may expire early.
 type observation struct {
-	receiver string
-	rssi     float64
-	at       time.Time
+	rssi float64
+	at   int64
+	rx   uint32 // index into siteTable.sites
 }
 
 type hint struct {
@@ -104,13 +122,34 @@ type hint struct {
 }
 
 type track struct {
-	// obs is the bounded reception window. It grows to the bound by append
-	// and is a ring from then on: oldest is the index of the oldest
-	// observation, which the next one overwrites.
-	obs    []observation
-	oldest int
+	obs    []observation // one per receiver heard, at most MaxObservationsPerSensor
 	hints  []hint
 	locSeq wire.Seq // sequence counter for published location messages
+}
+
+// shardCount partitions the tracks; fixed, like filtering.DefaultShards.
+const shardCount = 16
+
+// shard owns the tracks of the sensors that wire.SensorID.Shard maps to it,
+// and the scratch Locate builds an estimate in.
+type shard struct {
+	mu      sync.Mutex
+	sensors map[wire.SensorID]*track
+	pts     []geo.Point
+	wts     []float64
+}
+
+type receiverSite struct {
+	name   string
+	pos    geo.Point
+	radius float64
+}
+
+// siteTable is one published state of the receiver registry. It is never
+// mutated once stored: RegisterReceiver publishes a copy.
+type siteTable struct {
+	index map[string]uint32
+	sites []receiverSite
 }
 
 // Service is the Location Service.
@@ -118,15 +157,9 @@ type Service struct {
 	clock sim.Clock
 	opts  Options
 
-	mu        sync.Mutex
-	receivers map[string]receiverSite
-	sensors   map[wire.SensorID]*track
-	latest    []observation // locateLocked's scratch: one observation per receiver
-}
-
-type receiverSite struct {
-	pos    geo.Point
-	radius float64
+	regMu     sync.Mutex // serialises RegisterReceiver; readers take no lock
+	receivers atomic.Pointer[siteTable]
+	shards    [shardCount]shard
 }
 
 // New creates a Service.
@@ -140,48 +173,78 @@ func New(clock sim.Clock, opts Options) *Service {
 	if opts.HintUncertaintyBase <= 0 {
 		opts.HintUncertaintyBase = 50
 	}
-	return &Service{
-		clock:     clock,
-		opts:      opts,
-		receivers: make(map[string]receiverSite),
-		sensors:   make(map[wire.SensorID]*track),
+	s := &Service{clock: clock, opts: opts}
+	s.receivers.Store(&siteTable{index: map[string]uint32{}})
+	for i := range s.shards {
+		s.shards[i].sensors = make(map[wire.SensorID]*track)
 	}
+	return s
 }
 
 // RegisterReceiver teaches the service where a receiver sits and how far
 // its zone reaches. Receptions from unregistered receivers are rejected.
 func (s *Service) RegisterReceiver(name string, pos geo.Point, radius float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.receivers[name] = receiverSite{pos: pos, radius: radius}
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	cur := s.receivers.Load()
+	next := &siteTable{index: maps.Clone(cur.index), sites: slices.Clone(cur.sites)}
+	site := receiverSite{name: name, pos: pos, radius: radius}
+	if i, ok := next.index[name]; ok {
+		next.sites[i] = site
+	} else {
+		next.index[name] = uint32(len(next.sites))
+		next.sites = append(next.sites, site)
+	}
+	s.receivers.Store(next)
 }
 
 // ObserveReception folds one reception record into the sensor's track.
 // Duplicate copies from overlapping receivers are valuable here (each
 // contributes an independent bearing), so the core feeds this from the
 // receivers directly, before duplicate elimination.
+//
+// The track keeps, per receiver, the reception with the greatest timestamp
+// and among equal timestamps the first to arrive; anything older is dropped
+// on arrival. An observation leaves an estimate when it is older than
+// ObservationWindow, never because later receptions pushed it out.
 func (s *Service) ObserveReception(rc receiver.Reception) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.receivers[rc.Receiver]; !ok {
+	rx, ok := s.receivers.Load().index[rc.Receiver]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRx, rc.Receiver)
 	}
-	tr := s.trackLocked(rc.Msg.Stream.Sensor())
-	o := observation{receiver: rc.Receiver, rssi: rc.RSSI, at: rc.At}
-	if len(tr.obs) < s.opts.MaxObservationsPerSensor {
+	id := rc.Msg.Stream.Sensor()
+	o := observation{rssi: rc.RSSI, at: rc.At.UnixNano(), rx: rx}
+	sh := &s.shards[id.Shard(shardCount)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tr := sh.track(id)
+	// The reception competes with the one remembered for its receiver or,
+	// if the track is full of other receivers, with the stalest of them (the
+	// earliest-registered among equally stale), and wins only if fresher.
+	slot := slices.IndexFunc(tr.obs, func(c observation) bool { return c.rx == rx })
+	if slot < 0 && len(tr.obs) < s.opts.MaxObservationsPerSensor {
 		tr.obs = append(tr.obs, o)
-	} else {
-		tr.obs[tr.oldest] = o
-		tr.oldest = (tr.oldest + 1) % len(tr.obs)
+		return nil
+	}
+	if slot < 0 {
+		slot = 0
+		for i, c := range tr.obs {
+			if m := tr.obs[slot]; c.at < m.at || c.at == m.at && c.rx < m.rx {
+				slot = i
+			}
+		}
+	}
+	if o.at > tr.obs[slot].at {
+		tr.obs[slot] = o
 	}
 	return nil
 }
 
-func (s *Service) trackLocked(id wire.SensorID) *track {
-	tr, ok := s.sensors[id]
+func (sh *shard) track(id wire.SensorID) *track {
+	tr, ok := sh.sensors[id]
 	if !ok {
 		tr = &track{}
-		s.sensors[id] = tr
+		sh.sensors[id] = tr
 	}
 	return tr
 }
@@ -195,132 +258,105 @@ func (s *Service) AddHint(sensor wire.SensorID, pos geo.Point, confidence float6
 	if ttl <= 0 {
 		return fmt.Errorf("%w: ttl %v", ErrBadHint, ttl)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tr := s.trackLocked(sensor)
-	tr.hints = append(tr.hints, hint{
+	now := s.clock.Now()
+	sh := &s.shards[sensor.Shard(shardCount)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tr := sh.track(sensor)
+	tr.hints = append(liveHints(tr.hints, now), hint{
 		pos:        pos,
 		confidence: confidence,
-		expires:    s.clock.Now().Add(ttl),
+		expires:    now.Add(ttl),
 		from:       from,
 	})
 	return nil
 }
 
+// liveHints drops the hints that have expired by now, in place.
+func liveHints(hints []hint, now time.Time) []hint {
+	return slices.DeleteFunc(hints, func(h hint) bool { return !h.expires.After(now) })
+}
+
 // Locate computes the current estimate for a sensor by merging fresh
 // reception evidence with unexpired hints.
 func (s *Service) Locate(sensor wire.SensorID) (Estimate, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locateLocked(sensor)
+	sh := &s.shards[sensor.Shard(shardCount)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.locateLocked(sh, sensor)
 }
 
-func (s *Service) locateLocked(sensor wire.SensorID) (Estimate, error) {
-	tr, ok := s.sensors[sensor]
+func (s *Service) locateLocked(sh *shard, sensor wire.SensorID) (Estimate, error) {
+	tr, ok := sh.sensors[sensor]
 	if !ok {
 		return Estimate{}, fmt.Errorf("%w: %d", ErrUnknownSensor, sensor)
 	}
 	now := s.clock.Now()
-	cutoff := now.Add(-s.opts.ObservationWindow)
+	nowNs, window := now.UnixNano(), int64(s.opts.ObservationWindow)
+	sites := s.receivers.Load().sites
 
-	// Latest fresh observation per receiver, weighted by RSSI × freshness.
-	// Few receivers hear one sensor, so a linear scan of a reused scratch
-	// stands in for a map. Walking newest-first and letting an equal
-	// timestamp replace keeps, among equals, the one that arrived first.
-	latest := s.latest[:0]
-	for i := len(tr.obs) - 1; i >= 0; i-- {
-		o := tr.obs[(tr.oldest+i)%len(tr.obs)]
-		if o.at.Before(cutoff) {
+	// Each receiver's observation still inside the window, weighted by
+	// RSSI × freshness, summed in receiver-name order for determinism (a
+	// track's own order carries no meaning, so it is sorted where it lies).
+	slices.SortFunc(tr.obs, func(a, b observation) int { return strings.Compare(sites[a.rx].name, sites[b.rx].name) })
+	pts, wts := sh.pts[:0], sh.wts[:0]
+	var radiusWt, totalW float64
+	for _, o := range tr.obs {
+		if o.at < nowNs-window {
 			continue
 		}
-		at := slices.IndexFunc(latest, func(l observation) bool { return l.receiver == o.receiver })
-		if at < 0 {
-			latest = append(latest, o)
-		} else if !o.at.Before(latest[at].at) {
-			latest[at] = o
-		}
-	}
-	s.latest = latest
-	slices.SortFunc(latest, func(a, b observation) int { return strings.Compare(a.receiver, b.receiver) }) // determinism
-	var (
-		pts      []geo.Point
-		wts      []float64
-		radiusWt float64
-	)
-	for _, o := range latest {
-		site := s.receivers[o.receiver]
-		freshness := 1 - float64(now.Sub(o.at))/float64(s.opts.ObservationWindow)
-		if freshness < 0.05 {
-			freshness = 0.05
-		}
+		site := sites[o.rx]
+		// A stamp ahead of now (a receiver's clock running fast, a wall-clock
+		// step) is no fresher than fresh.
+		freshness := min(max(1-float64(nowNs-o.at)/float64(window), 0.05), 1)
 		w := o.rssi * freshness
 		pts = append(pts, site.pos)
 		wts = append(wts, w)
 		radiusWt += site.radius * w
+		totalW += w
 	}
+	sh.pts, sh.wts = pts, wts
 
-	// Unexpired hints.
-	live := tr.hints[:0]
-	for _, h := range tr.hints {
-		if h.expires.After(now) {
-			live = append(live, h)
-		}
-	}
-	tr.hints = live
+	tr.hints = liveHints(tr.hints, now)
 
-	est := Estimate{Sensor: sensor, At: now, Receivers: len(pts), Hints: len(live)}
+	est := Estimate{Sensor: sensor, At: now, Receivers: len(pts), Hints: len(tr.hints)}
+	// WeightedCentroid refuses an empty set, so a source with nothing fresh
+	// contributes no estimate.
 	var inferred *Estimate
-	if len(pts) > 0 {
-		c, err := geo.WeightedCentroid(pts, wts)
-		if err == nil {
-			var totalW float64
-			for _, w := range wts {
-				totalW += w
-			}
-			e := Estimate{
-				Pos:        c,
-				Confidence: float64(len(pts)) / float64(len(pts)+1),
-			}
-			if len(pts) == 1 {
-				// One receiver: the sensor is somewhere in its zone, biased
-				// towards the RSSI-implied range ring.
-				e.Uncertainty = (radiusWt / totalW) * (1 - wts[0]*0.5)
-			} else {
-				e.Uncertainty = spread(pts, wts, c)
-				if e.Uncertainty < 5 {
-					e.Uncertainty = 5
-				}
-			}
-			inferred = &e
+	if c, err := geo.WeightedCentroid(pts, wts); err == nil {
+		e := Estimate{Pos: c, Confidence: float64(len(pts)) / float64(len(pts)+1)}
+		if len(pts) == 1 {
+			// One receiver: the sensor is somewhere in its zone, biased
+			// towards the RSSI-implied range ring.
+			e.Uncertainty = (radiusWt / totalW) * (1 - wts[0]*0.5)
+		} else {
+			e.Uncertainty = max(spread(pts, wts, c), 5)
 		}
+		inferred = &e
 	}
 
 	var hinted *Estimate
-	if len(live) > 0 {
-		hp := make([]geo.Point, len(live))
-		hw := make([]float64, len(live))
-		var bestConf float64
-		for i, h := range live {
-			hp[i], hw[i] = h.pos, h.confidence
-			if h.confidence > bestConf {
-				bestConf = h.confidence
-			}
+	hp := make([]geo.Point, len(tr.hints))
+	hw := make([]float64, len(tr.hints))
+	var bestConf float64
+	for i, h := range tr.hints {
+		hp[i], hw[i] = h.pos, h.confidence
+		if h.confidence > bestConf {
+			bestConf = h.confidence
 		}
-		c, err := geo.WeightedCentroid(hp, hw)
-		if err == nil {
-			hinted = &Estimate{
-				Pos:         c,
-				Confidence:  bestConf,
-				Uncertainty: (1-bestConf)*s.opts.HintUncertaintyBase + 1,
-			}
+	}
+	if c, err := geo.WeightedCentroid(hp, hw); err == nil {
+		hinted = &Estimate{
+			Pos:         c,
+			Confidence:  bestConf,
+			Uncertainty: (1-bestConf)*s.opts.HintUncertaintyBase + 1,
 		}
 	}
 
 	switch {
 	case inferred != nil && hinted != nil:
 		wi, wh := inferred.Confidence, hinted.Confidence
-		c, err := geo.WeightedCentroid(
-			[]geo.Point{inferred.Pos, hinted.Pos}, []float64{wi, wh})
+		c, err := geo.WeightedCentroid([]geo.Point{inferred.Pos, hinted.Pos}, []float64{wi, wh})
 		if err != nil {
 			return Estimate{}, fmt.Errorf("%w: %d", ErrUnknownSensor, sensor)
 		}
@@ -357,13 +393,14 @@ func spread(pts []geo.Point, wts []float64, c geo.Point) float64 {
 
 // Sensors lists every sensor with any track state, sorted.
 func (s *Service) Sensors() []wire.SensorID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]wire.SensorID, 0, len(s.sensors))
-	for id := range s.sensors {
-		out = append(out, id)
+	var out []wire.SensorID
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		out = slices.AppendSeq(out, maps.Keys(sh.sensors))
+		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -375,30 +412,24 @@ const EstimatePayloadSize = 8*4 + 8
 // on the reserved stream index, with per-sensor sequence numbers — the
 // mechanism by which location data becomes “any other data stream”. The
 // caller (the deployment core) injects these into the Dispatching Service.
+// Each sensor is located and numbered under its own shard's lock, so
+// receptions keep flowing while a field's worth of updates is composed.
 func (s *Service) ComposeUpdates() []wire.Message {
-	s.mu.Lock()
-	ids := make([]wire.SensorID, 0, len(s.sensors))
-	for id := range s.sensors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	var msgs []wire.Message
-	for _, id := range ids {
-		est, err := s.locateLocked(id)
-		if err != nil {
-			continue
+	for _, id := range s.Sensors() {
+		sh := &s.shards[id.Shard(shardCount)]
+		sh.mu.Lock()
+		if est, err := s.locateLocked(sh, id); err == nil {
+			tr := sh.sensors[id]
+			msgs = append(msgs, wire.Message{
+				Stream:  wire.MustStreamID(id, wire.LocationStreamIndex),
+				Seq:     tr.locSeq,
+				Payload: EncodeEstimate(est),
+			})
+			tr.locSeq = tr.locSeq.Next()
 		}
-		tr := s.sensors[id]
-		msg := wire.Message{
-			Stream:  wire.MustStreamID(id, wire.LocationStreamIndex),
-			Seq:     tr.locSeq,
-			Payload: EncodeEstimate(est),
-		}
-		tr.locSeq = tr.locSeq.Next()
-		msgs = append(msgs, msg)
+		sh.mu.Unlock()
 	}
-	s.mu.Unlock()
 	return msgs
 }
 

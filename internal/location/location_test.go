@@ -2,10 +2,16 @@ package location
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/geo"
+	"github.com/garnet-middleware/garnet/internal/intern"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
@@ -242,51 +248,96 @@ func TestObservationHistoryBounded(t *testing.T) {
 	}
 }
 
-// TestObservationWindowIsTheLastNInPlace: once the window is full it is
-// overwritten in place — a warm sensor's reception allocates nothing — and
-// a window that has wrapped many times estimates exactly what a fresh one
-// fed only the last N receptions does, including receptions whose
-// timestamps arrive out of order or tie.
-func TestObservationWindowIsTheLastNInPlace(t *testing.T) {
-	const window = 8
-	clock := sim.NewVirtualClock(epoch.Add(time.Minute))
-	var script []receiver.Reception
-	for i := 0; i < 5*window+3; i++ {
-		// Timestamps wander ±2 ms around a slow drift, so neighbours swap
-		// and tie; three receivers of unequal strength take turns.
-		at := clock.Now().Add(time.Duration(i/3)*time.Millisecond - time.Duration(i*7%5)*time.Millisecond)
-		script = append(script, obs(1, []string{"rx-a", "rx-b", "rx-c"}[i*5%3], 0.2+float64(i%7)/10, at))
+// modelObserve is the executable statement of what a track remembers: per
+// receiver the reception with the greatest stamp, the first to arrive among
+// equals; at most limit receivers, a further one replacing the stalest (the
+// earliest-registered among equally stale) unless it is no fresher itself.
+func modelObserve(kept map[string]receiver.Reception, rc receiver.Reception, limit int, rank map[string]int) {
+	if old, heard := kept[rc.Receiver]; heard {
+		if rc.At.After(old.At) {
+			kept[rc.Receiver] = rc
+		}
+		return
 	}
-	wrapped, fresh := newService(clock), newService(clock)
-	wrapped.opts.MaxObservationsPerSensor, fresh.opts.MaxObservationsPerSensor = window, window
-	for i, rc := range script {
-		if err := wrapped.ObserveReception(rc); err != nil {
-			t.Fatal(err)
-		}
-		if i < window-1 {
-			continue
-		}
-		fresh.sensors = map[wire.SensorID]*track{}
-		for _, last := range script[i+1-window : i+1] {
-			if err := fresh.ObserveReception(last); err != nil {
-				t.Fatal(err)
+	if len(kept) == limit {
+		var stalest *receiver.Reception
+		for _, k := range kept {
+			if stalest == nil || k.At.Before(stalest.At) || k.At.Equal(stalest.At) && rank[k.Receiver] < rank[stalest.Receiver] {
+				stalest = &k
 			}
 		}
-		got, err := wrapped.Locate(1)
-		if err != nil {
-			t.Fatal(err)
+		if !rc.At.After(stalest.At) {
+			return
 		}
-		want, err := fresh.Locate(1)
-		if err != nil {
-			t.Fatal(err)
+		delete(kept, stalest.Receiver)
+	}
+	kept[rc.Receiver] = rc
+}
+
+// TestObservationWindowIsTheLastNInPlace: a track is one observation per
+// receiver, updated in place — a warm sensor's reception and an inferred
+// estimate allocate nothing — and the service estimates exactly what the
+// model above does: random scripts with out-of-order, tied and future
+// stamps, stamps straddling ObservationWindow and more receivers than the
+// cap go through both, and the model's survivors, fed to a fresh service
+// that never has to choose between two receptions, must give an equal
+// Estimate.
+func TestObservationWindowIsTheLastNInPlace(t *testing.T) {
+	const (
+		window = 8 * time.Second
+		limit  = 4
+	)
+	names := []string{"rx-d", "rx-a", "rx-f", "rx-b", "rx-e", "rx-c"} // registered out of name order
+	rank := map[string]int{}
+	for i, name := range names {
+		rank[name] = i
+	}
+	build := func(clock sim.Clock, limit int) *Service {
+		s := New(clock, Options{ObservationWindow: window, MaxObservationsPerSensor: limit})
+		for i, name := range names {
+			s.RegisterReceiver(name, geo.Pt(float64(i%3)*60, float64(i/3)*80), 100)
 		}
-		if got != want {
-			t.Fatalf("after %d receptions the wrapped window estimates %+v, its last %d alone %+v", i+1, got, window, want)
+		return s
+	}
+	for _, seed := range []int64{1, 2, 3, 4, 5, time.Now().UnixNano()} {
+		rng := rand.New(rand.NewSource(seed))
+		clock := sim.NewVirtualClock(epoch.Add(time.Minute))
+		svc := build(clock, limit)
+		model := map[wire.SensorID]map[string]receiver.Reception{1: {}, 2: {}}
+		for step := 0; step < 400; step++ {
+			// Stamps fall on a half-second grid from 1.5 windows ago to 2 s
+			// ahead of now, so they tie, arrive out of order, outlive the
+			// window and outrun the clock.
+			id := wire.SensorID(1 + rng.Intn(2))
+			at := clock.Now().Add(2*time.Second - time.Duration(rng.Intn(29))*time.Second/2)
+			rc := obs(id, names[rng.Intn(len(names))], 0.1+float64(rng.Intn(9))/10, at)
+			if err := svc.ObserveReception(rc); err != nil {
+				t.Fatal(err)
+			}
+			modelObserve(model[id], rc, limit, rank)
+			if rng.Intn(4) == 0 {
+				clock.Advance(time.Duration(rng.Intn(6)) * time.Second / 2)
+			}
+			only := build(clock, len(names))
+			for _, k := range model[id] {
+				if !k.At.Before(clock.Now().Add(-window)) {
+					if err := only.ObserveReception(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, gotErr := svc.Locate(id)
+			want, wantErr := only.Locate(id)
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("seed %d step %d sensor %d: estimate %+v (%v), model %+v (%v)", seed, step, id, got, gotErr, want, wantErr)
+			}
 		}
 	}
+
 	// Which reception of one receiver counts: the latest by timestamp,
 	// whatever order they arrived in, and among equal timestamps the one
 	// that arrived first.
+	clock := sim.NewVirtualClock(epoch.Add(time.Minute))
 	now := clock.Now()
 	for _, c := range []struct {
 		name   string
@@ -312,17 +363,29 @@ func TestObservationWindowIsTheLastNInPlace(t *testing.T) {
 			t.Fatalf("%s: estimate %+v, want that of reception %d alone %+v", c.name, got, c.winner, want)
 		}
 	}
-	// AllocsPerRun rounds down to a whole number, so one run is several
-	// windows' worth of receptions: a window that walked off its array
-	// would reallocate at least once in each.
-	rc := script[0]
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 4*window; i++ {
-			_ = wrapped.ObserveReception(rc)
+
+	// A warm sensor — every receiver heard once, the scratch grown by one
+	// Locate — takes receptions, stale, tied and fresh, and answers inferred
+	// estimates without allocating.
+	warm := build(clock, limit)
+	var script []receiver.Reception
+	for i := 0; i < 32; i++ {
+		script = append(script, obs(1, names[i*5%len(names)], 0.2+float64(i%7)/10, now.Add(time.Duration(i/3-i*7%5)*time.Millisecond)))
+	}
+	observeAll := func() {
+		for _, rc := range script {
+			_ = warm.ObserveReception(rc)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocations per %d receptions of a warm sensor, want 0", allocs, 4*window)
+	}
+	observeAll()
+	if _, err := warm.Locate(1); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, observeAll); allocs != 0 {
+		t.Fatalf("%v allocations per %d receptions of a warm sensor, want 0", allocs, len(script))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = warm.Locate(1) }); allocs != 0 {
+		t.Fatalf("%v allocations per inferred-only Locate of a warm sensor, want 0", allocs)
 	}
 }
 
@@ -431,3 +494,235 @@ func TestInferenceAccuracyOnGrid(t *testing.T) {
 }
 
 func rxName(i, j int) string { return "rx-" + string(rune('a'+i)) + string(rune('0'+j)) }
+
+// TestHintsPrunedOnAdd: a sensor that is hinted but never located must not
+// accumulate expired hints, and a later Locate sees exactly the live ones.
+func TestHintsPrunedOnAdd(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	s := newService(clock)
+	const ttl, step = 5 * time.Millisecond, time.Millisecond
+	for i := 0; i < 10000; i++ {
+		if err := s.AddHint(7, geo.Pt(float64(i), 0), 0.5, ttl, "app"); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(step)
+	}
+	live := int(ttl/step) - 1 // the last step aged the hint added ttl ago out
+	if hints := s.shards[wire.SensorID(7).Shard(shardCount)].sensors[7].hints; len(hints) != live+1 || cap(hints) > 4*live {
+		t.Fatalf("never-located sensor holds %d hints (cap %d) after 10000 short-lived ones, want %d", len(hints), cap(hints), live+1)
+	}
+	est, err := s.Locate(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Hints != live || est.Source != SourceHint {
+		t.Fatalf("Locate merged %d hints (%v), want the %d unexpired", est.Hints, est.Source, live)
+	}
+}
+
+// TestUnknownReceiversInstallNothing: receiver names arrive from outside, so
+// rejecting one must leave no trace — no track, and nothing in the
+// process-wide intern table, which never forgets.
+func TestUnknownReceiversInstallNothing(t *testing.T) {
+	s := newService(sim.NewVirtualClock(epoch))
+	before := intern.Len()
+	for i := 0; i < 1000; i++ {
+		if err := s.ObserveReception(obs(1, fmt.Sprintf("ghost-%d", i), 0.5, epoch)); !errors.Is(err, ErrUnknownRx) {
+			t.Fatalf("ghost-%d: err = %v, want ErrUnknownRx", i, err)
+		}
+	}
+	if grew := intern.Len() - before; grew != 0 || len(s.Sensors()) != 0 {
+		t.Fatalf("rejected receptions interned %d names and left tracks for %v", grew, s.Sensors())
+	}
+}
+
+// TestFreshnessIsClamped: freshness scales RSSI within [0.05, 1]. A stamp
+// ahead of now must not outweigh a perfectly fresh one, and one on the far
+// edge of the window still counts, for a twentieth.
+func TestFreshnessIsClamped(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch.Add(time.Minute))
+	now := clock.Now()
+	for _, c := range []struct {
+		name  string
+		a, b  receiver.Reception // rx-a at x=0, rx-b at x=100
+		wantX float64
+	}{
+		{"future stamp weighs as fresh", obs(1, "rx-a", 0.5, now.Add(5*time.Second)), obs(1, "rx-b", 0.5, now), 50},
+		{"a stamp exactly a window old still counts, for a twentieth", obs(1, "rx-a", 1, now.Add(-10*time.Second)), obs(1, "rx-b", 0.05, now), 50},
+	} {
+		s := newService(clock)
+		for _, rc := range []receiver.Reception{c.a, c.b} {
+			if err := s.ObserveReception(rc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, err := s.Locate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(est.Pos.X-c.wantX) > 1e-9 || est.Receivers != 2 {
+			t.Fatalf("%s: Pos.X = %v with %d receivers, want %v with 2", c.name, est.Pos.X, est.Receivers, c.wantX)
+		}
+	}
+}
+
+// TestConcurrentUseMatchesSerialReplay (run under -race, -cpu 1,2,8):
+// goroutines observe their own and shared sensors with distinct stamps —
+// so what each receiver's freshest reception is does not depend on arrival
+// order — while others locate, compose, list, hint and register. Afterwards
+// every estimate equals a serial replay's, Sensors is sorted and complete,
+// and each sensor's published sequence numbers are gap-free.
+func TestConcurrentUseMatchesSerialReplay(t *testing.T) {
+	const observers, perObserver, shared = 4, 600, 3
+	clock := sim.NewVirtualClock(epoch.Add(time.Minute))
+	now := clock.Now()
+	rxs := []string{"rx-a", "rx-b", "rx-c"}
+	scripts := make([][]receiver.Reception, observers)
+	for g := range scripts {
+		for i := 0; i < perObserver; i++ {
+			id := wire.SensorID(100 + g) // its own sensor ...
+			if i%2 == 0 {
+				id = wire.SensorID(1 + i/2%shared) // ... and the ones all observers share
+			}
+			k := g*perObserver + i
+			scripts[g] = append(scripts[g], obs(id, rxs[k%len(rxs)], 0.1+float64(k%9)/10, now.Add(-time.Duration(k*7919%5000)*time.Millisecond-time.Duration(k)*time.Nanosecond)))
+		}
+	}
+	hint := func(s *Service, i int) error {
+		return s.AddHint(wire.SensorID(1+i%shared), geo.Pt(float64(i), 10), 0.5, time.Hour, "app")
+	}
+	register := func(s *Service, i int) error { // a late receiver is heard as soon as it is registered
+		name := fmt.Sprintf("late-%d", i)
+		s.RegisterReceiver(name, geo.Pt(float64(i), 50), 80)
+		s.RegisterReceiver("rx-a", geo.Pt(0, 0), 100) // as newService did: re-registering moves no index
+		return s.ObserveReception(obs(200, name, 0.5, now.Add(-time.Duration(i)*time.Millisecond)))
+	}
+
+	s := newService(clock)
+	var (
+		wg       sync.WaitGroup
+		done     = make(chan struct{})
+		mu       sync.Mutex
+		composed = map[wire.SensorID][]wire.Seq{}
+	)
+	run := func(n int, step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := step(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := range scripts {
+		run(perObserver, func(i int) error { return s.ObserveReception(scripts[g][i]) })
+	}
+	run(50, func(i int) error { return hint(s, i) })
+	run(50, func(i int) error { return register(s, i) })
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, id := range s.Sensors() {
+					if _, err := s.Locate(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				msgs := s.ComposeUpdates()
+				mu.Lock()
+				for _, m := range msgs {
+					composed[m.Stream.Sensor()] = append(composed[m.Stream.Sensor()], m.Seq)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	replay := newService(clock)
+	for i := 0; i < 50; i++ {
+		if err := hint(replay, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := register(replay, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, script := range scripts {
+		for _, rc := range script {
+			if err := replay.ObserveReception(rc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ids := s.Sensors()
+	if want := replay.Sensors(); !slices.Equal(ids, want) || !slices.IsSorted(ids) || len(ids) != shared+observers+1 {
+		t.Fatalf("Sensors() = %v, serial replay %v", ids, want)
+	}
+	final := s.ComposeUpdates()
+	if len(final) != len(ids) {
+		t.Fatalf("%d updates for %d locatable sensors", len(final), len(ids))
+	}
+	for i, id := range ids {
+		got, err := s.Locate(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := replay.Locate(id); got != want {
+			t.Fatalf("sensor %d: estimate %+v, serial replay %+v", id, got, want)
+		}
+		seqs := composed[id]
+		slices.Sort(seqs)
+		for n, seq := range append(seqs, final[i].Seq) {
+			if seq != wire.Seq(n) {
+				t.Fatalf("sensor %d: published sequence numbers %v then %d are not 0..%d", id, seqs, final[i].Seq, len(seqs))
+			}
+		}
+	}
+}
+
+// TestEstimateSumsInReceiverNameOrder: floating-point sums depend on their
+// order, so an estimate is bit-reproducible only because receivers
+// contribute in name order — not in the order they registered or were heard.
+func TestEstimateSumsInReceiverNameOrder(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	s := New(clock, Options{})
+	byName := []struct {
+		name string
+		pos  geo.Point
+		rssi float64
+	}{{"rx-a", geo.Pt(0.1, 7), 0.1}, {"rx-b", geo.Pt(0.2, 11), 0.2}, {"rx-c", geo.Pt(0.3, 13), 0.3}}
+	var pts, heardPts []geo.Point
+	var wts, heardWts []float64
+	for _, r := range byName {
+		pts, wts = append(pts, r.pos), append(wts, r.rssi)
+	}
+	for _, i := range []int{2, 0, 1} { // registered and heard out of name order
+		r := byName[i]
+		s.RegisterReceiver(r.name, r.pos, 100)
+		if err := s.ObserveReception(obs(1, r.name, r.rssi, clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+		heardPts, heardWts = append(heardPts, r.pos), append(heardWts, r.rssi)
+	}
+	want, _ := geo.WeightedCentroid(pts, wts)
+	if other, _ := geo.WeightedCentroid(heardPts, heardWts); other == want {
+		t.Fatal("the example does not distinguish summation orders")
+	}
+	if est, err := s.Locate(1); err != nil || est.Pos != want {
+		t.Fatalf("Pos = %v (%v), want the name-order sum %v", est.Pos, err, want)
+	}
+}
