@@ -319,7 +319,8 @@ func BenchmarkDispatchShards(b *testing.B) {
 // BenchmarkDispatchBatchDrain measures async queue draining with and
 // without batch coalescing: one publisher saturates a single consumer
 // queue; the batching drainer takes up to BatchSize deliveries per
-// cond-var wakeup instead of one.
+// take instead of one. wakes/delivery is the share of enqueues that found
+// the drainer parked (Dispatcher.Wakeups / Stats.Delivered).
 func BenchmarkDispatchBatchDrain(b *testing.B) {
 	for _, batch := range []int{1, dispatch.DefaultBatchSize} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -344,9 +345,11 @@ func BenchmarkDispatchBatchDrain(b *testing.B) {
 			// Under DropOldest an admitted delivery may later be shed to
 			// admit a newer one, so conservation is drained == admitted
 			// minus overflow drops.
-			if st := d.Stats(); sunk != st.Delivered-st.Dropped {
+			st := d.Stats()
+			if sunk != st.Delivered-st.Dropped {
 				b.Fatalf("drained %d, want %d admitted - %d dropped", sunk, st.Delivered, st.Dropped)
 			}
+			b.ReportMetric(float64(d.Wakeups())/float64(max(st.Delivered, 1)), "wakes/delivery")
 		})
 	}
 }

@@ -23,9 +23,12 @@ var portSeq atomic.Uint64
 // shards CAS-claim a slot and publish it with a sequence stamp, and the
 // single drainer batch-consumes without taking any lock. Waking a parked
 // drainer is a two-state atomic plus a buffered-channel token
-// (ring.Waiter) — one atomic load per enqueue while the drainer runs —
-// instead of a sync.Cond signal (an internal lock acquisition) per
-// enqueue.
+// (ring.Waiter): one atomic load per enqueue while the drainer is awake,
+// a CAS, a channel send and a goroutine wake when it is parked. Both
+// queues park on the same Waiter, and the drainer looks twice before it
+// does (see run), because a drainer that parks on its first empty look
+// is parked for most enqueues: 57 % on bench's fixednet_fanout, 20 % with
+// the second look. Dispatcher.Wakeups counts the enqueues that paid.
 //
 // # Locked fallback
 //
@@ -44,7 +47,7 @@ var portSeq atomic.Uint64
 // across the handoff (pinned by TestRingMutexPortEquivalenceProperty and
 // the gate↔ring stress tests).
 //
-// The drainer coalesces up to batchSize queued deliveries per wakeup.
+// The drainer coalesces up to batchSize queued deliveries per take.
 // Consumers implementing BatchConsumer receive the whole batch in one
 // ConsumeBatch call; others get the batch replayed through Consume one
 // delivery at a time, so batching is transparent to existing consumers.
@@ -93,6 +96,7 @@ type port struct {
 
 	dropped  *metrics.Counter // shared dispatcher total
 	selfDrop *metrics.Counter // this consumer's overflow discards
+	wakeups  *metrics.Counter // dispatcher total of token sends; nil on a bare port
 }
 
 func newPort(c Consumer, capacity, batchSize int, overflow OverflowPolicy, lockFree bool, dropped, selfDrop *metrics.Counter) *port {
@@ -251,8 +255,8 @@ func (p *port) enterFallback() {
 // duplicates of already-replayed history.
 //
 // Steady state takes the lock-free ring: one fallback load, a CAS-claimed
-// slot, a publication store and a parked-check on the waiter — no mutex,
-// no cond. Gated/floored/closing ports (fallback set, with the inflight
+// slot, a publication store and a parked-check on the waiter — no
+// mutex. Gated/floored/closing ports (fallback set, with the inflight
 // barrier making the flip safe) take the retained locked path, whose
 // behaviour is unchanged.
 func (p *port) enqueue(d filtering.Delivery) bool {
@@ -337,19 +341,17 @@ func (p *port) enqueueRingBatch(ds []filtering.Delivery) int {
 			continue
 		}
 		if p.overflow == DropNewest {
-			p.dropped.Inc()
-			p.selfDrop.Inc()
+			p.drop(1)
 			i++
 			continue
 		}
 		// DropOldest: discard from the head until the run fits again.
 		if _, ok := p.ring.TryDequeue(); ok {
-			p.dropped.Inc()
-			p.selfDrop.Inc()
+			p.drop(1)
 		}
 	}
 	if admitted > 0 {
-		p.waiter.Wake()
+		p.wake()
 	}
 	return admitted
 }
@@ -361,8 +363,7 @@ func (p *port) enqueueRingBatch(ds []filtering.Delivery) int {
 func (p *port) enqueueRing(d filtering.Delivery) bool {
 	if p.overflow == DropNewest {
 		if !p.ring.TryEnqueue(d) {
-			p.dropped.Inc()
-			p.selfDrop.Inc()
+			p.drop(1)
 			return false
 		}
 	} else {
@@ -371,12 +372,11 @@ func (p *port) enqueueRing(d filtering.Delivery) bool {
 		// concurrent dequeuers), keeping the policy lock-free.
 		for !p.ring.TryEnqueue(d) {
 			if _, ok := p.ring.TryDequeue(); ok {
-				p.dropped.Inc()
-				p.selfDrop.Inc()
+				p.drop(1)
 			}
 		}
 	}
-	p.waiter.Wake()
+	p.wake()
 	return true
 }
 
@@ -395,14 +395,12 @@ func (p *port) queueBufLocked() {
 // overflow policy keys on the logical capacity.
 func (p *port) enqueueLocked(d filtering.Delivery) bool {
 	if p.closed {
-		p.dropped.Inc()
-		p.selfDrop.Inc()
+		p.drop(1)
 		return false
 	}
 	p.queueBufLocked()
 	if p.count >= p.capacity {
-		p.dropped.Inc()
-		p.selfDrop.Inc()
+		p.drop(1)
 		if p.overflow == DropNewest {
 			return false
 		}
@@ -412,7 +410,7 @@ func (p *port) enqueueLocked(d filtering.Delivery) bool {
 	}
 	p.queue[(p.head+p.count)%len(p.queue)] = d
 	p.count++
-	p.waiter.Wake()
+	p.wake()
 	return true
 }
 
@@ -423,8 +421,7 @@ func (p *port) enqueueLocked(d filtering.Delivery) bool {
 // the worker catches up. Caller holds mu.
 func (p *port) enqueueGrowLocked(d filtering.Delivery) bool {
 	if p.closed {
-		p.dropped.Inc()
-		p.selfDrop.Inc()
+		p.drop(1)
 		return false
 	}
 	p.queueBufLocked()
@@ -433,7 +430,7 @@ func (p *port) enqueueGrowLocked(d filtering.Delivery) bool {
 	}
 	p.queue[(p.head+p.count)%len(p.queue)] = d
 	p.count++
-	p.waiter.Wake()
+	p.wake()
 	return true
 }
 
@@ -462,8 +459,7 @@ func (p *port) placeReplayLocked(batch []filtering.Delivery) {
 		return
 	}
 	if p.closed {
-		p.dropped.Add(int64(n))
-		p.selfDrop.Add(int64(n))
+		p.drop(n)
 		return
 	}
 	if p.count == 0 && n >= p.capacity {
@@ -477,7 +473,7 @@ func (p *port) placeReplayLocked(batch []filtering.Delivery) {
 		copy(p.queue, batch[k:])
 	}
 	p.count += n
-	p.waiter.Wake()
+	p.wake()
 }
 
 // tryHold diverts a sync-mode delivery into the catch-up gate, or drops
@@ -613,10 +609,7 @@ func (p *port) endGate(replay []filtering.Delivery, stream wire.StreamID, syncMo
 // close() count as drops, and the gate this endGate owned is released.
 // Caller holds mu; p.closed is true.
 func (p *port) dropClosedGateLocked(nReplay int) {
-	for i := 0; i < nReplay+len(p.held); i++ {
-		p.dropped.Inc()
-		p.selfDrop.Inc()
-	}
+	p.drop(nReplay + len(p.held))
 	p.held = nil
 	if p.gateCount > 1 {
 		p.gateCount--
@@ -624,6 +617,22 @@ func (p *port) dropClosedGateLocked(nReplay int) {
 	}
 	p.gateCount = 0
 	p.gated.Store(false)
+}
+
+// drop accounts n deliveries this port discarded, on the dispatcher's
+// total and on the consumer's own counter.
+func (p *port) drop(n int) {
+	p.dropped.Add(int64(n))
+	p.selfDrop.Add(int64(n))
+}
+
+// wake unparks the drainer after work (or closed) became visible. The
+// counter is touched only when the token is actually sent, so an enqueue
+// that finds the drainer awake stays one atomic load.
+func (p *port) wake() {
+	if p.waiter.Wake() && p.wakeups != nil {
+		p.wakeups.Inc()
+	}
 }
 
 // takeLockedBatch moves up to len(batch) deliveries from the locked
@@ -643,51 +652,88 @@ func (p *port) takeLockedBatch(batch []filtering.Delivery) (n int, done bool) {
 	return n, done
 }
 
-// hasWork reports whether the drainer has anything to do (or must exit),
-// re-checked between Waiter.Prepare and Waiter.Wait so a wakeup racing
-// the park is never lost.
-func (p *port) hasWork() bool {
-	if p.ring != nil && !p.ring.Empty() {
-		return true
+// take is the drainer's one look at its port: up to len(batch) deliveries
+// from the lock-free ring first, else from the locked queue, plus whether
+// the port is closed with both drained. Every queue entry is produced
+// after enterFallback's barrier, i.e. after every ring entry, so
+// ring-first consumption preserves FIFO across the locked↔lock-free
+// handoff; at steady state exactly one of the two holds data and the
+// other costs one atomic load (ring) or one uncontended lock (queue) per
+// take. closed is set after the same barrier, so once it is observed no
+// ring enqueue can follow and the ring re-check is final.
+func (p *port) take(batch []filtering.Delivery) (n int, done bool) {
+	if p.ring != nil {
+		if n = p.ring.DequeueBatch(batch); n > 0 {
+			return n, false
+		}
 	}
-	p.mu.Lock()
-	has := p.count > 0 || p.closed
-	p.mu.Unlock()
-	return has
+	n, done = p.takeLockedBatch(batch)
+	return n, done && n == 0 && (p.ring == nil || p.ring.Empty())
 }
 
 // run drains the port until it is closed and empty, taking up to
-// batchSize deliveries per wakeup — from the lock-free ring first, then
-// from the locked queue. Every queue entry is produced after
-// enterFallback's barrier, i.e. after every ring entry, so ring-first
-// consumption preserves FIFO across the locked↔lock-free handoff; at
-// steady state exactly one of the two holds data and the other costs one
-// atomic load (ring) or one uncontended lock (queue) per wakeup. The
-// batch buffer is reused between wakeups; BatchConsumer implementations
-// must not retain it.
+// batchSize deliveries at a time. The batch buffer is reused between
+// takes; BatchConsumer implementations must not retain it.
+//
+// # Idle transition: look twice before sleeping
+//
+// A drainer that finds nothing to take does not park at once. It yields
+// its turn exactly once (runtime.Gosched) and takes again; only a second
+// consecutive empty take parks: Prepare, one last take (the re-check that
+// makes a racing Wake impossible to lose — a real take, so work that
+// arrived is consumed, not merely noticed), Wait. Any non-empty take
+// re-arms the yield.
+//
+// The reason is measured, not assumed: consumers outrun the publisher, so
+// a drainer that parks on the first empty take is parked for most
+// enqueues (57 % on bench's fixednet_fanout) and each of those pays a CAS,
+// a channel send and a goroutine wake on the publishing thread, plus a
+// park and a reschedule here, to move fewer than two deliveries. A
+// yielded drainer is still awake: enqueues that land while it waits its
+// turn cost the one atomic load, and it comes back to a batch (20 % of
+// enqueues pay a wake). One yield, because a port that is really idle
+// must cost one extra scheduler pass and then nothing: no spinning, no
+// timer. Polling instead of yielding buys the same throughput at +50 %
+// window-1 latency with many drainers on few Ps; a yield per wake rather
+// than per empty take buys half.
+//
+// The price is paid where one drainer has a P to itself: there a yield
+// comes straight back, so a drainer whose publisher is quicker than a
+// scheduler pass stays awake and takes a couple of deliveries at a time,
+// where the parked one slept through a backlog and was woken to a full
+// batch. Deliveries arrive sooner and the publisher shares the queue's
+// cache lines with a busy consumer (BenchmarkDispatchBatchDrain at
+// -cpu 2: ~140 → ~213 ns per publish; bench's one-consumer workloads
+// give up 2–5 % ops_per_s). Numbers for every workload: CHANGES.md,
+// PR 17.
+//
+// On the way to Wait the consumed prefix of the batch buffer is cleared,
+// so a parked port does not pin the payloads of the last deliveries it
+// handed over.
 func (p *port) run() {
 	batch := make([]filtering.Delivery, p.batchSize)
+	yielded, used := false, 0
 	for {
-		n := 0
-		if p.ring != nil {
-			n = p.ring.DequeueBatch(batch)
-		}
-		if n == 0 {
-			var done bool
-			n, done = p.takeLockedBatch(batch)
-			if n == 0 {
-				if done && (p.ring == nil || p.ring.Empty()) {
-					return
-				}
-				p.waiter.Prepare()
-				if p.hasWork() {
-					p.waiter.Cancel()
-					continue
-				}
+		n, done := p.take(batch)
+		if n == 0 && !done {
+			if !yielded {
+				yielded = true
+				runtime.Gosched()
+				continue
+			}
+			p.waiter.Prepare()
+			if n, done = p.take(batch); n == 0 && !done {
+				clear(batch[:used])
+				used = 0
 				p.waiter.Wait()
 				continue
 			}
+			p.waiter.Cancel()
 		}
+		if done {
+			return
+		}
+		yielded, used = false, max(used, n)
 		if p.batcher != nil {
 			p.batcher.ConsumeBatch(batch[:n])
 			continue
@@ -707,11 +753,8 @@ func (p *port) close() {
 	p.enterFallback()
 	p.mu.Lock()
 	p.closed = true
-	for range p.held {
-		p.dropped.Inc()
-		p.selfDrop.Inc()
-	}
+	p.drop(len(p.held))
 	p.held = nil
 	p.mu.Unlock()
-	p.waiter.Wake()
+	p.wake()
 }
