@@ -316,12 +316,12 @@ func BenchmarkDispatchShards(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchBatchDrain measures async queue draining with and
+// BenchmarkDispatchDrainBatch measures async queue draining with and
 // without batch coalescing: one publisher saturates a single consumer
 // queue; the batching drainer takes up to BatchSize deliveries per
 // take instead of one. wakes/delivery is the share of enqueues that found
 // the drainer parked (Dispatcher.Wakeups / Stats.Delivered).
-func BenchmarkDispatchBatchDrain(b *testing.B) {
+func BenchmarkDispatchDrainBatch(b *testing.B) {
 	for _, batch := range []int{1, dispatch.DefaultBatchSize} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			var sunk int64 // written only by the single drainer goroutine
@@ -644,11 +644,6 @@ func BenchmarkE17LateJoinerStorm(b *testing.B) { benchExperiment(b, "E17") }
 // (M publishers × N lock-free delivery rings with mid-run late joiners,
 // swept across GOMAXPROCS).
 func BenchmarkE18AsyncFanoutStorm(b *testing.B) { benchExperiment(b, "E18") }
-
-// BenchmarkE19BatchedIngestStorm regenerates the batched-ingest table
-// (E18's storm swept across WithIngestBatch sizes; ordering violations
-// must stay 0 at every batch size).
-func BenchmarkE19BatchedIngestStorm(b *testing.B) { benchExperiment(b, "E19") }
 
 // BenchmarkE20ChurnStorm regenerates the churn-residue table (cohort and
 // subscription churn must leave no timers, streams, orphans or subs).

@@ -102,48 +102,35 @@ func WithAsyncDispatch(queueCapacity int) Option {
 	}
 }
 
-// WithDispatchShards partitions the Dispatching Service's subscription
-// table into n shards so publishes on streams of different sensors never
-// contend on one lock (n <= 0 selects the default; 1 restores the single
-// shared table).
-func WithDispatchShards(n int) Option {
-	return func(cfg *core.Config) { cfg.Dispatch.Shards = n }
+// WithShards partitions every per-stream table — the Filtering Service's
+// duplicate/reorder state, the Stream Store's retention state, the
+// Dispatching Service's subscription table, the Resource Manager's
+// demand ledger and the Actuation Service's outstanding table (whose
+// 16-bit update-id space is carved into per-shard sub-spaces) — into n
+// shards. All five key on the sensor component of the StreamID through
+// one partition function (wire.SensorID.Shard), so a message or a demand
+// takes at most one shard-local lock per layer end to end and traffic of
+// different sensors never contends. n <= 0 selects each layer's default;
+// 1 restores the single shared tables; the actuation layer rounds n up
+// to a power of two (at most 256).
+func WithShards(n int) Option {
+	return func(cfg *core.Config) {
+		cfg.Filter.Shards = n
+		cfg.Store.Shards = n
+		cfg.Dispatch.Shards = n
+		cfg.Resource.Shards = n
+		cfg.Actuation.Shards = n
+	}
 }
 
 // WithBatchSize caps how many queued deliveries an asynchronous consumer
-// drainer coalesces per wakeup. Consumers implementing BatchConsumer
+// drainer coalesces per take. Consumers implementing BatchConsumer
 // receive the whole batch in one ConsumeBatch call; others see the batch
 // replayed through Consume in order (k <= 0 selects the default; 1
 // restores delivery-at-a-time draining). Only meaningful together with
 // WithAsyncDispatch.
 func WithBatchSize(k int) Option {
 	return func(cfg *core.Config) { cfg.Dispatch.BatchSize = k }
-}
-
-// WithIngestBatch collects up to n receptions into a bounded flush
-// buffer on the receive path and drives the batched pipeline — shard
-// locks taken once per batch in the filter, store and dispatcher, and
-// multi-slot ring claims on async consumer queues — instead of paying
-// every per-message fixed cost. The buffer flushes when full and at
-// every timestamp boundary, so virtual-clock determinism and delivery
-// ordering are untouched; per-message filter/retention/overflow
-// decisions are identical to the unbatched path. n <= 1 (the default)
-// keeps today's per-message path bit-for-bit. Larger batches raise
-// throughput at the cost of up to n-1 receptions of added latency
-// before a flush under a real clock; see README "Batched ingest
-// tuning".
-func WithIngestBatch(n int) Option {
-	return func(cfg *core.Config) { cfg.IngestBatch = n }
-}
-
-// WithFilterShards partitions the Filtering Service's per-stream
-// duplicate/reorder state into n shards so receptions on streams of
-// different sensors never contend on one ingest lock (n <= 0 selects the
-// default; 1 restores the single shared table). Pair with
-// WithDispatchShards: the two services shard on the same key, so a stream
-// takes at most one ingest lock and one dispatch lock end to end.
-func WithFilterShards(n int) Option {
-	return func(cfg *core.Config) { cfg.Filter.Shards = n }
 }
 
 // WithReorderWindow holds deliveries up to d and releases them in sequence
@@ -167,15 +154,6 @@ func WithStoreRetention(maxMessages int, maxBytes int64, maxAge time.Duration) O
 		cfg.Store.MaxBytes = maxBytes
 		cfg.Store.MaxAge = maxAge
 	}
-}
-
-// WithStoreShards partitions the Stream Store's per-stream retention
-// state into n shards keyed by the sensor component of the StreamID —
-// the same Fibonacci partition the filter, dispatcher and control plane
-// use, so a stream's whole path shards on one key (n <= 0 selects the
-// default; 1 restores a single shared table).
-func WithStoreShards(n int) Option {
-	return func(cfg *core.Config) { cfg.Store.Shards = n }
 }
 
 // WithStoreCompression enables the Stream Store's cold compressed tier:
@@ -261,29 +239,11 @@ func WithArchiveSync() Option {
 }
 
 // WithActuationRetry tunes the Actuation Service's retry loop. It
-// composes with WithControlShards and WithActuationCoalescing in any
-// order.
+// composes with WithShards and WithActuationCoalescing in any order.
 func WithActuationRetry(interval time.Duration, maxAttempts int) Option {
 	return func(cfg *core.Config) {
 		cfg.Actuation.RetryInterval = interval
 		cfg.Actuation.MaxAttempts = maxAttempts
-	}
-}
-
-// WithControlShards partitions the return actuation path's control-plane
-// state — the Resource Manager's demand ledger and the Actuation
-// Service's outstanding table (whose 16-bit update-id space is carved
-// into per-shard sub-spaces) — into n shards keyed by the target sensor,
-// so a demand takes at most one shard-local lock per layer end to end
-// and demands against different sensors never contend (n <= 0 selects
-// the default; 1 restores the historical single-lock control plane; the
-// actuation layer rounds n up to a power of two). Pair with
-// WithFilterShards/WithDispatchShards: all four services partition on
-// the same sensor key.
-func WithControlShards(n int) Option {
-	return func(cfg *core.Config) {
-		cfg.Resource.Shards = n
-		cfg.Actuation.Shards = n
 	}
 }
 

@@ -62,11 +62,11 @@ type Config struct {
 	Replicator  replicator.Options
 	Coordinator coordinator.Options
 	// Resource configures the Resource Manager (control-plane sharding;
-	// the garnet.WithControlShards facade option threads Shards here).
+	// the garnet.WithShards facade option threads Shards here).
 	Resource resource.Options
 	// Store configures the Stream Store, the retention layer every
 	// accepted delivery tees into before dispatch (the
-	// garnet.WithStoreRetention / WithStoreShards facade options thread
+	// garnet.WithStoreRetention / WithShards facade options thread
 	// fields here). Its per-stream count bound is raised to at least the
 	// Orphanage's per-stream capacity so orphan claims always find their
 	// full backlog window.
@@ -79,16 +79,6 @@ type Config struct {
 	// LocationPublishPeriod, when positive, publishes location estimates
 	// as data streams (reserved index) at this period.
 	LocationPublishPeriod time.Duration
-	// IngestBatch, when > 1, collects receptions into a bounded flush
-	// buffer of this size and drives the batched pipeline — one
-	// filter.IngestBatch → store.AppendBatch → dispatcher.DispatchBatch
-	// chain per flush, amortizing every per-message lock and CAS on the
-	// producer side. The buffer flushes when full and whenever the next
-	// reception carries a different timestamp (the same-instant
-	// boundary), so virtual-clock schedules and delivery ordering are
-	// bit-for-bit those of the default per-message path (IngestBatch
-	// <= 1, which bypasses the buffer entirely).
-	IngestBatch int
 }
 
 // Deployment is a fully wired Garnet fixed-network instance plus the
@@ -98,7 +88,6 @@ type Deployment struct {
 	medium *radio.Medium
 
 	filter     *filtering.Filter
-	ingestBuf  *ingestBuffer // nil unless Config.IngestBatch > 1
 	dispatcher *dispatch.Dispatcher
 	st         *store.Store
 	orphan     *orphanage.Orphanage
@@ -160,10 +149,6 @@ func New(cfg Config) *Deployment {
 	if filterOpts.ReorderWindow > 0 && filterOpts.Clock == nil {
 		filterOpts.Clock = cfg.Clock
 	}
-	if cfg.IngestBatch > 1 {
-		d.ingestBuf = newIngestBuffer(d, cfg.IngestBatch)
-		filterOpts.BatchSink = d.onFilteredBatch
-	}
 	d.filter = filtering.New(d.onFiltered, filterOpts)
 
 	d.locSvc = location.New(cfg.Clock, cfg.Location)
@@ -217,31 +202,6 @@ func (d *Deployment) onFiltered(del filtering.Delivery) {
 	d.publish(del)
 }
 
-// onFilteredBatch is the filter's batch sink (Config.IngestBatch > 1):
-// one store AppendBatch stamps every StoreSeq in place, then one
-// DispatchBatch fans the run out. Ack surfacing stays per message and,
-// as on the serial path, precedes the message's dispatch.
-func (d *Deployment) onFilteredBatch(ds []filtering.Delivery) {
-	for i := range ds {
-		if ds[i].Msg.Flags.Has(wire.FlagUpdateAck) {
-			d.acts.HandleAck(ds[i].Msg.AckID, ds[i].At)
-		}
-	}
-	d.st.AppendBatch(ds)
-	d.dispatcher.DispatchBatch(ds)
-}
-
-// ingest routes one reception into the pipeline: directly into the
-// filter by default, or through the bounded flush buffer when batched
-// ingest is configured.
-func (d *Deployment) ingest(rc receiver.Reception) {
-	if d.ingestBuf == nil {
-		d.filter.Ingest(rc)
-		return
-	}
-	d.ingestBuf.add(rc)
-}
-
 // AddReceiver creates, registers and (if the deployment is running)
 // starts a receiver. Its reception records feed both the Location Service
 // (pre-filter, duplicates included) and the Filtering Service.
@@ -252,7 +212,7 @@ func (d *Deployment) AddReceiver(cfg receiver.Config) *receiver.Receiver {
 		if !rc.Msg.Flags.Has(wire.FlagRelayed) {
 			_ = d.locSvc.ObserveReception(rc) // receiver registered below; cannot fail
 		}
-		d.ingest(rc)
+		d.filter.Ingest(rc)
 	})
 	d.locSvc.RegisterReceiver(rx.Name(), rx.Position(), rx.Radius())
 	d.mu.Lock()
@@ -336,9 +296,6 @@ func (d *Deployment) Stop() {
 	}
 	if locTicker != nil {
 		locTicker.Stop()
-	}
-	if d.ingestBuf != nil {
-		d.ingestBuf.flush()
 	}
 	d.filter.Flush()
 	d.acts.Stop()
@@ -425,7 +382,7 @@ func (d *Deployment) AllocateVirtualSensor() wire.SensorID {
 // as a receiver would (used by tests and the experiment harness to drive
 // the fixed network without a radio field).
 func (d *Deployment) InjectReception(rc receiver.Reception) {
-	d.ingest(rc)
+	d.filter.Ingest(rc)
 }
 
 // Component accessors. The facade package and the experiment harness

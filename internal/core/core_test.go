@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,12 +10,14 @@ import (
 	"github.com/garnet-middleware/garnet/internal/consumer"
 	"github.com/garnet-middleware/garnet/internal/dispatch"
 	"github.com/garnet-middleware/garnet/internal/field"
+	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/geo"
 	"github.com/garnet-middleware/garnet/internal/radio"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/resource"
 	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/sim"
+	"github.com/garnet-middleware/garnet/internal/store"
 	"github.com/garnet-middleware/garnet/internal/transmit"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
@@ -334,6 +337,104 @@ func TestInjectReception(t *testing.T) {
 	})
 	if rec.Count() != 1 {
 		t.Fatal("injected reception not delivered")
+	}
+}
+
+// TestInjectReceptionAllocs pins the whole per-message path — filter →
+// store tee → dispatch → async port — at the allocations its stages pin
+// separately: a warm duplicate copy costs none, an accepted borrowed
+// sample exactly its payload detach. The window includes the drainer.
+func TestInjectReceptionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
+	}
+	d := New(Config{
+		Secret:   []byte("s"),
+		Dispatch: dispatch.Options{Mode: dispatch.ModeAsync, QueueCapacity: 1024},
+	})
+	defer d.Stop()
+	sink := &dispatch.BatchConsumerFunc{ConsumerName: "all", Fn: func([]filtering.Delivery) {}}
+	if _, err := d.Dispatcher().Subscribe(sink, dispatch.All()); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	frame := make([]byte, 16) // stands in for a leased radio buffer
+	rc := receiver.Reception{
+		Msg:      wire.Message{Stream: wire.MustStreamID(1, 0), Payload: frame},
+		At:       epoch,
+		Receiver: "rx", RSSI: 1, Borrowed: true,
+	}
+	accepted := func() {
+		rc.Msg.Seq++
+		d.InjectReception(rc)
+	}
+	for i := 0; i < 2*store.DefaultMaxMessages; i++ { // grow the store ring to its bound
+		accepted()
+	}
+	if allocs := testing.AllocsPerRun(1000, accepted); allocs > 1 {
+		t.Fatalf("accepted borrowed sample: %.2f allocs/op, want <= 1 (the payload detach)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { d.InjectReception(rc) }); allocs != 0 {
+		t.Fatalf("duplicate copy: %.2f allocs/op, want 0", allocs)
+	}
+	if st := d.Stats(); st.Filter.Duplicates < 1000 || st.Dispatch.Delivered != st.Filter.Delivered || st.Dispatch.Orphaned != 0 {
+		t.Fatalf("pin did not exercise the path: %+v", st)
+	}
+}
+
+// reentrant is a synchronous consumer that injects two follow-on
+// receptions from inside Consume when it sees the first message.
+type reentrant struct {
+	d    *Deployment
+	next []receiver.Reception
+	got  []heard
+}
+
+type heard struct {
+	stream wire.StreamID
+	seq    wire.Seq
+}
+
+func (c *reentrant) Name() string { return "reentrant" }
+
+func (c *reentrant) Consume(del filtering.Delivery) {
+	c.got = append(c.got, heard{del.Msg.Stream, del.Msg.Seq})
+	next := c.next
+	c.next = nil
+	for _, rc := range next {
+		c.d.InjectReception(rc)
+	}
+}
+
+// TestInjectReceptionFromConsume: no lock is held across a consumer
+// call anywhere on the per-message path, so a synchronous consumer may
+// feed receptions back into the pipeline — on its own stream and on
+// another — and sees them in the order it injected them.
+func TestInjectReceptionFromConsume(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	d := New(Config{Clock: clock, Secret: []byte("s")})
+	a, b := wire.MustStreamID(1, 0), wire.MustStreamID(2, 0)
+	rc := func(id wire.StreamID, seq wire.Seq) receiver.Reception {
+		return receiver.Reception{Msg: wire.Message{Stream: id, Seq: seq}, At: epoch, Receiver: "rx", RSSI: 1}
+	}
+	c := &reentrant{d: d, next: []receiver.Reception{rc(a, 1), rc(b, 0)}}
+	if _, err := d.Dispatcher().Subscribe(c, dispatch.All()); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.InjectReception(rc(a, 0))
+		d.Stop()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("InjectReception from inside Consume deadlocked")
+	}
+	if want := []heard{{a, 0}, {a, 1}, {b, 0}}; !slices.Equal(c.got, want) {
+		t.Fatalf("consumed %v, want %v", c.got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 //go:build race
 
-package filtering
+package core
 
 // raceEnabled: see race_off_test.go.
 const raceEnabled = true

@@ -76,7 +76,7 @@ type Consumer interface {
 
 // BatchConsumer is a Consumer that can accept several queued deliveries in
 // one call. In asynchronous mode the drainer coalesces up to
-// Options.BatchSize pending deliveries per wakeup and hands them to
+// Options.BatchSize pending deliveries per take and hands them to
 // ConsumeBatch in queue (per-stream FIFO) order. The slice is reused
 // between calls: implementations must not retain it or its backing array
 // past the call.
@@ -184,7 +184,7 @@ const DefaultQueueCapacity = 256
 const DefaultShards = 16
 
 // DefaultBatchSize bounds how many queued deliveries an async drainer
-// hands to a consumer per wakeup.
+// hands to a consumer per take.
 const DefaultBatchSize = 32
 
 // Options configures a Dispatcher. The zero value means synchronous mode
@@ -196,7 +196,7 @@ type Options struct {
 	// Shards partitions the subscription table; <= 0 selects
 	// DefaultShards. 1 restores the single-table behaviour.
 	Shards int
-	// BatchSize caps deliveries coalesced per async drain wakeup; <= 0
+	// BatchSize caps deliveries coalesced per async drainer take; <= 0
 	// selects DefaultBatchSize. 1 restores delivery-at-a-time draining.
 	BatchSize int
 	// ForceLockedQueue makes async ports use the mutex-guarded queue for
@@ -554,8 +554,7 @@ func sortPorts(targets []*port) []*port {
 }
 
 // deliverTargets fans one delivery out to a sorted, de-duplicated target
-// set, or hands it to the orphan sink when the set is empty. Shared by
-// Dispatch and DispatchBatch's per-message paths.
+// set, or hands it to the orphan sink when the set is empty.
 func (d *Dispatcher) deliverTargets(sh *shard, del filtering.Delivery, targets []*port) {
 	if len(targets) == 0 {
 		sh.orphaned.Inc()
@@ -584,55 +583,8 @@ func (d *Dispatcher) deliverTargets(sh *shard, del filtering.Delivery, targets [
 	}
 }
 
-// DispatchBatch delivers a run of reconstructed messages, amortizing
-// the per-message fixed costs Dispatch pays: the wildcard snapshot is
-// loaded once per batch, each consecutive same-shard run takes its
-// shard mutex once, subscriber sets are resolved once per same-stream
-// run within it, and async ports admit each run with multi-slot ring
-// claims (~1 CAS per run, port.enqueueBatch). Per-message semantics are
-// unchanged: duplicate-port compaction, orphan routing, catch-up
-// gates/floors and both overflow policies all decide per delivery
-// exactly as len(ds) serial Dispatch calls would, and per-consumer
-// delivery order is identical — a port's queue state depends only on
-// its own enqueue order, which batching preserves.
-func (d *Dispatcher) DispatchBatch(ds []filtering.Delivery) {
-	if len(ds) == 0 {
-		return
-	}
-	if len(ds) == 1 {
-		d.Dispatch(ds[0])
-		return
-	}
-	// One snapshot load per batch; Where predicates force per-message
-	// wildcard matching below, plain All wildcards do not.
-	wild := *d.wild.Load()
-	wildWhere := false
-	for _, sub := range wild {
-		if sub.pattern.Kind == KindWhere {
-			wildWhere = true
-			break
-		}
-	}
-	stopped := d.stopped.Load()
-	for i := 0; i < len(ds); {
-		sh := d.shardFor(ds[i].Msg.Stream.Sensor())
-		j := i + 1
-		for j < len(ds) && d.shardFor(ds[j].Msg.Stream.Sensor()) == sh {
-			j++
-		}
-		run := ds[i:j]
-		i = j
-		sh.dispatched.Add(int64(len(run)))
-		if stopped {
-			d.dropped.Add(int64(len(run)))
-			continue
-		}
-		d.dispatchRun(sh, run, wild, wildWhere)
-	}
-}
-
-// portSlices pools the fan-out scratch so Dispatch and DispatchBatch
-// resolve targets without allocating at steady state.
+// portSlices pools the fan-out scratch so Dispatch resolves targets
+// without allocating at steady state.
 var portSlices = sync.Pool{
 	New: func() any { return new([]*port) },
 }
@@ -643,82 +595,6 @@ func putPortSlice(p *[]*port) {
 	clear(*p) // do not pin ports of unsubscribed consumers
 	*p = (*p)[:0]
 	portSlices.Put(p)
-}
-
-// dispatchRun fans one same-shard run out stream by stream. Caller has
-// already counted the run as dispatched on sh.
-func (d *Dispatcher) dispatchRun(sh *shard, run []filtering.Delivery, wild []*subscription, wildWhere bool) {
-	tp := getPortSlice()
-	targets := *tp
-	wp := (*[]*port)(nil)
-	if wildWhere {
-		wp = getPortSlice()
-	}
-	for i := 0; i < len(run); {
-		stream := run[i].Msg.Stream
-		j := i + 1
-		for j < len(run) && run[j].Msg.Stream == stream {
-			j++
-		}
-		sub := run[i:j]
-		i = j
-
-		targets = targets[:0]
-		sh.mu.Lock()
-		// Advertising: one record update per same-stream run lands the
-		// same final state as per-message updates.
-		info, ok := sh.streams[stream]
-		if !ok {
-			info = &StreamInfo{Stream: stream, FirstSeen: sub[0].At}
-			sh.streams[stream] = info
-		}
-		info.LastSeen = sub[len(sub)-1].At
-		info.Count += int64(len(sub))
-		for _, s := range sh.exact[stream] {
-			targets = append(targets, s.port)
-		}
-		for _, s := range sh.sensor[stream.Sensor()] {
-			targets = append(targets, s.port)
-		}
-		sh.mu.Unlock()
-
-		if wildWhere {
-			// Predicates read the message, so the wildcard set can differ
-			// within the run: fall back to per-message resolution on top
-			// of the cached shard-local set.
-			for k := range sub {
-				per := append((*wp)[:0], targets...)
-				for _, s := range wild {
-					if s.pattern.Kind == KindAll || s.pattern.Where(sub[k].Msg) {
-						per = append(per, s.port)
-					}
-				}
-				per = sortPorts(per)
-				*wp = per
-				d.deliverTargets(sh, sub[k], per)
-			}
-			continue
-		}
-		for _, s := range wild {
-			targets = append(targets, s.port)
-		}
-		targets = sortPorts(targets)
-		if d.opts.Mode != ModeSync && len(targets) > 0 {
-			// Async fast path: one multi-slot admission per (port, run).
-			for _, p := range targets {
-				sh.delivered.Add(int64(p.enqueueBatch(sub)))
-			}
-			continue
-		}
-		for k := range sub {
-			d.deliverTargets(sh, sub[k], targets)
-		}
-	}
-	*tp = targets
-	putPortSlice(tp)
-	if wp != nil {
-		putPortSlice(wp)
-	}
 }
 
 // SubscribeWithReplay subscribes c to a single stream and replays a
@@ -801,14 +677,14 @@ func (d *Dispatcher) matchedShardLocked(sh *shard, id wire.StreamID) bool {
 	return false
 }
 
-// Wakeups counts the enqueues (or batch enqueues) that found a consumer's
-// drainer parked and paid to wake it: a CAS, a channel send and a
-// goroutine wake on the publishing thread. Over Stats().Delivered it is
-// the hand-off's efficiency — near 0 when drainers stay busy or come back
-// to batches, near 1 when every delivery wakes a sleeping consumer. It is
-// always 0 in synchronous mode. Unlike the Stats counters it depends on
-// how publishers and drainers happen to interleave, which is why it is
-// not a Stats field: two runs of one script agree on Stats, not on this.
+// Wakeups counts the enqueues that found a consumer's drainer parked and
+// paid to wake it: a CAS, a channel send and a goroutine wake on the
+// publishing thread. Over Stats().Delivered it is the hand-off's
+// efficiency — near 0 when drainers stay busy or come back to batches,
+// near 1 when every delivery wakes a sleeping consumer. It is always 0 in
+// synchronous mode. Unlike the Stats counters it depends on how
+// publishers and drainers happen to interleave, which is why it is not a
+// Stats field: two runs of one script agree on Stats, not on this.
 func (d *Dispatcher) Wakeups() int64 { return d.wakeups.Value() }
 
 // Stats returns a snapshot of dispatcher counters.

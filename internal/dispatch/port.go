@@ -283,79 +283,6 @@ func (p *port) enqueue(d filtering.Delivery) bool {
 	return p.enqueueLocked(d)
 }
 
-// enqueueBatch adds a run of deliveries and reports how many were
-// admitted. Per-message decisions — gate diversion, floor suppression,
-// both overflow policies — are identical to len(ds) serial enqueue
-// calls; what is amortized is the fixed cost: the ring path claims
-// multi-slot runs with one CAS (ring.TryEnqueueN) and wakes the drainer
-// once per run, and the locked fallback takes mu once per run instead
-// of once per message. The inflight barrier spans the whole run, which
-// keeps enterFallback's wait bounded by one batch instead of one
-// enqueue — still lock-free and callback-free throughout.
-func (p *port) enqueueBatch(ds []filtering.Delivery) int {
-	if len(ds) == 0 {
-		return 0
-	}
-	if p.ring != nil && !p.fallback.Load() {
-		p.inflight.Add(1)
-		if !p.fallback.Load() {
-			admitted := p.enqueueRingBatch(ds)
-			p.inflight.Add(-1)
-			return admitted
-		}
-		// enterFallback won the race: this producer is counted in
-		// inflight but must not touch the ring anymore.
-		p.inflight.Add(-1)
-	}
-	admitted := 0
-	p.mu.Lock()
-	for _, d := range ds {
-		if p.gateCount > 0 {
-			p.held = append(p.held, d)
-			continue
-		}
-		if p.belowFloorLocked(d) {
-			continue
-		}
-		if p.enqueueLocked(d) {
-			admitted++
-		}
-	}
-	p.mu.Unlock()
-	return admitted
-}
-
-// enqueueRingBatch is the lock-free batch admission path: multi-slot
-// claims, with the overflow policy applied per message at the full
-// boundary exactly as enqueueRing would — DropNewest discards the
-// message that found the ring full and moves on (a concurrent drain may
-// admit the next), DropOldest dequeues from the head until the message
-// fits.
-func (p *port) enqueueRingBatch(ds []filtering.Delivery) int {
-	admitted := 0
-	for i := 0; i < len(ds); {
-		n := p.ring.TryEnqueueN(ds[i:])
-		if n > 0 {
-			admitted += n
-			i += n
-			continue
-		}
-		if p.overflow == DropNewest {
-			p.drop(1)
-			i++
-			continue
-		}
-		// DropOldest: discard from the head until the run fits again.
-		if _, ok := p.ring.TryDequeue(); ok {
-			p.drop(1)
-		}
-	}
-	if admitted > 0 {
-		p.wake()
-	}
-	return admitted
-}
-
 // enqueueRing is the lock-free admission path. Gate, floor and closed
 // checks are not needed here: any of those conditions sets fallback
 // (with the barrier) before becoming observable, so a producer that got
@@ -702,7 +629,7 @@ func (p *port) take(batch []filtering.Delivery) (n int, done bool) {
 // scheduler pass stays awake and takes a couple of deliveries at a time,
 // where the parked one slept through a backlog and was woken to a full
 // batch. Deliveries arrive sooner and the publisher shares the queue's
-// cache lines with a busy consumer (BenchmarkDispatchBatchDrain at
+// cache lines with a busy consumer (BenchmarkDispatchDrainBatch at
 // -cpu 2: ~140 → ~213 ns per publish; bench's one-consumer workloads
 // give up 2–5 % ops_per_s). Numbers for every workload: CHANGES.md,
 // PR 17.

@@ -83,7 +83,7 @@ func runE18(cfg Config) (*Table, error) {
 	}
 
 	for _, procs := range procsSweep {
-		r, err := runFanStorm(procs, 0, publishers, standing, joiners, msgsPer, capacity)
+		r, err := runFanStorm(procs, publishers, standing, joiners, msgsPer, capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -112,16 +112,12 @@ type stormResult struct {
 
 // runFanStorm drives one fan-out storm: M publishers push the full
 // receive pipeline into N standing async consumers while late joiners
-// storm in mid-run with SubscribeWithReplay. batch selects the
-// deployment's ingest batch size (0 or 1 is the serial per-message
-// path); everything else about the workload is identical, which is what
-// lets E19 attribute its deltas to batching alone.
-func runFanStorm(procs, batch, publishers, standing, joiners, msgsPer, capacity int) (*stormResult, error) {
+// storm in mid-run with SubscribeWithReplay.
+func runFanStorm(procs, publishers, standing, joiners, msgsPer, capacity int) (*stormResult, error) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	d := core.New(core.Config{
-		Secret:      []byte("e18"),
-		IngestBatch: batch,
+		Secret: []byte("e18"),
 		Dispatch: dispatch.Options{
 			Mode:          dispatch.ModeAsync,
 			QueueCapacity: capacity,

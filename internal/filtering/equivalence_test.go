@@ -88,159 +88,35 @@ func TestShardedMatchesSingleTableProperty(t *testing.T) {
 	}
 }
 
-// TestIngestBatchMatchesSerialProperty pins IngestBatch to the exact
-// per-message decisions of serial Ingest: the same schedule — dups,
-// gaps, stale drops, wrap-around — fed through randomized batch splits
-// must produce identical per-stream sink sequences and identical
-// aggregate accounting, with and without a BatchSink.
-func TestIngestBatchMatchesSerialProperty(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		plan := receptionPlan(seed, 9, 1500)
-		serial := func() (map[wire.StreamID][]wire.Seq, Stats) {
-			var out []Delivery
-			f := New(func(d Delivery) { out = append(out, d) },
-				Options{WindowSize: 64, Shards: 8})
-			for _, rc := range plan {
-				f.Ingest(rc)
-			}
-			return perStream(out), f.Stats()
-		}
-		batched := func(useBatchSink bool) (map[wire.StreamID][]wire.Seq, Stats) {
-			rng := rand.New(rand.NewSource(seed * 77))
-			var out []Delivery
-			opts := Options{WindowSize: 64, Shards: 8}
-			if useBatchSink {
-				opts.BatchSink = func(ds []Delivery) { out = append(out, ds...) }
-			}
-			f := New(func(d Delivery) { out = append(out, d) }, opts)
-			rest := append([]receiver.Reception(nil), plan...)
-			for len(rest) > 0 {
-				n := rng.Intn(65) + 1 // batch sizes 1..65
-				if n > len(rest) {
-					n = len(rest)
-				}
-				f.IngestBatch(rest[:n])
-				rest = rest[n:]
-			}
-			return perStream(out), f.Stats()
-		}
-		refSeqs, refStats := serial()
-		for _, useBatchSink := range []bool{false, true} {
-			gotSeqs, gotStats := batched(useBatchSink)
-			if !reflect.DeepEqual(refSeqs, gotSeqs) {
-				t.Fatalf("seed %d (batchSink=%v): batched per-stream deliveries diverge from serial",
-					seed, useBatchSink)
-			}
-			if refStats != gotStats {
-				t.Fatalf("seed %d (batchSink=%v): stats diverge: serial %+v, batched %+v",
-					seed, useBatchSink, refStats, gotStats)
-			}
-		}
-	}
-}
-
-// TestIngestBatchReorderMatchesSerial runs the batched property with the
-// reorder stage on a virtual clock: held messages must release in the
-// same per-stream order whether they entered one at a time or in
-// batches.
-func TestIngestBatchReorderMatchesSerial(t *testing.T) {
-	plan := receptionPlan(42, 6, 800)
-	run := func(batched bool) map[wire.StreamID][]wire.Seq {
-		clock := sim.NewVirtualClock(epoch)
-		rng := rand.New(rand.NewSource(7))
-		var out []Delivery
-		f := New(func(d Delivery) { out = append(out, d) }, Options{
-			WindowSize: 64, Shards: 8,
-			ReorderWindow: 10 * time.Millisecond, Clock: clock,
-		})
-		rest := append([]receiver.Reception(nil), plan...)
-		for len(rest) > 0 {
-			n := 1
-			if batched {
-				n = rng.Intn(17) + 1
-				if n > len(rest) {
-					n = len(rest)
-				}
-				// A batch may only span one virtual instant, mirroring the
-				// core's same-instant flush boundary.
-				for k := 1; k < n; k++ {
-					if !rest[k].At.Equal(rest[0].At) {
-						n = k
-						break
-					}
-				}
-			}
-			clock.RunUntil(rest[0].At)
-			if batched {
-				f.IngestBatch(rest[:n])
-			} else {
-				f.Ingest(rest[0])
-			}
-			rest = rest[n:]
-		}
-		clock.Advance(time.Second)
-		f.Flush()
-		return perStream(out)
-	}
-	ref := run(false)
-	got := run(true)
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("batched reorder release order diverges from serial")
-	}
-}
-
-// TestIngestBatchDetachesBorrowed pins the borrowed-payload contract on
-// the batched path: accepted receptions get an owned copy, rejected
-// duplicates never touch the payload.
-func TestIngestBatchDetachesBorrowed(t *testing.T) {
-	var out []Delivery
-	f := New(func(d Delivery) { out = append(out, d) }, Options{Shards: 4})
-	frame := []byte{1, 2, 3}
-	id := wire.MustStreamID(1, 0)
-	batch := []receiver.Reception{
-		{Msg: wire.Message{Stream: id, Seq: 1, Payload: frame}, Borrowed: true, At: epoch},
-		{Msg: wire.Message{Stream: id, Seq: 1, Payload: frame}, Borrowed: true, At: epoch},
-	}
-	f.IngestBatch(batch)
-	if len(out) != 1 {
-		t.Fatalf("delivered %d, want 1", len(out))
-	}
-	if &out[0].Msg.Payload[0] == &frame[0] {
-		t.Fatalf("accepted borrowed payload still aliases the frame buffer")
-	}
-	frame[0] = 99
-	if out[0].Msg.Payload[0] != 1 {
-		t.Fatalf("detached payload mutated through the frame buffer")
-	}
-}
-
-// TestIngestBatchZeroAlloc pins the batched ingest scratch (grouping
-// indices, per-shard run buffer) at 0 allocs/op at steady state.
-func TestIngestBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
-	}
+// TestIngestZeroAlloc pins the per-message screen at 0 allocs/op once a
+// stream's state exists: a non-borrowed reception costs no allocation
+// whether it is accepted (in order, so the dup window stays lazy) or
+// rejected as a duplicate copy.
+func TestIngestZeroAlloc(t *testing.T) {
 	f := New(func(Delivery) {}, Options{Shards: 8})
-	const n = 64
-	batch := make([]receiver.Reception, n)
-	seq := wire.Seq(0)
-	fill := func() {
-		for i := range batch {
-			seq++
-			batch[i] = receiver.Reception{
-				Msg: wire.Message{Stream: wire.MustStreamID(wire.SensorID(i%8+1), 0), Seq: seq},
-				At:  epoch,
-			}
+	payload := make([]byte, 16)
+	i := 0
+	next := func(fresh bool) receiver.Reception {
+		if fresh {
+			i++
+		}
+		return receiver.Reception{
+			Msg:      wire.Message{Stream: wire.MustStreamID(wire.SensorID(i%8+1), 0), Seq: wire.Seq(i / 8), Payload: payload},
+			At:       epoch,
+			Receiver: "rx",
 		}
 	}
-	fill()
-	f.IngestBatch(batch) // warm pools and stream state
-	allocs := testing.AllocsPerRun(200, func() {
-		fill()
-		f.IngestBatch(batch)
-	})
-	if allocs != 0 {
-		t.Fatalf("IngestBatch allocates %.1f/op, want 0", allocs)
+	for warm := 0; warm < 16; warm++ { // create every stream's state
+		f.Ingest(next(true))
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { f.Ingest(next(true)) }); allocs != 0 {
+		t.Fatalf("accepted Ingest allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { f.Ingest(next(false)) }); allocs != 0 {
+		t.Fatalf("duplicate Ingest allocates %.1f/op, want 0", allocs)
+	}
+	if st := f.Stats(); st.Duplicates < 1000 || st.Delivered < 1000 || st.Stale != 0 {
+		t.Fatalf("pin did not exercise both verdicts: %+v", st)
 	}
 }
 

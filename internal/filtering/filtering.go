@@ -84,13 +84,6 @@ type Options struct {
 	ReorderWindow time.Duration
 	// Clock drives reorder timers; required iff ReorderWindow > 0.
 	Clock sim.Clock
-	// BatchSink, when set, receives each same-shard run of accepted
-	// deliveries from IngestBatch as one call instead of len(run) sink
-	// calls, so downstream stages can amortize their own per-message
-	// costs (store append, dispatch resolution). The slice is scratch:
-	// it is only valid during the call and is reused afterwards. Ingest
-	// and the reorder/Flush paths always use the per-message sink.
-	BatchSink func([]Delivery)
 }
 
 // Stats is an aggregate snapshot of filter activity.
@@ -224,9 +217,8 @@ func (f *Filter) Ingest(rc receiver.Reception) {
 // ingestLocked runs the per-message screen — dup window, payload
 // detach, reorder hold — for one reception. It returns the accepted
 // Delivery and forward=true when the message must reach the sink now;
-// rejected and reorder-held messages return forward=false. Both Ingest
-// and IngestBatch funnel through here, so batching cannot drift from
-// the serial decisions. Caller holds sh.mu.
+// rejected and reorder-held messages return forward=false. Caller holds
+// sh.mu.
 func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool) {
 	f := sh.f
 	sh.received++
@@ -254,67 +246,6 @@ func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool)
 	}
 	sh.delivered++
 	return d, true
-}
-
-// IngestBatch screens a run of receptions, grouping the batch by the
-// stream's home shard so each shard's mutex is taken exactly once per
-// batch instead of once per message. Per-message decisions — duplicate
-// window, stale drop, gap accounting, reorder hold, payload detach —
-// are byte-identical to len(rcs) serial Ingest calls (both paths run
-// ingestLocked). Receptions of the same stream keep their relative
-// order; accepted messages of *different* shards may reach the sink in
-// shard-grouped rather than arrival order, which no consumer can
-// observe (all downstream ordering is per-stream).
-//
-// Accepted same-shard runs go to Options.BatchSink in one call when it
-// is set, and to the per-message sink otherwise.
-func (f *Filter) IngestBatch(rcs []receiver.Reception) {
-	if len(rcs) == 0 {
-		return
-	}
-	if len(rcs) == 1 {
-		f.Ingest(rcs[0])
-		return
-	}
-	idxp := getShardIndexSlice(len(rcs))
-	idx := *idxp
-	for i := range rcs {
-		idx[i] = f.shardIndexFor(rcs[i].Msg.Stream)
-	}
-	out := getDeliverySlice()
-	const claimed = ^uint32(0)
-	for i := 0; i < len(rcs); i++ {
-		si := idx[i]
-		if si == claimed {
-			continue
-		}
-		sh := f.shards[si]
-		sh.mu.Lock()
-		for j := i; j < len(rcs); j++ {
-			if idx[j] != si {
-				continue
-			}
-			idx[j] = claimed
-			if d, forward := sh.ingestLocked(&rcs[j]); forward {
-				*out = append(*out, d)
-			}
-		}
-		sh.mu.Unlock()
-		if len(*out) == 0 {
-			continue
-		}
-		if f.opts.BatchSink != nil {
-			f.opts.BatchSink(*out)
-		} else {
-			for _, d := range *out {
-				f.sink(d)
-			}
-		}
-		clear(*out) // do not pin payloads in the reused scratch
-		*out = (*out)[:0]
-	}
-	putDeliverySlice(out)
-	putShardIndexSlice(idxp)
 }
 
 // bitPos locates seq's bit in the circular bitmap. Called with sh.mu held.

@@ -68,12 +68,6 @@ func (f *Filter) shardFor(id wire.StreamID) *shard {
 	return f.shards[id.Sensor().Shard(len(f.shards))]
 }
 
-// shardIndexFor is shardFor returning the index, for IngestBatch's
-// grouping scratch.
-func (f *Filter) shardIndexFor(id wire.StreamID) uint32 {
-	return uint32(id.Sensor().Shard(len(f.shards)))
-}
-
 // forceEagerWindows makes every new stream materialise its dup-window
 // bitmap immediately, restoring the historical eager behaviour. Only the
 // lazy-vs-eager differential property test sets it; production code must
@@ -85,7 +79,7 @@ var forceEagerWindows = false
 // is NOT allocated here: an in-order stream tracks its contiguous seen
 // range with base/span alone, and the bitmap materialises on the first
 // gap or out-of-order arrival (see streamFilter.accept). Caller holds
-// sh.mu; the cache-hit path lives inline in Ingest.
+// sh.mu; the cache-hit path lives inline in ingestLocked.
 func (sh *shard) lookupSlowLocked(id wire.StreamID, at time.Time) *streamFilter {
 	sf, ok := sh.streams[id]
 	if !ok {
@@ -114,24 +108,4 @@ func putDeliverySlice(p *[]Delivery) {
 	clear(*p)
 	*p = (*p)[:0]
 	deliverySlices.Put(p)
-}
-
-// shardIndexSlices pools IngestBatch's grouping scratch (one shard
-// index per reception), so batched ingest allocates nothing at steady
-// state.
-var shardIndexSlices = sync.Pool{
-	New: func() any { return new([]uint32) },
-}
-
-func getShardIndexSlice(n int) *[]uint32 {
-	p := shardIndexSlices.Get().(*[]uint32)
-	if cap(*p) < n {
-		*p = make([]uint32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putShardIndexSlice(p *[]uint32) {
-	shardIndexSlices.Put(p)
 }

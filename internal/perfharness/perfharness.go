@@ -2,12 +2,9 @@
 // `garnet-bench -perf`: it sweeps {table shards} × {GOMAXPROCS} over the
 // hot paths the sharding era restructured — dispatch fan-out, the
 // ingest→dispatch pipeline, the store tee and the control submit — plus
-// the lock-free delivery ring against its retained mutex-queue twin and
-// the batched ingest paths (multi-slot ring claims, shard-run store
-// appends, the shard-grouped batched pipeline) swept across batch
-// sizes — plus the archive tier's durable retention tee (append →
-// seal → async spill → durable commit) and its cold-miss read path —
-// and emits schema-stable BENCH_dispatch.json, BENCH_pipeline.json and
+// the lock-free delivery ring against its retained mutex-queue twin,
+// plus the archive tier's durable retention tee (append → seal → async
+// spill → durable commit) and its cold-miss read path — and emits schema-stable BENCH_dispatch.json, BENCH_pipeline.json and
 // BENCH_store.json so the perf trajectory of future PRs is measured,
 // not asserted.
 //
@@ -60,11 +57,8 @@ var registry = []scenario{
 	{"dispatch", "dispatch", false, runDispatch},
 	{"fanin", "dispatch", false, runFanin},
 	{"ring_enqueue_drain", "dispatch", true, runRingEnqueueDrain},
-	{"ring_enqueue_n", "dispatch", true, runRingEnqueueN},
 	{"pipeline", "pipeline", false, runPipeline},
-	{"pipeline_batched", "pipeline", true, runPipelineBatched},
 	{"store_tee", "pipeline", true, runStoreTee},
-	{"store_append_batch", "pipeline", true, runStoreAppendBatch},
 	{"control_submit", "pipeline", true, runControlSubmit},
 	{"store_archive_spill", "store", true, runStoreArchiveSpill},
 	{"store_archive_range", "store", false, runStoreArchiveRange},
@@ -107,7 +101,6 @@ type Result struct {
 	Shards      int     `json:"shards"`
 	Procs       int     `json:"procs"` // GOMAXPROCS during the cell
 	Publishers  int     `json:"publishers"`
-	Batch       int     `json:"batch,omitempty"` // ingest batch size on batched scenarios
 	Msgs        int     `json:"msgs"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -161,13 +154,6 @@ func (o Options) procSweep() []int {
 	return []int{1, 2, 4, 8}
 }
 
-// batchSweep is the ingest batch sizes the batched scenarios sweep.
-// batch=1 is the serial comparator cell, so every batched report
-// carries its own baseline.
-func (o Options) batchSweep() []int {
-	return []int{1, 8, 64}
-}
-
 func (o Options) msgs() int {
 	if o.Quick {
 		return 20_000
@@ -217,33 +203,6 @@ func fanOut(publishers, msgs int, emit func(p, i int)) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				emit(p, i)
-			}
-		}(p, n)
-	}
-	wg.Wait()
-}
-
-// fanOutBatches runs publishers goroutines, splitting msgs between
-// them; each goroutine calls emit(p, start, n) once per run of up to
-// batch messages, where start is the run's first message index within
-// publisher p's share (the final run may be shorter).
-func fanOutBatches(publishers, msgs, batch int, emit func(p, start, n int)) {
-	var wg sync.WaitGroup
-	for p := 0; p < publishers; p++ {
-		n := msgs / publishers
-		if p < msgs%publishers {
-			n++
-		}
-		wg.Add(1)
-		go func(p, n int) {
-			defer wg.Done()
-			for sent := 0; sent < n; {
-				b := batch
-				if n-sent < b {
-					b = n - sent
-				}
-				emit(p, sent, b)
-				sent += b
 			}
 		}(p, n)
 	}
@@ -365,71 +324,6 @@ func benchRingEnqueueDrain(procs, msgs int) Result {
 	return res
 }
 
-// benchRingEnqueueN is the multi-slot claim primitive behind batched
-// dispatch: publishers claim runs of up to batch slots per TryEnqueueN
-// call (one CAS per admitted run) while a drainer batch-consumes
-// behind a Waiter. This path must stay at 0 allocs/op — Validate
-// enforces it.
-func benchRingEnqueueN(batch, procs, msgs int) Result {
-	r := ring.New[filtering.Delivery](8192)
-	w := ring.NewWaiter()
-	var drained int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]filtering.Delivery, 64)
-		for drained < msgs {
-			n := r.DequeueBatch(buf)
-			drained += n
-			if n > 0 {
-				continue
-			}
-			w.Prepare()
-			if !r.Empty() {
-				w.Cancel()
-				continue
-			}
-			w.Wait()
-		}
-	}()
-	del := filtering.Delivery{Msg: wire.Message{Stream: wire.MustStreamID(1, 0)}}
-	vals := make([][]filtering.Delivery, publishers)
-	for p := range vals {
-		vals[p] = make([]filtering.Delivery, batch)
-		for i := range vals[p] {
-			vals[p][i] = del
-		}
-	}
-	res := measure("ring_enqueue_n", "", 1, procs, publishers, msgs, func() {
-		fanOutBatches(publishers, msgs, batch, func(p, start, b int) {
-			vs := vals[p][:b]
-			for off := 0; off < b; {
-				k := r.TryEnqueueN(vs[off:])
-				if k == 0 {
-					r.TryDequeue() // drop-oldest, so the producer never stalls
-					continue
-				}
-				off += k
-			}
-			w.Wake()
-		})
-		// Producers may have dropped entries; top the drainer up so it
-		// always reaches msgs and exits.
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				r.TryEnqueue(del)
-				w.Wake()
-			}
-		}
-	})
-	res.Batch = batch
-	<-done
-	return res
-}
-
 // benchPipeline is ingest→dispatch end to end: receptions enter the
 // filter (duplicate screening, per-stream state) and accepted
 // deliveries fan out through the dispatcher, both tables at the swept
@@ -459,61 +353,6 @@ func benchPipeline(shards, procs, msgs int) Result {
 	})
 }
 
-// benchPipelineBatched is the batched ingest→dispatch pipeline: each
-// publisher ingests runs of batch receptions on its own stream through
-// Filter.IngestBatch, with the filter's BatchSink feeding
-// Dispatcher.DispatchBatch, so the whole shard-grouped chain (one
-// filter-shard lock per batch, one wildcard snapshot and one
-// subscriber resolution per stream run) sits inside the measured
-// window. The batch=1 cell is the serial comparator: it runs today's
-// per-message Ingest→Dispatch path under variant "serial". Neither
-// variant may allocate.
-func benchPipelineBatched(batch, shards, procs, msgs int) Result {
-	d := dispatch.New(dispatch.Options{Shards: shards})
-	streams := make([]wire.StreamID, publishers)
-	for i := range streams {
-		streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
-		if _, err := d.Subscribe(&dispatch.ConsumerFunc{
-			ConsumerName: fmt.Sprintf("c%d", i),
-			Fn:           func(filtering.Delivery) {},
-		}, dispatch.Exact(streams[i])); err != nil {
-			panic(err)
-		}
-	}
-	variant := "batched"
-	fopts := filtering.Options{Shards: shards}
-	if batch > 1 {
-		fopts.BatchSink = d.DispatchBatch
-	} else {
-		variant = "serial"
-	}
-	f := filtering.New(d.Dispatch, fopts)
-	for p := range streams {
-		f.Ingest(receiver.Reception{Msg: wire.Message{Stream: streams[p], Seq: 0}})
-	}
-	bufs := make([][]receiver.Reception, publishers)
-	for p := range bufs {
-		bufs[p] = make([]receiver.Reception, batch)
-	}
-	res := measure("pipeline_batched", variant, shards, procs, publishers, msgs, func() {
-		fanOutBatches(publishers, msgs, batch, func(p, start, b int) {
-			buf := bufs[p][:b]
-			for i := range buf {
-				buf[i] = receiver.Reception{
-					Msg: wire.Message{Stream: streams[p], Seq: wire.Seq(start + i + 1)},
-				}
-			}
-			if batch > 1 {
-				f.IngestBatch(buf)
-			} else {
-				f.Ingest(buf[0])
-			}
-		})
-	})
-	res.Batch = batch
-	return res
-}
-
 // benchStoreTee is the retention tee: every publisher appends to its own
 // stream. Steady-state Append is a 0-alloc path — Validate enforces it.
 func benchStoreTee(shards, procs, msgs int) Result {
@@ -537,43 +376,6 @@ func benchStoreTee(shards, procs, msgs int) Result {
 			})
 		})
 	})
-}
-
-// benchStoreAppendBatch is the retention tee through the batched API:
-// every publisher appends runs of batch deliveries to its own stream
-// via AppendBatch — one shard lock per run, StoreSeq stamped in place.
-// Steady state must stay at 0 allocs/op — Validate enforces it.
-func benchStoreAppendBatch(batch, shards, procs, msgs int) Result {
-	st := store.New(store.Options{Shards: shards, MaxMessages: 1024})
-	streams := make([]wire.StreamID, publishers)
-	for i := range streams {
-		streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
-	}
-	// Warm per-stream rings past their growth phase.
-	for p := range streams {
-		for i := 0; i < 2048; i++ {
-			st.Append(filtering.Delivery{
-				Msg: wire.Message{Stream: streams[p], Seq: wire.Seq(i)},
-			})
-		}
-	}
-	bufs := make([][]filtering.Delivery, publishers)
-	for p := range bufs {
-		bufs[p] = make([]filtering.Delivery, batch)
-	}
-	res := measure("store_append_batch", "", shards, procs, publishers, msgs, func() {
-		fanOutBatches(publishers, msgs, batch, func(p, start, b int) {
-			buf := bufs[p][:b]
-			for i := range buf {
-				buf[i] = filtering.Delivery{
-					Msg: wire.Message{Stream: streams[p], Seq: wire.Seq(2048 + start + i)},
-				}
-			}
-			st.AppendBatch(buf)
-		})
-	})
-	res.Batch = batch
-	return res
 }
 
 // benchStoreArchiveSpill is the durable retention tee: every publisher
@@ -707,14 +509,6 @@ func runRingEnqueueDrain(o Options, emit func(Result)) {
 	}
 }
 
-func runRingEnqueueN(o Options, emit func(Result)) {
-	for _, batch := range o.batchSweep() {
-		for _, procs := range o.procSweep() {
-			emit(benchRingEnqueueN(batch, procs, o.msgs()))
-		}
-	}
-}
-
 func runPipeline(o Options, emit func(Result)) {
 	for _, shards := range o.shardSweep() {
 		for _, procs := range o.procSweep() {
@@ -723,30 +517,10 @@ func runPipeline(o Options, emit func(Result)) {
 	}
 }
 
-func runPipelineBatched(o Options, emit func(Result)) {
-	for _, batch := range o.batchSweep() {
-		for _, shards := range o.shardSweep() {
-			for _, procs := range o.procSweep() {
-				emit(benchPipelineBatched(batch, shards, procs, o.msgs()))
-			}
-		}
-	}
-}
-
 func runStoreTee(o Options, emit func(Result)) {
 	for _, shards := range o.shardSweep() {
 		for _, procs := range o.procSweep() {
 			emit(benchStoreTee(shards, procs, o.msgs()))
-		}
-	}
-}
-
-func runStoreAppendBatch(o Options, emit func(Result)) {
-	for _, batch := range o.batchSweep() {
-		for _, shards := range o.shardSweep() {
-			for _, procs := range o.procSweep() {
-				emit(benchStoreAppendBatch(batch, shards, procs, o.msgs()))
-			}
 		}
 	}
 }
@@ -804,16 +578,8 @@ func Run(opts Options) (dispatchReport, pipelineReport, storeReport Report) {
 			rep = &sr
 		}
 		sc.run(opts, func(res Result) {
-			cell := res.Path
-			if res.Variant != "" {
-				cell += "/" + res.Variant
-			}
-			batch := ""
-			if res.Batch > 0 {
-				batch = fmt.Sprintf(" batch=%d", res.Batch)
-			}
-			opts.logf("%s shards=%d procs=%d%s: %.0f ns/op, %.2f Mmsg/s, %.3f allocs/op",
-				cell, res.Shards, res.Procs, batch, res.NsPerOp, res.MsgsPerSec/1e6, res.AllocsPerOp)
+			opts.logf("%s: %.0f ns/op, %.2f Mmsg/s, %.3f allocs/op",
+				cellKey(res), res.NsPerOp, res.MsgsPerSec/1e6, res.AllocsPerOp)
 			rep.Results = append(rep.Results, res)
 		})
 	}
@@ -843,8 +609,8 @@ func Validate(r Report) error {
 			return fmt.Errorf("result path %q is not a registered scenario", res.Path)
 		}
 		if sc.zeroAlloc && res.AllocsPerOp > AllocTolerance {
-			return fmt.Errorf("path %s (shards=%d procs=%d batch=%d) allocates %.3f/op, bar is %.2f",
-				res.Path, res.Shards, res.Procs, res.Batch, res.AllocsPerOp, AllocTolerance)
+			return fmt.Errorf("path %s (shards=%d procs=%d) allocates %.3f/op, bar is %.2f",
+				res.Path, res.Shards, res.Procs, res.AllocsPerOp, AllocTolerance)
 		}
 	}
 	return nil
@@ -853,7 +619,7 @@ func Validate(r Report) error {
 // Delta is one matched cell of Compare: msgs/s for the same scenario
 // cell in a baseline report and a fresh run.
 type Delta struct {
-	Key      string  // "path[/variant] shards=S procs=P[ batch=B]"
+	Key      string  // "path[/variant] shards=S procs=P"
 	Baseline float64 // baseline msgs/s
 	Current  float64 // fresh msgs/s
 	Pct      float64 // 100 * (Current - Baseline) / Baseline
@@ -864,11 +630,7 @@ func cellKey(res Result) string {
 	if res.Variant != "" {
 		key += "/" + res.Variant
 	}
-	key += fmt.Sprintf(" shards=%d procs=%d", res.Shards, res.Procs)
-	if res.Batch > 0 {
-		key += fmt.Sprintf(" batch=%d", res.Batch)
-	}
-	return key
+	return key + fmt.Sprintf(" shards=%d procs=%d", res.Shards, res.Procs)
 }
 
 // Compare matches every cell of current against baseline by scenario

@@ -75,11 +75,8 @@ func TestScenarioRegistry(t *testing.T) {
 		{"dispatch", "dispatch", false},
 		{"fanin", "dispatch", false},
 		{"ring_enqueue_drain", "dispatch", true},
-		{"ring_enqueue_n", "dispatch", true},
 		{"pipeline", "pipeline", false},
-		{"pipeline_batched", "pipeline", true},
 		{"store_tee", "pipeline", true},
-		{"store_append_batch", "pipeline", true},
 		{"control_submit", "pipeline", true},
 		{"store_archive_spill", "store", true},
 		{"store_archive_range", "store", false},
@@ -151,19 +148,19 @@ func TestScenarioFilter(t *testing.T) {
 // TestCompare pins baseline matching: cells pair up by scenario key,
 // unmatched cells are skipped, and the delta is a msgs/s percentage.
 func TestCompare(t *testing.T) {
-	mk := func(path, variant string, batch int, msgs float64) Result {
+	mk := func(path, variant string, msgs float64) Result {
 		return Result{Path: path, Variant: variant, Shards: 4, Procs: 4,
-			Publishers: 16, Batch: batch, Msgs: 100, NsPerOp: 10, MsgsPerSec: msgs}
+			Publishers: 16, Msgs: 100, NsPerOp: 10, MsgsPerSec: msgs}
 	}
 	baseline := Report{Results: []Result{
-		mk("pipeline", "", 0, 1e6),
-		mk("pipeline_batched", "batched", 64, 2e6),
-		mk("fanin", "mutex", 0, 5e5), // not in current: must be skipped
+		mk("pipeline", "", 1e6),
+		mk("fanin", "ring", 2e6),
+		mk("fanin", "mutex", 5e5), // not in current: must be skipped
 	}}
 	current := Report{Results: []Result{
-		mk("pipeline", "", 0, 1.1e6),
-		mk("pipeline_batched", "batched", 64, 1e6),
-		mk("ring_enqueue_n", "", 8, 9e6), // not in baseline: must be skipped
+		mk("pipeline", "", 1.1e6),
+		mk("fanin", "ring", 1e6),
+		mk("ring_enqueue_drain", "", 9e6), // not in baseline: must be skipped
 	}}
 	ds := Compare(baseline, current)
 	if len(ds) != 2 {
@@ -172,8 +169,8 @@ func TestCompare(t *testing.T) {
 	if ds[0].Key != "pipeline shards=4 procs=4" || ds[0].Pct < 9.9 || ds[0].Pct > 10.1 {
 		t.Fatalf("pipeline delta wrong: %+v", ds[0])
 	}
-	if ds[1].Key != "pipeline_batched/batched shards=4 procs=4 batch=64" || ds[1].Pct != -50 {
-		t.Fatalf("batched delta wrong: %+v", ds[1])
+	if ds[1].Key != "fanin/ring shards=4 procs=4" || ds[1].Pct != -50 {
+		t.Fatalf("fanin/ring delta wrong: %+v", ds[1])
 	}
 }
 

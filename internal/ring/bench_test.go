@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -119,23 +118,6 @@ func BenchmarkRingEnqueueDequeue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.TryEnqueue(i)
 		r.TryDequeue()
-	}
-}
-
-// BenchmarkRingEnqueueN measures the multi-slot claim against repeated
-// single enqueues at several batch sizes (per-op = per value).
-func BenchmarkRingEnqueueN(b *testing.B) {
-	for _, batch := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			r := New[int](1024)
-			vs := make([]int, batch)
-			buf := make([]int, batch)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += batch {
-				r.TryEnqueueN(vs)
-				r.DequeueBatch(buf)
-			}
-		})
 	}
 }
 

@@ -146,63 +146,6 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 	}
 }
 
-// TryEnqueueN appends a prefix of vs with a single claim: one CAS
-// advances the enqueue cursor over the whole run, then the slots are
-// written and published individually in position order, so a batch of n
-// values costs ~1 CAS instead of n. It returns how many values were
-// admitted; 0 means the ring is full (the caller applies its overflow
-// policy to the remainder per value, exactly as with TryEnqueue).
-//
-// FIFO and publication semantics are identical to n repeated TryEnqueue
-// calls from one producer: the consumer sees the values in vs order, and
-// a slot claimed but not yet published stalls later slots' consumption
-// without reordering them.
-func (r *Ring[T]) TryEnqueueN(vs []T) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	free := r.capacity - r.length.Load()
-	if free <= 0 {
-		return 0
-	}
-	want := len(vs)
-	if int64(want) > free {
-		want = int(free)
-	}
-	pos := r.enq.Load()
-	for {
-		// The claimable run is a prefix: the consumer frees slots in
-		// position order, so slot pos+k can only be free when every slot
-		// before it is. A slot observed free (stamp == position) can only
-		// be taken by a producer winning the enqueue-cursor CAS, so a
-		// successful CAS below owns the whole scanned prefix.
-		k := 0
-		for k < want && r.slots[(pos+uint64(k))&r.mask].seq.Load() == pos+uint64(k) {
-			k++
-		}
-		if k == 0 {
-			if int64(r.slots[pos&r.mask].seq.Load())-int64(pos) < 0 {
-				// The slot still holds the value from one lap ago: the
-				// ring is physically full.
-				return 0
-			}
-			// Another producer claimed pos; reload and retry.
-			pos = r.enq.Load()
-			continue
-		}
-		if r.enq.CompareAndSwap(pos, pos+uint64(k)) {
-			r.length.Add(int64(k))
-			for i := 0; i < k; i++ {
-				s := &r.slots[(pos+uint64(i))&r.mask]
-				s.val = vs[i]
-				s.seq.Store(pos + uint64(i) + 1) // publish
-			}
-			return k
-		}
-		pos = r.enq.Load()
-	}
-}
-
 // TryDequeue removes and returns the oldest value. ok is false when the
 // ring is empty. Safe to call concurrently with the draining consumer
 // (producer-side drop-oldest), though values then interleave by claim
@@ -235,8 +178,8 @@ func (r *Ring[T]) TryDequeue() (v T, ok bool) {
 }
 
 // DequeueBatch fills buf with up to len(buf) oldest values and returns
-// how many it took. The single draining consumer uses this to coalesce
-// one wakeup into one batch delivery.
+// how many it took. The single draining consumer uses this to hand
+// everything one take finds to its consumer as one batch.
 func (r *Ring[T]) DequeueBatch(buf []T) int {
 	n := 0
 	for n < len(buf) {

@@ -253,310 +253,6 @@ func TestRingSPSCOrderStress(t *testing.T) {
 	}
 }
 
-func TestRingEnqueueNFIFO(t *testing.T) {
-	r := New[int](16)
-	if n := r.TryEnqueueN([]int{0, 1, 2, 3, 4}); n != 5 {
-		t.Fatalf("TryEnqueueN admitted %d, want 5", n)
-	}
-	if n := r.TryEnqueueN(nil); n != 0 {
-		t.Fatalf("TryEnqueueN(nil) = %d, want 0", n)
-	}
-	for i := 0; i < 5; i++ {
-		v, ok := r.TryDequeue()
-		if !ok || v != i {
-			t.Fatalf("dequeue %d: got %d ok=%v", i, v, ok)
-		}
-	}
-}
-
-func TestRingEnqueueNPartialAdmit(t *testing.T) {
-	r := New[int](8)
-	for i := 0; i < 5; i++ {
-		r.TryEnqueue(i)
-	}
-	// Only 3 of 6 fit; the admitted values must be the prefix.
-	if n := r.TryEnqueueN([]int{5, 6, 7, 8, 9, 10}); n != 3 {
-		t.Fatalf("TryEnqueueN admitted %d, want 3", n)
-	}
-	if n := r.TryEnqueueN([]int{99}); n != 0 {
-		t.Fatalf("TryEnqueueN on full ring admitted %d, want 0", n)
-	}
-	for i := 0; i < 8; i++ {
-		v, ok := r.TryDequeue()
-		if !ok || v != i {
-			t.Fatalf("dequeue %d: got %d ok=%v", i, v, ok)
-		}
-	}
-}
-
-// TestRingEnqueueNWrapAround laps the physical ring with mixed batch
-// sizes so multi-slot claims cross the stamp wrap boundary repeatedly.
-func TestRingEnqueueNWrapAround(t *testing.T) {
-	r := New[int](8)
-	next, expect := 0, 0
-	buf := make([]int, 8)
-	for lap := 0; lap < 200; lap++ {
-		batch := 1 + lap%7
-		vs := make([]int, batch)
-		for i := range vs {
-			vs[i] = next + i
-		}
-		n := r.TryEnqueueN(vs)
-		if n != batch {
-			t.Fatalf("lap %d: admitted %d of %d with Len=%d", lap, n, batch, r.Len())
-		}
-		next += n
-		for got := 0; got < n; {
-			k := r.DequeueBatch(buf[:n-got])
-			for _, v := range buf[:k] {
-				if v != expect {
-					t.Fatalf("lap %d: dequeued %d, want %d", lap, v, expect)
-				}
-				expect++
-			}
-			got += k
-		}
-	}
-}
-
-// TestRingEnqueueNVsSerialModel runs a deterministic mixed script of
-// TryEnqueueN / TryEnqueue / DequeueBatch against a plain slice model:
-// admitted counts and dequeued values must match exactly.
-func TestRingEnqueueNVsSerialModel(t *testing.T) {
-	r := New[int](13) // non-power-of-two logical capacity
-	var model []int
-	next := 0
-	rng := uint64(42)
-	rand := func(n int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(n))
-	}
-	buf := make([]int, 32)
-	for step := 0; step < 5000; step++ {
-		switch rand(3) {
-		case 0: // batch enqueue
-			batch := 1 + rand(9)
-			vs := make([]int, batch)
-			for i := range vs {
-				vs[i] = next + i
-			}
-			n := r.TryEnqueueN(vs)
-			wantN := 13 - len(model)
-			if wantN > batch {
-				wantN = batch
-			}
-			if n != wantN {
-				t.Fatalf("step %d: TryEnqueueN admitted %d, model wants %d", step, n, wantN)
-			}
-			model = append(model, vs[:n]...)
-			next += n
-		case 1: // single enqueue
-			ok := r.TryEnqueue(next)
-			wantOK := len(model) < 13
-			if ok != wantOK {
-				t.Fatalf("step %d: TryEnqueue = %v, model wants %v", step, ok, wantOK)
-			}
-			if ok {
-				model = append(model, next)
-				next++
-			}
-		default: // batch dequeue
-			k := 1 + rand(8)
-			n := r.DequeueBatch(buf[:k])
-			wantN := len(model)
-			if wantN > k {
-				wantN = k
-			}
-			if n != wantN {
-				t.Fatalf("step %d: DequeueBatch took %d, model wants %d", step, n, wantN)
-			}
-			for i := 0; i < n; i++ {
-				if buf[i] != model[i] {
-					t.Fatalf("step %d: dequeued %d, model wants %d", step, buf[i], model[i])
-				}
-			}
-			model = model[n:]
-		}
-	}
-}
-
-// TestRingEnqueueNOrderStress checks per-producer FIFO under concurrent
-// multi-slot claims: each producer's batches must arrive in order and
-// contiguously batch-internally. Run with -race.
-func TestRingEnqueueNOrderStress(t *testing.T) {
-	const (
-		producers = 4
-		perProd   = 4000
-	)
-	r := New[[2]int](128)
-	lastSeen := make([]int, producers)
-	for i := range lastSeen {
-		lastSeen[i] = -1
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		seen := 0
-		for seen < producers*perProd {
-			v, ok := r.TryDequeue()
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			p, i := v[0], v[1]
-			if i != lastSeen[p]+1 {
-				panic("producer order broken across batch claims")
-			}
-			lastSeen[p] = i
-			seen++
-		}
-	}()
-	var wg sync.WaitGroup
-	wg.Add(producers)
-	for p := 0; p < producers; p++ {
-		go func(p int) {
-			defer wg.Done()
-			i := 0
-			for i < perProd {
-				batch := 1 + (i+p)%7
-				if batch > perProd-i {
-					batch = perProd - i
-				}
-				vs := make([][2]int, batch)
-				for j := range vs {
-					vs[j] = [2]int{p, i + j}
-				}
-				for len(vs) > 0 {
-					n := r.TryEnqueueN(vs)
-					i += n
-					vs = vs[n:]
-					if n == 0 {
-						runtime.Gosched()
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	<-done
-	for p, last := range lastSeen {
-		if last != perProd-1 {
-			t.Fatalf("producer %d: last index %d, want %d", p, last, perProd-1)
-		}
-	}
-}
-
-// TestRingEnqueueNVsConcurrentDequeue races multi-slot claims against
-// dequeuers on both sides of the ring: a drain goroutine plus the
-// producers themselves, which discard-oldest whenever a claim is refused
-// — the dispatch port's DropOldest pattern, where the publisher dequeues
-// mid-claim to make room. The order-stress test above covers racing
-// producers; this one adds racing consumers. Conservation is exact:
-// every value admitted by TryEnqueueN must surface exactly once, at the
-// drain goroutine or as a producer-side discard, never twice and never
-// lost to a half-visible slot.
-func TestRingEnqueueNVsConcurrentDequeue(t *testing.T) {
-	const (
-		producers = 4
-		perProd   = 4000
-	)
-	r := New[int](64) // small: claims wrap constantly and refusals are common
-	stop := make(chan struct{})
-	var drained []int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			v, ok := r.TryDequeue()
-			if ok {
-				drained = append(drained, v)
-				continue
-			}
-			select {
-			case <-stop:
-				// Producers are finished: drain what's left and exit.
-				for {
-					v, ok := r.TryDequeue()
-					if !ok {
-						return
-					}
-					drained = append(drained, v)
-				}
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-	discards := make([][]int, producers)
-	var wg sync.WaitGroup
-	wg.Add(producers)
-	for p := 0; p < producers; p++ {
-		go func(p int) {
-			defer wg.Done()
-			i := 0
-			for i < perProd {
-				batch := 1 + (i+p)%7
-				if batch > perProd-i {
-					batch = perProd - i
-				}
-				vs := make([]int, batch)
-				for j := range vs {
-					vs[j] = p*perProd + i + j
-				}
-				for len(vs) > 0 {
-					n := r.TryEnqueueN(vs)
-					i += n
-					vs = vs[n:]
-					if n == 0 {
-						// Refused claim: discard-oldest to make room,
-						// racing the drain goroutine for the same slot.
-						if v, ok := r.TryDequeue(); ok {
-							discards[p] = append(discards[p], v)
-						}
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(stop)
-	<-done
-
-	const total = producers * perProd
-	seen := make([]int, total)
-	count := func(vs []int) {
-		for _, v := range vs {
-			if v < 0 || v >= total {
-				t.Fatalf("value %d out of range — corrupted slot", v)
-			}
-			seen[v]++
-		}
-	}
-	count(drained)
-	for _, d := range discards {
-		count(d)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %d surfaced %d times, want exactly once", v, n)
-		}
-	}
-}
-
-// TestRingEnqueueNZeroAlloc pins the batched claim at 0 allocs/op.
-func TestRingEnqueueNZeroAlloc(t *testing.T) {
-	r := New[int](256)
-	vs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	buf := make([]int, 8)
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.TryEnqueueN(vs)
-		r.DequeueBatch(buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("TryEnqueueN/DequeueBatch allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestWaiterNoLostWakeup stresses the park/unpark handshake: a producer
 // that publishes work and calls Wake must always unblock a waiter that
 // Prepared before re-checking. Run with -race.

@@ -625,31 +625,8 @@ func (s *Store) Append(d filtering.Delivery) uint64 {
 	return ext
 }
 
-// AppendBatch retains a run of deliveries and stamps each delivery's
-// StoreSeq in place, taking each home shard's mutex once per
-// consecutive same-shard run instead of once per delivery. Unwrap,
-// window advance, seal and eviction decisions are identical to len(ds)
-// serial Append calls (both paths run appendLocked). Payloads are
-// copied into store-owned memory as always; the caller may reuse ds
-// and its payloads immediately.
-func (s *Store) AppendBatch(ds []filtering.Delivery) {
-	for i := 0; i < len(ds); {
-		sh := s.shardFor(ds[i].Msg.Stream)
-		j := i + 1
-		for j < len(ds) && s.shardFor(ds[j].Msg.Stream) == sh {
-			j++
-		}
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			ds[k].StoreSeq = s.appendLocked(sh, &ds[k])
-		}
-		sh.mu.Unlock()
-		i = j
-	}
-}
-
-// appendLocked is the per-delivery retention step shared by Append and
-// AppendBatch; d is only read. Caller holds sh.mu.
+// appendLocked is Append's per-delivery retention step; d is only read.
+// Caller holds sh.mu.
 func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	sh.appended++
 	r := sh.last

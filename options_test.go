@@ -279,7 +279,7 @@ func TestWithDispatchShardsAndBatchSize(t *testing.T) {
 	g := garnet.New(
 		garnet.WithClock(clock),
 		garnet.WithSecret([]byte("s")),
-		garnet.WithDispatchShards(4),
+		garnet.WithShards(4),
 		garnet.WithAsyncDispatch(64),
 		garnet.WithBatchSize(8),
 	)
@@ -358,8 +358,8 @@ func TestWithFilterShards(t *testing.T) {
 		}
 		return st
 	}
-	sharded := run(4, garnet.WithFilterShards(4))
-	single := run(1, garnet.WithFilterShards(1))
+	sharded := run(4, garnet.WithShards(4))
+	single := run(1, garnet.WithShards(1))
 	// Same deployment, same virtual schedule: the sharded filter must
 	// make identical accept/duplicate decisions to the single table.
 	if sharded.Filter.Delivered != single.Filter.Delivered ||
@@ -409,9 +409,9 @@ func TestWithControlShardsDecisionInvariant(t *testing.T) {
 		}
 		return steps, g.Stats()
 	}
-	refSteps, refStats := run(garnet.WithControlShards(1))
+	refSteps, refStats := run(garnet.WithShards(1))
 	for _, shards := range []int{4, 16} {
-		gotSteps, gotStats := run(garnet.WithControlShards(shards))
+		gotSteps, gotStats := run(garnet.WithShards(shards))
 		if len(gotSteps) != len(refSteps) {
 			t.Fatalf("shards=%d: %d steps, want %d", shards, len(gotSteps), len(refSteps))
 		}
@@ -441,7 +441,7 @@ func TestWithActuationCoalescingCollapsesBursts(t *testing.T) {
 	g := garnet.New(
 		garnet.WithClock(clock),
 		garnet.WithSecret([]byte("s")),
-		garnet.WithControlShards(4),
+		garnet.WithShards(4),
 		garnet.WithActuationCoalescing(100*time.Millisecond),
 		// Applied after coalescing: must compose, not clobber.
 		garnet.WithActuationRetry(time.Hour, 1),

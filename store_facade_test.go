@@ -112,7 +112,7 @@ func TestLatestValueAndStoreStats(t *testing.T) {
 // while the byte and age bounds cap what Replay can recover.
 func TestStoreRetentionOption(t *testing.T) {
 	g, clock := newTestDeployment(t,
-		garnet.WithStoreRetention(4, 0, 0), garnet.WithStoreShards(4))
+		garnet.WithStoreRetention(4, 0, 0), garnet.WithShards(4))
 	addThermometer(t, g, 3)
 	tok, err := g.Register("app", garnet.PermSubscribe)
 	if err != nil {
