@@ -491,10 +491,8 @@ func BenchmarkRadioBroadcast(b *testing.B) {
 						Position: func() geo.Point { return pos },
 						Radius:   radius,
 						Static:   true,
-						Deliver: func(f radio.Frame) {
-							delivered++
-							f.Release()
-						},
+						Borrows:  true,
+						Deliver:  func(radio.Frame) { delivered++ },
 					})
 				}
 				payload := make([]byte, 24)
@@ -502,7 +500,7 @@ func BenchmarkRadioBroadcast(b *testing.B) {
 				// nearest zone(s); full reaches everyone.
 				mid := float64(side/2) * spacing
 				from := geo.Pt(mid+10, mid)
-				// Warm the scratch/lease/event pools before measuring.
+				// Warm the scratch/hand-off/event pools before measuring.
 				for i := 0; i < 16; i++ {
 					m.Broadcast(radio.BandUplink, from, radius, payload)
 					clock.RunAll()
@@ -527,7 +525,7 @@ func BenchmarkRadioBroadcast(b *testing.B) {
 // addressed, the rest decoding and discarding), then the clock advance
 // that delivers it. One op is one broadcast; with -benchmem, allocs/op is
 // allocations per broadcast and must stay 0 — one pooled hand-off on the
-// clock, and every sensor returning its frame.
+// clock, and every sensor borrowing its frame.
 func BenchmarkDownlinkFanout(b *testing.B) {
 	const sensors = 256
 	clock := garnet.NewVirtualClock(time.Unix(0, 0))
@@ -552,7 +550,7 @@ func BenchmarkDownlinkFanout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 16; i++ { // warm the hand-off, lease and event pools
+	for i := 0; i < 16; i++ { // warm the hand-off and event pools
 		tx.Broadcast(frame)
 		clock.Advance(0)
 	}
@@ -572,9 +570,9 @@ func BenchmarkDownlinkFanout(b *testing.B) {
 // clock, where the medium's zero-delay hand-off crosses goroutines: one
 // static sensor heard by three receivers that count into a sink. One op
 // is one TriggerSample and its three deliveries observed — the window-1
-// case, a hand-off onto a worker started for it; with -benchmem allocs/op
+// case, a hand-off that wakes a parked worker; with -benchmem allocs/op
 // is allocations per sample and must stay 1, the sensor's encoded frame
-// (no timer, one pooled hand-off, receivers returning their frames).
+// (no timer, one pooled hand-off, receivers borrowing their frames).
 func BenchmarkRealClockHandoff(b *testing.B) {
 	const receivers = 3
 	m := radio.NewMedium(sim.RealClock{}, radio.Params{Seed: 42})

@@ -358,7 +358,7 @@ func TestInjectReceptionAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	frame := make([]byte, 16) // stands in for a leased radio buffer
+	frame := make([]byte, 16) // stands in for a borrowed radio buffer
 	rc := receiver.Reception{
 		Msg:      wire.Message{Stream: wire.MustStreamID(1, 0), Payload: frame},
 		At:       epoch,

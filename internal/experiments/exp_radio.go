@@ -63,10 +63,8 @@ func runE15(cfg Config) (*Table, error) {
 				Position: func() geo.Point { return pos },
 				Radius:   radius,
 				Static:   true,
-				Deliver: func(f radio.Frame) {
-					delivered++
-					f.Release()
-				},
+				Borrows:  true,
+				Deliver:  func(radio.Frame) { delivered++ },
 			})
 		}
 

@@ -32,7 +32,6 @@ func (r *recorder) listenerFor(name string) func(Frame) {
 		r.mu.Lock()
 		r.recs = append(r.recs, recording{listener: name, at: f.At, payload: string(f.Data)})
 		r.mu.Unlock()
-		f.Release()
 	}
 }
 
@@ -139,6 +138,7 @@ func (s fieldScript) play(linear bool) ([]recording, [5]int64) {
 			Radius:   sl.radius,
 			Deliver:  rec.listenerFor(sl.name),
 			Static:   sl.static,
+			Borrows:  true, // the recorder copies the payload out
 		})
 		if sl.moveTo != nil {
 			target := *sl.moveTo
@@ -262,7 +262,8 @@ func BenchmarkBroadcastGridVsLinear(b *testing.B) {
 						Position: func() geo.Point { return pos },
 						Radius:   radius,
 						Static:   true,
-						Deliver:  func(f Frame) { f.Release() },
+						Borrows:  true,
+						Deliver:  func(Frame) {},
 					})
 				}
 				payload := make([]byte, 24)
@@ -290,7 +291,7 @@ func TestAttachDetachChurnBoundsIDSpace(t *testing.T) {
 	m.Attach(BandUplink, &Listener{Name: "anchor", Position: fixed(geo.Pt(0, 0)), Radius: 100, Deliver: c.deliver, Static: true})
 	for i := 0; i < 1000; i++ {
 		detach := m.Attach(BandUplink, &Listener{
-			Name: "churn", Position: fixed(geo.Pt(1, 0)), Radius: 100, Deliver: func(f Frame) { f.Release() },
+			Name: "churn", Position: fixed(geo.Pt(1, 0)), Radius: 100, Deliver: func(Frame) {},
 		})
 		detach()
 	}

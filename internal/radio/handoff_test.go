@@ -137,9 +137,9 @@ func (f specField) play() ([]specCopy, *Metrics) {
 			Position: fixed(z.Center),
 			Radius:   z.R,
 			Static:   id%2 == 0,
+			Borrows:  id%3 != 0, // the payload is copied out either way: hand-offs of both kinds, same sequence
 			Deliver: func(fr Frame) {
 				saw = append(saw, specCopy{at: fr.At, listener: id, payload: string(fr.Data)})
-				fr.Release()
 			},
 		})
 	}
@@ -182,11 +182,13 @@ func TestHandoffOrderAndAccountingSpec(t *testing.T) {
 }
 
 // threeListeners attaches listeners 0..2 around the origin, all in range
-// of a broadcast from it, each delivering through deliver(id, frame).
+// of a broadcast from it, each delivering through deliver(id, frame) and
+// promising to be done with the frame's bytes when deliver returns.
 func threeListeners(m *Medium, deliver func(id int, f Frame)) (detach []func()) {
 	for id := 0; id < 3; id++ {
 		detach = append(detach, m.Attach(BandUplink, &Listener{
 			Name: fmt.Sprintf("l%d", id), Position: fixed(geo.Pt(float64(id), 0)), Radius: 100, Static: true,
+			Borrows: true,
 			Deliver: func(f Frame) { deliver(id, f) },
 		}))
 	}
@@ -195,16 +197,17 @@ func threeListeners(m *Medium, deliver func(id int, f Frame)) (detach []func()) 
 
 // TestRelayFromInsideHandoffFiresAfterItsSiblings: a Deliver that
 // broadcasts again — a relaying sensor — sees its copies fire after the
-// rest of the hand-off it ran in, at the same deadline.
+// rest of the hand-off it ran in, at the same deadline. (Every listener
+// borrows, so the hand-off is pooled whole — but only once run has
+// returned: pooled any earlier, the relay's broadcast would draw it and
+// rewrite the copies run is still walking.)
 func TestRelayFromInsideHandoffFiresAfterItsSiblings(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	m := NewMedium(clock, Params{})
 	var saw []string
 	threeListeners(m, func(id int, f Frame) {
 		saw = append(saw, fmt.Sprintf("l%d:%s@%d", id, f.Data, f.At.Sub(epoch)))
-		relay := id == 0 && string(f.Data) == "orig"
-		f.Release()
-		if relay {
+		if id == 0 && string(f.Data) == "orig" {
 			m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("relay"))
 		}
 	})
@@ -224,7 +227,6 @@ func TestDetachAfterBroadcastStillDeliversScheduledCopy(t *testing.T) {
 	var saw []int
 	detach := threeListeners(m, func(id int, f Frame) {
 		saw = append(saw, id)
-		f.Release()
 	})
 	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("x"))
 	detach[1]()
@@ -235,54 +237,54 @@ func TestDetachAfterBroadcastStillDeliversScheduledCopy(t *testing.T) {
 	}
 }
 
-// TestReleaseIsExactlyOnceAcrossCopiesOfAHandoff: two recipients of every
-// hand-off release their frame through two value copies and the third
-// retains its frame. Were a double release counted twice, the hand-off
-// would be pooled under the retained frame and a later broadcast would
-// overwrite its bytes — two live broadcasts on one buffer.
-func TestReleaseIsExactlyOnceAcrossCopiesOfAHandoff(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	m := NewMedium(clock, Params{})
-	var kept []Frame
-	threeListeners(m, func(id int, f Frame) {
-		if id == 2 {
-			kept = append(kept, f)
-			return
-		}
-		g := f
-		f.Release()
-		g.Release()
-	})
+// TestRetainedFrameKeepsItsBytes: a listener that does not set Borrows may
+// keep Frame.Data. Across eight later broadcasts every frame it kept still
+// reads its own bytes — alone on the band, and as the one keeper among
+// borrowers, where the mixed hand-off must go back to the pool without the
+// buffer the keeper holds.
+func TestRetainedFrameKeepsItsBytes(t *testing.T) {
 	const rounds = 8
-	for i := 0; i < rounds; i++ {
-		m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte{byte(i)})
-		clock.RunAll()
-	}
-	if len(kept) != rounds {
-		t.Fatalf("%d frames retained, want %d", len(kept), rounds)
-	}
-	for i, f := range kept {
-		if len(f.Data) != 1 || f.Data[0] != byte(i) {
-			t.Fatalf("frame retained from broadcast %d now reads %v: its hand-off was pooled while it was live", i, f.Data)
-		}
-		if got := f.h.refs.Load(); got != 1 {
-			t.Fatalf("hand-off %d counts %d references with one copy unreleased", i, got)
-		}
-	}
-	// Releasing the last copy, twice, pools the hand-off once.
-	for i := range kept {
-		h, g := kept[i].h, kept[i]
-		kept[i].Release()
-		g.Release()
-		if got := h.refs.Load(); got != 0 {
-			t.Fatalf("hand-off %d counts %d references after its last release, want 0", i, got)
-		}
+	for _, tc := range []struct {
+		name    string
+		borrows []bool // per listener, in attach order
+	}{
+		{"alone", []bool{false}},
+		{"among borrowers", []bool{true, true, false, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := sim.NewVirtualClock(epoch)
+			m := NewMedium(clock, Params{})
+			var kept []Frame
+			for id, borrows := range tc.borrows {
+				deliver := func(Frame) {}
+				if !borrows {
+					deliver = func(f Frame) { kept = append(kept, f) }
+				}
+				m.Attach(BandUplink, &Listener{
+					Name: fmt.Sprintf("l%d", id), Position: fixed(geo.Pt(float64(id), 0)), Radius: 100, Static: true,
+					Borrows: borrows, Deliver: deliver,
+				})
+			}
+			for i := 0; i < 2*rounds; i++ {
+				m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte{byte(i), byte(i)})
+				clock.RunAll()
+			}
+			if len(kept) != 2*rounds {
+				t.Fatalf("%d frames retained, want %d", len(kept), 2*rounds)
+			}
+			for i, f := range kept { // the first eight have at least eight broadcasts behind them
+				if len(f.Data) != 2 || f.Data[0] != byte(i) || f.Data[1] != byte(i) {
+					t.Fatalf("frame kept from broadcast %d reads %v after %d later broadcasts: its buffer was reused under it", i, f.Data, 2*rounds-1-i)
+				}
+			}
+		})
 	}
 }
 
 // TestPeeledHandoffCarriesItsOwnBytesAndCount: under jitter a broadcast
 // is several hand-offs, one per distinct delay; each holds its own copy of
-// the bytes and counts its own copies, so they are recycled independently.
+// the bytes, and a recipient that keeps its frame (no Borrows) still reads
+// them after the hand-offs have been pooled and used again.
 func TestPeeledHandoffCarriesItsOwnBytesAndCount(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	m := NewMedium(clock, Params{DelayMin: time.Millisecond, DelayMax: time.Millisecond + 2, Seed: 9})
@@ -295,71 +297,30 @@ func TestPeeledHandoffCarriesItsOwnBytesAndCount(t *testing.T) {
 	}
 	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("peel"))
 	clock.RunAll()
-	copies := map[*handoff]int32{}
+	if len(kept) != 12 {
+		t.Fatalf("%d copies delivered, want 12", len(kept))
+	}
+	bufs, instants := map[*byte]bool{}, map[time.Time]bool{}
 	for _, f := range kept {
 		if string(f.Data) != "peel" {
 			t.Fatalf("copy carries %q", f.Data)
 		}
-		copies[f.h]++
+		bufs[&f.Data[0]], instants[f.At] = true, true
 	}
-	if len(copies) < 2 {
-		t.Fatalf("%d hand-offs for 12 jittered copies: the case is vacuous", len(copies))
+	if len(instants) < 2 {
+		t.Fatalf("%d hand-offs for 12 jittered copies: the case is vacuous", len(instants))
 	}
-	bufs := map[*byte]bool{}
-	for h, n := range copies {
-		bufs[&h.data[0]] = true
-		if got := h.refs.Load(); got != n {
-			t.Fatalf("hand-off with %d unreleased copies counts %d references", n, got)
-		}
+	if len(bufs) != len(instants) {
+		t.Fatalf("%d hand-offs share %d buffers", len(instants), len(bufs))
 	}
-	if len(bufs) != len(copies) {
-		t.Fatalf("%d hand-offs share %d buffers", len(copies), len(bufs))
+	for i := 0; i < 8; i++ {
+		m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("next"))
+		clock.RunAll()
 	}
-	// Releasing one hand-off's copies leaves the others' bytes alone.
-	first := kept[0].h
-	for i := range kept {
-		if kept[i].h == first {
-			kept[i].Release()
-		}
-	}
-	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("next"))
-	clock.RunAll()
 	for _, f := range kept[:12] {
-		if f.Data != nil && string(f.Data) != "peel" {
-			t.Fatalf("unreleased copy now reads %q", f.Data)
+		if string(f.Data) != "peel" {
+			t.Fatalf("kept copy now reads %q", f.Data)
 		}
-	}
-}
-
-// TestInlineReleaseDoesNotPoolARunningHandoff: recipients that release
-// inside Deliver have released every copy before run returns; the hand-off
-// must stay out of the pool until then, or the broadcast the last
-// recipient makes would draw it and rewrite the copies run is walking.
-func TestInlineReleaseDoesNotPoolARunningHandoff(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	m := NewMedium(clock, Params{})
-	var saw []string
-	var running *handoff
-	threeListeners(m, func(id int, f Frame) {
-		saw = append(saw, fmt.Sprintf("l%d:%s", id, f.Data))
-		h, first := f.h, string(f.Data) == "first"
-		f.Release()
-		if first && id == 2 {
-			running = h
-			if got := h.refs.Load(); got != 1 {
-				t.Errorf("running hand-off counts %d references after every copy was released, want 1", got)
-			}
-			m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("second"))
-		}
-	})
-	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("first"))
-	clock.RunAll()
-	want := []string{"l0:first", "l1:first", "l2:first", "l0:second", "l1:second", "l2:second"}
-	if !slices.Equal(saw, want) {
-		t.Fatalf("deliveries %v, want %v", saw, want)
-	}
-	if got := running.refs.Load(); got != 0 {
-		t.Fatalf("hand-off counts %d references after run returned, want 0", got)
 	}
 }
 
@@ -372,7 +333,7 @@ func TestBroadcastIsOneClockEvent(t *testing.T) {
 		for i := 0; i < k; i++ {
 			m.Attach(BandDownlink, &Listener{
 				Name: fmt.Sprintf("s%d", i), Position: fixed(geo.Pt(float64(i), 0)), Radius: 100, Static: true,
-				Deliver: func(f Frame) { f.Release() },
+				Borrows: true, Deliver: func(Frame) {},
 			})
 		}
 	}
@@ -418,21 +379,31 @@ func TestBroadcastIsOneClockEvent(t *testing.T) {
 	})
 }
 
-// TestBroadcastSteadyStateZeroAllocs: broadcast + fire + recipient
-// Release allocates nothing once the pools are warm — the handoff, its
-// copy slice, the leases and the clock event are all recycled — with and
-// without jitter.
+// TestBroadcastSteadyStateZeroAllocs: broadcast + fire to listeners that
+// borrow allocates nothing once the pools are warm — the handoff, its copy
+// slice, its bytes and the clock event are all recycled — with and without
+// jitter. One listener that does not borrow costs the broadcast's bytes,
+// which it may be holding, and nothing else.
 func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
 	}
-	for _, p := range []Params{{}, {DelayMin: time.Millisecond, DelayMax: time.Millisecond + 4, CorruptProb: 0.5}} {
+	for _, tc := range []struct {
+		name    string
+		p       Params
+		keepers int // listeners that leave Borrows unset
+		want    float64
+	}{
+		{"perfect channel", Params{}, 0, 0},
+		{"jitter and corruption", Params{DelayMin: time.Millisecond, DelayMax: time.Millisecond + 4, CorruptProb: 0.5}, 0, 0},
+		{"one non-borrower", Params{}, 1, 1},
+	} {
 		clock := sim.NewVirtualClock(epoch)
-		m := NewMedium(clock, p)
+		m := NewMedium(clock, tc.p)
 		for i := 0; i < 100; i++ {
 			m.Attach(BandDownlink, &Listener{
 				Name: "s", Position: fixed(geo.Pt(float64(i), 0)), Radius: 200, Static: true,
-				Deliver: func(f Frame) { f.Release() },
+				Borrows: i >= tc.keepers, Deliver: func(Frame) {},
 			})
 		}
 		payload := make([]byte, 24)
@@ -441,10 +412,10 @@ func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
 			clock.RunAll()
 		}
 		for i := 0; i < 32; i++ {
-			round() // warm the handoff, lease and event pools
+			round() // warm the handoff and event pools
 		}
-		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-			t.Errorf("params %+v: %.2f allocs per broadcast to 100 listeners, want 0", p, allocs)
+		if allocs := testing.AllocsPerRun(200, round); allocs != tc.want {
+			t.Errorf("%s: %.2f allocs per broadcast to 100 listeners, want %v", tc.name, allocs, tc.want)
 		}
 	}
 }
@@ -461,11 +432,11 @@ func TestConcurrentBroadcastsOnRealClock(t *testing.T) {
 	for i := 0; i < listeners; i++ {
 		m.Attach(BandUplink, &Listener{
 			Name: fmt.Sprintf("l%d", i), Position: fixed(geo.Pt(float64(i), 0)), Radius: 100, Static: true,
+			Borrows: true,
 			Deliver: func(f Frame) {
 				if len(f.Data) != 2 || f.Data[0] != f.Data[1] {
 					bad.Add(1)
 				}
-				f.Release()
 				arrived.Done()
 			},
 		})

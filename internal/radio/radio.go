@@ -32,7 +32,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/geo"
@@ -72,12 +71,10 @@ func (b Band) String() string {
 // recipient must not write into it (a corrupted copy carries private
 // bytes, since corruption is simulated per delivery).
 //
-// The buffer behind Data belongs to the pooled hand-off that delivered the
-// frame. A recipient that is done with the frame — including every byte
-// Data aliases — should call Release; the hand-off is recycled once every
-// copy it delivered has been released. A recipient that retains Data (or
-// hands it to code that does) must simply not call Release, and the
-// hand-off falls back to the garbage collector.
+// A recipient may keep Data for as long as it likes unless its Listener
+// set Borrows, in which case Data is the recipient's only until Deliver
+// returns: the buffer behind it belongs to the pooled hand-off that
+// delivered the frame and carries the next broadcast's bytes afterwards.
 type Frame struct {
 	Data []byte
 	From geo.Point // transmit position (ground truth; used only by the simulator)
@@ -87,26 +84,6 @@ type Frame struct {
 	// it saves every recipient the recomputation (receivers derive their
 	// RSSI proxy from it without a per-frame distance calculation).
 	DistSq float64
-
-	h   *handoff // the hand-off whose buffer Data aliases; nil once released
-	idx int32    // which of h's copies this frame is
-}
-
-// Release gives the frame's share of its hand-off's buffer back and nils
-// Data. It is idempotent, including across copies of the same delivered
-// Frame: Frames are passed and stored by value, so the release latch lives
-// on the hand-off, one per delivered copy. After Release every alias of
-// Data is invalid: callers must have dropped or copied anything they
-// intend to keep.
-func (f *Frame) Release() {
-	h := f.h
-	if h == nil {
-		return
-	}
-	f.h, f.Data = nil, nil
-	if !h.released[f.idx].Swap(true) {
-		h.unref()
-	}
 }
 
 // Listener is an attachment point on the medium: a reception zone plus a
@@ -134,6 +111,14 @@ type Listener struct {
 	// then re-reads Position on every broadcast on the band and
 	// re-buckets the listener when it has drifted.
 	Static bool
+	// Borrows promises that Deliver keeps nothing that aliases Frame.Data
+	// past its return: it decodes, copies or drops the bytes before then.
+	// A hand-off whose copies all went to borrowing listeners is recycled
+	// buffer and all, so delivery allocates nothing in steady state. Leave
+	// false for a Deliver that retains Data (or hands it to code that
+	// might): the frame's bytes then go to the garbage collector rather
+	// than back to the pool, and stay valid for as long as they are held.
+	Borrows bool
 }
 
 // Params configures medium impairments. The zero value is a perfect,
@@ -314,9 +299,10 @@ type delivery struct {
 // clock event that delivers the copies: they share a delay, so they arrive
 // at one instant and fire back-to-back in ascending listener id.
 //
-// It is also the lease on what the copies carry: the broadcast's bytes are
-// held once and every intact copy aliases them. The handoff returns to its
-// pool when run and every delivered Frame have let go of it.
+// It also holds what the copies carry: the broadcast's bytes once, aliased
+// by every intact copy, plus private bytes per corrupted copy. The handoff
+// returns to its pool when run returns — with those buffers only if every
+// recipient promised to have finished with them by then (Listener.Borrows).
 type handoff struct {
 	ids    []int
 	copies []delivery
@@ -324,10 +310,8 @@ type handoff struct {
 	from   geo.Point
 	fire   func()
 
-	data     []byte        // the broadcast's bytes
-	private  []byte        // the corrupted copies' bytes, len(data) each
-	released []atomic.Bool // one Release latch per copy
-	refs     atomic.Int32  // unreleased copies, plus one while run has not returned
+	data    []byte // the broadcast's bytes
+	private []byte // the corrupted copies' bytes, len(data) each
 }
 
 var handoffPool = sync.Pool{New: func() any { return new(handoff) }}
@@ -349,16 +333,9 @@ func (h *handoff) recycle() {
 	handoffPool.Put(h)
 }
 
-// unref drops one reference; the last one out recycles the handoff.
-func (h *handoff) unref() {
-	if h.refs.Add(-1) == 0 {
-		h.recycle()
-	}
-}
-
 // schedule loads the broadcast's bytes — once, plus a private flipped copy
-// per corrupted delivery — arms the release latches and hands the handoff
-// to the clock. The caller must not touch h afterwards.
+// per corrupted delivery — and hands the handoff to the clock. The caller
+// must not touch h afterwards.
 func (h *handoff) schedule(data []byte) {
 	h.data = append(h.data[:0], data...)
 	h.private = h.private[:0]
@@ -369,35 +346,31 @@ func (h *handoff) schedule(data []byte) {
 			h.private[c.private+c.flipPos] ^= c.flipBit
 		}
 	}
-	n := len(h.copies)
-	if cap(h.released) < n {
-		h.released = make([]atomic.Bool, n)
-	} else {
-		h.released = h.released[:n]
-		for i := range h.released {
-			h.released[i].Store(false)
-		}
-	}
-	h.refs.Store(int32(n) + 1)
 	h.m.sched(h.copies[0].delay, h.fire)
 }
 
-// run delivers the copies. A Deliver that broadcasts again draws another
-// handoff (run holds a reference on h until it returns, whatever the
-// recipients release meanwhile), which fires after h's other copies.
+// run delivers the copies and pools the handoff. A Deliver that broadcasts
+// again draws another handoff (h is not pooled until run returns), which
+// fires after h's other copies. A recipient that did not promise to borrow
+// may still hold the bytes, so they are left to the collector.
 func (h *handoff) run() {
 	m, at := h.m, h.m.clock.Now() // one instant: the copies share a delay
 	m.metrics.Deliveries.Add(int64(len(h.copies)))
 	n := len(h.data)
 	intact := h.data[:n:n] // capacity clipped: an append by a recipient cannot reach a sibling's bytes
-	for i, c := range h.copies {
+	borrowed := true
+	for _, c := range h.copies {
 		data := intact
 		if c.flipBit != 0 {
 			data = h.private[c.private : c.private+n : c.private+n]
 		}
-		c.l.Deliver(Frame{Data: data, From: h.from, At: at, DistSq: c.distSq, h: h, idx: int32(i)})
+		borrowed = borrowed && c.l.Borrows
+		c.l.Deliver(Frame{Data: data, From: h.from, At: at, DistSq: c.distSq})
 	}
-	h.unref()
+	if !borrowed {
+		h.data, h.private = nil, nil
+	}
+	h.recycle()
 }
 
 // Broadcast offers a frame to the medium from a transmit position with a
@@ -417,6 +390,7 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 	m.metrics.Broadcasts.Inc()
 	h := m.newHandoff(from)
 	jitter := m.params.DelayMax - m.params.DelayMin
+	impaired := m.params.LossProb > 0 || jitter > 0 || m.params.CorruptProb > 0
 
 	m.mu.Lock()
 	m.bcast++
@@ -454,7 +428,10 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 			continue
 		}
 		reached++
-		rng := newDeliveryRand(m.seed, m.bcast, e.id)
+		var rng deliveryRand
+		if impaired { // on a perfect channel nothing below draws from it
+			rng = newDeliveryRand(m.seed, m.bcast, e.id)
+		}
 		if m.params.LossProb > 0 && rng.float64() < m.params.LossProb {
 			m.metrics.Lost.Inc()
 			continue

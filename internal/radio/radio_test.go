@@ -249,49 +249,6 @@ func TestDeliveriesAreIndependentCopies(t *testing.T) {
 	}
 }
 
-// TestFrameRelease: releasing a delivered frame recycles its pooled
-// buffer (later deliveries may reuse it) without invalidating frames a
-// recipient chose to retain, and Release is idempotent.
-func TestFrameRelease(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	m := NewMedium(clock, Params{})
-	var kept []string
-	var frames []Frame
-	m.Attach(BandUplink, &Listener{
-		Name: "rx", Position: fixed(geo.Pt(0, 0)), Radius: 100,
-		Deliver: func(f Frame) {
-			kept = append(kept, string(f.Data)) // copy, then recycle
-			frames = append(frames, f)
-			f.Release()
-			f.Release()                     // idempotent on the same copy
-			frames[len(frames)-1].Release() // and across copies: the stored copy shares the lease
-			if f.Data != nil {
-				t.Error("Data not nilled by Release")
-			}
-		},
-	})
-	for i := 0; i < 10; i++ {
-		m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte{'0' + byte(i)})
-		clock.RunAll()
-	}
-	for i, k := range kept {
-		if want := string('0' + byte(i)); k != want {
-			t.Fatalf("frame %d = %q, want %q", i, k, want)
-		}
-	}
-	// Frames that were never released (e.g. a sensor retaining a downlink
-	// frame) must stay valid: the pool only reclaims on explicit Release.
-	var c collector
-	m.Attach(BandDownlink, &Listener{Name: "keep", Position: fixed(geo.Pt(0, 0)), Radius: 100, Deliver: c.deliver})
-	m.Broadcast(BandDownlink, geo.Pt(0, 0), 100, []byte("retained"))
-	clock.RunAll()
-	m.Broadcast(BandDownlink, geo.Pt(0, 0), 100, []byte("later-on!"))
-	clock.RunAll()
-	if string(c.frames[0].Data) != "retained" {
-		t.Fatalf("unreleased frame corrupted: %q", c.frames[0].Data)
-	}
-}
-
 func TestDetach(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	m := NewMedium(clock, Params{})

@@ -110,6 +110,9 @@ func (r *Receiver) Start() {
 		// reception zone once and never position-checks it again, so a
 		// dense array costs a broadcast only the receivers it reaches.
 		Static: true,
+		// onFrame decodes in place and the filter detaches what it accepts
+		// before the sink returns: nothing aliases the frame afterwards.
+		Borrows: true,
 	})
 }
 
@@ -126,12 +129,11 @@ func (r *Receiver) onFrame(f radio.Frame) {
 	// Borrow-mode decode: the payload aliases the frame buffer, so a
 	// duplicate that the filter drops is screened out without a single
 	// payload copy. The filter detaches the payload of accepted
-	// receptions before Ingest returns, which keeps the Release below —
-	// returning the leased buffer to the radio pool — sound.
+	// receptions before Ingest returns, which keeps the listener's
+	// Borrows promise — the medium reuses the buffer once we return.
 	var msg wire.Message
 	if _, err := wire.DecodeMessageBorrowed(f.Data, &msg); err != nil {
 		r.corrupt.Inc()
-		f.Release()
 		return
 	}
 	r.decoded.Inc()
@@ -147,7 +149,6 @@ func (r *Receiver) onFrame(f radio.Frame) {
 		At:       f.At,
 		Borrowed: true,
 	})
-	f.Release()
 }
 
 // rssi converts squared transmitter distance into the signal-strength

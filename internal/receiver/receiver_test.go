@@ -145,8 +145,8 @@ func TestReceiverRSSITracksPosition(t *testing.T) {
 }
 
 // TestReceiverBorrowedReception: receptions are flagged Borrowed and the
-// payload is intact for the duration of the sink call — the receiver
-// releases the frame buffer only after the sink returns.
+// payload is intact for the duration of the sink call — the medium reuses
+// the frame buffer only after onFrame, and so the sink, has returned.
 func TestReceiverBorrowedReception(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	medium := radio.NewMedium(clock, radio.Params{})

@@ -234,8 +234,13 @@ func (n *Node) ID() wire.SensorID { return n.cfg.ID }
 // Capabilities returns the node's capability set.
 func (n *Node) Capabilities() Capability { return n.cfg.Capabilities }
 
-// Position returns the node's current ground-truth position.
+// Position returns the node's current ground-truth position. A
+// field.Static node is where its configuration put it whatever the time,
+// so it is answered without reading the clock or taking posMu.
 func (n *Node) Position() geo.Point {
+	if s, ok := n.cfg.Mobility.(field.Static); ok {
+		return s.P
+	}
 	now := n.clock.Now()
 	n.posMu.Lock()
 	defer n.posMu.Unlock()
@@ -277,6 +282,7 @@ func (n *Node) Start() {
 			Radius:   n.cfg.RxRadius,
 			Deliver:  n.onDownlink,
 			Static:   static,
+			Borrows:  true, // DecodeControl copies every field out of the frame
 		})
 	}
 	if n.cfg.Relay.Enabled {
@@ -286,6 +292,7 @@ func (n *Node) Start() {
 			Radius:   n.cfg.Relay.ListenRadius,
 			Deliver:  n.onOverheard,
 			Static:   static,
+			Borrows:  true, // DecodeMessage copies the payload; the relay re-encodes what it sends
 		})
 	}
 }
@@ -406,9 +413,6 @@ func (n *Node) dieLocked() {
 
 // onDownlink processes a control frame heard on the downlink band.
 func (n *Node) onDownlink(f radio.Frame) {
-	// DecodeControl copies every field out of the frame, so its buffer goes
-	// back to the medium's pool on every path, addressed to us or not.
-	defer f.Release()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dead || !n.started {
@@ -548,10 +552,6 @@ func (n *Node) queueAckLocked(updateID uint16) {
 // that suppresses relay storms.
 func (n *Node) onOverheard(f radio.Frame) {
 	msg, _, err := wire.DecodeMessage(f.Data)
-	// DecodeMessage copied the payload and the relay re-encodes what it
-	// sends, so nothing aliases the frame's buffer past this point.
-	frameLen := len(f.Data)
-	f.Release()
 	if err != nil {
 		return // corrupt or foreign-format frame
 	}
@@ -569,7 +569,7 @@ func (n *Node) onOverheard(f radio.Frame) {
 		return
 	}
 	// Overhearing costs listening energy like any reception.
-	rxCost := n.cfg.Energy.RxPerByte * float64(frameLen)
+	rxCost := n.cfg.Energy.RxPerByte * float64(len(f.Data))
 	if n.cfg.Battery > 0 && n.energyUsed+rxCost > n.cfg.Battery {
 		n.dieLocked()
 		n.mu.Unlock()

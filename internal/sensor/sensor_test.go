@@ -674,10 +674,10 @@ func TestStaleControlIgnoredByIssueOrder(t *testing.T) {
 	}
 }
 
-// nowCounter counts Now calls on the clock a node was built with.
-// Node.Position reads the clock exactly once per call, so with the medium
-// on a clock of its own the count is the number of Position calls the
-// medium makes.
+// nowCounter counts Now calls on the clock a node was built with. A node
+// whose mobility is not field.Static reads the clock exactly once per
+// Position call, so with the medium on a clock of its own the count is the
+// number of Position calls the medium makes.
 type nowCounter struct {
 	sim.Clock
 	calls int
@@ -717,6 +717,11 @@ func TestStaticMobilityAttachesStaticListeners(t *testing.T) {
 			}
 			n.Start()
 			defer n.Stop()
+			// A field.Static node answers Position without reading the
+			// clock, which would hide a medium that polled it anyway: now
+			// that the listeners are attached, give every node a model
+			// whose Position calls the counter sees.
+			n.cfg.Mobility = field.Linear{Start: geo.Pt(0, 0), Epoch: epoch}
 			if got := medium.Listeners(radio.BandDownlink) + medium.Listeners(radio.BandUplink); got != 2 {
 				t.Fatalf("node attached %d listeners, want downlink + relay", got)
 			}
@@ -735,10 +740,46 @@ func TestStaticMobilityAttachesStaticListeners(t *testing.T) {
 	}
 }
 
+// TestStaticPositionDoesNotReadTheClock: where a field.Static node is does
+// not depend on when it is asked, so Position answers from the configured
+// point — no clock read (on the real clock that is a time.Now per
+// transmit), no lock. A model that moves still reads the clock once.
+func TestStaticPositionDoesNotReadTheClock(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mobility field.Mobility
+		perCall  int
+	}{
+		{"static", field.Static{P: geo.Pt(3, 4)}, 0},
+		{"linear", field.Linear{Start: geo.Pt(3, 4), Epoch: epoch}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := sim.NewVirtualClock(epoch)
+			clock := &nowCounter{Clock: base}
+			cfg := basicConfig(1)
+			cfg.Mobility = tc.mobility
+			n, err := New(clock, radio.NewMedium(base, radio.Params{}), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const calls = 10
+			for i := 0; i < calls; i++ {
+				if got := n.Position(); got != geo.Pt(3, 4) {
+					t.Fatalf("Position = %v, want (3,4)", got)
+				}
+			}
+			if got, want := clock.calls, calls*tc.perCall; got != want {
+				t.Fatalf("%d Position calls read the clock %d times, want %d", calls, got, want)
+			}
+		})
+	}
+}
+
 // TestDownlinkDeliveryRecyclesFrame: every sensor in range hears every
-// control frame, addressed to it or not, and hands its copy's buffer back
-// to the medium — at steady state a downlink broadcast allocates nothing,
-// where a sensor that kept its frames cost a lease and a buffer per copy.
+// control frame, addressed to it or not, and is done with its copy's bytes
+// when Deliver returns (the listener Borrows) — at steady state a downlink
+// broadcast allocates nothing, where a sensor that might keep its frames
+// costs the medium a buffer per broadcast.
 func TestDownlinkDeliveryRecyclesFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")

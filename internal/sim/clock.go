@@ -73,7 +73,9 @@ func (RealClock) AfterFunc(d time.Duration, f func()) Timer {
 // delay — goes on one process-wide FIFO drained by resident workers
 // instead: a timer and a goroutine per callback cost more than the
 // callback, and each new goroutine grows its stack from the minimum down
-// the whole delivery path, where a worker's stack is already grown.
+// the whole delivery path, where a resident worker's stack is already
+// grown — also for the next callback of a stream that leaves the queue
+// empty between two of them, because an idle worker parks and keeps it.
 func (RealClock) ScheduleFunc(d time.Duration, f func()) {
 	if d > 0 {
 		time.AfterFunc(d, f)
@@ -89,11 +91,14 @@ func (RealClock) ScheduleFunc(d time.Duration, f func()) {
 var handoffs = newExecutor(max(2, runtime.GOMAXPROCS(0)))
 
 // executor runs callbacks in the order they were scheduled on at most
-// bound worker goroutines. Workers are started on demand — by the first
-// callback, and by one that arrives while every live worker is busy — and
-// exit when they find the queue empty: nothing idles, so there is nothing
-// to close, and under load the workers stay resident and no goroutine is
-// started per callback.
+// bound worker goroutines. A worker is started only when a callback
+// arrives, none is parked and fewer than bound exist; one that finds the
+// queue empty parks on wake rather than exiting, so the next callback runs
+// on a stack that is already grown instead of on a new goroutine that
+// copies its stack on the way down. Parked workers are never reaped and
+// there is nothing to close: the one executor is process-wide, and a
+// parked worker costs its stack and no CPU. workers − idle is how many are
+// inside a callback or about to pop one.
 type executor struct {
 	bound int
 
@@ -101,17 +106,21 @@ type executor struct {
 	queue   []func() // ring: queued callbacks are queue[head], queue[head+1], … (mod len)
 	head    int
 	queued  int
-	workers int    // live drain goroutines; each is running a callback or about to pop one
-	worker  func() // drain, bound once: starting a worker allocates nothing
+	workers int           // drain goroutines, parked ones included; never falls
+	idle    int           // workers parked on wake, or about to be, with no token sent for them yet
+	wake    chan struct{} // one token per parked worker a schedule has claimed; capacity bound, so a send never blocks
+	worker  func()        // drain, bound once: starting a worker allocates nothing
 }
 
 func newExecutor(bound int) *executor {
-	e := &executor{bound: bound}
+	e := &executor{bound: bound, wake: make(chan struct{}, bound)}
 	e.worker = e.drain
 	return e
 }
 
-// schedule queues f behind everything already queued.
+// schedule queues f behind everything already queued, and makes sure a
+// worker will come for it: a parked one if there is one, else a new one if
+// the bound allows, else whichever running worker pops next.
 func (e *executor) schedule(f func()) {
 	e.mu.Lock()
 	if e.queued == len(e.queue) {
@@ -119,13 +128,20 @@ func (e *executor) schedule(f func()) {
 	}
 	e.queue[(e.head+e.queued)&(len(e.queue)-1)] = f
 	e.queued++
-	start := e.workers < e.bound
-	if start {
+	switch {
+	case e.idle > 0:
+		// Claimed under the lock: the worker counted itself idle before it
+		// let go of the lock, so whether or not it has reached the receive
+		// yet, the buffered token is there when it does.
+		e.idle--
+		e.mu.Unlock()
+		e.wake <- struct{}{}
+	case e.workers < e.bound:
 		e.workers++
-	}
-	e.mu.Unlock()
-	if start {
+		e.mu.Unlock()
 		go e.worker()
+	default:
+		e.mu.Unlock()
 	}
 }
 
@@ -138,15 +154,18 @@ func (e *executor) grow() {
 	e.queue, e.head = bigger, 0
 }
 
-// drain pops and runs callbacks — no lock held while one runs — until
-// the queue is empty.
+// drain pops and runs callbacks — no lock held while one runs — and parks
+// whenever the queue is empty. A token is for any parked worker, not for a
+// particular one, and the callback it was sent for may have been popped by
+// a worker that was still running, so a woken worker just looks again.
 func (e *executor) drain() {
 	for {
 		e.mu.Lock()
 		if e.queued == 0 {
-			e.workers--
+			e.idle++
 			e.mu.Unlock()
-			return
+			<-e.wake
+			continue
 		}
 		f := e.queue[e.head]
 		e.queue[e.head] = nil

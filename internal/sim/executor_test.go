@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,10 +77,9 @@ func TestExecutorRescheduleGoesBehindTheQueue(t *testing.T) {
 
 // TestExecutorLosesNothingWithinItsBound: 8 goroutines × 10 000 schedules
 // all run, on never more than bound workers, and once the queue has
-// drained no worker is left behind.
+// drained every worker there is is parked.
 func TestExecutorLosesNothingWithinItsBound(t *testing.T) {
 	const producers, each, bound = 8, 10000, 3
-	baseline := runtime.NumGoroutine()
 	e := newExecutor(bound)
 	var ran, running, peak atomic.Int64
 	var all sync.WaitGroup
@@ -113,21 +114,77 @@ func TestExecutorLosesNothingWithinItsBound(t *testing.T) {
 	if got := peak.Load(); got > bound {
 		t.Fatalf("%d callbacks ran at once on an executor bounded at %d", got, bound)
 	}
-	// Workers exit when they find the queue empty: nothing idles. Their
-	// exit is not an event a test can wait on, so poll briefly.
-	var workers, queued, goroutines int
-	idle := func() bool {
+	// Workers park when they find the queue empty. The last one's parking
+	// is not an event a test can wait on, so poll briefly.
+	var workers, idle, queued int
+	quiet := func() bool {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		workers, queued, goroutines = e.workers, e.queued, runtime.NumGoroutine()
-		return workers == 0 && queued == 0 && goroutines <= baseline
+		workers, idle, queued = e.workers, e.idle, e.queued
+		return idle == workers && workers <= bound && queued == 0
 	}
-	for deadline := time.Now().Add(10 * time.Second); !idle(); runtime.Gosched() {
+	for deadline := time.Now().Add(10 * time.Second); !quiet(); runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("drained executor counts %d workers and %d queued callbacks; %d goroutines, %d before it was used",
-				workers, queued, goroutines, baseline)
+			t.Fatalf("drained executor counts %d workers, %d of them idle, and %d queued callbacks; bound is %d",
+				workers, idle, queued, bound)
 		}
 	}
+}
+
+// goroutineID reads the calling goroutine's id off its stack header
+// ("goroutine 123 [running]:").
+func goroutineID() uint64 {
+	var buf [64]byte
+	header := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	id, _ := strconv.ParseUint(string(header[1]), 10, 64)
+	return id
+}
+
+// TestExecutorSerialHandoffsReuseWorkers: a stream of callbacks that each
+// find the queue empty — the unloaded case, one sample at a time — runs on
+// the same few resident goroutines, not on a new one per callback (whose
+// stack the runtime would grow from the minimum every time).
+func TestExecutorSerialHandoffsReuseWorkers(t *testing.T) {
+	const cycles, bound = 10000, 3
+	baseline := runtime.NumGoroutine()
+	e := newExecutor(bound)
+	ids := map[uint64]bool{} // written by one callback at a time: each cycle waits for its own
+	done := make(chan struct{}, 1)
+	f := func() { ids[goroutineID()] = true; done <- struct{}{} }
+	for i := 0; i < cycles; i++ {
+		e.schedule(f)
+		waitFor(t, done, "a callback scheduled on an idle executor")
+	}
+	if len(ids) > bound {
+		t.Fatalf("%d serial callbacks ran on %d different goroutines, want at most %d", cycles, len(ids), bound)
+	}
+	if got := runtime.NumGoroutine(); got > baseline+bound {
+		t.Fatalf("%d goroutines after %d serial callbacks, %d before: more than %d were left behind", got, cycles, baseline, bound)
+	}
+}
+
+// TestExecutorWakeIsNotLostToAParkingWorker: a worker counts itself idle
+// under the lock and blocks on the wake channel after letting go of it; a
+// schedule that lands in between must still get its callback run. One
+// worker, so nobody else can pick up a callback whose wake-up went
+// missing, and a producer that spins instead of sleeping, so its next
+// schedule lands wherever the worker happens to be on its way to parking.
+func TestExecutorWakeIsNotLostToAParkingWorker(t *testing.T) {
+	const n = 20000
+	e := newExecutor(1)
+	var ran atomic.Int64
+	f := func() { ran.Add(1) }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= n; i++ {
+			e.schedule(f)
+			for ran.Load() != i {
+				runtime.Gosched()
+			}
+		}
+	}()
+	waitFor(t, done, "a callback scheduled while the only worker was parking")
 }
 
 // TestRealClockZeroDelayRunsOffTheCallersStack: the caller may hold a lock
