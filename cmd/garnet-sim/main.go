@@ -155,8 +155,8 @@ func run() error {
 		lat := d.ActuationService().Latency()
 		fmt.Printf("            ack latency mean=%.1fms p95=%.1fms\n", lat.Mean(), lat.Percentile(95))
 	}
-	fmt.Printf("replicator  requests=%d targeted=%d flooded=%d broadcasts=%d\n",
-		s.Replicator.Requests, s.Replicator.Targeted, s.Replicator.Flooded, s.Replicator.Broadcasts)
+	fmt.Printf("replicator  requests=%d targeted=%d (paged=%d) flooded=%d broadcasts=%d\n",
+		s.Replicator.Requests, s.Replicator.Targeted, s.Replicator.Paged, s.Replicator.Flooded, s.Replicator.Broadcasts)
 	fmt.Printf("consumer    received=%d unique stream messages\n", all.Count())
 
 	var energy float64

@@ -292,9 +292,12 @@ func WithFloodingReplicator() Option {
 	return func(cfg *core.Config) { cfg.Replicator.Targeted = false }
 }
 
-// WithTargetedReplicator enables location-targeted actuation with the
-// given uncertainty margin (the default behaviour; margin 0 keeps the
-// default 1.5).
+// WithTargetedReplicator enables location-targeted actuation (the default
+// behaviour). A located sensor is paged from the one transmitter whose
+// coverage contains the receiver zone it was last heard best in; margin
+// inflates only the fall-back used when no transmitter contains that zone
+// — every transmitter intersecting the estimate's uncertainty disc, scaled
+// by margin (0 keeps the default 1.5).
 func WithTargetedReplicator(margin float64) Option {
 	return func(cfg *core.Config) {
 		cfg.Replicator.Targeted = true

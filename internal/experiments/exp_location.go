@@ -190,7 +190,7 @@ func runE6(cfg Config) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"5 transmitter sites cover a 1000 m strip; targeted mode broadcasts only from sites overlapping the expected location area",
+		"5 transmitter sites cover a 1000 m strip; targeted mode broadcasts from the one site whose coverage contains the receiver zone the sensor was last heard best in (fall-back when no site contains it: every site overlapping the expected location area)",
 		"flooding uses every site for every request — the transmission cost inferred location exists to avoid")
 	return t, nil
 }

@@ -77,6 +77,14 @@ type Estimate struct {
 	Source      Source
 	Receivers   int // distinct receivers contributing
 	Hints       int // unexpired hints contributing
+	// Heard is the zone — registered position and radius — of the receiver
+	// whose in-window observation weighs most (RSSI × freshness; ties go to
+	// the first in receiver-name order). It is a zone, not a position: the
+	// hard fact behind the estimate is that this receiver heard the sensor,
+	// so the sensor was inside this circle, wherever the centroid falls. Zero
+	// when only hints contribute. It is not part of the encoded stream
+	// payload (EncodeEstimate), so a decoded estimate never carries one.
+	Heard geo.Circle
 }
 
 // Options configures the Service. The zero value uses the defaults.
@@ -300,7 +308,8 @@ func (s *Service) locateLocked(sh *shard, sensor wire.SensorID) (Estimate, error
 	// track's own order carries no meaning, so it is sorted where it lies).
 	slices.SortFunc(tr.obs, func(a, b observation) int { return strings.Compare(sites[a.rx].name, sites[b.rx].name) })
 	pts, wts := sh.pts[:0], sh.wts[:0]
-	var radiusWt, totalW float64
+	var radiusWt, totalW, heardW float64
+	var heard geo.Circle
 	for _, o := range tr.obs {
 		if o.at < nowNs-window {
 			continue
@@ -314,12 +323,15 @@ func (s *Service) locateLocked(sh *shard, sensor wire.SensorID) (Estimate, error
 		wts = append(wts, w)
 		radiusWt += site.radius * w
 		totalW += w
+		if w > heardW {
+			heardW, heard = w, geo.Circle{Center: site.pos, R: site.radius}
+		}
 	}
 	sh.pts, sh.wts = pts, wts
 
 	tr.hints = liveHints(tr.hints, now)
 
-	est := Estimate{Sensor: sensor, At: now, Receivers: len(pts), Hints: len(tr.hints)}
+	est := Estimate{Sensor: sensor, At: now, Receivers: len(pts), Hints: len(tr.hints), Heard: heard}
 	// WeightedCentroid refuses an empty set, so a source with nothing fresh
 	// contributes no estimate.
 	var inferred *Estimate
@@ -447,7 +459,7 @@ func EncodeEstimate(e Estimate) []byte {
 }
 
 // DecodeEstimate parses a payload produced by EncodeEstimate. The Sensor,
-// Source, Receivers and Hints fields are not carried on the wire.
+// Source, Receivers, Hints and Heard fields are not carried on the wire.
 func DecodeEstimate(payload []byte) (Estimate, error) {
 	if len(payload) < EstimatePayloadSize {
 		return Estimate{}, fmt.Errorf("%w: %d bytes", ErrEstimateFormat, len(payload))

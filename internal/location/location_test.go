@@ -726,3 +726,98 @@ func TestEstimateSumsInReceiverNameOrder(t *testing.T) {
 		t.Fatalf("Pos = %v (%v), want the name-order sum %v", est.Pos, err, want)
 	}
 }
+
+// TestLocateReportsStrongestFreshReceiverZone pins Estimate.Heard: the zone
+// of the receiver whose in-window observation weighs most (RSSI ×
+// freshness), first in receiver-name order on a tie, never one aged out of
+// ObservationWindow, and zero when only hints contribute.
+func TestLocateReportsStrongestFreshReceiverZone(t *testing.T) {
+	zone := func(x, y float64) geo.Circle { return geo.Circle{Center: geo.Pt(x, y), R: 100} }
+	locate := func(t *testing.T, s *Service) Estimate {
+		t.Helper()
+		est, err := s.Locate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	observe := func(t *testing.T, s *Service, rx string, rssi float64, at time.Time) {
+		t.Helper()
+		if err := s.ObserveReception(obs(1, rx, rssi, at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("strongest wins", func(t *testing.T) {
+		clock := sim.NewVirtualClock(epoch)
+		s := newService(clock)
+		observe(t, s, "rx-a", 0.3, epoch)
+		observe(t, s, "rx-c", 0.9, epoch)
+		observe(t, s, "rx-b", 0.5, epoch)
+		if got := locate(t, s).Heard; got != zone(50, 100) {
+			t.Fatalf("Heard = %+v, want rx-c's zone", got)
+		}
+	})
+	t.Run("tie goes to the first receiver name", func(t *testing.T) {
+		clock := sim.NewVirtualClock(epoch)
+		s := newService(clock)
+		observe(t, s, "rx-c", 0.6, epoch)
+		observe(t, s, "rx-b", 0.6, epoch)
+		if got := locate(t, s).Heard; got != zone(100, 0) {
+			t.Fatalf("Heard = %+v, want rx-b's zone", got)
+		}
+	})
+	t.Run("freshness weighs in", func(t *testing.T) {
+		clock := sim.NewVirtualClock(epoch)
+		s := newService(clock)
+		observe(t, s, "rx-a", 0.9, epoch) // 0.9 × 0.2 once 8 s old
+		clock.Advance(8 * time.Second)
+		observe(t, s, "rx-b", 0.4, clock.Now()) // 0.4 × 1
+		if got := locate(t, s).Heard; got != zone(100, 0) {
+			t.Fatalf("Heard = %+v, want the fresher rx-b's zone", got)
+		}
+	})
+	t.Run("aged out cannot be heard", func(t *testing.T) {
+		clock := sim.NewVirtualClock(epoch)
+		s := newService(clock)
+		observe(t, s, "rx-a", 1.0, epoch)
+		clock.Advance(11 * time.Second) // past the 10 s window
+		observe(t, s, "rx-c", 0.1, clock.Now())
+		est := locate(t, s)
+		if est.Receivers != 1 || est.Heard != zone(50, 100) {
+			t.Fatalf("est = %+v, want only rx-c contributing and heard", est)
+		}
+	})
+	t.Run("hint only is zero", func(t *testing.T) {
+		clock := sim.NewVirtualClock(epoch)
+		s := newService(clock)
+		if err := s.AddHint(1, geo.Pt(10, 10), 0.9, time.Minute, "scout"); err != nil {
+			t.Fatal(err)
+		}
+		est := locate(t, s)
+		if est.Source != SourceHint || est.Heard != (geo.Circle{}) {
+			t.Fatalf("est = %+v, want a hint-only estimate with no heard zone", est)
+		}
+		// An observation that has aged out leaves the hint on its own again.
+		observe(t, s, "rx-a", 1.0, epoch)
+		if got := locate(t, s); got.Source != SourceMerged || got.Heard != zone(0, 0) {
+			t.Fatalf("merged est = %+v, want rx-a's zone", got)
+		}
+		clock.Advance(11 * time.Second)
+		if got := locate(t, s); got.Source != SourceHint || got.Heard != (geo.Circle{}) {
+			t.Fatalf("est = %+v, want hint-only again", got)
+		}
+	})
+	t.Run("not in the encoded stream", func(t *testing.T) {
+		clock := sim.NewVirtualClock(epoch)
+		s := newService(clock)
+		observe(t, s, "rx-a", 0.5, epoch)
+		payload := EncodeEstimate(locate(t, s))
+		if len(payload) != EstimatePayloadSize {
+			t.Fatalf("payload is %d bytes, want %d", len(payload), EstimatePayloadSize)
+		}
+		if dec, err := DecodeEstimate(payload); err != nil || dec.Heard != (geo.Circle{}) {
+			t.Fatalf("decoded %+v, err %v: want no heard zone", dec, err)
+		}
+	})
+}

@@ -18,6 +18,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 	"sync"
@@ -95,8 +96,9 @@ var (
 
 // Registry issues and verifies consumer credentials.
 type Registry struct {
-	secret []byte
-	clock  sim.Clock
+	secret  []byte
+	clock   sim.Clock
+	signers sync.Pool // of *signer, keyed with secret
 
 	mu     sync.Mutex
 	byName map[string]Identity
@@ -110,11 +112,22 @@ func New(secret []byte, clock sim.Clock) *Registry {
 	}
 	cp := make([]byte, len(secret))
 	copy(cp, secret)
-	return &Registry{
+	r := &Registry{
 		secret: cp,
 		clock:  clock,
 		byName: make(map[string]Identity),
 	}
+	r.signers.New = func() any { return &signer{mac: hmac.New(sha256.New, r.secret)} }
+	return r
+}
+
+// signer is a keyed HMAC-SHA256 and the buffer one signature needs. It is
+// pooled so that signing pays neither the key schedule nor an allocation:
+// hash.Hash takes and returns byte slices through an interface, which would
+// otherwise put the staged body and the sum on the heap per call.
+type signer struct {
+	mac hash.Hash
+	buf [64]byte // stages the string being signed, a block at a time; then receives the sum
 }
 
 // Register adds a consumer and returns its bearer token. The HMAC is
@@ -139,7 +152,7 @@ func (r *Registry) Register(name string, perms Permission) (Token, error) {
 func (r *Registry) mint(name string, perms Permission) Token {
 	body := encodeBody(name, perms)
 	mac := r.sign(body)
-	return Token(body + "." + base64.RawURLEncoding.EncodeToString(mac))
+	return Token(body + "." + base64.RawURLEncoding.EncodeToString(mac[:]))
 }
 
 func encodeBody(name string, perms Permission) string {
@@ -147,45 +160,87 @@ func encodeBody(name string, perms Permission) string {
 		base64.RawURLEncoding.EncodeToString([]byte{byte(perms)})
 }
 
-func (r *Registry) sign(body string) []byte {
-	h := hmac.New(sha256.New, r.secret)
-	h.Write([]byte(body))
-	return h.Sum(nil)
+func (r *Registry) sign(body string) [sha256.Size]byte {
+	s := r.signers.Get().(*signer)
+	s.mac.Reset()
+	for len(body) > 0 {
+		n := copy(s.buf[:], body)
+		s.mac.Write(s.buf[:n])
+		body = body[n:]
+	}
+	sum := [sha256.Size]byte(s.mac.Sum(s.buf[:0]))
+	r.signers.Put(s)
+	return sum
 }
+
+// Token segment sizes: "<name>.<perms>.<mac>", each unpadded URL-safe base64.
+const (
+	permsSegLen = 2  // one permission byte
+	macSegLen   = 43 // one SHA-256 sum
+)
 
 // Authenticate verifies a token and returns the live identity. It fails
 // when the token is malformed or forged, the consumer was never
 // registered, it was revoked, or its permissions changed since minting.
+//
+// Nothing is cached: every call computes the MAC over the body the token
+// presents and compares all of it in constant time before any of that body
+// is decoded, let alone trusted. The token is parsed where it lies — the two
+// dots found by index, the body MACed as a prefix of the token, the segments
+// decoded into stack buffers — so a successful call allocates nothing.
 //
 // The HMAC verification runs before the registry lock is taken (the
 // signing secret is immutable), so concurrent authentications — every
 // privileged facade call makes one — only serialise on the short
 // identity-map lookup, not on the crypto.
 func (r *Registry) Authenticate(tok Token) (Identity, error) {
-	parts := strings.Split(string(tok), ".")
-	if len(parts) != 3 {
+	t := string(tok)
+	// Exactly three segments: <name> . <perms> . <mac>.
+	dot1 := strings.IndexByte(t, '.')
+	dot2 := strings.LastIndexByte(t, '.')
+	if dot1 < 0 || dot2 == dot1 || strings.IndexByte(t[dot1+1:dot2], '.') >= 0 {
 		return Identity{}, ErrBadToken
 	}
-	body := parts[0] + "." + parts[1]
-	mac, err := base64.RawURLEncoding.DecodeString(parts[2])
-	if err != nil || !hmac.Equal(mac, r.sign(body)) {
+	nameSeg, permsSeg, macSeg := t[:dot1], t[dot1+1:dot2], t[dot2+1:]
+	if len(permsSeg) != permsSegLen || len(macSeg) != macSegLen {
 		return Identity{}, ErrBadToken
 	}
-	nameRaw, err := base64.RawURLEncoding.DecodeString(parts[0])
+
+	// Decode takes bytes and the token is a string: each segment is staged
+	// through stage on its way to its own buffer.
+	var stage [128]byte
+	var mac [sha256.Size]byte
+	if n, err := decodeSegment(mac[:], stage[:], macSeg); err != nil || n != len(mac) {
+		return Identity{}, ErrBadToken
+	}
+	want := r.sign(t[:dot2])
+	if !hmac.Equal(mac[:], want[:]) {
+		return Identity{}, ErrBadToken
+	}
+
+	var permRaw [1]byte
+	if n, err := decodeSegment(permRaw[:], stage[:], permsSeg); err != nil || n != 1 {
+		return Identity{}, ErrBadToken
+	}
+	// Names are short; one that outgrows the stack buffers is decoded on the
+	// heap rather than refused.
+	var nameRaw [96]byte // what a full stage decodes to
+	src, name := stage[:], nameRaw[:]
+	if len(nameSeg) > len(stage) {
+		src = make([]byte, len(nameSeg))
+		name = make([]byte, base64.RawURLEncoding.DecodedLen(len(nameSeg)))
+	}
+	n, err := decodeSegment(name, src, nameSeg)
 	if err != nil {
 		return Identity{}, ErrBadToken
 	}
-	permRaw, err := base64.RawURLEncoding.DecodeString(parts[1])
-	if err != nil || len(permRaw) != 1 {
-		return Identity{}, ErrBadToken
-	}
-	name, perms := string(nameRaw), Permission(permRaw[0])
+	name, perms := name[:n], Permission(permRaw[0])
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id, ok := r.byName[name]
+	id, ok := r.byName[string(name)]
 	if !ok {
-		return Identity{}, fmt.Errorf("%w: %q", ErrRevoked, name)
+		return Identity{}, fmt.Errorf("%w: %q", ErrRevoked, string(name))
 	}
 	if id.Permissions != perms {
 		// Permissions were changed after this token was minted; force
@@ -193,6 +248,12 @@ func (r *Registry) Authenticate(tok Token) (Identity, error) {
 		return Identity{}, ErrBadToken
 	}
 	return id, nil
+}
+
+// decodeSegment decodes one token segment into dst, copying it through
+// stage, which must be at least as long as the segment.
+func decodeSegment(dst, stage []byte, seg string) (int, error) {
+	return base64.RawURLEncoding.Decode(dst, stage[:copy(stage, seg)])
 }
 
 // Require authenticates tok and verifies it grants every permission in

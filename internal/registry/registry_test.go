@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,6 +153,131 @@ func TestRequire(t *testing.T) {
 	if _, err := r.Require(tok, PermTrusted); !errors.Is(err, ErrPermission) {
 		t.Fatalf("Require(trusted) = %v, want ErrPermission", err)
 	}
+}
+
+// TestRequireDoesNotAllocate pins the verification hot path: every
+// privileged facade call makes one, so the keyed hasher is pooled and the
+// token is parsed in place. The bound of 2 leaves room for the identity's
+// name; today the path allocates nothing.
+func TestRequireDoesNotAllocate(t *testing.T) {
+	r := newRegistry()
+	tok, err := r.Register("actuator-3", PermActuate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := r.Require(tok, PermActuate); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Require allocates %v times per call, want <= 2", allocs)
+	}
+}
+
+// TestMalformedTokenShapesRejected feeds the in-place parser every shape
+// the strings.Split + DecodeString parse it replaced turned away: too few
+// or too many dots, segments cut short, stretched or emptied, and bytes
+// outside the alphabet — each built from a genuine token, so only the
+// shape is wrong.
+func TestMalformedTokenShapesRejected(t *testing.T) {
+	r := newRegistry()
+	tok, err := r.Register("app", PermSubscribe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := strings.Split(string(tok), ".")
+	name, perms, mac := parts[0], parts[1], parts[2]
+	join := func(segs ...string) Token { return Token(strings.Join(segs, ".")) }
+	tests := []struct {
+		name string
+		tok  Token
+	}{
+		{"no dots", Token(name + perms + mac)},
+		{"first dot missing", Token(name + perms + "." + mac)},
+		{"second dot missing", Token(name + "." + perms + mac)},
+		{"only dots", Token("..")},
+		{"one dot only", Token(".")},
+		{"fourth segment", join(name, perms, mac, mac)},
+		{"leading dot", Token("." + string(tok))},
+		{"trailing dot", Token(string(tok) + ".")},
+		{"truncated by one", tok[:len(tok)-1]},
+		{"truncated to half the mac", tok[:len(tok)-len(mac)/2]},
+		{"truncated to the body", join(name, perms, "")},
+		{"truncated before perms", join(name, "", mac)},
+		{"empty name", join("", perms, mac)},
+		{"mac one char long", join(name, perms, mac+"A")},
+		{"mac doubled", join(name, perms, mac+mac)},
+		{"mac padded", join(name, perms, mac+"=")},
+		{"mac with newline inside", join(name, perms, mac[:10]+"\n"+mac[11:])},
+		{"mac outside alphabet", join(name, perms, "!"+mac[1:])},
+		{"mac in std alphabet", join(name, perms, strings.Repeat("+", len(mac)))},
+		{"perms one char", join(name, perms[:1], mac)},
+		{"perms three chars", join(name, perms+"A", mac)},
+		{"perms padded", join(name, perms+"==", mac)},
+		{"perms outside alphabet", join(name, "!!", mac)},
+		{"name stretched", join(name+"A", perms, mac)},
+		{"name oversized", join(strings.Repeat(name, 200), perms, mac)},
+		{"name outside alphabet", join(name[:1]+"!"+name[2:], perms, mac)},
+		{"everything oversized", join(strings.Repeat("A", 4096), strings.Repeat("A", 4096), strings.Repeat("A", 4096))},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := r.Authenticate(tt.tok); !errors.Is(err, ErrBadToken) {
+				t.Errorf("err = %v, want ErrBadToken", err)
+			}
+		})
+	}
+}
+
+// TestLongNameAuthenticates covers the heap fall-back for a name too long
+// for the stack buffers.
+func TestLongNameAuthenticates(t *testing.T) {
+	r := newRegistry()
+	for _, n := range []int{95, 96, 97, 128, 1000} {
+		name := strings.Repeat("n", n)
+		tok, err := r.Register(name, PermHint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, err := r.Require(tok, PermHint); err != nil || id.Name != name {
+			t.Fatalf("%d-byte name: id %q, err %v", n, id.Name, err)
+		}
+	}
+}
+
+// TestConcurrentAuthenticate shares the pooled keyed hashers between
+// goroutines verifying different tokens, good and forged: each must get its
+// own identity back and every forgery must be refused. Run under -race.
+func TestConcurrentAuthenticate(t *testing.T) {
+	r := newRegistry()
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		name := "app-" + strconv.Itoa(w) + strings.Repeat("x", 20*w) // bodies of 1..4 hash blocks
+		tok, err := r.Register(name, PermSubscribe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The name's last character, not the MAC's: the final base64 digit of
+		// a 32-byte sum carries two bits the decoder ignores.
+		forged := Token(strings.Replace(string(tok), ".", "A.", 1))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if id, err := r.Authenticate(tok); err != nil || id.Name != name {
+					t.Errorf("Authenticate(%q) = %q, %v", name, id.Name, err)
+					return
+				}
+				if _, err := r.Authenticate(forged); !errors.Is(err, ErrBadToken) {
+					t.Errorf("forged token for %q: err = %v, want ErrBadToken", name, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLookupAndIdentities(t *testing.T) {

@@ -208,12 +208,15 @@ func TestTransmitterValidation(t *testing.T) {
 }
 
 // TestTargetedSelectionEqualsBruteForceProperty pins the grid-backed
-// transmitter selection to the definition it replaced: the set of
-// transmitters whose coverage intersects the inflated estimate circle,
-// over random layouts and estimates.
+// transmitter selection to its definition, by brute force over random
+// layouts (mixed ranges, nothing co-located), estimates and heard zones:
+// the nearest transmitter whose circle contains the heard zone, else every
+// transmitter whose coverage intersects the inflated estimate circle, else
+// all of them.
 func TestTargetedSelectionEqualsBruteForceProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2003, 523))
-	for trial := 0; trial < 50; trial++ {
+	paged, area, flooded := 0, 0, 0
+	for trial := 0; trial < 200; trial++ {
 		clock := sim.NewVirtualClock(epoch)
 		medium := radio.NewMedium(clock, radio.Params{})
 		n := 1 + rng.IntN(24)
@@ -231,6 +234,22 @@ func TestTargetedSelectionEqualsBruteForceProperty(t *testing.T) {
 			Uncertainty: rng.Float64() * 400,
 			Confidence:  1,
 		}
+		// Two trials in three draw a heard zone: anywhere in the field, or
+		// near a transmitter so that containment is common; radii from well
+		// inside a coverage circle to larger than any.
+		switch rng.IntN(3) {
+		case 1:
+			est.Heard = geo.Circle{
+				Center: geo.Pt(rng.Float64()*4000-2000, rng.Float64()*4000-2000),
+				R:      1 + rng.Float64()*600,
+			}
+		case 2:
+			near := txs[rng.IntN(n)].Coverage()
+			est.Heard = geo.Circle{
+				Center: near.Center.Add(geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100)),
+				R:      1 + rng.Float64()*near.R,
+			}
+		}
 		loc := &fakeLocator{estimates: map[wire.SensorID]location.Estimate{42: est}}
 		const margin = 1.5
 		r := New(loc, Options{Targeted: true, Margin: margin})
@@ -238,34 +257,176 @@ func TestTargetedSelectionEqualsBruteForceProperty(t *testing.T) {
 			r.AddTransmitter(tx)
 		}
 
-		area := geo.Circle{Center: est.Pos, R: est.Uncertainty*margin + 1}
-		want := 0
-		for _, tx := range txs {
-			if tx.Coverage().IntersectsCircle(area) {
-				want++
+		want := make([]bool, n)
+		wantPaged := int64(0)
+		if est.Heard.R > 0 {
+			best, bestDist := -1, 0.0
+			for i, tx := range txs {
+				cov := tx.Coverage()
+				d := cov.Center.Dist(est.Heard.Center)
+				if d+est.Heard.R <= cov.R && (best < 0 || d < bestDist) {
+					best, bestDist = i, d
+				}
+			}
+			if best >= 0 {
+				want[best], wantPaged = true, 1
+				paged++
 			}
 		}
-		if want == 0 {
-			want = n // estimate outside all coverage: fallback flood
+		if wantPaged == 0 {
+			inflated := geo.Circle{Center: est.Pos, R: est.Uncertainty*margin + 1}
+			any := false
+			for i, tx := range txs {
+				want[i] = tx.Coverage().IntersectsCircle(inflated)
+				any = any || want[i]
+			}
+			if any {
+				area++
+			} else {
+				flooded++
+				for i := range want {
+					want[i] = true // estimate outside all coverage: fallback flood
+				}
+			}
 		}
+		wantN := 0
+		for _, w := range want {
+			if w {
+				wantN++
+			}
+		}
+
 		got, err := r.Send(ctrl(42))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trial %d: selected %d transmitters, brute force wants %d", trial, got, want)
+		if got != wantN {
+			t.Fatalf("trial %d: selected %d transmitters, brute force wants %d (est %+v)", trial, got, wantN, est)
+		}
+		if st := r.Stats(); st.Paged != wantPaged || st.Broadcasts != int64(wantN) {
+			t.Fatalf("trial %d: stats %+v, want Paged %d Broadcasts %d", trial, st, wantPaged, wantN)
 		}
 		// Per-transmitter broadcast counts confirm the *same* subset was
 		// chosen, not just the same count.
-		for _, tx := range txs {
-			covers := tx.Coverage().IntersectsCircle(area)
-			st := tx.Stats()
-			switch {
-			case covers && st.Broadcasts != 1:
-				t.Fatalf("trial %d: covering %s broadcast %d times, want 1", trial, tx.Name(), st.Broadcasts)
-			case !covers && want != n && st.Broadcasts != 0:
-				t.Fatalf("trial %d: non-covering %s broadcast %d times, want 0", trial, tx.Name(), st.Broadcasts)
+		for i, tx := range txs {
+			if st := tx.Stats(); (st.Broadcasts == 1) != want[i] || st.Broadcasts > 1 {
+				t.Fatalf("trial %d: %s broadcast %d times, selected = %v (est %+v)", trial, tx.Name(), st.Broadcasts, want[i], est)
 			}
+		}
+	}
+	// The draw must actually reach every rung of the ladder.
+	if paged < 20 || area < 20 || flooded < 5 {
+		t.Fatalf("rungs exercised: paged %d, expected-area %d, flooded %d", paged, area, flooded)
+	}
+}
+
+// colocated attaches to a targeted replicator three transmitters of equal
+// range at the sites of rig, and returns a locator to aim it with.
+func colocated(t *testing.T) (*Replicator, *fakeLocator, []*transmit.Transmitter) {
+	t.Helper()
+	_, _, txs := rig(t)
+	loc := &fakeLocator{estimates: map[wire.SensorID]location.Estimate{}}
+	r := New(loc, Options{Targeted: true})
+	for _, tx := range txs {
+		r.AddTransmitter(tx)
+	}
+	return r, loc, txs
+}
+
+// TestPagedUsesOneTransmitter: receivers co-located with transmitters of
+// the same radius. The sensor was heard in tx-b's cell, so tx-b alone
+// answers — although the inflated estimate circle brushes all three.
+func TestPagedUsesOneTransmitter(t *testing.T) {
+	r, loc, txs := colocated(t)
+	loc.estimates[42] = location.Estimate{
+		Sensor: 42, Pos: geo.Pt(1000, 0), Uncertainty: 500, Confidence: 0.7,
+		Heard: geo.Circle{Center: geo.Pt(1000, 0), R: 400},
+	}
+	n, err := r.Send(ctrl(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("used %d transmitters, want 1 (paged)", n)
+	}
+	if st := r.Stats(); st.Paged != 1 || st.Targeted != 1 || st.Flooded != 0 || st.Broadcasts != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	for i, want := range []int64{0, 1, 0} {
+		if got := txs[i].Stats().Broadcasts; got != want {
+			t.Fatalf("%s broadcast %d times, want %d", txs[i].Name(), got, want)
+		}
+	}
+}
+
+// TestPagedPicksNearestContainingTransmitter: several transmitters contain
+// the heard zone; the nearest answers, the lowest attach index on a tie.
+func TestPagedPicksNearestContainingTransmitter(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	medium := radio.NewMedium(clock, radio.Params{})
+	mk := func(name string, x, rng float64) *transmit.Transmitter {
+		return transmit.New(medium, transmit.Config{Name: name, Position: geo.Pt(x, 0), Range: rng})
+	}
+	// far contains the zone from 300 m away; the twins tie at 100 m either
+	// side; small is nearest of all but does not contain it.
+	txs := []*transmit.Transmitter{mk("far", 300, 1000), mk("twin-east", 100, 400), mk("twin-west", -100, 400), mk("small", 10, 150)}
+	loc := &fakeLocator{estimates: map[wire.SensorID]location.Estimate{
+		42: {Sensor: 42, Pos: geo.Pt(0, 0), Uncertainty: 50, Heard: geo.Circle{Center: geo.Pt(0, 0), R: 200}},
+	}}
+	r := New(loc, Options{Targeted: true})
+	for _, tx := range txs {
+		r.AddTransmitter(tx)
+	}
+	if n, err := r.Send(ctrl(42)); err != nil || n != 1 {
+		t.Fatalf("Send = %d, %v; want 1 transmitter", n, err)
+	}
+	for i, want := range []int64{0, 1, 0, 0} {
+		if got := txs[i].Stats().Broadcasts; got != want {
+			t.Fatalf("%s broadcast %d times, want %d", txs[i].Name(), got, want)
+		}
+	}
+}
+
+// TestHeardZoneLargerThanAnyCoverageFallsBack: no transmitter can promise
+// to reach every point of a 600 m zone with a 400 m range, so the
+// expected-area rule decides, exactly as in TestUncertaintyWidensSelection.
+func TestHeardZoneLargerThanAnyCoverageFallsBack(t *testing.T) {
+	r, loc, _ := colocated(t)
+	loc.estimates[42] = location.Estimate{
+		Sensor: 42, Pos: geo.Pt(500, 0), Uncertainty: 300, Confidence: 0.3,
+		Heard: geo.Circle{Center: geo.Pt(0, 0), R: 600},
+	}
+	n, err := r.Send(ctrl(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("used %d transmitters, want 2 (expected area)", n)
+	}
+	if st := r.Stats(); st.Paged != 0 || st.Targeted != 1 || st.Broadcasts != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestHintOnlyEstimateFallsBack: an estimate built from hints alone names
+// no heard zone, and a zone heard outside all coverage names no
+// transmitter; both take the expected-area rule.
+func TestHintOnlyEstimateFallsBack(t *testing.T) {
+	for _, heard := range []geo.Circle{{}, {Center: geo.Pt(0, 50_000), R: 100}} {
+		r, loc, txs := colocated(t)
+		loc.estimates[42] = location.Estimate{
+			Sensor: 42, Pos: geo.Pt(0, 100), Uncertainty: 50, Confidence: 0.8,
+			Source: location.SourceHint, Hints: 1, Heard: heard,
+		}
+		n, err := r.Send(ctrl(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 || txs[0].Stats().Broadcasts != 1 {
+			t.Fatalf("heard %+v: used %d transmitters, want tx-a alone (expected area)", heard, n)
+		}
+		if st := r.Stats(); st.Paged != 0 || st.Targeted != 1 {
+			t.Fatalf("heard %+v: stats = %+v", heard, st)
 		}
 	}
 }
