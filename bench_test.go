@@ -1,8 +1,7 @@
-// Benchmarks regenerating every paper artifact (see DESIGN.md §2): one
-// testing.B target per figure/claim table, each executing the same code
-// path as `garnet-bench -experiment <id>`, plus micro-benchmarks for the
-// hot paths (wire codec, duplicate filter, dispatch fan-out, payload
-// sealing).
+// Micro-benchmarks for the hot paths (wire decode, duplicate filter,
+// dispatch fan-out, radio broadcast and hand-off, control submit): the
+// ones a CI smoke step, README.md or the verify skill names. Whether a
+// change made a deployment slower is bench/'s question, not theirs.
 //
 // Run with: go test -bench=. -benchmem
 package garnet_test
@@ -18,75 +17,17 @@ import (
 	garnet "github.com/garnet-middleware/garnet"
 	"github.com/garnet-middleware/garnet/internal/actuation"
 	"github.com/garnet-middleware/garnet/internal/dispatch"
-	"github.com/garnet-middleware/garnet/internal/experiments"
 	"github.com/garnet-middleware/garnet/internal/field"
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/geo"
 	"github.com/garnet-middleware/garnet/internal/radio"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/resource"
-	"github.com/garnet-middleware/garnet/internal/security"
 	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/transmit"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	cfg := experiments.Config{Seed: 42, Quick: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, cfg); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-// One bench per paper artifact.
-
-func BenchmarkF1EndToEndPipeline(b *testing.B)     { benchExperiment(b, "F1") }
-func BenchmarkF2WireCodec(b *testing.B)            { benchExperiment(b, "F2") }
-func BenchmarkC1CapacityLimits(b *testing.B)       { benchExperiment(b, "C1") }
-func BenchmarkE1DuplicateElimination(b *testing.B) { benchExperiment(b, "E1") }
-func BenchmarkE2DispatchFanout(b *testing.B)       { benchExperiment(b, "E2") }
-func BenchmarkE3SharedVsDirect(b *testing.B)       { benchExperiment(b, "E3") }
-func BenchmarkE4RETRIComparison(b *testing.B)      { benchExperiment(b, "E4") }
-func BenchmarkE5LocationInference(b *testing.B)    { benchExperiment(b, "E5") }
-func BenchmarkE6TargetedActuation(b *testing.B)    { benchExperiment(b, "E6") }
-func BenchmarkE7ConflictMediation(b *testing.B)    { benchExperiment(b, "E7") }
-func BenchmarkE8PredictiveCoordination(b *testing.B) {
-	benchExperiment(b, "E8")
-}
-func BenchmarkE9Scalability(b *testing.B)          { benchExperiment(b, "E9") }
-func BenchmarkE10Orphanage(b *testing.B)           { benchExperiment(b, "E10") }
-func BenchmarkE11MultiLevelConsumers(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkE12ReturnPathValue(b *testing.B)     { benchExperiment(b, "E12") }
-
-// Micro-benchmarks for the hot paths.
-
-func BenchmarkWireEncode(b *testing.B) {
-	for _, size := range []int{0, 16, 256, 4096} {
-		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
-			msg := wire.Message{
-				Stream:  wire.MustStreamID(123456, 7),
-				Seq:     42,
-				Payload: make([]byte, size),
-			}
-			buf := make([]byte, 0, msg.EncodedSize())
-			b.ReportAllocs()
-			b.SetBytes(int64(msg.EncodedSize()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = msg.AppendEncode(buf[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkWireDecode compares the three decode modes: the historical
 // copying DecodeMessage (one payload allocation per frame), the reusable
@@ -354,83 +295,6 @@ func BenchmarkDispatchDrainBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkSealOpen(b *testing.B) {
-	key := make([]byte, 32)
-	stream := wire.MustStreamID(1, 0)
-	payload := make([]byte, 64)
-	b.Run("seal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := security.Seal(key, stream, wire.Seq(i), payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("open", func(b *testing.B) {
-		sealed, err := security.Seal(key, stream, 7, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := security.Open(key, stream, 7, sealed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// Ablation benchmarks for the design choices DESIGN.md §3 calls out.
-
-// Ablation: duplicate-window size. Larger windows tolerate older late
-// arrivals at the cost of per-stream memory; ingest cost should stay flat
-// because the bitmap shift is O(words).
-func BenchmarkAblationFilterWindow(b *testing.B) {
-	for _, window := range []int{64, 256, 1024, 4096} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			f := filtering.New(func(filtering.Delivery) {}, filtering.Options{WindowSize: window})
-			id := wire.MustStreamID(1, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: wire.Seq(i)}})
-			}
-		})
-	}
-}
-
-// Ablation: bounded reordering. The reorder stage buys sequence-ordered
-// delivery for one timer and one sorted insert per message.
-func BenchmarkAblationReorderWindow(b *testing.B) {
-	for _, reorder := range []bool{false, true} {
-		name := "off"
-		if reorder {
-			name = "on"
-		}
-		b.Run("reorder="+name, func(b *testing.B) {
-			clock := garnet.NewVirtualClock(time.Unix(0, 0))
-			opts := filtering.Options{}
-			if reorder {
-				opts = filtering.Options{ReorderWindow: 50 * time.Millisecond, Clock: clock}
-			}
-			f := filtering.New(func(filtering.Delivery) {}, opts)
-			id := wire.MustStreamID(1, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Ingest(receiver.Reception{
-					Msg: wire.Message{Stream: id, Seq: wire.Seq(i)},
-					At:  clock.Now(),
-				})
-				if reorder && i%256 == 255 {
-					clock.Advance(time.Second) // drain pending buffers
-				}
-			}
-		})
-	}
-}
-
 // Ablation: synchronous vs asynchronous dispatch. Async pays queue+worker
 // overhead per delivery in exchange for slow-consumer isolation.
 func BenchmarkAblationDispatchMode(b *testing.B) {
@@ -618,51 +482,6 @@ func BenchmarkRealClockHandoff(b *testing.B) {
 		b.Fatalf("Deliveries = %d, want %d", got, want)
 	}
 }
-
-// BenchmarkE13ShardedDispatch regenerates the dispatch-sharding table.
-func BenchmarkE13ShardedDispatch(b *testing.B) { benchExperiment(b, "E13") }
-
-// BenchmarkE14ShardedIngest regenerates the filter-sharding table (the
-// full receive → filter → dispatch pipeline under concurrent receivers).
-func BenchmarkE14ShardedIngest(b *testing.B) { benchExperiment(b, "E14") }
-
-// BenchmarkE15DenseFieldBroadcast regenerates the dense-field broadcast
-// table (data + control traffic against a growing receiver lattice).
-func BenchmarkE15DenseFieldBroadcast(b *testing.B) { benchExperiment(b, "E15") }
-
-// BenchmarkX1MultiHopRelaying regenerates the §8 extension table.
-func BenchmarkX1MultiHopRelaying(b *testing.B) { benchExperiment(b, "X1") }
-
-// BenchmarkE17LateJoinerStorm regenerates the late-joiner replay table
-// (M consumers joining mid-run with SubscribeWithReplay while publishers
-// keep writing).
-func BenchmarkE17LateJoinerStorm(b *testing.B) { benchExperiment(b, "E17") }
-
-// BenchmarkE18AsyncFanoutStorm regenerates the async fan-out storm table
-// (M publishers × N lock-free delivery rings with mid-run late joiners,
-// swept across GOMAXPROCS).
-func BenchmarkE18AsyncFanoutStorm(b *testing.B) { benchExperiment(b, "E18") }
-
-// BenchmarkE20ChurnStorm regenerates the churn-residue table (cohort and
-// subscription churn must leave no timers, streams, orphans or subs).
-func BenchmarkE20ChurnStorm(b *testing.B) { benchExperiment(b, "E20") }
-
-// BenchmarkE21RadioPartition regenerates the partition-accounting table
-// (sent must reconcile exactly against delivered plus unrecovered gaps).
-func BenchmarkE21RadioPartition(b *testing.B) { benchExperiment(b, "E21") }
-
-// BenchmarkE22SlowConsumer regenerates the backpressure table (a stalled
-// consumer sheds exactly per policy; healthy consumers lose nothing).
-func BenchmarkE22SlowConsumer(b *testing.B) { benchExperiment(b, "E22") }
-
-// BenchmarkE23ArchivedLateJoiners regenerates the archived late-joiner
-// table (replay from history that lives ≥90% in the durable archive
-// tier, ordering enforced, restart over the same backend re-served).
-func BenchmarkE23ArchivedLateJoiners(b *testing.B) { benchExperiment(b, "E23") }
-
-// BenchmarkE16DemandStorm regenerates the control-plane demand-storm
-// table (concurrent consumers churning demands plus live data traffic).
-func BenchmarkE16DemandStorm(b *testing.B) { benchExperiment(b, "E16") }
 
 // BenchmarkControlSubmit measures the return actuation path's per-demand
 // cost across control shard counts.

@@ -1,5 +1,6 @@
-// Command garnet-bench regenerates the paper's tables and figures as
-// described in DESIGN.md §2 and EXPERIMENTS.md.
+// Command garnet-bench regenerates the paper's tables and figures through
+// the real middleware assembly (internal/experiments). Performance is
+// measured by bench/, not here: see bench/README.md.
 //
 // Usage:
 //
@@ -7,150 +8,39 @@
 //	garnet-bench -experiment E5   # run one experiment
 //	garnet-bench -quick           # reduced sweeps (smoke run)
 //	garnet-bench -seed 7          # change the deterministic seed
-//	garnet-bench -perf            # multicore perf sweep → BENCH_*.json
-//	garnet-bench -perf -scenario store_tee
-//	                              # one registry scenario (local iteration)
-//	garnet-bench -perf -baseline BENCH_pipeline.json
-//	                              # ...and diff the fresh run against a
-//	                              # committed report, per-scenario msgs/s
-//	garnet-bench -perf -baseline BENCH_pipeline.json,BENCH_store.json
-//	                              # ...against several committed reports
-//	                              # at once (one per area)
-//	garnet-bench -perf -baseline BENCH_pipeline.json -max-regress 10
-//	                              # ...and exit non-zero when any cell
-//	                              # regresses more than 10% (CI gate)
-//	garnet-bench -scale           # 100k-1M sensor memory census
-//	                              # → BENCH_scale.json
-//	garnet-bench -scale -quick -max-idle-bytes 768
-//	                              # CI smoke: one 100k cell, fail the job
-//	                              # if bytes/idle-sensor exceeds the budget
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/experiments"
-	"github.com/garnet-middleware/garnet/internal/perfharness"
-	"github.com/garnet-middleware/garnet/internal/scale"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "garnet-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("garnet-bench", flag.ContinueOnError)
 	var (
-		experiment = flag.String("experiment", "all",
+		experiment = fs.String("experiment", "all",
 			"experiment id ("+experiments.FlagUsage()+") or \"all\"")
-		seed  = flag.Uint64("seed", 42, "deterministic seed")
-		quick = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
-		perf  = flag.Bool("perf", false,
-			"run the multicore perf sweep and emit BENCH_dispatch.json / BENCH_pipeline.json instead of experiment tables")
-		outDir   = flag.String("out", ".", "output directory for -perf/-scale BENCH_*.json files")
-		baseline = flag.String("baseline", "",
-			"comma-separated committed BENCH_*.json reports to diff the fresh -perf run against (per-scenario msgs/s deltas)")
-		maxRegress = flag.Float64("max-regress", 0,
-			"with -perf -baseline: exit non-zero when any matched cell's msgs/s drops more than this percentage")
-		scenario = flag.String("scenario", "",
-			"with -perf: run only the named scenario (see the registry listing; \"\" runs all)")
-		scaleMode = flag.Bool("scale", false,
-			"run the 100k-1M sensor memory census and emit BENCH_scale.json")
-		maxIdleBytes = flag.Float64("max-idle-bytes", 0,
-			"with -scale: exit non-zero when bytes/idle-sensor exceeds this ceiling (0 = no ceiling)")
+		seed  = fs.Uint64("seed", 42, "deterministic seed")
+		quick = fs.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	)
-	flag.Parse()
-
-	if *scaleMode {
-		path, rep, err := scale.WriteReport(scale.Options{
-			Quick:  *quick,
-			OutDir: *outDir,
-			Log: func(format string, a ...any) {
-				fmt.Fprintf(os.Stdout, format+"\n", a...)
-			},
-		})
-		if err != nil {
-			return err
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		fmt.Fprintf(os.Stdout, "wrote %s\n", path)
-		if *maxIdleBytes > 0 {
-			if got := scale.MaxIdleBytes(rep); got > *maxIdleBytes {
-				return fmt.Errorf("bytes/idle-sensor %.0f exceeds the -max-idle-bytes ceiling %.0f", got, *maxIdleBytes)
-			}
-			fmt.Fprintf(os.Stdout, "bytes/idle-sensor %.0f within ceiling %.0f\n", scale.MaxIdleBytes(rep), *maxIdleBytes)
-		}
-		return nil
-	}
-
-	if *perf {
-		// The scenario listing comes from the harness registry — the same
-		// source Run executes — so it can never drift from what actually
-		// runs.
-		mode := "full"
-		if *quick {
-			mode = "quick"
-		}
-		var names []string
-		for _, sc := range perfharness.Scenarios() {
-			names = append(names, sc.Name)
-		}
-		if *scenario != "" {
-			fmt.Fprintf(os.Stdout, "perf scenario (%s sweep, of %s): %s\n", mode, strings.Join(names, " "), *scenario)
-		} else {
-			fmt.Fprintf(os.Stdout, "perf scenarios (%s sweep): %s\n", mode, strings.Join(names, " "))
-		}
-		// Load every baseline before the sweep runs: -out may point at
-		// the directory holding the baselines themselves, and the
-		// comparison must be against the committed numbers, not the
-		// freshly overwritten files.
-		type namedBaseline struct {
-			path string
-			rep  perfharness.Report
-		}
-		var bases []namedBaseline
-		if *baseline != "" {
-			for _, p := range strings.Split(*baseline, ",") {
-				p = strings.TrimSpace(p)
-				if p == "" {
-					continue
-				}
-				r, err := loadReport(p)
-				if err != nil {
-					return fmt.Errorf("baseline: %w", err)
-				}
-				bases = append(bases, namedBaseline{path: p, rep: r})
-			}
-		}
-		dp, pp, sp, err := perfharness.WriteReports(perfharness.Options{
-			Quick:    *quick,
-			OutDir:   *outDir,
-			Scenario: *scenario,
-			Log: func(format string, a ...any) {
-				fmt.Fprintf(os.Stdout, format+"\n", a...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		for _, p := range []string{dp, pp, sp} {
-			if p != "" {
-				fmt.Fprintf(os.Stdout, "wrote %s\n", p)
-			}
-		}
-		freshByArea := map[string]string{"dispatch": dp, "pipeline": pp, "store": sp}
-		for _, b := range bases {
-			if err := diffBaseline(b.path, b.rep, freshByArea, *maxRegress); err != nil {
-				return err
-			}
-		}
-		return nil
+		return err
 	}
 
 	cfg := experiments.Config{Seed: *seed, Quick: *quick}
@@ -159,7 +49,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		table.Render(os.Stdout)
+		table.Render(w)
 		return nil
 	}
 	start := time.Now()
@@ -169,56 +59,9 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		table.Render(os.Stdout)
-		fmt.Fprintf(os.Stdout, "  [%s completed in %v]\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		table.Render(w)
+		fmt.Fprintf(w, "  [%s completed in %v]\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	fmt.Fprintf(os.Stdout, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func loadReport(path string) (perfharness.Report, error) {
-	var r perfharness.Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	return r, json.Unmarshal(data, &r)
-}
-
-// diffBaseline prints per-scenario msgs/s deltas between a committed
-// baseline report (loaded before the sweep ran) and the fresh report of
-// the same area, which the run just wrote to the path freshByArea maps
-// the baseline's area to. When maxRegress > 0, any matched cell whose
-// msgs/s dropped more than that percentage fails the run — the CI
-// regression gate.
-func diffBaseline(baselinePath string, base perfharness.Report, freshByArea map[string]string, maxRegress float64) error {
-	freshPath := freshByArea[base.Area]
-	if freshPath == "" {
-		return fmt.Errorf("baseline %s is a %s report but the run produced no %s results",
-			baselinePath, base.Area, base.Area)
-	}
-	fresh, err := loadReport(freshPath)
-	if err != nil {
-		return err
-	}
-	deltas := perfharness.Compare(base, fresh)
-	if len(deltas) == 0 {
-		return fmt.Errorf("baseline %s shares no cells with the fresh %s report", baselinePath, base.Area)
-	}
-	fmt.Fprintf(os.Stdout, "\nbaseline %s (%s, %s) vs fresh run:\n", baselinePath, base.Area, base.Date)
-	var regressed []perfharness.Delta
-	for _, d := range deltas {
-		marker := ""
-		if maxRegress > 0 && d.Pct < -maxRegress {
-			regressed = append(regressed, d)
-			marker = "  << regression"
-		}
-		fmt.Fprintf(os.Stdout, "  %-55s %8.2f → %8.2f Kmsg/s (%+.1f%%)%s\n",
-			d.Key, d.Baseline/1e3, d.Current/1e3, d.Pct, marker)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("%d cell(s) regressed more than %.1f%% vs %s (worst: %s at %+.1f%%)",
-			len(regressed), maxRegress, baselinePath, regressed[0].Key, regressed[0].Pct)
-	}
+	fmt.Fprintf(w, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

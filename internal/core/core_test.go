@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -379,6 +380,48 @@ func TestInjectReceptionAllocs(t *testing.T) {
 	}
 	if st := d.Stats(); st.Filter.Duplicates < 1000 || st.Dispatch.Delivered != st.Filter.Delivered || st.Dispatch.Orphaned != 0 {
 		t.Fatalf("pin did not exercise the path: %+v", st)
+	}
+}
+
+// TestIdleSensorFootprint holds the resident cost of a sensor that sent one
+// message ever — the dominant population of a large field: its filter
+// window, store header and slot, dispatch stream record and their map
+// entries. The ceiling is 768 B, PR 9's acceptance bar and half the 1537 B
+// a sensor cost before it; the census reads about 519 B, so the headroom
+// absorbs allocator noise and a structural regression does not fit in it.
+func TestIdleSensorFootprint(t *testing.T) {
+	const sensors, ceiling = 100_000, 768
+	clock := sim.NewVirtualClock(epoch)
+	d := New(Config{Clock: clock, Secret: []byte("s")})
+	defer d.Stop()
+	// A standing wildcard sink keeps every stream claimed; unclaimed, the
+	// orphanage's MaxStreams bound would forget most of the field.
+	sink := &dispatch.ConsumerFunc{ConsumerName: "all", Fn: func(filtering.Delivery) {}}
+	if _, err := d.Dispatcher().Subscribe(sink, dispatch.All()); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	settledHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := settledHeap()
+	for i := 1; i <= sensors; i++ {
+		d.InjectReception(receiver.Reception{
+			Msg: wire.Message{Stream: wire.MustStreamID(wire.SensorID(i), 0), Seq: 1},
+			At:  clock.Now(), Receiver: "rx", RSSI: 0.5,
+		})
+	}
+	perSensor := float64(settledHeap()-before) / sensors
+	if st := d.Stats(); st.Filter.Delivered != sensors || st.Dispatch.Orphaned != 0 {
+		t.Fatalf("census did not attach %d claimed streams: %+v", sensors, st)
+	}
+	t.Logf("%.0f B/idle-sensor", perSensor)
+	if perSensor > ceiling {
+		t.Errorf("%.0f B/idle-sensor, ceiling %d", perSensor, ceiling)
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package experiments is the benchmark harness that regenerates every
 // measurable artifact of the paper: the two figures (F1 architecture, F2
 // message format), the §1 capacity claims (C1), and the qualitative
-// claims and related-work comparisons of §§2–7 as experiments E1–E12. See
-// DESIGN.md §2 for the full index and EXPERIMENTS.md for recorded results.
+// claims and related-work comparisons of §§2–7 as experiments E1–E12.
+// All lists the full index.
 //
 // Each experiment is a pure function from a Config to a Table; tables are
-// rendered as aligned text by cmd/garnet-bench and re-run as testing.B
-// benchmarks from the repository-root bench_test.go. Experiments run on
+// rendered as aligned text by cmd/garnet-bench. Experiments run on
 // virtual time with seeded randomness, so the numbers are reproducible
 // bit-for-bit; only the throughput experiments (F2, E2, E9, E11,
 // E13–E16) measure wall-clock rates.
@@ -15,7 +14,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -186,10 +184,9 @@ func Run(id string, cfg Config) (*Table, error) {
 			return e.Run(cfg)
 		}
 	}
-	ids := make([]string, 0)
+	var ids []string
 	for _, e := range All() {
 		ids = append(ids, e.ID)
 	}
-	sort.Strings(ids)
 	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
 }

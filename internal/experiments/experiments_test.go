@@ -43,8 +43,14 @@ func TestRunByID(t *testing.T) {
 	if _, err := Run("c1", quickCfg()); err != nil {
 		t.Fatalf("case-insensitive lookup failed: %v", err)
 	}
-	if _, err := Run("nope", quickCfg()); err == nil {
+	_, err := Run("nope", quickCfg())
+	if err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	// The ids are listed in All()'s presentation order, not sorted as strings.
+	e2, e10 := strings.Index(err.Error(), " E2,"), strings.Index(err.Error(), " E10,")
+	if e2 < 0 || e10 < 0 || e2 > e10 {
+		t.Errorf("unknown-id error lists E10 before E2 (or omits one): %v", err)
 	}
 }
 
