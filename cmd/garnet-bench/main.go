@@ -1,6 +1,9 @@
 // Command garnet-bench regenerates the paper's tables and figures through
-// the real middleware assembly (internal/experiments). Performance is
-// measured by bench/, not here: see bench/README.md.
+// the real middleware assembly (internal/experiments). Standard output is
+// the tables and nothing else, the same bytes on every run (with -quick,
+// the golden files internal/experiments tests against, in order);
+// progress goes to standard error. Performance is measured by bench/, not
+// here: see bench/README.md.
 //
 // Usage:
 //
@@ -22,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "garnet-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w, progress io.Writer) error {
 	fs := flag.NewFlagSet("garnet-bench", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all",
@@ -60,8 +63,8 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		table.Render(w)
-		fmt.Fprintf(w, "  [%s completed in %v]\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(progress, "[%s completed in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	fmt.Fprintf(w, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(progress, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -199,12 +199,12 @@ type Options struct {
 	// BatchSize caps deliveries coalesced per async drainer take; <= 0
 	// selects DefaultBatchSize. 1 restores delivery-at-a-time draining.
 	BatchSize int
-	// ForceLockedQueue makes async ports use the mutex-guarded queue for
-	// every delivery instead of the lock-free ring fast path. The two are
-	// behaviourally identical (pinned by the differential property test);
-	// this knob exists so benchmarks and tests can compare them and is
-	// not useful in production.
-	ForceLockedQueue bool
+	// forceLockedQueue makes async ports use the mutex-guarded queue for
+	// every delivery instead of the lock-free ring fast path. Only this
+	// package's tests set it, to pin the two as behaviourally identical
+	// (the differential property test); a port chooses its queue from the
+	// state it observes, see port.go.
+	forceLockedQueue bool
 }
 
 // StreamInfo is one advertised stream, for discovery. The dispatcher
@@ -345,7 +345,7 @@ func (d *Dispatcher) portForLocked(c Consumer) *port {
 	p, ok := d.ports[c]
 	if !ok {
 		p = newPort(c, d.opts.QueueCapacity, d.opts.BatchSize, d.opts.Overflow,
-			d.opts.Mode == ModeAsync && !d.opts.ForceLockedQueue,
+			d.opts.Mode == ModeAsync && !d.opts.forceLockedQueue,
 			&d.dropped, d.droppedBy.With(c.Name()))
 		p.wakeups = &d.wakeups
 		d.ports[c] = p

@@ -52,7 +52,7 @@ func TestLookTwiceLosesNoWakeup(t *testing.T) {
 	const producers, perProducer = 4, 400
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, QueueCapacity: producers * perProducer, ForceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync, QueueCapacity: producers * perProducer, forceLockedQueue: path.forceLocked})
 			var consumed atomic.Int64
 			next := make([]wire.Seq, producers) // touched by the one drainer only
 			var outOfOrder atomic.Bool
@@ -111,7 +111,7 @@ func TestEveryDeliveryIsTheLastOne(t *testing.T) {
 	const rounds = 10000
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, ForceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync, forceLockedQueue: path.forceLocked})
 			var consumed atomic.Int64
 			c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Add(1) }}
 			if _, err := d.Subscribe(c, All()); err != nil {
@@ -216,7 +216,7 @@ func TestCloseDuringIdleTransitionDrainsAndExits(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, path := range queuePaths {
 		for round := 0; round < 300; round++ {
-			d := New(Options{Mode: ModeAsync, ForceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync, forceLockedQueue: path.forceLocked})
 			var consumed atomic.Int64
 			c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Add(1) }}
 			id, err := d.Subscribe(c, All())
@@ -250,7 +250,7 @@ func TestCloseDuringIdleTransitionDrainsAndExits(t *testing.T) {
 func TestIdlePortKeepsNoPayload(t *testing.T) {
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, ForceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync, forceLockedQueue: path.forceLocked})
 			var consumed atomic.Bool
 			c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Store(true) }}
 			if _, err := d.Subscribe(c, All()); err != nil {

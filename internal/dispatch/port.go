@@ -32,6 +32,12 @@ var portSeq atomic.Uint64
 //
 // # Locked fallback
 //
+// Two queues are the design, not a leftover: each is required or faster on
+// some input, and the port picks from state it observes (gate, floor,
+// close), never from an option. Steady fan-out needs the ring: with every
+// port forced onto the locked queue, bench's fixednet_fanout loses 28 % of
+// its ops_per_s on 2 vCPUs (10/10 pairs; CHANGES.md, PR 23).
+//
 // The catch-up machinery (SubscribeWithReplay's gate, the per-stream
 // replay floors) and port shutdown need enqueue-time decisions that read
 // mutable per-port state, so while any of them is active the port falls
@@ -57,10 +63,11 @@ type port struct {
 	batcher  BatchConsumer // non-nil when consumer supports batches
 	refs     int           // live subscriptions; guarded by Dispatcher.mu
 
-	// Lock-free delivery ring (async mode without ForceLockedQueue; nil
-	// otherwise). fallback routes producers to the locked path below;
-	// inflight counts producers inside a ring enqueue so enterFallback
-	// can wait them out. waiter parks/wakes the drainer for both paths.
+	// Lock-free delivery ring (async mode; nil in sync mode and when a
+	// test forces the locked queue). fallback routes producers to the
+	// locked path below; inflight counts producers inside a ring enqueue
+	// so enterFallback can wait them out. waiter parks/wakes the drainer
+	// for both paths.
 	ring     *ring.Ring[filtering.Delivery]
 	fallback atomic.Bool
 	inflight atomic.Int64

@@ -77,7 +77,7 @@ func runScript(t *testing.T, script []scriptOp, overflow OverflowPolicy, forceLo
 		Mode:             ModeAsync,
 		QueueCapacity:    4, // tiny: overflow constantly
 		Overflow:         overflow,
-		ForceLockedQueue: forceLocked,
+		forceLockedQueue: forceLocked,
 	})
 
 	recs := map[string]*seqRecorder{}

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/garnet-middleware/garnet/internal/core"
 	"github.com/garnet-middleware/garnet/internal/dispatch"
 	"github.com/garnet-middleware/garnet/internal/orphanage"
-	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/store"
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/wire"
@@ -32,8 +30,8 @@ func runE23(cfg Config) (*Table, error) {
 		Title: "Archived late-joiners: replay across the durable archive tier",
 		Claim: "§4.2 pushed past RAM: history a deployment spilled to durable storage replays through the same dispatch port as live data — and survives the deployment itself",
 		Columns: []string{
-			"publishers", "joiners", "history", "archived %", "replayed total",
-			"mean catch-up ms", "read amp", "violations", "restart served",
+			"publishers", "joiners", "backlog/stream", "memory window", "archive-only share",
+			"replayed/joiner", "violations", "restart replays archive",
 		},
 	}
 	publishers := 4
@@ -43,13 +41,11 @@ func runE23(cfg Config) (*Table, error) {
 		MaxMessages: 256, Codec: "auto", BlockSize: 64, ColdBudget: 1,
 	}
 	orphOpts := orphanage.Options{PerStreamCapacity: storeOpts.MaxMessages}
-	liveWindow := 100 * time.Millisecond
 	if cfg.Quick {
 		joiners = []int{4}
 		backlogPer = 600
 		storeOpts.MaxMessages, storeOpts.BlockSize = 32, 8
 		orphOpts.PerStreamCapacity = 32
-		liveWindow = 5 * time.Millisecond
 	}
 
 	for _, m := range joiners {
@@ -71,85 +67,56 @@ func runE23(cfg Config) (*Table, error) {
 		for i := range streams {
 			streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
 		}
-		publish := func(i, seq int) {
-			var msg wire.Message
-			out := wire.Message{Stream: streams[i], Seq: wire.Seq(seq), Payload: []byte("reading")}
-			frame, err := out.Encode()
-			if err != nil {
-				panic(err)
-			}
-			if _, err := wire.DecodeMessageBorrowed(frame, &msg); err != nil {
-				panic(err)
-			}
-			d.InjectReception(receiver.Reception{
-				Msg: msg, Receiver: fmt.Sprintf("rx%d", i), RSSI: 1,
-				At: epoch, Borrowed: true,
-			})
-		}
-
 		// Warm-up: push each stream an order of magnitude past its
 		// in-memory window, so the backlog the joiners replay lives
 		// almost entirely in the archive tier.
-		for i := range streams {
+		for _, stream := range streams {
 			for seq := 0; seq < backlogPer; seq++ {
-				publish(i, seq)
+				stormPublish(d, stream, seq)
 			}
 		}
-		readBefore := d.Store().Stats().ArchiveReadMessages
 
 		// Publishers keep writing while the joiners storm in.
 		var stop atomic.Bool
 		var pubWG sync.WaitGroup
-		for i := range streams {
+		for _, stream := range streams {
 			pubWG.Add(1)
-			go func(i int) {
+			go func(stream wire.StreamID) {
 				defer pubWG.Done()
 				for seq := backlogPer; !stop.Load(); seq++ {
-					publish(i, seq)
+					stormPublish(d, stream, seq)
 				}
-			}(i)
+			}(stream)
 		}
 
-		consumers := make([]*lateJoiner, m)
+		consumers := make([]*orderChecker, m)
 		var joinWG sync.WaitGroup
 		var replayedTotal atomic.Int64
-		var catchupNanos atomic.Int64
 		for j := 0; j < m; j++ {
 			joinWG.Add(1)
 			go func(j int) {
 				defer joinWG.Done()
 				stream := streams[j%publishers]
-				c := &lateJoiner{name: fmt.Sprintf("arch-late-%d", j)}
-				cutoff, _ := d.Store().LastSeq(stream)
-				c.liveCutoff = cutoff
+				c := &orderChecker{name: fmt.Sprintf("arch-late-%d", j)}
 				consumers[j] = c
-				joined := time.Now()
+				head, _ := d.Store().LastSeq(stream)
 				_, replayed, err := d.SubscribeWithReplay(c, stream, 0)
 				if err != nil {
 					panic(err)
 				}
 				replayedTotal.Add(int64(replayed))
-				for {
-					c.mu.Lock()
-					caught := c.caughtUp
-					c.mu.Unlock()
-					if !caught.IsZero() {
-						catchupNanos.Add(caught.Sub(joined).Nanoseconds())
-						return
-					}
-					time.Sleep(time.Millisecond)
-				}
+				// Stay until the consumer has crossed archive → cold → hot
+				// → live and seen a memory window's worth of live data.
+				c.awaitPast(head + uint64(storeOpts.MaxMessages))
 			}(j)
 		}
 		joinWG.Wait()
-		time.Sleep(liveWindow)
 		stop.Store(true)
 		pubWG.Wait()
 
 		// Shut down, then snapshot the per-stream archived ranges the
 		// restarted deployment must serve: Stop closes the store, so
 		// every still-pending spill is committed durably first.
-		readAfter := d.Store().Stats().ArchiveReadMessages
 		type archivedRange struct {
 			first uint64
 			count int64
@@ -175,10 +142,7 @@ func runE23(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E23: joiners replayed %d per head, in-memory window is %d — not a ≥10× archive replay",
 				replayPer, memPerStream)
 		}
-		violations := 0
-		for _, c := range consumers {
-			violations += c.violations
-		}
+		_, violations := tally(consumers)
 		if violations > 0 {
 			return nil, fmt.Errorf("E23: %d ordering violations or duplicates across the archive replay hand-off", violations)
 		}
@@ -193,13 +157,15 @@ func runE23(cfg Config) (*Table, error) {
 			Store:     opts,
 		})
 		d2.Start()
-		var restartServed int64
-		for _, id := range streams {
+		restarted := make([]*orderChecker, len(streams))
+		var restartWant int64
+		for i, id := range streams {
 			first, ok := d2.Store().FirstSeq(id)
 			if !ok || first != want[id].first {
 				return nil, fmt.Errorf("E23: restart serves stream %v from %d (ok=%v), want %d", id, first, ok, want[id].first)
 			}
-			c := &lateJoiner{name: fmt.Sprintf("restart-%v", id)}
+			c := &orderChecker{name: fmt.Sprintf("restart-%v", id)}
+			restarted[i] = c
 			_, replayed, err := d2.SubscribeWithReplay(c, id, 0)
 			if err != nil {
 				return nil, err
@@ -207,23 +173,24 @@ func runE23(cfg Config) (*Table, error) {
 			if int64(replayed) != want[id].count {
 				return nil, fmt.Errorf("E23: restart replayed %d for stream %v, want the %d archived", replayed, id, want[id].count)
 			}
-			if c.violations > 0 {
-				return nil, fmt.Errorf("E23: %d ordering violations replaying stream %v after restart", c.violations, id)
-			}
-			restartServed += int64(replayed)
+			restartWant += want[id].count
 		}
 		d2.Stop()
+		restartGot, restartViolations := tally(restarted)
+		if restartViolations > 0 {
+			return nil, fmt.Errorf("E23: %d ordering violations replaying the archive after restart", restartViolations)
+		}
+		if int64(restartGot) != restartWant {
+			return nil, fmt.Errorf("E23: restarted consumers received %d of the %d archived messages", restartGot, restartWant)
+		}
 
-		t.AddRow(publishers, m, total, fmt.Sprintf("%.1f", 100*archFrac),
-			replayedTotal.Load(),
-			float64(catchupNanos.Load())/float64(m)/1e6,
-			float64(readAfter-readBefore)/float64(replayedTotal.Load()),
-			violations, restartServed)
+		t.AddRow(publishers, m, backlogPer, storeOpts.MaxMessages, "≥90%", "≥10× window",
+			violations, fmt.Sprintf("%d/%d streams", len(streams), len(streams)))
 	}
 	t.Notes = append(t.Notes,
-		"history per stream runs ≥10× the in-memory window; the rest lives only in the archive tier (async spill, 1 B cold budget)",
-		"read amp: archive entries decoded ÷ deliveries replayed during the storm — near 1.0 means replay reads each archived block about once",
-		"restart served: a second deployment over the same backend recovers the manifest and replays the identical archived ranges, order-checked",
+		"backlog per stream runs ≥10× the in-memory window before the joiners arrive and publishers keep writing through the storm; the rest lives only in the archive tier (async spill, 1 B cold budget)",
+		"archive-only share (of all history) and replayed/joiner (mean, against the in-memory window) are enforced bounds, not measurements",
+		"restart replays archive: a second deployment over the same backend recovers the manifest and replays the identical archived ranges, order-checked",
 		"violations counts duplicates or inversions across the archive→cold→hot→live hand-off — enforced 0")
 	return t, nil
 }

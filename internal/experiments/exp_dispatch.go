@@ -2,155 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/garnet-middleware/garnet/internal/consumer"
 	"github.com/garnet-middleware/garnet/internal/core"
 	"github.com/garnet-middleware/garnet/internal/dispatch"
-	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// runE2 measures Dispatching Service fan-out scaling: one stream with N
-// subscribed, mutually-unaware consumers, and N distinct streams with one
-// consumer each.
-func runE2(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E2",
-		Title: "Dispatch fan-out scaling",
-		Claim: "§1: “low performance overhead, scalable design”; §4.2 pub/sub delivery to mutually-unaware consumers",
-		Columns: []string{
-			"consumers", "pattern", "deliveries", "wall ms", "ns/delivery", "deliveries/s",
-		},
-	}
-	sizes := []int{1, 4, 16, 64, 256, 1024}
-	msgs := 20000
-	if cfg.Quick {
-		sizes = []int{1, 16, 128}
-		msgs = 2000
-	}
-	for _, n := range sizes {
-		for _, shared := range []bool{true, false} {
-			d := dispatch.New(dispatch.Options{})
-			var sunk int64
-			for c := 0; c < n; c++ {
-				stream := wire.MustStreamID(1, 0)
-				if !shared {
-					stream = wire.MustStreamID(wire.SensorID(c+1), 0)
-				}
-				if _, err := d.Subscribe(&dispatch.ConsumerFunc{
-					ConsumerName: fmt.Sprintf("c%d", c),
-					Fn:           func(filtering.Delivery) { sunk++ },
-				}, dispatch.Exact(stream)); err != nil {
-					return nil, err
-				}
-			}
-			// In the shared arm every message fans out to n consumers; in
-			// the distinct arm messages round-robin across streams.
-			start := time.Now()
-			for i := 0; i < msgs; i++ {
-				stream := wire.MustStreamID(1, 0)
-				if !shared {
-					stream = wire.MustStreamID(wire.SensorID(i%n+1), 0)
-				}
-				d.Dispatch(filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: wire.Seq(i)}, At: epoch})
-			}
-			elapsed := time.Since(start)
-
-			pattern := "1 stream × N consumers"
-			if !shared {
-				pattern = "N streams × 1 consumer"
-			}
-			t.AddRow(n, pattern, sunk, float64(elapsed.Milliseconds()),
-				float64(elapsed.Nanoseconds())/float64(sunk),
-				float64(sunk)/elapsed.Seconds())
-		}
-	}
-	t.Notes = append(t.Notes, "synchronous dispatch on one core; per-delivery cost stays flat as consumers scale")
-	return t, nil
-}
-
-// runE13 measures subscription-table sharding under concurrent
-// publishers: P goroutines publish to P distinct streams (distinct
-// sensors, so each stream has its own home shard) with one exact
-// subscriber per stream, sweeping the shard count. One shard reproduces
-// the historical single-table dispatcher; more shards remove lock
-// contention between unrelated streams.
-func runE13(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E13",
-		Title: "Sharded dispatch under concurrent publishers",
-		Claim: "§1: “low performance overhead, scalable design” — delivery state partitions by stream so unrelated publishes never contend",
-		Columns: []string{
-			"publishers", "shards", "msgs", "wall ms", "ns/msg", "msgs/s",
-		},
-	}
-	publishers := []int{4, 16, 100}
-	shardCounts := []int{1, dispatch.DefaultShards}
-	msgsPer := 20000
-	if cfg.Quick {
-		publishers = []int{4, 16}
-		msgsPer = 1000
-	}
-	for _, p := range publishers {
-		for _, shards := range shardCounts {
-			d := dispatch.New(dispatch.Options{Shards: shards})
-			var sunk atomic.Int64
-			streams := make([]wire.StreamID, p)
-			for i := 0; i < p; i++ {
-				streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
-				if _, err := d.Subscribe(&dispatch.ConsumerFunc{
-					ConsumerName: fmt.Sprintf("c%d", i),
-					Fn:           func(filtering.Delivery) { sunk.Add(1) },
-				}, dispatch.Exact(streams[i])); err != nil {
-					return nil, err
-				}
-			}
-			var wg sync.WaitGroup
-			start := time.Now()
-			for i := 0; i < p; i++ {
-				wg.Add(1)
-				go func(stream wire.StreamID) {
-					defer wg.Done()
-					for seq := 0; seq < msgsPer; seq++ {
-						d.Dispatch(filtering.Delivery{
-							Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)},
-							At:  epoch,
-						})
-					}
-				}(streams[i])
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-
-			total := int64(p * msgsPer)
-			if sunk.Load() != total {
-				return nil, fmt.Errorf("E13: delivered %d of %d", sunk.Load(), total)
-			}
-			t.AddRow(p, shards, total, float64(elapsed.Milliseconds()),
-				float64(elapsed.Nanoseconds())/float64(total),
-				float64(total)/elapsed.Seconds())
-		}
-	}
-	t.Notes = append(t.Notes,
-		"publishers target distinct sensors, so each stream dispatches through its own shard; shards=1 is the historical single-table path")
-	return t, nil
-}
-
-// runE11 measures multi-level consumer hierarchies: a chain of derived
-// streams of increasing depth.
+// runE11 checks multi-level consumer hierarchies: a chain of derived
+// streams of increasing depth must hand every source message to the top.
 func runE11(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:    "E11",
-		Title: "Multi-level consumer hierarchies",
-		Claim: "§6: consumers “form an essentially arbitrary graph … in practise … a hierarchy where lower level consumer processes generate derived streams … consumed by higher-level consumers”",
-		Columns: []string{
-			"depth", "source msgs", "top-level msgs", "wall ms", "ns/msg through chain",
-		},
+		ID:      "E11",
+		Title:   "Multi-level consumer hierarchies",
+		Claim:   "§6: consumers “form an essentially arbitrary graph … in practise … a hierarchy where lower level consumer processes generate derived streams … consumed by higher-level consumers”",
+		Columns: []string{"depth", "source msgs", "top-level msgs"},
 	}
 	depths := []int{1, 2, 4, 8}
 	msgs := 10000
@@ -183,18 +51,15 @@ func runE11(cfg Config) (*Table, error) {
 		d.Start()
 
 		payload := sensor.EncodeReading(1.5, epoch)
-		start := time.Now()
 		for i := 0; i < msgs; i++ {
 			d.PublishDerived(wire.Message{Stream: source, Seq: wire.Seq(i), Payload: payload}, epoch)
 		}
-		elapsed := time.Since(start)
 		d.Stop()
 
 		if top.Count() != int64(msgs) {
 			return t, fmt.Errorf("E11: depth %d delivered %d of %d", depth, top.Count(), msgs)
 		}
-		t.AddRow(depth, msgs, top.Count(), float64(elapsed.Milliseconds()),
-			float64(elapsed.Nanoseconds())/float64(msgs))
+		t.AddRow(depth, msgs, top.Count())
 	}
 	t.Notes = append(t.Notes, "each level re-enters the Dispatching Service as a first-class stream (discovery, orphanage and subscriptions all apply)")
 	return t, nil

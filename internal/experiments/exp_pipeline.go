@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/consumer"
@@ -171,65 +170,6 @@ func runE1(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"20% per-delivery loss; delivery ratio rises with overlap while consumers still see each message once",
 		"“dups after filter” counts repeated (stream, seq) pairs observed at the consumer — always 0")
-	return t, nil
-}
-
-// runE9 scales the whole pipeline with sensor count.
-func runE9(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "E9",
-		Title:   "End-to-end scalability",
-		Claim:   "§1: “a scalable, extensible platform”, “low performance overhead, scalable design”",
-		Columns: []string{"sensors", "sim seconds", "messages", "wall ms", "msgs/s (wall)", "KiB/stream state"},
-	}
-	sizes := []int{10, 100, 1000, 5000}
-	seconds := 30
-	if cfg.Quick {
-		sizes = []int{10, 100, 500}
-		seconds = 10
-	}
-	for _, n := range sizes {
-		clock := sim.NewVirtualClock(epoch)
-		d := core.New(core.Config{Clock: clock, Secret: []byte("e9")})
-		d.AddReceiver(receiver.Config{Name: "rx", Position: geo.Pt(0, 0), Radius: 1e6})
-		count := 0
-		if _, err := d.Dispatcher().Subscribe(&dispatch.ConsumerFunc{
-			ConsumerName: "sink", Fn: func(filtering.Delivery) { count++ },
-		}, dispatch.All()); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if _, err := d.AddSensor(sensor.Config{
-				ID: wire.SensorID(i + 1), Mobility: field.Static{P: geo.Pt(1, 0)}, TxRange: 1e6,
-				Streams: []sensor.StreamConfig{{
-					Index: 0, Sampler: sensor.SizedSampler(16), Period: time.Second, Enabled: true,
-				}},
-			}); err != nil {
-				return nil, err
-			}
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		d.Start()
-		wall := time.Now()
-		clock.RunUntil(epoch.Add(time.Duration(seconds) * time.Second))
-		elapsed := time.Since(wall)
-		runtime.ReadMemStats(&after)
-		d.Stop()
-
-		msgs := d.Filter().Stats().Delivered
-		perStream := float64(after.HeapAlloc-before.HeapAlloc) / float64(n) / 1024
-		if after.HeapAlloc < before.HeapAlloc {
-			perStream = 0
-		}
-		t.AddRow(n, seconds, msgs, float64(elapsed.Milliseconds()),
-			float64(msgs)/elapsed.Seconds(), perStream)
-		if msgs != int64(count) {
-			return t, fmt.Errorf("E9: sink saw %d of %d", count, msgs)
-		}
-	}
-	t.Notes = append(t.Notes, "wall-clock throughput of the full pipeline (medium → receiver → filter → dispatch) on one core")
 	return t, nil
 }
 

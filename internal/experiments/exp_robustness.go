@@ -133,9 +133,15 @@ func runE20(cfg Config) (*Table, error) {
 
 		// Snapshot the archive tier before the sweep tears it down: churn
 		// must actually have spilled blocks for the reclamation claim to
-		// mean anything.
+		// mean anything. The archivers are asynchronous, so let them
+		// commit what churn handed them first: the cell counts messages,
+		// and the same count on every run.
 		pre := d.Store().Stats()
-		spilled := pre.ArchivedMessages + int64(pre.ArchivePendingBlocks)
+		for pre.ArchivePendingBlocks > 0 {
+			runtime.Gosched()
+			pre = d.Store().Stats()
+		}
+		spilled := pre.ArchivedMessages
 		if spilled == 0 {
 			return nil, fmt.Errorf("E20: churn never reached the archive tier: %+v", pre)
 		}
@@ -338,7 +344,10 @@ func runE22(cfg Config) (*Table, error) {
 			fastSeqs = append(fastSeqs, del.StoreSeq)
 			mu.Unlock()
 		}}
+		stalled := make(chan struct{})
+		var stallOnce sync.Once
 		slow := &dispatch.ConsumerFunc{ConsumerName: "slow", Fn: func(del filtering.Delivery) {
+			stallOnce.Do(func() { close(stalled) })
 			<-gate // stalled until the injection finishes
 			mu.Lock()
 			slowSeqs = append(slowSeqs, del.StoreSeq)
@@ -350,7 +359,6 @@ func runE22(cfg Config) (*Table, error) {
 		if _, err := d.Dispatcher().Subscribe(slow, dispatch.All()); err != nil {
 			return nil, err
 		}
-		d.Start()
 
 		id := wire.MustStreamID(1, 0)
 		fastCount := func() int {
@@ -363,6 +371,14 @@ func runE22(cfg Config) (*Table, error) {
 				Msg:      wire.Message{Stream: id, Seq: wire.Seq(i), Payload: []byte{byte(i)}},
 				Receiver: "rx-e22", RSSI: 0.5, At: clock.Now(),
 			})
+			// The drainers start once exactly one batch is queued, and the
+			// storm resumes once the stalled consumer has taken it: the one
+			// take it makes before it blocks is a full batch on any
+			// schedule, so what it sheds is a count, not a race.
+			if i == dispatch.DefaultBatchSize {
+				d.Start()
+				<-stalled
+			}
 			// Pace the storm to the healthy consumer so only the stalled
 			// one ever sheds: never run more than half its queue ahead.
 			for i-fastCount() > sw.cap/2 {

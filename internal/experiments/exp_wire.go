@@ -2,27 +2,22 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// runF2 regenerates Figure 2: it verifies the exact bit layout and
-// measures codec throughput across payload sizes.
+// runF2 regenerates Figure 2: it verifies the exact bit layout and the
+// header overhead across payload sizes.
 func runF2(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:    "F2",
-		Title: "Data message format (8-bit header, 32-bit StreamID, 16-bit seq, 16-bit size, opaque payload)",
-		Claim: "Figure 2 bit offsets 0/8/40/56/72; checksums present but elided",
-		Columns: []string{
-			"payload B", "frame B", "overhead %", "encode ns/msg", "decode ns/msg", "round-trip ok",
-		},
+		ID:      "F2",
+		Title:   "Data message format (8-bit header, 32-bit StreamID, 16-bit seq, 16-bit size, opaque payload)",
+		Claim:   "Figure 2 bit offsets 0/8/40/56/72; checksums present but elided",
+		Columns: []string{"payload B", "frame B", "overhead %", "round-trip ok"},
 	}
 	payloads := []int{0, 16, 64, 256, 4096, wire.MaxPayload}
-	iters := 20000
 	if cfg.Quick {
 		payloads = []int{0, 16, 256}
-		iters = 2000
 	}
 	for _, p := range payloads {
 		msg := wire.Message{
@@ -37,31 +32,11 @@ func runF2(cfg Config) (*Table, error) {
 		}
 		overhead := float64(len(frame)-p) / float64(len(frame)) * 100
 
-		buf := make([]byte, 0, len(frame))
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			buf = buf[:0]
-			if buf, err = msg.AppendEncode(buf); err != nil {
-				return nil, err
-			}
-		}
-		encNs := float64(time.Since(start).Nanoseconds()) / float64(iters)
-
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, _, err = wire.DecodeMessage(frame); err != nil {
-				return nil, err
-			}
-		}
-		decNs := float64(time.Since(start).Nanoseconds()) / float64(iters)
-
 		got, _, err := wire.DecodeMessage(frame)
 		ok := err == nil && got.Stream == msg.Stream && got.Seq == msg.Seq && len(got.Payload) == p
-		t.AddRow(p, len(frame), overhead, encNs, decNs, ok)
+		t.AddRow(p, len(frame), overhead, ok)
 	}
-	t.Notes = append(t.Notes,
-		"fixed header is 9 bytes (72 bits) exactly as Figure 2; +2-byte Fletcher-16 trailer",
-		"throughput measured on the wall clock; all other columns deterministic")
+	t.Notes = append(t.Notes, "fixed header is 9 bytes (72 bits) exactly as Figure 2; +2-byte Fletcher-16 trailer")
 	return t, nil
 }
 

@@ -4,11 +4,16 @@
 // claims and related-work comparisons of §§2–7 as experiments E1–E12.
 // All lists the full index.
 //
-// Each experiment is a pure function from a Config to a Table; tables are
-// rendered as aligned text by cmd/garnet-bench. Experiments run on
-// virtual time with seeded randomness, so the numbers are reproducible
-// bit-for-bit; only the throughput experiments (F2, E2, E9, E11,
-// E13–E16) measure wall-clock rates.
+// Each experiment is a pure function from a Config to a Table, rendered
+// as aligned text by cmd/garnet-bench: every cell is the same bytes on
+// every run, at any GOMAXPROCS, with or without -race, and
+// TestAllExperimentsRun compares each table with testdata/<ID>.golden.
+// Most experiments run on virtual time with seeded randomness; the
+// concurrent storms (E17, E18, E23) run on real goroutines and print only
+// their configuration and the invariants they enforce. Nothing here reads
+// a stopwatch into a cell: Garnet is timed by bench/ (BENCHMARK.json) and
+// the go test -bench micro-benchmarks. Ids are never renumbered, so a
+// retired experiment leaves a hole.
 package experiments
 
 import (
@@ -109,24 +114,19 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{"F1", "Figure 1 — architecture walk-through", runF1},
-		{"F2", "Figure 2 — data message format and codec throughput", runF2},
+		{"F2", "Figure 2 — data message format", runF2},
 		{"C1", "§1 capacity claims", runC1},
 		{"E1", "Duplicate elimination vs receiver overlap", runE1},
-		{"E2", "Dispatch fan-out scaling", runE2},
 		{"E3", "Shared stream vs per-query direct polling (Fjords, §7)", runE3},
 		{"E4", "Header cost vs RETRI ephemeral ids (§7)", runE4},
 		{"E5", "Inferred location accuracy and consumer hints (§5)", runE5},
 		{"E6", "Location-targeted actuation vs flooding (§5)", runE6},
 		{"E7", "Resource-manager conflict mediation (§4.2/§6)", runE7},
 		{"E8", "Predictive vs reactive super coordination (§6.1)", runE8},
-		{"E9", "End-to-end scalability (§1)", runE9},
 		{"E10", "Orphanage capture and late claims (§4.2)", runE10},
 		{"E11", "Multi-level consumer hierarchies (§6)", runE11},
 		{"E12", "Return-path value vs transmit-only fields (§2)", runE12},
-		{"E13", "Sharded dispatch under concurrent publishers", runE13},
-		{"E14", "Sharded filter ingest under concurrent receivers", runE14},
 		{"E15", "Dense-field broadcast: cost vs attached receivers", runE15},
-		{"E16", "Demand storm: sharded control plane under churn", runE16},
 		{"E17", "Late-joiner storm: replay catch-up under live load", runE17},
 		{"E18", "Async fan-out storm: lock-free delivery rings under load", runE18},
 		{"E20", "Churn storm: cohort and subscription churn leave no residue", runE20},
@@ -137,41 +137,12 @@ func All() []Experiment {
 	}
 }
 
-// FlagUsage summarises the experiment ids for command-line help,
-// compressing the E ids to their lowest..highest range so it stays
-// accurate as experiments are added (the literal string in
-// cmd/garnet-bench went stale twice before this existed). Ids are never
-// renumbered, so a retired experiment (E19) leaves a hole the range does
-// not show; Run's unknown-id error lists the exact set.
+// FlagUsage lists every experiment id in presentation order: the
+// -experiment help text and Run's unknown-id error.
 func FlagUsage() string {
 	var ids []string
-	lowE, highE := 0, -1
-	ePos := -1
 	for _, e := range All() {
-		var n int
-		if _, err := fmt.Sscanf(e.ID, "E%d", &n); err == nil && fmt.Sprintf("E%d", n) == e.ID {
-			if highE < 0 {
-				lowE, highE = n, n
-				ePos = len(ids)
-				ids = append(ids, "") // placeholder for the compressed range
-			} else {
-				if n < lowE {
-					lowE = n
-				}
-				if n > highE {
-					highE = n
-				}
-			}
-			continue
-		}
 		ids = append(ids, e.ID)
-	}
-	if ePos >= 0 {
-		if lowE == highE {
-			ids[ePos] = fmt.Sprintf("E%d", lowE)
-		} else {
-			ids[ePos] = fmt.Sprintf("E%d..E%d", lowE, highE)
-		}
 	}
 	return strings.Join(ids, ", ")
 }
@@ -184,9 +155,5 @@ func Run(id string, cfg Config) (*Table, error) {
 			return e.Run(cfg)
 		}
 	}
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
+	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, FlagUsage())
 }

@@ -1,24 +1,44 @@
 package experiments
 
 import (
-	"fmt"
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// -update rewrites testdata/<ID>.golden from what the experiments print
+// now. A golden moves only with a CHANGES.md line saying which table and
+// why.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current tables")
+
 func quickCfg() Config { return Config{Seed: 42, Quick: true} }
 
-// TestAllExperimentsRun executes every registered experiment in quick mode
-// and validates table shape.
+// render runs e in quick mode and returns its table and the bytes it
+// renders to.
+func render(t *testing.T, e Experiment) (*Table, []byte) {
+	t.Helper()
+	table, err := e.Run(quickCfg())
+	if err != nil {
+		t.Fatalf("%s failed: %v", e.ID, err)
+	}
+	var out bytes.Buffer
+	table.Render(&out)
+	return table, out.Bytes()
+}
+
+// TestAllExperimentsRun executes every registered experiment in quick
+// mode, validates table shape and compares the rendered table byte for
+// byte with its golden file: the paper's tables are this repository's
+// answers, and an answer that moves has to be moved on purpose.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			table, err := e.Run(quickCfg())
-			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
-			}
+			table, got := render(t, e)
 			if table.ID != e.ID {
 				t.Errorf("table id %q, want %q", table.ID, e.ID)
 			}
@@ -30,12 +50,45 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Errorf("%s row %d has %d cells, want %d", e.ID, i, len(row), len(table.Columns))
 				}
 			}
-			var sb strings.Builder
-			table.Render(&sb)
-			if !strings.Contains(sb.String(), e.ID) {
-				t.Error("render missing experiment id")
+			golden := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from %s (rewrite with -update and say why in CHANGES.md)\ngot:\n%swant:\n%s",
+					e.ID, golden, got, want)
 			}
 		})
+	}
+	// A retired id takes its golden with it.
+	if files, _ := filepath.Glob(filepath.Join("testdata", "*.golden")); len(files) != len(All()) {
+		t.Errorf("%d golden files for %d experiments: %v", len(files), len(All()), files)
+	}
+}
+
+// TestTablesDoNotDependOnTheSchedule is the rule the goldens rest on,
+// checked without them (so it holds under -update too): no cell may carry
+// a stopwatch reading or a tally that depends on how goroutines
+// interleave, so every table renders to the same bytes on one P and on
+// eight.
+func TestTablesDoNotDependOnTheSchedule(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, e := range All() {
+		runtime.GOMAXPROCS(1)
+		_, one := render(t, e)
+		runtime.GOMAXPROCS(8)
+		_, eight := render(t, e)
+		if !bytes.Equal(one, eight) {
+			t.Errorf("%s renders differently at GOMAXPROCS 1 and 8:\n%s---\n%s", e.ID, one, eight)
+		}
 	}
 }
 
@@ -48,9 +101,9 @@ func TestRunByID(t *testing.T) {
 		t.Fatal("unknown id accepted")
 	}
 	// The ids are listed in All()'s presentation order, not sorted as strings.
-	e2, e10 := strings.Index(err.Error(), " E2,"), strings.Index(err.Error(), " E10,")
-	if e2 < 0 || e10 < 0 || e2 > e10 {
-		t.Errorf("unknown-id error lists E10 before E2 (or omits one): %v", err)
+	e3, e10 := strings.Index(err.Error(), " E3,"), strings.Index(err.Error(), " E10,")
+	if e3 < 0 || e10 < 0 || e3 > e10 {
+		t.Errorf("unknown-id error lists E10 before E3 (or omits one): %v", err)
 	}
 }
 
@@ -264,30 +317,11 @@ func TestX1RelayReachGrows(t *testing.T) {
 	}
 }
 
-// TestFlagUsage pins the derived -experiment usage summary: it must
-// track All() so the cmd/garnet-bench help text can never go stale,
-// compressing the contiguous E-range and keeping the other ids verbatim.
+// TestFlagUsage pins the -experiment help text and, through it, the
+// registry: the exact ids in presentation order, holes and all.
 func TestFlagUsage(t *testing.T) {
-	got := FlagUsage()
-	highE := 0
-	for _, e := range All() {
-		var n int
-		isE := false
-		if _, err := fmt.Sscanf(e.ID, "E%d", &n); err == nil && fmt.Sprintf("E%d", n) == e.ID {
-			isE = true
-			if n > highE {
-				highE = n
-			}
-		}
-		if !isE && !strings.Contains(got, e.ID) {
-			t.Errorf("usage %q missing id %s", got, e.ID)
-		}
-	}
-	want := fmt.Sprintf("E1..E%d", highE)
-	if !strings.Contains(got, want) {
-		t.Errorf("usage %q missing compressed range %q", got, want)
-	}
-	if highE < 18 {
-		t.Errorf("registry lost experiments: highest E id %d < 18", highE)
+	const want = "F1, F2, C1, E1, E3, E4, E5, E6, E7, E8, E10, E11, E12, E15, E17, E18, E20, E21, E22, E23, X1"
+	if got := FlagUsage(); got != want {
+		t.Errorf("FlagUsage() = %q, want %q", got, want)
 	}
 }
