@@ -484,7 +484,7 @@ func BenchmarkRealClockHandoff(b *testing.B) {
 }
 
 // BenchmarkControlSubmit measures the return actuation path's per-demand
-// cost across control shard counts.
+// cost.
 //
 // steady is the approved-no-change fast path — a consumer re-asserting a
 // demand that leaves the effective setting untouched — which must stay at
@@ -492,76 +492,76 @@ func BenchmarkRealClockHandoff(b *testing.B) {
 // standing demands. actuate flips the demanded rate every iteration, so
 // each submit mediates, issues an update id, transmits and is
 // synchronously acked (the full issue+ack bookkeeping without timers).
+// concurrent is steady from GOMAXPROCS goroutines, one sensor each, all
+// through the manager's one lock.
 func BenchmarkControlSubmit(b *testing.B) {
 	epoch := time.Date(2003, 5, 19, 0, 0, 0, 0, time.UTC)
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d/steady", shards), func(b *testing.B) {
-			rm := resource.NewWithOptions(resource.Options{Shards: shards})
+	b.Run("steady", func(b *testing.B) {
+		rm := resource.NewManager(resource.PolicyMostDemanding)
+		demand := resource.Demand{
+			Consumer: "app", Target: wire.MustStreamID(7, 0),
+			Op: wire.OpSetRate, Value: 2000,
+		}
+		if _, err := rm.Submit(demand); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec, err := rm.Submit(demand)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if dec.Changed {
+				b.Fatal("steady-state submit changed the effective setting")
+			}
+		}
+	})
+	b.Run("actuate", func(b *testing.B) {
+		clock := sim.NewVirtualClock(epoch)
+		rm := resource.NewManager(resource.PolicyMostDemanding)
+		var svc *actuation.Service
+		svc = actuation.NewService(clock, func(c wire.ControlMessage) {
+			svc.HandleAck(c.UpdateID, c.Issued)
+		}, actuation.Options{RetryInterval: time.Hour})
+		target := wire.MustStreamID(7, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec, err := rm.Submit(resource.Demand{
+				Consumer: "app", Target: target,
+				Op: wire.OpSetRate, Value: uint32(1000 + i%2*1000),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := svc.Issue(actuation.Request{
+				Target: dec.Action.Target, Op: dec.Action.Op, Value: dec.Action.Value,
+			}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("concurrent", func(b *testing.B) {
+		rm := resource.NewManager(resource.PolicyMostDemanding)
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			sensor := wire.SensorID(next.Add(1))
 			demand := resource.Demand{
-				Consumer: "app", Target: wire.MustStreamID(7, 0),
+				Consumer: "app", Target: wire.MustStreamID(sensor, 0),
 				Op: wire.OpSetRate, Value: 2000,
 			}
 			if _, err := rm.Submit(demand); err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec, err := rm.Submit(demand)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if dec.Changed {
-					b.Fatal("steady-state submit changed the effective setting")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("shards=%d/actuate", shards), func(b *testing.B) {
-			clock := sim.NewVirtualClock(epoch)
-			rm := resource.NewWithOptions(resource.Options{Shards: shards})
-			var svc *actuation.Service
-			svc = actuation.NewService(clock, func(c wire.ControlMessage) {
-				svc.HandleAck(c.UpdateID, c.Issued)
-			}, actuation.Options{Shards: shards, RetryInterval: time.Hour})
-			target := wire.MustStreamID(7, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec, err := rm.Submit(resource.Demand{
-					Consumer: "app", Target: target,
-					Op: wire.OpSetRate, Value: uint32(1000 + i%2*1000),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := svc.Issue(actuation.Request{
-					Target: dec.Action.Target, Op: dec.Action.Op, Value: dec.Action.Value,
-				}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("shards=%d/concurrent", shards), func(b *testing.B) {
-			rm := resource.NewWithOptions(resource.Options{Shards: shards})
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				sensor := wire.SensorID(next.Add(1))
-				demand := resource.Demand{
-					Consumer: "app", Target: wire.MustStreamID(sensor, 0),
-					Op: wire.OpSetRate, Value: 2000,
-				}
+			for pb.Next() {
 				if _, err := rm.Submit(demand); err != nil {
 					b.Error(err)
 					return
 				}
-				for pb.Next() {
-					if _, err := rm.Submit(demand); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
+			}
 		})
-	}
+	})
 }

@@ -102,24 +102,20 @@ func WithAsyncDispatch(queueCapacity int) Option {
 	}
 }
 
-// WithShards partitions every per-stream table — the Filtering Service's
-// duplicate/reorder state, the Stream Store's retention state, the
-// Dispatching Service's subscription table, the Resource Manager's
-// demand ledger and the Actuation Service's outstanding table (whose
-// 16-bit update-id space is carved into per-shard sub-spaces) — into n
-// shards. All five key on the sensor component of the StreamID through
-// one partition function (wire.SensorID.Shard), so a message or a demand
-// takes at most one shard-local lock per layer end to end and traffic of
-// different sensors never contends. n <= 0 selects each layer's default;
-// 1 restores the single shared tables; the actuation layer rounds n up
-// to a power of two (at most 256).
+// WithShards partitions the three data-plane per-stream tables — the
+// Filtering Service's duplicate/reorder state, the Stream Store's
+// retention state and the Dispatching Service's subscription table — into
+// n shards. All three key on the sensor component of the StreamID through
+// one partition function (wire.SensorID.Shard), so a message takes at most
+// one shard-local lock per layer end to end and traffic of different
+// sensors never contends. n <= 0 selects each layer's default; 1 restores
+// the single shared tables. The return path (Resource Manager, Actuation
+// Service) is not partitioned.
 func WithShards(n int) Option {
 	return func(cfg *core.Config) {
 		cfg.Filter.Shards = n
 		cfg.Store.Shards = n
 		cfg.Dispatch.Shards = n
-		cfg.Resource.Shards = n
-		cfg.Actuation.Shards = n
 	}
 }
 
@@ -227,19 +223,8 @@ func WithArchiveRetention(maxAge time.Duration, maxBytes int64) Option {
 	}
 }
 
-// WithArchiveSync makes archive spills synchronous: the sealing append
-// blocks until the backend write completes instead of handing the block
-// to the per-shard archiver goroutine. Deterministic (single-threaded
-// tests, virtual clocks) at the cost of backend latency on the append
-// path.
-func WithArchiveSync() Option {
-	return func(cfg *core.Config) {
-		cfg.Store.ArchiveSync = true
-	}
-}
-
 // WithActuationRetry tunes the Actuation Service's retry loop. It
-// composes with WithShards and WithActuationCoalescing in any order.
+// composes with WithActuationCoalescing in any order.
 func WithActuationRetry(interval time.Duration, maxAttempts int) Option {
 	return func(cfg *core.Config) {
 		cfg.Actuation.RetryInterval = interval
@@ -427,9 +412,10 @@ func (g *Deployment) Orphans(tok Token) ([]OrphanInfo, error) {
 }
 
 // Claim atomically hands over the Orphanage backlog of an unclaimed
-// stream to a late subscriber (PermSubscribe).
+// stream to a late subscriber (PermSubscribe, plus PermLocation for a
+// location stream). A refused claim leaves the backlog held.
 func (g *Deployment) Claim(tok Token, stream StreamID) ([]Delivery, error) {
-	if _, err := g.core.Registry().Require(tok, registry.PermSubscribe); err != nil {
+	if err := g.requireStream(tok, stream); err != nil {
 		return nil, err
 	}
 	backlog, _ := g.core.Orphanage().Claim(stream)

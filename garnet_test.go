@@ -129,10 +129,12 @@ func TestLocationStreamsNarrowedWithoutPermission(t *testing.T) {
 	}
 	plainRec := garnet.NewRecorder("plain", 256)
 	privRec := garnet.NewRecorder("priv", 256)
-	if _, err := g.Subscribe(plain, garnet.All(), plainRec); err != nil {
+	plainSub, err := g.Subscribe(plain, garnet.All(), plainRec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Subscribe(privileged, garnet.All(), privRec); err != nil {
+	privSub, err := g.Subscribe(privileged, garnet.All(), privRec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g.Start()
@@ -154,6 +156,47 @@ func TestLocationStreamsNarrowedWithoutPermission(t *testing.T) {
 	}
 	if !sawLocation {
 		t.Fatal("privileged consumer received no location streams")
+	}
+
+	// With nobody subscribed the estimates orphan, and the backlog is as
+	// protected as the live stream: Claim refuses a token without
+	// PermLocation, the refusal leaves the backlog held, and the
+	// entitled token then gets all of it.
+	g.Unsubscribe(plainSub)
+	g.Unsubscribe(privSub)
+	clock.Advance(10 * time.Second)
+	loc := garnet.MustStreamID(1, garnet.LocationStreamIndex)
+	held := func() int {
+		t.Helper()
+		orphans, err := g.Orphans(privileged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range orphans {
+			if o.Stream == loc {
+				return o.Buffered
+			}
+		}
+		return 0
+	}
+	before := held()
+	if before == 0 {
+		t.Fatal("no location backlog orphaned")
+	}
+	if got, err := g.Claim(plain, loc); !errors.Is(err, garnet.ErrPermission) || len(got) != 0 {
+		t.Fatalf("Claim without PermLocation = %d deliveries, %v; want ErrPermission", len(got), err)
+	}
+	if after := held(); after != before {
+		t.Fatalf("refused claim changed the held backlog: %d → %d", before, after)
+	}
+	got, err := g.Claim(privileged, loc)
+	if err != nil || len(got) != before {
+		t.Fatalf("Claim with PermLocation = %d deliveries, %v; want %d", len(got), err, before)
+	}
+	for _, d := range got {
+		if _, err := garnet.DecodeEstimate(d.Msg.Payload); err != nil {
+			t.Fatalf("bad claimed location payload: %v", err)
+		}
 	}
 }
 

@@ -10,17 +10,19 @@
 // request-to-acknowledgement latency distribution it records is the metric
 // the Super Coordinator's predictive policies exist to improve.
 //
-// # Sharding
+// # Locking
 //
-// The outstanding table is partitioned into N shards (Options.Shards)
-// keyed by the target's sensor — the same wire.SensorID.Shard function the
-// rest of the pipeline partitions on — and the 16-bit wire update-id space
-// is carved into per-shard sub-spaces (top bits = shard), so issue, ack
-// and retry for one sensor's requests take exactly one shard lock and an
-// ack routes home from the id alone. Retry timers are fire-and-forget
-// (the pooled sim.Scheduler path when the clock offers it) and re-lock
-// only their own shard; stale fires are screened by pointer+attempt
-// generation checks instead of cancellation handles.
+// One mutex guards the outstanding table, the coalescing windows, the
+// update-id allocator, the issue-stamp sequence and the counters; the
+// latency histogram is lock-free. Update ids come from the whole 16-bit
+// wire space (0 reserved), so an id is reused only after 65 535 later
+// allocations — as far from a late duplicate ack as the wire format
+// allows. A 16-way partition of this state could not be told from one
+// lock in paired runs on the hardware we have (CHANGES.md, PR 24). The
+// transmit hook runs outside the lock. Retry timers are fire-and-forget
+// (the pooled sim.Scheduler path when the clock offers it); stale fires
+// are screened by pointer+attempt generation checks instead of
+// cancellation handles.
 //
 // An optional coalescing window (Options.CoalesceWindow) absorbs bursts
 // of requests against the same sensor setting: the first request of a
@@ -33,10 +35,12 @@ package actuation
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"math"
+	"sync"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/metrics"
+	"github.com/garnet-middleware/garnet/internal/resource"
 	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
@@ -97,15 +101,6 @@ type Result struct {
 	Latency  time.Duration // issue → ack; zero unless acked
 }
 
-// DefaultShards partitions the outstanding table unless Options.Shards
-// says otherwise; it matches the resource manager's default so a demand
-// meets the same partition at both control-plane layers.
-const DefaultShards = 16
-
-// MaxShards bounds the shard count: with 256 shards each sub-space still
-// holds 256 update ids.
-const MaxShards = 256
-
 // Options configures the Service.
 type Options struct {
 	// RetryInterval separates transmission attempts. Default 2s.
@@ -113,21 +108,6 @@ type Options struct {
 	// MaxAttempts bounds transmissions per request (first + retries).
 	// Default 5.
 	MaxAttempts int
-	// Shards partitions the outstanding table by target sensor and carves
-	// the 16-bit update-id space into per-shard sub-spaces. <= 0 selects
-	// DefaultShards; the value is rounded up to a power of two and capped
-	// at MaxShards. 1 restores the historical single table with the full
-	// 64K id space.
-	//
-	// Trade-off: each sub-space holds 65536/Shards ids, and acks ride an
-	// at-least-once channel — an id freed by an ack can be reallocated to
-	// a new request while a duplicate ack for its previous owner is still
-	// in flight, which would falsely complete the new request. The
-	// allocator cycles the whole sub-space before reusing an id, so keep
-	// Shards small enough that a shard cannot burn through its sub-space
-	// within one downlink round-trip (at the 256-shard cap that is 256
-	// issue+ack cycles per sensor-shard per RTT).
-	Shards int
 	// CoalesceWindow, when positive, absorbs bursts of requests against
 	// the same sensor setting: within the window only the latest request
 	// is issued, earlier ones complete with OutcomeSuperseded. Pings
@@ -135,12 +115,12 @@ type Options struct {
 	CoalesceWindow time.Duration
 }
 
-// Stats is a snapshot of service counters, summed across shards. Every
-// issued request resolves into exactly one of Acked, Expired, Cancelled
-// or Superseded; Cancelled additionally counts coalescing-held requests
-// cancelled before they were ever transmitted (their Result carries
-// update id 0 and they were never Issued), so with coalescing enabled
-// Acked+Expired+Cancelled+Superseded may exceed Issued by that number.
+// Stats is a snapshot of service counters. Every issued request resolves
+// into exactly one of Acked, Expired, Cancelled or Superseded; Cancelled
+// additionally counts coalescing-held requests cancelled before they were
+// ever transmitted (their Result carries update id 0 and they were never
+// Issued), so with coalescing enabled Acked+Expired+Cancelled+Superseded
+// may exceed Issued by that number.
 type Stats struct {
 	Issued        int64
 	Acked         int64
@@ -151,7 +131,6 @@ type Stats struct {
 	DuplicateAcks int64
 	Coalesced     int64 // requests absorbed into a coalescing window
 	Outstanding   int
-	Shards        int
 }
 
 // Service is the Actuation Service.
@@ -161,14 +140,34 @@ type Service struct {
 	send  func(wire.ControlMessage)
 	opts  Options
 
-	idBits uint // width of each shard's id sub-space
-	shards []*ashard
+	// mu guards everything below except latency.
+	mu sync.Mutex
+	// nextID is the last update id handed out; allocation skips ids still
+	// outstanding, so wrap-around reuses only acked/expired ids.
+	nextID      uint16
+	outstanding map[uint16]*pending
+	coal        map[coalKey]*coalEntry
+	stopped     bool
+	// lastStamp is the previous wire issue timestamp; see stampLocked.
+	lastStamp time.Time
+
+	issued     int64
+	acked      int64
+	expired    int64
+	cancelled  int64
+	superseded int64
+	retries    int64
+	dupAcks    int64
+	coalesced  int64
+
+	// latency records request→ack latencies (milliseconds).
+	latency metrics.Histogram
 }
 
 // Service errors.
 var (
 	ErrStopped   = errors.New("actuation: service stopped")
-	ErrSaturated = errors.New("actuation: all update ids of the target's shard outstanding")
+	ErrSaturated = errors.New("actuation: all update ids outstanding")
 )
 
 // NewService creates a Service that forwards encoded-ready control
@@ -184,19 +183,12 @@ func NewService(clock sim.Clock, send func(wire.ControlMessage), opts Options) *
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 5
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	opts.Shards = ceilPow2(opts.Shards)
-	if opts.Shards > MaxShards {
-		opts.Shards = MaxShards
-	}
 	s := &Service{
-		clock:  clock,
-		send:   send,
-		opts:   opts,
-		idBits: uint(16 - (bits.Len(uint(opts.Shards)) - 1)),
-		shards: make([]*ashard, opts.Shards),
+		clock:       clock,
+		send:        send,
+		opts:        opts,
+		outstanding: make(map[uint16]*pending),
+		coal:        make(map[coalKey]*coalEntry),
 	}
 	// Pooled fire-and-forget timers only pay off on the virtual clock,
 	// whose scheduler recycles heap events. On real clocks (whose
@@ -208,19 +200,106 @@ func NewService(clock sim.Clock, send func(wire.ControlMessage), opts Options) *
 	if _, virtual := clock.(*sim.VirtualClock); virtual {
 		s.sched, _ = clock.(sim.Scheduler)
 	}
-	// One contiguous padded backing array: a multiple-of-64 allocation is
-	// 64-aligned by the Go size classes, so every shard starts on a cache
-	// line boundary.
-	backing := make([]paddedAShard, opts.Shards)
-	for i := range s.shards {
-		sh := &backing[i].ashard
-		sh.base = uint16(i) << s.idBits
-		sh.mask = uint16(1<<s.idBits - 1)
-		sh.outstanding = make(map[uint16]*pending)
-		sh.coal = make(map[coalKey]*coalEntry)
-		s.shards[i] = sh
-	}
 	return s
+}
+
+type pending struct {
+	req      Request
+	issuedAt time.Time // for latency measurement
+	stamp    time.Time // wire issue timestamp, strictly ordered across requests
+	attempts int
+	done     func(Result)
+	// timer is the cancellation handle of the armed retry/expiry timer on
+	// real clocks (nil on the pooled virtual-clock path, where stale
+	// fires are screened by generation checks instead): an ack stops the
+	// timer immediately rather than retaining this record until the dead
+	// timer fires.
+	timer sim.Timer
+}
+
+// stampLocked returns a strictly-increasing wire issue timestamp: now,
+// pushed one µs (the wire timestamp's precision) past the previous stamp
+// when the clock has not advanced. Distinct requests therefore never tie,
+// so the device's apply-in-issue-order staleness guard totally orders
+// competing settings even for flips within one clock instant;
+// retransmissions of one request reuse its stamp and still re-ack. Caller
+// holds s.mu.
+func (s *Service) stampLocked(now time.Time) time.Time {
+	// Quantize to the wire precision first: two real-clock instants
+	// within one µs would otherwise compare After here yet encode to the
+	// identical wire value, resurrecting the tie this function exists to
+	// break.
+	now = now.Truncate(time.Microsecond)
+	if !now.After(s.lastStamp) {
+		now = s.lastStamp.Add(time.Microsecond)
+	}
+	s.lastStamp = now
+	return now
+}
+
+// coalKey identifies the sensor setting a request competes for — requests
+// with the same key within a coalescing window collapse into one
+// actuation.
+type coalKey struct {
+	target wire.StreamID
+	class  resource.Class
+}
+
+// coalesceKeyOf returns the coalescing key for a request; ok is false for
+// operations that need no mediation and must never coalesce (ping,
+// device params). The key's class is resource.ClassOf's, so the two
+// layers always agree on which operations compete for one setting.
+func coalesceKeyOf(req Request) (coalKey, bool) {
+	class, ok := resource.ClassOf(req.Op)
+	if !ok {
+		return coalKey{}, false
+	}
+	return coalKey{target: req.Target, class: class}, true
+}
+
+// coalEntry is an open coalescing window for one key. held is the latest
+// request absorbed since the window opened; it is issued when the window
+// closes. lastID/lastP remember the key's most recently transmitted
+// request so the trailing actuation can supersede its retries — without
+// this, a lost first transmission would be retried after the newer value
+// and revert the sensor.
+type coalEntry struct {
+	held   *heldRequest
+	lastID uint16
+	lastP  *pending
+}
+
+type heldRequest struct {
+	req  Request
+	done func(Result)
+}
+
+// completeHeld resolves a held request's callback without an update id
+// (it was never issued).
+func completeHeld(h *heldRequest, o Outcome) {
+	if h != nil && h.done != nil {
+		h.done(Result{Request: h.req, Outcome: o})
+	}
+}
+
+// allocateLocked hands out the next free update id, skipping ids still
+// outstanding so wrap-around never double-books a pending request. Wire
+// id 0 is never allocated — Result reserves it for requests that were
+// never transmitted. ok is false when all 65 535 ids are outstanding.
+// Caller holds s.mu.
+func (s *Service) allocateLocked() (uint16, bool) {
+	if len(s.outstanding) == math.MaxUint16 {
+		return 0, false
+	}
+	for {
+		s.nextID++
+		if s.nextID == 0 {
+			continue
+		}
+		if _, inUse := s.outstanding[s.nextID]; !inUse {
+			return s.nextID, true
+		}
+	}
 }
 
 // schedule arms a timer: fire-and-forget on the pooled virtual-clock
@@ -246,34 +325,33 @@ func (s *Service) Issue(req Request, done func(Result)) (uint16, error) {
 		return 0, fmt.Errorf("actuation: %w", wire.ErrBadOp)
 	}
 	now := s.clock.Now()
-	sh := s.shardFor(req.Target)
-	sh.mu.Lock()
-	if sh.stopped {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
 		return 0, ErrStopped
 	}
 	coalesce := false
 	var windowKey coalKey
 	if s.opts.CoalesceWindow > 0 {
 		if key, ok := coalesceKeyOf(req); ok {
-			if ce := sh.coal[key]; ce != nil {
+			if ce := s.coal[key]; ce != nil {
 				// Window open: absorb, superseding any earlier held request.
 				superseded := ce.held
 				ce.held = &heldRequest{req: req, done: done}
-				sh.coalesced++
-				sh.mu.Unlock()
+				s.coalesced++
+				s.mu.Unlock()
 				completeHeld(superseded, OutcomeSuperseded)
 				return 0, nil
 			}
 			coalesce, windowKey = true, key
 		}
 	}
-	// Allocate before opening a window: a saturated sub-space must not
+	// Allocate before opening a window: a saturated id space must not
 	// leave a window (and its armed close timer) behind, or the orphan
 	// timer would later cut short a different window for the same key.
-	id, ok := sh.allocateLocked()
+	id, ok := s.allocateLocked()
 	if !ok {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return 0, ErrSaturated
 	}
 	var window *coalEntry
@@ -281,48 +359,48 @@ func (s *Service) Issue(req Request, done func(Result)) (uint16, error) {
 		// First of a potential burst: transmit immediately and open a
 		// window that absorbs followers.
 		window = &coalEntry{}
-		sh.coal[windowKey] = window
-		s.schedule(s.opts.CoalesceWindow, func() { s.closeWindow(sh, windowKey) })
+		s.coal[windowKey] = window
+		s.schedule(s.opts.CoalesceWindow, func() { s.closeWindow(windowKey) })
 	}
-	p := &pending{req: req, issuedAt: now, stamp: sh.stampLocked(now), done: done}
-	sh.outstanding[id] = p
-	sh.issued++
+	p := &pending{req: req, issuedAt: now, stamp: s.stampLocked(now), done: done}
+	s.outstanding[id] = p
+	s.issued++
 	if window != nil {
 		window.lastID, window.lastP = id, p
 	}
-	s.transmitLocked(sh, id, p)
-	sh.mu.Unlock()
+	s.transmitLocked(id, p)
+	s.mu.Unlock()
 	return id, nil
 }
 
 // closeWindow ends one coalescing round: if a held request accumulated,
 // it is issued now and the window re-arms (continued churn keeps
 // collapsing to one actuation per window); otherwise the window closes.
-func (s *Service) closeWindow(sh *ashard, key coalKey) {
-	sh.mu.Lock()
-	ce := sh.coal[key]
+func (s *Service) closeWindow(key coalKey) {
+	s.mu.Lock()
+	ce := s.coal[key]
 	if ce == nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
-	if sh.stopped || ce.held == nil {
-		delete(sh.coal, key)
+	if s.stopped || ce.held == nil {
+		delete(s.coal, key)
 		held := ce.held
 		if held != nil {
-			sh.cancelled++
+			s.cancelled++
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		completeHeld(held, OutcomeCancelled)
 		return
 	}
 	h := ce.held
 	ce.held = nil
-	s.schedule(s.opts.CoalesceWindow, func() { s.closeWindow(sh, key) })
-	id, ok := sh.allocateLocked()
+	s.schedule(s.opts.CoalesceWindow, func() { s.closeWindow(key) })
+	id, ok := s.allocateLocked()
 	if !ok {
-		// Sub-space exhausted: the held request cannot be transmitted.
-		sh.cancelled++
-		sh.mu.Unlock()
+		// Id space exhausted: the held request cannot be transmitted.
+		s.cancelled++
+		s.mu.Unlock()
 		completeHeld(h, OutcomeCancelled)
 		return
 	}
@@ -334,9 +412,9 @@ func (s *Service) closeWindow(sh *ashard, key coalKey) {
 	// it carries the older issue timestamp, so the sensor ignores it.)
 	var priorResult Result
 	var priorDone func(Result)
-	if ce.lastP != nil && sh.outstanding[ce.lastID] == ce.lastP {
-		delete(sh.outstanding, ce.lastID)
-		sh.superseded++
+	if ce.lastP != nil && s.outstanding[ce.lastID] == ce.lastP {
+		delete(s.outstanding, ce.lastID)
+		s.superseded++
 		if ce.lastP.timer != nil {
 			ce.lastP.timer.Stop()
 		}
@@ -349,23 +427,23 @@ func (s *Service) closeWindow(sh *ashard, key coalKey) {
 		priorDone = ce.lastP.done
 	}
 	now := s.clock.Now()
-	p := &pending{req: h.req, issuedAt: now, stamp: sh.stampLocked(now), done: h.done}
-	sh.outstanding[id] = p
-	sh.issued++
+	p := &pending{req: h.req, issuedAt: now, stamp: s.stampLocked(now), done: h.done}
+	s.outstanding[id] = p
+	s.issued++
 	ce.lastID, ce.lastP = id, p
-	s.transmitLocked(sh, id, p)
-	sh.mu.Unlock()
+	s.transmitLocked(id, p)
+	s.mu.Unlock()
 	if priorDone != nil {
 		priorDone(priorResult)
 	}
 }
 
 // transmitLocked sends one attempt and arms the retry (or expiry) timer.
-// Caller holds sh.mu; the send itself runs unlocked.
-func (s *Service) transmitLocked(sh *ashard, id uint16, p *pending) {
+// Caller holds s.mu; the send itself runs unlocked.
+func (s *Service) transmitLocked(id uint16, p *pending) {
 	p.attempts++
 	if p.attempts > 1 {
-		sh.retries++
+		s.retries++
 	}
 	msg := wire.ControlMessage{
 		UpdateID: id,
@@ -374,19 +452,19 @@ func (s *Service) transmitLocked(sh *ashard, id uint16, p *pending) {
 		Param:    p.req.Param,
 		Value:    p.req.Value,
 		// The §4.2 timestamp is the request's issue stamp, stable across
-		// retries and strictly ordered within the shard: the sensor
+		// retries and strictly ordered across requests: the sensor
 		// applies the highest issue stamp it has seen per setting, so a
 		// delayed retransmission of a superseded value (or a radio-jitter
 		// reordering) can never revert a newer one.
 		Issued: p.stamp,
 	}
 	// Send outside the lock: the replicator fans out to transmitters and
-	// the medium, none of which re-enter this shard while it is locked.
+	// the medium, and every other issue and ack would wait behind them.
 	send := s.send
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	send(msg)
-	sh.mu.Lock()
-	if sh.outstanding[id] != p {
+	s.mu.Lock()
+	if s.outstanding[id] != p {
 		return // acked (or cancelled) while transmitting
 	}
 	// The timer callbacks capture (id, p, gen): a fire is stale — and
@@ -397,31 +475,31 @@ func (s *Service) transmitLocked(sh *ashard, id uint16, p *pending) {
 	// timers early.
 	gen := p.attempts
 	if p.attempts >= s.opts.MaxAttempts {
-		p.timer = s.schedule(s.opts.RetryInterval, func() { s.expire(sh, id, p, gen) })
+		p.timer = s.schedule(s.opts.RetryInterval, func() { s.expire(id, p, gen) })
 		return
 	}
-	p.timer = s.schedule(s.opts.RetryInterval, func() { s.retry(sh, id, p, gen) })
+	p.timer = s.schedule(s.opts.RetryInterval, func() { s.retry(id, p, gen) })
 }
 
-func (s *Service) retry(sh *ashard, id uint16, p *pending, gen int) {
-	sh.mu.Lock()
-	if sh.stopped || sh.outstanding[id] != p || p.attempts != gen {
-		sh.mu.Unlock()
+func (s *Service) retry(id uint16, p *pending, gen int) {
+	s.mu.Lock()
+	if s.stopped || s.outstanding[id] != p || p.attempts != gen {
+		s.mu.Unlock()
 		return
 	}
-	s.transmitLocked(sh, id, p)
-	sh.mu.Unlock()
+	s.transmitLocked(id, p)
+	s.mu.Unlock()
 }
 
-func (s *Service) expire(sh *ashard, id uint16, p *pending, gen int) {
-	sh.mu.Lock()
-	if sh.outstanding[id] != p || p.attempts != gen {
-		sh.mu.Unlock()
+func (s *Service) expire(id uint16, p *pending, gen int) {
+	s.mu.Lock()
+	if s.outstanding[id] != p || p.attempts != gen {
+		s.mu.Unlock()
 		return
 	}
-	delete(sh.outstanding, id)
-	sh.expired++
-	sh.mu.Unlock()
+	delete(s.outstanding, id)
+	s.expired++
+	s.mu.Unlock()
 	if p.done != nil {
 		p.done(Result{UpdateID: id, Request: p.req, Outcome: OutcomeExpired, Attempts: p.attempts})
 	}
@@ -429,27 +507,24 @@ func (s *Service) expire(sh *ashard, id uint16, p *pending, gen int) {
 
 // HandleAck completes the outstanding request acknowledged by a data
 // message carrying update id ackID. The deployment core calls this for
-// every delivery with wire.FlagUpdateAck set. The shard is recovered from
-// the id's top bits, so the ack takes exactly one shard lock. Unknown or
-// repeated ids are counted and ignored (acks ride an at-least-once
-// channel).
+// every delivery with wire.FlagUpdateAck set. Unknown or repeated ids
+// are counted and ignored (acks ride an at-least-once channel).
 func (s *Service) HandleAck(ackID uint16, at time.Time) {
-	sh := s.shardForID(ackID)
-	sh.mu.Lock()
-	p, ok := sh.outstanding[ackID]
+	s.mu.Lock()
+	p, ok := s.outstanding[ackID]
 	if !ok {
-		sh.dupAcks++
-		sh.mu.Unlock()
+		s.dupAcks++
+		s.mu.Unlock()
 		return
 	}
-	delete(sh.outstanding, ackID)
-	sh.acked++
+	delete(s.outstanding, ackID)
+	s.acked++
 	if p.timer != nil {
 		p.timer.Stop()
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	latency := at.Sub(p.issuedAt)
-	sh.latency.ObserveDuration(latency)
+	s.latency.ObserveDuration(latency)
 	if p.done != nil {
 		p.done(Result{
 			UpdateID: ackID,
@@ -463,13 +538,9 @@ func (s *Service) HandleAck(ackID uint16, at time.Time) {
 
 // Outstanding returns the number of unacknowledged requests.
 func (s *Service) Outstanding() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.outstanding)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.outstanding)
 }
 
 // Stop cancels all outstanding and coalescing-held requests
@@ -480,72 +551,62 @@ func (s *Service) Stop() {
 		f func(Result)
 	}
 	var calls []doneCall
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.stopped {
-			sh.mu.Unlock()
-			continue
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return
+	}
+	s.stopped = true
+	for id, p := range s.outstanding {
+		if p.timer != nil {
+			p.timer.Stop()
 		}
-		sh.stopped = true
-		for id, p := range sh.outstanding {
-			if p.timer != nil {
-				p.timer.Stop()
-			}
-			if p.done != nil {
+		if p.done != nil {
+			calls = append(calls, doneCall{
+				r: Result{UpdateID: id, Request: p.req, Outcome: OutcomeCancelled, Attempts: p.attempts},
+				f: p.done,
+			})
+		}
+	}
+	s.cancelled += int64(len(s.outstanding))
+	s.outstanding = make(map[uint16]*pending)
+	for key, ce := range s.coal {
+		if ce.held != nil {
+			s.cancelled++
+			if ce.held.done != nil {
 				calls = append(calls, doneCall{
-					r: Result{UpdateID: id, Request: p.req, Outcome: OutcomeCancelled, Attempts: p.attempts},
-					f: p.done,
+					r: Result{Request: ce.held.req, Outcome: OutcomeCancelled},
+					f: ce.held.done,
 				})
 			}
 		}
-		sh.cancelled += int64(len(sh.outstanding))
-		sh.outstanding = make(map[uint16]*pending)
-		for key, ce := range sh.coal {
-			if ce.held != nil {
-				sh.cancelled++
-				if ce.held.done != nil {
-					calls = append(calls, doneCall{
-						r: Result{Request: ce.held.req, Outcome: OutcomeCancelled},
-						f: ce.held.done,
-					})
-				}
-			}
-			delete(sh.coal, key)
-		}
-		sh.mu.Unlock()
+		delete(s.coal, key)
 	}
+	s.mu.Unlock()
 	for _, c := range calls {
 		c.f(c.r)
 	}
 }
 
-// Stats returns a snapshot of the service counters summed across shards.
+// Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
-	st := Stats{Shards: len(s.shards)}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st.Issued += sh.issued
-		st.Acked += sh.acked
-		st.Expired += sh.expired
-		st.Cancelled += sh.cancelled
-		st.Superseded += sh.superseded
-		st.Retries += sh.retries
-		st.DuplicateAcks += sh.dupAcks
-		st.Coalesced += sh.coalesced
-		st.Outstanding += len(sh.outstanding)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Stats{
+		Issued:        s.issued,
+		Acked:         s.acked,
+		Expired:       s.expired,
+		Cancelled:     s.cancelled,
+		Superseded:    s.superseded,
+		Retries:       s.retries,
+		DuplicateAcks: s.dupAcks,
+		Coalesced:     s.coalesced,
+		Outstanding:   len(s.outstanding),
 	}
-	return st
 }
 
-// Latency returns a merged snapshot of the per-shard request→ack latency
-// distributions (milliseconds). Acks record into their shard's histogram
-// — no cross-shard serial point on the ack path — and the merge happens
-// only here, at read time.
+// Latency returns the request→ack latency distribution (milliseconds).
+// It is the live histogram: safe to read while acks keep recording.
 func (s *Service) Latency() *metrics.Histogram {
-	h := &metrics.Histogram{}
-	for _, sh := range s.shards {
-		h.Merge(&sh.latency)
-	}
-	return h
+	return &s.latency
 }

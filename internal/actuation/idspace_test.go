@@ -2,6 +2,7 @@ package actuation
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,57 +13,50 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// With 256 shards each id sub-space holds 256 ids, so wrap-around and
-// saturation are cheap to reach.
-func shardOptions() Options {
-	return Options{Shards: 256, RetryInterval: time.Hour, MaxAttempts: 1}
+// oneShotOptions keeps every issued request outstanding until it is acked:
+// one attempt, and an expiry no test advances the clock far enough to reach.
+func oneShotOptions() Options {
+	return Options{RetryInterval: time.Hour, MaxAttempts: 1}
 }
 
-// The id allocator must skip ids still outstanding when the sub-space
-// wraps, reusing only acked ids, and saturate exactly when every id of
-// the target's shard is outstanding.
+// allIDs is the number of allocatable update ids: the 16-bit wire space
+// less the reserved id 0.
+const allIDs = math.MaxUint16
+
+// The id allocator must skip ids still outstanding when the space wraps,
+// reusing only acked ids, and saturate exactly when all 65 535 ids are
+// outstanding — which one sensor alone may hold: no per-sensor or
+// per-partition budget stands between a target and the wire's id space.
 func TestIDWrapSkipsOutstanding(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	s := NewService(clock, func(wire.ControlMessage) {}, shardOptions())
+	s := NewService(clock, func(wire.ControlMessage) {}, oneShotOptions())
 
-	target := wire.MustStreamID(42, 0)
-	req := Request{Target: target, Op: wire.OpPing, Consumer: "app"}
-
-	// Shard 0's sub-space is one smaller: wire id 0 is never allocated
-	// (Result reserves it for never-transmitted requests).
-	capacity := 256
-	if s.shardFor(target).base == 0 {
-		capacity = 255
-	}
-	ids := make([]uint16, 0, capacity)
-	for i := 0; i < capacity; i++ {
+	req := Request{Target: wire.MustStreamID(42, 0), Op: wire.OpPing, Consumer: "app"}
+	ids := make([]uint16, 0, allIDs)
+	for i := 0; i < allIDs; i++ {
 		id, err := s.Issue(req, nil)
 		if err != nil {
-			t.Fatalf("issue %d: %v", i, err)
+			t.Fatalf("issue %d of %d against one sensor: %v", i+1, allIDs, err)
 		}
 		if id == 0 {
 			t.Fatal("allocated reserved wire id 0")
 		}
 		ids = append(ids, id)
 	}
-	// The whole sub-space shares the shard's top bits.
-	for _, id := range ids {
-		if id>>8 != ids[0]>>8 {
-			t.Fatalf("id %#04x escaped the shard of %#04x", id, ids[0])
-		}
+	if got := s.Outstanding(); got != allIDs {
+		t.Fatalf("outstanding = %d, want %d distinct ids", got, allIDs)
 	}
 	if _, err := s.Issue(req, nil); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("saturated shard accepted an issue: %v", err)
+		t.Fatalf("saturated service accepted an issue: %v", err)
 	}
-	// Another sensor's shard is unaffected by the saturation.
 	other := Request{Target: wire.MustStreamID(43, 0), Op: wire.OpPing}
-	if _, err := s.Issue(other, nil); err != nil {
-		t.Fatalf("unrelated shard rejected an issue: %v", err)
+	if _, err := s.Issue(other, nil); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("saturated service accepted another sensor's issue: %v", err)
 	}
 
-	// Free three ids in the middle; the allocator must wrap the sub-space
-	// and hand back exactly those, never a still-outstanding id.
-	freed := map[uint16]bool{ids[10]: true, ids[100]: true, ids[200]: true}
+	// Free three ids in the middle; the allocator must wrap the space and
+	// hand back exactly those, never a still-outstanding id.
+	freed := map[uint16]bool{ids[10]: true, ids[1000]: true, ids[60000]: true}
 	for id := range freed {
 		s.HandleAck(id, clock.Now())
 	}
@@ -77,33 +71,7 @@ func TestIDWrapSkipsOutstanding(t *testing.T) {
 		delete(freed, id)
 	}
 	if _, err := s.Issue(req, nil); !errors.Is(err, ErrSaturated) {
-		t.Fatal("shard should be saturated again after reusing the freed ids")
-	}
-}
-
-// An ack routes back to its home shard from the id's top bits alone —
-// requests against sensors in different shards complete independently.
-func TestAckRoutesAcrossShards(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	s := NewService(clock, func(wire.ControlMessage) {}, Options{Shards: 16})
-
-	var ids []uint16
-	for sensor := wire.SensorID(1); sensor <= 40; sensor++ {
-		id, err := s.Issue(Request{Target: wire.MustStreamID(sensor, 0), Op: wire.OpPing}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if got := s.Outstanding(); got != 40 {
-		t.Fatalf("outstanding = %d, want 40", got)
-	}
-	for _, id := range ids {
-		s.HandleAck(id, clock.Now())
-	}
-	st := s.Stats()
-	if st.Acked != 40 || st.Outstanding != 0 || st.DuplicateAcks != 0 {
-		t.Fatalf("stats = %+v", st)
+		t.Fatal("service should be saturated again after reusing the freed ids")
 	}
 }
 
@@ -194,7 +162,7 @@ func TestStopCancelsHeldRequest(t *testing.T) {
 	if held.Outcome != OutcomeCancelled {
 		t.Fatalf("held result = %+v", held)
 	}
-	clock.Advance(time.Hour) // the armed window close fires into the stopped shard
+	clock.Advance(time.Hour) // the armed window close fires into the stopped service
 	if st := s.Stats(); st.Issued != 1 || st.Cancelled != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -202,14 +170,14 @@ func TestStopCancelsHeldRequest(t *testing.T) {
 
 // TestActuationRaceStress drives concurrent issues, acks and stats reads
 // against a concurrently-advanced virtual clock, so retry and expiry
-// timers interleave with the control path. Run with -race. Every issued
+// timers interleave with the control path. The service is one mutex, so
+// this is its whole concurrency contract. Run with -race. Every issued
 // request must resolve exactly once.
 func TestActuationRaceStress(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	var svc *Service
 	acks := make(chan uint16, 4096)
 	svc = NewService(clock, func(wire.ControlMessage) {}, Options{
-		Shards:        8,
 		RetryInterval: 5 * time.Millisecond,
 		MaxAttempts:   3,
 	})
@@ -276,11 +244,10 @@ func TestActuationRaceStress(t *testing.T) {
 }
 
 // Wire id 0 is reserved for never-transmitted results: the allocator
-// must skip it across a full wrap of the whole 16-bit space (shards=1,
-// where the sub-space contains id 0).
+// must skip it across a full wrap of the 16-bit space.
 func TestIDZeroNeverAllocated(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	s := NewService(clock, func(wire.ControlMessage) {}, Options{Shards: 1, RetryInterval: time.Hour})
+	s := NewService(clock, func(wire.ControlMessage) {}, Options{RetryInterval: time.Hour})
 	for i := 0; i < 1<<16+50; i++ {
 		id, err := s.Issue(pingReq, nil)
 		if err != nil {
@@ -298,12 +265,12 @@ func TestIDZeroNeverAllocated(t *testing.T) {
 // instead of seeing ErrSaturated themselves.
 func TestSaturatedIssueClosesWindow(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	opts := shardOptions()
+	opts := oneShotOptions()
 	opts.CoalesceWindow = 100 * time.Millisecond
 	s := NewService(clock, func(wire.ControlMessage) {}, opts)
 	target := wire.MustStreamID(42, 0)
 
-	// Saturate the target's shard with non-coalescible pings.
+	// Saturate the id space with non-coalescible pings.
 	var ids []uint16
 	for {
 		id, err := s.Issue(Request{Target: target, Op: wire.OpPing}, nil)
@@ -405,61 +372,34 @@ func TestRetryCarriesOriginalIssueTimestamp(t *testing.T) {
 	}
 }
 
-// A saturated sub-space must not leave a coalescing window (or its armed
+// A saturated id space must not leave a coalescing window (or its armed
 // close timer) behind: the orphan timer would later close a different
 // window for the same key early, breaking the one-actuation-per-window
 // contract.
 func TestSaturationLeavesNoCoalescingWindow(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	sent := 0
-	opts := shardOptions()
+	opts := oneShotOptions()
 	opts.CoalesceWindow = 100 * time.Millisecond
 	s := NewService(clock, func(wire.ControlMessage) { sent++ }, opts)
 
-	// Two sensors homed in the same shard give distinct coalescing keys
-	// against one id sub-space.
-	sensorA := wire.SensorID(42)
-	sensorB := wire.SensorID(0)
-	for id := wire.SensorID(1); ; id++ {
-		if id != sensorA && id.Shard(opts.Shards) == sensorA.Shard(opts.Shards) {
-			sensorB = id
-			break
-		}
-	}
-
-	// Saturate the shard: distinct stream indices are distinct coalescing
-	// keys, so every issue allocates an id and stays outstanding.
-	var ids []uint16
-	fill := func(sensor wire.SensorID) error {
-		for i := 0; i <= 255; i++ {
-			id, err := s.Issue(Request{Target: wire.MustStreamID(sensor, wire.StreamIndex(i)), Op: wire.OpSetRate, Value: 1}, nil)
+	// Saturate: distinct streams are distinct coalescing keys, so every
+	// issue allocates an id and stays outstanding.
+	ids := make([]uint16, 0, allIDs)
+	for sensor := wire.SensorID(1); len(ids) < allIDs; sensor++ {
+		for index := 0; index <= 255 && len(ids) < allIDs; index++ {
+			id, err := s.Issue(Request{Target: wire.MustStreamID(sensor, wire.StreamIndex(index)), Op: wire.OpSetRate, Value: 1}, nil)
 			if err != nil {
-				return err
+				t.Fatalf("saturated too early, %d outstanding: %v", len(ids), err)
 			}
 			ids = append(ids, id)
 		}
-		return nil
-	}
-	if err := fill(sensorA); err != nil {
-		t.Fatalf("saturated too early: %v", err)
 	}
 	// probe is the key whose Issue hits ErrSaturated — the key a buggy
 	// implementation would leave an orphan close timer armed for.
-	var probe wire.StreamID
-	sawSaturated := false
-	for i := 0; i < 100; i++ {
-		target := wire.MustStreamID(sensorB, wire.StreamIndex(i))
-		if _, err := s.Issue(Request{Target: target, Op: wire.OpSetRate, Value: 1}, nil); err != nil {
-			if !errors.Is(err, ErrSaturated) {
-				t.Fatal(err)
-			}
-			probe = target
-			sawSaturated = true
-			break
-		}
-	}
-	if !sawSaturated {
-		t.Fatal("never saturated the shard")
+	probe := wire.MustStreamID(1000, 0)
+	if _, err := s.Issue(Request{Target: probe, Op: wire.OpSetRate, Value: 1}, nil); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("issue with %d outstanding: %v, want ErrSaturated", len(ids), err)
 	}
 
 	// Free two ids, then open a real window on a fresh key mid-way
@@ -515,7 +455,7 @@ func TestSameInstantFlipsCarryOrderedStamps(t *testing.T) {
 		}
 	}
 	// The trailing coalesced actuation is ordered too (it goes through
-	// the same per-shard stamp).
+	// the same stamp sequence).
 	if !sent[0].Issued.After(epoch.Add(-time.Second)) {
 		t.Fatal("sanity: stamps near epoch")
 	}

@@ -27,11 +27,9 @@ import (
 )
 
 // DemandSink receives the demand changes the coordinator decides on. The
-// deployment core implements it with resource.Manager.Apply, which fans
-// the replacement out per ledger shard — the mutation work runs under
-// the shard-local locks of the touched shards only, so a state report
-// never serialises behind unrelated owners' demands — and actuates the
-// changed decisions.
+// deployment core implements it with resource.Manager.Apply, which
+// replaces the set under one acquisition of the manager's lock, and
+// actuates the changed decisions.
 type DemandSink interface {
 	// Apply replaces owner's standing demands with demands.
 	Apply(owner string, demands []resource.Demand)

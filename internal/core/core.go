@@ -61,8 +61,7 @@ type Config struct {
 	Actuation   actuation.Options
 	Replicator  replicator.Options
 	Coordinator coordinator.Options
-	// Resource configures the Resource Manager (control-plane sharding;
-	// the garnet.WithShards facade option threads Shards here).
+	// Resource configures the Resource Manager.
 	Resource resource.Options
 	// Store configures the Stream Store, the retention layer every
 	// accepted delivery tees into before dispatch (the
@@ -101,7 +100,7 @@ type Deployment struct {
 	// mu guards the component registries and lifecycle flags only — the
 	// control path (demand submission, application, actuation) never
 	// takes it; ownership bookkeeping lives in the resource manager's
-	// sharded ledger.
+	// ledger.
 	mu           sync.Mutex
 	receivers    []*receiver.Receiver
 	transmitters []*transmit.Transmitter
@@ -337,10 +336,9 @@ func (d *Deployment) actuateAction(a resource.Action, owner string) {
 // ApplyDemands replaces an owner's standing demand set — the Super
 // Coordinator's sink. Demands present in the new set are submitted;
 // demands the owner held before but not any more are withdrawn; every
-// changed effective setting is actuated. The replacement fans out per
-// ledger shard inside the resource manager (which owns the ownership
-// bookkeeping): the mutation work runs under the shard-local locks of
-// the touched shards only, and Deployment.mu is never taken.
+// changed effective setting is actuated. The replacement runs under the
+// resource manager's own lock (it owns the ownership bookkeeping);
+// Deployment.mu is never taken.
 func (d *Deployment) ApplyDemands(owner string, demands []resource.Demand) {
 	for _, a := range d.rm.Apply(owner, demands) {
 		d.actuateAction(a, owner)

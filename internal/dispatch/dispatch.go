@@ -178,9 +178,9 @@ const (
 const DefaultQueueCapacity = 256
 
 // DefaultShards partitions the subscription table unless Options.Shards
-// says otherwise. Sixteen single-cache-line shard headers cost nothing at
-// rest and remove essentially all lock contention up to a few dozen
-// concurrently publishing streams.
+// says otherwise. Sixteen shard headers cost nothing at rest and remove
+// essentially all lock contention up to a few dozen concurrently
+// publishing streams.
 const DefaultShards = 16
 
 // DefaultBatchSize bounds how many queued deliveries an async drainer

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"sync"
-	"unsafe"
 
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/wire"
@@ -24,40 +23,22 @@ type shard struct {
 	streams map[wire.StreamID]*StreamInfo
 
 	// Hot-path counters are shard-local so concurrent publishes on
-	// different shards never bounce a shared counter cache line; Stats
-	// sums them. The backing array pads each shard to whole cache lines
-	// (paddedShard), so one shard's mutex and counters never share a
-	// line with a neighbour's.
+	// different shards never contend on one shared counter; Stats sums
+	// them.
 	dispatched metrics.Counter
 	delivered  metrics.Counter
 	orphaned   metrics.Counter
 }
 
-// paddedShard rounds a shard up to a whole number of cache lines while
-// keeping at least 8 bytes of trailing padding. The shard table is one
-// contiguous backing array; without the padding, adjacent shards'
-// mutexes and hot counters can straddle one line and concurrent
-// publishes on different shards would ping-pong it anyway. The ≥8-byte
-// tail matters because the runtime prepends an 8-byte allocation header
-// to pointer-bearing heap objects, shifting the array base to 8 mod
-// CacheLine: each boundary line then holds one shard's dead tail
-// padding plus the next shard's head, so live fields of two shards
-// still never share a line.
-type paddedShard struct {
-	shard
-	_ [(unsafe.Sizeof(shard{})+metrics.CacheLine+7)/metrics.CacheLine*metrics.CacheLine - unsafe.Sizeof(shard{})]byte
-}
-
-// newShards builds the shard table as one contiguous padded array.
+// newShards builds the shard table.
 func newShards(n int) []*shard {
-	backing := make([]paddedShard, n)
 	shards := make([]*shard, n)
 	for i := range shards {
-		sh := &backing[i].shard
-		sh.exact = make(map[wire.StreamID]map[SubscriptionID]*subscription)
-		sh.sensor = make(map[wire.SensorID]map[SubscriptionID]*subscription)
-		sh.streams = make(map[wire.StreamID]*StreamInfo)
-		shards[i] = sh
+		shards[i] = &shard{
+			exact:   make(map[wire.StreamID]map[SubscriptionID]*subscription),
+			sensor:  make(map[wire.SensorID]map[SubscriptionID]*subscription),
+			streams: make(map[wire.StreamID]*StreamInfo),
+		}
 	}
 	return shards
 }

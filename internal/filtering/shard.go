@@ -3,9 +3,7 @@ package filtering
 import (
 	"sync"
 	"time"
-	"unsafe"
 
-	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -28,8 +26,7 @@ type shard struct {
 	last   *streamFilter
 
 	// Hot-path counters are plain ints mutated only under mu — cheaper
-	// than atomics on every ingest, and shard-locality keeps unrelated
-	// streams off each other's cache lines. Stats sums them per shard.
+	// than atomics on every ingest. Stats sums them per shard.
 	received   int64
 	delivered  int64
 	duplicates int64
@@ -38,25 +35,11 @@ type shard struct {
 	recovered  int64
 }
 
-// paddedShard rounds a shard up to whole cache lines, keeping at least
-// 8 bytes of trailing padding, so live fields of adjacent shards in the
-// contiguous backing array never share a line even when the runtime's
-// 8-byte allocation header shifts the array base off line alignment
-// (see the dispatch package's paddedShard for the full rationale).
-type paddedShard struct {
-	shard
-	_ [(unsafe.Sizeof(shard{})+metrics.CacheLine+7)/metrics.CacheLine*metrics.CacheLine - unsafe.Sizeof(shard{})]byte
-}
-
-// newShards builds the shard table as one contiguous padded array.
+// newShards builds the shard table.
 func newShards(f *Filter, n int) []*shard {
-	backing := make([]paddedShard, n)
 	shards := make([]*shard, n)
 	for i := range shards {
-		sh := &backing[i].shard
-		sh.f = f
-		sh.streams = make(map[wire.StreamID]*streamFilter)
-		shards[i] = sh
+		shards[i] = &shard{f: f, streams: make(map[wire.StreamID]*streamFilter)}
 	}
 	return shards
 }

@@ -8,7 +8,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -20,27 +19,6 @@ import (
 // a larger effective granularity (adjacent-line prefetchers pairing two
 // lines) padding to one line still removes the worst of the ping-pong.
 const CacheLine = 64
-
-// VerifyPadding checks the layout invariant behind the padded shard
-// tables: given the addresses of consecutive padded cells and the size
-// of the live (unpadded) struct inside each, no cell's live bytes may
-// share a cache line with another's. This is what stops cross-shard
-// false sharing; it deliberately does not require the base address to
-// be line-aligned, because the runtime's 8-byte allocation header can
-// shift a pointer-bearing array to 8 mod CacheLine — the ≥8-byte tail
-// padding in each cell absorbs exactly that shift. Returns a
-// description of the first violation, or "" when the layout is sound.
-func VerifyPadding(addrs []uintptr, liveSize uintptr) string {
-	for i := 1; i < len(addrs); i++ {
-		prevLast := (addrs[i-1] + liveSize - 1) / CacheLine
-		first := addrs[i] / CacheLine
-		if first <= prevLast {
-			return fmt.Sprintf("cells %d and %d share cache line %d (addrs %#x+%d, %#x)",
-				i-1, i, first, addrs[i-1], liveSize, addrs[i])
-		}
-	}
-	return ""
-}
 
 // Counter is a monotonically increasing atomic counter.
 // The zero value is ready to use.
@@ -81,12 +59,6 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // methods; the padding is invisible to callers.
 type PaddedCounter struct {
 	Counter
-	_ [CacheLine - 8]byte
-}
-
-// PaddedGauge is a Gauge occupying a whole cache line; see PaddedCounter.
-type PaddedGauge struct {
-	Gauge
 	_ [CacheLine - 8]byte
 }
 

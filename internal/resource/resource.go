@@ -11,24 +11,23 @@
 // configuration” (§6): it records what the fixed network believes each
 // sensor has been told to do.
 //
-// # Sharding
+// # Locking
 //
-// With millions of mutually-unaware consumers churning demands, mediation
-// itself becomes the contention point, so the ledger is partitioned into N
-// shards (Options.Shards) keyed by the sensor component of the target
-// StreamID — the same wire.SensorID.Shard function the Filtering and
-// Dispatching Services partition on — with shard-local mutexes, counters,
-// constraint tables and consumer-ownership indexes. A demand takes exactly
-// one shard lock; demands against different sensors' streams never
-// contend. The mediation policy is an atomic value, so the Super
-// Coordinator's policy flips never stall in-flight submissions, and the
-// approved-no-change fast path allocates nothing.
+// One mutex guards the demand ledger, the per-sensor constraint table, the
+// consumer-ownership index and the counters: the return path carries
+// occasional stream-update requests, not the streams, and a 16-way
+// partition of this state could not be told from one lock in paired runs
+// on the hardware we have (CHANGES.md, PR 24). The mediation policy and
+// the deployment-wide default constraints are atomic values outside the
+// lock, so the Super Coordinator's policy flips never stall in-flight
+// submissions, and the approved-no-change fast path allocates nothing.
 package resource
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/garnet-middleware/garnet/internal/wire"
@@ -189,7 +188,7 @@ type entry struct {
 	order     []string // consumer arrival order, for PolicyFirstComeDeny
 }
 
-// Stats is a snapshot of manager counters, summed across shards.
+// Stats is a snapshot of manager counters.
 type Stats struct {
 	Submitted   int64
 	Approved    int64
@@ -197,23 +196,13 @@ type Stats struct {
 	Denied      int64
 	Withdrawals int64
 	Ledger      int // live (stream, class) entries
-	Shards      int // ledger partitions
 }
 
-// DefaultShards partitions the demand ledger unless Options.Shards says
-// otherwise. Matches the filtering/dispatch default so one sensor's
-// control-plane and data-plane state partition identically.
-const DefaultShards = 16
-
-// Options configures a Manager. The zero value uses PolicyMostDemanding
-// and DefaultShards.
+// Options configures a Manager. The zero value uses PolicyMostDemanding.
 type Options struct {
 	// Policy is the initial mediation policy; 0 selects
 	// PolicyMostDemanding.
 	Policy Policy
-	// Shards partitions the demand ledger by target sensor; <= 0 selects
-	// DefaultShards. 1 restores the historical single-lock ledger.
-	Shards int
 }
 
 // Manager is the Resource Manager.
@@ -224,11 +213,27 @@ type Manager struct {
 	// defaults holds the deployment-wide default constraints; nil until
 	// SetDefaultConstraints is called.
 	defaults atomic.Pointer[Constraints]
-	shards   []*mshard
+
+	// mu guards everything below.
+	mu     sync.Mutex
+	ledger map[ledgerKey]*entry
+	// constraints holds the codified limits of individual sensors.
+	constraints map[wire.SensorID]Constraints
+	// owners indexes the ledger keys each consumer holds a standing
+	// demand on, so WithdrawAll and Apply replace a consumer's demand set
+	// without scanning the ledger. This is the single source of truth for
+	// demand ownership — the deployment core keeps no duplicate map.
+	owners map[string]map[ledgerKey]struct{}
+
+	submitted int64
+	approved  int64
+	modified  int64
+	denied    int64
+	withdrawn int64
 }
 
 // NewManager creates a Manager with the given mediation policy
-// (PolicyMostDemanding when zero) and the default shard count.
+// (PolicyMostDemanding when zero).
 func NewManager(policy Policy) *Manager {
 	return NewWithOptions(Options{Policy: policy})
 }
@@ -238,10 +243,11 @@ func NewWithOptions(opts Options) *Manager {
 	if opts.Policy == 0 {
 		opts.Policy = PolicyMostDemanding
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
+	m := &Manager{
+		ledger:      make(map[ledgerKey]*entry),
+		constraints: make(map[wire.SensorID]Constraints),
+		owners:      make(map[string]map[ledgerKey]struct{}),
 	}
-	m := &Manager{shards: newShards(opts.Shards)}
 	m.policy.Store(int32(opts.Policy))
 	return m
 }
@@ -269,10 +275,21 @@ func (m *Manager) SetDefaultConstraints(c Constraints) {
 
 // SetConstraints codifies the limits of one sensor.
 func (m *Manager) SetConstraints(sensor wire.SensorID, c Constraints) {
-	sh := m.shardFor(sensor)
-	sh.mu.Lock()
-	sh.constraints[sensor] = c
-	sh.mu.Unlock()
+	m.mu.Lock()
+	m.constraints[sensor] = c
+	m.mu.Unlock()
+}
+
+// constraintsFor resolves the constraints in force for a sensor: its own
+// codified limits, else the deployment defaults. Caller holds m.mu.
+func (m *Manager) constraintsFor(sensor wire.SensorID) (Constraints, bool) {
+	if c, ok := m.constraints[sensor]; ok {
+		return c, true
+	}
+	if p := m.defaults.Load(); p != nil {
+		return *p, true
+	}
+	return Constraints{}, false
 }
 
 // validate screens a demand before it reaches the ledger; class is the
@@ -293,8 +310,8 @@ func validate(d Demand, class Class) error {
 // Submit runs admission control for one demand. Approved and modified
 // demands join the standing ledger; the decision reports the effective
 // setting and whether actuation is needed. The fast path — an approved
-// resubmission that leaves the effective setting unchanged — takes one
-// shard lock and allocates nothing.
+// resubmission that leaves the effective setting unchanged — allocates
+// nothing.
 func (m *Manager) Submit(d Demand) (Decision, error) {
 	class, ok := ClassOf(d.Op)
 	if !ok {
@@ -304,24 +321,23 @@ func (m *Manager) Submit(d Demand) (Decision, error) {
 		return Decision{}, err
 	}
 	policy := m.Policy()
-	sh := m.shardFor(d.Target.Sensor())
-	sh.mu.Lock()
-	dec := m.submitLocked(sh, d, class, policy)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	dec := m.submitLocked(d, class, policy)
+	m.mu.Unlock()
 	return dec, nil
 }
 
 // submitLocked runs the admission/mediation core for a pre-validated
-// demand. Caller holds sh.mu.
-func (m *Manager) submitLocked(sh *mshard, d Demand, class Class, policy Policy) Decision {
-	sh.submitted++
+// demand. Caller holds m.mu.
+func (m *Manager) submitLocked(d Demand, class Class, policy Policy) Decision {
+	m.submitted++
 
 	// Hard constraint screening that cannot be satisfied by clamping.
-	cons, hasCons := sh.constraintsFor(m, d.Target.Sensor())
+	cons, hasCons := m.constraintsFor(d.Target.Sensor())
 	if hasCons {
 		if class == ClassEnable && d.Op == wire.OpEnableStream && cons.MaxActiveStreams > 0 {
-			if active := sh.activeStreamsLocked(d.Target.Sensor(), d.Target); active >= cons.MaxActiveStreams {
-				sh.denied++
+			if active := m.activeStreamsLocked(d.Target.Sensor(), d.Target); active >= cons.MaxActiveStreams {
+				m.denied++
 				return Decision{
 					Verdict: VerdictDenied,
 					Reason:  fmt.Sprintf("sensor constraint streams<=%d", cons.MaxActiveStreams),
@@ -331,16 +347,16 @@ func (m *Manager) submitLocked(sh *mshard, d Demand, class Class, policy Policy)
 	}
 
 	key := ledgerKey{target: d.Target, class: class}
-	e, exists := sh.ledger[key]
+	e, exists := m.ledger[key]
 	if !exists {
 		e = &entry{demands: make(map[string]Demand)}
-		sh.ledger[key] = e
+		m.ledger[key] = e
 	}
 
 	if policy == PolicyFirstComeDeny {
 		for owner, other := range e.demands {
 			if owner != d.Consumer && conflicts(class, other, d) {
-				sh.denied++
+				m.denied++
 				return Decision{
 					Verdict: VerdictDenied,
 					Reason: fmt.Sprintf("conflicts with standing demand of %q (%s)",
@@ -352,11 +368,29 @@ func (m *Manager) submitLocked(sh *mshard, d Demand, class Class, policy Policy)
 
 	if _, had := e.demands[d.Consumer]; !had {
 		e.order = append(e.order, d.Consumer)
-		sh.ownKey(d.Consumer, key)
+		set := m.owners[d.Consumer]
+		if set == nil {
+			set = make(map[ledgerKey]struct{})
+			m.owners[d.Consumer] = set
+		}
+		set[key] = struct{}{}
 	}
 	e.demands[d.Consumer] = d
 
-	return decide(sh, key, e, &d, cons, hasCons, policy)
+	return m.decide(key, e, &d, cons, hasCons, policy)
+}
+
+// activeStreamsLocked counts streams of a sensor whose effective enable
+// setting is on, excluding `except`. Caller holds m.mu.
+func (m *Manager) activeStreamsLocked(sensor wire.SensorID, except wire.StreamID) int {
+	n := 0
+	for key, e := range m.ledger {
+		if key.class == ClassEnable && key.target.Sensor() == sensor &&
+			key.target != except && e.valid && e.effective == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // Withdraw removes one consumer's standing demand on a (target, class) and
@@ -367,17 +401,15 @@ func (m *Manager) submitLocked(sh *mshard, d Demand, class Class, policy Policy)
 // paper's minimal-sensor model (no implicit defaults on the device).
 func (m *Manager) Withdraw(consumer string, target wire.StreamID, class Class) (Decision, bool) {
 	policy := m.Policy()
-	sh := m.shardFor(target.Sensor())
-	sh.mu.Lock()
-	dec, ok := m.withdrawLocked(sh, consumer, target, class, policy)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	dec, ok := m.withdrawLocked(consumer, ledgerKey{target: target, class: class}, policy)
+	m.mu.Unlock()
 	return dec, ok
 }
 
-// withdrawLocked is the locked core of Withdraw. Caller holds sh.mu.
-func (m *Manager) withdrawLocked(sh *mshard, consumer string, target wire.StreamID, class Class, policy Policy) (Decision, bool) {
-	key := ledgerKey{target: target, class: class}
-	e, ok := sh.ledger[key]
+// withdrawLocked is the locked core of Withdraw. Caller holds m.mu.
+func (m *Manager) withdrawLocked(consumer string, key ledgerKey, policy Policy) (Decision, bool) {
+	e, ok := m.ledger[key]
 	if !ok {
 		return Decision{}, false
 	}
@@ -391,106 +423,104 @@ func (m *Manager) withdrawLocked(sh *mshard, consumer string, target wire.Stream
 			break
 		}
 	}
-	sh.disownKey(consumer, key)
-	sh.withdrawn++
+	set := m.owners[consumer]
+	delete(set, key)
+	if len(set) == 0 {
+		delete(m.owners, consumer)
+	}
+	m.withdrawn++
 	if len(e.demands) == 0 {
-		delete(sh.ledger, key)
+		delete(m.ledger, key)
 		return Decision{Verdict: VerdictApproved, Effective: e.effective}, true
 	}
-	cons, hasCons := sh.constraintsFor(m, target.Sensor())
-	return decide(sh, key, e, nil, cons, hasCons, policy), true
+	cons, hasCons := m.constraintsFor(key.target.Sensor())
+	return m.decide(key, e, nil, cons, hasCons, policy), true
+}
+
+// withdrawOwnedLocked withdraws every standing demand of consumer whose
+// key keep (nil: none) does not hold, in (target, class) order, and
+// returns the actions that relax the affected streams. Caller holds m.mu.
+func (m *Manager) withdrawOwnedLocked(consumer string, keep map[ledgerKey]Demand, policy Policy) []Action {
+	var keys []ledgerKey
+	for key := range m.owners[consumer] {
+		if _, still := keep[key]; !still {
+			keys = append(keys, key)
+		}
+	}
+	sortLedgerKeys(keys)
+	var actions []Action
+	for _, key := range keys {
+		if dec, ok := m.withdrawLocked(consumer, key, policy); ok && dec.Changed && dec.Action != nil {
+			actions = append(actions, *dec.Action)
+		}
+	}
+	return actions
+}
+
+func sortLedgerKeys(keys []ledgerKey) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].target != keys[j].target {
+			return keys[i].target < keys[j].target
+		}
+		return keys[i].class < keys[j].class
+	})
 }
 
 // WithdrawAll removes every standing demand of a consumer (a consumer
 // leaving the system) and returns the actions needed to re-actuate the
-// affected streams. Each shard is visited once, its keys withdrawn in
-// (target, class) order under a single lock acquisition.
+// affected streams, in (target, class) order.
 func (m *Manager) WithdrawAll(consumer string) []Action {
 	policy := m.Policy()
-	var actions []Action
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, key := range sh.ownedKeysLocked(consumer) {
-			if dec, ok := m.withdrawLocked(sh, consumer, key.target, key.class, policy); ok && dec.Changed && dec.Action != nil {
-				actions = append(actions, *dec.Action)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return actions
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.withdrawOwnedLocked(consumer, nil, policy)
 }
 
 // Apply replaces every standing demand held under owner with the given
 // set and returns the actions needed to re-actuate the streams whose
 // effective settings changed — the Super Coordinator's demand sink.
 // Demands in the set are submitted (tagged with owner as their consumer);
-// standing demands of owner absent from the set are withdrawn. The work
-// fans out per shard: every shard is peeked under its own lock (a
-// constant-time ownership check), but withdrawals and submissions run
-// only in the shards the owner actually touches, each under a single
-// shard-local lock acquisition — so a state report touching K streams
-// never serialises behind unrelated owners' demands on other sensors.
-// Invalid demands are skipped, matching the fire-and-forget contract of
-// the coordinator path.
+// standing demands of owner absent from the set are withdrawn first. The
+// whole replacement happens under one lock acquisition, so no other
+// consumer's submission observes a half-applied set. Invalid demands are
+// skipped, matching the fire-and-forget contract of the coordinator path.
 func (m *Manager) Apply(owner string, demands []Demand) []Action {
 	if owner == "" {
 		return nil
 	}
 	policy := m.Policy()
 
-	// Dedupe on (target, class) — the last demand for a key wins — and
-	// group the additions by home shard. Demands that fail validation
-	// still claim their key (so an owner's standing demand is not
-	// withdrawn just because its replacement was malformed — the
-	// fire-and-forget contract drops the bad value, not the stream) but
-	// are never submitted.
+	// Dedupe on (target, class) — the last demand for a key wins. Demands
+	// that fail validation still claim their key (so an owner's standing
+	// demand is not withdrawn just because its replacement was malformed
+	// — the fire-and-forget contract drops the bad value, not the stream)
+	// but are never submitted.
 	next := make(map[ledgerKey]Demand, len(demands))
-	invalid := make(map[ledgerKey]bool)
 	for _, d := range demands {
 		class, ok := ClassOf(d.Op)
 		if !ok {
 			continue
 		}
 		d.Consumer = owner
-		key := ledgerKey{target: d.Target, class: class}
-		next[key] = d
-		invalid[key] = validate(d, class) != nil
+		next[ledgerKey{target: d.Target, class: class}] = d
 	}
-	perShard := make(map[int][]ledgerKey, len(m.shards))
+	adds := make([]ledgerKey, 0, len(next))
 	for key := range next {
-		idx := key.target.Sensor().Shard(len(m.shards))
-		perShard[idx] = append(perShard[idx], key)
+		adds = append(adds, key)
 	}
+	sortLedgerKeys(adds)
 
-	var actions []Action
-	for i, sh := range m.shards {
-		adds := perShard[i]
-		sortLedgerKeys(adds)
-		sh.mu.Lock()
-		if len(adds) == 0 && len(sh.owners[owner]) == 0 {
-			sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	actions := m.withdrawOwnedLocked(owner, next, policy)
+	for _, key := range adds {
+		d := next[key]
+		if validate(d, key.class) != nil {
 			continue
 		}
-		// Withdraw the owner's demands that are no longer in the set.
-		for _, key := range sh.ownedKeysLocked(owner) {
-			if _, still := next[key]; still {
-				continue
-			}
-			if dec, ok := m.withdrawLocked(sh, owner, key.target, key.class, policy); ok && dec.Changed && dec.Action != nil {
-				actions = append(actions, *dec.Action)
-			}
+		if dec := m.submitLocked(d, key.class, policy); dec.Changed && dec.Action != nil {
+			actions = append(actions, *dec.Action)
 		}
-		// Submit the new set.
-		for _, key := range adds {
-			if invalid[key] {
-				continue
-			}
-			dec := m.submitLocked(sh, next[key], key.class, policy)
-			if dec.Changed && dec.Action != nil {
-				actions = append(actions, *dec.Action)
-			}
-		}
-		sh.mu.Unlock()
 	}
 	return actions
 }
@@ -498,8 +528,8 @@ func (m *Manager) Apply(owner string, demands []Demand) []Action {
 // decide merges the entry's demands under policy, clamps to constraints,
 // updates the effective setting, and builds the Decision. submitted is
 // the demand that triggered the decision (nil for withdrawals). Caller
-// holds sh.mu.
-func decide(sh *mshard, key ledgerKey, e *entry, submitted *Demand, cons Constraints, hasCons bool, policy Policy) Decision {
+// holds m.mu.
+func (m *Manager) decide(key ledgerKey, e *entry, submitted *Demand, cons Constraints, hasCons bool, policy Policy) Decision {
 	merged := merge(policy, key.class, e)
 	clamped, clampReason := merged, ""
 	if hasCons {
@@ -533,14 +563,14 @@ func decide(sh *mshard, key ledgerKey, e *entry, submitted *Demand, cons Constra
 		dec.Verdict = VerdictApproved
 	case demandSatisfied(key.class, *submitted, clamped):
 		dec.Verdict = VerdictApproved
-		sh.approved++
+		m.approved++
 	default:
 		dec.Verdict = VerdictModified
 		dec.Reason = fmt.Sprintf("mediated under %v policy", policy)
 		if clampReason != "" {
 			dec.Reason = clampReason
 		}
-		sh.modified++
+		m.modified++
 	}
 	return dec
 }
@@ -622,10 +652,9 @@ func describeDemand(class Class, d Demand) string {
 
 // Effective returns the current effective setting for (target, class).
 func (m *Manager) Effective(target wire.StreamID, class Class) (uint32, bool) {
-	sh := m.shardFor(target.Sensor())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.ledger[ledgerKey{target: target, class: class}]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.ledger[ledgerKey{target: target, class: class}]
 	if !ok || !e.valid {
 		return 0, false
 	}
@@ -645,20 +674,18 @@ type StreamOverview struct {
 // ledger entry with its effective setting, sorted by stream then class.
 func (m *Manager) Overview() []StreamOverview {
 	policy := m.Policy()
+	m.mu.Lock()
 	var out []StreamOverview
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for key, e := range sh.ledger {
-			out = append(out, StreamOverview{
-				Target:   key.target,
-				Class:    key.class,
-				Demands:  len(e.demands),
-				Setting:  e.effective,
-				Policies: policy,
-			})
-		}
-		sh.mu.Unlock()
+	for key, e := range m.ledger {
+		out = append(out, StreamOverview{
+			Target:   key.target,
+			Class:    key.class,
+			Demands:  len(e.demands),
+			Setting:  e.effective,
+			Policies: policy,
+		})
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Target != out[j].Target {
 			return out[i].Target < out[j].Target
@@ -668,18 +695,16 @@ func (m *Manager) Overview() []StreamOverview {
 	return out
 }
 
-// Stats returns a snapshot of manager counters summed across shards.
+// Stats returns a snapshot of manager counters.
 func (m *Manager) Stats() Stats {
-	st := Stats{Shards: len(m.shards)}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		st.Submitted += sh.submitted
-		st.Approved += sh.approved
-		st.Modified += sh.modified
-		st.Denied += sh.denied
-		st.Withdrawals += sh.withdrawn
-		st.Ledger += len(sh.ledger)
-		sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return Stats{
+		Submitted:   m.submitted,
+		Approved:    m.approved,
+		Modified:    m.modified,
+		Denied:      m.denied,
+		Withdrawals: m.withdrawn,
+		Ledger:      len(m.ledger),
 	}
-	return st
 }

@@ -421,22 +421,20 @@ func TestStatsCounters(t *testing.T) {
 
 // A consumer re-asserting a standing demand — the common case when many
 // consumers refresh what they already asked for — leaves the effective
-// setting untouched and must not allocate, at one control shard or many.
+// setting untouched and must not allocate.
 func TestSubmitStandingDemandZeroAllocs(t *testing.T) {
-	for _, shards := range []int{1, 16} {
-		m := NewWithOptions(Options{Shards: shards})
-		demand := rateDemand("app", 2000, 0)
-		if _, err := m.Submit(demand); err != nil {
-			t.Fatal(err)
+	m := NewManager(PolicyMostDemanding)
+	demand := rateDemand("app", 2000, 0)
+	if _, err := m.Submit(demand); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		dec, err := m.Submit(demand)
+		if err != nil || dec.Changed {
+			t.Fatalf("re-asserted demand: %+v, %v", dec, err)
 		}
-		allocs := testing.AllocsPerRun(1000, func() {
-			dec, err := m.Submit(demand)
-			if err != nil || dec.Changed {
-				t.Fatalf("shards=%d: re-asserted demand: %+v, %v", shards, dec, err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("shards=%d: standing-demand Submit allocates %.1f/op, want 0", shards, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("standing-demand Submit allocates %.1f/op, want 0", allocs)
 	}
 }

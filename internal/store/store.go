@@ -359,16 +359,6 @@ type shard struct {
 	packOrder []int32
 }
 
-// paddedShard rounds a shard up to whole cache lines, keeping at least
-// 8 bytes of trailing padding, so live fields of adjacent shards in the
-// contiguous backing array never share a line even when the runtime's
-// 8-byte allocation header shifts the array base off line alignment
-// (see the dispatch package's paddedShard for the full rationale).
-type paddedShard struct {
-	shard
-	_ [(unsafe.Sizeof(shard{})+metrics.CacheLine+7)/metrics.CacheLine*metrics.CacheLine - unsafe.Sizeof(shard{})]byte
-}
-
 // blockBufLocked pops a recycled block buffer. Caller holds mu.
 func (sh *shard) blockBufLocked() []byte {
 	if n := len(sh.freeBufs); n > 0 {
@@ -562,16 +552,9 @@ func New(opts Options) *Store {
 			s.blockSize = DefaultBlockSize
 		}
 	}
-	// One contiguous padded backing array: a multiple-of-64 allocation is
-	// 64-aligned by the Go size classes, so every shard starts on a cache
-	// line boundary.
-	backing := make([]paddedShard, opts.Shards)
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		sh := &backing[i].shard
-		sh.streams = make(map[wire.StreamID]*ring)
-		sh.idx = i
-		s.shards[i] = sh
+		s.shards[i] = &shard{streams: make(map[wire.StreamID]*ring), idx: i}
 	}
 	if opts.Archive != nil {
 		s.initArchive(opts)

@@ -375,67 +375,6 @@ func TestWithFilterShards(t *testing.T) {
 	}
 }
 
-func TestWithControlShardsDecisionInvariant(t *testing.T) {
-	type step struct {
-		dec garnet.Decision
-		err bool
-	}
-	run := func(opts ...garnet.Option) ([]step, garnet.Snapshot) {
-		clock := garnet.NewVirtualClock(epoch)
-		opts = append([]garnet.Option{garnet.WithClock(clock), garnet.WithSecret([]byte("s"))}, opts...)
-		g := garnet.New(opts...)
-		defer g.Stop()
-		toks := make([]garnet.Token, 3)
-		for i := range toks {
-			tok, err := g.Register([]string{"a", "b", "c"}[i], garnet.PermActuate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			toks[i] = tok
-		}
-		g.SetConstraints(3, garnet.Constraints{MaxRateMilliHz: 1500})
-		var steps []step
-		for i := 0; i < 24; i++ {
-			target := garnet.MustStreamID(garnet.SensorID(i%6), 0)
-			dec, err := g.Actuate(toks[i%3], garnet.Demand{
-				Target: target, Op: garnet.OpSetRate, Value: uint32(500 + i*100),
-			})
-			steps = append(steps, step{dec: dec, err: err != nil})
-		}
-		for i := 0; i < 6; i++ {
-			target := garnet.MustStreamID(garnet.SensorID(i), 0)
-			dec, ok, err := g.WithdrawDemand(toks[i%3], target, garnet.ClassRate)
-			steps = append(steps, step{dec: dec, err: err != nil || !ok})
-		}
-		return steps, g.Stats()
-	}
-	refSteps, refStats := run(garnet.WithShards(1))
-	for _, shards := range []int{4, 16} {
-		gotSteps, gotStats := run(garnet.WithShards(shards))
-		if len(gotSteps) != len(refSteps) {
-			t.Fatalf("shards=%d: %d steps, want %d", shards, len(gotSteps), len(refSteps))
-		}
-		for i := range gotSteps {
-			got, ref := gotSteps[i], refSteps[i]
-			if got.err != ref.err || got.dec.Verdict != ref.dec.Verdict ||
-				got.dec.Effective != ref.dec.Effective || got.dec.Changed != ref.dec.Changed {
-				t.Fatalf("shards=%d step %d: %+v, single-lock gave %+v", shards, i, got, ref)
-			}
-		}
-		if gotStats.Resource.Submitted != refStats.Resource.Submitted ||
-			gotStats.Resource.Approved != refStats.Resource.Approved ||
-			gotStats.Resource.Modified != refStats.Resource.Modified ||
-			gotStats.Resource.Withdrawals != refStats.Resource.Withdrawals ||
-			gotStats.Actuation.Issued != refStats.Actuation.Issued {
-			t.Fatalf("shards=%d: stats %+v / %+v diverge from single-lock %+v / %+v",
-				shards, gotStats.Resource, gotStats.Actuation, refStats.Resource, refStats.Actuation)
-		}
-		if gotStats.Resource.Shards != shards {
-			t.Fatalf("Stats.Resource.Shards = %d, want %d", gotStats.Resource.Shards, shards)
-		}
-	}
-}
-
 func TestWithActuationCoalescingCollapsesBursts(t *testing.T) {
 	clock := garnet.NewVirtualClock(epoch)
 	g := garnet.New(

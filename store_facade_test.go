@@ -321,6 +321,47 @@ func TestStoreCompressionOption(t *testing.T) {
 	}
 }
 
+// TestArchiveRetentionOption drives WithArchiveRetention's age bound end
+// to end: history older than the bound leaves the archive oldest-first, is
+// counted, and what remains replays as one unbroken suffix up to now.
+func TestArchiveRetentionOption(t *testing.T) {
+	g, clock := newTestDeployment(t,
+		garnet.WithStoreRetention(0, 0, 3*time.Second),
+		garnet.WithStoreCompression("auto", 1), // every sealed block spills
+		garnet.WithArchive(garnet.NewMemArchive()),
+		garnet.WithArchiveRetention(time.Minute, 0))
+	addThermometer(t, g, 4)
+	tok, err := g.Register("app", garnet.PermSubscribe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	clock.Advance(400 * time.Second)
+	g.Stop() // drains the archiver: every spill committed, every bound applied
+
+	st := g.Stats().Store
+	if st.ArchivedMessages == 0 || st.EvictedArchive == 0 {
+		t.Fatalf("archive retention never engaged: %+v", st)
+	}
+	backlog, err := g.Replay(tok, garnet.MustStreamID(4, 0), 0, ^uint64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 400 - int(st.EvictedArchive); len(backlog) != want {
+		t.Fatalf("replayed %d, want %d (400 sampled − %d evicted from the archive)", len(backlog), want, st.EvictedArchive)
+	}
+	for i, d := range backlog {
+		if want := garnet.Seq(int(st.EvictedArchive) + i); d.Msg.Seq != want {
+			t.Fatalf("entry %d has seq %d, want %d: the survivors are not the newest suffix", i, d.Msg.Seq, want)
+		}
+	}
+	// A minute of one-a-second samples, plus at most the 64-sample block
+	// that straddles the cut and the block not yet sealed.
+	if len(backlog) < 60 || len(backlog) > 60+2*64 {
+		t.Fatalf("age bound of 60 s kept %d one-a-second samples", len(backlog))
+	}
+}
+
 // TestStoreCompressionBadCodecPanics pins the option contract: a typo in
 // the codec name must fail loudly at construction, not silently disable
 // retention history.
