@@ -29,11 +29,9 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// BenchmarkWireDecode compares the three decode modes: the historical
-// copying DecodeMessage (one payload allocation per frame), the reusable
-// DecodeMessageInto (allocation-free once the destination's payload
-// buffer has grown), and the zero-copy DecodeMessageBorrowed (payload
-// aliases the frame; never allocates).
+// BenchmarkWireDecode compares the two decode modes: the copying
+// DecodeMessage (one payload allocation per frame) and the zero-copy
+// DecodeMessageBorrowed (payload aliases the frame; never allocates).
 func BenchmarkWireDecode(b *testing.B) {
 	for _, size := range []int{0, 16, 256, 4096} {
 		msg := wire.Message{
@@ -50,16 +48,6 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.SetBytes(int64(len(frame)))
 			for i := 0; i < b.N; i++ {
 				if _, _, err := wire.DecodeMessage(frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("payload=%d/mode=into", size), func(b *testing.B) {
-			var m wire.Message
-			b.ReportAllocs()
-			b.SetBytes(int64(len(frame)))
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.DecodeMessageInto(frame, &m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -257,42 +245,38 @@ func BenchmarkDispatchShards(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchDrainBatch measures async queue draining with and
-// without batch coalescing: one publisher saturates a single consumer
-// queue; the batching drainer takes up to BatchSize deliveries per
-// take instead of one. wakes/delivery is the share of enqueues that found
-// the drainer parked (Dispatcher.Wakeups / Stats.Delivered).
+// BenchmarkDispatchDrainBatch measures async queue draining: one
+// publisher saturates a single consumer queue and the drainer takes up to
+// DefaultBatchSize deliveries per take. wakes/delivery is the share of
+// enqueues that found the drainer parked (Dispatcher.Wakeups /
+// Stats.Delivered).
 func BenchmarkDispatchDrainBatch(b *testing.B) {
-	for _, batch := range []int{1, dispatch.DefaultBatchSize} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			var sunk int64 // written only by the single drainer goroutine
-			c := &dispatch.BatchConsumerFunc{ConsumerName: "sink", Fn: func(ds []filtering.Delivery) {
-				sunk += int64(len(ds))
-			}}
-			d := dispatch.New(dispatch.Options{
-				Mode: dispatch.ModeAsync, QueueCapacity: 8192, BatchSize: batch,
-			})
-			if _, err := d.Subscribe(c, dispatch.All()); err != nil {
-				b.Fatal(err)
-			}
-			d.Start()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Dispatch(filtering.Delivery{Msg: wire.Message{Stream: wire.MustStreamID(1, 0), Seq: wire.Seq(i)}})
-			}
-			d.Stop() // waits for the drainer: sunk is safe to read after
-			b.StopTimer()
-			// Under DropOldest an admitted delivery may later be shed to
-			// admit a newer one, so conservation is drained == admitted
-			// minus overflow drops.
-			st := d.Stats()
-			if sunk != st.Delivered-st.Dropped {
-				b.Fatalf("drained %d, want %d admitted - %d dropped", sunk, st.Delivered, st.Dropped)
-			}
-			b.ReportMetric(float64(d.Wakeups())/float64(max(st.Delivered, 1)), "wakes/delivery")
-		})
-	}
+	b.Run(fmt.Sprintf("batch=%d", dispatch.DefaultBatchSize), func(b *testing.B) {
+		var sunk int64 // written only by the single drainer goroutine
+		c := &dispatch.BatchConsumerFunc{ConsumerName: "sink", Fn: func(ds []filtering.Delivery) {
+			sunk += int64(len(ds))
+		}}
+		d := dispatch.New(dispatch.Options{Mode: dispatch.ModeAsync, QueueCapacity: 8192})
+		if _, err := d.Subscribe(c, dispatch.All()); err != nil {
+			b.Fatal(err)
+		}
+		d.Start()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Dispatch(filtering.Delivery{Msg: wire.Message{Stream: wire.MustStreamID(1, 0), Seq: wire.Seq(i)}})
+		}
+		d.Stop() // waits for the drainer: sunk is safe to read after
+		b.StopTimer()
+		// Under DropOldest an admitted delivery may later be shed to
+		// admit a newer one, so conservation is drained == admitted
+		// minus overflow drops.
+		st := d.Stats()
+		if sunk != st.Delivered-st.Dropped {
+			b.Fatalf("drained %d, want %d admitted - %d dropped", sunk, st.Delivered, st.Dropped)
+		}
+		b.ReportMetric(float64(d.Wakeups())/float64(max(st.Delivered, 1)), "wakes/delivery")
+	})
 }
 
 // Ablation: synchronous vs asynchronous dispatch. Async pays queue+worker

@@ -39,6 +39,7 @@ package garnet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/actuation"
@@ -75,18 +76,6 @@ func WithRadio(p RadioParams) Option {
 	return func(cfg *core.Config) { cfg.Radio = p }
 }
 
-// WithFieldGrid sets the cell edge length (metres) of the medium's
-// spatial index, which makes a broadcast cost proportional to the
-// listeners it actually reaches rather than everything attached. The
-// default (0) sizes cells from the first listener's reception radius on
-// each band; dense deployments mixing very different zone radii should
-// set this near the dominant radius (see README, "Field density & grid
-// tuning"). Compose with WithRadio by applying WithFieldGrid second, or
-// set RadioParams.GridCell directly.
-func WithFieldGrid(cellSize float64) Option {
-	return func(cfg *core.Config) { cfg.Radio.GridCell = cellSize }
-}
-
 // WithPolicy selects the Resource Manager's conflict-mediation policy.
 func WithPolicy(p Policy) Option {
 	return func(cfg *core.Config) { cfg.Policy = p }
@@ -117,16 +106,6 @@ func WithShards(n int) Option {
 		cfg.Store.Shards = n
 		cfg.Dispatch.Shards = n
 	}
-}
-
-// WithBatchSize caps how many queued deliveries an asynchronous consumer
-// drainer coalesces per take. Consumers implementing BatchConsumer
-// receive the whole batch in one ConsumeBatch call; others see the batch
-// replayed through Consume in order (k <= 0 selects the default; 1
-// restores delivery-at-a-time draining). Only meaningful together with
-// WithAsyncDispatch.
-func WithBatchSize(k int) Option {
-	return func(cfg *core.Config) { cfg.Dispatch.BatchSize = k }
 }
 
 // WithReorderWindow holds deliveries up to d and releases them in sequence
@@ -223,22 +202,12 @@ func WithArchiveRetention(maxAge time.Duration, maxBytes int64) Option {
 	}
 }
 
-// WithActuationRetry tunes the Actuation Service's retry loop. It
-// composes with WithActuationCoalescing in any order.
+// WithActuationRetry tunes the Actuation Service's retry loop.
 func WithActuationRetry(interval time.Duration, maxAttempts int) Option {
 	return func(cfg *core.Config) {
 		cfg.Actuation.RetryInterval = interval
 		cfg.Actuation.MaxAttempts = maxAttempts
 	}
-}
-
-// WithActuationCoalescing absorbs bursts of stream-update requests
-// against the same sensor setting: within the window only the latest
-// request is transmitted (earlier ones complete with
-// OutcomeSuperseded), so a storm of conflicting demand flips costs one
-// trailing actuation instead of a retry storm. Pings never coalesce.
-func WithActuationCoalescing(window time.Duration) Option {
-	return func(cfg *core.Config) { cfg.Actuation.CoalesceWindow = window }
 }
 
 // WithLocationPublishing publishes location estimates as data streams on
@@ -395,20 +364,32 @@ func (g *Deployment) Unsubscribe(id SubscriptionID) bool {
 }
 
 // Discover lists the streams the middleware has seen (PermSubscribe).
+// Location streams are listed only to consumers holding PermLocation.
 func (g *Deployment) Discover(tok Token) ([]StreamInfo, error) {
-	if _, err := g.core.Registry().Require(tok, registry.PermSubscribe); err != nil {
+	id, err := g.core.Registry().Require(tok, registry.PermSubscribe)
+	if err != nil {
 		return nil, err
 	}
-	return g.core.Dispatcher().Discover(), nil
+	infos := g.core.Dispatcher().Discover()
+	if !id.Permissions.Has(registry.PermLocation) {
+		infos = slices.DeleteFunc(infos, func(i StreamInfo) bool { return i.Stream.Index() == wire.LocationStreamIndex })
+	}
+	return infos, nil
 }
 
 // Orphans lists the unclaimed streams held by the Orphanage
-// (PermSubscribe).
+// (PermSubscribe). Location streams are listed only to consumers holding
+// PermLocation.
 func (g *Deployment) Orphans(tok Token) ([]OrphanInfo, error) {
-	if _, err := g.core.Registry().Require(tok, registry.PermSubscribe); err != nil {
+	id, err := g.core.Registry().Require(tok, registry.PermSubscribe)
+	if err != nil {
 		return nil, err
 	}
-	return g.core.Orphanage().Streams(), nil
+	infos := g.core.Orphanage().Streams()
+	if !id.Permissions.Has(registry.PermLocation) {
+		infos = slices.DeleteFunc(infos, func(i OrphanInfo) bool { return i.Stream.Index() == wire.LocationStreamIndex })
+	}
+	return infos, nil
 }
 
 // Claim atomically hands over the Orphanage backlog of an unclaimed

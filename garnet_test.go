@@ -200,6 +200,52 @@ func TestLocationStreamsNarrowedWithoutPermission(t *testing.T) {
 	}
 }
 
+// A location stream's id is as protected as its data: Discover and
+// Orphans list it only to a token holding PermLocation, and still list the
+// sensor's ordinary stream to everyone.
+func TestDiscoverAndOrphansHideLocationStreamsWithoutPermission(t *testing.T) {
+	g, clock := newTestDeployment(t, garnet.WithLocationPublishing(time.Second))
+	addThermometer(t, g, 1)
+	plain, err := g.Register("plain", garnet.PermSubscribe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	privileged, err := g.Register("priv", garnet.PermSubscribe|garnet.PermLocation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	clock.Advance(5 * time.Second)
+
+	data := garnet.MustStreamID(1, 0)
+	loc := garnet.MustStreamID(1, garnet.LocationStreamIndex)
+	listed := func(tok garnet.Token) (discovered, orphaned map[garnet.StreamID]bool) {
+		t.Helper()
+		discovered, orphaned = map[garnet.StreamID]bool{}, map[garnet.StreamID]bool{}
+		infos, err := g.Discover(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range infos {
+			discovered[i.Stream] = true
+		}
+		orphans, err := g.Orphans(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range orphans {
+			orphaned[o.Stream] = true
+		}
+		return discovered, orphaned
+	}
+	if d, o := listed(privileged); !d[loc] || !o[loc] || !d[data] || !o[data] {
+		t.Fatalf("PermLocation token: discovered %v, orphaned %v; want both streams in each", d, o)
+	}
+	if d, o := listed(plain); d[loc] || o[loc] || !d[data] || !o[data] {
+		t.Fatalf("PermSubscribe-only token: discovered %v, orphaned %v; want %v alone in each", d, o, data)
+	}
+}
+
 func TestActuateThroughFacade(t *testing.T) {
 	g, clock := newTestDeployment(t)
 	n := addThermometer(t, g, 2)

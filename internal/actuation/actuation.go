@@ -12,24 +12,16 @@
 //
 // # Locking
 //
-// One mutex guards the outstanding table, the coalescing windows, the
-// update-id allocator, the issue-stamp sequence and the counters; the
-// latency histogram is lock-free. Update ids come from the whole 16-bit
-// wire space (0 reserved), so an id is reused only after 65 535 later
-// allocations — as far from a late duplicate ack as the wire format
-// allows. A 16-way partition of this state could not be told from one
-// lock in paired runs on the hardware we have (CHANGES.md, PR 24). The
-// transmit hook runs outside the lock. Retry timers are fire-and-forget
-// (the pooled sim.Scheduler path when the clock offers it); stale fires
-// are screened by pointer+attempt generation checks instead of
-// cancellation handles.
-//
-// An optional coalescing window (Options.CoalesceWindow) absorbs bursts
-// of requests against the same sensor setting: the first request of a
-// burst transmits immediately, later ones replace each other inside the
-// window (completing their predecessors with OutcomeSuperseded), and only
-// the latest is issued when the window closes — a storm of conflicting
-// demand flips costs one trailing actuation instead of a retry storm.
+// One mutex guards the outstanding table, the update-id allocator, the
+// issue-stamp sequence and the counters; the latency histogram is
+// lock-free. Update ids come from the whole 16-bit wire space (0
+// reserved), so an id is reused only after 65 535 later allocations — as
+// far from a late duplicate ack as the wire format allows. A 16-way
+// partition of this state could not be told from one lock in paired runs
+// on the hardware we have (CHANGES.md, PR 24). The transmit hook runs
+// outside the lock. Retry timers are fire-and-forget (the pooled
+// sim.Scheduler path when the clock offers it); stale fires are screened
+// by pointer+attempt generation checks instead of cancellation handles.
 package actuation
 
 import (
@@ -40,7 +32,6 @@ import (
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/metrics"
-	"github.com/garnet-middleware/garnet/internal/resource"
 	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
@@ -65,13 +56,6 @@ const (
 	OutcomeExpired
 	// OutcomeCancelled means the service was stopped first.
 	OutcomeCancelled
-	// OutcomeSuperseded means a later request against the same sensor
-	// setting replaced this one inside a coalescing window — either
-	// before it was ever transmitted (Result.UpdateID is 0), or while it
-	// was still awaiting an ack when the newer value was transmitted (its
-	// remaining retries are abandoned so the stale value can never be
-	// retransmitted after the newer one).
-	OutcomeSuperseded
 )
 
 // String names the outcome.
@@ -83,16 +67,12 @@ func (o Outcome) String() string {
 		return "expired"
 	case OutcomeCancelled:
 		return "cancelled"
-	case OutcomeSuperseded:
-		return "superseded"
 	default:
 		return "outcome(?)"
 	}
 }
 
-// Result is delivered to the completion callback of Issue. UpdateID is 0
-// for requests that were never transmitted (superseded inside a
-// coalescing window, or cancelled while held in one).
+// Result is delivered to the completion callback of Issue.
 type Result struct {
 	UpdateID uint16
 	Request  Request
@@ -108,28 +88,18 @@ type Options struct {
 	// MaxAttempts bounds transmissions per request (first + retries).
 	// Default 5.
 	MaxAttempts int
-	// CoalesceWindow, when positive, absorbs bursts of requests against
-	// the same sensor setting: within the window only the latest request
-	// is issued, earlier ones complete with OutcomeSuperseded. Pings
-	// never coalesce. 0 disables coalescing.
-	CoalesceWindow time.Duration
 }
 
 // Stats is a snapshot of service counters. Every issued request resolves
-// into exactly one of Acked, Expired, Cancelled or Superseded; Cancelled
-// additionally counts coalescing-held requests cancelled before they were
-// ever transmitted (their Result carries update id 0 and they were never
-// Issued), so with coalescing enabled Acked+Expired+Cancelled+Superseded
-// may exceed Issued by that number.
+// into exactly one of Acked, Expired or Cancelled, so once none is
+// outstanding Acked+Expired+Cancelled == Issued.
 type Stats struct {
 	Issued        int64
 	Acked         int64
 	Expired       int64
 	Cancelled     int64
-	Superseded    int64 // transmitted requests retired by a newer coalesced value
 	Retries       int64
 	DuplicateAcks int64
-	Coalesced     int64 // requests absorbed into a coalescing window
 	Outstanding   int
 }
 
@@ -146,19 +116,16 @@ type Service struct {
 	// outstanding, so wrap-around reuses only acked/expired ids.
 	nextID      uint16
 	outstanding map[uint16]*pending
-	coal        map[coalKey]*coalEntry
 	stopped     bool
 	// lastStamp is the previous wire issue timestamp; see stampLocked.
 	lastStamp time.Time
 
-	issued     int64
-	acked      int64
-	expired    int64
-	cancelled  int64
-	superseded int64
-	retries    int64
-	dupAcks    int64
-	coalesced  int64
+	issued    int64
+	acked     int64
+	expired   int64
+	cancelled int64
+	retries   int64
+	dupAcks   int64
 
 	// latency records request→ack latencies (milliseconds).
 	latency metrics.Histogram
@@ -188,7 +155,6 @@ func NewService(clock sim.Clock, send func(wire.ControlMessage), opts Options) *
 		send:        send,
 		opts:        opts,
 		outstanding: make(map[uint16]*pending),
-		coal:        make(map[coalKey]*coalEntry),
 	}
 	// Pooled fire-and-forget timers only pay off on the virtual clock,
 	// whose scheduler recycles heap events. On real clocks (whose
@@ -237,56 +203,10 @@ func (s *Service) stampLocked(now time.Time) time.Time {
 	return now
 }
 
-// coalKey identifies the sensor setting a request competes for — requests
-// with the same key within a coalescing window collapse into one
-// actuation.
-type coalKey struct {
-	target wire.StreamID
-	class  resource.Class
-}
-
-// coalesceKeyOf returns the coalescing key for a request; ok is false for
-// operations that need no mediation and must never coalesce (ping,
-// device params). The key's class is resource.ClassOf's, so the two
-// layers always agree on which operations compete for one setting.
-func coalesceKeyOf(req Request) (coalKey, bool) {
-	class, ok := resource.ClassOf(req.Op)
-	if !ok {
-		return coalKey{}, false
-	}
-	return coalKey{target: req.Target, class: class}, true
-}
-
-// coalEntry is an open coalescing window for one key. held is the latest
-// request absorbed since the window opened; it is issued when the window
-// closes. lastID/lastP remember the key's most recently transmitted
-// request so the trailing actuation can supersede its retries — without
-// this, a lost first transmission would be retried after the newer value
-// and revert the sensor.
-type coalEntry struct {
-	held   *heldRequest
-	lastID uint16
-	lastP  *pending
-}
-
-type heldRequest struct {
-	req  Request
-	done func(Result)
-}
-
-// completeHeld resolves a held request's callback without an update id
-// (it was never issued).
-func completeHeld(h *heldRequest, o Outcome) {
-	if h != nil && h.done != nil {
-		h.done(Result{Request: h.req, Outcome: o})
-	}
-}
-
 // allocateLocked hands out the next free update id, skipping ids still
 // outstanding so wrap-around never double-books a pending request. Wire
-// id 0 is never allocated — Result reserves it for requests that were
-// never transmitted. ok is false when all 65 535 ids are outstanding.
-// Caller holds s.mu.
+// id 0 is never allocated. ok is false when all 65 535 ids are
+// outstanding. Caller holds s.mu.
 func (s *Service) allocateLocked() (uint16, bool) {
 	if len(s.outstanding) == math.MaxUint16 {
 		return 0, false
@@ -315,11 +235,9 @@ func (s *Service) schedule(d time.Duration, f func()) sim.Timer {
 	return s.clock.AfterFunc(d, f)
 }
 
-// Issue stamps, tracks and transmits one approved request. done (optional)
-// is invoked exactly once with the final outcome. When coalescing is
-// enabled and a window is already open for the request's sensor setting,
-// the request is held instead of transmitted (Issue returns id 0); it is
-// issued when the window closes unless a yet-newer request supersedes it.
+// Issue allocates an update id for one approved request, stamps it,
+// tracks it and transmits it. done (optional) is invoked exactly once with
+// the final outcome.
 func (s *Service) Issue(req Request, done func(Result)) (uint16, error) {
 	if !req.Op.Valid() {
 		return 0, fmt.Errorf("actuation: %w", wire.ErrBadOp)
@@ -330,112 +248,17 @@ func (s *Service) Issue(req Request, done func(Result)) (uint16, error) {
 		s.mu.Unlock()
 		return 0, ErrStopped
 	}
-	coalesce := false
-	var windowKey coalKey
-	if s.opts.CoalesceWindow > 0 {
-		if key, ok := coalesceKeyOf(req); ok {
-			if ce := s.coal[key]; ce != nil {
-				// Window open: absorb, superseding any earlier held request.
-				superseded := ce.held
-				ce.held = &heldRequest{req: req, done: done}
-				s.coalesced++
-				s.mu.Unlock()
-				completeHeld(superseded, OutcomeSuperseded)
-				return 0, nil
-			}
-			coalesce, windowKey = true, key
-		}
-	}
-	// Allocate before opening a window: a saturated id space must not
-	// leave a window (and its armed close timer) behind, or the orphan
-	// timer would later cut short a different window for the same key.
 	id, ok := s.allocateLocked()
 	if !ok {
 		s.mu.Unlock()
 		return 0, ErrSaturated
 	}
-	var window *coalEntry
-	if coalesce {
-		// First of a potential burst: transmit immediately and open a
-		// window that absorbs followers.
-		window = &coalEntry{}
-		s.coal[windowKey] = window
-		s.schedule(s.opts.CoalesceWindow, func() { s.closeWindow(windowKey) })
-	}
 	p := &pending{req: req, issuedAt: now, stamp: s.stampLocked(now), done: done}
 	s.outstanding[id] = p
 	s.issued++
-	if window != nil {
-		window.lastID, window.lastP = id, p
-	}
 	s.transmitLocked(id, p)
 	s.mu.Unlock()
 	return id, nil
-}
-
-// closeWindow ends one coalescing round: if a held request accumulated,
-// it is issued now and the window re-arms (continued churn keeps
-// collapsing to one actuation per window); otherwise the window closes.
-func (s *Service) closeWindow(key coalKey) {
-	s.mu.Lock()
-	ce := s.coal[key]
-	if ce == nil {
-		s.mu.Unlock()
-		return
-	}
-	if s.stopped || ce.held == nil {
-		delete(s.coal, key)
-		held := ce.held
-		if held != nil {
-			s.cancelled++
-		}
-		s.mu.Unlock()
-		completeHeld(held, OutcomeCancelled)
-		return
-	}
-	h := ce.held
-	ce.held = nil
-	s.schedule(s.opts.CoalesceWindow, func() { s.closeWindow(key) })
-	id, ok := s.allocateLocked()
-	if !ok {
-		// Id space exhausted: the held request cannot be transmitted.
-		s.cancelled++
-		s.mu.Unlock()
-		completeHeld(h, OutcomeCancelled)
-		return
-	}
-	// The trailing actuation replaces the key's previous transmission: if
-	// that one is still unacked, retire it now so a pending retry cannot
-	// retransmit the superseded value after the newer one. (A retry whose
-	// send is already in flight can still reach the air after the newer
-	// value — radio jitter can reorder any two transmissions anyway — but
-	// it carries the older issue timestamp, so the sensor ignores it.)
-	var priorResult Result
-	var priorDone func(Result)
-	if ce.lastP != nil && s.outstanding[ce.lastID] == ce.lastP {
-		delete(s.outstanding, ce.lastID)
-		s.superseded++
-		if ce.lastP.timer != nil {
-			ce.lastP.timer.Stop()
-		}
-		priorResult = Result{
-			UpdateID: ce.lastID,
-			Request:  ce.lastP.req,
-			Outcome:  OutcomeSuperseded,
-			Attempts: ce.lastP.attempts,
-		}
-		priorDone = ce.lastP.done
-	}
-	now := s.clock.Now()
-	p := &pending{req: h.req, issuedAt: now, stamp: s.stampLocked(now), done: h.done}
-	s.outstanding[id] = p
-	s.issued++
-	ce.lastID, ce.lastP = id, p
-	s.transmitLocked(id, p)
-	s.mu.Unlock()
-	if priorDone != nil {
-		priorDone(priorResult)
-	}
 }
 
 // transmitLocked sends one attempt and arms the retry (or expiry) timer.
@@ -543,8 +366,8 @@ func (s *Service) Outstanding() int {
 	return len(s.outstanding)
 }
 
-// Stop cancels all outstanding and coalescing-held requests
-// (OutcomeCancelled) and rejects further Issues. Idempotent.
+// Stop cancels all outstanding requests (OutcomeCancelled) and rejects
+// further Issues. Idempotent.
 func (s *Service) Stop() {
 	type doneCall struct {
 		r Result
@@ -570,18 +393,6 @@ func (s *Service) Stop() {
 	}
 	s.cancelled += int64(len(s.outstanding))
 	s.outstanding = make(map[uint16]*pending)
-	for key, ce := range s.coal {
-		if ce.held != nil {
-			s.cancelled++
-			if ce.held.done != nil {
-				calls = append(calls, doneCall{
-					r: Result{Request: ce.held.req, Outcome: OutcomeCancelled},
-					f: ce.held.done,
-				})
-			}
-		}
-		delete(s.coal, key)
-	}
 	s.mu.Unlock()
 	for _, c := range calls {
 		c.f(c.r)
@@ -597,10 +408,8 @@ func (s *Service) Stats() Stats {
 		Acked:         s.acked,
 		Expired:       s.expired,
 		Cancelled:     s.cancelled,
-		Superseded:    s.superseded,
 		Retries:       s.retries,
 		DuplicateAcks: s.dupAcks,
-		Coalesced:     s.coalesced,
 		Outstanding:   len(s.outstanding),
 	}
 }

@@ -51,8 +51,7 @@ import (
 type Config struct {
 	Clock sim.Clock
 	// Radio configures medium impairments and the medium's spatial index
-	// (Radio.GridCell; the garnet.WithFieldGrid facade option threads it
-	// here).
+	// (Radio.GridCell).
 	Radio       radio.Params
 	Filter      filtering.Options
 	Dispatch    dispatch.Options

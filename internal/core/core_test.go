@@ -491,7 +491,7 @@ func TestNewRequiresSecret(t *testing.T) {
 }
 
 // TestDispatchShardingThreadsThroughConfig: Config.Dispatch sharding and
-// batching options reach the assembled dispatcher and deliveries flow
+// async options reach the assembled dispatcher and deliveries flow
 // end-to-end through the sharded, batch-draining engine.
 func TestDispatchShardingThreadsThroughConfig(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
@@ -501,7 +501,6 @@ func TestDispatchShardingThreadsThroughConfig(t *testing.T) {
 		Dispatch: dispatch.Options{
 			Mode:          dispatch.ModeAsync,
 			Shards:        4,
-			BatchSize:     8,
 			QueueCapacity: 256,
 		},
 	})

@@ -39,7 +39,7 @@ type adoptRig struct {
 
 func newAdoptRig(capacity int, overflow OverflowPolicy, lockFree bool) *adoptRig {
 	r := &adoptRig{}
-	r.p = newPort(&seqRecorder{}, capacity, 4, overflow, lockFree, &r.dropped, &r.selfDrop)
+	r.p = newPort(&seqRecorder{}, capacity, overflow, lockFree, &r.dropped, &r.selfDrop)
 	return r
 }
 

@@ -40,7 +40,7 @@
 // once and looks again before it parks (port.run): the share of enqueues
 // that wake a sleeping drainer — Wakeups() / Stats().Delivered — fell
 // from 0.57 to 0.20 on the deployment benchmark's 16-consumer fan-out.
-// The drainer coalesces up to Options.BatchSize pending deliveries per
+// The drainer coalesces up to DefaultBatchSize pending deliveries per
 // take and hands them to the consumer in one ConsumeBatch call when the
 // consumer implements BatchConsumer, or replays them through Consume one
 // by one otherwise; either way per-stream FIFO order is preserved.
@@ -76,7 +76,7 @@ type Consumer interface {
 
 // BatchConsumer is a Consumer that can accept several queued deliveries in
 // one call. In asynchronous mode the drainer coalesces up to
-// Options.BatchSize pending deliveries per take and hands them to
+// DefaultBatchSize pending deliveries per take and hands them to
 // ConsumeBatch in queue (per-stream FIFO) order. The slice is reused
 // between calls: implementations must not retain it or its backing array
 // past the call.
@@ -184,7 +184,8 @@ const DefaultQueueCapacity = 256
 const DefaultShards = 16
 
 // DefaultBatchSize bounds how many queued deliveries an async drainer
-// hands to a consumer per take.
+// hands to a consumer per take (fewer when the queue capacity is
+// smaller).
 const DefaultBatchSize = 32
 
 // Options configures a Dispatcher. The zero value means synchronous mode
@@ -196,9 +197,6 @@ type Options struct {
 	// Shards partitions the subscription table; <= 0 selects
 	// DefaultShards. 1 restores the single-table behaviour.
 	Shards int
-	// BatchSize caps deliveries coalesced per async drainer take; <= 0
-	// selects DefaultBatchSize. 1 restores delivery-at-a-time draining.
-	BatchSize int
 	// forceLockedQueue makes async ports use the mutex-guarded queue for
 	// every delivery instead of the lock-free ring fast path. Only this
 	// package's tests set it, to pin the two as behaviourally identical
@@ -298,9 +296,6 @@ func New(opts Options) *Dispatcher {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
-	}
 	d := &Dispatcher{
 		opts:     opts,
 		shards:   newShards(opts.Shards),
@@ -344,7 +339,7 @@ func (d *Dispatcher) Start() {
 func (d *Dispatcher) portForLocked(c Consumer) *port {
 	p, ok := d.ports[c]
 	if !ok {
-		p = newPort(c, d.opts.QueueCapacity, d.opts.BatchSize, d.opts.Overflow,
+		p = newPort(c, d.opts.QueueCapacity, d.opts.Overflow,
 			d.opts.Mode == ModeAsync && !d.opts.forceLockedQueue,
 			&d.dropped, d.droppedBy.With(c.Name()))
 		p.wakeups = &d.wakeups

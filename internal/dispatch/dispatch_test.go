@@ -254,7 +254,7 @@ func TestAsyncOverflowDropOldest(t *testing.T) {
 	}
 	d.Start()
 	// Fill beyond capacity while the worker is blocked. The worker takes a
-	// batch (BatchSize clamps to the capacity, 4) before it blocks on the
+	// batch (DefaultBatchSize clamps to the capacity, 4) before it blocks on the
 	// batch's first delivery, and the queue holds 4 more, so 8 can be in
 	// hand with nothing dropped. Dispatch 16: at least 8 must be dropped
 	// (oldest first) however the drainer's takes fall.

@@ -53,7 +53,8 @@ var portSeq atomic.Uint64
 // across the handoff (pinned by TestRingMutexPortEquivalenceProperty and
 // the gate↔ring stress tests).
 //
-// The drainer coalesces up to batchSize queued deliveries per take.
+// The drainer coalesces up to batchSize (DefaultBatchSize, clamped to the
+// queue capacity) queued deliveries per take.
 // Consumers implementing BatchConsumer receive the whole batch in one
 // ConsumeBatch call; others get the batch replayed through Consume one
 // delivery at a time, so batching is transparent to existing consumers.
@@ -106,15 +107,12 @@ type port struct {
 	wakeups  *metrics.Counter // dispatcher total of token sends; nil on a bare port
 }
 
-func newPort(c Consumer, capacity, batchSize int, overflow OverflowPolicy, lockFree bool, dropped, selfDrop *metrics.Counter) *port {
-	if batchSize > capacity {
-		batchSize = capacity
-	}
+func newPort(c Consumer, capacity int, overflow OverflowPolicy, lockFree bool, dropped, selfDrop *metrics.Counter) *port {
 	p := &port{
 		seq:       portSeq.Add(1),
 		consumer:  c,
 		capacity:  capacity,
-		batchSize: batchSize,
+		batchSize: min(DefaultBatchSize, capacity),
 		overflow:  overflow,
 		waiter:    ring.NewWaiter(),
 		dropped:   dropped,

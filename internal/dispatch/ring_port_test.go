@@ -270,7 +270,7 @@ func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var dropped, selfDrop metrics.Counter
 			sink := &BatchConsumerFunc{ConsumerName: "sink", Fn: func([]filtering.Delivery) {}}
-			p := newPort(sink, 1024, 32, DropOldest, tc.lockFree, &dropped, &selfDrop)
+			p := newPort(sink, 1024, DropOldest, tc.lockFree, &dropped, &selfDrop)
 			go p.run()
 			d := del(wire.MustStreamID(1, 0), 0)
 			// AllocsPerRun's measurement window includes the concurrent

@@ -170,11 +170,11 @@ func (r *batchRecorder) seqs() []wire.Seq {
 }
 
 // TestBatchedDrainCoalesces verifies the drainer hands a BatchConsumer
-// multi-delivery batches (bounded by BatchSize) once a backlog exists,
+// multi-delivery batches (bounded by DefaultBatchSize) once a backlog exists,
 // in FIFO order.
 func TestBatchedDrainCoalesces(t *testing.T) {
 	const n = 200
-	d := New(Options{Mode: ModeAsync, QueueCapacity: n, BatchSize: 16})
+	d := New(Options{Mode: ModeAsync, QueueCapacity: n})
 	release := make(chan struct{})
 	r := &batchRecorder{name: "batcher"}
 	gate := &gatedBatchConsumer{inner: r, release: release}
@@ -211,8 +211,8 @@ func TestBatchedDrainCoalesces(t *testing.T) {
 	if !coalesced {
 		t.Fatalf("no batch larger than 1 despite a %d-message backlog (batches: %v)", n, r.batches)
 	}
-	if maxBatch > 16 {
-		t.Fatalf("batch of %d exceeds BatchSize 16", maxBatch)
+	if maxBatch > DefaultBatchSize {
+		t.Fatalf("batch of %d exceeds DefaultBatchSize %d", maxBatch, DefaultBatchSize)
 	}
 }
 
@@ -237,7 +237,7 @@ func (g *gatedBatchConsumer) ConsumeBatch(ds []filtering.Delivery) {
 // still receives every delivery one Consume call at a time, in order.
 func TestBatchFallbackAdapter(t *testing.T) {
 	const n = 100
-	d := New(Options{Mode: ModeAsync, QueueCapacity: n, BatchSize: 16})
+	d := New(Options{Mode: ModeAsync, QueueCapacity: n})
 	c := &recorder{name: "plain"}
 	if _, err := d.Subscribe(c, All()); err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestShardedBatchedMatchesSingleTableSync(t *testing.T) {
 	}
 
 	ref := run(Options{Mode: ModeSync, Shards: 1})
-	got := run(Options{Mode: ModeAsync, Shards: 8, BatchSize: 16, QueueCapacity: msgs})
+	got := run(Options{Mode: ModeAsync, Shards: 8, QueueCapacity: msgs})
 	for c := range ref {
 		if !reflect.DeepEqual(ref[c], got[c]) {
 			t.Fatalf("consumer %d: sharded+batched sequence (%d msgs) diverges from sync single-table (%d msgs)",

@@ -119,11 +119,6 @@ func New(locator Locator, opts Options) *Replicator {
 	return &Replicator{locator: locator, opts: opts}
 }
 
-// NewFlooding creates a location-neutral replicator (the E6 baseline).
-func NewFlooding() *Replicator {
-	return &Replicator{opts: Options{Margin: 1.5, Targeted: false}}
-}
-
 // AddTransmitter attaches one transmitter to the array. The snapshot and
 // its coverage index are rebuilt copy-on-write: in-flight Sends keep the
 // old snapshot, later Sends atomically observe the new one.

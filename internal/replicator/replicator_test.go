@@ -141,9 +141,15 @@ func TestEstimateOutsideAllCoverageFloods(t *testing.T) {
 	}
 }
 
-func TestNewFloodingNeverTargets(t *testing.T) {
+// TestFloodingNeverTargets: with Targeted unset (the E6 location-neutral
+// baseline) every request floods every transmitter, even for a sensor the
+// locator places inside one transmitter's coverage.
+func TestFloodingNeverTargets(t *testing.T) {
 	_, _, txs := rig(t)
-	r := NewFlooding()
+	loc := &fakeLocator{estimates: map[wire.SensorID]location.Estimate{
+		42: {Sensor: 42, Pos: geo.Pt(0, 100), Uncertainty: 50, Confidence: 0.8},
+	}}
+	r := New(loc, Options{})
 	for _, tx := range txs {
 		r.AddTransmitter(tx)
 	}
@@ -437,7 +443,7 @@ func TestHintOnlyEstimateFallsBack(t *testing.T) {
 func TestConcurrentSendDuringAttach(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	medium := radio.NewMedium(clock, radio.Params{})
-	r := NewFlooding()
+	r := New(nil, Options{})
 	r.AddTransmitter(transmit.New(medium, transmit.Config{Position: geo.Pt(0, 0), Range: 100}))
 
 	var wg sync.WaitGroup

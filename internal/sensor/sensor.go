@@ -469,7 +469,7 @@ func (n *Node) applyLocked(ctrl wire.ControlMessage) bool {
 	if mediated && ok && ctrl.Issued.Before(st.lastSet[idx]) {
 		// Stale by issue order: a newer setting for this slot has already
 		// been applied. Ignored without an ack, so the middleware retires
-		// the stale request through its own supersede/expiry accounting.
+		// the stale request through its own retry/expiry accounting.
 		return false
 	}
 	applied := n.applyOpLocked(st, ok, ctrl)

@@ -13,8 +13,11 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// DefaultArchiveQueue is the default per-shard spill queue capacity.
-const DefaultArchiveQueue = 256
+// archiveQueueCap is the per-shard async spill queue capacity. A full
+// queue falls back to a synchronous drain (counted in
+// Stats.ArchiveSyncSpills): backpressure slows appenders, it never drops
+// history.
+const archiveQueueCap = 256
 
 // archiveState is the store-wide archiver: the backend, the retention
 // policy, one bounded spill queue and parked drainer per shard, and the
@@ -100,14 +103,10 @@ func (s *Store) initArchive(opts Options) {
 	if a.syncMode {
 		return
 	}
-	qcap := opts.ArchiveQueue
-	if qcap <= 0 {
-		qcap = DefaultArchiveQueue
-	}
 	a.queues = make([]*mpmc.Ring[wire.StreamID], s.shardCnt)
 	a.waiters = make([]*mpmc.Waiter, s.shardCnt)
 	for i := 0; i < s.shardCnt; i++ {
-		a.queues[i] = mpmc.New[wire.StreamID](qcap)
+		a.queues[i] = mpmc.New[wire.StreamID](archiveQueueCap)
 		a.waiters[i] = mpmc.NewWaiter()
 		a.wg.Add(1)
 		go s.archiverLoop(i)

@@ -156,11 +156,6 @@ type Options struct {
 	// backend's write latency, but shutdown needs no drain and tests
 	// are deterministic.
 	ArchiveSync bool
-	// ArchiveQueue bounds each shard's async spill queue; <= 0 selects
-	// DefaultArchiveQueue. A full queue falls back to a synchronous
-	// drain (counted in Stats.ArchiveSyncSpills) — backpressure slows
-	// appenders, it never drops history.
-	ArchiveQueue int
 	// ArchiveMaxAge drops archived blocks whose newest entry is older
 	// than this relative to the newest archived entry (append-side
 	// eviction, deterministic on virtual clocks); <= 0 means unbounded.

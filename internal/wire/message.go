@@ -176,24 +176,10 @@ func DecodeMessage(b []byte) (Message, int, error) {
 	return m, n, nil
 }
 
-// DecodeMessageInto decodes one data message from the front of b into *m,
-// returning the number of bytes consumed. The payload is copied into
-// m.Payload, reusing its backing array when the capacity suffices — a
-// caller that recycles the same Message across frames decodes without
-// allocating once the payload buffer has grown to the working-set size.
-// On error *m is left in an unspecified state.
-//
-// Because the backing array is reused unconditionally, never pass a
-// Message last filled by DecodeMessageBorrowed: its payload aliases a
-// frame buffer this call would scribble into. Set m.Payload = nil first
-// when switching a Message from borrow-mode to copy-mode decoding.
-func DecodeMessageInto(b []byte, m *Message) (int, error) {
-	return decodeInto(b, m, false)
-}
-
-// DecodeMessageBorrowed decodes like DecodeMessageInto but aliases the
-// frame instead of copying: m.Payload points directly into b. It never
-// allocates.
+// DecodeMessageBorrowed decodes one data message from the front of b into
+// *m, returning the number of bytes consumed. Unlike DecodeMessage it
+// aliases the frame instead of copying: m.Payload points directly into b.
+// It never allocates.
 //
 // Lifetime rule: the message is only valid while b is. A caller that
 // reuses or releases the frame buffer (e.g. back to a pool) must first
@@ -254,19 +240,12 @@ func decodeInto(b []byte, m *Message, borrow bool) (int, error) {
 		return 0, fmt.Errorf("%w: computed %#04x, frame carries %#04x", ErrChecksum, got, want)
 	}
 	switch {
+	case payloadLen == 0:
+		m.Payload = nil // never retain an alias, even an empty one
 	case borrow:
-		if payloadLen == 0 {
-			m.Payload = nil // never retain an alias, even an empty one
-		} else {
-			m.Payload = b[off : off+payloadLen : off+payloadLen]
-		}
+		m.Payload = b[off : off+payloadLen : off+payloadLen]
 	default:
-		// Truncate-and-append keeps a grown destination buffer across
-		// frames, including empty-payload ones, so interleaved heartbeat
-		// and data frames stay allocation-free. A fresh Message decodes
-		// an empty payload to nil (slicing nil yields nil), matching
-		// DecodeMessage's historical behaviour.
-		m.Payload = append(m.Payload[:0], b[off:off+payloadLen]...)
+		m.Payload = append([]byte(nil), b[off:off+payloadLen]...)
 	}
 	return total, nil
 }

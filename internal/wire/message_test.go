@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -327,73 +326,6 @@ func TestFlagsStringAllocs(t *testing.T) {
 	f := FlagUpdateAck | FlagRelayed | FlagFused | FlagEncrypted | FlagLocationAware
 	if got := testing.AllocsPerRun(100, func() { _ = f.String() }); got > 1 {
 		t.Errorf("Flags.String allocates %v per call, want <= 1", got)
-	}
-}
-
-// TestDecodeMessageInto: the reusable-destination decoder must agree with
-// DecodeMessage bit for bit, reuse the payload buffer once grown, and
-// reset extension fields left over from a previous frame.
-func TestDecodeMessageInto(t *testing.T) {
-	big := Message{
-		Flags:  FlagUpdateAck | FlagRelayed | FlagFused,
-		Stream: MustStreamID(77, 3), Seq: 9,
-		AckID: 0xBEEF, HopCount: 2, FusedCount: 4,
-		Payload: bytes.Repeat([]byte{0xAB}, 64),
-	}
-	small := Message{Stream: MustStreamID(78, 0), Seq: 10, Payload: []byte("hi")}
-	bigFrame, err := big.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallFrame, err := small.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var m Message
-	n, err := DecodeMessageInto(bigFrame, &m)
-	if err != nil || n != len(bigFrame) {
-		t.Fatalf("DecodeMessageInto: n=%d err=%v", n, err)
-	}
-	ref, _, _ := DecodeMessage(bigFrame)
-	if !reflect.DeepEqual(m, ref) {
-		t.Fatalf("DecodeMessageInto = %+v, DecodeMessage = %+v", m, ref)
-	}
-
-	grown := &m.Payload[0]
-	n, err = DecodeMessageInto(smallFrame, &m)
-	if err != nil || n != len(smallFrame) {
-		t.Fatalf("reuse decode: n=%d err=%v", n, err)
-	}
-	if m.AckID != 0 || m.HopCount != 0 || m.FusedCount != 0 {
-		t.Fatalf("stale extension fields survived reuse: %+v", m)
-	}
-	if string(m.Payload) != "hi" {
-		t.Fatalf("payload = %q", m.Payload)
-	}
-	if &m.Payload[0] != grown {
-		t.Error("payload buffer was not reused despite sufficient capacity")
-	}
-
-	// An interleaved empty-payload frame must not drop the grown buffer.
-	empty := Message{Stream: MustStreamID(79, 0), Seq: 11}
-	emptyFrame, err := empty.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeMessageInto(emptyFrame, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Payload) != 0 || cap(m.Payload) == 0 {
-		t.Fatalf("empty frame dropped the reusable buffer (len=%d cap=%d)", len(m.Payload), cap(m.Payload))
-	}
-	// Steady state: decoding into a warmed-up Message never allocates.
-	if got := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeMessageInto(bigFrame, &m); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("warmed-up DecodeMessageInto allocates %v per call, want 0", got)
 	}
 }
 

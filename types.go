@@ -274,10 +274,9 @@ type (
 
 // Actuation outcomes.
 const (
-	OutcomeAcked      = actuation.OutcomeAcked
-	OutcomeExpired    = actuation.OutcomeExpired
-	OutcomeCancelled  = actuation.OutcomeCancelled
-	OutcomeSuperseded = actuation.OutcomeSuperseded
+	OutcomeAcked     = actuation.OutcomeAcked
+	OutcomeExpired   = actuation.OutcomeExpired
+	OutcomeCancelled = actuation.OutcomeCancelled
 )
 
 // Super Coordinator.
