@@ -370,7 +370,7 @@ func (g *Deployment) Discover(tok Token) ([]StreamInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos := g.core.Dispatcher().Discover()
+	infos := g.core.Discover()
 	if !id.Permissions.Has(registry.PermLocation) {
 		infos = slices.DeleteFunc(infos, func(i StreamInfo) bool { return i.Stream.Index() == wire.LocationStreamIndex })
 	}

@@ -365,6 +365,33 @@ func (d *Deployment) SubscribeWithReplay(c dispatch.Consumer, stream wire.Stream
 	})
 }
 
+// StreamInfo is one advertised stream, for discovery.
+type StreamInfo struct {
+	FirstSeen  time.Time // At of the stream's first published delivery
+	LastSeen   time.Time // At of its latest
+	Count      int64     // deliveries published on it
+	Stream     wire.StreamID
+	Subscribed bool // whether at least one subscription currently matches it
+}
+
+// Discover lists every stream the deployment has published, sorted by id
+// — the advertising/discovery mechanism consumers use to find streams of
+// interest, including un-configured ones currently flowing to the
+// Orphanage. What a stream has published is the Stream Store's record,
+// since every delivery passes through it before dispatch; the times are
+// instants as the store returns them (Equal, not ==). Subscribed is asked
+// of the dispatcher with no lock held, so a Where predicate may call back
+// into the deployment.
+func (d *Deployment) Discover() []StreamInfo {
+	appended := d.st.Appended()
+	out := make([]StreamInfo, len(appended))
+	for i, a := range appended {
+		out[i] = StreamInfo{FirstSeen: a.First, LastSeen: a.Latest, Count: a.Count,
+			Stream: a.Stream, Subscribed: d.dispatcher.Subscribed(a.Stream)}
+	}
+	return out
+}
+
 // AllocateVirtualSensor reserves the next virtual sensor id for a
 // derived-stream publisher.
 func (d *Deployment) AllocateVirtualSensor() wire.SensorID {

@@ -385,12 +385,12 @@ func TestInjectReceptionAllocs(t *testing.T) {
 
 // TestIdleSensorFootprint holds the resident cost of a sensor that sent one
 // message ever — the dominant population of a large field: its filter
-// window, store header and slot, dispatch stream record and their map
-// entries. The ceiling is 768 B, PR 9's acceptance bar and half the 1537 B
-// a sensor cost before it; the census reads about 519 B, so the headroom
-// absorbs allocator noise and a structural regression does not fit in it.
+// state, store header and slot, and their map entries; the dispatcher
+// keeps no per-stream record. The census reads about 367 B: the 416 B
+// ceiling absorbs allocator noise, and a structural regression such as a
+// second per-stream record does not fit under it.
 func TestIdleSensorFootprint(t *testing.T) {
-	const sensors, ceiling = 100_000, 768
+	const sensors, ceiling = 100_000, 416
 	clock := sim.NewVirtualClock(epoch)
 	d := New(Config{Clock: clock, Secret: []byte("s")})
 	defer d.Stop()

@@ -7,7 +7,11 @@
 // The StreamID in a data message “implicitly identifies the source of the
 // message, while the end destinations are inferred” (§5, delayed delivery
 // decision-making): sensors never address consumers; the dispatcher's
-// subscription table is the sole place delivery decisions are made.
+// subscription table is the sole place delivery decisions are made. It is
+// also all the dispatcher keeps: stream advertising reads which streams
+// exist from the Stream Store, which every delivery passes through before
+// it is dispatched, and asks the dispatcher only whether each is
+// subscribed (Subscribed).
 //
 // # Sharding
 //
@@ -54,7 +58,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/metrics"
@@ -205,19 +208,6 @@ type Options struct {
 	forceLockedQueue bool
 }
 
-// StreamInfo is one advertised stream, for discovery. The dispatcher
-// holds one per stream it has ever routed, so field order matters at
-// census scale: the two times and the count lead, and the 32-bit id
-// packs with the flag — 64 bytes, one size class below the naive
-// layout. The footprint test pins the ceiling.
-type StreamInfo struct {
-	FirstSeen  time.Time
-	LastSeen   time.Time
-	Count      int64
-	Stream     wire.StreamID
-	Subscribed bool // whether at least one subscription currently matches it
-}
-
 // Stats is a snapshot of dispatcher counters.
 type Stats struct {
 	Dispatched    int64 // deliveries entering the dispatcher
@@ -261,6 +251,7 @@ type Dispatcher struct {
 	// Control plane, serialised on mu.
 	mu       sync.Mutex
 	nextSub  SubscriptionID
+	nextPort uint64 // port.seq of the last port created
 	subs     map[SubscriptionID]*subscription
 	wildSubs map[SubscriptionID]*subscription // source of truth behind wild
 	ports    map[Consumer]*port
@@ -343,6 +334,8 @@ func (d *Dispatcher) portForLocked(c Consumer) *port {
 			d.opts.Mode == ModeAsync && !d.opts.forceLockedQueue,
 			&d.dropped, d.droppedBy.With(c.Name()))
 		p.wakeups = &d.wakeups
+		d.nextPort++
+		p.seq = d.nextPort
 		d.ports[c] = p
 		if d.opts.Mode == ModeAsync && d.started {
 			d.startPortLocked(p)
@@ -500,15 +493,6 @@ func (d *Dispatcher) Dispatch(del filtering.Delivery) {
 	}
 
 	sh.mu.Lock()
-	// Advertising: record the stream for discovery.
-	info, ok := sh.streams[del.Msg.Stream]
-	if !ok {
-		info = &StreamInfo{Stream: del.Msg.Stream, FirstSeen: del.At}
-		sh.streams[del.Msg.Stream] = info
-	}
-	info.LastSeen = del.At
-	info.Count++
-
 	// Collect matching ports into pooled scratch; duplicates (one consumer
 	// holding several matching subscriptions) are removed after the sort
 	// below, so the hot path allocates nothing.
@@ -634,38 +618,20 @@ func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch
 	return sub.id, n, nil
 }
 
-// Discover lists every stream the dispatcher has seen, sorted by id — the
-// advertising/discovery mechanism consumers use to find streams of
-// interest, including un-configured ones currently flowing to the
-// Orphanage.
-func (d *Dispatcher) Discover() []StreamInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []StreamInfo
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		for id, info := range sh.streams {
-			cp := *info
-			cp.Subscribed = d.matchedShardLocked(sh, id)
-			out = append(out, cp)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
-	return out
-}
-
-// matchedShardLocked reports whether any live subscription matches id.
-// Caller holds mu and sh.mu; sh is id's home shard.
-func (d *Dispatcher) matchedShardLocked(sh *shard, id wire.StreamID) bool {
-	if len(sh.exact[id]) > 0 || len(sh.sensor[id.Sensor()]) > 0 {
+// Subscribed reports whether at least one live subscription matches
+// stream id — the subscription side of stream discovery. Where predicates
+// see a Message carrying only the id, and run with no dispatcher lock
+// held, so a predicate may call back into the dispatcher.
+func (d *Dispatcher) Subscribed(id wire.StreamID) bool {
+	sh := d.shardFor(id.Sensor())
+	sh.mu.Lock()
+	byID := len(sh.exact[id]) > 0 || len(sh.sensor[id.Sensor()]) > 0
+	sh.mu.Unlock()
+	if byID {
 		return true
 	}
-	for _, sub := range d.wildSubs {
-		if sub.pattern.Kind == KindAll {
-			return true
-		}
-		if sub.pattern.Where(wire.Message{Stream: id}) {
+	for _, sub := range *d.wild.Load() {
+		if sub.pattern.Kind == KindAll || sub.pattern.Where(wire.Message{Stream: id}) {
 			return true
 		}
 	}

@@ -186,25 +186,57 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 }
 
-func TestDiscover(t *testing.T) {
+func TestSubscribed(t *testing.T) {
 	d := New(Options{})
 	c := &recorder{name: "c"}
-	if _, err := d.Subscribe(c, Exact(wire.MustStreamID(1, 0))); err != nil {
+	exact, bySensor, byWhere := wire.MustStreamID(1, 0), wire.MustStreamID(2, 3), wire.MustStreamID(4, 1)
+	unclaimed := wire.MustStreamID(5, 2)
+	if _, err := d.Subscribe(c, Exact(exact)); err != nil {
 		t.Fatal(err)
 	}
-	d.Dispatch(del(wire.MustStreamID(1, 0), 0))
-	d.Dispatch(del(wire.MustStreamID(1, 0), 1))
-	d.Dispatch(del(wire.MustStreamID(5, 2), 0)) // unclaimed
+	if _, err := d.Subscribe(c, BySensor(bySensor.Sensor())); err != nil {
+		t.Fatal(err)
+	}
+	where, err := d.Subscribe(c, Where(func(m wire.Message) bool { return m.Stream == byWhere }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []wire.StreamID{exact, bySensor, byWhere} {
+		if !d.Subscribed(id) {
+			t.Errorf("Subscribed(%v) = false", id)
+		}
+	}
+	if d.Subscribed(unclaimed) {
+		t.Errorf("Subscribed(%v) = true with no matching subscription", unclaimed)
+	}
+	d.Unsubscribe(where)
+	if d.Subscribed(byWhere) {
+		t.Errorf("Subscribed(%v) = true after its subscription went", byWhere)
+	}
+	if _, err := d.Subscribe(c, All()); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Subscribed(unclaimed) {
+		t.Errorf("Subscribed(%v) = false under an All subscription", unclaimed)
+	}
+}
 
-	infos := d.Discover()
-	if len(infos) != 2 {
-		t.Fatalf("discovered %d streams, want 2", len(infos))
+// Fan-out order compares ports of one dispatcher only, so each dispatcher
+// numbers its own: a second dispatcher in the process starts from 1 too.
+func TestPortSequenceIsPerDispatcher(t *testing.T) {
+	first := func() uint64 {
+		d := New(Options{})
+		if _, err := d.Subscribe(&recorder{name: "c"}, All()); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range d.ports {
+			return p.seq
+		}
+		t.Fatal("no port")
+		return 0
 	}
-	if infos[0].Stream != wire.MustStreamID(1, 0) || infos[0].Count != 2 || !infos[0].Subscribed {
-		t.Errorf("first stream info: %+v", infos[0])
-	}
-	if infos[1].Stream != wire.MustStreamID(5, 2) || infos[1].Subscribed {
-		t.Errorf("second stream info: %+v", infos[1])
+	if a, b := first(), first(); a != b || a != 1 {
+		t.Fatalf("first ports numbered %d and %d, want 1 and 1", a, b)
 	}
 }
 

@@ -5,18 +5,16 @@ import (
 	"unsafe"
 )
 
-// TestRecordFootprints pins the dispatcher's long-lived record sizes.
-// StreamInfo is the one that scales — one per stream ever routed, so at
-// a million sensors its 64-byte size class (vs 80 for the naive field
-// order) is 16 MB of headroom. Subscription records are per-subscriber,
-// but they ride the wildcard snapshot slice, so they stay pinned too.
+// TestRecordFootprints pins the dispatcher's long-lived record sizes. None
+// of them is per stream — the dispatcher keeps no record of a stream it has
+// routed — but subscription records ride the wildcard snapshot slice, so
+// they stay pinned.
 func TestRecordFootprints(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		got    uintptr
 		budget uintptr
 	}{
-		{"StreamInfo", unsafe.Sizeof(StreamInfo{}), 64},
 		{"subscription", unsafe.Sizeof(subscription{}), 40},
 		{"Pattern", unsafe.Sizeof(Pattern{}), 24},
 	} {

@@ -11,8 +11,6 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-var portSeq atomic.Uint64
-
 // port is one consumer's delivery endpoint: in async mode a bounded FIFO
 // drained by a dedicated worker goroutine; in sync mode just the consumer
 // reference (the queue fields stay unused).
@@ -59,7 +57,7 @@ var portSeq atomic.Uint64
 // ConsumeBatch call; others get the batch replayed through Consume one
 // delivery at a time, so batching is transparent to existing consumers.
 type port struct {
-	seq      uint64 // creation order, for deterministic sync fan-out
+	seq      uint64 // creation order within its dispatcher, for deterministic fan-out
 	consumer Consumer
 	batcher  BatchConsumer // non-nil when consumer supports batches
 	refs     int           // live subscriptions; guarded by Dispatcher.mu
@@ -109,7 +107,6 @@ type port struct {
 
 func newPort(c Consumer, capacity int, overflow OverflowPolicy, lockFree bool, dropped, selfDrop *metrics.Counter) *port {
 	p := &port{
-		seq:       portSeq.Add(1),
 		consumer:  c,
 		capacity:  capacity,
 		batchSize: min(DefaultBatchSize, capacity),

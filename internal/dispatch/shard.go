@@ -13,14 +13,12 @@ import (
 // subscription that can match it by id — lands in the same shard, and a
 // Dispatch call takes exactly one shard lock. Wildcard (All/Where)
 // subscriptions live in the dispatcher's shared read-mostly index instead.
-//
-// Stream advertising state (StreamInfo) is kept per shard too, so the
-// discovery bookkeeping on the hot path never touches a global lock.
+// A shard holds subscriptions only: which streams exist, and when they
+// were last seen, is the Stream Store's record, not the dispatcher's.
 type shard struct {
-	mu      sync.Mutex
-	exact   map[wire.StreamID]map[SubscriptionID]*subscription
-	sensor  map[wire.SensorID]map[SubscriptionID]*subscription
-	streams map[wire.StreamID]*StreamInfo
+	mu     sync.Mutex
+	exact  map[wire.StreamID]map[SubscriptionID]*subscription
+	sensor map[wire.SensorID]map[SubscriptionID]*subscription
 
 	// Hot-path counters are shard-local so concurrent publishes on
 	// different shards never contend on one shared counter; Stats sums
@@ -35,9 +33,8 @@ func newShards(n int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
-			exact:   make(map[wire.StreamID]map[SubscriptionID]*subscription),
-			sensor:  make(map[wire.SensorID]map[SubscriptionID]*subscription),
-			streams: make(map[wire.StreamID]*StreamInfo),
+			exact:  make(map[wire.StreamID]map[SubscriptionID]*subscription),
+			sensor: make(map[wire.SensorID]map[SubscriptionID]*subscription),
 		}
 	}
 	return shards

@@ -98,16 +98,6 @@ type Stats struct {
 	Shards        int   // state partitions
 }
 
-// StreamStats is a per-stream snapshot.
-type StreamStats struct {
-	Stream     wire.StreamID
-	Delivered  int64
-	Duplicates int64
-	LastSeq    wire.Seq
-	FirstSeen  time.Time
-	LastSeen   time.Time
-}
-
 // Filter is the Filtering Service.
 type Filter struct {
 	opts   Options
@@ -153,11 +143,13 @@ type pendingEntry struct {
 	release time.Time
 }
 
-// streamFilter is one stream's duplicate/reorder state. Field order is
-// deliberate: pointers and 8-byte fields first, then the time stamps,
-// then the small scalars, so the struct packs into 144 bytes (a
-// footprint test pins the ceiling) — at a million mostly-idle streams
-// the padding of a careless layout alone costs tens of megabytes.
+// streamFilter is one stream's duplicate/reorder state: what the screen
+// needs and nothing it does not, since the filter holds one for every
+// stream ever heard. Field order is deliberate — pointers and slices
+// first, then the small scalars — so the struct packs into 48 bytes (a
+// footprint test pins the ceiling). It keeps no per-stream counts or
+// times: which streams exist, how many messages each published and when
+// is the Stream Store's record.
 type streamFilter struct {
 	sh *shard
 
@@ -176,27 +168,27 @@ type streamFilter struct {
 	// stream runs the bitmap path from then on.
 	window []uint64
 
-	// Reorder state (used only when ReorderWindow > 0): pending entries
-	// sorted ascending by sequence, released front-first once held long
-	// enough. The backing array is retained across pops, so a warmed-up
-	// stream reorders without allocating (Flush releases it). releasing
-	// serialises timer fires per stream: a second fire while one is
-	// mid-sink would otherwise deliver later sequences before earlier
-	// ones on a real clock (AfterFunc callbacks run on independent
-	// goroutines).
-	pending []pendingEntry
-	timer   sim.Timer
-
-	delivered  int64
-	duplicates int64
-	firstSeen  time.Time
-	lastSeen   time.Time
+	// ro is the reorder stage's state, allocated on the stream's first
+	// hold: nil without ReorderWindow, and nil again once Flush drains it.
+	ro *reorder
 
 	// span is the length of the contiguous seen range ending at base,
 	// clamped to the window size; meaningful only while window is nil.
 	span      int32
 	base      wire.Seq // highest sequence seen, in serial order
 	initiated bool
+}
+
+// reorder is one stream's reorder-stage state (ReorderWindow > 0):
+// pending entries sorted ascending by sequence, released front-first once
+// held long enough. The backing array is retained across pops, so a
+// warmed-up stream reorders without allocating (Flush releases it).
+// releasing serialises timer fires per stream: a second fire while one is
+// mid-sink would otherwise deliver later sequences before earlier ones on
+// a real clock (AfterFunc callbacks run on independent goroutines).
+type reorder struct {
+	pending   []pendingEntry
+	timer     sim.Timer
 	releasing bool
 }
 
@@ -224,14 +216,11 @@ func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool)
 	sh.received++
 	sf := sh.last
 	if sf == nil || sh.lastID != rc.Msg.Stream {
-		sf = sh.lookupSlowLocked(rc.Msg.Stream, rc.At)
+		sf = sh.lookupSlowLocked(rc.Msg.Stream)
 	}
-	sf.lastSeen = rc.At
-
 	if !sf.accept(rc.Msg.Seq) {
 		return Delivery{}, false
 	}
-	sf.delivered++
 	msg := rc.Msg
 	if rc.Borrowed && len(msg.Payload) > 0 {
 		owned := make([]byte, len(msg.Payload))
@@ -340,7 +329,6 @@ func (sf *streamFilter) acceptLazy(seq wire.Seq) (handled, ok bool) {
 	case d > 1:
 		return false, false // first in-window gap: needs the bitmap
 	case d == 0:
-		sf.duplicates++
 		sf.sh.duplicates++
 		return true, false
 	default: // d < 0: an older sequence
@@ -350,7 +338,6 @@ func (sf *streamFilter) acceptLazy(seq wire.Seq) (handled, ok bool) {
 		}
 		if int32(-d) < sf.span {
 			// Inside the contiguous seen range: a duplicate.
-			sf.duplicates++
 			sf.sh.duplicates++
 			return true, false
 		}
@@ -400,7 +387,6 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 		sf.window[w] |= m
 		return true
 	case d == 0:
-		sf.duplicates++
 		sf.sh.duplicates++
 		return false
 	default: // d < 0: an older sequence
@@ -410,7 +396,6 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 		}
 		w, m := sf.bitPos(seq)
 		if sf.window[w]&m != 0 {
-			sf.duplicates++
 			sf.sh.duplicates++
 			return false
 		}
@@ -421,48 +406,54 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 }
 
 // enqueueLocked inserts d into the stream's pending list sorted by
-// sequence and (re)arms the release timer. Caller holds sh.mu.
+// sequence and (re)arms the release timer, allocating the stream's
+// reorder state on its first hold. Caller holds sh.mu.
 func (sf *streamFilter) enqueueLocked(d Delivery, release time.Time) {
+	if sf.ro == nil {
+		sf.ro = &reorder{}
+	}
+	ro := sf.ro
 	// Insert sorted by serial sequence order.
-	at := len(sf.pending)
-	for i, p := range sf.pending {
+	at := len(ro.pending)
+	for i, p := range ro.pending {
 		if d.Msg.Seq.Less(p.d.Msg.Seq) {
 			at = i
 			break
 		}
 	}
-	sf.pending = append(sf.pending, pendingEntry{})
-	copy(sf.pending[at+1:], sf.pending[at:])
-	sf.pending[at] = pendingEntry{d: d, release: release}
+	ro.pending = append(ro.pending, pendingEntry{})
+	copy(ro.pending[at+1:], ro.pending[at:])
+	ro.pending[at] = pendingEntry{d: d, release: release}
 	sf.armTimerLocked()
 }
 
 func (sf *streamFilter) armTimerLocked() {
-	if len(sf.pending) == 0 {
+	ro := sf.ro
+	if len(ro.pending) == 0 {
 		return
 	}
-	if sf.timer != nil {
-		sf.timer.Stop()
+	if ro.timer != nil {
+		ro.timer.Stop()
 	}
 	clock := sf.sh.f.opts.Clock
-	delay := sf.pending[0].release.Sub(clock.Now())
-	sf.timer = clock.AfterFunc(delay, sf.release)
+	delay := ro.pending[0].release.Sub(clock.Now())
+	ro.timer = clock.AfterFunc(delay, sf.release)
 }
 
 // popExpiredLocked moves every front entry whose hold has expired into
 // *out, keeping the pending backing array for reuse. Caller holds sh.mu.
-func (sf *streamFilter) popExpiredLocked(now time.Time, out *[]Delivery) {
+func (ro *reorder) popExpiredLocked(now time.Time, out *[]Delivery) {
 	n := 0
-	for n < len(sf.pending) && !sf.pending[n].release.After(now) {
-		*out = append(*out, sf.pending[n].d)
+	for n < len(ro.pending) && !ro.pending[n].release.After(now) {
+		*out = append(*out, ro.pending[n].d)
 		n++
 	}
 	if n == 0 {
 		return
 	}
-	kept := copy(sf.pending, sf.pending[n:])
-	clear(sf.pending[kept:]) // do not pin payloads in the spare capacity
-	sf.pending = sf.pending[:kept]
+	kept := copy(ro.pending, ro.pending[n:])
+	clear(ro.pending[kept:]) // do not pin payloads in the spare capacity
+	ro.pending = ro.pending[:kept]
 }
 
 // release forwards every front entry whose hold has expired, preserving
@@ -476,47 +467,63 @@ func (sf *streamFilter) release() {
 	f := sh.f
 	out := getDeliverySlice()
 	sh.mu.Lock()
-	if sf.releasing {
-		// Another fire is mid-sink; it re-checks and re-arms on exit.
+	ro := sf.ro
+	if ro == nil || ro.releasing {
+		// Flush drained the stream, or another fire is mid-sink (it
+		// re-checks and re-arms on exit).
 		sh.mu.Unlock()
 		putDeliverySlice(out)
 		return
 	}
-	sf.releasing = true
-	now := f.opts.Clock.Now()
-	sf.popExpiredLocked(now, out)
+	ro.releasing = true
+	ro.popExpiredLocked(f.opts.Clock.Now(), out)
 	sh.delivered += int64(len(*out))
-	sf.timer = nil
+	ro.timer = nil
 	sh.mu.Unlock()
 	for _, d := range *out {
 		f.sink(d)
 	}
 	sh.mu.Lock()
-	sf.releasing = false
+	ro.releasing = false
 	sf.armTimerLocked()
 	sh.mu.Unlock()
 	putDeliverySlice(out)
 }
 
+// takeHeldLocked stops the stream's release timer and hands back its held
+// entries. The reorder state goes with them unless a fire is mid-sink:
+// that one keeps it, finds pending empty on exit and re-arms nothing.
+// Caller holds sh.mu.
+func (sf *streamFilter) takeHeldLocked() []pendingEntry {
+	ro := sf.ro
+	if ro == nil {
+		return nil
+	}
+	if ro.timer != nil {
+		ro.timer.Stop()
+	}
+	held := ro.pending
+	ro.pending, ro.timer = nil, nil
+	if !ro.releasing {
+		sf.ro = nil
+	}
+	return held
+}
+
 // Flush immediately releases all held messages (in per-stream sequence
-// order) and frees the per-stream reorder backlogs — a drained stream
-// keeps only its duplicate-window state, so mass-idle fields do not pin
-// reorder memory. Call when shutting down a deployment with reordering
-// enabled.
+// order) and frees the per-stream reorder state — a drained stream keeps
+// only its duplicate-window state, so mass-idle fields do not pin reorder
+// memory. Call when shutting down a deployment with reordering enabled.
 func (f *Filter) Flush() {
 	out := getDeliverySlice()
 	for _, sh := range f.shards {
 		sh.mu.Lock()
-		for _, sf := range sh.streams {
-			for _, p := range sf.pending {
+		for _, sf := range sh.filters {
+			held := sf.takeHeldLocked()
+			for _, p := range held {
 				*out = append(*out, p.d)
 			}
-			sh.delivered += int64(len(sf.pending))
-			sf.pending = nil
-			if sf.timer != nil {
-				sf.timer.Stop()
-				sf.timer = nil
-			}
+			sh.delivered += int64(len(held))
 		}
 		sh.mu.Unlock()
 	}
@@ -536,18 +543,12 @@ func (f *Filter) Forget(id wire.StreamID) bool {
 	sh := f.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sf, ok := sh.streams[id]
+	sf, ok := sh.filters[id]
 	if !ok {
 		return false
 	}
-	if sf.timer != nil {
-		sf.timer.Stop()
-		sf.timer = nil
-	}
-	// An in-flight release() re-checks pending after its sink calls;
-	// emptying it here keeps the timer from re-arming on forgotten state.
-	sf.pending = nil
-	delete(sh.streams, id)
+	sf.takeHeldLocked()
+	delete(sh.filters, id)
 	if sh.lastID == id {
 		sh.last = nil
 	}
@@ -565,41 +566,8 @@ func (f *Filter) Stats() Stats {
 		st.Stale += sh.stale
 		st.Gaps += sh.gaps
 		st.GapsRecovered += sh.recovered
-		st.ActiveStreams += len(sh.streams)
+		st.ActiveStreams += len(sh.filters)
 		sh.mu.Unlock()
 	}
 	return st
-}
-
-// StreamStats returns the per-stream snapshot for id; ok is false when the
-// filter has never seen the stream.
-func (f *Filter) StreamStats(id wire.StreamID) (StreamStats, bool) {
-	sh := f.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sf, ok := sh.streams[id]
-	if !ok {
-		return StreamStats{}, false
-	}
-	return StreamStats{
-		Stream:     id,
-		Delivered:  sf.delivered,
-		Duplicates: sf.duplicates,
-		LastSeq:    sf.base,
-		FirstSeen:  sf.firstSeen,
-		LastSeen:   sf.lastSeen,
-	}, true
-}
-
-// Streams lists the ids of all streams with filter state.
-func (f *Filter) Streams() []wire.StreamID {
-	var out []wire.StreamID
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for id := range sh.streams {
-			out = append(out, id)
-		}
-		sh.mu.Unlock()
-	}
-	return out
 }

@@ -307,21 +307,43 @@ func TestFlushReleasesPending(t *testing.T) {
 	}
 }
 
-func TestStreamStats(t *testing.T) {
+// A stream pays for reorder state only while it holds something: none
+// before its first hold, none after Flush drains it.
+func TestReorderStateLivesOnlyWhileHolding(t *testing.T) {
+	clock := sim.NewVirtualClock(epoch)
+	f, _ := collectFilter(Options{ReorderWindow: time.Hour, Clock: clock})
+	id := wire.MustStreamID(1, 0)
+	reorderState := func() *reorder {
+		sh := f.shardFor(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.filters[id].ro
+	}
+	f.Ingest(rcpt(id, 0))
+	if reorderState() == nil {
+		t.Fatal("a held message has no reorder state")
+	}
+	f.Flush()
+	if ro := reorderState(); ro != nil {
+		t.Fatalf("Flush left reorder state behind: %+v", ro)
+	}
+	f.Ingest(rcpt(id, 0)) // a duplicate: nothing to hold
+	if ro := reorderState(); ro != nil {
+		t.Fatalf("a rejected copy allocated reorder state: %+v", ro)
+	}
+}
+
+func TestStatsCountStreams(t *testing.T) {
 	f, _ := collectFilter(Options{})
 	id := wire.MustStreamID(4, 4)
-	if _, ok := f.StreamStats(id); ok {
-		t.Fatal("unknown stream should report !ok")
+	if st := f.Stats(); st.ActiveStreams != 0 {
+		t.Fatalf("fresh filter: %+v", st)
 	}
 	f.Ingest(rcpt(id, 0))
 	f.Ingest(rcpt(id, 0))
 	f.Ingest(rcpt(id, 1))
-	st, ok := f.StreamStats(id)
-	if !ok || st.Delivered != 2 || st.Duplicates != 1 || st.LastSeq != 1 {
-		t.Fatalf("StreamStats = %+v ok=%v", st, ok)
-	}
-	if got := f.Streams(); len(got) != 1 || got[0] != id {
-		t.Fatalf("Streams = %v", got)
+	if st := f.Stats(); st.ActiveStreams != 1 || st.Delivered != 2 || st.Duplicates != 1 {
+		t.Fatalf("one stream, two unique, one duplicate: %+v", st)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.streams[id]
+		return sh.filters[id]
 	}
 
 	for seq := wire.Seq(1); seq <= 200; seq++ {
@@ -91,7 +91,7 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id2, Seq: 5}})
 	sh := f.shardFor(id2)
 	sh.mu.Lock()
-	sf2 := sh.streams[id2]
+	sf2 := sh.filters[id2]
 	w := sf2.window
 	sh.mu.Unlock()
 	if w == nil {
@@ -118,8 +118,8 @@ func TestFilterForget(t *testing.T) {
 	if f.Forget(id) {
 		t.Fatalf("second Forget claims state existed")
 	}
-	if _, ok := f.StreamStats(id); ok {
-		t.Fatalf("StreamStats still finds forgotten stream")
+	if st := f.Stats(); st.ActiveStreams != 0 {
+		t.Fatalf("forgotten stream still active: %+v", st)
 	}
 	// Resuming at an "old" sequence must be accepted: the stream
 	// re-initiates rather than consulting forgotten window state.

@@ -2,7 +2,6 @@ package filtering
 
 import (
 	"sync"
-	"time"
 
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
@@ -17,7 +16,7 @@ type shard struct {
 	f  *Filter
 	mu sync.Mutex
 
-	streams map[wire.StreamID]*streamFilter
+	filters map[wire.StreamID]*streamFilter
 
 	// Single-entry lookup cache: sensors emit runs of messages on the
 	// same stream, so the common case skips the map hash entirely.
@@ -39,7 +38,7 @@ type shard struct {
 func newShards(f *Filter, n int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{f: f, streams: make(map[wire.StreamID]*streamFilter)}
+		shards[i] = &shard{f: f, filters: make(map[wire.StreamID]*streamFilter)}
 	}
 	return shards
 }
@@ -63,14 +62,14 @@ var forceEagerWindows = false
 // range with base/span alone, and the bitmap materialises on the first
 // gap or out-of-order arrival (see streamFilter.accept). Caller holds
 // sh.mu; the cache-hit path lives inline in ingestLocked.
-func (sh *shard) lookupSlowLocked(id wire.StreamID, at time.Time) *streamFilter {
-	sf, ok := sh.streams[id]
+func (sh *shard) lookupSlowLocked(id wire.StreamID) *streamFilter {
+	sf, ok := sh.filters[id]
 	if !ok {
-		sf = &streamFilter{sh: sh, firstSeen: at}
+		sf = &streamFilter{sh: sh}
 		if forceEagerWindows {
 			sf.window = make([]uint64, sh.f.opts.WindowSize/64)
 		}
-		sh.streams[id] = sf
+		sh.filters[id] = sf
 	}
 	sh.lastID, sh.last = id, sf
 	return sf

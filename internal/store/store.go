@@ -413,6 +413,13 @@ type ring struct {
 	// lastWire is the wire sequence of lastExt (unwrap state).
 	lastWire wire.Seq
 
+	// The stream's append history, whatever the window kept of it: how
+	// many deliveries were appended and the At of the first and the
+	// latest, as a slot keeps At. Forget keeps it; Appended reads it.
+	appended              int64
+	firstSec, latestSec   int64
+	firstNsec, latestNsec int32
+
 	// Cold tier (compression enabled). Entries leave the hot ring oldest
 	// first into stage — a fixed-capacity slice whose spare elements park
 	// recycled payload buffers — and a full stage seals into one
@@ -615,6 +622,12 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 		// Forget released the ring's backing; the stream resumed.
 		r.slots = make([]slot, minRingSize)
 	}
+	sec, nsec := d.At.Unix(), int32(d.At.Nanosecond())
+	if r.appended == 0 {
+		r.firstSec, r.firstNsec = sec, nsec
+	}
+	r.latestSec, r.latestNsec = sec, nsec
+	r.appended++
 
 	// Unwrap the 16-bit wire sequence into the 64-bit address space. A
 	// stream first seen through recovered archived history resumes
@@ -700,7 +713,7 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	p := d.Msg.Payload
 	e := &r.slots[ext&r.slotMask()]
 	*e = slot{
-		sec: d.At.Unix(), nsec: int32(d.At.Nanosecond()), rssi: d.RSSI,
+		sec: sec, nsec: nsec, rssi: d.RSSI,
 		size: uint32(len(p)), rx: sh.lastRxIdx, ack: d.Msg.AckID,
 		flags: d.Msg.Flags, hop: d.Msg.HopCount, fused: d.Msg.FusedCount,
 	}
@@ -1506,6 +1519,37 @@ func (s *Store) Streams() []wire.StreamID {
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// StreamAppends is one stream's append history: how many deliveries were
+// appended to it and the At of the first and the latest, counted whether
+// or not the retained window kept them — behind-window fills included —
+// and kept across Forget. The times are the appended instants (Equal, not
+// ==) without location or monotonic reading, as reads return them.
+type StreamAppends struct {
+	Stream        wire.StreamID
+	Count         int64
+	First, Latest time.Time
+}
+
+// Appended lists the append history of every stream appended to since
+// the store was created, sorted by stream. Streams known only from a
+// recovered archive have none and are not listed.
+func (s *Store) Appended() []StreamAppends {
+	var out []StreamAppends
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, r := range sh.streams {
+			out = append(out, StreamAppends{
+				Stream: id, Count: r.appended,
+				First:  time.Unix(r.firstSec, int64(r.firstNsec)),
+				Latest: time.Unix(r.latestSec, int64(r.latestNsec)),
+			})
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(out, func(a, b StreamAppends) int { return cmp.Compare(a.Stream, b.Stream) })
 	return out
 }
 

@@ -35,6 +35,40 @@ func TestAppendAssignsMonotonicExtendedSeqs(t *testing.T) {
 	}
 }
 
+// Appended counts every append — including one that lands behind the
+// retained window and is not stored — and keeps counting across Forget,
+// which drops the history but not the record of it.
+func TestAppendedCountsEveryAppend(t *testing.T) {
+	s := New(Options{MaxMessages: 2})
+	a, b := wire.MustStreamID(9, 0), wire.MustStreamID(2, 1)
+	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	s.Append(del(a, 1, at(10), nil))
+	s.Append(del(a, 5, at(20), nil))
+	s.Append(del(a, 6, at(30), nil))
+	s.Append(del(a, 2, at(40), nil)) // behind the two-entry window
+	s.Forget(a)
+	s.Append(del(a, 7, at(50), nil))
+	s.Append(del(b, 1, time.Time{}, nil))
+	if st := s.Stats(); st.DroppedBehind != 1 {
+		t.Fatalf("the late append did not land behind the window: %+v", st)
+	}
+
+	got := s.Appended()
+	want := []StreamAppends{
+		{Stream: b, Count: 1, First: time.Time{}, Latest: time.Time{}},
+		{Stream: a, Count: 5, First: at(10), Latest: at(50)},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Appended = %+v, want %+v", got, want)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Stream != w.Stream || g.Count != w.Count || !g.First.Equal(w.First) || !g.Latest.Equal(w.Latest) {
+			t.Errorf("Appended[%d] = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
 func TestUnwrapSurvivesWireWrap(t *testing.T) {
 	s := New(Options{MaxMessages: 8})
 	id := wire.MustStreamID(1, 0)

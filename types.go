@@ -183,7 +183,7 @@ type (
 	// SubscriptionID identifies a subscription.
 	SubscriptionID = dispatch.SubscriptionID
 	// StreamInfo is a discovered stream.
-	StreamInfo = dispatch.StreamInfo
+	StreamInfo = core.StreamInfo
 	// OrphanInfo describes an unclaimed stream held by the Orphanage.
 	OrphanInfo = orphanage.Info
 	// StoreStats is the Stream Store's aggregate snapshot (retention,
