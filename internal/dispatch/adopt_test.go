@@ -135,8 +135,8 @@ func TestEndGateCopiesWhenItCannotAdopt(t *testing.T) {
 		p.beginGate()
 		replay := seqBatch(100, 5, 0)
 		p.endGate(replay, adoptStream, false, &r.sh)
-		if &p.queue[0] == &replay[0] || len(p.queue) != 8 {
-			t.Fatalf("short batch: queue len %d aliasing=%v, want a capacity-sized queue of its own", len(p.queue), &p.queue[0] == &replay[0])
+		if &p.queue[0] == &replay[0] || len(p.queue) != 5 {
+			t.Fatalf("short batch: queue len %d aliasing=%v, want a queue of its own sized to the 5 replayed", len(p.queue), &p.queue[0] == &replay[0])
 		}
 		wantSeqs(t, r.drain(), seqs(100, 5))
 	})
@@ -176,6 +176,40 @@ func TestEndGateCopiesWhenItCannotAdopt(t *testing.T) {
 		}
 		wantSeqs(t, r.drain(), []uint64{14, 15}, seqs(100, 5))
 	})
+}
+
+// TestSmallCatchUpHoldsSmallQueue: a capacity-4096 port that catches up on
+// a 10-message replay and then carries live traffic its drainer keeps up
+// with holds at most 64 queue slots — the locked queue is sized to the
+// backlog, not to the capacity. A later backlog of 200 doubles it to less
+// than twice that, and everything still drains in order.
+func TestSmallCatchUpHoldsSmallQueue(t *testing.T) {
+	r := newAdoptRig(4096, DropOldest, true)
+	p := r.p
+	p.beginGate()
+	p.enqueue(live(110)) // held behind the gate
+	p.endGate(seqBatch(100, 10, 0), adoptStream, false, &r.sh)
+	wantSeqs(t, r.drain(), seqs(100, 11))
+	for seq := uint64(111); seq < 1111; seq++ {
+		if !p.enqueue(live(seq)) {
+			t.Fatalf("live %d refused", seq)
+		}
+		wantSeqs(t, r.drain(), []uint64{seq})
+	}
+	if n := len(p.queue); n > 64 {
+		t.Fatalf("queue holds %d slots after a 10-message catch-up, want at most 64", n)
+	}
+
+	for seq := uint64(2000); seq < 2200; seq++ {
+		p.enqueue(live(seq))
+	}
+	if n := len(p.queue); n < 200 || n >= 400 {
+		t.Fatalf("queue holds %d slots for a backlog of 200, want [200, 400)", n)
+	}
+	wantSeqs(t, r.drain(), seqs(2000, 200))
+	if r.dropped.Value() != 0 {
+		t.Fatalf("dropped %d below capacity", r.dropped.Value())
+	}
 }
 
 // TestNestedGatesAdoptThenCopy runs two catch-ups on one port: the first

@@ -177,7 +177,9 @@ const (
 
 // DefaultQueueCapacity bounds each async consumer queue. The buffer is a
 // deliberate, documented decision: it absorbs fan-out bursts while the
-// overflow policy guarantees a slow consumer only ever harms itself.
+// overflow policy guarantees a slow consumer only ever harms itself. The
+// bound is not an allocation: a queue grows toward it only as far as its
+// backlog does (see port).
 const DefaultQueueCapacity = 256
 
 // DefaultShards partitions the subscription table unless Options.Shards

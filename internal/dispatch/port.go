@@ -51,6 +51,16 @@ import (
 // across the handoff (pinned by TestRingMutexPortEquivalenceProperty and
 // the gate↔ring stress tests).
 //
+// # Size
+//
+// Neither queue allocates its capacity up front; each grows to the port's
+// largest backlog and never shrinks. The ring starts with a 64-slot
+// segment and links segments twice the size (internal/ring); the locked
+// queue starts at 64 slots on first use and doubles while its backlog is
+// under the capacity, and a replay batch is placed in a queue sized to
+// what it then holds. An idle async port of capacity 4096 holds about
+// 10 KB (TestIdleAsyncPortFootprint).
+//
 // The drainer coalesces up to batchSize (DefaultBatchSize, clamped to the
 // queue capacity) queued deliveries per take.
 // Consumers implementing BatchConsumer receive the whole batch in one
@@ -309,19 +319,25 @@ func (p *port) enqueueRing(d filtering.Delivery) bool {
 	return true
 }
 
+// firstQueueSlots is the locked-path buffer's size on first use (the
+// capacity, if smaller); enqueueLocked doubles it whenever the backlog
+// fills it below the capacity.
+const firstQueueSlots = 64
+
 // queueBufLocked sizes the locked-path buffer on first use: ring-mode
 // ports only need it after a catch-up gate, and sync-mode ports never
 // do. Caller holds mu.
 func (p *port) queueBufLocked() {
 	if len(p.queue) == 0 {
-		p.queue = make([]filtering.Delivery, p.capacity)
+		p.queue = make([]filtering.Delivery, min(firstQueueSlots, p.capacity))
 	}
 }
 
 // enqueueLocked is enqueue past the gate and floor checks. Caller holds
-// mu. The queue's physical ring can be larger than the capacity bound
-// after a catch-up burst (see placeReplayLocked, enqueueGrowLocked); the
-// overflow policy keys on the logical capacity.
+// mu. The queue's physical ring doubles while the backlog is under the
+// capacity bound, and can be larger than the bound after a catch-up
+// burst (see placeReplayLocked, enqueueGrowLocked); the overflow policy
+// keys on the logical capacity.
 func (p *port) enqueueLocked(d filtering.Delivery) bool {
 	if p.closed {
 		p.drop(1)
@@ -336,6 +352,8 @@ func (p *port) enqueueLocked(d filtering.Delivery) bool {
 		// DropOldest: advance head, overwrite.
 		p.head = (p.head + 1) % len(p.queue)
 		p.count--
+	} else if p.count == len(p.queue) {
+		p.resizeLocked(min(2*len(p.queue), p.capacity))
 	}
 	p.queue[(p.head+p.count)%len(p.queue)] = d
 	p.count++
@@ -381,7 +399,8 @@ func (p *port) resizeLocked(n int) {
 // capacity entries becomes the physical ring as it stands — no copy, and
 // whatever capacity the slice has beyond its length is the ring's slack
 // — and anything else is copied in bulk after at most one growth to the
-// exact size. A closed port drops the batch. Caller holds mu.
+// exact size the queue then holds, however large the capacity. A closed
+// port drops the batch. Caller holds mu.
 func (p *port) placeReplayLocked(batch []filtering.Delivery) {
 	n := len(batch)
 	if n == 0 {
@@ -395,7 +414,7 @@ func (p *port) placeReplayLocked(batch []filtering.Delivery) {
 		p.queue, p.head = batch[:cap(batch)], 0
 	} else {
 		if need := p.count + n; need > len(p.queue) {
-			p.resizeLocked(max(need, p.capacity))
+			p.resizeLocked(need)
 		}
 		tail := (p.head + p.count) % len(p.queue)
 		k := copy(p.queue[tail:], batch)

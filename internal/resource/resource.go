@@ -381,12 +381,15 @@ func (m *Manager) submitLocked(d Demand, class Class, policy Policy) Decision {
 }
 
 // activeStreamsLocked counts streams of a sensor whose effective enable
-// setting is on, excluding `except`. Caller holds m.mu.
+// setting is on, excluding `except`: one keyed lookup per stream index the
+// sensor can have, however many other sensors' demands the ledger holds.
+// Caller holds m.mu.
 func (m *Manager) activeStreamsLocked(sensor wire.SensorID, except wire.StreamID) int {
 	n := 0
-	for key, e := range m.ledger {
-		if key.class == ClassEnable && key.target.Sensor() == sensor &&
-			key.target != except && e.valid && e.effective == 1 {
+	for i := 0; i <= wire.MaxStreamIndex; i++ {
+		id := wire.MustStreamID(sensor, wire.StreamIndex(i))
+		if e, ok := m.ledger[ledgerKey{target: id, class: ClassEnable}]; ok &&
+			id != except && e.valid && e.effective == 1 {
 			n++
 		}
 	}

@@ -190,7 +190,38 @@ func TestMaxActiveStreamsDeniesEnable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetDefaultConstraints(cons)
+	checkMaxActiveStreams(t, m)
+}
 
+// TestMaxActiveStreamsAmongManySensors gives the same verdicts as
+// TestMaxActiveStreamsDeniesEnable with 10 000 other sensors' enable
+// demands standing in the ledger: the count reads sensor 7's own streams,
+// not the whole ledger.
+func TestMaxActiveStreamsAmongManySensors(t *testing.T) {
+	m := NewManager(PolicyMostDemanding)
+	cons, err := ParseConstraints("streams<=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetDefaultConstraints(cons)
+	for s := wire.SensorID(100); s < 10_100; s++ {
+		dec, err := m.Submit(Demand{Consumer: "crowd", Target: wire.MustStreamID(s, wire.StreamIndex(s%3)), Op: wire.OpEnableStream})
+		if err != nil || dec.Verdict == VerdictDenied {
+			t.Fatalf("sensor %d's only enable: %+v, %v", s, dec, err)
+		}
+	}
+	checkMaxActiveStreams(t, m)
+	// The denied third enable of sensor 7 leaves no entry behind.
+	if got := m.Stats().Ledger; got != 10_000+3 {
+		t.Fatalf("ledger holds %d entries, want the crowd's 10 000 plus 3", got)
+	}
+}
+
+// checkMaxActiveStreams submits the enables TestMaxActiveStreamsDeniesEnable
+// judges to a manager under "streams<=2" whose ledger holds no stream of
+// sensors 7 and 8.
+func checkMaxActiveStreams(t *testing.T, m *Manager) {
+	t.Helper()
 	for i := 0; i < 2; i++ {
 		st := wire.MustStreamID(7, wire.StreamIndex(i))
 		dec, err := m.Submit(Demand{Consumer: "a", Target: st, Op: wire.OpEnableStream})

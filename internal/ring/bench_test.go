@@ -111,13 +111,26 @@ func BenchmarkWakeupParked(b *testing.B) {
 	})
 }
 
-// BenchmarkRingEnqueueDequeue measures the raw queue hot pair.
+// BenchmarkRingEnqueueDequeue measures the raw queue hot pair: on an empty
+// ring, and on a capacity-4096 ring holding a standing backlog of 256,
+// which has grown past its first segment and must stay at 0 B/op there.
 func BenchmarkRingEnqueueDequeue(b *testing.B) {
-	r := New[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.TryEnqueue(i)
-		r.TryDequeue()
+	for _, c := range []struct {
+		name              string
+		capacity, backlog int
+	}{{"empty", 1024, 0}, {"backlog=256", 4096, 256}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := New[int](c.capacity)
+			for i := 0; i < c.backlog; i++ {
+				r.TryEnqueue(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.TryEnqueue(i)
+				r.TryDequeue()
+			}
+		})
 	}
 }
 

@@ -6,19 +6,32 @@
 //
 // # Queue
 //
-// Ring is a bounded multi-producer queue in the style of Dmitry Vyukov's
-// bounded MPMC queue: each slot carries an atomic sequence stamp, a
-// producer claims a slot by CAS-advancing the enqueue cursor, writes the
-// value, and publishes it by storing the slot's next stamp. Consumption
-// symmetrically claims the dequeue cursor, so occasional producer-side
-// dequeues (the drop-oldest overflow policy) coexist with the single
-// batch-draining consumer. FIFO order is claim order: a slot claimed but
-// not yet published stalls later slots' consumption, it never reorders
-// them.
+// Ring is a bounded and growing multi-producer queue: a linked chain of
+// segments, each one Dmitry Vyukov's bounded MPMC queue. Every slot
+// carries an atomic sequence stamp; a producer claims a slot by
+// CAS-advancing its segment's enqueue cursor, writes the value, and
+// publishes it by storing the slot's next stamp. Consumption
+// symmetrically claims the segment's dequeue cursor, so occasional
+// producer-side dequeues (the drop-oldest overflow policy) coexist with
+// the single batch-draining consumer. FIFO order is claim order: a slot
+// claimed but not yet published stalls later slots' consumption, it
+// never reorders them.
 //
-// Enqueue and dequeue are allocation-free; dequeue zeroes the vacated
-// slot so pooled payload buffers referenced by queued values are not
-// pinned past delivery.
+// The first segment has min(64, phys) slots, phys being the capacity
+// rounded up to a power of two. A producer that finds the tail segment
+// physically full while the ring holds fewer values than its capacity
+// links a segment twice the size (at most phys), sets the closed bit on
+// the full segment's enqueue cursor — which freezes it: no producer can
+// claim there again — and moves the tail on. Consumers leave a closed
+// segment only once its dequeue cursor has reached the frozen enqueue
+// cursor, so every value of an older segment is taken before any value
+// of a newer one. Segments never shrink: the chain stops growing at the
+// backlog's high-water mark, and once the head has moved past the small
+// segments the ring is one segment of that size, reused lap after lap.
+//
+// Enqueue and dequeue allocate nothing except when a segment is linked;
+// dequeue zeroes the vacated slot so pooled payload buffers referenced
+// by queued values are not pinned past delivery.
 //
 // # Parker
 //
@@ -46,9 +59,18 @@ import (
 	"sync/atomic"
 )
 
-const cacheLine = 64
+const (
+	cacheLine = 64
 
-// slot is one ring cell. seq is the Vyukov stamp: it equals the cell's
+	// firstSegment is the slot count a ring starts with.
+	firstSegment = 64
+
+	// closed marks a segment's enqueue cursor as frozen; the low bits
+	// keep the position it froze at.
+	closed = uint64(1) << 63
+)
+
+// slot is one segment cell. seq is the Vyukov stamp: it equals the cell's
 // logical position when the cell is free for the producer of that
 // position, and position+1 once the value is published for the consumer.
 type slot[T any] struct {
@@ -56,34 +78,59 @@ type slot[T any] struct {
 	val T
 }
 
+// segment is one Vyukov ring in the chain. Positions count from 0 in
+// every segment.
+type segment[T any] struct {
+	mask  uint64
+	slots []slot[T]
+	next  atomic.Pointer[segment[T]]
+
+	// The cursors live on their own cache lines: the enqueue cursor is
+	// contended by producers, the dequeue cursor is owned by the
+	// consumer, and pinning them apart keeps a draining consumer from
+	// stalling publication.
+	_   [cacheLine]byte
+	enq atomic.Uint64 // closed bit | next position to claim
+	_   [cacheLine - 8]byte
+	deq atomic.Uint64
+	_   [cacheLine - 8]byte
+}
+
+func newSegment[T any](size int) *segment[T] {
+	s := &segment[T]{mask: uint64(size - 1), slots: make([]slot[T], size)}
+	for i := range s.slots {
+		s.slots[i].seq.Store(uint64(i))
+	}
+	return s
+}
+
 // Ring is a bounded lock-free multi-producer queue. The zero value is
-// not usable; call New. Methods never block and never allocate.
+// not usable; call New. Methods never block; they allocate only to link
+// a larger segment.
 //
 // The capacity bound is exact under a serial producer. Under concurrent
 // producers the admission check and the slot claim are two separate
-// atomic steps, so the occupancy can transiently overshoot a
-// non-power-of-two capacity by up to the number of racing producers,
-// hard-bounded by the next power of two (the physical slot count).
+// atomic steps, so the occupancy can transiently overshoot the capacity
+// by up to the number of racing producers; a producer never links a
+// segment past phys slots, so a full phys-slot tail refuses outright.
 type Ring[T any] struct {
-	mask     uint64
 	capacity int64
-	slots    []slot[T]
+	phys     int // largest segment: capacity rounded up to a power of two
 
-	// The cursors and the length live on their own cache lines: the
-	// enqueue cursor is contended by producers, the dequeue cursor is
-	// owned by the consumer, and pinning them apart keeps a draining
-	// consumer from stalling publication.
+	// head is where consumers dequeue, tail where producers enqueue; both
+	// move only when a segment is linked or drained.
+	head atomic.Pointer[segment[T]]
+	tail atomic.Pointer[segment[T]]
+
+	// length is written by producers and consumers alike; it lives on a
+	// cache line of its own, away from the read-mostly fields above.
 	_      [cacheLine]byte
-	enq    atomic.Uint64
-	_      [cacheLine - 8]byte
-	deq    atomic.Uint64
-	_      [cacheLine - 8]byte
 	length atomic.Int64
 	_      [cacheLine - 8]byte
 }
 
-// New creates a ring admitting up to capacity values. The physical slot
-// count is capacity rounded up to a power of two.
+// New creates a ring admitting up to capacity values. It starts with one
+// segment of min(64, phys) slots (see the package comment).
 func New[T any](capacity int) *Ring[T] {
 	if capacity < 1 {
 		capacity = 1
@@ -92,14 +139,10 @@ func New[T any](capacity int) *Ring[T] {
 	for phys < capacity {
 		phys <<= 1
 	}
-	r := &Ring[T]{
-		mask:     uint64(phys - 1),
-		capacity: int64(capacity),
-		slots:    make([]slot[T], phys),
-	}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
+	r := &Ring[T]{capacity: int64(capacity), phys: phys}
+	s := newSegment[T](min(firstSegment, phys))
+	r.head.Store(s)
+	r.tail.Store(s)
 	return r
 }
 
@@ -121,29 +164,55 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 	if r.length.Load() >= r.capacity {
 		return false
 	}
-	pos := r.enq.Load()
+	seg := r.tail.Load()
+	pos := seg.enq.Load()
 	for {
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
+		if pos&closed != 0 {
+			// Frozen: whoever closed it linked the next segment first.
+			r.tail.CompareAndSwap(seg, seg.next.Load())
+			seg = r.tail.Load()
+			pos = seg.enq.Load()
+			continue
+		}
+		sl := &seg.slots[pos&seg.mask]
+		seq := sl.seq.Load()
 		switch diff := int64(seq) - int64(pos); {
 		case diff == 0:
 			// The slot is free for this position: claim it.
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				s.val = v
-				s.seq.Store(pos + 1) // publish
+			if seg.enq.CompareAndSwap(pos, pos+1) {
+				sl.val = v
+				sl.seq.Store(pos + 1) // publish
 				r.length.Add(1)
 				return true
 			}
-			pos = r.enq.Load()
+			pos = seg.enq.Load()
 		case diff < 0:
-			// The slot still holds the value from one lap ago: the ring
-			// is physically full.
-			return false
+			// The slot still holds the value from one lap ago: the
+			// segment is physically full.
+			if !r.grow(seg) {
+				return false
+			}
+			pos = seg.enq.Load()
 		default:
 			// Another producer claimed pos; reload and retry.
-			pos = r.enq.Load()
+			pos = seg.enq.Load()
 		}
 	}
+}
+
+// grow handles a full tail segment: it links a segment twice the size
+// behind seg (unless another producer already has), then closes seg. It
+// reports false, linking nothing, when seg already has phys slots or the
+// ring is at capacity — the ring is full, not merely the segment.
+func (r *Ring[T]) grow(seg *segment[T]) bool {
+	if seg.next.Load() == nil {
+		if len(seg.slots) >= r.phys || r.length.Load() >= r.capacity {
+			return false
+		}
+		seg.next.CompareAndSwap(nil, newSegment[T](min(2*len(seg.slots), r.phys)))
+	}
+	seg.enq.Or(closed)
+	return true
 }
 
 // TryDequeue removes and returns the oldest value. ok is false when the
@@ -151,28 +220,41 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 // (producer-side drop-oldest), though values then interleave by claim
 // order across the callers.
 func (r *Ring[T]) TryDequeue() (v T, ok bool) {
-	pos := r.deq.Load()
+	seg := r.head.Load()
+	pos := seg.deq.Load()
 	for {
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
+		sl := &seg.slots[pos&seg.mask]
+		seq := sl.seq.Load()
 		switch diff := int64(seq) - int64(pos+1); {
 		case diff == 0:
-			if r.deq.CompareAndSwap(pos, pos+1) {
-				v = s.val
+			if seg.deq.CompareAndSwap(pos, pos+1) {
+				v = sl.val
 				var zero T
-				s.val = zero // release payload references
-				s.seq.Store(pos + r.mask + 1)
+				sl.val = zero // release payload references
+				sl.seq.Store(pos + seg.mask + 1)
 				r.length.Add(-1)
 				return v, true
 			}
-			pos = r.deq.Load()
+			pos = seg.deq.Load()
 		case diff < 0:
-			// Slot pos is not published: the ring is empty (or the
+			// Slot pos is not published: the segment is empty (or the
 			// producer of pos has claimed but not yet published, which
-			// for FIFO purposes is the same thing).
-			return v, false
+			// for FIFO purposes is the same thing). Only a closed
+			// segment drained up to its frozen cursor lets the head
+			// move on. A segment is linked before it is closed, so the
+			// read-mostly next pointer answers "not closed" without
+			// touching the producers' cursor line on every empty look.
+			if seg.next.Load() == nil {
+				return v, false
+			}
+			if enq := seg.enq.Load(); enq&closed == 0 || pos != enq&^closed {
+				return v, false
+			}
+			r.head.CompareAndSwap(seg, seg.next.Load())
+			seg = r.head.Load()
+			pos = seg.deq.Load()
 		default:
-			pos = r.deq.Load()
+			pos = seg.deq.Load()
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -114,8 +116,75 @@ func TestRingDequeueReleasesPayload(t *testing.T) {
 	r := New[[]byte](4)
 	r.TryEnqueue(make([]byte, 1))
 	r.TryDequeue()
-	if r.slots[0].val != nil {
+	if r.head.Load().slots[0].val != nil {
 		t.Fatal("dequeued slot still references the payload")
+	}
+}
+
+// segmentSizes lists the slot counts of the segments from head to tail.
+func segmentSizes[T any](r *Ring[T]) []int {
+	var out []int
+	for s := r.head.Load(); s != nil; s = s.next.Load() {
+		out = append(out, len(s.slots))
+	}
+	return out
+}
+
+// TestRingSerialFIFOAcrossSegments fills a capacity-4096 ring in bursts of
+// every size from 1 to 4096 and drains each burst completely. On a fresh
+// ring a burst crosses every segment boundary of the 64 → 4096 chain it
+// reaches; on a ring kept across bursts it crosses into each new segment
+// from a different offset of the last one.
+func TestRingSerialFIFOAcrossSegments(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine: nothing for the race detector to find")
+	}
+	kept := New[int](4096)
+	for burst := 1; burst <= 4096; burst++ {
+		for _, r := range []*Ring[int]{New[int](4096), kept} {
+			for i := 0; i < burst; i++ {
+				if !r.TryEnqueue(i) {
+					t.Fatalf("burst %d: enqueue %d refused with Len=%d", burst, i, r.Len())
+				}
+			}
+			if burst == 4096 && r.TryEnqueue(-1) {
+				t.Fatal("enqueue admitted past capacity")
+			}
+			for i := 0; i < burst; i++ {
+				if v, ok := r.TryDequeue(); !ok || v != i {
+					t.Fatalf("burst %d: dequeue %d got %d ok=%v", burst, i, v, ok)
+				}
+			}
+			if _, ok := r.TryDequeue(); ok || !r.Empty() {
+				t.Fatalf("burst %d: ring not empty after draining it", burst)
+			}
+		}
+	}
+	if got := segmentSizes(kept); len(got) != 1 || got[0] != 4096 {
+		t.Fatalf("a drained ring that reached its capacity holds segments %v, want [4096]", got)
+	}
+}
+
+// stressCapacities are the two shapes the stress tests run on: a ring
+// that is one segment from the start, and a capacity-4096 ring whose
+// first 64-slot segment must grow — its consumers wait until half the
+// capacity is queued, so producers race across segment links.
+var stressCapacities = []int{64, 4096}
+
+// releaseAt closes start, once, when the ring first holds at least half
+// its capacity; callers that finish enqueueing close it regardless.
+func releaseAt[T any](r *Ring[T], once *sync.Once, start chan struct{}) {
+	if r.Len() >= r.Cap()/2 {
+		once.Do(func() { close(start) })
+	}
+}
+
+// checkGrew fails unless the ring's tail segment reached half the
+// capacity, which the consumers' late start forces.
+func checkGrew[T any](t *testing.T, r *Ring[T]) {
+	t.Helper()
+	if n := len(r.tail.Load().slots); n < r.Cap()/2 {
+		t.Fatalf("tail segment has %d slots, want at least %d: the ring never grew", n, r.Cap()/2)
 	}
 }
 
@@ -124,16 +193,24 @@ func TestRingDequeueReleasesPayload(t *testing.T) {
 // checks that every value is delivered at most once and nothing is
 // delivered that was not enqueued. Run with -race.
 func TestRingMPMCStress(t *testing.T) {
+	for _, capacity := range stressCapacities {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) { mpmcStress(t, capacity) })
+	}
+}
+
+func mpmcStress(t *testing.T, capacity int) {
 	const (
 		producers = 8
 		perProd   = 2000
 	)
-	r := New[int](64)
+	r := New[int](capacity)
 	var mu sync.Mutex
 	got := make(map[int]int)
 	var wg sync.WaitGroup
 	var consumed sync.WaitGroup
 	stop := make(chan struct{})
+	start := make(chan struct{})
+	var once sync.Once
 
 	record := func(v int) {
 		mu.Lock()
@@ -145,6 +222,7 @@ func TestRingMPMCStress(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		go func() {
 			defer consumed.Done()
+			<-start
 			buf := make([]int, 32)
 			for {
 				n := r.DequeueBatch(buf)
@@ -181,10 +259,12 @@ func TestRingMPMCStress(t *testing.T) {
 						record(old)
 					}
 				}
+				releaseAt(r, &once, start)
 			}
 		}(p)
 	}
 	wg.Wait()
+	once.Do(func() { close(start) })
 	close(stop)
 	consumed.Wait()
 
@@ -199,24 +279,34 @@ func TestRingMPMCStress(t *testing.T) {
 	if len(got) != producers*perProd {
 		t.Fatalf("delivered %d distinct values, want %d", len(got), producers*perProd)
 	}
+	checkGrew(t, r)
 }
 
 // TestRingSPSCOrderStress checks per-producer FIFO with a single
 // consumer: values from one producer must arrive in enqueue order even
 // while other producers interleave. Run with -race.
 func TestRingSPSCOrderStress(t *testing.T) {
+	for _, capacity := range []int{128, 4096} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) { spscOrderStress(t, capacity) })
+	}
+}
+
+func spscOrderStress(t *testing.T, capacity int) {
 	const (
 		producers = 4
 		perProd   = 5000
 	)
-	r := New[[2]int](128)
+	r := New[[2]int](capacity)
 	lastSeen := make([]int, producers)
 	for i := range lastSeen {
 		lastSeen[i] = -1
 	}
+	start := make(chan struct{})
+	var once sync.Once
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		<-start
 		seen := 0
 		for seen < producers*perProd {
 			v, ok := r.TryDequeue()
@@ -241,16 +331,19 @@ func TestRingSPSCOrderStress(t *testing.T) {
 				for !r.TryEnqueue([2]int{p, i}) {
 					runtime.Gosched()
 				}
+				releaseAt(r, &once, start)
 			}
 		}(p)
 	}
 	wg.Wait()
+	once.Do(func() { close(start) })
 	<-done
 	for p, last := range lastSeen {
 		if last != perProd-1 {
 			t.Fatalf("producer %d: last index %d, want %d", p, last, perProd-1)
 		}
 	}
+	checkGrew(t, r)
 }
 
 // TestWaiterNoLostWakeup stresses the park/unpark handshake: a producer
@@ -296,35 +389,89 @@ func TestWaiterNoLostWakeup(t *testing.T) {
 }
 
 // TestRingZeroAlloc pins that the hot enqueue/dequeue pair allocates
-// nothing.
+// nothing, on a ring that is still its first segment and on one that has
+// grown and carries a standing backlog across the measurement.
 func TestRingZeroAlloc(t *testing.T) {
-	r := New[int](64)
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.TryEnqueue(1)
-		r.TryDequeue()
-	})
-	if allocs != 0 {
-		t.Fatalf("enqueue/dequeue allocates %.1f/op, want 0", allocs)
+	fresh := New[int](64)
+	grown := New[int](4096)
+	for i := 0; i < 1000; i++ {
+		grown.TryEnqueue(i)
+	}
+	for grown.Len() > 256 {
+		grown.TryDequeue()
+	}
+	for name, r := range map[string]*Ring[int]{"fresh": fresh, "grown": grown} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			r.TryEnqueue(1)
+			r.TryDequeue()
+		})
+		if allocs != 0 {
+			t.Fatalf("%s ring: enqueue/dequeue allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+	if got := segmentSizes(grown); len(got) != 1 || got[0] != 1024 {
+		t.Fatalf("grown ring holds segments %v after the measurement, want [1024]", got)
 	}
 }
 
-// TestRingCursorPadding pins the anti-false-sharing layout: the enqueue
-// cursor, dequeue cursor and length must each sit on their own cache
-// line.
-func TestRingCursorPadding(t *testing.T) {
-	var r Ring[int]
-	base := uintptr(unsafe.Pointer(&r))
-	offs := map[string]uintptr{
-		"enq":    uintptr(unsafe.Pointer(&r.enq)) - base,
-		"deq":    uintptr(unsafe.Pointer(&r.deq)) - base,
-		"length": uintptr(unsafe.Pointer(&r.length)) - base,
-	}
-	lines := make(map[uintptr]string)
-	for name, off := range offs {
-		line := off / cacheLine
-		if prev, clash := lines[line]; clash {
-			t.Fatalf("%s and %s share cache line %d", prev, name, line)
+// TestRingGrowsOnlyToBacklog walks a capacity-4096 ring's occupancy at
+// random between 0 and 200 — and to 200 itself — for many laps: the
+// chain links 64 → 128 → 256 and stops there, and once the small
+// segments drain the ring is the one 256-slot segment.
+func TestRingGrowsOnlyToBacklog(t *testing.T) {
+	r := New[int](4096)
+	rng := rand.New(rand.NewSource(11))
+	next, expect, peak := 0, 0, 0
+	for step := 0; step < 200_000; step++ {
+		if r.Len() < 200 && (r.Len() == 0 || rng.Intn(2) == 0) {
+			if !r.TryEnqueue(next) {
+				t.Fatalf("step %d: enqueue refused with Len=%d", step, r.Len())
+			}
+			next++
+			peak = max(peak, r.Len())
+			continue
 		}
-		lines[line] = name
+		if v, ok := r.TryDequeue(); !ok || v != expect {
+			t.Fatalf("step %d: dequeue got %d ok=%v, want %d", step, v, ok, expect)
+		}
+		expect++
+	}
+	if peak != 200 {
+		t.Fatalf("occupancy peaked at %d, want the walk to reach 200", peak)
+	}
+	for r.Len() > 0 {
+		r.TryDequeue()
+	}
+	if got := segmentSizes(r); len(got) != 1 || got[0] != 256 {
+		t.Fatalf("ring holds segments %v, want [256]", got)
+	}
+}
+
+// TestRingCursorPadding pins the anti-false-sharing layout: a segment's
+// enqueue and dequeue cursors each sit on their own cache line, apart
+// from the segment's read-mostly header, and the ring's length sits on a
+// line apart from the head and tail pointers.
+func TestRingCursorPadding(t *testing.T) {
+	var s segment[int]
+	var r Ring[int]
+	for what, offs := range map[string]map[string]uintptr{
+		"segment": {
+			"next": uintptr(unsafe.Pointer(&s.next)) - uintptr(unsafe.Pointer(&s)),
+			"enq":  uintptr(unsafe.Pointer(&s.enq)) - uintptr(unsafe.Pointer(&s)),
+			"deq":  uintptr(unsafe.Pointer(&s.deq)) - uintptr(unsafe.Pointer(&s)),
+		},
+		"ring": {
+			"head/tail": uintptr(unsafe.Pointer(&r.tail)) - uintptr(unsafe.Pointer(&r)),
+			"length":    uintptr(unsafe.Pointer(&r.length)) - uintptr(unsafe.Pointer(&r)),
+		},
+	} {
+		lines := make(map[uintptr]string)
+		for name, off := range offs {
+			line := off / cacheLine
+			if prev, clash := lines[line]; clash {
+				t.Fatalf("%s: %s and %s share cache line %d", what, prev, name, line)
+			}
+			lines[line] = name
+		}
 	}
 }
