@@ -1,7 +1,8 @@
 // Micro-benchmarks for the hot paths (wire decode, duplicate filter,
-// dispatch fan-out, radio broadcast and hand-off, control submit): the
-// ones a CI smoke step, README.md or the verify skill names. Whether a
-// change made a deployment slower is bench/'s question, not theirs.
+// dispatch fan-out and catch-up, radio broadcast and hand-off, control
+// submit): the ones a CI smoke step, README.md or the verify skill
+// names. Whether a change made a deployment slower is bench/'s question,
+// not theirs.
 //
 // Run with: go test -bench=. -benchmem
 package garnet_test
@@ -25,6 +26,7 @@ import (
 	"github.com/garnet-middleware/garnet/internal/resource"
 	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/sim"
+	"github.com/garnet-middleware/garnet/internal/store"
 	"github.com/garnet-middleware/garnet/internal/transmit"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
@@ -277,6 +279,44 @@ func BenchmarkDispatchDrainBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(d.Wakeups())/float64(max(st.Delivered, 1)), "wakes/delivery")
 	})
+}
+
+// BenchmarkDispatchCatchUp measures a late joiner's catch-up: per
+// iteration an async consumer with queue capacity 256 subscribes with a
+// replay of a fresh 4096-entry store.Range result, and the iteration ends
+// once its drainer has handed every replayed message over. ns/msg is per
+// replayed message; B/op is dominated by the Range result itself, since
+// the port's ring adopts the batch rather than copying it.
+func BenchmarkDispatchCatchUp(b *testing.B) {
+	const backlog = 4096
+	st := store.New(store.Options{MaxMessages: backlog})
+	stream := wire.MustStreamID(1, 0)
+	for seq := 0; seq < backlog; seq++ {
+		st.Append(filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)}, At: time.Unix(int64(seq), 0)})
+	}
+	from, _ := st.FirstSeq(stream)
+	fetch := func() []filtering.Delivery { return st.Range(stream, from, ^uint64(0)) }
+	d := dispatch.New(dispatch.Options{Mode: dispatch.ModeAsync, QueueCapacity: 256})
+	d.Start()
+	defer d.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done := make(chan struct{})
+		consumed := 0 // touched by this consumer's drainer only
+		c := &dispatch.BatchConsumerFunc{ConsumerName: "late", Fn: func(ds []filtering.Delivery) {
+			if consumed += len(ds); consumed == backlog {
+				close(done)
+			}
+		}}
+		id, n, err := d.SubscribeWithReplay(c, stream, fetch)
+		if err != nil || n != backlog {
+			b.Fatalf("replayed %d of %d: %v", n, backlog, err)
+		}
+		<-done
+		d.Unsubscribe(id)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*backlog), "ns/msg")
 }
 
 // Ablation: synchronous vs asynchronous dispatch. Async pays queue+worker

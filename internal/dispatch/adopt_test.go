@@ -2,6 +2,8 @@ package dispatch
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -12,8 +14,8 @@ import (
 )
 
 // The tests below drive one async port by hand — no drainer running, so
-// the queue can be inspected between steps — and then drain it in the
-// drainer's own way.
+// the ring can be inspected between steps — and then drain it with the
+// drainer's own take.
 
 var adoptStream = wire.MustStreamID(7, 0)
 
@@ -37,26 +39,20 @@ type adoptRig struct {
 	sh                shard
 }
 
-func newAdoptRig(capacity int, overflow OverflowPolicy, lockFree bool) *adoptRig {
+func newAdoptRig(capacity int, overflow OverflowPolicy) *adoptRig {
 	r := &adoptRig{}
-	r.p = newPort(&seqRecorder{}, capacity, overflow, lockFree, &r.dropped, &r.selfDrop)
+	r.p = newPort(&seqRecorder{}, capacity, overflow, true, &r.dropped, &r.selfDrop)
 	return r
 }
 
-// drain empties the port the way run does: ring first, then the locked
-// queue, a batch at a time.
+// drain empties the port the way run does, a take at a time.
 func (r *adoptRig) drain() []uint64 {
 	var out []uint64
 	batch := make([]filtering.Delivery, r.p.batchSize)
 	for {
-		n := 0
-		if r.p.ring != nil {
-			n = r.p.ring.DequeueBatch(batch)
-		}
+		n, _ := r.p.take(batch)
 		if n == 0 {
-			if n, _ = r.p.takeLockedBatch(batch); n == 0 {
-				return out
-			}
+			return out
 		}
 		for _, d := range batch[:n] {
 			out = append(out, d.StoreSeq)
@@ -79,16 +75,31 @@ func wantSeqs(t *testing.T, got []uint64, want ...[]uint64) {
 	}
 }
 
-// TestEndGateAdoptsReplayBatch pins the ownership hand-off: a replay of at
-// least capacity entries placed on an empty queue becomes the queue — the
-// same backing array, no copy, slack included — wakes a parked drainer,
-// and drains in order with the held live deliveries behind it, minus the
-// ones the replay already covered.
+// wantZeroed fails unless every element of an adopted replay batch was
+// zeroed: the ring drained the caller's own array, it did not copy it.
+func wantZeroed(t *testing.T, replay []filtering.Delivery) {
+	t.Helper()
+	for i, d := range replay {
+		if !reflect.ValueOf(d).IsZero() {
+			t.Fatalf("replay[%d] = %+v after the drain: the batch was copied, not adopted", i, d)
+		}
+	}
+}
+
+// TestEndGateAdoptsReplayBatch pins the ownership hand-off: a replay batch
+// goes into the ring as it stands — no copy — wakes a parked drainer, and
+// drains in order with the held live deliveries behind it, minus the ones
+// the replay already covered. lockFree=false runs it on a port that is
+// already slow, from an earlier catch-up with an empty replay.
 func TestEndGateAdoptsReplayBatch(t *testing.T) {
 	for _, lockFree := range []bool{true, false} {
 		t.Run(fmt.Sprintf("lockFree=%v", lockFree), func(t *testing.T) {
-			r := newAdoptRig(8, DropOldest, lockFree)
+			r := newAdoptRig(8, DropOldest)
 			p := r.p
+			if !lockFree {
+				p.beginGate()
+				p.endGate(nil, adoptStream, false, &r.sh)
+			}
 			p.beginGate()
 			if p.enqueue(live(110)) || p.enqueue(live(120)) || p.enqueue(live(121)) {
 				t.Fatal("a gated enqueue reported admission")
@@ -97,11 +108,8 @@ func TestEndGateAdoptsReplayBatch(t *testing.T) {
 			p.waiter.Prepare()             // a drainer about to park
 			p.endGate(replay, adoptStream, false, &r.sh)
 
-			if &p.queue[0] != &replay[0] || len(p.queue) != cap(replay) {
-				t.Fatalf("queue is not the replay slice: len %d, want the adopted %d", len(p.queue), cap(replay))
-			}
-			if p.head != 0 || p.count != 22 {
-				t.Fatalf("head/count = %d/%d, want 0/22", p.head, p.count)
+			if n := p.ring.Len(); n != 22 {
+				t.Fatalf("ring holds %d, want the 20 replayed + 2 held", n)
 			}
 			woken := make(chan struct{})
 			go func() { p.waiter.Wait(); close(woken) }()
@@ -114,6 +122,7 @@ func TestEndGateAdoptsReplayBatch(t *testing.T) {
 				t.Fatalf("delivered %d held lives, want 2 (110 was replayed)", got)
 			}
 			wantSeqs(t, r.drain(), seqs(100, 20), []uint64{120, 121})
+			wantZeroed(t, replay)
 			if r.dropped.Value() != 0 {
 				t.Fatalf("placement dropped %d", r.dropped.Value())
 			}
@@ -125,100 +134,89 @@ func TestEndGateAdoptsReplayBatch(t *testing.T) {
 	}
 }
 
-// TestEndGateCopiesWhenItCannotAdopt covers the other placements: a batch
-// shorter than capacity, and a batch behind a non-empty (wrapped) locked
-// queue. Both copy in bulk after at most one growth to the exact size.
-func TestEndGateCopiesWhenItCannotAdopt(t *testing.T) {
+// TestEndGateAdoptsBehindQueue covers the other placements: a batch
+// shorter than the capacity is adopted too, and a batch behind a partly
+// drained ring that has grown past its first segment drains after
+// everything queued before the gate.
+func TestEndGateAdoptsBehindQueue(t *testing.T) {
 	t.Run("short batch", func(t *testing.T) {
-		r := newAdoptRig(8, DropOldest, true)
+		r := newAdoptRig(8, DropOldest)
 		p := r.p
 		p.beginGate()
 		replay := seqBatch(100, 5, 0)
 		p.endGate(replay, adoptStream, false, &r.sh)
-		if &p.queue[0] == &replay[0] || len(p.queue) != 5 {
-			t.Fatalf("short batch: queue len %d aliasing=%v, want a queue of its own sized to the 5 replayed", len(p.queue), &p.queue[0] == &replay[0])
+		if n := p.ring.Len(); n != 5 {
+			t.Fatalf("ring holds %d, want the 5 replayed", n)
 		}
 		wantSeqs(t, r.drain(), seqs(100, 5))
+		wantZeroed(t, replay)
 	})
-	t.Run("non-empty wrapped queue", func(t *testing.T) {
-		r := newAdoptRig(8, DropOldest, false) // locked queue from the start
+	t.Run("grown ring", func(t *testing.T) {
+		r := newAdoptRig(256, DropOldest)
 		p := r.p
-		for i := 0; i < 6; i++ {
-			p.enqueue(live(uint64(10 + i)))
+		for i := 0; i < 100; i++ { // a 64-slot segment and a 128-slot one
+			p.enqueue(live(uint64(1000 + i)))
 		}
-		p.takeLockedBatch(make([]filtering.Delivery, 4)) // head = 4, two left
-		for i := 0; i < 4; i++ {                         // the tail wraps to slots 0 and 1
-			p.enqueue(live(uint64(16 + i)))
-		}
+		p.take(make([]filtering.Delivery, 30))
 		p.beginGate()
+		p.enqueue(live(2000)) // held behind the gate
 		replay := seqBatch(100, 12, 0)
 		p.endGate(replay, adoptStream, false, &r.sh)
-		if &p.queue[0] == &replay[0] {
-			t.Fatal("adopted a batch onto a non-empty queue")
-		}
-		if len(p.queue) != 18 {
-			t.Fatalf("queue grew to %d slots, want exactly the 6 queued + 12 replayed", len(p.queue))
-		}
-		wantSeqs(t, r.drain(), []uint64{14, 15}, seqs(16, 4), seqs(100, 12))
-	})
-	t.Run("fits without growth across the wrap", func(t *testing.T) {
-		r := newAdoptRig(8, DropOldest, false)
-		p := r.p
-		for i := 0; i < 6; i++ {
-			p.enqueue(live(uint64(10 + i)))
-		}
-		p.takeLockedBatch(make([]filtering.Delivery, 4)) // head = 4, two left
-		before := &p.queue[0]
-		p.beginGate()
-		p.endGate(seqBatch(100, 5, 0), adoptStream, false, &r.sh) // slots 6,7,0,1,2
-		if &p.queue[0] != before || len(p.queue) != 8 {
-			t.Fatal("a batch that fits was not placed in the existing ring")
-		}
-		wantSeqs(t, r.drain(), []uint64{14, 15}, seqs(100, 5))
+		wantSeqs(t, r.drain(), seqs(1030, 70), seqs(100, 12), []uint64{2000})
+		wantZeroed(t, replay)
 	})
 }
 
-// TestSmallCatchUpHoldsSmallQueue: a capacity-4096 port that catches up on
-// a 10-message replay and then carries live traffic its drainer keeps up
-// with holds at most 64 queue slots — the locked queue is sized to the
-// backlog, not to the capacity. A later backlog of 200 doubles it to less
-// than twice that, and everything still drains in order.
+// TestSmallCatchUpHoldsSmallQueue: a capacity-4096 port that catches up
+// on a 10-message replay and then carries live traffic its drainer keeps
+// up with holds a few KB of heap — a small ring segment, not the
+// capacity.
 func TestSmallCatchUpHoldsSmallQueue(t *testing.T) {
-	r := newAdoptRig(4096, DropOldest, true)
-	p := r.p
-	p.beginGate()
-	p.enqueue(live(110)) // held behind the gate
-	p.endGate(seqBatch(100, 10, 0), adoptStream, false, &r.sh)
-	wantSeqs(t, r.drain(), seqs(100, 11))
-	for seq := uint64(111); seq < 1111; seq++ {
-		if !p.enqueue(live(seq)) {
-			t.Fatalf("live %d refused", seq)
+	const ports, budget = 16, 16 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // and the pools' victim caches
+	runtime.ReadMemStats(&before)
+	rigs := make([]*adoptRig, ports)
+	batch := make([]filtering.Delivery, 1)
+	for i := range rigs {
+		r := newAdoptRig(4096, DropOldest)
+		rigs[i] = r
+		p := r.p
+		p.beginGate()
+		p.enqueue(live(110)) // held behind the gate
+		p.endGate(seqBatch(100, 10, 0), adoptStream, false, &r.sh)
+		wantSeqs(t, r.drain(), seqs(100, 11))
+		for seq := uint64(111); seq < 1111; seq++ {
+			if !p.enqueue(live(seq)) {
+				t.Fatalf("live %d refused", seq)
+			}
+			if n, _ := p.take(batch); n != 1 || batch[0].StoreSeq != seq {
+				t.Fatalf("live %d did not drain", seq)
+			}
 		}
-		wantSeqs(t, r.drain(), []uint64{seq})
+		if r.dropped.Value() != 0 {
+			t.Fatalf("dropped %d below capacity", r.dropped.Value())
+		}
 	}
-	if n := len(p.queue); n > 64 {
-		t.Fatalf("queue holds %d slots after a 10-message catch-up, want at most 64", n)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPort := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / ports
+	runtime.KeepAlive(rigs)
+	if perPort > budget {
+		t.Fatalf("a capacity-4096 port holds %d B after a 10-message catch-up, budget %d", perPort, budget)
 	}
-
-	for seq := uint64(2000); seq < 2200; seq++ {
-		p.enqueue(live(seq))
-	}
-	if n := len(p.queue); n < 200 || n >= 400 {
-		t.Fatalf("queue holds %d slots for a backlog of 200, want [200, 400)", n)
-	}
-	wantSeqs(t, r.drain(), seqs(2000, 200))
-	if r.dropped.Value() != 0 {
-		t.Fatalf("dropped %d below capacity", r.dropped.Value())
-	}
+	t.Logf("%d B of heap per port", perPort)
 }
 
 // TestNestedGatesAdoptThenCopy runs two catch-ups on one port: the first
 // endGate adopts its batch and leaves the held backlog alone, the second
-// places its batch behind and flushes the backlog once every floor is in
+// adopts its batch behind and flushes the backlog once every floor is in
 // place.
 func TestNestedGatesAdoptThenCopy(t *testing.T) {
 	other := wire.MustStreamID(8, 0)
-	r := newAdoptRig(4, DropOldest, true)
+	r := newAdoptRig(4, DropOldest)
 	p := r.p
 	p.beginGate()
 	p.beginGate()
@@ -228,8 +226,8 @@ func TestNestedGatesAdoptThenCopy(t *testing.T) {
 
 	first := seqBatch(100, 6, 0)
 	p.endGate(first, adoptStream, false, &r.sh)
-	if &p.queue[0] != &first[0] || p.count != 6 || len(p.held) != 3 || !p.gated.Load() {
-		t.Fatalf("first endGate: count %d held %d gated %v", p.count, len(p.held), p.gated.Load())
+	if p.ring.Len() != 6 || len(p.held) != 3 || !p.gated.Load() {
+		t.Fatalf("first endGate: ring %d held %d gated %v", p.ring.Len(), len(p.held), p.gated.Load())
 	}
 	second := make([]filtering.Delivery, 3)
 	for i := range second {
@@ -245,14 +243,14 @@ func TestNestedGatesAdoptThenCopy(t *testing.T) {
 // TestEndGateOnClosedPortDropsBatch is Unsubscribe winning the race with
 // the replay fetch: nothing is queued, everything is accounted.
 func TestEndGateOnClosedPortDropsBatch(t *testing.T) {
-	r := newAdoptRig(4, DropOldest, true)
+	r := newAdoptRig(4, DropOldest)
 	p := r.p
 	p.beginGate()
 	p.enqueue(live(120))
 	p.close() // drops the held delivery
 	p.endGate(seqBatch(100, 9, 0), adoptStream, false, &r.sh)
-	if p.count != 0 || p.queue != nil {
-		t.Fatalf("closed port queued %d", p.count)
+	if n := p.ring.Len(); n != 0 {
+		t.Fatalf("closed port queued %d", n)
 	}
 	if got := r.dropped.Value(); got != 10 || r.selfDrop.Value() != 10 {
 		t.Fatalf("dropped %d/%d, want 10 (9 replayed + 1 held)", got, r.selfDrop.Value())
@@ -264,8 +262,9 @@ func TestEndGateOnClosedPortDropsBatch(t *testing.T) {
 
 // TestOverflowDuringAdoptedDrain pins that the overflow policies key on
 // the logical capacity while an adopted batch is still draining: the
-// queue is over capacity, so DropNewest refuses the live delivery and
-// DropOldest evicts the oldest replayed entry for it.
+// ring is over capacity, so DropNewest refuses the live delivery and
+// DropOldest evicts the oldest replayed entry for it — one, not down to
+// the capacity.
 func TestOverflowDuringAdoptedDrain(t *testing.T) {
 	for _, tc := range []struct {
 		policy OverflowPolicy
@@ -274,7 +273,7 @@ func TestOverflowDuringAdoptedDrain(t *testing.T) {
 		{DropNewest, [][]uint64{seqs(100, 10)}},
 		{DropOldest, [][]uint64{seqs(101, 9), {500}}},
 	} {
-		r := newAdoptRig(4, tc.policy, true)
+		r := newAdoptRig(4, tc.policy)
 		p := r.p
 		p.beginGate()
 		p.endGate(seqBatch(100, 10, 0), adoptStream, false, &r.sh)
@@ -283,7 +282,7 @@ func TestOverflowDuringAdoptedDrain(t *testing.T) {
 			t.Fatalf("policy %v: admitted=%v dropped=%d", tc.policy, admitted, r.dropped.Value())
 		}
 		wantSeqs(t, r.drain(), tc.want...)
-		// Back under capacity, the adopted ring serves as the queue.
+		// Back under capacity, the ring admits up to it again.
 		for i := 0; i < 4; i++ {
 			if !p.enqueue(live(uint64(600 + i))) {
 				t.Fatalf("policy %v: enqueue %d refused on a drained queue", tc.policy, i)
@@ -293,25 +292,36 @@ func TestOverflowDuringAdoptedDrain(t *testing.T) {
 	}
 }
 
-// TestPlaceReplayAllocations pins the cost of the two placements: adoption
-// allocates nothing, and a copy into a queue that has room allocates
-// nothing either.
+// TestPlaceReplayAllocations pins the cost of placing a replay batch: an
+// endGate allocates one ring segment (and the adopted segment's header)
+// and copies nothing, so a 4096-entry batch costs what a 1-entry one does.
 func TestPlaceReplayAllocations(t *testing.T) {
-	r := newAdoptRig(8, DropOldest, false)
+	r := newAdoptRig(8, DropOldest)
 	p := r.p
-	big, small := seqBatch(100, 16, 0), seqBatch(100, 3, 0)
-	for _, tc := range []struct {
-		name  string
-		batch []filtering.Delivery
-	}{{"adopt", big}, {"copy", small}} {
-		allocs := testing.AllocsPerRun(100, func() {
-			p.mu.Lock()
-			p.head, p.count = 0, 0
-			p.placeReplayLocked(tc.batch)
-			p.mu.Unlock()
-		})
-		if allocs != 0 {
-			t.Fatalf("%s placement: %.1f allocs, want 0", tc.name, allocs)
-		}
+	place := func(batch []filtering.Delivery) uint64 {
+		var before, after runtime.MemStats
+		p.beginGate()
+		runtime.ReadMemStats(&before)
+		p.endGate(batch, adoptStream, false, &r.sh)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	place(seqBatch(1, 1, 0)) // the stream's floor is allocated once
+	small := place(seqBatch(1, 1, 0))
+	large := place(seqBatch(1, 4096, 0))
+	if large > small+1024 {
+		t.Fatalf("placing 4096 replayed deliveries allocated %d B, 1 delivery %d B: the batch was copied", large, small)
+	}
+	batches := make([][]filtering.Delivery, 101)
+	for i := range batches {
+		batches[i] = seqBatch(1, 16, 0)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.beginGate()
+		p.endGate(batches[0], adoptStream, false, &r.sh)
+		batches = batches[1:]
+	})
+	if allocs > 3 {
+		t.Fatalf("endGate: %.1f allocs, want the adopted header and one segment's header and slots", allocs)
 	}
 }

@@ -32,18 +32,20 @@
 // mode gives every consumer a bounded queue drained by a dedicated,
 // lifecycle-managed goroutine, with an explicit overflow policy
 // (drop-oldest by default) so one slow consumer can never stall the
-// pipeline or another consumer. The steady-state async queue is a
-// lock-free ring (internal/ring): publishing shards enqueue with a
-// CAS-claimed slot and wake a parked drainer through a two-state atomic,
-// so concurrent publishers to one consumer never serialise on a queue
-// mutex; during a catch-up gate or while replay floors are active the
-// port transparently falls back to a mutex-guarded queue with identical
-// semantics (see port). An enqueue that finds the drainer awake pays one
-// atomic load; one that finds it parked pays a channel send and a
-// goroutine wake, so a drainer that finds its queue empty yields its turn
-// once and looks again before it parks (port.run): the share of enqueues
-// that wake a sleeping drainer — Wakeups() / Stats().Delivered — fell
-// from 0.57 to 0.20 on the deployment benchmark's 16-consumer fan-out.
+// pipeline or another consumer. Each async queue is one lock-free ring
+// (internal/ring): publishing shards enqueue with a CAS-claimed slot and
+// wake a parked drainer through a two-state atomic, so concurrent
+// publishers to one consumer never serialise on a queue mutex. Once a
+// port has caught up (SubscribeWithReplay) or is closing, its producers
+// decide gate, replay floor and shutdown under the port's mutex and then
+// enqueue into the same ring, which adopts a replay batch as a segment
+// instead of copying it (see port). An enqueue that finds the drainer
+// awake pays one atomic load; one that finds it parked pays a channel
+// send and a goroutine wake, so a drainer that finds its queue empty
+// yields its turn once and looks again before it parks (port.run): the
+// share of enqueues that wake a sleeping drainer — Wakeups() /
+// Stats().Delivered — fell from 0.57 to 0.20 on the deployment
+// benchmark's 16-consumer fan-out.
 // The drainer coalesces up to DefaultBatchSize pending deliveries per
 // take and hands them to the consumer in one ConsumeBatch call when the
 // consumer implements BatchConsumer, or replays them through Consume one
@@ -202,12 +204,6 @@ type Options struct {
 	// Shards partitions the subscription table; <= 0 selects
 	// DefaultShards. 1 restores the single-table behaviour.
 	Shards int
-	// forceLockedQueue makes async ports use the mutex-guarded queue for
-	// every delivery instead of the lock-free ring fast path. Only this
-	// package's tests set it, to pin the two as behaviourally identical
-	// (the differential property test); a port chooses its queue from the
-	// state it observes, see port.go.
-	forceLockedQueue bool
 }
 
 // Stats is a snapshot of dispatcher counters.
@@ -333,7 +329,7 @@ func (d *Dispatcher) portForLocked(c Consumer) *port {
 	p, ok := d.ports[c]
 	if !ok {
 		p = newPort(c, d.opts.QueueCapacity, d.opts.Overflow,
-			d.opts.Mode == ModeAsync && !d.opts.forceLockedQueue,
+			d.opts.Mode == ModeAsync,
 			&d.dropped, d.droppedBy.With(c.Name()))
 		p.wakeups = &d.wakeups
 		d.nextPort++
@@ -587,10 +583,10 @@ func putPortSlice(p *[]*port) {
 // are flushed behind it — minus any that carry a store sequence already
 // covered by the replay batch, the seq-based dedupe at the claim
 // boundary. fetch runs without dispatcher locks held and must return
-// deliveries in ascending StoreSeq order. The slice fetch returns — its
-// backing array, up to its capacity — belongs to the port afterwards: an
-// async port may keep it as its queue instead of copying it, so fetch
-// must return memory nothing else reads or writes again (a fresh
+// deliveries in ascending StoreSeq order. The slice fetch returns belongs
+// to the port afterwards: an async port's ring adopts it as a segment
+// instead of copying it and zeroes each element as it is delivered, so
+// fetch must return memory nothing else reads or writes again (a fresh
 // store.Range result is exactly that). It returns the subscription id and
 // the number of backlog messages replayed.
 func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch func() []filtering.Delivery) (SubscriptionID, int, error) {

@@ -16,11 +16,34 @@ import (
 // take again, and only then Prepare / take / Wait. CI runs them under
 // -race -cpu 1,2,8 -count=5.
 
-// queuePaths names the two queues the one drainer serves.
+// queuePaths names the two ways producers reach the one ring: lock-free,
+// and deciding under the port's mutex, as every producer does once the
+// port has gated.
 var queuePaths = []struct {
-	name        string
-	forceLocked bool
-}{{"ring", false}, {"locked", true}}
+	name string
+	slow bool
+}{{"ring", false}, {"slow", true}}
+
+// subscribeAll subscribes c to every stream. On the slow path it then
+// gates c's port once with an empty replay, on a stream nothing
+// publishes, so every later enqueue decides under the port's mutex. It
+// returns the ids whose removal closes the port.
+func subscribeAll(t *testing.T, d *Dispatcher, c Consumer, slow bool) []SubscriptionID {
+	t.Helper()
+	id, err := d.Subscribe(c, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []SubscriptionID{id}
+	if slow {
+		id, _, err := d.SubscribeWithReplay(c, wire.MustStreamID(999, 0), func() []filtering.Delivery { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
 
 // spin waits d without sleeping: time.Sleep rounds a few microseconds up
 // to a timer tick, and the point of the gaps below is to land enqueues
@@ -52,7 +75,7 @@ func TestLookTwiceLosesNoWakeup(t *testing.T) {
 	const producers, perProducer = 4, 400
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, QueueCapacity: producers * perProducer, forceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync, QueueCapacity: producers * perProducer})
 			var consumed atomic.Int64
 			next := make([]wire.Seq, producers) // touched by the one drainer only
 			var outOfOrder atomic.Bool
@@ -64,9 +87,7 @@ func TestLookTwiceLosesNoWakeup(t *testing.T) {
 				next[p] = dd.Msg.Seq + 1
 				consumed.Add(1)
 			}}
-			if _, err := d.Subscribe(c, All()); err != nil {
-				t.Fatal(err)
-			}
+			subscribeAll(t, d, c, path.slow)
 			d.Start()
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
@@ -111,12 +132,10 @@ func TestEveryDeliveryIsTheLastOne(t *testing.T) {
 	const rounds = 10000
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, forceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync})
 			var consumed atomic.Int64
 			c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Add(1) }}
-			if _, err := d.Subscribe(c, All()); err != nil {
-				t.Fatal(err)
-			}
+			subscribeAll(t, d, c, path.slow)
 			d.Start()
 			defer d.Stop()
 			rng := rand.New(rand.NewSource(29))
@@ -216,13 +235,10 @@ func TestCloseDuringIdleTransitionDrainsAndExits(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, path := range queuePaths {
 		for round := 0; round < 300; round++ {
-			d := New(Options{Mode: ModeAsync, forceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync})
 			var consumed atomic.Int64
 			c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Add(1) }}
-			id, err := d.Subscribe(c, All())
-			if err != nil {
-				t.Fatal(err)
-			}
+			ids := subscribeAll(t, d, c, path.slow)
 			d.Start()
 			n := 1 + rng.Intn(3)
 			for i := 0; i < n; i++ {
@@ -230,7 +246,9 @@ func TestCloseDuringIdleTransitionDrainsAndExits(t *testing.T) {
 			}
 			spin(time.Duration(rng.Intn(30)) * time.Microsecond)
 			if round%2 == 0 {
-				d.Unsubscribe(id) // closes the port; the drainer exits on its own
+				for _, id := range ids { // the last one closes the port; the drainer exits on its own
+					d.Unsubscribe(id)
+				}
 				waitGoroutines(t, base)
 			}
 			d.Stop()
@@ -250,12 +268,10 @@ func TestCloseDuringIdleTransitionDrainsAndExits(t *testing.T) {
 func TestIdlePortKeepsNoPayload(t *testing.T) {
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, forceLockedQueue: path.forceLocked})
+			d := New(Options{Mode: ModeAsync})
 			var consumed atomic.Bool
 			c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Store(true) }}
-			if _, err := d.Subscribe(c, All()); err != nil {
-				t.Fatal(err)
-			}
+			subscribeAll(t, d, c, path.slow)
 			d.Start()
 			defer d.Stop()
 

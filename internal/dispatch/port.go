@@ -13,7 +13,7 @@ import (
 
 // port is one consumer's delivery endpoint: in async mode a bounded FIFO
 // drained by a dedicated worker goroutine; in sync mode just the consumer
-// reference (the queue fields stay unused).
+// reference (the ring stays nil).
 //
 // # Async fast path
 //
@@ -22,44 +22,27 @@ import (
 // single drainer batch-consumes without taking any lock. Waking a parked
 // drainer is a two-state atomic plus a buffered-channel token
 // (ring.Waiter): one atomic load per enqueue while the drainer is awake,
-// a CAS, a channel send and a goroutine wake when it is parked. Both
-// queues park on the same Waiter, and the drainer looks twice before it
-// does (see run), because a drainer that parks on its first empty look
-// is parked for most enqueues: 57 % on bench's fixednet_fanout, 20 % with
-// the second look. Dispatcher.Wakeups counts the enqueues that paid.
+// a CAS, a channel send and a goroutine wake when it is parked. The
+// drainer looks twice before it parks (see run), because a drainer that
+// parks on its first empty look is parked for most enqueues: 57 % on
+// bench's fixednet_fanout, 20 % with the second look. Dispatcher.Wakeups
+// counts the enqueues that paid.
 //
-// # Locked fallback
+// # Async queue
 //
-// Two queues are the design, not a leftover: each is required or faster on
-// some input, and the port picks from state it observes (gate, floor,
-// close), never from an option. Steady fan-out needs the ring: with every
-// port forced onto the locked queue, bench's fixednet_fanout loses 28 % of
-// its ops_per_s on 2 vCPUs (10/10 pairs; CHANGES.md, PR 23).
-//
-// The catch-up machinery (SubscribeWithReplay's gate, the per-stream
-// replay floors) and port shutdown need enqueue-time decisions that read
-// mutable per-port state, so while any of them is active the port falls
-// back to the retained mutex-guarded queue: enterFallback flips the mode
-// atomically and waits out in-flight ring enqueues, after which every
-// producer observes fallback and goes through mu. Once a port has gated
-// it stays on the locked path: a non-empty replay leaves floors, which
-// live for the port's lifetime, and the catch-up cases are rare,
-// consumer-initiated transitions where the ring's per-message win is
-// noise. The drainer consumes the ring before the locked queue; because
-// queue entries are only produced after enterFallback's barrier, every
-// ring entry predates every queue entry and FIFO order is preserved
-// across the handoff (pinned by TestRingMutexPortEquivalenceProperty and
-// the gate↔ring stress tests).
-//
-// # Size
-//
-// Neither queue allocates its capacity up front; each grows to the port's
-// largest backlog and never shrinks. The ring starts with a 64-slot
-// segment and links segments twice the size (internal/ring); the locked
-// queue starts at 64 slots on first use and doubles while its backlog is
-// under the capacity, and a replay batch is placed in a queue sized to
-// what it then holds. An idle async port of capacity 4096 holds about
-// 10 KB (TestIdleAsyncPortFootprint).
+// The ring is the port's only queue; steady fan-out needs it lock-free
+// (with a mutex-guarded queue instead, bench's fixednet_fanout lost 28 %
+// of its ops_per_s on 2 vCPUs; CHANGES.md, PR 23). The catch-up gate,
+// the replay floors and shutdown need enqueue-time decisions that read
+// mutable per-port state, so enterSlow first makes the port slow and
+// waits out in-flight lock-free enqueues; from then on every producer
+// decides under mu and enqueues into the same ring, so FIFO order holds
+// across the switch. A port that has gated stays slow: catch-ups are
+// rare, and the floors they leave live as long as the port. A replay
+// batch is adopted as a ring segment, not copied, and the held backlog
+// is pushed behind it, so the batch never evicts itself. The ring holds
+// what its backlog needs, not its capacity: an idle async port of
+// capacity 4096 holds about 10 KB (TestIdleAsyncPortFootprint).
 //
 // The drainer coalesces up to batchSize (DefaultBatchSize, clamped to the
 // queue capacity) queued deliveries per take.
@@ -72,21 +55,15 @@ type port struct {
 	batcher  BatchConsumer // non-nil when consumer supports batches
 	refs     int           // live subscriptions; guarded by Dispatcher.mu
 
-	// Lock-free delivery ring (async mode; nil in sync mode and when a
-	// test forces the locked queue). fallback routes producers to the
-	// locked path below; inflight counts producers inside a ring enqueue
-	// so enterFallback can wait them out. waiter parks/wakes the drainer
-	// for both paths.
+	// Delivery ring (async mode; nil in sync mode). slow routes producers
+	// through mu; inflight counts producers inside a lock-free enqueue so
+	// enterSlow can wait them out. waiter parks/wakes the drainer.
 	ring     *ring.Ring[filtering.Delivery]
-	fallback atomic.Bool
+	slow     atomic.Bool
 	inflight atomic.Int64
 	waiter   *ring.Waiter
 
 	mu        sync.Mutex
-	queue     []filtering.Delivery // locked-path ring buffer, lazily sized
-	head      int
-	count     int
-	capacity  int
 	batchSize int
 	overflow  OverflowPolicy
 	closed    bool
@@ -115,17 +92,16 @@ type port struct {
 	wakeups  *metrics.Counter // dispatcher total of token sends; nil on a bare port
 }
 
-func newPort(c Consumer, capacity int, overflow OverflowPolicy, lockFree bool, dropped, selfDrop *metrics.Counter) *port {
+func newPort(c Consumer, capacity int, overflow OverflowPolicy, async bool, dropped, selfDrop *metrics.Counter) *port {
 	p := &port{
 		consumer:  c,
-		capacity:  capacity,
 		batchSize: min(DefaultBatchSize, capacity),
 		overflow:  overflow,
 		waiter:    ring.NewWaiter(),
 		dropped:   dropped,
 		selfDrop:  selfDrop,
 	}
-	if lockFree {
+	if async {
 		p.ring = ring.New[filtering.Delivery](capacity)
 	}
 	p.batcher, _ = c.(BatchConsumer)
@@ -243,18 +219,14 @@ func (p *port) raiseFloorLocked(stream wire.StreamID, batch []filtering.Delivery
 	p.hasFloors.Store(true)
 }
 
-// enterFallback routes all subsequent producers to the locked path and
-// waits out producers already inside a ring enqueue. On return, every
-// new enqueue observes the gate/floor/closed state under mu, and the
-// only deliveries still reaching the consumer via the ring predate the
-// barrier — the drainer consumes them before anything the caller
-// enqueues under mu afterwards. The wait is bounded: a ring enqueue is a
+// enterSlow routes all subsequent producers through mu and waits out
+// producers already inside a lock-free enqueue. On return, every new
+// enqueue observes the gate/floor/closed state under mu, and everything
+// a lock-free producer put in the ring precedes what the caller enqueues
+// under mu afterwards. The wait is bounded: a lock-free enqueue is a
 // handful of atomic operations with no locks or callbacks inside.
-func (p *port) enterFallback() {
-	if p.ring == nil {
-		return
-	}
-	p.fallback.Store(true)
+func (p *port) enterSlow() {
+	p.slow.Store(true)
 	for p.inflight.Load() != 0 {
 		runtime.Gosched()
 	}
@@ -263,165 +235,60 @@ func (p *port) enterFallback() {
 // enqueue adds a delivery, applying the overflow policy when full. It
 // reports whether the new delivery was admitted; deliveries diverted to
 // the catch-up gate report false and are accounted when the gate flushes,
-// and deliveries below a replay floor are silently suppressed as
-// duplicates of already-replayed history.
+// deliveries below a replay floor are silently suppressed as duplicates
+// of already-replayed history, and deliveries to a closed port are
+// dropped.
 //
-// Steady state takes the lock-free ring: one fallback load, a CAS-claimed
-// slot, a publication store and a parked-check on the waiter — no
-// mutex. Gated/floored/closing ports (fallback set, with the inflight
-// barrier making the flip safe) take the retained locked path, whose
-// behaviour is unchanged.
+// Steady state is lock-free: one slow load, the ring's CAS-claimed slot,
+// a publication store and a parked-check on the waiter. A slow port
+// (gated, floored or closing; the inflight barrier makes the flip safe)
+// makes those decisions under mu and then admits into the same ring.
 func (p *port) enqueue(d filtering.Delivery) bool {
-	if p.ring != nil && !p.fallback.Load() {
+	if !p.slow.Load() {
 		p.inflight.Add(1)
-		if !p.fallback.Load() {
-			admitted := p.enqueueRing(d)
+		if !p.slow.Load() {
+			admitted := p.admit(d)
 			p.inflight.Add(-1)
 			return admitted
 		}
-		// enterFallback won the race: this producer is counted in
-		// inflight but must not touch the ring anymore.
+		// enterSlow won the race: this producer is counted in inflight
+		// but must not touch the ring without mu anymore.
 		p.inflight.Add(-1)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.gateCount > 0 {
+	switch {
+	case p.gateCount > 0:
 		p.held = append(p.held, d)
 		return false
-	}
-	if p.belowFloorLocked(d) {
+	case p.belowFloorLocked(d):
+		return false
+	case p.closed:
+		p.drop(1)
 		return false
 	}
-	return p.enqueueLocked(d)
+	return p.admit(d)
 }
 
-// enqueueRing is the lock-free admission path. Gate, floor and closed
-// checks are not needed here: any of those conditions sets fallback
-// (with the barrier) before becoming observable, so a producer that got
-// this far predates them all.
-func (p *port) enqueueRing(d filtering.Delivery) bool {
-	if p.overflow == DropNewest {
-		if !p.ring.TryEnqueue(d) {
+// admit puts d in the ring under the overflow policy. When the ring is at
+// its capacity DropNewest discards d, and DropOldest discards the head and
+// pushes d, one for one even while an adopted replay holds the ring above
+// its capacity.
+func (p *port) admit(d filtering.Delivery) bool {
+	if !p.ring.TryEnqueue(d) {
+		if p.overflow == DropNewest {
 			p.drop(1)
 			return false
 		}
-	} else {
-		// DropOldest: discard from the head until the new delivery fits.
-		// The producer performs the dequeue itself (the ring supports
+		// The producer performs the eviction itself (the ring supports
 		// concurrent dequeuers), keeping the policy lock-free.
-		for !p.ring.TryEnqueue(d) {
-			if _, ok := p.ring.TryDequeue(); ok {
-				p.drop(1)
-			}
+		if _, ok := p.ring.TryDequeue(); ok {
+			p.drop(1)
 		}
+		p.ring.Push(d)
 	}
 	p.wake()
 	return true
-}
-
-// firstQueueSlots is the locked-path buffer's size on first use (the
-// capacity, if smaller); enqueueLocked doubles it whenever the backlog
-// fills it below the capacity.
-const firstQueueSlots = 64
-
-// queueBufLocked sizes the locked-path buffer on first use: ring-mode
-// ports only need it after a catch-up gate, and sync-mode ports never
-// do. Caller holds mu.
-func (p *port) queueBufLocked() {
-	if len(p.queue) == 0 {
-		p.queue = make([]filtering.Delivery, min(firstQueueSlots, p.capacity))
-	}
-}
-
-// enqueueLocked is enqueue past the gate and floor checks. Caller holds
-// mu. The queue's physical ring doubles while the backlog is under the
-// capacity bound, and can be larger than the bound after a catch-up
-// burst (see placeReplayLocked, enqueueGrowLocked); the overflow policy
-// keys on the logical capacity.
-func (p *port) enqueueLocked(d filtering.Delivery) bool {
-	if p.closed {
-		p.drop(1)
-		return false
-	}
-	p.queueBufLocked()
-	if p.count >= p.capacity {
-		p.drop(1)
-		if p.overflow == DropNewest {
-			return false
-		}
-		// DropOldest: advance head, overwrite.
-		p.head = (p.head + 1) % len(p.queue)
-		p.count--
-	} else if p.count == len(p.queue) {
-		p.resizeLocked(min(2*len(p.queue), p.capacity))
-	}
-	p.queue[(p.head+p.count)%len(p.queue)] = d
-	p.count++
-	p.wake()
-	return true
-}
-
-// enqueueGrowLocked admits d unconditionally, doubling the physical ring
-// when full instead of applying the overflow policy — used for the held
-// backlog of a catch-up, which must not evict the replay batch placed
-// just ahead of it. The queue drains back under the capacity bound as
-// the worker catches up. Caller holds mu.
-func (p *port) enqueueGrowLocked(d filtering.Delivery) bool {
-	if p.closed {
-		p.drop(1)
-		return false
-	}
-	p.queueBufLocked()
-	if p.count == len(p.queue) {
-		p.resizeLocked(2 * len(p.queue))
-	}
-	p.queue[(p.head+p.count)%len(p.queue)] = d
-	p.count++
-	p.wake()
-	return true
-}
-
-// resizeLocked moves the queued deliveries to a fresh physical ring of n
-// slots (n >= count), head first. Caller holds mu.
-func (p *port) resizeLocked(n int) {
-	grown := make([]filtering.Delivery, n)
-	if p.count > 0 {
-		k := copy(grown, p.queue[p.head:min(p.head+p.count, len(p.queue))])
-		copy(grown[k:], p.queue[:p.count-k])
-	}
-	p.queue, p.head = grown, 0
-}
-
-// placeReplayLocked queues a catch-up batch behind whatever the locked
-// queue holds, past the capacity bound rather than through the overflow
-// policy (the batch must not evict itself), with one wake-up. The port
-// owns batch from here on: onto an empty queue a batch of at least
-// capacity entries becomes the physical ring as it stands — no copy, and
-// whatever capacity the slice has beyond its length is the ring's slack
-// — and anything else is copied in bulk after at most one growth to the
-// exact size the queue then holds, however large the capacity. A closed
-// port drops the batch. Caller holds mu.
-func (p *port) placeReplayLocked(batch []filtering.Delivery) {
-	n := len(batch)
-	if n == 0 {
-		return
-	}
-	if p.closed {
-		p.drop(n)
-		return
-	}
-	if p.count == 0 && n >= p.capacity {
-		p.queue, p.head = batch[:cap(batch)], 0
-	} else {
-		if need := p.count + n; need > len(p.queue) {
-			p.resizeLocked(need)
-		}
-		tail := (p.head + p.count) % len(p.queue)
-		k := copy(p.queue[tail:], batch)
-		copy(p.queue, batch[k:])
-	}
-	p.count += n
-	p.wake()
 }
 
 // tryHold diverts a sync-mode delivery into the catch-up gate, or drops
@@ -440,13 +307,12 @@ func (p *port) tryHold(d filtering.Delivery) bool {
 
 // beginGate opens the catch-up gate. Called under Dispatcher.mu before
 // the subscription becomes visible to Dispatch, so no live delivery for
-// it can reach the consumer ahead of the replay batch. On ring-mode
-// ports it first forces the locked path, so every delivery from here on
-// makes its gate/floor decision under mu; deliveries already in the ring
-// predate the gate and drain ahead of the replay batch, exactly like
-// pre-gate entries of the locked queue.
+// it can reach the consumer ahead of the replay batch. It first makes
+// the port slow, so every delivery from here on makes its gate/floor
+// decision under mu; deliveries already in the ring predate the gate and
+// drain ahead of the replay batch.
 func (p *port) beginGate() {
-	p.enterFallback()
+	p.enterSlow()
 	p.mu.Lock()
 	p.gateCount++
 	p.gated.Store(true)
@@ -460,21 +326,25 @@ func (p *port) beginGate() {
 // dispatched only after the gate closed is still screened out — the
 // seq-based dedupe at the claim boundary. Replayed deliveries are not
 // counted as dispatcher deliveries (they never entered Dispatch);
-// flushed held ones are, on sh. In async mode everything goes through
-// the queue under one lock acquisition, growing the ring past the
-// capacity bound rather than letting the batch evict itself, and the
-// port takes ownership of replay (placeReplayLocked may keep the slice
-// as its ring). In sync
-// mode the replay and held batches are delivered inline on the calling
-// goroutine, draining repeatedly until no new deliveries arrived while
-// the previous batch was being consumed.
+// flushed held ones are, on sh. In async mode everything goes into the
+// ring under one lock acquisition, past the capacity bound rather than
+// letting the batch evict itself: the ring adopts replay as a segment
+// and owns it from then on, and the held backlog is pushed behind it; a
+// closed port drops both. In sync mode the replay and held batches are
+// delivered inline on the calling goroutine, draining repeatedly until
+// no new deliveries arrived while the previous batch was being consumed.
 func (p *port) endGate(replay []filtering.Delivery, stream wire.StreamID, syncMode bool, sh *shard) {
 	if !syncMode {
 		p.mu.Lock()
 		if len(replay) > 0 {
 			p.raiseFloorLocked(stream, replay)
 		}
-		p.placeReplayLocked(replay)
+		if p.closed {
+			p.drop(len(replay))
+		} else {
+			p.ring.Adopt(replay) // every producer is slow, blocked on mu
+			p.wake()
+		}
 		if p.gateCount > 1 {
 			// Another catch-up on this port is still mid-replay: its
 			// endGate flushes the held backlog once every floor is in
@@ -485,13 +355,16 @@ func (p *port) endGate(replay []filtering.Delivery, stream wire.StreamID, syncMo
 			return
 		}
 		for _, d := range p.held {
-			if p.belowFloorLocked(d) {
-				continue
-			}
-			if p.enqueueGrowLocked(d) {
+			switch {
+			case p.belowFloorLocked(d):
+			case p.closed:
+				p.drop(1)
+			default:
+				p.ring.Push(d)
 				sh.delivered.Inc()
 			}
 		}
+		p.wake()
 		p.held = nil
 		p.gateCount = 0
 		p.gated.Store(false)
@@ -583,40 +456,18 @@ func (p *port) wake() {
 	}
 }
 
-// takeLockedBatch moves up to len(batch) deliveries from the locked
-// queue into batch and reports how many it took plus whether the port is
-// closed with the queue drained.
-func (p *port) takeLockedBatch(batch []filtering.Delivery) (n int, done bool) {
-	p.mu.Lock()
-	for n < len(batch) && p.count > 0 {
-		batch[n] = p.queue[p.head]
-		p.queue[p.head] = filtering.Delivery{} // release payload reference
-		p.head = (p.head + 1) % len(p.queue)
-		p.count--
-		n++
-	}
-	done = p.closed && p.count == 0
-	p.mu.Unlock()
-	return n, done
-}
-
 // take is the drainer's one look at its port: up to len(batch) deliveries
-// from the lock-free ring first, else from the locked queue, plus whether
-// the port is closed with both drained. Every queue entry is produced
-// after enterFallback's barrier, i.e. after every ring entry, so
-// ring-first consumption preserves FIFO across the locked↔lock-free
-// handoff; at steady state exactly one of the two holds data and the
-// other costs one atomic load (ring) or one uncontended lock (queue) per
-// take. closed is set after the same barrier, so once it is observed no
-// ring enqueue can follow and the ring re-check is final.
+// from the ring, plus whether the port is closed with the ring drained.
+// closed is set after enterSlow's barrier and read under mu, so once it
+// is observed no enqueue can follow and the emptiness check is final.
 func (p *port) take(batch []filtering.Delivery) (n int, done bool) {
-	if p.ring != nil {
-		if n = p.ring.DequeueBatch(batch); n > 0 {
-			return n, false
-		}
+	if n = p.ring.DequeueBatch(batch); n > 0 {
+		return n, false
 	}
-	n, done = p.takeLockedBatch(batch)
-	return n, done && n == 0 && (p.ring == nil || p.ring.Empty())
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	return 0, closed && p.ring.Empty()
 }
 
 // run drains the port until it is closed and empty, taking up to
@@ -693,12 +544,12 @@ func (p *port) run() {
 }
 
 // close marks the port finished; the worker exits after draining. Held
-// catch-up deliveries reach no consumer and count as drops. Producers
-// are forced onto the locked path first, so an enqueue racing close is
-// either fully in the ring (delivered: it happened-before the close) or
-// observes closed under mu and is dropped — never stranded.
+// catch-up deliveries reach no consumer and count as drops. The port is
+// made slow first, so an enqueue racing close is either fully in the
+// ring (delivered: it happened-before the close) or observes closed
+// under mu and is dropped — never stranded.
 func (p *port) close() {
-	p.enterFallback()
+	p.enterSlow()
 	p.mu.Lock()
 	p.closed = true
 	p.drop(len(p.held))

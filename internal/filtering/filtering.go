@@ -230,7 +230,7 @@ func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool)
 	d = Delivery{Msg: msg, At: rc.At, Receiver: rc.Receiver, RSSI: rc.RSSI}
 
 	if f.opts.ReorderWindow > 0 {
-		sf.enqueueLocked(d, rc.At.Add(f.opts.ReorderWindow))
+		sf.holdLocked(d, rc.At.Add(f.opts.ReorderWindow))
 		return Delivery{}, false
 	}
 	sh.delivered++
@@ -359,8 +359,9 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 	}
 	size := len(sf.window) * 64
 	if !sf.initiated {
-		// Reachable only with forceEagerWindows: normally initiation runs
-		// on the lazy path, before any bitmap exists.
+		// Reachable only from an eagerly seeded filter (the lazy-vs-eager
+		// test): normally initiation runs on the lazy path, before any
+		// bitmap exists.
 		sf.initiated = true
 		sf.base = seq
 		w, m := sf.bitPos(seq)
@@ -405,10 +406,10 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 	}
 }
 
-// enqueueLocked inserts d into the stream's pending list sorted by
+// holdLocked inserts d into the stream's pending list sorted by
 // sequence and (re)arms the release timer, allocating the stream's
 // reorder state on its first hold. Caller holds sh.mu.
-func (sf *streamFilter) enqueueLocked(d Delivery, release time.Time) {
+func (sf *streamFilter) holdLocked(d Delivery, release time.Time) {
 	if sf.ro == nil {
 		sf.ro = &reorder{}
 	}

@@ -13,18 +13,25 @@ import (
 // randomised schedule — in-order runs, gaps, far jumps, duplicates, late
 // recoveries, stale drops, wrap-around — must produce identical
 // per-stream sink sequences and identical aggregate accounting whether
-// every stream allocates its bitmap up front (forceEagerWindows) or only
-// on its first gap/out-of-order arrival.
+// every stream starts with its bitmap (the eager run seeds each planned
+// stream's filter state before ingest) or allocates it only on its first
+// gap/out-of-order arrival.
 func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 	for _, windowSize := range []int{64, 1024} {
 		for seed := int64(1); seed <= 5; seed++ {
 			plan := receptionPlan(seed, 9, 1500)
 			run := func(eager bool) (map[wire.StreamID][]wire.Seq, Stats) {
-				forceEagerWindows = eager
-				defer func() { forceEagerWindows = false }()
 				var out []Delivery
 				f := New(func(d Delivery) { out = append(out, d) },
 					Options{WindowSize: windowSize, Shards: 8})
+				if eager {
+					for _, rc := range plan {
+						id := rc.Msg.Stream
+						if sh := f.shardFor(id); sh.filters[id] == nil {
+							sh.filters[id] = &streamFilter{sh: sh, window: make([]uint64, f.opts.WindowSize/64)}
+						}
+					}
+				}
 				for _, rc := range plan {
 					f.Ingest(rc)
 				}

@@ -50,12 +50,6 @@ func (f *Filter) shardFor(id wire.StreamID) *shard {
 	return f.shards[id.Sensor().Shard(len(f.shards))]
 }
 
-// forceEagerWindows makes every new stream materialise its dup-window
-// bitmap immediately, restoring the historical eager behaviour. Only the
-// lazy-vs-eager differential property test sets it; production code must
-// leave it false.
-var forceEagerWindows = false
-
 // lookupSlowLocked finds or creates the stream's filter state on a
 // single-entry-cache miss and refreshes the cache. The dup-window bitmap
 // is NOT allocated here: an in-order stream tracks its contiguous seen
@@ -66,9 +60,6 @@ func (sh *shard) lookupSlowLocked(id wire.StreamID) *streamFilter {
 	sf, ok := sh.filters[id]
 	if !ok {
 		sf = &streamFilter{sh: sh}
-		if forceEagerWindows {
-			sf.window = make([]uint64, sh.f.opts.WindowSize/64)
-		}
 		sh.filters[id] = sf
 	}
 	sh.lastID, sh.last = id, sf

@@ -29,9 +29,20 @@
 // backlog's high-water mark, and once the head has moved past the small
 // segments the ring is one segment of that size, reused lap after lap.
 //
+// Two operations admit values past the capacity, for a caller that
+// bounds the excess itself. Push is TryEnqueue without the capacity
+// check; on a physically full tail it links a segment even past phys
+// slots. Adopt appends a whole slice without copying it: the slice
+// becomes an adopted segment — frozen from the start, every value
+// published, no slots — followed by a fresh min(64, phys)-slot segment
+// for later producers. No producer may run during Adopt, so no producer
+// ever holds an adopted segment; consumers claim its values by CAS on
+// its dequeue cursor like any others, and DequeueBatch takes a whole run
+// with one CAS.
+//
 // Enqueue and dequeue allocate nothing except when a segment is linked;
-// dequeue zeroes the vacated slot so pooled payload buffers referenced
-// by queued values are not pinned past delivery.
+// dequeue zeroes the vacated slot (or adopted element) so pooled payload
+// buffers referenced by queued values are not pinned past delivery.
 //
 // # Parker
 //
@@ -79,10 +90,13 @@ type slot[T any] struct {
 }
 
 // segment is one Vyukov ring in the chain. Positions count from 0 in
-// every segment.
+// every segment. An adopted segment (see Adopt) has no slots: vals holds
+// its values, all published, and its enqueue cursor is frozen at
+// len(vals) from the start.
 type segment[T any] struct {
 	mask  uint64
 	slots []slot[T]
+	vals  []T
 	next  atomic.Pointer[segment[T]]
 
 	// The cursors live on their own cache lines: the enqueue cursor is
@@ -106,13 +120,14 @@ func newSegment[T any](size int) *segment[T] {
 
 // Ring is a bounded lock-free multi-producer queue. The zero value is
 // not usable; call New. Methods never block; they allocate only to link
-// a larger segment.
+// a segment.
 //
-// The capacity bound is exact under a serial producer. Under concurrent
-// producers the admission check and the slot claim are two separate
-// atomic steps, so the occupancy can transiently overshoot the capacity
-// by up to the number of racing producers; a producer never links a
-// segment past phys slots, so a full phys-slot tail refuses outright.
+// TryEnqueue's capacity bound is exact under a serial producer. Under
+// concurrent producers the admission check and the slot claim are two
+// separate atomic steps, so the occupancy can transiently overshoot the
+// capacity by up to the number of racing producers; TryEnqueue never
+// links a segment past phys slots, so a full phys-slot tail refuses
+// outright. Push and Adopt admit past the capacity.
 type Ring[T any] struct {
 	capacity int64
 	phys     int // largest segment: capacity rounded up to a power of two
@@ -164,6 +179,20 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 	if r.length.Load() >= r.capacity {
 		return false
 	}
+	return r.enqueue(&v, false)
+}
+
+// Push appends v whatever the occupancy: it is TryEnqueue without the
+// capacity check, linking a segment when the tail is physically full
+// even past phys slots. The caller bounds the excess (the dispatcher
+// pushes one value for each it evicts, and a catch-up's held backlog).
+func (r *Ring[T]) Push(v T) { r.enqueue(&v, true) }
+
+// enqueue is TryEnqueue and Push past the capacity check. It takes v by
+// pointer: TryEnqueue inlines into its caller, and passing v on by value
+// copied every dispatcher delivery once more, which cost bench's
+// fixednet_fanout 9 % of its ops_per_s (2 vCPUs, 8 rounds).
+func (r *Ring[T]) enqueue(v *T, force bool) bool {
 	seg := r.tail.Load()
 	pos := seg.enq.Load()
 	for {
@@ -180,7 +209,7 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 		case diff == 0:
 			// The slot is free for this position: claim it.
 			if seg.enq.CompareAndSwap(pos, pos+1) {
-				sl.val = v
+				sl.val = *v
 				sl.seq.Store(pos + 1) // publish
 				r.length.Add(1)
 				return true
@@ -189,7 +218,7 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 		case diff < 0:
 			// The slot still holds the value from one lap ago: the
 			// segment is physically full.
-			if !r.grow(seg) {
+			if !r.grow(seg, force) {
 				return false
 			}
 			pos = seg.enq.Load()
@@ -201,18 +230,38 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 }
 
 // grow handles a full tail segment: it links a segment twice the size
-// behind seg (unless another producer already has), then closes seg. It
-// reports false, linking nothing, when seg already has phys slots or the
-// ring is at capacity — the ring is full, not merely the segment.
-func (r *Ring[T]) grow(seg *segment[T]) bool {
+// (at most phys) behind seg (unless another producer already has), then
+// closes seg. Unless forced it reports false, linking nothing, when seg
+// already has phys slots or the ring is at capacity — the ring is full,
+// not merely the segment.
+func (r *Ring[T]) grow(seg *segment[T], force bool) bool {
 	if seg.next.Load() == nil {
-		if len(seg.slots) >= r.phys || r.length.Load() >= r.capacity {
+		if !force && (len(seg.slots) >= r.phys || r.length.Load() >= r.capacity) {
 			return false
 		}
 		seg.next.CompareAndSwap(nil, newSegment[T](min(2*len(seg.slots), r.phys)))
 	}
 	seg.enq.Or(closed)
 	return true
+}
+
+// Adopt appends every value of vals at once, past the capacity, without
+// copying them: vals becomes a frozen, fully published segment, followed
+// by a fresh min(64, phys)-slot segment for later producers. The ring
+// owns vals afterwards and zeroes each element as it is dequeued. No
+// TryEnqueue or Push may run concurrently with Adopt; dequeues may.
+func (r *Ring[T]) Adopt(vals []T) {
+	if len(vals) == 0 {
+		return
+	}
+	a := &segment[T]{vals: vals}
+	a.enq.Store(closed | uint64(len(vals)))
+	a.next.Store(newSegment[T](min(firstSegment, r.phys)))
+	r.length.Add(int64(len(vals)))
+	tail := r.tail.Load()
+	tail.next.Store(a)
+	tail.enq.Or(closed)
+	r.tail.Store(a.next.Load())
 }
 
 // TryDequeue removes and returns the oldest value. ok is false when the
@@ -223,7 +272,27 @@ func (r *Ring[T]) TryDequeue() (v T, ok bool) {
 	seg := r.head.Load()
 	pos := seg.deq.Load()
 	for {
-		sl := &seg.slots[pos&seg.mask]
+		i := pos & seg.mask
+		if i >= uint64(len(seg.slots)) {
+			// Only an adopted segment has no slots; the test is the
+			// bounds check the slot index would have cost anyway.
+			if pos < uint64(len(seg.vals)) {
+				if seg.deq.CompareAndSwap(pos, pos+1) {
+					v = seg.vals[pos]
+					var zero T
+					seg.vals[pos] = zero
+					r.length.Add(-1)
+					return v, true
+				}
+				pos = seg.deq.Load()
+				continue
+			}
+			r.head.CompareAndSwap(seg, seg.next.Load())
+			seg = r.head.Load()
+			pos = seg.deq.Load()
+			continue
+		}
+		sl := &seg.slots[i]
 		seq := sl.seq.Load()
 		switch diff := int64(seq) - int64(pos+1); {
 		case diff == 0:
@@ -261,8 +330,15 @@ func (r *Ring[T]) TryDequeue() (v T, ok bool) {
 
 // DequeueBatch fills buf with up to len(buf) oldest values and returns
 // how many it took. The single draining consumer uses this to hand
-// everything one take finds to its consumer as one batch.
+// everything one take finds to its consumer as one batch. From an
+// adopted head segment it takes one run, claimed with a single CAS; it
+// looks for one once per call, never per value.
 func (r *Ring[T]) DequeueBatch(buf []T) int {
+	if seg := r.head.Load(); seg.slots == nil {
+		if n := r.takeAdopted(seg, buf); n > 0 {
+			return n
+		}
+	}
 	n := 0
 	for n < len(buf) {
 		v, ok := r.TryDequeue()
@@ -273,6 +349,26 @@ func (r *Ring[T]) DequeueBatch(buf []T) int {
 		n++
 	}
 	return n
+}
+
+// takeAdopted claims up to len(buf) of an adopted segment's oldest values
+// with one CAS on its dequeue cursor, copies them into buf and zeroes
+// them in vals. It returns 0 only once the segment is drained.
+func (r *Ring[T]) takeAdopted(seg *segment[T], buf []T) int {
+	for {
+		pos := seg.deq.Load()
+		k := min(uint64(len(buf)), uint64(len(seg.vals))-pos)
+		if k == 0 {
+			return 0
+		}
+		if seg.deq.CompareAndSwap(pos, pos+k) {
+			run := seg.vals[pos : pos+k]
+			copy(buf, run)
+			clear(run) // release payload references
+			r.length.Add(-int64(k))
+			return int(k)
+		}
+	}
 }
 
 // Waiter parking states.

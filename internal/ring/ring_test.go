@@ -390,7 +390,8 @@ func TestWaiterNoLostWakeup(t *testing.T) {
 
 // TestRingZeroAlloc pins that the hot enqueue/dequeue pair allocates
 // nothing, on a ring that is still its first segment and on one that has
-// grown and carries a standing backlog across the measurement.
+// grown and carries a standing backlog across the measurement, and that
+// Push below a full segment allocates nothing either.
 func TestRingZeroAlloc(t *testing.T) {
 	fresh := New[int](64)
 	grown := New[int](4096)
@@ -411,6 +412,205 @@ func TestRingZeroAlloc(t *testing.T) {
 	}
 	if got := segmentSizes(grown); len(got) != 1 || got[0] != 1024 {
 		t.Fatalf("grown ring holds segments %v after the measurement, want [1024]", got)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		fresh.Push(1)
+		fresh.TryDequeue()
+	}); allocs != 0 {
+		t.Fatalf("push/dequeue allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRingPushPastCapacity: Push admits at Len() == Cap(), linking past
+// phys slots when the tail is physically full, and TryEnqueue refuses
+// until the ring is back under its capacity.
+func TestRingPushPastCapacity(t *testing.T) {
+	r := New[int](4)
+	for i := 0; i < 4; i++ {
+		r.TryEnqueue(i)
+	}
+	for i := 4; i < 10; i++ {
+		if r.Len() < r.Cap() {
+			t.Fatalf("Len() = %d below the capacity", r.Len())
+		}
+		r.Push(i)
+	}
+	if got := segmentSizes(r); len(got) != 3 || got[0] != 4 || got[1] != 4 || got[2] != 4 {
+		t.Fatalf("segments %v, want three of phys = 4 slots", got)
+	}
+	for want := 0; want < 10; want++ {
+		if want < 7 && r.TryEnqueue(-1) {
+			t.Fatalf("TryEnqueue admitted at Len() = %d, Cap() = 4", r.Len())
+		}
+		if v, ok := r.TryDequeue(); !ok || v != want {
+			t.Fatalf("dequeue got %d ok=%v, want %d", v, ok, want)
+		}
+	}
+	if !r.TryEnqueue(10) {
+		t.Fatal("TryEnqueue refused on a drained ring")
+	}
+}
+
+// adoptedSeqs returns [first, first+n) as a fresh slice to adopt.
+func adoptedSeqs(first, n int) []int {
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = first + i
+	}
+	return vals
+}
+
+// TestRingAdoptFIFO queues values across grown segments, adopts a batch
+// behind them and pushes more behind that: everything drains in order,
+// through DequeueBatch calls whose ends fall inside segments.
+func TestRingAdoptFIFO(t *testing.T) {
+	r := New[int](256)
+	for i := 0; i < 100; i++ { // a 64-slot segment and a 128-slot one
+		r.TryEnqueue(i)
+	}
+	r.Adopt(adoptedSeqs(100, 150))
+	r.Adopt(nil)
+	for i := 250; i < 400; i++ {
+		r.Push(i)
+	}
+	if r.Len() != 400 {
+		t.Fatalf("Len() = %d, want 400", r.Len())
+	}
+	buf := make([]int, 37)
+	next := 0
+	for {
+		n := r.DequeueBatch(buf)
+		if n == 0 {
+			break
+		}
+		for _, v := range buf[:n] {
+			if v != next {
+				t.Fatalf("drained %d, want %d", v, next)
+			}
+			next++
+		}
+	}
+	if next != 400 || !r.Empty() {
+		t.Fatalf("drained %d of 400, Len() = %d", next, r.Len())
+	}
+}
+
+// TestRingAdoptDoesNotCopy: the ring drains the caller's own array and
+// zeroes each element as it goes, so nothing it dequeued stays pinned.
+func TestRingAdoptDoesNotCopy(t *testing.T) {
+	r := New[*int](8)
+	vals := make([]*int, 50)
+	for i := range vals {
+		vals[i] = new(int)
+	}
+	r.Adopt(vals)
+	if v, ok := r.TryDequeue(); !ok || v == nil {
+		t.Fatal("first adopted value missing")
+	}
+	for r.DequeueBatch(make([]*int, 16)) > 0 {
+	}
+	for i, v := range vals {
+		if v != nil {
+			t.Fatalf("vals[%d] still set after the drain: the ring copied the batch", i)
+		}
+	}
+}
+
+// TestRingAdoptAllocations: Adopt allocates the same — the adopted
+// segment's header and the fresh segment behind it — however long the
+// batch is.
+func TestRingAdoptAllocations(t *testing.T) {
+	bytes := func(n int) uint64 {
+		r := New[int](64)
+		vals := adoptedSeqs(0, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Adopt(vals)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// A copy of 65536 ints would be 512 KB; the slack absorbs whatever
+	// other goroutines allocate meanwhile.
+	small, large := bytes(1), bytes(1<<16)
+	if large > small+1024 {
+		t.Fatalf("Adopt allocated %d B for 1 value and %d B for 65536: it copies", small, large)
+	}
+	r := New[int](64)
+	vals := adoptedSeqs(0, 1<<16)
+	if allocs := testing.AllocsPerRun(1, func() { r.Adopt(vals) }); allocs > 3 {
+		t.Fatalf("Adopt: %.0f allocations, want the two segment headers and one slot array", allocs)
+	}
+}
+
+// TestRingAdoptedDrainStress races producer-side TryDequeue (drop-oldest
+// eviction) against the batch-draining consumer across adopted segments
+// interleaved with pushed values: every value comes out exactly once.
+// Run with -race.
+func TestRingAdoptedDrainStress(t *testing.T) {
+	const rounds, batch, pushes = 40, 500, 20
+	r := New[int](64)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var consumer, evictor []int
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		buf := make([]int, 32)
+		for {
+			n := r.DequeueBatch(buf)
+			consumer = append(consumer, buf[:n]...)
+			if n == 0 {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			if v, ok := r.TryDequeue(); ok {
+				evictor = append(evictor, v)
+				continue
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	next := 0
+	for round := 0; round < rounds; round++ {
+		r.Adopt(adoptedSeqs(next, batch))
+		next += batch
+		for i := 0; i < pushes; i++ {
+			r.Push(next)
+			next++
+		}
+	}
+	for !r.Empty() {
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	got := make([]int, next)
+	for _, v := range append(consumer, evictor...) {
+		got[v]++
+	}
+	for v, n := range got {
+		if n != 1 {
+			t.Fatalf("value %d came out %d times", v, n)
+		}
+	}
+	for i := 1; i < len(consumer); i++ {
+		if consumer[i] <= consumer[i-1] {
+			t.Fatalf("consumer saw %d after %d", consumer[i], consumer[i-1])
+		}
 	}
 }
 
