@@ -195,16 +195,8 @@ func (s *Store) recoverCutRef(id wire.StreamID, ref archive.Ref, floor uint64) (
 // shard's archiver. A full queue falls back to a synchronous drain
 // (counted in Stats.ArchiveSyncSpills) so backpressure never silently
 // drops history. Caller holds mu.
-func (s *Store) spillOldestColdLocked(sh *shard, r *ring, id wire.StreamID) {
-	b := r.cold[0]
-	r.coldBytes -= int64(len(b.data))
-	r.coldRaw -= b.rawBytes
-	r.coldCount -= int32(b.count)
-	n := len(r.cold)
-	copy(r.cold, r.cold[1:])
-	r.cold[n-1] = coldBlock{}
-	r.cold = r.cold[:n-1]
-
+func (s *Store) spillOldestColdLocked(sh *shard, t *tail, id wire.StreamID) {
+	b := t.popOldestCold()
 	as, ok := sh.archived[id]
 	if !ok {
 		as = &archStream{}

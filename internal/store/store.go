@@ -254,9 +254,10 @@ type StreamStats struct {
 	Bytes    int64 // their payload bytes as appended
 
 	// ResidentBytes estimates the stream's resident heap: the ring
-	// header, the hot slot array, payload arena and stage backing at
-	// capacity, staged payload bytes, and the sealed blocks' headers
-	// plus compressed data. Receiver names are interned process-wide
+	// header and the hot slot array at capacity and, once the stream
+	// owns one, the tail record with its payload arena and stage
+	// backing at capacity, staged payload bytes, and the sealed blocks'
+	// headers plus compressed data. Receiver names are interned process-wide
 	// and allocator rounding is not counted, so this is an estimate —
 	// but one that is comparable across streams and honest about lazy
 	// allocation (a forgotten or idle stream shows only its header).
@@ -373,24 +374,23 @@ func (sh *shard) recycleBufLocked(b []byte) {
 }
 
 // ring is one stream's retention state: a power-of-two circular buffer of
-// slots indexed by extended sequence, the arena their payloads live in,
-// plus the unwrap state that survives even when every entry has been
-// evicted.
+// slots indexed by extended sequence, plus the unwrap state and append
+// history that survive even when every entry has been evicted.
 //
 // There is one ring per stream the store has ever seen, so its layout is
-// the store's idle footprint: the slot mask is derived from len(slots)
-// (see slotMask) instead of stored, the counts are int32 (both are
-// bounded by ring/budget sizes far below 2³¹), and what every append
-// touches comes first, ahead of the cold tier's fields. The footprint
-// test pins header and one slot together.
+// the store's idle footprint. The header holds what every stream uses —
+// the slots, the window, the unwrap state and the append history — in the
+// order an append touches it, so it comes first and alone: it is all an
+// idle stream pays for. The arena and the cold tier, which only a stream
+// with payloads longer than a slot's or with a codec needs, sit in the
+// tail behind one pointer. The slot mask is derived from len(slots)
+// (see slotMask) instead of stored, and the wire sequence of lastExt is
+// its low 16 bits. The footprint test pins header and one slot together.
 type ring struct {
 	slots []slot
-	// arena holds the hot payloads too long for their slots, each such
-	// slot naming its own range; held counts the bytes still named, the
-	// rest of len(arena) is dead (evicted, sealed or replaced) until the
-	// next compaction.
-	arena []byte
-	held  int64
+	// tail is noTail until the stream first needs an arena or seals a
+	// block (ownTail); Forget hands it back.
+	tail *tail
 
 	// Retained window [minExt, maxExt], both present when count > 0.
 	// Entries inside the window may be holes (sequence gaps the radio
@@ -400,18 +400,11 @@ type ring struct {
 	bytes          int64
 
 	// lastExt is the highest extended sequence ever assigned (unwrap
-	// state, with lastWire below). Kept across Forget so a stream's
-	// addresses never move backwards.
+	// state). Kept across Forget so a stream's addresses never move
+	// backwards.
 	lastExt uint64
 
-	count     int32 // occupied hot slots
-	coldCount int32 // deliveries across cold
-	// largest is the longest payload put in the arena since the ring's
-	// backing was last released (creation or Forget): appending it beside
-	// a full window needs that much arena beyond the window's own bytes.
-	largest uint32
-	// lastWire is the wire sequence of lastExt (unwrap state).
-	lastWire wire.Seq
+	count int32 // occupied hot slots
 
 	// The stream's append history, whatever the window kept of it: how
 	// many deliveries were appended and the At of the first and the
@@ -419,6 +412,24 @@ type ring struct {
 	appended              int64
 	firstSec, latestSec   int64
 	firstNsec, latestNsec int32
+}
+
+// tail is the part of a ring most streams never use: the payload arena
+// and the cold tier. A ring that has not needed either points at noTail,
+// the shared zero tail, so every read goes through the pointer unguarded;
+// only ownTail's caller may write through it.
+type tail struct {
+	// arena holds the hot payloads too long for their slots, each such
+	// slot naming its own range; held counts the bytes still named, the
+	// rest of len(arena) is dead (evicted, sealed or replaced) until the
+	// next compaction.
+	arena []byte
+	held  int64
+	// largest is the longest payload put in the arena since the tail was
+	// allocated: appending it beside a full window needs that much arena
+	// beyond the window's own bytes.
+	largest   uint32
+	coldCount int32 // deliveries across cold
 
 	// Cold tier (compression enabled). Entries leave the hot ring oldest
 	// first into stage — a fixed-capacity slice whose spare elements park
@@ -433,6 +444,20 @@ type ring struct {
 	cold       []coldBlock
 	coldBytes  int64 // compressed bytes across cold
 	coldRaw    int64 // payload bytes those blocks represent
+}
+
+// noTail is the tail of every ring that owns none. It is shared, so it
+// must stay the zero value: nothing writes through r.tail without calling
+// ownTail first.
+var noTail = new(tail)
+
+// ownTail gives the ring a tail of its own, allocating it on first use,
+// and returns it for writing.
+func (r *ring) ownTail() *tail {
+	if r.tail == noTail {
+		r.tail = new(tail)
+	}
+	return r.tail
 }
 
 // slot is one hot-ring entry: a delivery packed with no pointer in it, so
@@ -474,7 +499,7 @@ func (r *ring) payloadLocked(e *slot) []byte {
 		return e.small[:e.size:e.size]
 	}
 	end := e.off() + int(e.size)
-	return r.arena[e.off():end:end]
+	return r.tail.arena[e.off():end:end]
 }
 
 // vacateLocked empties an occupied slot and returns its payload's length:
@@ -484,7 +509,7 @@ func (r *ring) vacateLocked(e *slot) int64 {
 	n := int64(e.size)
 	r.bytes -= n
 	if n > inlinePayload {
-		r.held -= n
+		r.tail.held -= n // an arena payload: the ring owns its tail
 	}
 	e.ext = 0
 	r.count--
@@ -580,7 +605,7 @@ func (s *Store) shardFor(id wire.StreamID) *shard {
 func (sh *shard) lookupSlowLocked(id wire.StreamID) *ring {
 	r, ok := sh.streams[id]
 	if !ok {
-		r = &ring{slots: make([]slot, minRingSize)}
+		r = &ring{slots: make([]slot, minRingSize), tail: noTail}
 		sh.streams[id] = r
 	}
 	sh.lastID, sh.last = id, r
@@ -639,18 +664,16 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	if r.lastExt == 0 && sh.archived != nil {
 		if as := sh.archived[d.Msg.Stream]; as != nil {
 			if last := as.lastSeqLocked(); last > 0 {
-				r.lastExt, r.lastWire = last, wire.Seq(last)
+				r.lastExt = last
 			}
 		}
 	}
 	if r.lastExt == 0 {
 		ext = extBase + uint64(d.Msg.Seq)
 	} else {
-		ext = uint64(int64(r.lastExt) + int64(r.lastWire.Distance(d.Msg.Seq)))
+		ext = uint64(int64(r.lastExt) + int64(wire.Seq(r.lastExt).Distance(d.Msg.Seq)))
 	}
-	if ext > r.lastExt {
-		r.lastExt, r.lastWire = ext, d.Msg.Seq
-	}
+	r.lastExt = max(r.lastExt, ext)
 
 	if r.count > 0 && ext < r.minExt {
 		sh.droppedBehind++
@@ -720,10 +743,10 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	if len(p) <= inlinePayload {
 		copy(e.small[:], p)
 	} else {
-		r.reserveLocked(sh, len(p))
-		e.setOff(len(r.arena))
-		r.arena = append(r.arena, p...)
-		r.held += int64(len(p))
+		t := r.reserveLocked(sh, len(p))
+		e.setOff(len(t.arena))
+		t.arena = append(t.arena, p...)
+		t.held += int64(len(p))
 	}
 	e.ext = ext
 	r.count++
@@ -770,28 +793,32 @@ func (r *ring) growLocked(size int) {
 	}
 }
 
-// reserveLocked makes room for n more payload bytes at the arena's end. A
-// full arena is compacted — into the same array while that leaves a
-// quarter of it free, so a ring at its bound recycles one array for ever,
-// whatever its payloads' size; else into a new one with room for the live
-// bytes twice over. Caller holds mu.
-func (r *ring) reserveLocked(sh *shard, n int) {
-	r.largest = max(r.largest, uint32(n))
-	switch live := int(r.held); {
-	case len(r.arena)+n <= cap(r.arena):
-	case 4*(live+n) > 3*cap(r.arena):
+// reserveLocked makes room for n more payload bytes at the end of the
+// arena, in the ring's own tail, which it returns. A full arena is
+// compacted — into the same array while that leaves a quarter of it free,
+// so a ring at its bound recycles one array for ever, whatever its
+// payloads' size; else into a new one with room for the live bytes twice
+// over. Caller holds mu.
+func (r *ring) reserveLocked(sh *shard, n int) *tail {
+	t := r.ownTail()
+	t.largest = max(t.largest, uint32(n))
+	switch live := int(t.held); {
+	case len(t.arena)+n <= cap(t.arena):
+	case 4*(live+n) > 3*cap(t.arena):
 		r.packLocked(sh, make([]byte, 2*live+n))
 	default:
-		r.packLocked(sh, r.arena[:cap(r.arena)])
+		r.packLocked(sh, t.arena[:cap(t.arena)])
 	}
+	return t
 }
 
 // trimArenaLocked gives back arena capacity the window has shrunk away
 // from, which bounds it on every path: cap(arena) ≤ 2·held + largest +
-// arenaSlack once an append or eviction returns. Caller holds mu.
+// arenaSlack once an append or eviction returns. noTail never trims: its
+// arena has no capacity. Caller holds mu.
 func (r *ring) trimArenaLocked(sh *shard) {
-	if live := int(r.held); cap(r.arena) > 2*live+int(r.largest)+arenaSlack {
-		r.packLocked(sh, make([]byte, 2*live))
+	if t := r.tail; cap(t.arena) > 2*int(t.held)+int(t.largest)+arenaSlack {
+		r.packLocked(sh, make([]byte, 2*t.held))
 	}
 }
 
@@ -800,8 +827,8 @@ func (r *ring) trimArenaLocked(sh *shard) {
 // payload is moved once, lowest offset first, so a move never lands on
 // bytes still to be moved. Payloads lie in arrival order, which is slot
 // order from the window's low end unless a late fill or a replacement
-// arrived out of sequence; only then is there anything to sort. Caller
-// holds mu.
+// arrived out of sequence; only then is there anything to sort. The ring
+// owns its tail. Caller holds mu.
 func (r *ring) packLocked(sh *shard, dst []byte) {
 	order, mask := sh.packOrder[:0], r.slotMask()
 	last, sorted := 0, true
@@ -823,7 +850,7 @@ func (r *ring) packLocked(sh *shard, dst []byte) {
 		e.setOff(n)
 		n += copy(dst[n:], p)
 	}
-	sh.packOrder, r.arena = order, dst[:n]
+	sh.packOrder, r.tail.arena = order, dst[:n]
 }
 
 // oldestLocked returns the lowest occupied extended sequence. It never
@@ -869,86 +896,91 @@ func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 // compressed block. The entry stays retained throughout — the shard
 // gauges do not move. Caller holds mu.
 func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
-	if r.stage == nil {
-		r.stage = make([]filtering.Delivery, 0, s.blockSize)
+	t := r.ownTail()
+	if t.stage == nil {
+		t.stage = make([]filtering.Delivery, 0, s.blockSize)
 	}
 	ext := r.oldestLocked()
 	e := &r.slots[ext&r.slotMask()]
-	n := len(r.stage)
-	r.stage = r.stage[:n+1]
-	st := &r.stage[n]
+	n := len(t.stage)
+	t.stage = t.stage[:n+1]
+	st := &t.stage[n]
 	parked := st.Msg.Payload
 	*st = r.deliveryLocked(id, e)
 	st.Msg.Payload = append(parked[:0], st.Msg.Payload...)
-	r.stageBytes += r.vacateLocked(e)
+	t.stageBytes += r.vacateLocked(e)
 	r.minExt = ext + 1
 	if r.count == 0 {
 		r.minExt, r.maxExt = 0, 0
 	}
-	if len(r.stage) == cap(r.stage) {
-		s.sealStageLocked(sh, r, id)
+	if len(t.stage) == cap(t.stage) {
+		s.sealStageLocked(sh, t, id)
 	}
 }
 
 // sealStageLocked encodes the staged entries into one immutable cold
 // block (into a recycled buffer when one is parked) and enforces the
 // per-stream compressed-bytes budget. Caller holds mu.
-func (s *Store) sealStageLocked(sh *shard, r *ring, id wire.StreamID) {
-	if len(r.stage) == 0 {
-		return
-	}
-	c := s.picker(r.stage)
-	data := c.Encode(sh.blockBufLocked(), r.stage)
+func (s *Store) sealStageLocked(sh *shard, t *tail, id wire.StreamID) {
+	c := s.picker(t.stage)
+	data := c.Encode(sh.blockBufLocked(), t.stage)
 	b := coldBlock{
 		codec:    c.ID(),
-		firstSeq: r.stage[0].StoreSeq,
-		lastSeq:  r.stage[len(r.stage)-1].StoreSeq,
-		count:    len(r.stage),
-		rawBytes: r.stageBytes,
-		lastUnix: r.stage[len(r.stage)-1].At.UnixNano(),
+		firstSeq: t.stage[0].StoreSeq,
+		lastSeq:  t.stage[len(t.stage)-1].StoreSeq,
+		count:    len(t.stage),
+		rawBytes: t.stageBytes,
+		lastUnix: t.stage[len(t.stage)-1].At.UnixNano(),
 		data:     data,
 	}
-	r.cold = append(r.cold, b)
-	r.coldBytes += int64(len(data))
-	r.coldRaw += b.rawBytes
-	r.coldCount += int32(b.count)
+	t.cold = append(t.cold, b)
+	t.coldBytes += int64(len(data))
+	t.coldRaw += b.rawBytes
+	t.coldCount += int32(b.count)
 	sh.sealedBlocks++
 	sh.sealedMsgs += int64(b.count)
-	r.stage = r.stage[:0] // spare elements keep their payload buffers
-	r.stageBytes = 0
-	for len(r.cold) > 1 && r.coldBytes > s.coldBudget {
+	t.stage = t.stage[:0] // spare elements keep their payload buffers
+	t.stageBytes = 0
+	for len(t.cold) > 1 && t.coldBytes > s.coldBudget {
 		if s.arch != nil {
-			s.spillOldestColdLocked(sh, r, id)
+			s.spillOldestColdLocked(sh, t, id)
 		} else {
-			sh.dropOldestColdLocked(r, &sh.evictedCold)
+			sh.dropOldestColdLocked(t, &sh.evictedCold)
 		}
 	}
 }
 
+// popOldestCold removes the oldest cold block from t's bookkeeping and
+// returns it; t holds at least one.
+func (t *tail) popOldestCold() coldBlock {
+	b := t.cold[0]
+	t.coldBytes -= int64(len(b.data))
+	t.coldRaw -= b.rawBytes
+	t.coldCount -= int32(b.count)
+	n := len(t.cold)
+	copy(t.cold, t.cold[1:])
+	t.cold[n-1] = coldBlock{}
+	t.cold = t.cold[:n-1]
+	return b
+}
+
 // dropOldestColdLocked drops the oldest cold block, crediting its entries
 // to *reason and recycling its buffer. Caller holds mu.
-func (sh *shard) dropOldestColdLocked(r *ring, reason *int64) {
-	b := &r.cold[0]
-	r.coldBytes -= int64(len(b.data))
-	r.coldRaw -= b.rawBytes
-	r.coldCount -= int32(b.count)
+func (sh *shard) dropOldestColdLocked(t *tail, reason *int64) {
+	b := t.popOldestCold()
 	sh.retainedMessages.Add(-int64(b.count))
 	sh.retainedBytes.Add(-b.rawBytes)
 	*reason += int64(b.count)
 	sh.recycleBufLocked(b.data)
-	n := len(r.cold)
-	copy(r.cold, r.cold[1:])
-	r.cold[n-1] = coldBlock{}
-	r.cold = r.cold[:n-1]
 }
 
 // evictAllLocked empties every tier of the ring, crediting *reason per
 // entry. Caller holds mu.
 func (sh *shard) evictAllLocked(r *ring, reason *int64) {
-	for len(r.cold) > 0 {
-		sh.dropOldestColdLocked(r, reason)
+	for len(r.tail.cold) > 0 {
+		sh.dropOldestColdLocked(r.tail, reason)
 	}
-	sh.dropStagePrefixLocked(r, len(r.stage), reason)
+	sh.dropStagePrefixLocked(r.tail, len(r.tail.stage), reason)
 	for r.count > 0 {
 		sh.dropLowestLocked(r, reason)
 	}
@@ -958,23 +990,23 @@ func (sh *shard) evictAllLocked(r *ring, reason *int64) {
 // *reason per entry. Survivors shift down by swapping, so the dropped
 // elements' payload buffers stay parked in the spare capacity for reuse.
 // Caller holds mu.
-func (sh *shard) dropStagePrefixLocked(r *ring, k int, reason *int64) {
+func (sh *shard) dropStagePrefixLocked(t *tail, k int, reason *int64) {
 	if k <= 0 {
 		return
 	}
-	n := len(r.stage)
+	n := len(t.stage)
 	var freed int64
 	for i := 0; i < k; i++ {
-		freed += int64(len(r.stage[i].Msg.Payload))
+		freed += int64(len(t.stage[i].Msg.Payload))
 	}
-	r.stageBytes -= freed
+	t.stageBytes -= freed
 	sh.retainedMessages.Add(-int64(k))
 	sh.retainedBytes.Add(-freed)
 	*reason += int64(k)
 	for i := k; i < n; i++ {
-		r.stage[i-k], r.stage[i] = r.stage[i], r.stage[i-k]
+		t.stage[i-k], t.stage[i] = t.stage[i], t.stage[i-k]
 	}
-	r.stage = r.stage[:n-k]
+	t.stage = t.stage[:n-k]
 }
 
 // LastSeq returns the highest extended sequence ever assigned on the
@@ -1020,11 +1052,11 @@ func (s *Store) FirstSeq(id wire.StreamID) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	switch {
-	case len(r.cold) > 0:
-		return r.cold[0].firstSeq, true
-	case len(r.stage) > 0:
-		return r.stage[0].StoreSeq, true
+	switch t := r.tail; {
+	case len(t.cold) > 0:
+		return t.cold[0].firstSeq, true
+	case len(t.stage) > 0:
+		return t.stage[0].StoreSeq, true
 	case r.count > 0:
 		return r.oldestLocked(), true
 	}
@@ -1095,15 +1127,16 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp spa
 		}
 	}
 	r, ok := sh.streams[id]
-	if !ok || !walkBlocks(r.cold, from, to, block) {
+	if !ok || !walkBlocks(r.tail.cold, from, to, block) {
 		return
 	}
-	for i := range r.stage {
-		seq := r.stage[i].StoreSeq
+	stage := r.tail.stage
+	for i := range stage {
+		seq := stage[i].StoreSeq
 		if seq < from {
 			continue
 		}
-		if seq > to || !entry(r.stage[i]) {
+		if seq > to || !entry(stage[i]) {
 			return
 		}
 	}
@@ -1401,17 +1434,18 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	if !ok {
 		return int(sh.forgotten - before)
 	}
-	for len(r.cold) > 0 && r.cold[0].lastSeq < upto {
-		sh.dropOldestColdLocked(r, &sh.forgotten)
+	t := r.tail
+	for len(t.cold) > 0 && t.cold[0].lastSeq < upto {
+		sh.dropOldestColdLocked(t, &sh.forgotten)
 	}
-	if len(r.cold) > 0 && r.cold[0].firstSeq < upto {
-		s.splitColdBlockLocked(sh, r, upto)
+	if len(t.cold) > 0 && t.cold[0].firstSeq < upto {
+		s.splitColdBlockLocked(sh, t, upto)
 	}
 	k := 0
-	for k < len(r.stage) && r.stage[k].StoreSeq < upto {
+	for k < len(t.stage) && t.stage[k].StoreSeq < upto {
 		k++
 	}
-	sh.dropStagePrefixLocked(r, k, &sh.forgotten)
+	sh.dropStagePrefixLocked(t, k, &sh.forgotten)
 	for r.count > 0 && r.oldestLocked() < upto {
 		sh.dropLowestLocked(r, &sh.forgotten)
 	}
@@ -1423,8 +1457,8 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 // entries at or above upto: decode, re-encode the survivors (the encoder
 // reads from decode scratch, so it can write straight into the old
 // buffer), credit the dropped prefix to Forgotten. Caller holds mu.
-func (s *Store) splitColdBlockLocked(sh *shard, r *ring, upto uint64) {
-	b := &r.cold[0]
+func (s *Store) splitColdBlockLocked(sh *shard, t *tail, upto uint64) {
+	b := &t.cold[0]
 	c, ok := codec.ByID(b.codec)
 	if !ok {
 		return
@@ -1448,7 +1482,7 @@ func (s *Store) splitColdBlockLocked(sh *shard, r *ring, upto uint64) {
 	}
 	if len(survivors) == 0 {
 		decodePool.Put(ds)
-		sh.dropOldestColdLocked(r, &sh.forgotten)
+		sh.dropOldestColdLocked(t, &sh.forgotten)
 		return
 	}
 	oldLen := int64(len(b.data))
@@ -1458,9 +1492,9 @@ func (s *Store) splitColdBlockLocked(sh *shard, r *ring, upto uint64) {
 	b.firstSeq = survivors[0].StoreSeq
 	b.count = len(survivors)
 	b.rawBytes -= droppedRaw
-	r.coldBytes += int64(len(b.data)) - oldLen
-	r.coldRaw -= droppedRaw
-	r.coldCount -= int32(dropped)
+	t.coldBytes += int64(len(b.data)) - oldLen
+	t.coldRaw -= droppedRaw
+	t.coldCount -= int32(dropped)
 	sh.retainedMessages.Add(-int64(dropped))
 	sh.retainedBytes.Add(-droppedRaw)
 	sh.forgotten += int64(dropped)
@@ -1473,9 +1507,9 @@ func (s *Store) splitColdBlockLocked(sh *shard, r *ring, upto uint64) {
 // calls this when it evicts an unclaimed stream, so Forget is the moment
 // a dead stream's memory must actually return to the heap: the slot ring,
 // payload arena, seal stage and cold-block slice (with their parked
-// payload buffers) are released, not just emptied, leaving only the ring
-// header behind the unwrap state. A resumed stream re-materialises its
-// ring in appendLocked.
+// payload buffers) are released, not just emptied, with the tail that
+// held them, leaving only the ring header behind the unwrap state. A
+// resumed stream re-materialises its ring in appendLocked.
 func (s *Store) Forget(id wire.StreamID) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -1490,9 +1524,9 @@ func (s *Store) Forget(id wire.StreamID) int {
 	if !ok {
 		return n
 	}
-	n += int(r.count) + len(r.stage) + int(r.coldCount)
+	n += int(r.count) + len(r.tail.stage) + int(r.tail.coldCount)
 	sh.evictAllLocked(r, &sh.forgotten)
-	r.slots, r.arena, r.largest, r.stage, r.cold = nil, nil, 0, nil, nil
+	r.slots, r.tail = nil, noTail
 	return n
 }
 
@@ -1591,38 +1625,42 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		}
 		return st, true
 	}
+	t := r.tail
 	st := StreamStats{
 		Stream:       id,
-		NextWire:     r.lastWire + 1,
-		Count:        int(r.count) + len(r.stage) + int(r.coldCount),
-		Bytes:        r.bytes + r.stageBytes + r.coldRaw,
-		ColdBlocks:   len(r.cold),
-		ColdMessages: int(r.coldCount),
-		ColdBytes:    r.coldBytes,
-		ColdRawBytes: r.coldRaw,
+		NextWire:     wire.Seq(r.lastExt) + 1,
+		Count:        int(r.count) + len(t.stage) + int(t.coldCount),
+		Bytes:        r.bytes + t.stageBytes + t.coldRaw,
+		ColdBlocks:   len(t.cold),
+		ColdMessages: int(t.coldCount),
+		ColdBytes:    t.coldBytes,
+		ColdRawBytes: t.coldRaw,
 	}
 	const (
 		headerSize = int64(unsafe.Sizeof(ring{}))
 		slotSize   = int64(unsafe.Sizeof(slot{}))
+		tailSize   = int64(unsafe.Sizeof(tail{}))
 		stagedSize = int64(unsafe.Sizeof(filtering.Delivery{}))
 		blockSize  = int64(unsafe.Sizeof(coldBlock{}))
 	)
-	st.ResidentBytes = headerSize +
-		int64(cap(r.slots))*slotSize + int64(cap(r.arena)) +
-		int64(cap(r.stage))*stagedSize + r.stageBytes +
-		int64(cap(r.cold))*blockSize + r.coldBytes
-	if n := len(r.cold); n > 0 {
-		if c, ok := codec.ByID(r.cold[n-1].codec); ok {
+	st.ResidentBytes = headerSize + int64(cap(r.slots))*slotSize
+	if t != noTail {
+		st.ResidentBytes += tailSize + int64(cap(t.arena)) +
+			int64(cap(t.stage))*stagedSize + t.stageBytes +
+			int64(cap(t.cold))*blockSize + t.coldBytes
+	}
+	if n := len(t.cold); n > 0 {
+		if c, ok := codec.ByID(t.cold[n-1].codec); ok {
 			st.Codec = c.Name()
 		}
 	}
 	if r.count > 0 {
 		st.LastSeq = r.maxExt
 		switch {
-		case len(r.cold) > 0:
-			st.FirstSeq = r.cold[0].firstSeq
-		case len(r.stage) > 0:
-			st.FirstSeq = r.stage[0].StoreSeq
+		case len(t.cold) > 0:
+			st.FirstSeq = t.cold[0].firstSeq
+		case len(t.stage) > 0:
+			st.FirstSeq = t.stage[0].StoreSeq
 		default:
 			st.FirstSeq = r.oldestLocked()
 		}
@@ -1678,9 +1716,9 @@ func (s *Store) Stats() Stats {
 			if r.count > 0 {
 				st.Streams++
 			}
-			st.ColdBlocks += len(r.cold)
-			st.ColdBytes += r.coldBytes
-			st.ColdRawBytes += r.coldRaw
+			st.ColdBlocks += len(r.tail.cold)
+			st.ColdBytes += r.tail.coldBytes
+			st.ColdRawBytes += r.tail.coldRaw
 		}
 		st.RetainedMessages += sh.retainedMessages.Value()
 		st.RetainedBytes += sh.retainedBytes.Value()

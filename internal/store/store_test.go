@@ -315,12 +315,12 @@ func watchArena(s *Store, id wire.StreamID) *arenaWatch {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return &arenaWatch{sh: sh, r: sh.streams[id], last: len(sh.streams[id].arena)}
+	return &arenaWatch{sh: sh, r: sh.streams[id], last: len(sh.streams[id].tail.arena)}
 }
 
 func (w *arenaWatch) observe() {
 	w.sh.mu.Lock()
-	n := len(w.r.arena)
+	n := len(w.r.tail.arena)
 	w.sh.mu.Unlock()
 	if n < w.last {
 		w.compactions++
@@ -568,7 +568,7 @@ func TestForgetReleasesBacking(t *testing.T) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	r := sh.streams[id]
-	populated := len(r.slots) > 0 && len(r.arena) > 0 && len(r.cold) > 0
+	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.cold) > 0
 	sh.mu.Unlock()
 	if !populated {
 		t.Fatal("setup did not populate hot ring and cold tier")
@@ -576,9 +576,9 @@ func TestForgetReleasesBacking(t *testing.T) {
 	s.Forget(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if r.slots != nil || r.arena != nil || r.stage != nil || r.cold != nil {
+	if r.slots != nil || r.tail != noTail {
 		t.Fatalf("Forget kept backing: slots=%d arena=%d stage=%d cold=%d",
-			len(r.slots), cap(r.arena), len(r.stage), len(r.cold))
+			len(r.slots), cap(r.tail.arena), len(r.tail.stage), len(r.tail.cold))
 	}
 	if r.lastExt == 0 {
 		t.Fatal("Forget lost the unwrap state")
@@ -685,12 +685,13 @@ func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 			}
 		}
 	}
-	if count != r.count || live != r.bytes || held != r.held || held > int64(len(r.arena)) {
+	arena := r.tail.arena
+	if count != r.count || live != r.bytes || held != r.tail.held || held > int64(len(arena)) {
 		t.Fatalf("stream %v: slots hold %d entries/%d B, %d B of them in the arena; ring says %d/%d, %d of the arena's %d B",
-			id, count, live, held, r.count, r.bytes, r.held, len(r.arena))
+			id, count, live, held, r.count, r.bytes, r.tail.held, len(arena))
 	}
-	if bound := 2*int(held) + largest + arenaSlack; cap(r.arena) > bound {
-		t.Fatalf("stream %v: arena cap %d for %d live bytes (largest payload %d): bound %d", id, cap(r.arena), held, largest, bound)
+	if bound := 2*int(held) + largest + arenaSlack; cap(arena) > bound {
+		t.Fatalf("stream %v: arena cap %d for %d live bytes (largest payload %d): bound %d", id, cap(arena), held, largest, bound)
 	}
 }
 
@@ -733,18 +734,18 @@ func TestArenaPacksOutOfSequenceInPlace(t *testing.T) {
 	sh := s.shardFor(id)
 	r := sh.streams[id]
 	sh.mu.Lock()
-	r.packLocked(sh, r.arena[:cap(r.arena)])
+	r.packLocked(sh, r.tail.arena[:cap(r.tail.arena)])
 	sh.mu.Unlock()
 	check("packed after the top-down fill")
 
 	inPlace := 0
 	for seq := window; seq < 12*window; seq++ {
-		before, base := len(r.arena), unsafe.SliceData(r.arena)
+		before, base := len(r.tail.arena), unsafe.SliceData(r.tail.arena)
 		put(seq, 17+seq%50)
 		if seq%7 == 0 {
 			put(seq-window/2, 100-seq%60) // replace one mid-window, another length
 		}
-		if len(r.arena) < before && unsafe.SliceData(r.arena) == base {
+		if len(r.tail.arena) < before && unsafe.SliceData(r.tail.arena) == base {
 			inPlace++
 		}
 		check(fmt.Sprint("after seq ", seq))
@@ -777,7 +778,7 @@ func TestArenaStaysBounded(t *testing.T) {
 	}
 	put(40, time.Hour) // everything before it ages out
 	if st, _ := s.StreamStats(id); st.Count != 1 ||
-		st.ResidentBytes > int64(unsafe.Sizeof(ring{}))+64*int64(unsafe.Sizeof(slot{}))+2*40+40+arenaSlack {
+		st.ResidentBytes > int64(unsafe.Sizeof(ring{})+unsafe.Sizeof(tail{}))+64*int64(unsafe.Sizeof(slot{}))+2*40+40+arenaSlack {
 		t.Fatalf("after the age eviction the stream holds %d entries in %d resident bytes", st.Count, st.ResidentBytes)
 	}
 	for i := 0; i < 100; i++ { // one huge payload among small ones
