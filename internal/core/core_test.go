@@ -385,13 +385,14 @@ func TestInjectReceptionAllocs(t *testing.T) {
 
 // TestIdleSensorFootprint holds the resident cost of a sensor that sent one
 // message ever — the dominant population of a large field: its filter
-// state, store header and slot, and their map entries; the dispatcher
-// keeps no per-stream record. The census reads about 271 B: the 320 B
-// ceiling absorbs allocator noise, and a structural regression such as a
-// second per-stream record, or a store tail allocated for every stream,
-// does not fit under it.
+// state and store header, each in place in its layer's table with an
+// index entry, and the store's slot; the dispatcher keeps no per-stream
+// record. The census reads about 217 B: the 240 B ceiling absorbs
+// allocator noise, and a structural regression such as a second
+// per-stream record, or a store tail allocated for every stream, does not
+// fit under it.
 func TestIdleSensorFootprint(t *testing.T) {
-	const sensors, ceiling = 100_000, 320
+	const sensors, ceiling = 100_000, 240
 	clock := sim.NewVirtualClock(epoch)
 	d := New(Config{Clock: clock, Secret: []byte("s")})
 	defer d.Stop()

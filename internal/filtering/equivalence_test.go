@@ -69,7 +69,7 @@ func TestShardedMatchesSingleTableProperty(t *testing.T) {
 		run := func(shards int) (map[wire.StreamID][]wire.Seq, Stats) {
 			var out []Delivery
 			f := New(func(d Delivery) { out = append(out, d) },
-				Options{WindowSize: 64, Shards: shards})
+				Options{windowSize: 64, Shards: shards})
 			for _, rc := range plan {
 				f.Ingest(rc)
 			}
@@ -129,7 +129,7 @@ func TestShardedReorderMatchesSingleTable(t *testing.T) {
 		clock := sim.NewVirtualClock(epoch)
 		var out []Delivery
 		f := New(func(d Delivery) { out = append(out, d) }, Options{
-			WindowSize: 64, Shards: shards,
+			windowSize: 64, Shards: shards,
 			ReorderWindow: 10 * time.Millisecond, Clock: clock,
 		})
 		for _, rc := range plan {

@@ -19,9 +19,9 @@
 // same key the dispatcher shards on — with shard-local mutexes, counters
 // and reorder timers, so receptions on streams of different sensors never
 // contend. The hot path is allocation-free at steady state: stream state
-// is found through a shard-local single-entry cache before the map,
-// counters are plain ints under the shard mutex, and reorder scratch
-// storage is pooled.
+// sits in place in the shard's streamtab.Table, found through its
+// single-entry last-hit cache before its index, counters are plain ints
+// under the shard mutex, and reorder scratch storage is pooled.
 //
 // Receivers may hand the filter receptions whose payload aliases a leased
 // frame buffer (Reception.Borrowed); the filter detaches (copies) the
@@ -71,13 +71,14 @@ const DefaultShards = 16
 // Options configures a Filter. The zero value uses DefaultWindowSize,
 // DefaultShards and no reordering.
 type Options struct {
-	// WindowSize is the per-stream duplicate window in sequence numbers;
+	// windowSize is the per-stream duplicate window in sequence numbers;
 	// it is rounded up to a power of two (minimum 64, maximum 65536, the
 	// sequence space) so the circular bitmap indexes with a mask. 0 means
-	// DefaultWindowSize.
-	WindowSize int
+	// DefaultWindowSize. Only tests set it, to reach the window's edges
+	// with short sequences.
+	windowSize int
 	// Shards partitions the per-stream filter state; <= 0 selects
-	// DefaultShards. 1 restores the historical single-table behaviour.
+	// DefaultShards. Every shard has its own lock, table and counters.
 	Shards int
 	// ReorderWindow, when positive, holds each message for at most this
 	// long and releases messages in sequence order. Clock must be set.
@@ -112,10 +113,10 @@ func New(sink func(Delivery), opts Options) *Filter {
 	if sink == nil {
 		panic("filtering: nil sink")
 	}
-	if opts.WindowSize <= 0 {
-		opts.WindowSize = DefaultWindowSize
+	if opts.windowSize <= 0 {
+		opts.windowSize = DefaultWindowSize
 	}
-	opts.WindowSize = ceilPow2(opts.WindowSize)
+	opts.windowSize = ceilPow2(opts.windowSize)
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
@@ -143,16 +144,30 @@ type pendingEntry struct {
 	release time.Time
 }
 
-// streamFilter is one stream's duplicate/reorder state: what the screen
-// needs and nothing it does not, since the filter holds one for every
-// stream ever heard. Field order is deliberate — pointers and slices
-// first, then the small scalars — so the struct packs into 48 bytes (a
-// footprint test pins the ceiling). It keeps no per-stream counts or
-// times: which streams exist, how many messages each published and when
-// is the Stream Store's record.
+// streamFilter is one stream's duplicate/reorder state. The filter holds
+// one for every stream ever heard, in place in its shard's table, so it
+// keeps only what the screen of an in-order stream needs and packs into
+// 16 bytes (a footprint test pins them): the contiguous seen range and one
+// pointer to the rest, which only a stream that leaves the in-order
+// regime or holds a message for reordering allocates. It holds no shard
+// pointer — every caller reaches it through its shard and passes that in
+// — and no per-stream counts or times: which streams exist, how many
+// messages each published and when is the Stream Store's record.
 type streamFilter struct {
-	sh *shard
+	// rest is nil until the stream first needs a bitmap or a hold.
+	rest *filterRest
 
+	// span is the length of the contiguous seen range ending at base,
+	// clamped to the window size; meaningful only while rest.window is
+	// nil.
+	span      int32
+	base      wire.Seq // highest sequence seen, in serial order
+	initiated bool
+}
+
+// filterRest is the part of a stream's filter state an in-order stream
+// without reordering never allocates.
+type filterRest struct {
 	// window is a circular seen-bitmap over the last len(window)*64
 	// sequence numbers: the bit for sequence s lives at position
 	// s mod size (size is a power of two dividing the 16-bit sequence
@@ -171,12 +186,14 @@ type streamFilter struct {
 	// ro is the reorder stage's state, allocated on the stream's first
 	// hold: nil without ReorderWindow, and nil again once Flush drains it.
 	ro *reorder
+}
 
-	// span is the length of the contiguous seen range ending at base,
-	// clamped to the window size; meaningful only while window is nil.
-	span      int32
-	base      wire.Seq // highest sequence seen, in serial order
-	initiated bool
+// ownRest gives the stream its rest, allocating it on first use.
+func (sf *streamFilter) ownRest() *filterRest {
+	if sf.rest == nil {
+		sf.rest = new(filterRest)
+	}
+	return sf.rest
 }
 
 // reorder is one stream's reorder-stage state (ReorderWindow > 0):
@@ -186,7 +203,14 @@ type streamFilter struct {
 // releasing serialises timer fires per stream: a second fire while one is
 // mid-sink would otherwise deliver later sequences before earlier ones on
 // a real clock (AfterFunc callbacks run on independent goroutines).
+//
+// The release timer reaches the state through this object and its own
+// shard, never through the stream's table record: Forget frees the record
+// for the next new stream in the shard, so a fire already under way when
+// Forget ran would otherwise act on another stream's state. Detached by
+// Forget, the object has nothing pending, and such a fire does nothing.
 type reorder struct {
+	sh        *shard
 	pending   []pendingEntry
 	timer     sim.Timer
 	releasing bool
@@ -214,11 +238,11 @@ func (f *Filter) Ingest(rc receiver.Reception) {
 func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool) {
 	f := sh.f
 	sh.received++
-	sf := sh.last
-	if sf == nil || sh.lastID != rc.Msg.Stream {
-		sf = sh.lookupSlowLocked(rc.Msg.Stream)
+	sf := sh.tab.Get(rc.Msg.Stream)
+	if sf == nil {
+		sf = sh.tab.Add(rc.Msg.Stream)
 	}
-	if !sf.accept(rc.Msg.Seq) {
+	if !sf.accept(sh, rc.Msg.Seq) {
 		return Delivery{}, false
 	}
 	msg := rc.Msg
@@ -230,7 +254,7 @@ func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool)
 	d = Delivery{Msg: msg, At: rc.At, Receiver: rc.Receiver, RSSI: rc.RSSI}
 
 	if f.opts.ReorderWindow > 0 {
-		sf.holdLocked(d, rc.At.Add(f.opts.ReorderWindow))
+		sf.holdLocked(sh, d, rc.At.Add(f.opts.ReorderWindow))
 		return Delivery{}, false
 	}
 	sh.delivered++
@@ -238,16 +262,16 @@ func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool)
 }
 
 // bitPos locates seq's bit in the circular bitmap. Called with sh.mu held.
-func (sf *streamFilter) bitPos(seq wire.Seq) (word int, mask uint64) {
-	i := uint32(seq) & uint32(len(sf.window)*64-1)
+func (rs *filterRest) bitPos(seq wire.Seq) (word int, mask uint64) {
+	i := uint32(seq) & uint32(len(rs.window)*64-1)
 	return int(i >> 6), 1 << (i & 63)
 }
 
 // clearRange marks count consecutive sequence positions starting at from
 // as unseen, clearing whole 64-bit words where the circular range spans
 // them (count must be < the window size). Called with sh.mu held.
-func (sf *streamFilter) clearRange(from wire.Seq, count int) {
-	size := len(sf.window) * 64
+func (rs *filterRest) clearRange(from wire.Seq, count int) {
+	size := len(rs.window) * 64
 	i := int(uint32(from) & uint32(size-1))
 	for count > 0 {
 		off := i & 63
@@ -258,7 +282,7 @@ func (sf *streamFilter) clearRange(from wire.Seq, count int) {
 		// n bits starting at off; off+n <= 64, and n == 64 yields a
 		// full-word mask.
 		mask := (^uint64(0) >> (64 - n)) << off
-		sf.window[i>>6] &^= mask
+		rs.window[i>>6] &^= mask
 		count -= n
 		if i += n; i == size {
 			i = 0
@@ -269,8 +293,8 @@ func (sf *streamFilter) clearRange(from wire.Seq, count int) {
 // setRange marks count consecutive sequence positions starting at from as
 // seen — clearRange's dual, used when materialising a lazy window.
 // Called with sh.mu held.
-func (sf *streamFilter) setRange(from wire.Seq, count int) {
-	size := len(sf.window) * 64
+func (rs *filterRest) setRange(from wire.Seq, count int) {
+	size := len(rs.window) * 64
 	i := int(uint32(from) & uint32(size-1))
 	for count > 0 {
 		off := i & 63
@@ -279,7 +303,7 @@ func (sf *streamFilter) setRange(from wire.Seq, count int) {
 			n = count
 		}
 		mask := (^uint64(0) >> (64 - n)) << off
-		sf.window[i>>6] |= mask
+		rs.window[i>>6] |= mask
 		count -= n
 		if i += n; i == size {
 			i = 0
@@ -290,9 +314,10 @@ func (sf *streamFilter) setRange(from wire.Seq, count int) {
 // materialize allocates the bitmap for a stream leaving the contiguous
 // regime, reproducing exactly the bits the eager code would have set: the
 // last span in-order sequences ending at base. Called with sh.mu held.
-func (sf *streamFilter) materialize() {
-	sf.window = make([]uint64, sf.sh.f.opts.WindowSize/64)
-	sf.setRange(sf.base-wire.Seq(sf.span)+1, int(sf.span))
+func (sf *streamFilter) materialize(sh *shard) {
+	rs := sf.ownRest()
+	rs.window = make([]uint64, sh.f.opts.windowSize/64)
+	rs.setRange(sf.base-wire.Seq(sf.span)+1, int(sf.span))
 }
 
 // acceptLazy runs the duplicate screen while the stream has no bitmap —
@@ -302,8 +327,8 @@ func (sf *streamFilter) materialize() {
 // caller materialises the bitmap and reruns the eager path, which then
 // makes the identical decision the eager code always made. Called with
 // sh.mu held.
-func (sf *streamFilter) acceptLazy(seq wire.Seq) (handled, ok bool) {
-	size := sf.sh.f.opts.WindowSize
+func (sf *streamFilter) acceptLazy(sh *shard, seq wire.Seq) (handled, ok bool) {
+	size := sh.f.opts.windowSize
 	if !sf.initiated {
 		sf.initiated = true
 		sf.base = seq
@@ -322,23 +347,23 @@ func (sf *streamFilter) acceptLazy(seq wire.Seq) (handled, ok bool) {
 		// The jump flushes the whole window: nothing previously seen is
 		// still inside, so the seen set stays contiguous ({seq} alone)
 		// and the stream stays lazy. The skipped numbers are gaps.
-		sf.sh.gaps += int64(d - 1)
+		sh.gaps += int64(d - 1)
 		sf.base = seq
 		sf.span = 1
 		return true, true
 	case d > 1:
 		return false, false // first in-window gap: needs the bitmap
 	case d == 0:
-		sf.sh.duplicates++
+		sh.duplicates++
 		return true, false
 	default: // d < 0: an older sequence
 		if -d >= size {
-			sf.sh.stale++
+			sh.stale++
 			return true, false
 		}
 		if int32(-d) < sf.span {
 			// Inside the contiguous seen range: a duplicate.
-			sf.sh.duplicates++
+			sh.duplicates++
 			return true, false
 		}
 		return false, false // late recovery of a pre-span hole: needs the bitmap
@@ -347,25 +372,26 @@ func (sf *streamFilter) acceptLazy(seq wire.Seq) (handled, ok bool) {
 
 // accept runs the duplicate window; it reports whether seq is new. Called
 // with sh.mu held.
-func (sf *streamFilter) accept(seq wire.Seq) bool {
-	if sf.window == nil {
-		handled, ok := sf.acceptLazy(seq)
+func (sf *streamFilter) accept(sh *shard, seq wire.Seq) bool {
+	if sf.rest == nil || sf.rest.window == nil {
+		handled, ok := sf.acceptLazy(sh, seq)
 		if handled {
 			return ok
 		}
 		// The stream just left the in-order regime: build the bitmap it
 		// would have had and fall through to the eager decision.
-		sf.materialize()
+		sf.materialize(sh)
 	}
-	size := len(sf.window) * 64
+	rs := sf.rest
+	size := len(rs.window) * 64
 	if !sf.initiated {
 		// Reachable only from an eagerly seeded filter (the lazy-vs-eager
 		// test): normally initiation runs on the lazy path, before any
 		// bitmap exists.
 		sf.initiated = true
 		sf.base = seq
-		w, m := sf.bitPos(seq)
-		sf.window[w] = m
+		w, m := rs.bitPos(seq)
+		rs.window[w] = m
 		return true
 	}
 	d := sf.base.Distance(seq)
@@ -376,32 +402,32 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 		// gaps and must be marked unseen; the in-order case (d == 1)
 		// skips nothing and sets a single bit.
 		if d >= size {
-			clear(sf.window)
+			clear(rs.window)
 		} else if d > 1 {
-			sf.clearRange(sf.base+1, d-1)
+			rs.clearRange(sf.base+1, d-1)
 		}
 		if d > 1 {
-			sf.sh.gaps += int64(d - 1)
+			sh.gaps += int64(d - 1)
 		}
 		sf.base = seq
-		w, m := sf.bitPos(seq)
-		sf.window[w] |= m
+		w, m := rs.bitPos(seq)
+		rs.window[w] |= m
 		return true
 	case d == 0:
-		sf.sh.duplicates++
+		sh.duplicates++
 		return false
 	default: // d < 0: an older sequence
 		if -d >= size {
-			sf.sh.stale++
+			sh.stale++
 			return false
 		}
-		w, m := sf.bitPos(seq)
-		if sf.window[w]&m != 0 {
-			sf.sh.duplicates++
+		w, m := rs.bitPos(seq)
+		if rs.window[w]&m != 0 {
+			sh.duplicates++
 			return false
 		}
-		sf.window[w] |= m
-		sf.sh.recovered++
+		rs.window[w] |= m
+		sh.recovered++
 		return true
 	}
 }
@@ -409,11 +435,12 @@ func (sf *streamFilter) accept(seq wire.Seq) bool {
 // holdLocked inserts d into the stream's pending list sorted by
 // sequence and (re)arms the release timer, allocating the stream's
 // reorder state on its first hold. Caller holds sh.mu.
-func (sf *streamFilter) holdLocked(d Delivery, release time.Time) {
-	if sf.ro == nil {
-		sf.ro = &reorder{}
+func (sf *streamFilter) holdLocked(sh *shard, d Delivery, release time.Time) {
+	rs := sf.ownRest()
+	if rs.ro == nil {
+		rs.ro = &reorder{sh: sh}
 	}
-	ro := sf.ro
+	ro := rs.ro
 	// Insert sorted by serial sequence order.
 	at := len(ro.pending)
 	for i, p := range ro.pending {
@@ -425,20 +452,21 @@ func (sf *streamFilter) holdLocked(d Delivery, release time.Time) {
 	ro.pending = append(ro.pending, pendingEntry{})
 	copy(ro.pending[at+1:], ro.pending[at:])
 	ro.pending[at] = pendingEntry{d: d, release: release}
-	sf.armTimerLocked()
+	ro.armTimerLocked()
 }
 
-func (sf *streamFilter) armTimerLocked() {
-	ro := sf.ro
+// armTimerLocked arms the release timer for the front entry, if any.
+// Caller holds ro.sh.mu.
+func (ro *reorder) armTimerLocked() {
 	if len(ro.pending) == 0 {
 		return
 	}
 	if ro.timer != nil {
 		ro.timer.Stop()
 	}
-	clock := sf.sh.f.opts.Clock
+	clock := ro.sh.f.opts.Clock
 	delay := ro.pending[0].release.Sub(clock.Now())
-	ro.timer = clock.AfterFunc(delay, sf.release)
+	ro.timer = clock.AfterFunc(delay, ro.release)
 }
 
 // popExpiredLocked moves every front entry whose hold has expired into
@@ -462,16 +490,16 @@ func (ro *reorder) popExpiredLocked(now time.Time, out *[]Delivery) {
 // expiry bounds the extra wait). It runs on the clock's timer goroutine
 // and takes only its own shard's mutex. The timer is re-armed only after
 // the sink calls finish, and overlapping fires bail out, so two timer
-// goroutines can never sink one stream's messages out of order.
-func (sf *streamFilter) release() {
-	sh := sf.sh
+// goroutines can never sink one stream's messages out of order. A fire on
+// state Flush or Forget took the entries from finds nothing expired and
+// arms nothing.
+func (ro *reorder) release() {
+	sh := ro.sh
 	f := sh.f
 	out := getDeliverySlice()
 	sh.mu.Lock()
-	ro := sf.ro
-	if ro == nil || ro.releasing {
-		// Flush drained the stream, or another fire is mid-sink (it
-		// re-checks and re-arms on exit).
+	if ro.releasing {
+		// Another fire is mid-sink; it re-checks and re-arms on exit.
 		sh.mu.Unlock()
 		putDeliverySlice(out)
 		return
@@ -486,27 +514,32 @@ func (sf *streamFilter) release() {
 	}
 	sh.mu.Lock()
 	ro.releasing = false
-	sf.armTimerLocked()
+	ro.armTimerLocked()
 	sh.mu.Unlock()
 	putDeliverySlice(out)
 }
 
 // takeHeldLocked stops the stream's release timer and hands back its held
 // entries. The reorder state goes with them unless a fire is mid-sink:
-// that one keeps it, finds pending empty on exit and re-arms nothing.
-// Caller holds sh.mu.
+// that one keeps it, finds pending empty on exit and re-arms nothing. A
+// rest left with neither a bitmap nor reorder state goes too. Caller holds
+// sh.mu.
 func (sf *streamFilter) takeHeldLocked() []pendingEntry {
-	ro := sf.ro
-	if ro == nil {
+	rs := sf.rest
+	if rs == nil || rs.ro == nil {
 		return nil
 	}
+	ro := rs.ro
 	if ro.timer != nil {
 		ro.timer.Stop()
 	}
 	held := ro.pending
 	ro.pending, ro.timer = nil, nil
 	if !ro.releasing {
-		sf.ro = nil
+		rs.ro = nil
+		if rs.window == nil {
+			sf.rest = nil
+		}
 	}
 	return held
 }
@@ -519,7 +552,7 @@ func (f *Filter) Flush() {
 	out := getDeliverySlice()
 	for _, sh := range f.shards {
 		sh.mu.Lock()
-		for _, sf := range sh.filters {
+		for _, sf := range sh.tab.All() {
 			held := sf.takeHeldLocked()
 			for _, p := range held {
 				*out = append(*out, p.d)
@@ -544,16 +577,12 @@ func (f *Filter) Forget(id wire.StreamID) bool {
 	sh := f.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sf, ok := sh.filters[id]
-	if !ok {
+	sf := sh.tab.Get(id)
+	if sf == nil {
 		return false
 	}
 	sf.takeHeldLocked()
-	delete(sh.filters, id)
-	if sh.lastID == id {
-		sh.last = nil
-	}
-	return true
+	return sh.tab.Delete(id)
 }
 
 // Stats returns an aggregate snapshot summed across shards.
@@ -567,7 +596,7 @@ func (f *Filter) Stats() Stats {
 		st.Stale += sh.stale
 		st.Gaps += sh.gaps
 		st.GapsRecovered += sh.recovered
-		st.ActiveStreams += len(sh.filters)
+		st.ActiveStreams += sh.tab.Len()
 		sh.mu.Unlock()
 	}
 	return st

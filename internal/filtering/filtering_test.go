@@ -85,7 +85,7 @@ func TestFilterAcceptsLateArrivalWithinWindow(t *testing.T) {
 }
 
 func TestFilterDropsStaleBeyondWindow(t *testing.T) {
-	f, out := collectFilter(Options{WindowSize: 64})
+	f, out := collectFilter(Options{windowSize: 64})
 	id := wire.MustStreamID(1, 0)
 	f.Ingest(rcpt(id, 0))
 	f.Ingest(rcpt(id, 200)) // window slides far past 0
@@ -135,7 +135,7 @@ func TestFilterStreamsAreIndependent(t *testing.T) {
 }
 
 func TestFilterLargeJumpClearsWindow(t *testing.T) {
-	f, out := collectFilter(Options{WindowSize: 64})
+	f, out := collectFilter(Options{windowSize: 64})
 	id := wire.MustStreamID(1, 0)
 	f.Ingest(rcpt(id, 0))
 	f.Ingest(rcpt(id, 10_000))
@@ -156,7 +156,7 @@ func TestFilterLargeJumpClearsWindow(t *testing.T) {
 // a window-sized range.
 func TestFilterMatchesReferenceProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		filter, out := collectFilter(Options{WindowSize: 4096})
+		filter, out := collectFilter(Options{windowSize: 4096})
 		id := wire.MustStreamID(9, 9)
 		seen := map[wire.Seq]bool{}
 		wantDelivered := 0
@@ -188,7 +188,7 @@ func TestFilterMatchesReferenceProperty(t *testing.T) {
 // pinned separately by TestFilterSurvivesSequenceWraparound.
 func TestFilterNeverDeliversDuplicateProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		filter, out := collectFilter(Options{WindowSize: 128})
+		filter, out := collectFilter(Options{windowSize: 128})
 		id := wire.MustStreamID(3, 3)
 		for _, r := range raw {
 			filter.Ingest(rcpt(id, wire.Seq(r%32768)))
@@ -210,7 +210,7 @@ func TestFilterNeverDeliversDuplicateProperty(t *testing.T) {
 func TestFilterAccountingInvariant(t *testing.T) {
 	// received == delivered + duplicates + stale, under any input.
 	f := func(raw []uint16) bool {
-		filter, _ := collectFilter(Options{WindowSize: 64})
+		filter, _ := collectFilter(Options{windowSize: 64})
 		id := wire.MustStreamID(2, 1)
 		for _, r := range raw {
 			filter.Ingest(rcpt(id, wire.Seq(r)))
@@ -308,19 +308,20 @@ func TestFlushReleasesPending(t *testing.T) {
 }
 
 // A stream pays for reorder state only while it holds something: none
-// before its first hold, none after Flush drains it.
+// before its first hold, none after Flush drains it — and an in-order
+// stream then no rest at all.
 func TestReorderStateLivesOnlyWhileHolding(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	f, _ := collectFilter(Options{ReorderWindow: time.Hour, Clock: clock})
 	id := wire.MustStreamID(1, 0)
-	reorderState := func() *reorder {
+	reorderState := func() *filterRest {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.filters[id].ro
+		return sh.tab.Get(id).rest
 	}
 	f.Ingest(rcpt(id, 0))
-	if reorderState() == nil {
+	if rs := reorderState(); rs == nil || rs.ro == nil {
 		t.Fatal("a held message has no reorder state")
 	}
 	f.Flush()
@@ -418,7 +419,7 @@ func TestBorrowedPayloadDetachedOnAccept(t *testing.T) {
 }
 
 func TestWindowSizeRounding(t *testing.T) {
-	f, out := collectFilter(Options{WindowSize: 65}) // rounds to 128
+	f, out := collectFilter(Options{windowSize: 65}) // rounds to 128
 	id := wire.MustStreamID(1, 0)
 	f.Ingest(rcpt(id, 0))
 	f.Ingest(rcpt(id, 127))

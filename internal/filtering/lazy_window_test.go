@@ -23,12 +23,12 @@ func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 			run := func(eager bool) (map[wire.StreamID][]wire.Seq, Stats) {
 				var out []Delivery
 				f := New(func(d Delivery) { out = append(out, d) },
-					Options{WindowSize: windowSize, Shards: 8})
+					Options{windowSize: windowSize, Shards: 8})
 				if eager {
 					for _, rc := range plan {
 						id := rc.Msg.Stream
-						if sh := f.shardFor(id); sh.filters[id] == nil {
-							sh.filters[id] = &streamFilter{sh: sh, window: make([]uint64, f.opts.WindowSize/64)}
+						if sf := f.shardFor(id).tab.Add(id); sf.rest == nil {
+							sf.rest = &filterRest{window: make([]uint64, f.opts.windowSize/64)}
 						}
 					}
 				}
@@ -55,38 +55,48 @@ func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 // it lazy, and the first in-window gap or late recovery materialises it
 // with the contiguous range set.
 func TestLazyWindowStaysNilInOrder(t *testing.T) {
-	f := New(func(Delivery) {}, Options{WindowSize: 64, Shards: 1})
+	f := New(func(Delivery) {}, Options{windowSize: 64, Shards: 1})
 	id := wire.MustStreamID(1, 0)
 	ingest := func(seq wire.Seq) {
 		f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: seq}})
 	}
-	sf := func() *streamFilter {
+	// window returns the stream's bitmap, nil while it has none.
+	window := func(id wire.StreamID) []uint64 {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.filters[id]
+		if sf := sh.tab.Get(id); sf.rest != nil {
+			return sf.rest.window
+		}
+		return nil
+	}
+	span := func() int32 {
+		sh := f.shardFor(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.tab.Get(id).span
 	}
 
 	for seq := wire.Seq(1); seq <= 200; seq++ {
 		ingest(seq)
 	}
-	if w := sf().window; w != nil {
+	if w := window(id); w != nil {
 		t.Fatalf("in-order stream materialised a %d-word window", len(w))
 	}
-	if got := sf().span; got != 64 {
+	if got := span(); got != 64 {
 		t.Fatalf("span = %d, want clamped 64", got)
 	}
 
 	ingest(200 + 64) // far jump, flushes the whole window
-	if sf().window != nil {
+	if window(id) != nil {
 		t.Fatalf("far jump materialised the window")
 	}
-	if got := sf().span; got != 1 {
+	if got := span(); got != 1 {
 		t.Fatalf("span after far jump = %d, want 1", got)
 	}
 
 	ingest(200 + 64 + 2) // in-window gap: must materialise
-	if sf().window == nil {
+	if window(id) == nil {
 		t.Fatalf("in-window gap did not materialise the window")
 	}
 
@@ -96,12 +106,7 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 		f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id2, Seq: seq}})
 	}
 	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id2, Seq: 5}})
-	sh := f.shardFor(id2)
-	sh.mu.Lock()
-	sf2 := sh.filters[id2]
-	w := sf2.window
-	sh.mu.Unlock()
-	if w == nil {
+	if window(id2) == nil {
 		t.Fatalf("late recovery did not materialise the window")
 	}
 	st := f.Stats()

@@ -3,6 +3,7 @@ package filtering
 import (
 	"sync"
 
+	"github.com/garnet-middleware/garnet/internal/streamtab"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -16,13 +17,8 @@ type shard struct {
 	f  *Filter
 	mu sync.Mutex
 
-	filters map[wire.StreamID]*streamFilter
-
-	// Single-entry lookup cache: sensors emit runs of messages on the
-	// same stream, so the common case skips the map hash entirely.
-	// Guarded by mu like everything else here.
-	lastID wire.StreamID
-	last   *streamFilter
+	// tab holds every stream's filter state in place, guarded by mu.
+	tab streamtab.Table[streamFilter]
 
 	// Hot-path counters are plain ints mutated only under mu — cheaper
 	// than atomics on every ingest. Stats sums them per shard.
@@ -38,7 +34,7 @@ type shard struct {
 func newShards(f *Filter, n int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{f: f, filters: make(map[wire.StreamID]*streamFilter)}
+		shards[i] = &shard{f: f}
 	}
 	return shards
 }
@@ -48,22 +44,6 @@ func newShards(f *Filter, n int) []*shard {
 // dispatch state partition identically.
 func (f *Filter) shardFor(id wire.StreamID) *shard {
 	return f.shards[id.Sensor().Shard(len(f.shards))]
-}
-
-// lookupSlowLocked finds or creates the stream's filter state on a
-// single-entry-cache miss and refreshes the cache. The dup-window bitmap
-// is NOT allocated here: an in-order stream tracks its contiguous seen
-// range with base/span alone, and the bitmap materialises on the first
-// gap or out-of-order arrival (see streamFilter.accept). Caller holds
-// sh.mu; the cache-hit path lives inline in ingestLocked.
-func (sh *shard) lookupSlowLocked(id wire.StreamID) *streamFilter {
-	sf, ok := sh.filters[id]
-	if !ok {
-		sf = &streamFilter{sh: sh}
-		sh.filters[id] = sf
-	}
-	sh.lastID, sh.last = id, sf
-	return sf
 }
 
 // deliverySlices pools the scratch slices release and Flush hand

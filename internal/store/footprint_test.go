@@ -35,21 +35,23 @@ func sizeClass(n uintptr) uintptr {
 }
 
 // TestRingFootprint pins what one idle stream costs the heap: the ring
-// header and a one-entry slot array holding a 16-byte payload, each in its
-// allocator size class. One of each exists for every stream the store has
-// ever seen, so a field added carelessly (or a reorder that reopens
-// padding holes) taxes every sensor in a million-sensor deployment. The
-// budget is 176: a header in the 112 class and a 64-byte slot. The header
-// holds the stream's append history (a count and two instants, 32 bytes)
-// that Discover reads, which no other layer keeps; the arena and the cold
-// tier, which an idle stream with short payloads and no codec never uses,
-// live in the tail behind one pointer and are not counted here. The slot
-// itself is pinned to one cache line, which is what a 64-byte size class
-// aligns it to.
+// header and a one-entry slot array holding a 16-byte payload. One of each
+// exists for every stream the store has ever seen, so a field added
+// carelessly (or a reorder that reopens padding holes) taxes every sensor
+// in a million-sensor deployment. The header sits in place in its shard's
+// table, so it costs its own size, not its allocator size class; the slot
+// array is an allocation of its own and costs its class. The budget is
+// 168: a 104-byte header and a 64-byte slot. The header holds the stream's
+// append history (a count and two instants, 32 bytes) that Discover
+// reads, which no other layer keeps; the arena and the cold tier, which
+// an idle stream with short payloads and no codec never uses, live in the
+// tail behind one pointer and are not counted here. The slot itself is
+// pinned to one cache line, which is what a 64-byte size class aligns it
+// to.
 func TestRingFootprint(t *testing.T) {
-	header, entry := sizeClass(unsafe.Sizeof(ring{})), sizeClass(unsafe.Sizeof(slot{}))
-	if got := header + entry; got > 176 || inlinePayload < 16 {
-		t.Fatalf("idle stream is %d + %d = %d bytes (payloads to %d bytes included), budget 176 with 16 — repack before growing it",
+	header, entry := unsafe.Sizeof(ring{}), sizeClass(unsafe.Sizeof(slot{}))
+	if got := header + entry; got > 168 || inlinePayload < 16 {
+		t.Fatalf("idle stream is %d + %d = %d bytes (payloads to %d bytes included), budget 168 with 16 — repack before growing it",
 			header, entry, got, inlinePayload)
 	}
 	if got := unsafe.Sizeof(slot{}); got != 64 {
@@ -91,7 +93,7 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 		sh := s.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.streams[id].tail != noTail
+		return sh.rings.Get(id).tail != noTail
 	}
 	for sensor := 1; sensor <= 1000; sensor++ {
 		id := wire.MustStreamID(wire.SensorID(sensor), 0)

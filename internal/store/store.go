@@ -58,6 +58,7 @@ import (
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/store/codec"
+	"github.com/garnet-middleware/garnet/internal/streamtab"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -110,7 +111,7 @@ const (
 // with no byte or age bound.
 type Options struct {
 	// Shards partitions the per-stream retention state; <= 0 selects
-	// DefaultShards, 1 a single shared table.
+	// DefaultShards. Every shard has its own lock, table and counters.
 	Shards int
 	// MaxMessages bounds retained deliveries per stream; <= 0 selects
 	// DefaultMaxMessages. The ring is sized to the next power of two.
@@ -303,16 +304,16 @@ type Store struct {
 }
 
 type shard struct {
-	mu      sync.Mutex
-	streams map[wire.StreamID]*ring
-	idx     int
+	mu  sync.Mutex
+	idx int
 
-	// Single-entry lookup cache, same trick as the filter: sensors emit
-	// runs on one stream, so the common append skips the map hash.
-	lastID wire.StreamID
-	last   *ring
-	// The same for receiver names: consecutive deliveries mostly share
-	// one, and its intern index is then a string comparison away.
+	// rings holds every stream's ring header in place. The store deletes
+	// none (Forget keeps the unwrap state and append history), so a *ring
+	// stays valid under mu for the life of the store.
+	rings streamtab.Table[ring]
+	// Receivers get the single-entry cache the table keeps for streams:
+	// consecutive deliveries mostly share one, and its intern index is
+	// then a string comparison away.
 	lastRx    string
 	lastRxIdx uint32
 
@@ -581,7 +582,7 @@ func New(opts Options) *Store {
 	}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{streams: make(map[wire.StreamID]*ring), idx: i}
+		s.shards[i] = &shard{idx: i}
 	}
 	if opts.Archive != nil {
 		s.initArchive(opts)
@@ -600,16 +601,6 @@ func ceilPow2(n int) int {
 
 func (s *Store) shardFor(id wire.StreamID) *shard {
 	return s.shards[id.Sensor().Shard(s.shardCnt)]
-}
-
-func (sh *shard) lookupSlowLocked(id wire.StreamID) *ring {
-	r, ok := sh.streams[id]
-	if !ok {
-		r = &ring{slots: make([]slot, minRingSize), tail: noTail}
-		sh.streams[id] = r
-	}
-	sh.lastID, sh.last = id, r
-	return r
 }
 
 // presentLocked reports whether ext is occupied in r.
@@ -639,12 +630,14 @@ func (s *Store) Append(d filtering.Delivery) uint64 {
 // Caller holds sh.mu.
 func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	sh.appended++
-	r := sh.last
-	if r == nil || sh.lastID != d.Msg.Stream {
-		r = sh.lookupSlowLocked(d.Msg.Stream)
+	r := sh.rings.Get(d.Msg.Stream)
+	if r == nil {
+		r = sh.rings.Add(d.Msg.Stream)
+		r.tail = noTail
 	}
 	if r.slots == nil {
-		// Forget released the ring's backing; the stream resumed.
+		// A new stream, or Forget released the ring's backing and the
+		// stream resumed.
 		r.slots = make([]slot, minRingSize)
 	}
 	sec, nsec := d.At.Unix(), int32(d.At.Nanosecond())
@@ -1017,8 +1010,8 @@ func (s *Store) LastSeq(id wire.StreamID) (uint64, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, ok := sh.streams[id]
-	if !ok || r.lastExt == 0 {
+	r := sh.rings.Get(id)
+	if r == nil || r.lastExt == 0 {
 		if sh.archived != nil {
 			if as := sh.archived[id]; as != nil {
 				if last := as.lastSeqLocked(); last > 0 {
@@ -1048,8 +1041,8 @@ func (s *Store) FirstSeq(id wire.StreamID) (uint64, bool) {
 			}
 		}
 	}
-	r, ok := sh.streams[id]
-	if !ok {
+	r := sh.rings.Get(id)
+	if r == nil {
 		return 0, false
 	}
 	switch t := r.tail; {
@@ -1126,8 +1119,8 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp spa
 			return
 		}
 	}
-	r, ok := sh.streams[id]
-	if !ok || !walkBlocks(r.tail.cold, from, to, block) {
+	r := sh.rings.Get(id)
+	if r == nil || !walkBlocks(r.tail.cold, from, to, block) {
 		return
 	}
 	stage := r.tail.stage
@@ -1370,8 +1363,8 @@ func (s *Store) Latest(id wire.StreamID) (filtering.Delivery, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, ok := sh.streams[id]
-	if !ok || r.count == 0 {
+	r := sh.rings.Get(id)
+	if r == nil || r.count == 0 {
 		return filtering.Delivery{}, false
 	}
 	d := r.deliveryLocked(id, &r.slots[r.maxExt&r.slotMask()])
@@ -1400,7 +1393,7 @@ func (s *Store) Snapshot(pred func(wire.StreamID) bool) []filtering.Delivery {
 	var out []filtering.Delivery
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, r := range sh.streams {
+		for id, r := range sh.rings.All() {
 			if r.count == 0 || (pred != nil && !pred(id)) {
 				continue
 			}
@@ -1430,8 +1423,8 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 			s.evictArchiveToLocked(sh, as, id, upto, &sh.forgotten)
 		}
 	}
-	r, ok := sh.streams[id]
-	if !ok {
+	r := sh.rings.Get(id)
+	if r == nil {
 		return int(sh.forgotten - before)
 	}
 	t := r.tail
@@ -1520,8 +1513,8 @@ func (s *Store) Forget(id wire.StreamID) int {
 			n += s.forgetArchiveLocked(sh, as, id, &sh.forgotten)
 		}
 	}
-	r, ok := sh.streams[id]
-	if !ok {
+	r := sh.rings.Get(id)
+	if r == nil {
 		return n
 	}
 	n += int(r.count) + len(r.tail.stage) + int(r.tail.coldCount)
@@ -1536,7 +1529,7 @@ func (s *Store) Streams() []wire.StreamID {
 	var out []wire.StreamID
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, r := range sh.streams {
+		for id, r := range sh.rings.All() {
 			if r.count > 0 {
 				out = append(out, id)
 			}
@@ -1545,7 +1538,7 @@ func (s *Store) Streams() []wire.StreamID {
 			if len(as.refs) == 0 && len(as.pending) == 0 {
 				continue
 			}
-			if r, ok := sh.streams[id]; ok && r.count > 0 {
+			if r := sh.rings.Get(id); r != nil && r.count > 0 {
 				continue // already listed from the hot window
 			}
 			out = append(out, id)
@@ -1574,7 +1567,7 @@ func (s *Store) Appended() []StreamAppends {
 	var out []StreamAppends
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, r := range sh.streams {
+		for id, r := range sh.rings.All() {
 			out = append(out, StreamAppends{
 				Stream: id, Count: r.appended,
 				First:  time.Unix(r.firstSec, int64(r.firstNsec)),
@@ -1607,8 +1600,8 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 			}
 		}
 	}
-	r, ok := sh.streams[id]
-	if !ok {
+	r := sh.rings.Get(id)
+	if r == nil {
 		if as == nil || (len(as.refs) == 0 && len(as.pending) == 0) {
 			return StreamStats{}, false
 		}
@@ -1712,7 +1705,7 @@ func (s *Store) Stats() Stats {
 		st.Forgotten += sh.forgotten
 		st.SealedBlocks += sh.sealedBlocks
 		st.SealedMessages += sh.sealedMsgs
-		for _, r := range sh.streams {
+		for _, r := range sh.rings.All() {
 			if r.count > 0 {
 				st.Streams++
 			}

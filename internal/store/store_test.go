@@ -277,7 +277,7 @@ func TestRingGrowsFromSmallStart(t *testing.T) {
 	if got := s.Range(jumped, 0, ^uint64(0)); len(got) != 2 || got[0].Msg.Seq != 0 || got[1].Msg.Seq != 200 {
 		t.Fatalf("after the jump the stream holds %v", got)
 	}
-	if n := len(s.shardFor(jumped).streams[jumped].slots); n != 256 {
+	if n := len(s.shardFor(jumped).rings.Get(jumped).slots); n != 256 {
 		t.Fatalf("ring widened to %d slots, want 256", n)
 	}
 }
@@ -315,7 +315,7 @@ func watchArena(s *Store, id wire.StreamID) *arenaWatch {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return &arenaWatch{sh: sh, r: sh.streams[id], last: len(sh.streams[id].tail.arena)}
+	return &arenaWatch{sh: sh, r: sh.rings.Get(id), last: len(sh.rings.Get(id).tail.arena)}
 }
 
 func (w *arenaWatch) observe() {
@@ -552,7 +552,7 @@ func TestIdleStreamRingIsOneSlot(t *testing.T) {
 	s.Append(del(id, 1, epoch, []byte{1}))
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	n := len(sh.streams[id].slots)
+	n := len(sh.rings.Get(id).slots)
 	sh.mu.Unlock()
 	if n != 1 {
 		t.Fatalf("idle stream ring has %d slots, want 1", n)
@@ -567,7 +567,7 @@ func TestForgetReleasesBacking(t *testing.T) {
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	r := sh.streams[id]
+	r := sh.rings.Get(id)
 	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.cold) > 0
 	sh.mu.Unlock()
 	if !populated {
@@ -664,8 +664,8 @@ func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, ok := sh.streams[id]
-	if !ok {
+	r := sh.rings.Get(id)
+	if r == nil {
 		return
 	}
 	var count int32
@@ -732,7 +732,7 @@ func TestArenaPacksOutOfSequenceInPlace(t *testing.T) {
 		put(seq, 17+seq%30)
 	}
 	sh := s.shardFor(id)
-	r := sh.streams[id]
+	r := sh.rings.Get(id)
 	sh.mu.Lock()
 	r.packLocked(sh, r.tail.arena[:cap(r.tail.arena)])
 	sh.mu.Unlock()
