@@ -1,19 +1,17 @@
 // Package experiments is the benchmark harness that regenerates every
 // measurable artifact of the paper: the two figures (F1 architecture, F2
-// message format), the §1 capacity claims (C1), and the qualitative
-// claims and related-work comparisons of §§2–7 as experiments E1–E12.
-// All lists the full index.
+// message format), the §1 capacity claims (C1), the qualitative claims
+// and related-work comparisons of §§2–7 as the E experiments, and the §8
+// multi-hop extension (X1). All lists the full index.
 //
 // Each experiment is a pure function from a Config to a Table, rendered
 // as aligned text by cmd/garnet-bench: every cell is the same bytes on
 // every run, at any GOMAXPROCS, with or without -race, and
 // TestAllExperimentsRun compares each table with testdata/<ID>.golden.
-// Most experiments run on virtual time with seeded randomness; the
-// concurrent storms (E17, E18, E23) run on real goroutines and print only
-// their configuration and the invariants they enforce. Nothing here reads
-// a stopwatch into a cell: Garnet is timed by bench/ (BENCHMARK.json) and
-// the go test -bench micro-benchmarks. Ids are never renumbered, so a
-// retired experiment leaves a hole.
+// Experiments that need time run on a virtual clock with seeded
+// randomness. Nothing here reads a stopwatch into a cell: Garnet is timed
+// by bench/ (BENCHMARK.json) and the go test -bench micro-benchmarks. Ids
+// are never renumbered, so a retired experiment leaves a hole.
 package experiments
 
 import (
@@ -127,12 +125,6 @@ func All() []Experiment {
 		{"E11", "Multi-level consumer hierarchies (§6)", runE11},
 		{"E12", "Return-path value vs transmit-only fields (§2)", runE12},
 		{"E15", "Dense-field broadcast: cost vs attached receivers", runE15},
-		{"E17", "Late-joiner storm: replay catch-up under live load", runE17},
-		{"E18", "Async fan-out storm: lock-free delivery rings under load", runE18},
-		{"E20", "Churn storm: cohort and subscription churn leave no residue", runE20},
-		{"E21", "Radio partition: exact gap accounting and replay catch-up", runE21},
-		{"E22", "Slow consumer: bounded-queue backpressure accounting", runE22},
-		{"E23", "Archived late-joiners: replay across the durable archive tier", runE23},
 		{"X1", "Multi-hop relaying — §8 future-work extension", runX1},
 	}
 }

@@ -320,7 +320,7 @@ func TestX1RelayReachGrows(t *testing.T) {
 // TestFlagUsage pins the -experiment help text and, through it, the
 // registry: the exact ids in presentation order, holes and all.
 func TestFlagUsage(t *testing.T) {
-	const want = "F1, F2, C1, E1, E3, E4, E5, E6, E7, E8, E10, E11, E12, E15, E17, E18, E20, E21, E22, E23, X1"
+	const want = "F1, F2, C1, E1, E3, E4, E5, E6, E7, E8, E10, E11, E12, E15, X1"
 	if got := FlagUsage(); got != want {
 		t.Errorf("FlagUsage() = %q, want %q", got, want)
 	}

@@ -87,19 +87,21 @@ type Estimate struct {
 	Heard geo.Circle
 }
 
-// Options configures the Service. The zero value uses the defaults.
+// hintUncertaintyBase scales hint uncertainty: a hint with confidence c
+// has uncertainty (1-c)*hintUncertaintyBase + 1 metres.
+const hintUncertaintyBase = 50
+
+// Options configures the Service. The zero value uses the defaults; only
+// tests set its fields, to reach a track's edges with few receptions.
 type Options struct {
-	// ObservationWindow is how long a reception contributes to estimates.
+	// observationWindow is how long a reception contributes to estimates.
 	// Default 10s.
-	ObservationWindow time.Duration
-	// MaxObservationsPerSensor bounds per-sensor reception state: a track
+	observationWindow time.Duration
+	// maxObservationsPerSensor bounds per-sensor reception state: a track
 	// remembers one observation for each of at most this many distinct
 	// receivers, and a further receiver replaces the stalest. It does not
-	// age anything out — only ObservationWindow does. Default 64.
-	MaxObservationsPerSensor int
-	// HintUncertaintyBase scales hint uncertainty: a hint with confidence
-	// c has uncertainty (1-c)*HintUncertaintyBase + 1 metres. Default 50.
-	HintUncertaintyBase float64
+	// age anything out — only observationWindow does. Default 64.
+	maxObservationsPerSensor int
 }
 
 // Service errors.
@@ -130,7 +132,7 @@ type hint struct {
 }
 
 type track struct {
-	obs    []observation // one per receiver heard, at most MaxObservationsPerSensor
+	obs    []observation // one per receiver heard, at most maxObservationsPerSensor
 	hints  []hint
 	locSeq wire.Seq // sequence counter for published location messages
 }
@@ -172,14 +174,11 @@ type Service struct {
 
 // New creates a Service.
 func New(clock sim.Clock, opts Options) *Service {
-	if opts.ObservationWindow <= 0 {
-		opts.ObservationWindow = 10 * time.Second
+	if opts.observationWindow <= 0 {
+		opts.observationWindow = 10 * time.Second
 	}
-	if opts.MaxObservationsPerSensor <= 0 {
-		opts.MaxObservationsPerSensor = 64
-	}
-	if opts.HintUncertaintyBase <= 0 {
-		opts.HintUncertaintyBase = 50
+	if opts.maxObservationsPerSensor <= 0 {
+		opts.maxObservationsPerSensor = 64
 	}
 	s := &Service{clock: clock, opts: opts}
 	s.receivers.Store(&siteTable{index: map[string]uint32{}})
@@ -214,7 +213,7 @@ func (s *Service) RegisterReceiver(name string, pos geo.Point, radius float64) {
 // The track keeps, per receiver, the reception with the greatest timestamp
 // and among equal timestamps the first to arrive; anything older is dropped
 // on arrival. An observation leaves an estimate when it is older than
-// ObservationWindow, never because later receptions pushed it out.
+// the observation window, never because later receptions pushed it out.
 func (s *Service) ObserveReception(rc receiver.Reception) error {
 	rx, ok := s.receivers.Load().index[rc.Receiver]
 	if !ok {
@@ -230,7 +229,7 @@ func (s *Service) ObserveReception(rc receiver.Reception) error {
 	// if the track is full of other receivers, with the stalest of them (the
 	// earliest-registered among equally stale), and wins only if fresher.
 	slot := slices.IndexFunc(tr.obs, func(c observation) bool { return c.rx == rx })
-	if slot < 0 && len(tr.obs) < s.opts.MaxObservationsPerSensor {
+	if slot < 0 && len(tr.obs) < s.opts.maxObservationsPerSensor {
 		tr.obs = append(tr.obs, o)
 		return nil
 	}
@@ -300,7 +299,7 @@ func (s *Service) locateLocked(sh *shard, sensor wire.SensorID) (Estimate, error
 		return Estimate{}, fmt.Errorf("%w: %d", ErrUnknownSensor, sensor)
 	}
 	now := s.clock.Now()
-	nowNs, window := now.UnixNano(), int64(s.opts.ObservationWindow)
+	nowNs, window := now.UnixNano(), int64(s.opts.observationWindow)
 	sites := s.receivers.Load().sites
 
 	// Each receiver's observation still inside the window, weighted by
@@ -361,7 +360,7 @@ func (s *Service) locateLocked(sh *shard, sensor wire.SensorID) (Estimate, error
 		hinted = &Estimate{
 			Pos:         c,
 			Confidence:  bestConf,
-			Uncertainty: (1-bestConf)*s.opts.HintUncertaintyBase + 1,
+			Uncertainty: (1-bestConf)*hintUncertaintyBase + 1,
 		}
 	}
 

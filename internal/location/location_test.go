@@ -117,7 +117,7 @@ func TestConfidenceGrowsWithReceivers(t *testing.T) {
 
 func TestObservationsExpireOutsideWindow(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	s := New(clock, Options{ObservationWindow: 5 * time.Second})
+	s := New(clock, Options{observationWindow: 5 * time.Second})
 	s.RegisterReceiver("rx-a", geo.Pt(0, 0), 100)
 	if err := s.ObserveReception(obs(1, "rx-a", 0.5, clock.Now())); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestMergedEstimateImprovesOnBoth(t *testing.T) {
 
 func TestObservationHistoryBounded(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	s := New(clock, Options{MaxObservationsPerSensor: 4})
+	s := New(clock, Options{maxObservationsPerSensor: 4})
 	s.RegisterReceiver("rx-a", geo.Pt(0, 0), 100)
 	for i := 0; i < 100; i++ {
 		if err := s.ObserveReception(obs(1, "rx-a", 0.5, clock.Now())); err != nil {
@@ -278,7 +278,7 @@ func modelObserve(kept map[string]receiver.Reception, rc receiver.Reception, lim
 // receiver, updated in place — a warm sensor's reception and an inferred
 // estimate allocate nothing — and the service estimates exactly what the
 // model above does: random scripts with out-of-order, tied and future
-// stamps, stamps straddling ObservationWindow and more receivers than the
+// stamps, stamps straddling observationWindow and more receivers than the
 // cap go through both, and the model's survivors, fed to a fresh service
 // that never has to choose between two receptions, must give an equal
 // Estimate.
@@ -293,7 +293,7 @@ func TestObservationWindowIsTheLastNInPlace(t *testing.T) {
 		rank[name] = i
 	}
 	build := func(clock sim.Clock, limit int) *Service {
-		s := New(clock, Options{ObservationWindow: window, MaxObservationsPerSensor: limit})
+		s := New(clock, Options{observationWindow: window, maxObservationsPerSensor: limit})
 		for i, name := range names {
 			s.RegisterReceiver(name, geo.Pt(float64(i%3)*60, float64(i/3)*80), 100)
 		}
@@ -730,7 +730,7 @@ func TestEstimateSumsInReceiverNameOrder(t *testing.T) {
 // TestLocateReportsStrongestFreshReceiverZone pins Estimate.Heard: the zone
 // of the receiver whose in-window observation weighs most (RSSI ×
 // freshness), first in receiver-name order on a tie, never one aged out of
-// ObservationWindow, and zero when only hints contribute.
+// observationWindow, and zero when only hints contribute.
 func TestLocateReportsStrongestFreshReceiverZone(t *testing.T) {
 	zone := func(x, y float64) geo.Circle { return geo.Circle{Center: geo.Pt(x, y), R: 100} }
 	locate := func(t *testing.T, s *Service) Estimate {
