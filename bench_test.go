@@ -270,7 +270,7 @@ func BenchmarkDispatchDrainBatch(b *testing.B) {
 		}
 		d.Stop() // waits for the drainer: sunk is safe to read after
 		b.StopTimer()
-		// Under DropOldest an admitted delivery may later be shed to
+		// Under drop-oldest an admitted delivery may later be shed to
 		// admit a newer one, so conservation is drained == admitted
 		// minus overflow drops.
 		st := d.Stats()

@@ -19,9 +19,15 @@
 // far from a late duplicate ack as the wire format allows. A 16-way
 // partition of this state could not be told from one lock in paired runs
 // on the hardware we have (CHANGES.md, PR 24). The transmit hook runs
-// outside the lock. Retry timers are fire-and-forget (the pooled
-// sim.Scheduler path when the clock offers it); stale fires are screened
-// by pointer+attempt generation checks instead of cancellation handles.
+// outside the lock.
+//
+// # Retry timers
+//
+// Every clock takes one path: each attempt arms its retry (or expiry)
+// timer with Clock.AfterFunc and keeps the handle, and an ack, the expiry
+// and Stop release it, so the clock holds a timer only for a request that
+// is still outstanding. A fire that races its release is screened by a
+// pointer+attempt generation check.
 package actuation
 
 import (
@@ -106,7 +112,6 @@ type Stats struct {
 // Service is the Actuation Service.
 type Service struct {
 	clock sim.Clock
-	sched sim.Scheduler // non-nil when clock supports pooled fire-and-forget timers
 	send  func(wire.ControlMessage)
 	opts  Options
 
@@ -150,23 +155,12 @@ func NewService(clock sim.Clock, send func(wire.ControlMessage), opts Options) *
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 5
 	}
-	s := &Service{
+	return &Service{
 		clock:       clock,
 		send:        send,
 		opts:        opts,
 		outstanding: make(map[uint16]*pending),
 	}
-	// Pooled fire-and-forget timers only pay off on the virtual clock,
-	// whose scheduler recycles heap events. On real clocks (whose
-	// ScheduleFunc of a positive delay is a bare time.AfterFunc) the
-	// service keeps the AfterFunc cancellation handle instead, so an ack
-	// stops its retry timer immediately rather than retaining the pending
-	// record — and the consumer callback graph it captures — until the
-	// dead timer fires up to RetryInterval later.
-	if _, virtual := clock.(*sim.VirtualClock); virtual {
-		s.sched, _ = clock.(sim.Scheduler)
-	}
-	return s
 }
 
 type pending struct {
@@ -175,11 +169,10 @@ type pending struct {
 	stamp    time.Time // wire issue timestamp, strictly ordered across requests
 	attempts int
 	done     func(Result)
-	// timer is the cancellation handle of the armed retry/expiry timer on
-	// real clocks (nil on the pooled virtual-clock path, where stale
-	// fires are screened by generation checks instead): an ack stops the
-	// timer immediately rather than retaining this record until the dead
-	// timer fires.
+	// timer is the armed retry/expiry timer (nil until the first attempt
+	// is sent): an ack or Stop stops it at once, so neither the clock nor
+	// this record, with the done callback it captures, outlives the
+	// request by up to RetryInterval.
 	timer sim.Timer
 }
 
@@ -220,19 +213,6 @@ func (s *Service) allocateLocked() (uint16, bool) {
 			return s.nextID, true
 		}
 	}
-}
-
-// schedule arms a timer: fire-and-forget on the pooled virtual-clock
-// Scheduler path (returns nil), a plain AfterFunc with its cancellation
-// handle otherwise. Callbacks must tolerate stale fires either way (the
-// service screens them with generation checks); the handle only exists
-// so completed requests can release their timers early.
-func (s *Service) schedule(d time.Duration, f func()) sim.Timer {
-	if s.sched != nil {
-		s.sched.ScheduleFunc(d, f)
-		return nil
-	}
-	return s.clock.AfterFunc(d, f)
 }
 
 // Issue allocates an update id for one approved request, stamps it,
@@ -292,16 +272,15 @@ func (s *Service) transmitLocked(id uint16, p *pending) {
 	}
 	// The timer callbacks capture (id, p, gen): a fire is stale — and
 	// ignored — unless the very same pending is still outstanding at the
-	// same attempt count, so correctness never needs a Stop handle even
-	// when an id is reused after an ack. The handle, when schedule
-	// returns one (real clocks), only releases completed requests'
-	// timers early.
+	// same attempt count. A real clock may already be running a callback
+	// whose Stop came too late, and an id may be reused after an ack; the
+	// handle releases the timer, the check keeps a late fire harmless.
 	gen := p.attempts
 	if p.attempts >= s.opts.MaxAttempts {
-		p.timer = s.schedule(s.opts.RetryInterval, func() { s.expire(id, p, gen) })
+		p.timer = s.clock.AfterFunc(s.opts.RetryInterval, func() { s.expire(id, p, gen) })
 		return
 	}
-	p.timer = s.schedule(s.opts.RetryInterval, func() { s.retry(id, p, gen) })
+	p.timer = s.clock.AfterFunc(s.opts.RetryInterval, func() { s.retry(id, p, gen) })
 }
 
 func (s *Service) retry(id uint16, p *pending, gen int) {

@@ -219,60 +219,88 @@ func TestSameInstantFlipsCarryOrderedStamps(t *testing.T) {
 	}
 }
 
-// stopSpyClock hides the virtual clock's Scheduler so the service takes
-// the real-clock AfterFunc path, and counts timer Stops.
-type stopSpyClock struct {
-	v     *sim.VirtualClock
-	stops atomic.Int32
+// opaqueClock is a clock the service cannot recognise: it hides the
+// virtual clock's concrete type and its Scheduler, as the benchmark's
+// tracing clock does.
+type opaqueClock struct{ v *sim.VirtualClock }
+
+func (c opaqueClock) Now() time.Time { return c.v.Now() }
+func (c opaqueClock) AfterFunc(d time.Duration, f func()) sim.Timer {
+	return c.v.AfterFunc(d, f)
 }
 
-func (c *stopSpyClock) Now() time.Time { return c.v.Now() }
-func (c *stopSpyClock) AfterFunc(d time.Duration, f func()) sim.Timer {
-	return spyTimer{c.v.AfterFunc(d, f), &c.stops}
-}
+// The clock holds a timer only for a request that is still outstanding,
+// whatever the clock: an ack releases the request's armed retry timer at
+// once, the expiry fires the last one and arms none, and Stop releases the
+// rest. Otherwise every acknowledged request keeps its timer, its pending
+// record and the done callback it captures for up to RetryInterval.
+func TestRetryTimersReleasedOnEveryClock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(*sim.VirtualClock) sim.Clock
+	}{
+		{"VirtualClock", func(v *sim.VirtualClock) sim.Clock { return v }},
+		{"opaque", func(v *sim.VirtualClock) sim.Clock { return opaqueClock{v} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := sim.NewVirtualClock(epoch)
+			clock := tc.wrap(v)
+			s := NewService(clock, func(wire.ControlMessage) {}, Options{
+				RetryInterval: time.Second, MaxAttempts: 3,
+			})
+			base := v.Pending()
+			issue := func(n int) []uint16 {
+				ids := make([]uint16, n)
+				for i := range ids {
+					id, err := s.Issue(pingReq, func(Result) {})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[i] = id
+				}
+				if got := v.Pending(); got != base+n {
+					t.Fatalf("Pending with %d requests outstanding = %d, want %d", n, got, base+n)
+				}
+				return ids
+			}
 
-type spyTimer struct {
-	sim.Timer
-	stops *atomic.Int32
-}
+			// Acks: half before any retry, half after one.
+			const n = 10_000
+			ids := issue(n)
+			for _, id := range ids[:n/2] {
+				s.HandleAck(id, clock.Now())
+			}
+			if got := v.Pending(); got != base+n/2 {
+				t.Fatalf("Pending after %d acks = %d, want %d", n/2, got, base+n/2)
+			}
+			v.Advance(1500 * time.Millisecond)
+			for _, id := range ids[n/2:] {
+				s.HandleAck(id, clock.Now())
+			}
+			if got := v.Pending(); got != base {
+				t.Fatalf("Pending after every ack = %d, want the baseline %d", got, base)
+			}
 
-func (t spyTimer) Stop() bool {
-	t.stops.Add(1)
-	return t.Timer.Stop()
-}
+			// Expiry.
+			issue(100)
+			v.Advance(time.Minute)
+			if got := v.Pending(); got != base {
+				t.Fatalf("Pending after expiry = %d, want the baseline %d", got, base)
+			}
 
-// On clocks without the pooled scheduler (production real clocks), an
-// ack must stop the request's armed retry timer immediately — otherwise
-// every acked request retains its pending record, done callback and
-// timer until the dead timer fires up to RetryInterval later.
-func TestAckReleasesRetryTimerOnRealClockPath(t *testing.T) {
-	clock := &stopSpyClock{v: sim.NewVirtualClock(epoch)}
-	s := NewService(clock, func(wire.ControlMessage) {}, Options{
-		RetryInterval: time.Hour, MaxAttempts: 5,
-	})
-	if s.sched != nil {
-		t.Fatal("spy clock must not take the pooled scheduler path")
-	}
-	id, err := s.Issue(Request{Target: wire.MustStreamID(7, 0), Op: wire.OpSetRate, Value: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := clock.stops.Load(); got != 0 {
-		t.Fatalf("stops before ack = %d", got)
-	}
-	s.HandleAck(id, clock.Now())
-	if got := clock.stops.Load(); got != 1 {
-		t.Fatalf("stops after ack = %d, want 1 (retry timer released)", got)
-	}
-	// Stop releases the timers of requests still outstanding.
-	id2, err := s.Issue(Request{Target: wire.MustStreamID(7, 1), Op: wire.OpSetRate, Value: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = id2
-	s.Stop()
-	if got := clock.stops.Load(); got != 2 {
-		t.Fatalf("stops after Stop = %d, want 2", got)
+			// Stop, with retries in flight.
+			issue(100)
+			v.Advance(1500 * time.Millisecond)
+			s.Stop()
+			if got := v.Pending(); got != base {
+				t.Fatalf("Pending after Stop = %d, want the baseline %d", got, base)
+			}
+
+			st := s.Stats()
+			if st.Issued != n+200 || st.Acked != n || st.Expired != 100 || st.Cancelled != 100 || st.Outstanding != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }
 

@@ -167,14 +167,14 @@ const (
 	ModeAsync
 )
 
-// OverflowPolicy says what happens when an async consumer queue is full.
-type OverflowPolicy int
+// overflowPolicy says what happens when an async consumer queue is full.
+type overflowPolicy int
 
 const (
-	// DropOldest discards the queue head to admit the new delivery.
-	DropOldest OverflowPolicy = iota + 1
-	// DropNewest discards the incoming delivery.
-	DropNewest
+	// dropOldest discards the queue head to admit the new delivery.
+	dropOldest overflowPolicy = iota + 1
+	// dropNewest discards the incoming delivery.
+	dropNewest
 )
 
 // DefaultQueueCapacity bounds each async consumer queue. The buffer is a
@@ -199,11 +199,15 @@ const DefaultBatchSize = 32
 // with DefaultShards table shards.
 type Options struct {
 	Mode          Mode
-	QueueCapacity int            // per-consumer, ModeAsync only
-	Overflow      OverflowPolicy // ModeAsync only; default DropOldest
+	QueueCapacity int // per-consumer, ModeAsync only
 	// Shards partitions the subscription table; <= 0 selects
 	// DefaultShards. 1 restores the single-table behaviour.
 	Shards int
+
+	// overflow is the async queues' policy, dropOldest unless an
+	// in-package test asks for dropNewest: a deployment always keeps the
+	// newest reading of a stream.
+	overflow overflowPolicy
 }
 
 // Stats is a snapshot of dispatcher counters.
@@ -279,8 +283,8 @@ func New(opts Options) *Dispatcher {
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = DefaultQueueCapacity
 	}
-	if opts.Overflow == 0 {
-		opts.Overflow = DropOldest
+	if opts.overflow == 0 {
+		opts.overflow = dropOldest
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
@@ -328,7 +332,7 @@ func (d *Dispatcher) Start() {
 func (d *Dispatcher) portForLocked(c Consumer) *port {
 	p, ok := d.ports[c]
 	if !ok {
-		p = newPort(c, d.opts.QueueCapacity, d.opts.Overflow,
+		p = newPort(c, d.opts.QueueCapacity, d.opts.overflow,
 			d.opts.Mode == ModeAsync,
 			&d.dropped, d.droppedBy.With(c.Name()))
 		p.wakeups = &d.wakeups

@@ -271,7 +271,7 @@ func TestAsyncSubscribeAfterStart(t *testing.T) {
 }
 
 func TestAsyncOverflowDropOldest(t *testing.T) {
-	d := New(Options{Mode: ModeAsync, QueueCapacity: 4, Overflow: DropOldest})
+	d := New(Options{Mode: ModeAsync, QueueCapacity: 4, overflow: dropOldest})
 	block := make(chan struct{})
 	var mu sync.Mutex
 	var got []wire.Seq
@@ -302,7 +302,7 @@ func TestAsyncOverflowDropOldest(t *testing.T) {
 	if len(got) > 8 {
 		t.Fatalf("got %d of %d: more than a batch and a full queue survived", len(got), n)
 	}
-	// The newest delivery must survive under DropOldest.
+	// The newest delivery must survive under dropOldest.
 	last := got[len(got)-1]
 	if last != n-1 {
 		t.Fatalf("newest delivery lost: last = %d, want %d", last, n-1)
@@ -313,7 +313,7 @@ func TestAsyncOverflowDropOldest(t *testing.T) {
 }
 
 func TestAsyncOverflowDropNewest(t *testing.T) {
-	d := New(Options{Mode: ModeAsync, QueueCapacity: 2, Overflow: DropNewest})
+	d := New(Options{Mode: ModeAsync, QueueCapacity: 2, overflow: dropNewest})
 	block := make(chan struct{})
 	var mu sync.Mutex
 	var got []wire.Seq
@@ -336,7 +336,7 @@ func TestAsyncOverflowDropNewest(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) == 0 || got[0] != 0 {
-		t.Fatalf("oldest delivery must survive DropNewest; got %v", got)
+		t.Fatalf("oldest delivery must survive dropNewest; got %v", got)
 	}
 }
 

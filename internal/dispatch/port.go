@@ -65,7 +65,7 @@ type port struct {
 
 	mu        sync.Mutex
 	batchSize int
-	overflow  OverflowPolicy
+	overflow  overflowPolicy
 	closed    bool
 	running   bool
 
@@ -92,7 +92,7 @@ type port struct {
 	wakeups  *metrics.Counter // dispatcher total of token sends; nil on a bare port
 }
 
-func newPort(c Consumer, capacity int, overflow OverflowPolicy, async bool, dropped, selfDrop *metrics.Counter) *port {
+func newPort(c Consumer, capacity int, overflow overflowPolicy, async bool, dropped, selfDrop *metrics.Counter) *port {
 	p := &port{
 		consumer:  c,
 		batchSize: min(DefaultBatchSize, capacity),
@@ -271,12 +271,12 @@ func (p *port) enqueue(d filtering.Delivery) bool {
 }
 
 // admit puts d in the ring under the overflow policy. When the ring is at
-// its capacity DropNewest discards d, and DropOldest discards the head and
+// its capacity dropNewest discards d, and dropOldest discards the head and
 // pushes d, one for one even while an adopted replay holds the ring above
 // its capacity.
 func (p *port) admit(d filtering.Delivery) bool {
 	if !p.ring.TryEnqueue(d) {
-		if p.overflow == DropNewest {
+		if p.overflow == dropNewest {
 			p.drop(1)
 			return false
 		}

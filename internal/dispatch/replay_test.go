@@ -389,7 +389,7 @@ func TestReplayFloorPassesGapFills(t *testing.T) {
 func TestEndGateOnClosedPortSync(t *testing.T) {
 	var dropped, selfDrop metrics.Counter
 	rec := &seqRecorder{}
-	p := newPort(rec, 8, DropOldest, true, &dropped, &selfDrop)
+	p := newPort(rec, 8, dropOldest, true, &dropped, &selfDrop)
 	stream := wire.MustStreamID(5, 0)
 
 	p.beginGate()
@@ -436,7 +436,7 @@ func TestEndGateClosedMidFlushSync(t *testing.T) {
 	// while the batch was being consumed, then one more live delivery
 	// diverts into the still-open gate.
 	closer := &closeOnConsume{stream: stream}
-	p := newPort(closer, 8, DropOldest, true, &dropped, &selfDrop)
+	p := newPort(closer, 8, dropOldest, true, &dropped, &selfDrop)
 	closer.p = p
 	p.beginGate()
 	p.held = append(p.held, filtering.Delivery{Msg: wire.Message{Stream: stream}, StoreSeq: 50})

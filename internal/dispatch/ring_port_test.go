@@ -72,13 +72,13 @@ type scriptOutcome struct {
 // schedule — the drainers then deliver the accumulated queues in FIFO
 // order and Stop waits them out — and the outcome is the same on every
 // run.
-func runScript(t *testing.T, script []scriptOp, overflow OverflowPolicy) scriptOutcome {
+func runScript(t *testing.T, script []scriptOp, overflow overflowPolicy) scriptOutcome {
 	t.Helper()
 	streams := []wire.StreamID{wire.MustStreamID(1, 0), wire.MustStreamID(2, 0)}
 	d := New(Options{
 		Mode:          ModeAsync,
 		QueueCapacity: 4, // tiny: overflow constantly
-		Overflow:      overflow,
+		overflow:      overflow,
 	})
 
 	recs := map[string]*seqRecorder{}
@@ -170,7 +170,7 @@ func TestPortScriptsMatchRecordedOutcomes(t *testing.T) {
 		t.Fatalf("%s has %d lines, want 24", portScriptsGolden, len(wantLines))
 	}
 	i := 0
-	for _, overflow := range []OverflowPolicy{DropOldest, DropNewest} {
+	for _, overflow := range []overflowPolicy{dropOldest, dropNewest} {
 		for seed := int64(0); seed < 12; seed++ {
 			out := runScript(t, genScript(rand.New(rand.NewSource(seed)), 400), overflow)
 			if got := goldenLine(overflow, seed, out); got != wantLines[i] {
@@ -271,7 +271,7 @@ func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			var dropped, selfDrop metrics.Counter
 			sink := &BatchConsumerFunc{ConsumerName: "sink", Fn: func([]filtering.Delivery) {}}
-			p := newPort(sink, 1024, DropOldest, true, &dropped, &selfDrop)
+			p := newPort(sink, 1024, dropOldest, true, &dropped, &selfDrop)
 			if path.slow {
 				p.beginGate()
 				p.endGate(nil, wire.MustStreamID(999, 0), false, &shard{})
@@ -299,9 +299,9 @@ const portScriptsGolden = "testdata/port_scripts.golden"
 // policy and seed, the Delivered and Dropped totals, DroppedByConsumer,
 // and each consumer's store sequences in delivery order, with ascending
 // runs written lo-hi.
-func goldenLine(overflow OverflowPolicy, seed int64, o scriptOutcome) string {
+func goldenLine(overflow overflowPolicy, seed int64, o scriptOutcome) string {
 	policy := "DropOldest"
-	if overflow == DropNewest {
+	if overflow == dropNewest {
 		policy = "DropNewest"
 	}
 	var b strings.Builder

@@ -350,10 +350,10 @@ func TestDroppedByConsumerAccounting(t *testing.T) {
 	const n = 50
 	for _, tc := range []struct {
 		name     string
-		overflow OverflowPolicy
-	}{{"DropOldest", DropOldest}, {"DropNewest", DropNewest}} {
+		overflow overflowPolicy
+	}{{"DropOldest", dropOldest}, {"DropNewest", dropNewest}} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := New(Options{Mode: ModeAsync, QueueCapacity: 2, Overflow: tc.overflow})
+			d := New(Options{Mode: ModeAsync, QueueCapacity: 2, overflow: tc.overflow})
 			block := make(chan struct{})
 			slow := &recorder{name: "slow"}
 			slowFn := &ConsumerFunc{ConsumerName: "slow", Fn: func(dd filtering.Delivery) {

@@ -381,7 +381,7 @@ func TestBroadcastIsOneClockEvent(t *testing.T) {
 
 // TestBroadcastSteadyStateZeroAllocs: broadcast + fire to listeners that
 // borrow allocates nothing once the pools are warm — the handoff, its copy
-// slice, its bytes and the clock event are all recycled — with and without
+// slice and its bytes are recycled and the clock event is a heap value — with and without
 // jitter. One listener that does not borrow costs the broadcast's bytes,
 // which it may be holding, and nothing else.
 func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {

@@ -254,7 +254,7 @@ func mpmcStress(t *testing.T, capacity int) {
 			for i := 0; i < perProd; i++ {
 				v := p*perProd + i
 				for !r.TryEnqueue(v) {
-					// Full: discard the oldest, like DropOldest does.
+					// Full: discard the oldest, as the dispatcher's ports do.
 					if old, ok := r.TryDequeue(); ok {
 						record(old)
 					}

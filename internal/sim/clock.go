@@ -38,8 +38,9 @@ type Timer interface {
 
 // Scheduler is an optional Clock extension for fire-and-forget timers:
 // ScheduleFunc behaves like AfterFunc but returns no cancellation
-// handle, which lets implementations recycle their per-timer bookkeeping
-// (VirtualClock pools its heap events). Hot paths that schedule one
+// handle, which lets implementations keep no per-timer bookkeeping
+// outside their queue (a VirtualClock event is then a value in its heap,
+// not an allocation). Hot paths that schedule one
 // callback per broadcast — the radio medium above all — probe for this
 // interface so a dense field costs zero steady-state allocations in the
 // clock.

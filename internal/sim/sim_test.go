@@ -278,6 +278,79 @@ func TestTickerSetPeriod(t *testing.T) {
 	}
 }
 
+// manualClock fires a timer only when the test calls it. A timer that has
+// fired or been stopped reports false from Stop, as a RealClock timer does
+// once its callback has started, even if that callback has not yet got
+// past the ticker's lock.
+type manualClock struct{ timers []*manualTimer }
+
+type manualTimer struct {
+	f              func()
+	fired, stopped bool
+}
+
+func (c *manualClock) Now() time.Time { return testEpoch }
+
+func (c *manualClock) AfterFunc(_ time.Duration, f func()) Timer {
+	mt := &manualTimer{f: f}
+	c.timers = append(c.timers, mt)
+	return mt
+}
+
+func (mt *manualTimer) Stop() bool {
+	if mt.fired || mt.stopped {
+		return false
+	}
+	mt.stopped = true
+	return true
+}
+
+// fire runs the timer's callback the way a clock does.
+func (mt *manualTimer) fire() {
+	mt.fired = true
+	mt.f()
+}
+
+// armed counts the timers that can still fire.
+func (c *manualClock) armed() []*manualTimer {
+	var live []*manualTimer
+	for _, mt := range c.timers {
+		if !mt.fired && !mt.stopped {
+			live = append(live, mt)
+		}
+	}
+	return live
+}
+
+// TestTickerSetPeriodIgnoresLateFire: a tick that fired before SetPeriod
+// but reaches the ticker only after it must not arm a second timer beside
+// the one SetPeriod armed; the ticker would then sample at double rate
+// until Stop.
+func TestTickerSetPeriodIgnoresLateFire(t *testing.T) {
+	c := &manualClock{}
+	n := 0
+	ticker := NewTicker(c, time.Second, func(time.Time) { n++ })
+	late := c.timers[0]
+	late.fired = true // its callback has started and waits for the ticker's lock
+	ticker.SetPeriod(time.Millisecond)
+	late.f()
+	live := c.armed()
+	if len(live) != 1 {
+		t.Fatalf("armed timers after a late fire = %d, want 1", len(live))
+	}
+	if n != 0 {
+		t.Fatalf("late fire of a replaced timer ran the callback %d times, want 0", n)
+	}
+	live[0].fire()
+	if live = c.armed(); len(live) != 1 || n != 1 {
+		t.Fatalf("after one current tick: armed %d (want 1), fired %d (want 1)", len(live), n)
+	}
+	ticker.Stop()
+	if live = c.armed(); len(live) != 0 {
+		t.Fatalf("armed timers after Stop = %d, want 0", len(live))
+	}
+}
+
 func TestTickerPanicsOnBadPeriod(t *testing.T) {
 	c := NewVirtualClock(testEpoch)
 	defer func() {
@@ -328,13 +401,13 @@ func TestSubSeedIndependence(t *testing.T) {
 
 // TestScheduleFuncOrderingMatchesAfterFunc: fire-and-forget events share
 // the same (deadline, schedule-order) discipline as AfterFunc timers,
-// including interleaved with them, and survive recycling across rounds.
+// including interleaved with them, round after round.
 func TestScheduleFuncOrderingMatchesAfterFunc(t *testing.T) {
 	var _ Scheduler = (*VirtualClock)(nil)
 	var _ Scheduler = RealClock{}
 
 	clock := NewVirtualClock(time.Unix(0, 0))
-	for round := 0; round < 3; round++ { // later rounds run on pooled events
+	for round := 0; round < 3; round++ { // later rounds reuse the heap's slots
 		var got []int
 		clock.ScheduleFunc(2*time.Millisecond, func() { got = append(got, 2) })
 		clock.AfterFunc(time.Millisecond, func() { got = append(got, 1) })
@@ -354,9 +427,9 @@ func TestScheduleFuncOrderingMatchesAfterFunc(t *testing.T) {
 	}
 }
 
-// TestScheduleFuncNestedReschedule: a pooled event's callback may itself
-// call ScheduleFunc (the radio delivery path does when a Deliver
-// re-broadcasts) without tripping over the recycling.
+// TestScheduleFuncNestedReschedule: a fire-and-forget event's callback may
+// itself call ScheduleFunc (the radio delivery path does when a Deliver
+// re-broadcasts) while the heap slot it fired from is being reused.
 func TestScheduleFuncNestedReschedule(t *testing.T) {
 	clock := NewVirtualClock(time.Unix(0, 0))
 	depth := 0

@@ -15,7 +15,12 @@ type Ticker struct {
 	mu     sync.Mutex
 	period time.Duration
 	timer  Timer
-	done   bool
+	// gen numbers the armed timer. A fire that does not carry the current
+	// gen comes from a timer SetPeriod replaced but could not stop — on
+	// RealClock its callback may already be waiting for mu — and must not
+	// arm a second chain beside the current one.
+	gen  uint64
+	done bool
 }
 
 // NewTicker schedules fn to run every period on clock, starting one period
@@ -27,19 +32,27 @@ func NewTicker(clock Clock, period time.Duration, fn func(now time.Time)) *Ticke
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{clock: clock, fn: fn, period: period}
-	t.timer = clock.AfterFunc(period, t.tick)
+	t.armLocked()
 	return t
 }
 
-func (t *Ticker) tick() {
+// armLocked arms the next tick one period from now as the current timer.
+// Caller holds t.mu (or owns t exclusively).
+func (t *Ticker) armLocked() {
+	t.gen++
+	gen := t.gen
+	t.timer = t.clock.AfterFunc(t.period, func() { t.tick(gen) })
+}
+
+func (t *Ticker) tick(gen uint64) {
 	t.mu.Lock()
-	if t.done {
+	if t.done || gen != t.gen {
 		t.mu.Unlock()
 		return
 	}
 	// Re-arm before invoking so that the callback observes a live ticker
 	// and so SetPeriod from inside the callback takes effect next round.
-	t.timer = t.clock.AfterFunc(t.period, t.tick)
+	t.armLocked()
 	fn := t.fn
 	t.mu.Unlock()
 	fn(t.clock.Now())
@@ -61,7 +74,7 @@ func (t *Ticker) SetPeriod(period time.Duration) {
 	// Re-arm immediately so a long-period timer does not delay the switch
 	// to a short period.
 	t.timer.Stop()
-	t.timer = t.clock.AfterFunc(t.period, t.tick)
+	t.armLocked()
 }
 
 // Period returns the current tick period.

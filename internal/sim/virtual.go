@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 )
@@ -15,124 +15,186 @@ import (
 // Callbacks may schedule further timers (including zero-delay ones); they
 // fire within the same Advance call if they fall inside the advanced
 // window.
+//
+// The pending timers sit in one binary heap ordered by the key each entry
+// carries inline: its deadline in nanoseconds since the clock's start, then
+// its schedule sequence number. Comparing two entries reads two integers
+// each and nothing else. A stopped timer leaves the heap at once, so
+// scheduling, firing and Stop each cost O(log live), where live is what
+// Pending reports: the timers that can still fire.
 type VirtualClock struct {
+	origin time.Time // set once by NewVirtualClock
+
 	mu   sync.Mutex
-	now  time.Time
+	now  int64 // nanoseconds since origin
 	seq  uint64
-	heap eventHeap
+	heap []event
 }
 
 // NewVirtualClock returns a VirtualClock starting at start.
 func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
+	return &VirtualClock{origin: start}
 }
 
+// event is one pending callback, held by value in the heap.
 type event struct {
-	when    time.Time
-	seq     uint64 // tie-break: schedule order
-	fn      func()
-	stopped bool
-	pooled  bool // fire-and-forget (ScheduleFunc): recycle after firing
-	index   int  // heap index, -1 once popped
+	at    int64  // deadline, nanoseconds since origin
+	seq   uint64 // tie-break: schedule order
+	fn    func()
+	timer *timer // the AfterFunc handle; nil for ScheduleFunc
 }
 
-// eventPool recycles fire-and-forget events (ScheduleFunc). Events with
-// a Timer handle are never pooled: the handle may outlive the firing.
-var eventPool = sync.Pool{New: func() any { return new(event) }}
+// before is the heap order: earlier deadline first, then schedule order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-type eventHeap []*event
+// timer is the Timer AfterFunc returns. It knows where its event sits in
+// the heap so Stop can take it out; index is -1 once the event has fired
+// or been stopped.
+type timer struct {
+	clock *VirtualClock
+	index int
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].when.Equal(h[j].when) {
-		return h[i].when.Before(h[j].when)
+// Stop implements Timer.
+func (t *timer) Stop() bool {
+	c := t.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.index < 0 {
+		return false
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	c.remove(t.index)
+	return true
 }
 
 // Now implements Clock.
 func (c *VirtualClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now
+	return c.origin.Add(time.Duration(c.now))
 }
 
-// AfterFunc implements Clock. Negative durations are treated as zero.
+// AfterFunc implements Clock. Negative durations are treated as zero. The
+// returned handle is the only allocation.
 func (c *VirtualClock) AfterFunc(d time.Duration, f func()) Timer {
-	if d < 0 {
-		d = 0
-	}
+	t := &timer{clock: c}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	ev := &event{when: c.now.Add(d), seq: c.seq, fn: f}
-	c.seq++
-	heap.Push(&c.heap, ev)
-	return &virtualTimer{clock: c, ev: ev}
+	c.push(d, f, t)
+	c.mu.Unlock()
+	return t
 }
 
 // ScheduleFunc implements Scheduler: like AfterFunc but without a
-// cancellation handle, so the event is drawn from (and returned to) a
-// pool — the radio medium's per-broadcast scheduling path allocates
-// nothing at steady state. Negative durations are treated as zero.
+// cancellation handle, so it allocates nothing beyond the heap's own
+// growth — the radio medium's per-broadcast scheduling path is free at
+// steady state. Negative durations are treated as zero.
 func (c *VirtualClock) ScheduleFunc(d time.Duration, f func()) {
-	if d < 0 {
-		d = 0
-	}
-	ev := eventPool.Get().(*event)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	*ev = event{when: c.now.Add(d), seq: c.seq, fn: f, pooled: true}
+	c.push(d, f, nil)
+	c.mu.Unlock()
+}
+
+// push schedules f d from now. Caller holds c.mu.
+func (c *VirtualClock) push(d time.Duration, f func(), t *timer) {
+	c.heap = append(c.heap, event{at: c.after(d), seq: c.seq, fn: f, timer: t})
 	c.seq++
-	heap.Push(&c.heap, ev)
+	c.up(len(c.heap) - 1)
 }
 
-type virtualTimer struct {
-	clock *VirtualClock
-	ev    *event
-}
-
-// Stop implements Timer.
-func (t *virtualTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if t.ev.stopped || t.ev.index == -1 {
-		return false
+// after returns the instant d from now, nanoseconds since origin. Negative
+// durations count as zero, and the sum saturates rather than wrap. Caller
+// holds c.mu.
+func (c *VirtualClock) after(d time.Duration) int64 {
+	if d <= 0 {
+		return c.now
 	}
-	t.ev.stopped = true
-	heap.Remove(&t.clock.heap, t.ev.index)
-	return true
+	if int64(d) > math.MaxInt64-c.now {
+		return math.MaxInt64
+	}
+	return c.now + int64(d)
+}
+
+// up moves the entry at i toward the root until its parent is not later,
+// shifting each later parent down into the hole.
+func (c *VirtualClock) up(i int) {
+	h := c.heap
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		c.place(i, h[p])
+		i = p
+	}
+	c.place(i, e)
+}
+
+// down moves the entry at i toward the leaves until no child is earlier,
+// shifting each earlier child up into the hole. It reports whether the
+// entry moved.
+func (c *VirtualClock) down(i int) bool {
+	h := c.heap
+	n := len(h)
+	start := i
+	e := h[i]
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			m = r
+		}
+		if !h[m].before(&e) {
+			break
+		}
+		c.place(i, h[m])
+		i = m
+	}
+	c.place(i, e)
+	return i > start
+}
+
+// place stores e at heap position i and tells its handle, if it has one.
+func (c *VirtualClock) place(i int, e event) {
+	c.heap[i] = e
+	if e.timer != nil {
+		e.timer.index = i
+	}
+}
+
+// remove takes the entry at i out of the heap and returns it, its handle
+// marked as no longer pending. Caller holds c.mu.
+func (c *VirtualClock) remove(i int) event {
+	h := c.heap
+	n := len(h) - 1
+	e := h[i]
+	if i != n {
+		c.place(i, h[n])
+	}
+	h[n] = event{}
+	c.heap = h[:n]
+	if i != n && !c.down(i) {
+		c.up(i)
+	}
+	if e.timer != nil {
+		e.timer.index = -1
+	}
+	return e
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline
 // falls within the window in deterministic order. It returns the number of
 // callbacks fired.
 func (c *VirtualClock) Advance(d time.Duration) int {
-	if d < 0 {
-		d = 0
-	}
 	c.mu.Lock()
-	target := c.now.Add(d)
+	target := c.after(d)
 	c.mu.Unlock()
-	return c.RunUntil(target)
+	return c.run(target, math.MaxInt, true)
 }
 
 // RunUntil fires timers in order until the clock reaches t. Timers
@@ -140,34 +202,7 @@ func (c *VirtualClock) Advance(d time.Duration) int {
 // clock finishes exactly at t (unless it is already past t, in which case
 // nothing happens).
 func (c *VirtualClock) RunUntil(t time.Time) int {
-	fired := 0
-	for {
-		c.mu.Lock()
-		if len(c.heap) == 0 || c.heap[0].when.After(t) {
-			if c.now.Before(t) {
-				c.now = t
-			}
-			c.mu.Unlock()
-			return fired
-		}
-		ev := heap.Pop(&c.heap).(*event)
-		if ev.when.After(c.now) {
-			c.now = ev.when
-		}
-		c.mu.Unlock()
-		fire(ev)
-		fired++
-	}
-}
-
-// fire runs an event's callback and recycles fire-and-forget events.
-func fire(ev *event) {
-	fn := ev.fn
-	if ev.pooled {
-		*ev = event{}
-		eventPool.Put(ev)
-	}
-	fn()
+	return c.run(int64(t.Sub(c.origin)), math.MaxInt, true)
 }
 
 // RunAll fires every pending timer (including ones scheduled by callbacks)
@@ -175,26 +210,36 @@ func fire(ev *event) {
 // and returns the number fired. It is intended for draining a simulation
 // at shutdown.
 func (c *VirtualClock) RunAll() int {
-	const limit = 1_000_000
+	return c.run(math.MaxInt64, 1_000_000, false)
+}
+
+// run fires, in order, up to limit callbacks due at or before target and
+// returns how many it fired. When none due is left and settle is set, it
+// moves the clock on to target unless the clock is past it already.
+func (c *VirtualClock) run(target int64, limit int, settle bool) int {
 	fired := 0
 	for fired < limit {
 		c.mu.Lock()
-		if len(c.heap) == 0 {
+		if len(c.heap) == 0 || c.heap[0].at > target {
+			if settle && c.now < target {
+				c.now = target
+			}
 			c.mu.Unlock()
 			return fired
 		}
-		ev := heap.Pop(&c.heap).(*event)
-		if ev.when.After(c.now) {
-			c.now = ev.when
+		e := c.remove(0)
+		if e.at > c.now {
+			c.now = e.at
 		}
 		c.mu.Unlock()
-		fire(ev)
+		e.fn()
 		fired++
 	}
 	return fired
 }
 
-// Pending returns the number of timers currently scheduled.
+// Pending returns the number of timers that can still fire: scheduled,
+// not yet fired and not stopped.
 func (c *VirtualClock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -209,5 +254,5 @@ func (c *VirtualClock) NextDeadline() (deadline time.Time, ok bool) {
 	if len(c.heap) == 0 {
 		return time.Time{}, false
 	}
-	return c.heap[0].when, true
+	return c.origin.Add(time.Duration(c.heap[0].at)), true
 }
