@@ -131,7 +131,7 @@ func WithStoreRetention(maxMessages int, maxBytes int64, maxAge time.Duration) O
 	}
 }
 
-// WithStoreCompression enables the Stream Store's cold compressed tier:
+// WithStoreCompression enables the Stream Store's sealed history:
 // deliveries pushed out of the hot ring by the WithStoreRetention bounds
 // are sealed into immutable compressed blocks instead of being dropped,
 // and Replay, SubscribeWithReplay, Range and the Orphanage backlog read
@@ -139,11 +139,13 @@ func WithStoreRetention(maxMessages int, maxBytes int64, maxAge time.Duration) O
 // per block ("gorilla" for fixed 64-bit numeric series, "rle" for
 // repetitive payloads, "lz" for general bytes, "raw" to store
 // uncompressed); naming one pins it. coldBudget bounds the compressed
-// bytes kept per stream (<= 0 keeps the default, 64 KiB); the oldest
-// blocks are dropped past it and the newest always survives. New panics
-// on an unknown codec name, like a malformed retention bound would — a
-// typo here must not silently turn history off. See README, "Retention &
-// replay tuning".
+// bytes kept in memory per stream (<= 0 keeps the default, 64 KiB) only
+// when no archive is attached: the oldest blocks are dropped past it and
+// the newest always survives. With WithArchive every sealed block goes to
+// the archive and the budget holds nothing back. New panics on an
+// unknown codec name, like a malformed retention bound would — a typo
+// here must not silently turn history off. See README, "Running at
+// scale".
 func WithStoreCompression(codec string, coldBudget int64) Option {
 	return func(cfg *core.Config) {
 		cfg.Store.Codec = codec
@@ -174,16 +176,17 @@ func NewMemArchive() ArchiveBackend {
 	return archive.NewMem()
 }
 
-// WithArchive attaches a durable archive tier to the Stream Store: cold
-// compressed blocks that the WithStoreCompression budget would discard
-// are spilled to the backend by an async per-shard archiver instead, and
-// Range, Replay, SubscribeWithReplay and the window queries stitch
-// archive → cold → hot → live transparently. Implies
+// WithArchive attaches a durable archive tier to the Stream Store: every
+// compressed block the store seals is spilled to the backend by an async
+// per-shard archiver, staying in memory only until the backend has filed
+// it, so WithStoreCompression's cold budget no longer bounds what is
+// kept. Range, Replay, SubscribeWithReplay and the window queries stitch
+// archive → sealed → hot → live transparently. Implies
 // WithStoreCompression("auto", default budget) when no codec was chosen —
 // the archive files sealed blocks, so sealing must be on. On
 // construction the store recovers the backend's manifest and serves
-// archived history for streams it has never seen live. See README,
-// "Archive tier".
+// archived history for streams it has never seen live. See the store
+// package comment, "Sealed history".
 func WithArchive(b ArchiveBackend) Option {
 	return func(cfg *core.Config) {
 		cfg.Store.Archive = b

@@ -241,10 +241,10 @@ func TestFanOutStorm(t *testing.T) {
 }
 
 // TestArchivedLateJoinerStorm pushes the late-joiner storm through the
-// durable archive tier: a one-byte cold budget spills what the publishers
-// write far past the in-memory window, so nearly all the joiners replay
+// durable archive tier: every sealed block spills, so what the publishers
+// write far past the in-memory window — nearly all the joiners replay —
 // exists only in the archive. Their views must stay in order across the
-// archive → cold → hot → live hand-off, and a second deployment over the
+// archive → sealed → hot → live hand-off, and a second deployment over the
 // same backend must replay the same archived ranges after a restart.
 func TestArchivedLateJoinerStorm(t *testing.T) {
 	const backlog, window = 600, 32
@@ -315,7 +315,7 @@ func TestArchivedLateJoinerStorm(t *testing.T) {
 // are briefly subscribed, and are then forgotten by every plane. Churn
 // must leave no residue: no armed timers, no per-stream state in filter or
 // store, no held orphans, no live subscriptions. The store runs its whole
-// tier stack — compression, a one-byte cold budget and a durable archive —
+// tier stack — compression, sealing and a durable archive —
 // so Forget must reclaim archived blocks too, and both the filter's and
 // the store's conservation identities hold exactly.
 func TestChurnStorm(t *testing.T) {

@@ -1,15 +1,16 @@
 // Package archive defines the Stream Store's durable retention tier: a
-// pluggable block backend that receives sealed compressed blocks when
-// cold-budget eviction would otherwise discard them, and serves them
-// back to the store's read path so replay stitches
-// archive → cold → hot → live transparently.
+// pluggable block backend that receives every compressed block the store
+// seals — a block stays in the store's memory only until the backend has
+// filed it — and serves them back to the store's read path, so replay
+// stitches archive → sealed-but-unfiled → hot → live transparently.
 //
 // The unit of exchange is the store's sealed block exactly as the codec
 // package encoded it — a self-contained byte string tagged with its
 // codec ID — so a backend never inspects payloads: it files opaque
 // blocks under (stream, sequence range) and hands them back. Blocks on
 // one stream arrive in ascending, non-overlapping sequence order (the
-// store spills its cold tier oldest-first), which backends may rely on.
+// store spills its sealed blocks oldest-first), which backends may rely
+// on.
 //
 // # Contract
 //

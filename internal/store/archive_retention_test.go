@@ -39,7 +39,7 @@ func retentionSurvivors(all []archive.Ref, maxAge time.Duration, maxBytes int64)
 func TestArchiveRetentionBounds(t *testing.T) {
 	const n = 400 // one entry a second, 8 to a block
 	id := wire.MustStreamID(9, 0)
-	base := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, ArchiveSync: true}
+	base := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, archiveSync: true}
 	payload := func(seq int) []byte { return []byte(fmt.Sprintf("reading %03d", seq)) }
 	at := func(seq int) time.Time { return epoch.Add(time.Duration(seq) * time.Second) }
 

@@ -30,14 +30,14 @@ func checkArchiveIdentity(t *testing.T, s *Store, tag string) {
 	}
 }
 
-// TestArchiveSpillStitch drives the simplest end-to-end spill: a tiny
-// cold budget pushes sealed blocks into the backend, and every query
-// stitches archive → cold → hot transparently.
+// TestArchiveSpillStitch drives the simplest end-to-end spill: every
+// sealed block goes to the backend, and every query stitches
+// archive → stage → hot transparently.
 func TestArchiveSpillStitch(t *testing.T) {
 	backend := archive.NewMem()
 	s := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend, ArchiveSync: true,
+		Archive: backend, archiveSync: true,
 	})
 	defer s.Close()
 	id := wire.MustStreamID(9, 0)
@@ -155,7 +155,7 @@ func TestArchiveRecoveryRestart(t *testing.T) {
 
 	s1 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend, ArchiveSync: true,
+		Archive: backend, archiveSync: true,
 	})
 	for seq := 0; seq < n; seq++ {
 		s1.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte(fmt.Sprintf("r%03d", seq))))
@@ -166,7 +166,7 @@ func TestArchiveRecoveryRestart(t *testing.T) {
 
 	s2 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend, ArchiveSync: true,
+		Archive: backend, archiveSync: true,
 	})
 	defer s2.Close()
 
@@ -177,6 +177,14 @@ func TestArchiveRecoveryRestart(t *testing.T) {
 	st := s2.Stats()
 	if st.ArchiveRecovered == 0 || st.ArchivedMessages != st.ArchiveRecovered {
 		t.Fatalf("recovery accounting: %+v", st)
+	}
+	// Stats counts the stream Streams lists; Appended does not, for
+	// nothing was appended to it in this process.
+	if st.Streams != 1 {
+		t.Fatalf("recovered Stats().Streams = %d, Streams() lists 1", st.Streams)
+	}
+	if app := s2.Appended(); len(app) != 0 {
+		t.Fatalf("recovered stream listed as appended: %+v", app)
 	}
 	checkArchiveIdentity(t, s2, "after recovery")
 	first, ok := s2.FirstSeq(id)
@@ -229,7 +237,7 @@ func TestArchiveFSRestart(t *testing.T) {
 	}
 	s1 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: b1, ArchiveSync: true,
+		Archive: b1, archiveSync: true,
 	})
 	for seq := 0; seq < n; seq++ {
 		s1.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte(fmt.Sprintf("fs%03d", seq))))
@@ -251,7 +259,7 @@ func TestArchiveFSRestart(t *testing.T) {
 	defer b2.Close()
 	s2 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: b2, ArchiveSync: true,
+		Archive: b2, archiveSync: true,
 	})
 	defer s2.Close()
 	if got := s2.Stats().ArchiveRecovered; got != archived {
@@ -303,8 +311,8 @@ func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestArchivedStoreMatchesFrozenReference is the archive-tier
-// differential: with the cold budget forced to one byte, essentially all
-// sealed history spills to the backend, and every query must still match
+// differential: all sealed history spills to the backend (the one-byte
+// cold budget is inert beside an archive), and every query must still match
 // the frozen-tier reference byte for byte — across wire-seq wraps,
 // gaps, late fills, EvictTo cuts (straddling archived blocks) and
 // Forget, at shard counts 1, 4 and 16, over the in-memory and
@@ -331,7 +339,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					Codec:       codecName,
 					ColdBudget:  1, // everything but the newest sealed block spills
 					BlockSize:   8,
-					ArchiveSync: cell.sync,
+					archiveSync: cell.sync,
 				}
 				stores := make([]*Store, len(shardCounts))
 				for i, n := range shardCounts {
@@ -475,8 +483,8 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					}
 				}
 
-				// Nothing is ever lost: the archive tier catches what the
-				// cold budget pushes out, so retained + archived equals the
+				// Nothing is ever lost: the archive tier catches every
+				// sealed block, so retained + archived equals the
 				// reference's frozen ∪ live totals and the conservation
 				// identity closes. Close first — it drains the async
 				// archiver's pending blocks, so the archived gauges are
@@ -506,5 +514,66 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestForgetDuringSpillLeavesNoBackendState races Forget against a block
+// the archiver is writing: once that write returns, the forgotten stream
+// must leave nothing in the backend — no block, no floor, no manifest
+// entry. A floor filed for a forgotten stream outlives the addressing it
+// was cut against: after a restart a resumed stream's new blocks can fall
+// below it, and the next recovery drops them. A stream that resumes
+// before the write returns keeps exactly its new history, floorless.
+func TestForgetDuringSpillLeavesNoBackendState(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resume=%v", resume), func(t *testing.T) {
+			mem := archive.NewMem()
+			gate := newGatedBackend(mem)
+			gate.set(true)
+			s := New(Options{Shards: 1, MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: gate})
+			id := wire.MustStreamID(4, 0)
+			appendRun := func(from, to int) {
+				for seq := from; seq < to; seq++ {
+					s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte(fmt.Sprintf("v%03d", seq))))
+				}
+			}
+			appendRun(0, 40)
+			gate.awaitHeld() // the archiver is writing the first sealed block
+			if got := s.Forget(id); got != 40 {
+				t.Fatalf("Forget dropped %d, want 40", got)
+			}
+			if resume {
+				appendRun(40, 80)
+			}
+			gate.set(false)
+			s.Close()
+
+			held, _ := mem.List(id)
+			if !resume {
+				if held.Floor != 0 || len(held.Refs) != 0 {
+					t.Fatalf("forgotten stream left floor %d and %d blocks in the backend", held.Floor, len(held.Refs))
+				}
+				mem.Streams(func(ss archive.StreamState) error {
+					t.Fatalf("forgotten stream %v is still in the backend (floor %d, %d blocks)", ss.Stream, ss.Floor, len(ss.Refs))
+					return nil
+				})
+			} else {
+				var archived int32
+				for _, ref := range held.Refs {
+					archived += ref.Count
+					if ref.FirstSeq < extBase+40 {
+						t.Fatalf("backend holds a block from before Forget: %+v", ref)
+					}
+				}
+				if held.Floor != 0 || int64(archived) != s.Stats().ArchivedMessages || archived == 0 {
+					t.Fatalf("resumed stream: backend floor %d, %d archived, store says %d", held.Floor, archived, s.Stats().ArchivedMessages)
+				}
+				got := s.Range(id, 0, ^uint64(0))
+				if len(got) != 40 || got[0].StoreSeq != extBase+40 {
+					t.Fatalf("resumed stream serves %d entries from %d, want 40 from %d", len(got), got[0].StoreSeq, extBase+40)
+				}
+			}
+			checkArchiveIdentity(t, s, "after Forget during spill")
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
+	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -75,6 +76,9 @@ func BenchmarkStoreAppendCensus(b *testing.B) {
 // visit is the borrowed zero-copy path a same-process consumer (the
 // dispatch catch-up gate's fetch) can use via RangeFunc; materialize is
 // Range with detached payload copies, what the facade hands callers.
+// sealed and archived are materialize over a window that lies mostly in
+// sealed blocks: 16 hot entries, the rest in 15 blocks held in memory (a
+// codec, no archive) or filed in an in-memory archive backend.
 func BenchmarkStoreReplay(b *testing.B) {
 	const window = 256
 	s := New(Options{MaxMessages: window})
@@ -102,4 +106,27 @@ func BenchmarkStoreReplay(b *testing.B) {
 			}
 		}
 	})
+	for _, tier := range []struct {
+		name    string
+		backend archive.Backend
+	}{{"sealed", nil}, {"archived", archive.NewMem()}} {
+		b.Run(tier.name, func(b *testing.B) {
+			s := New(Options{MaxMessages: 16, Codec: "auto", BlockSize: 16, ColdBudget: 1 << 30,
+				Archive: tier.backend, archiveSync: true})
+			defer s.Close()
+			for i := 0; i < window; i++ {
+				s.Append(compressedDel(id, i))
+			}
+			if st := s.Stats(); st.ColdBlocks+int(st.ArchivedBlocks) != (window-16)/16 {
+				b.Fatalf("window is not sealed: %+v", st)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := s.Range(id, 0, ^uint64(0)); len(got) != window {
+					b.Fatalf("replayed %d, want %d", len(got), window)
+				}
+			}
+		})
+	}
 }

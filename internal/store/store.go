@@ -42,6 +42,25 @@
 // per append whatever its payloads' size, at the price of moving each
 // arena payload once more than a slot payload is. Reads unpack a Delivery
 // per hot entry, its payload lent from the ring under the shard lock.
+//
+// # Sealed history
+//
+// With a codec configured (Options.Codec), an entry the hot bounds push out
+// of the ring is not dropped: it moves to the seal stage, and a full stage
+// is encoded into one immutable block appended to the stream's one list of
+// sealed blocks. Where a block goes from there depends on the archive:
+//
+//   - With no archive the list is the cold tier, bounded per stream by
+//     Options.ColdBudget: past it the oldest block is dropped
+//     (Stats.EvictedCold).
+//   - With an archive (Options.Archive) a block stays on the list only until
+//     the archiver has filed it in the backend. It then lives on as a
+//     durable ref, whose bytes a read fetches back from the backend.
+//
+// A stream's history is therefore, oldest first: durable refs, the sealed
+// list, the seal stage, the hot ring. All four hang off the stream's one
+// record — the ring header and, behind one pointer, its tail — and every
+// read walks them in that order (walkLocked).
 package store
 
 import (
@@ -96,11 +115,12 @@ const (
 	arenaSlack = 64
 )
 
-// Defaults for the cold compressed tier (Options.Codec != "").
+// Defaults for sealed history (Options.Codec != "").
 const (
-	// DefaultColdBudget bounds the compressed cold bytes kept per stream.
+	// DefaultColdBudget bounds the compressed bytes of sealed blocks kept
+	// in memory per stream when no archive is attached.
 	DefaultColdBudget = int64(1) << 16
-	// DefaultBlockSize is the number of deliveries sealed per cold block.
+	// DefaultBlockSize is the number of deliveries sealed per block.
 	DefaultBlockSize = 64
 	// maxFreeBufs bounds the per-shard free list of recycled block
 	// buffers.
@@ -125,38 +145,39 @@ type Options struct {
 	// deterministic on virtual clocks); <= 0 means unbounded.
 	MaxAge time.Duration
 
-	// Codec enables the cold compressed tier: deliveries evicted from the
-	// hot ring by the count/byte/age bounds are sealed into immutable
-	// compressed blocks instead of being dropped, and the read path
-	// stitches them back transparently. "" disables the tier (evictions
+	// Codec enables sealed history: deliveries evicted from the hot ring
+	// by the count/byte/age bounds pass through the seal stage into
+	// immutable compressed blocks instead of being dropped, and the read
+	// path stitches them back transparently. "" disables it (evictions
 	// drop, the pre-compression behaviour). Valid names are "auto",
 	// "gorilla", "rle", "lz" and "raw"; New panics on anything else, like
 	// a malformed shard count would elsewhere — a config typo should not
 	// silently disable retention.
 	Codec string
-	// ColdBudget bounds the compressed cold bytes kept per stream; the
-	// oldest blocks are dropped (Stats.EvictedCold) past it. <= 0 selects
-	// DefaultColdBudget. The newest block always survives.
+	// ColdBudget bounds the sealed blocks kept in memory per stream, in
+	// compressed bytes, when no archive is attached; the oldest blocks
+	// are dropped (Stats.EvictedCold) past it. <= 0 selects
+	// DefaultColdBudget. The newest block always survives. With an
+	// archive every block spills as it is sealed and no budget applies.
 	ColdBudget int64
-	// BlockSize is the number of deliveries sealed per cold block; <= 0
+	// BlockSize is the number of deliveries sealed per block; <= 0
 	// selects DefaultBlockSize.
 	BlockSize int
 
-	// Archive enables the durable archive tier: cold blocks the
-	// compressed-bytes budget would drop are spilled to this backend
-	// instead, and the read path stitches them back transparently —
-	// archive → cold → hot, one ascending sequence. Archiving requires
-	// the cold tier; when Codec is empty it defaults to "auto". nil
-	// disables the tier (budget overruns drop, the pre-archive
-	// behaviour). At construction the store recovers the backend's
-	// manifest and serves archived history for streams it has never
-	// seen live.
+	// Archive enables the durable archive tier: every sealed block is
+	// spilled to this backend, and the read path stitches archived
+	// blocks back transparently — archive → sealed list → stage → hot,
+	// one ascending sequence. Archiving requires sealing; when Codec is
+	// empty it defaults to "auto". nil disables the tier. At construction
+	// the store recovers the backend's manifest and serves archived
+	// history for streams it has never seen live.
 	Archive archive.Backend
-	// ArchiveSync spills synchronously under the shard lock instead of
+	// archiveSync spills synchronously under the shard lock instead of
 	// through the per-shard archiver goroutines: appends pay the
-	// backend's write latency, but shutdown needs no drain and tests
-	// are deterministic.
-	ArchiveSync bool
+	// backend's write latency, but tests are deterministic. Only
+	// in-package tests set it; the queue-full fallback and Close take the
+	// same synchronous path.
+	archiveSync bool
 	// ArchiveMaxAge drops archived blocks whose newest entry is older
 	// than this relative to the newest archived entry (append-side
 	// eviction, deterministic on virtual clocks); <= 0 means unbounded.
@@ -179,11 +200,11 @@ type Options struct {
 // reasons; ArchiveRecovered discounts history inherited from a previous
 // process's manifest, which was never appended in this one. With
 // compression enabled the Evicted{Count,Bytes,Age} counters stay at
-// zero — those evictions seal into the cold tier instead — and
-// EvictedCold takes over as the only capacity-driven loss; with an
-// archive backend attached EvictedCold stays at zero too — budget
-// overruns spill — leaving EvictedArchive (retention policy) and
-// ArchiveFailed (backend write errors) as the only capacity losses.
+// zero — those evictions seal instead — and EvictedCold takes over as
+// the only capacity-driven loss; with an archive backend attached
+// EvictedCold stays at zero too — every sealed block spills — leaving
+// EvictedArchive (retention policy) and ArchiveFailed (backend write
+// errors) as the only capacity losses.
 type Stats struct {
 	Appended      int64 // deliveries handed to Append
 	Duplicates    int64 // re-appends of an already retained sequence (replaced in place)
@@ -194,19 +215,22 @@ type Stats struct {
 	EvictedCold   int64 // dropped from the cold tier by the compressed-bytes budget
 	Forgotten     int64 // dropped by policy (Forget / EvictTo)
 
-	// Cold-tier counters, zero when compression is off.
+	// Sealing counters, zero when compression is off.
 	SealedBlocks   int64 // compressed blocks sealed since start
 	SealedMessages int64 // deliveries sealed into those blocks
 
 	// RetainedMessages/RetainedBytes are gauge values: what the store
-	// holds right now — hot ring, seal stage and cold tier — summed
-	// across the per-shard gauges. RetainedBytes counts payload bytes as
-	// appended, regardless of how densely the cold tier stores them.
+	// holds in memory right now — hot ring, seal stage and sealed list —
+	// summed across the per-shard gauges. RetainedBytes counts payload
+	// bytes as appended, regardless of how densely sealed blocks store
+	// them.
 	RetainedMessages int64
 	RetainedBytes    int64
 
-	// Cold-tier gauges: compressed blocks currently held, the compressed
-	// bytes they occupy, and the raw payload bytes they represent.
+	// Sealed-list gauges: compressed blocks held in memory, the
+	// compressed bytes they occupy, and the live payload bytes they
+	// represent. With an archive attached these are the blocks awaiting
+	// the archiver, the ones ArchivePendingBlocks counts.
 	ColdBlocks   int
 	ColdBytes    int64
 	ColdRawBytes int64
@@ -220,9 +244,9 @@ type Stats struct {
 
 	// Archive-tier gauges: durable blocks live right now, their
 	// encoded/raw bytes (RawBytes/Bytes is the archived compression
-	// ratio), blocks spilled but not yet committed by the archiver
-	// (their entries still count as retained), and the spill-queue
-	// occupancy across shards.
+	// ratio), sealed blocks the archiver has not committed yet (the
+	// sealed list; their entries still count as retained), and the
+	// spill-queue occupancy across shards.
 	ArchivedBlocks       int64
 	ArchivedMessages     int64
 	ArchivedBytes        int64
@@ -241,7 +265,7 @@ type Stats struct {
 	ArchiveReadP99Ms  float64
 
 	Codec   string // configured codec name, "" when compression is off
-	Streams int    // streams currently holding at least one delivery
+	Streams int    // streams holding at least one delivery in any tier, archive included
 	Shards  int
 }
 
@@ -251,23 +275,24 @@ type StreamStats struct {
 	FirstSeq uint64 // lowest retained extended sequence (0 when empty)
 	LastSeq  uint64 // highest retained extended sequence (0 when empty)
 	NextWire wire.Seq
-	Count    int   // retained deliveries: hot + stage + cold
+	Count    int   // retained deliveries in memory: hot + stage + sealed list
 	Bytes    int64 // their payload bytes as appended
 
 	// ResidentBytes estimates the stream's resident heap: the ring
 	// header and the hot slot array at capacity and, once the stream
 	// owns one, the tail record with its payload arena and stage
-	// backing at capacity, staged payload bytes, and the sealed blocks'
-	// headers plus compressed data. Receiver names are interned process-wide
-	// and allocator rounding is not counted, so this is an estimate —
-	// but one that is comparable across streams and honest about lazy
-	// allocation (a forgotten or idle stream shows only its header).
+	// backing at capacity, staged payload bytes, the sealed blocks'
+	// headers plus compressed data, and the archived refs' index.
+	// Receiver names are interned process-wide and allocator rounding is
+	// not counted, so this is an estimate — but one that is comparable
+	// across streams and honest about lazy allocation (a forgotten or
+	// idle stream shows only its header).
 	ResidentBytes int64
 
-	// Cold-tier view, zero when compression is off or nothing has been
-	// sealed yet. ColdRawBytes/ColdBytes is the stream's compression
+	// Sealed-list view, zero when compression is off or no block is held
+	// in memory. ColdRawBytes/ColdBytes is the stream's compression
 	// ratio.
-	Codec        string // codec of the newest sealed block
+	Codec        string // codec of the newest sealed block, held or archived
 	ColdBlocks   int
 	ColdMessages int
 	ColdBytes    int64 // compressed bytes held
@@ -282,7 +307,7 @@ type StreamStats struct {
 	ArchivedMessages int
 	ArchivedBytes    int64 // encoded bytes in the backend
 	ArchivedRawBytes int64 // payload bytes those blocks represent
-	ArchivePending   int   // spilled blocks not yet committed by the archiver
+	ArchivePending   int   // sealed blocks not yet committed by the archiver
 	ArchiveFloor     uint64
 }
 
@@ -293,7 +318,7 @@ type Store struct {
 	shards   []*shard
 	shardCnt int
 
-	// Cold-tier configuration; picker is nil when compression is off.
+	// Sealing configuration; picker is nil when compression is off.
 	picker     codec.Picker
 	codecName  string
 	coldBudget int64
@@ -333,14 +358,12 @@ type shard struct {
 	retainedMessages metrics.Gauge
 	retainedBytes    metrics.Gauge
 
-	// Archive tier: per-stream archived state (nil map when the tier is
-	// off) and its counters, plain ints under mu like the rest.
-	archived         map[wire.StreamID]*archStream
+	// Archive-tier counters, plain ints under mu like the rest; the
+	// per-stream archive state lives on each ring's tail.
 	archivedBlocks   int64
 	archivedMsgs     int64
 	archivedBytes    int64
 	archivedRaw      int64
-	pendingBlocks    int64
 	evictedArchive   int64
 	archiveFailed    int64
 	spillSync        int64
@@ -382,15 +405,16 @@ func (sh *shard) recycleBufLocked(b []byte) {
 // the store's idle footprint. The header holds what every stream uses —
 // the slots, the window, the unwrap state and the append history — in the
 // order an append touches it, so it comes first and alone: it is all an
-// idle stream pays for. The arena and the cold tier, which only a stream
-// with payloads longer than a slot's or with a codec needs, sit in the
-// tail behind one pointer. The slot mask is derived from len(slots)
+// idle stream pays for. The arena and the sealed history, which only a
+// stream with payloads longer than a slot's or with a codec needs, sit in
+// the tail behind one pointer. The slot mask is derived from len(slots)
 // (see slotMask) instead of stored, and the wire sequence of lastExt is
 // its low 16 bits. The footprint test pins header and one slot together.
 type ring struct {
 	slots []slot
-	// tail is noTail until the stream first needs an arena or seals a
-	// block (ownTail); Forget hands it back.
+	// tail is noTail until the stream first needs an arena, stages an
+	// entry or is recovered from the archive (ownTail); Forget hands it
+	// back.
 	tail *tail
 
 	// Retained window [minExt, maxExt], both present when count > 0.
@@ -416,7 +440,7 @@ type ring struct {
 }
 
 // tail is the part of a ring most streams never use: the payload arena
-// and the cold tier. A ring that has not needed either points at noTail,
+// and the sealed history. A ring that has needed neither points at noTail,
 // the shared zero tail, so every read goes through the pointer unguarded;
 // only ownTail's caller may write through it.
 type tail struct {
@@ -429,22 +453,29 @@ type tail struct {
 	// largest is the longest payload put in the arena since the tail was
 	// allocated: appending it beside a full window needs that much arena
 	// beyond the window's own bytes.
-	largest   uint32
-	coldCount int32 // deliveries across cold
+	largest uint32
 
-	// Cold tier (compression enabled). Entries leave the hot ring oldest
-	// first into stage — a fixed-capacity slice whose spare elements park
-	// recycled payload buffers — and a full stage seals into one
-	// immutable compressed block appended to cold. All sequences in cold
-	// precede all in stage precede all in the hot ring, so reads stitch
-	// the three in order. stage and cold entries are still retained: the
-	// shard gauges do not move when an entry is sealed, only when a block
-	// is dropped.
+	// Sealed history, oldest first: every sequence in refs precedes every
+	// one in blocks, which precede stage's, which precede the hot ring's,
+	// so reads stitch the four in that order. Entries leave the hot ring
+	// oldest first into stage — a fixed-capacity slice whose spare
+	// elements park recycled payload buffers — and a full stage seals
+	// into one immutable compressed block appended to blocks. Staged and
+	// listed entries are still retained: the shard gauges do not move
+	// when an entry is sealed, only when a block is dropped or archived.
 	stage      []filtering.Delivery
 	stageBytes int64
-	cold       []coldBlock
-	coldBytes  int64 // compressed bytes across cold
-	coldRaw    int64 // payload bytes those blocks represent
+	blocks     []block
+	blockBytes int64 // compressed bytes across blocks
+
+	// The archive tier (Options.Archive). refs are the blocks the backend
+	// holds, ascending; floor mirrors the retention cut the backend
+	// persisted; inflight is the LastSeq of the blocks head the archiver
+	// is writing right now (0 when none): droppers must not recycle that
+	// block's buffer, and the archiver reconciles against it on return.
+	refs     []archive.Ref
+	floor    uint64
+	inflight uint64
 }
 
 // noTail is the tail of every ring that owns none. It is shared, so it
@@ -533,15 +564,14 @@ func (r *ring) deliveryLocked(id wire.StreamID, e *slot) filtering.Delivery {
 // slots is non-empty (count > 0, or appendLocked after re-materialise).
 func (r *ring) slotMask() uint64 { return uint64(len(r.slots)) - 1 }
 
-// coldBlock is one immutable compressed span of sealed deliveries.
-type coldBlock struct {
-	codec    codec.ID
-	firstSeq uint64
-	lastSeq  uint64
-	count    int
-	rawBytes int64 // payload bytes sealed inside
-	lastUnix int64 // At of the newest entry, unix nanos (archive age retention)
-	data     []byte
+// block is one sealed block held in memory: the header it is filed under
+// in the archive, and its encoded bytes. FirstSeq, Count and RawBytes are
+// live bookkeeping: an EvictTo cut advances them past a dead prefix that
+// the immutable bytes still hold, and reads skip it (liveWithin). Bytes is
+// len(data).
+type block struct {
+	archive.Ref
+	data []byte
 }
 
 // New creates a Store. It panics when Options.Codec names an unknown
@@ -556,7 +586,7 @@ func New(opts Options) *Store {
 	}
 	if opts.Archive != nil && opts.Codec == "" {
 		// The archive files sealed compressed blocks; attaching a
-		// backend implies the cold tier.
+		// backend implies sealing.
 		opts.Codec = "auto"
 	}
 	s := &Store{
@@ -649,18 +679,10 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 
 	// Unwrap the 16-bit wire sequence into the 64-bit address space. A
 	// stream first seen through recovered archived history resumes
-	// addressing where that history ends: the unwrap construction keeps
-	// ext ≡ wire seq (mod 2¹⁶), so the archived last sequence is also
-	// valid unwrap state and the live stream continues the same
-	// monotone address space its archive uses.
+	// addressing where that history ends: recovery sets lastExt to the
+	// archived last sequence, which the unwrap construction (ext ≡ wire
+	// seq mod 2¹⁶) makes valid unwrap state.
 	var ext uint64
-	if r.lastExt == 0 && sh.archived != nil {
-		if as := sh.archived[d.Msg.Stream]; as != nil {
-			if last := as.lastSeqLocked(); last > 0 {
-				r.lastExt = last
-			}
-		}
-	}
 	if r.lastExt == 0 {
 		ext = extBase + uint64(d.Msg.Seq)
 	} else {
@@ -674,13 +696,11 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	}
 
 	if r.count == 0 {
-		// With the in-memory window empty the archive tier is the
-		// window: addresses at or below its end arrived behind it.
-		if sh.archived != nil {
-			if as := sh.archived[d.Msg.Stream]; as != nil && ext <= as.lastSeqLocked() {
-				sh.droppedBehind++
-				return ext
-			}
+		// With the hot window empty the sealed history is the window:
+		// addresses at or below its end arrived behind it.
+		if ext <= r.tail.lastSealed() {
+			sh.droppedBehind++
+			return ext
 		}
 		r.minExt, r.maxExt = ext, ext
 	} else if ext > r.maxExt {
@@ -748,9 +768,9 @@ func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
 	sh.retainedBytes.Add(int64(len(p)))
 
 	// Retention bounds, oldest-first. The newest entry always survives.
-	// With compression enabled these retirements seal into the cold tier
-	// instead of dropping, so the hot bounds govern only the uncompressed
-	// working set.
+	// With compression enabled these retirements seal instead of
+	// dropping, so the hot bounds govern only the uncompressed working
+	// set.
 	for int(r.count) > s.opts.MaxMessages {
 		s.retireLowestLocked(sh, r, d.Msg.Stream, &sh.evictedCount)
 	}
@@ -860,8 +880,8 @@ func (r *ring) oldestLocked() uint64 {
 
 // retireLowestLocked removes the oldest entry from the hot ring: with
 // compression off it is evicted outright and credited to *reason; with
-// compression on it is sealed into the cold tier and stays retained, so
-// no eviction counter moves. Caller holds mu.
+// compression on it is sealed and stays retained, so no eviction counter
+// moves. Caller holds mu.
 func (s *Store) retireLowestLocked(sh *shard, r *ring, id wire.StreamID, reason *int64) {
 	if s.picker == nil {
 		sh.dropLowestLocked(r, reason)
@@ -911,71 +931,67 @@ func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
 	}
 }
 
-// sealStageLocked encodes the staged entries into one immutable cold
-// block (into a recycled buffer when one is parked) and enforces the
-// per-stream compressed-bytes budget. Caller holds mu.
+// sealStageLocked encodes the staged entries into one immutable block
+// (into a recycled buffer when one is parked) and appends it to the
+// sealed list. With an archive the block goes to the archiver at once;
+// without one the per-stream budget drops the oldest blocks past it.
+// Caller holds mu.
 func (s *Store) sealStageLocked(sh *shard, t *tail, id wire.StreamID) {
 	c := s.picker(t.stage)
 	data := c.Encode(sh.blockBufLocked(), t.stage)
-	b := coldBlock{
-		codec:    c.ID(),
-		firstSeq: t.stage[0].StoreSeq,
-		lastSeq:  t.stage[len(t.stage)-1].StoreSeq,
-		count:    len(t.stage),
-		rawBytes: t.stageBytes,
-		lastUnix: t.stage[len(t.stage)-1].At.UnixNano(),
-		data:     data,
-	}
-	t.cold = append(t.cold, b)
-	t.coldBytes += int64(len(data))
-	t.coldRaw += b.rawBytes
-	t.coldCount += int32(b.count)
+	last := &t.stage[len(t.stage)-1]
+	t.blocks = append(t.blocks, block{
+		Ref: archive.Ref{
+			Codec: c.ID(), FirstSeq: t.stage[0].StoreSeq, LastSeq: last.StoreSeq,
+			Count: int32(len(t.stage)), RawBytes: t.stageBytes, Bytes: int64(len(data)),
+			LastUnix: last.At.UnixNano(),
+		},
+		data: data,
+	})
+	t.blockBytes += int64(len(data))
 	sh.sealedBlocks++
-	sh.sealedMsgs += int64(b.count)
+	sh.sealedMsgs += int64(len(t.stage))
 	t.stage = t.stage[:0] // spare elements keep their payload buffers
 	t.stageBytes = 0
-	for len(t.cold) > 1 && t.coldBytes > s.coldBudget {
-		if s.arch != nil {
-			s.spillOldestColdLocked(sh, t, id)
-		} else {
-			sh.dropOldestColdLocked(t, &sh.evictedCold)
-		}
+	if s.arch != nil {
+		s.spillLocked(sh, t, id)
+		return
+	}
+	for len(t.blocks) > 1 && t.blockBytes > s.coldBudget {
+		sh.dropBlockLocked(t, &sh.evictedCold)
 	}
 }
 
-// popOldestCold removes the oldest cold block from t's bookkeeping and
-// returns it; t holds at least one.
-func (t *tail) popOldestCold() coldBlock {
-	b := t.cold[0]
-	t.coldBytes -= int64(len(b.data))
-	t.coldRaw -= b.rawBytes
-	t.coldCount -= int32(b.count)
-	n := len(t.cold)
-	copy(t.cold, t.cold[1:])
-	t.cold[n-1] = coldBlock{}
-	t.cold = t.cold[:n-1]
+// popHead removes and returns the first element of *list, keeping the
+// capacity for reuse.
+func popHead[T any](list *[]T) T {
+	l := *list
+	head := l[0]
+	n := copy(l, l[1:])
+	var zero T
+	l[n] = zero
+	*list = l[:n]
+	return head
+}
+
+// popBlock removes the oldest block from t's sealed list and returns it;
+// t holds at least one.
+func (t *tail) popBlock() block {
+	b := popHead(&t.blocks)
+	t.blockBytes -= b.Bytes
 	return b
 }
 
-// dropOldestColdLocked drops the oldest cold block, crediting its entries
-// to *reason and recycling its buffer. Caller holds mu.
-func (sh *shard) dropOldestColdLocked(t *tail, reason *int64) {
-	b := t.popOldestCold()
-	sh.retainedMessages.Add(-int64(b.count))
-	sh.retainedBytes.Add(-b.rawBytes)
-	*reason += int64(b.count)
-	sh.recycleBufLocked(b.data)
-}
-
-// evictAllLocked empties every tier of the ring, crediting *reason per
-// entry. Caller holds mu.
-func (sh *shard) evictAllLocked(r *ring, reason *int64) {
-	for len(r.tail.cold) > 0 {
-		sh.dropOldestColdLocked(r.tail, reason)
-	}
-	sh.dropStagePrefixLocked(r.tail, len(r.tail.stage), reason)
-	for r.count > 0 {
-		sh.dropLowestLocked(r, reason)
+// dropBlockLocked drops the oldest held block, crediting its live entries
+// to *reason and recycling its buffer — unless the archiver has it in
+// flight, which then recycles it on return. Caller holds mu.
+func (sh *shard) dropBlockLocked(t *tail, reason *int64) {
+	b := t.popBlock()
+	sh.retainedMessages.Add(-int64(b.Count))
+	sh.retainedBytes.Add(-b.RawBytes)
+	*reason += int64(b.Count)
+	if t.inflight != b.LastSeq {
+		sh.recycleBufLocked(b.data)
 	}
 }
 
@@ -1002,6 +1018,109 @@ func (sh *shard) dropStagePrefixLocked(t *tail, k int, reason *int64) {
 	t.stage = t.stage[:n-k]
 }
 
+// evictToLocked drops every retained entry below upto, oldest first down
+// all four tiers, crediting *reason per entry. A block that straddles
+// upto, archived or held, keeps its bytes: only its live bookkeeping
+// advances past the dead prefix (cutHeadLocked). Caller holds mu.
+func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64, reason *int64) {
+	t := r.tail
+	for len(t.refs) > 0 && t.refs[0].FirstSeq < upto {
+		if t.refs[0].LastSeq >= upto {
+			if cut, raw, ok := s.cutHeadLocked(id, &t.refs[0], nil, upto); ok {
+				sh.archivedMsgs -= int64(cut)
+				sh.archivedRaw -= raw
+				*reason += int64(cut)
+				break
+			}
+		}
+		sh.dropRefLocked(t, reason)
+	}
+	for len(t.blocks) > 0 && t.blocks[0].FirstSeq < upto {
+		if b := &t.blocks[0]; b.LastSeq >= upto {
+			if cut, raw, ok := s.cutHeadLocked(id, &b.Ref, b.data, upto); ok {
+				sh.retainedMessages.Add(-int64(cut))
+				sh.retainedBytes.Add(-raw)
+				*reason += int64(cut)
+				break
+			}
+		}
+		sh.dropBlockLocked(t, reason)
+	}
+	k := 0
+	for k < len(t.stage) && t.stage[k].StoreSeq < upto {
+		k++
+	}
+	sh.dropStagePrefixLocked(t, k, reason)
+	for r.count > 0 && r.oldestLocked() < upto {
+		sh.dropLowestLocked(r, reason)
+	}
+}
+
+// cutHeadLocked advances a sealed block's live bookkeeping past its
+// entries below upto and returns how many live entries and payload bytes
+// the cut took. The block is decoded once — from data, or from the
+// backend when data is nil — to count them exactly; its bytes are
+// immutable and stay as they are. ok is false when the block fails to
+// decode or nothing in it survives: the caller drops it whole. Caller
+// holds mu, or owns the store (recovery).
+func (s *Store) cutHeadLocked(id wire.StreamID, ref *archive.Ref, data []byte, upto uint64) (cut int, raw int64, ok bool) {
+	ds := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(ds)
+	ds.entries, ok = s.decodeLocked(id, ref, data, ds.entries[:0], ds)
+	if !ok {
+		return 0, 0, false
+	}
+	for i := range ds.entries {
+		seq := ds.entries[i].StoreSeq
+		if seq < ref.FirstSeq {
+			continue
+		}
+		if seq >= upto {
+			ref.FirstSeq = seq
+			ref.Count -= int32(cut)
+			ref.RawBytes -= raw
+			return cut, raw, true
+		}
+		cut++
+		raw += int64(len(ds.entries[i].Msg.Payload))
+	}
+	return 0, 0, false
+}
+
+// lastSealed returns the highest sealed sequence — on the list, else
+// archived — or 0 when the stream has none.
+func (t *tail) lastSealed() uint64 {
+	if n := len(t.blocks); n > 0 {
+		return t.blocks[n-1].LastSeq
+	}
+	if n := len(t.refs); n > 0 {
+		return t.refs[n-1].LastSeq
+	}
+	return 0
+}
+
+// firstLocked returns the lowest retained sequence in any tier, 0 when
+// the stream holds nothing. Caller holds mu.
+func (r *ring) firstLocked() uint64 {
+	switch t := r.tail; {
+	case len(t.refs) > 0:
+		return t.refs[0].FirstSeq
+	case len(t.blocks) > 0:
+		return t.blocks[0].FirstSeq
+	case len(t.stage) > 0:
+		return t.stage[0].StoreSeq
+	case r.count > 0:
+		return r.oldestLocked()
+	}
+	return 0
+}
+
+// holds reports whether the stream retains anything in any tier.
+func (r *ring) holds() bool {
+	t := r.tail
+	return r.count > 0 || len(t.stage) > 0 || len(t.blocks) > 0 || len(t.refs) > 0
+}
+
 // LastSeq returns the highest extended sequence ever assigned on the
 // stream (retained or not); ok is false when the store has never seen it.
 // A stream known only through recovered archived history answers from
@@ -1012,46 +1131,21 @@ func (s *Store) LastSeq(id wire.StreamID) (uint64, bool) {
 	defer sh.mu.Unlock()
 	r := sh.rings.Get(id)
 	if r == nil || r.lastExt == 0 {
-		if sh.archived != nil {
-			if as := sh.archived[id]; as != nil {
-				if last := as.lastSeqLocked(); last > 0 {
-					return last, true
-				}
-			}
-		}
 		return 0, false
 	}
 	return r.lastExt, true
 }
 
-// FirstSeq returns the lowest retained extended sequence — in the
-// archive when blocks were spilled, the cold tier when blocks are
-// sealed, else the hot window — ok is false when nothing is retained.
+// FirstSeq returns the lowest retained extended sequence — archived,
+// sealed, staged or hot, whichever tier holds the oldest — ok is false
+// when nothing is retained.
 func (s *Store) FirstSeq(id wire.StreamID) (uint64, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.archived != nil {
-		if as := sh.archived[id]; as != nil {
-			switch {
-			case len(as.refs) > 0:
-				return as.refs[0].FirstSeq, true
-			case len(as.pending) > 0:
-				return as.pending[0].firstSeq, true
-			}
-		}
-	}
-	r := sh.rings.Get(id)
-	if r == nil {
-		return 0, false
-	}
-	switch t := r.tail; {
-	case len(t.cold) > 0:
-		return t.cold[0].firstSeq, true
-	case len(t.stage) > 0:
-		return t.stage[0].StoreSeq, true
-	case r.count > 0:
-		return r.oldestLocked(), true
+	if r := sh.rings.Get(id); r != nil {
+		first := r.firstLocked()
+		return first, first != 0
 	}
 	return 0, false
 }
@@ -1076,73 +1170,51 @@ type decodeScratch struct {
 
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// span is one sealed block of a stream's history as the tier walker
-// presents it, whichever tier holds it. firstSeq, count and rawBytes
-// are the live bookkeeping: a retention cut may have advanced them past
-// a dead prefix the immutable bytes still contain.
-type span struct {
-	codec    codec.ID
-	firstSeq uint64
-	lastSeq  uint64
-	count    int
-	rawBytes int64
-	data     []byte // encoded block; nil for an archived block, whose bytes the backend holds under lastSeq
-}
-
-func spanOfBlock(b *coldBlock) span {
-	return span{codec: b.codec, firstSeq: b.firstSeq, lastSeq: b.lastSeq, count: b.count, rawBytes: b.rawBytes, data: b.data}
-}
-
 // walkLocked presents the stream's retained history that intersects
 // [from, to] in ascending sequence order: the sealed blocks — archived,
-// then pending spill, then cold — as spans, then the stage and hot-ring
-// entries one by one. It is the one place that knows the tier order;
-// every range read drives it. A span is handed over whole (its header
-// says it intersects, not which entries do); an entry's payload is
+// then held — then the stage and hot-ring entries one by one. It is the
+// one place that knows the tier order; every range read drives it. A
+// block is handed over whole, its header and its bytes (nil for an
+// archived block, whose bytes the backend holds under ref.LastSeq): the
+// header says it intersects, not which entries do. An entry's payload is
 // borrowed store memory (a hot entry is unpacked for the call). Either
 // callback returning false stops the walk. Caller holds mu.
-func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp span) bool, entry func(d filtering.Delivery) bool) {
-	if as := sh.archived[id]; as != nil {
-		// A long-lived stream holds many archived blocks and a read walks
-		// them twice (size, then decode): skip to the window by search.
-		first := sort.Search(len(as.refs), func(i int) bool { return as.refs[i].LastSeq >= from })
-		for i := first; i < len(as.refs); i++ {
-			ref := &as.refs[i]
-			if ref.FirstSeq > to {
-				return
-			}
-			if !block(span{codec: ref.Codec, firstSeq: ref.FirstSeq, lastSeq: ref.LastSeq, count: int(ref.Count), rawBytes: ref.RawBytes}) {
-				return
-			}
-		}
-		if !walkBlocks(as.pending, from, to, block) {
+func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref *archive.Ref, data []byte) bool, entry func(d filtering.Delivery) bool) {
+	r := sh.rings.Get(id)
+	if r == nil {
+		return
+	}
+	t := r.tail
+	// A long-lived stream holds many archived blocks and a read walks
+	// them twice (size, then decode): skip to the window by search.
+	first := sort.Search(len(t.refs), func(i int) bool { return t.refs[i].LastSeq >= from })
+	for i := first; i < len(t.refs); i++ {
+		if t.refs[i].FirstSeq > to || !blockFn(&t.refs[i], nil) {
 			return
 		}
 	}
-	r := sh.rings.Get(id)
-	if r == nil || !walkBlocks(r.tail.cold, from, to, block) {
-		return
+	for i := range t.blocks {
+		b := &t.blocks[i]
+		if b.LastSeq < from {
+			continue
+		}
+		if b.FirstSeq > to || !blockFn(&b.Ref, b.data) {
+			return
+		}
 	}
-	stage := r.tail.stage
-	for i := range stage {
-		seq := stage[i].StoreSeq
+	for i := range t.stage {
+		seq := t.stage[i].StoreSeq
 		if seq < from {
 			continue
 		}
-		if seq > to || !entry(stage[i]) {
+		if seq > to || !entry(t.stage[i]) {
 			return
 		}
 	}
 	if r.count == 0 {
 		return
 	}
-	lo, hi := from, to
-	if low := r.oldestLocked(); lo < low {
-		lo = low
-	}
-	if hi > r.maxExt {
-		hi = r.maxExt
-	}
+	lo, hi := max(from, r.oldestLocked()), min(to, r.maxExt)
 	for ext := lo; ext <= hi; ext++ {
 		if r.presentLocked(ext) && !entry(r.deliveryLocked(id, &r.slots[ext&r.slotMask()])) {
 			return
@@ -1150,47 +1222,24 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, block func(sp spa
 	}
 }
 
-// walkBlocks presents the in-memory sealed blocks that intersect
-// [from, to]; false means the walk is over — past the window, or
-// stopped by the callback.
-func walkBlocks(blocks []coldBlock, from, to uint64, block func(sp span) bool) bool {
-	for i := range blocks {
-		b := &blocks[i]
-		if b.lastSeq < from {
-			continue
-		}
-		if b.firstSeq > to || !block(spanOfBlock(b)) {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeSpanLocked appends sp's physical entries to dst, payload bytes
-// going to ds.sc; an archived block is first read from the backend into
-// ds.buf, the read is timed and its entries counted as read
-// amplification. A block that fails to open or decode — which would
-// take corruption: the store sealed it and recovery already dropped
-// torn tails — leaves dst as it was and reports false, so reads skip it
-// rather than fail. Caller holds mu.
-func (s *Store) decodeSpanLocked(sh *shard, id wire.StreamID, sp *span, dst []filtering.Delivery, ds *decodeScratch) ([]filtering.Delivery, bool) {
-	c, ok := codec.ByID(sp.codec)
+// decodeLocked appends a sealed block's physical entries to dst, payload
+// bytes going to ds.sc; an archived block (data nil) is first read from
+// the backend into ds.buf. A block that fails to open or decode — which
+// would take corruption: the store sealed it and recovery already dropped
+// torn tails — leaves dst as it was and reports false.
+func (s *Store) decodeLocked(id wire.StreamID, ref *archive.Ref, data []byte, dst []filtering.Delivery, ds *decodeScratch) ([]filtering.Delivery, bool) {
+	c, ok := codec.ByID(ref.Codec)
 	if !ok {
 		return dst, false
 	}
 	n := len(dst)
 	var err error
-	if sp.data != nil {
-		dst, err = c.Decode(dst, id, sp.data, &ds.sc)
-	} else {
-		start := time.Now()
-		if ds.buf, err = s.arch.backend.Open(ds.buf[:0], id, sp.lastSeq); err == nil {
-			dst, err = c.Decode(dst, id, ds.buf, &ds.sc)
-		}
-		s.arch.readLat.ObserveDuration(time.Since(start))
-		if err == nil {
-			sh.archiveReadMsgs += int64(len(dst) - n)
-		}
+	if data == nil {
+		ds.buf, err = s.arch.backend.Open(ds.buf[:0], id, ref.LastSeq)
+		data = ds.buf
+	}
+	if err == nil {
+		dst, err = c.Decode(dst, id, data, &ds.sc)
 	}
 	if err != nil {
 		clear(dst[n:])
@@ -1199,12 +1248,27 @@ func (s *Store) decodeSpanLocked(sh *shard, id wire.StreamID, sp *span, dst []fi
 	return dst, true
 }
 
-// liveWithin returns the sub-slice of a decoded span's entries that are
-// live (at or above the span's firstSeq) and inside [from, to].
-func liveWithin(entries []filtering.Delivery, sp *span, from, to uint64) []filtering.Delivery {
-	if sp.firstSeq > from {
-		from = sp.firstSeq
+// readLocked is decodeLocked for a read, which skips a block that fails
+// rather than fail: an archived block's fetch is timed and its entries
+// counted as read amplification. Caller holds mu.
+func (s *Store) readLocked(sh *shard, id wire.StreamID, ref *archive.Ref, data []byte, dst []filtering.Delivery, ds *decodeScratch) []filtering.Delivery {
+	if data != nil {
+		dst, _ = s.decodeLocked(id, ref, data, dst, ds)
+		return dst
 	}
+	n, start := len(dst), time.Now()
+	dst, ok := s.decodeLocked(id, ref, nil, dst, ds)
+	s.arch.readLat.ObserveDuration(time.Since(start))
+	if ok {
+		sh.archiveReadMsgs += int64(len(dst) - n)
+	}
+	return dst
+}
+
+// liveWithin returns the sub-slice of a decoded block's entries that are
+// live (at or above its header's firstSeq) and inside [from, to].
+func liveWithin(entries []filtering.Delivery, firstSeq, from, to uint64) []filtering.Delivery {
+	from = max(from, firstSeq)
 	i, j := 0, len(entries)
 	for i < j && entries[i].StoreSeq < from {
 		i++
@@ -1215,15 +1279,15 @@ func liveWithin(entries []filtering.Delivery, sp *span, from, to uint64) []filte
 	return entries[i:j]
 }
 
-// visitSpanLocked decodes one span into pooled scratch and visits its
+// visitBlockLocked decodes one block into pooled scratch and visits its
 // live entries within [from, to], returning false when fn stopped the
 // walk. The visited deliveries borrow the scratch, valid only during fn
 // — the borrow contract RangeFunc imposes. Caller holds mu.
-func (s *Store) visitSpanLocked(sh *shard, id wire.StreamID, sp *span, from, to uint64, fn func(d filtering.Delivery) bool) bool {
+func (s *Store) visitBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, data []byte, from, to uint64, fn func(d filtering.Delivery) bool) bool {
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)
-	ds.entries, _ = s.decodeSpanLocked(sh, id, sp, ds.entries[:0], ds)
-	for _, d := range liveWithin(ds.entries, sp, from, to) {
+	ds.entries = s.readLocked(sh, id, ref, data, ds.entries[:0], ds)
+	for _, d := range liveWithin(ds.entries, ref.FirstSeq, from, to) {
 		if !fn(d) {
 			return false
 		}
@@ -1270,9 +1334,9 @@ func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to
 	var count int
 	var raw int64
 	sh.walkLocked(id, from, to,
-		func(sp span) bool {
-			count += sp.count
-			raw += sp.rawBytes
+		func(ref *archive.Ref, _ []byte) bool {
+			count += int(ref.Count)
+			raw += ref.RawBytes
 			return true
 		},
 		func(d filtering.Delivery) bool {
@@ -1289,13 +1353,13 @@ func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)
 	sh.walkLocked(id, from, to,
-		func(sp span) bool {
+		func(ref *archive.Ref, data []byte) bool {
 			n := len(dst)
 			ds.sc.Attach(slab)
-			dst, _ = s.decodeSpanLocked(sh, id, &sp, dst, ds)
+			dst = s.readLocked(sh, id, ref, data, dst, ds)
 			slab = ds.sc.Detach()
 			block := dst[n:]
-			kept := copy(block, liveWithin(block, &sp, from, to))
+			kept := copy(block, liveWithin(block, ref.FirstSeq, from, to))
 			clear(block[kept:])
 			dst = dst[:n+kept]
 			return true
@@ -1325,7 +1389,7 @@ func (s *Store) RangeFunc(id wire.StreamID, from, to uint64, fn func(d filtering
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.walkLocked(id, from, to,
-		func(sp span) bool { return s.visitSpanLocked(sh, id, &sp, from, to, fn) },
+		func(ref *archive.Ref, data []byte) bool { return s.visitBlockLocked(sh, id, ref, data, from, to, fn) },
 		fn)
 }
 
@@ -1346,13 +1410,13 @@ func (s *Store) WindowStats(id wire.StreamID, from, to uint64) (count int, bytes
 		return true
 	}
 	sh.walkLocked(id, from, to,
-		func(sp span) bool {
-			if sp.firstSeq >= from && sp.lastSeq <= to {
-				count += sp.count
-				bytes += sp.rawBytes
+		func(ref *archive.Ref, data []byte) bool {
+			if ref.FirstSeq >= from && ref.LastSeq <= to {
+				count += int(ref.Count)
+				bytes += ref.RawBytes
 				return true
 			}
-			return s.visitSpanLocked(sh, id, &sp, from, to, acc)
+			return s.visitBlockLocked(sh, id, ref, data, from, to, acc)
 		},
 		acc)
 	return count, bytes
@@ -1409,139 +1473,72 @@ func (s *Store) Snapshot(pred func(wire.StreamID) bool) []filtering.Delivery {
 
 // EvictTo drops retained deliveries with extended sequences below upto,
 // returning how many were dropped (credited to Stats.Forgotten). Policy
-// layers — the Orphanage advancing its backlog window — call this. Cold
+// layers — the Orphanage advancing its backlog window — call this. Sealed
 // blocks wholly below upto are dropped by header; a block straddling the
-// boundary is split: its survivors are re-encoded into a fresh block so
-// the tier stays immutable and exactly accounted.
+// boundary keeps its immutable bytes and has its live bookkeeping
+// advanced past the dead prefix, which reads skip.
 func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	before := sh.forgotten
-	if sh.archived != nil {
-		if as := sh.archived[id]; as != nil {
-			s.evictArchiveToLocked(sh, as, id, upto, &sh.forgotten)
-		}
-	}
 	r := sh.rings.Get(id)
 	if r == nil {
-		return int(sh.forgotten - before)
+		return 0
 	}
+	before := sh.forgotten
 	t := r.tail
-	for len(t.cold) > 0 && t.cold[0].lastSeq < upto {
-		sh.dropOldestColdLocked(t, &sh.forgotten)
-	}
-	if len(t.cold) > 0 && t.cold[0].firstSeq < upto {
-		s.splitColdBlockLocked(sh, t, upto)
-	}
-	k := 0
-	for k < len(t.stage) && t.stage[k].StoreSeq < upto {
-		k++
-	}
-	sh.dropStagePrefixLocked(t, k, &sh.forgotten)
-	for r.count > 0 && r.oldestLocked() < upto {
-		sh.dropLowestLocked(r, &sh.forgotten)
+	durable := len(t.refs) > 0 || t.inflight != 0
+	s.evictToLocked(sh, r, id, upto, &sh.forgotten)
+	if durable && upto > t.floor {
+		// Persist the cut: the backend deletes the blocks wholly below
+		// it, and recovery hides the dead prefix of a block it cuts into
+		// — or of the block the archiver is writing with its pre-cut
+		// header.
+		t.floor = upto
+		s.arch.backend.DeleteBefore(id, upto)
 	}
 	r.trimArenaLocked(sh)
 	return int(sh.forgotten - before)
 }
 
-// splitColdBlockLocked rewrites the oldest cold block to keep only the
-// entries at or above upto: decode, re-encode the survivors (the encoder
-// reads from decode scratch, so it can write straight into the old
-// buffer), credit the dropped prefix to Forgotten. Caller holds mu.
-func (s *Store) splitColdBlockLocked(sh *shard, t *tail, upto uint64) {
-	b := &t.cold[0]
-	c, ok := codec.ByID(b.codec)
-	if !ok {
-		return
-	}
-	ds := decodePool.Get().(*decodeScratch)
-	entries, err := c.Decode(ds.entries[:0], 0, b.data, &ds.sc)
-	ds.entries = entries
-	if err != nil {
-		decodePool.Put(ds)
-		return
-	}
-	keep := 0
-	for keep < len(entries) && entries[keep].StoreSeq < upto {
-		keep++
-	}
-	survivors := entries[keep:]
-	dropped := keep
-	var droppedRaw int64
-	for i := 0; i < keep; i++ {
-		droppedRaw += int64(len(entries[i].Msg.Payload))
-	}
-	if len(survivors) == 0 {
-		decodePool.Put(ds)
-		sh.dropOldestColdLocked(t, &sh.forgotten)
-		return
-	}
-	oldLen := int64(len(b.data))
-	nc := s.picker(survivors)
-	b.data = nc.Encode(b.data[:0], survivors)
-	b.codec = nc.ID()
-	b.firstSeq = survivors[0].StoreSeq
-	b.count = len(survivors)
-	b.rawBytes -= droppedRaw
-	t.coldBytes += int64(len(b.data)) - oldLen
-	t.coldRaw -= droppedRaw
-	t.coldCount -= int32(dropped)
-	sh.retainedMessages.Add(-int64(dropped))
-	sh.retainedBytes.Add(-droppedRaw)
-	sh.forgotten += int64(dropped)
-	decodePool.Put(ds)
-}
-
-// Forget drops every retained delivery on the stream — all three tiers,
-// credited to Stats.Forgotten — while keeping its sequence-unwrap state,
-// so addresses never move backwards if the stream resumes. The Orphanage
-// calls this when it evicts an unclaimed stream, so Forget is the moment
-// a dead stream's memory must actually return to the heap: the slot ring,
-// payload arena, seal stage and cold-block slice (with their parked
-// payload buffers) are released, not just emptied, with the tail that
-// held them, leaving only the ring header behind the unwrap state. A
-// resumed stream re-materialises its ring in appendLocked.
+// Forget drops every retained delivery on the stream — every tier,
+// credited to Stats.Forgotten, and the backend's state for it — while
+// keeping its sequence-unwrap state, so addresses never move backwards if
+// the stream resumes. The Orphanage calls this when it evicts an
+// unclaimed stream, so Forget is the moment a dead stream's memory must
+// actually return to the heap: the slot ring and the tail — payload
+// arena, seal stage with its parked payload buffers, sealed list and
+// archived refs — are released, not just emptied, leaving only the ring
+// header behind the unwrap state. A resumed stream re-materialises its
+// ring in appendLocked.
 func (s *Store) Forget(id wire.StreamID) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n := 0
-	if sh.archived != nil {
-		if as := sh.archived[id]; as != nil {
-			n += s.forgetArchiveLocked(sh, as, id, &sh.forgotten)
-		}
-	}
 	r := sh.rings.Get(id)
 	if r == nil {
-		return n
+		return 0
 	}
-	n += int(r.count) + len(r.tail.stage) + int(r.tail.coldCount)
-	sh.evictAllLocked(r, &sh.forgotten)
+	before := sh.forgotten
+	durable := len(r.tail.refs) > 0 || r.tail.floor > 0
+	s.evictToLocked(sh, r, id, ^uint64(0), &sh.forgotten)
+	if durable {
+		s.arch.backend.Forget(id)
+	}
 	r.slots, r.tail = nil, noTail
-	return n
+	return int(sh.forgotten - before)
 }
 
-// Streams lists the ids of every stream holding at least one delivery —
-// in the hot window or only in the archive tier — sorted.
+// Streams lists the ids of every stream holding at least one delivery in
+// any tier, archive included, sorted.
 func (s *Store) Streams() []wire.StreamID {
 	var out []wire.StreamID
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, r := range sh.rings.All() {
-			if r.count > 0 {
+			if r.holds() {
 				out = append(out, id)
 			}
-		}
-		for id, as := range sh.archived {
-			if len(as.refs) == 0 && len(as.pending) == 0 {
-				continue
-			}
-			if r := sh.rings.Get(id); r != nil && r.count > 0 {
-				continue // already listed from the hot window
-			}
-			out = append(out, id)
 		}
 		sh.mu.Unlock()
 	}
@@ -1568,6 +1565,9 @@ func (s *Store) Appended() []StreamAppends {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, r := range sh.rings.All() {
+			if r.appended == 0 {
+				continue
+			}
 			out = append(out, StreamAppends{
 				Stream: id, Count: r.appended,
 				First:  time.Unix(r.firstSec, int64(r.firstNsec)),
@@ -1586,102 +1586,66 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var arch StreamStats
-	var as *archStream
-	if sh.archived != nil {
-		if as = sh.archived[id]; as != nil {
-			arch.ArchivedBlocks = len(as.refs)
-			arch.ArchivePending = len(as.pending)
-			arch.ArchiveFloor = as.floor
-			for i := range as.refs {
-				arch.ArchivedMessages += int(as.refs[i].Count)
-				arch.ArchivedBytes += as.refs[i].Bytes
-				arch.ArchivedRawBytes += as.refs[i].RawBytes
-			}
-		}
-	}
 	r := sh.rings.Get(id)
 	if r == nil {
-		if as == nil || (len(as.refs) == 0 && len(as.pending) == 0) {
-			return StreamStats{}, false
-		}
-		// Archive-only stream: recovered history with no live window yet.
-		st := arch
-		st.Stream = id
-		last := as.lastSeqLocked()
-		st.LastSeq = last
-		st.NextWire = wire.Seq(last) + 1
-		if len(as.refs) > 0 {
-			st.FirstSeq = as.refs[0].FirstSeq
-		} else {
-			st.FirstSeq = as.pending[0].firstSeq
-		}
-		return st, true
+		return StreamStats{}, false
 	}
 	t := r.tail
 	st := StreamStats{
-		Stream:       id,
-		NextWire:     wire.Seq(r.lastExt) + 1,
-		Count:        int(r.count) + len(t.stage) + int(t.coldCount),
-		Bytes:        r.bytes + t.stageBytes + t.coldRaw,
-		ColdBlocks:   len(t.cold),
-		ColdMessages: int(t.coldCount),
-		ColdBytes:    t.coldBytes,
-		ColdRawBytes: t.coldRaw,
+		Stream:         id,
+		FirstSeq:       r.firstLocked(),
+		NextWire:       wire.Seq(r.lastExt) + 1,
+		Count:          int(r.count) + len(t.stage),
+		Bytes:          r.bytes + t.stageBytes,
+		ColdBlocks:     len(t.blocks),
+		ColdBytes:      t.blockBytes,
+		ArchivedBlocks: len(t.refs),
+		ArchiveFloor:   t.floor,
+	}
+	for i := range t.blocks {
+		st.ColdMessages += int(t.blocks[i].Count)
+		st.ColdRawBytes += t.blocks[i].RawBytes
+	}
+	st.Count += st.ColdMessages
+	st.Bytes += st.ColdRawBytes
+	for i := range t.refs {
+		st.ArchivedMessages += int(t.refs[i].Count)
+		st.ArchivedBytes += t.refs[i].Bytes
+		st.ArchivedRawBytes += t.refs[i].RawBytes
+	}
+	if s.arch != nil {
+		st.ArchivePending = len(t.blocks)
+	}
+	if r.count > 0 {
+		st.LastSeq = r.maxExt
+	} else {
+		st.LastSeq = t.lastSealed()
+	}
+	var newest *archive.Ref
+	if n := len(t.blocks); n > 0 {
+		newest = &t.blocks[n-1].Ref
+	} else if n := len(t.refs); n > 0 {
+		newest = &t.refs[n-1]
+	}
+	if newest != nil {
+		if c, ok := codec.ByID(newest.Codec); ok {
+			st.Codec = c.Name()
+		}
 	}
 	const (
 		headerSize = int64(unsafe.Sizeof(ring{}))
 		slotSize   = int64(unsafe.Sizeof(slot{}))
 		tailSize   = int64(unsafe.Sizeof(tail{}))
 		stagedSize = int64(unsafe.Sizeof(filtering.Delivery{}))
-		blockSize  = int64(unsafe.Sizeof(coldBlock{}))
+		blockSize  = int64(unsafe.Sizeof(block{}))
+		refSize    = int64(unsafe.Sizeof(archive.Ref{}))
 	)
 	st.ResidentBytes = headerSize + int64(cap(r.slots))*slotSize
 	if t != noTail {
 		st.ResidentBytes += tailSize + int64(cap(t.arena)) +
 			int64(cap(t.stage))*stagedSize + t.stageBytes +
-			int64(cap(t.cold))*blockSize + t.coldBytes
-	}
-	if n := len(t.cold); n > 0 {
-		if c, ok := codec.ByID(t.cold[n-1].codec); ok {
-			st.Codec = c.Name()
-		}
-	}
-	if r.count > 0 {
-		st.LastSeq = r.maxExt
-		switch {
-		case len(t.cold) > 0:
-			st.FirstSeq = t.cold[0].firstSeq
-		case len(t.stage) > 0:
-			st.FirstSeq = t.stage[0].StoreSeq
-		default:
-			st.FirstSeq = r.oldestLocked()
-		}
-	}
-	st.ArchivedBlocks = arch.ArchivedBlocks
-	st.ArchivedMessages = arch.ArchivedMessages
-	st.ArchivedBytes = arch.ArchivedBytes
-	st.ArchivedRawBytes = arch.ArchivedRawBytes
-	st.ArchivePending = arch.ArchivePending
-	st.ArchiveFloor = arch.ArchiveFloor
-	if as != nil {
-		// Pending-spill blocks left the cold slice but their entries are
-		// still retained until the backend commits them.
-		for bi := range as.pending {
-			st.Count += as.pending[bi].count
-			st.Bytes += as.pending[bi].rawBytes
-		}
-		switch {
-		case len(as.refs) > 0:
-			st.FirstSeq = as.refs[0].FirstSeq
-		case len(as.pending) > 0:
-			st.FirstSeq = as.pending[0].firstSeq
-		}
-		if r.count == 0 {
-			if last := as.lastSeqLocked(); last > st.LastSeq {
-				st.LastSeq = last
-			}
-		}
+			int64(cap(t.blocks))*blockSize + t.blockBytes +
+			int64(cap(t.refs))*refSize
 	}
 	return st, true
 }
@@ -1706,12 +1670,14 @@ func (s *Store) Stats() Stats {
 		st.SealedBlocks += sh.sealedBlocks
 		st.SealedMessages += sh.sealedMsgs
 		for _, r := range sh.rings.All() {
-			if r.count > 0 {
+			if r.holds() {
 				st.Streams++
 			}
-			st.ColdBlocks += len(r.tail.cold)
-			st.ColdBytes += r.tail.coldBytes
-			st.ColdRawBytes += r.tail.coldRaw
+			st.ColdBlocks += len(r.tail.blocks)
+			st.ColdBytes += r.tail.blockBytes
+			for i := range r.tail.blocks {
+				st.ColdRawBytes += r.tail.blocks[i].RawBytes
+			}
 		}
 		st.RetainedMessages += sh.retainedMessages.Value()
 		st.RetainedBytes += sh.retainedBytes.Value()
@@ -1724,10 +1690,10 @@ func (s *Store) Stats() Stats {
 		st.ArchivedMessages += sh.archivedMsgs
 		st.ArchivedBytes += sh.archivedBytes
 		st.ArchivedRawBytes += sh.archivedRaw
-		st.ArchivePendingBlocks += sh.pendingBlocks
 		sh.mu.Unlock()
 	}
 	if s.arch != nil {
+		st.ArchivePendingBlocks = int64(st.ColdBlocks)
 		for _, q := range s.arch.queues {
 			st.ArchiveQueueDepth += q.Len()
 		}

@@ -568,7 +568,7 @@ func TestForgetReleasesBacking(t *testing.T) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	r := sh.rings.Get(id)
-	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.cold) > 0
+	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.blocks) > 0
 	sh.mu.Unlock()
 	if !populated {
 		t.Fatal("setup did not populate hot ring and cold tier")
@@ -578,7 +578,7 @@ func TestForgetReleasesBacking(t *testing.T) {
 	defer sh.mu.Unlock()
 	if r.slots != nil || r.tail != noTail {
 		t.Fatalf("Forget kept backing: slots=%d arena=%d stage=%d cold=%d",
-			len(r.slots), cap(r.tail.arena), len(r.tail.stage), len(r.tail.cold))
+			len(r.slots), cap(r.tail.arena), len(r.tail.stage), len(r.tail.blocks))
 	}
 	if r.lastExt == 0 {
 		t.Fatal("Forget lost the unwrap state")
