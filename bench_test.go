@@ -410,47 +410,59 @@ func BenchmarkRadioBroadcast(b *testing.B) {
 
 // BenchmarkDownlinkFanout measures the return path's last hop: one
 // transmitter broadcast heard by 256 static receive-capable sensors (one
-// addressed, the rest decoding and discarding), then the clock advance
-// that delivers it. One op is one broadcast; with -benchmem, allocs/op is
-// allocations per broadcast and must stay 0 — one pooled hand-off on the
-// clock, and every sensor borrowing its frame.
+// addressed, the rest overhearing), then the clock advance that delivers
+// it. One op is one broadcast; with -benchmem, allocs/op is allocations
+// per broadcast and must stay 0 — one pooled hand-off on the clock, and
+// every sensor borrowing its frame. listen=free sensors filter by address,
+// so the medium hands the frame to the addressee alone; listen=paid
+// sensors (RxPerByte > 0) are each handed the frame, pay for it, and all
+// but one decode the address and discard it. Either way every sensor's
+// radio heard it, and Deliveries counts all 256.
 func BenchmarkDownlinkFanout(b *testing.B) {
-	const sensors = 256
-	clock := garnet.NewVirtualClock(time.Unix(0, 0))
-	m := radio.NewMedium(clock, radio.Params{Seed: 42})
-	for i := 0; i < sensors; i++ {
-		n, err := sensor.New(clock, m, sensor.Config{
-			ID:           wire.SensorID(i + 1),
-			Capabilities: sensor.CapReceive,
-			Mobility:     field.Static{P: geo.Pt(float64(i%16)*10, float64(i/16)*10)},
-			TxRange:      500,
-			Streams:      []sensor.StreamConfig{{Sampler: sensor.ConstantSampler([]byte("x")), Period: time.Second}},
+	for _, listen := range []struct {
+		name      string
+		rxPerByte float64
+	}{{"free", 0}, {"paid", 0.001}} {
+		b.Run("listen="+listen.name, func(b *testing.B) {
+			const sensors = 256
+			clock := garnet.NewVirtualClock(time.Unix(0, 0))
+			m := radio.NewMedium(clock, radio.Params{Seed: 42})
+			for i := 0; i < sensors; i++ {
+				n, err := sensor.New(clock, m, sensor.Config{
+					ID:           wire.SensorID(i + 1),
+					Capabilities: sensor.CapReceive,
+					Mobility:     field.Static{P: geo.Pt(float64(i%16)*10, float64(i/16)*10)},
+					TxRange:      500,
+					Streams:      []sensor.StreamConfig{{Sampler: sensor.ConstantSampler([]byte("x")), Period: time.Second}},
+					Energy:       sensor.EnergyParams{RxPerByte: listen.rxPerByte},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n.Start()
+				defer n.Stop()
+			}
+			tx := transmit.New(m, transmit.Config{Position: geo.Pt(75, 75), Range: 500})
+			ping := wire.ControlMessage{UpdateID: 1, Target: wire.MustStreamID(1, 0), Op: wire.OpPing, Issued: clock.Now()}
+			frame, err := ping.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 16; i++ { // warm the hand-off and event pools
+				tx.Broadcast(frame)
+				clock.Advance(0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx.Broadcast(frame)
+				clock.Advance(0)
+			}
+			b.StopTimer()
+			if got, want := m.Metrics().Deliveries.Value(), int64(sensors*(b.N+16)); got != want {
+				b.Fatalf("Deliveries = %d, want %d", got, want)
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n.Start()
-		defer n.Stop()
-	}
-	tx := transmit.New(m, transmit.Config{Position: geo.Pt(75, 75), Range: 500})
-	ping := wire.ControlMessage{UpdateID: 1, Target: wire.MustStreamID(1, 0), Op: wire.OpPing, Issued: clock.Now()}
-	frame, err := ping.Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 16; i++ { // warm the hand-off and event pools
-		tx.Broadcast(frame)
-		clock.Advance(0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx.Broadcast(frame)
-		clock.Advance(0)
-	}
-	b.StopTimer()
-	if got, want := m.Metrics().Deliveries.Value(), int64(sensors*(b.N+16)); got != want {
-		b.Fatalf("Deliveries = %d, want %d", got, want)
 	}
 }
 

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -30,27 +32,33 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "garnet-sim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("garnet-sim", flag.ContinueOnError)
 	var (
-		sensors   = flag.Int("sensors", 50, "number of sensor nodes")
-		receivers = flag.Int("receivers", 9, "number of receivers (grid)")
-		txs       = flag.Int("transmitters", 4, "number of transmitters (grid)")
-		duration  = flag.Duration("duration", time.Minute, "simulated duration")
-		rate      = flag.Duration("period", time.Second, "sensor sampling period")
-		loss      = flag.Float64("loss", 0.1, "per-delivery loss probability")
-		corrupt   = flag.Float64("corrupt", 0.01, "per-delivery corruption probability")
-		mobile    = flag.Bool("mobile", true, "sensors move by random waypoint")
-		actuate   = flag.Bool("actuate", false, "double every stream's rate mid-run through the actuation path")
-		seed      = flag.Uint64("seed", 1, "deterministic seed")
-		sizeM     = flag.Float64("size", 500, "field edge length, metres")
+		sensors   = fs.Int("sensors", 50, "number of sensor nodes")
+		receivers = fs.Int("receivers", 9, "number of receivers (grid)")
+		txs       = fs.Int("transmitters", 4, "number of transmitters (grid)")
+		duration  = fs.Duration("duration", time.Minute, "simulated duration")
+		rate      = fs.Duration("period", time.Second, "sensor sampling period")
+		loss      = fs.Float64("loss", 0.1, "per-delivery loss probability")
+		corrupt   = fs.Float64("corrupt", 0.01, "per-delivery corruption probability")
+		mobile    = fs.Bool("mobile", true, "sensors move by random waypoint")
+		actuate   = fs.Bool("actuate", false, "double every stream's rate mid-run through the actuation path")
+		seed      = fs.Uint64("seed", 1, "deterministic seed")
+		sizeM     = fs.Float64("size", 500, "field edge length, metres")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	epoch := time.Date(2003, 5, 19, 0, 0, 0, 0, time.UTC)
 	clock := sim.NewVirtualClock(epoch)
@@ -108,7 +116,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("garnet-sim: %d sensors, %d receivers, %d transmitters, %v simulated, loss %.0f%%\n",
+	fmt.Fprintf(w, "garnet-sim: %d sensors, %d receivers, %d transmitters, %v simulated, loss %.0f%%\n",
 		*sensors, *receivers, *txs, *duration, *loss*100)
 	d.Start()
 	wall := time.Now()
@@ -116,7 +124,7 @@ func run() error {
 	if *actuate {
 		clock.RunUntil(epoch.Add(*duration / 2))
 		newRate := uint32(2 * 1000 * float64(time.Second) / float64(*rate))
-		fmt.Printf("t=%v: actuating every stream to %d mHz through the return path\n", *duration/2, newRate)
+		fmt.Fprintf(w, "t=%v: actuating every stream to %d mHz through the return path\n", *duration/2, newRate)
 		for i := 0; i < *sensors; i++ {
 			if _, err := d.SubmitDemand(resource.Demand{
 				Consumer: "operator",
@@ -134,30 +142,30 @@ func run() error {
 
 	s := d.Stats()
 	med := d.Medium().Metrics()
-	fmt.Printf("\n--- results (%v wall clock) ---\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("medium      broadcasts=%d deliveries=%d lost=%d corrupted=%d out-of-range=%d\n",
+	fmt.Fprintf(w, "\n--- results (%v wall clock) ---\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "medium      broadcasts=%d deliveries=%d lost=%d corrupted=%d out-of-range=%d\n",
 		med.Broadcasts.Value(), med.Deliveries.Value(), med.Lost.Value(), med.Corrupted.Value(), med.OutOfRange.Value())
-	fmt.Printf("filtering   received=%d delivered=%d duplicates=%d stale=%d gaps=%d recovered=%d streams=%d\n",
+	fmt.Fprintf(w, "filtering   received=%d delivered=%d duplicates=%d stale=%d gaps=%d recovered=%d streams=%d\n",
 		s.Filter.Received, s.Filter.Delivered, s.Filter.Duplicates, s.Filter.Stale,
 		s.Filter.Gaps, s.Filter.GapsRecovered, s.Filter.ActiveStreams)
-	fmt.Printf("dispatching dispatched=%d delivered=%d orphaned=%d\n",
+	fmt.Fprintf(w, "dispatching dispatched=%d delivered=%d orphaned=%d\n",
 		s.Dispatch.Dispatched, s.Dispatch.Delivered, s.Dispatch.Orphaned)
-	fmt.Printf("store       streams=%d retained=%d bytes=%d evicted=%d\n",
+	fmt.Fprintf(w, "store       streams=%d retained=%d bytes=%d evicted=%d\n",
 		s.Store.Streams, s.Store.RetainedMessages, s.Store.RetainedBytes,
 		s.Store.EvictedCount+s.Store.EvictedBytes+s.Store.EvictedAge)
-	fmt.Printf("orphanage   streams=%d held=%d evicted=%d\n",
+	fmt.Fprintf(w, "orphanage   streams=%d held=%d evicted=%d\n",
 		s.Orphanage.StreamsHeld, s.Orphanage.MessagesHeld, s.Orphanage.StreamsEvicted)
-	fmt.Printf("resource    submitted=%d approved=%d modified=%d denied=%d\n",
+	fmt.Fprintf(w, "resource    submitted=%d approved=%d modified=%d denied=%d\n",
 		s.Resource.Submitted, s.Resource.Approved, s.Resource.Modified, s.Resource.Denied)
-	fmt.Printf("actuation   issued=%d acked=%d expired=%d retries=%d\n",
+	fmt.Fprintf(w, "actuation   issued=%d acked=%d expired=%d retries=%d\n",
 		s.Actuation.Issued, s.Actuation.Acked, s.Actuation.Expired, s.Actuation.Retries)
 	if s.Actuation.Acked > 0 {
 		lat := d.ActuationService().Latency()
-		fmt.Printf("            ack latency mean=%.1fms p95=%.1fms\n", lat.Mean(), lat.Percentile(95))
+		fmt.Fprintf(w, "            ack latency mean=%.1fms p95=%.1fms\n", lat.Mean(), lat.Percentile(95))
 	}
-	fmt.Printf("replicator  requests=%d targeted=%d (paged=%d) flooded=%d broadcasts=%d\n",
+	fmt.Fprintf(w, "replicator  requests=%d targeted=%d (paged=%d) flooded=%d broadcasts=%d\n",
 		s.Replicator.Requests, s.Replicator.Targeted, s.Replicator.Paged, s.Replicator.Flooded, s.Replicator.Broadcasts)
-	fmt.Printf("consumer    received=%d unique stream messages\n", all.Count())
+	fmt.Fprintf(w, "consumer    received=%d unique stream messages\n", all.Count())
 
 	var energy float64
 	alive := 0
@@ -167,6 +175,6 @@ func run() error {
 			alive++
 		}
 	}
-	fmt.Printf("field       energy=%.1fmJ alive=%d/%d\n", energy, alive, *sensors)
+	fmt.Fprintf(w, "field       energy=%.1fmJ alive=%d/%d\n", energy, alive, *sensors)
 	return nil
 }

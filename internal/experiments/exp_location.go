@@ -116,6 +116,7 @@ func runE6(cfg Config) (*Table, error) {
 		pings = 6
 	}
 	for _, speed := range speeds {
+		var targetedPerReq float64
 		for _, targeted := range []bool{true, false} {
 			clock := sim.NewVirtualClock(epoch)
 			d := core.New(core.Config{
@@ -187,6 +188,14 @@ func runE6(cfg Config) (*Table, error) {
 				meanMs = float64(latencySum.Milliseconds()) / float64(acked)
 			}
 			t.AddRow(speed, mode, pings, acked, perReq, meanMs)
+			if acked != pings {
+				return t, fmt.Errorf("E6: %s mode at %v m/s acked %d of %d pings", mode, speed, acked, pings)
+			}
+			if targeted {
+				targetedPerReq = perReq
+			} else if targetedPerReq >= perReq {
+				return t, fmt.Errorf("E6: at %v m/s targeted mode sent %v broadcasts/request, flooding %v", speed, targetedPerReq, perReq)
+			}
 		}
 	}
 	t.Notes = append(t.Notes,

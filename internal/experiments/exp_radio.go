@@ -48,6 +48,10 @@ func runE15(cfg Config) (*Table, error) {
 		spacing = 150.0 // lattice pitch: zones overlap their neighbours
 		payload = 24
 	)
+	// Flat means within this factor of the smallest field's figure at the
+	// largest (quick mode reads 1.087 → 1.213 reached, 3.343 → 3.65 txs).
+	const flatBound = 1.5
+	var reached, txsPerSend []float64
 	data := make([]byte, payload)
 	for _, n := range counts {
 		clock := sim.NewVirtualClock(epoch)
@@ -100,10 +104,16 @@ func runE15(cfg Config) (*Table, error) {
 			clock.RunAll()
 		}
 
-		t.AddRow(n, n,
-			float64(delivered)/float64(dataBcasts),
-			float64(repl.Stats().Broadcasts)/float64(ctrlSends),
-			delivered)
+		reached = append(reached, float64(delivered)/float64(dataBcasts))
+		txsPerSend = append(txsPerSend, float64(repl.Stats().Broadcasts)/float64(ctrlSends))
+		t.AddRow(n, n, reached[len(reached)-1], txsPerSend[len(txsPerSend)-1], delivered)
+	}
+	last := len(counts) - 1
+	if reached[last] > flatBound*reached[0] {
+		return t, fmt.Errorf("E15: avg reached grew %v → %v as receivers went %d → %d", reached[0], reached[last], counts[0], counts[last])
+	}
+	if txsPerSend[last] > flatBound*txsPerSend[0] {
+		return t, fmt.Errorf("E15: ctrl txs/send grew %v → %v as receivers went %d → %d", txsPerSend[0], txsPerSend[last], counts[0], counts[last])
 	}
 	t.Notes = append(t.Notes,
 		"lattice pitch 150 m at 100 m zones: local overlap is constant while the attached count grows; flat avg reached and ctrl txs/send are the O(nearby) claim",

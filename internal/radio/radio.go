@@ -25,6 +25,19 @@
 // not one per listener reached, and holds its bytes once: the copies that
 // arrive intact share one read-only buffer, and only a corrupted copy
 // carries private bytes.
+//
+// A broadcast may name one addressee (BroadcastTo), as a downlink control
+// frame does, and a listener may declare the address it answers to and
+// promise that a frame addressed elsewhere has no effect on it
+// (Listener.FiltersByAddr). The medium then drops such a copy where a
+// radio's hardware address filter would: after the range check and after
+// the copy's loss, jitter and corruption draws, testing the destination
+// the broadcaster named, not bytes the channel may have corrupted. A
+// filtered copy reached a radio, so it counts in Metrics.Deliveries as well
+// as in Metrics.Filtered, but it is never handed off: no clock event, no
+// Deliver call. Every other counter and every random draw is what it would
+// be without the filter, and a filtering listener receives exactly the
+// copies addressed to it.
 package radio
 
 import (
@@ -119,6 +132,16 @@ type Listener struct {
 	// might): the frame's bytes then go to the garbage collector rather
 	// than back to the pool, and stay valid for as long as they are held.
 	Borrows bool
+	// FiltersByAddr promises that a frame addressed to anyone but Addr has
+	// no effect on this listener: Deliver would drop it and change
+	// nothing, not even a counter or an energy charge. The medium then
+	// drops such copies before the hand-off. Leave false for a listener
+	// that pays for, counts or otherwise notices what it overhears; it is
+	// then handed every copy in range, as on an unaddressed broadcast.
+	FiltersByAddr bool
+	// Addr is the address this listener answers to on an addressed
+	// broadcast (BroadcastTo). It is read only when FiltersByAddr is set.
+	Addr uint32
 }
 
 // Params configures medium impairments. The zero value is a perfect,
@@ -146,10 +169,15 @@ type Params struct {
 // Metrics counts medium activity. Read with atomic-safe Value calls.
 type Metrics struct {
 	Broadcasts metrics.Counter // frames offered to the medium
-	Deliveries metrics.Counter // copies delivered to listeners
+	Deliveries metrics.Counter // copies that reached a listener's radio, Filtered included
 	Lost       metrics.Counter // copies dropped by the loss process
 	Corrupted  metrics.Counter // copies delivered with a flipped byte
 	OutOfRange metrics.Counter // broadcasts that reached zero listeners
+	// Filtered counts copies of addressed broadcasts that a listener's
+	// address filter dropped (Listener.FiltersByAddr) in place of
+	// delivering them. They are counted when broadcast; the copies handed
+	// to a Deliver are counted in Deliveries when they fire.
+	Filtered metrics.Counter
 }
 
 // listenerEntry is one attached listener plus its index bookkeeping.
@@ -387,6 +415,19 @@ func (h *handoff) run() {
 // loss/jitter/corruption comes from its own derived stream, so no global
 // RNG serialises concurrent broadcasts.
 func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []byte) {
+	m.broadcast(band, from, txRange, 0, false, data)
+}
+
+// BroadcastTo is Broadcast for a frame addressed to dst: a copy bound for a
+// listener that filters by address (Listener.FiltersByAddr) and answers to
+// another address is counted in Deliveries and Filtered and goes no
+// further. Every other listener in range receives its copy as from
+// Broadcast.
+func (m *Medium) BroadcastTo(band Band, from geo.Point, txRange float64, dst uint32, data []byte) {
+	m.broadcast(band, from, txRange, dst, true, data)
+}
+
+func (m *Medium) broadcast(band Band, from geo.Point, txRange float64, dst uint32, addressed bool, data []byte) {
 	m.metrics.Broadcasts.Inc()
 	h := m.newHandoff(from)
 	jitter := m.params.DelayMax - m.params.DelayMin
@@ -404,7 +445,7 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 			e.pos = pos
 		}
 	}
-	reached := 0
+	reached, filtered := 0, int64(0)
 	txRangeSq := txRange * txRange
 	if bs.grid != nil {
 		if m.linearScan {
@@ -447,12 +488,20 @@ func (m *Medium) Broadcast(band Band, from geo.Point, txRange float64, data []by
 			dv.flipBit = byte(1) << rng.intn(8)
 			m.metrics.Corrupted.Inc()
 		}
+		if addressed && e.l.FiltersByAddr && e.l.Addr != dst {
+			filtered++
+			continue
+		}
 		h.copies = append(h.copies, dv)
 	}
 	m.mu.Unlock()
 
 	if reached == 0 {
 		m.metrics.OutOfRange.Inc()
+	}
+	if filtered > 0 {
+		m.metrics.Deliveries.Add(filtered)
+		m.metrics.Filtered.Add(filtered)
 	}
 	if len(h.copies) == 0 {
 		h.recycle()

@@ -13,6 +13,16 @@
 // Nodes carry an energy model (per-transmission, per-byte and per-sample
 // costs) and an optional battery so the energy experiments (E4, E12) can
 // compare middleware policies by their effect on the field's lifetime.
+//
+// Every receive-capable node in range hears every control frame, and only
+// the addressee acts on it. What overhearing costs follows one rule: a
+// node that pays to listen (EnergyParams.RxPerByte > 0) is handed every
+// downlink frame in range and charged for all of its bytes, its own or
+// not, so its energy and battery death count what it overhears. A node
+// that listens for free declares its id to the medium as an address filter
+// (radio.Listener.FiltersByAddr), as an 802.15.4-class radio filters in
+// hardware, and is woken only by frames addressed to it: a foreign frame
+// would cost it nothing and change nothing.
 package sensor
 
 import (
@@ -283,6 +293,9 @@ func (n *Node) Start() {
 			Deliver:  n.onDownlink,
 			Static:   static,
 			Borrows:  true, // DecodeControl copies every field out of the frame
+			Addr:     uint32(n.cfg.ID),
+			// A foreign frame is free to ignore only if listening is free.
+			FiltersByAddr: n.cfg.Energy.RxPerByte == 0,
 		})
 	}
 	if n.cfg.Relay.Enabled {
@@ -426,9 +439,9 @@ func (n *Node) onDownlink(f radio.Frame) {
 	}
 	n.energyUsed += rxCost
 
-	// Every sensor in range hears every control frame and all but one
-	// discard it: read the address first and spend the checksum only on a
-	// frame that claims to be ours.
+	// A sensor that pays to listen is handed every control frame in range
+	// and all but one are foreign: read the address first and spend the
+	// checksum only on a frame that claims to be ours.
 	if target, ok := wire.ControlTarget(f.Data); !ok || target.Sensor() != n.cfg.ID {
 		return // truncated, or addressed to another sensor
 	}

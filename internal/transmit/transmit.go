@@ -2,6 +2,12 @@
 // network elements that broadcast approved, replicated control messages
 // into the wireless downlink, “whereupon [they] may be received by the
 // sensor node”.
+//
+// A control frame names the one sensor it is for, and a transmitter
+// broadcasts it addressed to that sensor (radio.Medium.BroadcastTo): every
+// sensor in range still hears it on the air, but one that filters by
+// address (see package sensor) is woken only by its own frames. A frame
+// too short to carry a target goes out unaddressed.
 package transmit
 
 import (
@@ -10,6 +16,7 @@ import (
 	"github.com/garnet-middleware/garnet/internal/geo"
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/radio"
+	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
 // Config configures a Transmitter.
@@ -57,10 +64,15 @@ func (t *Transmitter) Name() string { return t.cfg.Name }
 // Coverage returns the area this transmitter can reach.
 func (t *Transmitter) Coverage() geo.Circle { return t.coverage }
 
-// Broadcast sends one frame into the downlink.
+// Broadcast sends one frame into the downlink, addressed to the sensor its
+// control header targets.
 func (t *Transmitter) Broadcast(frame []byte) {
 	t.broadcasts.Inc()
 	t.bytes.Add(int64(len(frame)))
+	if target, ok := wire.ControlTarget(frame); ok {
+		t.medium.BroadcastTo(radio.BandDownlink, t.cfg.Position, t.cfg.Range, uint32(target.Sensor()), frame)
+		return
+	}
 	t.medium.Broadcast(radio.BandDownlink, t.cfg.Position, t.cfg.Range, frame)
 }
 
