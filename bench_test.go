@@ -1,8 +1,8 @@
 // Micro-benchmarks for the hot paths (wire decode, duplicate filter,
-// dispatch fan-out and catch-up, radio broadcast and hand-off, control
-// submit): the ones a CI smoke step, README.md or the verify skill
-// names. Whether a change made a deployment slower is bench/'s question,
-// not theirs.
+// census ingest, dispatch fan-out and catch-up, radio broadcast and
+// hand-off, control submit): the ones a CI smoke step, README.md or the
+// verify skill names. Whether a change made a deployment slower is
+// bench/'s question, not theirs.
 //
 // Run with: go test -bench=. -benchmem
 package garnet_test
@@ -17,10 +17,12 @@ import (
 
 	garnet "github.com/garnet-middleware/garnet"
 	"github.com/garnet-middleware/garnet/internal/actuation"
+	"github.com/garnet-middleware/garnet/internal/core"
 	"github.com/garnet-middleware/garnet/internal/dispatch"
 	"github.com/garnet-middleware/garnet/internal/field"
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/geo"
+	"github.com/garnet-middleware/garnet/internal/orphanage"
 	"github.com/garnet-middleware/garnet/internal/radio"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/resource"
@@ -192,6 +194,65 @@ func BenchmarkDispatchFanout(b *testing.B) {
 					Msg: wire.Message{Stream: wire.MustStreamID(1, 0), Seq: wire.Seq(i)},
 					At:  clock.Now(), Receiver: "bench", RSSI: 1,
 				})
+			}
+		})
+	}
+}
+
+// BenchmarkInjectCensus is a census's ingest path through a whole
+// deployment: 100 000 streams each injected once, then one message per op
+// on a hot set of 16 384 of them, spread across the census so their
+// records fall out of cache, each heard copies times. A reception is
+// screened and retained in the store's record for its stream, then
+// dispatched to one synchronous consumer of everything. Retention is 16
+// messages a stream, and the hot set is warmed until every ring is at
+// that bound, so the timed loop is steady state: 0 allocs/op.
+func BenchmarkInjectCensus(b *testing.B) {
+	const streams, hot, retain = 100_000, 16_384, 16
+	for _, copies := range []int{1, 3} {
+		b.Run(fmt.Sprintf("copies=%d", copies), func(b *testing.B) {
+			clock := sim.NewVirtualClock(time.Unix(0, 0))
+			d := core.New(core.Config{
+				Clock: clock, Secret: []byte("bench"),
+				Store:     store.Options{MaxMessages: retain},
+				Orphanage: orphanage.Options{PerStreamCapacity: retain},
+			})
+			defer d.Stop()
+			var consumed int
+			sink := &dispatch.ConsumerFunc{ConsumerName: "census", Fn: func(filtering.Delivery) { consumed++ }}
+			if _, err := d.Dispatcher().Subscribe(sink, dispatch.All()); err != nil {
+				b.Fatal(err)
+			}
+			d.Start()
+			payload := make([]byte, 16)
+			inject := func(sensor int, seq wire.Seq) {
+				for c := 0; c < copies; c++ {
+					d.InjectReception(receiver.Reception{
+						Msg: wire.Message{Stream: wire.MustStreamID(wire.SensorID(sensor), 0), Seq: seq, Payload: payload},
+						At:  clock.Now(), Receiver: "bench", RSSI: 1,
+					})
+				}
+			}
+			for sensor := 1; sensor <= streams; sensor++ {
+				inject(sensor, 0)
+			}
+			seqs := make([]wire.Seq, hot)
+			next := func(i int) {
+				k := i % hot
+				seqs[k]++
+				inject(1+k*(streams/hot), seqs[k])
+			}
+			for i := 0; i < hot*retain; i++ {
+				next(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next(i)
+			}
+			b.StopTimer()
+			if want := streams + hot*retain + b.N; consumed != want {
+				b.Fatalf("consumed %d of %d", consumed, want)
 			}
 		})
 	}

@@ -110,10 +110,10 @@ func TestInspectStoreDumpGolden(t *testing.T) {
 	got := runInspect(t, append([]string{"-store"}, frames...), "")
 	want := strings.Join([]string{
 		"stream store dump: 4 frames in, 2 streams, 3 retained messages, 3 payload bytes",
-		"stream 1/0: 2 retained, store seq 65536..65537, next wire seq 2, 3 B, ~232 B resident",
+		"stream 1/0: 2 retained, store seq 65536..65537, next wire seq 2, 3 B, ~240 B resident",
 		"  seq 65536    wire 0     flags none       2 B: aa bb",
 		"  seq 65537    wire 1     flags none       1 B: cc",
-		"stream 2/5: 1 retained, store seq 65545..65545, next wire seq 10, 0 B, ~168 B resident",
+		"stream 2/5: 1 retained, store seq 65545..65545, next wire seq 10, 0 B, ~176 B resident",
 		"  seq 65545    wire 9     flags none       0 B",
 		"",
 	}, "\n")

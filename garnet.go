@@ -91,15 +91,15 @@ func WithAsyncDispatch(queueCapacity int) Option {
 	}
 }
 
-// WithShards partitions the three data-plane per-stream tables — the
-// Filtering Service's duplicate/reorder state, the Stream Store's
-// retention state and the Dispatching Service's subscription table — into
-// n shards. All three key on the sensor component of the StreamID through
-// one partition function (wire.SensorID.Shard), so a message takes at most
-// one shard-local lock per layer end to end and traffic of different
-// sensors never contends. n <= 0 selects each layer's default; 1 restores
-// the single shared tables. The return path (Resource Manager, Actuation
-// Service) is not partitioned.
+// WithShards partitions the data-plane per-stream state — the Stream
+// Store's records, which hold each stream's duplicate/reorder window
+// beside its retained history, and the Dispatching Service's subscription
+// table — into n shards. Both key on the sensor component of the StreamID
+// through one partition function (wire.SensorID.Shard), so a message takes
+// one shard-local lock to be screened and retained and one to be
+// dispatched, and traffic of different sensors never contends. n <= 0
+// selects each layer's default; 1 restores the single shared tables. The
+// return path (Resource Manager, Actuation Service) is not partitioned.
 func WithShards(n int) Option {
 	return func(cfg *core.Config) {
 		cfg.Filter.Shards = n

@@ -7,7 +7,7 @@
 //
 // A Deployment owns every component's lifecycle. The data path is
 //
-//	sensors ⇒ medium ⇒ receivers ⇒ (location service, filter) ⇒
+//	sensors ⇒ medium ⇒ receivers ⇒ (location service, filter + store) ⇒
 //	dispatcher ⇒ consumers | orphanage
 //
 // and the control path is
@@ -18,6 +18,14 @@
 //
 // with sensor acknowledgements detected on the data path and fed back to
 // the actuation service.
+//
+// The Filtering Service's duplicate screen runs inside the Stream Store,
+// whose per-stream record holds each stream's window beside its ring
+// (store.Store.Ingest): a reception is screened and retained under one
+// shard lock and dispatched after it drops. That merged domain is sharded
+// by Config.Store.Shards; Config.Filter supplies its reorder settings,
+// and Config.Filter.Shards is not read (Stats().Filter.Shards reports the
+// store's count).
 package core
 
 import (
@@ -52,7 +60,10 @@ type Config struct {
 	Clock sim.Clock
 	// Radio configures medium impairments and the medium's spatial index
 	// (Radio.GridCell).
-	Radio       radio.Params
+	Radio radio.Params
+	// Filter configures the duplicate screen's reorder stage
+	// (ReorderWindow, and Clock, which defaults to the deployment's). The
+	// screen runs in the Stream Store's shards: Filter.Shards is not read.
 	Filter      filtering.Options
 	Dispatch    dispatch.Options
 	Orphanage   orphanage.Options
@@ -63,7 +74,8 @@ type Config struct {
 	// Resource configures the Resource Manager.
 	Resource resource.Options
 	// Store configures the Stream Store, the retention layer every
-	// accepted delivery tees into before dispatch (the
+	// accepted delivery is appended to before dispatch and whose shards
+	// (Store.Shards) the duplicate screen runs in (the
 	// garnet.WithStoreRetention / WithShards facade options thread
 	// fields here). Its per-stream count bound is raised to at least the
 	// Orphanage's per-stream capacity so orphan claims always find their
@@ -85,7 +97,6 @@ type Deployment struct {
 	clock  sim.Clock
 	medium *radio.Medium
 
-	filter     *filtering.Filter
 	dispatcher *dispatch.Dispatcher
 	st         *store.Store
 	orphan     *orphanage.Orphanage
@@ -147,7 +158,7 @@ func New(cfg Config) *Deployment {
 	if filterOpts.ReorderWindow > 0 && filterOpts.Clock == nil {
 		filterOpts.Clock = cfg.Clock
 	}
-	d.filter = filtering.New(d.onFiltered, filterOpts)
+	d.st.ScreenWith(filterOpts, d.forward)
 
 	d.locSvc = location.New(cfg.Clock, cfg.Location)
 	d.registry = registry.New(cfg.Secret, cfg.Clock)
@@ -180,29 +191,39 @@ func New(cfg Config) *Deployment {
 	return d
 }
 
-// publish tees one delivery into the Stream Store — stamping its 64-bit
-// retention address onto Delivery.StoreSeq — and hands it to the
-// Dispatching Service. Every delivery entering the dispatcher (filtered
-// receptions, derived streams, location updates) funnels through here,
-// so retained history and live delivery share one address space.
+// publish tees one unscreened delivery (a derived stream's, a location
+// update) into the Stream Store — stamping its 64-bit retention address
+// onto Delivery.StoreSeq — and hands it to the Dispatching Service.
+// Receptions take ingest instead; either way every delivery entering the
+// dispatcher is retained first, so retained history and live delivery
+// share one address space.
 func (d *Deployment) publish(del filtering.Delivery) {
 	del.StoreSeq = d.st.Append(del)
 	d.dispatcher.Dispatch(del)
 }
 
-// onFiltered is the filter's sink: it surfaces sensor acknowledgements to
-// the Actuation Service and forwards the delivery to the store tee and
-// the dispatcher.
-func (d *Deployment) onFiltered(del filtering.Delivery) {
+// ingest screens and retains one reception in the Stream Store and
+// forwards it if accepted. The store's shard lock is dropped before
+// forward runs, so a consumer may inject from inside Consume.
+func (d *Deployment) ingest(rc receiver.Reception) {
+	if del, ok := d.st.Ingest(rc); ok {
+		d.forward(del)
+	}
+}
+
+// forward takes an accepted, retained reception on from the store — at
+// once from ingest, or when a reorder hold releases it: it surfaces sensor
+// acknowledgements to the Actuation Service and dispatches the delivery.
+func (d *Deployment) forward(del filtering.Delivery) {
 	if del.Msg.Flags.Has(wire.FlagUpdateAck) {
 		d.acts.HandleAck(del.Msg.AckID, del.At)
 	}
-	d.publish(del)
+	d.dispatcher.Dispatch(del)
 }
 
 // AddReceiver creates, registers and (if the deployment is running)
 // starts a receiver. Its reception records feed both the Location Service
-// (pre-filter, duplicates included) and the Filtering Service.
+// (pre-filter, duplicates included) and the screened store.
 func (d *Deployment) AddReceiver(cfg receiver.Config) *receiver.Receiver {
 	rx := receiver.New(d.medium, cfg, func(rc receiver.Reception) {
 		// Relayed copies (§8 multi-hop) carry the relay's bearing, not the
@@ -210,7 +231,7 @@ func (d *Deployment) AddReceiver(cfg receiver.Config) *receiver.Receiver {
 		if !rc.Msg.Flags.Has(wire.FlagRelayed) {
 			_ = d.locSvc.ObserveReception(rc) // receiver registered below; cannot fail
 		}
-		d.filter.Ingest(rc)
+		d.ingest(rc)
 	})
 	d.locSvc.RegisterReceiver(rx.Name(), rx.Position(), rx.Radius())
 	d.mu.Lock()
@@ -272,8 +293,8 @@ func (d *Deployment) Start() {
 }
 
 // Stop tears the deployment down: sensors first (no new uplink), then
-// receivers, the filter's reorder buffers, the dispatcher and the
-// actuation service. Idempotent.
+// receivers, the screen's reorder holds, the actuation service, the
+// dispatcher and the store. Idempotent.
 func (d *Deployment) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -295,7 +316,7 @@ func (d *Deployment) Stop() {
 	if locTicker != nil {
 		locTicker.Stop()
 	}
-	d.filter.Flush()
+	d.st.Flush()
 	d.acts.Stop()
 	d.dispatcher.Stop()
 	d.st.Close()
@@ -406,7 +427,7 @@ func (d *Deployment) AllocateVirtualSensor() wire.SensorID {
 // as a receiver would (used by tests and the experiment harness to drive
 // the fixed network without a radio field).
 func (d *Deployment) InjectReception(rc receiver.Reception) {
-	d.filter.Ingest(rc)
+	d.ingest(rc)
 }
 
 // Component accessors. The facade package and the experiment harness
@@ -417,9 +438,6 @@ func (d *Deployment) Clock() sim.Clock { return d.clock }
 
 // Medium returns the simulated wireless medium.
 func (d *Deployment) Medium() *radio.Medium { return d.medium }
-
-// Filter returns the Filtering Service.
-func (d *Deployment) Filter() *filtering.Filter { return d.filter }
 
 // Dispatcher returns the Dispatching Service.
 func (d *Deployment) Dispatcher() *dispatch.Dispatcher { return d.dispatcher }
@@ -479,7 +497,7 @@ func (d *Deployment) Stats() Snapshot {
 	rx, tx, sn := len(d.receivers), len(d.transmitters), len(d.sensors)
 	d.mu.Unlock()
 	return Snapshot{
-		Filter:     d.filter.Stats(),
+		Filter:     d.st.ScreenStats(),
 		Dispatch:   d.dispatcher.Stats(),
 		Store:      d.st.Stats(),
 		Orphanage:  d.orphan.Stats(),

@@ -86,7 +86,7 @@ func TestFigure1EndToEndDataPath(t *testing.T) {
 	if got := rec.Count(); got < 28 || got > 30 {
 		t.Fatalf("consumer received %d unique messages, want ≈30", got)
 	}
-	fs := d.Filter().Stats()
+	fs := d.Stats().Filter
 	if fs.Duplicates == 0 {
 		t.Fatal("overlapping receivers produced no duplicates — rig is wrong")
 	}
@@ -298,9 +298,9 @@ func TestStopIsCleanAndIdempotent(t *testing.T) {
 	d.Stop()
 	d.Stop() // idempotent
 
-	before := d.Filter().Stats().Received
+	before := d.Stats().Filter.Received
 	clock.Advance(10 * time.Second)
-	if got := d.Filter().Stats().Received; got != before {
+	if got := d.Stats().Filter.Received; got != before {
 		t.Fatalf("traffic after Stop: %d → %d", before, got)
 	}
 }
@@ -384,15 +384,15 @@ func TestInjectReceptionAllocs(t *testing.T) {
 }
 
 // TestIdleSensorFootprint holds the resident cost of a sensor that sent one
-// message ever — the dominant population of a large field: its filter
-// state and store header, each in place in its layer's table with an
-// index entry, and the store's slot; the dispatcher keeps no per-stream
-// record. The census reads about 217 B: the 240 B ceiling absorbs
-// allocator noise, and a structural regression such as a second
+// message ever — the dominant population of a large field: one record, its
+// duplicate window beside its store ring header, in place in the store's
+// table with one index entry, and the store's slot; the dispatcher keeps
+// no per-stream record. The census reads about 192 B: the 200 B ceiling
+// absorbs allocator noise, and a structural regression such as a second
 // per-stream record, or a store tail allocated for every stream, does not
 // fit under it.
 func TestIdleSensorFootprint(t *testing.T) {
-	const sensors, ceiling = 100_000, 240
+	const sensors, ceiling = 100_000, 200
 	clock := sim.NewVirtualClock(epoch)
 	d := New(Config{Clock: clock, Secret: []byte("s")})
 	defer d.Stop()

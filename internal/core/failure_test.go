@@ -54,7 +54,7 @@ func TestSensorBatteryDeathStopsStreamCleanly(t *testing.T) {
 		t.Fatalf("deliveries = %d, want 5 then silence", got)
 	}
 	// The stream's filter state survives; the pipeline itself is healthy.
-	if st := d.Filter().Stats(); st.ActiveStreams != 1 {
+	if st := d.Stats().Filter; st.ActiveStreams != 1 {
 		t.Fatalf("filter streams = %d", st.ActiveStreams)
 	}
 }

@@ -313,11 +313,13 @@ func TestArchivedLateJoinerStorm(t *testing.T) {
 // TestChurnStorm: rounds of fresh sensor cohorts emit in-order runs, held
 // reorder gaps (some filled late, some left to the timer) and duplicates,
 // are briefly subscribed, and are then forgotten by every plane. Churn
-// must leave no residue: no armed timers, no per-stream state in filter or
+// must leave no residue: no armed timers, no retained history in the
 // store, no held orphans, no live subscriptions. The store runs its whole
 // tier stack — compression, sealing and a durable archive —
-// so Forget must reclaim archived blocks too, and both the filter's and
-// the store's conservation identities hold exactly.
+// so Forget must reclaim archived blocks too, and both the screen's and
+// the store's conservation identities hold exactly. Forget keeps each
+// stream's duplicate window, as it keeps the unwrap state: what is left
+// per stream is the record, and every forgotten stream is still one.
 func TestChurnStorm(t *testing.T) {
 	const cohort, rounds = 300, 4
 	clock := sim.NewVirtualClock(epoch)
@@ -386,17 +388,16 @@ func TestChurnStorm(t *testing.T) {
 	}
 
 	// Tear down: drain the reorder backlogs, sweep the orphanage (which
-	// forgets its streams in the store), then forget every stream in
-	// filter and store — hot window, sealed blocks and archive alike.
-	d.Filter().Flush()
+	// forgets its streams in the store), then forget every stream in the
+	// store — hot window, sealed blocks and archive alike.
+	d.Store().Flush()
 	d.Orphanage().EvictBefore(clock.Now().Add(time.Hour))
 	for _, id := range ids {
-		d.Filter().Forget(id)
 		d.Store().Forget(id)
 	}
 	d.Stop()
 
-	fs := d.Filter().Stats()
+	fs := d.Stats().Filter
 	// Ten messages a stream, less the unfilled gap on every third.
 	if want := int64(rounds * (10*cohort - (cohort+2)/3)); fs.Delivered != want {
 		t.Errorf("filter delivered %d, want %d", fs.Delivered, want)
@@ -417,8 +418,8 @@ func TestChurnStorm(t *testing.T) {
 	if n := clock.Pending(); n != 0 {
 		t.Errorf("%d timers still armed", n)
 	}
-	if fs.ActiveStreams != 0 || ss.Streams != 0 {
-		t.Errorf("streams left: filter %d, store %d", fs.ActiveStreams, ss.Streams)
+	if fs.ActiveStreams != len(ids) || ss.Streams != 0 {
+		t.Errorf("streams left: screened %d (want the %d windows Forget keeps), store %d", fs.ActiveStreams, len(ids), ss.Streams)
 	}
 	if n := d.Orphanage().Stats().StreamsHeld; n != 0 {
 		t.Errorf("orphanage still holds %d streams", n)
@@ -492,7 +493,7 @@ func TestRadioPartitionStorm(t *testing.T) {
 	for _, n := range nodes {
 		sent += n.Stats().MessagesSent
 	}
-	fs := d.Filter().Stats()
+	fs := d.Stats().Filter
 	if fs.Gaps == 0 {
 		t.Error("the partitions lost nothing")
 	}

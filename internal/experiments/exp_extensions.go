@@ -86,7 +86,7 @@ func runX1(cfg Config) (*Table, error) {
 		clock.RunUntil(epoch.Add(seconds * time.Second))
 		d.Stop()
 
-		delivered := d.Filter().Stats().Delivered
+		delivered := d.Stats().Filter.Delivered
 		expected := int64(len(reachable)) * seconds
 		rate := 0.0
 		if expected > 0 {

@@ -40,7 +40,10 @@ func runE5(cfg Config) (*Table, error) {
 	truths := field.RandomPositions(bounds, sensors, sim.SubSeed(cfg.Seed, "e5.truth"))
 	hintRng := sim.NewRand(sim.SubSeed(cfg.Seed, "e5.hints"))
 
+	// meanErr[rx][hints] is each row's mean error, for the claim checks.
+	meanErr := map[int]map[bool]float64{}
 	for _, rxCount := range grids {
+		meanErr[rxCount] = map[bool]float64{}
 		for _, withHints := range []bool{false, true} {
 			clock := sim.NewVirtualClock(epoch)
 			d := core.New(core.Config{Clock: clock, Secret: []byte("e5")})
@@ -90,6 +93,15 @@ func runE5(cfg Config) (*Table, error) {
 			n := float64(len(errs))
 			p95 := errs[int(math.Ceil(0.95*n))-1]
 			t.AddRow(rxCount, withHints, sum/n, p95, sumUnc/n, sumConf/n)
+			meanErr[rxCount][withHints] = sum / n
+		}
+		if with, without := meanErr[rxCount][true], meanErr[rxCount][false]; with >= without {
+			return t, fmt.Errorf("E5: at %d receivers hints did not lower the mean error: %v m with, %v m without", rxCount, with, without)
+		}
+	}
+	for _, hints := range []bool{false, true} {
+		if dense, sparse := meanErr[16][hints], meanErr[4][hints]; dense >= sparse {
+			return t, fmt.Errorf("E5: with hints=%v, 16 receivers located no better than 4: %v m vs %v m", hints, dense, sparse)
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -155,7 +155,7 @@ func runE1(cfg Config) (*Table, error) {
 		clock.RunUntil(epoch.Add(time.Duration(seconds) * time.Second))
 		d.Stop()
 
-		fs := d.Filter().Stats()
+		fs := d.Stats().Filter
 		expected := int64(sensors * seconds)
 		dupFactor := float64(fs.Received) / float64(fs.Delivered)
 		t.AddRow(rxCount, fs.Received, fs.Delivered, dupFactor,

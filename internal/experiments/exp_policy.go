@@ -107,6 +107,9 @@ func runE8(cfg Config) (*Table, error) {
 	states := []string{"calm", "rising", "flood"}
 	rates := map[string]uint32{"calm": 200, "rising": 1000, "flood": 5000}
 
+	// meanInPlace and armed are each mode's figures, for the claim checks.
+	meanInPlace := map[bool]float64{}
+	armed := map[bool]int{}
 	for _, predictive := range []bool{false, true} {
 		clock := sim.NewVirtualClock(epoch)
 		coordOpts := coordinator.Options{Mode: coordinator.ModeReactive}
@@ -207,6 +210,13 @@ func runE8(cfg Config) (*Table, error) {
 			mode = "predictive"
 		}
 		t.AddRow(mode, entries, mean, p95, alreadyArmed, accuracy)
+		meanInPlace[predictive], armed[predictive] = mean, alreadyArmed
+	}
+	if pred, react := meanInPlace[true], meanInPlace[false]; pred >= react {
+		return t, fmt.Errorf("E8: predictive mean in-place latency %v ms is not below reactive's %v ms", pred, react)
+	}
+	if armed[true] == 0 {
+		return t, fmt.Errorf("E8: predictive mode found no state entry already armed")
 	}
 	t.Notes = append(t.Notes,
 		"in-place latency: consumer reports a state → sensor actually samples at that state's rate (50% downlink loss, 2s retry)",

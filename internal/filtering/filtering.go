@@ -10,27 +10,47 @@
 // bounded hold, using the message “sequence or timing information … to
 // allow messages to be correctly ordered” (§4.3).
 //
+// # Where the screen lives
+//
+// The screen is written once and kept by whichever layer owns a stream's
+// record. Each stream has a Window (the in-order regime, four bytes) and a
+// *Rest (the bitmap and the reorder hold, nil until the stream first leaves
+// the in-order regime or holds a message); each shard of streams has a
+// Screen (window size, reorder settings, counters, release sink). The
+// record's owner keeps the first two in its record and the third in its
+// shard, and calls the Screen's methods under its own shard lock.
+//
+// In a deployment that owner is the Stream Store: its per-stream record
+// holds the window beside the retention ring, so a reception is screened
+// and appended — its StoreSeq assigned — in one critical section with one
+// table lookup (store.Store.Ingest). Filter, below, is the same screen in
+// a table of its own: a standalone entry point for code that wires the
+// layers by hand and for this package's tests. It is not on any
+// deployment's path.
+//
 // # Sharding
 //
-// Every reception funnels through the filter before it can reach the
-// Dispatching Service, so the per-stream duplicate/reorder state is the
-// ingest-side scalability choke point. It is partitioned into N shards
-// (Options.Shards) keyed by the sensor component of the StreamID — the
-// same key the dispatcher shards on — with shard-local mutexes, counters
-// and reorder timers, so receptions on streams of different sensors never
-// contend. The hot path is allocation-free at steady state: stream state
-// sits in place in the shard's streamtab.Table, found through its
-// single-entry last-hit cache before its index, counters are plain ints
-// under the shard mutex, and reorder scratch storage is pooled.
+// Every reception is screened before it can reach the Dispatching
+// Service, so the per-stream duplicate/reorder state is partitioned into
+// shards keyed by the sensor component of the StreamID — the key the
+// Stream Store and the dispatcher shard on — with shard-local locks,
+// counters and reorder timers, so receptions on streams of different
+// sensors never contend. In a deployment a stream takes one lock to be
+// screened and retained and one to be dispatched. The hot path is
+// allocation-free at steady state: the window sits in place in its
+// owner's record, counters are plain ints under the shard lock, and
+// reorder scratch storage is pooled.
 //
-// Receivers may hand the filter receptions whose payload aliases a leased
-// frame buffer (Reception.Borrowed); the filter detaches (copies) the
+// Receivers may hand the screen receptions whose payload aliases a leased
+// frame buffer (Reception.Borrowed); the screen detaches (copies) the
 // payload only for the receptions it accepts, so duplicate and stale
 // copies — the common case under overlapping receiver zones — are screened
 // out without the payload ever being copied.
 package filtering
 
 import (
+	"math"
+	"sync"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/receiver"
@@ -52,10 +72,9 @@ type Delivery struct {
 	// StoreSeq is the Stream Store's 64-bit extended sequence assigned
 	// when the delivery was retained (the 16-bit wire Seq wraps; the
 	// store unwraps it monotonically). 0 means the delivery bypassed the
-	// store. The filter never sets it; the core deployment tees accepted
-	// deliveries into the store before dispatch and stamps it there, so
-	// consumers, the Orphanage and the replay machinery all address
-	// retained history with the same monotone key.
+	// store. The screen never sets it; the store stamps it when it
+	// appends, so consumers, the Orphanage and the replay machinery all
+	// address retained history with the same monotone key.
 	StoreSeq uint64
 }
 
@@ -63,13 +82,13 @@ type Delivery struct {
 // in sequence numbers.
 const DefaultWindowSize = 1024
 
-// DefaultShards partitions the filter state unless Options.Shards says
-// otherwise. Matches the dispatcher's default so a stream contends on at
-// most one ingest lock and one dispatch lock end to end.
+// DefaultShards partitions the standalone Filter's state unless
+// Options.Shards says otherwise. Matches the store's and the dispatcher's
+// defaults.
 const DefaultShards = 16
 
-// Options configures a Filter. The zero value uses DefaultWindowSize,
-// DefaultShards and no reordering.
+// Options configures a Filter or a Screen. The zero value uses
+// DefaultWindowSize, DefaultShards and no reordering.
 type Options struct {
 	// windowSize is the per-stream duplicate window in sequence numbers;
 	// it is rounded up to a power of two (minimum 64, maximum 65536, the
@@ -77,8 +96,9 @@ type Options struct {
 	// DefaultWindowSize. Only tests set it, to reach the window's edges
 	// with short sequences.
 	windowSize int
-	// Shards partitions the per-stream filter state; <= 0 selects
-	// DefaultShards. Every shard has its own lock, table and counters.
+	// Shards partitions the standalone Filter's per-stream state; <= 0
+	// selects DefaultShards. A Screen ignores it: it serves its owner's
+	// shards.
 	Shards int
 	// ReorderWindow, when positive, holds each message for at most this
 	// long and releases messages in sequence order. Clock must be set.
@@ -99,35 +119,6 @@ type Stats struct {
 	Shards        int   // state partitions
 }
 
-// Filter is the Filtering Service.
-type Filter struct {
-	opts   Options
-	sink   func(Delivery)
-	shards []*shard
-}
-
-// New creates a Filter forwarding unique messages to sink. New panics on a
-// nil sink, or when ReorderWindow is set without a Clock (programming
-// errors).
-func New(sink func(Delivery), opts Options) *Filter {
-	if sink == nil {
-		panic("filtering: nil sink")
-	}
-	if opts.windowSize <= 0 {
-		opts.windowSize = DefaultWindowSize
-	}
-	opts.windowSize = ceilPow2(opts.windowSize)
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	if opts.ReorderWindow > 0 && opts.Clock == nil {
-		panic("filtering: ReorderWindow requires a Clock")
-	}
-	f := &Filter{opts: opts, sink: sink}
-	f.shards = newShards(f, opts.Shards)
-	return f
-}
-
 // ceilPow2 rounds n up to a power of two in [64, 65536]. The upper bound
 // is the 16-bit sequence space: a window that large can never declare a
 // message stale, only duplicate.
@@ -139,35 +130,23 @@ func ceilPow2(n int) int {
 	return p
 }
 
-type pendingEntry struct {
-	d       Delivery
-	release time.Time
-}
-
-// streamFilter is one stream's duplicate/reorder state. The filter holds
-// one for every stream ever heard, in place in its shard's table, so it
-// keeps only what the screen of an in-order stream needs and packs into
-// 16 bytes (a footprint test pins them): the contiguous seen range and one
-// pointer to the rest, which only a stream that leaves the in-order
-// regime or holds a message for reordering allocates. It holds no shard
-// pointer — every caller reaches it through its shard and passes that in
-// — and no per-stream counts or times: which streams exist, how many
-// messages each published and when is the Stream Store's record.
-type streamFilter struct {
-	// rest is nil until the stream first needs a bitmap or a hold.
-	rest *filterRest
-
+// Window is one stream's duplicate screen in the in-order regime: while
+// every sequence has arrived in order the seen set is the contiguous range
+// [base-span+1, base], and that is all an idle stream keeps. Its owner
+// keeps it in place in the stream's record, beside the stream's *Rest.
+type Window struct {
+	base wire.Seq // highest sequence seen, in serial order
 	// span is the length of the contiguous seen range ending at base,
-	// clamped to the window size; meaningful only while rest.window is
-	// nil.
-	span      int32
-	base      wire.Seq // highest sequence seen, in serial order
-	initiated bool
+	// clamped to the window size and to 65535; meaningful only while the
+	// stream has no bitmap. 0 means no sequence has been seen yet: every
+	// path that starts a window sets it to at least 1, and nothing sets it
+	// back to 0.
+	span uint16
 }
 
-// filterRest is the part of a stream's filter state an in-order stream
-// without reordering never allocates.
-type filterRest struct {
+// Rest is the part of a stream's screen an in-order stream without
+// reordering never allocates.
+type Rest struct {
 	// window is a circular seen-bitmap over the last len(window)*64
 	// sequence numbers: the bit for sequence s lives at position
 	// s mod size (size is a power of two dividing the 16-bit sequence
@@ -175,74 +154,115 @@ type filterRest struct {
 	// the window by one — the in-order hot path — sets a single bit
 	// instead of shifting the whole bitmap.
 	//
-	// Allocation is lazy: while every sequence has arrived in order the
-	// seen set is the contiguous range [base-span+1, base] and window
-	// stays nil — an idle in-order stream costs no bitmap at all. The
-	// first gap or out-of-order arrival materialises the bitmap the
-	// eager code would have had (exactly the span range set) and the
-	// stream runs the bitmap path from then on.
+	// Allocation is lazy: the first gap or out-of-order arrival
+	// materialises the bitmap the eager code would have had (exactly the
+	// span range set) and the stream runs the bitmap path from then on.
 	window []uint64
 
 	// ro is the reorder stage's state, allocated on the stream's first
-	// hold: nil without ReorderWindow, and nil again once Flush drains it.
+	// hold: nil without ReorderWindow, and nil again once a flush drains
+	// it.
 	ro *reorder
 }
 
-// ownRest gives the stream its rest, allocating it on first use.
-func (sf *streamFilter) ownRest() *filterRest {
-	if sf.rest == nil {
-		sf.rest = new(filterRest)
+// Screen is one shard's share of the screen: the settings every stream in
+// the shard is screened with, the counters, and where the deliveries a
+// reorder hold releases go. Its owner keeps it beside its stream records
+// and calls every method ending in Locked under the lock passed to Init.
+// A Screen must not move after Init: reorder state points at it.
+type Screen struct {
+	size    int // window size in sequence numbers, a power of two
+	maxSpan int // Window.span's clamp: min(size, 65535)
+	hold    time.Duration
+	clock   sim.Clock
+
+	// mu is the owner's shard lock, which reorder timers take. settle,
+	// when set, runs under mu on each delivery a hold releases, in
+	// sequence order (the Stream Store appends it there); sink then
+	// receives it after mu is dropped.
+	mu     *sync.Mutex
+	settle func(*Delivery)
+	sink   func(Delivery)
+
+	// Counters are plain ints mutated only under mu — cheaper than
+	// atomics on every ingest.
+	received   int64
+	delivered  int64
+	duplicates int64
+	stale      int64
+	gaps       int64
+	recovered  int64
+	streams    int // windows started
+}
+
+// Init readies sc with opts' window and reorder settings (Shards is not
+// read). mu is the lock its owner holds around every Locked call; settle
+// (may be nil) and sink receive what a reorder hold releases, as described
+// on Screen. Init panics when ReorderWindow is set without a Clock or a
+// sink (programming errors).
+func (sc *Screen) Init(opts Options, mu *sync.Mutex, settle func(*Delivery), sink func(Delivery)) {
+	if opts.windowSize <= 0 {
+		opts.windowSize = DefaultWindowSize
 	}
-	return sf.rest
+	size := ceilPow2(opts.windowSize)
+	if opts.ReorderWindow > 0 && opts.Clock == nil {
+		panic("filtering: ReorderWindow requires a Clock")
+	}
+	if opts.ReorderWindow > 0 && sink == nil {
+		panic("filtering: ReorderWindow requires a sink")
+	}
+	*sc = Screen{
+		size: size, maxSpan: min(size, math.MaxUint16),
+		hold: opts.ReorderWindow, clock: opts.Clock,
+		mu: mu, settle: settle, sink: sink,
+	}
+}
+
+// AddStatsLocked adds the shard's counters and screened streams to st.
+func (sc *Screen) AddStatsLocked(st *Stats) {
+	st.Received += sc.received
+	st.Delivered += sc.delivered
+	st.Duplicates += sc.duplicates
+	st.Stale += sc.stale
+	st.Gaps += sc.gaps
+	st.GapsRecovered += sc.recovered
+	st.ActiveStreams += sc.streams
+}
+
+type pendingEntry struct {
+	d       Delivery
+	release time.Time
 }
 
 // reorder is one stream's reorder-stage state (ReorderWindow > 0):
 // pending entries sorted ascending by sequence, released front-first once
 // held long enough. The backing array is retained across pops, so a
-// warmed-up stream reorders without allocating (Flush releases it).
+// warmed-up stream reorders without allocating (a flush releases it).
 // releasing serialises timer fires per stream: a second fire while one is
 // mid-sink would otherwise deliver later sequences before earlier ones on
 // a real clock (AfterFunc callbacks run on independent goroutines).
 //
-// The release timer reaches the state through this object and its own
-// shard, never through the stream's table record: Forget frees the record
-// for the next new stream in the shard, so a fire already under way when
-// Forget ran would otherwise act on another stream's state. Detached by
-// Forget, the object has nothing pending, and such a fire does nothing.
+// The release timer reaches the state through this object and its
+// shard's Screen, never through the stream's record: the standalone
+// Filter's Forget frees the record for the next new stream in the shard,
+// so a fire already under way when Forget ran would otherwise act on
+// another stream's state. Detached by Forget, the object has nothing
+// pending, and such a fire does nothing.
 type reorder struct {
-	sh        *shard
+	sc        *Screen
 	pending   []pendingEntry
 	timer     sim.Timer
 	releasing bool
 }
 
-// Ingest screens one reception. Unique messages reach the sink — either
-// immediately (no reordering) or in sequence order after a bounded hold.
-// Receptions marked Borrowed have their payload detached (copied) iff
-// accepted; rejected copies never touch the payload.
-func (f *Filter) Ingest(rc receiver.Reception) {
-	sh := f.shardFor(rc.Msg.Stream)
-	sh.mu.Lock()
-	d, forward := sh.ingestLocked(&rc)
-	sh.mu.Unlock()
-	if forward {
-		f.sink(d)
-	}
-}
-
-// ingestLocked runs the per-message screen — dup window, payload
-// detach, reorder hold — for one reception. It returns the accepted
-// Delivery and forward=true when the message must reach the sink now;
-// rejected and reorder-held messages return forward=false. Caller holds
-// sh.mu.
-func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool) {
-	f := sh.f
-	sh.received++
-	sf := sh.tab.Get(rc.Msg.Stream)
-	if sf == nil {
-		sf = sh.tab.Add(rc.Msg.Stream)
-	}
-	if !sf.accept(sh, rc.Msg.Seq) {
+// IngestLocked runs the per-message screen — dup window, payload detach,
+// reorder hold — for one reception on the stream whose window and rest
+// are w and *rest. It returns the accepted Delivery and true when the
+// message must be forwarded now; rejected and reorder-held messages return
+// false.
+func (sc *Screen) IngestLocked(w *Window, rest **Rest, rc *receiver.Reception) (Delivery, bool) {
+	sc.received++
+	if !sc.accept(w, rest, rc.Msg.Seq) {
 		return Delivery{}, false
 	}
 	msg := rc.Msg
@@ -251,26 +271,25 @@ func (sh *shard) ingestLocked(rc *receiver.Reception) (d Delivery, forward bool)
 		copy(owned, msg.Payload)
 		msg.Payload = owned
 	}
-	d = Delivery{Msg: msg, At: rc.At, Receiver: rc.Receiver, RSSI: rc.RSSI}
-
-	if f.opts.ReorderWindow > 0 {
-		sf.holdLocked(sh, d, rc.At.Add(f.opts.ReorderWindow))
+	d := Delivery{Msg: msg, At: rc.At, Receiver: rc.Receiver, RSSI: rc.RSSI}
+	if sc.hold > 0 {
+		sc.holdLocked(rest, d, rc.At.Add(sc.hold))
 		return Delivery{}, false
 	}
-	sh.delivered++
+	sc.delivered++
 	return d, true
 }
 
-// bitPos locates seq's bit in the circular bitmap. Called with sh.mu held.
-func (rs *filterRest) bitPos(seq wire.Seq) (word int, mask uint64) {
+// bitPos locates seq's bit in the circular bitmap.
+func (rs *Rest) bitPos(seq wire.Seq) (word int, mask uint64) {
 	i := uint32(seq) & uint32(len(rs.window)*64-1)
 	return int(i >> 6), 1 << (i & 63)
 }
 
 // clearRange marks count consecutive sequence positions starting at from
 // as unseen, clearing whole 64-bit words where the circular range spans
-// them (count must be < the window size). Called with sh.mu held.
-func (rs *filterRest) clearRange(from wire.Seq, count int) {
+// them (count must be < the window size).
+func (rs *Rest) clearRange(from wire.Seq, count int) {
 	size := len(rs.window) * 64
 	i := int(uint32(from) & uint32(size-1))
 	for count > 0 {
@@ -292,8 +311,7 @@ func (rs *filterRest) clearRange(from wire.Seq, count int) {
 
 // setRange marks count consecutive sequence positions starting at from as
 // seen — clearRange's dual, used when materialising a lazy window.
-// Called with sh.mu held.
-func (rs *filterRest) setRange(from wire.Seq, count int) {
+func (rs *Rest) setRange(from wire.Seq, count int) {
 	size := len(rs.window) * 64
 	i := int(uint32(from) & uint32(size-1))
 	for count > 0 {
@@ -311,13 +329,30 @@ func (rs *filterRest) setRange(from wire.Seq, count int) {
 	}
 }
 
+// ownRest gives the stream its rest, allocating it on first use.
+func ownRest(rest **Rest) *Rest {
+	if *rest == nil {
+		*rest = new(Rest)
+	}
+	return *rest
+}
+
 // materialize allocates the bitmap for a stream leaving the contiguous
 // regime, reproducing exactly the bits the eager code would have set: the
-// last span in-order sequences ending at base. Called with sh.mu held.
-func (sf *streamFilter) materialize(sh *shard) {
-	rs := sf.ownRest()
-	rs.window = make([]uint64, sh.f.opts.windowSize/64)
-	rs.setRange(sf.base-wire.Seq(sf.span)+1, int(sf.span))
+// last span in-order sequences ending at base. A span clamped at 65535 in
+// a 65536 window leaves unset only the position of base+1, which the next
+// advance sets or clears before any backward probe can reach it.
+func (sc *Screen) materialize(w *Window, rest **Rest) *Rest {
+	rs := ownRest(rest)
+	rs.window = make([]uint64, sc.size/64)
+	rs.setRange(w.base-wire.Seq(w.span)+1, int(w.span))
+	return rs
+}
+
+// start begins a window at seq, the stream's first sequence.
+func (sc *Screen) start(w *Window, seq wire.Seq) {
+	w.base, w.span = seq, 1
+	sc.streams++
 }
 
 // acceptLazy runs the duplicate screen while the stream has no bitmap —
@@ -325,76 +360,69 @@ func (sf *streamFilter) materialize(sh *shard) {
 // handled=false for the two decisions that need per-sequence bits (an
 // in-window gap, a late recovery outside the contiguous range); the
 // caller materialises the bitmap and reruns the eager path, which then
-// makes the identical decision the eager code always made. Called with
-// sh.mu held.
-func (sf *streamFilter) acceptLazy(sh *shard, seq wire.Seq) (handled, ok bool) {
-	size := sh.f.opts.windowSize
-	if !sf.initiated {
-		sf.initiated = true
-		sf.base = seq
-		sf.span = 1
+// makes the identical decision the eager code always made.
+func (sc *Screen) acceptLazy(w *Window, seq wire.Seq) (handled, ok bool) {
+	if w.span == 0 {
+		sc.start(w, seq)
 		return true, true
 	}
-	d := sf.base.Distance(seq)
+	d := w.base.Distance(seq)
 	switch {
 	case d == 1: // in order: the contiguous range extends
-		if int(sf.span) < size {
-			sf.span++
+		if int(w.span) < sc.maxSpan {
+			w.span++
 		}
-		sf.base = seq
+		w.base = seq
 		return true, true
-	case d >= size:
+	case d >= sc.size:
 		// The jump flushes the whole window: nothing previously seen is
 		// still inside, so the seen set stays contiguous ({seq} alone)
 		// and the stream stays lazy. The skipped numbers are gaps.
-		sh.gaps += int64(d - 1)
-		sf.base = seq
-		sf.span = 1
+		sc.gaps += int64(d - 1)
+		w.base, w.span = seq, 1
 		return true, true
 	case d > 1:
 		return false, false // first in-window gap: needs the bitmap
 	case d == 0:
-		sh.duplicates++
+		sc.duplicates++
 		return true, false
 	default: // d < 0: an older sequence
-		if -d >= size {
-			sh.stale++
+		if -d >= sc.size {
+			sc.stale++
 			return true, false
 		}
-		if int32(-d) < sf.span {
+		if -d < int(w.span) {
 			// Inside the contiguous seen range: a duplicate.
-			sh.duplicates++
+			sc.duplicates++
 			return true, false
 		}
 		return false, false // late recovery of a pre-span hole: needs the bitmap
 	}
 }
 
-// accept runs the duplicate window; it reports whether seq is new. Called
-// with sh.mu held.
-func (sf *streamFilter) accept(sh *shard, seq wire.Seq) bool {
-	if sf.rest == nil || sf.rest.window == nil {
-		handled, ok := sf.acceptLazy(sh, seq)
+// accept runs the duplicate window; it reports whether seq is new.
+func (sc *Screen) accept(w *Window, rest **Rest, seq wire.Seq) bool {
+	rs := *rest
+	if rs == nil || rs.window == nil {
+		handled, ok := sc.acceptLazy(w, seq)
 		if handled {
 			return ok
 		}
 		// The stream just left the in-order regime: build the bitmap it
 		// would have had and fall through to the eager decision.
-		sf.materialize(sh)
+		rs = sc.materialize(w, rest)
 	}
-	rs := sf.rest
 	size := len(rs.window) * 64
-	if !sf.initiated {
+	if w.span == 0 {
 		// Reachable only from an eagerly seeded filter (the lazy-vs-eager
-		// test): normally initiation runs on the lazy path, before any
+		// test): normally a window starts on the lazy path, before any
 		// bitmap exists.
-		sf.initiated = true
-		sf.base = seq
-		w, m := rs.bitPos(seq)
-		rs.window[w] = m
+		sc.start(w, seq)
+		wd, m := rs.bitPos(seq)
+		rs.window[wd] = m
 		return true
 	}
-	d := sf.base.Distance(seq)
+	d := w.base.Distance(seq)
 	switch {
 	case d > 0:
 		// New highest sequence: advance the window to seq. Positions for
@@ -404,41 +432,41 @@ func (sf *streamFilter) accept(sh *shard, seq wire.Seq) bool {
 		if d >= size {
 			clear(rs.window)
 		} else if d > 1 {
-			rs.clearRange(sf.base+1, d-1)
+			rs.clearRange(w.base+1, d-1)
 		}
 		if d > 1 {
-			sh.gaps += int64(d - 1)
+			sc.gaps += int64(d - 1)
 		}
-		sf.base = seq
-		w, m := rs.bitPos(seq)
-		rs.window[w] |= m
+		w.base = seq
+		wd, m := rs.bitPos(seq)
+		rs.window[wd] |= m
 		return true
 	case d == 0:
-		sh.duplicates++
+		sc.duplicates++
 		return false
 	default: // d < 0: an older sequence
 		if -d >= size {
-			sh.stale++
+			sc.stale++
 			return false
 		}
-		w, m := rs.bitPos(seq)
-		if rs.window[w]&m != 0 {
-			sh.duplicates++
+		wd, m := rs.bitPos(seq)
+		if rs.window[wd]&m != 0 {
+			sc.duplicates++
 			return false
 		}
-		rs.window[w] |= m
-		sh.recovered++
+		rs.window[wd] |= m
+		sc.recovered++
 		return true
 	}
 }
 
 // holdLocked inserts d into the stream's pending list sorted by
 // sequence and (re)arms the release timer, allocating the stream's
-// reorder state on its first hold. Caller holds sh.mu.
-func (sf *streamFilter) holdLocked(sh *shard, d Delivery, release time.Time) {
-	rs := sf.ownRest()
+// reorder state on its first hold.
+func (sc *Screen) holdLocked(rest **Rest, d Delivery, release time.Time) {
+	rs := ownRest(rest)
 	if rs.ro == nil {
-		rs.ro = &reorder{sh: sh}
+		rs.ro = &reorder{sc: sc}
 	}
 	ro := rs.ro
 	// Insert sorted by serial sequence order.
@@ -456,7 +484,7 @@ func (sf *streamFilter) holdLocked(sh *shard, d Delivery, release time.Time) {
 }
 
 // armTimerLocked arms the release timer for the front entry, if any.
-// Caller holds ro.sh.mu.
+// Caller holds ro.sc.mu.
 func (ro *reorder) armTimerLocked() {
 	if len(ro.pending) == 0 {
 		return
@@ -464,17 +492,18 @@ func (ro *reorder) armTimerLocked() {
 	if ro.timer != nil {
 		ro.timer.Stop()
 	}
-	clock := ro.sh.f.opts.Clock
+	clock := ro.sc.clock
 	delay := ro.pending[0].release.Sub(clock.Now())
 	ro.timer = clock.AfterFunc(delay, ro.release)
 }
 
 // popExpiredLocked moves every front entry whose hold has expired into
-// *out, keeping the pending backing array for reuse. Caller holds sh.mu.
+// *out, settled, keeping the pending backing array for reuse. Caller holds
+// ro.sc.mu.
 func (ro *reorder) popExpiredLocked(now time.Time, out *[]Delivery) {
 	n := 0
 	for n < len(ro.pending) && !ro.pending[n].release.After(now) {
-		*out = append(*out, ro.pending[n].d)
+		*out = append(*out, ro.sc.settledLocked(ro.pending[n].d))
 		n++
 	}
 	if n == 0 {
@@ -485,47 +514,53 @@ func (ro *reorder) popExpiredLocked(now time.Time, out *[]Delivery) {
 	ro.pending = ro.pending[:kept]
 }
 
+// settledLocked counts d as delivered and runs the owner's settle on it.
+func (sc *Screen) settledLocked(d Delivery) Delivery {
+	sc.delivered++
+	if sc.settle != nil {
+		sc.settle(&d)
+	}
+	return d
+}
+
 // release forwards every front entry whose hold has expired, preserving
 // sequence order (a not-yet-expired front entry blocks later ones; its
 // expiry bounds the extra wait). It runs on the clock's timer goroutine
-// and takes only its own shard's mutex. The timer is re-armed only after
+// and takes only its own shard's lock. The timer is re-armed only after
 // the sink calls finish, and overlapping fires bail out, so two timer
 // goroutines can never sink one stream's messages out of order. A fire on
-// state Flush or Forget took the entries from finds nothing expired and
+// state a flush or Forget took the entries from finds nothing expired and
 // arms nothing.
 func (ro *reorder) release() {
-	sh := ro.sh
-	f := sh.f
+	sc := ro.sc
 	out := getDeliverySlice()
-	sh.mu.Lock()
+	sc.mu.Lock()
 	if ro.releasing {
 		// Another fire is mid-sink; it re-checks and re-arms on exit.
-		sh.mu.Unlock()
+		sc.mu.Unlock()
 		putDeliverySlice(out)
 		return
 	}
 	ro.releasing = true
-	ro.popExpiredLocked(f.opts.Clock.Now(), out)
-	sh.delivered += int64(len(*out))
+	ro.popExpiredLocked(sc.clock.Now(), out)
 	ro.timer = nil
-	sh.mu.Unlock()
+	sc.mu.Unlock()
 	for _, d := range *out {
-		f.sink(d)
+		sc.sink(d)
 	}
-	sh.mu.Lock()
+	sc.mu.Lock()
 	ro.releasing = false
 	ro.armTimerLocked()
-	sh.mu.Unlock()
+	sc.mu.Unlock()
 	putDeliverySlice(out)
 }
 
 // takeHeldLocked stops the stream's release timer and hands back its held
 // entries. The reorder state goes with them unless a fire is mid-sink:
 // that one keeps it, finds pending empty on exit and re-arms nothing. A
-// rest left with neither a bitmap nor reorder state goes too. Caller holds
-// sh.mu.
-func (sf *streamFilter) takeHeldLocked() []pendingEntry {
-	rs := sf.rest
+// rest left with neither a bitmap nor reorder state goes too.
+func takeHeldLocked(rest **Rest) []pendingEntry {
+	rs := *rest
 	if rs == nil || rs.ro == nil {
 		return nil
 	}
@@ -538,66 +573,46 @@ func (sf *streamFilter) takeHeldLocked() []pendingEntry {
 	if !ro.releasing {
 		rs.ro = nil
 		if rs.window == nil {
-			sf.rest = nil
+			*rest = nil
 		}
 	}
 	return held
 }
 
-// Flush immediately releases all held messages (in per-stream sequence
-// order) and frees the per-stream reorder state — a drained stream keeps
-// only its duplicate-window state, so mass-idle fields do not pin reorder
-// memory. Call when shutting down a deployment with reordering enabled.
-func (f *Filter) Flush() {
-	out := getDeliverySlice()
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for _, sf := range sh.tab.All() {
-			held := sf.takeHeldLocked()
-			for _, p := range held {
-				*out = append(*out, p.d)
-			}
-			sh.delivered += int64(len(held))
-		}
-		sh.mu.Unlock()
+// FlushLocked releases every entry the stream holds at once, in sequence
+// order: each is counted, settled and appended to *out for the owner to
+// hand to the sink once it drops the lock. The stream's reorder state is
+// freed, so mass-idle fields do not pin reorder memory.
+func (sc *Screen) FlushLocked(rest **Rest, out *[]Delivery) {
+	for _, p := range takeHeldLocked(rest) {
+		*out = append(*out, sc.settledLocked(p.d))
 	}
-	for _, d := range *out {
-		f.sink(d)
-	}
-	putDeliverySlice(out)
 }
 
-// Forget drops the per-stream filter state for id — duplicate window,
-// reorder backlog and timer — so a mass-detached sensor does not pin
-// ingest-side memory forever. Held reorder entries are discarded, not
-// delivered (the caller is detaching the stream; Flush first to drain).
-// If the stream resumes, it re-initiates like a brand-new stream. It
-// reports whether state existed.
-func (f *Filter) Forget(id wire.StreamID) bool {
-	sh := f.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sf := sh.tab.Get(id)
-	if sf == nil {
-		return false
+// forgetLocked drops the stream's screen state — duplicate window,
+// reorder backlog and timer — discarding held entries undelivered; the
+// owner then deletes or zeroes the record, so a resumed stream starts a
+// new window.
+func (sc *Screen) forgetLocked(w *Window, rest **Rest) {
+	takeHeldLocked(rest)
+	if w.span != 0 {
+		sc.streams--
 	}
-	sf.takeHeldLocked()
-	return sh.tab.Delete(id)
 }
 
-// Stats returns an aggregate snapshot summed across shards.
-func (f *Filter) Stats() Stats {
-	st := Stats{Shards: len(f.shards)}
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		st.Received += sh.received
-		st.Delivered += sh.delivered
-		st.Duplicates += sh.duplicates
-		st.Stale += sh.stale
-		st.Gaps += sh.gaps
-		st.GapsRecovered += sh.recovered
-		st.ActiveStreams += sh.tab.Len()
-		sh.mu.Unlock()
-	}
-	return st
+// deliverySlices pools the scratch slices release hands expired
+// deliveries through, so steady-state reordering allocates nothing per
+// timer fire.
+var deliverySlices = sync.Pool{
+	New: func() any { return new([]Delivery) },
+}
+
+func getDeliverySlice() *[]Delivery { return deliverySlices.Get().(*[]Delivery) }
+
+func putDeliverySlice(p *[]Delivery) {
+	// Zero the entries so pooled storage does not pin payloads or
+	// receiver strings until the slice is next used.
+	clear(*p)
+	*p = (*p)[:0]
+	deliverySlices.Put(p)
 }

@@ -314,7 +314,7 @@ func TestReorderStateLivesOnlyWhileHolding(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	f, _ := collectFilter(Options{ReorderWindow: time.Hour, Clock: clock})
 	id := wire.MustStreamID(1, 0)
-	reorderState := func() *filterRest {
+	reorderState := func() *Rest {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()

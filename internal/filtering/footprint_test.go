@@ -5,11 +5,16 @@ import (
 	"unsafe"
 )
 
-// TestStreamFilterFootprint pins the per-stream filter state size. The
-// filter holds one of these for every stream ever heard, in place in its
-// shard's table, so every byte added here is paid by every idle sensor:
-// the contiguous seen range and one pointer to the rest fill 16 bytes.
+// TestStreamFilterFootprint pins the per-stream screen state size. Every
+// stream ever heard holds one window and one pointer to its rest, in place
+// in its owner's record, so every byte added here is paid by every idle
+// sensor. The window is the contiguous seen range in four bytes, which is
+// what lets the Stream Store's record take it in the hole beside its
+// count; with the pointer, the standalone filter's record is 16 bytes.
 func TestStreamFilterFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Window{}); got > 4 {
+		t.Fatalf("Window is %d bytes, budget 4 — repack before growing it", got)
+	}
 	if got := unsafe.Sizeof(streamFilter{}); got > 16 {
 		t.Fatalf("streamFilter is %d bytes, budget 16 — repack before growing it", got)
 	}

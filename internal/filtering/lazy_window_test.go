@@ -27,8 +27,9 @@ func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 				if eager {
 					for _, rc := range plan {
 						id := rc.Msg.Stream
-						if sf := f.shardFor(id).tab.Add(id); sf.rest == nil {
-							sf.rest = &filterRest{window: make([]uint64, f.opts.windowSize/64)}
+						sh := f.shardFor(id)
+						if sf := sh.tab.Add(id); sf.rest == nil {
+							sf.rest = &Rest{window: make([]uint64, sh.screen.size/64)}
 						}
 					}
 				}
@@ -70,7 +71,7 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 		}
 		return nil
 	}
-	span := func() int32 {
+	span := func() uint16 {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()

@@ -34,25 +34,31 @@ func sizeClass(n uintptr) uintptr {
 	return n
 }
 
-// TestRingFootprint pins what one idle stream costs the heap: the ring
-// header and a one-entry slot array holding a 16-byte payload. One of each
-// exists for every stream the store has ever seen, so a field added
-// carelessly (or a reorder that reopens padding holes) taxes every sensor
-// in a million-sensor deployment. The header sits in place in its shard's
-// table, so it costs its own size, not its allocator size class; the slot
-// array is an allocation of its own and costs its class. The budget is
-// 168: a 104-byte header and a 64-byte slot. The header holds the stream's
-// append history (a count and two instants, 32 bytes) that Discover
-// reads, which no other layer keeps; the arena and the cold tier, which
-// an idle stream with short payloads and no codec never uses, live in the
-// tail behind one pointer and are not counted here. The slot itself is
-// pinned to one cache line, which is what a 64-byte size class aligns it
-// to.
+// TestRingFootprint pins what one idle stream costs the heap: the record
+// — duplicate screen and ring header — and a one-entry slot array holding
+// a 16-byte payload. One of each exists for every stream the store has
+// ever seen, so a field added carelessly (or a reorder that reopens
+// padding holes) taxes every sensor in a million-sensor deployment. The
+// record sits in place in its shard's table, so it costs its own size, not
+// its allocator size class; the slot array is an allocation of its own and
+// costs its class. The budget is 176: a 112-byte record and a 64-byte
+// slot. The record's screen is the four-byte window, in the hole beside
+// count, and the pointer to its bitmap and reorder hold (8 bytes more than
+// the ring header alone, where a window of its own in a filter table cost
+// 16 bytes and an index entry). The record holds the stream's append
+// history (a count and two instants, 32 bytes) that Discover reads, which
+// no other layer keeps; the arena and the cold tier, which an idle stream
+// with short payloads and no codec never uses, live in the tail behind one
+// pointer and are not counted here. The slot itself is pinned to one cache
+// line, which is what a 64-byte size class aligns it to.
 func TestRingFootprint(t *testing.T) {
 	header, entry := unsafe.Sizeof(ring{}), sizeClass(unsafe.Sizeof(slot{}))
-	if got := header + entry; got > 168 || inlinePayload < 16 {
-		t.Fatalf("idle stream is %d + %d = %d bytes (payloads to %d bytes included), budget 168 with 16 — repack before growing it",
+	if got := header + entry; got > 176 || inlinePayload < 16 {
+		t.Fatalf("idle stream is %d + %d = %d bytes (payloads to %d bytes included), budget 176 with 16 — repack before growing it",
 			header, entry, got, inlinePayload)
+	}
+	if off := unsafe.Offsetof(ring{}.rest) + unsafe.Sizeof(ring{}.rest); off > 64 {
+		t.Fatalf("the screen ends at byte %d of the record: a duplicate copy would read a second cache line", off)
 	}
 	if got := unsafe.Sizeof(slot{}); got != 64 {
 		t.Fatalf("slot is %d bytes, want one 64-byte cache line", got)

@@ -19,13 +19,29 @@
 // stamped onto Delivery.StoreSeq, making the retention address visible to
 // every downstream consumer.
 //
+// # Screening
+//
+// A stream's record holds its duplicate window (filtering.Window and
+// filtering.Rest) beside its ring, so the Filtering Service's screen runs
+// here: Ingest screens a reception and appends it — StoreSeq assigned —
+// in one critical section under one shard lock, with one lookup of one
+// record, and a reorder hold appends what it releases under the same lock.
+// Append is the unscreened path (derived streams, location updates,
+// replay and tests); both share one append step. A stream's window
+// survives Forget, as its unwrap state does.
+//
 // # Sharding and retention
 //
 // State partitions into N shards keyed by wire.SensorID.Shard — the same
-// Fibonacci partition the Filtering, Dispatching and control-plane
-// services use — so a stream's ingest, retention and dispatch state all
-// live behind locks that only that sensor's traffic contends on. Each
-// stream owns a power-of-two ring of retained deliveries indexed by
+// Fibonacci partition the Dispatching and control-plane services use — so
+// a stream's screen and retention state live behind one lock that only
+// that sensor's traffic contends on, and its dispatch state behind one
+// more. That lock is also what Range, RangeFunc, WindowStats and a replay
+// hold across every archive read and block decode, so a late joiner's
+// archive read delays screening, not only appends, on 1/N of the streams
+// until it returns.
+//
+// Each stream owns a power-of-two ring of retained deliveries indexed by
 // extended sequence (slot = seq mod ring size), grown on demand up to the
 // count bound. Retention is bounded per stream by count, payload bytes and
 // age; every bound evicts from the oldest end at append time, advancing a
@@ -75,6 +91,7 @@ import (
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/intern"
 	"github.com/garnet-middleware/garnet/internal/metrics"
+	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/store/codec"
 	"github.com/garnet-middleware/garnet/internal/streamtab"
@@ -326,11 +343,19 @@ type Store struct {
 
 	// Archive tier; nil when no backend is attached.
 	arch *archiveState
+
+	// release receives the deliveries a reorder hold lets go (ScreenWith).
+	release func(filtering.Delivery)
 }
 
 type shard struct {
 	mu  sync.Mutex
 	idx int
+
+	// screen is Ingest's share of the duplicate screen for this shard's
+	// streams: settings, counters and the reorder release path, which
+	// appends each released delivery under mu.
+	screen filtering.Screen
 
 	// rings holds every stream's ring header in place. The store deletes
 	// none (Forget keeps the unwrap state and append history), so a *ring
@@ -397,20 +422,32 @@ func (sh *shard) recycleBufLocked(b []byte) {
 	}
 }
 
-// ring is one stream's retention state: a power-of-two circular buffer of
-// slots indexed by extended sequence, plus the unwrap state and append
-// history that survive even when every entry has been evicted.
+// ring is one stream's record: its duplicate screen, and its retention
+// state — a power-of-two circular buffer of slots indexed by extended
+// sequence, plus the unwrap state and append history that survive even
+// when every entry has been evicted.
 //
 // There is one ring per stream the store has ever seen, so its layout is
 // the store's idle footprint. The header holds what every stream uses —
-// the slots, the window, the unwrap state and the append history — in the
-// order an append touches it, so it comes first and alone: it is all an
-// idle stream pays for. The arena and the sealed history, which only a
-// stream with payloads longer than a slot's or with a codec needs, sit in
-// the tail behind one pointer. The slot mask is derived from len(slots)
-// (see slotMask) instead of stored, and the wire sequence of lastExt is
-// its low 16 bits. The footprint test pins header and one slot together.
+// the screen, the slots, the window, the unwrap state and the append
+// history — in the order a reception touches it, so it comes first and
+// alone: it is all an idle stream pays for. The arena and the sealed
+// history, which only a stream with payloads longer than a slot's or with
+// a codec needs, sit in the tail behind one pointer. The slot mask is
+// derived from len(slots) (see slotMask) instead of stored, and the wire
+// sequence of lastExt is its low 16 bits. The footprint test pins header
+// and one slot together.
 type ring struct {
+	// The stream's duplicate screen (Ingest), first so that a duplicate
+	// copy reads the record's first cache line only: the in-order window
+	// fills the four bytes beside count, and the bitmap and reorder hold
+	// sit behind rest, nil until the stream first needs either. Append
+	// bypasses both, and Forget keeps them, so a stream that resumes is
+	// screened against what it sent before.
+	win   filtering.Window
+	count int32 // occupied hot slots
+	rest  *filtering.Rest
+
 	slots []slot
 	// tail is noTail until the stream first needs an arena, stages an
 	// entry or is recovered from the archive (ownTail); Forget hands it
@@ -428,8 +465,6 @@ type ring struct {
 	// state). Kept across Forget so a stream's addresses never move
 	// backwards.
 	lastExt uint64
-
-	count int32 // occupied hot slots
 
 	// The stream's append history, whatever the window kept of it: how
 	// many deliveries were appended and the At of the first and the
@@ -614,6 +649,7 @@ func New(opts Options) *Store {
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i}
 	}
+	s.ScreenWith(filtering.Options{}, nil)
 	if opts.Archive != nil {
 		s.initArchive(opts)
 	}
@@ -648,23 +684,99 @@ func (r *ring) presentLocked(ext uint64) bool {
 // d.Receiver is retained as its index in the process-wide intern table,
 // which never forgets a string: it must name one of a bounded set of
 // identities (the deployment's receivers), never carry free-form data.
+//
+// Append is the unscreened write path: it neither consults nor moves the
+// stream's duplicate window. Ingest is the screened one.
 func (s *Store) Append(d filtering.Delivery) uint64 {
 	sh := s.shardFor(d.Msg.Stream)
 	sh.mu.Lock()
-	ext := s.appendLocked(sh, &d)
+	ext := s.appendLocked(sh, sh.recordLocked(d.Msg.Stream), &d)
 	sh.mu.Unlock()
 	return ext
 }
 
-// appendLocked is Append's per-delivery retention step; d is only read.
-// Caller holds sh.mu.
-func (s *Store) appendLocked(sh *shard, d *filtering.Delivery) uint64 {
-	sh.appended++
-	r := sh.rings.Get(d.Msg.Stream)
+// ScreenWith configures Ingest's duplicate screen: opts' window and
+// reorder settings (opts.Shards is not read: the screen shares the store's
+// shards). release receives, outside the shard lock, every delivery a
+// reorder hold lets go, already appended and stamped with its StoreSeq;
+// it is required with a ReorderWindow, which also needs opts.Clock. Call
+// it before the first Ingest: it resets the screen. Until it is called,
+// Ingest screens with the filtering defaults and no reordering.
+func (s *Store) ScreenWith(opts filtering.Options, release func(filtering.Delivery)) {
+	s.release = release
+	for _, sh := range s.shards {
+		sh.screen.Init(opts, &sh.mu, func(d *filtering.Delivery) {
+			d.StoreSeq = s.appendLocked(sh, sh.recordLocked(d.Msg.Stream), d)
+		}, release)
+	}
+}
+
+// Ingest is the screened write path. It screens one reception against its
+// stream's duplicate window and appends what the screen accepts, in one
+// critical section under the stream's shard lock with one record lookup,
+// and returns the accepted delivery stamped with its StoreSeq. ok is false
+// for a duplicate, a stale copy, or a reception the reorder stage holds:
+// that one is appended when its hold expires and handed to ScreenWith's
+// release. A borrowed payload is copied only when accepted. The caller
+// forwards what Ingest returns after it returns, with no lock held.
+func (s *Store) Ingest(rc receiver.Reception) (d filtering.Delivery, ok bool) {
+	sh := s.shardFor(rc.Msg.Stream)
+	sh.mu.Lock()
+	r := sh.recordLocked(rc.Msg.Stream)
+	if d, ok = sh.screen.IngestLocked(&r.win, &r.rest, &rc); ok {
+		d.StoreSeq = s.appendLocked(sh, r, &d)
+	}
+	sh.mu.Unlock()
+	return d, ok
+}
+
+// Flush appends every delivery a reorder hold still keeps, in per-stream
+// sequence order, and hands each to ScreenWith's release once the shard
+// locks are dropped; the streams' reorder state is freed. A deployment
+// calls it as it stops, before Close.
+func (s *Store) Flush() {
+	var out []filtering.Delivery
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, r := range sh.rings.All() {
+			sh.screen.FlushLocked(&r.rest, &out)
+		}
+		sh.mu.Unlock()
+	}
+	for _, d := range out {
+		s.release(d)
+	}
+}
+
+// ScreenStats returns Ingest's screening counters summed across shards, in
+// the standalone filter's terms: ActiveStreams counts the streams Ingest
+// has screened (Forget keeps their windows), Shards the store's shards.
+func (s *Store) ScreenStats() filtering.Stats {
+	st := filtering.Stats{Shards: s.shardCnt}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.screen.AddStatsLocked(&st)
+		sh.mu.Unlock()
+	}
+	return st
+}
+
+// recordLocked returns id's record, creating it on first sight. Caller
+// holds sh.mu.
+func (sh *shard) recordLocked(id wire.StreamID) *ring {
+	r := sh.rings.Get(id)
 	if r == nil {
-		r = sh.rings.Add(d.Msg.Stream)
+		r = sh.rings.Add(id)
 		r.tail = noTail
 	}
+	return r
+}
+
+// appendLocked is the one retention step both write paths share: it
+// appends d, which it only reads, to the stream's record r. Caller holds
+// sh.mu.
+func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
+	sh.appended++
 	if r.slots == nil {
 		// A new stream, or Forget released the ring's backing and the
 		// stream resumed.
@@ -1509,8 +1621,9 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 // actually return to the heap: the slot ring and the tail — payload
 // arena, seal stage with its parked payload buffers, sealed list and
 // archived refs — are released, not just emptied, leaving only the ring
-// header behind the unwrap state. A resumed stream re-materialises its
-// ring in appendLocked.
+// header behind the unwrap state and the duplicate window, which a
+// deployment has never reset either. A resumed stream re-materialises its
+// ring in appendLocked and is screened against what it sent before.
 func (s *Store) Forget(id wire.StreamID) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()

@@ -1,15 +1,16 @@
-// Package streamtab is the per-stream record table the Filtering Service
-// and the Stream Store each keep one of per shard: every stream they have
-// ever heard owns one record, so in a large, mostly idle field what the
-// table costs per record is the layer's memory bound.
+// Package streamtab is the per-stream record table the Stream Store keeps
+// one of per shard (and the standalone duplicate filter likewise): every
+// stream it has ever heard owns one record — its duplicate window and its
+// retention ring — so in a large, mostly idle field what the table costs
+// per record is the deployment's memory bound.
 //
 // A Go map from stream id to a pointer costs the pointer's own allocation
 // (rounded up to its size class) plus about 24 bytes of map entry, and the
 // collector walks every one. Table instead keeps records in place in
 // chunks and indexes them with a map from stream id to a uint32 position,
 // which holds no pointer, so the collector skips it and an entry costs
-// about 12 bytes. Chunks grow geometrically from minChunk to maxChunk
-// records, so a table with a handful of streams holds a handful of
+// about 12 bytes. Chunks grow geometrically from minChunk records up to
+// fullChunk, so a table with a handful of streams holds a handful of
 // records, and records never move: a *T stays valid until its id is
 // deleted.
 //
@@ -24,17 +25,20 @@ import (
 )
 
 const (
-	// minChunk is the first chunk's length; each later chunk doubles it
-	// up to maxChunk, so the first chunks hold minChunk·(2^k − 1) records
-	// before the first full-size chunk. Both are powers of two.
+	// minChunk is the first chunk's length, a power of two; chunk k <
+	// capChunk holds minChunk·2^k records, so the geometric chunks hold
+	// capStart records in all, and every chunk from capChunk on holds
+	// fullChunk.
 	minChunk = 8
-	maxChunk = 256
+	capChunk = 5
+	capStart = minChunk * (1<<capChunk - 1)
 
-	// capStart is the position of the first maxChunk-long chunk: the
-	// records the geometric chunks before it hold.
-	capStart = maxChunk - minChunk
-	// capChunk is that chunk's index.
-	capChunk = 5 // log2(maxChunk / minChunk)
+	// fullChunk is one record short of 256. An allocation of more than
+	// 512 bytes whose type holds pointers carries an 8-byte header, so 256
+	// records that fill a size class exactly — 16 bytes each, or the Stream
+	// Store's 112 — would spill into the next class, 12.5 % larger for
+	// 112-byte records. 255 leaves the header its room.
+	fullChunk = 255
 )
 
 // Table holds one record of type T per stream id. The zero value is an
@@ -60,13 +64,13 @@ func locate(pos uint32) (chunk, off uint32) {
 		return k, pos - minChunk*(1<<k-1)
 	}
 	pos -= capStart
-	return capChunk + pos/maxChunk, pos % maxChunk
+	return capChunk + pos/fullChunk, pos % fullChunk
 }
 
 // chunkLen is the length of chunk k.
 func chunkLen(k int) int {
 	if k >= capChunk {
-		return maxChunk
+		return fullChunk
 	}
 	return minChunk << k
 }

@@ -134,7 +134,7 @@ func TestAllVisitsEachLiveIDOnce(t *testing.T) {
 // doubling, and that records keep their addresses as chunks are added.
 func TestLocateAcrossChunkCap(t *testing.T) {
 	chunk, off := uint32(0), uint32(0)
-	for pos := uint32(0); pos < capStart+5*maxChunk; pos++ {
+	for pos := uint32(0); pos < capStart+5*fullChunk; pos++ {
 		if c, o := locate(pos); c != chunk || o != off {
 			t.Fatalf("locate(%d) = (%d, %d), want (%d, %d)", pos, c, o, chunk, off)
 		}
@@ -142,12 +142,12 @@ func TestLocateAcrossChunkCap(t *testing.T) {
 			chunk, off = chunk+1, 0
 		}
 	}
-	if chunkLen(0) != minChunk || chunkLen(capChunk) != maxChunk || chunkLen(capChunk-1) != maxChunk/2 {
-		t.Fatal("chunk lengths do not double from minChunk to maxChunk")
+	if chunkLen(0) != minChunk || chunkLen(capChunk-1) != minChunk<<(capChunk-1) || chunkLen(capChunk) != fullChunk {
+		t.Fatal("chunk lengths do not double from minChunk and then stay at fullChunk")
 	}
 
 	var tab Table[rec]
-	const n = capStart + 3*maxChunk + 7
+	const n = capStart + 3*fullChunk + 7
 	ptrs := make([]*rec, n)
 	for i := range ptrs {
 		ptrs[i] = tab.Add(sid(i))
