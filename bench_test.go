@@ -355,7 +355,8 @@ func BenchmarkDispatchCatchUp(b *testing.B) {
 	for seq := 0; seq < backlog; seq++ {
 		st.Append(filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)}, At: time.Unix(int64(seq), 0)})
 	}
-	from, _ := st.FirstSeq(stream)
+	ss, _ := st.StreamStats(stream)
+	from := ss.FirstSeq
 	fetch := func() []filtering.Delivery { return st.Range(stream, from, ^uint64(0)) }
 	d := dispatch.New(dispatch.Options{Mode: dispatch.ModeAsync, QueueCapacity: 256})
 	d.Start()
@@ -594,7 +595,7 @@ func BenchmarkRealClockHandoff(b *testing.B) {
 func BenchmarkControlSubmit(b *testing.B) {
 	epoch := time.Date(2003, 5, 19, 0, 0, 0, 0, time.UTC)
 	b.Run("steady", func(b *testing.B) {
-		rm := resource.NewManager(resource.PolicyMostDemanding)
+		rm := resource.NewWithOptions(resource.Options{Policy: resource.PolicyMostDemanding})
 		demand := resource.Demand{
 			Consumer: "app", Target: wire.MustStreamID(7, 0),
 			Op: wire.OpSetRate, Value: 2000,
@@ -616,7 +617,7 @@ func BenchmarkControlSubmit(b *testing.B) {
 	})
 	b.Run("actuate", func(b *testing.B) {
 		clock := sim.NewVirtualClock(epoch)
-		rm := resource.NewManager(resource.PolicyMostDemanding)
+		rm := resource.NewWithOptions(resource.Options{Policy: resource.PolicyMostDemanding})
 		var svc *actuation.Service
 		svc = actuation.NewService(clock, func(c wire.ControlMessage) {
 			svc.HandleAck(c.UpdateID, c.Issued)
@@ -640,7 +641,7 @@ func BenchmarkControlSubmit(b *testing.B) {
 		}
 	})
 	b.Run("concurrent", func(b *testing.B) {
-		rm := resource.NewManager(resource.PolicyMostDemanding)
+		rm := resource.NewWithOptions(resource.Options{Policy: resource.PolicyMostDemanding})
 		var next atomic.Int64
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {

@@ -338,13 +338,6 @@ func (s *Service) HandleAck(ackID uint16, at time.Time) {
 	}
 }
 
-// Outstanding returns the number of unacknowledged requests.
-func (s *Service) Outstanding() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.outstanding)
-}
-
 // Stop cancels all outstanding requests (OutcomeCancelled) and rejects
 // further Issues. Idempotent.
 func (s *Service) Stop() {

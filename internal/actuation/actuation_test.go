@@ -62,7 +62,7 @@ func TestAckCompletesWithLatency(t *testing.T) {
 	if result.Latency != 300*time.Millisecond {
 		t.Fatalf("latency = %v", result.Latency)
 	}
-	if s.Outstanding() != 0 {
+	if s.Stats().Outstanding != 0 {
 		t.Fatal("request still outstanding after ack")
 	}
 	// No retries after ack.
@@ -111,7 +111,7 @@ func TestExpiresAfterMaxAttempts(t *testing.T) {
 	if result.Outcome != OutcomeExpired || result.Attempts != 3 {
 		t.Fatalf("result = %+v", result)
 	}
-	if s.Outstanding() != 0 {
+	if s.Stats().Outstanding != 0 {
 		t.Fatal("expired request still outstanding")
 	}
 }
@@ -149,8 +149,8 @@ func TestUpdateIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if s.Outstanding() != 1000 {
-		t.Fatalf("outstanding = %d", s.Outstanding())
+	if s.Stats().Outstanding != 1000 {
+		t.Fatalf("outstanding = %d", s.Stats().Outstanding)
 	}
 }
 

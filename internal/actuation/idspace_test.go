@@ -43,7 +43,7 @@ func TestIDWrapSkipsOutstanding(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if got := s.Outstanding(); got != allIDs {
+	if got := s.Stats().Outstanding; got != allIDs {
 		t.Fatalf("outstanding = %d, want %d distinct ids", got, allIDs)
 	}
 	if _, err := s.Issue(req, nil); !errors.Is(err, ErrSaturated) {
@@ -125,7 +125,6 @@ func TestActuationRaceStress(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			clock.Advance(time.Millisecond)
 			_ = svc.Stats()
-			_ = svc.Outstanding()
 		}
 	}()
 

@@ -95,12 +95,6 @@ func SimulateMisattribution(seed uint64, idBits, concurrent, msgsPerSensor, roun
 	return float64(corrupted) / float64(total)
 }
 
-// BytesOnAir returns the total bytes transmitted for `messages` messages
-// of payloadBytes each under the given per-message header overhead.
-func BytesOnAir(headerBytes, payloadBytes int, messages int64) int64 {
-	return int64(headerBytes+payloadBytes) * messages
-}
-
 // HeaderSavingPercent returns RETRI's relative header saving over Garnet
 // for a given id width and payload size, in percent of total frame bytes.
 func HeaderSavingPercent(idBits, payloadBytes int) float64 {

@@ -83,12 +83,6 @@ func TestMisattributionGrowsWithDensity(t *testing.T) {
 	}
 }
 
-func TestBytesOnAir(t *testing.T) {
-	if got := BytesOnAir(5, 16, 100); got != 2100 {
-		t.Errorf("BytesOnAir = %d, want 2100", got)
-	}
-}
-
 func TestSimulateDeterministic(t *testing.T) {
 	a := SimulateCollisionRate(11, 8, 20, 1000)
 	b := SimulateCollisionRate(11, 8, 20, 1000)

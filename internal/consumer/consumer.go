@@ -25,9 +25,6 @@ import (
 // publishers. Physical sensors must use ids below it.
 const VirtualSensorBase wire.SensorID = 0xF0_0000
 
-// IsVirtual reports whether a sensor id belongs to the derived range.
-func IsVirtual(id wire.SensorID) bool { return id >= VirtualSensorBase }
-
 // Publisher injects derived messages into the middleware; the deployment
 // core implements it by feeding the Dispatching Service.
 type Publisher interface {

@@ -38,15 +38,6 @@ func reading(stream wire.StreamID, seq wire.Seq, v float64, at time.Time) filter
 	}
 }
 
-func TestVirtualSensorRange(t *testing.T) {
-	if IsVirtual(0) || IsVirtual(VirtualSensorBase-1) {
-		t.Fatal("physical ids classified as virtual")
-	}
-	if !IsVirtual(VirtualSensorBase) || !IsVirtual(wire.MaxSensorID) {
-		t.Fatal("virtual ids not recognised")
-	}
-}
-
 func TestDerivedStreamSequencesAndFlags(t *testing.T) {
 	var pub pubRecorder
 	id := wire.MustStreamID(VirtualSensorBase, 0)

@@ -29,17 +29,20 @@ import (
 // DemandSink receives the demand changes the coordinator decides on. The
 // deployment core implements it with resource.Manager.Apply, which
 // replaces the set under one acquisition of the manager's lock, and
-// actuates the changed decisions.
+// actuates the changed decisions. A sink that also has a
+// SetPolicy(resource.Policy) method receives the strategy changes
+// Options.PolicySelector decides on (the core wires it to the Resource
+// Manager); with any other sink the selector is never consulted.
 type DemandSink interface {
 	// Apply replaces owner's standing demands with demands.
 	Apply(owner string, demands []resource.Demand)
 }
 
-// DemandSinkFunc adapts a function to DemandSink.
-type DemandSinkFunc func(owner string, demands []resource.Demand)
-
-// Apply implements DemandSink.
-func (f DemandSinkFunc) Apply(owner string, demands []resource.Demand) { f(owner, demands) }
+// policySink is the optional half of a DemandSink that takes strategy
+// changes.
+type policySink interface {
+	SetPolicy(resource.Policy)
+}
 
 // Mode selects reactive or predictive coordination.
 type Mode int
@@ -77,13 +80,10 @@ type Options struct {
 	// before predictions from it are trusted. Default 2.
 	MinObservations int
 	// PolicySelector, when set, is consulted with the global state census
-	// after every report; a non-zero result is pushed through SetPolicy —
-	// the §4.2 hook by which the coordinator “may invoke policy changes in
-	// the strategy used by the Resource Manager”.
+	// after every report; a changed non-zero result goes to the sink's
+	// SetPolicy — the §4.2 hook by which the coordinator “may invoke
+	// policy changes in the strategy used by the Resource Manager”.
 	PolicySelector func(census map[string]int) resource.Policy
-	// SetPolicy receives policy changes decided by PolicySelector; the
-	// deployment core wires it to the Resource Manager.
-	SetPolicy func(resource.Policy)
 }
 
 // Prediction is the coordinator's expectation for a consumer's next state.
@@ -93,14 +93,6 @@ type Prediction struct {
 	Next       string
 	Confidence float64       // empirical transition probability
 	ExpectedIn time.Duration // expected remaining dwell from now
-}
-
-// ConsumerState is one entry of the global view.
-type ConsumerState struct {
-	Consumer string
-	State    string
-	Since    time.Time
-	Reports  int64
 }
 
 // Stats is a snapshot of coordinator counters.
@@ -117,9 +109,10 @@ type Stats struct {
 
 // Coordinator is the Super Coordinator.
 type Coordinator struct {
-	clock sim.Clock
-	sink  DemandSink
-	opts  Options
+	clock     sim.Clock
+	sink      DemandSink
+	setPolicy func(resource.Policy) // the sink's SetPolicy, or nil
+	opts      Options
 
 	mu         sync.Mutex
 	consumers  map[string]*consumerTrack
@@ -176,12 +169,16 @@ func New(clock sim.Clock, sink DemandSink, opts Options) *Coordinator {
 	if opts.MinObservations <= 0 {
 		opts.MinObservations = 2
 	}
-	return &Coordinator{
+	c := &Coordinator{
 		clock:     clock,
 		sink:      sink,
 		opts:      opts,
 		consumers: make(map[string]*consumerTrack),
 	}
+	if ps, ok := sink.(policySink); ok {
+		c.setPolicy = ps.SetPolicy
+	}
+	return c
 }
 
 // Register teaches the coordinator a trusted consumer's state machine:
@@ -273,7 +270,7 @@ func (c *Coordinator) ReportState(name, state string) error {
 	}
 	// Census-driven strategy changes for the Resource Manager (§4.2).
 	var newPolicy resource.Policy
-	if c.opts.PolicySelector != nil && c.opts.SetPolicy != nil {
+	if c.opts.PolicySelector != nil && c.setPolicy != nil {
 		census := make(map[string]int)
 		for _, t := range c.consumers {
 			if t.state != "" {
@@ -293,7 +290,7 @@ func (c *Coordinator) ReportState(name, state string) error {
 	}
 	if newPolicy != 0 {
 		c.policyChanges.Inc()
-		c.opts.SetPolicy(newPolicy)
+		c.setPolicy(newPolicy)
 	}
 	if prediction != nil {
 		c.schedulePrearm(name, *prediction)
@@ -395,32 +392,6 @@ func (c *Coordinator) PredictNext(name string) (Prediction, bool) {
 		p.ExpectedIn = 0
 	}
 	return p, true
-}
-
-// View returns the global consumer-state view, sorted by consumer name.
-func (c *Coordinator) View() []ConsumerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ConsumerState, 0, len(c.consumers))
-	for name, tr := range c.consumers {
-		out = append(out, ConsumerState{Consumer: name, State: tr.state, Since: tr.since, Reports: tr.reports})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Consumer < out[j].Consumer })
-	return out
-}
-
-// Census counts consumers per state — the aggregate the paper's
-// policy-driven infrastructure reasons over.
-func (c *Coordinator) Census() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int)
-	for _, tr := range c.consumers {
-		if tr.state != "" {
-			out[tr.state]++
-		}
-	}
-	return out
 }
 
 // Deregister removes a consumer, cancels any pre-arm, and clears its

@@ -25,7 +25,7 @@ type applyCall struct {
 }
 
 func (s *sinkRecorder) record(clock sim.Clock) DemandSink {
-	return DemandSinkFunc(func(owner string, demands []resource.Demand) {
+	return sinkFunc(func(owner string, demands []resource.Demand) {
 		s.mu.Lock()
 		s.applies = append(s.applies, applyCall{owner: owner, demands: demands, at: clock.Now()})
 		s.mu.Unlock()
@@ -62,7 +62,7 @@ func waterModel() map[string][]resource.Demand {
 
 func TestRegisterValidation(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{})
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{})
 	if err := c.Register("", nil); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -98,7 +98,7 @@ func TestReportStateAppliesDemands(t *testing.T) {
 
 func TestReportStateErrors(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{})
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{})
 	if err := c.ReportState("ghost", "calm"); !errors.Is(err, ErrUnknownConsumer) {
 		t.Fatalf("err = %v", err)
 	}
@@ -107,28 +107,6 @@ func TestReportStateErrors(t *testing.T) {
 	}
 	if err := c.ReportState("app", "tsunami"); !errors.Is(err, ErrUnknownState) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGlobalViewAndCensus(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{})
-	for _, name := range []string{"b-app", "a-app", "c-app"} {
-		if err := c.Register(name, waterModel()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustReport(t, c, "a-app", "calm")
-	mustReport(t, c, "b-app", "calm")
-	mustReport(t, c, "c-app", "flood")
-
-	view := c.View()
-	if len(view) != 3 || view[0].Consumer != "a-app" {
-		t.Fatalf("view = %+v", view)
-	}
-	census := c.Census()
-	if census["calm"] != 2 || census["flood"] != 1 {
-		t.Fatalf("census = %v", census)
 	}
 }
 
@@ -155,7 +133,7 @@ func drive(t *testing.T, clock *sim.VirtualClock, c *Coordinator, name string, n
 
 func TestPredictNextLearnsCycle(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive, MinObservations: 2})
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive, MinObservations: 2})
 	if err := c.Register("app", waterModel()); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +155,7 @@ func TestPredictNextLearnsCycle(t *testing.T) {
 
 func TestPredictionNeedsObservations(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive, MinObservations: 3})
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive, MinObservations: 3})
 	if err := c.Register("app", waterModel()); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +303,7 @@ func TestDeregisterClearsDemands(t *testing.T) {
 
 func TestPredictionAccuracyTracking(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{
 		Mode:            ModePredictive,
 		MinObservations: 2,
 		Horizon:         time.Second,
@@ -346,14 +324,17 @@ func TestPredictionAccuracyTracking(t *testing.T) {
 func TestCensusDrivenPolicyChanges(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	var applied []resource.Policy
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{
+	sink := policySinkFunc{
+		sinkFunc:  func(string, []resource.Demand) {},
+		setPolicy: func(p resource.Policy) { applied = append(applied, p) },
+	}
+	c := New(clock, sink, Options{
 		PolicySelector: func(census map[string]int) resource.Policy {
 			if census["flood"] > 0 {
 				return resource.PolicyMostDemanding
 			}
 			return resource.PolicyLeastDemanding
 		},
-		SetPolicy: func(p resource.Policy) { applied = append(applied, p) },
 	})
 	for _, name := range []string{"a", "b"} {
 		if err := c.Register(name, waterModel()); err != nil {
@@ -385,7 +366,7 @@ func TestCensusDrivenPolicyChanges(t *testing.T) {
 
 func TestPolicySelectorWithoutSinkIsInert(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, DemandSinkFunc(func(string, []resource.Demand) {}), Options{
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{
 		PolicySelector: func(map[string]int) resource.Policy { return resource.PolicyPriority },
 	})
 	if err := c.Register("a", waterModel()); err != nil {
@@ -393,6 +374,19 @@ func TestPolicySelectorWithoutSinkIsInert(t *testing.T) {
 	}
 	mustReport(t, c, "a", "calm")
 	if st := c.Stats(); st.PolicyChanges != 0 {
-		t.Fatal("selector fired without a SetPolicy sink")
+		t.Fatal("selector fired with a sink that takes no policy")
 	}
 }
+
+// sinkFunc adapts a function to DemandSink.
+type sinkFunc func(owner string, demands []resource.Demand)
+
+func (f sinkFunc) Apply(owner string, demands []resource.Demand) { f(owner, demands) }
+
+// policySinkFunc is a sinkFunc that also takes strategy changes.
+type policySinkFunc struct {
+	sinkFunc
+	setPolicy func(resource.Policy)
+}
+
+func (s policySinkFunc) SetPolicy(p resource.Policy) { s.setPolicy(p) }

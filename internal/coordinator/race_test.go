@@ -26,7 +26,7 @@ func TestPrearmRacesReportState(t *testing.T) {
 
 	var mu sync.Mutex
 	applies := 0
-	sink := DemandSinkFunc(func(owner string, demands []resource.Demand) {
+	sink := sinkFunc(func(owner string, demands []resource.Demand) {
 		mu.Lock()
 		defer mu.Unlock()
 		applies++
@@ -81,7 +81,6 @@ func TestPrearmRacesReportState(t *testing.T) {
 			}
 			if i%16 == 0 {
 				_, _ = c.PredictNext("app")
-				_ = c.Census()
 			}
 		}
 	}()

@@ -58,8 +58,8 @@ import (
 // mediation.
 type Config struct {
 	Clock sim.Clock
-	// Radio configures medium impairments and the medium's spatial index
-	// (Radio.GridCell).
+	// Radio configures medium impairments: loss, corruption, delay and
+	// the seed of their random stream.
 	Radio radio.Params
 	// Filter configures the duplicate screen's reorder stage
 	// (ReorderWindow, and Clock, which defaults to the deployment's). The
@@ -173,11 +173,7 @@ func New(cfg Config) *Deployment {
 		// actuation retry loop covers transient emptiness.
 		_, _ = d.repl.Send(c)
 	}, cfg.Actuation)
-	coordOpts := cfg.Coordinator
-	if coordOpts.PolicySelector != nil && coordOpts.SetPolicy == nil {
-		coordOpts.SetPolicy = d.rm.SetPolicy
-	}
-	d.coord = coordinator.New(cfg.Clock, coordinator.DemandSinkFunc(d.ApplyDemands), coordOpts)
+	d.coord = coordinator.New(cfg.Clock, coordSink{d}, cfg.Coordinator)
 
 	if cfg.LocationPublishPeriod > 0 {
 		d.locTicker = sim.NewTicker(cfg.Clock, cfg.LocationPublishPeriod, func(now time.Time) {
@@ -353,13 +349,21 @@ func (d *Deployment) actuateAction(a resource.Action, owner string) {
 	}, nil)
 }
 
-// ApplyDemands replaces an owner's standing demand set — the Super
+// coordSink is the Super Coordinator's sink: demand sets go through
+// applyDemands, strategy changes straight to the Resource Manager.
+type coordSink struct{ d *Deployment }
+
+func (s coordSink) Apply(owner string, demands []resource.Demand) { s.d.applyDemands(owner, demands) }
+
+func (s coordSink) SetPolicy(p resource.Policy) { s.d.rm.SetPolicy(p) }
+
+// applyDemands replaces an owner's standing demand set — the Super
 // Coordinator's sink. Demands present in the new set are submitted;
 // demands the owner held before but not any more are withdrawn; every
 // changed effective setting is actuated. The replacement runs under the
 // resource manager's own lock (it owns the ownership bookkeeping);
 // Deployment.mu is never taken.
-func (d *Deployment) ApplyDemands(owner string, demands []resource.Demand) {
+func (d *Deployment) applyDemands(owner string, demands []resource.Demand) {
 	for _, a := range d.rm.Apply(owner, demands) {
 		d.actuateAction(a, owner)
 	}

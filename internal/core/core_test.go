@@ -241,7 +241,7 @@ func TestDerivedStreamThroughDispatcher(t *testing.T) {
 	d.Start()
 
 	vid := d.AllocateVirtualSensor()
-	if !consumer.IsVirtual(vid) {
+	if vid < consumer.VirtualSensorBase {
 		t.Fatalf("allocated id %d not virtual", vid)
 	}
 	ds := consumer.NewDerivedStream(d, wire.MustStreamID(vid, 0), 0)
@@ -397,7 +397,8 @@ func TestIdleSensorFootprint(t *testing.T) {
 	d := New(Config{Clock: clock, Secret: []byte("s")})
 	defer d.Stop()
 	// A standing wildcard sink keeps every stream claimed; unclaimed, the
-	// orphanage's MaxStreams bound would forget most of the field.
+	// orphanage's stream bound (DefaultMaxStreams) would forget most of
+	// the field.
 	sink := &dispatch.ConsumerFunc{ConsumerName: "all", Fn: func(filtering.Delivery) {}}
 	if _, err := d.Dispatcher().Subscribe(sink, dispatch.All()); err != nil {
 		t.Fatal(err)

@@ -107,12 +107,14 @@ func TestOrphanageUnderStreamPressure(t *testing.T) {
 	d := New(Config{
 		Clock:     clock,
 		Secret:    []byte("s"),
-		Orphanage: orphanage.Options{MaxStreams: 8, PerStreamCapacity: 4},
+		Orphanage: orphanage.Options{PerStreamCapacity: 4},
 	})
 	defer d.Stop()
 	d.AddReceiver(receiver.Config{Name: "rx", Position: geo.Pt(0, 0), Radius: 1e6})
-	// 32 unclaimed sensors compete for 8 orphanage slots.
-	for i := 0; i < 32; i++ {
+	// 32 more unclaimed sensors than the orphanage has slots compete for
+	// them.
+	const slots = orphanage.DefaultMaxStreams
+	for i := 0; i < slots+32; i++ {
 		if _, err := d.AddSensor(sensor.Config{
 			ID:       wire.SensorID(i + 1),
 			Mobility: field.Static{P: geo.Pt(1, 0)},
@@ -128,14 +130,14 @@ func TestOrphanageUnderStreamPressure(t *testing.T) {
 	clock.Advance(10 * time.Second)
 
 	st := d.Orphanage().Stats()
-	if st.StreamsHeld != 8 {
-		t.Fatalf("held %d streams, want capped 8", st.StreamsHeld)
+	if st.StreamsHeld != slots {
+		t.Fatalf("held %d streams, want capped %d", st.StreamsHeld, slots)
 	}
 	if st.StreamsEvicted == 0 {
 		t.Fatal("no evictions under pressure")
 	}
-	if st.MessagesHeld > 8*4 {
-		t.Fatalf("held %d messages, cap is 32", st.MessagesHeld)
+	if st.MessagesHeld > slots*4 {
+		t.Fatalf("held %d messages, cap is %d", st.MessagesHeld, slots*4)
 	}
 	// Claims still work for surviving streams.
 	infos := d.Orphanage().Streams()

@@ -291,8 +291,8 @@ func TestArchivedLateJoinerStorm(t *testing.T) {
 		if !ok || ss.ArchivedMessages == 0 {
 			t.Fatalf("stream %v has no archived history", id)
 		}
-		if first, ok := d2.Store().FirstSeq(id); !ok || first != ss.FirstSeq {
-			t.Errorf("restart serves stream %v from %d (ok=%v), want %d", id, first, ok, ss.FirstSeq)
+		if ss2, ok := d2.Store().StreamStats(id); !ok || ss2.FirstSeq != ss.FirstSeq {
+			t.Errorf("restart serves stream %v from %d (ok=%v), want %d", id, ss2.FirstSeq, ok, ss.FirstSeq)
 		}
 		restarted[i] = &orderChecker{name: fmt.Sprintf("restart-%v", id)}
 		_, n, err := d2.SubscribeWithReplay(restarted[i], id, 0)

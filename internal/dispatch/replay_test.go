@@ -90,7 +90,8 @@ func TestSubscribeWithReplayOrderingUnderAsync(t *testing.T) {
 	}()
 
 	rec := &seqRecorder{}
-	from, _ := st.FirstSeq(stream)
+	ss, _ := st.StreamStats(stream)
+	from := ss.FirstSeq
 	_, replayed, err := d.SubscribeWithReplay(rec, stream, func() []filtering.Delivery {
 		return st.Range(stream, from, ^uint64(0))
 	})
@@ -321,7 +322,8 @@ func TestNestedCatchUpGatesDoNotFlushEarly(t *testing.T) {
 			perStream[s] = true
 		}
 		// Per-stream order must be ascending (streams may interleave).
-		stA, _ := st.FirstSeq(a)
+		ssA, _ := st.StreamStats(a)
+		stA := ssA.FirstSeq
 		for _, s := range seqs {
 			if s >= stA && s < stA+3 {
 				if s <= lastA && lastA != 0 {

@@ -220,7 +220,8 @@ func TestGateRingHandoffStress(t *testing.T) {
 	for j := 0; j < joiners; j++ {
 		rec := &seqRecorder{}
 		recs[j] = rec
-		from, _ := st.FirstSeq(stream)
+		ss, _ := st.StreamStats(stream)
+		from := ss.FirstSeq
 		id, _, err := d.SubscribeWithReplay(
 			&ConsumerFunc{ConsumerName: fmt.Sprintf("joiner%d", j), Fn: rec.Consume},
 			stream,

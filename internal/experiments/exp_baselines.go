@@ -46,7 +46,7 @@ func runE3(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		saving := direct.SensorEnergy / shared.SensorEnergy
-		t.AddRow(q, direct.SensorTransmissions, shared.SensorTransmissions,
+		t.addRow(q, direct.SensorTransmissions, shared.SensorTransmissions,
 			direct.SensorEnergy, shared.SensorEnergy, saving,
 			direct.ConsumerDeliveries == shared.ConsumerDeliveries)
 		if q > 1 && saving < float64(q)*0.9 {
@@ -75,13 +75,13 @@ func runE4(cfg Config) (*Table, error) {
 		densities = []int{10, 100}
 		rounds = 500
 	}
-	t.AddRow("garnet 32-bit StreamID", retri.GarnetHeaderBytes(), 0.0, "any", 0.0, 0.0, 0.0)
+	t.addRow("garnet 32-bit StreamID", retri.GarnetHeaderBytes(), 0.0, "any", 0.0, 0.0, 0.0)
 	for _, bits := range []int{8, 16, 24} {
 		for _, density := range densities {
 			analytic := retri.AnalyticCollisionProb(bits, density)
 			simulated := retri.SimulateCollisionRate(cfg.Seed, bits, density, rounds)
 			misattr := retri.SimulateMisattribution(cfg.Seed, bits, density, 10, rounds/4)
-			t.AddRow(fmt.Sprintf("retri %d-bit", bits), retri.HeaderBytes(bits),
+			t.addRow(fmt.Sprintf("retri %d-bit", bits), retri.HeaderBytes(bits),
 				retri.HeaderSavingPercent(bits, 16), density, analytic, simulated, misattr)
 		}
 	}
@@ -124,13 +124,13 @@ func runE12(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, r := range []txonly.Result{fixed, adaptive} {
-		t.AddRow(r.Mode, r.SamplesTaken, r.UsefulSamples, r.WastedSamples,
+		t.addRow(r.Mode, r.SamplesTaken, r.UsefulSamples, r.WastedSamples,
 			r.SensorEnergy, r.EnergyPerUsefulSample)
 	}
 	if adaptive.SensorEnergy >= fixed.SensorEnergy {
 		return t, fmt.Errorf("E12: adaptive arm used more energy (%v vs %v)", adaptive.SensorEnergy, fixed.SensorEnergy)
 	}
-	t.AddRow("saving", "", "", "",
+	t.addRow("saving", "", "", "",
 		fmt.Sprintf("%.1f%%", (1-adaptive.SensorEnergy/fixed.SensorEnergy)*100), "")
 	t.Notes = append(t.Notes, "consumers are interested 30s out of every 4.5min; the adaptive arm lowers the rate through the actuation path in between")
 	return t, nil

@@ -59,7 +59,7 @@ func runE11(cfg Config) (*Table, error) {
 		if top.Count() != int64(msgs) {
 			return t, fmt.Errorf("E11: depth %d delivered %d of %d", depth, top.Count(), msgs)
 		}
-		t.AddRow(depth, msgs, top.Count())
+		t.addRow(depth, msgs, top.Count())
 	}
 	t.Notes = append(t.Notes, "each level re-enters the Dispatching Service as a first-class stream (discovery, orphanage and subscriptions all apply)")
 	return t, nil

@@ -96,7 +96,7 @@ func runX1(cfg Config) (*Table, error) {
 		for _, n := range relayNodes {
 			relayTx += n.Stats().FramesRelayed
 		}
-		t.AddRow(relayCount, len(reachable), rate, maxHops, relayTx)
+		t.addRow(relayCount, len(reachable), rate, maxHops, relayTx)
 	}
 	t.Notes = append(t.Notes,
 		"4 source sensors at 100/240/380/520 m; the receiver zone ends at 150 m, so depth beyond the first sensor needs relays",

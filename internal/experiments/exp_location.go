@@ -92,7 +92,7 @@ func runE5(cfg Config) (*Table, error) {
 			}
 			n := float64(len(errs))
 			p95 := errs[int(math.Ceil(0.95*n))-1]
-			t.AddRow(rxCount, withHints, sum/n, p95, sumUnc/n, sumConf/n)
+			t.addRow(rxCount, withHints, sum/n, p95, sumUnc/n, sumConf/n)
 			meanErr[rxCount][withHints] = sum / n
 		}
 		if with, without := meanErr[rxCount][true], meanErr[rxCount][false]; with >= without {
@@ -199,7 +199,7 @@ func runE6(cfg Config) (*Table, error) {
 			if acked > 0 {
 				meanMs = float64(latencySum.Milliseconds()) / float64(acked)
 			}
-			t.AddRow(speed, mode, pings, acked, perReq, meanMs)
+			t.addRow(speed, mode, pings, acked, perReq, meanMs)
 			if acked != pings {
 				return t, fmt.Errorf("E6: %s mode at %v m/s acked %d of %d pings", mode, speed, acked, pings)
 			}

@@ -79,16 +79,16 @@ func runF1(cfg Config) (*Table, error) {
 		Claim:   "architecture of §4: receivers → filtering → dispatching → consumers, with the return path RM → actuation → replicator → transmitters → sensor",
 		Columns: []string{"service", "evidence", "value"},
 	}
-	t.AddRow("medium", "frames broadcast / delivered / lost", fmt.Sprintf("%d / %d / %d", med.Broadcasts.Value(), med.Deliveries.Value(), med.Lost.Value()))
-	t.AddRow("receivers", "receptions decoded", s.Filter.Received)
-	t.AddRow("filtering", "duplicates eliminated", s.Filter.Duplicates)
-	t.AddRow("dispatching", "deliveries to consumers", s.Dispatch.Delivered)
-	t.AddRow("consumer", "messages received by app", rec.Count())
-	t.AddRow("orphanage", "unclaimed streams held", s.Orphanage.StreamsHeld)
-	t.AddRow("resource manager", "demands admitted", s.Resource.Submitted)
-	t.AddRow("actuation", "requests acked", s.Actuation.Acked)
-	t.AddRow("replicator", "control broadcasts", s.Replicator.Broadcasts)
-	t.AddRow("sensor", "applied rate (period)", period.String())
+	t.addRow("medium", "frames broadcast / delivered / lost", fmt.Sprintf("%d / %d / %d", med.Broadcasts.Value(), med.Deliveries.Value(), med.Lost.Value()))
+	t.addRow("receivers", "receptions decoded", s.Filter.Received)
+	t.addRow("filtering", "duplicates eliminated", s.Filter.Duplicates)
+	t.addRow("dispatching", "deliveries to consumers", s.Dispatch.Delivered)
+	t.addRow("consumer", "messages received by app", rec.Count())
+	t.addRow("orphanage", "unclaimed streams held", s.Orphanage.StreamsHeld)
+	t.addRow("resource manager", "demands admitted", s.Resource.Submitted)
+	t.addRow("actuation", "requests acked", s.Actuation.Acked)
+	t.addRow("replicator", "control broadcasts", s.Replicator.Broadcasts)
+	t.addRow("sensor", "applied rate (period)", period.String())
 	if s.Actuation.Acked == 0 || rec.Count() == 0 || s.Orphanage.StreamsHeld == 0 {
 		return t, fmt.Errorf("F1: pipeline incomplete: %+v", s)
 	}
@@ -158,7 +158,7 @@ func runE1(cfg Config) (*Table, error) {
 		fs := d.Stats().Filter
 		expected := int64(sensors * seconds)
 		dupFactor := float64(fs.Received) / float64(fs.Delivered)
-		t.AddRow(rxCount, fs.Received, fs.Delivered, dupFactor,
+		t.addRow(rxCount, fs.Received, fs.Delivered, dupFactor,
 			float64(fs.Delivered)/float64(expected), dupsOut)
 		if fs.Received != fs.Delivered+fs.Duplicates+fs.Stale {
 			return t, fmt.Errorf("E1: filter accounting broken at rx=%d", rxCount)
@@ -224,7 +224,7 @@ func runE10(cfg Config) (*Table, error) {
 		clock.Advance(10 * time.Second)
 		d.Stop()
 
-		t.AddRow(burst, 128, info.Seen, info.Buffered, len(backlog), info.Rate,
+		t.addRow(burst, 128, info.Seen, info.Buffered, len(backlog), info.Rate,
 			10-rec.Count())
 	}
 	t.Notes = append(t.Notes, "buffered is bounded by the per-stream capacity; the newest messages are retained")

@@ -43,7 +43,7 @@ func runE7(cfg Config) (*Table, error) {
 		resource.PolicyPriority,
 		resource.PolicyFirstComeDeny,
 	} {
-		m := resource.NewManager(policy)
+		m := resource.NewWithOptions(resource.Options{Policy: policy})
 		m.SetConstraints(target.Sensor(), cons)
 		var approved, modified, denied int
 		for i, v := range demands {
@@ -74,7 +74,7 @@ func runE7(cfg Config) (*Table, error) {
 		if dec, ok := m.Withdraw("app-3", target, resource.ClassRate); ok {
 			afterWithdraw = dec.Effective
 		}
-		t.AddRow(policy.String(), fmt.Sprintf("%v", demands), effective,
+		t.addRow(policy.String(), fmt.Sprintf("%v", demands), effective,
 			approved, modified, denied, constraintOK, afterWithdraw)
 		if !constraintOK {
 			return t, fmt.Errorf("E7: %v violated constraints: %d mHz", policy, effective)
@@ -209,7 +209,7 @@ func runE8(cfg Config) (*Table, error) {
 		if predictive {
 			mode = "predictive"
 		}
-		t.AddRow(mode, entries, mean, p95, alreadyArmed, accuracy)
+		t.addRow(mode, entries, mean, p95, alreadyArmed, accuracy)
 		meanInPlace[predictive], armed[predictive] = mean, alreadyArmed
 	}
 	if pred, react := meanInPlace[true], meanInPlace[false]; pred >= react {

@@ -106,7 +106,7 @@ func runE15(cfg Config) (*Table, error) {
 
 		reached = append(reached, float64(delivered)/float64(dataBcasts))
 		txsPerSend = append(txsPerSend, float64(repl.Stats().Broadcasts)/float64(ctrlSends))
-		t.AddRow(n, n, reached[len(reached)-1], txsPerSend[len(txsPerSend)-1], delivered)
+		t.addRow(n, n, reached[len(reached)-1], txsPerSend[len(txsPerSend)-1], delivered)
 	}
 	last := len(counts) - 1
 	if reached[last] > flatBound*reached[0] {

@@ -34,7 +34,7 @@ func runF2(cfg Config) (*Table, error) {
 
 		got, _, err := wire.DecodeMessage(frame)
 		ok := err == nil && got.Stream == msg.Stream && got.Seq == msg.Seq && len(got.Payload) == p
-		t.AddRow(p, len(frame), overhead, ok)
+		t.addRow(p, len(frame), overhead, ok)
 	}
 	t.Notes = append(t.Notes, "fixed header is 9 bytes (72 bits) exactly as Figure 2; +2-byte Fletcher-16 trailer")
 	return t, nil
@@ -53,22 +53,22 @@ func runC1(Config) (*Table, error) {
 	maxSensorMsg := wire.Message{Stream: wire.MustStreamID(wire.MaxSensorID, 0)}
 	ok1 := roundTrips(&maxSensorMsg)
 	_, errOver := wire.NewStreamID(wire.MaxSensorID+1, 0)
-	t.AddRow("sensors", "16.7M", fmt.Sprintf("%d (2^24)", wire.MaxSensorID+1),
+	t.addRow("sensors", "16.7M", fmt.Sprintf("%d (2^24)", wire.MaxSensorID+1),
 		fmt.Sprintf("id %d ok=%v, %d rejected=%v", wire.MaxSensorID, ok1, wire.MaxSensorID+1, errOver != nil))
 	// 256 streams/sensor.
 	maxIndexMsg := wire.Message{Stream: wire.MustStreamID(1, wire.MaxStreamIndex)}
-	t.AddRow("streams/sensor", "256", fmt.Sprintf("%d (2^8)", wire.MaxStreamIndex+1),
+	t.addRow("streams/sensor", "256", fmt.Sprintf("%d (2^8)", wire.MaxStreamIndex+1),
 		fmt.Sprintf("index %d ok=%v", wire.MaxStreamIndex, roundTrips(&maxIndexMsg)))
 	// 64K sequence counts.
 	wrapMsg := wire.Message{Stream: wire.MustStreamID(1, 0), Seq: 65535}
 	serialOK := wire.Seq(65535).Less(0) && wire.Seq(65535).Next() == 0
-	t.AddRow("sequence counts", "64K", fmt.Sprintf("%d (2^16)", wire.SeqCount),
+	t.addRow("sequence counts", "64K", fmt.Sprintf("%d (2^16)", wire.SeqCount),
 		fmt.Sprintf("seq 65535 ok=%v, serial wrap ok=%v", roundTrips(&wrapMsg), serialOK))
 	// 64K payloads.
 	maxPayloadMsg := wire.Message{Stream: wire.MustStreamID(1, 0), Payload: make([]byte, wire.MaxPayload)}
 	over := wire.Message{Stream: wire.MustStreamID(1, 0), Payload: make([]byte, wire.MaxPayload+1)}
 	_, errPayload := over.Encode()
-	t.AddRow("payload bytes", "64K", fmt.Sprintf("%d (2^16-1)", wire.MaxPayload),
+	t.addRow("payload bytes", "64K", fmt.Sprintf("%d (2^16-1)", wire.MaxPayload),
 		fmt.Sprintf("%d B ok=%v, %d rejected=%v", wire.MaxPayload, roundTrips(&maxPayloadMsg), wire.MaxPayload+1, errPayload != nil))
 	return t, nil
 }

@@ -38,8 +38,8 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends a formatted row; values are stringified with %v.
-func (t *Table) AddRow(values ...any) {
+// addRow appends a formatted row; values are stringified with %v.
+func (t *Table) addRow(values ...any) {
 	row := make([]string, len(values))
 	for i, v := range values {
 		switch x := v.(type) {

@@ -276,8 +276,8 @@ func TestTableRenderAlignment(t *testing.T) {
 	table := &Table{
 		ID: "X", Title: "T", Columns: []string{"a", "long-column"},
 	}
-	table.AddRow(1, 2.5)
-	table.AddRow("wide-value", 3)
+	table.addRow(1, 2.5)
+	table.addRow("wide-value", 3)
 	var sb strings.Builder
 	table.Render(&sb)
 	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")

@@ -243,11 +243,9 @@ type pendingEntry struct {
 // a real clock (AfterFunc callbacks run on independent goroutines).
 //
 // The release timer reaches the state through this object and its
-// shard's Screen, never through the stream's record: the standalone
-// Filter's Forget frees the record for the next new stream in the shard,
-// so a fire already under way when Forget ran would otherwise act on
-// another stream's state. Detached by Forget, the object has nothing
-// pending, and such a fire does nothing.
+// shard's Screen, never through the stream's record. Detached by a flush,
+// the object has nothing pending, and a fire already under way does
+// nothing.
 type reorder struct {
 	sc        *Screen
 	pending   []pendingEntry
@@ -529,8 +527,8 @@ func (sc *Screen) settledLocked(d Delivery) Delivery {
 // and takes only its own shard's lock. The timer is re-armed only after
 // the sink calls finish, and overlapping fires bail out, so two timer
 // goroutines can never sink one stream's messages out of order. A fire on
-// state a flush or Forget took the entries from finds nothing expired and
-// arms nothing.
+// state a flush took the entries from finds nothing expired and arms
+// nothing.
 func (ro *reorder) release() {
 	sc := ro.sc
 	out := getDeliverySlice()
@@ -586,17 +584,6 @@ func takeHeldLocked(rest **Rest) []pendingEntry {
 func (sc *Screen) FlushLocked(rest **Rest, out *[]Delivery) {
 	for _, p := range takeHeldLocked(rest) {
 		*out = append(*out, sc.settledLocked(p.d))
-	}
-}
-
-// forgetLocked drops the stream's screen state — duplicate window,
-// reorder backlog and timer — discarding held entries undelivered; the
-// owner then deletes or zeroes the record, so a resumed stream starts a
-// new window.
-func (sc *Screen) forgetLocked(w *Window, rest **Rest) {
-	takeHeldLocked(rest)
-	if w.span != 0 {
-		sc.streams--
 	}
 }
 

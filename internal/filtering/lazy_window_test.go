@@ -115,29 +115,3 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 		t.Fatalf("GapsRecovered = %d, want 1", st.GapsRecovered)
 	}
 }
-
-// TestFilterForget pins Forget: state is dropped (including the shard's
-// single-entry cache) and a resumed stream re-initiates cleanly.
-func TestFilterForget(t *testing.T) {
-	var out []Delivery
-	f := New(func(d Delivery) { out = append(out, d) }, Options{Shards: 4})
-	id := wire.MustStreamID(7, 0)
-	for seq := wire.Seq(1); seq <= 5; seq++ {
-		f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: seq}})
-	}
-	if !f.Forget(id) {
-		t.Fatalf("Forget found no state")
-	}
-	if f.Forget(id) {
-		t.Fatalf("second Forget claims state existed")
-	}
-	if st := f.Stats(); st.ActiveStreams != 0 {
-		t.Fatalf("forgotten stream still active: %+v", st)
-	}
-	// Resuming at an "old" sequence must be accepted: the stream
-	// re-initiates rather than consulting forgotten window state.
-	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: 3}})
-	if len(out) != 6 {
-		t.Fatalf("resumed stream delivered %d, want 6", len(out))
-	}
-}

@@ -100,24 +100,6 @@ func (f *Filter) Flush() {
 	}
 }
 
-// Forget drops the per-stream filter state for id — duplicate window,
-// reorder backlog and timer — so a mass-detached sensor does not pin
-// ingest-side memory forever. Held reorder entries are discarded, not
-// delivered (the caller is detaching the stream; Flush first to drain).
-// If the stream resumes, it re-initiates like a brand-new stream. It
-// reports whether state existed.
-func (f *Filter) Forget(id wire.StreamID) bool {
-	sh := f.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sf := sh.tab.Get(id)
-	if sf == nil {
-		return false
-	}
-	sh.screen.forgetLocked(&sf.Window, &sf.rest)
-	return sh.tab.Delete(id)
-}
-
 // Stats returns an aggregate snapshot summed across shards.
 func (f *Filter) Stats() Stats {
 	st := Stats{Shards: len(f.shards)}

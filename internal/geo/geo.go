@@ -113,21 +113,15 @@ type Circle struct {
 	R      float64
 }
 
-// Contains reports whether p lies inside c (inclusive of the boundary).
-func (c Circle) Contains(p Point) bool {
+// contains reports whether p lies inside c (inclusive of the boundary).
+func (c Circle) contains(p Point) bool {
 	return c.Center.DistSq(p) <= c.R*c.R
 }
 
-// IntersectsCircle reports whether c and d overlap.
-func (c Circle) IntersectsCircle(d Circle) bool {
+// intersectsCircle reports whether c and d overlap.
+func (c Circle) intersectsCircle(d Circle) bool {
 	rr := c.R + d.R
 	return c.Center.DistSq(d.Center) <= rr*rr
-}
-
-// IntersectsRect reports whether c overlaps the rectangle r.
-func (c Circle) IntersectsRect(r Rect) bool {
-	nearest := r.Clamp(c.Center)
-	return c.Contains(nearest)
 }
 
 // ErrNoWeight is returned by WeightedCentroid when the total weight is not
@@ -158,29 +152,4 @@ func WeightedCentroid(points []Point, weights []float64) (Point, error) {
 		return Point{}, ErrNoWeight
 	}
 	return sum.Scale(1 / total), nil
-}
-
-// Centroid returns the unweighted mean of points.
-func Centroid(points []Point) (Point, error) {
-	weights := make([]float64, len(points))
-	for i := range weights {
-		weights[i] = 1
-	}
-	return WeightedCentroid(points, weights)
-}
-
-// BoundingBox returns the smallest Rect containing every point. It reports
-// ok=false for an empty slice.
-func BoundingBox(points []Point) (r Rect, ok bool) {
-	if len(points) == 0 {
-		return Rect{}, false
-	}
-	r = Rect{Min: points[0], Max: points[0]}
-	for _, p := range points[1:] {
-		r.Min.X = math.Min(r.Min.X, p.X)
-		r.Min.Y = math.Min(r.Min.Y, p.Y)
-		r.Max.X = math.Max(r.Max.X, p.X)
-		r.Max.Y = math.Max(r.Max.Y, p.Y)
-	}
-	return r, true
 }

@@ -141,23 +141,17 @@ func TestRectIntersects(t *testing.T) {
 
 func TestCircle(t *testing.T) {
 	c := Circle{Center: Pt(0, 0), R: 5}
-	if !c.Contains(Pt(3, 4)) {
+	if !c.contains(Pt(3, 4)) {
 		t.Error("point on boundary should be contained")
 	}
-	if c.Contains(Pt(4, 4)) {
+	if c.contains(Pt(4, 4)) {
 		t.Error("point outside should not be contained")
 	}
-	if !c.IntersectsCircle(Circle{Center: Pt(8, 0), R: 3}) {
+	if !c.intersectsCircle(Circle{Center: Pt(8, 0), R: 3}) {
 		t.Error("touching circles should intersect")
 	}
-	if c.IntersectsCircle(Circle{Center: Pt(20, 0), R: 3}) {
+	if c.intersectsCircle(Circle{Center: Pt(20, 0), R: 3}) {
 		t.Error("distant circles should not intersect")
-	}
-	if !c.IntersectsRect(RectWH(4, -1, 10, 2)) {
-		t.Error("circle should intersect overlapping rect")
-	}
-	if c.IntersectsRect(RectWH(10, 10, 2, 2)) {
-		t.Error("circle should not intersect distant rect")
 	}
 }
 
@@ -226,9 +220,10 @@ func TestWeightedCentroidInBoundingBox(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		box, ok := BoundingBox(points)
-		if !ok {
-			return false
+		box := Rect{Min: points[0], Max: points[0]}
+		for _, p := range points[1:] {
+			box.Min = Pt(math.Min(box.Min.X, p.X), math.Min(box.Min.Y, p.Y))
+			box.Max = Pt(math.Max(box.Max.X, p.X), math.Max(box.Max.Y, p.Y))
 		}
 		const eps = 1e-9
 		return c.X >= box.Min.X-eps && c.X <= box.Max.X+eps &&
@@ -236,19 +231,5 @@ func TestWeightedCentroidInBoundingBox(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	if _, ok := BoundingBox(nil); ok {
-		t.Error("empty slice should report ok=false")
-	}
-	box, ok := BoundingBox([]Point{Pt(1, 5), Pt(-2, 3), Pt(4, -1)})
-	if !ok {
-		t.Fatal("want ok")
-	}
-	want := Rect{Min: Pt(-2, -1), Max: Pt(4, 5)}
-	if box != want {
-		t.Errorf("got %v, want %v", box, want)
 	}
 }

@@ -66,12 +66,6 @@ func NewGrid(cellSize float64) *Grid {
 	}
 }
 
-// CellSize returns the cell edge length.
-func (g *Grid) CellSize() float64 { return g.cell }
-
-// Len returns the number of indexed entries.
-func (g *Grid) Len() int { return len(g.items) }
-
 // cellCoord maps a coordinate to its cell index, clamped to the int32
 // range. Clamping is monotonic, so entries and query points beyond the
 // representable range still land in consistent (merely coarser) cells
@@ -209,12 +203,12 @@ func (g *Grid) Move(id int, c Circle) {
 // capacity.
 func (g *Grid) AppendCovering(dst []int, p Point) []int {
 	for _, e := range g.buckets[cellKey(g.cellCoord(p.X), g.cellCoord(p.Y))] {
-		if e.c.Contains(p) {
+		if e.c.contains(p) {
 			dst = append(dst, e.id)
 		}
 	}
 	for _, e := range g.oversized {
-		if e.c.Contains(p) {
+		if e.c.contains(p) {
 			dst = append(dst, e.id)
 		}
 	}
@@ -241,7 +235,7 @@ func (g *Grid) AppendIntersecting(dst []int, q Circle) []int {
 		// The query covers more cells than scanning every entry would
 		// cost; the sorted dedup below makes the map order irrelevant.
 		for _, e := range g.items {
-			if e.c.IntersectsCircle(q) {
+			if e.c.intersectsCircle(q) {
 				dst = append(dst, e.id)
 			}
 		}
@@ -252,7 +246,7 @@ func (g *Grid) AppendIntersecting(dst []int, q Circle) []int {
 	for y := minY; ; y++ {
 		for x := minX; ; x++ {
 			for _, e := range g.buckets[cellKey(x, y)] {
-				if e.c.IntersectsCircle(q) {
+				if e.c.intersectsCircle(q) {
 					dst = append(dst, e.id)
 				}
 			}
@@ -265,7 +259,7 @@ func (g *Grid) AppendIntersecting(dst []int, q Circle) []int {
 		}
 	}
 	for _, e := range g.oversized {
-		if e.c.IntersectsCircle(q) {
+		if e.c.intersectsCircle(q) {
 			dst = append(dst, e.id)
 		}
 	}

@@ -12,7 +12,7 @@ type bruteForce map[int]Circle
 func (b bruteForce) covering(p Point) []int {
 	var ids []int
 	for id, c := range b {
-		if c.Contains(p) {
+		if c.contains(p) {
 			ids = append(ids, id)
 		}
 	}
@@ -23,7 +23,7 @@ func (b bruteForce) covering(p Point) []int {
 func (b bruteForce) intersecting(q Circle) []int {
 	var ids []int
 	for id, c := range b {
-		if c.IntersectsCircle(q) {
+		if c.intersectsCircle(q) {
 			ids = append(ids, id)
 		}
 	}
@@ -69,7 +69,7 @@ func TestGridValidation(t *testing.T) {
 	if g.Remove(99) {
 		t.Error("Remove of unknown id reported true")
 	}
-	if !g.Remove(1) || g.Len() != 0 {
+	if !g.Remove(1) || len(g.items) != 0 {
 		t.Error("Remove of known id failed")
 	}
 }
@@ -124,8 +124,8 @@ func TestGridQueryEqualsBruteForceProperty(t *testing.T) {
 				}
 			}
 		}
-		if g.Len() != len(ref) {
-			t.Fatalf("Len = %d, want %d", g.Len(), len(ref))
+		if len(g.items) != len(ref) {
+			t.Fatalf("entries = %d, want %d", len(g.items), len(ref))
 		}
 	}
 

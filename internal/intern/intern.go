@@ -110,8 +110,3 @@ func internSlow(s string) uint32 {
 	table.Store(&snapshot{idx: next, names: append(cur.names, s)})
 	return i
 }
-
-// Len reports how many distinct strings are interned. Diagnostic only.
-func Len() int {
-	return len(table.Load().idx)
-}

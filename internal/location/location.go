@@ -82,8 +82,8 @@ type Estimate struct {
 	// the first in receiver-name order). It is a zone, not a position: the
 	// hard fact behind the estimate is that this receiver heard the sensor,
 	// so the sensor was inside this circle, wherever the centroid falls. Zero
-	// when only hints contribute. It is not part of the encoded stream
-	// payload (EncodeEstimate), so a decoded estimate never carries one.
+	// when only hints contribute. It is not part of the location stream's
+	// payload, so a decoded estimate never carries one.
 	Heard geo.Circle
 }
 
@@ -402,8 +402,8 @@ func spread(pts []geo.Point, wts []float64, c geo.Point) float64 {
 	return math.Sqrt(sum / total)
 }
 
-// Sensors lists every sensor with any track state, sorted.
-func (s *Service) Sensors() []wire.SensorID {
+// sensors lists every sensor with any track state, sorted.
+func (s *Service) sensors() []wire.SensorID {
 	var out []wire.SensorID
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -427,7 +427,7 @@ const EstimatePayloadSize = 8*4 + 8
 // receptions keep flowing while a field's worth of updates is composed.
 func (s *Service) ComposeUpdates() []wire.Message {
 	var msgs []wire.Message
-	for _, id := range s.Sensors() {
+	for _, id := range s.sensors() {
 		sh := &s.shards[id.Shard(shardCount)]
 		sh.mu.Lock()
 		if est, err := s.locateLocked(sh, id); err == nil {
@@ -435,7 +435,7 @@ func (s *Service) ComposeUpdates() []wire.Message {
 			msgs = append(msgs, wire.Message{
 				Stream:  wire.MustStreamID(id, wire.LocationStreamIndex),
 				Seq:     tr.locSeq,
-				Payload: EncodeEstimate(est),
+				Payload: encodeEstimate(est),
 			})
 			tr.locSeq = tr.locSeq.Next()
 		}
@@ -444,10 +444,10 @@ func (s *Service) ComposeUpdates() []wire.Message {
 	return msgs
 }
 
-// EncodeEstimate serialises an estimate into the location stream payload
+// encodeEstimate serialises an estimate into the location stream payload
 // convention: X, Y, Confidence, Uncertainty as IEEE-754 doubles, then the
 // estimate time in µs since the Unix epoch; all big-endian.
-func EncodeEstimate(e Estimate) []byte {
+func encodeEstimate(e Estimate) []byte {
 	buf := make([]byte, EstimatePayloadSize)
 	binary.BigEndian.PutUint64(buf[0:], math.Float64bits(e.Pos.X))
 	binary.BigEndian.PutUint64(buf[8:], math.Float64bits(e.Pos.Y))
@@ -457,7 +457,7 @@ func EncodeEstimate(e Estimate) []byte {
 	return buf
 }
 
-// DecodeEstimate parses a payload produced by EncodeEstimate. The Sensor,
+// DecodeEstimate parses a location-stream payload (ComposeUpdates). The Sensor,
 // Source, Receivers, Hints and Heard fields are not carried on the wire.
 func DecodeEstimate(payload []byte) (Estimate, error) {
 	if len(payload) < EstimatePayloadSize {

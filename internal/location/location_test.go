@@ -397,7 +397,7 @@ func TestSensorsListing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.Sensors()
+	got := s.sensors()
 	if len(got) != 3 || got[0] != 1 || got[1] != 5 || got[2] != 9 {
 		t.Fatalf("Sensors = %v", got)
 	}
@@ -442,7 +442,7 @@ func TestEstimateCodecRoundTrip(t *testing.T) {
 		Uncertainty: 42,
 		At:          epoch.Add(90 * time.Minute),
 	}
-	got, err := DecodeEstimate(EncodeEstimate(e))
+	got, err := DecodeEstimate(encodeEstimate(e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,14 +525,16 @@ func TestHintsPrunedOnAdd(t *testing.T) {
 // process-wide intern table, which never forgets.
 func TestUnknownReceiversInstallNothing(t *testing.T) {
 	s := newService(sim.NewVirtualClock(epoch))
-	before := intern.Len()
+	// A fresh name's index is the table's size: the two probes are
+	// adjacent unless something was interned between them.
+	before := intern.Index(t.Name() + "/before")
 	for i := 0; i < 1000; i++ {
 		if err := s.ObserveReception(obs(1, fmt.Sprintf("ghost-%d", i), 0.5, epoch)); !errors.Is(err, ErrUnknownRx) {
 			t.Fatalf("ghost-%d: err = %v, want ErrUnknownRx", i, err)
 		}
 	}
-	if grew := intern.Len() - before; grew != 0 || len(s.Sensors()) != 0 {
-		t.Fatalf("rejected receptions interned %d names and left tracks for %v", grew, s.Sensors())
+	if grew := intern.Index(t.Name()+"/after") - before - 1; grew != 0 || len(s.sensors()) != 0 {
+		t.Fatalf("rejected receptions interned %d names and left tracks for %v", grew, s.sensors())
 	}
 }
 
@@ -633,7 +635,7 @@ func TestConcurrentUseMatchesSerialReplay(t *testing.T) {
 					return
 				default:
 				}
-				for _, id := range s.Sensors() {
+				for _, id := range s.sensors() {
 					if _, err := s.Locate(id); err != nil {
 						t.Error(err)
 						return
@@ -668,8 +670,8 @@ func TestConcurrentUseMatchesSerialReplay(t *testing.T) {
 			}
 		}
 	}
-	ids := s.Sensors()
-	if want := replay.Sensors(); !slices.Equal(ids, want) || !slices.IsSorted(ids) || len(ids) != shared+observers+1 {
+	ids := s.sensors()
+	if want := replay.sensors(); !slices.Equal(ids, want) || !slices.IsSorted(ids) || len(ids) != shared+observers+1 {
 		t.Fatalf("Sensors() = %v, serial replay %v", ids, want)
 	}
 	final := s.ComposeUpdates()
@@ -812,7 +814,7 @@ func TestLocateReportsStrongestFreshReceiverZone(t *testing.T) {
 		clock := sim.NewVirtualClock(epoch)
 		s := newService(clock)
 		observe(t, s, "rx-a", 0.5, epoch)
-		payload := EncodeEstimate(locate(t, s))
+		payload := encodeEstimate(locate(t, s))
 		if len(payload) != EstimatePayloadSize {
 			t.Fatalf("payload is %d bytes, want %d", len(payload), EstimatePayloadSize)
 		}

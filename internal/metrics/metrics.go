@@ -42,9 +42,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add adjusts the gauge by n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -214,14 +211,14 @@ func (st *histState) fold(n uint64, sum, lo, hi float64) {
 
 // Histogram counts samples in fixed log-linear buckets: bounded memory
 // (about half a kilobyte once used, plus 256 bytes per power of two the
-// samples have touched, 17 KB at the very most), lock-free Observe that
-// allocates only the first time a power of two is touched, and Merge
-// that adds bucket counts exactly. Count, Mean, Min and Max are exact. A
+// samples have touched, 17 KB at the very most) and a lock-free observe
+// that allocates only the first time a power of two is touched. Count,
+// Mean and the extremes Percentile(0) and Percentile(100) are exact. A
 // percentile is the lower edge of the bucket holding the nearest-rank
-// sample, clamped to [Min, Max]: never above the exact order statistic
+// sample, clamped to the extremes: never above the exact order statistic
 // and less than HistogramRelativeError (1/32, 3.2 %) of it below, for
 // samples between 6e-8 and 1.1e12; samples outside that range are
-// reported as Min or Max. The zero value is ready to use. Safe for
+// reported as an extreme. The zero value is ready to use. Safe for
 // concurrent use; a reader racing writers sees each observation in some
 // of the statistics before the others.
 type Histogram struct {
@@ -236,8 +233,8 @@ func (h *Histogram) state() *histState {
 	return h.st.Load()
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+// observe records one sample.
+func (h *Histogram) observe(v float64) {
 	st := h.state()
 	st.bucket(v).Add(1)
 	st.fold(1, v, v, v)
@@ -245,24 +242,7 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration sample in milliseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(float64(d) / float64(time.Millisecond))
-}
-
-// Merge adds every sample of src into h, bucket by bucket, so merging
-// shard-local histograms loses nothing a single histogram would have
-// kept. Writers may keep observing on both meanwhile.
-func (h *Histogram) Merge(src *Histogram) {
-	from := src.st.Load()
-	if from == nil || from.count.Load() == 0 {
-		return
-	}
-	to := h.state()
-	from.each(func(low float64, n uint64) bool {
-		to.bucket(low).Add(n)
-		return true
-	})
-	to.fold(from.count.Load(), math.Float64frombits(from.sum.Load()),
-		math.Float64frombits(from.min.Load()), math.Float64frombits(from.max.Load()))
+	h.observe(float64(d) / float64(time.Millisecond))
 }
 
 // Count returns the number of recorded samples.
@@ -323,12 +303,3 @@ func (h *Histogram) Percentile(p float64) float64 {
 	})
 	return at
 }
-
-// Min returns the smallest sample, or NaN when empty.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
-// Max returns the largest sample, or NaN when empty.
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
-// Reset discards all samples (and the bucket memory with them).
-func (h *Histogram) Reset() { h.st.Store(nil) }

@@ -43,14 +43,14 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("Value = %d, want 7", got)
 	}
-	g.Set(0)
+	g.Add(-7)
 	if got := g.Value(); got != 0 {
-		t.Fatalf("Value after Set(0) = %d, want 0", got)
+		t.Fatalf("Value after Add(-7) = %d, want 0", got)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 {
 		t.Fatal("empty count")
 	}
-	if !math.IsNaN(h.Mean()) || !math.IsNaN(h.Percentile(50)) || !math.IsNaN(h.Min()) || !math.IsNaN(h.Max()) {
+	if !math.IsNaN(h.Mean()) || !math.IsNaN(h.Percentile(50)) || !math.IsNaN(h.Percentile(0)) || !math.IsNaN(h.Percentile(100)) {
 		t.Fatal("empty histogram statistics should be NaN")
 	}
 }
@@ -103,7 +103,7 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramStatistics(t *testing.T) {
 	var h Histogram
 	for _, v := range []float64{5, 1, 3, 2, 4} {
-		h.Observe(v)
+		h.observe(v)
 	}
 	if got := h.Count(); got != 5 {
 		t.Fatalf("Count = %d, want 5", got)
@@ -111,10 +111,10 @@ func TestHistogramStatistics(t *testing.T) {
 	if got := h.Mean(); got != 3 {
 		t.Fatalf("Mean = %v, want 3", got)
 	}
-	if got := h.Min(); got != 1 {
+	if got := h.Percentile(0); got != 1 {
 		t.Fatalf("Min = %v, want 1", got)
 	}
-	if got := h.Max(); got != 5 {
+	if got := h.Percentile(100); got != 5 {
 		t.Fatalf("Max = %v, want 5", got)
 	}
 	if got := h.Percentile(50); got != 3 {
@@ -131,10 +131,10 @@ func TestHistogramStatistics(t *testing.T) {
 func TestHistogramObserveAfterPercentile(t *testing.T) {
 	// Reading must not freeze the histogram; later observations count.
 	var h Histogram
-	h.Observe(10)
+	h.observe(10)
 	_ = h.Percentile(50)
-	h.Observe(1)
-	if got := h.Min(); got != 1 {
+	h.observe(1)
+	if got := h.Percentile(0); got != 1 {
 		t.Fatalf("Min after late observe = %v, want 1", got)
 	}
 }
@@ -147,15 +147,6 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(1)
-	h.Reset()
-	if h.Count() != 0 {
-		t.Fatal("Reset did not clear samples")
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -164,7 +155,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				h.Observe(float64(j))
+				h.observe(float64(j))
 				if j%100 == 0 {
 					_ = h.Percentile(50)
 				}
@@ -233,14 +224,14 @@ func TestHistogramBoundedAndAccurate(t *testing.T) {
 	}
 	var h Histogram
 	for _, v := range samples[:warm] {
-		h.Observe(v)
+		h.observe(v)
 	}
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, v := range samples[warm:] {
-		h.Observe(v)
+		h.observe(v)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -252,13 +243,13 @@ func TestHistogramBoundedAndAccurate(t *testing.T) {
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
 		t.Fatalf("heap grew %d bytes over %d observations", grew, n-warm)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(1.5) }); allocs != 0 {
-		t.Fatalf("Observe allocates %.2f/op", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { h.observe(1.5) }); allocs != 0 {
+		t.Fatalf("observe allocates %.2f/op", allocs)
 	}
 
 	var ref Histogram
 	for _, v := range samples {
-		ref.Observe(v)
+		ref.observe(v)
 	}
 	sort.Float64s(samples)
 	for _, p := range []float64{0, 0.1, 1, 25, 50, 75, 90, 99, 99.9, 100} {
@@ -271,39 +262,8 @@ func TestHistogramBoundedAndAccurate(t *testing.T) {
 			t.Errorf("p%v = %v, exact %v: outside (-%.1f%%, 0]", p, got, exact, 100*HistogramRelativeError)
 		}
 	}
-	if ref.Min() != samples[0] || ref.Max() != samples[n-1] {
-		t.Fatalf("Min/Max = %v/%v, want exact %v/%v", ref.Min(), ref.Max(), samples[0], samples[n-1])
-	}
-}
-
-// TestHistogramMergeExact pins that merging shard-local histograms gives
-// the same buckets, count, sum and extremes as observing everything on
-// one.
-func TestHistogramMergeExact(t *testing.T) {
-	var whole, a, b, merged Histogram
-	for i := 1; i <= 1000; i++ {
-		v := float64(i) * 0.37
-		whole.Observe(v)
-		if i%3 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged.Merge(&a)
-	merged.Merge(&b)
-	merged.Merge(&Histogram{}) // empty source is a no-op
-	if merged.Count() != whole.Count() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("merged count/min/max = %d/%v/%v, want %d/%v/%v",
-			merged.Count(), merged.Min(), merged.Max(), whole.Count(), whole.Min(), whole.Max())
-	}
-	if math.Abs(merged.Mean()-whole.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v, want %v", merged.Mean(), whole.Mean())
-	}
-	for p := 1.0; p < 100; p++ {
-		if merged.Percentile(p) != whole.Percentile(p) {
-			t.Fatalf("p%v: merged %v, whole %v", p, merged.Percentile(p), whole.Percentile(p))
-		}
+	if ref.Percentile(0) != samples[0] || ref.Percentile(100) != samples[n-1] {
+		t.Fatalf("Min/Max = %v/%v, want exact %v/%v", ref.Percentile(0), ref.Percentile(100), samples[0], samples[n-1])
 	}
 }
 
@@ -313,10 +273,10 @@ func TestHistogramMergeExact(t *testing.T) {
 func TestHistogramOutOfRangeSamples(t *testing.T) {
 	var h Histogram
 	for _, v := range []float64{-2, 0, 1e-12, 1, 1e15} {
-		h.Observe(v)
+		h.observe(v)
 	}
-	if h.Count() != 5 || h.Min() != -2 || h.Max() != 1e15 {
-		t.Fatalf("count/min/max = %d/%v/%v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 5 || h.Percentile(0) != -2 || h.Percentile(100) != 1e15 {
+		t.Fatalf("count/min/max = %d/%v/%v", h.Count(), h.Percentile(0), h.Percentile(100))
 	}
 	if got := h.Percentile(50); got != -2 { // rank 3 lies in the underflow bucket
 		t.Fatalf("p50 = %v, want the minimum", got)

@@ -68,7 +68,7 @@ func (o *legacyOrphanage) consume(d filtering.Delivery) {
 	o.stats.TotalSeen++
 	st, ok := o.streams[d.Msg.Stream]
 	if !ok {
-		if len(o.streams) >= o.opts.MaxStreams {
+		if len(o.streams) >= o.opts.maxStreams {
 			o.evictStalest()
 		}
 		st = &legacyStream{id: d.Msg.Stream, firstSeen: d.At, lastSeen: d.At}
@@ -153,9 +153,9 @@ func TestStoreBackedOrphanageMatchesLegacyProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		opts := Options{
 			PerStreamCapacity: []int{3, 8, 40}[trial%3],
-			MaxStreams:        []int{4, 12}[trial%2],
+			maxStreams:        []int{4, 12}[trial%2],
 		}
-		o := New(opts)
+		o := newOrphanage(opts)
 		ref := newLegacy(opts)
 
 		nextSeq := map[wire.StreamID]int{}

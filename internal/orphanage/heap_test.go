@@ -8,12 +8,12 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// Eviction-order regression for the silence min-heap: under MaxStreams
+// Eviction-order regression for the silence min-heap: under maxStreams
 // pressure the victim is always the stream silent the longest, with
 // touches (which re-heap the stream towards the back) and claims (which
 // remove arbitrary heap positions) interleaved.
 func TestEvictionOrderFollowsSilence(t *testing.T) {
-	o := New(Options{MaxStreams: 3})
+	o := newOrphanage(Options{maxStreams: 3})
 	s := func(n wire.SensorID) wire.StreamID { return wire.MustStreamID(n, 0) }
 	at := func(sec int) time.Time { return epoch.Add(time.Duration(sec) * time.Second) }
 
@@ -55,7 +55,7 @@ func TestEvictionHeapMatchesScanProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		const maxStreams = 8
-		o := New(Options{MaxStreams: maxStreams})
+		o := newOrphanage(Options{maxStreams: maxStreams})
 		ref := map[wire.StreamID]time.Time{} // stream → lastSeen, maintained brute-force
 		now := epoch
 		for step := 0; step < 400; step++ {

@@ -10,7 +10,7 @@
 // hand-off: the window is read out of the store (or, via ClaimCursor,
 // handed to the replay machinery without materialising anything) and the
 // view is dropped; there is no second buffer to copy or invalidate. The
-// silence min-heap drives stream-level eviction (MaxStreams pressure and
+// silence min-heap drives stream-level eviction (maxStreams pressure and
 // EvictBefore age sweeps), and an evicted stream's retained data is
 // forgotten in the store — the Orphanage is the garbage collector for
 // unclaimed-stream retention.
@@ -44,9 +44,10 @@ type Options struct {
 	// guarantee it; a store-level byte or age bound can still shrink a
 	// window, and Info/Stats report the shrunken truth).
 	PerStreamCapacity int
-	// MaxStreams bounds the number of simultaneously held streams; the
-	// stream silent the longest is evicted first.
-	MaxStreams int
+	// maxStreams bounds the number of simultaneously held streams; the
+	// stream silent the longest is evicted first. Tests set it; zero
+	// selects DefaultMaxStreams.
+	maxStreams int
 }
 
 // Info describes one orphaned stream (the Orphanage's analysis output).
@@ -68,14 +69,14 @@ type Stats struct {
 	MessagesHeld    int
 	TotalSeen       int64
 	MessagesDropped int64 // fell out of a per-stream backlog window
-	StreamsEvicted  int64 // discarded by MaxStreams pressure or EvictBefore
+	StreamsEvicted  int64 // discarded by maxStreams pressure or EvictBefore
 	Claims          int64
 }
 
 // orphanStream is the per-stream view: one allocation per unclaimed
 // stream held, so the narrow fields — the 32-bit id, the window count
 // and the heap index, none of which can approach 2³¹ under the
-// MaxStreams/PerStreamCapacity bounds — pack together at the tail
+// maxStreams/PerStreamCapacity bounds — pack together at the tail
 // rather than each paying a word. The footprint test pins the ceiling.
 type orphanStream struct {
 	firstExt  uint64 // store seq of the oldest message in the window
@@ -93,7 +94,7 @@ type orphanStream struct {
 }
 
 // silenceHeap orders held streams by lastSeen (oldest-silent first), so
-// MaxStreams eviction pops its victim in O(log n) instead of scanning
+// maxStreams eviction pops its victim in O(log n) instead of scanning
 // every held stream.
 type silenceHeap []*orphanStream
 
@@ -122,13 +123,10 @@ func (h *silenceHeap) Pop() any {
 // Orphanage is the default consumer for unclaimed data.
 type Orphanage struct {
 	opts Options
-	st   *store.Store
-	// owns marks a private store created by New for standalone use: the
-	// Orphanage then also drives the store's per-message eviction
-	// (EvictTo as the window advances, eviction after a materialised
-	// claim). A shared deployment store keeps data beyond the orphan
-	// window so late subscribers can replay more than the backlog.
-	owns bool
+	// st is the deployment's shared store: it keeps data beyond the
+	// orphan window, so late subscribers can replay more than the
+	// backlog.
+	st *store.Store
 
 	mu      sync.Mutex
 	streams map[wire.StreamID]*orphanStream
@@ -140,46 +138,25 @@ type Orphanage struct {
 	claims    metrics.Counter
 }
 
-// New creates a standalone Orphanage backed by a private Stream Store
-// sized to the per-stream capacity. Deployments share the middleware-wide
-// store instead via NewWithStore.
-func New(opts Options) *Orphanage {
-	opts = withDefaults(opts)
-	st := store.New(store.Options{
-		Shards: 1,
-		// Twice the window: claims hand off cursors before eviction
-		// catches up, so the store's own count bound must never fire
-		// inside a live window.
-		MaxMessages: 2 * opts.PerStreamCapacity,
-	})
-	o := newWith(opts, st)
-	o.owns = true
-	return o
-}
-
 // NewWithStore creates an Orphanage as a policy view over st. Deliveries
-// handed to Consume must already carry their store sequence
-// (Delivery.StoreSeq), as the core deployment's store tee guarantees.
+// from a deployment reach Consume carrying their store sequence
+// (Delivery.StoreSeq), stamped by its store tee.
 func NewWithStore(opts Options, st *store.Store) *Orphanage {
-	return newWith(withDefaults(opts), st)
+	return &Orphanage{
+		opts:    withDefaults(opts),
+		st:      st,
+		streams: make(map[wire.StreamID]*orphanStream),
+	}
 }
 
 func withDefaults(opts Options) Options {
 	if opts.PerStreamCapacity <= 0 {
 		opts.PerStreamCapacity = DefaultPerStreamCapacity
 	}
-	if opts.MaxStreams <= 0 {
-		opts.MaxStreams = DefaultMaxStreams
+	if opts.maxStreams <= 0 {
+		opts.maxStreams = DefaultMaxStreams
 	}
 	return opts
-}
-
-func newWith(opts Options, st *store.Store) *Orphanage {
-	return &Orphanage{
-		opts:    opts,
-		st:      st,
-		streams: make(map[wire.StreamID]*orphanStream),
-	}
 }
 
 // Name implements dispatch.Consumer.
@@ -187,9 +164,8 @@ func (o *Orphanage) Name() string { return "orphanage" }
 
 // Consume notes one unclaimed delivery and advances the stream's backlog
 // window. It is the Dispatcher's orphan sink and also satisfies
-// dispatch.Consumer. Deliveries without a store sequence (standalone use,
-// outside a deployment's store tee) are appended to the Orphanage's own
-// store first.
+// dispatch.Consumer. Deliveries without a store sequence (fed straight
+// in, outside a deployment's store tee) are appended to the store first.
 func (o *Orphanage) Consume(d filtering.Delivery) {
 	if d.StoreSeq == 0 {
 		d.StoreSeq = o.st.Append(d)
@@ -199,7 +175,7 @@ func (o *Orphanage) Consume(d filtering.Delivery) {
 	defer o.mu.Unlock()
 	st, ok := o.streams[d.Msg.Stream]
 	if !ok {
-		if len(o.streams) >= o.opts.MaxStreams {
+		if len(o.streams) >= o.opts.maxStreams {
 			o.evictStalestLocked()
 		}
 		st = &orphanStream{
@@ -227,9 +203,6 @@ func (o *Orphanage) Consume(d filtering.Delivery) {
 			st.firstExt = seq + 1
 		}
 		st.buffered--
-		if o.owns {
-			o.st.EvictTo(st.id, st.firstExt)
-		}
 	}
 }
 
@@ -254,11 +227,7 @@ func (o *Orphanage) Claim(id wire.StreamID) (backlog []filtering.Delivery, ok bo
 	if !ok {
 		return nil, false
 	}
-	backlog = o.st.Range(id, from, to)
-	if o.owns {
-		o.st.EvictTo(id, to+1)
-	}
-	return backlog, true
+	return o.st.Range(id, from, to), true
 }
 
 // ClaimCursor removes the stream's view and hands back its backlog window

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
+	"github.com/garnet-middleware/garnet/internal/store"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -18,7 +19,7 @@ func del(stream wire.StreamID, seq wire.Seq, at time.Time, payload []byte) filte
 }
 
 func TestConsumeAndClaim(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	id := wire.MustStreamID(7, 1)
 	for i := 0; i < 5; i++ {
 		o.Consume(del(id, wire.Seq(i), epoch.Add(time.Duration(i)*time.Second), []byte{byte(i)}))
@@ -45,7 +46,7 @@ func TestConsumeAndClaim(t *testing.T) {
 }
 
 func TestPerStreamCapacityDropsOldest(t *testing.T) {
-	o := New(Options{PerStreamCapacity: 3})
+	o := newOrphanage(Options{PerStreamCapacity: 3})
 	id := wire.MustStreamID(1, 0)
 	for i := 0; i < 10; i++ {
 		o.Consume(del(id, wire.Seq(i), epoch, nil))
@@ -63,7 +64,7 @@ func TestPerStreamCapacityDropsOldest(t *testing.T) {
 }
 
 func TestMaxStreamsEvictsStalest(t *testing.T) {
-	o := New(Options{MaxStreams: 2})
+	o := newOrphanage(Options{maxStreams: 2})
 	a := wire.MustStreamID(1, 0)
 	b := wire.MustStreamID(2, 0)
 	c := wire.MustStreamID(3, 0)
@@ -82,7 +83,7 @@ func TestMaxStreamsEvictsStalest(t *testing.T) {
 }
 
 func TestAnalysisInfo(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	id := wire.MustStreamID(4, 2)
 	// 11 messages, one per second: rate = 1 msg/s.
 	for i := 0; i <= 10; i++ {
@@ -104,7 +105,7 @@ func TestAnalysisInfo(t *testing.T) {
 }
 
 func TestRateUndefinedForSingleMessage(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	id := wire.MustStreamID(4, 2)
 	o.Consume(del(id, 0, epoch, nil))
 	info, _ := o.StreamInfo(id)
@@ -114,7 +115,7 @@ func TestRateUndefinedForSingleMessage(t *testing.T) {
 }
 
 func TestStreamsSorted(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	o.Consume(del(wire.MustStreamID(5, 0), 0, epoch, nil))
 	o.Consume(del(wire.MustStreamID(1, 0), 0, epoch, nil))
 	o.Consume(del(wire.MustStreamID(3, 0), 0, epoch, nil))
@@ -130,7 +131,7 @@ func TestStreamsSorted(t *testing.T) {
 }
 
 func TestEvictBefore(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	old := wire.MustStreamID(1, 0)
 	fresh := wire.MustStreamID(2, 0)
 	o.Consume(del(old, 0, epoch, nil))
@@ -147,14 +148,14 @@ func TestEvictBefore(t *testing.T) {
 }
 
 func TestNameForDispatcherIntegration(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	if o.Name() != "orphanage" {
 		t.Fatalf("Name = %q", o.Name())
 	}
 }
 
 func TestStatsAggregate(t *testing.T) {
-	o := New(Options{})
+	o := newOrphanage(Options{})
 	o.Consume(del(wire.MustStreamID(1, 0), 0, epoch, []byte("xy")))
 	o.Consume(del(wire.MustStreamID(1, 0), 1, epoch, []byte("zw")))
 	o.Consume(del(wire.MustStreamID(2, 0), 0, epoch, nil))
@@ -162,4 +163,14 @@ func TestStatsAggregate(t *testing.T) {
 	if st.StreamsHeld != 2 || st.MessagesHeld != 3 || st.TotalSeen != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// newOrphanage builds an Orphanage over a store of its own that retains
+// twice its per-stream window.
+func newOrphanage(opts Options) *Orphanage {
+	window := opts.PerStreamCapacity
+	if window <= 0 {
+		window = DefaultPerStreamCapacity
+	}
+	return NewWithStore(opts, store.New(store.Options{Shards: 1, MaxMessages: 2 * window}))
 }

@@ -15,7 +15,7 @@ func TestClaimOrderProperty(t *testing.T) {
 	f := func(burstRaw, capRaw uint8) bool {
 		burst := int(burstRaw)%200 + 1
 		capacity := int(capRaw)%50 + 1
-		o := New(Options{PerStreamCapacity: capacity})
+		o := newOrphanage(Options{PerStreamCapacity: capacity})
 		id := wire.MustStreamID(1, 0)
 		for i := 0; i < burst; i++ {
 			o.Consume(filtering.Delivery{
@@ -48,13 +48,13 @@ func TestClaimOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: the orphanage never holds more than MaxStreams streams and
-// never more than MaxStreams × PerStreamCapacity messages, for any
+// Property: the orphanage never holds more than maxStreams streams and
+// never more than maxStreams × PerStreamCapacity messages, for any
 // interleaving of streams.
 func TestBoundsProperty(t *testing.T) {
 	f := func(sensorIDs []uint8) bool {
 		const maxStreams, perStream = 5, 7
-		o := New(Options{MaxStreams: maxStreams, PerStreamCapacity: perStream})
+		o := newOrphanage(Options{maxStreams: maxStreams, PerStreamCapacity: perStream})
 		for i, raw := range sensorIDs {
 			id := wire.MustStreamID(wire.SensorID(raw), 0)
 			o.Consume(filtering.Delivery{

@@ -78,7 +78,7 @@ func randomScript(rng *rand.Rand) fieldScript {
 			LossProb:    []float64{0, 0.3, 0.7}[rng.IntN(3)],
 			CorruptProb: []float64{0, 0.4}[rng.IntN(2)],
 			Seed:        rng.Uint64(),
-			GridCell:    []float64{0, 40, 250}[rng.IntN(3)],
+			gridCell:    []float64{0, 40, 250}[rng.IntN(3)],
 		},
 	}
 	if rng.IntN(2) == 0 {
@@ -314,7 +314,7 @@ func TestAttachDetachChurnBoundsIDSpace(t *testing.T) {
 // broadcast time (the lazy re-bucketing path).
 func TestMobileListenerRebucketsAcrossCells(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	m := NewMedium(clock, Params{GridCell: 50})
+	m := NewMedium(clock, Params{gridCell: 50})
 	var c collector
 	pos := geo.Pt(0, 0)
 	m.Attach(BandDownlink, &Listener{

@@ -157,13 +157,11 @@ type Params struct {
 	DelayMin, DelayMax time.Duration
 	// Seed seeds the medium's private random stream.
 	Seed uint64
-	// GridCell is the cell edge length (metres) of the spatial index
-	// holding the listeners. Zero picks a default from the first
+	// gridCell is the cell edge length (metres) of the spatial index
+	// holding the listeners. Tests set it; zero picks the first
 	// listener's reception radius on each band, which suits fields whose
-	// zones are of roughly one scale; deployments mixing very different
-	// radii should set it near the dominant radius (see the README's
-	// field-density notes).
-	GridCell float64
+	// zones are of roughly one scale.
+	gridCell float64
 }
 
 // Metrics counts medium activity. Read with atomic-safe Value calls.
@@ -190,7 +188,7 @@ type listenerEntry struct {
 // bandState indexes one band's listeners.
 type bandState struct {
 	grid   *geo.Grid        // coverage circles; created at first Attach
-	order  []*listenerEntry // attach order (reference scans, Listeners)
+	order  []*listenerEntry // attach order (reference scans)
 	mobile []*listenerEntry // attach-ordered subset with Static unset
 }
 
@@ -238,11 +236,11 @@ func NewMedium(clock sim.Clock, p Params) *Medium {
 }
 
 // gridCellFor picks the cell size for a band's index: the configured
-// GridCell, or the first listener's radius (a circle then spans ~9
+// gridCell, or the first listener's radius (a circle then spans ~9
 // cells and a point query scans one small bucket).
 func (m *Medium) gridCellFor(l *Listener) float64 {
-	if m.params.GridCell > 0 {
-		return m.params.GridCell
+	if m.params.gridCell > 0 {
+		return m.params.gridCell
 	}
 	if l.Radius > 0 && !math.IsInf(l.Radius, 1) {
 		return l.Radius
@@ -521,13 +519,6 @@ func (m *Medium) broadcast(band Band, from geo.Point, txRange float64, dst uint3
 		}
 	}
 	h.schedule(data)
-}
-
-// Listeners returns the number of listeners attached to a band.
-func (m *Medium) Listeners(band Band) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.bands[band-1].order)
 }
 
 // Metrics exposes the medium's counters.

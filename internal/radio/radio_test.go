@@ -254,12 +254,17 @@ func TestDetach(t *testing.T) {
 	m := NewMedium(clock, Params{})
 	var c collector
 	detach := m.Attach(BandUplink, &Listener{Name: "rx", Position: fixed(geo.Pt(0, 0)), Radius: 100, Deliver: c.deliver})
-	if m.Listeners(BandUplink) != 1 {
+	attached := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.bands[BandUplink-1].order)
+	}
+	if attached() != 1 {
 		t.Fatal("listener not attached")
 	}
 	detach()
 	detach() // idempotent
-	if m.Listeners(BandUplink) != 0 {
+	if attached() != 0 {
 		t.Fatal("listener not detached")
 	}
 	m.Broadcast(BandUplink, geo.Pt(0, 0), 100, []byte("x"))

@@ -201,12 +201,16 @@ func TestReceiverStartStopIdempotent(t *testing.T) {
 	r := New(medium, Config{Name: "rx", Position: geo.Pt(0, 0), Radius: 50}, func(Reception) {})
 	r.Start()
 	r.Start()
-	if medium.Listeners(radio.BandUplink) != 1 {
-		t.Fatal("double Start attached twice")
+	broadcastMsg(t, medium, geo.Pt(1, 0), wire.Message{Stream: wire.MustStreamID(1, 0)})
+	clock.RunAll()
+	if heard := r.Stats().FramesHeard; heard != 1 {
+		t.Fatalf("one broadcast heard %d times: double Start attached twice", heard)
 	}
 	r.Stop()
 	r.Stop()
-	if medium.Listeners(radio.BandUplink) != 0 {
+	broadcastMsg(t, medium, geo.Pt(1, 0), wire.Message{Stream: wire.MustStreamID(1, 1)})
+	clock.RunAll()
+	if heard := r.Stats().FramesHeard; heard != 1 {
 		t.Fatal("Stop did not detach")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -179,7 +178,7 @@ const (
 	macSegLen   = 43 // one SHA-256 sum
 )
 
-// Authenticate verifies a token and returns the live identity. It fails
+// authenticate verifies a token and returns the live identity. It fails
 // when the token is malformed or forged, the consumer was never
 // registered, it was revoked, or its permissions changed since minting.
 //
@@ -193,7 +192,7 @@ const (
 // signing secret is immutable), so concurrent authentications — every
 // privileged facade call makes one — only serialise on the short
 // identity-map lookup, not on the crypto.
-func (r *Registry) Authenticate(tok Token) (Identity, error) {
+func (r *Registry) authenticate(tok Token) (Identity, error) {
 	t := string(tok)
 	// Exactly three segments: <name> . <perms> . <mac>.
 	dot1 := strings.IndexByte(t, '.')
@@ -259,7 +258,7 @@ func decodeSegment(dst, stage []byte, seg string) (int, error) {
 // Require authenticates tok and verifies it grants every permission in
 // need, returning the identity on success.
 func (r *Registry) Require(tok Token, need Permission) (Identity, error) {
-	id, err := r.Authenticate(tok)
+	id, err := r.authenticate(tok)
 	if err != nil {
 		return Identity{}, err
 	}
@@ -277,24 +276,4 @@ func (r *Registry) Revoke(name string) bool {
 	_, ok := r.byName[name]
 	delete(r.byName, name)
 	return ok
-}
-
-// Lookup returns the identity registered under name.
-func (r *Registry) Lookup(name string) (Identity, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.byName[name]
-	return id, ok
-}
-
-// Identities lists all registered consumers sorted by name.
-func (r *Registry) Identities() []Identity {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Identity, 0, len(r.byName))
-	for _, id := range r.byName {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -24,7 +24,7 @@ func TestRegisterAndAuthenticate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := r.Authenticate(tok)
+	id, err := r.authenticate(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestForgedTokenRejected(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := r.Authenticate(tt.tok); !errors.Is(err, ErrBadToken) {
+			if _, err := r.authenticate(tt.tok); !errors.Is(err, ErrBadToken) {
 				t.Errorf("err = %v, want ErrBadToken", err)
 			}
 		})
@@ -98,7 +98,7 @@ func TestTokenFromDifferentSecretRejected(t *testing.T) {
 	if _, err := r2.Register("app", PermSubscribe); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.Authenticate(tok); !errors.Is(err, ErrBadToken) {
+	if _, err := r2.authenticate(tok); !errors.Is(err, ErrBadToken) {
 		t.Fatalf("cross-deployment token accepted: %v", err)
 	}
 }
@@ -113,7 +113,7 @@ func TestPermissionEscalationRejected(t *testing.T) {
 	// the mac.
 	parts := strings.Split(string(tok), ".")
 	forged := Token(parts[0] + "." + "HQ" + "." + parts[2]) // body changed, mac stale
-	if _, err := r.Authenticate(forged); !errors.Is(err, ErrBadToken) {
+	if _, err := r.authenticate(forged); !errors.Is(err, ErrBadToken) {
 		t.Fatalf("escalated token accepted: %v", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestRevoke(t *testing.T) {
 	if r.Revoke("app") {
 		t.Fatal("second Revoke returned true")
 	}
-	if _, err := r.Authenticate(tok); !errors.Is(err, ErrRevoked) {
+	if _, err := r.authenticate(tok); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("err = %v, want ErrRevoked", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestMalformedTokenShapesRejected(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := r.Authenticate(tt.tok); !errors.Is(err, ErrBadToken) {
+			if _, err := r.authenticate(tt.tok); !errors.Is(err, ErrBadToken) {
 				t.Errorf("err = %v, want ErrBadToken", err)
 			}
 		})
@@ -266,11 +266,11 @@ func TestConcurrentAuthenticate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				if id, err := r.Authenticate(tok); err != nil || id.Name != name {
+				if id, err := r.authenticate(tok); err != nil || id.Name != name {
 					t.Errorf("Authenticate(%q) = %q, %v", name, id.Name, err)
 					return
 				}
-				if _, err := r.Authenticate(forged); !errors.Is(err, ErrBadToken) {
+				if _, err := r.authenticate(forged); !errors.Is(err, ErrBadToken) {
 					t.Errorf("forged token for %q: err = %v, want ErrBadToken", name, err)
 					return
 				}
@@ -278,29 +278,6 @@ func TestConcurrentAuthenticate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestLookupAndIdentities(t *testing.T) {
-	r := newRegistry()
-	names := []string{"zeta", "alpha", "mid"}
-	for _, n := range names {
-		if _, err := r.Register(n, PermSubscribe); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := r.Lookup("alpha"); !ok {
-		t.Fatal("Lookup failed")
-	}
-	if _, ok := r.Lookup("ghost"); ok {
-		t.Fatal("Lookup of unknown name succeeded")
-	}
-	ids := r.Identities()
-	if len(ids) != 3 {
-		t.Fatalf("Identities = %d", len(ids))
-	}
-	if ids[0].Name != "alpha" || ids[1].Name != "mid" || ids[2].Name != "zeta" {
-		t.Fatalf("not sorted: %v", ids)
-	}
 }
 
 func TestPermissionString(t *testing.T) {
@@ -337,7 +314,7 @@ func TestSecretIsCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	secret[0] = 'X' // caller mutates its buffer
-	if _, err := r.Authenticate(tok); err != nil {
+	if _, err := r.authenticate(tok); err != nil {
 		t.Fatal("registry aliased the caller's secret buffer")
 	}
 }
@@ -354,7 +331,7 @@ func BenchmarkRegistryAuthenticate(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := r.Authenticate(tok); err != nil {
+			if _, err := r.authenticate(tok); err != nil {
 				b.Error(err)
 				return
 			}

@@ -149,15 +149,6 @@ func (r *Replicator) AddTransmitter(t *transmit.Transmitter) {
 	r.snap.Store(&txSnapshot{txs: txs, grid: grid})
 }
 
-// Transmitters returns the attached transmitter count.
-func (r *Replicator) Transmitters() int {
-	snap := r.snap.Load()
-	if snap == nil {
-		return 0
-	}
-	return len(snap.txs)
-}
-
 // Send encodes the control message once, picks the transmitters by the
 // first rung of this ladder that yields any, and broadcasts from them. It
 // returns the number of transmitters used.

@@ -283,7 +283,9 @@ func TestTargetedSelectionEqualsBruteForceProperty(t *testing.T) {
 			inflated := geo.Circle{Center: est.Pos, R: est.Uncertainty*margin + 1}
 			any := false
 			for i, tx := range txs {
-				want[i] = tx.Coverage().IntersectsCircle(inflated)
+				c := tx.Coverage()
+				rr := c.R + inflated.R
+				want[i] = c.Center.DistSq(inflated.Center) <= rr*rr
 				any = any || want[i]
 			}
 			if any {
@@ -465,7 +467,7 @@ func TestConcurrentSendDuringAttach(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := r.Transmitters(); got != 51 {
+	if got := len(r.snap.Load().txs); got != 51 {
 		t.Fatalf("transmitters = %d, want 51", got)
 	}
 	st := r.Stats()

@@ -20,8 +20,8 @@ func TestWithdrawAllEquivalenceProperty(t *testing.T) {
 		consumers := []string{"a", "b", "c"}
 		victim := consumers[int(victimRaw)%len(consumers)]
 
-		full := NewManager(PolicyMostDemanding)
-		rest := NewManager(PolicyMostDemanding)
+		full := NewWithOptions(Options{Policy: PolicyMostDemanding})
+		rest := NewWithOptions(Options{Policy: PolicyMostDemanding})
 		for i, v := range values {
 			d := Demand{
 				Consumer: consumers[i%len(consumers)],
@@ -62,7 +62,7 @@ func TestWithdrawAllEquivalenceProperty(t *testing.T) {
 func TestActionsRespectConstraintsProperty(t *testing.T) {
 	cons := Constraints{MinRateMilliHz: 50, MaxRateMilliHz: 2000, MaxPayloadBytes: 512}
 	f := func(ops []bool, values []uint16) bool {
-		m := NewManager(PolicyMostDemanding)
+		m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 		m.SetDefaultConstraints(cons)
 		n := len(ops)
 		if len(values) < n {
@@ -111,7 +111,7 @@ func TestActionsRespectConstraintsProperty(t *testing.T) {
 // pairs with at least one standing demand.
 func TestLedgerSizeProperty(t *testing.T) {
 	f := func(targets []uint8) bool {
-		m := NewManager(PolicyMostDemanding)
+		m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 		distinct := map[wire.StreamID]bool{}
 		for i, raw := range targets {
 			target := wire.MustStreamID(wire.SensorID(raw%8), 0)

@@ -60,9 +60,9 @@ func (c Class) String() string {
 	}
 }
 
-// ClassOf maps a wire operation to its demand class; ok is false for
+// classOf maps a wire operation to its demand class; ok is false for
 // operations that need no mediation (ping, device params).
-func ClassOf(op wire.Op) (Class, bool) {
+func classOf(op wire.Op) (Class, bool) {
 	switch op {
 	case wire.OpSetRate:
 		return ClassRate, true
@@ -232,13 +232,8 @@ type Manager struct {
 	withdrawn int64
 }
 
-// NewManager creates a Manager with the given mediation policy
-// (PolicyMostDemanding when zero).
-func NewManager(policy Policy) *Manager {
-	return NewWithOptions(Options{Policy: policy})
-}
-
-// NewWithOptions creates a Manager from opts.
+// NewWithOptions creates a Manager from opts; a zero Policy selects
+// PolicyMostDemanding.
 func NewWithOptions(opts Options) *Manager {
 	if opts.Policy == 0 {
 		opts.Policy = PolicyMostDemanding
@@ -252,8 +247,8 @@ func NewWithOptions(opts Options) *Manager {
 	return m
 }
 
-// Policy returns the current mediation policy.
-func (m *Manager) Policy() Policy {
+// loadPolicy returns the current mediation policy.
+func (m *Manager) loadPolicy() Policy {
 	return Policy(m.policy.Load())
 }
 
@@ -293,7 +288,7 @@ func (m *Manager) constraintsFor(sensor wire.SensorID) (Constraints, bool) {
 }
 
 // validate screens a demand before it reaches the ledger; class is the
-// demand's mediation class from ClassOf.
+// demand's mediation class from classOf.
 func validate(d Demand, class Class) error {
 	if d.Consumer == "" {
 		return fmt.Errorf("%w: empty consumer", ErrBadDemand)
@@ -313,14 +308,14 @@ func validate(d Demand, class Class) error {
 // resubmission that leaves the effective setting unchanged — allocates
 // nothing.
 func (m *Manager) Submit(d Demand) (Decision, error) {
-	class, ok := ClassOf(d.Op)
+	class, ok := classOf(d.Op)
 	if !ok {
 		return Decision{}, fmt.Errorf("%w: op %v needs no mediation", ErrBadDemand, d.Op)
 	}
 	if err := validate(d, class); err != nil {
 		return Decision{}, err
 	}
-	policy := m.Policy()
+	policy := m.loadPolicy()
 	m.mu.Lock()
 	dec := m.submitLocked(d, class, policy)
 	m.mu.Unlock()
@@ -403,7 +398,7 @@ func (m *Manager) activeStreamsLocked(sensor wire.SensorID, except wire.StreamID
 // relaxation is actuated — the sensor keeps its last setting, matching the
 // paper's minimal-sensor model (no implicit defaults on the device).
 func (m *Manager) Withdraw(consumer string, target wire.StreamID, class Class) (Decision, bool) {
-	policy := m.Policy()
+	policy := m.loadPolicy()
 	m.mu.Lock()
 	dec, ok := m.withdrawLocked(consumer, ledgerKey{target: target, class: class}, policy)
 	m.mu.Unlock()
@@ -473,7 +468,7 @@ func sortLedgerKeys(keys []ledgerKey) {
 // leaving the system) and returns the actions needed to re-actuate the
 // affected streams, in (target, class) order.
 func (m *Manager) WithdrawAll(consumer string) []Action {
-	policy := m.Policy()
+	policy := m.loadPolicy()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.withdrawOwnedLocked(consumer, nil, policy)
@@ -491,7 +486,7 @@ func (m *Manager) Apply(owner string, demands []Demand) []Action {
 	if owner == "" {
 		return nil
 	}
-	policy := m.Policy()
+	policy := m.loadPolicy()
 
 	// Dedupe on (target, class) — the last demand for a key wins. Demands
 	// that fail validation still claim their key (so an owner's standing
@@ -500,7 +495,7 @@ func (m *Manager) Apply(owner string, demands []Demand) []Action {
 	// but are never submitted.
 	next := make(map[ledgerKey]Demand, len(demands))
 	for _, d := range demands {
-		class, ok := ClassOf(d.Op)
+		class, ok := classOf(d.Op)
 		if !ok {
 			continue
 		}
@@ -662,40 +657,6 @@ func (m *Manager) Effective(target wire.StreamID, class Class) (uint32, bool) {
 		return 0, false
 	}
 	return e.effective, true
-}
-
-// StreamOverview is the manager's belief about one stream's configuration.
-type StreamOverview struct {
-	Target   wire.StreamID
-	Class    Class
-	Demands  int
-	Setting  uint32
-	Policies Policy
-}
-
-// Overview returns the approximate sensor-configuration overview: every
-// ledger entry with its effective setting, sorted by stream then class.
-func (m *Manager) Overview() []StreamOverview {
-	policy := m.Policy()
-	m.mu.Lock()
-	var out []StreamOverview
-	for key, e := range m.ledger {
-		out = append(out, StreamOverview{
-			Target:   key.target,
-			Class:    key.class,
-			Demands:  len(e.demands),
-			Setting:  e.effective,
-			Policies: policy,
-		})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Target != out[j].Target {
-			return out[i].Target < out[j].Target
-		}
-		return out[i].Class < out[j].Class
-	})
-	return out
 }
 
 // Stats returns a snapshot of manager counters.

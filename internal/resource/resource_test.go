@@ -15,7 +15,7 @@ func rateDemand(consumer string, mHz uint32, prio int) Demand {
 }
 
 func TestSubmitFirstDemandApproved(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	dec, err := m.Submit(rateDemand("a", 1000, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestSubmitFirstDemandApproved(t *testing.T) {
 }
 
 func TestMostDemandingMediation(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	if _, err := m.Submit(rateDemand("a", 1000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMostDemandingMediation(t *testing.T) {
 }
 
 func TestLeastDemandingMediation(t *testing.T) {
-	m := NewManager(PolicyLeastDemanding)
+	m := NewWithOptions(Options{Policy: PolicyLeastDemanding})
 	if _, err := m.Submit(rateDemand("a", 4000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestLeastDemandingMediation(t *testing.T) {
 }
 
 func TestPriorityMediation(t *testing.T) {
-	m := NewManager(PolicyPriority)
+	m := NewWithOptions(Options{Policy: PolicyPriority})
 	if _, err := m.Submit(rateDemand("low", 8000, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPriorityMediation(t *testing.T) {
 }
 
 func TestFirstComeDenyConflicts(t *testing.T) {
-	m := NewManager(PolicyFirstComeDeny)
+	m := NewWithOptions(Options{Policy: PolicyFirstComeDeny})
 	if _, err := m.Submit(rateDemand("a", 1000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFirstComeDenyConflicts(t *testing.T) {
 	}
 	// The sole holder may revise its own demand (fresh manager: no other
 	// standing demands to conflict with).
-	m2 := NewManager(PolicyFirstComeDeny)
+	m2 := NewWithOptions(Options{Policy: PolicyFirstComeDeny})
 	if _, err := m2.Submit(rateDemand("a", 1000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFirstComeDenyConflicts(t *testing.T) {
 }
 
 func TestEnableMediation(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	enable := Demand{Consumer: "a", Target: target, Op: wire.OpEnableStream}
 	disable := Demand{Consumer: "b", Target: target, Op: wire.OpDisableStream}
 	dec, err := m.Submit(enable)
@@ -148,7 +148,7 @@ func TestEnableMediation(t *testing.T) {
 }
 
 func TestConstraintClamping(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	cons, err := ParseConstraints("rate<=2/s; rate>=1/min")
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestConstraintClamping(t *testing.T) {
 	}
 	// Most-demanding keeps 2000 anyway (mediated with greedy), so still
 	// modified; check floor via a fresh manager.
-	m2 := NewManager(PolicyMostDemanding)
+	m2 := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	m2.SetConstraints(target.Sensor(), cons)
 	dec, err = m2.Submit(rateDemand("sleepy", 1, 0))
 	if err != nil {
@@ -184,7 +184,7 @@ func TestConstraintClamping(t *testing.T) {
 }
 
 func TestMaxActiveStreamsDeniesEnable(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	cons, err := ParseConstraints("streams<=2")
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestMaxActiveStreamsDeniesEnable(t *testing.T) {
 // demands standing in the ledger: the count reads sensor 7's own streams,
 // not the whole ledger.
 func TestMaxActiveStreamsAmongManySensors(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	cons, err := ParseConstraints("streams<=2")
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func checkMaxActiveStreams(t *testing.T, m *Manager) {
 }
 
 func TestWithdrawRecomputes(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	if _, err := m.Submit(rateDemand("a", 1000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestWithdrawRecomputes(t *testing.T) {
 }
 
 func TestWithdrawUnknown(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	if _, ok := m.Withdraw("ghost", target, ClassRate); ok {
 		t.Fatal("withdraw of unknown demand reported ok")
 	}
@@ -288,7 +288,7 @@ func TestWithdrawUnknown(t *testing.T) {
 }
 
 func TestWithdrawAll(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	t2 := wire.MustStreamID(7, 2)
 	if _, err := m.Submit(rateDemand("a", 4000, 0)); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestWithdrawAll(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	tests := []struct {
 		name string
 		d    Demand
@@ -331,7 +331,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestSetPolicyAffectsNextDecision(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	if _, err := m.Submit(rateDemand("a", 1000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestSetPolicyAffectsNextDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetPolicy(PolicyLeastDemanding)
-	if m.Policy() != PolicyLeastDemanding {
+	if m.loadPolicy() != PolicyLeastDemanding {
 		t.Fatal("Policy getter wrong")
 	}
 	dec, err := m.Submit(rateDemand("c", 5000, 0))
@@ -351,29 +351,6 @@ func TestSetPolicyAffectsNextDecision(t *testing.T) {
 	}
 }
 
-func TestOverview(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
-	if _, err := m.Submit(rateDemand("a", 1000, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Submit(rateDemand("b", 2000, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Submit(Demand{Consumer: "a", Target: target, Op: wire.OpEnableStream}); err != nil {
-		t.Fatal(err)
-	}
-	ov := m.Overview()
-	if len(ov) != 2 {
-		t.Fatalf("overview = %d entries, want 2", len(ov))
-	}
-	if ov[0].Class != ClassRate || ov[0].Demands != 2 || ov[0].Setting != 2000 {
-		t.Fatalf("rate overview: %+v", ov[0])
-	}
-	if ov[1].Class != ClassEnable || ov[1].Setting != 1 {
-		t.Fatalf("enable overview: %+v", ov[1])
-	}
-}
-
 // Property: under most-demanding / least-demanding, the effective rate is
 // exactly the max / min of the standing demands, regardless of order.
 func TestMergePolicyProperty(t *testing.T) {
@@ -381,8 +358,8 @@ func TestMergePolicyProperty(t *testing.T) {
 		if len(values) == 0 {
 			return true
 		}
-		max := NewManager(PolicyMostDemanding)
-		min := NewManager(PolicyLeastDemanding)
+		max := NewWithOptions(Options{Policy: PolicyMostDemanding})
+		min := NewWithOptions(Options{Policy: PolicyLeastDemanding})
 		var wantMax, wantMin uint32
 		for i, v := range values {
 			val := uint32(v) + 1 // rates must be non-zero
@@ -413,7 +390,7 @@ func TestMergePolicyProperty(t *testing.T) {
 func TestConstraintInvariantProperty(t *testing.T) {
 	cons := Constraints{MinRateMilliHz: 100, MaxRateMilliHz: 5000}
 	f := func(values []uint16) bool {
-		m := NewManager(PolicyMostDemanding)
+		m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 		m.SetDefaultConstraints(cons)
 		for i, v := range values {
 			val := uint32(v) + 1
@@ -434,7 +411,7 @@ func TestConstraintInvariantProperty(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	m := NewManager(PolicyFirstComeDeny)
+	m := NewWithOptions(Options{Policy: PolicyFirstComeDeny})
 	if _, err := m.Submit(rateDemand("a", 1000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +431,7 @@ func TestStatsCounters(t *testing.T) {
 // consumers refresh what they already asked for — leaves the effective
 // setting untouched and must not allocate.
 func TestSubmitStandingDemandZeroAllocs(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	demand := rateDemand("app", 2000, 0)
 	if _, err := m.Submit(demand); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func randomDemand(rng *rand.Rand, consumer string) Demand {
 // manager is one mutex, so this is its whole concurrency contract. Run
 // with -race.
 func TestControlPlaneRaceStress(t *testing.T) {
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	m.SetDefaultConstraints(Constraints{MaxRateMilliHz: 4000})
 
 	const perWorker = 1500
@@ -50,7 +50,7 @@ func TestControlPlaneRaceStress(t *testing.T) {
 					return
 				}
 				if rng.Intn(4) == 0 {
-					class, _ := ClassOf(d.Op)
+					class, _ := classOf(d.Op)
 					m.Withdraw(consumer, d.Target, class)
 				}
 			}
@@ -77,9 +77,6 @@ func TestControlPlaneRaceStress(t *testing.T) {
 		for i := 0; i < perWorker; i++ {
 			m.SetPolicy(policies[i%len(policies)])
 			_ = m.Stats()
-			if i%64 == 0 {
-				_ = m.Overview()
-			}
 		}
 	}()
 	wg.Wait()
@@ -100,7 +97,7 @@ func TestControlPlaneRaceStress(t *testing.T) {
 // the bad value, not the stream.
 func TestApplyInvalidReplacementKeepsStandingDemand(t *testing.T) {
 	target := wire.MustStreamID(5, 0)
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	if got := m.Apply("sc/app", []Demand{{Target: target, Op: wire.OpSetRate, Value: 2000}}); len(got) != 1 {
 		t.Fatalf("initial apply actions = %+v", got)
 	}
@@ -124,7 +121,7 @@ func TestApplyInvalidReplacementKeepsStandingDemand(t *testing.T) {
 // actions come back in that order, each half sorted by (target, class).
 func TestApplyReplacesDemandSet(t *testing.T) {
 	a, b, c := wire.MustStreamID(1, 0), wire.MustStreamID(2, 0), wire.MustStreamID(3, 0)
-	m := NewManager(PolicyMostDemanding)
+	m := NewWithOptions(Options{Policy: PolicyMostDemanding})
 	// Another consumer's lower demands stand behind the owner's, so
 	// withdrawing the owner's relaxes the stream instead of freeing it.
 	for _, target := range []wire.StreamID{a, b} {

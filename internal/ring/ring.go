@@ -161,9 +161,6 @@ func New[T any](capacity int) *Ring[T] {
 	return r
 }
 
-// Cap returns the logical capacity.
-func (r *Ring[T]) Cap() int { return int(r.capacity) }
-
 // Len returns the current occupancy. It is exact when producers and the
 // consumer are quiescent and a bounded-lag estimate otherwise.
 func (r *Ring[T]) Len() int { return int(r.length.Load()) }

@@ -11,8 +11,8 @@ import (
 
 func TestRingFIFO(t *testing.T) {
 	r := New[int](8)
-	if r.Cap() != 8 {
-		t.Fatalf("Cap() = %d, want 8", r.Cap())
+	if int(r.capacity) != 8 {
+		t.Fatalf("capacity = %d, want 8", int(r.capacity))
 	}
 	for i := 0; i < 8; i++ {
 		if !r.TryEnqueue(i) {
@@ -63,8 +63,8 @@ func TestRingWrapAround(t *testing.T) {
 
 func TestRingNonPowerOfTwoCapacity(t *testing.T) {
 	r := New[int](6)
-	if r.Cap() != 6 {
-		t.Fatalf("Cap() = %d, want 6", r.Cap())
+	if int(r.capacity) != 6 {
+		t.Fatalf("capacity = %d, want 6", int(r.capacity))
 	}
 	n := 0
 	for r.TryEnqueue(n) {
@@ -79,8 +79,8 @@ func TestRingNonPowerOfTwoCapacity(t *testing.T) {
 
 func TestRingCapacityFloor(t *testing.T) {
 	r := New[int](0)
-	if r.Cap() != 1 {
-		t.Fatalf("Cap() = %d, want 1", r.Cap())
+	if int(r.capacity) != 1 {
+		t.Fatalf("capacity = %d, want 1", int(r.capacity))
 	}
 	if !r.TryEnqueue(7) {
 		t.Fatal("capacity-1 ring refused first enqueue")
@@ -174,7 +174,7 @@ var stressCapacities = []int{64, 4096}
 // releaseAt closes start, once, when the ring first holds at least half
 // its capacity; callers that finish enqueueing close it regardless.
 func releaseAt[T any](r *Ring[T], once *sync.Once, start chan struct{}) {
-	if r.Len() >= r.Cap()/2 {
+	if r.Len() >= int(r.capacity)/2 {
 		once.Do(func() { close(start) })
 	}
 }
@@ -183,8 +183,8 @@ func releaseAt[T any](r *Ring[T], once *sync.Once, start chan struct{}) {
 // capacity, which the consumers' late start forces.
 func checkGrew[T any](t *testing.T, r *Ring[T]) {
 	t.Helper()
-	if n := len(r.tail.Load().slots); n < r.Cap()/2 {
-		t.Fatalf("tail segment has %d slots, want at least %d: the ring never grew", n, r.Cap()/2)
+	if n := len(r.tail.Load().slots); n < int(r.capacity)/2 {
+		t.Fatalf("tail segment has %d slots, want at least %d: the ring never grew", n, int(r.capacity)/2)
 	}
 }
 
@@ -430,7 +430,7 @@ func TestRingPushPastCapacity(t *testing.T) {
 		r.TryEnqueue(i)
 	}
 	for i := 4; i < 10; i++ {
-		if r.Len() < r.Cap() {
+		if r.Len() < int(r.capacity) {
 			t.Fatalf("Len() = %d below the capacity", r.Len())
 		}
 		r.Push(i)

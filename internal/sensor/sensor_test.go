@@ -722,7 +722,12 @@ func TestStaticMobilityAttachesStaticListeners(t *testing.T) {
 			// that the listeners are attached, give every node a model
 			// whose Position calls the counter sees.
 			n.cfg.Mobility = field.Linear{Start: geo.Pt(0, 0), Epoch: epoch}
-			if got := medium.Listeners(radio.BandDownlink) + medium.Listeners(radio.BandUplink); got != 2 {
+			// One in-range broadcast per band reaches each attached
+			// listener once.
+			medium.Broadcast(radio.BandDownlink, geo.Pt(0, 0), 1, []byte{1})
+			medium.Broadcast(radio.BandUplink, geo.Pt(0, 0), 1, []byte{1})
+			base.RunAll()
+			if got := medium.Metrics().Deliveries.Value(); got != 2 {
 				t.Fatalf("node attached %d listeners, want downlink + relay", got)
 			}
 			before := clock.calls

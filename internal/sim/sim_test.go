@@ -273,8 +273,11 @@ func TestTickerSetPeriod(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("fired %d times after SetPeriod, want 10", n)
 	}
-	if ticker.Period() != time.Millisecond {
-		t.Fatalf("Period = %v, want 1ms", ticker.Period())
+	ticker.mu.Lock()
+	period := ticker.period
+	ticker.mu.Unlock()
+	if period != time.Millisecond {
+		t.Fatalf("period = %v, want 1ms", period)
 	}
 }
 

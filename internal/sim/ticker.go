@@ -77,13 +77,6 @@ func (t *Ticker) SetPeriod(period time.Duration) {
 	t.armLocked()
 }
 
-// Period returns the current tick period.
-func (t *Ticker) Period() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.period
-}
-
 // Stop cancels the ticker. It is idempotent.
 func (t *Ticker) Stop() {
 	t.mu.Lock()

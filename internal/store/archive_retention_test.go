@@ -131,7 +131,7 @@ func TestArchiveRetentionBounds(t *testing.T) {
 				// The surviving suffix, in order, from the archive through
 				// the hot ring; a range that starts below the cut begins at
 				// the cut.
-				if first, ok := s.FirstSeq(id); !ok || first != firstKept {
+				if first, ok := firstSeq(s, id); !ok || first != firstKept {
 					t.Fatalf("FirstSeq = %d %v, want %d", first, ok, firstKept)
 				}
 				suffix := twin.Range(id, firstKept, ^uint64(0))

@@ -64,14 +64,14 @@ func BenchmarkStoreCodecEncode(b *testing.B) {
 			})
 		}
 		b.Run("auto/"+kind, func(b *testing.B) {
-			c := Choose(block)
+			c := choose(block)
 			b.ReportMetric(float64(c.ID()), "codec-id")
 			buf := c.Encode(nil, block)
 			b.SetBytes(int64(rawSize(block)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = Choose(block).Encode(buf[:0], block)
+				buf = choose(block).Encode(buf[:0], block)
 			}
 		})
 	}

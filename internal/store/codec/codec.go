@@ -144,8 +144,8 @@ func ByID(id ID) (Codec, bool) {
 	return codecs[id], true
 }
 
-// ByName returns the codec with the given user-facing name.
-func ByName(name string) (Codec, bool) {
+// byName returns the codec with the given user-facing name.
+func byName(name string) (Codec, bool) {
 	for _, c := range codecs {
 		if c.Name() == name {
 			return c, true
@@ -154,8 +154,8 @@ func ByName(name string) (Codec, bool) {
 	return nil, false
 }
 
-// Names lists every selectable codec name, plus "auto".
-func Names() []string {
+// names lists every selectable codec name, plus "auto".
+func names() []string {
 	out := make([]string, 0, len(codecs)+1)
 	for _, c := range codecs {
 		out = append(out, c.Name())
@@ -171,19 +171,19 @@ type Picker func(block []filtering.Delivery) Codec
 // "auto" to a Picker.
 func PickerFor(name string) (Picker, error) {
 	if name == "auto" {
-		return Choose, nil
+		return choose, nil
 	}
-	c, ok := ByName(name)
+	c, ok := byName(name)
 	if !ok {
-		return nil, fmt.Errorf("codec: unknown codec %q (have %v)", name, Names())
+		return nil, fmt.Errorf("codec: unknown codec %q (have %v)", name, names())
 	}
 	return func([]filtering.Delivery) Codec { return c }, nil
 }
 
-// Choose is the heuristic auto picker: streams that repeat payloads get
+// choose is the heuristic auto picker: streams that repeat payloads get
 // RLE, fixed 8-byte payloads (float64 readings) get Gorilla, tiny blocks
 // stay Raw, everything else gets the LZ block codec.
-func Choose(block []filtering.Delivery) Codec {
+func choose(block []filtering.Delivery) Codec {
 	if len(block) == 0 {
 		return Raw
 	}

@@ -381,12 +381,12 @@ func TestChoose(t *testing.T) {
 		{"incompressible", LZ},
 		{"non-monotonic-ts", Raw}, // 1-byte payloads: nothing to model
 	} {
-		if got := Choose(blocks[tc.block]); got.ID() != tc.want.ID() {
-			t.Errorf("Choose(%s) = %s, want %s", tc.block, got.Name(), tc.want.Name())
+		if got := choose(blocks[tc.block]); got.ID() != tc.want.ID() {
+			t.Errorf("choose(%s) = %s, want %s", tc.block, got.Name(), tc.want.Name())
 		}
 	}
-	if got := Choose(nil); got.ID() != IDRaw {
-		t.Errorf("Choose(empty) = %s, want raw", got.Name())
+	if got := choose(nil); got.ID() != IDRaw {
+		t.Errorf("choose(empty) = %s, want raw", got.Name())
 	}
 
 	// Varied text with little duplication must go to LZ, not RLE.
@@ -395,8 +395,8 @@ func TestChoose(t *testing.T) {
 		varied = append(varied, entry(uint64(2000+i), testEpoch.Add(time.Duration(i)*time.Second),
 			[]byte("reading number "+string(rune('a'+i))+" from the sensor")))
 	}
-	if got := Choose(varied); got.ID() != IDLZ {
-		t.Errorf("Choose(varied text) = %s, want lz", got.Name())
+	if got := choose(varied); got.ID() != IDLZ {
+		t.Errorf("choose(varied text) = %s, want lz", got.Name())
 	}
 }
 
@@ -406,16 +406,16 @@ func TestByIDByName(t *testing.T) {
 		if !ok || byID.Name() != c.Name() {
 			t.Errorf("ByID(%d) = %v, %v", c.ID(), byID, ok)
 		}
-		byName, ok := ByName(c.Name())
-		if !ok || byName.ID() != c.ID() {
-			t.Errorf("ByName(%q) = %v, %v", c.Name(), byName, ok)
+		named, ok := byName(c.Name())
+		if !ok || named.ID() != c.ID() {
+			t.Errorf("byName(%q) = %v, %v", c.Name(), named, ok)
 		}
 	}
 	if _, ok := ByID(idCount); ok {
 		t.Error("ByID(idCount) should fail")
 	}
-	if _, ok := ByName("zstd"); ok {
-		t.Error(`ByName("zstd") should fail`)
+	if _, ok := byName("zstd"); ok {
+		t.Error(`byName("zstd") should fail`)
 	}
 }
 
@@ -440,9 +440,9 @@ func TestPickerFor(t *testing.T) {
 	if _, err := PickerFor("snappy"); err == nil {
 		t.Error("PickerFor(snappy) should fail")
 	}
-	names := Names()
-	if names[len(names)-1] != "auto" {
-		t.Errorf("Names() = %v, want auto last", names)
+	all := names()
+	if all[len(all)-1] != "auto" {
+		t.Errorf("names() = %v, want auto last", all)
 	}
 }
 

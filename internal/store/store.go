@@ -1248,20 +1248,6 @@ func (s *Store) LastSeq(id wire.StreamID) (uint64, bool) {
 	return r.lastExt, true
 }
 
-// FirstSeq returns the lowest retained extended sequence — archived,
-// sealed, staged or hot, whichever tier holds the oldest — ok is false
-// when nothing is retained.
-func (s *Store) FirstSeq(id wire.StreamID) (uint64, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if r := sh.rings.Get(id); r != nil {
-		first := r.firstLocked()
-		return first, first != 0
-	}
-	return 0, false
-}
-
 // OldestSince returns the extended sequence and payload size of the first
 // retained entry at or after from, in any tier.
 func (s *Store) OldestSince(id wire.StreamID, from uint64) (seq uint64, size int, ok bool) {
@@ -1419,26 +1405,19 @@ func (s *Store) visitBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, 
 // location, without the monotonic reading. The hot ring keeps every
 // instant a time.Time can hold; sealed and archived blocks keep those
 // UnixNano can (years 1678 to 2262).
-func (s *Store) Range(id wire.StreamID, from, to uint64) []filtering.Delivery {
-	return s.AppendRange(nil, id, from, to)
-}
-
-// AppendRange is Range appending into dst, for callers that recycle the
-// outer slice across replays (payloads are never recycled: they live in
-// an allocation made for this read).
 //
 // A read is one pass with one allocation of each kind. Every sealed
 // block's header carries its entry count and payload bytes, so the walk
 // first sums what intersects [from, to] — headers only, plus the stage
-// and hot entries themselves — grows dst once and allocates one payload
-// slab; then each block decodes straight into the tail of dst with its
+// and hot entries themselves — sizes the result once and allocates one
+// payload slab; then each block decodes straight into its tail with its
 // payload bytes appended to the slab, and the stage and hot entries are
 // copied in behind them. A block is decoded whole and the entries
-// outside the window trimmed in place, so dst may be grown by up to two
-// blocks more than the result holds. Should a header understate (a
+// outside the window trimmed in place, so the backing array may be grown
+// by up to two blocks more than the result holds. Should a header understate (a
 // retention cut leaves a block's dead prefix in its bytes), append
 // moves the overflow to a private array; nothing is lost.
-func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to uint64) []filtering.Delivery {
+func (s *Store) Range(id wire.StreamID, from, to uint64) []filtering.Delivery {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1457,9 +1436,9 @@ func (s *Store) AppendRange(dst []filtering.Delivery, id wire.StreamID, from, to
 			return true
 		})
 	if count == 0 {
-		return dst
+		return nil
 	}
-	dst = slices.Grow(dst, count)
+	dst := slices.Grow([]filtering.Delivery(nil), count)
 	slab := make([]byte, 0, raw)
 
 	ds := decodePool.Get().(*decodeScratch)
@@ -1546,41 +1525,6 @@ func (s *Store) Latest(id wire.StreamID) (filtering.Delivery, bool) {
 	d := r.deliveryLocked(id, &r.slots[r.maxExt&r.slotMask()])
 	d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
 	return d, true
-}
-
-// Since returns copies of the retained deliveries received at or after t,
-// ascending by extended sequence.
-func (s *Store) Since(id wire.StreamID, t time.Time) []filtering.Delivery {
-	var out []filtering.Delivery
-	s.RangeFunc(id, 0, ^uint64(0), func(d filtering.Delivery) bool {
-		if !d.At.Before(t) {
-			d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
-}
-
-// Snapshot returns the last retained value of every stream matched by
-// pred (nil matches all), sorted by stream id — the materialised-view
-// query a dashboard or gateway uses to prime its own state.
-func (s *Store) Snapshot(pred func(wire.StreamID) bool) []filtering.Delivery {
-	var out []filtering.Delivery
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id, r := range sh.rings.All() {
-			if r.count == 0 || (pred != nil && !pred(id)) {
-				continue
-			}
-			d := r.deliveryLocked(id, &r.slots[r.maxExt&r.slotMask()])
-			d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
-			out = append(out, d)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Msg.Stream < out[j].Msg.Stream })
-	return out
 }
 
 // EvictTo drops retained deliveries with extended sequences below upto,

@@ -189,7 +189,7 @@ func TestRangeClampsAndCopies(t *testing.T) {
 	}
 }
 
-func TestLatestSinceSnapshot(t *testing.T) {
+func TestLatest(t *testing.T) {
 	s := New(Options{})
 	a, b := wire.MustStreamID(1, 0), wire.MustStreamID(2, 0)
 	for i := 0; i < 4; i++ {
@@ -201,17 +201,8 @@ func TestLatestSinceSnapshot(t *testing.T) {
 	if !ok || latest.Msg.Seq != 3 {
 		t.Fatalf("latest = %v %v", latest, ok)
 	}
-	since := s.Since(a, epoch.Add(2*time.Second))
-	if len(since) != 2 || since[0].Msg.Seq != 2 {
-		t.Fatalf("since = %v", since)
-	}
-	snap := s.Snapshot(nil)
-	if len(snap) != 2 || snap[0].Msg.Stream != a || snap[0].Msg.Seq != 3 || snap[1].Msg.Stream != b {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	only := s.Snapshot(func(id wire.StreamID) bool { return id == b })
-	if len(only) != 1 || only[0].Msg.Stream != b {
-		t.Fatalf("filtered snapshot = %v", only)
+	if latest, ok := s.Latest(b); !ok || latest.Msg.Stream != b || latest.Msg.Payload[0] != 99 {
+		t.Fatalf("latest of b = %v %v", latest, ok)
 	}
 }
 
@@ -224,7 +215,7 @@ func TestEvictToAndForgetKeepAddresses(t *testing.T) {
 	if n := s.EvictTo(id, extBase+3); n != 3 {
 		t.Fatalf("EvictTo dropped %d, want 3", n)
 	}
-	if first, _ := s.FirstSeq(id); first != extBase+3 {
+	if first, _ := firstSeq(s, id); first != extBase+3 {
 		t.Fatalf("FirstSeq = %d", first)
 	}
 	if n := s.Forget(id); n != 3 {
@@ -635,12 +626,6 @@ func TestAtRoundTripsEveryInstant(t *testing.T) {
 		i++
 		return true
 	})
-	// Since compares the instants it is given with the instants kept:
-	// the year-3000 entry and the one after it are all that follow 2500.
-	if since := s.Since(id, time.Date(2500, 1, 1, 0, 0, 0, 0, time.UTC)); len(since) != 2 || since[0].Msg.Seq != 8 {
-		t.Fatalf("Since(2500) = %v", since)
-	}
-
 	// The age bound evicts by the same instants, monotonic reading or not.
 	aged := New(Options{MaxAge: time.Hour})
 	now := time.Now()
@@ -803,4 +788,11 @@ func TestArenaStaysBounded(t *testing.T) {
 	if got := s.Range(id, 0, ^uint64(0)); len(got) != 64 || !bytes.Equal(got[63].Msg.Payload, bytes.Repeat([]byte{byte(seq - 1)}, 17)) {
 		t.Fatalf("resumed stream holds %d entries", len(got))
 	}
+}
+
+// firstSeq is the stream's lowest retained extended sequence, from its
+// StreamStats; ok is false when nothing is retained.
+func firstSeq(s *Store, id wire.StreamID) (uint64, bool) {
+	ss, _ := s.StreamStats(id)
+	return ss.FirstSeq, ss.FirstSeq != 0
 }

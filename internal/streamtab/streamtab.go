@@ -150,9 +150,6 @@ func (t *Table[T]) Delete(id wire.StreamID) bool {
 	return true
 }
 
-// Len returns the number of records.
-func (t *Table[T]) Len() int { return len(t.index) }
-
 // All yields each id and its record once, in no particular order. As
 // with a map, the loop body may delete records, and a record added during
 // the loop may or may not be yielded.

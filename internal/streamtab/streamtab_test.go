@@ -20,7 +20,7 @@ func sid(i int) wire.StreamID { return wire.StreamID(i) }
 
 func TestGetAddDelete(t *testing.T) {
 	var tab Table[rec]
-	if tab.Get(sid(1)) != nil || tab.Delete(sid(1)) || tab.Len() != 0 {
+	if tab.Get(sid(1)) != nil || tab.Delete(sid(1)) || len(tab.index) != 0 {
 		t.Fatal("empty table claims a record")
 	}
 	r := tab.Add(sid(1))
@@ -35,13 +35,13 @@ func TestGetAddDelete(t *testing.T) {
 		t.Fatal("Get does not return the added record")
 	}
 	tab.Add(sid(2)).a = 9
-	if tab.Len() != 2 || tab.Get(sid(1)).a != 7 || tab.Get(sid(2)).a != 9 {
+	if len(tab.index) != 2 || tab.Get(sid(1)).a != 7 || tab.Get(sid(2)).a != 9 {
 		t.Fatal("two ids do not keep two records")
 	}
 	if !tab.Delete(sid(1)) || tab.Delete(sid(1)) {
 		t.Fatal("Delete reports the wrong presence")
 	}
-	if tab.Get(sid(1)) != nil || tab.Len() != 1 || tab.Get(sid(2)).a != 9 {
+	if tab.Get(sid(1)) != nil || len(tab.index) != 1 || tab.Get(sid(2)).a != 9 {
 		t.Fatal("Delete removed the wrong record")
 	}
 }
@@ -116,8 +116,8 @@ func TestAllVisitsEachLiveIDOnce(t *testing.T) {
 			t.Fatalf("id %d yielded %d times, want %d", i, seen[sid(i)], want)
 		}
 	}
-	if len(seen) != tab.Len() {
-		t.Fatalf("yielded %d ids, Len %d", len(seen), tab.Len())
+	if len(seen) != len(tab.index) {
+		t.Fatalf("yielded %d ids, index holds %d", len(seen), len(tab.index))
 	}
 	stopped := 0
 	for range tab.All() {

@@ -1,13 +1,13 @@
 package wire
 
-// Fletcher16 computes the Fletcher-16 checksum of data. The paper notes
+// fletcher16 computes the Fletcher-16 checksum of data. The paper notes
 // that “the usual checksums associated with the data messages” exist but
 // are elided from Figure 2; this implementation appends a Fletcher-16 to
 // every frame so the receivers can screen out frames corrupted in the
 // wireless medium. Fletcher-16 detects all single-byte errors and almost
 // all burst errors while staying trivially cheap on an 8-bit sensor MCU,
 // matching the paper's minimal-sensor-requirements design choice (§5).
-func Fletcher16(data []byte) uint16 {
+func fletcher16(data []byte) uint16 {
 	var sum1, sum2 uint32
 	for len(data) > 0 {
 		// Process in blocks of at most 5802 bytes, the largest count for

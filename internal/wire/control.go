@@ -90,7 +90,7 @@ func (c *ControlMessage) AppendEncode(dst []byte) ([]byte, error) {
 	dst = append(dst, byte(c.Op), c.Param)
 	dst = binary.BigEndian.AppendUint32(dst, c.Value)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(c.Issued.UnixMicro()))
-	sum := Fletcher16(dst[start:])
+	sum := fletcher16(dst[start:])
 	dst = binary.BigEndian.AppendUint16(dst, sum)
 	return dst, nil
 }
@@ -128,7 +128,7 @@ func DecodeControl(b []byte) (ControlMessage, error) {
 	}
 	body := b[:ControlSize-ChecksumSize]
 	want := binary.BigEndian.Uint16(b[ControlSize-ChecksumSize:])
-	if got := Fletcher16(body); got != want {
+	if got := fletcher16(body); got != want {
 		return ControlMessage{}, fmt.Errorf("%w: computed %#04x, frame carries %#04x", ErrChecksum, got, want)
 	}
 	c := ControlMessage{

@@ -108,7 +108,7 @@ func TestControlDecodeErrors(t *testing.T) {
 		bad := bytes.Clone(valid)
 		bad[7] = 0xEE
 		body := bad[:ControlSize-ChecksumSize]
-		sum := Fletcher16(body)
+		sum := fletcher16(body)
 		bad[ControlSize-2] = byte(sum >> 8)
 		bad[ControlSize-1] = byte(sum)
 		if _, err := DecodeControl(bad); !errors.Is(err, ErrBadOp) {

@@ -154,7 +154,7 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 		dst = append(dst, m.FusedCount)
 	}
 	dst = append(dst, m.Payload...)
-	sum := Fletcher16(dst[start:])
+	sum := fletcher16(dst[start:])
 	dst = binary.BigEndian.AppendUint16(dst, sum)
 	return dst, nil
 }
@@ -236,7 +236,7 @@ func decodeInto(b []byte, m *Message, borrow bool) (int, error) {
 	}
 	body := b[:total-ChecksumSize]
 	want := binary.BigEndian.Uint16(b[total-ChecksumSize:])
-	if got := Fletcher16(body); got != want {
+	if got := fletcher16(body); got != want {
 		return 0, fmt.Errorf("%w: computed %#04x, frame carries %#04x", ErrChecksum, got, want)
 	}
 	switch {

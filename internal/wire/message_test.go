@@ -121,7 +121,7 @@ func TestMessageReservedFlagRejected(t *testing.T) {
 	good[0] |= byte(flagReserved)
 	// Fix the checksum so only the reserved bit is at fault.
 	body := good[:len(good)-ChecksumSize]
-	binary.BigEndian.PutUint16(good[len(good)-ChecksumSize:], Fletcher16(body))
+	binary.BigEndian.PutUint16(good[len(good)-ChecksumSize:], fletcher16(body))
 	if _, _, err := DecodeMessage(good); !errors.Is(err, ErrReservedFlags) {
 		t.Fatalf("decode err = %v, want ErrReservedFlags", err)
 	}
@@ -377,8 +377,8 @@ func TestFletcher16KnownVectors(t *testing.T) {
 		{"abcdefgh", 0x0627},
 	}
 	for _, tt := range tests {
-		if got := Fletcher16([]byte(tt.in)); got != tt.want {
-			t.Errorf("Fletcher16(%q) = %#04x, want %#04x", tt.in, got, tt.want)
+		if got := fletcher16([]byte(tt.in)); got != tt.want {
+			t.Errorf("fletcher16(%q) = %#04x, want %#04x", tt.in, got, tt.want)
 		}
 	}
 }
@@ -399,7 +399,7 @@ func TestFletcher16LargeInputMatchesNaive(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.UintN(256))
 		}
-		if got, want := Fletcher16(data), naive(data); got != want {
+		if got, want := fletcher16(data), naive(data); got != want {
 			t.Errorf("n=%d: Fletcher16 = %#04x, naive = %#04x", n, got, want)
 		}
 	}

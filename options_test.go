@@ -28,7 +28,7 @@ var optionReasons = map[string]string{
 	"WithPolicy":             "§4.2 names the Resource Manager's mediation policies (TestWithPolicyMediatesConflictingRates)",
 	"WithCensusPolicy":       "§4.2: the Super Coordinator may change the Resource Manager's strategy (TestWithCensusPolicySwitchesMediation)",
 	"WithFloodingReplicator": "E6's location-neutral baseline",
-	"WithReorderWindow":      "bounded-latency ordering; the experiments set Filter.ReorderWindow directly",
+	"WithReorderWindow":      "bounded-latency ordering (TestWithReorderWindowOrdersJitteredDeliveries); the only non-test way into the reorder stage, whose fate is an open decision on the ROADMAP deletion ledger",
 	"WithShards":             "the data plane's single shard-count knob (ROADMAP item 3)",
 	"WithArchiveRetention":   "a growth bound: without it the archive tier grows without limit",
 }

@@ -285,8 +285,6 @@ type (
 	CoordinatorMode = coordinator.Mode
 	// Prediction is an anticipated consumer state change.
 	Prediction = coordinator.Prediction
-	// ConsumerState is one entry of the coordinator's global view.
-	ConsumerState = coordinator.ConsumerState
 )
 
 // Coordination modes.
