@@ -30,8 +30,7 @@ import (
 // non-test file sets, why it stays anyway. A reason may name only a
 // facade type, the verify skill or an open ROADMAP item that needs it.
 var fieldReasons = map[string]string{
-	"Filter.Clock": "bench/system.go's chain hands Config.Filter to filtering.New unfilled; core.New fills it from Config.Clock (ROADMAP item 2 deletes the chain)",
-	"Location":     "bench/system.go's chain passes Config.Location to location.New; its fields are test-set (ROADMAP item 2 deletes the chain)",
+	"Location": "bench/system.go's chain passes Config.Location to location.New; its fields are test-set (ROADMAP item 2 deletes the chain)",
 }
 
 // surfaceReasons names, for each exported function or method in

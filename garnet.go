@@ -92,7 +92,7 @@ func WithAsyncDispatch(queueCapacity int) Option {
 }
 
 // WithShards partitions the data-plane per-stream state — the Stream
-// Store's records, which hold each stream's duplicate/reorder window
+// Store's records, which hold each stream's duplicate window
 // beside its retained history, and the Dispatching Service's subscription
 // table — into n shards. Both key on the sensor component of the StreamID
 // through one partition function (wire.SensorID.Shard), so a message takes
@@ -106,12 +106,6 @@ func WithShards(n int) Option {
 		cfg.Store.Shards = n
 		cfg.Dispatch.Shards = n
 	}
-}
-
-// WithReorderWindow holds deliveries up to d and releases them in sequence
-// order (bounded-latency ordering on top of duplicate elimination).
-func WithReorderWindow(d time.Duration) Option {
-	return func(cfg *core.Config) { cfg.Filter.ReorderWindow = d }
 }
 
 // WithStoreRetention bounds the Stream Store's per-stream retained

@@ -23,9 +23,10 @@
 // whose per-stream record holds each stream's window beside its ring
 // (store.Store.Ingest): a reception is screened and retained under one
 // shard lock and dispatched after it drops. That merged domain is sharded
-// by Config.Store.Shards; Config.Filter supplies its reorder settings,
-// and Config.Filter.Shards is not read (Stats().Filter.Shards reports the
-// store's count).
+// by Config.Store.Shards; Config.Filter.Shards is not read
+// (Stats().Filter.Shards reports the store's count). Live delivery keeps
+// the arrival order of each message's first accepted copy; retained
+// history is in sequence order.
 package core
 
 import (
@@ -61,9 +62,9 @@ type Config struct {
 	// Radio configures medium impairments: loss, corruption, delay and
 	// the seed of their random stream.
 	Radio radio.Params
-	// Filter configures the duplicate screen's reorder stage
-	// (ReorderWindow, and Clock, which defaults to the deployment's). The
-	// screen runs in the Stream Store's shards: Filter.Shards is not read.
+	// Filter is not read: a deployment's duplicate screen runs in the
+	// Stream Store's shards, with the default window. bench/'s hand-wired
+	// chain hands it to filtering.New (ROADMAP item 2 deletes that chain).
 	Filter      filtering.Options
 	Dispatch    dispatch.Options
 	Orphanage   orphanage.Options
@@ -154,12 +155,6 @@ func New(cfg Config) *Deployment {
 	d.dispatcher = dispatch.New(cfg.Dispatch)
 	d.dispatcher.SetOrphanSink(d.orphan.Consume)
 
-	filterOpts := cfg.Filter
-	if filterOpts.ReorderWindow > 0 && filterOpts.Clock == nil {
-		filterOpts.Clock = cfg.Clock
-	}
-	d.st.ScreenWith(filterOpts, d.forward)
-
 	d.locSvc = location.New(cfg.Clock, cfg.Location)
 	d.registry = registry.New(cfg.Secret, cfg.Clock)
 	resOpts := cfg.Resource
@@ -198,19 +193,15 @@ func (d *Deployment) publish(del filtering.Delivery) {
 	d.dispatcher.Dispatch(del)
 }
 
-// ingest screens and retains one reception in the Stream Store and
-// forwards it if accepted. The store's shard lock is dropped before
-// forward runs, so a consumer may inject from inside Consume.
+// ingest screens and retains one reception in the Stream Store and, if
+// it is accepted, surfaces a sensor acknowledgement to the Actuation
+// Service and dispatches the delivery. The store's shard lock is dropped
+// first, so a consumer may inject from inside Consume.
 func (d *Deployment) ingest(rc receiver.Reception) {
-	if del, ok := d.st.Ingest(rc); ok {
-		d.forward(del)
+	del, ok := d.st.Ingest(rc)
+	if !ok {
+		return
 	}
-}
-
-// forward takes an accepted, retained reception on from the store — at
-// once from ingest, or when a reorder hold releases it: it surfaces sensor
-// acknowledgements to the Actuation Service and dispatches the delivery.
-func (d *Deployment) forward(del filtering.Delivery) {
 	if del.Msg.Flags.Has(wire.FlagUpdateAck) {
 		d.acts.HandleAck(del.Msg.AckID, del.At)
 	}
@@ -289,8 +280,8 @@ func (d *Deployment) Start() {
 }
 
 // Stop tears the deployment down: sensors first (no new uplink), then
-// receivers, the screen's reorder holds, the actuation service, the
-// dispatcher and the store. Idempotent.
+// receivers, the actuation service, the dispatcher and the store.
+// Idempotent.
 func (d *Deployment) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -312,7 +303,6 @@ func (d *Deployment) Stop() {
 	if locTicker != nil {
 		locTicker.Stop()
 	}
-	d.st.Flush()
 	d.acts.Stop()
 	d.dispatcher.Stop()
 	d.st.Close()

@@ -310,8 +310,8 @@ func TestArchivedLateJoinerStorm(t *testing.T) {
 	}
 }
 
-// TestChurnStorm: rounds of fresh sensor cohorts emit in-order runs, held
-// reorder gaps (some filled late, some left to the timer) and duplicates,
+// TestChurnStorm: rounds of fresh sensor cohorts emit in-order runs, gaps
+// (some filled late, some never) and duplicates,
 // are briefly subscribed, and are then forgotten by every plane. Churn
 // must leave no residue: no armed timers, no retained history in the
 // store, no held orphans, no live subscriptions. The store runs its whole
@@ -326,7 +326,6 @@ func TestChurnStorm(t *testing.T) {
 	d := New(Config{
 		Clock:     clock,
 		Secret:    []byte("churn"),
-		Filter:    filtering.Options{ReorderWindow: 50 * time.Millisecond},
 		Orphanage: orphanage.Options{PerStreamCapacity: 4},
 		Store: store.Options{
 			MaxMessages: 4, Codec: "auto", BlockSize: 2, ColdBudget: 1,
@@ -357,10 +356,10 @@ func TestChurnStorm(t *testing.T) {
 					Receiver: "rx-churn", RSSI: 0.5, At: clock.Now(),
 				})
 			}
-			// An in-order run, a gap that holds 4..5 in the reorder
-			// backlog, a late fill on two streams of three (the third
-			// leaves its gap to the timer), a duplicate, then a second
-			// burst that seals and spills a block mid-churn.
+			// An in-order run, a gap before 4..5, a late fill on two
+			// streams of three (the third leaves its gap open), a
+			// duplicate, then a second burst that seals and spills a
+			// block mid-churn.
 			for _, seq := range []wire.Seq{1, 2, 4, 5} {
 				inject(seq)
 			}
@@ -371,8 +370,6 @@ func TestChurnStorm(t *testing.T) {
 				inject(seq)
 			}
 		}
-		// Let the reorder timers of the unfilled gaps fire.
-		clock.Advance(100 * time.Millisecond)
 		for _, sub := range subs {
 			d.Dispatcher().Unsubscribe(sub)
 		}
@@ -387,10 +384,9 @@ func TestChurnStorm(t *testing.T) {
 		t.Fatalf("churn never reached the archive tier: %+v", st)
 	}
 
-	// Tear down: drain the reorder backlogs, sweep the orphanage (which
-	// forgets its streams in the store), then forget every stream in the
-	// store — hot window, sealed blocks and archive alike.
-	d.Store().Flush()
+	// Tear down: sweep the orphanage (which forgets its streams in the
+	// store), then forget every stream in the store — hot window, sealed
+	// blocks and archive alike.
 	d.Orphanage().EvictBefore(clock.Now().Add(time.Hour))
 	for _, id := range ids {
 		d.Store().Forget(id)

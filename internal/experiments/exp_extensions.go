@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/core"
@@ -17,7 +18,9 @@ import (
 // runX1 exercises the §8 future-work extension implemented in this
 // repository: multi-hop relaying. Sensors sit in a line, with only the
 // first segment inside the receiver's zone; each added relay extends how
-// deep into the field the middleware can hear.
+// deep into the field the middleware can hear. It fails unless reachable
+// sensors and the deepest hop count seen both rise from the fewest relays
+// to the most.
 func runX1(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "X1",
@@ -38,7 +41,8 @@ func runX1(cfg Config) (*Table, error) {
 		seconds   = 10
 		zoneRange = 150.0
 	)
-	for _, relayCount := range relays {
+	var firstReach, firstHops int
+	for i, relayCount := range relays {
 		clock := sim.NewVirtualClock(epoch)
 		d := core.New(core.Config{Clock: clock, Secret: []byte("x1")})
 		d.AddReceiver(receiver.Config{Name: "rx", Position: geo.Pt(0, 0), Radius: zoneRange})
@@ -97,6 +101,12 @@ func runX1(cfg Config) (*Table, error) {
 			relayTx += n.Stats().FramesRelayed
 		}
 		t.addRow(relayCount, len(reachable), rate, maxHops, relayTx)
+		if i == 0 {
+			firstReach, firstHops = len(reachable), maxHops
+		} else if i == len(relays)-1 && (len(reachable) <= firstReach || maxHops <= firstHops) {
+			return t, fmt.Errorf("X1: %d relays reach %d sensors at %d hops, %d relays %d at %d",
+				relayCount, len(reachable), maxHops, relays[0], firstReach, firstHops)
+		}
 	}
 	t.Notes = append(t.Notes,
 		"4 source sensors at 100/240/380/520 m; the receiver zone ends at 150 m, so depth beyond the first sensor needs relays",

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/receiver"
-	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -117,32 +116,5 @@ func TestIngestZeroAlloc(t *testing.T) {
 	}
 	if st := f.Stats(); st.Duplicates < 1000 || st.Delivered < 1000 || st.Stale != 0 {
 		t.Fatalf("pin did not exercise both verdicts: %+v", st)
-	}
-}
-
-// TestShardedReorderMatchesSingleTable runs the same property with the
-// reorder stage enabled on a virtual clock: bounded-hold release order per
-// stream must be identical regardless of sharding.
-func TestShardedReorderMatchesSingleTable(t *testing.T) {
-	plan := receptionPlan(42, 6, 800)
-	run := func(shards int) map[wire.StreamID][]wire.Seq {
-		clock := sim.NewVirtualClock(epoch)
-		var out []Delivery
-		f := New(func(d Delivery) { out = append(out, d) }, Options{
-			windowSize: 64, Shards: shards,
-			ReorderWindow: 10 * time.Millisecond, Clock: clock,
-		})
-		for _, rc := range plan {
-			clock.RunUntil(rc.At)
-			f.Ingest(rc)
-		}
-		clock.Advance(time.Second)
-		f.Flush()
-		return perStream(out)
-	}
-	ref := run(1)
-	got := run(8)
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("sharded reorder release order diverges from single-table")
 	}
 }

@@ -5,20 +5,26 @@
 //
 // Duplicates arise by construction from overlapping receiver zones; the
 // filter removes them with per-stream sequence windows using RFC 1982
-// serial arithmetic, so streams survive 16-bit sequence wrap-around. An
-// optional reorder stage releases messages in sequence order after a
-// bounded hold, using the message “sequence or timing information … to
-// allow messages to be correctly ordered” (§4.3).
+// serial arithmetic, so streams survive 16-bit sequence wrap-around.
+//
+// # Ordering
+//
+// The screen removes copies; it never holds a message back. Live delivery
+// follows the arrival order of each message's first accepted copy, so a
+// late fill of a gap is delivered after the sequences that overtook it.
+// A consumer that needs the message “sequence or timing information … to
+// allow messages to be correctly ordered” (§4.3) reads history instead:
+// Replay and Range, and the catch-up of SubscribeWithReplay, return a
+// stream in StoreSeq order, which is sequence order.
 //
 // # Where the screen lives
 //
 // The screen is written once and kept by whichever layer owns a stream's
 // record. Each stream has a Window (the in-order regime, four bytes) and a
-// *Rest (the bitmap and the reorder hold, nil until the stream first leaves
-// the in-order regime or holds a message); each shard of streams has a
-// Screen (window size, reorder settings, counters, release sink). The
-// record's owner keeps the first two in its record and the third in its
-// shard, and calls the Screen's methods under its own shard lock.
+// *Rest (the bitmap, nil until the stream first leaves the in-order
+// regime); each shard of streams has a Screen (window size and counters).
+// The record's owner keeps the first two in its record and the third in
+// its shard, and calls the Screen's methods under its own shard lock.
 //
 // In a deployment that owner is the Stream Store: its per-stream record
 // holds the window beside the retention ring, so a reception is screened
@@ -31,15 +37,14 @@
 // # Sharding
 //
 // Every reception is screened before it can reach the Dispatching
-// Service, so the per-stream duplicate/reorder state is partitioned into
-// shards keyed by the sensor component of the StreamID — the key the
-// Stream Store and the dispatcher shard on — with shard-local locks,
-// counters and reorder timers, so receptions on streams of different
-// sensors never contend. In a deployment a stream takes one lock to be
-// screened and retained and one to be dispatched. The hot path is
-// allocation-free at steady state: the window sits in place in its
-// owner's record, counters are plain ints under the shard lock, and
-// reorder scratch storage is pooled.
+// Service, so the per-stream duplicate state is partitioned into shards
+// keyed by the sensor component of the StreamID — the key the Stream
+// Store and the dispatcher shard on — with shard-local locks and
+// counters, so receptions on streams of different sensors never contend.
+// In a deployment a stream takes one lock to be screened and retained and
+// one to be dispatched. The hot path is allocation-free at steady state:
+// the window sits in place in its owner's record and counters are plain
+// ints under the shard lock.
 //
 // Receivers may hand the screen receptions whose payload aliases a leased
 // frame buffer (Reception.Borrowed); the screen detaches (copies) the
@@ -50,11 +55,9 @@ package filtering
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/receiver"
-	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -88,7 +91,7 @@ const DefaultWindowSize = 1024
 const DefaultShards = 16
 
 // Options configures a Filter or a Screen. The zero value uses
-// DefaultWindowSize, DefaultShards and no reordering.
+// DefaultWindowSize and DefaultShards.
 type Options struct {
 	// windowSize is the per-stream duplicate window in sequence numbers;
 	// it is rounded up to a power of two (minimum 64, maximum 65536, the
@@ -100,11 +103,6 @@ type Options struct {
 	// selects DefaultShards. A Screen ignores it: it serves its owner's
 	// shards.
 	Shards int
-	// ReorderWindow, when positive, holds each message for at most this
-	// long and releases messages in sequence order. Clock must be set.
-	ReorderWindow time.Duration
-	// Clock drives reorder timers; required iff ReorderWindow > 0.
-	Clock sim.Clock
 }
 
 // Stats is an aggregate snapshot of filter activity.
@@ -144,8 +142,8 @@ type Window struct {
 	span uint16
 }
 
-// Rest is the part of a stream's screen an in-order stream without
-// reordering never allocates.
+// Rest is the part of a stream's screen an in-order stream never
+// allocates.
 type Rest struct {
 	// window is a circular seen-bitmap over the last len(window)*64
 	// sequence numbers: the bit for sequence s lives at position
@@ -158,34 +156,18 @@ type Rest struct {
 	// materialises the bitmap the eager code would have had (exactly the
 	// span range set) and the stream runs the bitmap path from then on.
 	window []uint64
-
-	// ro is the reorder stage's state, allocated on the stream's first
-	// hold: nil without ReorderWindow, and nil again once a flush drains
-	// it.
-	ro *reorder
 }
 
-// Screen is one shard's share of the screen: the settings every stream in
-// the shard is screened with, the counters, and where the deliveries a
-// reorder hold releases go. Its owner keeps it beside its stream records
-// and calls every method ending in Locked under the lock passed to Init.
-// A Screen must not move after Init: reorder state points at it.
+// Screen is one shard's share of the screen: the window size every stream
+// in the shard is screened with, and the counters. Its owner keeps it
+// beside its stream records and calls every method ending in Locked under
+// its shard lock.
 type Screen struct {
 	size    int // window size in sequence numbers, a power of two
 	maxSpan int // Window.span's clamp: min(size, 65535)
-	hold    time.Duration
-	clock   sim.Clock
 
-	// mu is the owner's shard lock, which reorder timers take. settle,
-	// when set, runs under mu on each delivery a hold releases, in
-	// sequence order (the Stream Store appends it there); sink then
-	// receives it after mu is dropped.
-	mu     *sync.Mutex
-	settle func(*Delivery)
-	sink   func(Delivery)
-
-	// Counters are plain ints mutated only under mu — cheaper than
-	// atomics on every ingest.
+	// Counters are plain ints mutated only under the owner's lock —
+	// cheaper than atomics on every ingest.
 	received   int64
 	delivered  int64
 	duplicates int64
@@ -195,27 +177,13 @@ type Screen struct {
 	streams    int // windows started
 }
 
-// Init readies sc with opts' window and reorder settings (Shards is not
-// read). mu is the lock its owner holds around every Locked call; settle
-// (may be nil) and sink receive what a reorder hold releases, as described
-// on Screen. Init panics when ReorderWindow is set without a Clock or a
-// sink (programming errors).
-func (sc *Screen) Init(opts Options, mu *sync.Mutex, settle func(*Delivery), sink func(Delivery)) {
+// Init readies sc with opts' window size (Shards is not read).
+func (sc *Screen) Init(opts Options) {
 	if opts.windowSize <= 0 {
 		opts.windowSize = DefaultWindowSize
 	}
 	size := ceilPow2(opts.windowSize)
-	if opts.ReorderWindow > 0 && opts.Clock == nil {
-		panic("filtering: ReorderWindow requires a Clock")
-	}
-	if opts.ReorderWindow > 0 && sink == nil {
-		panic("filtering: ReorderWindow requires a sink")
-	}
-	*sc = Screen{
-		size: size, maxSpan: min(size, math.MaxUint16),
-		hold: opts.ReorderWindow, clock: opts.Clock,
-		mu: mu, settle: settle, sink: sink,
-	}
+	*sc = Screen{size: size, maxSpan: min(size, math.MaxUint16)}
 }
 
 // AddStatsLocked adds the shard's counters and screened streams to st.
@@ -229,35 +197,10 @@ func (sc *Screen) AddStatsLocked(st *Stats) {
 	st.ActiveStreams += sc.streams
 }
 
-type pendingEntry struct {
-	d       Delivery
-	release time.Time
-}
-
-// reorder is one stream's reorder-stage state (ReorderWindow > 0):
-// pending entries sorted ascending by sequence, released front-first once
-// held long enough. The backing array is retained across pops, so a
-// warmed-up stream reorders without allocating (a flush releases it).
-// releasing serialises timer fires per stream: a second fire while one is
-// mid-sink would otherwise deliver later sequences before earlier ones on
-// a real clock (AfterFunc callbacks run on independent goroutines).
-//
-// The release timer reaches the state through this object and its
-// shard's Screen, never through the stream's record. Detached by a flush,
-// the object has nothing pending, and a fire already under way does
-// nothing.
-type reorder struct {
-	sc        *Screen
-	pending   []pendingEntry
-	timer     sim.Timer
-	releasing bool
-}
-
-// IngestLocked runs the per-message screen — dup window, payload detach,
-// reorder hold — for one reception on the stream whose window and rest
-// are w and *rest. It returns the accepted Delivery and true when the
-// message must be forwarded now; rejected and reorder-held messages return
-// false.
+// IngestLocked runs the per-message screen — dup window, payload detach —
+// for one reception on the stream whose window and rest are w and *rest.
+// It returns the accepted Delivery and true when the message is new;
+// duplicate and stale copies return false.
 func (sc *Screen) IngestLocked(w *Window, rest **Rest, rc *receiver.Reception) (Delivery, bool) {
 	sc.received++
 	if !sc.accept(w, rest, rc.Msg.Seq) {
@@ -269,13 +212,8 @@ func (sc *Screen) IngestLocked(w *Window, rest **Rest, rc *receiver.Reception) (
 		copy(owned, msg.Payload)
 		msg.Payload = owned
 	}
-	d := Delivery{Msg: msg, At: rc.At, Receiver: rc.Receiver, RSSI: rc.RSSI}
-	if sc.hold > 0 {
-		sc.holdLocked(rest, d, rc.At.Add(sc.hold))
-		return Delivery{}, false
-	}
 	sc.delivered++
-	return d, true
+	return Delivery{Msg: msg, At: rc.At, Receiver: rc.Receiver, RSSI: rc.RSSI}, true
 }
 
 // bitPos locates seq's bit in the circular bitmap.
@@ -327,22 +265,14 @@ func (rs *Rest) setRange(from wire.Seq, count int) {
 	}
 }
 
-// ownRest gives the stream its rest, allocating it on first use.
-func ownRest(rest **Rest) *Rest {
-	if *rest == nil {
-		*rest = new(Rest)
-	}
-	return *rest
-}
-
 // materialize allocates the bitmap for a stream leaving the contiguous
 // regime, reproducing exactly the bits the eager code would have set: the
 // last span in-order sequences ending at base. A span clamped at 65535 in
 // a 65536 window leaves unset only the position of base+1, which the next
 // advance sets or clears before any backward probe can reach it.
 func (sc *Screen) materialize(w *Window, rest **Rest) *Rest {
-	rs := ownRest(rest)
-	rs.window = make([]uint64, sc.size/64)
+	rs := &Rest{window: make([]uint64, sc.size/64)}
+	*rest = rs
 	rs.setRange(w.base-wire.Seq(w.span)+1, int(w.span))
 	return rs
 }
@@ -401,7 +331,7 @@ func (sc *Screen) acceptLazy(w *Window, seq wire.Seq) (handled, ok bool) {
 // accept runs the duplicate window; it reports whether seq is new.
 func (sc *Screen) accept(w *Window, rest **Rest, seq wire.Seq) bool {
 	rs := *rest
-	if rs == nil || rs.window == nil {
+	if rs == nil {
 		handled, ok := sc.acceptLazy(w, seq)
 		if handled {
 			return ok
@@ -456,150 +386,4 @@ func (sc *Screen) accept(w *Window, rest **Rest, seq wire.Seq) bool {
 		sc.recovered++
 		return true
 	}
-}
-
-// holdLocked inserts d into the stream's pending list sorted by
-// sequence and (re)arms the release timer, allocating the stream's
-// reorder state on its first hold.
-func (sc *Screen) holdLocked(rest **Rest, d Delivery, release time.Time) {
-	rs := ownRest(rest)
-	if rs.ro == nil {
-		rs.ro = &reorder{sc: sc}
-	}
-	ro := rs.ro
-	// Insert sorted by serial sequence order.
-	at := len(ro.pending)
-	for i, p := range ro.pending {
-		if d.Msg.Seq.Less(p.d.Msg.Seq) {
-			at = i
-			break
-		}
-	}
-	ro.pending = append(ro.pending, pendingEntry{})
-	copy(ro.pending[at+1:], ro.pending[at:])
-	ro.pending[at] = pendingEntry{d: d, release: release}
-	ro.armTimerLocked()
-}
-
-// armTimerLocked arms the release timer for the front entry, if any.
-// Caller holds ro.sc.mu.
-func (ro *reorder) armTimerLocked() {
-	if len(ro.pending) == 0 {
-		return
-	}
-	if ro.timer != nil {
-		ro.timer.Stop()
-	}
-	clock := ro.sc.clock
-	delay := ro.pending[0].release.Sub(clock.Now())
-	ro.timer = clock.AfterFunc(delay, ro.release)
-}
-
-// popExpiredLocked moves every front entry whose hold has expired into
-// *out, settled, keeping the pending backing array for reuse. Caller holds
-// ro.sc.mu.
-func (ro *reorder) popExpiredLocked(now time.Time, out *[]Delivery) {
-	n := 0
-	for n < len(ro.pending) && !ro.pending[n].release.After(now) {
-		*out = append(*out, ro.sc.settledLocked(ro.pending[n].d))
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	kept := copy(ro.pending, ro.pending[n:])
-	clear(ro.pending[kept:]) // do not pin payloads in the spare capacity
-	ro.pending = ro.pending[:kept]
-}
-
-// settledLocked counts d as delivered and runs the owner's settle on it.
-func (sc *Screen) settledLocked(d Delivery) Delivery {
-	sc.delivered++
-	if sc.settle != nil {
-		sc.settle(&d)
-	}
-	return d
-}
-
-// release forwards every front entry whose hold has expired, preserving
-// sequence order (a not-yet-expired front entry blocks later ones; its
-// expiry bounds the extra wait). It runs on the clock's timer goroutine
-// and takes only its own shard's lock. The timer is re-armed only after
-// the sink calls finish, and overlapping fires bail out, so two timer
-// goroutines can never sink one stream's messages out of order. A fire on
-// state a flush took the entries from finds nothing expired and arms
-// nothing.
-func (ro *reorder) release() {
-	sc := ro.sc
-	out := getDeliverySlice()
-	sc.mu.Lock()
-	if ro.releasing {
-		// Another fire is mid-sink; it re-checks and re-arms on exit.
-		sc.mu.Unlock()
-		putDeliverySlice(out)
-		return
-	}
-	ro.releasing = true
-	ro.popExpiredLocked(sc.clock.Now(), out)
-	ro.timer = nil
-	sc.mu.Unlock()
-	for _, d := range *out {
-		sc.sink(d)
-	}
-	sc.mu.Lock()
-	ro.releasing = false
-	ro.armTimerLocked()
-	sc.mu.Unlock()
-	putDeliverySlice(out)
-}
-
-// takeHeldLocked stops the stream's release timer and hands back its held
-// entries. The reorder state goes with them unless a fire is mid-sink:
-// that one keeps it, finds pending empty on exit and re-arms nothing. A
-// rest left with neither a bitmap nor reorder state goes too.
-func takeHeldLocked(rest **Rest) []pendingEntry {
-	rs := *rest
-	if rs == nil || rs.ro == nil {
-		return nil
-	}
-	ro := rs.ro
-	if ro.timer != nil {
-		ro.timer.Stop()
-	}
-	held := ro.pending
-	ro.pending, ro.timer = nil, nil
-	if !ro.releasing {
-		rs.ro = nil
-		if rs.window == nil {
-			*rest = nil
-		}
-	}
-	return held
-}
-
-// FlushLocked releases every entry the stream holds at once, in sequence
-// order: each is counted, settled and appended to *out for the owner to
-// hand to the sink once it drops the lock. The stream's reorder state is
-// freed, so mass-idle fields do not pin reorder memory.
-func (sc *Screen) FlushLocked(rest **Rest, out *[]Delivery) {
-	for _, p := range takeHeldLocked(rest) {
-		*out = append(*out, sc.settledLocked(p.d))
-	}
-}
-
-// deliverySlices pools the scratch slices release hands expired
-// deliveries through, so steady-state reordering allocates nothing per
-// timer fire.
-var deliverySlices = sync.Pool{
-	New: func() any { return new([]Delivery) },
-}
-
-func getDeliverySlice() *[]Delivery { return deliverySlices.Get().(*[]Delivery) }
-
-func putDeliverySlice(p *[]Delivery) {
-	// Zero the entries so pooled storage does not pin payloads or
-	// receiver strings until the slice is next used.
-	clear(*p)
-	*p = (*p)[:0]
-	deliverySlices.Put(p)
 }

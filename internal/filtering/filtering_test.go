@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/receiver"
-	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -223,117 +222,6 @@ func TestFilterAccountingInvariant(t *testing.T) {
 	}
 }
 
-func TestReorderReleasesInSequenceOrder(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	var out []Delivery
-	f := New(func(d Delivery) { out = append(out, d) },
-		Options{ReorderWindow: 100 * time.Millisecond, Clock: clock})
-	id := wire.MustStreamID(1, 0)
-
-	at := func(seq wire.Seq, d time.Duration) receiver.Reception {
-		rc := rcpt(id, seq)
-		rc.At = clock.Now().Add(d)
-		return rc
-	}
-	// Arrive out of order: 2, 0, 1.
-	f.Ingest(at(2, 0))
-	f.Ingest(at(0, 0))
-	f.Ingest(at(1, 0))
-	if len(out) != 0 {
-		t.Fatalf("released before hold expired: %d", len(out))
-	}
-	clock.Advance(150 * time.Millisecond)
-	if len(out) != 3 {
-		t.Fatalf("released %d, want 3", len(out))
-	}
-	for i, d := range out {
-		if d.Msg.Seq != wire.Seq(i) {
-			t.Fatalf("release order %v at %d, want ascending", d.Msg.Seq, i)
-		}
-	}
-}
-
-func TestReorderBoundsHoldTime(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	var out []Delivery
-	f := New(func(d Delivery) { out = append(out, d) },
-		Options{ReorderWindow: 100 * time.Millisecond, Clock: clock})
-	id := wire.MustStreamID(1, 0)
-	// A gap that never fills must not block later messages forever.
-	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: 0}, At: clock.Now()})
-	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: 5}, At: clock.Now()})
-	clock.Advance(200 * time.Millisecond)
-	if len(out) != 2 {
-		t.Fatalf("released %d, want 2 (gap must not block)", len(out))
-	}
-}
-
-func TestReorderStaggeredArrivals(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	var out []Delivery
-	f := New(func(d Delivery) { out = append(out, d) },
-		Options{ReorderWindow: 50 * time.Millisecond, Clock: clock})
-	id := wire.MustStreamID(1, 0)
-
-	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: 1}, At: clock.Now()})
-	clock.Advance(20 * time.Millisecond)
-	// Seq 0 arrives later but must still release first.
-	f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: 0}, At: clock.Now()})
-	clock.Advance(100 * time.Millisecond)
-
-	if len(out) != 2 || out[0].Msg.Seq != 0 || out[1].Msg.Seq != 1 {
-		var seqs []wire.Seq
-		for _, d := range out {
-			seqs = append(seqs, d.Msg.Seq)
-		}
-		t.Fatalf("release order %v, want [0 1]", seqs)
-	}
-}
-
-func TestFlushReleasesPending(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	var out []Delivery
-	f := New(func(d Delivery) { out = append(out, d) },
-		Options{ReorderWindow: time.Hour, Clock: clock})
-	id := wire.MustStreamID(1, 0)
-	f.Ingest(rcpt(id, 1))
-	f.Ingest(rcpt(id, 0))
-	f.Flush()
-	if len(out) != 2 || out[0].Msg.Seq != 0 {
-		t.Fatalf("Flush released %d in wrong order", len(out))
-	}
-	if f.Stats().Delivered != 2 {
-		t.Fatal("Flush not counted as delivered")
-	}
-}
-
-// A stream pays for reorder state only while it holds something: none
-// before its first hold, none after Flush drains it — and an in-order
-// stream then no rest at all.
-func TestReorderStateLivesOnlyWhileHolding(t *testing.T) {
-	clock := sim.NewVirtualClock(epoch)
-	f, _ := collectFilter(Options{ReorderWindow: time.Hour, Clock: clock})
-	id := wire.MustStreamID(1, 0)
-	reorderState := func() *Rest {
-		sh := f.shardFor(id)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.tab.Get(id).rest
-	}
-	f.Ingest(rcpt(id, 0))
-	if rs := reorderState(); rs == nil || rs.ro == nil {
-		t.Fatal("a held message has no reorder state")
-	}
-	f.Flush()
-	if ro := reorderState(); ro != nil {
-		t.Fatalf("Flush left reorder state behind: %+v", ro)
-	}
-	f.Ingest(rcpt(id, 0)) // a duplicate: nothing to hold
-	if ro := reorderState(); ro != nil {
-		t.Fatalf("a rejected copy allocated reorder state: %+v", ro)
-	}
-}
-
 func TestStatsCountStreams(t *testing.T) {
 	f, _ := collectFilter(Options{})
 	id := wire.MustStreamID(4, 4)
@@ -357,21 +245,12 @@ func TestFilterValidation(t *testing.T) {
 		}()
 		New(nil, Options{})
 	})
-	t.Run("reorder without clock", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Error("want panic")
-			}
-		}()
-		New(func(Delivery) {}, Options{ReorderWindow: time.Second})
-	})
 }
 
 // TestBorrowedPayloadDetachedOnAccept: a Borrowed reception's payload
 // aliases a frame buffer the receiver recycles after Ingest returns. The
 // filter must copy the payload of accepted messages before handing them
-// on — immediately or into the reorder buffer — so later reuse of the
-// frame buffer cannot corrupt delivered data.
+// on, so later reuse of the frame buffer cannot corrupt delivered data.
 func TestBorrowedPayloadDetachedOnAccept(t *testing.T) {
 	frame := []byte("payload-one")
 	mk := func(seq wire.Seq) receiver.Reception {
@@ -387,20 +266,6 @@ func TestBorrowedPayloadDetachedOnAccept(t *testing.T) {
 		copy(frame, "SCRIBBLED!!") // receiver reuses the buffer
 		if got := string((*out)[0].Msg.Payload); got != "payload-one" {
 			t.Fatalf("delivered payload = %q, want the detached copy", got)
-		}
-		copy(frame, "payload-one")
-	})
-
-	t.Run("reorder-pending", func(t *testing.T) {
-		clock := sim.NewVirtualClock(epoch)
-		var out []Delivery
-		f := New(func(d Delivery) { out = append(out, d) },
-			Options{ReorderWindow: time.Hour, Clock: clock})
-		f.Ingest(mk(0))
-		copy(frame, "SCRIBBLED!!") // buffer reused while the message is held
-		f.Flush()
-		if len(out) != 1 || string(out[0].Msg.Payload) != "payload-one" {
-			t.Fatalf("flushed payload = %q, want the detached copy", out[0].Msg.Payload)
 		}
 		copy(frame, "payload-one")
 	})

@@ -4,9 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"github.com/garnet-middleware/garnet/internal/sim"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -70,84 +68,52 @@ func TestDefaultShardCount(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestFlushStats is the -race stress test, mirroring
+// TestConcurrentIngestStats is the -race stress test, mirroring
 // dispatch's TestConcurrentSubscribeUnsubscribePublish: ingesters hammer
 // streams across every shard — two goroutines per sensor replaying the
 // same sequences, so the duplicate path is exercised concurrently — while
-// other goroutines call Flush and Stats against the same filter, with reordering enabled on a concurrently advanced virtual
-// clock. Invariants: no data race, the sink only ever sees unique
-// messages per stream, and after quiescing the counter identity
-// received == delivered + duplicates + stale holds.
-func TestConcurrentIngestFlushStats(t *testing.T) {
+// another goroutine reads Stats against the same filter. Invariants: no
+// data race, the sink only ever sees unique messages per stream, and
+// after quiescing the counter identity received == delivered + duplicates
+// + stale holds.
+func TestConcurrentIngestStats(t *testing.T) {
 	const (
 		sensors = 32
 		msgsPer = 400
 	)
-	clock := sim.NewVirtualClock(epoch)
 	var sunk atomic.Int64
-	f := New(func(Delivery) { sunk.Add(1) },
-		Options{Shards: 8, ReorderWindow: time.Millisecond, Clock: clock})
+	f := New(func(Delivery) { sunk.Add(1) }, Options{Shards: 8})
 
-	var wg sync.WaitGroup
+	var ingesters, reader sync.WaitGroup
 	stop := make(chan struct{})
 	// Two ingesters per sensor replay the same sequence range: overlap
 	// duplication by construction.
 	for g := 0; g < 2*sensors; g++ {
-		wg.Add(1)
+		ingesters.Add(1)
 		go func(g int) {
-			defer wg.Done()
+			defer ingesters.Done()
 			id := wire.MustStreamID(wire.SensorID(g%sensors+1), 0)
 			for i := 0; i < msgsPer; i++ {
-				rc := rcpt(id, wire.Seq(i))
-				rc.At = clock.Now()
-				f.Ingest(rc)
+				f.Ingest(rcpt(id, wire.Seq(i)))
 			}
 		}(g)
 	}
-	// Concurrent control plane: time advancing, flushing, reading.
-	wg.Add(1)
+	reader.Add(1)
 	go func() {
-		defer wg.Done()
+		defer reader.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				clock.Advance(time.Millisecond)
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				if i%3 == 0 {
-					f.Flush()
-				}
 				_ = f.Stats()
 			}
 		}
 	}()
-
-	// Drive until every unique message has been released.
-	deadline := time.After(30 * time.Second)
-	for sunk.Load() < sensors*msgsPer {
-		select {
-		case <-deadline:
-			t.Fatalf("timed out: sunk %d of %d", sunk.Load(), sensors*msgsPer)
-		default:
-		}
-		f.Flush()
-		clock.Advance(time.Millisecond)
-	}
+	ingesters.Wait()
 	close(stop)
-	wg.Wait()
+	reader.Wait()
 
-	f.Flush()
 	st := f.Stats()
 	if st.Received != 2*sensors*msgsPer {
 		t.Fatalf("Received = %d, want %d", st.Received, 2*sensors*msgsPer)

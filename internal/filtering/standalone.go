@@ -22,7 +22,6 @@ type Filter struct {
 // key is the sensor component of the StreamID — the same key the Stream
 // Store and the Dispatching Service shard on — so every stream of a sensor
 // lands in one shard and an Ingest call takes exactly one shard mutex.
-// Reorder timers re-acquire only their own shard's mutex when they fire.
 type shard struct {
 	mu sync.Mutex
 	// tab holds every stream's screen state in place, guarded by mu.
@@ -40,8 +39,7 @@ type streamFilter struct {
 }
 
 // New creates a Filter forwarding unique messages to sink. New panics on a
-// nil sink, or when ReorderWindow is set without a Clock (programming
-// errors).
+// nil sink (a programming error).
 func New(sink func(Delivery), opts Options) *Filter {
 	if sink == nil {
 		panic("filtering: nil sink")
@@ -52,7 +50,7 @@ func New(sink func(Delivery), opts Options) *Filter {
 	f := &Filter{sink: sink, shards: make([]*shard, opts.Shards)}
 	for i := range f.shards {
 		sh := new(shard)
-		sh.screen.Init(opts, &sh.mu, nil, sink)
+		sh.screen.Init(opts)
 		f.shards[i] = sh
 	}
 	return f
@@ -64,10 +62,9 @@ func (f *Filter) shardFor(id wire.StreamID) *shard {
 	return f.shards[id.Sensor().Shard(len(f.shards))]
 }
 
-// Ingest screens one reception. Unique messages reach the sink — either
-// immediately (no reordering) or in sequence order after a bounded hold.
-// Receptions marked Borrowed have their payload detached (copied) iff
-// accepted; rejected copies never touch the payload.
+// Ingest screens one reception. Unique messages reach the sink at once,
+// in arrival order. Receptions marked Borrowed have their payload
+// detached (copied) iff accepted; rejected copies never touch the payload.
 func (f *Filter) Ingest(rc receiver.Reception) {
 	sh := f.shardFor(rc.Msg.Stream)
 	sh.mu.Lock()
@@ -82,23 +79,10 @@ func (f *Filter) Ingest(rc receiver.Reception) {
 	}
 }
 
-// Flush immediately releases all held messages (in per-stream sequence
-// order) and frees the per-stream reorder state — a drained stream keeps
-// only its duplicate-window state. Call when shutting down with
-// reordering enabled.
-func (f *Filter) Flush() {
-	var out []Delivery
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for _, sf := range sh.tab.All() {
-			sh.screen.FlushLocked(&sf.rest, &out)
-		}
-		sh.mu.Unlock()
-	}
-	for _, d := range out {
-		f.sink(d)
-	}
-}
+// Flush does nothing: the screen holds nothing back, so a stopping
+// caller has nothing to release. It stays because bench/'s hand-wired
+// chain calls it as it stops (ROADMAP item 2 deletes that chain).
+func (f *Filter) Flush() {}
 
 // Stats returns an aggregate snapshot summed across shards.
 func (f *Filter) Stats() Stats {

@@ -224,6 +224,44 @@ func TestArchiveRecoveryRestart(t *testing.T) {
 	checkArchiveIdentity(t, s2, "after resume")
 }
 
+// TestOpeningFillAboveRecoveredHistory: on a stream recovered from the
+// archive, a late fill that opens the live window is kept only above the
+// archived history; one at or below the archive's end is dropped, so the
+// tiers still stitch in ascending order with no address twice.
+func TestOpeningFillAboveRecoveredHistory(t *testing.T) {
+	backend := archive.NewMem()
+	id := wire.MustStreamID(78, 0)
+	opts := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: backend, archiveSync: true}
+	s1 := New(opts)
+	for seq := 0; seq < 100; seq++ {
+		s1.Append(del(id, wire.Seq(seq), epoch, nil))
+	}
+	s1.Close()
+	s2 := New(opts)
+	defer s2.Close()
+	end, ok := s2.LastSeq(id)
+	if !ok {
+		t.Fatal("nothing recovered")
+	}
+	base := wire.Seq(end - extBase)
+	s2.Append(del(id, base+2, epoch, nil)) // opens the live window
+	s2.Append(del(id, base+1, epoch, nil)) // fills the gap above the archive
+	s2.Append(del(id, base, epoch, nil))   // the archive's last address
+	if got := s2.Stats().DroppedBehind; got != 1 {
+		t.Fatalf("DroppedBehind = %d, want 1", got)
+	}
+	all := s2.Range(id, 0, ^uint64(0))
+	for i := 1; i < len(all); i++ {
+		if all[i].StoreSeq != all[i-1].StoreSeq+1 {
+			t.Fatalf("history out of order at %d: %d after %d", i, all[i].StoreSeq, all[i-1].StoreSeq)
+		}
+	}
+	if last := all[len(all)-1].StoreSeq; last != end+2 {
+		t.Fatalf("history ends at %d, want %d", last, end+2)
+	}
+	checkArchiveIdentity(t, s2, "after the fills")
+}
+
 // TestArchiveFSRestart runs the restart contract over the filesystem
 // backend: same directory, two opens, identical served ranges.
 func TestArchiveFSRestart(t *testing.T) {

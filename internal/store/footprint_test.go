@@ -43,7 +43,7 @@ func sizeClass(n uintptr) uintptr {
 // its allocator size class; the slot array is an allocation of its own and
 // costs its class. The budget is 176: a 112-byte record and a 64-byte
 // slot. The record's screen is the four-byte window, in the hole beside
-// count, and the pointer to its bitmap and reorder hold (8 bytes more than
+// count, and the pointer to its bitmap (8 bytes more than
 // the ring header alone, where a window of its own in a filter table cost
 // 16 bytes and an index entry). The record holds the stream's append
 // history (a count and two instants, 32 bytes) that Discover reads, which

@@ -49,6 +49,7 @@ type refStream struct {
 	maxExt   uint64
 	lastExt  uint64
 	lastWire wire.Seq
+	appends  int // every append, kept or dropped
 }
 
 func newRefStore(opts Options) *refStore {
@@ -91,8 +92,18 @@ func (rs *refStore) append(d filtering.Delivery) uint64 {
 	if ext > r.lastExt {
 		r.lastExt, r.lastWire = ext, d.Msg.Seq
 	}
+	r.appends++
 	if len(r.entries) > 0 && ext < r.minExt {
-		return ext // dropped behind the window
+		// Behind the window: kept only as a fill that opens the stream,
+		// with every earlier append still live and the span able to grow
+		// to cover it.
+		if len(r.entries) != r.appends-1 || r.maxExt-ext >= uint64(rs.ringMax) {
+			return ext // dropped behind the window
+		}
+		for r.maxExt-ext >= uint64(r.span) {
+			r.span *= 2
+		}
+		r.minExt = ext
 	}
 	if len(r.entries) == 0 {
 		r.minExt, r.maxExt = ext, ext
@@ -143,7 +154,8 @@ func (rs *refStore) append(d filtering.Delivery) uint64 {
 
 // all returns frozen ∪ live in ascending extended-sequence order. Every
 // frozen entry precedes every live one: frozen entries are evicted off
-// the window's low edge and below-window appends are dropped.
+// the window's low edge, and a below-window append is kept only while
+// nothing has left the live entries.
 func (r *refStream) all() []refEntry {
 	if len(r.frozen) == 0 {
 		return r.entries

@@ -94,29 +94,23 @@ func screenScript(seed int64, steps int) []screenStep {
 
 // screenRun is what one side of the equivalence test produced.
 type screenRun struct {
-	held, flushed []filtering.Delivery // before and by the closing flush
-	filter        filtering.Stats
-	store         Stats
+	out    []filtering.Delivery
+	filter filtering.Stats
+	store  Stats
 }
 
 // runScreenScript drives one side: merged (Store.Ingest) or the
 // two-layer reference (a standalone Filter whose sink appends to a Store,
 // as a deployment was wired before the screen moved into the store). Both
 // forget in the store only, as a deployment does.
-func runScreenScript(script []screenStep, merged bool, hold time.Duration, sopts Options) screenRun {
+func runScreenScript(script []screenStep, merged bool, sopts Options) screenRun {
 	clock := sim.NewVirtualClock(epoch)
 	s := New(sopts)
 	var run screenRun
-	out := &run.held
-	collect := func(d filtering.Delivery) { *out = append(*out, d) }
-	fopts := filtering.Options{Shards: sopts.Shards}
-	if hold > 0 {
-		fopts.ReorderWindow, fopts.Clock = hold, clock
-	}
+	collect := func(d filtering.Delivery) { run.out = append(run.out, d) }
 	var ingest func(rc receiver.Reception)
 	var f *filtering.Filter
 	if merged {
-		s.ScreenWith(fopts, collect)
 		ingest = func(rc receiver.Reception) {
 			if d, ok := s.Ingest(rc); ok {
 				collect(d)
@@ -126,7 +120,7 @@ func runScreenScript(script []screenStep, merged bool, hold time.Duration, sopts
 		f = filtering.New(func(d filtering.Delivery) {
 			d.StoreSeq = s.Append(d)
 			collect(d)
-		}, fopts)
+		}, filtering.Options{Shards: sopts.Shards})
 		ingest = f.Ingest
 	}
 	for _, st := range script {
@@ -148,36 +142,21 @@ func runScreenScript(script []screenStep, merged bool, hold time.Duration, sopts
 			clock.Advance(st.advance)
 		}
 	}
-	clock.Advance(hold / 2)
-	out = &run.flushed
 	if merged {
-		s.Flush()
 		run.filter = s.ScreenStats()
 	} else {
-		f.Flush()
 		run.filter = f.Stats()
 	}
 	run.store = s.Stats()
 	return run
 }
 
-// perStreamOrder groups deliveries by stream, keeping each stream's order.
-func perStreamOrder(ds []filtering.Delivery) map[wire.StreamID][]filtering.Delivery {
-	m := make(map[wire.StreamID][]filtering.Delivery)
-	for _, d := range ds {
-		m[d.Msg.Stream] = append(m[d.Msg.Stream], d)
-	}
-	return m
-}
-
 // TestIngestMatchesFilterThenAppend holds the merged screen to the
 // two-layer pipeline it replaced: for one seeded script, Store.Ingest must
 // deliver exactly what a standalone Filter appending to a Store delivers —
 // Msg, At, Receiver, RSSI and StoreSeq, in the same order — and end with
-// identical filtering.Stats and store Stats, with and without a reorder
-// window on a virtual clock, over the default store and a small sealing
-// one. A closing flush releases what is still held; across streams its
-// order is a table walk's, so only each stream's order must match there.
+// identical filtering.Stats and store Stats, over the default store and a
+// small sealing one.
 func TestIngestMatchesFilterThenAppend(t *testing.T) {
 	stores := map[string]Options{
 		"default": {Shards: 4},
@@ -185,41 +164,33 @@ func TestIngestMatchesFilterThenAppend(t *testing.T) {
 	}
 	seeds := int64(8)
 	if raceEnabled {
-		// One goroutine drives both sides, virtual timers included: the
-		// race detector has little to find here and much time to spend.
+		// One goroutine drives both sides: the race detector has little
+		// to find here and much time to spend.
 		seeds = 2
 	}
 	for name, sopts := range stores {
-		for _, hold := range []time.Duration{0, 5 * time.Millisecond} {
-			for seed := int64(1); seed <= seeds; seed++ {
-				script := screenScript(seed, 3000)
-				ref := runScreenScript(script, false, hold, sopts)
-				got := runScreenScript(script, true, hold, sopts)
-				where := fmt.Sprintf("store %s, reorder %v, seed %d", name, hold, seed)
-				if ref.filter.Delivered == 0 || ref.filter.Duplicates == 0 || ref.filter.Stale == 0 ||
-					ref.filter.GapsRecovered == 0 || ref.filter.Gaps <= ref.filter.GapsRecovered {
-					t.Fatalf("%s: the script missed a verdict: %+v", where, ref.filter)
+		for seed := int64(1); seed <= seeds; seed++ {
+			script := screenScript(seed, 3000)
+			ref := runScreenScript(script, false, sopts)
+			got := runScreenScript(script, true, sopts)
+			where := fmt.Sprintf("store %s, seed %d", name, seed)
+			if ref.filter.Delivered == 0 || ref.filter.Duplicates == 0 || ref.filter.Stale == 0 ||
+				ref.filter.GapsRecovered == 0 || ref.filter.Gaps <= ref.filter.GapsRecovered {
+				t.Fatalf("%s: the script missed a verdict: %+v", where, ref.filter)
+			}
+			if len(got.out) != len(ref.out) {
+				t.Fatalf("%s: merged delivered %d, reference %d", where, len(got.out), len(ref.out))
+			}
+			for i := range ref.out {
+				if !reflect.DeepEqual(got.out[i], ref.out[i]) {
+					t.Fatalf("%s: delivery %d differs\n merged    %+v\n reference %+v", where, i, got.out[i], ref.out[i])
 				}
-				if hold > 0 && len(ref.flushed) == 0 {
-					t.Fatalf("%s: nothing was left for the flush", where)
-				}
-				if len(got.held) != len(ref.held) {
-					t.Fatalf("%s: merged delivered %d before the flush, reference %d", where, len(got.held), len(ref.held))
-				}
-				for i := range ref.held {
-					if !reflect.DeepEqual(got.held[i], ref.held[i]) {
-						t.Fatalf("%s: delivery %d differs\n merged    %+v\n reference %+v", where, i, got.held[i], ref.held[i])
-					}
-				}
-				if !reflect.DeepEqual(perStreamOrder(got.flushed), perStreamOrder(ref.flushed)) {
-					t.Fatalf("%s: the flush released different deliveries", where)
-				}
-				if got.filter != ref.filter {
-					t.Fatalf("%s: screen stats differ\n merged    %+v\n reference %+v", where, got.filter, ref.filter)
-				}
-				if got.store != ref.store {
-					t.Fatalf("%s: store stats differ\n merged    %+v\n reference %+v", where, got.store, ref.store)
-				}
+			}
+			if got.filter != ref.filter {
+				t.Fatalf("%s: screen stats differ\n merged    %+v\n reference %+v", where, got.filter, ref.filter)
+			}
+			if got.store != ref.store {
+				t.Fatalf("%s: store stats differ\n merged    %+v\n reference %+v", where, got.store, ref.store)
 			}
 		}
 	}

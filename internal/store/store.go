@@ -25,10 +25,9 @@
 // filtering.Rest) beside its ring, so the Filtering Service's screen runs
 // here: Ingest screens a reception and appends it — StoreSeq assigned —
 // in one critical section under one shard lock, with one lookup of one
-// record, and a reorder hold appends what it releases under the same lock.
-// Append is the unscreened path (derived streams, location updates,
-// replay and tests); both share one append step. A stream's window
-// survives Forget, as its unwrap state does.
+// record. Append is the unscreened path (derived streams, location
+// updates, replay and tests); both share one append step. A stream's
+// window survives Forget, as its unwrap state does.
 //
 // # Sharding and retention
 //
@@ -343,9 +342,6 @@ type Store struct {
 
 	// Archive tier; nil when no backend is attached.
 	arch *archiveState
-
-	// release receives the deliveries a reorder hold lets go (ScreenWith).
-	release func(filtering.Delivery)
 }
 
 type shard struct {
@@ -353,8 +349,7 @@ type shard struct {
 	idx int
 
 	// screen is Ingest's share of the duplicate screen for this shard's
-	// streams: settings, counters and the reorder release path, which
-	// appends each released delivery under mu.
+	// streams: the window size and the counters, mutated under mu.
 	screen filtering.Screen
 
 	// rings holds every stream's ring header in place. The store deletes
@@ -440,8 +435,8 @@ func (sh *shard) recycleBufLocked(b []byte) {
 type ring struct {
 	// The stream's duplicate screen (Ingest), first so that a duplicate
 	// copy reads the record's first cache line only: the in-order window
-	// fills the four bytes beside count, and the bitmap and reorder hold
-	// sit behind rest, nil until the stream first needs either. Append
+	// fills the four bytes beside count, and the bitmap sits behind rest,
+	// nil until the stream first leaves the in-order regime. Append
 	// bypasses both, and Forget keeps them, so a stream that resumes is
 	// screened against what it sent before.
 	win   filtering.Window
@@ -648,8 +643,8 @@ func New(opts Options) *Store {
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i}
+		s.shards[i].screen.Init(filtering.Options{})
 	}
-	s.ScreenWith(filtering.Options{}, nil)
 	if opts.Archive != nil {
 		s.initArchive(opts)
 	}
@@ -677,9 +672,11 @@ func (r *ring) presentLocked(ext uint64) bool {
 
 // Append retains one delivery and returns its extended sequence. The
 // payload is copied into store-owned memory; d and its payload may be
-// reused by the caller immediately. Deliveries whose extended sequence
-// falls below the stream's retained window (late out-of-order fills racing
-// eviction) are assigned their address but not stored.
+// reused by the caller immediately. A delivery whose extended sequence
+// falls below the stream's retained window is stored only while it opens
+// the stream: every earlier append is still in the hot ring and the ring
+// can span it. Any other (a late fill racing eviction) is assigned its
+// address but not stored.
 //
 // d.Receiver is retained as its index in the process-wide intern table,
 // which never forgets a string: it must name one of a bounded set of
@@ -695,30 +692,13 @@ func (s *Store) Append(d filtering.Delivery) uint64 {
 	return ext
 }
 
-// ScreenWith configures Ingest's duplicate screen: opts' window and
-// reorder settings (opts.Shards is not read: the screen shares the store's
-// shards). release receives, outside the shard lock, every delivery a
-// reorder hold lets go, already appended and stamped with its StoreSeq;
-// it is required with a ReorderWindow, which also needs opts.Clock. Call
-// it before the first Ingest: it resets the screen. Until it is called,
-// Ingest screens with the filtering defaults and no reordering.
-func (s *Store) ScreenWith(opts filtering.Options, release func(filtering.Delivery)) {
-	s.release = release
-	for _, sh := range s.shards {
-		sh.screen.Init(opts, &sh.mu, func(d *filtering.Delivery) {
-			d.StoreSeq = s.appendLocked(sh, sh.recordLocked(d.Msg.Stream), d)
-		}, release)
-	}
-}
-
 // Ingest is the screened write path. It screens one reception against its
 // stream's duplicate window and appends what the screen accepts, in one
 // critical section under the stream's shard lock with one record lookup,
 // and returns the accepted delivery stamped with its StoreSeq. ok is false
-// for a duplicate, a stale copy, or a reception the reorder stage holds:
-// that one is appended when its hold expires and handed to ScreenWith's
-// release. A borrowed payload is copied only when accepted. The caller
-// forwards what Ingest returns after it returns, with no lock held.
+// for a duplicate or a stale copy. A borrowed payload is copied only when
+// accepted. The caller forwards what Ingest returns after it returns,
+// with no lock held.
 func (s *Store) Ingest(rc receiver.Reception) (d filtering.Delivery, ok bool) {
 	sh := s.shardFor(rc.Msg.Stream)
 	sh.mu.Lock()
@@ -728,24 +708,6 @@ func (s *Store) Ingest(rc receiver.Reception) (d filtering.Delivery, ok bool) {
 	}
 	sh.mu.Unlock()
 	return d, ok
-}
-
-// Flush appends every delivery a reorder hold still keeps, in per-stream
-// sequence order, and hands each to ScreenWith's release once the shard
-// locks are dropped; the streams' reorder state is freed. A deployment
-// calls it as it stops, before Close.
-func (s *Store) Flush() {
-	var out []filtering.Delivery
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, r := range sh.rings.All() {
-			sh.screen.FlushLocked(&r.rest, &out)
-		}
-		sh.mu.Unlock()
-	}
-	for _, d := range out {
-		s.release(d)
-	}
 }
 
 // ScreenStats returns Ingest's screening counters summed across shards, in
@@ -803,8 +765,23 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 	r.lastExt = max(r.lastExt, ext)
 
 	if r.count > 0 && ext < r.minExt {
-		sh.droppedBehind++
-		return ext
+		// Behind the window. A late fill that opens the stream — every
+		// earlier append is still hot, none evicted, sealed, replaced,
+		// dropped or forgotten — is retained while the ring can grow to
+		// span it and it lies above any history recovered from the
+		// archive; anything else arrived too late to keep.
+		size := len(r.slots)
+		for r.maxExt-ext >= uint64(size) && size < s.ringMax {
+			size <<= 1
+		}
+		if int64(r.count) != r.appended-1 || r.maxExt-ext >= uint64(size) || ext <= r.tail.lastSealed() {
+			sh.droppedBehind++
+			return ext
+		}
+		if size > len(r.slots) {
+			r.growLocked(size)
+		}
+		r.minExt = ext
 	}
 
 	if r.count == 0 {
@@ -979,9 +956,9 @@ func (r *ring) packLocked(sh *shard, dst []byte) {
 }
 
 // oldestLocked returns the lowest occupied extended sequence. It never
-// mutates the window: minExt moves only on eviction, so read queries can
-// never change a later append's behind-window decision. Caller holds mu;
-// r.count must be > 0.
+// mutates the window: minExt moves only on eviction and on a fill that
+// opens the stream, so read queries can never change a later append's
+// behind-window decision. Caller holds mu; r.count must be > 0.
 func (r *ring) oldestLocked() uint64 {
 	ext := r.minExt
 	for !r.presentLocked(ext) {

@@ -170,6 +170,49 @@ func TestGapFillAndBehindWindowDrop(t *testing.T) {
 	}
 }
 
+// TestLateFillThatOpensAStream: a stream whose first append is not its
+// lowest sequence keeps the earlier sequences that arrive after it, in
+// sequence order, while the ring has let nothing go and can grow to span
+// them. A fill wider than the count bound allows, or one that arrives
+// after the ring has let an entry go, is dropped behind the window.
+func TestLateFillThatOpensAStream(t *testing.T) {
+	s := New(Options{MaxMessages: 16})
+	id := wire.MustStreamID(1, 0)
+	for _, seq := range []wire.Seq{5, 3, 4, 0} {
+		s.Append(del(id, seq, epoch, []byte{byte(seq)}))
+	}
+	got := s.Range(id, 0, ^uint64(0))
+	if len(got) != 4 || got[0].Msg.Seq != 0 || got[1].Msg.Seq != 3 || got[2].Msg.Seq != 4 || got[3].Msg.Seq != 5 {
+		t.Fatalf("range = %v, want seqs 0 3 4 5", got)
+	}
+	for _, d := range got {
+		if d.StoreSeq != extBase+uint64(d.Msg.Seq) || d.Msg.Payload[0] != byte(d.Msg.Seq) {
+			t.Fatalf("entry %+v", d)
+		}
+	}
+
+	// Too wide: a 16-slot ring cannot span sequences 4 to 20.
+	wide := wire.MustStreamID(2, 0)
+	s.Append(del(wide, 20, epoch, nil))
+	s.Append(del(wide, 4, epoch, nil))
+	if r := s.Range(wide, 0, ^uint64(0)); len(r) != 1 {
+		t.Fatalf("a fill wider than the ring was kept: %v", r)
+	}
+
+	// After an eviction: the ring let seq 10 go, so 9 is too late.
+	evicted := wire.MustStreamID(3, 0)
+	for seq := wire.Seq(10); seq < 27; seq++ {
+		s.Append(del(evicted, seq, epoch, nil))
+	}
+	s.Append(del(evicted, 9, epoch, nil))
+	if r := s.Range(evicted, 0, ^uint64(0)); len(r) != 16 || r[0].Msg.Seq != 11 {
+		t.Fatalf("a fill after an eviction was kept: %d entries from seq %d", len(r), r[0].Msg.Seq)
+	}
+	if st := s.Stats(); st.DroppedBehind != 2 {
+		t.Fatalf("DroppedBehind = %d, want 2", st.DroppedBehind)
+	}
+}
+
 func TestRangeClampsAndCopies(t *testing.T) {
 	s := New(Options{})
 	id := wire.MustStreamID(1, 0)

@@ -28,7 +28,6 @@ var optionReasons = map[string]string{
 	"WithPolicy":             "§4.2 names the Resource Manager's mediation policies (TestWithPolicyMediatesConflictingRates)",
 	"WithCensusPolicy":       "§4.2: the Super Coordinator may change the Resource Manager's strategy (TestWithCensusPolicySwitchesMediation)",
 	"WithFloodingReplicator": "E6's location-neutral baseline",
-	"WithReorderWindow":      "bounded-latency ordering (TestWithReorderWindowOrdersJitteredDeliveries); the only non-test way into the reorder stage, whose fate is an open decision on the ROADMAP deletion ledger",
 	"WithShards":             "the data plane's single shard-count knob (ROADMAP item 3)",
 	"WithArchiveRetention":   "a growth bound: without it the archive tier grows without limit",
 }
@@ -284,68 +283,6 @@ func TestWithAsyncDispatchDeliversViaWorkers(t *testing.T) {
 	defer mu.Unlock()
 	if got != 10 {
 		t.Fatalf("async deliveries = %d, want 10", got)
-	}
-}
-
-func TestWithReorderWindowOrdersJitteredDeliveries(t *testing.T) {
-	run := func(reorder bool) []garnet.Seq {
-		clock := garnet.NewVirtualClock(epoch)
-		opts := []garnet.Option{
-			garnet.WithClock(clock),
-			garnet.WithSecret([]byte("s")),
-			// Heavy jitter so copies overtake each other in flight.
-			garnet.WithRadio(garnet.RadioParams{DelayMin: 0, DelayMax: 800 * time.Millisecond, Seed: 5}),
-		}
-		if reorder {
-			opts = append(opts, garnet.WithReorderWindow(time.Second))
-		}
-		g := garnet.New(opts...)
-		defer g.Stop()
-		g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(0, 0), Radius: 100})
-		if _, err := g.AddSensor(garnet.SensorConfig{
-			ID: 1, Mobility: garnet.Static{P: garnet.Pt(1, 0)}, TxRange: 100,
-			Streams: []garnet.StreamConfig{{
-				Index: 0, Sampler: garnet.SizedSampler(4), Period: 100 * time.Millisecond, Enabled: true,
-			}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		tok, err := g.Register("app", garnet.PermSubscribe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var seqs []garnet.Seq
-		if _, err := g.Subscribe(tok, garnet.All(), &garnet.ConsumerFunc{
-			ConsumerName: "collector",
-			Fn:           func(d garnet.Delivery) { seqs = append(seqs, d.Msg.Seq) },
-		}); err != nil {
-			t.Fatal(err)
-		}
-		g.Start()
-		clock.Advance(20 * time.Second)
-		g.Stop()
-		return seqs
-	}
-	unordered := run(false)
-	ordered := run(true)
-
-	countInversions := func(seqs []garnet.Seq) int {
-		n := 0
-		for i := 1; i < len(seqs); i++ {
-			if seqs[i].Less(seqs[i-1]) {
-				n++
-			}
-		}
-		return n
-	}
-	if countInversions(unordered) == 0 {
-		t.Fatal("jitter produced no inversions — rig not stressing ordering")
-	}
-	if inv := countInversions(ordered); inv != 0 {
-		t.Fatalf("reorder window left %d inversions", inv)
-	}
-	if len(ordered) < 190 {
-		t.Fatalf("reordered run delivered only %d messages", len(ordered))
 	}
 }
 

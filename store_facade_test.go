@@ -373,3 +373,77 @@ func TestStoreCompressionBadCodecPanics(t *testing.T) {
 	}()
 	garnet.New(garnet.WithSecret([]byte("x")), garnet.WithStoreCompression("zstd", 0))
 }
+
+// TestReplayKeepsLateFillsThatOpenAStream: under heavy radio jitter copies
+// overtake each other, so live delivery — which keeps the arrival order
+// of each message's first accepted copy — is out of sequence order, and
+// the stream's first arrival is not its lowest sequence. History is the
+// ordered view: Replay returns every message delivered live exactly once,
+// in ascending StoreSeq and sequence order, the late fills that opened the
+// stream included.
+func TestReplayKeepsLateFillsThatOpenAStream(t *testing.T) {
+	clock := garnet.NewVirtualClock(epoch)
+	g := garnet.New(
+		garnet.WithClock(clock),
+		garnet.WithSecret([]byte("s")),
+		// Heavy jitter so copies overtake each other in flight.
+		garnet.WithRadio(garnet.RadioParams{DelayMin: 0, DelayMax: 800 * time.Millisecond, Seed: 5}),
+	)
+	defer g.Stop()
+	g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(0, 0), Radius: 100})
+	if _, err := g.AddSensor(garnet.SensorConfig{
+		ID: 1, Mobility: garnet.Static{P: garnet.Pt(1, 0)}, TxRange: 100,
+		Streams: []garnet.StreamConfig{{
+			Index: 0, Sampler: garnet.SizedSampler(4), Period: 100 * time.Millisecond, Enabled: true,
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tok, err := g.Register("app", garnet.PermSubscribe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []garnet.Delivery
+	if _, err := g.Subscribe(tok, garnet.All(), &garnet.ConsumerFunc{
+		ConsumerName: "collector",
+		Fn:           func(d garnet.Delivery) { live = append(live, d) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	clock.Advance(20 * time.Second)
+
+	inversions := 0
+	for i := 1; i < len(live); i++ {
+		if live[i].Msg.Seq.Less(live[i-1].Msg.Seq) {
+			inversions++
+		}
+	}
+	if inversions == 0 {
+		t.Fatal("jitter produced no inversions — rig not stressing ordering")
+	}
+	if len(live) < 190 {
+		t.Fatalf("delivered only %d messages live", len(live))
+	}
+
+	history, err := g.Replay(tok, garnet.MustStreamID(1, 0), 0, ^uint64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(history) != len(live) {
+		t.Fatalf("Replay returned %d messages, %d were delivered live", len(history), len(live))
+	}
+	replayed := make(map[uint64]garnet.Seq, len(history))
+	for i, d := range history {
+		if i > 0 && (d.StoreSeq <= history[i-1].StoreSeq || !history[i-1].Msg.Seq.Less(d.Msg.Seq)) {
+			t.Fatalf("history out of order at %d: seq %d StoreSeq %d after seq %d StoreSeq %d",
+				i, d.Msg.Seq, d.StoreSeq, history[i-1].Msg.Seq, history[i-1].StoreSeq)
+		}
+		replayed[d.StoreSeq] = d.Msg.Seq
+	}
+	for _, d := range live {
+		if seq, ok := replayed[d.StoreSeq]; !ok || seq != d.Msg.Seq {
+			t.Fatalf("live seq %d (StoreSeq %d) is missing from Replay", d.Msg.Seq, d.StoreSeq)
+		}
+	}
+}
