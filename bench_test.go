@@ -166,37 +166,80 @@ func BenchmarkFilterIngestShards(b *testing.B) {
 	}
 }
 
+// BenchmarkDispatchFanout injects one reception per op into a synchronous
+// deployment and fans it out. consumers=N subscribes N consumers Exact to
+// the one stream. mixed has the shape of bench's fixednet_fanout: 64
+// streams of 64 sensors and 16 consumers — eight Exact, four of them on
+// each stream; four BySensor, two on each sensor; two All; two Where, on
+// even and odd sensors — so a reception reaches nine of them.
 func BenchmarkDispatchFanout(b *testing.B) {
-	for _, consumers := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
-			clock := garnet.NewVirtualClock(time.Unix(0, 0))
-			g := garnet.New(garnet.WithClock(clock), garnet.WithSecret([]byte("bench")))
-			defer g.Stop()
-			tok, err := g.Register("bench", garnet.PermSubscribe)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink := 0
-			for c := 0; c < consumers; c++ {
-				if _, err := g.Subscribe(tok, garnet.Exact(garnet.MustStreamID(1, 0)), &garnet.ConsumerFunc{
+	type sub func(consumer int, p garnet.Pattern)
+	run := func(b *testing.B, streams, perOp int, subscribe func(sub)) {
+		clock := garnet.NewVirtualClock(time.Unix(0, 0))
+		g := garnet.New(garnet.WithClock(clock), garnet.WithSecret([]byte("bench")))
+		defer g.Stop()
+		// PermLocation keeps BySensor and All from being narrowed to Where.
+		tok, err := g.Register("bench", garnet.PermSubscribe|garnet.PermLocation)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink := 0
+		consumers := map[int]garnet.Consumer{}
+		subscribe(func(c int, p garnet.Pattern) {
+			if consumers[c] == nil {
+				consumers[c] = &garnet.ConsumerFunc{
 					ConsumerName: fmt.Sprintf("c%d", c),
 					Fn:           func(garnet.Delivery) { sink++ },
-				}); err != nil {
-					b.Fatal(err)
 				}
 			}
-			g.Start()
-			core := g.Core()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.InjectReception(receiver.Reception{
-					Msg: wire.Message{Stream: wire.MustStreamID(1, 0), Seq: wire.Seq(i)},
-					At:  clock.Now(), Receiver: "bench", RSSI: 1,
-				})
+			if _, err := g.Subscribe(tok, p, consumers[c]); err != nil {
+				b.Fatal(err)
 			}
 		})
+		g.Start()
+		core := g.Core()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.InjectReception(receiver.Reception{
+				Msg: wire.Message{Stream: wire.MustStreamID(wire.SensorID(1+i%streams), 0), Seq: wire.Seq(i / streams)},
+				At:  clock.Now(), Receiver: "bench", RSSI: 1,
+			})
+		}
+		b.StopTimer()
+		if sink != perOp*b.N {
+			b.Fatalf("%d deliveries for %d receptions, want %d each", sink, b.N, perOp)
+		}
 	}
+	for _, consumers := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
+			run(b, 1, consumers, func(subscribe sub) {
+				for c := 0; c < consumers; c++ {
+					subscribe(c, garnet.Exact(garnet.MustStreamID(1, 0)))
+				}
+			})
+		})
+	}
+	b.Run("mixed", func(b *testing.B) {
+		const streams = 64
+		run(b, streams, 9, func(subscribe sub) {
+			for k := 0; k < streams; k++ {
+				sensor := garnet.SensorID(k + 1)
+				for c := k % 2; c < 8; c += 2 {
+					subscribe(c, garnet.Exact(garnet.MustStreamID(sensor, 0)))
+				}
+				subscribe(8+k%2, garnet.BySensor(sensor))
+				subscribe(10+k/2%2, garnet.BySensor(sensor))
+			}
+			subscribe(12, garnet.All())
+			subscribe(13, garnet.All())
+			for parity := range 2 {
+				subscribe(14+parity, garnet.Where(func(m garnet.Message) bool {
+					return int(m.Stream.Sensor())%2 == parity
+				}))
+			}
+		})
+	})
 }
 
 // BenchmarkInjectCensus is a census's ingest path through a whole

@@ -29,8 +29,8 @@ func seqBatch(first uint64, n, extra int) []filtering.Delivery {
 	return b
 }
 
-func live(seq uint64) filtering.Delivery {
-	return filtering.Delivery{Msg: wire.Message{Stream: adoptStream}, StoreSeq: seq}
+func live(seq uint64) *filtering.Delivery {
+	return &filtering.Delivery{Msg: wire.Message{Stream: adoptStream}, StoreSeq: seq}
 }
 
 type adoptRig struct {
@@ -220,9 +220,9 @@ func TestNestedGatesAdoptThenCopy(t *testing.T) {
 	p := r.p
 	p.beginGate()
 	p.beginGate()
-	p.enqueue(live(104))                                                           // covered by the first replay
-	p.enqueue(filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 201}) // covered by the second
-	p.enqueue(filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 205})
+	p.enqueue(live(104))                                                            // covered by the first replay
+	p.enqueue(&filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 201}) // covered by the second
+	p.enqueue(&filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 205})
 
 	first := seqBatch(100, 6, 0)
 	p.endGate(first, adoptStream, false, &r.sh)

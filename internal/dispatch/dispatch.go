@@ -25,7 +25,11 @@
 // atomic snapshot, which the hot path reads without locking. Control-plane
 // operations (Subscribe, Unsubscribe, Start, Stop) serialise on one
 // dispatcher mutex and rebuild the wildcard snapshot; the data plane never
-// takes it.
+// takes it. A shard maps each stream and each sensor to a copy-on-write
+// list of ports ordered by creation, so the shard mutex covers two map
+// reads; the fan-out set is those two lists and the snapshot's All list
+// merged in one pass without a sort, with each Where match inserted in
+// its place. Fan-out order is port creation order in every mode.
 //
 // Two delivery modes exist. Synchronous mode invokes consumers inline and
 // is used by the deterministic simulation and the benchmarks; asynchronous
@@ -53,10 +57,8 @@
 package dispatch
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -246,7 +248,7 @@ type Dispatcher struct {
 	// orphan sink and the stop flag are all reachable without the
 	// control-plane mutex.
 	shards  []*shard
-	wild    atomic.Pointer[[]*subscription] // All/Where, read-mostly
+	wild    atomic.Pointer[wildSnapshot] // All/Where, read-mostly
 	orphan  atomic.Pointer[func(filtering.Delivery)]
 	stopped atomic.Bool
 
@@ -296,8 +298,7 @@ func New(opts Options) *Dispatcher {
 		wildSubs: make(map[SubscriptionID]*subscription),
 		ports:    make(map[Consumer]*port),
 	}
-	empty := make([]*subscription, 0)
-	d.wild.Store(&empty)
+	d.wild.Store(&wildSnapshot{})
 	return d
 }
 
@@ -379,17 +380,29 @@ func (d *Dispatcher) Stop() {
 	d.wg.Wait()
 }
 
-// publishWildLocked rebuilds the read-mostly wildcard snapshot from
-// wildSubs. Caller holds mu.
+// wildSnapshot is the read-mostly wildcard index: the All subscriptions'
+// ports, one entry per subscription ordered by port.seq like a shard's
+// lists, and the Where subscriptions ordered by id, the order their
+// predicates run in.
+type wildSnapshot struct {
+	all   []*port
+	where []*subscription
+}
+
+// publishWildLocked rebuilds the wildcard snapshot from wildSubs. Caller
+// holds mu.
 func (d *Dispatcher) publishWildLocked() {
-	snap := make([]*subscription, 0, len(d.wildSubs))
+	snap := &wildSnapshot{}
 	for _, sub := range d.wildSubs {
-		snap = append(snap, sub)
+		if sub.pattern.Kind == KindAll {
+			snap.all = append(snap.all, sub.port)
+		} else {
+			snap.where = append(snap.where, sub)
+		}
 	}
-	// Stable iteration order keeps the snapshot deterministic for tests
-	// that inspect fan-out order (ports are sorted again per dispatch).
-	sort.Slice(snap, func(i, j int) bool { return snap[i].id < snap[j].id })
-	d.wild.Store(&snap)
+	sort.Slice(snap.all, func(i, j int) bool { return snap.all[i].seq < snap.all[j].seq })
+	sort.Slice(snap.where, func(i, j int) bool { return snap.where[i].id < snap.where[j].id })
+	d.wild.Store(snap)
 }
 
 // Subscribe registers consumer c for streams matching pattern. The same
@@ -421,16 +434,8 @@ func (d *Dispatcher) Subscribe(c Consumer, pattern Pattern) (SubscriptionID, err
 	sub := &subscription{id: d.nextSub, pattern: pattern, port: p}
 	d.subs[sub.id] = sub
 	switch pattern.Kind {
-	case KindExact:
-		sh := d.shardFor(pattern.Stream.Sensor())
-		sh.mu.Lock()
-		sh.addExactLocked(sub)
-		sh.mu.Unlock()
-	case KindSensor:
-		sh := d.shardFor(pattern.Sensor)
-		sh.mu.Lock()
-		sh.addSensorLocked(sub)
-		sh.mu.Unlock()
+	case KindExact, KindSensor:
+		d.index(sub, true)
 	default:
 		d.wildSubs[sub.id] = sub
 		d.publishWildLocked()
@@ -449,16 +454,8 @@ func (d *Dispatcher) Unsubscribe(id SubscriptionID) bool {
 	}
 	delete(d.subs, id)
 	switch sub.pattern.Kind {
-	case KindExact:
-		sh := d.shardFor(sub.pattern.Stream.Sensor())
-		sh.mu.Lock()
-		sh.removeLocked(sub)
-		sh.mu.Unlock()
-	case KindSensor:
-		sh := d.shardFor(sub.pattern.Sensor)
-		sh.mu.Lock()
-		sh.removeLocked(sub)
-		sh.mu.Unlock()
+	case KindExact, KindSensor:
+		d.index(sub, false)
 	default:
 		delete(d.wildSubs, id)
 		d.publishWildLocked()
@@ -480,6 +477,19 @@ func (d *Dispatcher) shardFor(id wire.SensorID) *shard {
 	return d.shards[id.Shard(len(d.shards))]
 }
 
+// index adds an Exact or BySensor subscription to its shard's lists, or
+// removes it, and returns the shard.
+func (d *Dispatcher) index(sub *subscription, add bool) *shard {
+	sh := d.shardFor(sub.pattern.Sensor)
+	if sub.pattern.Kind == KindExact {
+		sh = d.shardFor(sub.pattern.Stream.Sensor())
+	}
+	sh.mu.Lock()
+	sh.updateLocked(sub, add)
+	sh.mu.Unlock()
+	return sh
+}
+
 // Dispatch delivers one reconstructed message to every matching consumer,
 // or to the orphan sink when nothing matches. Concurrent Dispatch calls on
 // streams of different sensors proceed on disjoint shards without
@@ -495,73 +505,62 @@ func (d *Dispatcher) Dispatch(del filtering.Delivery) {
 	}
 
 	sh.mu.Lock()
-	// Collect matching ports into pooled scratch; duplicates (one consumer
-	// holding several matching subscriptions) are removed after the sort
-	// below, so the hot path allocates nothing.
-	tp := getPortSlice()
-	targets := (*tp)[:0]
-	for _, sub := range sh.exact[del.Msg.Stream] {
-		targets = append(targets, sub.port)
-	}
-	for _, sub := range sh.sensor[del.Msg.Stream.Sensor()] {
-		targets = append(targets, sub.port)
-	}
+	exact, bySensor := sh.exact[del.Msg.Stream], sh.sensor[del.Msg.Stream.Sensor()]
 	sh.mu.Unlock()
 
-	// Wildcard subscriptions: lock-free read of the shared snapshot.
-	for _, sub := range *d.wild.Load() {
-		if sub.pattern.Kind == KindAll || sub.pattern.Where(del.Msg) {
-			targets = append(targets, sub.port)
+	// The lists are copy-on-write and ordered by port creation, so one
+	// merge into pooled scratch yields the deterministic, de-duplicated
+	// fan-out set without a sort and without allocating. Where predicates
+	// run outside the shard lock; a match joins the set at its place.
+	wild := d.wild.Load()
+	tp := getPortSlice()
+	targets := mergePorts((*tp)[:0], exact, bySensor, wild.all)
+	for _, sub := range wild.where {
+		if sub.pattern.Where(del.Msg) {
+			targets = insertPort(targets, sub.port)
 		}
 	}
-	// Deterministic fan-out order for the synchronous mode; equal seq
-	// means same port, so after sorting duplicates are adjacent and one
-	// Compact pass de-duplicates per consumer in O(n log n) total. A
-	// single target is both already.
 	*tp = targets // keep the grown backing (and everything to clear) with the pool
-	if len(targets) > 1 {
-		targets = sortPorts(targets)
-	}
-	d.deliverTargets(sh, del, targets)
+	d.deliverTargets(sh, &del, targets)
 	putPortSlice(tp)
 }
 
-// sortPorts orders a fan-out set deterministically by port creation
-// order and removes duplicates (one consumer holding several matching
-// subscriptions), in place.
-func sortPorts(targets []*port) []*port {
-	slices.SortFunc(targets, func(a, b *port) int { return cmp.Compare(a.seq, b.seq) })
-	return slices.Compact(targets)
-}
-
-// deliverTargets fans one delivery out to a sorted, de-duplicated target
-// set, or hands it to the orphan sink when the set is empty.
-func (d *Dispatcher) deliverTargets(sh *shard, del filtering.Delivery, targets []*port) {
+// deliverTargets fans one delivery out to a de-duplicated target set in
+// port order, or hands it to the orphan sink when the set is empty. del is
+// handed down by pointer and copied once per consumer: into its ring
+// slot, or onto the stack of a synchronous Consume.
+func (d *Dispatcher) deliverTargets(sh *shard, del *filtering.Delivery, targets []*port) {
 	if len(targets) == 0 {
 		sh.orphaned.Inc()
 		if orphan := d.orphan.Load(); orphan != nil {
-			(*orphan)(del)
+			(*orphan)(*del)
 		}
 		return
 	}
-	for _, p := range targets {
-		if d.opts.Mode == ModeSync {
+	if d.opts.Mode == ModeSync {
+		for _, p := range targets {
 			// A port mid catch-up (SubscribeWithReplay) diverts live
 			// deliveries behind its gate — they are delivered, and
 			// counted, once the replay batch has gone ahead of them —
 			// and a port with replay floors drops late copies of
 			// history a replay batch already covered.
-			if (p.gated.Load() || p.hasFloors.Load()) && p.tryHold(del) {
+			if (p.gated.Load() || p.hasFloors.Load()) && p.tryHold(*del) {
 				continue
 			}
+			// Counted before Consume, one at a time: a consumer may read
+			// Stats from inside Consume.
 			sh.delivered.Inc()
-			p.consumer.Consume(del)
-			continue
+			p.consumer.Consume(*del)
 		}
+		return
+	}
+	n := int64(0)
+	for _, p := range targets {
 		if p.enqueue(del) {
-			sh.delivered.Inc()
+			n++
 		}
 	}
+	sh.delivered.Add(n)
 }
 
 // portSlices pools the fan-out scratch so Dispatch resolves targets
@@ -608,10 +607,7 @@ func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch
 	d.nextSub++
 	sub := &subscription{id: d.nextSub, pattern: Exact(stream), port: p}
 	d.subs[sub.id] = sub
-	sh := d.shardFor(stream.Sensor())
-	sh.mu.Lock()
-	sh.addExactLocked(sub)
-	sh.mu.Unlock()
+	sh := d.index(sub, true)
 	d.mu.Unlock()
 
 	replay := fetch()
@@ -632,8 +628,12 @@ func (d *Dispatcher) Subscribed(id wire.StreamID) bool {
 	if byID {
 		return true
 	}
-	for _, sub := range *d.wild.Load() {
-		if sub.pattern.Kind == KindAll || sub.pattern.Where(wire.Message{Stream: id}) {
+	wild := d.wild.Load()
+	if len(wild.all) > 0 {
+		return true
+	}
+	for _, sub := range wild.where {
+		if sub.pattern.Where(wire.Message{Stream: id}) {
 			return true
 		}
 	}

@@ -420,8 +420,9 @@ func TestSyncFanoutDeterministicOrder(t *testing.T) {
 }
 
 // TestSerialDispatchZeroAllocs pins that a warm serial Dispatch allocates
-// nothing: the fan-out set is pooled scratch, and a single target skips
-// the sort. The window includes the async drainers.
+// nothing: the fan-out set is pooled scratch, merged from the
+// subscription lists without a sort. The window includes the async
+// drainers.
 func TestSerialDispatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
@@ -453,6 +454,19 @@ func TestSerialDispatchZeroAllocs(t *testing.T) {
 			}
 			if _, err := d.Subscribe(both, BySensor(stream.Sensor())); err != nil {
 				t.Fatal(err)
+			}
+		}},
+		{"one consumer matched thrice, a Where ahead of it", func(t *testing.T, d *Dispatcher) {
+			// The Where port is created first, so its match is inserted
+			// ahead of the merged Exact+BySensor+All entry.
+			if _, err := d.Subscribe(sink("where"), Where(func(m wire.Message) bool { return m.Stream == stream })); err != nil {
+				t.Fatal(err)
+			}
+			thrice := sink("thrice")
+			for _, p := range []Pattern{Exact(stream), BySensor(stream.Sensor()), All()} {
+				if _, err := d.Subscribe(thrice, p); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}},
 	} {

@@ -243,7 +243,7 @@ func (p *port) enterSlow() {
 // a publication store and a parked-check on the waiter. A slow port
 // (gated, floored or closing; the inflight barrier makes the flip safe)
 // makes those decisions under mu and then admits into the same ring.
-func (p *port) enqueue(d filtering.Delivery) bool {
+func (p *port) enqueue(d *filtering.Delivery) bool {
 	if !p.slow.Load() {
 		p.inflight.Add(1)
 		if !p.slow.Load() {
@@ -259,9 +259,9 @@ func (p *port) enqueue(d filtering.Delivery) bool {
 	defer p.mu.Unlock()
 	switch {
 	case p.gateCount > 0:
-		p.held = append(p.held, d)
+		p.held = append(p.held, *d)
 		return false
-	case p.belowFloorLocked(d):
+	case p.belowFloorLocked(*d):
 		return false
 	case p.closed:
 		p.drop(1)
@@ -270,11 +270,11 @@ func (p *port) enqueue(d filtering.Delivery) bool {
 	return p.admit(d)
 }
 
-// admit puts d in the ring under the overflow policy. When the ring is at
+// admit copies *d into the ring under the overflow policy. When the ring is at
 // its capacity dropNewest discards d, and dropOldest discards the head and
 // pushes d, one for one even while an adopted replay holds the ring above
 // its capacity.
-func (p *port) admit(d filtering.Delivery) bool {
+func (p *port) admit(d *filtering.Delivery) bool {
 	if !p.ring.TryEnqueue(d) {
 		if p.overflow == dropNewest {
 			p.drop(1)
@@ -354,9 +354,9 @@ func (p *port) endGate(replay []filtering.Delivery, stream wire.StreamID, syncMo
 			p.mu.Unlock()
 			return
 		}
-		for _, d := range p.held {
-			switch {
-			case p.belowFloorLocked(d):
+		for i := range p.held {
+			switch d := &p.held[i]; {
+			case p.belowFloorLocked(*d):
 			case p.closed:
 				p.drop(1)
 			default:
@@ -505,6 +505,11 @@ func (p *port) take(batch []filtering.Delivery) (n int, done bool) {
 // -cpu 2: ~140 → ~213 ns per publish; bench's one-consumer workloads
 // give up 2–5 % ops_per_s). Numbers for every workload: CHANGES.md,
 // PR 17.
+//
+// A take claims one slot per delivery. Claiming a whole run with one CAS
+// was measured and lost 12.6 % of bench's fixednet_fanout ops_per_s (0 of
+// 6 pairs): drainers that empty their ring sooner park more often, and
+// the publisher pays for the wakes.
 //
 // On the way to Wait the consumed prefix of the batch buffer is cleared,
 // so a parked port does not pin the payloads of the last deliveries it

@@ -282,7 +282,7 @@ func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 			// AllocsPerRun's measurement window includes the concurrent
 			// drainer goroutine, so this enforces zero allocations across
 			// the whole enqueue→drain path, not just the producer side.
-			allocs := testing.AllocsPerRun(5000, func() { p.enqueue(d) })
+			allocs := testing.AllocsPerRun(5000, func() { p.enqueue(&d) })
 			p.close()
 			if allocs != 0 {
 				t.Fatalf("%s enqueue→drain: %.2f allocs/op, want 0", path.name, allocs)

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/garnet-middleware/garnet/internal/metrics"
@@ -15,10 +16,16 @@ import (
 // subscriptions live in the dispatcher's shared read-mostly index instead.
 // A shard holds subscriptions only: which streams exist, and when they
 // were last seen, is the Stream Store's record, not the dispatcher's.
+//
+// Each key maps to a port list ordered by port.seq, one entry per
+// subscription (a consumer subscribed twice appears twice). The lists are
+// copy-on-write: a subscription change builds a new slice under mu and
+// never writes a published one, so Dispatch reads two slice headers under
+// mu and merges them after releasing it.
 type shard struct {
 	mu     sync.Mutex
-	exact  map[wire.StreamID]map[SubscriptionID]*subscription
-	sensor map[wire.SensorID]map[SubscriptionID]*subscription
+	exact  map[wire.StreamID][]*port
+	sensor map[wire.SensorID][]*port
 
 	// Hot-path counters are shard-local so concurrent publishes on
 	// different shards never contend on one shared counter; Stats sums
@@ -33,8 +40,8 @@ func newShards(n int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
-			exact:  make(map[wire.StreamID]map[SubscriptionID]*subscription),
-			sensor: make(map[wire.SensorID]map[SubscriptionID]*subscription),
+			exact:  make(map[wire.StreamID][]*port),
+			sensor: make(map[wire.SensorID][]*port),
 		}
 	}
 	return shards
@@ -44,38 +51,70 @@ func newShards(n int) []*shard {
 // Filtering Service shards on the identical key and a stream contends on
 // at most one ingest lock and one dispatch lock end to end.
 
-// addExactLocked inserts sub into the shard's exact index.
-func (s *shard) addExactLocked(sub *subscription) {
-	m := s.exact[sub.pattern.Stream]
-	if m == nil {
-		m = make(map[SubscriptionID]*subscription)
-		s.exact[sub.pattern.Stream] = m
+// updateLocked adds one entry of sub's port to the list its pattern
+// selects, or removes one. Caller holds mu.
+func (s *shard) updateLocked(sub *subscription, add bool) {
+	if sub.pattern.Kind == KindExact {
+		update(s.exact, sub.pattern.Stream, sub.port, add)
+	} else {
+		update(s.sensor, sub.pattern.Sensor, sub.port, add)
 	}
-	m[sub.id] = sub
 }
 
-// addSensorLocked inserts sub into the shard's by-sensor index.
-func (s *shard) addSensorLocked(sub *subscription) {
-	m := s.sensor[sub.pattern.Sensor]
-	if m == nil {
-		m = make(map[SubscriptionID]*subscription)
-		s.sensor[sub.pattern.Sensor] = m
+// update replaces m[k] by a new list with one entry of p more or fewer,
+// and deletes k when that list is empty.
+func update[K comparable](m map[K][]*port, k K, p *port, add bool) {
+	ps := m[k]
+	if add {
+		i := seqIndex(ps, p)
+		m[k] = slices.Concat(ps[:i], []*port{p}, ps[i:])
+	} else if i := slices.Index(ps, p); len(ps) > 1 {
+		m[k] = slices.Concat(ps[:i], ps[i+1:])
+	} else {
+		delete(m, k)
 	}
-	m[sub.id] = sub
 }
 
-// removeLocked deletes sub from whichever shard index holds it.
-func (s *shard) removeLocked(sub *subscription) {
-	switch sub.pattern.Kind {
-	case KindExact:
-		delete(s.exact[sub.pattern.Stream], sub.id)
-		if len(s.exact[sub.pattern.Stream]) == 0 {
-			delete(s.exact, sub.pattern.Stream)
+// seqIndex is where p goes in ps, a list ordered by port.seq: before the
+// first entry created after it.
+func seqIndex(ps []*port, p *port) int {
+	i := 0
+	for i < len(ps) && ps[i].seq <= p.seq {
+		i++
+	}
+	return i
+}
+
+// mergePorts appends to dst, in port.seq order, every port of the lists,
+// each ordered by port.seq, once: a port matched by several subscriptions
+// is delivered to once.
+func mergePorts(dst []*port, lists ...[]*port) []*port {
+	for {
+		var next *port
+		for _, l := range lists {
+			if len(l) > 0 && (next == nil || l[0].seq < next.seq) {
+				next = l[0]
+			}
 		}
-	case KindSensor:
-		delete(s.sensor[sub.pattern.Sensor], sub.id)
-		if len(s.sensor[sub.pattern.Sensor]) == 0 {
-			delete(s.sensor, sub.pattern.Sensor)
+		if next == nil {
+			return dst
+		}
+		for i, l := range lists {
+			if len(l) > 0 && l[0] == next {
+				lists[i] = l[1:]
+			}
+		}
+		if len(dst) == 0 || dst[len(dst)-1] != next {
+			dst = append(dst, next)
 		}
 	}
+}
+
+// insertPort puts p into dst, ordered by port.seq, unless it is there.
+func insertPort(dst []*port, p *port) []*port {
+	i := seqIndex(dst, p)
+	if i > 0 && dst[i-1] == p {
+		return dst
+	}
+	return slices.Insert(dst, i, p)
 }

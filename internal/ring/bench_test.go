@@ -122,12 +122,12 @@ func BenchmarkRingEnqueueDequeue(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			r := New[int](c.capacity)
 			for i := 0; i < c.backlog; i++ {
-				r.TryEnqueue(i)
+				r.TryEnqueue(&i)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.TryEnqueue(i)
+				r.TryEnqueue(&i)
 				r.TryDequeue()
 			}
 		})
@@ -154,7 +154,7 @@ func BenchmarkRingProducers(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			for !r.TryEnqueue(1) {
+			for !r.TryEnqueue(ptr(1)) {
 				r.TryDequeue()
 			}
 		}

@@ -170,25 +170,27 @@ func (r *Ring[T]) Len() int { return int(r.length.Load()) }
 // call began, which is what the parker protocol relies on.
 func (r *Ring[T]) Empty() bool { return r.length.Load() <= 0 }
 
-// TryEnqueue appends v and reports whether it was admitted; false means
+// TryEnqueue appends *v and reports whether it was admitted; false means
 // the ring is full (the caller applies its overflow policy).
-func (r *Ring[T]) TryEnqueue(v T) bool {
+func (r *Ring[T]) TryEnqueue(v *T) bool {
 	if r.length.Load() >= r.capacity {
 		return false
 	}
-	return r.enqueue(&v, false)
+	return r.enqueue(v, false)
 }
 
-// Push appends v whatever the occupancy: it is TryEnqueue without the
+// Push appends *v whatever the occupancy: it is TryEnqueue without the
 // capacity check, linking a segment when the tail is physically full
 // even past phys slots. The caller bounds the excess (the dispatcher
 // pushes one value for each it evicts, and a catch-up's held backlog).
-func (r *Ring[T]) Push(v T) { r.enqueue(&v, true) }
+func (r *Ring[T]) Push(v *T) { r.enqueue(v, true) }
 
-// enqueue is TryEnqueue and Push past the capacity check. It takes v by
-// pointer: TryEnqueue inlines into its caller, and passing v on by value
-// copied every dispatcher delivery once more, which cost bench's
-// fixednet_fanout 9 % of its ops_per_s (2 vCPUs, 8 rounds).
+// enqueue is TryEnqueue and Push past the capacity check. All three take
+// v by pointer, and so do the dispatcher's hand-down (Dispatch to
+// port.enqueue to port.admit): a delivery is copied once per consumer,
+// into the slot. Each by-value hop copied it once more, which cost
+// bench's fixednet_fanout 9 % of its ops_per_s at the last hop alone
+// (2 vCPUs, 8 rounds).
 func (r *Ring[T]) enqueue(v *T, force bool) bool {
 	seg := r.tail.Load()
 	pos := seg.enq.Load()

@@ -15,11 +15,11 @@ func TestRingFIFO(t *testing.T) {
 		t.Fatalf("capacity = %d, want 8", int(r.capacity))
 	}
 	for i := 0; i < 8; i++ {
-		if !r.TryEnqueue(i) {
+		if !r.TryEnqueue(&i) {
 			t.Fatalf("enqueue %d refused below capacity", i)
 		}
 	}
-	if r.TryEnqueue(99) {
+	if r.TryEnqueue(ptr(99)) {
 		t.Fatal("enqueue admitted past capacity")
 	}
 	for i := 0; i < 8; i++ {
@@ -46,7 +46,7 @@ func TestRingWrapAround(t *testing.T) {
 	for lap := 0; lap < 100; lap++ {
 		burst := 1 + lap%4
 		for i := 0; i < burst; i++ {
-			if !r.TryEnqueue(next) {
+			if !r.TryEnqueue(&next) {
 				t.Fatalf("lap %d: enqueue %d refused with Len=%d", lap, next, r.Len())
 			}
 			next++
@@ -67,7 +67,7 @@ func TestRingNonPowerOfTwoCapacity(t *testing.T) {
 		t.Fatalf("capacity = %d, want 6", int(r.capacity))
 	}
 	n := 0
-	for r.TryEnqueue(n) {
+	for r.TryEnqueue(&n) {
 		n++
 	}
 	// Under a serial producer the logical bound is exact even though the
@@ -82,10 +82,10 @@ func TestRingCapacityFloor(t *testing.T) {
 	if int(r.capacity) != 1 {
 		t.Fatalf("capacity = %d, want 1", int(r.capacity))
 	}
-	if !r.TryEnqueue(7) {
+	if !r.TryEnqueue(ptr(7)) {
 		t.Fatal("capacity-1 ring refused first enqueue")
 	}
-	if r.TryEnqueue(8) {
+	if r.TryEnqueue(ptr(8)) {
 		t.Fatal("capacity-1 ring admitted a second value")
 	}
 }
@@ -93,7 +93,7 @@ func TestRingCapacityFloor(t *testing.T) {
 func TestRingDequeueBatch(t *testing.T) {
 	r := New[int](16)
 	for i := 0; i < 10; i++ {
-		r.TryEnqueue(i)
+		r.TryEnqueue(&i)
 	}
 	buf := make([]int, 4)
 	if n := r.DequeueBatch(buf); n != 4 {
@@ -114,7 +114,7 @@ func TestRingDequeueBatch(t *testing.T) {
 // next lap.
 func TestRingDequeueReleasesPayload(t *testing.T) {
 	r := New[[]byte](4)
-	r.TryEnqueue(make([]byte, 1))
+	r.TryEnqueue(ptr(make([]byte, 1)))
 	r.TryDequeue()
 	if r.head.Load().slots[0].val != nil {
 		t.Fatal("dequeued slot still references the payload")
@@ -122,6 +122,9 @@ func TestRingDequeueReleasesPayload(t *testing.T) {
 }
 
 // segmentSizes lists the slot counts of the segments from head to tail.
+// ptr returns a pointer to a copy of v, for enqueueing a constant.
+func ptr[T any](v T) *T { return &v }
+
 func segmentSizes[T any](r *Ring[T]) []int {
 	var out []int
 	for s := r.head.Load(); s != nil; s = s.next.Load() {
@@ -143,11 +146,11 @@ func TestRingSerialFIFOAcrossSegments(t *testing.T) {
 	for burst := 1; burst <= 4096; burst++ {
 		for _, r := range []*Ring[int]{New[int](4096), kept} {
 			for i := 0; i < burst; i++ {
-				if !r.TryEnqueue(i) {
+				if !r.TryEnqueue(&i) {
 					t.Fatalf("burst %d: enqueue %d refused with Len=%d", burst, i, r.Len())
 				}
 			}
-			if burst == 4096 && r.TryEnqueue(-1) {
+			if burst == 4096 && r.TryEnqueue(ptr(-1)) {
 				t.Fatal("enqueue admitted past capacity")
 			}
 			for i := 0; i < burst; i++ {
@@ -253,7 +256,7 @@ func mpmcStress(t *testing.T, capacity int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
 				v := p*perProd + i
-				for !r.TryEnqueue(v) {
+				for !r.TryEnqueue(&v) {
 					// Full: discard the oldest, as the dispatcher's ports do.
 					if old, ok := r.TryDequeue(); ok {
 						record(old)
@@ -328,7 +331,7 @@ func spscOrderStress(t *testing.T, capacity int) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
-				for !r.TryEnqueue([2]int{p, i}) {
+				for !r.TryEnqueue(ptr([2]int{p, i})) {
 					runtime.Gosched()
 				}
 				releaseAt(r, &once, start)
@@ -396,14 +399,14 @@ func TestRingZeroAlloc(t *testing.T) {
 	fresh := New[int](64)
 	grown := New[int](4096)
 	for i := 0; i < 1000; i++ {
-		grown.TryEnqueue(i)
+		grown.TryEnqueue(&i)
 	}
 	for grown.Len() > 256 {
 		grown.TryDequeue()
 	}
 	for name, r := range map[string]*Ring[int]{"fresh": fresh, "grown": grown} {
 		allocs := testing.AllocsPerRun(1000, func() {
-			r.TryEnqueue(1)
+			r.TryEnqueue(ptr(1))
 			r.TryDequeue()
 		})
 		if allocs != 0 {
@@ -414,7 +417,7 @@ func TestRingZeroAlloc(t *testing.T) {
 		t.Fatalf("grown ring holds segments %v after the measurement, want [1024]", got)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		fresh.Push(1)
+		fresh.Push(ptr(1))
 		fresh.TryDequeue()
 	}); allocs != 0 {
 		t.Fatalf("push/dequeue allocates %.1f/op, want 0", allocs)
@@ -427,26 +430,26 @@ func TestRingZeroAlloc(t *testing.T) {
 func TestRingPushPastCapacity(t *testing.T) {
 	r := New[int](4)
 	for i := 0; i < 4; i++ {
-		r.TryEnqueue(i)
+		r.TryEnqueue(&i)
 	}
 	for i := 4; i < 10; i++ {
 		if r.Len() < int(r.capacity) {
 			t.Fatalf("Len() = %d below the capacity", r.Len())
 		}
-		r.Push(i)
+		r.Push(&i)
 	}
 	if got := segmentSizes(r); len(got) != 3 || got[0] != 4 || got[1] != 4 || got[2] != 4 {
 		t.Fatalf("segments %v, want three of phys = 4 slots", got)
 	}
 	for want := 0; want < 10; want++ {
-		if want < 7 && r.TryEnqueue(-1) {
+		if want < 7 && r.TryEnqueue(ptr(-1)) {
 			t.Fatalf("TryEnqueue admitted at Len() = %d, Cap() = 4", r.Len())
 		}
 		if v, ok := r.TryDequeue(); !ok || v != want {
 			t.Fatalf("dequeue got %d ok=%v, want %d", v, ok, want)
 		}
 	}
-	if !r.TryEnqueue(10) {
+	if !r.TryEnqueue(ptr(10)) {
 		t.Fatal("TryEnqueue refused on a drained ring")
 	}
 }
@@ -466,12 +469,12 @@ func adoptedSeqs(first, n int) []int {
 func TestRingAdoptFIFO(t *testing.T) {
 	r := New[int](256)
 	for i := 0; i < 100; i++ { // a 64-slot segment and a 128-slot one
-		r.TryEnqueue(i)
+		r.TryEnqueue(&i)
 	}
 	r.Adopt(adoptedSeqs(100, 150))
 	r.Adopt(nil)
 	for i := 250; i < 400; i++ {
-		r.Push(i)
+		r.Push(&i)
 	}
 	if r.Len() != 400 {
 		t.Fatalf("Len() = %d, want 400", r.Len())
@@ -589,7 +592,7 @@ func TestRingAdoptedDrainStress(t *testing.T) {
 		r.Adopt(adoptedSeqs(next, batch))
 		next += batch
 		for i := 0; i < pushes; i++ {
-			r.Push(next)
+			r.Push(&next)
 			next++
 		}
 	}
@@ -624,7 +627,7 @@ func TestRingGrowsOnlyToBacklog(t *testing.T) {
 	next, expect, peak := 0, 0, 0
 	for step := 0; step < 200_000; step++ {
 		if r.Len() < 200 && (r.Len() == 0 || rng.Intn(2) == 0) {
-			if !r.TryEnqueue(next) {
+			if !r.TryEnqueue(&next) {
 				t.Fatalf("step %d: enqueue refused with Len=%d", step, r.Len())
 			}
 			next++

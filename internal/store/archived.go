@@ -105,7 +105,7 @@ func (s *Store) recoverArchive() {
 // Caller holds mu.
 func (s *Store) spillLocked(sh *shard, t *tail, id wire.StreamID) {
 	if !s.arch.syncMode {
-		if s.arch.queues[sh.idx].TryEnqueue(id) {
+		if s.arch.queues[sh.idx].TryEnqueue(&id) {
 			s.arch.waiters[sh.idx].Wake()
 			return
 		}
