@@ -10,6 +10,7 @@ package garnet_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -422,6 +423,61 @@ func BenchmarkDispatchCatchUp(b *testing.B) {
 		d.Unsubscribe(id)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*backlog), "ns/msg")
+}
+
+// BenchmarkDispatchLongLivedJoiner measures a joiner that stays: one async
+// consumer catches up on 64 streams with SubscribeWithReplay (a 64-entry
+// replay each) and then takes live fan-out on them. An op is one live
+// delivery, Dispatch to consumption: every 1024 dispatches wait for the
+// drainer, so the queue never overflows. Live deliveries carry store
+// sequences past the replayed ones, as a deployment's do.
+func BenchmarkDispatchLongLivedJoiner(b *testing.B) {
+	const streams, backlog, window = 64, 64, 1024
+	st := store.New(store.Options{MaxMessages: backlog})
+	ids := make([]wire.StreamID, streams)
+	for i := range ids {
+		ids[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
+		for seq := 0; seq < backlog; seq++ {
+			st.Append(filtering.Delivery{Msg: wire.Message{Stream: ids[i], Seq: wire.Seq(seq)}})
+		}
+	}
+	d := dispatch.New(dispatch.Options{Mode: dispatch.ModeAsync, QueueCapacity: 4 * window})
+	d.Start()
+	defer d.Stop()
+	var consumed atomic.Int64
+	c := &dispatch.BatchConsumerFunc{ConsumerName: "joiner", Fn: func(ds []filtering.Delivery) {
+		consumed.Add(int64(len(ds)))
+	}}
+	for _, id := range ids {
+		if _, _, err := d.SubscribeWithReplay(c, id, func() []filtering.Delivery {
+			return st.Range(id, 0, ^uint64(0))
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wait := func(n int64) {
+		for consumed.Load() < n {
+			runtime.Gosched()
+		}
+	}
+	const replayed = streams * backlog
+	wait(replayed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Dispatch(filtering.Delivery{
+			Msg:      wire.Message{Stream: ids[i%streams], Seq: wire.Seq(backlog + i/streams)},
+			StoreSeq: 1<<20 + uint64(i),
+		})
+		if i%window == window-1 {
+			wait(replayed + int64(i+1))
+		}
+	}
+	wait(replayed + int64(b.N))
+	b.StopTimer()
+	if dropped := d.Stats().Dropped; dropped != 0 {
+		b.Fatalf("dropped %d", dropped)
+	}
 }
 
 // Ablation: synchronous vs asynchronous dispatch. Async pays queue+worker

@@ -49,7 +49,10 @@ func main() {
 		{garnet.Pt(100, 300), garnet.Pt(900, 300), garnet.Pt(500, 200)},
 		{garnet.Pt(500, 50), garnet.Pt(500, 350)},
 	}
-	for id, key := range keys {
+	// Sensors are added in id order: each one's events, and with them the
+	// seeded radio's draws, are scheduled in the order of addition.
+	for id := garnet.SensorID(1); id <= 3; id++ {
+		key := keys[id]
 		stream := garnet.MustStreamID(id, 0)
 		if _, err := g.AddSensor(garnet.SensorConfig{
 			ID:           id,

@@ -417,11 +417,13 @@ func (g *Deployment) requireStream(tok Token, stream StreamID) error {
 // SubscribeWithReplay subscribes c to a single stream and replays the
 // Stream Store's retained history from store sequence fromSeq onwards
 // (oldest first, fromSeq 0 meaning everything retained) before live
-// delivery begins. Catch-up is routed through the consumer's dispatch
-// port — live deliveries that race the subscription queue up behind the
-// replayed history and duplicates are screened out by store sequence —
-// so replayed and live messages can never invert or repeat, even under
-// an asynchronous dispatcher. It returns the subscription id and how
+// delivery begins. The subscription is installed under the same store
+// lock as the history is read, so each message is replayed or delivered
+// live, never both; live deliveries that reach the consumer's dispatch
+// port during catch-up queue up behind the replayed history, so the two
+// cannot invert, even under an asynchronous dispatcher. A consumer that
+// already receives the stream through another subscription sees the
+// replay repeat what it got live. It returns the subscription id and how
 // many messages were replayed.
 func (g *Deployment) SubscribeWithReplay(tok Token, stream StreamID, fromSeq uint64, c Consumer) (SubscriptionID, int, error) {
 	if err := g.requireStream(tok, stream); err != nil {

@@ -21,9 +21,12 @@
 //
 // The Filtering Service's duplicate screen runs inside the Stream Store,
 // whose per-stream record holds each stream's window beside its ring
-// (store.Store.Ingest): a reception is screened and retained under one
-// shard lock and dispatched after it drops. That merged domain is sharded
-// by Config.Store.Shards; Config.Filter.Shards is not read
+// (store.Store.Ingest): a reception is screened, retained and routed
+// under one store shard lock and delivered after it drops. A late
+// joiner's subscription is installed under the same lock as its backlog
+// is read, so appends and joins on a stream are ordered by it (the store
+// and dispatch package comments name the lock order). That merged domain
+// is sharded by Config.Store.Shards; Config.Filter.Shards is not read
 // (Stats().Filter.Shards reports the store's count). Live delivery keeps
 // the arrival order of each message's first accepted copy; retained
 // history is in sequence order.
@@ -184,28 +187,32 @@ func New(cfg Config) *Deployment {
 
 // publish tees one unscreened delivery (a derived stream's, a location
 // update) into the Stream Store — stamping its 64-bit retention address
-// onto Delivery.StoreSeq — and hands it to the Dispatching Service.
-// Receptions take ingest instead; either way every delivery entering the
-// dispatcher is retained first, so retained history and live delivery
-// share one address space.
+// onto Delivery.StoreSeq and resolving its route under the same lock —
+// and hands it to the Dispatching Service. Receptions take ingest
+// instead; either way every delivery entering the dispatcher is retained
+// first, so retained history and live delivery share one address space.
 func (d *Deployment) publish(del filtering.Delivery) {
-	del.StoreSeq = d.st.Append(del)
-	d.dispatcher.Dispatch(del)
+	var route dispatch.Route
+	stream := del.Msg.Stream
+	del.StoreSeq = d.st.AppendFenced(del, func() { route = d.dispatcher.Resolve(stream) })
+	d.dispatcher.Deliver(&del, route)
 }
 
-// ingest screens and retains one reception in the Stream Store and, if
-// it is accepted, surfaces a sensor acknowledgement to the Actuation
-// Service and dispatches the delivery. The store's shard lock is dropped
+// ingest screens, retains and routes one reception in the Stream Store
+// and, if it is accepted, surfaces a sensor acknowledgement to the
+// Actuation Service and delivers it. The store's shard lock is dropped
 // first, so a consumer may inject from inside Consume.
 func (d *Deployment) ingest(rc receiver.Reception) {
-	del, ok := d.st.Ingest(rc)
+	var route dispatch.Route
+	stream := rc.Msg.Stream
+	del, ok := d.st.Ingest(rc, func() { route = d.dispatcher.Resolve(stream) })
 	if !ok {
 		return
 	}
 	if del.Msg.Flags.Has(wire.FlagUpdateAck) {
 		d.acts.HandleAck(del.Msg.AckID, del.At)
 	}
-	d.dispatcher.Dispatch(del)
+	d.dispatcher.Deliver(&del, route)
 }
 
 // AddReceiver creates, registers and (if the deployment is running)
@@ -371,13 +378,20 @@ func (d *Deployment) PublishDerived(msg wire.Message, at time.Time) {
 // SubscribeWithReplay subscribes c to a single stream, replaying the
 // retained history from store sequence fromSeq onwards through c's
 // dispatch port ahead of live delivery — the late-joiner catch-up path.
-// The backlog is a fresh store.Range result nothing else references, as
-// the port's ownership of it requires (dispatch.SubscribeWithReplay).
+// The subscription is installed in the store critical section that reads
+// the backlog, so each delivery of the stream is replayed or delivered
+// live, not both; a consumer that already receives the stream through
+// another subscription sees the replay repeat what it got live. The
+// backlog is a fresh store.Range result nothing else
+// references, as the port's ownership of it requires (dispatch.Join).
 // The facade performs permission checks and calls this.
 func (d *Deployment) SubscribeWithReplay(c dispatch.Consumer, stream wire.StreamID, fromSeq uint64) (dispatch.SubscriptionID, int, error) {
-	return d.dispatcher.SubscribeWithReplay(c, stream, func() []filtering.Delivery {
-		return d.st.Range(stream, fromSeq, ^uint64(0))
-	})
+	j, err := d.dispatcher.Join(c, stream)
+	if err != nil {
+		return 0, 0, err
+	}
+	id, n := j.CatchUp(d.st.RangeFenced(stream, fromSeq, ^uint64(0), j.Install))
+	return id, n, nil
 }
 
 // StreamInfo is one advertised stream, for discovery.

@@ -484,6 +484,43 @@ func TestInjectReceptionFromConsume(t *testing.T) {
 	}
 }
 
+// TestJoinerTakesLateGapFillOnce: a late joiner's replay lacks sequence
+// 2, lost on the radio until its copy arrives after the join. The joiner
+// gets that gap fill exactly once, live, behind the replay; a stale copy
+// of replayed history arriving after the join does not reach it. Both
+// hold by construction — the join and every accepted reception are
+// ordered by the stream's store lock, and the screen drops the copy — in
+// either delivery mode.
+func TestJoinerTakesLateGapFillOnce(t *testing.T) {
+	for _, mode := range []dispatch.Mode{dispatch.ModeSync, dispatch.ModeAsync} {
+		clock := sim.NewVirtualClock(epoch)
+		d := New(Config{Clock: clock, Secret: []byte("s"), Dispatch: dispatch.Options{Mode: mode}})
+		d.Start()
+		stream := wire.MustStreamID(6, 0)
+		inject := func(seq wire.Seq) {
+			d.InjectReception(receiver.Reception{
+				Msg: wire.Message{Stream: stream, Seq: seq}, At: clock.Now(), Receiver: "rx", RSSI: 1,
+			})
+			clock.Advance(time.Second)
+		}
+		for _, seq := range []wire.Seq{0, 1, 3, 4} {
+			inject(seq)
+		}
+		joiner := &reentrant{d: d}
+		if _, n, err := d.SubscribeWithReplay(joiner, stream, 0); err != nil || n != 4 {
+			t.Fatalf("mode %v: replayed %d, err %v; want 4", mode, n, err)
+		}
+		inject(2) // the gap fill
+		inject(3) // a stale copy of replayed history
+		inject(5)
+		d.Stop()
+		want := []heard{{stream, 0}, {stream, 1}, {stream, 3}, {stream, 4}, {stream, 2}, {stream, 5}}
+		if !slices.Equal(joiner.got, want) {
+			t.Fatalf("mode %v: joiner got %v, want %v", mode, joiner.got, want)
+		}
+	}
+}
+
 func TestNewRequiresSecret(t *testing.T) {
 	defer func() {
 		if recover() == nil {

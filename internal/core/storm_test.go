@@ -240,6 +240,67 @@ func TestFanOutStorm(t *testing.T) {
 	}
 }
 
+// TestJoinFenceStorm: consumers join and leave again and again while
+// publishers write, each replaying its stream's whole retained window.
+// From its first replayed delivery until it leaves, a joiner must see its
+// stream's store sequences with no duplicate or inversion, and with no
+// more missing than its queue shed: a delivery both in the backlog and on
+// the live route shows up twice, one in neither is a gap no drop accounts
+// for. It is the storm that watches the store fence (routes resolved and
+// joins installed under the stream's store lock).
+func TestJoinFenceStorm(t *testing.T) {
+	const joins, retention = 64, 4096
+	d := New(Config{
+		Secret:   []byte("join-fence"),
+		Dispatch: dispatch.Options{Mode: dispatch.ModeAsync, QueueCapacity: 2 * retention},
+		Store:    store.Options{MaxMessages: retention},
+	})
+	d.Start()
+	streams := stormStreams(4)
+	var stop atomic.Bool
+	wait := publishers(d, streams, 0, func(int) bool { return !stop.Load() })
+	consumers := make([]*orderChecker, joins)
+	seen := make([][]uint64, joins)
+	var wg sync.WaitGroup
+	for j := range consumers {
+		c := &orderChecker{name: fmt.Sprintf("join-%d", j)}
+		consumers[j] = c
+		wg.Add(1)
+		go func(stream wire.StreamID) {
+			defer wg.Done()
+			rec := &dispatch.ConsumerFunc{ConsumerName: c.name, Fn: func(del filtering.Delivery) {
+				seen[j] = append(seen[j], del.StoreSeq) // one drainer per joiner
+				c.Consume(del)
+			}}
+			head, _ := d.Store().LastSeq(stream)
+			id, _, err := d.SubscribeWithReplay(rec, stream, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c.awaitPast(t, head+16)
+			d.Dispatcher().Unsubscribe(id)
+		}(streams[j%len(streams)])
+	}
+	wg.Wait()
+	stop.Store(true)
+	wait()
+	d.Stop()
+	checkOrder(t, consumers)
+	dropped := d.Stats().Dispatch.DroppedByConsumer
+	for j, seqs := range seen {
+		missing := uint64(0)
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] > seqs[i-1] {
+				missing += seqs[i] - seqs[i-1] - 1
+			}
+		}
+		if name := consumers[j].name; missing > uint64(dropped[name]) {
+			t.Errorf("%s: %d store seqs missing, %d shed", name, missing, dropped[name])
+		}
+	}
+}
+
 // TestArchivedLateJoinerStorm pushes the late-joiner storm through the
 // durable archive tier: every sealed block spills, so what the publishers
 // write far past the in-memory window — nearly all the joiners replay —

@@ -88,9 +88,9 @@ func wantZeroed(t *testing.T, replay []filtering.Delivery) {
 
 // TestEndGateAdoptsReplayBatch pins the ownership hand-off: a replay batch
 // goes into the ring as it stands — no copy — wakes a parked drainer, and
-// drains in order with the held live deliveries behind it, minus the ones
-// the replay already covered. lockFree=false runs it on a port that is
-// already slow, from an earlier catch-up with an empty replay.
+// drains in order with the held live deliveries behind it; then the port
+// is back on the lock-free ring. lockFree=false runs it on a port that
+// caught up once before, with an empty replay.
 func TestEndGateAdoptsReplayBatch(t *testing.T) {
 	for _, lockFree := range []bool{true, false} {
 		t.Run(fmt.Sprintf("lockFree=%v", lockFree), func(t *testing.T) {
@@ -98,18 +98,18 @@ func TestEndGateAdoptsReplayBatch(t *testing.T) {
 			p := r.p
 			if !lockFree {
 				p.beginGate()
-				p.endGate(nil, adoptStream, false, &r.sh)
+				p.endGate(nil, false, &r.sh)
 			}
 			p.beginGate()
-			if p.enqueue(live(110)) || p.enqueue(live(120)) || p.enqueue(live(121)) {
+			if p.enqueue(live(120)) || p.enqueue(live(121)) || p.enqueue(live(122)) {
 				t.Fatal("a gated enqueue reported admission")
 			}
-			replay := seqBatch(100, 20, 5) // 100..119: covers the held 110
+			replay := seqBatch(100, 20, 5) // 100..119
 			p.waiter.Prepare()             // a drainer about to park
-			p.endGate(replay, adoptStream, false, &r.sh)
+			p.endGate(replay, false, &r.sh)
 
-			if n := p.ring.Len(); n != 22 {
-				t.Fatalf("ring holds %d, want the 20 replayed + 2 held", n)
+			if n := p.ring.Len(); n != 23 {
+				t.Fatalf("ring holds %d, want the 20 replayed + 3 held", n)
 			}
 			woken := make(chan struct{})
 			go func() { p.waiter.Wait(); close(woken) }()
@@ -118,17 +118,17 @@ func TestEndGateAdoptsReplayBatch(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("placing the replay did not wake the parked drainer")
 			}
-			if got := r.sh.delivered.Value(); got != 2 {
-				t.Fatalf("delivered %d held lives, want 2 (110 was replayed)", got)
+			if got := r.sh.delivered.Value(); got != 3 {
+				t.Fatalf("delivered %d held lives, want 3", got)
 			}
-			wantSeqs(t, r.drain(), seqs(100, 20), []uint64{120, 121})
+			wantSeqs(t, r.drain(), seqs(100, 20), seqs(120, 3))
 			wantZeroed(t, replay)
 			if r.dropped.Value() != 0 {
 				t.Fatalf("placement dropped %d", r.dropped.Value())
 			}
-			// The floor outlives the gate.
-			if p.enqueue(live(105)) {
-				t.Fatal("a late copy of replayed history was admitted")
+			// The last gate closed: the port is back on the lock-free ring.
+			if n := p.slow.Load(); n != 0 || !p.enqueue(live(130)) {
+				t.Fatalf("after the catch-up: slow=%d, want 0 and an admitted live delivery", n)
 			}
 		})
 	}
@@ -144,7 +144,7 @@ func TestEndGateAdoptsBehindQueue(t *testing.T) {
 		p := r.p
 		p.beginGate()
 		replay := seqBatch(100, 5, 0)
-		p.endGate(replay, adoptStream, false, &r.sh)
+		p.endGate(replay, false, &r.sh)
 		if n := p.ring.Len(); n != 5 {
 			t.Fatalf("ring holds %d, want the 5 replayed", n)
 		}
@@ -161,7 +161,7 @@ func TestEndGateAdoptsBehindQueue(t *testing.T) {
 		p.beginGate()
 		p.enqueue(live(2000)) // held behind the gate
 		replay := seqBatch(100, 12, 0)
-		p.endGate(replay, adoptStream, false, &r.sh)
+		p.endGate(replay, false, &r.sh)
 		wantSeqs(t, r.drain(), seqs(1030, 70), seqs(100, 12), []uint64{2000})
 		wantZeroed(t, replay)
 	})
@@ -185,7 +185,7 @@ func TestSmallCatchUpHoldsSmallQueue(t *testing.T) {
 		p := r.p
 		p.beginGate()
 		p.enqueue(live(110)) // held behind the gate
-		p.endGate(seqBatch(100, 10, 0), adoptStream, false, &r.sh)
+		p.endGate(seqBatch(100, 10, 0), false, &r.sh)
 		wantSeqs(t, r.drain(), seqs(100, 11))
 		for seq := uint64(111); seq < 1111; seq++ {
 			if !p.enqueue(live(seq)) {
@@ -212,32 +212,32 @@ func TestSmallCatchUpHoldsSmallQueue(t *testing.T) {
 
 // TestNestedGatesAdoptThenCopy runs two catch-ups on one port: the first
 // endGate adopts its batch and leaves the held backlog alone, the second
-// adopts its batch behind and flushes the backlog once every floor is in
-// place.
+// adopts its batch behind and flushes the backlog once both batches are
+// in place.
 func TestNestedGatesAdoptThenCopy(t *testing.T) {
 	other := wire.MustStreamID(8, 0)
 	r := newAdoptRig(4, dropOldest)
 	p := r.p
 	p.beginGate()
 	p.beginGate()
-	p.enqueue(live(104))                                                            // covered by the first replay
-	p.enqueue(&filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 201}) // covered by the second
+	p.enqueue(live(106))                                                            // after the first replay
+	p.enqueue(&filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 203}) // after the second
 	p.enqueue(&filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 205})
 
 	first := seqBatch(100, 6, 0)
-	p.endGate(first, adoptStream, false, &r.sh)
-	if p.ring.Len() != 6 || len(p.held) != 3 || !p.gated.Load() {
-		t.Fatalf("first endGate: ring %d held %d gated %v", p.ring.Len(), len(p.held), p.gated.Load())
+	p.endGate(first, false, &r.sh)
+	if p.ring.Len() != 6 || len(p.held) != 3 || p.slow.Load() != 1 {
+		t.Fatalf("first endGate: ring %d held %d slow %d", p.ring.Len(), len(p.held), p.slow.Load())
 	}
 	second := make([]filtering.Delivery, 3)
 	for i := range second {
 		second[i] = filtering.Delivery{Msg: wire.Message{Stream: other}, StoreSeq: 200 + uint64(i)}
 	}
-	p.endGate(second, other, false, &r.sh)
-	if p.gated.Load() || p.held != nil {
+	p.endGate(second, false, &r.sh)
+	if p.slow.Load() != 0 || p.held != nil {
 		t.Fatal("last endGate left the gate shut")
 	}
-	wantSeqs(t, r.drain(), seqs(100, 6), seqs(200, 3), []uint64{205})
+	wantSeqs(t, r.drain(), seqs(100, 6), seqs(200, 3), []uint64{106, 203, 205})
 }
 
 // TestEndGateOnClosedPortDropsBatch is Unsubscribe winning the race with
@@ -248,15 +248,15 @@ func TestEndGateOnClosedPortDropsBatch(t *testing.T) {
 	p.beginGate()
 	p.enqueue(live(120))
 	p.close() // drops the held delivery
-	p.endGate(seqBatch(100, 9, 0), adoptStream, false, &r.sh)
+	p.endGate(seqBatch(100, 9, 0), false, &r.sh)
 	if n := p.ring.Len(); n != 0 {
 		t.Fatalf("closed port queued %d", n)
 	}
 	if got := r.dropped.Value(); got != 10 || r.selfDrop.Value() != 10 {
 		t.Fatalf("dropped %d/%d, want 10 (9 replayed + 1 held)", got, r.selfDrop.Value())
 	}
-	if p.gated.Load() {
-		t.Fatal("gate left shut on a closed port")
+	if p.gateCount != 0 || p.slow.Load() != 1 {
+		t.Fatalf("closed port: gates %d, slow %d, want 0 and close's 1", p.gateCount, p.slow.Load())
 	}
 }
 
@@ -276,7 +276,7 @@ func TestOverflowDuringAdoptedDrain(t *testing.T) {
 		r := newAdoptRig(4, tc.policy)
 		p := r.p
 		p.beginGate()
-		p.endGate(seqBatch(100, 10, 0), adoptStream, false, &r.sh)
+		p.endGate(seqBatch(100, 10, 0), false, &r.sh)
 		admitted := p.enqueue(live(500))
 		if admitted != (tc.policy == dropOldest) || r.dropped.Value() != 1 {
 			t.Fatalf("policy %v: admitted=%v dropped=%d", tc.policy, admitted, r.dropped.Value())
@@ -302,11 +302,11 @@ func TestPlaceReplayAllocations(t *testing.T) {
 		var before, after runtime.MemStats
 		p.beginGate()
 		runtime.ReadMemStats(&before)
-		p.endGate(batch, adoptStream, false, &r.sh)
+		p.endGate(batch, false, &r.sh)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	place(seqBatch(1, 1, 0)) // the stream's floor is allocated once
+	place(seqBatch(1, 1, 0))
 	small := place(seqBatch(1, 1, 0))
 	large := place(seqBatch(1, 4096, 0))
 	if large > small+1024 {
@@ -318,7 +318,7 @@ func TestPlaceReplayAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		p.beginGate()
-		p.endGate(batches[0], adoptStream, false, &r.sh)
+		p.endGate(batches[0], false, &r.sh)
 		batches = batches[1:]
 	})
 	if allocs > 3 {

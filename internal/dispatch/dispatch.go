@@ -31,6 +31,20 @@
 // merged in one pass without a sort, with each Where match inserted in
 // its place. Fan-out order is port creation order in every mode.
 //
+// # Catch-up fence
+//
+// A delivery's route is resolved in two halves. Resolve reads its
+// stream's two lists; a deployment calls it from inside the Stream Store
+// critical section that assigns the delivery's StoreSeq (a store fence),
+// and Deliver merges the wildcards and fans out after that lock drops. A
+// late joiner (Join) installs its Exact subscription inside the store
+// critical section that reads its backlog. Appends and joins on one
+// stream are then ordered by the store's lock, so a delivery is in the
+// joiner's backlog or on its live route, never both and never neither;
+// the port's catch-up gate orders the two at the consumer. Lock order:
+// store shard → dispatch shard; no dispatcher lock is held while the
+// store is called.
+//
 // Two delivery modes exist. Synchronous mode invokes consumers inline and
 // is used by the deterministic simulation and the benchmarks; asynchronous
 // mode gives every consumer a bounded queue drained by a dedicated,
@@ -39,11 +53,12 @@
 // pipeline or another consumer. Each async queue is one lock-free ring
 // (internal/ring): publishing shards enqueue with a CAS-claimed slot and
 // wake a parked drainer through a two-state atomic, so concurrent
-// publishers to one consumer never serialise on a queue mutex. Once a
-// port has caught up (SubscribeWithReplay) or is closing, its producers
-// decide gate, replay floor and shutdown under the port's mutex and then
-// enqueue into the same ring, which adopts a replay batch as a segment
-// instead of copying it (see port). An enqueue that finds the drainer
+// publishers to one consumer never serialise on a queue mutex. While a
+// port's catch-up gate is open, or once it is closing, its producers
+// decide under the port's mutex and enqueue into the same ring, which
+// adopts a replay batch as a segment instead of copying it; when its last
+// gate closes the port is back on the lock-free ring (see port). An
+// enqueue that finds the drainer
 // awake pays one atomic load; one that finds it parked pays a channel
 // send and a goroutine wake, so a drainer that finds its queue empty
 // yields its turn once and looks again before it parks (port.run): the
@@ -59,6 +74,8 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,9 +252,14 @@ type Stats struct {
 type SubscriptionID uint64
 
 type subscription struct {
-	id      SubscriptionID
 	pattern Pattern
 	port    *port
+
+	// listed: in its shard's list; gone: unsubscribed. A Join registers
+	// its subscription before it installs it, so an Unsubscribe can come
+	// between: it marks the subscription gone and the install adds
+	// nothing. Both guarded by the shard's mu.
+	listed, gone bool
 }
 
 // Dispatcher is the Dispatching Service.
@@ -393,15 +415,14 @@ type wildSnapshot struct {
 // holds mu.
 func (d *Dispatcher) publishWildLocked() {
 	snap := &wildSnapshot{}
-	for _, sub := range d.wildSubs {
-		if sub.pattern.Kind == KindAll {
+	for _, id := range slices.Sorted(maps.Keys(d.wildSubs)) {
+		if sub := d.wildSubs[id]; sub.pattern.Kind == KindAll {
 			snap.all = append(snap.all, sub.port)
 		} else {
 			snap.where = append(snap.where, sub)
 		}
 	}
 	sort.Slice(snap.all, func(i, j int) bool { return snap.all[i].seq < snap.all[j].seq })
-	sort.Slice(snap.where, func(i, j int) bool { return snap.where[i].id < snap.where[j].id })
 	d.wild.Store(snap)
 }
 
@@ -431,16 +452,16 @@ func (d *Dispatcher) Subscribe(c Consumer, pattern Pattern) (SubscriptionID, err
 	p.refs++
 
 	d.nextSub++
-	sub := &subscription{id: d.nextSub, pattern: pattern, port: p}
-	d.subs[sub.id] = sub
+	sub := &subscription{pattern: pattern, port: p}
+	d.subs[d.nextSub] = sub
 	switch pattern.Kind {
 	case KindExact, KindSensor:
 		d.index(sub, true)
 	default:
-		d.wildSubs[sub.id] = sub
+		d.wildSubs[d.nextSub] = sub
 		d.publishWildLocked()
 	}
-	return sub.id, nil
+	return d.nextSub, nil
 }
 
 // Unsubscribe removes a subscription; it reports whether the id was live.
@@ -478,51 +499,73 @@ func (d *Dispatcher) shardFor(id wire.SensorID) *shard {
 }
 
 // index adds an Exact or BySensor subscription to its shard's lists, or
-// removes it, and returns the shard.
-func (d *Dispatcher) index(sub *subscription, add bool) *shard {
+// removes it.
+func (d *Dispatcher) index(sub *subscription, add bool) {
 	sh := d.shardFor(sub.pattern.Sensor)
 	if sub.pattern.Kind == KindExact {
 		sh = d.shardFor(sub.pattern.Stream.Sensor())
 	}
 	sh.mu.Lock()
-	sh.updateLocked(sub, add)
+	if add && !sub.gone || !add && sub.listed {
+		sh.updateLocked(sub, add)
+		sub.listed = add
+	}
+	sub.gone = sub.gone || !add
 	sh.mu.Unlock()
-	return sh
 }
 
-// Dispatch delivers one reconstructed message to every matching consumer,
-// or to the orphan sink when nothing matches. Concurrent Dispatch calls on
-// streams of different sensors proceed on disjoint shards without
-// contending; calls on the same stream serialise briefly on its shard
-// mutex, and per-stream delivery order follows Dispatch call order as
-// before.
-func (d *Dispatcher) Dispatch(del filtering.Delivery) {
-	sh := d.shardFor(del.Msg.Stream.Sensor())
-	sh.dispatched.Inc()
+// Route is a stream's Exact and BySensor destinations as its shard held
+// them at one instant: two copy-on-write lists, read and never written.
+type Route struct {
+	sh              *shard
+	exact, bySensor []*port
+}
+
+// Resolve reads stream id's route under its dispatch shard lock. A
+// deployment calls it from a store fence, so the route is the one in
+// force when the delivery's StoreSeq was assigned (see Catch-up fence).
+func (d *Dispatcher) Resolve(id wire.StreamID) Route {
+	sh := d.shardFor(id.Sensor())
+	sh.mu.Lock()
+	r := Route{sh: sh, exact: sh.exact[id], bySensor: sh.sensor[id.Sensor()]}
+	sh.mu.Unlock()
+	return r
+}
+
+// Deliver fans one reconstructed message out along r, its stream's route,
+// and to the matching wildcard subscriptions, or hands it to the orphan
+// sink when nothing matches. It takes no dispatcher lock: deliveries on
+// streams of different sensors never contend, and per-stream delivery
+// order follows Deliver call order.
+func (d *Dispatcher) Deliver(del *filtering.Delivery, r Route) {
+	r.sh.dispatched.Inc()
 	if d.stopped.Load() {
 		d.dropped.Inc()
 		return
 	}
-
-	sh.mu.Lock()
-	exact, bySensor := sh.exact[del.Msg.Stream], sh.sensor[del.Msg.Stream.Sensor()]
-	sh.mu.Unlock()
-
 	// The lists are copy-on-write and ordered by port creation, so one
 	// merge into pooled scratch yields the deterministic, de-duplicated
 	// fan-out set without a sort and without allocating. Where predicates
-	// run outside the shard lock; a match joins the set at its place.
+	// run with no lock held; a match joins the set at its place.
 	wild := d.wild.Load()
 	tp := getPortSlice()
-	targets := mergePorts((*tp)[:0], exact, bySensor, wild.all)
+	targets := mergePorts((*tp)[:0], r.exact, r.bySensor, wild.all)
 	for _, sub := range wild.where {
 		if sub.pattern.Where(del.Msg) {
 			targets = insertPort(targets, sub.port)
 		}
 	}
 	*tp = targets // keep the grown backing (and everything to clear) with the pool
-	d.deliverTargets(sh, &del, targets)
+	d.deliverTargets(r.sh, del, targets)
 	putPortSlice(tp)
+}
+
+// Dispatch resolves del's route and delivers it, with no store fence: the
+// shim for callers that append and dispatch from one goroutine with no
+// concurrent join (bench/'s hand-wired chain, tests). A deployment
+// resolves inside the store's critical section instead.
+func (d *Dispatcher) Dispatch(del filtering.Delivery) {
+	d.Deliver(&del, d.Resolve(del.Msg.Stream))
 }
 
 // deliverTargets fans one delivery out to a de-duplicated target set in
@@ -539,12 +582,10 @@ func (d *Dispatcher) deliverTargets(sh *shard, del *filtering.Delivery, targets 
 	}
 	if d.opts.Mode == ModeSync {
 		for _, p := range targets {
-			// A port mid catch-up (SubscribeWithReplay) diverts live
-			// deliveries behind its gate — they are delivered, and
-			// counted, once the replay batch has gone ahead of them —
-			// and a port with replay floors drops late copies of
-			// history a replay batch already covered.
-			if (p.gated.Load() || p.hasFloors.Load()) && p.tryHold(*del) {
+			// A port mid catch-up diverts live deliveries behind its
+			// gate: they are delivered, and counted, once the replay
+			// batch has gone ahead of them.
+			if p.slow.Load() != 0 && p.tryHold(*del) {
 				continue
 			}
 			// Counted before Consume, one at a time: a consumer may read
@@ -577,43 +618,72 @@ func putPortSlice(p *[]*port) {
 	portSlices.Put(p)
 }
 
-// SubscribeWithReplay subscribes c to a single stream and replays a
-// backlog ahead of live delivery, through the same consumer port, so the
-// two can never invert or interleave: the subscription is registered with
-// the port's catch-up gate closed, fetch() is then called (typically a
-// Stream Store range read) to materialise the backlog, the backlog is
-// placed, and finally the live deliveries that arrived during catch-up
-// are flushed behind it — minus any that carry a store sequence already
-// covered by the replay batch, the seq-based dedupe at the claim
-// boundary. fetch runs without dispatcher locks held and must return
-// deliveries in ascending StoreSeq order. The slice fetch returns belongs
-// to the port afterwards: an async port's ring adopts it as a segment
-// instead of copying it and zeroes each element as it is delivered, so
-// fetch must return memory nothing else reads or writes again (a fresh
-// store.Range result is exactly that). It returns the subscription id and
-// the number of backlog messages replayed.
-func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch func() []filtering.Delivery) (SubscriptionID, int, error) {
+// Join is a catch-up subscription to one stream between its registration
+// and its replay: Dispatcher.Join registers it with its port's catch-up
+// gate open, Install puts it on the stream's route, and CatchUp places
+// the replay batch ahead of the live deliveries the gate held. A
+// deployment installs inside the store critical section that reads the
+// backlog (store.Store.RangeFenced), so each delivery of the stream is in
+// the batch or reaches the port live, not both (see Catch-up fence).
+type Join struct {
+	d   *Dispatcher
+	id  SubscriptionID
+	sub *subscription
+}
+
+// Join registers c's catch-up subscription to stream (see Join). A
+// consumer that already receives the stream through another subscription
+// sees the replay repeat what it got live.
+func (d *Dispatcher) Join(c Consumer, stream wire.StreamID) (*Join, error) {
 	if c == nil {
-		return 0, 0, fmt.Errorf("%w: nil consumer", ErrBadPattern)
+		return nil, fmt.Errorf("%w: nil consumer", ErrBadPattern)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.stopped.Load() {
-		d.mu.Unlock()
-		return 0, 0, ErrStopped
+		return nil, ErrStopped
 	}
 	p := d.portForLocked(c)
 	p.refs++
 	p.beginGate()
 	d.nextSub++
-	sub := &subscription{id: d.nextSub, pattern: Exact(stream), port: p}
-	d.subs[sub.id] = sub
-	sh := d.index(sub, true)
-	d.mu.Unlock()
+	sub := &subscription{pattern: Exact(stream), port: p}
+	d.subs[d.nextSub] = sub
+	return &Join{d: d, id: d.nextSub, sub: sub}, nil
+}
 
-	replay := fetch()
-	n := len(replay)
-	p.endGate(replay, stream, d.opts.Mode == ModeSync, sh)
-	return sub.id, n, nil
+// Install puts the subscription on its stream's route, unless it was
+// unsubscribed first. It takes the stream's dispatch shard lock only, so
+// it may run inside a store fence.
+func (j *Join) Install() { j.d.index(j.sub, true) }
+
+// CatchUp places the replay batch — ascending StoreSeq order — ahead of
+// the live deliveries held since Join, closes the gate, and returns the
+// subscription id and the batch's length. The batch belongs to the port
+// afterwards: an async port's ring adopts it as a segment instead of
+// copying it and zeroes each element as it is delivered, so it must be
+// memory nothing else reads or writes again (a fresh store.Range result
+// is exactly that).
+func (j *Join) CatchUp(replay []filtering.Delivery) (SubscriptionID, int) {
+	sh := j.d.shardFor(j.sub.pattern.Stream.Sensor())
+	j.sub.port.endGate(replay, j.d.opts.Mode == ModeSync, sh)
+	return j.id, len(replay)
+}
+
+// SubscribeWithReplay joins c to stream, installs the subscription, then
+// calls fetch for the replay batch and catches up (see Join). fetch runs
+// outside every lock, so a delivery of the stream appended before fetch
+// reads and dispatched after the install reaches c twice: the shim serves
+// callers that append and dispatch from one goroutine (bench/'s chain,
+// tests). A deployment joins through the store fence instead.
+func (d *Dispatcher) SubscribeWithReplay(c Consumer, stream wire.StreamID, fetch func() []filtering.Delivery) (SubscriptionID, int, error) {
+	j, err := d.Join(c, stream)
+	if err != nil {
+		return 0, 0, err
+	}
+	j.Install()
+	id, n := j.CatchUp(fetch())
+	return id, n, nil
 }
 
 // Subscribed reports whether at least one live subscription matches

@@ -17,17 +17,22 @@ import (
 // -race -cpu 1,2,8 -count=5.
 
 // queuePaths names the two ways producers reach the one ring: lock-free,
-// and deciding under the port's mutex, as every producer does once the
-// port has gated.
+// and deciding under the port's mutex, as producers do while a catch-up
+// gate is open or closing.
 var queuePaths = []struct {
 	name string
 	slow bool
 }{{"ring", false}, {"slow", true}}
 
+// holdSlow keeps p on its mutex path for good, as an open gate or a
+// closing port does, without holding anything back.
+func holdSlow(p *port) { p.enterSlow() }
+
 // subscribeAll subscribes c to every stream. On the slow path it then
-// gates c's port once with an empty replay, on a stream nothing
-// publishes, so every later enqueue decides under the port's mutex. It
-// returns the ids whose removal closes the port.
+// catches c's port up once with an empty replay, on a stream nothing
+// publishes — which must leave the port back on the lock-free ring — and
+// holds the port slow, so every later enqueue decides under the port's
+// mutex. It returns the ids whose removal closes the port.
 func subscribeAll(t *testing.T, d *Dispatcher, c Consumer, slow bool) []SubscriptionID {
 	t.Helper()
 	id, err := d.Subscribe(c, All())
@@ -40,6 +45,13 @@ func subscribeAll(t *testing.T, d *Dispatcher, c Consumer, slow bool) []Subscrip
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.mu.Lock()
+		p := d.ports[c]
+		d.mu.Unlock()
+		if n := p.slow.Load(); n != 0 {
+			t.Fatalf("a port that caught up is still slow (%d)", n)
+		}
+		holdSlow(p)
 		ids = append(ids, id)
 	}
 	return ids

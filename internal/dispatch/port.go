@@ -8,7 +8,6 @@ import (
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/ring"
-	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
 // port is one consumer's delivery endpoint: in async mode a bounded FIFO
@@ -32,17 +31,19 @@ import (
 //
 // The ring is the port's only queue; steady fan-out needs it lock-free
 // (with a mutex-guarded queue instead, bench's fixednet_fanout lost 28 %
-// of its ops_per_s on 2 vCPUs; CHANGES.md, PR 23). The catch-up gate,
-// the replay floors and shutdown need enqueue-time decisions that read
-// mutable per-port state, so enterSlow first makes the port slow and
-// waits out in-flight lock-free enqueues; from then on every producer
-// decides under mu and enqueues into the same ring, so FIFO order holds
-// across the switch. A port that has gated stays slow: catch-ups are
-// rare, and the floors they leave live as long as the port. A replay
-// batch is adopted as a ring segment, not copied, and the held backlog
-// is pushed behind it, so the batch never evicts itself. The ring holds
-// what its backlog needs, not its capacity: an idle async port of
-// capacity 4096 holds about 10 KB (TestIdleAsyncPortFootprint).
+// of its ops_per_s on 2 vCPUs; CHANGES.md has the pairs). Two states
+// need an enqueue-time decision under mu: an open catch-up gate, which
+// holds deliveries back until the replay batch is placed, and close.
+// Each holds one count of slow, a gate until it ends and close for good;
+// enterSlow takes one and waits out in-flight lock-free enqueues, so
+// from then on producers decide under mu and enqueue into the same ring,
+// and FIFO order holds across the switch. When the last gate ends the
+// port is back on the lock-free ring, unless it is closing: a count
+// close took is never given back. A replay batch is adopted as a ring segment, not
+// copied, and the held backlog is pushed behind it, so the batch never
+// evicts itself. The ring holds what its backlog needs, not its capacity:
+// an idle async port of capacity 4096 holds about 10 KB
+// (TestIdleAsyncPortFootprint).
 //
 // The drainer coalesces up to batchSize (DefaultBatchSize, clamped to the
 // queue capacity) queued deliveries per take.
@@ -55,11 +56,13 @@ type port struct {
 	batcher  BatchConsumer // non-nil when consumer supports batches
 	refs     int           // live subscriptions; guarded by Dispatcher.mu
 
-	// Delivery ring (async mode; nil in sync mode). slow routes producers
-	// through mu; inflight counts producers inside a lock-free enqueue so
-	// enterSlow can wait them out. waiter parks/wakes the drainer.
+	// Delivery ring (async mode; nil in sync mode). slow counts the open
+	// gates plus one once closing, and routes producers through mu while
+	// it is non-zero; inflight counts producers inside a lock-free
+	// enqueue so enterSlow can wait them out. waiter parks/wakes the
+	// drainer.
 	ring     *ring.Ring[filtering.Delivery]
-	slow     atomic.Bool
+	slow     atomic.Int32
 	inflight atomic.Int64
 	waiter   *ring.Waiter
 
@@ -69,23 +72,12 @@ type port struct {
 	closed    bool
 	running   bool
 
-	// Catch-up gate (SubscribeWithReplay): while gateCount > 0, incoming
-	// deliveries divert to held instead of the queue (async) or the
-	// consumer (sync), so a replay batch can be placed ahead of every
-	// live delivery that raced the subscription. gated mirrors
-	// gateCount != 0 so the sync hot path checks it without taking mu.
+	// Catch-up gate (Join): while gateCount > 0, incoming deliveries
+	// divert to held instead of the queue (async) or the consumer (sync),
+	// so a replay batch can be placed ahead of every live delivery that
+	// reached the port before it.
 	gateCount int
-	gated     atomic.Bool
 	held      []filtering.Delivery
-
-	// Replay floors, one per stream this port ever caught up on: a
-	// delivery whose StoreSeq is at or below the floor was already
-	// covered by a replay batch and is dropped — including deliveries
-	// teed into the store before the replay fetch but dispatched only
-	// after the gate closed, the tail of the claim-boundary race.
-	// hasFloors mirrors len(floors) > 0 for the lock-free sync check.
-	floors    []streamFloor
-	hasFloors atomic.Bool
 
 	dropped  *metrics.Counter // shared dispatcher total
 	selfDrop *metrics.Counter // this consumer's overflow discards
@@ -108,125 +100,14 @@ func newPort(c Consumer, capacity int, overflow overflowPolicy, async bool, drop
 	return p
 }
 
-// seqRange is an inclusive store-sequence interval.
-type seqRange struct{ lo, hi uint64 }
-
-// streamFloor records what replay batches have covered on one stream:
-// every sequence at or below upto EXCEPT the holes — sequence gaps the
-// batches did not contain (radio losses at fetch time). A delivery below
-// the floor and not in a hole is a duplicate of replayed history; a
-// hole-filling delivery (late gap recovery) is new data and passes.
-type streamFloor struct {
-	stream wire.StreamID
-	upto   uint64
-	holes  []seqRange // ascending, non-overlapping
-}
-
-func holesContain(holes []seqRange, seq uint64) bool {
-	for _, h := range holes {
-		if seq < h.lo {
-			return false
-		}
-		if seq <= h.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// batchHoles returns the sequence gaps between consecutive entries of an
-// ascending replay batch that lie strictly above the "above" mark.
-func batchHoles(batch []filtering.Delivery, above uint64) []seqRange {
-	var out []seqRange
-	for i := 1; i < len(batch); i++ {
-		lo, hi := batch[i-1].StoreSeq+1, batch[i].StoreSeq-1
-		if lo <= above {
-			lo = above + 1
-		}
-		if lo <= hi {
-			out = append(out, seqRange{lo, hi})
-		}
-	}
-	return out
-}
-
-// subtractSeq removes one sequence from a hole set (a replay batch
-// re-delivered it, so it is covered now), splitting ranges as needed.
-func subtractSeq(holes []seqRange, seq uint64) []seqRange {
-	for i, h := range holes {
-		if seq < h.lo || seq > h.hi {
-			continue
-		}
-		out := append([]seqRange(nil), holes[:i]...)
-		if h.lo < seq {
-			out = append(out, seqRange{h.lo, seq - 1})
-		}
-		if seq < h.hi {
-			out = append(out, seqRange{seq + 1, h.hi})
-		}
-		return append(out, holes[i+1:]...)
-	}
-	return holes
-}
-
-// belowFloorLocked reports whether d was already covered by a replay
-// batch on its stream. Caller holds mu.
-func (p *port) belowFloorLocked(d filtering.Delivery) bool {
-	if d.StoreSeq == 0 {
-		return false
-	}
-	for i := range p.floors {
-		if p.floors[i].stream == d.Msg.Stream {
-			return d.StoreSeq <= p.floors[i].upto &&
-				!holesContain(p.floors[i].holes, d.StoreSeq)
-		}
-	}
-	return false
-}
-
-// raiseFloorLocked folds an ascending non-empty replay batch into the
-// stream's floor. A fresh floor covers everything up to the batch's last
-// sequence except the gaps inside the batch (never-replayed hole fills
-// must still be deliverable). Merging an existing floor removes old
-// holes the new batch re-delivered and marks as holes both the new
-// batch's gaps and any span between the old floor and the new batch that
-// neither covered. Caller holds mu.
-func (p *port) raiseFloorLocked(stream wire.StreamID, batch []filtering.Delivery) {
-	lo, hi := batch[0].StoreSeq, batch[len(batch)-1].StoreSeq
-	for i := range p.floors {
-		f := &p.floors[i]
-		if f.stream != stream {
-			continue
-		}
-		for _, d := range batch {
-			if d.StoreSeq <= f.upto {
-				f.holes = subtractSeq(f.holes, d.StoreSeq)
-			}
-		}
-		if hi <= f.upto {
-			return
-		}
-		if lo > f.upto+1 {
-			f.holes = append(f.holes, seqRange{f.upto + 1, lo - 1})
-		}
-		f.holes = append(f.holes, batchHoles(batch, f.upto)...)
-		f.upto = hi
-		return
-	}
-	p.floors = append(p.floors, streamFloor{
-		stream: stream, upto: hi, holes: batchHoles(batch, 0),
-	})
-	p.hasFloors.Store(true)
-}
-
-// enterSlow routes all subsequent producers through mu and waits out
-// producers already inside a lock-free enqueue. On return, every new
-// enqueue observes the gate/floor/closed state under mu, and everything
-// a lock-free producer put in the ring precedes what the caller enqueues
-// under mu afterwards. The wait is bounded: a lock-free enqueue is a
-// handful of atomic operations with no locks or callbacks inside.
+// enterSlow takes one count of slow and waits out producers already
+// inside a lock-free enqueue. On return, every new enqueue observes the
+// gate and closed state under mu, and everything a lock-free producer put
+// in the ring precedes what the caller enqueues under mu afterwards. The
+// wait is bounded: a lock-free enqueue is a handful of atomic operations
+// with no locks or callbacks inside.
 func (p *port) enterSlow() {
-	p.slow.Store(true)
+	p.slow.Add(1)
 	for p.inflight.Load() != 0 {
 		runtime.Gosched()
 	}
@@ -235,18 +116,16 @@ func (p *port) enterSlow() {
 // enqueue adds a delivery, applying the overflow policy when full. It
 // reports whether the new delivery was admitted; deliveries diverted to
 // the catch-up gate report false and are accounted when the gate flushes,
-// deliveries below a replay floor are silently suppressed as duplicates
-// of already-replayed history, and deliveries to a closed port are
-// dropped.
+// and deliveries to a closed port are dropped.
 //
 // Steady state is lock-free: one slow load, the ring's CAS-claimed slot,
 // a publication store and a parked-check on the waiter. A slow port
-// (gated, floored or closing; the inflight barrier makes the flip safe)
-// makes those decisions under mu and then admits into the same ring.
+// (gated or closing; the inflight barrier makes the switch safe) makes
+// those decisions under mu and then admits into the same ring.
 func (p *port) enqueue(d *filtering.Delivery) bool {
-	if !p.slow.Load() {
+	if p.slow.Load() == 0 {
 		p.inflight.Add(1)
-		if !p.slow.Load() {
+		if p.slow.Load() == 0 {
 			admitted := p.admit(d)
 			p.inflight.Add(-1)
 			return admitted
@@ -260,8 +139,6 @@ func (p *port) enqueue(d *filtering.Delivery) bool {
 	switch {
 	case p.gateCount > 0:
 		p.held = append(p.held, *d)
-		return false
-	case p.belowFloorLocked(*d):
 		return false
 	case p.closed:
 		p.drop(1)
@@ -291,153 +168,89 @@ func (p *port) admit(d *filtering.Delivery) bool {
 	return true
 }
 
-// tryHold diverts a sync-mode delivery into the catch-up gate, or drops
-// it when a replay floor already covers it. It reports false when
-// neither applies — the gate closed between the caller's lock-free check
-// and the lock acquisition — in which case the caller delivers normally.
+// tryHold diverts a sync-mode delivery into the catch-up gate. It reports
+// false when the gate is not open — it closed between the caller's
+// lock-free check and the lock acquisition, or the port is only closing —
+// in which case the caller delivers normally.
 func (p *port) tryHold(d filtering.Delivery) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.gateCount > 0 {
 		p.held = append(p.held, d)
-		return true
 	}
-	return p.belowFloorLocked(d)
+	return p.gateCount > 0
 }
 
-// beginGate opens the catch-up gate. Called under Dispatcher.mu before
-// the subscription becomes visible to Dispatch, so no live delivery for
-// it can reach the consumer ahead of the replay batch. It first makes
-// the port slow, so every delivery from here on makes its gate/floor
-// decision under mu; deliveries already in the ring predate the gate and
-// drain ahead of the replay batch.
+// beginGate opens a catch-up gate. Called under Dispatcher.mu before the
+// subscription is installed, so no live delivery for it can reach the
+// consumer ahead of the replay batch. It first makes the port slow, so
+// every delivery from here on makes its gate decision under mu;
+// deliveries already in the ring predate the gate and drain ahead of the
+// replay batch.
 func (p *port) beginGate() {
 	p.enterSlow()
 	p.mu.Lock()
 	p.gateCount++
-	p.gated.Store(true)
 	p.mu.Unlock()
 }
 
-// endGate raises the stream's replay floor to the batch's high-water
-// mark, places the replay batch, flushes the held live deliveries that
-// are not duplicates of it, and closes the gate. The floor outlives the
-// gate, so a delivery teed into the store before the replay fetch but
-// dispatched only after the gate closed is still screened out — the
-// seq-based dedupe at the claim boundary. Replayed deliveries are not
-// counted as dispatcher deliveries (they never entered Dispatch);
-// flushed held ones are, on sh. In async mode everything goes into the
-// ring under one lock acquisition, past the capacity bound rather than
-// letting the batch evict itself: the ring adopts replay as a segment
-// and owns it from then on, and the held backlog is pushed behind it; a
-// closed port drops both. In sync mode the replay and held batches are
-// delivered inline on the calling goroutine, draining repeatedly until
-// no new deliveries arrived while the previous batch was being consumed.
-func (p *port) endGate(replay []filtering.Delivery, stream wire.StreamID, syncMode bool, sh *shard) {
-	if !syncMode {
-		p.mu.Lock()
-		if len(replay) > 0 {
-			p.raiseFloorLocked(stream, replay)
-		}
-		if p.closed {
-			p.drop(len(replay))
-		} else {
-			p.ring.Adopt(replay) // every producer is slow, blocked on mu
-			p.wake()
-		}
-		if p.gateCount > 1 {
-			// Another catch-up on this port is still mid-replay: its
-			// endGate flushes the held backlog once every floor is in
-			// place. Flushing now would deliver its stream's held live
-			// messages ahead of its replay batch.
-			p.gateCount--
-			p.mu.Unlock()
-			return
-		}
-		for i := range p.held {
-			switch d := &p.held[i]; {
-			case p.belowFloorLocked(*d):
-			case p.closed:
-				p.drop(1)
-			default:
-				p.ring.Push(d)
-				sh.delivered.Inc()
+// endGate places the replay batch, flushes the held live deliveries
+// behind it if this is the last gate open, and ends the gate. Another
+// catch-up still mid-replay keeps the held backlog: flushing it now would
+// deliver that stream's held live messages ahead of its replay batch.
+// Replayed deliveries are not counted as dispatcher deliveries (they
+// never entered Deliver); flushed held ones are, on sh. A closed port
+// drops both. In async mode everything goes into the ring under one lock
+// acquisition, past the capacity bound rather than letting the batch
+// evict itself: the ring adopts replay as a segment and owns it from
+// then on, and the held backlog is pushed behind it. In sync mode both
+// are delivered inline on the calling goroutine, draining held
+// repeatedly until no new deliveries arrived while the previous batch
+// was being consumed.
+func (p *port) endGate(replay []filtering.Delivery, syncMode bool, sh *shard) {
+	p.mu.Lock()
+	if !syncMode && !p.closed {
+		p.ring.Adopt(replay) // every producer is slow, blocked on mu
+		if p.gateCount == 1 {
+			for i := range p.held {
+				p.ring.Push(&p.held[i])
 			}
+			sh.delivered.Add(int64(len(p.held)))
+			p.held = nil
 		}
 		p.wake()
-		p.held = nil
-		p.gateCount = 0
-		p.gated.Store(false)
-		p.mu.Unlock()
-		return
+		replay = nil
 	}
-	p.mu.Lock()
+	for syncMode && !p.closed {
+		batch, flushed := replay, false
+		if len(batch) == 0 && p.gateCount == 1 {
+			batch, p.held, flushed = p.held, nil, true
+		}
+		if len(batch) == 0 {
+			break
+		}
+		replay = nil
+		p.mu.Unlock()
+		for _, d := range batch {
+			if flushed {
+				// Counted before Consume, one at a time: a consumer may
+				// read Stats from inside Consume.
+				sh.delivered.Inc()
+			}
+			p.consumer.Consume(d)
+		}
+		p.mu.Lock()
+	}
 	if p.closed {
 		// Unsubscribe raced the catch-up: the consumer must not see the
 		// replay batch or the held backlog after close. Account both as
-		// drops, the way close() drains held, and release the gate.
-		p.dropClosedGateLocked(len(replay))
-		p.mu.Unlock()
-		return
-	}
-	if len(replay) > 0 {
-		p.raiseFloorLocked(stream, replay)
-	}
-	p.mu.Unlock()
-	for _, d := range replay {
-		p.consumer.Consume(d)
-	}
-	for {
-		p.mu.Lock()
-		if p.closed {
-			// Closed while the previous batch was being consumed; any
-			// held deliveries that accumulated since close() reach no
-			// consumer.
-			p.dropClosedGateLocked(0)
-			p.mu.Unlock()
-			return
-		}
-		if p.gateCount > 1 {
-			// See the async branch: the last gate standing drains held.
-			p.gateCount--
-			p.mu.Unlock()
-			return
-		}
-		held := p.held
+		// drops, the way close() drains held.
+		p.drop(len(replay) + len(p.held))
 		p.held = nil
-		if len(held) == 0 {
-			p.gateCount = 0
-			p.gated.Store(false)
-			p.mu.Unlock()
-			return
-		}
-		var keep []filtering.Delivery
-		for _, d := range held {
-			if !p.belowFloorLocked(d) {
-				keep = append(keep, d)
-			}
-		}
-		p.mu.Unlock()
-		for _, d := range keep {
-			sh.delivered.Inc()
-			p.consumer.Consume(d)
-		}
 	}
-}
-
-// dropClosedGateLocked accounts a raced-out catch-up on a closed port:
-// nReplay replay deliveries plus whatever held backlog accumulated after
-// close() count as drops, and the gate this endGate owned is released.
-// Caller holds mu; p.closed is true.
-func (p *port) dropClosedGateLocked(nReplay int) {
-	p.drop(nReplay + len(p.held))
-	p.held = nil
-	if p.gateCount > 1 {
-		p.gateCount--
-		return
-	}
-	p.gateCount = 0
-	p.gated.Store(false)
+	p.gateCount--
+	p.slow.Add(-1)
+	p.mu.Unlock()
 }
 
 // drop accounts n deliveries this port discarded, on the dispatcher's

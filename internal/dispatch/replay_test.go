@@ -49,14 +49,35 @@ func (r *seqRecorder) snapshot() []uint64 {
 	return append([]uint64(nil), r.seqs...)
 }
 
+// fencedPublish appends del to st and delivers it the way a deployment
+// does: its route resolved inside the store critical section that
+// assigns its StoreSeq.
+func fencedPublish(st *store.Store, d *Dispatcher, del filtering.Delivery) {
+	var r Route
+	del.StoreSeq = st.AppendFenced(del, func() { r = d.Resolve(del.Msg.Stream) })
+	d.Deliver(&del, r)
+}
+
+// fencedJoin subscribes c to stream with the replay of st's history from
+// store sequence from the way a deployment does: the subscription is
+// installed inside the store critical section that reads the backlog.
+func fencedJoin(st *store.Store, d *Dispatcher, c Consumer, stream wire.StreamID, from uint64) (SubscriptionID, int, error) {
+	j, err := d.Join(c, stream)
+	if err != nil {
+		return 0, 0, err
+	}
+	id, n := j.CatchUp(st.RangeFenced(stream, from, ^uint64(0), j.Install))
+	return id, n, nil
+}
+
 // TestSubscribeWithReplayOrderingUnderAsync is the regression test for
 // the historical SubscribeWithBacklog race: in async mode the backlog was
 // replayed via direct Consume while the port drainer concurrently
 // delivered live messages, so replayed and live deliveries could
-// interleave out of order. With the catch-up gate, every delivery the
-// consumer sees must be in strictly ascending store-sequence order with
-// no duplicates, no matter how the replay races live publishing. Run
-// under -race in CI.
+// interleave out of order. With the store fence and the catch-up gate,
+// every delivery the consumer sees must be in strictly ascending
+// store-sequence order with no duplicates, no matter how the replay races
+// live publishing. Run under -race in CI.
 func TestSubscribeWithReplayOrderingUnderAsync(t *testing.T) {
 	const backlog = 200
 	const live = 2000
@@ -67,12 +88,10 @@ func TestSubscribeWithReplayOrderingUnderAsync(t *testing.T) {
 	stream := wire.MustStreamID(7, 0)
 
 	publish := func(seq int) {
-		del := filtering.Delivery{
+		fencedPublish(st, d, filtering.Delivery{
 			Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)},
 			At:  time.Unix(int64(seq), 0),
-		}
-		del.StoreSeq = st.Append(del) // the core deployment's store tee
-		d.Dispatch(del)
+		})
 	}
 
 	for seq := 0; seq < backlog; seq++ {
@@ -92,9 +111,7 @@ func TestSubscribeWithReplayOrderingUnderAsync(t *testing.T) {
 	rec := &seqRecorder{}
 	ss, _ := st.StreamStats(stream)
 	from := ss.FirstSeq
-	_, replayed, err := d.SubscribeWithReplay(rec, stream, func() []filtering.Delivery {
-		return st.Range(stream, from, ^uint64(0))
-	})
+	_, replayed, err := fencedJoin(st, d, rec, stream, from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,81 +177,6 @@ func TestSubscribeWithReplaySyncMode(t *testing.T) {
 	}
 }
 
-// TestSubscribeWithReplayDedupesClaimBoundary pins the seq dedupe: a live
-// delivery that raced into the gate but was already part of the replay
-// batch is dropped, not delivered twice.
-func TestSubscribeWithReplayDedupesClaimBoundary(t *testing.T) {
-	st := store.New(store.Options{})
-	d := New(Options{Mode: ModeAsync, QueueCapacity: 64})
-	d.Start()
-	stream := wire.MustStreamID(9, 0)
-	var inFlight filtering.Delivery
-	for seq := 0; seq < 3; seq++ {
-		del := filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)}}
-		del.StoreSeq = st.Append(del)
-		inFlight = del
-	}
-	rec := &seqRecorder{}
-	_, _, err := d.SubscribeWithReplay(rec, stream, func() []filtering.Delivery {
-		// While the fetch is running the in-flight copy of the newest
-		// stored message arrives at the gate — the exact claim-boundary
-		// race the dedupe exists for.
-		d.Dispatch(inFlight)
-		return st.Range(stream, 0, ^uint64(0))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Stop()
-	seqs := rec.snapshot()
-	if len(seqs) != 3 {
-		t.Fatalf("saw %v, want exactly the 3 stored messages once each", seqs)
-	}
-}
-
-// TestReplayFloorScreensPostGateDuplicates pins the tail of the
-// claim-boundary race: a delivery teed into the store before the replay
-// fetch but dispatched only after the catch-up gate closed (publisher
-// preempted between store append and Dispatch) must be screened out by
-// the port's replay floor, in both delivery modes — it was already part
-// of the replay batch.
-func TestReplayFloorScreensPostGateDuplicates(t *testing.T) {
-	for _, mode := range []Mode{ModeSync, ModeAsync} {
-		st := store.New(store.Options{})
-		d := New(Options{Mode: mode, QueueCapacity: 64})
-		d.Start()
-		stream := wire.MustStreamID(4, 0)
-		var inFlight filtering.Delivery
-		for seq := 0; seq < 3; seq++ {
-			del := filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)}}
-			del.StoreSeq = st.Append(del)
-			inFlight = del // appended, not yet dispatched
-		}
-		rec := &seqRecorder{}
-		if _, _, err := d.SubscribeWithReplay(rec, stream, func() []filtering.Delivery {
-			return st.Range(stream, 0, ^uint64(0))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// The gate is closed now; the stale in-flight copy arrives late.
-		d.Dispatch(inFlight)
-		// Fresh data still flows.
-		fresh := filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: 3}}
-		fresh.StoreSeq = st.Append(fresh)
-		d.Dispatch(fresh)
-		d.Stop()
-		seqs := rec.snapshot()
-		if len(seqs) != 4 {
-			t.Fatalf("mode %v: saw %v, want the 3 replayed + 1 fresh exactly once", mode, seqs)
-		}
-		for i := 1; i < len(seqs); i++ {
-			if seqs[i] <= seqs[i-1] {
-				t.Fatalf("mode %v: ordering broken: %v", mode, seqs)
-			}
-		}
-	}
-}
-
 // TestReplayLargerThanQueueCapacity pins the catch-up burst behaviour: a
 // replay batch bigger than the consumer's queue capacity must not evict
 // itself while being placed — the ring grows for the burst and drains
@@ -272,7 +214,7 @@ func TestReplayLargerThanQueueCapacity(t *testing.T) {
 // catch-up bug: with two SubscribeWithReplay calls on the same consumer
 // in flight (gateCount 2), the first endGate must NOT flush the held
 // backlog — a live delivery for the second stream would otherwise go out
-// before that stream's replay batch, then be re-delivered by it.
+// ahead of that stream's replay batch.
 func TestNestedCatchUpGatesDoNotFlushEarly(t *testing.T) {
 	for _, mode := range []Mode{ModeSync, ModeAsync} {
 		st := store.New(store.Options{})
@@ -289,29 +231,29 @@ func TestNestedCatchUpGatesDoNotFlushEarly(t *testing.T) {
 		}
 		// B starts at a different wire seq so its extended sequences are
 		// disjoint from A's and the recorder can attribute them.
-		var bLive filtering.Delivery
 		for seq := 100; seq < 103; seq++ {
-			bLive = app(b, seq)
+			app(b, seq)
 		}
 		rec := &seqRecorder{}
-		// B's fetch races: a live copy of B's newest message arrives at
-		// the gate, and a whole nested catch-up for A runs start to
-		// finish, before B's replay batch is returned.
+		// Once B's backlog is read, B's next message arrives live and is
+		// held at the gate, and a whole nested catch-up for A runs start
+		// to finish, before B's replay batch is placed.
 		if _, _, err := d.SubscribeWithReplay(rec, b, func() []filtering.Delivery {
-			d.Dispatch(bLive)
+			batch := st.Range(b, 0, ^uint64(0))
+			d.Dispatch(app(b, 103))
 			if _, _, err := d.SubscribeWithReplay(rec, a, func() []filtering.Delivery {
 				return st.Range(a, 0, ^uint64(0))
 			}); err != nil {
 				t.Fatal(err)
 			}
-			return st.Range(b, 0, ^uint64(0))
+			return batch
 		}); err != nil {
 			t.Fatal(err)
 		}
 		d.Stop()
 		seqs := rec.snapshot()
-		if len(seqs) != 6 {
-			t.Fatalf("mode %v: saw %v, want each of the 6 stored messages exactly once", mode, seqs)
+		if len(seqs) != 7 {
+			t.Fatalf("mode %v: saw %v, want each of the 7 stored messages exactly once", mode, seqs)
 		}
 		perStream := map[uint64]bool{}
 		var lastA, lastB uint64
@@ -336,47 +278,6 @@ func TestNestedCatchUpGatesDoNotFlushEarly(t *testing.T) {
 				}
 				lastB = s
 			}
-		}
-	}
-}
-
-// TestReplayFloorPassesGapFills pins the hole-aware floor: a sequence
-// missing from the replay batch (lost on the radio at fetch time) that
-// is later gap-recovered must reach the replay subscriber — it is new
-// data, not a duplicate — while true duplicates of replayed history stay
-// suppressed.
-func TestReplayFloorPassesGapFills(t *testing.T) {
-	for _, mode := range []Mode{ModeSync, ModeAsync} {
-		st := store.New(store.Options{})
-		d := New(Options{Mode: mode, QueueCapacity: 64})
-		d.Start()
-		stream := wire.MustStreamID(6, 0)
-		var stale filtering.Delivery
-		for _, seq := range []int{0, 1, 3, 4} { // 2 is lost for now
-			del := filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)}}
-			del.StoreSeq = st.Append(del)
-			stale = del
-		}
-		rec := &seqRecorder{}
-		if _, replayed, err := d.SubscribeWithReplay(rec, stream, func() []filtering.Delivery {
-			return st.Range(stream, 0, ^uint64(0))
-		}); err != nil || replayed != 4 {
-			t.Fatalf("mode %v: replayed %d err %v", mode, replayed, err)
-		}
-		// The lost copy of seq 2 finally arrives (filter gap recovery):
-		// the store assigns it its original address inside the floor.
-		fill := filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: 2}}
-		fill.StoreSeq = st.Append(fill)
-		d.Dispatch(fill)
-		// A stale duplicate of replayed history stays suppressed.
-		d.Dispatch(stale)
-		d.Stop()
-		seqs := rec.snapshot()
-		if len(seqs) != 5 {
-			t.Fatalf("mode %v: saw %v, want 4 replayed + the gap fill", mode, seqs)
-		}
-		if got := seqs[4]; got != fill.StoreSeq {
-			t.Fatalf("mode %v: last delivery %d, want the gap fill %d", mode, got, fill.StoreSeq)
 		}
 	}
 }
@@ -407,7 +308,7 @@ func TestEndGateOnClosedPortSync(t *testing.T) {
 	}
 
 	replay := []filtering.Delivery{{StoreSeq: 1}, {StoreSeq: 2}, {StoreSeq: 3}}
-	p.endGate(replay, stream, true, &shard{})
+	p.endGate(replay, true, &shard{})
 
 	if got := rec.snapshot(); len(got) != 0 {
 		t.Fatalf("closed port consumed %v, want nothing", got)
@@ -420,10 +321,10 @@ func TestEndGateOnClosedPortSync(t *testing.T) {
 		t.Fatalf("self drops: %d, want 5", got)
 	}
 	p.mu.Lock()
-	gateCount, gated, heldLen := p.gateCount, p.gated.Load(), len(p.held)
+	gateCount, slow, heldLen := p.gateCount, p.slow.Load(), len(p.held)
 	p.mu.Unlock()
-	if gateCount != 0 || gated || heldLen != 0 {
-		t.Fatalf("gate not released: count=%d gated=%v held=%d", gateCount, gated, heldLen)
+	if gateCount != 0 || slow != 1 || heldLen != 0 {
+		t.Fatalf("gate not released: count=%d slow=%d (want close's 1) held=%d", gateCount, slow, heldLen)
 	}
 }
 
@@ -442,7 +343,7 @@ func TestEndGateClosedMidFlushSync(t *testing.T) {
 	closer.p = p
 	p.beginGate()
 	p.held = append(p.held, filtering.Delivery{Msg: wire.Message{Stream: stream}, StoreSeq: 50})
-	p.endGate(nil, stream, true, &shard{})
+	p.endGate(nil, true, &shard{})
 	seqs := closer.rec.snapshot()
 	if len(seqs) != 1 || seqs[0] != 50 {
 		t.Fatalf("flushed %v, want just the pre-close 50", seqs)
@@ -456,8 +357,10 @@ func TestEndGateClosedMidFlushSync(t *testing.T) {
 // the public API in both modes: Unsubscribe removes the catch-up
 // subscription while fetch is still materialising the backlog, so the
 // port is closed by the time endGate places the replay. The consumer
-// must see nothing and the batch must be accounted as drops. Runs under
-// -race in CI.
+// must see nothing and the batch must be accounted as drops. An
+// Unsubscribe may also land between a Join's registration and its
+// install: the install then adds nothing, the port is on no route and
+// its drainer exits. Runs under -race in CI.
 func TestSubscribeWithReplayRacesUnsubscribe(t *testing.T) {
 	for _, mode := range []Mode{ModeSync, ModeAsync} {
 		d := New(Options{Mode: mode, QueueCapacity: 64})
@@ -496,4 +399,45 @@ func TestSubscribeWithReplayRacesUnsubscribe(t *testing.T) {
 			t.Fatalf("mode %v: dropped %d, want %d", mode, got, len(backlog))
 		}
 	}
+	t.Run("before install", func(t *testing.T) {
+		for _, mode := range []Mode{ModeSync, ModeAsync} {
+			d := New(Options{Mode: mode, QueueCapacity: 64})
+			d.Start()
+			stream := wire.MustStreamID(9, 0)
+			rec := &seqRecorder{}
+			j, err := d.Join(rec, stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Unsubscribe(j.id) {
+				t.Fatalf("mode %v: a registered join is not live", mode)
+			}
+			j.Install()
+			backlog := []filtering.Delivery{
+				{Msg: wire.Message{Stream: stream, Seq: 1}, StoreSeq: 65537},
+				{Msg: wire.Message{Stream: stream, Seq: 2}, StoreSeq: 65538},
+			}
+			j.CatchUp(backlog)
+			sh := d.shardFor(stream.Sensor())
+			sh.mu.Lock()
+			listed := len(sh.exact[stream])
+			sh.mu.Unlock()
+			if listed != 0 || d.Subscribed(stream) {
+				t.Fatalf("mode %v: the unsubscribed join was installed (%d on the route)", mode, listed)
+			}
+			d.Dispatch(filtering.Delivery{Msg: wire.Message{Stream: stream, Seq: 3}, StoreSeq: 65539})
+			stopped := make(chan struct{})
+			go func() { d.Stop(); close(stopped) }()
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("mode %v: the closed port's drainer did not exit", mode)
+			}
+			st := d.Stats()
+			if got := rec.snapshot(); len(got) != 0 || st.Dropped != 2 || st.Orphaned != 1 {
+				t.Fatalf("mode %v: consumer saw %v, dropped %d, orphaned %d; want nothing, 2, 1",
+					mode, got, st.Dropped, st.Orphaned)
+			}
+		}
+	})
 }

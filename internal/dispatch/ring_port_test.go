@@ -5,9 +5,13 @@ import (
 	"maps"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
 	"github.com/garnet-middleware/garnet/internal/metrics"
@@ -182,17 +186,17 @@ func TestPortScriptsMatchRecordedOutcomes(t *testing.T) {
 	}
 }
 
-// TestGateRingHandoffStress storms the lock-free→slow transition: a
-// publisher keeps dispatching (with a store tee) while consumers join
-// via SubscribeWithReplay — each join makes its fresh port slow
-// mid-flight and adopts its replay batch into the ring — and leave via
-// Unsubscribe, closing ports with deliveries still in the ring. Each
-// joiner must observe a strictly ascending, duplicate-free, gap-free
-// prefix of the stream starting at its replay start: a duplicate means
-// the floor failed across the handoff, an inversion means the adopted
-// batch or the held backlog landed out of place, and a gap means a
-// delivery was lost in the transition (the queue is sized so overflow
-// cannot drop). Run under -race in CI.
+// TestGateRingHandoffStress storms the lock-free→slow→lock-free
+// transitions: a publisher keeps publishing through the store fence while
+// consumers join the same way — each join makes its fresh port slow
+// mid-flight, adopts its replay batch into the ring and returns the port
+// to the lock-free ring — and leave via Unsubscribe, closing ports with
+// deliveries still in the ring. Each joiner must observe a strictly
+// ascending, duplicate-free, gap-free prefix of the stream starting at
+// its replay start: a duplicate or a gap means the fence let a delivery
+// into both the backlog and the live route or into neither, an inversion
+// means the adopted batch or the held backlog landed out of place (the
+// queue is sized so overflow cannot drop). Run under -race in CI.
 func TestGateRingHandoffStress(t *testing.T) {
 	const total = 6000
 	const joiners = 40
@@ -207,12 +211,10 @@ func TestGateRingHandoffStress(t *testing.T) {
 	go func() {
 		defer close(done)
 		for seq := 0; seq < total; seq++ {
-			del := filtering.Delivery{
+			fencedPublish(st, d, filtering.Delivery{
 				Msg: wire.Message{Stream: stream, Seq: wire.Seq(seq)},
 				At:  epoch,
-			}
-			del.StoreSeq = st.Append(del)
-			d.Dispatch(del)
+			})
 		}
 	}()
 
@@ -222,11 +224,9 @@ func TestGateRingHandoffStress(t *testing.T) {
 		recs[j] = rec
 		ss, _ := st.StreamStats(stream)
 		from := ss.FirstSeq
-		id, _, err := d.SubscribeWithReplay(
+		id, _, err := fencedJoin(st, d,
 			&ConsumerFunc{ConsumerName: fmt.Sprintf("joiner%d", j), Fn: rec.Consume},
-			stream,
-			func() []filtering.Delivery { return st.Range(stream, from, ^uint64(0)) },
-		)
+			stream, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,10 +263,74 @@ func TestGateRingHandoffStress(t *testing.T) {
 	}
 }
 
+// TestCloseRacesReturnToRing: a port's last catch-up gate ends while the
+// port closes and a producer keeps enqueueing, so the return to the
+// lock-free ring races close's switch to the mutex path. Every delivery
+// must be admitted and consumed, held and then flushed (consumed) or
+// dropped, or dropped at once: none admitted after the drainer's last
+// look, where nothing consumes or counts it, and none both consumed and
+// dropped. The producer goes on past close and past the drainer's exit,
+// so an endGate that reopened the lock-free path under a closing port
+// strands what follows. CI runs it under -race -count=20 -cpu 1,2,8.
+func TestCloseRacesReturnToRing(t *testing.T) {
+	const rounds = 200
+	for round := range rounds {
+		var dropped, selfDrop metrics.Counter
+		var consumed atomic.Int64
+		c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Add(1) }}
+		p := newPort(c, 1<<12, dropNewest, true, &dropped, &selfDrop)
+		exited := make(chan struct{})
+		go func() { p.run(); close(exited) }()
+		p.beginGate()
+
+		var sh shard
+		start, closed := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; p.endGate(nil, false, &sh) }()
+		go func() { defer wg.Done(); <-start; p.close(); close(closed) }()
+		var sent, admitted int64
+		send := func() {
+			sent++
+			if d := del(wire.MustStreamID(1, 0), wire.Seq(sent)); p.enqueue(&d) {
+				admitted++
+			}
+		}
+		close(start)
+		for open := true; open; {
+			select {
+			case <-closed:
+				open = false
+			default:
+			}
+			if send(); sent%16 == 0 {
+				runtime.Gosched() // let endGate and close run on one P
+			}
+		}
+		wg.Wait()
+		select {
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: the drainer did not exit", round)
+		}
+		for range 8 {
+			send() // after the drainer's last look
+		}
+		flushed := sh.delivered.Value()
+		if got, want := consumed.Load(), admitted+flushed; got != want {
+			t.Fatalf("round %d: consumed %d, want %d admitted + %d flushed: a delivery is stranded or doubled",
+				round, got, admitted, flushed)
+		}
+		if got, want := dropped.Value(), sent-admitted-flushed; got != want {
+			t.Fatalf("round %d: dropped %d, want %d of %d sent", round, got, want, sent)
+		}
+	}
+}
+
 // TestRingPortEnqueueDrainZeroAllocs pins the acceptance bar for the
 // async hot path: once the port is warm, enqueue→drain allocates
-// nothing — lock-free, and on a slow port (gated once with an empty
-// replay) whose producers decide under its mutex alike.
+// nothing — lock-free, and on a port held slow, whose producers decide
+// under its mutex, alike.
 func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 	for _, path := range queuePaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -274,8 +338,7 @@ func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 			sink := &BatchConsumerFunc{ConsumerName: "sink", Fn: func([]filtering.Delivery) {}}
 			p := newPort(sink, 1024, dropOldest, true, &dropped, &selfDrop)
 			if path.slow {
-				p.beginGate()
-				p.endGate(nil, wire.MustStreamID(999, 0), false, &shard{})
+				holdSlow(p)
 			}
 			go p.run()
 			d := del(wire.MustStreamID(1, 0), 0)

@@ -112,7 +112,7 @@ func runScreenScript(script []screenStep, merged bool, sopts Options) screenRun 
 	var f *filtering.Filter
 	if merged {
 		ingest = func(rc receiver.Reception) {
-			if d, ok := s.Ingest(rc); ok {
+			if d, ok := s.Ingest(rc, nil); ok {
 				collect(d)
 			}
 		}

@@ -29,16 +29,29 @@
 // updates, replay and tests); both share one append step. A stream's
 // window survives Forget, as its unwrap state does.
 //
+// # Fences
+//
+// Ingest, AppendFenced and RangeFenced take a fence: a callback that runs
+// under the stream's shard lock, after the StoreSeq is assigned or before
+// the backlog is read. A deployment resolves a delivery's Exact and
+// BySensor destinations in the first and installs a late joiner's
+// subscription in the second, so an append and a join on one stream are
+// ordered by this lock: every delivery is either in the joiner's backlog
+// or on its live route, never both and never neither. A fence takes a
+// Dispatching Service shard lock inside the store's, the one lock order
+// the two keep: store shard → dispatch shard. It must not call back into
+// the Store.
+//
 // # Sharding and retention
 //
 // State partitions into N shards keyed by wire.SensorID.Shard — the same
 // Fibonacci partition the Dispatching and control-plane services use — so
 // a stream's screen and retention state live behind one lock that only
 // that sensor's traffic contends on, and its dispatch state behind one
-// more. That lock is also what Range, RangeFunc, WindowStats and a replay
-// hold across every archive read and block decode, so a late joiner's
-// archive read delays screening, not only appends, on 1/N of the streams
-// until it returns.
+// more, taken inside it by a fence. That lock is also what Range,
+// RangeFunc, WindowStats and a replay hold across every archive read and
+// block decode, so a late joiner's archive read delays screening, not
+// only appends, on 1/N of the streams until it returns.
 //
 // Each stream owns a power-of-two ring of retained deliveries indexed by
 // extended sequence (slot = seq mod ring size), grown on demand up to the
@@ -684,10 +697,17 @@ func (r *ring) presentLocked(ext uint64) bool {
 //
 // Append is the unscreened write path: it neither consults nor moves the
 // stream's duplicate window. Ingest is the screened one.
-func (s *Store) Append(d filtering.Delivery) uint64 {
+func (s *Store) Append(d filtering.Delivery) uint64 { return s.AppendFenced(d, nil) }
+
+// AppendFenced is Append with a fence (see Fences) that runs, when
+// non-nil, under the stream's shard lock once the StoreSeq is assigned.
+func (s *Store) AppendFenced(d filtering.Delivery, fence func()) uint64 {
 	sh := s.shardFor(d.Msg.Stream)
 	sh.mu.Lock()
 	ext := s.appendLocked(sh, sh.recordLocked(d.Msg.Stream), &d)
+	if fence != nil {
+		fence()
+	}
 	sh.mu.Unlock()
 	return ext
 }
@@ -697,14 +717,18 @@ func (s *Store) Append(d filtering.Delivery) uint64 {
 // critical section under the stream's shard lock with one record lookup,
 // and returns the accepted delivery stamped with its StoreSeq. ok is false
 // for a duplicate or a stale copy. A borrowed payload is copied only when
-// accepted. The caller forwards what Ingest returns after it returns,
-// with no lock held.
-func (s *Store) Ingest(rc receiver.Reception) (d filtering.Delivery, ok bool) {
+// accepted. The fence (see Fences), when non-nil, runs in the same
+// critical section, for an accepted copy only; the caller forwards what
+// Ingest returns after it returns, with no lock held.
+func (s *Store) Ingest(rc receiver.Reception, fence func()) (d filtering.Delivery, ok bool) {
 	sh := s.shardFor(rc.Msg.Stream)
 	sh.mu.Lock()
 	r := sh.recordLocked(rc.Msg.Stream)
 	if d, ok = sh.screen.IngestLocked(&r.win, &r.rest, &rc); ok {
 		d.StoreSeq = s.appendLocked(sh, r, &d)
+		if fence != nil {
+			fence()
+		}
 	}
 	sh.mu.Unlock()
 	return d, ok
@@ -1395,9 +1419,19 @@ func (s *Store) visitBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, 
 // retention cut leaves a block's dead prefix in its bytes), append
 // moves the overflow to a private array; nothing is lost.
 func (s *Store) Range(id wire.StreamID, from, to uint64) []filtering.Delivery {
+	return s.RangeFenced(id, from, to, nil)
+}
+
+// RangeFenced is Range with a fence (see Fences) that runs, when non-nil,
+// under the stream's shard lock before the read, in the same critical
+// section: no append on the stream falls between the two.
+func (s *Store) RangeFenced(id wire.StreamID, from, to uint64, fence func()) []filtering.Delivery {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if fence != nil {
+		fence()
+	}
 
 	var count int
 	var raw int64
