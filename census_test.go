@@ -44,8 +44,6 @@ var surfaceReasons = map[string]string{
 	"store.Store.EvictTo":                "ROADMAP item 6: Retire and the idle-age policy cut a stream's retained history",
 	"dispatch.Dispatcher.Wakeups":        "the verify skill reads Core().Dispatcher().Wakeups() beside Stats().Dispatch.Delivered",
 	"streamtab.Table.Delete":             "ROADMAP item 6: Retire deletes a retired stream's record",
-	"receiver.Receiver.Stats":            "ROADMAP item 8: heard = corrupt + decoded is one of the radio identities Audit checks live",
-	"transmit.Transmitter.Stats":         "ROADMAP item 8: the per-transmitter counters the one Snapshot export carries",
 	"transmit.Transmitter.Name":          "the only reader of the facade's TransmitterConfig.Name",
 }
 

@@ -176,5 +176,10 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	fmt.Fprintf(w, "field       energy=%.1fmJ alive=%d/%d\n", energy, alive, *sensors)
+	// The deployment is stopped, so every identity is exact: an imbalance
+	// is a bug, reported (by main) and turned into a non-zero exit.
+	if err := s.Audit(); err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
 	return nil
 }

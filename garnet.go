@@ -83,7 +83,10 @@ func WithPolicy(p Policy) Option {
 
 // WithAsyncDispatch switches consumer delivery to per-consumer bounded
 // queues drained by worker goroutines (for real-time deployments where
-// consumers may be slow).
+// consumers may be slow). It is the isolation boundary between consumers
+// and reception: a synchronous consumer runs on the reception path, so
+// one that blocks also blocks reception, while an async consumer that
+// falls behind only sheds the oldest deliveries of its own queue.
 func WithAsyncDispatch(queueCapacity int) Option {
 	return func(cfg *core.Config) {
 		cfg.Dispatch.Mode = dispatch.ModeAsync
@@ -318,7 +321,9 @@ func (g *Deployment) Revoke(name string) bool { return g.core.Registry().Revoke(
 // requires PermSubscribe; patterns that can select the protected location
 // streams additionally require PermLocation — broad (All/Where) patterns
 // from consumers without it are transparently narrowed to exclude
-// location streams.
+// location streams. Without WithAsyncDispatch, c runs on the reception
+// path: a consumer that blocks also blocks reception. Async delivery is
+// the isolation boundary.
 func (g *Deployment) Subscribe(tok Token, pattern Pattern, c Consumer) (SubscriptionID, error) {
 	id, err := g.core.Registry().Require(tok, registry.PermSubscribe)
 	if err != nil {
@@ -595,7 +600,8 @@ func (g *Deployment) NewDerivedStream(tok Token, index StreamIndex, flags Flags)
 	return consumer.NewDerivedStream(g.core, wire.MustStreamID(vid, index), flags), nil
 }
 
-// Stats aggregates every service's statistics.
+// Stats aggregates every service's statistics; Stats().Audit() checks
+// that their books balance.
 func (g *Deployment) Stats() Snapshot { return g.core.Stats() }
 
 // Core exposes the underlying assembly for advanced integrations and the

@@ -96,9 +96,8 @@ type Options struct {
 	MaxAttempts int
 }
 
-// Stats is a snapshot of service counters. Every issued request resolves
-// into exactly one of Acked, Expired or Cancelled, so once none is
-// outstanding Acked+Expired+Cancelled == Issued.
+// Stats is a snapshot of service counters; Check states how they
+// balance.
 type Stats struct {
 	Issued        int64
 	Acked         int64
@@ -107,6 +106,20 @@ type Stats struct {
 	Retries       int64
 	DuplicateAcks int64
 	Outstanding   int
+}
+
+// Check verifies
+//
+//	Issued == Acked + Expired + Cancelled + Outstanding
+//
+// every issued request resolves into exactly one outcome, or is still
+// outstanding.
+func (s Stats) Check() error {
+	if s.Issued != s.Acked+s.Expired+s.Cancelled+int64(s.Outstanding) {
+		return fmt.Errorf("issued %d != acked %d + expired %d + cancelled %d + outstanding %d",
+			s.Issued, s.Acked, s.Expired, s.Cancelled, s.Outstanding)
+	}
+	return nil
 }
 
 // Service is the Actuation Service.

@@ -493,29 +493,84 @@ type Snapshot struct {
 	Actuation  actuation.Stats
 	Replicator replicator.Stats
 	Coord      coordinator.Stats
-	Receivers  int
-	Txs        int
-	Sensors    int
+	// Receiver and Transmitter sum the counters of every receiver and
+	// every transmitter in the deployment's arrays.
+	Receiver    receiver.Stats
+	Transmitter transmit.Stats
+	Receivers   int
+	Txs         int
+	Sensors     int
+}
+
+// Audit checks every conservation identity the snapshot's layers keep —
+// each layer's Stats.Check, plus the replicator's Broadcasts against the
+// transmitters' (only the replicator broadcasts on the downlink) — and
+// returns the failures joined, each prefixed with its layer's name; nil
+// when the books balance.
+//
+// The screen, store, resource and actuation counters are read under
+// their layer's lock, so those identities hold on any snapshot. The
+// receiver, replicator and transmitter counters are atomics bumped one
+// after another, so those identities are exact only on a quiescent
+// deployment: stopped, or on a VirtualClock between steps. Dispatch
+// keeps no identity yet: a consumed or faulted copy is not counted.
+func (s Snapshot) Audit() error {
+	var errs []error
+	for _, l := range []struct {
+		name string
+		err  error
+	}{
+		{"filter", s.Filter.Check()},
+		{"store", s.Store.Check()},
+		{"resource", s.Resource.Check()},
+		{"actuation", s.Actuation.Check()},
+		{"replicator", s.Replicator.Check()},
+		{"receivers", s.Receiver.Check()},
+	} {
+		if l.err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", l.name, l.err))
+		}
+	}
+	if s.Replicator.Broadcasts != s.Transmitter.Broadcasts {
+		errs = append(errs, fmt.Errorf("replicator → transmitters: %d broadcasts replicated, %d transmitted",
+			s.Replicator.Broadcasts, s.Transmitter.Broadcasts))
+	}
+	return errors.Join(errs...)
 }
 
 // Stats returns a consistent-enough snapshot for dashboards and the
-// experiment harness.
+// experiment harness; Snapshot.Audit says which identities it keeps.
 func (d *Deployment) Stats() Snapshot {
 	d.mu.Lock()
 	rx, tx, sn := len(d.receivers), len(d.transmitters), len(d.sensors)
+	var rxs receiver.Stats
+	for _, r := range d.receivers {
+		st := r.Stats()
+		rxs.FramesHeard += st.FramesHeard
+		rxs.Corrupt += st.Corrupt
+		rxs.Decoded += st.Decoded
+	}
+	var txs transmit.Stats
+	for _, t := range d.transmitters {
+		st := t.Stats()
+		txs.Broadcasts += st.Broadcasts
+		txs.Bytes += st.Bytes
+	}
 	d.mu.Unlock()
 	return Snapshot{
-		Filter:     d.st.ScreenStats(),
-		Dispatch:   d.dispatcher.Stats(),
-		Store:      d.st.Stats(),
-		Orphanage:  d.orphan.Stats(),
-		Resource:   d.rm.Stats(),
-		Actuation:  d.acts.Stats(),
-		Replicator: d.repl.Stats(),
-		Coord:      d.coord.Stats(),
-		Receivers:  rx,
-		Txs:        tx,
-		Sensors:    sn,
+		Filter:      d.st.ScreenStats(),
+		Dispatch:    d.dispatcher.Stats(),
+		Store:       d.st.Stats(),
+		Orphanage:   d.orphan.Stats(),
+		Resource:    d.rm.Stats(),
+		Actuation:   d.acts.Stats(),
+		Replicator:  d.repl.Stats(),
+		Coord:       d.coord.Stats(),
+		Receiver:    rxs,
+		Transmitter: txs,
+		Receivers:   rx,
+		Txs:         tx,
+		Sensors:     sn,
 	}
 }
 

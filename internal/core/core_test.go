@@ -69,7 +69,7 @@ func addSensor(t *testing.T, d *Deployment, id wire.SensorID, caps sensor.Capabi
 // subscribed consumer, with the unclaimed remainder in the orphanage.
 func TestFigure1EndToEndDataPath(t *testing.T) {
 	d, clock := buildRig(t, radio.Params{LossProb: 0.1, DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond, Seed: 42})
-	defer d.Stop()
+	defer stopAndAudit(t, d)
 
 	addSensor(t, d, 1, 0, time.Second)
 	addSensor(t, d, 2, 0, time.Second) // nobody subscribes: orphaned
@@ -90,9 +90,6 @@ func TestFigure1EndToEndDataPath(t *testing.T) {
 	if fs.Duplicates == 0 {
 		t.Fatal("overlapping receivers produced no duplicates — rig is wrong")
 	}
-	if fs.Delivered+fs.Duplicates+fs.Stale != fs.Received {
-		t.Fatalf("filter accounting broken: %+v", fs)
-	}
 	// Sensor 2's stream must be held by the orphanage.
 	os := d.Orphanage().Stats()
 	if os.StreamsHeld != 1 {
@@ -109,7 +106,7 @@ func TestFigure1EndToEndDataPath(t *testing.T) {
 // sensor applies and acks → ack detected on the data path.
 func TestFigure1ActuationRoundTrip(t *testing.T) {
 	d, clock := buildRig(t, radio.Params{})
-	defer d.Stop()
+	defer stopAndAudit(t, d)
 	n := addSensor(t, d, 5, sensor.CapReceive, time.Second)
 	d.Start()
 	clock.Advance(2 * time.Second) // let some data flow (location track forms)

@@ -39,9 +39,9 @@ type adoptRig struct {
 	sh                shard
 }
 
-func newAdoptRig(capacity int, overflow overflowPolicy) *adoptRig {
+func newAdoptRig(capacity int) *adoptRig {
 	r := &adoptRig{}
-	r.p = newPort(&seqRecorder{}, capacity, overflow, true, &r.dropped, &r.selfDrop)
+	r.p = newPort(&seqRecorder{}, capacity, true, &r.dropped, &r.selfDrop)
 	return r
 }
 
@@ -94,7 +94,7 @@ func wantZeroed(t *testing.T, replay []filtering.Delivery) {
 func TestEndGateAdoptsReplayBatch(t *testing.T) {
 	for _, lockFree := range []bool{true, false} {
 		t.Run(fmt.Sprintf("lockFree=%v", lockFree), func(t *testing.T) {
-			r := newAdoptRig(8, dropOldest)
+			r := newAdoptRig(8)
 			p := r.p
 			if !lockFree {
 				p.beginGate()
@@ -140,7 +140,7 @@ func TestEndGateAdoptsReplayBatch(t *testing.T) {
 // everything queued before the gate.
 func TestEndGateAdoptsBehindQueue(t *testing.T) {
 	t.Run("short batch", func(t *testing.T) {
-		r := newAdoptRig(8, dropOldest)
+		r := newAdoptRig(8)
 		p := r.p
 		p.beginGate()
 		replay := seqBatch(100, 5, 0)
@@ -152,7 +152,7 @@ func TestEndGateAdoptsBehindQueue(t *testing.T) {
 		wantZeroed(t, replay)
 	})
 	t.Run("grown ring", func(t *testing.T) {
-		r := newAdoptRig(256, dropOldest)
+		r := newAdoptRig(256)
 		p := r.p
 		for i := 0; i < 100; i++ { // a 64-slot segment and a 128-slot one
 			p.enqueue(live(uint64(1000 + i)))
@@ -180,7 +180,7 @@ func TestSmallCatchUpHoldsSmallQueue(t *testing.T) {
 	rigs := make([]*adoptRig, ports)
 	batch := make([]filtering.Delivery, 1)
 	for i := range rigs {
-		r := newAdoptRig(4096, dropOldest)
+		r := newAdoptRig(4096)
 		rigs[i] = r
 		p := r.p
 		p.beginGate()
@@ -216,7 +216,7 @@ func TestSmallCatchUpHoldsSmallQueue(t *testing.T) {
 // in place.
 func TestNestedGatesAdoptThenCopy(t *testing.T) {
 	other := wire.MustStreamID(8, 0)
-	r := newAdoptRig(4, dropOldest)
+	r := newAdoptRig(4)
 	p := r.p
 	p.beginGate()
 	p.beginGate()
@@ -243,7 +243,7 @@ func TestNestedGatesAdoptThenCopy(t *testing.T) {
 // TestEndGateOnClosedPortDropsBatch is Unsubscribe winning the race with
 // the replay fetch: nothing is queued, everything is accounted.
 func TestEndGateOnClosedPortDropsBatch(t *testing.T) {
-	r := newAdoptRig(4, dropOldest)
+	r := newAdoptRig(4)
 	p := r.p
 	p.beginGate()
 	p.enqueue(live(120))
@@ -260,43 +260,33 @@ func TestEndGateOnClosedPortDropsBatch(t *testing.T) {
 	}
 }
 
-// TestOverflowDuringAdoptedDrain pins that the overflow policies key on
-// the logical capacity while an adopted batch is still draining: the
-// ring is over capacity, so dropNewest refuses the live delivery and
-// dropOldest evicts the oldest replayed entry for it — one, not down to
-// the capacity.
+// TestOverflowDuringAdoptedDrain pins that overflow keys on the logical
+// capacity while an adopted batch is still draining: the ring is over
+// capacity, so the live delivery evicts the oldest replayed entry — one,
+// not down to the capacity.
 func TestOverflowDuringAdoptedDrain(t *testing.T) {
-	for _, tc := range []struct {
-		policy overflowPolicy
-		want   [][]uint64
-	}{
-		{dropNewest, [][]uint64{seqs(100, 10)}},
-		{dropOldest, [][]uint64{seqs(101, 9), {500}}},
-	} {
-		r := newAdoptRig(4, tc.policy)
-		p := r.p
-		p.beginGate()
-		p.endGate(seqBatch(100, 10, 0), false, &r.sh)
-		admitted := p.enqueue(live(500))
-		if admitted != (tc.policy == dropOldest) || r.dropped.Value() != 1 {
-			t.Fatalf("policy %v: admitted=%v dropped=%d", tc.policy, admitted, r.dropped.Value())
-		}
-		wantSeqs(t, r.drain(), tc.want...)
-		// Back under capacity, the ring admits up to it again.
-		for i := 0; i < 4; i++ {
-			if !p.enqueue(live(uint64(600 + i))) {
-				t.Fatalf("policy %v: enqueue %d refused on a drained queue", tc.policy, i)
-			}
-		}
-		wantSeqs(t, r.drain(), seqs(600, 4))
+	r := newAdoptRig(4)
+	p := r.p
+	p.beginGate()
+	p.endGate(seqBatch(100, 10, 0), false, &r.sh)
+	if admitted := p.enqueue(live(500)); !admitted || r.dropped.Value() != 1 {
+		t.Fatalf("admitted=%v dropped=%d", admitted, r.dropped.Value())
 	}
+	wantSeqs(t, r.drain(), seqs(101, 9), []uint64{500})
+	// Back under capacity, the ring admits up to it again.
+	for i := 0; i < 4; i++ {
+		if !p.enqueue(live(uint64(600 + i))) {
+			t.Fatalf("enqueue %d refused on a drained queue", i)
+		}
+	}
+	wantSeqs(t, r.drain(), seqs(600, 4))
 }
 
 // TestPlaceReplayAllocations pins the cost of placing a replay batch: an
 // endGate allocates one ring segment (and the adopted segment's header)
 // and copies nothing, so a 4096-entry batch costs what a 1-entry one does.
 func TestPlaceReplayAllocations(t *testing.T) {
-	r := newAdoptRig(8, dropOldest)
+	r := newAdoptRig(8)
 	p := r.p
 	place := func(batch []filtering.Delivery) uint64 {
 		var before, after runtime.MemStats

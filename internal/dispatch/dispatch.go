@@ -48,16 +48,16 @@
 // Two delivery modes exist. Synchronous mode invokes consumers inline and
 // is used by the deterministic simulation and the benchmarks; asynchronous
 // mode gives every consumer a bounded queue drained by a dedicated,
-// lifecycle-managed goroutine, with an explicit overflow policy
-// (drop-oldest by default) so one slow consumer can never stall the
-// pipeline or another consumer. Each async queue is one lock-free ring
-// (internal/ring): publishing shards enqueue with a CAS-claimed slot and
-// wake a parked drainer through a two-state atomic, so concurrent
-// publishers to one consumer never serialise on a queue mutex. While a
-// port's catch-up gate is open, or once it is closing, its producers
-// decide under the port's mutex and enqueue into the same ring, which
-// adopts a replay batch as a segment instead of copying it; when its last
-// gate closes the port is back on the lock-free ring (see port). An
+// lifecycle-managed goroutine that drops its oldest delivery when full,
+// so one slow consumer can never stall the pipeline or another consumer.
+// Each async queue is one lock-free ring (internal/ring): publishing
+// shards enqueue with a CAS-claimed slot and wake a parked drainer through
+// a two-state atomic, so concurrent publishers to one consumer never
+// serialise on a queue mutex. While a port's catch-up gate is open, or
+// once it is closing, its producers decide under the port's mutex and
+// enqueue into the same ring, which adopts a replay batch as a segment
+// instead of copying it; when its last gate closes the port is back on the
+// lock-free ring (see port). An
 // enqueue that finds the drainer
 // awake pays one atomic load; one that finds it parked pays a channel
 // send and a goroutine wake, so a drainer that finds its queue empty
@@ -186,19 +186,9 @@ const (
 	ModeAsync
 )
 
-// overflowPolicy says what happens when an async consumer queue is full.
-type overflowPolicy int
-
-const (
-	// dropOldest discards the queue head to admit the new delivery.
-	dropOldest overflowPolicy = iota + 1
-	// dropNewest discards the incoming delivery.
-	dropNewest
-)
-
 // DefaultQueueCapacity bounds each async consumer queue. The buffer is a
 // deliberate, documented decision: it absorbs fan-out bursts while the
-// overflow policy guarantees a slow consumer only ever harms itself. The
+// drop-oldest overflow guarantees a slow consumer only ever harms itself. The
 // bound is not an allocation: a queue grows toward it only as far as its
 // backlog does (see port).
 const DefaultQueueCapacity = 256
@@ -222,11 +212,6 @@ type Options struct {
 	// Shards partitions the subscription table; <= 0 selects
 	// DefaultShards. 1 restores the single-table behaviour.
 	Shards int
-
-	// overflow is the async queues' policy, dropOldest unless an
-	// in-package test asks for dropNewest: a deployment always keeps the
-	// newest reading of a stream.
-	overflow overflowPolicy
 }
 
 // Stats is a snapshot of dispatcher counters.
@@ -307,9 +292,6 @@ func New(opts Options) *Dispatcher {
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = DefaultQueueCapacity
 	}
-	if opts.overflow == 0 {
-		opts.overflow = dropOldest
-	}
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
@@ -355,8 +337,7 @@ func (d *Dispatcher) Start() {
 func (d *Dispatcher) portForLocked(c Consumer) *port {
 	p, ok := d.ports[c]
 	if !ok {
-		p = newPort(c, d.opts.QueueCapacity, d.opts.overflow,
-			d.opts.Mode == ModeAsync,
+		p = newPort(c, d.opts.QueueCapacity, d.opts.Mode == ModeAsync,
 			&d.dropped, d.droppedBy.With(c.Name()))
 		p.wakeups = &d.wakeups
 		d.nextPort++

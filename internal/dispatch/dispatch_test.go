@@ -271,7 +271,7 @@ func TestAsyncSubscribeAfterStart(t *testing.T) {
 }
 
 func TestAsyncOverflowDropOldest(t *testing.T) {
-	d := New(Options{Mode: ModeAsync, QueueCapacity: 4, overflow: dropOldest})
+	d := New(Options{Mode: ModeAsync, QueueCapacity: 4})
 	block := make(chan struct{})
 	var mu sync.Mutex
 	var got []wire.Seq
@@ -302,41 +302,13 @@ func TestAsyncOverflowDropOldest(t *testing.T) {
 	if len(got) > 8 {
 		t.Fatalf("got %d of %d: more than a batch and a full queue survived", len(got), n)
 	}
-	// The newest delivery must survive under dropOldest.
+	// The newest delivery must survive.
 	last := got[len(got)-1]
 	if last != n-1 {
 		t.Fatalf("newest delivery lost: last = %d, want %d", last, n-1)
 	}
 	if st := d.Stats(); st.Dropped < n-8 {
 		t.Fatalf("Dropped = %d, want at least %d", st.Dropped, n-8)
-	}
-}
-
-func TestAsyncOverflowDropNewest(t *testing.T) {
-	d := New(Options{Mode: ModeAsync, QueueCapacity: 2, overflow: dropNewest})
-	block := make(chan struct{})
-	var mu sync.Mutex
-	var got []wire.Seq
-	slow := &ConsumerFunc{ConsumerName: "slow", Fn: func(dd filtering.Delivery) {
-		<-block
-		mu.Lock()
-		got = append(got, dd.Msg.Seq)
-		mu.Unlock()
-	}}
-	if _, err := d.Subscribe(slow, All()); err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	for i := 0; i < 6; i++ {
-		d.Dispatch(del(wire.MustStreamID(1, 0), wire.Seq(i)))
-	}
-	close(block)
-	d.Stop()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) == 0 || got[0] != 0 {
-		t.Fatalf("oldest delivery must survive dropNewest; got %v", got)
 	}
 }
 

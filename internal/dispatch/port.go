@@ -68,7 +68,6 @@ type port struct {
 
 	mu        sync.Mutex
 	batchSize int
-	overflow  overflowPolicy
 	closed    bool
 	running   bool
 
@@ -84,11 +83,10 @@ type port struct {
 	wakeups  *metrics.Counter // dispatcher total of token sends; nil on a bare port
 }
 
-func newPort(c Consumer, capacity int, overflow overflowPolicy, async bool, dropped, selfDrop *metrics.Counter) *port {
+func newPort(c Consumer, capacity int, async bool, dropped, selfDrop *metrics.Counter) *port {
 	p := &port{
 		consumer:  c,
 		batchSize: min(DefaultBatchSize, capacity),
-		overflow:  overflow,
 		waiter:    ring.NewWaiter(),
 		dropped:   dropped,
 		selfDrop:  selfDrop,
@@ -113,7 +111,7 @@ func (p *port) enterSlow() {
 	}
 }
 
-// enqueue adds a delivery, applying the overflow policy when full. It
+// enqueue adds a delivery, dropping the oldest when full. It
 // reports whether the new delivery was admitted; deliveries diverted to
 // the catch-up gate report false and are accounted when the gate flushes,
 // and deliveries to a closed port are dropped.
@@ -147,16 +145,12 @@ func (p *port) enqueue(d *filtering.Delivery) bool {
 	return p.admit(d)
 }
 
-// admit copies *d into the ring under the overflow policy. When the ring is at
-// its capacity dropNewest discards d, and dropOldest discards the head and
-// pushes d, one for one even while an adopted replay holds the ring above
+// admit copies *d into the ring. When the ring is at its capacity it
+// discards the head and pushes d — a consumer always gets the newest
+// reading — one for one even while an adopted replay holds the ring above
 // its capacity.
 func (p *port) admit(d *filtering.Delivery) bool {
 	if !p.ring.TryEnqueue(d) {
-		if p.overflow == dropNewest {
-			p.drop(1)
-			return false
-		}
 		// The producer performs the eviction itself (the ring supports
 		// concurrent dequeuers), keeping the policy lock-free.
 		if _, ok := p.ring.TryDequeue(); ok {

@@ -76,13 +76,12 @@ type scriptOutcome struct {
 // schedule — the drainers then deliver the accumulated queues in FIFO
 // order and Stop waits them out — and the outcome is the same on every
 // run.
-func runScript(t *testing.T, script []scriptOp, overflow overflowPolicy) scriptOutcome {
+func runScript(t *testing.T, script []scriptOp) scriptOutcome {
 	t.Helper()
 	streams := []wire.StreamID{wire.MustStreamID(1, 0), wire.MustStreamID(2, 0)}
 	d := New(Options{
 		Mode:          ModeAsync,
 		QueueCapacity: 4, // tiny: overflow constantly
-		overflow:      overflow,
 	})
 
 	recs := map[string]*seqRecorder{}
@@ -157,7 +156,7 @@ func runScript(t *testing.T, script []scriptOp, overflow overflowPolicy) scriptO
 }
 
 // TestPortScriptsMatchRecordedOutcomes replays randomized scripts — a
-// heavy publish stream under both overflow policies, catch-up gates
+// heavy publish stream into tiny drop-oldest queues, catch-up gates
 // opening and closing mid-stream against a ring that already holds
 // deliveries, a port closing with deliveries in flight — and compares
 // every consumer's delivery sequence, the Delivered/Dropped totals and
@@ -170,18 +169,14 @@ func TestPortScriptsMatchRecordedOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	if len(wantLines) != 24 {
-		t.Fatalf("%s has %d lines, want 24", portScriptsGolden, len(wantLines))
+	if len(wantLines) != 12 {
+		t.Fatalf("%s has %d lines, want 12", portScriptsGolden, len(wantLines))
 	}
-	i := 0
-	for _, overflow := range []overflowPolicy{dropOldest, dropNewest} {
-		for seed := int64(0); seed < 12; seed++ {
-			out := runScript(t, genScript(rand.New(rand.NewSource(seed)), 400), overflow)
-			if got := goldenLine(overflow, seed, out); got != wantLines[i] {
-				t.Fatalf("overflow=%v seed=%d: outcome differs from the recorded one\ngot:  %s\nwant: %s",
-					overflow, seed, got, wantLines[i])
-			}
-			i++
+	for seed := int64(0); seed < 12; seed++ {
+		out := runScript(t, genScript(rand.New(rand.NewSource(seed)), 400))
+		if got := goldenLine(seed, out); got != wantLines[seed] {
+			t.Fatalf("seed=%d: outcome differs from the recorded one\ngot:  %s\nwant: %s",
+				seed, got, wantLines[seed])
 		}
 	}
 }
@@ -278,7 +273,7 @@ func TestCloseRacesReturnToRing(t *testing.T) {
 		var dropped, selfDrop metrics.Counter
 		var consumed atomic.Int64
 		c := &ConsumerFunc{ConsumerName: "c", Fn: func(filtering.Delivery) { consumed.Add(1) }}
-		p := newPort(c, 1<<12, dropNewest, true, &dropped, &selfDrop)
+		p := newPort(c, 1<<12, true, &dropped, &selfDrop)
 		exited := make(chan struct{})
 		go func() { p.run(); close(exited) }()
 		p.beginGate()
@@ -336,7 +331,7 @@ func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			var dropped, selfDrop metrics.Counter
 			sink := &BatchConsumerFunc{ConsumerName: "sink", Fn: func([]filtering.Delivery) {}}
-			p := newPort(sink, 1024, dropOldest, true, &dropped, &selfDrop)
+			p := newPort(sink, 1024, true, &dropped, &selfDrop)
 			if path.slow {
 				holdSlow(p)
 			}
@@ -360,16 +355,12 @@ func TestRingPortEnqueueDrainZeroAllocs(t *testing.T) {
 const portScriptsGolden = "testdata/port_scripts.golden"
 
 // goldenLine renders one script outcome as a line of portScriptsGolden:
-// policy and seed, the Delivered and Dropped totals, DroppedByConsumer,
+// the overflow policy (always DropOldest) and seed, the Delivered and Dropped totals, DroppedByConsumer,
 // and each consumer's store sequences in delivery order, with ascending
 // runs written lo-hi.
-func goldenLine(overflow overflowPolicy, seed int64, o scriptOutcome) string {
-	policy := "DropOldest"
-	if overflow == dropNewest {
-		policy = "DropNewest"
-	}
+func goldenLine(seed int64, o scriptOutcome) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s seed=%d delivered=%d dropped=%d droppedBy=", policy, seed, o.delivered, o.dropped)
+	fmt.Fprintf(&b, "DropOldest seed=%d delivered=%d dropped=%d droppedBy=", seed, o.delivered, o.dropped)
 	for i, name := range slices.Sorted(maps.Keys(o.droppedBy)) {
 		if i > 0 {
 			b.WriteByte(',')

@@ -160,8 +160,8 @@ func runE1(cfg Config) (*Table, error) {
 		dupFactor := float64(fs.Received) / float64(fs.Delivered)
 		t.addRow(rxCount, fs.Received, fs.Delivered, dupFactor,
 			float64(fs.Delivered)/float64(expected), dupsOut)
-		if fs.Received != fs.Delivered+fs.Duplicates+fs.Stale {
-			return t, fmt.Errorf("E1: filter accounting broken at rx=%d", rxCount)
+		if err := d.Stats().Audit(); err != nil {
+			return t, fmt.Errorf("E1: books unbalanced at rx=%d: %w", rxCount, err)
 		}
 		if dupsOut != 0 {
 			return t, fmt.Errorf("E1: %d duplicates escaped the filter at rx=%d", dupsOut, rxCount)

@@ -54,6 +54,7 @@
 package filtering
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -115,6 +116,19 @@ type Stats struct {
 	GapsRecovered int64 // skipped numbers later filled by a late copy
 	ActiveStreams int   // streams with filter state
 	Shards        int   // state partitions
+}
+
+// Check verifies the screen's conservation identity
+//
+//	Received == Delivered + Duplicates + Stale
+//
+// every reception is forwarded once or dropped for exactly one reason.
+func (s Stats) Check() error {
+	if s.Received != s.Delivered+s.Duplicates+s.Stale {
+		return fmt.Errorf("received %d != delivered %d + duplicates %d + stale %d",
+			s.Received, s.Delivered, s.Duplicates, s.Stale)
+	}
+	return nil
 }
 
 // ceilPow2 rounds n up to a power of two in [64, 65536]. The upper bound

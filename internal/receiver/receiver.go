@@ -55,6 +55,16 @@ type Stats struct {
 	Decoded     int64 // receptions passed to the sink
 }
 
+// Check verifies FramesHeard == Corrupt + Decoded. The counters are
+// separate atomics, so the identity is exact only while no frame is
+// being handled.
+func (s Stats) Check() error {
+	if s.FramesHeard != s.Corrupt+s.Decoded {
+		return fmt.Errorf("frames heard %d != corrupt %d + decoded %d", s.FramesHeard, s.Corrupt, s.Decoded)
+	}
+	return nil
+}
+
 // Receiver is one element of the receiver array.
 type Receiver struct {
 	cfg    Config

@@ -36,6 +36,7 @@ package replicator
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -73,6 +74,16 @@ type Stats struct {
 	Paged      int64 // of those, sent from the one transmitter containing the heard zone
 	Flooded    int64 // requests broadcast by every transmitter
 	Broadcasts int64 // transmitter broadcasts used in total
+}
+
+// Check verifies Requests == Targeted + Flooded: a request either
+// reaches a located subset or floods. The counters are separate atomics,
+// so the identity is exact only while no Send is in flight.
+func (s Stats) Check() error {
+	if s.Requests != s.Targeted+s.Flooded {
+		return fmt.Errorf("requests %d != targeted %d + flooded %d", s.Requests, s.Targeted, s.Flooded)
+	}
+	return nil
 }
 
 // txSnapshot is an immutable view of the transmitter array: the attach-

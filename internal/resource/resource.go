@@ -198,6 +198,16 @@ type Stats struct {
 	Ledger      int // live (stream, class) entries
 }
 
+// Check verifies Submitted == Approved + Modified + Denied: every
+// submitted demand gets exactly one verdict.
+func (s Stats) Check() error {
+	if s.Submitted != s.Approved+s.Modified+s.Denied {
+		return fmt.Errorf("submitted %d != approved %d + modified %d + denied %d",
+			s.Submitted, s.Approved, s.Modified, s.Denied)
+	}
+	return nil
+}
+
 // Options configures a Manager. The zero value uses PolicyMostDemanding.
 type Options struct {
 	// Policy is the initial mediation policy; 0 selects

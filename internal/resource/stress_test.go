@@ -82,8 +82,8 @@ func TestControlPlaneRaceStress(t *testing.T) {
 	wg.Wait()
 
 	st := m.Stats()
-	if st.Submitted != st.Approved+st.Modified+st.Denied {
-		t.Fatalf("counters unbalanced: %+v", st)
+	if err := st.Check(); err != nil {
+		t.Fatal(err)
 	}
 	// Every worker withdrew everything it owned, so the ledger only holds
 	// whatever the final Apply left (nothing).

@@ -13,20 +13,12 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// checkArchiveIdentity asserts the extended conservation identity from
-// the Stats doc: every appended delivery is retained, durably archived,
-// or accounted to exactly one loss reason; recovered history is
-// discounted because it was never appended to this store.
+// checkArchiveIdentity fails t unless s's conservation identity, archive
+// terms included, balances (Stats.Check).
 func checkArchiveIdentity(t *testing.T, s *Store, tag string) {
 	t.Helper()
-	st := s.Stats()
-	have := st.RetainedMessages + st.ArchivedMessages - st.ArchiveRecovered
-	want := st.Appended - st.Duplicates - st.DroppedBehind -
-		st.EvictedCount - st.EvictedBytes - st.EvictedAge - st.EvictedCold -
-		st.EvictedArchive - st.ArchiveFailed - st.Forgotten
-	if have != want {
-		t.Fatalf("%s: conservation identity: retained %d + archived %d − recovered %d = %d, losses say %d (%+v)",
-			tag, st.RetainedMessages, st.ArchivedMessages, st.ArchiveRecovered, have, want, st)
+	if err := s.Stats().Check(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
 	}
 }
 

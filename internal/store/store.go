@@ -94,6 +94,7 @@ package store
 import (
 	"cmp"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -217,23 +218,14 @@ type Options struct {
 	ArchiveMaxBytes int64
 }
 
-// Stats is an aggregate snapshot summed across shards. The counters obey
-//
-//	RetainedMessages + ArchivedMessages − ArchiveRecovered ==
-//	    Appended − Duplicates − DroppedBehind −
-//	    EvictedCount − EvictedBytes − EvictedAge − EvictedCold −
-//	    EvictedArchive − ArchiveFailed − Forgotten
-//
-// on every snapshot: each appended delivery is either still held (in
-// memory or durably archived) or accounted to exactly one of the loss
-// reasons; ArchiveRecovered discounts history inherited from a previous
-// process's manifest, which was never appended in this one. With
-// compression enabled the Evicted{Count,Bytes,Age} counters stay at
-// zero — those evictions seal instead — and EvictedCold takes over as
-// the only capacity-driven loss; with an archive backend attached
-// EvictedCold stays at zero too — every sealed block spills — leaving
-// EvictedArchive (retention policy) and ArchiveFailed (backend write
-// errors) as the only capacity losses.
+// Stats is an aggregate snapshot summed across shards. Its counters obey
+// the conservation identity on Check on every snapshot. With compression
+// enabled the Evicted{Count,Bytes,Age} counters stay at zero — those
+// evictions seal instead — and EvictedCold takes over as the only
+// capacity-driven loss; with an archive backend attached EvictedCold
+// stays at zero too — every sealed block spills — leaving EvictedArchive
+// (retention policy) and ArchiveFailed (backend write errors) as the only
+// capacity losses.
 type Stats struct {
 	Appended      int64 // deliveries handed to Append
 	Duplicates    int64 // re-appends of an already retained sequence (replaced in place)
@@ -296,6 +288,29 @@ type Stats struct {
 	Codec   string // configured codec name, "" when compression is off
 	Streams int    // streams holding at least one delivery in any tier, archive included
 	Shards  int
+}
+
+// Check verifies the store's conservation identity
+//
+//	RetainedMessages + ArchivedMessages − ArchiveRecovered ==
+//	    Appended − Duplicates − DroppedBehind −
+//	    EvictedCount − EvictedBytes − EvictedAge − EvictedCold −
+//	    EvictedArchive − ArchiveFailed − Forgotten
+//
+// each appended delivery is either still held (in memory or durably
+// archived) or accounted to exactly one of the loss reasons;
+// ArchiveRecovered discounts history inherited from a previous process's
+// manifest, which was never appended in this one.
+func (s Stats) Check() error {
+	held := s.RetainedMessages + s.ArchivedMessages - s.ArchiveRecovered
+	kept := s.Appended - s.Duplicates - s.DroppedBehind -
+		s.EvictedCount - s.EvictedBytes - s.EvictedAge - s.EvictedCold -
+		s.EvictedArchive - s.ArchiveFailed - s.Forgotten
+	if held != kept {
+		return fmt.Errorf("retained %d + archived %d − recovered %d = %d held, but appended %d less losses leaves %d: %+v",
+			s.RetainedMessages, s.ArchivedMessages, s.ArchiveRecovered, held, s.Appended, kept, s)
+	}
+	return nil
 }
 
 // StreamStats describes one stream's retained window across every tier.
@@ -1720,7 +1735,7 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 
 // Stats returns an aggregate snapshot summed across shards. Counters and
 // gauges for one shard are read under its lock together, so a snapshot
-// taken while appenders run still satisfies the Stats invariant — gauges
+// taken while appenders run still satisfies Stats.Check — gauges
 // read after the lock drops could have moved past the counters they must
 // reconcile with.
 func (s *Store) Stats() Stats {

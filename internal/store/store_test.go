@@ -497,11 +497,8 @@ func TestColdBudgetEviction(t *testing.T) {
 	if !ok || ss.ColdBlocks == 0 {
 		t.Fatalf("newest cold block did not survive: %+v (ok=%v)", ss, ok)
 	}
-	lost := st.Duplicates + st.DroppedBehind + st.EvictedCount + st.EvictedBytes +
-		st.EvictedAge + st.EvictedCold + st.Forgotten
-	if st.RetainedMessages != st.Appended-lost {
-		t.Fatalf("stats identity: appended %d − lost %d = %d, retained %d",
-			st.Appended, lost, st.Appended-lost, st.RetainedMessages)
+	if err := st.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if got := len(s.Range(id, 0, ^uint64(0))); int64(got) != st.RetainedMessages {
 		t.Fatalf("Range sees %d entries, gauges say %d", got, st.RetainedMessages)
@@ -566,14 +563,10 @@ func TestStatsInvariantUnderConcurrentAppend(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 300; i++ {
-		st := s.Stats()
-		lost := st.Duplicates + st.DroppedBehind + st.EvictedCount + st.EvictedBytes +
-			st.EvictedAge + st.EvictedCold + st.Forgotten
-		if st.RetainedMessages != st.Appended-lost {
+		if err := s.Stats().Check(); err != nil {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("observation %d: appended %d − lost %d = %d, retained %d (torn snapshot)",
-				i, st.Appended, lost, st.Appended-lost, st.RetainedMessages)
+			t.Fatalf("observation %d (torn snapshot): %v", i, err)
 		}
 	}
 	close(stop)
