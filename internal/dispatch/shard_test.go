@@ -347,73 +347,76 @@ func TestShardedBatchedMatchesSingleTableSync(t *testing.T) {
 // nothing; the per-consumer breakdown must sum to the total and conserve
 // deliveries per consumer.
 func TestDroppedByConsumerAccounting(t *testing.T) {
-	const n = 50
-	d := New(Options{Mode: ModeAsync, QueueCapacity: 2})
-	block := make(chan struct{})
-	slow := &recorder{name: "slow"}
-	slowFn := &ConsumerFunc{ConsumerName: "slow", Fn: func(dd filtering.Delivery) {
-		<-block
-		slow.Consume(dd)
-	}}
-	fast := &recorder{name: "fast"}
-	// The roomy consumer absorbs the whole burst in one ConsumeBatch-able
-	// queue: gate the first delivery so the publisher finishes first, with
-	// capacity for everything — it must record zero drops.
-	roomyGate := make(chan struct{})
-	var roomyGot atomic.Int64
-	roomy := &ConsumerFunc{ConsumerName: "roomy", Fn: func(filtering.Delivery) {
-		<-roomyGate
-		roomyGot.Add(1)
-	}}
-	if _, err := d.Subscribe(slowFn, All()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Subscribe(fast, All()); err != nil {
-		t.Fatal(err)
-	}
-	rd := New(Options{Mode: ModeAsync, QueueCapacity: n + 1})
-	if _, err := rd.Subscribe(roomy, All()); err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	rd.Start()
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < n; i++ {
-		dd := del(wire.MustStreamID(1, 0), wire.Seq(i))
-		d.Dispatch(dd)
-		rd.Dispatch(dd)
-		// Keep pace with the neighbour, so only the blocked queue sheds.
-		for fast.count() <= i && time.Now().Before(deadline) {
-			runtime.Gosched()
+	// Drop-oldest is the one overflow policy a dispatcher has.
+	t.Run("DropOldest", func(t *testing.T) {
+		const n = 50
+		d := New(Options{Mode: ModeAsync, QueueCapacity: 2})
+		block := make(chan struct{})
+		slow := &recorder{name: "slow"}
+		slowFn := &ConsumerFunc{ConsumerName: "slow", Fn: func(dd filtering.Delivery) {
+			<-block
+			slow.Consume(dd)
+		}}
+		fast := &recorder{name: "fast"}
+		// The roomy consumer absorbs the whole burst in one ConsumeBatch-able
+		// queue: gate the first delivery so the publisher finishes first, with
+		// capacity for everything — it must record zero drops.
+		roomyGate := make(chan struct{})
+		var roomyGot atomic.Int64
+		roomy := &ConsumerFunc{ConsumerName: "roomy", Fn: func(filtering.Delivery) {
+			<-roomyGate
+			roomyGot.Add(1)
+		}}
+		if _, err := d.Subscribe(slowFn, All()); err != nil {
+			t.Fatal(err)
 		}
-	}
-	close(block)
-	close(roomyGate)
-	d.Stop()
-	rd.Stop()
-
-	st, rst := d.Stats(), rd.Stats()
-	if st.Dropped == 0 {
-		t.Fatal("expected overflow drops from the slow consumer")
-	}
-	if got := st.DroppedByConsumer["slow"]; got != st.Dropped {
-		t.Fatalf("DroppedByConsumer[slow] = %d, want all %d drops", got, st.Dropped)
-	}
-	if rst.Dropped != 0 || rst.DroppedByConsumer["roomy"] != 0 {
-		t.Fatalf("roomy consumer dropped: %d (by-consumer %v)", rst.Dropped, rst.DroppedByConsumer)
-	}
-	// Conservation per consumer: admitted + dropped == dispatched.
-	if admitted := int64(slow.count()); admitted+st.Dropped != n {
-		t.Fatalf("slow consumer: admitted %d + dropped %d != %d dispatched", admitted, st.Dropped, n)
-	}
-	if fast.count() != n || roomyGot.Load() != n {
-		t.Fatalf("neighbour got %d and roomy consumer %d of %d", fast.count(), roomyGot.Load(), n)
-	}
-	for _, r := range []*recorder{slow, fast} {
-		for i := 1; i < len(r.got); i++ {
-			if r.got[i].Msg.Seq <= r.got[i-1].Msg.Seq {
-				t.Fatalf("%s received seq %d after %d", r.name, r.got[i].Msg.Seq, r.got[i-1].Msg.Seq)
+		if _, err := d.Subscribe(fast, All()); err != nil {
+			t.Fatal(err)
+		}
+		rd := New(Options{Mode: ModeAsync, QueueCapacity: n + 1})
+		if _, err := rd.Subscribe(roomy, All()); err != nil {
+			t.Fatal(err)
+		}
+		d.Start()
+		rd.Start()
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; i < n; i++ {
+			dd := del(wire.MustStreamID(1, 0), wire.Seq(i))
+			d.Dispatch(dd)
+			rd.Dispatch(dd)
+			// Keep pace with the neighbour, so only the blocked queue sheds.
+			for fast.count() <= i && time.Now().Before(deadline) {
+				runtime.Gosched()
 			}
 		}
-	}
+		close(block)
+		close(roomyGate)
+		d.Stop()
+		rd.Stop()
+
+		st, rst := d.Stats(), rd.Stats()
+		if st.Dropped == 0 {
+			t.Fatal("expected overflow drops from the slow consumer")
+		}
+		if got := st.DroppedByConsumer["slow"]; got != st.Dropped {
+			t.Fatalf("DroppedByConsumer[slow] = %d, want all %d drops", got, st.Dropped)
+		}
+		if rst.Dropped != 0 || rst.DroppedByConsumer["roomy"] != 0 {
+			t.Fatalf("roomy consumer dropped: %d (by-consumer %v)", rst.Dropped, rst.DroppedByConsumer)
+		}
+		// Conservation per consumer: admitted + dropped == dispatched.
+		if admitted := int64(slow.count()); admitted+st.Dropped != n {
+			t.Fatalf("slow consumer: admitted %d + dropped %d != %d dispatched", admitted, st.Dropped, n)
+		}
+		if fast.count() != n || roomyGot.Load() != n {
+			t.Fatalf("neighbour got %d and roomy consumer %d of %d", fast.count(), roomyGot.Load(), n)
+		}
+		for _, r := range []*recorder{slow, fast} {
+			for i := 1; i < len(r.got); i++ {
+				if r.got[i].Msg.Seq <= r.got[i-1].Msg.Seq {
+					t.Fatalf("%s received seq %d after %d", r.name, r.got[i].Msg.Seq, r.got[i-1].Msg.Seq)
+				}
+			}
+		}
+	})
 }
