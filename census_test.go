@@ -43,7 +43,6 @@ var surfaceReasons = map[string]string{
 	"orphanage.Orphanage.EvictBefore":    "ROADMAP item 6: the idle-age retirement policy sweeps unclaimed streams",
 	"store.Store.EvictTo":                "ROADMAP item 6: Retire and the idle-age policy cut a stream's retained history",
 	"dispatch.Dispatcher.Wakeups":        "the verify skill reads Core().Dispatcher().Wakeups() beside Stats().Dispatch.Delivered",
-	"streamtab.Table.Delete":             "ROADMAP item 6: Retire deletes a retired stream's record",
 	"transmit.Transmitter.Name":          "the only reader of the facade's TransmitterConfig.Name",
 }
 

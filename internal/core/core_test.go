@@ -15,6 +15,7 @@ import (
 	"github.com/garnet-middleware/garnet/internal/geo"
 	"github.com/garnet-middleware/garnet/internal/radio"
 	"github.com/garnet-middleware/garnet/internal/receiver"
+	"github.com/garnet-middleware/garnet/internal/replicator"
 	"github.com/garnet-middleware/garnet/internal/resource"
 	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/sim"
@@ -32,9 +33,10 @@ func buildRig(t *testing.T, params radio.Params) (*Deployment, *sim.VirtualClock
 	t.Helper()
 	clock := sim.NewVirtualClock(epoch)
 	d := New(Config{
-		Clock:  clock,
-		Radio:  params,
-		Secret: []byte("test-secret"),
+		Clock:      clock,
+		Radio:      params,
+		Secret:     []byte("test-secret"),
+		Replicator: replicator.Options{Targeted: true}, // as garnet.New
 	})
 	for _, p := range field.GridPositions(geo.RectWH(0, 0, 200, 200), 4) {
 		d.AddReceiver(receiver.Config{Position: p, Radius: 180})
@@ -135,8 +137,8 @@ func TestFigure1ActuationRoundTrip(t *testing.T) {
 	}
 	// The replicator targeted rather than flooded: sensor 5 was locatable.
 	rs := d.Replicator().Stats()
-	if rs.Requests == 0 {
-		t.Fatal("replicator never used")
+	if rs.Requests == 0 || rs.Flooded != 0 || rs.Targeted != rs.Requests {
+		t.Fatalf("replicator stats = %+v, want every request targeted", rs)
 	}
 }
 

@@ -1,20 +1,4 @@
-// Package directpoll implements the baseline behind the paper's §7
-// comparison with Madden & Franklin's Fjords: queries that each access the
-// sensor directly, without a shared reconstructed stream. Fjords showed
-// that letting “a set of queries … operate over the same sensor stream”
-// yields “significant improvements to their ability to handle simultaneous
-// queries”; Garnet's Dispatching Service provides the same sharing for
-// mutually-unaware consumers.
-//
-// Both arms run on the real middleware substrate with the same energy
-// model and virtual clock:
-//
-//   - Direct polling: each of the N queries is served by its own private
-//     sensor stream (the sensor transmits N times per sample period) —
-//     the per-query sensor access Fjords replaced.
-//   - Shared stream: the sensor transmits once per period; the Dispatching
-//     Service fans the stream out to the N subscribed consumers.
-package directpoll
+package experiments
 
 import (
 	"fmt"
@@ -31,8 +15,25 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// Workload parameterises one comparison run.
-type Workload struct {
+// The direct-polling baseline (E3) behind the paper's §7
+// comparison with Madden & Franklin's Fjords: queries that each access the
+// sensor directly, without a shared reconstructed stream. Fjords showed
+// that letting “a set of queries … operate over the same sensor stream”
+// yields “significant improvements to their ability to handle simultaneous
+// queries”; Garnet's Dispatching Service provides the same sharing for
+// mutually-unaware consumers.
+//
+// Both arms run on the real middleware substrate with the same energy
+// model and virtual clock:
+//
+//   - Direct polling: each of the N queries is served by its own private
+//     sensor stream (the sensor transmits N times per sample period) —
+//     the per-query sensor access Fjords replaced.
+//   - Shared stream: the sensor transmits once per period; the Dispatching
+//     Service fans the stream out to the N subscribed consumers.
+
+// pollWorkload parameterises one comparison run.
+type pollWorkload struct {
 	Queries      int           // simultaneous consumers
 	SamplePeriod time.Duration // per-query data period
 	Duration     time.Duration // simulated time
@@ -41,8 +42,8 @@ type Workload struct {
 	Seed         uint64
 }
 
-// Result summarises one arm of the comparison.
-type Result struct {
+// pollResult summarises one arm of the comparison.
+type pollResult struct {
 	Mode                string
 	SensorTransmissions int64
 	SensorBytes         int64
@@ -50,13 +51,11 @@ type Result struct {
 	ConsumerDeliveries  int64   // messages received across all queries
 }
 
-var epoch = time.Date(2003, 5, 19, 0, 0, 0, 0, time.UTC)
-
-// run executes one arm: streams is the number of private per-query
+// runPoll executes one arm: streams is the number of private per-query
 // streams on the sensor (Queries for direct polling, 1 for shared).
-func run(w Workload, shared bool) (Result, error) {
+func runPoll(w pollWorkload, shared bool) (pollResult, error) {
 	if w.Queries < 1 || w.Queries > 250 {
-		return Result{}, fmt.Errorf("directpoll: queries %d out of range", w.Queries)
+		return pollResult{}, fmt.Errorf("directpoll: queries %d out of range", w.Queries)
 	}
 	clock := sim.NewVirtualClock(epoch)
 	d := core.New(core.Config{Clock: clock, Secret: []byte("bench")})
@@ -84,7 +83,7 @@ func run(w Workload, shared bool) (Result, error) {
 		Energy:   w.Energy,
 	})
 	if err != nil {
-		return Result{}, err
+		return pollResult{}, err
 	}
 
 	recorders := make([]*consumer.Recorder, w.Queries)
@@ -95,7 +94,7 @@ func run(w Workload, shared bool) (Result, error) {
 			index = wire.StreamIndex(q)
 		}
 		if _, err := d.Dispatcher().Subscribe(recorders[q], dispatch.Exact(wire.MustStreamID(1, index))); err != nil {
-			return Result{}, err
+			return pollResult{}, err
 		}
 	}
 	d.Start()
@@ -111,7 +110,7 @@ func run(w Workload, shared bool) (Result, error) {
 	if shared {
 		mode = "garnet-shared"
 	}
-	return Result{
+	return pollResult{
 		Mode:                mode,
 		SensorTransmissions: st.MessagesSent,
 		SensorBytes:         st.BytesSent,
@@ -120,8 +119,8 @@ func run(w Workload, shared bool) (Result, error) {
 	}, nil
 }
 
-// DirectPolling runs the per-query-access arm.
-func DirectPolling(w Workload) (Result, error) { return run(w, false) }
+// directPolling runs the per-query-access arm.
+func directPolling(w pollWorkload) (pollResult, error) { return runPoll(w, false) }
 
-// SharedStream runs the Garnet shared-stream arm.
-func SharedStream(w Workload) (Result, error) { return run(w, true) }
+// sharedStream runs the Garnet shared-stream arm.
+func sharedStream(w pollWorkload) (pollResult, error) { return runPoll(w, true) }

@@ -1,4 +1,4 @@
-package directpoll
+package experiments
 
 import (
 	"testing"
@@ -7,8 +7,8 @@ import (
 	"github.com/garnet-middleware/garnet/internal/sensor"
 )
 
-func workload(queries int) Workload {
-	return Workload{
+func pollLoad(queries int) pollWorkload {
+	return pollWorkload{
 		Queries:      queries,
 		SamplePeriod: time.Second,
 		Duration:     60 * time.Second,
@@ -19,11 +19,11 @@ func workload(queries int) Workload {
 }
 
 func TestSharedStreamTransmissionsIndependentOfQueries(t *testing.T) {
-	r1, err := SharedStream(workload(1))
+	r1, err := sharedStream(pollLoad(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := SharedStream(workload(16))
+	r16, err := sharedStream(pollLoad(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSharedStreamTransmissionsIndependentOfQueries(t *testing.T) {
 }
 
 func TestDirectPollingScalesWithQueries(t *testing.T) {
-	r4, err := DirectPolling(workload(4))
+	r4, err := directPolling(pollLoad(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestDirectPollingScalesWithQueries(t *testing.T) {
 
 func TestSharedBeatsDirectOnSensorEnergy(t *testing.T) {
 	for _, q := range []int{2, 8, 32} {
-		shared, err := SharedStream(workload(q))
+		shared, err := sharedStream(pollLoad(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := DirectPolling(workload(q))
+		direct, err := directPolling(pollLoad(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +79,10 @@ func TestSharedBeatsDirectOnSensorEnergy(t *testing.T) {
 }
 
 func TestQueryCountValidation(t *testing.T) {
-	if _, err := DirectPolling(workload(0)); err == nil {
+	if _, err := directPolling(pollLoad(0)); err == nil {
 		t.Error("zero queries accepted")
 	}
-	if _, err := DirectPolling(workload(251)); err == nil {
+	if _, err := directPolling(pollLoad(251)); err == nil {
 		t.Error("more queries than stream indices accepted")
 	}
 }

@@ -1,14 +1,4 @@
-// Package txonly implements the transmit-only baseline motivating the
-// paper's return path (§2): a deployment whose sensors cannot receive
-// control messages. Consumers' interest in a stream varies over time, but
-// a transmit-only field must keep sampling at the rate the most demanding
-// phase requires — it cannot be told to slow down — so it burns energy
-// producing samples nobody wants. With Garnet's actuation path the same
-// consumers lower the rate whenever their interest lapses.
-//
-// Both arms run on the real middleware substrate with identical sensors,
-// energy model and interest schedule.
-package txonly
+package experiments
 
 import (
 	"time"
@@ -26,8 +16,19 @@ import (
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
-// Workload parameterises one comparison run.
-type Workload struct {
+// The transmit-only baseline (E12) motivates the paper's return path (§2):
+// a deployment whose sensors cannot receive control messages. Consumers'
+// interest in a stream varies over time, but a transmit-only field must
+// keep sampling at the rate the most demanding phase requires — it cannot
+// be told to slow down — so it burns energy producing samples nobody
+// wants. With Garnet's actuation path the same
+// consumers lower the rate whenever their interest lapses.
+//
+// Both arms run on the real middleware substrate with identical sensors,
+// energy model and interest schedule.
+
+// txWorkload parameterises one comparison run.
+type txWorkload struct {
 	// BusyPeriod / IdlePeriod alternate: the consumer is interested during
 	// busy windows only.
 	BusyPeriod, IdlePeriod time.Duration
@@ -40,8 +41,8 @@ type Workload struct {
 	Energy                           sensor.EnergyParams
 }
 
-// Result summarises one arm.
-type Result struct {
+// txResult summarises one arm.
+type txResult struct {
 	Mode          string
 	SamplesTaken  int64
 	UsefulSamples int64 // deliveries during interested windows
@@ -52,10 +53,8 @@ type Result struct {
 	EnergyPerUsefulSample float64
 }
 
-var epoch = time.Date(2003, 5, 19, 0, 0, 0, 0, time.UTC)
-
-// Run executes one arm. adaptive selects the Garnet return-path arm.
-func Run(w Workload, adaptive bool) (Result, error) {
+// runTxOnly executes one arm. adaptive selects the Garnet return-path arm.
+func runTxOnly(w txWorkload, adaptive bool) (txResult, error) {
 	clock := sim.NewVirtualClock(epoch)
 	d := core.New(core.Config{Clock: clock, Secret: []byte("bench")})
 	defer d.Stop()
@@ -81,7 +80,7 @@ func Run(w Workload, adaptive bool) (Result, error) {
 		Energy: w.Energy,
 	})
 	if err != nil {
-		return Result{}, err
+		return txResult{}, err
 	}
 
 	interested := true
@@ -94,7 +93,7 @@ func Run(w Workload, adaptive bool) (Result, error) {
 		}
 	}}
 	if _, err := d.Dispatcher().Subscribe(gate, dispatch.Exact(wire.MustStreamID(1, 0))); err != nil {
-		return Result{}, err
+		return txResult{}, err
 	}
 	d.Start()
 
@@ -105,7 +104,7 @@ func Run(w Workload, adaptive bool) (Result, error) {
 			if _, err := d.SubmitDemand(resource.Demand{
 				Consumer: "app", Target: target, Op: wire.OpSetRate, Value: w.BusyRateMilliHz,
 			}); err != nil {
-				return Result{}, err
+				return txResult{}, err
 			}
 		}
 		clock.Advance(w.BusyPeriod)
@@ -115,7 +114,7 @@ func Run(w Workload, adaptive bool) (Result, error) {
 			if _, err := d.SubmitDemand(resource.Demand{
 				Consumer: "app", Target: target, Op: wire.OpSetRate, Value: w.IdleRateMilliHz,
 			}); err != nil {
-				return Result{}, err
+				return txResult{}, err
 			}
 		}
 		clock.Advance(w.IdlePeriod)
@@ -123,7 +122,7 @@ func Run(w Workload, adaptive bool) (Result, error) {
 	d.Stop()
 
 	st := node.Stats()
-	res := Result{
+	res := txResult{
 		Mode:          "transmit-only",
 		SamplesTaken:  st.SamplesTaken,
 		UsefulSamples: useful,

@@ -1,4 +1,4 @@
-package txonly
+package experiments
 
 import (
 	"testing"
@@ -7,8 +7,8 @@ import (
 	"github.com/garnet-middleware/garnet/internal/sensor"
 )
 
-func workload() Workload {
-	return Workload{
+func txLoad() txWorkload {
+	return txWorkload{
 		BusyPeriod:      30 * time.Second,
 		IdlePeriod:      90 * time.Second,
 		Cycles:          4,
@@ -20,12 +20,12 @@ func workload() Workload {
 }
 
 func TestTransmitOnlyWastesEnergy(t *testing.T) {
-	w := workload()
-	fixed, err := Run(w, false)
+	w := txLoad()
+	fixed, err := runTxOnly(w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Run(w, true)
+	adaptive, err := runTxOnly(w, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestTransmitOnlyWastesEnergy(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	w := workload()
-	fixed, err := Run(w, false)
+	w := txLoad()
+	fixed, err := runTxOnly(w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +68,12 @@ func TestAccounting(t *testing.T) {
 }
 
 func TestModeLabels(t *testing.T) {
-	w := workload()
-	fixed, err := Run(w, false)
+	w := txLoad()
+	fixed, err := runTxOnly(w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Run(w, true)
+	adaptive, err := runTxOnly(w, true)
 	if err != nil {
 		t.Fatal(err)
 	}

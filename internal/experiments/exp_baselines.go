@@ -5,9 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/garnet-middleware/garnet/internal/baseline/directpoll"
-	"github.com/garnet-middleware/garnet/internal/baseline/retri"
-	"github.com/garnet-middleware/garnet/internal/baseline/txonly"
 	"github.com/garnet-middleware/garnet/internal/sensor"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
@@ -31,7 +28,7 @@ func runE3(cfg Config) (*Table, error) {
 		duration = 20 * time.Second
 	}
 	for _, q := range queries {
-		w := directpoll.Workload{
+		w := pollWorkload{
 			Queries:      q,
 			SamplePeriod: time.Second,
 			Duration:     duration,
@@ -39,11 +36,11 @@ func runE3(cfg Config) (*Table, error) {
 			Energy:       sensor.EnergyParams{TxBase: 1, TxPerByte: 0.01},
 			Seed:         cfg.Seed,
 		}
-		direct, err := directpoll.DirectPolling(w)
+		direct, err := directPolling(w)
 		if err != nil {
 			return nil, err
 		}
-		shared, err := directpoll.SharedStream(w)
+		shared, err := sharedStream(w)
 		if err != nil {
 			return nil, err
 		}
@@ -85,14 +82,14 @@ func runE4(cfg Config) (*Table, error) {
 			return t, fmt.Errorf("E4: garnet misattributes %v of messages at density %d", garnet, density)
 		}
 	}
-	t.addRow("garnet 32-bit StreamID", retri.GarnetHeaderBytes(), 0.0, "any", 0.0, 0.0, garnet)
+	t.addRow("garnet 32-bit StreamID", garnetHeaderBytes(), 0.0, "any", 0.0, 0.0, garnet)
 	for _, bits := range []int{8, 16, 24} {
 		for _, density := range densities {
-			analytic := retri.AnalyticCollisionProb(bits, density)
-			simulated := retri.SimulateCollisionRate(cfg.Seed, bits, density, rounds)
-			misattr := retri.SimulateMisattribution(cfg.Seed, bits, density, 10, rounds/4)
-			t.addRow(fmt.Sprintf("retri %d-bit", bits), retri.HeaderBytes(bits),
-				retri.HeaderSavingPercent(bits, 16), density, analytic, simulated, misattr)
+			analytic := analyticCollisionProb(bits, density)
+			simulated := simulateCollisionRate(cfg.Seed, bits, density, rounds)
+			misattr := simulateMisattribution(cfg.Seed, bits, density, 10, rounds/4)
+			t.addRow(fmt.Sprintf("retri %d-bit", bits), retriHeaderBytes(bits),
+				headerSavingPercent(bits, 16), density, analytic, simulated, misattr)
 			if math.Abs(simulated-analytic) > e4CollisionTolerance {
 				return t, fmt.Errorf("E4: retri %d-bit at density %d: simulated collision p %v is more than %v from analytic %v",
 					bits, density, simulated, e4CollisionTolerance, analytic)
@@ -114,7 +111,7 @@ func runE4(cfg Config) (*Table, error) {
 // and the widest gap E4 shows is 0.023 (16-bit ids, density 100).
 const e4CollisionTolerance = 0.05
 
-// garnetMisattribution is SimulateMisattribution's measure for Garnet: the
+// garnetMisattribution is simulateMisattribution's measure for Garnet: the
 // share of messages sent under a StreamID that another of the concurrent
 // sensors also sends under. Sensors 1..concurrent each send on stream 0.
 func garnetMisattribution(concurrent int) float64 {
@@ -142,7 +139,7 @@ func runE12(cfg Config) (*Table, error) {
 			"mode", "samples", "useful", "wasted", "energy mJ", "mJ/useful sample",
 		},
 	}
-	w := txonly.Workload{
+	w := txWorkload{
 		BusyPeriod:      30 * time.Second,
 		IdlePeriod:      4 * time.Minute,
 		Cycles:          6,
@@ -155,15 +152,15 @@ func runE12(cfg Config) (*Table, error) {
 		w.Cycles = 2
 		w.IdlePeriod = time.Minute
 	}
-	fixed, err := txonly.Run(w, false)
+	fixed, err := runTxOnly(w, false)
 	if err != nil {
 		return nil, err
 	}
-	adaptive, err := txonly.Run(w, true)
+	adaptive, err := runTxOnly(w, true)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range []txonly.Result{fixed, adaptive} {
+	for _, r := range []txResult{fixed, adaptive} {
 		t.addRow(r.Mode, r.SamplesTaken, r.UsefulSamples, r.WastedSamples,
 			r.SensorEnergy, r.EnergyPerUsefulSample)
 	}

@@ -28,7 +28,12 @@ func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 					for _, rc := range plan {
 						id := rc.Msg.Stream
 						sh := f.shardFor(id)
-						if sf := sh.tab.Add(id); sf.rest == nil {
+						sf := sh.tab[id]
+						if sf == nil {
+							sf = new(streamFilter)
+							sh.tab[id] = sf
+						}
+						if sf.rest == nil {
 							sf.rest = &Rest{window: make([]uint64, sh.screen.size/64)}
 						}
 					}
@@ -66,7 +71,7 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if sf := sh.tab.Get(id); sf.rest != nil {
+		if sf := sh.tab[id]; sf.rest != nil {
 			return sf.rest.window
 		}
 		return nil
@@ -75,7 +80,7 @@ func TestLazyWindowStaysNilInOrder(t *testing.T) {
 		sh := f.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.tab.Get(id).span
+		return sh.tab[id].span
 	}
 
 	for seq := wire.Seq(1); seq <= 200; seq++ {

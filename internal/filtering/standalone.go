@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/garnet-middleware/garnet/internal/receiver"
-	"github.com/garnet-middleware/garnet/internal/streamtab"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -24,8 +23,8 @@ type Filter struct {
 // lands in one shard and an Ingest call takes exactly one shard mutex.
 type shard struct {
 	mu sync.Mutex
-	// tab holds every stream's screen state in place, guarded by mu.
-	tab    streamtab.Table[streamFilter]
+	// tab holds every stream's screen state, guarded by mu.
+	tab    map[wire.StreamID]*streamFilter
 	screen Screen
 }
 
@@ -49,7 +48,7 @@ func New(sink func(Delivery), opts Options) *Filter {
 	}
 	f := &Filter{sink: sink, shards: make([]*shard, opts.Shards)}
 	for i := range f.shards {
-		sh := new(shard)
+		sh := &shard{tab: make(map[wire.StreamID]*streamFilter)}
 		sh.screen.Init(opts)
 		f.shards[i] = sh
 	}
@@ -68,9 +67,10 @@ func (f *Filter) shardFor(id wire.StreamID) *shard {
 func (f *Filter) Ingest(rc receiver.Reception) {
 	sh := f.shardFor(rc.Msg.Stream)
 	sh.mu.Lock()
-	sf := sh.tab.Get(rc.Msg.Stream)
+	sf := sh.tab[rc.Msg.Stream]
 	if sf == nil {
-		sf = sh.tab.Add(rc.Msg.Stream)
+		sf = new(streamFilter)
+		sh.tab[rc.Msg.Stream] = sf
 	}
 	d, forward := sh.screen.IngestLocked(&sf.Window, &sf.rest, &rc)
 	sh.mu.Unlock()

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/geo"
-	"github.com/garnet-middleware/garnet/internal/intern"
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/radio"
 	"github.com/garnet-middleware/garnet/internal/wire"
@@ -89,11 +88,6 @@ func New(medium *radio.Medium, cfg Config, sink func(Reception)) *Receiver {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("rx@%s", cfg.Position)
 	}
-	// Every Reception this receiver stamps carries cfg.Name, and the
-	// store retains those deliveries by the million. Interning here makes
-	// the canonical backing the one the codec's decode path also resolves
-	// to, so receiver identity costs its bytes once per deployment.
-	cfg.Name = intern.String(cfg.Name)
 	return &Receiver{cfg: cfg, medium: medium, sink: sink}
 }
 

@@ -61,9 +61,10 @@ type Options struct {
 	// transmitter containing the heard zone does not consult it.
 	// Default 1.5.
 	Margin float64
-	// Targeted disables the location lookup entirely when false, flooding
-	// every control message — the location-neutral baseline in the
-	// targeted-actuation experiment (E6). Default true.
+	// Targeted enables the location lookup. The zero value floods every
+	// control message — the location-neutral baseline in the
+	// targeted-actuation experiment (E6); the facade (garnet.New) and
+	// garnet-sim set it true.
 	Targeted bool
 }
 

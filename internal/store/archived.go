@@ -71,7 +71,7 @@ func (s *Store) initArchive(opts Options) {
 func (s *Store) recoverArchive() {
 	err := s.arch.backend.Streams(func(ss archive.StreamState) error {
 		sh := s.shardFor(ss.Stream)
-		r := sh.rings.Add(ss.Stream)
+		r := sh.rings.add(ss.Stream)
 		t := &tail{floor: ss.Floor}
 		r.tail = t
 		for _, ref := range ss.Refs {
@@ -224,7 +224,7 @@ func (s *Store) spillStream(idx int, id wire.StreamID) {
 	sh := s.shards[idx]
 	for {
 		sh.mu.Lock()
-		r := sh.rings.Get(id)
+		r := sh.rings.get(id)
 		if r == nil || len(r.tail.blocks) == 0 {
 			sh.mu.Unlock()
 			return
@@ -286,7 +286,7 @@ func (s *Store) Close() {
 	s.arch.wg.Wait()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, r := range sh.rings.All() {
+		for id, r := range sh.rings.all() {
 			s.drainLocked(sh, r.tail, id)
 		}
 		sh.mu.Unlock()

@@ -39,7 +39,6 @@ import (
 	"fmt"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
-	"github.com/garnet-middleware/garnet/internal/intern"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -84,6 +83,13 @@ type Codec interface {
 // than overwrite the recycled one, so the deliveries alias memory the
 // reader owns and stay valid after the scratch goes back to its pool.
 type Scratch struct {
+	// Receiver, when set, turns a decoded receiver name's bytes into the
+	// string the deliveries carry: the Stream Store points it at its own
+	// name table, so decoded blocks share receiver identity with its live
+	// deliveries and, after warm-up, decode no string. Unset, each name
+	// decoded is a new string.
+	Receiver func(b []byte) string
+
 	bytes    []byte
 	offs     []int
 	recycled []byte // the scratch's own buffer, parked while one is attached
@@ -222,12 +228,10 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
-// internReceiver maps decoded receiver-name bytes to the process-wide
-// canonical string — the same one receiver.New installs — so decoded
-// blocks share receiver identity with live deliveries instead of
-// rebuilding a private copy per decode. Deployments have a small fixed
-// receiver set, so after warm-up block decodes allocate no strings and
-// take no lock.
-func internReceiver(b []byte) string {
-	return intern.Bytes(b)
+// receiver names decoded receiver-name bytes through sc.Receiver.
+func (sc *Scratch) receiver(b []byte) string {
+	if sc.Receiver != nil {
+		return sc.Receiver(b)
+	}
+	return string(b)
 }

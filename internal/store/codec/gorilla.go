@@ -85,7 +85,7 @@ func (gorillaCodec) Decode(dst []filtering.Delivery, stream wire.StreamID, src [
 	sc.reset()
 	r := &reader{src: src}
 	start := len(dst)
-	dst, err := decodeMeta(dst, stream, r)
+	dst, err := decodeMeta(dst, stream, r, sc)
 	if err != nil {
 		return dst, err
 	}

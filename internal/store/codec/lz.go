@@ -164,7 +164,7 @@ func (lzCodec) Decode(dst []filtering.Delivery, stream wire.StreamID, src []byte
 	sc.reset()
 	r := &reader{src: src}
 	start := len(dst)
-	dst, err := decodeMeta(dst, stream, r)
+	dst, err := decodeMeta(dst, stream, r, sc)
 	if err != nil {
 		return dst, err
 	}

@@ -188,10 +188,10 @@ func encodeMeta(dst []byte, block []filtering.Delivery) []byte {
 }
 
 // decodeMeta reads the metadata section, appending count deliveries with
-// nil payloads to dst. The payload section decoder fills payloads in.
-// On error dst may end in a partly decoded entry; every caller discards
-// what a failed decode appended.
-func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader) ([]filtering.Delivery, error) {
+// nil payloads to dst and naming their receivers through sc. The payload
+// section decoder fills payloads in. On error dst may end in a partly
+// decoded entry; every caller discards what a failed decode appended.
+func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader, sc *Scratch) ([]filtering.Delivery, error) {
 	count, err := r.uvarint()
 	if err != nil {
 		return dst, err
@@ -220,7 +220,7 @@ func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader) ([]fi
 		if err != nil {
 			return dst, err
 		}
-		dict[j] = internReceiver(b)
+		dict[j] = sc.receiver(b)
 	}
 
 	seq := firstSeq
@@ -278,7 +278,7 @@ func decodeMeta(dst []filtering.Delivery, stream wire.StreamID, r *reader) ([]fi
 			if err != nil {
 				return dst, err
 			}
-			d.Receiver = internReceiver(b)
+			d.Receiver = sc.receiver(b)
 		}
 		x, err := r.uvarint()
 		if err != nil {

@@ -28,7 +28,7 @@ func (rawCodec) Decode(dst []filtering.Delivery, stream wire.StreamID, src []byt
 	sc.reset()
 	r := &reader{src: src}
 	start := len(dst)
-	dst, err := decodeMeta(dst, stream, r)
+	dst, err := decodeMeta(dst, stream, r, sc)
 	if err != nil {
 		return dst, err
 	}

@@ -99,7 +99,7 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 		sh := s.shardFor(id)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.rings.Get(id).tail != noTail
+		return sh.rings.get(id).tail != noTail
 	}
 	for sensor := 1; sensor <= 1000; sensor++ {
 		id := wire.MustStreamID(wire.SensorID(sensor), 0)

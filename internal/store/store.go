@@ -102,12 +102,10 @@ import (
 	"unsafe"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
-	"github.com/garnet-middleware/garnet/internal/intern"
 	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/store/codec"
-	"github.com/garnet-middleware/garnet/internal/streamtab"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -327,10 +325,10 @@ type StreamStats struct {
 	// owns one, the tail record with its payload arena and stage
 	// backing at capacity, staged payload bytes, the sealed blocks'
 	// headers plus compressed data, and the archived refs' index.
-	// Receiver names are interned process-wide and allocator rounding is
-	// not counted, so this is an estimate — but one that is comparable
-	// across streams and honest about lazy allocation (a forgotten or
-	// idle stream shows only its header).
+	// Receiver names live in the store's name table and allocator
+	// rounding is not counted, so this is an estimate — but one that is
+	// comparable across streams and honest about lazy allocation (a
+	// forgotten or idle stream shows only its header).
 	ResidentBytes int64
 
 	// Sealed-list view, zero when compression is off or no block is held
@@ -370,6 +368,11 @@ type Store struct {
 
 	// Archive tier; nil when no backend is attached.
 	arch *archiveState
+
+	// names numbers every receiver name the store retains or decodes;
+	// decodeName is its bytes method, bound once for codec.Scratch.
+	names      names
+	decodeName func([]byte) string
 }
 
 type shard struct {
@@ -383,10 +386,12 @@ type shard struct {
 	// rings holds every stream's ring header in place. The store deletes
 	// none (Forget keeps the unwrap state and append history), so a *ring
 	// stays valid under mu for the life of the store.
-	rings streamtab.Table[ring]
-	// Receivers get the single-entry cache the table keeps for streams:
-	// consecutive deliveries mostly share one, and its intern index is
-	// then a string comparison away.
+	rings table[ring]
+	// names is the store's receiver-name table. Receivers get the
+	// single-entry cache the table keeps for streams: consecutive
+	// deliveries mostly share one, and its index is then a comparison of
+	// the caller's string pointer away.
+	names     *names
 	lastRx    string
 	lastRxIdx uint32
 
@@ -553,8 +558,8 @@ func (r *ring) ownTail() *tail {
 // slot is one hot-ring entry: a delivery packed with no pointer in it, so
 // a slot array is memory the collector never scans, and sized to one cache
 // line, which a slot array's allocation aligns it to. What a Delivery
-// holds by reference lives elsewhere — the receiver name in the intern
-// table, a payload longer than inlinePayload in the ring's arena — and
+// holds by reference lives elsewhere — the receiver name in the store's
+// name table, a payload longer than inlinePayload in the ring's arena — and
 // what the ring already knows is not stored: the stream is the ring's
 // key, and the wire sequence is the low 16 bits of ext (the unwrap keeps
 // ext ≡ seq mod 2¹⁶). At is kept as an instant, Unix seconds and
@@ -566,7 +571,7 @@ type slot struct {
 	rssi  float64
 	nsec  int32
 	size  uint32 // payload length
-	rx    uint32 // intern.Index of the receiver name
+	rx    uint32 // the receiver name's index in the store's names
 	ack   uint16
 	flags wire.Flags
 	hop   uint8
@@ -606,13 +611,13 @@ func (r *ring) vacateLocked(e *slot) int64 {
 	return n
 }
 
-// deliveryLocked unpacks a hot entry. Its payload is lent from the ring:
-// valid under the shard lock, until the stream is next appended to.
-func (r *ring) deliveryLocked(id wire.StreamID, e *slot) filtering.Delivery {
+// deliveryLocked unpacks r's hot entry e. Its payload is lent from the
+// ring: valid under the shard lock, until the stream is next appended to.
+func (sh *shard) deliveryLocked(r *ring, id wire.StreamID, e *slot) filtering.Delivery {
 	return filtering.Delivery{
 		Msg: wire.Message{Flags: e.flags, Stream: id, Seq: wire.Seq(e.ext), AckID: e.ack,
 			HopCount: e.hop, FusedCount: e.fused, Payload: r.payloadLocked(e)},
-		At: e.at(), Receiver: intern.Lookup(e.rx), RSSI: e.rssi, StoreSeq: e.ext,
+		At: e.at(), Receiver: sh.names.lookup(e.rx), RSSI: e.rssi, StoreSeq: e.ext,
 	}
 }
 
@@ -668,9 +673,11 @@ func New(opts Options) *Store {
 			s.blockSize = DefaultBlockSize
 		}
 	}
+	s.names.init()
+	s.decodeName = s.names.bytes
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{idx: i}
+		s.shards[i] = &shard{idx: i, names: &s.names}
 		s.shards[i].screen.Init(filtering.Options{})
 	}
 	if opts.Archive != nil {
@@ -706,9 +713,10 @@ func (r *ring) presentLocked(ext uint64) bool {
 // can span it. Any other (a late fill racing eviction) is assigned its
 // address but not stored.
 //
-// d.Receiver is retained as its index in the process-wide intern table,
-// which never forgets a string: it must name one of a bounded set of
-// identities (the deployment's receivers), never carry free-form data.
+// d.Receiver is retained as its index in the store's name table, which
+// forgets no string while the store lives: it must name one of a bounded
+// set of identities (the deployment's receivers), never carry free-form
+// data.
 //
 // Append is the unscreened write path: it neither consults nor moves the
 // stream's duplicate window. Ingest is the screened one.
@@ -765,9 +773,9 @@ func (s *Store) ScreenStats() filtering.Stats {
 // recordLocked returns id's record, creating it on first sight. Caller
 // holds sh.mu.
 func (sh *shard) recordLocked(id wire.StreamID) *ring {
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil {
-		r = sh.rings.Add(id)
+		r = sh.rings.add(id)
 		r.tail = noTail
 	}
 	return r
@@ -871,8 +879,8 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 	// room in the arena may compact it, which must not take this slot for
 	// a payload it does not yet name.
 	if d.Receiver != sh.lastRx {
-		sh.lastRxIdx = intern.Index(d.Receiver)
-		sh.lastRx = intern.Lookup(sh.lastRxIdx) // the table's copy, not the caller's
+		sh.lastRxIdx = sh.names.index(d.Receiver)
+		sh.lastRx = d.Receiver // the caller's copy: its next hit compares pointers
 	}
 	p := d.Msg.Payload
 	e := &r.slots[ext&r.slotMask()]
@@ -1047,7 +1055,7 @@ func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
 	t.stage = t.stage[:n+1]
 	st := &t.stage[n]
 	parked := st.Msg.Payload
-	*st = r.deliveryLocked(id, e)
+	*st = sh.deliveryLocked(r, id, e)
 	st.Msg.Payload = append(parked[:0], st.Msg.Payload...)
 	t.stageBytes += r.vacateLocked(e)
 	r.minExt = ext + 1
@@ -1257,7 +1265,7 @@ func (s *Store) LastSeq(id wire.StreamID) (uint64, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil || r.lastExt == 0 {
 		return 0, false
 	}
@@ -1294,7 +1302,7 @@ var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 // borrowed store memory (a hot entry is unpacked for the call). Either
 // callback returning false stops the walk. Caller holds mu.
 func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref *archive.Ref, data []byte) bool, entry func(d filtering.Delivery) bool) {
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil {
 		return
 	}
@@ -1330,7 +1338,7 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref 
 	}
 	lo, hi := max(from, r.oldestLocked()), min(to, r.maxExt)
 	for ext := lo; ext <= hi; ext++ {
-		if r.presentLocked(ext) && !entry(r.deliveryLocked(id, &r.slots[ext&r.slotMask()])) {
+		if r.presentLocked(ext) && !entry(sh.deliveryLocked(r, id, &r.slots[ext&r.slotMask()])) {
 			return
 		}
 	}
@@ -1353,7 +1361,9 @@ func (s *Store) decodeLocked(id wire.StreamID, ref *archive.Ref, data []byte, ds
 		data = ds.buf
 	}
 	if err == nil {
+		ds.sc.Receiver = s.decodeName
 		dst, err = c.Decode(dst, id, data, &ds.sc)
+		ds.sc.Receiver = nil // a pooled scratch must not keep this store's table alive
 	}
 	if err != nil {
 		clear(dst[n:])
@@ -1544,11 +1554,11 @@ func (s *Store) Latest(id wire.StreamID) (filtering.Delivery, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil || r.count == 0 {
 		return filtering.Delivery{}, false
 	}
-	d := r.deliveryLocked(id, &r.slots[r.maxExt&r.slotMask()])
+	d := sh.deliveryLocked(r, id, &r.slots[r.maxExt&r.slotMask()])
 	d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
 	return d, true
 }
@@ -1563,7 +1573,7 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil {
 		return 0
 	}
@@ -1598,7 +1608,7 @@ func (s *Store) Forget(id wire.StreamID) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil {
 		return 0
 	}
@@ -1618,7 +1628,7 @@ func (s *Store) Streams() []wire.StreamID {
 	var out []wire.StreamID
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, r := range sh.rings.All() {
+		for id, r := range sh.rings.all() {
 			if r.holds() {
 				out = append(out, id)
 			}
@@ -1647,7 +1657,7 @@ func (s *Store) Appended() []StreamAppends {
 	var out []StreamAppends
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, r := range sh.rings.All() {
+		for id, r := range sh.rings.all() {
 			if r.appended == 0 {
 				continue
 			}
@@ -1669,7 +1679,7 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil {
 		return StreamStats{}, false
 	}
@@ -1752,7 +1762,7 @@ func (s *Store) Stats() Stats {
 		st.Forgotten += sh.forgotten
 		st.SealedBlocks += sh.sealedBlocks
 		st.SealedMessages += sh.sealedMsgs
-		for _, r := range sh.rings.All() {
+		for _, r := range sh.rings.all() {
 			if r.holds() {
 				st.Streams++
 			}

@@ -311,7 +311,7 @@ func TestRingGrowsFromSmallStart(t *testing.T) {
 	if got := s.Range(jumped, 0, ^uint64(0)); len(got) != 2 || got[0].Msg.Seq != 0 || got[1].Msg.Seq != 200 {
 		t.Fatalf("after the jump the stream holds %v", got)
 	}
-	if n := len(s.shardFor(jumped).rings.Get(jumped).slots); n != 256 {
+	if n := len(s.shardFor(jumped).rings.get(jumped).slots); n != 256 {
 		t.Fatalf("ring widened to %d slots, want 256", n)
 	}
 }
@@ -349,7 +349,7 @@ func watchArena(s *Store, id wire.StreamID) *arenaWatch {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return &arenaWatch{sh: sh, r: sh.rings.Get(id), last: len(sh.rings.Get(id).tail.arena)}
+	return &arenaWatch{sh: sh, r: sh.rings.get(id), last: len(sh.rings.get(id).tail.arena)}
 }
 
 func (w *arenaWatch) observe() {
@@ -579,7 +579,7 @@ func TestIdleStreamRingIsOneSlot(t *testing.T) {
 	s.Append(del(id, 1, epoch, []byte{1}))
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	n := len(sh.rings.Get(id).slots)
+	n := len(sh.rings.get(id).slots)
 	sh.mu.Unlock()
 	if n != 1 {
 		t.Fatalf("idle stream ring has %d slots, want 1", n)
@@ -594,7 +594,7 @@ func TestForgetReleasesBacking(t *testing.T) {
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.blocks) > 0
 	sh.mu.Unlock()
 	if !populated {
@@ -685,7 +685,7 @@ func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	if r == nil {
 		return
 	}
@@ -753,7 +753,7 @@ func TestArenaPacksOutOfSequenceInPlace(t *testing.T) {
 		put(seq, 17+seq%30)
 	}
 	sh := s.shardFor(id)
-	r := sh.rings.Get(id)
+	r := sh.rings.get(id)
 	sh.mu.Lock()
 	r.packLocked(sh, r.tail.arena[:cap(r.tail.arena)])
 	sh.mu.Unlock()

@@ -1,21 +1,4 @@
-// Package streamtab is the per-stream record table the Stream Store keeps
-// one of per shard (and the standalone duplicate filter likewise): every
-// stream it has ever heard owns one record — its duplicate window and its
-// retention ring — so in a large, mostly idle field what the table costs
-// per record is the deployment's memory bound.
-//
-// A Go map from stream id to a pointer costs the pointer's own allocation
-// (rounded up to its size class) plus about 24 bytes of map entry, and the
-// collector walks every one. Table instead keeps records in place in
-// chunks and indexes them with a map from stream id to a uint32 position,
-// which holds no pointer, so the collector skips it and an entry costs
-// about 12 bytes. Chunks grow geometrically from minChunk records up to
-// fullChunk, so a table with a handful of streams holds a handful of
-// records, and records never move: a *T stays valid until its id is
-// deleted.
-//
-// A Table is not safe for concurrent use; its owner's lock guards it.
-package streamtab
+package store
 
 import (
 	"iter"
@@ -35,19 +18,36 @@ const (
 
 	// fullChunk is one record short of 256. An allocation of more than
 	// 512 bytes whose type holds pointers carries an 8-byte header, so 256
-	// records that fill a size class exactly — 16 bytes each, or the Stream
-	// Store's 112 — would spill into the next class, 12.5 % larger for
+	// records that fill a size class exactly — 16 bytes each, or a ring's
+	// 112 — would spill into the next class, 12.5 % larger for
 	// 112-byte records. 255 leaves the header its room.
 	fullChunk = 255
 )
 
-// Table holds one record of type T per stream id. The zero value is an
-// empty table; it allocates nothing until the first Add.
-type Table[T any] struct {
+// table is the per-stream record table the store keeps one of per shard:
+// every stream it has ever heard owns one record — its duplicate window
+// and its retention ring — so in a large, mostly idle field what the
+// table costs per record is the deployment's memory bound.
+//
+// A Go map from stream id to a pointer costs the pointer's own allocation
+// (rounded up to its size class) plus about 24 bytes of map entry, and the
+// collector walks every one. table instead keeps records in place in
+// chunks and indexes them with a map from stream id to a uint32 position,
+// which holds no pointer, so the collector skips it and an entry costs
+// about 12 bytes. Chunks grow geometrically from minChunk records up to
+// fullChunk, so a table with a handful of streams holds a handful of
+// records, and records never move: a *T stays valid until its id is
+// deleted.
+//
+// A table is not safe for concurrent use; its shard's lock guards it.
+//
+// The zero value is an empty table; it allocates nothing until the first
+// add.
+type table[T any] struct {
 	index  map[wire.StreamID]uint32
 	chunks [][]T
 	used   uint32   // positions handed out, freed ones included
-	free   []uint32 // positions Delete zeroed, reused last in first out
+	free   []uint32 // positions delete zeroed, reused last in first out
 
 	// Single-entry last-hit cache: sensors emit runs of messages on one
 	// stream, so the common lookup skips the map hash. last is nil when
@@ -75,31 +75,31 @@ func chunkLen(k int) int {
 	return minChunk << k
 }
 
-func (t *Table[T]) at(pos uint32) *T {
+func (t *table[T]) at(pos uint32) *T {
 	c, off := locate(pos)
 	return &t.chunks[c][off]
 }
 
-// Get returns id's record, or nil when the table has none. A hit on the
+// get returns id's record, or nil when the table has none. A hit on the
 // last id looked up is inlined into the caller.
-func (t *Table[T]) Get(id wire.StreamID) *T {
+func (t *table[T]) get(id wire.StreamID) *T {
 	if t.last != nil && t.lastID == id {
 		return t.last
 	}
 	return t.lookup(id)
 }
 
-// Add returns id's record, creating a zero one when the table has none.
-// Callers on a hot path try Get first, whose cache hit is inlined.
-func (t *Table[T]) Add(id wire.StreamID) *T {
-	if r := t.Get(id); r != nil {
+// add returns id's record, creating a zero one when the table has none.
+// Callers on a hot path try get first, whose cache hit is inlined.
+func (t *table[T]) add(id wire.StreamID) *T {
+	if r := t.get(id); r != nil {
 		return r
 	}
 	return t.insert(id)
 }
 
 // lookup finds id through the index and caches the hit.
-func (t *Table[T]) lookup(id wire.StreamID) *T {
+func (t *table[T]) lookup(id wire.StreamID) *T {
 	pos, ok := t.index[id]
 	if !ok {
 		return nil
@@ -110,7 +110,7 @@ func (t *Table[T]) lookup(id wire.StreamID) *T {
 }
 
 // insert gives id a zero record, reusing a freed position first.
-func (t *Table[T]) insert(id wire.StreamID) *T {
+func (t *table[T]) insert(id wire.StreamID) *T {
 	if t.index == nil {
 		t.index = make(map[wire.StreamID]uint32)
 	}
@@ -131,11 +131,11 @@ func (t *Table[T]) insert(id wire.StreamID) *T {
 	return r
 }
 
-// Delete zeroes id's record and frees its position for the next Add. A
+// delete zeroes id's record and frees its position for the next add. A
 // *T taken for id before the call must not be used after it: the next
 // stream added may own the same memory. It reports whether id had a
-// record.
-func (t *Table[T]) Delete(id wire.StreamID) bool {
+// record. Nothing deletes yet: ROADMAP item 6's Retire is its first caller.
+func (t *table[T]) delete(id wire.StreamID) bool {
 	pos, ok := t.index[id]
 	if !ok {
 		return false
@@ -150,10 +150,10 @@ func (t *Table[T]) Delete(id wire.StreamID) bool {
 	return true
 }
 
-// All yields each id and its record once, in no particular order. As
+// all yields each id and its record once, in no particular order. As
 // with a map, the loop body may delete records, and a record added during
 // the loop may or may not be yielded.
-func (t *Table[T]) All() iter.Seq2[wire.StreamID, *T] {
+func (t *table[T]) all() iter.Seq2[wire.StreamID, *T] {
 	return func(yield func(wire.StreamID, *T) bool) {
 		for id, pos := range t.index {
 			if !yield(id, t.at(pos)) {

@@ -1,4 +1,4 @@
-package streamtab
+package store
 
 import (
 	"runtime"
@@ -19,49 +19,49 @@ type rec struct {
 func sid(i int) wire.StreamID { return wire.StreamID(i) }
 
 func TestGetAddDelete(t *testing.T) {
-	var tab Table[rec]
-	if tab.Get(sid(1)) != nil || tab.Delete(sid(1)) || len(tab.index) != 0 {
+	var tab table[rec]
+	if tab.get(sid(1)) != nil || tab.delete(sid(1)) || len(tab.index) != 0 {
 		t.Fatal("empty table claims a record")
 	}
-	r := tab.Add(sid(1))
+	r := tab.add(sid(1))
 	if *r != (rec{}) {
 		t.Fatalf("new record is %+v, want zero", *r)
 	}
 	r.a = 7
-	if got := tab.Add(sid(1)); got != r {
-		t.Fatal("Add of an existing id made a second record")
+	if got := tab.add(sid(1)); got != r {
+		t.Fatal("add of an existing id made a second record")
 	}
-	if got := tab.Get(sid(1)); got != r || got.a != 7 {
-		t.Fatal("Get does not return the added record")
+	if got := tab.get(sid(1)); got != r || got.a != 7 {
+		t.Fatal("get does not return the added record")
 	}
-	tab.Add(sid(2)).a = 9
-	if len(tab.index) != 2 || tab.Get(sid(1)).a != 7 || tab.Get(sid(2)).a != 9 {
+	tab.add(sid(2)).a = 9
+	if len(tab.index) != 2 || tab.get(sid(1)).a != 7 || tab.get(sid(2)).a != 9 {
 		t.Fatal("two ids do not keep two records")
 	}
-	if !tab.Delete(sid(1)) || tab.Delete(sid(1)) {
-		t.Fatal("Delete reports the wrong presence")
+	if !tab.delete(sid(1)) || tab.delete(sid(1)) {
+		t.Fatal("delete reports the wrong presence")
 	}
-	if tab.Get(sid(1)) != nil || len(tab.index) != 1 || tab.Get(sid(2)).a != 9 {
-		t.Fatal("Delete removed the wrong record")
+	if tab.get(sid(1)) != nil || len(tab.index) != 1 || tab.get(sid(2)).a != 9 {
+		t.Fatal("delete removed the wrong record")
 	}
 }
 
-// TestReusedSlotIsZeroed: a deleted position goes to the next Add, which
+// TestReusedSlotIsZeroed: a deleted position goes to the next add, which
 // must see a zero record, not the deleted stream's state.
 func TestReusedSlotIsZeroed(t *testing.T) {
-	var tab Table[rec]
-	a := tab.Add(sid(1))
+	var tab table[rec]
+	a := tab.add(sid(1))
 	*a = rec{a: 1, b: 2, c: 3, d: true}
-	tab.Add(sid(2)).a = 5
-	tab.Delete(sid(1))
-	b := tab.Add(sid(3))
+	tab.add(sid(2)).a = 5
+	tab.delete(sid(1))
+	b := tab.add(sid(3))
 	if b != a {
 		t.Fatal("the freed position was not reused")
 	}
 	if *b != (rec{}) {
 		t.Fatalf("reused record is %+v, want zero", *b)
 	}
-	if tab.Get(sid(2)).a != 5 {
+	if tab.get(sid(2)).a != 5 {
 		t.Fatal("reuse disturbed a live record")
 	}
 }
@@ -69,39 +69,39 @@ func TestReusedSlotIsZeroed(t *testing.T) {
 // TestDeleteInvalidatesLastHit: the single-entry cache must not hand out
 // a deleted record, or the record of the stream that reused its memory.
 func TestDeleteInvalidatesLastHit(t *testing.T) {
-	var tab Table[rec]
-	tab.Add(sid(1)).a = 1
-	if tab.Get(sid(1)) == nil { // primes the cache
+	var tab table[rec]
+	tab.add(sid(1)).a = 1
+	if tab.get(sid(1)) == nil { // primes the cache
 		t.Fatal("missing record")
 	}
-	tab.Delete(sid(1))
-	if tab.Get(sid(1)) != nil {
-		t.Fatal("Get served a deleted id from its cache")
+	tab.delete(sid(1))
+	if tab.get(sid(1)) != nil {
+		t.Fatal("get served a deleted id from its cache")
 	}
-	tab.Add(sid(2)).a = 2 // reuses id 1's position
-	if tab.Get(sid(1)) != nil {
-		t.Fatal("Get served a deleted id through its reused position")
+	tab.add(sid(2)).a = 2 // reuses id 1's position
+	if tab.get(sid(1)) != nil {
+		t.Fatal("get served a deleted id through its reused position")
 	}
 	// Deleting another id keeps the cached one valid.
-	tab.Add(sid(3))
-	tab.Get(sid(2))
-	tab.Delete(sid(3))
-	if r := tab.Get(sid(2)); r == nil || r.a != 2 {
+	tab.add(sid(3))
+	tab.get(sid(2))
+	tab.delete(sid(3))
+	if r := tab.get(sid(2)); r == nil || r.a != 2 {
 		t.Fatal("deleting one id invalidated another's record")
 	}
 }
 
 func TestAllVisitsEachLiveIDOnce(t *testing.T) {
-	var tab Table[rec]
+	var tab table[rec]
 	const n = 1000
 	for i := 1; i <= n; i++ {
-		tab.Add(sid(i)).a = uint64(i)
+		tab.add(sid(i)).a = uint64(i)
 	}
 	for i := 1; i <= n; i += 3 {
-		tab.Delete(sid(i))
+		tab.delete(sid(i))
 	}
 	seen := make(map[wire.StreamID]int)
-	for id, r := range tab.All() {
+	for id, r := range tab.all() {
 		if r.a != uint64(id) {
 			t.Fatalf("id %d yielded record %d", id, r.a)
 		}
@@ -120,7 +120,7 @@ func TestAllVisitsEachLiveIDOnce(t *testing.T) {
 		t.Fatalf("yielded %d ids, index holds %d", len(seen), len(tab.index))
 	}
 	stopped := 0
-	for range tab.All() {
+	for range tab.all() {
 		stopped++
 		break
 	}
@@ -146,15 +146,15 @@ func TestLocateAcrossChunkCap(t *testing.T) {
 		t.Fatal("chunk lengths do not double from minChunk and then stay at fullChunk")
 	}
 
-	var tab Table[rec]
+	var tab table[rec]
 	const n = capStart + 3*fullChunk + 7
 	ptrs := make([]*rec, n)
 	for i := range ptrs {
-		ptrs[i] = tab.Add(sid(i))
+		ptrs[i] = tab.add(sid(i))
 		ptrs[i].a = uint64(i)
 	}
 	for i, p := range ptrs {
-		if tab.Get(sid(i)) != p || p.a != uint64(i) {
+		if tab.get(sid(i)) != p || p.a != uint64(i) {
 			t.Fatalf("record %d moved or changed as the table grew", i)
 		}
 	}
@@ -179,9 +179,9 @@ func TestTableFootprint(t *testing.T) {
 	}
 	const n = 100_000
 	before := heap()
-	big := new(Table[rec])
+	big := new(table[rec])
 	for i := 0; i < n; i++ {
-		big.Add(sid(i))
+		big.add(sid(i))
 	}
 	perEntry := float64(heap()-before) / n
 	runtime.KeepAlive(big)
@@ -198,9 +198,9 @@ func TestTableFootprint(t *testing.T) {
 		return ms.TotalAlloc
 	}
 	before = allocated()
-	small := new(Table[rec])
+	small := new(table[rec])
 	for i := 0; i < 4; i++ {
-		small.Add(sid(i))
+		small.add(sid(i))
 	}
 	held := allocated() - before
 	runtime.KeepAlive(small)
