@@ -16,11 +16,14 @@
 //
 // Backends are safe for concurrent use: the store calls Append from its
 // per-shard archiver goroutines while readers call Open under shard
-// locks. Append must copy data before returning — the store recycles
-// the buffer immediately. Blocks are addressed by their last extended
-// sequence, which is immutable for the life of the block (the first
-// sequence is logical bookkeeping the store may advance as retention
-// policy trims a block's prefix; see DeleteBefore's floor).
+// locks. FS has one mutex for all its shards, so its Open holds it only
+// to look the block's extent up, and reads and checks the bytes after
+// releasing it: a block read never waits behind another shard's segment
+// or manifest write. Append must copy data before returning — the store
+// recycles the buffer immediately. Blocks are addressed by their last
+// extended sequence, which is immutable for the life of the block (the
+// first sequence is logical bookkeeping the store may advance as
+// retention policy trims a block's prefix; see DeleteBefore's floor).
 //
 // DeleteBefore(stream, upto) is the retention primitive: blocks whose
 // last sequence falls below upto are removed, and upto is persisted as
@@ -43,14 +46,18 @@ import (
 // bytes and encoded bytes. LastUnix is the reception time (unix
 // nanoseconds) of the newest entry sealed inside, the timestamp
 // age-based archive retention keys on.
+//
+// The store keeps one Ref per archived block in memory, so the fields are
+// ordered widest first: Count and Codec share the last word, 48 bytes in
+// all.
 type Ref struct {
-	Codec    codec.ID
 	FirstSeq uint64
 	LastSeq  uint64
-	Count    int32
 	RawBytes int64
 	Bytes    int64
 	LastUnix int64
+	Count    int32
+	Codec    codec.ID
 }
 
 // StreamState is one stream's archived state as a backend reports it:

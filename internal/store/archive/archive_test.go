@@ -3,9 +3,13 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/garnet-middleware/garnet/internal/store/codec"
 	"github.com/garnet-middleware/garnet/internal/wire"
@@ -146,9 +150,55 @@ func TestBackendContract(t *testing.T) {
 	})
 }
 
+// checkStates holds a backend's recovery view to want: List of every
+// stream in want and of every stream in gone, and Streams, report exactly
+// the floors and refs given, each ref equal field for field to what was
+// appended.
+func checkStates(t *testing.T, when string, b Backend, want []StreamState, gone ...wire.StreamID) {
+	t.Helper()
+	same := func(how string, got, want StreamState) {
+		t.Helper()
+		if got.Stream != want.Stream || got.Floor != want.Floor || len(got.Refs) != len(want.Refs) {
+			t.Fatalf("%s: %s(%v) = floor %d, %d refs; want stream %v, floor %d, %d refs",
+				when, how, want.Stream, got.Floor, len(got.Refs), want.Stream, want.Floor, len(want.Refs))
+		}
+		for i := range want.Refs {
+			if got.Refs[i] != want.Refs[i] {
+				t.Fatalf("%s: %s(%v) ref %d = %+v, want %+v", when, how, want.Stream, i, got.Refs[i], want.Refs[i])
+			}
+		}
+	}
+	for _, w := range want {
+		got, err := b.List(w.Stream)
+		if err != nil {
+			t.Fatalf("%s: List(%v): %v", when, w.Stream, err)
+		}
+		same("List", got, w)
+	}
+	for _, id := range gone {
+		if got, err := b.List(id); err != nil || got.Floor != 0 || len(got.Refs) != 0 {
+			t.Fatalf("%s: List(%v) of a forgotten stream = %+v, %v", when, id, got, err)
+		}
+	}
+	var visited []StreamState
+	if err := b.Streams(func(ss StreamState) error {
+		visited = append(visited, ss)
+		return nil
+	}); err != nil {
+		t.Fatalf("%s: Streams: %v", when, err)
+	}
+	if len(visited) != len(want) {
+		t.Fatalf("%s: Streams visited %d streams, want %d", when, len(visited), len(want))
+	}
+	for i := range want {
+		same("Streams", visited[i], want[i])
+	}
+}
+
 // TestFSReopen pins the recovery contract: a re-opened directory serves
 // exactly the state the closed one held — blocks, floors, forgets — and
-// accepts further appends.
+// accepts further appends. Every Ref List and Streams rebuild from the
+// manifests, live and after each reopen, is the one appended.
 func TestFSReopen(t *testing.T) {
 	dir := t.TempDir()
 	f, err := OpenFS(dir)
@@ -168,12 +218,23 @@ func TestFSReopen(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
+	checkStates(t, "appended", f, []StreamState{{Stream: a, Refs: []Ref{ref1, ref2}}, {Stream: bb, Refs: []Ref{refB}}})
 	if err := f.DeleteBefore(a, 15); err != nil {
 		t.Fatalf("DeleteBefore: %v", err)
 	}
 	if err := f.Forget(bb); err != nil {
 		t.Fatalf("Forget: %v", err)
 	}
+	bare := sid(t, 77, 1) // a floor with no block
+	if err := f.DeleteBefore(bare, 500); err != nil {
+		t.Fatalf("DeleteBefore(bare): %v", err)
+	}
+	// Streams visits in stream-id order.
+	recovered := []StreamState{{Stream: a, Floor: 15, Refs: []Ref{ref1, ref2}}, {Stream: bare, Floor: 500}}
+	if bare < a {
+		recovered[0], recovered[1] = recovered[1], recovered[0]
+	}
+	checkStates(t, "after DeleteBefore and Forget", f, recovered, bb)
 	if err := f.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -193,12 +254,22 @@ func TestFSReopen(t *testing.T) {
 	if st, _ = g.List(bb); len(st.Refs) != 0 {
 		t.Fatalf("forget did not survive reopen: %+v", st)
 	}
+	checkStates(t, "reopened", g, recovered, bb)
 
 	// The recovered backend keeps appending where the old one stopped.
 	ref3, data3 := blk(30, 39, 0x44, 40)
 	if err := g.Append(a, ref3, data3); err != nil {
 		t.Fatalf("Append after reopen: %v", err)
 	}
+	if err := g.DeleteBefore(a, 20); err != nil { // drops ref1 whole
+		t.Fatalf("DeleteBefore after reopen: %v", err)
+	}
+	for i := range recovered {
+		if recovered[i].Stream == a {
+			recovered[i] = StreamState{Stream: a, Floor: 20, Refs: []Ref{ref2, ref3}}
+		}
+	}
+	checkStates(t, "appended and cut after reopen", g, recovered, bb)
 	if err := g.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -210,6 +281,134 @@ func TestFSReopen(t *testing.T) {
 	got, err = h.Open(nil, a, 39)
 	if err != nil || !bytes.Equal(got, data3) {
 		t.Fatalf("Open(39) after second recovery: %v", err)
+	}
+	checkStates(t, "second reopen", h, recovered, bb)
+}
+
+// TestFSOpenRacesWritesAndClose runs Open outside the backend's mutex
+// against everything else that touches the same shard's files: readers
+// Open one stream's blocks while a writer appends to a neighbour in the
+// same shard and cuts and forgets others there, and then Close lands
+// mid-read, once every goroutine has made progress. Every Open returns the
+// block's exact bytes or an error, and once Close has returned, only
+// errors.
+func TestFSOpenRacesWritesAndClose(t *testing.T) {
+	f, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenFS: %v", err)
+	}
+	var same []wire.StreamID // four streams of one shard
+	for sensor := uint32(1); len(same) < 4; sensor++ {
+		if id := sid(t, sensor, 0); len(same) == 0 || fsShardOf(id) == fsShardOf(same[0]) {
+			same = append(same, id)
+		}
+	}
+	read, write, cut, forget := same[0], same[1], same[2], same[3]
+	const blocks = 16
+	want := make([][]byte, blocks)
+	for i := range want {
+		ref, data := blk(uint64(10*i+10), uint64(10*i+19), byte(i+1), 64+i)
+		want[i] = data
+		if err := f.Append(read, ref, data); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+
+	const readers = 3
+	var closed atomic.Bool
+	// Per reader: Opens that returned bytes, and that failed after Close;
+	// the writer's rounds.
+	var before, after [readers]atomic.Int64
+	var rounds atomic.Int64
+	stop := make(chan struct{})
+	errs := make(chan error, readers) // a reader sends at most once, then returns
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var buf []byte
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := (n + r) % blocks
+				wasClosed := closed.Load()
+				got, err := f.Open(buf[:0], read, uint64(10*i+19))
+				switch {
+				case err == nil && wasClosed:
+					errs <- fmt.Errorf("Open(%d) after Close returned bytes", i)
+					return
+				case err == nil && !bytes.Equal(got, want[i]):
+					errs <- fmt.Errorf("Open(%d) returned %d bytes that are not the block's", i, len(got))
+					return
+				case err == nil:
+					buf = got
+					before[r].Add(1)
+				case wasClosed:
+					after[r].Add(1)
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Errors are not checked: every call fails once Close has run,
+			// and the writer is there for the contention alone.
+			ref, data := blk(10*i+10, 10*i+19, byte(i), 32+int(i%64))
+			f.Append(write, ref, data)
+			f.Append(cut, ref, data)
+			f.DeleteBefore(cut, 10*i+10)
+			if i%8 == 7 {
+				f.Forget(forget)
+			} else {
+				f.Append(forget, ref, data)
+			}
+			rounds.Add(1)
+		}
+	}()
+	waitFor := func(what string, done func(r int) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			all := true
+			for r := 0; r < readers; r++ {
+				all = all && done(r)
+			}
+			if all || len(errs) > 0 { // a failed reader is reported below
+				return
+			}
+			if time.Now().After(deadline) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("no progress: %s", what)
+			}
+		}
+	}
+	waitFor("every reader read 50 blocks while the writer ran 50 rounds", func(r int) bool {
+		return before[r].Load() >= 50 && rounds.Load() >= 50
+	})
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	closed.Store(true)
+	waitFor("every reader failed after Close", func(r int) bool { return after[r].Load() > 0 })
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if _, err := f.Open(nil, read, 19); err == nil {
+		t.Fatal("Open after Close returned no error")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,6 +23,8 @@ var (
 	ErrNotFound = errors.New("archive: block not found")
 	ErrCorrupt  = errors.New("archive: corrupt")
 )
+
+var errClosed = errors.New("archive: backend closed")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
@@ -148,6 +151,11 @@ func decodeManifestRec(b []byte) (rec manifestRec, n int, err error) {
 // its role as spill space for a live middleware. Deletions are logical
 // (manifest tombstones); segment space is reclaimed only by removing
 // the directory. Compaction is future work.
+//
+// In memory FS keeps, per block, only what Open and DeleteBefore need —
+// its extent (fsExtent). The full Ref lives in the block's add-record:
+// List and Streams, the recovery and tooling paths, replay the manifests
+// from disk, with the code OpenFS recovers by.
 type FS struct {
 	dir string
 
@@ -163,15 +171,48 @@ type fsShard struct {
 	scratch []byte // manifest record build buffer, reused per append
 }
 
+// fsStream is one stream's in-memory index: its floor and its blocks'
+// extents.
 type fsStream struct {
+	floor   uint64
+	extents []fsExtent // ascending by lastSeq
+}
+
+// fsExtent is one archived block as the index keeps it: the last sequence
+// it is filed under, where its bytes lie in the shard's segment, and their
+// CRC.
+type fsExtent struct {
+	lastSeq uint64
+	off     int64
+	n       uint32
+	dataCRC uint32
+}
+
+// fsState is one stream as a manifest replay rebuilds it, every add-record
+// whole.
+type fsState struct {
 	floor uint64
 	refs  []fsRef // ascending by LastSeq
 }
 
+// fsRef is one add-record as a replay keeps it: the block's Ref and where
+// its bytes lie.
 type fsRef struct {
 	Ref
 	off     int64
 	dataCRC uint32
+}
+
+// streamState returns the stream's refs and floor; st may be nil.
+func (st *fsState) streamState(id wire.StreamID) StreamState {
+	ss := StreamState{Stream: id}
+	if st != nil {
+		ss.Floor = st.floor
+		for i := range st.refs {
+			ss.Refs = append(ss.Refs, st.refs[i].Ref)
+		}
+	}
+	return ss
 }
 
 func fsShardOf(stream wire.StreamID) int { return stream.Sensor().Shard(FSShards) }
@@ -212,7 +253,8 @@ func OpenFS(dir string) (*FS, error) {
 			f.Close()
 			return nil, fmt.Errorf("archive: %w", err)
 		}
-		applied, _, tornRefs := replayManifest(raw, segSize, f.streams)
+		states := make(map[wire.StreamID]*fsState)
+		applied, _, tornRefs := replayManifest(raw, segSize, states)
 		// Future appends continue after the manifest's committed extent;
 		// bytes past it (a torn block write) are dead and overwritten.
 		sh.segOff = applied
@@ -220,13 +262,21 @@ func OpenFS(dir string) (*FS, error) {
 		// reuse the dead segment extent, and a torn add-record left in the
 		// manifest would resurrect at the next replay once new bytes land
 		// under its extent. Rewrite the shard's manifest from the
-		// recovered index (torn records compacted away, torn trailing
+		// recovered state (torn records compacted away, torn trailing
 		// bytes truncated) so recovery is idempotent.
 		if torn := tornRefs > 0 || intactPrefix(raw) < len(raw); torn {
-			if err := f.rewriteLog(i); err != nil {
+			if err := rewriteLog(log, states); err != nil {
 				f.Close()
 				return nil, err
 			}
+		}
+		for id, st := range states {
+			fs := &fsStream{floor: st.floor, extents: make([]fsExtent, len(st.refs))}
+			for j := range st.refs {
+				r := &st.refs[j]
+				fs.extents[j] = fsExtent{lastSeq: r.LastSeq, off: r.off, n: uint32(r.Bytes), dataCRC: r.dataCRC}
+			}
+			f.streams[id] = fs
 		}
 		if _, err := log.Seek(0, 2); err != nil {
 			f.Close()
@@ -250,46 +300,48 @@ func intactPrefix(raw []byte) int {
 	return consumed
 }
 
-// rewriteLog replaces shard i's manifest with a compact re-encoding of
-// the recovered in-memory index: one floor record per stream holding a
-// floor, then its surviving add-records. Called during OpenFS recovery
-// with the lock not yet needed (the FS is not shared yet).
-func (f *FS) rewriteLog(i int) error {
-	sh := &f.shards[i]
+// rewriteLog replaces a shard's manifest with a compact re-encoding of
+// the state its replay recovered: one floor record per stream holding a
+// floor, then its surviving add-records. Called during OpenFS recovery,
+// before the FS is shared.
+func rewriteLog(log *os.File, states map[wire.StreamID]*fsState) error {
 	var buf []byte
-	ids := make([]wire.StreamID, 0, len(f.streams))
-	for id := range f.streams {
-		if fsShardOf(id) == i {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		fs := f.streams[id]
-		if fs.floor > 0 {
-			rec := manifestRec{kind: recFloor, stream: id, floor: fs.floor}
+	for _, id := range sortedIDs(states) {
+		st := states[id]
+		if st.floor > 0 {
+			rec := manifestRec{kind: recFloor, stream: id, floor: st.floor}
 			buf = appendManifestRec(buf, &rec)
 		}
-		for j := range fs.refs {
+		for j := range st.refs {
 			rec := manifestRec{
 				kind:    recAdd,
 				stream:  id,
-				ref:     fs.refs[j].Ref,
-				off:     fs.refs[j].off,
-				dataCRC: fs.refs[j].dataCRC,
+				ref:     st.refs[j].Ref,
+				off:     st.refs[j].off,
+				dataCRC: st.refs[j].dataCRC,
 			}
 			buf = appendManifestRec(buf, &rec)
 		}
 	}
-	if err := sh.log.Truncate(0); err != nil {
+	if err := log.Truncate(0); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
 	if len(buf) > 0 {
-		if _, err := sh.log.WriteAt(buf, 0); err != nil {
+		if _, err := log.WriteAt(buf, 0); err != nil {
 			return fmt.Errorf("archive: %w", err)
 		}
 	}
 	return nil
+}
+
+// sortedIDs returns the map's keys in ascending order.
+func sortedIDs[V any](m map[wire.StreamID]V) []wire.StreamID {
+	ids := make([]wire.StreamID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	return ids
 }
 
 // replayManifest applies one shard's manifest bytes onto streams,
@@ -298,7 +350,7 @@ func (f *FS) rewriteLog(i int) error {
 // number of records applied, and the number of refs dropped for torn
 // segment extents. A record that fails to decode ends the replay — the
 // tail is torn.
-func replayManifest(raw []byte, segSize int64, streams map[wire.StreamID]*fsStream) (committed int64, records, tornRefs int) {
+func replayManifest(raw []byte, segSize int64, streams map[wire.StreamID]*fsState) (committed int64, records, tornRefs int) {
 	for len(raw) > 0 {
 		rec, n, err := decodeManifestRec(raw)
 		if err != nil {
@@ -314,7 +366,7 @@ func replayManifest(raw []byte, segSize int64, streams map[wire.StreamID]*fsStre
 			}
 			fs, ok := streams[rec.stream]
 			if !ok {
-				fs = &fsStream{}
+				fs = &fsState{}
 				streams[rec.stream] = fs
 			}
 			if rec.ref.LastSeq < fs.floor {
@@ -327,19 +379,14 @@ func replayManifest(raw []byte, segSize int64, streams map[wire.StreamID]*fsStre
 		case recFloor:
 			fs, ok := streams[rec.stream]
 			if !ok {
-				fs = &fsStream{}
+				fs = &fsState{}
 				streams[rec.stream] = fs
 			}
 			if rec.floor > fs.floor {
 				fs.floor = rec.floor
 			}
-			k := 0
-			for k < len(fs.refs) && fs.refs[k].LastSeq < fs.floor {
-				k++
-			}
-			if k > 0 {
-				fs.refs = append(fs.refs[:0], fs.refs[k:]...)
-			}
+			k := sort.Search(len(fs.refs), func(j int) bool { return fs.refs[j].LastSeq >= fs.floor })
+			fs.refs = append(fs.refs[:0], fs.refs[k:]...)
 		case recForget:
 			delete(streams, rec.stream)
 		}
@@ -387,7 +434,7 @@ func (f *FS) Append(stream wire.StreamID, ref Ref, data []byte) error {
 	defer f.mu.Unlock()
 	sh := &f.shards[fsShardOf(stream)]
 	if sh.seg == nil {
-		return errors.New("archive: backend closed")
+		return errClosed
 	}
 	off := sh.segOff
 	if _, err := sh.seg.WriteAt(data, off); err != nil {
@@ -406,83 +453,92 @@ func (f *FS) Append(stream wire.StreamID, ref Ref, data []byte) error {
 	}
 	sh.segOff = off + int64(len(data))
 	fs := f.stream(stream)
-	fs.refs = append(fs.refs, fsRef{Ref: ref, off: off, dataCRC: rec.dataCRC})
+	fs.extents = append(fs.extents, fsExtent{lastSeq: ref.LastSeq, off: off, n: uint32(len(data)), dataCRC: rec.dataCRC})
 	return nil
 }
 
-// Open implements Backend.
+// Open implements Backend. It looks the extent up under the mutex and
+// reads and checks the bytes after releasing it: segments are append-only
+// and never compacted, so an extent the index named stays whole. A read
+// racing Close fails.
 func (f *FS) Open(dst []byte, stream wire.StreamID, lastSeq uint64) ([]byte, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
+	var e fsExtent
 	fs, ok := f.streams[stream]
+	if ok {
+		i := sort.Search(len(fs.extents), func(i int) bool { return fs.extents[i].lastSeq >= lastSeq })
+		ok = i < len(fs.extents) && fs.extents[i].lastSeq == lastSeq
+		if ok {
+			e = fs.extents[i]
+		}
+	}
+	seg := f.shards[fsShardOf(stream)].seg
+	f.mu.Unlock()
 	if !ok {
 		return dst, ErrNotFound
 	}
-	i := sort.Search(len(fs.refs), func(i int) bool { return fs.refs[i].LastSeq >= lastSeq })
-	if i >= len(fs.refs) || fs.refs[i].LastSeq != lastSeq {
-		return dst, ErrNotFound
-	}
-	r := &fs.refs[i]
-	sh := &f.shards[fsShardOf(stream)]
-	if sh.seg == nil {
-		return dst, errors.New("archive: backend closed")
+	if seg == nil {
+		return dst, errClosed
 	}
 	n := len(dst)
-	need := n + int(r.Bytes)
-	if cap(dst) < need {
-		grown := make([]byte, need)
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:need]
-	}
-	if _, err := sh.seg.ReadAt(dst[n:need], r.off); err != nil {
+	dst = slices.Grow(dst, int(e.n))[:n+int(e.n)]
+	if _, err := seg.ReadAt(dst[n:], e.off); errors.Is(err, os.ErrClosed) {
+		return dst[:n], errClosed
+	} else if err != nil {
 		return dst[:n], corruptf("segment read: %v", err)
 	}
-	if got := crc32.ChecksumIEEE(dst[n:need]); got != r.dataCRC {
-		return dst[:n], corruptf("block %d/%d data crc mismatch: %08x != %08x", stream, lastSeq, got, r.dataCRC)
+	if got := crc32.ChecksumIEEE(dst[n:]); got != e.dataCRC {
+		return dst[:n], corruptf("block %d/%d data crc mismatch: %08x != %08x", stream, lastSeq, got, e.dataCRC)
 	}
 	return dst, nil
 }
 
-// List implements Backend.
+// replayShardLocked rebuilds shard i's streams, every ref whole, from its
+// manifest on disk. Under the mutex the manifest holds exactly the
+// records the index was built from and has applied since. Caller holds
+// mu.
+func (f *FS) replayShardLocked(i int) (map[wire.StreamID]*fsState, error) {
+	raw, err := os.ReadFile(filepath.Join(f.dir, logName(i)))
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	states := make(map[wire.StreamID]*fsState)
+	replayManifest(raw, f.shards[i].segOff, states)
+	return states, nil
+}
+
+// List implements Backend, replaying the stream's shard manifest.
 func (f *FS) List(stream wire.StreamID) (StreamState, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fs, ok := f.streams[stream]
-	if !ok {
+	if _, ok := f.streams[stream]; !ok {
 		return StreamState{Stream: stream}, nil
 	}
-	return StreamState{Stream: stream, Floor: fs.floor, Refs: plainRefs(fs.refs)}, nil
+	states, err := f.replayShardLocked(fsShardOf(stream))
+	if err != nil {
+		return StreamState{Stream: stream}, err
+	}
+	return states[stream].streamState(stream), nil
 }
 
-func plainRefs(refs []fsRef) []Ref {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]Ref, len(refs))
-	for i := range refs {
-		out[i] = refs[i].Ref
-	}
-	return out
-}
-
-// Streams implements Backend, visiting in stream-id order.
+// Streams implements Backend, visiting in stream-id order. It replays
+// every shard's manifest.
 func (f *FS) Streams(fn func(StreamState) error) error {
 	f.mu.Lock()
-	ids := make([]wire.StreamID, 0, len(f.streams))
-	for id := range f.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	states := make([]StreamState, 0, len(ids))
-	for _, id := range ids {
-		fs := f.streams[id]
-		states = append(states, StreamState{Stream: id, Floor: fs.floor, Refs: plainRefs(fs.refs)})
+	all := make(map[wire.StreamID]*fsState, len(f.streams))
+	for i := range f.shards {
+		states, err := f.replayShardLocked(i)
+		if err != nil {
+			f.mu.Unlock()
+			return err
+		}
+		for id, st := range states {
+			all[id] = st
+		}
 	}
 	f.mu.Unlock()
-	for _, st := range states {
-		if err := fn(st); err != nil {
+	for _, id := range sortedIDs(all) {
+		if err := fn(all[id].streamState(id)); err != nil {
 			return err
 		}
 	}
@@ -495,7 +551,7 @@ func (f *FS) DeleteBefore(stream wire.StreamID, upto uint64) error {
 	defer f.mu.Unlock()
 	sh := &f.shards[fsShardOf(stream)]
 	if sh.log == nil {
-		return errors.New("archive: backend closed")
+		return errClosed
 	}
 	rec := manifestRec{kind: recFloor, stream: stream, floor: upto}
 	sh.scratch = appendManifestRec(sh.scratch[:0], &rec)
@@ -506,13 +562,8 @@ func (f *FS) DeleteBefore(stream wire.StreamID, upto uint64) error {
 	if upto > fs.floor {
 		fs.floor = upto
 	}
-	k := 0
-	for k < len(fs.refs) && fs.refs[k].LastSeq < fs.floor {
-		k++
-	}
-	if k > 0 {
-		fs.refs = append(fs.refs[:0], fs.refs[k:]...)
-	}
+	k := sort.Search(len(fs.extents), func(i int) bool { return fs.extents[i].lastSeq >= fs.floor })
+	fs.extents = append(fs.extents[:0], fs.extents[k:]...)
 	return nil
 }
 
@@ -522,7 +573,7 @@ func (f *FS) Forget(stream wire.StreamID) error {
 	defer f.mu.Unlock()
 	sh := &f.shards[fsShardOf(stream)]
 	if sh.log == nil {
-		return errors.New("archive: backend closed")
+		return errClosed
 	}
 	rec := manifestRec{kind: recForget, stream: stream}
 	sh.scratch = appendManifestRec(sh.scratch[:0], &rec)
@@ -566,7 +617,7 @@ type Report struct {
 // the per-stream archived ranges. Missing files scan as empty shards.
 func ScanFS(dir string) (Report, error) {
 	var rep Report
-	streams := make(map[wire.StreamID]*fsStream)
+	streams := make(map[wire.StreamID]*fsState)
 	for i := 0; i < FSShards; i++ {
 		sr := ShardReport{Index: i}
 		var segSize int64
@@ -592,12 +643,7 @@ func ScanFS(dir string) (Report, error) {
 		sr.Committed, sr.Records, sr.TornRefs = replayManifest(raw, segSize, streams)
 		rep.Shards = append(rep.Shards, sr)
 	}
-	ids := make([]wire.StreamID, 0, len(streams))
-	for id := range streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedIDs(streams) {
 		fs := streams[id]
 		sr := StreamReport{Stream: id, Floor: fs.floor, Blocks: len(fs.refs)}
 		if len(fs.refs) > 0 {

@@ -52,7 +52,7 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		// Replay must terminate and leave only internally consistent
 		// streams whatever the input — this is the crash-recovery path.
-		streams := make(map[wire.StreamID]*fsStream)
+		streams := make(map[wire.StreamID]*fsState)
 		committed, records, tornRefs := replayManifest(raw, 1<<20, streams)
 		if committed < 0 || records < 0 || tornRefs < 0 {
 			t.Fatalf("negative replay summary: %d %d %d", committed, records, tornRefs)

@@ -149,3 +149,39 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 		t.Fatal("Forget kept the codec stream's tail")
 	}
 }
+
+// TestStageFootprint pins the seal stage of a stream that has sealed: one
+// array of DefaultBlockSize slots, 64 bytes each and of the pointer-free
+// type TestSlotIsPointerFree holds, so the collector never scans it — 4 KB
+// per codec stream, whatever its payloads' size. A payload longer than a
+// slot's stays in the stream's arena, and nothing else is kept per staged
+// entry: the deliveries a seal unpacks for the codec are cleared after.
+func TestStageFootprint(t *testing.T) {
+	s := New(Options{Codec: "raw", MaxMessages: 4})
+	id := wire.MustStreamID(1, 0)
+	for seq := 0; seq < 4+DefaultBlockSize+5; seq++ { // one block sealed, five staged
+		s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, 40)))
+	}
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tl := sh.rings.get(id).tail
+	if typ := reflect.TypeOf(tl.stage).Elem(); typ != reflect.TypeOf(slot{}) {
+		t.Fatalf("the stage holds %v, want the pointer-free slot", typ)
+	}
+	if got, want := uintptr(cap(tl.stage))*unsafe.Sizeof(slot{}), uintptr(DefaultBlockSize*64); len(tl.stage) != 5 || got != want {
+		t.Fatalf("stage of %d entries is %d B at capacity, want %d", len(tl.stage), got, want)
+	}
+	if want := int64(4+5) * 40; tl.held != want {
+		t.Fatalf("the arena holds %d B for the hot and staged payloads, want %d", tl.held, want)
+	}
+	// The scratch the seal unpacked into went back to the pool holding
+	// nothing: on one goroutine the pool hands the last one put back.
+	ds := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(ds)
+	for i, d := range ds.entries[:cap(ds.entries)] {
+		if !reflect.ValueOf(d).IsZero() {
+			t.Fatalf("sealing scratch entry %d still holds %v", i, d)
+		}
+	}
+}

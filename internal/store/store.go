@@ -76,14 +76,19 @@
 // With a codec configured (Options.Codec), an entry the hot bounds push out
 // of the ring is not dropped: it moves to the seal stage, and a full stage
 // is encoded into one immutable block appended to the stream's one list of
-// sealed blocks. Where a block goes from there depends on the archive:
+// sealed blocks. The stage is slots like the ring, BlockSize of them, and
+// an entry moves there as its slot, a payload in the arena staying where
+// it was until the block seals; only then is the stage unpacked, into the
+// pooled scratch reads decode into, for the codec to encode from. Where a
+// block goes from there depends on the archive:
 //
 //   - With no archive the list is the cold tier, bounded per stream by
 //     Options.ColdBudget: past it the oldest block is dropped
 //     (Stats.EvictedCold).
 //   - With an archive (Options.Archive) a block stays on the list only until
 //     the archiver has filed it in the backend. It then lives on as a
-//     durable ref, whose bytes a read fetches back from the backend.
+//     durable ref, 48 bytes in memory, whose bytes a read fetches back from
+//     the backend.
 //
 // A stream's history is therefore, oldest first: durable refs, the sealed
 // list, the seal stage, the hot ring. All four hang off the stream's one
@@ -176,11 +181,12 @@ type Options struct {
 	// Codec enables sealed history: deliveries evicted from the hot ring
 	// by the count/byte/age bounds pass through the seal stage into
 	// immutable compressed blocks instead of being dropped, and the read
-	// path stitches them back transparently. "" disables it (evictions
-	// drop, the pre-compression behaviour). Valid names are "auto",
-	// "gorilla", "rle", "lz" and "raw"; New panics on anything else, like
-	// a malformed shard count would elsewhere — a config typo should not
-	// silently disable retention.
+	// path stitches them back transparently. A stream that has sealed
+	// keeps its stage, BlockSize pointer-free 64-byte slots, until Forget.
+	// "" disables it (evictions drop, the pre-compression behaviour).
+	// Valid names are "auto", "gorilla", "rle", "lz" and "raw"; New panics
+	// on anything else, like a malformed shard count would elsewhere — a
+	// config typo should not silently disable retention.
 	Codec string
 	// ColdBudget bounds the sealed blocks kept in memory per stream, in
 	// compressed bytes, when no archive is attached; the oldest blocks
@@ -322,9 +328,10 @@ type StreamStats struct {
 
 	// ResidentBytes estimates the stream's resident heap: the ring
 	// header and the hot slot array at capacity and, once the stream
-	// owns one, the tail record with its payload arena and stage
-	// backing at capacity, staged payload bytes, the sealed blocks'
-	// headers plus compressed data, and the archived refs' index.
+	// owns one, the tail record with its payload arena — every hot and
+	// staged payload longer than a slot — and its stage's slots at
+	// capacity, the sealed blocks' headers plus compressed data, and the
+	// archived refs' index.
 	// Receiver names live in the store's name table and allocator
 	// rounding is not counted, so this is an estimate — but one that is
 	// comparable across streams and honest about lazy allocation (a
@@ -507,27 +514,29 @@ type ring struct {
 // the shared zero tail, so every read goes through the pointer unguarded;
 // only ownTail's caller may write through it.
 type tail struct {
-	// arena holds the hot payloads too long for their slots, each such
-	// slot naming its own range; held counts the bytes still named, the
-	// rest of len(arena) is dead (evicted, sealed or replaced) until the
-	// next compaction.
+	// arena holds the hot and staged payloads too long for their slots,
+	// each such slot naming its own range; held counts the bytes still
+	// named, the rest of len(arena) is dead (evicted, sealed or replaced)
+	// until the next compaction.
 	arena []byte
 	held  int64
 	// largest is the longest payload put in the arena since the tail was
 	// allocated: appending it beside a full window needs that much arena
-	// beyond the window's own bytes.
-	largest uint32
+	// beyond the window's own bytes. sealedArena is what the stage named
+	// in the arena when it last sealed: the next stage will likely need as
+	// much, so trimming leaves room for it.
+	largest     uint32
+	sealedArena uint32
 
 	// Sealed history, oldest first: every sequence in refs precedes every
 	// one in blocks, which precede stage's, which precede the hot ring's,
 	// so reads stitch the four in that order. Entries leave the hot ring
-	// oldest first into stage — a fixed-capacity slice whose spare
-	// elements park recycled payload buffers — and a full stage seals
-	// into one immutable compressed block appended to blocks. Staged and
-	// listed entries are still retained: the shard gauges do not move
-	// when an entry is sealed, only when a block is dropped or archived.
-	stage      []filtering.Delivery
-	stageBytes int64
+	// oldest first into stage by a copy of their slot — a longer payload
+	// stays where it was, in the arena — and a full stage seals into one
+	// immutable compressed block appended to blocks. Staged and listed
+	// entries are still retained: the shard gauges do not move when an
+	// entry is sealed, only when a block is dropped or archived.
+	stage      []slot // capacity BlockSize, allocated once
 	blocks     []block
 	blockBytes int64 // compressed bytes across blocks
 
@@ -597,22 +606,30 @@ func (r *ring) payloadLocked(e *slot) []byte {
 	return r.tail.arena[e.off():end:end]
 }
 
-// vacateLocked empties an occupied slot and returns its payload's length:
-// the bytes leave the ring's count and, if they lay in the arena, go dead
-// there until the next compaction.
+// vacateLocked empties an occupied hot slot and returns its payload's
+// length: the bytes leave the ring's count and, if they lay in the arena,
+// go dead there until the next compaction.
 func (r *ring) vacateLocked(e *slot) int64 {
-	n := int64(e.size)
+	n := r.tail.release(e)
 	r.bytes -= n
-	if n > inlinePayload {
-		r.tail.held -= n // an arena payload: the ring owns its tail
-	}
 	e.ext = 0
 	r.count--
 	return n
 }
 
-// deliveryLocked unpacks r's hot entry e. Its payload is lent from the
-// ring: valid under the shard lock, until the stream is next appended to.
+// release lets go of the arena bytes a hot or staged slot names, if it
+// names any, and returns its payload's length.
+func (t *tail) release(e *slot) int64 {
+	n := int64(e.size)
+	if n > inlinePayload {
+		t.held -= n // an arena payload: the ring owns its tail
+	}
+	return n
+}
+
+// deliveryLocked unpacks r's hot or staged entry e. Its payload is lent
+// from the ring: valid under the shard lock, until the stream is next
+// appended to.
 func (sh *shard) deliveryLocked(r *ring, id wire.StreamID, e *slot) filtering.Delivery {
 	return filtering.Delivery{
 		Msg: wire.Message{Flags: e.flags, Stream: id, Seq: wire.Seq(e.ext), AckID: e.ack,
@@ -961,26 +978,44 @@ func (r *ring) reserveLocked(sh *shard, n int) *tail {
 	return t
 }
 
-// trimArenaLocked gives back arena capacity the window has shrunk away
-// from, which bounds it on every path: cap(arena) ≤ 2·held + largest +
-// arenaSlack once an append or eviction returns. noTail never trims: its
-// arena has no capacity. Caller holds mu.
+// trimArenaLocked gives back arena capacity the window and the stage have
+// shrunk away from, which bounds it on every path: cap(arena) ≤
+// 2·(held + sealedArena) + largest + arenaSlack once an append or
+// eviction returns. noTail never trims: its arena has no capacity. Caller
+// holds mu.
 func (r *ring) trimArenaLocked(sh *shard) {
-	if t := r.tail; cap(t.arena) > 2*int(t.held)+int(t.largest)+arenaSlack {
-		r.packLocked(sh, make([]byte, 2*t.held))
+	t := r.tail
+	if want := 2 * (int(t.held) + int(t.sealedArena)); cap(t.arena) > want+int(t.largest)+arenaSlack {
+		r.packLocked(sh, make([]byte, want))
 	}
 }
 
-// packLocked moves the payloads the ring holds in its arena to the front
-// of dst, which becomes the arena and may be the arena's own array: each
-// payload is moved once, lowest offset first, so a move never lands on
-// bytes still to be moved. Payloads lie in arrival order, which is slot
-// order from the window's low end unless a late fill or a replacement
-// arrived out of sequence; only then is there anything to sort. The ring
+// packLocked moves the payloads the ring holds in its arena — the staged
+// ones, which are the oldest, then the hot ones — to the front of dst,
+// which becomes the arena and may be the arena's own array: each payload
+// is moved once, lowest offset first, so a move never lands on bytes
+// still to be moved. Payloads lie in arrival order, which is stage order
+// then slot order from the window's low end unless a late fill or a
+// replacement arrived out of sequence; only then is there anything to
+// sort. The order lists hot slot i as i and staged slot k as ^k. The ring
 // owns its tail. Caller holds mu.
 func (r *ring) packLocked(sh *shard, dst []byte) {
+	t := r.tail
+	at := func(i int32) *slot {
+		if i < 0 {
+			return &t.stage[^i]
+		}
+		return &r.slots[i]
+	}
 	order, mask := sh.packOrder[:0], r.slotMask()
 	last, sorted := 0, true
+	for k := range t.stage {
+		if e := &t.stage[k]; e.size > inlinePayload {
+			order = append(order, ^int32(k))
+			sorted = sorted && e.off() >= last
+			last = e.off()
+		}
+	}
 	for k := range r.slots {
 		i := (r.minExt + uint64(k)) & mask
 		if e := &r.slots[i]; e.ext != 0 && e.size > inlinePayload {
@@ -990,16 +1025,16 @@ func (r *ring) packLocked(sh *shard, dst []byte) {
 		}
 	}
 	if !sorted {
-		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(r.slots[a].off(), r.slots[b].off()) })
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(at(a).off(), at(b).off()) })
 	}
 	n := 0
 	for _, i := range order {
-		e := &r.slots[i]
+		e := at(i)
 		p := r.payloadLocked(e)
 		e.setOff(n)
 		n += copy(dst[n:], p)
 	}
-	sh.packOrder, r.tail.arena = order, dst[:n]
+	sh.packOrder, t.arena = order, dst[:n]
 }
 
 // oldestLocked returns the lowest occupied extended sequence. It never
@@ -1039,56 +1074,64 @@ func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 	}
 }
 
-// sealLowestLocked moves the oldest hot entry into the seal stage,
-// copying its payload out of the ring into the buffer parked in the
-// spare stage element, so nothing allocates. A full stage seals into one
-// compressed block. The entry stays retained throughout — the shard
-// gauges do not move. Caller holds mu.
+// sealLowestLocked moves the oldest hot entry into the seal stage by
+// copying its slot; a payload in the arena stays there, still held. A
+// full stage seals into one compressed block. The entry stays retained
+// throughout — the shard gauges do not move. Caller holds mu.
 func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
 	t := r.ownTail()
 	if t.stage == nil {
-		t.stage = make([]filtering.Delivery, 0, s.blockSize)
+		t.stage = make([]slot, 0, s.blockSize)
 	}
 	ext := r.oldestLocked()
 	e := &r.slots[ext&r.slotMask()]
-	n := len(t.stage)
-	t.stage = t.stage[:n+1]
-	st := &t.stage[n]
-	parked := st.Msg.Payload
-	*st = sh.deliveryLocked(r, id, e)
-	st.Msg.Payload = append(parked[:0], st.Msg.Payload...)
-	t.stageBytes += r.vacateLocked(e)
+	t.stage = append(t.stage, *e)
+	r.bytes -= int64(e.size)
+	e.ext = 0
+	r.count--
 	r.minExt = ext + 1
 	if r.count == 0 {
 		r.minExt, r.maxExt = 0, 0
 	}
 	if len(t.stage) == cap(t.stage) {
-		s.sealStageLocked(sh, t, id)
+		s.sealStageLocked(sh, r, id)
 	}
 }
 
 // sealStageLocked encodes the staged entries into one immutable block
 // (into a recycled buffer when one is parked) and appends it to the
-// sealed list. With an archive the block goes to the archiver at once;
-// without one the per-stream budget drops the oldest blocks past it.
-// Caller holds mu.
-func (s *Store) sealStageLocked(sh *shard, t *tail, id wire.StreamID) {
-	c := s.picker(t.stage)
-	data := c.Encode(sh.blockBufLocked(), t.stage)
-	last := &t.stage[len(t.stage)-1]
+// sealed list, unpacking them for the codec into pooled scratch, which it
+// clears after so the pool holds no payload. Their arena bytes go dead.
+// With an archive the block goes to the archiver at once; without one
+// the per-stream budget drops the oldest blocks past it. Caller holds mu.
+func (s *Store) sealStageLocked(sh *shard, r *ring, id wire.StreamID) {
+	t := r.tail
+	ds := decodePool.Get().(*decodeScratch)
+	entries, held := ds.entries[:0], t.held
+	var raw int64
+	for i := range t.stage {
+		entries = append(entries, sh.deliveryLocked(r, id, &t.stage[i]))
+		raw += t.release(&t.stage[i])
+	}
+	t.sealedArena = uint32(held - t.held)
+	c := s.picker(entries)
+	data := c.Encode(sh.blockBufLocked(), entries)
+	last := &entries[len(entries)-1]
 	t.blocks = append(t.blocks, block{
 		Ref: archive.Ref{
-			Codec: c.ID(), FirstSeq: t.stage[0].StoreSeq, LastSeq: last.StoreSeq,
-			Count: int32(len(t.stage)), RawBytes: t.stageBytes, Bytes: int64(len(data)),
+			Codec: c.ID(), FirstSeq: entries[0].StoreSeq, LastSeq: last.StoreSeq,
+			Count: int32(len(entries)), RawBytes: raw, Bytes: int64(len(data)),
 			LastUnix: last.At.UnixNano(),
 		},
 		data: data,
 	})
+	clear(entries)
+	ds.entries = entries[:0]
+	decodePool.Put(ds)
 	t.blockBytes += int64(len(data))
 	sh.sealedBlocks++
 	sh.sealedMsgs += int64(len(t.stage))
-	t.stage = t.stage[:0] // spare elements keep their payload buffers
-	t.stageBytes = 0
+	t.stage = t.stage[:0]
 	if s.arch != nil {
 		s.spillLocked(sh, t, id)
 		return
@@ -1132,26 +1175,19 @@ func (sh *shard) dropBlockLocked(t *tail, reason *int64) {
 }
 
 // dropStagePrefixLocked drops the first k staged entries, crediting
-// *reason per entry. Survivors shift down by swapping, so the dropped
-// elements' payload buffers stay parked in the spare capacity for reuse.
-// Caller holds mu.
+// *reason per entry; their arena bytes go dead. Caller holds mu.
 func (sh *shard) dropStagePrefixLocked(t *tail, k int, reason *int64) {
 	if k <= 0 {
 		return
 	}
-	n := len(t.stage)
 	var freed int64
-	for i := 0; i < k; i++ {
-		freed += int64(len(t.stage[i].Msg.Payload))
+	for i := range t.stage[:k] {
+		freed += t.release(&t.stage[i])
 	}
-	t.stageBytes -= freed
 	sh.retainedMessages.Add(-int64(k))
 	sh.retainedBytes.Add(-freed)
 	*reason += int64(k)
-	for i := k; i < n; i++ {
-		t.stage[i-k], t.stage[i] = t.stage[i], t.stage[i-k]
-	}
-	t.stage = t.stage[:n-k]
+	t.stage = t.stage[:copy(t.stage, t.stage[k:])]
 }
 
 // evictToLocked drops every retained entry below upto, oldest first down
@@ -1183,7 +1219,7 @@ func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64,
 		sh.dropBlockLocked(t, reason)
 	}
 	k := 0
-	for k < len(t.stage) && t.stage[k].StoreSeq < upto {
+	for k < len(t.stage) && t.stage[k].ext < upto {
 		k++
 	}
 	sh.dropStagePrefixLocked(t, k, reason)
@@ -1244,7 +1280,7 @@ func (r *ring) firstLocked() uint64 {
 	case len(t.blocks) > 0:
 		return t.blocks[0].FirstSeq
 	case len(t.stage) > 0:
-		return t.stage[0].StoreSeq
+		return t.stage[0].ext
 	case r.count > 0:
 		return r.oldestLocked()
 	}
@@ -1283,7 +1319,8 @@ func (s *Store) OldestSince(id wire.StreamID, from uint64) (seq uint64, size int
 }
 
 // decodeScratch is the pooled working memory for decompressing one
-// sealed block on the read path.
+// sealed block on the read path; sealing borrows its entries to unpack a
+// stage into.
 type decodeScratch struct {
 	sc      codec.Scratch
 	entries []filtering.Delivery
@@ -1299,8 +1336,8 @@ var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 // block is handed over whole, its header and its bytes (nil for an
 // archived block, whose bytes the backend holds under ref.LastSeq): the
 // header says it intersects, not which entries do. An entry's payload is
-// borrowed store memory (a hot entry is unpacked for the call). Either
-// callback returning false stops the walk. Caller holds mu.
+// borrowed store memory (a staged or hot slot is unpacked for the call).
+// Either callback returning false stops the walk. Caller holds mu.
 func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref *archive.Ref, data []byte) bool, entry func(d filtering.Delivery) bool) {
 	r := sh.rings.get(id)
 	if r == nil {
@@ -1325,11 +1362,11 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref 
 		}
 	}
 	for i := range t.stage {
-		seq := t.stage[i].StoreSeq
-		if seq < from {
+		e := &t.stage[i]
+		if e.ext < from {
 			continue
 		}
-		if seq > to || !entry(t.stage[i]) {
+		if e.ext > to || !entry(sh.deliveryLocked(r, id, e)) {
 			return
 		}
 	}
@@ -1599,11 +1636,11 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 // the stream resumes. The Orphanage calls this when it evicts an
 // unclaimed stream, so Forget is the moment a dead stream's memory must
 // actually return to the heap: the slot ring and the tail — payload
-// arena, seal stage with its parked payload buffers, sealed list and
-// archived refs — are released, not just emptied, leaving only the ring
-// header behind the unwrap state and the duplicate window, which a
-// deployment has never reset either. A resumed stream re-materialises its
-// ring in appendLocked and is screened against what it sent before.
+// arena, seal stage, sealed list and archived refs — are released, not
+// just emptied, leaving only the ring header behind the unwrap state and
+// the duplicate window, which a deployment has never reset either. A
+// resumed stream re-materialises its ring in appendLocked and is screened
+// against what it sent before.
 func (s *Store) Forget(id wire.StreamID) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -1689,11 +1726,14 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		FirstSeq:       r.firstLocked(),
 		NextWire:       wire.Seq(r.lastExt) + 1,
 		Count:          int(r.count) + len(t.stage),
-		Bytes:          r.bytes + t.stageBytes,
+		Bytes:          r.bytes,
 		ColdBlocks:     len(t.blocks),
 		ColdBytes:      t.blockBytes,
 		ArchivedBlocks: len(t.refs),
 		ArchiveFloor:   t.floor,
+	}
+	for i := range t.stage {
+		st.Bytes += int64(t.stage[i].size)
 	}
 	for i := range t.blocks {
 		st.ColdMessages += int(t.blocks[i].Count)
@@ -1729,14 +1769,13 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		headerSize = int64(unsafe.Sizeof(ring{}))
 		slotSize   = int64(unsafe.Sizeof(slot{}))
 		tailSize   = int64(unsafe.Sizeof(tail{}))
-		stagedSize = int64(unsafe.Sizeof(filtering.Delivery{}))
 		blockSize  = int64(unsafe.Sizeof(block{}))
 		refSize    = int64(unsafe.Sizeof(archive.Ref{}))
 	)
 	st.ResidentBytes = headerSize + int64(cap(r.slots))*slotSize
 	if t != noTail {
 		st.ResidentBytes += tailSize + int64(cap(t.arena)) +
-			int64(cap(t.stage))*stagedSize + t.stageBytes +
+			int64(cap(t.stage))*slotSize +
 			int64(cap(t.blocks))*blockSize + t.blockBytes +
 			int64(cap(t.refs))*refSize
 	}

@@ -449,6 +449,40 @@ func TestCompressedAppendZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestSealCycleAllocatesNothing measures a whole seal cycle as one run.
+// AllocsPerRun divides by its runs, so an allocation once per block — an
+// arena regrown after every seal, a block buffer not recycled — reads as
+// 0/op when each run is one append. Staged payloads longer than a slot
+// stay in the arena until their block seals, so the arena keeps room for
+// the next stage instead of shrinking to the hot window's bytes at every
+// seal.
+func TestSealCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
+	}
+	const block = 64
+	s := New(Options{MaxMessages: 16, Codec: "auto", BlockSize: block, ColdBudget: 4096})
+	id := wire.MustStreamID(1, 0)
+	payload := make([]byte, 24) // too long for a slot: the arena is in play
+	seq := 0
+	put := func() {
+		binary.BigEndian.PutUint64(payload, math.Float64bits(20+0.25*float64(seq%32)))
+		s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*50*time.Millisecond), payload))
+		seq++
+	}
+	for seq < 64*block {
+		put()
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for range block {
+			put()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a seal cycle of %d appends allocates %v times, want 0", block, allocs)
+	}
+}
+
 // TestCompressedBytesPerMessageRatio pins the headline win: on a smooth
 // synthetic numeric series the cold tier retains each delivery in at
 // least 5× fewer bytes than the hot ring's in-memory representation
@@ -623,6 +657,48 @@ func TestForgetReleasesBacking(t *testing.T) {
 	}
 }
 
+// TestResidentBytesCountsTheStage holds the estimate to what a stream with
+// a codec holds: a stage of slots at capacity, and an arena with every hot
+// and staged payload longer than a slot's, beside the slots, the tail and
+// the sealed blocks. Nothing else is kept per staged entry: once only
+// short payloads are staged and hot, the arena holds nothing live.
+func TestResidentBytesCountsTheStage(t *testing.T) {
+	const hot, block = 4, 8
+	s := New(Options{Codec: "raw", MaxMessages: hot, BlockSize: block, ColdBudget: 1 << 20})
+	id := wire.MustStreamID(1, 0)
+	seq := 0
+	put := func(n, size int) {
+		for ; n > 0; n-- {
+			s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, size)))
+			seq++
+		}
+	}
+	check := func(when string, staged int, held int64) {
+		t.Helper()
+		st, _ := s.StreamStats(id)
+		sh := s.shardFor(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		r := sh.rings.get(id)
+		tl := r.tail
+		if len(tl.stage) != staged || tl.held != held || st.Count != hot+staged+st.ColdMessages {
+			t.Fatalf("%s: %d staged, %d B in the arena, count %d; want %d staged, %d B, %d hot + staged + %d sealed",
+				when, len(tl.stage), tl.held, st.Count, staged, held, hot, st.ColdMessages)
+		}
+		// What the stream holds at the least: its header, slots and tail,
+		// the stage's slots, the arena's live bytes and the blocks' data.
+		floor := int64(unsafe.Sizeof(ring{})) + int64(len(r.slots)+cap(tl.stage))*int64(unsafe.Sizeof(slot{})) +
+			int64(unsafe.Sizeof(tail{})) + tl.held + tl.blockBytes
+		if st.ResidentBytes < floor {
+			t.Fatalf("%s: the estimate is %d B, below the %d B the stream holds", when, st.ResidentBytes, floor)
+		}
+	}
+	put(hot+block+5, 40) // one block sealed, five long payloads staged
+	check("long payloads staged", 5, (hot+5)*40)
+	put(2*block+hot-5, 8) // every long payload sealed away, four short ones staged
+	check("short payloads staged", 4, 0)
+}
+
 // TestAtRoundTripsEveryInstant holds the hot slot to the whole time.Time
 // range: it keeps At as Unix seconds and nanoseconds, so the zero Time,
 // instants outside the UnixNano range (before 1678, after 2262), other
@@ -674,12 +750,13 @@ func TestAtRoundTripsEveryInstant(t *testing.T) {
 	}
 }
 
-// checkArena holds one stream's hot tier to its invariants: the slots'
-// payloads add up to the ring's byte count, those too long for a slot lie
-// inside the arena and add up to what the ring says it holds there, empty
-// slots are marked empty, and the arena's capacity stays within twice its
-// live bytes plus the stream's largest payload plus a constant — whatever
-// was appended, replaced, evicted or forgotten.
+// checkArena holds one stream's hot tier and seal stage to their
+// invariants: the hot slots' payloads add up to the ring's byte count,
+// those too long for a slot, hot or staged, lie inside the arena and add
+// up to what the ring says it holds there, empty slots are marked empty,
+// and the arena's capacity stays within twice its live bytes and the last
+// sealed stage's, plus the stream's largest payload plus a constant —
+// whatever was appended, replaced, evicted, sealed or forgotten.
 func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 	t.Helper()
 	sh := s.shardFor(id)
@@ -706,12 +783,20 @@ func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 			}
 		}
 	}
+	for i := range r.tail.stage {
+		if e := &r.tail.stage[i]; e.size > inlinePayload {
+			held += int64(e.size)
+			if got := r.payloadLocked(e); len(got) != int(e.size) { // panics when out of range
+				t.Fatalf("stream %v: staged entry %d payload is %d bytes, size says %d", id, i, len(got), e.size)
+			}
+		}
+	}
 	arena := r.tail.arena
 	if count != r.count || live != r.bytes || held != r.tail.held || held > int64(len(arena)) {
-		t.Fatalf("stream %v: slots hold %d entries/%d B, %d B of them in the arena; ring says %d/%d, %d of the arena's %d B",
+		t.Fatalf("stream %v: slots hold %d entries/%d B, %d B of them and the stage's in the arena; ring says %d/%d, %d of the arena's %d B",
 			id, count, live, held, r.count, r.bytes, r.tail.held, len(arena))
 	}
-	if bound := 2*int(held) + largest + arenaSlack; cap(arena) > bound {
+	if bound := 2*(int(held)+int(r.tail.sealedArena)) + largest + arenaSlack; cap(arena) > bound {
 		t.Fatalf("stream %v: arena cap %d for %d live bytes (largest payload %d): bound %d", id, cap(arena), held, largest, bound)
 	}
 }
