@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,28 +71,24 @@ func BenchmarkWireDecode(b *testing.B) {
 
 // BenchmarkFilterIngest is the single-stream ingest hot path: copies=1 is
 // pure accept, higher copy counts mix in the duplicate-suppression path
-// that overlapping receiver zones produce. shards=1 reproduces the
-// historical global-mutex filter; the sharded default adds the
-// single-entry stream cache and shard-local counters. Steady state must
-// stay at 0 allocs/op.
+// that overlapping receiver zones produce. Steady state must stay at 0
+// allocs/op.
 func BenchmarkFilterIngest(b *testing.B) {
 	for _, dup := range []int{1, 3, 6} {
-		for _, shards := range []int{1, filtering.DefaultShards} {
-			b.Run(fmt.Sprintf("copies=%d/shards=%d", dup, shards), func(b *testing.B) {
-				f := filtering.New(func(filtering.Delivery) {}, filtering.Options{Shards: shards})
-				id := wire.MustStreamID(1, 0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rc := receiver.Reception{
-						Msg: wire.Message{Stream: id, Seq: wire.Seq(i)},
-					}
-					for c := 0; c < dup; c++ {
-						f.Ingest(rc)
-					}
+		b.Run(fmt.Sprintf("copies=%d", dup), func(b *testing.B) {
+			f := filtering.New(func(filtering.Delivery) {}, filtering.Options{})
+			id := wire.MustStreamID(1, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc := receiver.Reception{
+					Msg: wire.Message{Stream: id, Seq: wire.Seq(i)},
 				}
-			})
-		}
+				for c := 0; c < dup; c++ {
+					f.Ingest(rc)
+				}
+			}
+		})
 	}
 }
 
@@ -119,51 +114,6 @@ func BenchmarkFilterIngestZeroCopy(b *testing.B) {
 				f.Ingest(rc)
 			}
 		})
-	}
-}
-
-// BenchmarkFilterIngestShards runs concurrent ingest across disjoint
-// streams (one per publisher goroutine), sweeping the filter shard
-// count. With one shard every reception serialises on one mutex; with
-// the default count unrelated streams ingest without contention. On a
-// single-core host only the reduced serial overhead shows; the
-// structural win needs real cores.
-func BenchmarkFilterIngestShards(b *testing.B) {
-	for _, publishers := range []int{1, 10, 100} {
-		for _, shards := range []int{1, filtering.DefaultShards} {
-			b.Run(fmt.Sprintf("publishers=%d/shards=%d", publishers, shards), func(b *testing.B) {
-				var sunk atomic.Int64
-				f := filtering.New(func(filtering.Delivery) { sunk.Add(1) },
-					filtering.Options{Shards: shards})
-				streams := make([]wire.StreamID, publishers)
-				for i := range streams {
-					streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < publishers; g++ {
-					n := b.N / publishers
-					if g < b.N%publishers {
-						n++
-					}
-					wg.Add(1)
-					go func(stream wire.StreamID, n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							f.Ingest(receiver.Reception{
-								Msg: wire.Message{Stream: stream, Seq: wire.Seq(i)},
-							})
-						}
-					}(streams[g], n)
-				}
-				wg.Wait()
-				b.StopTimer()
-				if got := sunk.Load(); got != int64(b.N) {
-					b.Fatalf("delivered %d of %d", got, b.N)
-				}
-			})
-		}
 	}
 }
 
@@ -299,56 +249,6 @@ func BenchmarkInjectCensus(b *testing.B) {
 				b.Fatalf("consumed %d of %d", consumed, want)
 			}
 		})
-	}
-}
-
-// BenchmarkDispatchShards compares the single-table dispatcher (shards=1,
-// the historical design) against the sharded table at 1/10/100 concurrent
-// publishers, each publishing to its own stream (distinct sensors) with
-// one exact subscriber per stream. With one shard every publisher
-// serialises on the same mutex; with the default shard count unrelated
-// streams dispatch without contention.
-func BenchmarkDispatchShards(b *testing.B) {
-	for _, publishers := range []int{1, 10, 100} {
-		for _, shards := range []int{1, dispatch.DefaultShards} {
-			b.Run(fmt.Sprintf("publishers=%d/shards=%d", publishers, shards), func(b *testing.B) {
-				d := dispatch.New(dispatch.Options{Shards: shards})
-				var sunk atomic.Int64
-				streams := make([]wire.StreamID, publishers)
-				for i := range streams {
-					streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
-					if _, err := d.Subscribe(&dispatch.ConsumerFunc{
-						ConsumerName: fmt.Sprintf("c%d", i),
-						Fn:           func(filtering.Delivery) { sunk.Add(1) },
-					}, dispatch.Exact(streams[i])); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < publishers; g++ {
-					n := b.N / publishers
-					if g < b.N%publishers {
-						n++
-					}
-					wg.Add(1)
-					go func(stream wire.StreamID, n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							d.Dispatch(filtering.Delivery{
-								Msg: wire.Message{Stream: stream, Seq: wire.Seq(i)},
-							})
-						}
-					}(streams[g], n)
-				}
-				wg.Wait()
-				b.StopTimer()
-				if got := sunk.Load(); got != int64(b.N) {
-					b.Fatalf("delivered %d of %d", got, b.N)
-				}
-			})
-		}
 	}
 }
 

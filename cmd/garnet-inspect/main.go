@@ -235,7 +235,7 @@ func inspectArchive(w io.Writer, dir string) error {
 // seal some) and the dump grows per-stream codec and compression-ratio
 // columns.
 func inspectStore(w io.Writer, frames [][]byte, retain int, codecName string) error {
-	st := store.New(store.Options{Shards: 1, MaxMessages: retain, Codec: codecName, BlockSize: 8})
+	st := store.New(store.Options{MaxMessages: retain, Codec: codecName, BlockSize: 8})
 	for i, frame := range frames {
 		msg, _, err := wire.DecodeMessage(frame)
 		if err != nil {

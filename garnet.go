@@ -94,23 +94,6 @@ func WithAsyncDispatch(queueCapacity int) Option {
 	}
 }
 
-// WithShards partitions the data-plane per-stream state — the Stream
-// Store's records, which hold each stream's duplicate window
-// beside its retained history, and the Dispatching Service's subscription
-// table — into n shards. Both key on the sensor component of the StreamID
-// through one partition function (wire.SensorID.Shard), so a message takes
-// one shard-local lock to be screened and retained and one to be
-// dispatched, and traffic of different sensors never contends. n <= 0
-// selects each layer's default; 1 restores the single shared tables. The
-// return path (Resource Manager, Actuation Service) is not partitioned.
-func WithShards(n int) Option {
-	return func(cfg *core.Config) {
-		cfg.Filter.Shards = n
-		cfg.Store.Shards = n
-		cfg.Dispatch.Shards = n
-	}
-}
-
 // WithStoreRetention bounds the Stream Store's per-stream retained
 // history: at most maxMessages deliveries (<= 0 keeps the default, 256),
 // at most maxBytes of payload (<= 0 unbounded) and nothing older than
@@ -445,9 +428,8 @@ func (g *Deployment) SubscribeWithReplay(tok Token, stream StreamID, fromSeq uin
 //
 // It is a thin wrapper over SubscribeWithReplay: claiming the orphan
 // backlog is a store-cursor hand-off and the replay flows through the
-// consumer's dispatch port, so — unlike the historical implementation —
-// backlog and live delivery cannot interleave out of order under an
-// asynchronous dispatcher.
+// consumer's dispatch port, so backlog and live delivery cannot
+// interleave out of order, even under an asynchronous dispatcher.
 func (g *Deployment) SubscribeWithBacklog(tok Token, stream StreamID, c Consumer) (SubscriptionID, int, error) {
 	if err := g.requireStream(tok, stream); err != nil {
 		return 0, 0, err

@@ -76,15 +76,16 @@ type Options struct {
 	// MinConfidence gates predictions: transitions observed with lower
 	// empirical probability are not acted on. Default 0.6.
 	MinConfidence float64
-	// MinObservations is how many departures from a state must be seen
-	// before predictions from it are trusted. Default 2.
-	MinObservations int
 	// PolicySelector, when set, is consulted with the global state census
 	// after every report; a changed non-zero result goes to the sink's
 	// SetPolicy — the §4.2 hook by which the coordinator “may invoke
 	// policy changes in the strategy used by the Resource Manager”.
 	PolicySelector func(census map[string]int) resource.Policy
 }
+
+// minObservations is how many departures from a state must be seen
+// before predictions from it are trusted.
+const minObservations = 2
 
 // Prediction is the coordinator's expectation for a consumer's next state.
 type Prediction struct {
@@ -165,9 +166,6 @@ func New(clock sim.Clock, sink DemandSink, opts Options) *Coordinator {
 	}
 	if opts.MinConfidence <= 0 {
 		opts.MinConfidence = 0.6
-	}
-	if opts.MinObservations <= 0 {
-		opts.MinObservations = 2
 	}
 	c := &Coordinator{
 		clock:     clock,
@@ -310,7 +308,7 @@ func (c *Coordinator) predictLocked(_ string, tr *consumerTrack) (Prediction, bo
 	for _, n := range trans {
 		total += n
 	}
-	if total < c.opts.MinObservations {
+	if total < minObservations {
 		return Prediction{}, false
 	}
 	// Most frequent successor; ties resolved lexicographically for

@@ -133,7 +133,7 @@ func drive(t *testing.T, clock *sim.VirtualClock, c *Coordinator, name string, n
 
 func TestPredictNextLearnsCycle(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive, MinObservations: 2})
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive})
 	if err := c.Register("app", waterModel()); err != nil {
 		t.Fatal(err)
 	}
@@ -153,19 +153,24 @@ func TestPredictNextLearnsCycle(t *testing.T) {
 	}
 }
 
+// TestPredictionNeedsObservations: a state's successor is predicted only
+// once minObservations departures from it have been seen.
 func TestPredictionNeedsObservations(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
-	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive, MinObservations: 3})
+	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{Mode: ModePredictive})
 	if err := c.Register("app", waterModel()); err != nil {
 		t.Fatal(err)
 	}
 	mustReport(t, c, "app", "calm")
-	clock.Advance(time.Second)
-	mustReport(t, c, "app", "rising")
-	clock.Advance(time.Second)
-	mustReport(t, c, "app", "calm")
-	if _, ok := c.PredictNext("app"); ok {
-		t.Fatal("prediction produced below MinObservations")
+	for departures := 1; departures <= minObservations; departures++ {
+		clock.Advance(time.Second)
+		mustReport(t, c, "app", "rising")
+		clock.Advance(time.Second)
+		mustReport(t, c, "app", "calm")
+		_, ok := c.PredictNext("app")
+		if want := departures >= minObservations; ok != want {
+			t.Fatalf("after %d departures from calm: prediction %v, want %v", departures, ok, want)
+		}
 	}
 }
 
@@ -173,9 +178,8 @@ func TestPredictivePreArmsBeforeTransition(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	var rec sinkRecorder
 	c := New(clock, rec.record(clock), Options{
-		Mode:            ModePredictive,
-		Horizon:         2 * time.Second,
-		MinObservations: 2,
+		Mode:    ModePredictive,
+		Horizon: 2 * time.Second,
 	})
 	if err := c.Register("app", waterModel()); err != nil {
 		t.Fatal(err)
@@ -217,9 +221,8 @@ func TestMispredictionCorrected(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	var rec sinkRecorder
 	c := New(clock, rec.record(clock), Options{
-		Mode:            ModePredictive,
-		Horizon:         time.Second,
-		MinObservations: 2,
+		Mode:    ModePredictive,
+		Horizon: time.Second,
 	})
 	model := waterModel()
 	model["dry"] = nil
@@ -304,9 +307,8 @@ func TestDeregisterClearsDemands(t *testing.T) {
 func TestPredictionAccuracyTracking(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	c := New(clock, sinkFunc(func(string, []resource.Demand) {}), Options{
-		Mode:            ModePredictive,
-		MinObservations: 2,
-		Horizon:         time.Second,
+		Mode:    ModePredictive,
+		Horizon: time.Second,
 	})
 	if err := c.Register("app", waterModel()); err != nil {
 		t.Fatal(err)

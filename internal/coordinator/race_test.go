@@ -38,10 +38,9 @@ func TestPrearmRacesReportState(t *testing.T) {
 		}
 	})
 	c := New(clock, sink, Options{
-		Mode:            ModePredictive,
-		Horizon:         40 * time.Millisecond,
-		MinConfidence:   0.5,
-		MinObservations: 1,
+		Mode:          ModePredictive,
+		Horizon:       40 * time.Millisecond,
+		MinConfidence: 0.5,
 	})
 	model := map[string][]resource.Demand{}
 	for state, rate := range rateOf {

@@ -25,11 +25,11 @@
 // under one store shard lock and delivered after it drops. A late
 // joiner's subscription is installed under the same lock as its backlog
 // is read, so appends and joins on a stream are ordered by it (the store
-// and dispatch package comments name the lock order). That merged domain
-// is sharded by Config.Store.Shards; Config.Filter.Shards is not read
-// (Stats().Filter.Shards reports the store's count). Live delivery keeps
-// the arrival order of each message's first accepted copy; retained
-// history is in sequence order.
+// and dispatch package comments name the lock order). The store, the
+// dispatcher and the Location Service each hold wire.Shards shards keyed
+// by wire.SensorID.Shard (Stats().Filter.Shards reports the store's
+// count). Live delivery keeps the arrival order of each message's first
+// accepted copy; retained history is in sequence order.
 package core
 
 import (
@@ -79,11 +79,10 @@ type Config struct {
 	Resource resource.Options
 	// Store configures the Stream Store, the retention layer every
 	// accepted delivery is appended to before dispatch and whose shards
-	// (Store.Shards) the duplicate screen runs in (the
-	// garnet.WithStoreRetention / WithShards facade options thread
-	// fields here). Its per-stream count bound is raised to at least the
-	// Orphanage's per-stream capacity so orphan claims always find their
-	// full backlog window.
+	// the duplicate screen runs in (the garnet.WithStore* and
+	// WithArchive* facade options thread fields here). Its per-stream
+	// count bound is raised to at least the Orphanage's per-stream
+	// capacity so orphan claims always find their full backlog window.
 	Store store.Options
 	// Policy is the initial mediation policy; it is folded into
 	// Resource.Policy when that field is zero.

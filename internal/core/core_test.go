@@ -529,9 +529,10 @@ func TestNewRequiresSecret(t *testing.T) {
 	New(Config{Clock: sim.NewVirtualClock(epoch)})
 }
 
-// TestDispatchShardingThreadsThroughConfig: Config.Dispatch sharding and
-// async options reach the assembled dispatcher and deliveries flow
-// end-to-end through the sharded, batch-draining engine.
+// TestDispatchShardingThreadsThroughConfig: Config.Dispatch's async
+// options reach the assembled dispatcher, the store and the dispatcher
+// both hold wire.Shards shards, and deliveries flow end-to-end through the
+// sharded, batch-draining engine.
 func TestDispatchShardingThreadsThroughConfig(t *testing.T) {
 	clock := sim.NewVirtualClock(epoch)
 	d := New(Config{
@@ -539,7 +540,6 @@ func TestDispatchShardingThreadsThroughConfig(t *testing.T) {
 		Secret: []byte("test-secret"),
 		Dispatch: dispatch.Options{
 			Mode:          dispatch.ModeAsync,
-			Shards:        4,
 			QueueCapacity: 256,
 		},
 	})
@@ -566,7 +566,9 @@ func TestDispatchShardingThreadsThroughConfig(t *testing.T) {
 			t.Fatalf("consumer %d got %d of 20", i, r.Count())
 		}
 	}
-	if st := d.Stats().Dispatch; st.Shards != 4 || st.Delivered != 60 {
-		t.Fatalf("Shards=%d Delivered=%d, want 4/60", st.Shards, st.Delivered)
+	st := d.Stats()
+	if st.Dispatch.Shards != wire.Shards || st.Store.Shards != wire.Shards || st.Dispatch.Delivered != 60 {
+		t.Fatalf("dispatch Shards=%d store Shards=%d Delivered=%d, want %d/%d/60",
+			st.Dispatch.Shards, st.Store.Shards, st.Dispatch.Delivered, wire.Shards, wire.Shards)
 	}
 }

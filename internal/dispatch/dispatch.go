@@ -15,7 +15,7 @@
 //
 // # Sharding
 //
-// The subscription table is partitioned into N shards (Options.Shards) so
+// The subscription table is partitioned into wire.Shards shards so
 // concurrent publishes on different streams never contend on one lock. The
 // partition key is the sensor component of the StreamID: every stream of a
 // sensor, and therefore every Exact or BySensor subscription that can
@@ -72,6 +72,7 @@
 package dispatch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -193,25 +194,20 @@ const (
 // backlog does (see port).
 const DefaultQueueCapacity = 256
 
-// DefaultShards partitions the subscription table unless Options.Shards
-// says otherwise. Sixteen shard headers cost nothing at rest and remove
-// essentially all lock contention up to a few dozen concurrently
-// publishing streams.
-const DefaultShards = 16
-
 // DefaultBatchSize bounds how many queued deliveries an async drainer
 // hands to a consumer per take (fewer when the queue capacity is
 // smaller).
 const DefaultBatchSize = 32
 
 // Options configures a Dispatcher. The zero value means synchronous mode
-// with DefaultShards table shards.
+// with wire.Shards table shards.
 type Options struct {
 	Mode          Mode
 	QueueCapacity int // per-consumer, ModeAsync only
-	// Shards partitions the subscription table; <= 0 selects
-	// DefaultShards. 1 restores the single-table behaviour.
-	Shards int
+	// shards overrides wire.Shards, the number of subscription table
+	// partitions. Only in-package tests set it, to hold one table against
+	// many.
+	shards int
 }
 
 // Stats is a snapshot of dispatcher counters.
@@ -292,12 +288,9 @@ func New(opts Options) *Dispatcher {
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = DefaultQueueCapacity
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
 	d := &Dispatcher{
 		opts:     opts,
-		shards:   newShards(opts.Shards),
+		shards:   newShards(cmp.Or(opts.shards, wire.Shards)),
 		subs:     make(map[SubscriptionID]*subscription),
 		wildSubs: make(map[SubscriptionID]*subscription),
 		ports:    make(map[Consumer]*port),

@@ -45,10 +45,10 @@ func TestShardSpread(t *testing.T) {
 	}
 }
 
-// TestSingleShardEquivalence runs the sync suite's core expectations at
-// Shards: 1 (the historical single-table configuration).
+// TestSingleShardEquivalence runs the sync suite's core expectations on
+// one shard (the historical single-table configuration).
 func TestSingleShardEquivalence(t *testing.T) {
-	d := New(Options{Shards: 1})
+	d := New(Options{shards: 1})
 	a, b := &recorder{name: "a"}, &recorder{name: "b"}
 	if _, err := d.Subscribe(a, Exact(wire.MustStreamID(1, 0))); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestConcurrentSubscribeUnsubscribePublish(t *testing.T) {
 		churners   = 4
 		msgsPer    = 500
 	)
-	d := New(Options{Shards: 8})
+	d := New(Options{})
 	keep := &recorder{name: "keep"} // one stable wildcard consumer
 	if _, err := d.Subscribe(keep, All()); err != nil {
 		t.Fatal(err)
@@ -330,8 +330,8 @@ func TestShardedBatchedMatchesSingleTableSync(t *testing.T) {
 		return out
 	}
 
-	ref := run(Options{Mode: ModeSync, Shards: 1})
-	got := run(Options{Mode: ModeAsync, Shards: 8, QueueCapacity: msgs})
+	ref := run(Options{Mode: ModeSync, shards: 1})
+	got := run(Options{Mode: ModeAsync, QueueCapacity: msgs})
 	for c := range ref {
 		if !reflect.DeepEqual(ref[c], got[c]) {
 			t.Fatalf("consumer %d: sharded+batched sequence (%d msgs) diverges from sync single-table (%d msgs)",
@@ -419,4 +419,54 @@ func TestDroppedByConsumerAccounting(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkDispatchShards compares the single-table dispatcher (shards=1,
+// the historical design) against the sharded table at 1/10/100 concurrent
+// publishers, each publishing to its own stream (distinct sensors) with
+// one exact subscriber per stream. With one shard every publisher
+// serialises on the same mutex; with wire.Shards unrelated streams
+// dispatch without contention.
+func BenchmarkDispatchShards(b *testing.B) {
+	for _, publishers := range []int{1, 10, 100} {
+		for _, shards := range []int{1, wire.Shards} {
+			b.Run(fmt.Sprintf("publishers=%d/shards=%d", publishers, shards), func(b *testing.B) {
+				d := New(Options{shards: shards})
+				var sunk atomic.Int64
+				streams := make([]wire.StreamID, publishers)
+				for i := range streams {
+					streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
+					if _, err := d.Subscribe(&ConsumerFunc{
+						ConsumerName: fmt.Sprintf("c%d", i),
+						Fn:           func(filtering.Delivery) { sunk.Add(1) },
+					}, Exact(streams[i])); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < publishers; g++ {
+					n := b.N / publishers
+					if g < b.N%publishers {
+						n++
+					}
+					wg.Add(1)
+					go func(stream wire.StreamID, n int) {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							d.Dispatch(filtering.Delivery{
+								Msg: wire.Message{Stream: stream, Seq: wire.Seq(i)},
+							})
+						}
+					}(streams[g], n)
+				}
+				wg.Wait()
+				b.StopTimer()
+				if got := sunk.Load(); got != int64(b.N) {
+					b.Fatalf("delivered %d of %d", got, b.N)
+				}
+			})
+		}
+	}
 }

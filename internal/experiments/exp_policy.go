@@ -115,10 +115,9 @@ func runE8(cfg Config) (*Table, error) {
 		coordOpts := coordinator.Options{Mode: coordinator.ModeReactive}
 		if predictive {
 			coordOpts = coordinator.Options{
-				Mode:            coordinator.ModePredictive,
-				Horizon:         10 * time.Second,
-				MinConfidence:   0.5,
-				MinObservations: 2,
+				Mode:          coordinator.ModePredictive,
+				Horizon:       10 * time.Second,
+				MinConfidence: 0.5,
 			}
 		}
 		d := core.New(core.Config{

@@ -68,7 +68,7 @@ func TestShardedMatchesSingleTableProperty(t *testing.T) {
 		run := func(shards int) (map[wire.StreamID][]wire.Seq, Stats) {
 			var out []Delivery
 			f := New(func(d Delivery) { out = append(out, d) },
-				Options{windowSize: 64, Shards: shards})
+				Options{windowSize: 64, shards: shards})
 			for _, rc := range plan {
 				f.Ingest(rc)
 			}
@@ -77,7 +77,7 @@ func TestShardedMatchesSingleTableProperty(t *testing.T) {
 			return perStream(out), st
 		}
 		refSeqs, refStats := run(1)
-		gotSeqs, gotStats := run(8)
+		gotSeqs, gotStats := run(wire.Shards)
 		if !reflect.DeepEqual(refSeqs, gotSeqs) {
 			t.Fatalf("seed %d: sharded per-stream deliveries diverge from single-table", seed)
 		}
@@ -92,7 +92,7 @@ func TestShardedMatchesSingleTableProperty(t *testing.T) {
 // whether it is accepted (in order, so the dup window stays lazy) or
 // rejected as a duplicate copy.
 func TestIngestZeroAlloc(t *testing.T) {
-	f := New(func(Delivery) {}, Options{Shards: 8})
+	f := New(func(Delivery) {}, Options{})
 	payload := make([]byte, 16)
 	i := 0
 	next := func(fresh bool) receiver.Reception {

@@ -86,13 +86,8 @@ type Delivery struct {
 // in sequence numbers.
 const DefaultWindowSize = 1024
 
-// DefaultShards partitions the standalone Filter's state unless
-// Options.Shards says otherwise. Matches the store's and the dispatcher's
-// defaults.
-const DefaultShards = 16
-
 // Options configures a Filter or a Screen. The zero value uses
-// DefaultWindowSize and DefaultShards.
+// DefaultWindowSize and wire.Shards.
 type Options struct {
 	// windowSize is the per-stream duplicate window in sequence numbers;
 	// it is rounded up to a power of two (minimum 64, maximum 65536, the
@@ -100,10 +95,11 @@ type Options struct {
 	// DefaultWindowSize. Only tests set it, to reach the window's edges
 	// with short sequences.
 	windowSize int
-	// Shards partitions the standalone Filter's per-stream state; <= 0
-	// selects DefaultShards. A Screen ignores it: it serves its owner's
-	// shards.
-	Shards int
+	// shards overrides wire.Shards, the number of partitions of the
+	// standalone Filter's per-stream state. Only in-package tests set it,
+	// to hold one table against many. A Screen ignores it: it serves its
+	// owner's shards.
+	shards int
 }
 
 // Stats is an aggregate snapshot of filter activity.
@@ -191,7 +187,7 @@ type Screen struct {
 	streams    int // windows started
 }
 
-// Init readies sc with opts' window size (Shards is not read).
+// Init readies sc with opts' window size (shards is not read).
 func (sc *Screen) Init(opts Options) {
 	if opts.windowSize <= 0 {
 		opts.windowSize = DefaultWindowSize

@@ -23,7 +23,7 @@ func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 			run := func(eager bool) (map[wire.StreamID][]wire.Seq, Stats) {
 				var out []Delivery
 				f := New(func(d Delivery) { out = append(out, d) },
-					Options{windowSize: windowSize, Shards: 8})
+					Options{windowSize: windowSize})
 				if eager {
 					for _, rc := range plan {
 						id := rc.Msg.Stream
@@ -61,7 +61,7 @@ func TestLazyWindowMatchesEagerProperty(t *testing.T) {
 // it lazy, and the first in-window gap or late recovery materialises it
 // with the contiguous range set.
 func TestLazyWindowStaysNilInOrder(t *testing.T) {
-	f := New(func(Delivery) {}, Options{windowSize: 64, Shards: 1})
+	f := New(func(Delivery) {}, Options{windowSize: 64})
 	id := wire.MustStreamID(1, 0)
 	ingest := func(seq wire.Seq) {
 		f.Ingest(receiver.Reception{Msg: wire.Message{Stream: id, Seq: seq}})

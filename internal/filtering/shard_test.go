@@ -1,10 +1,12 @@
 package filtering
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -39,12 +41,12 @@ func TestShardSpread(t *testing.T) {
 	}
 }
 
-// TestSingleShardConfiguration runs the core expectations at Shards: 1
+// TestSingleShardConfiguration runs the core expectations on one shard
 // (the historical single-table configuration) and checks the Stats
 // surface reports the partition count.
 func TestSingleShardConfiguration(t *testing.T) {
 	var sunk int
-	f := New(func(Delivery) { sunk++ }, Options{Shards: 1})
+	f := New(func(Delivery) { sunk++ }, Options{shards: 1})
 	for sensor := wire.SensorID(1); sensor <= 8; sensor++ {
 		id := wire.MustStreamID(sensor, 0)
 		f.Ingest(rcpt(id, 0))
@@ -60,11 +62,11 @@ func TestSingleShardConfiguration(t *testing.T) {
 	}
 }
 
-// TestDefaultShardCount: the zero Options value selects DefaultShards.
+// TestDefaultShardCount: the zero Options value selects wire.Shards.
 func TestDefaultShardCount(t *testing.T) {
 	f := New(func(Delivery) {}, Options{})
-	if st := f.Stats(); st.Shards != DefaultShards {
-		t.Fatalf("Shards = %d, want %d", st.Shards, DefaultShards)
+	if st := f.Stats(); st.Shards != wire.Shards {
+		t.Fatalf("Shards = %d, want %d", st.Shards, wire.Shards)
 	}
 }
 
@@ -82,7 +84,7 @@ func TestConcurrentIngestStats(t *testing.T) {
 		msgsPer = 400
 	)
 	var sunk atomic.Int64
-	f := New(func(Delivery) { sunk.Add(1) }, Options{Shards: 8})
+	f := New(func(Delivery) { sunk.Add(1) }, Options{})
 
 	var ingesters, reader sync.WaitGroup
 	stop := make(chan struct{})
@@ -129,5 +131,50 @@ func TestConcurrentIngestStats(t *testing.T) {
 	}
 	if st.ActiveStreams != sensors {
 		t.Fatalf("ActiveStreams = %d, want %d", st.ActiveStreams, sensors)
+	}
+}
+
+// BenchmarkFilterIngestShards runs concurrent ingest across disjoint
+// streams (one per publisher goroutine), sweeping the filter shard
+// count between one and wire.Shards. With one shard every reception
+// serialises on one mutex; with wire.Shards unrelated streams ingest
+// without contention. On a single-core host only the reduced serial
+// overhead shows; the structural win needs real cores.
+func BenchmarkFilterIngestShards(b *testing.B) {
+	for _, publishers := range []int{1, 10, 100} {
+		for _, shards := range []int{1, wire.Shards} {
+			b.Run(fmt.Sprintf("publishers=%d/shards=%d", publishers, shards), func(b *testing.B) {
+				var sunk atomic.Int64
+				f := New(func(Delivery) { sunk.Add(1) },
+					Options{shards: shards})
+				streams := make([]wire.StreamID, publishers)
+				for i := range streams {
+					streams[i] = wire.MustStreamID(wire.SensorID(i+1), 0)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < publishers; g++ {
+					n := b.N / publishers
+					if g < b.N%publishers {
+						n++
+					}
+					wg.Add(1)
+					go func(stream wire.StreamID, n int) {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							f.Ingest(receiver.Reception{
+								Msg: wire.Message{Stream: stream, Seq: wire.Seq(i)},
+							})
+						}
+					}(streams[g], n)
+				}
+				wg.Wait()
+				b.StopTimer()
+				if got := sunk.Load(); got != int64(b.N) {
+					b.Fatalf("delivered %d of %d", got, b.N)
+				}
+			})
+		}
 	}
 }

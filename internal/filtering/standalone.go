@@ -1,6 +1,7 @@
 package filtering
 
 import (
+	"cmp"
 	"sync"
 
 	"github.com/garnet-middleware/garnet/internal/receiver"
@@ -43,10 +44,7 @@ func New(sink func(Delivery), opts Options) *Filter {
 	if sink == nil {
 		panic("filtering: nil sink")
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	f := &Filter{sink: sink, shards: make([]*shard, opts.Shards)}
+	f := &Filter{sink: sink, shards: make([]*shard, cmp.Or(opts.shards, wire.Shards))}
 	for i := range f.shards {
 		sh := &shard{tab: make(map[wire.StreamID]*streamFilter)}
 		sh.screen.Init(opts)

@@ -17,10 +17,11 @@
 // observation per receiver that has heard it — the one with the greatest
 // timestamp — as a 24-byte record of receiver index, RSSI and nanoseconds:
 // no string, no time.Time, nothing for the garbage collector to walk.
-// Tracks are partitioned by wire.SensorID.Shard, the function the Filtering
-// and Dispatching Services partition by, each shard under its own lock; the
-// receiver registry is a copy-on-write table read with one atomic load, so
-// receptions of different sensors never meet on a lock.
+// Tracks are partitioned into wire.Shards shards by wire.SensorID.Shard,
+// the key and count the Stream Store and the Dispatching Service partition
+// by, each shard under its own lock; the receiver registry is a
+// copy-on-write table read with one atomic load, so receptions of
+// different sensors never meet on a lock.
 package location
 
 import (
@@ -137,9 +138,6 @@ type track struct {
 	locSeq wire.Seq // sequence counter for published location messages
 }
 
-// shardCount partitions the tracks; fixed, like filtering.DefaultShards.
-const shardCount = 16
-
 // shard owns the tracks of the sensors that wire.SensorID.Shard maps to it,
 // and the scratch Locate builds an estimate in.
 type shard struct {
@@ -169,7 +167,7 @@ type Service struct {
 
 	regMu     sync.Mutex // serialises RegisterReceiver; readers take no lock
 	receivers atomic.Pointer[siteTable]
-	shards    [shardCount]shard
+	shards    [wire.Shards]shard
 }
 
 // New creates a Service.
@@ -221,7 +219,7 @@ func (s *Service) ObserveReception(rc receiver.Reception) error {
 	}
 	id := rc.Msg.Stream.Sensor()
 	o := observation{rssi: rc.RSSI, at: rc.At.UnixNano(), rx: rx}
-	sh := &s.shards[id.Shard(shardCount)]
+	sh := &s.shards[id.Shard(wire.Shards)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	tr := sh.track(id)
@@ -266,7 +264,7 @@ func (s *Service) AddHint(sensor wire.SensorID, pos geo.Point, confidence float6
 		return fmt.Errorf("%w: ttl %v", ErrBadHint, ttl)
 	}
 	now := s.clock.Now()
-	sh := &s.shards[sensor.Shard(shardCount)]
+	sh := &s.shards[sensor.Shard(wire.Shards)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	tr := sh.track(sensor)
@@ -287,7 +285,7 @@ func liveHints(hints []hint, now time.Time) []hint {
 // Locate computes the current estimate for a sensor by merging fresh
 // reception evidence with unexpired hints.
 func (s *Service) Locate(sensor wire.SensorID) (Estimate, error) {
-	sh := &s.shards[sensor.Shard(shardCount)]
+	sh := &s.shards[sensor.Shard(wire.Shards)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return s.locateLocked(sh, sensor)
@@ -428,7 +426,7 @@ const EstimatePayloadSize = 8*4 + 8
 func (s *Service) ComposeUpdates() []wire.Message {
 	var msgs []wire.Message
 	for _, id := range s.sensors() {
-		sh := &s.shards[id.Shard(shardCount)]
+		sh := &s.shards[id.Shard(wire.Shards)]
 		sh.mu.Lock()
 		if est, err := s.locateLocked(sh, id); err == nil {
 			tr := sh.sensors[id]

@@ -507,7 +507,7 @@ func TestHintsPrunedOnAdd(t *testing.T) {
 		clock.Advance(step)
 	}
 	live := int(ttl/step) - 1 // the last step aged the hint added ttl ago out
-	if hints := s.shards[wire.SensorID(7).Shard(shardCount)].sensors[7].hints; len(hints) != live+1 || cap(hints) > 4*live {
+	if hints := s.shards[wire.SensorID(7).Shard(wire.Shards)].sensors[7].hints; len(hints) != live+1 || cap(hints) > 4*live {
 		t.Fatalf("never-located sensor holds %d hints (cap %d) after 10000 short-lived ones, want %d", len(hints), cap(hints), live+1)
 	}
 	est, err := s.Locate(7)

@@ -172,5 +172,5 @@ func newOrphanage(opts Options) *Orphanage {
 	if window <= 0 {
 		window = DefaultPerStreamCapacity
 	}
-	return NewWithStore(opts, store.New(store.Options{Shards: 1, MaxMessages: 2 * window}))
+	return NewWithStore(opts, store.New(store.Options{MaxMessages: 2 * window}))
 }

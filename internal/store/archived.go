@@ -52,9 +52,9 @@ func (s *Store) initArchive(opts Options) {
 	if a.syncMode {
 		return
 	}
-	a.queues = make([]*mpmc.Ring[wire.StreamID], s.shardCnt)
-	a.waiters = make([]*mpmc.Waiter, s.shardCnt)
-	for i := 0; i < s.shardCnt; i++ {
+	a.queues = make([]*mpmc.Ring[wire.StreamID], len(s.shards))
+	a.waiters = make([]*mpmc.Waiter, len(s.shards))
+	for i := range s.shards {
 		a.queues[i] = mpmc.New[wire.StreamID](archiveQueueCap)
 		a.waiters[i] = mpmc.NewWaiter()
 		a.wg.Add(1)

@@ -101,7 +101,7 @@ func TestArchiveAsyncSpill(t *testing.T) {
 	backend := archive.NewMem()
 	s := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Shards: 4, Archive: backend,
+		Archive: backend,
 	})
 	ids := []wire.StreamID{
 		wire.MustStreamID(1, 0), wire.MustStreamID(2, 0),
@@ -349,7 +349,7 @@ func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 // filesystem backends, with the async archiver racing the readers and
 // one fully synchronous cell.
 func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
-	shardCounts := []int{1, 4, 16}
+	partitions := []int{1, 4, wire.Shards}
 	cells := []struct {
 		name string
 		fs   bool
@@ -371,10 +371,10 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					BlockSize:   8,
 					archiveSync: cell.sync,
 				}
-				stores := make([]*Store, len(shardCounts))
-				for i, n := range shardCounts {
+				stores := make([]*Store, len(partitions))
+				for i, n := range partitions {
 					o := opts
-					o.Shards = n
+					o.shards = n
 					if cell.fs {
 						b, err := archive.OpenFS(t.TempDir())
 						if err != nil {
@@ -441,7 +441,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					wantExt := ref.append(d)
 					for i, s := range stores {
 						if ext := s.Append(d); ext != wantExt {
-							t.Fatalf("step %d shards=%d: ext %d, ref %d", step, shardCounts[i], ext, wantExt)
+							t.Fatalf("step %d shards=%d: ext %d, ref %d", step, partitions[i], ext, wantExt)
 						}
 					}
 
@@ -456,7 +456,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 						want := ref.evictTo(tid, upto)
 						for i, s := range stores {
 							if got := s.EvictTo(tid, upto); got != want {
-								t.Fatalf("step %d shards=%d: EvictTo(%d) = %d, ref %d", step, shardCounts[i], upto, got, want)
+								t.Fatalf("step %d shards=%d: EvictTo(%d) = %d, ref %d", step, partitions[i], upto, got, want)
 							}
 						}
 					}
@@ -465,7 +465,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 						want := ref.forget(tid)
 						for i, s := range stores {
 							if got := s.Forget(tid); got != want {
-								t.Fatalf("step %d shards=%d: Forget = %d, ref %d", step, shardCounts[i], got, want)
+								t.Fatalf("step %d shards=%d: Forget = %d, ref %d", step, partitions[i], got, want)
 							}
 						}
 					}
@@ -486,7 +486,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					wantOSeq, wantOSize, wantOOK := ref.oldestSince(qid, lo)
 					wantWC, wantWB := ref.windowStats(qid, lo, hi)
 					for i, s := range stores {
-						tag := fmt.Sprintf("step %d shards=%d stream %v", step, shardCounts[i], qid)
+						tag := fmt.Sprintf("step %d shards=%d stream %v", step, partitions[i], qid)
 						if err := sameDeliveriesFull(s.Range(qid, 0, ^uint64(0)), wantAll); err != nil {
 							t.Fatalf("%s: Range(all): %v", tag, err)
 						}
@@ -523,7 +523,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					wantMsgs += int64(len(r.all()))
 				}
 				for i, s := range stores {
-					tag := fmt.Sprintf("shards=%d", shardCounts[i])
+					tag := fmt.Sprintf("shards=%d", partitions[i])
 					st := s.Stats()
 					if st.EvictedCold != 0 || st.EvictedCount != 0 || st.EvictedBytes != 0 || st.EvictedAge != 0 ||
 						st.EvictedArchive != 0 || st.ArchiveFailed != 0 {
@@ -556,7 +556,7 @@ func TestForgetDuringSpillLeavesNoBackendState(t *testing.T) {
 			mem := archive.NewMem()
 			gate := newGatedBackend(mem)
 			gate.set(true)
-			s := New(Options{Shards: 1, MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: gate})
+			s := New(Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: gate})
 			id := wire.MustStreamID(4, 0)
 			appendRun := func(from, to int) {
 				for seq := from; seq < to; seq++ {

@@ -329,7 +329,7 @@ func propPayload(rng *rand.Rand) []byte {
 // totals and the hot tier's own invariants (checkArena) agree exactly at
 // shard counts 1, 4 and 16.
 func TestStoreMatchesReferenceProperty(t *testing.T) {
-	shardCounts := []int{1, 4, 16}
+	partitions := []int{1, 4, wire.Shards}
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		opts := Options{
@@ -337,10 +337,10 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 			MaxBytes:    []int64{0, 300}[trial%2],
 			MaxAge:      []time.Duration{0, 40 * time.Second}[(trial/2)%2],
 		}
-		stores := make([]*Store, len(shardCounts))
-		for i, n := range shardCounts {
+		stores := make([]*Store, len(partitions))
+		for i, n := range partitions {
 			o := opts
-			o.Shards = n
+			o.shards = n
 			stores[i] = New(o)
 		}
 		ref := newRefStore(opts)
@@ -378,7 +378,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 			wantExt := ref.append(d)
 			for i, s := range stores {
 				if ext := s.Append(d); ext != wantExt {
-					t.Fatalf("trial %d step %d shards=%d: ext %d, ref %d", trial, step, shardCounts[i], ext, wantExt)
+					t.Fatalf("trial %d step %d shards=%d: ext %d, ref %d", trial, step, partitions[i], ext, wantExt)
 				}
 				checkArena(t, s, id, largest[si])
 			}
@@ -408,7 +408,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 					}
 					if got != want {
 						t.Fatalf("trial %d step %d shards=%d: EvictTo(%d)/Forget(%v) = %d, ref %d",
-							trial, step, shardCounts[i], upto, forget, got, want)
+							trial, step, partitions[i], upto, forget, got, want)
 					}
 					checkArena(t, s, streams[ti], largest[ti])
 				}
@@ -426,7 +426,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 			wantSub := ref.rng(qid, lo, hi)
 			wantLatest, wantOK := ref.latest(qid)
 			for i, s := range stores {
-				tag := fmt.Sprintf("trial %d step %d shards=%d stream %v", trial, step, shardCounts[i], qid)
+				tag := fmt.Sprintf("trial %d step %d shards=%d stream %v", trial, step, partitions[i], qid)
 				if err := sameDeliveries(s.Range(qid, 0, ^uint64(0)), wantAll); err != nil {
 					t.Fatalf("%s: Range(all): %v", tag, err)
 				}
@@ -455,7 +455,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 			st := s.Stats()
 			if st.RetainedMessages != wantMsgs || st.RetainedBytes != wantBytes {
 				t.Fatalf("trial %d shards=%d: retained %d msgs/%d B, ref %d/%d",
-					trial, shardCounts[i], st.RetainedMessages, st.RetainedBytes, wantMsgs, wantBytes)
+					trial, partitions[i], st.RetainedMessages, st.RetainedBytes, wantMsgs, wantBytes)
 			}
 		}
 	}
@@ -472,7 +472,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 // empty to the wire maximum), rotating receivers, flagged messages, and
 // occasional EvictTo (exercising the block split) and Forget.
 func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
-	shardCounts := []int{1, 4, 16}
+	partitions := []int{1, 4, wire.Shards}
 	codecs := []string{"raw", "gorilla", "rle", "lz", "auto"}
 	for ci, codecName := range codecs {
 		for trial := 0; trial < 2; trial++ {
@@ -485,10 +485,10 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 				ColdBudget:  1 << 40, // effectively unbounded: the reference never thaws
 				BlockSize:   8,
 			}
-			stores := make([]*Store, len(shardCounts))
-			for i, n := range shardCounts {
+			stores := make([]*Store, len(partitions))
+			for i, n := range partitions {
 				o := opts
-				o.Shards = n
+				o.shards = n
 				stores[i] = New(o)
 			}
 			ref := newRefStore(opts)
@@ -563,7 +563,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 				for i, s := range stores {
 					if ext := s.Append(d); ext != wantExt {
 						t.Fatalf("codec=%s trial %d step %d shards=%d: ext %d, ref %d",
-							codecName, trial, step, shardCounts[i], ext, wantExt)
+							codecName, trial, step, partitions[i], ext, wantExt)
 					}
 					checkArena(t, s, id, largest[id])
 				}
@@ -580,7 +580,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 					for i, s := range stores {
 						if got := s.EvictTo(tid, upto); got != want {
 							t.Fatalf("codec=%s trial %d step %d shards=%d: EvictTo(%d) = %d, ref %d",
-								codecName, trial, step, shardCounts[i], upto, got, want)
+								codecName, trial, step, partitions[i], upto, got, want)
 						}
 						checkArena(t, s, tid, largest[tid])
 					}
@@ -592,7 +592,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 					for i, s := range stores {
 						if got := s.Forget(tid); got != want {
 							t.Fatalf("codec=%s trial %d step %d shards=%d: Forget = %d, ref %d",
-								codecName, trial, step, shardCounts[i], got, want)
+								codecName, trial, step, partitions[i], got, want)
 						}
 						checkArena(t, s, tid, 0)
 					}
@@ -616,7 +616,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 				wantWC, wantWB := ref.windowStats(qid, lo, hi)
 				for i, s := range stores {
 					tag := fmt.Sprintf("codec=%s trial %d step %d shards=%d stream %v",
-						codecName, trial, step, shardCounts[i], qid)
+						codecName, trial, step, partitions[i], qid)
 					if err := sameDeliveriesFull(s.Range(qid, 0, ^uint64(0)), wantAll); err != nil {
 						t.Fatalf("%s: Range(all): %v", tag, err)
 					}
@@ -663,7 +663,7 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 			}
 			for i, s := range stores {
 				st := s.Stats()
-				tag := fmt.Sprintf("codec=%s trial %d shards=%d", codecName, trial, shardCounts[i])
+				tag := fmt.Sprintf("codec=%s trial %d shards=%d", codecName, trial, partitions[i])
 				if st.EvictedCount != 0 || st.EvictedBytes != 0 || st.EvictedAge != 0 || st.EvictedCold != 0 {
 					t.Fatalf("%s: compressed store lost entries to bounds: %+v", tag, st)
 				}

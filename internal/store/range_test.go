@@ -120,7 +120,6 @@ func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 				}
 				gate := newGatedBackend(backend)
 				s := New(Options{
-					Shards:      4,
 					MaxMessages: 8,
 					Codec:       codecName,
 					ColdBudget:  96, // ignored: with an archive every sealed block spills
@@ -206,7 +205,13 @@ func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 				now := epoch
 				for step := 0; step < 300; step++ {
 					if cell.gate && step%50 == 0 {
-						gate.set(step%100 == 0) // alternate: spills held back, spills flowing
+						shut := step%100 == 0
+						gate.set(shut) // alternate: spills held back, spills flowing
+						if !shut {
+							// File what the gate held, so later reads
+							// reach the archive tier on every schedule.
+							awaitArchived(t, s)
+						}
 					}
 					si := rng.Intn(len(streams))
 					id := streams[si]
@@ -260,6 +265,23 @@ func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 	}
 }
 
+// awaitArchived polls, for at most ten seconds, until the async archivers
+// have filed every pending block.
+func awaitArchived(t *testing.T, s *Store) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := s.Stats()
+		if st.ArchivePendingBlocks == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("archivers left %d blocks pending: %+v", st.ArchivePendingBlocks, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRangeAllocsDoNotGrowWithWindow pins the shape of a history read on
 // the mem backend: the objects Range allocates are the result slice and
 // its payload slab, however many messages and blocks the window spans.
@@ -269,7 +291,7 @@ func TestRangeAllocsDoNotGrowWithWindow(t *testing.T) {
 	}
 	id := wire.MustStreamID(9, 0)
 	s := New(Options{
-		Shards: 1, MaxMessages: 32, Codec: "auto", ColdBudget: 1, BlockSize: 64,
+		MaxMessages: 32, Codec: "auto", ColdBudget: 1, BlockSize: 64,
 		Archive: archive.NewMem(), archiveSync: true,
 	})
 	defer s.Close()

@@ -120,7 +120,7 @@ func runScreenScript(script []screenStep, merged bool, sopts Options) screenRun 
 		f = filtering.New(func(d filtering.Delivery) {
 			d.StoreSeq = s.Append(d)
 			collect(d)
-		}, filtering.Options{Shards: sopts.Shards})
+		}, filtering.Options{})
 		ingest = f.Ingest
 	}
 	for _, st := range script {
@@ -159,8 +159,8 @@ func runScreenScript(script []screenStep, merged bool, sopts Options) screenRun 
 // small sealing one.
 func TestIngestMatchesFilterThenAppend(t *testing.T) {
 	stores := map[string]Options{
-		"default": {Shards: 4},
-		"sealing": {Shards: 4, MaxMessages: 8, Codec: "auto", BlockSize: 4},
+		"default": {},
+		"sealing": {MaxMessages: 8, Codec: "auto", BlockSize: 4},
 	}
 	seeds := int64(8)
 	if raceEnabled {

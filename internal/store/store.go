@@ -116,9 +116,6 @@ import (
 
 // Defaults for Options.
 const (
-	// DefaultShards matches the filter and dispatcher defaults so a
-	// stream's whole path shards on one key.
-	DefaultShards = 16
 	// DefaultMaxMessages bounds the per-stream retained backlog. It is
 	// deliberately larger than the Orphanage's default per-stream
 	// capacity (128) so the orphan backlog view never outruns the store
@@ -163,9 +160,10 @@ const (
 // Options configures a Store. The zero value selects the defaults above
 // with no byte or age bound.
 type Options struct {
-	// Shards partitions the per-stream retention state; <= 0 selects
-	// DefaultShards. Every shard has its own lock, table and counters.
-	Shards int
+	// shards overrides wire.Shards, the number of partitions of the
+	// per-stream state, each with its own lock, table and counters. Only
+	// in-package tests set it, to hold one table against many.
+	shards int
 	// MaxMessages bounds retained deliveries per stream; <= 0 selects
 	// DefaultMaxMessages. The ring is sized to the next power of two.
 	MaxMessages int
@@ -185,8 +183,8 @@ type Options struct {
 	// keeps its stage, BlockSize pointer-free 64-byte slots, until Forget.
 	// "" disables it (evictions drop, the pre-compression behaviour).
 	// Valid names are "auto", "gorilla", "rle", "lz" and "raw"; New panics
-	// on anything else, like a malformed shard count would elsewhere — a
-	// config typo should not silently disable retention.
+	// on anything else: a config typo should not silently disable
+	// retention.
 	Codec string
 	// ColdBudget bounds the sealed blocks kept in memory per stream, in
 	// compressed bytes, when no archive is attached; the oldest blocks
@@ -362,10 +360,9 @@ type StreamStats struct {
 
 // Store is the Stream Store.
 type Store struct {
-	opts     Options
-	ringMax  int
-	shards   []*shard
-	shardCnt int
+	opts    Options
+	ringMax int
+	shards  []*shard
 
 	// Sealing configuration; picker is nil when compression is off.
 	picker     codec.Picker
@@ -658,9 +655,6 @@ type block struct {
 // codec or when the archive backend's manifest cannot be recovered — a
 // deployment must not come up silently blind to its own history.
 func New(opts Options) *Store {
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
 	if opts.MaxMessages <= 0 {
 		opts.MaxMessages = DefaultMaxMessages
 	}
@@ -670,9 +664,8 @@ func New(opts Options) *Store {
 		opts.Codec = "auto"
 	}
 	s := &Store{
-		opts:     opts,
-		ringMax:  ceilPow2(opts.MaxMessages),
-		shardCnt: opts.Shards,
+		opts:    opts,
+		ringMax: ceilPow2(opts.MaxMessages),
 	}
 	if opts.Codec != "" {
 		picker, err := codec.PickerFor(opts.Codec)
@@ -692,7 +685,7 @@ func New(opts Options) *Store {
 	}
 	s.names.init()
 	s.decodeName = s.names.bytes
-	s.shards = make([]*shard, opts.Shards)
+	s.shards = make([]*shard, cmp.Or(opts.shards, wire.Shards))
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, names: &s.names}
 		s.shards[i].screen.Init(filtering.Options{})
@@ -713,7 +706,7 @@ func ceilPow2(n int) int {
 }
 
 func (s *Store) shardFor(id wire.StreamID) *shard {
-	return s.shards[id.Sensor().Shard(s.shardCnt)]
+	return s.shards[id.Sensor().Shard(len(s.shards))]
 }
 
 // presentLocked reports whether ext is occupied in r.
@@ -778,7 +771,7 @@ func (s *Store) Ingest(rc receiver.Reception, fence func()) (d filtering.Deliver
 // the standalone filter's terms: ActiveStreams counts the streams Ingest
 // has screened (Forget keeps their windows), Shards the store's shards.
 func (s *Store) ScreenStats() filtering.Stats {
-	st := filtering.Stats{Shards: s.shardCnt}
+	st := filtering.Stats{Shards: len(s.shards)}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.screen.AddStatsLocked(&st)
@@ -1601,11 +1594,12 @@ func (s *Store) Latest(id wire.StreamID) (filtering.Delivery, bool) {
 }
 
 // EvictTo drops retained deliveries with extended sequences below upto,
-// returning how many were dropped (credited to Stats.Forgotten). Policy
-// layers — the Orphanage advancing its backlog window — call this. Sealed
-// blocks wholly below upto are dropped by header; a block straddling the
-// boundary keeps its immutable bytes and has its live bookkeeping
-// advanced past the dead prefix, which reads skip.
+// returning how many were dropped (credited to Stats.Forgotten). No
+// production path calls it yet: the Orphanage moves a cursor instead, and
+// the idle-age retirement policy (ROADMAP item 6) is to be its first
+// caller. Sealed blocks wholly below upto are dropped by header; a block
+// straddling the boundary keeps its immutable bytes and has its live
+// bookkeeping advanced past the dead prefix, which reads skip.
 func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -1788,7 +1782,7 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 // read after the lock drops could have moved past the counters they must
 // reconcile with.
 func (s *Store) Stats() Stats {
-	st := Stats{Shards: s.shardCnt, Codec: s.codecName}
+	st := Stats{Shards: len(s.shards), Codec: s.codecName}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Appended += sh.appended

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"unsafe"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
+	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -317,8 +319,8 @@ func TestRingGrowsFromSmallStart(t *testing.T) {
 }
 
 func TestShardingIsTransparent(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		s := New(Options{Shards: shards, MaxMessages: 16})
+	for _, shards := range []int{1, 4, wire.Shards} {
+		s := New(Options{shards: shards, MaxMessages: 16})
 		for sensor := 1; sensor <= 40; sensor++ {
 			id := wire.MustStreamID(wire.SensorID(sensor), 0)
 			for i := 0; i < 20; i++ {
@@ -483,6 +485,76 @@ func TestSealCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
+// countingBackend files nothing and allocates nothing: it counts the
+// blocks appended and the retention cuts, so an allocation pin over a
+// spilling store measures the store alone.
+type countingBackend struct{ appends, cuts int }
+
+func (b *countingBackend) Append(wire.StreamID, archive.Ref, []byte) error {
+	b.appends++
+	return nil
+}
+
+func (b *countingBackend) Open(dst []byte, _ wire.StreamID, _ uint64) ([]byte, error) {
+	return dst, errors.New("countingBackend keeps no bytes")
+}
+
+func (b *countingBackend) List(id wire.StreamID) (archive.StreamState, error) {
+	return archive.StreamState{Stream: id}, nil
+}
+
+func (b *countingBackend) Streams(func(archive.StreamState) error) error { return nil }
+
+func (b *countingBackend) DeleteBefore(wire.StreamID, uint64) error {
+	b.cuts++
+	return nil
+}
+
+func (b *countingBackend) Forget(wire.StreamID) error { return nil }
+
+// TestArchivedSealCycleAllocatesNothing is TestSealCycleAllocatesNothing
+// with the archive tier attached: each 64-append cycle seals a block,
+// spills it synchronously and, past ArchiveMaxBytes, cuts the oldest
+// archived block, all without an allocation. It measures whole cycles
+// because AllocsPerRun truncates its mean, so a per-append pin reads an
+// allocation made once per block as 0.
+func TestArchivedSealCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
+	}
+	const block = 64
+	backend := new(countingBackend)
+	s := New(Options{
+		MaxMessages: 16, Codec: "auto", BlockSize: block,
+		Archive: backend, archiveSync: true, ArchiveMaxBytes: 4096,
+	})
+	defer s.Close()
+	id := wire.MustStreamID(1, 0)
+	payload := make([]byte, 24) // too long for a slot: the arena is in play
+	seq := 0
+	put := func() {
+		binary.BigEndian.PutUint64(payload, math.Float64bits(20+0.25*float64(seq%32)))
+		s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*50*time.Millisecond), payload))
+		seq++
+	}
+	for seq < 64*block {
+		put()
+	}
+	appends, cuts := backend.appends, backend.cuts
+	allocs := testing.AllocsPerRun(50, func() {
+		for range block {
+			put()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an archived seal cycle of %d appends allocates %v times, want 0", block, allocs)
+	}
+	if backend.appends-appends < 50 || backend.cuts == cuts {
+		t.Fatalf("measured cycles spilled %d blocks and cut %d times, want ≥ 50 and > 0",
+			backend.appends-appends, backend.cuts-cuts)
+	}
+}
+
 // TestCompressedBytesPerMessageRatio pins the headline win: on a smooth
 // synthetic numeric series the cold tier retains each delivery in at
 // least 5× fewer bytes than the hot ring's in-memory representation
@@ -571,7 +643,7 @@ func TestDuplicateAppendStats(t *testing.T) {
 // With per-shard snapshots taken under the shard lock the identity holds
 // on every observation, however the appenders interleave.
 func TestStatsInvariantUnderConcurrentAppend(t *testing.T) {
-	s := New(Options{MaxMessages: 16, Shards: 4, Codec: "auto", BlockSize: 8, ColdBudget: 4096})
+	s := New(Options{MaxMessages: 16, Codec: "auto", BlockSize: 8, ColdBudget: 4096})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	garnet "github.com/garnet-middleware/garnet"
+	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
 // Options coverage: each With* option must observably change deployment
@@ -28,16 +29,19 @@ var optionReasons = map[string]string{
 	"WithPolicy":             "§4.2 names the Resource Manager's mediation policies (TestWithPolicyMediatesConflictingRates)",
 	"WithCensusPolicy":       "§4.2: the Super Coordinator may change the Resource Manager's strategy (TestWithCensusPolicySwitchesMediation)",
 	"WithFloodingReplicator": "E6's location-neutral baseline",
-	"WithShards":             "the data plane's single shard-count knob (ROADMAP item 3)",
 	"WithArchiveRetention":   "a growth bound: without it the archive tier grows without limit",
 }
+
+// maxOptions is the budget of facade Option constructors. A new option
+// raises it in the same change, with a CHANGES.md line saying why.
+const maxOptions = 15
 
 // TestEveryOptionHasACallerOrAReason keeps the facade's knobs honest:
 // every exported func in garnet.go returning Option must be called as
 // garnet.<Name>( from a non-test file under examples/, cmd/, bench/ or
 // internal/, or carry an entry in optionReasons. An entry for an option
 // that is gone, or that has since gained a caller, is stale and fails
-// too.
+// too, and so do more than maxOptions constructors.
 func TestEveryOptionHasACallerOrAReason(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "garnet.go", nil, 0)
 	if err != nil {
@@ -55,6 +59,9 @@ func TestEveryOptionHasACallerOrAReason(t *testing.T) {
 	}
 	if len(options) == 0 {
 		t.Fatal("found no Option constructors in garnet.go")
+	}
+	if len(options) > maxOptions {
+		t.Errorf("garnet.go declares %d Option constructors, over the budget of %d", len(options), maxOptions)
 	}
 
 	callers := make(map[string][]string)
@@ -368,7 +375,6 @@ func TestWithDispatchShardsAndBatchSize(t *testing.T) {
 	g := garnet.New(
 		garnet.WithClock(clock),
 		garnet.WithSecret([]byte("s")),
-		garnet.WithShards(4),
 		garnet.WithAsyncDispatch(64),
 	)
 	g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(0, 0), Radius: 100})
@@ -412,53 +418,41 @@ func TestWithDispatchShardsAndBatchSize(t *testing.T) {
 	if batched > total {
 		t.Fatalf("ConsumeBatch called %d times for %d deliveries", batched, total)
 	}
-	if shards := g.Stats().Dispatch.Shards; shards != 4 {
-		t.Fatalf("Stats.Dispatch.Shards = %d, want 4", shards)
+	if shards := g.Stats().Dispatch.Shards; shards != wire.Shards {
+		t.Fatalf("Stats.Dispatch.Shards = %d, want %d", shards, wire.Shards)
 	}
 }
 
+// TestWithFilterShards: a deployment screens in wire.Shards partitions
+// (Stats.Filter.Shards reports the store's count) and reconstructs every
+// stream from the copies two overlapping receivers hear.
 func TestWithFilterShards(t *testing.T) {
-	run := func(shards int, opts ...garnet.Option) garnet.Snapshot {
-		clock := garnet.NewVirtualClock(epoch)
-		opts = append([]garnet.Option{garnet.WithClock(clock), garnet.WithSecret([]byte("s"))}, opts...)
-		g := garnet.New(opts...)
-		defer g.Stop()
-		// Two overlapping receivers duplicate every transmission; the
-		// filter must reconstruct each stream regardless of sharding.
-		g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(0, 0), Radius: 100})
-		g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(1, 0), Radius: 100})
-		for id := garnet.SensorID(1); id <= 3; id++ {
-			if _, err := g.AddSensor(garnet.SensorConfig{
-				ID: id, Mobility: garnet.Static{P: garnet.Pt(float64(id), 0)}, TxRange: 100,
-				Streams: []garnet.StreamConfig{{
-					Index: 0, Sampler: garnet.SizedSampler(4), Period: time.Second, Enabled: true,
-				}},
-			}); err != nil {
-				t.Fatal(err)
-			}
+	clock := garnet.NewVirtualClock(epoch)
+	g := garnet.New(garnet.WithClock(clock), garnet.WithSecret([]byte("s")))
+	defer g.Stop()
+	g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(0, 0), Radius: 100})
+	g.AddReceiver(garnet.ReceiverConfig{Position: garnet.Pt(1, 0), Radius: 100})
+	for id := garnet.SensorID(1); id <= 3; id++ {
+		if _, err := g.AddSensor(garnet.SensorConfig{
+			ID: id, Mobility: garnet.Static{P: garnet.Pt(float64(id), 0)}, TxRange: 100,
+			Streams: []garnet.StreamConfig{{
+				Index: 0, Sampler: garnet.SizedSampler(4), Period: time.Second, Enabled: true,
+			}},
+		}); err != nil {
+			t.Fatal(err)
 		}
-		g.Start()
-		clock.Advance(10 * time.Second)
-		g.Stop()
-		st := g.Stats()
-		if st.Filter.Shards != shards {
-			t.Fatalf("Stats.Filter.Shards = %d, want %d", st.Filter.Shards, shards)
-		}
-		return st
 	}
-	sharded := run(4, garnet.WithShards(4))
-	single := run(1, garnet.WithShards(1))
-	// Same deployment, same virtual schedule: the sharded filter must
-	// make identical accept/duplicate decisions to the single table.
-	if sharded.Filter.Delivered != single.Filter.Delivered ||
-		sharded.Filter.Duplicates != single.Filter.Duplicates ||
-		sharded.Filter.Received != single.Filter.Received {
-		t.Fatalf("sharded filter stats %+v diverge from single-table %+v", sharded.Filter, single.Filter)
+	g.Start()
+	clock.Advance(10 * time.Second)
+	g.Stop()
+	st := g.Stats().Filter
+	if st.Shards != wire.Shards {
+		t.Fatalf("Stats.Filter.Shards = %d, want %d", st.Shards, wire.Shards)
 	}
-	if sharded.Filter.Delivered != 30 { // 3 sensors × 10 ticks
-		t.Fatalf("Delivered = %d, want 30", sharded.Filter.Delivered)
+	if st.Delivered != 30 { // 3 sensors × 10 ticks
+		t.Fatalf("Delivered = %d, want 30", st.Delivered)
 	}
-	if sharded.Filter.Duplicates != 30 { // second overlapping receiver
-		t.Fatalf("Duplicates = %d, want 30", sharded.Filter.Duplicates)
+	if st.Duplicates != 30 { // second overlapping receiver
+		t.Fatalf("Duplicates = %d, want 30", st.Duplicates)
 	}
 }
