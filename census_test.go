@@ -45,6 +45,7 @@ var surfaceReasons = map[string]string{
 	"store.Store.EvictTo":                "ROADMAP item 6: Retire and the idle-age policy cut a stream's retained history",
 	"dispatch.Dispatcher.Wakeups":        "the verify skill reads Core().Dispatcher().Wakeups() beside Stats().Dispatch.Delivered",
 	"transmit.Transmitter.Name":          "the only reader of the facade's TransmitterConfig.Name",
+	"ring.Ring.Len":                      "internal/dispatch's adoption tests assert a port ring's occupancy with it",
 }
 
 const modulePath = "github.com/garnet-middleware/garnet"

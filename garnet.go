@@ -157,9 +157,9 @@ func NewMemArchive() ArchiveBackend {
 }
 
 // WithArchive attaches a durable archive tier to the Stream Store: every
-// compressed block the store seals is spilled to the backend by an async
-// per-shard archiver, staying in memory only until the backend has filed
-// it, so WithStoreCompression's cold budget no longer bounds what is
+// compressed block the store seals is filed in the backend by the append
+// that sealed it, under that stream's shard lock, and none is kept in
+// memory, so WithStoreCompression's cold budget no longer bounds what is
 // kept. Range, Replay, SubscribeWithReplay and the window queries stitch
 // archive → sealed → hot → live transparently. Implies
 // WithStoreCompression("auto", default budget) when no codec was chosen —

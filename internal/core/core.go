@@ -286,8 +286,8 @@ func (d *Deployment) Start() {
 }
 
 // Stop tears the deployment down: sensors first (no new uplink), then
-// receivers, the actuation service, the dispatcher and the store.
-// Idempotent.
+// receivers, the actuation service and the dispatcher. The store has
+// nothing to stop: it files each sealed block as it seals. Idempotent.
 func (d *Deployment) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -311,7 +311,6 @@ func (d *Deployment) Stop() {
 	}
 	d.acts.Stop()
 	d.dispatcher.Stop()
-	d.st.Close()
 }
 
 // SubmitDemand runs one demand through admission control and actuates the

@@ -58,13 +58,13 @@ type port struct {
 
 	// Delivery ring (async mode; nil in sync mode). slow counts the open
 	// gates plus one once closing, and routes producers through mu while
-	// it is non-zero; inflight counts producers inside a lock-free
+	// it is non-zero; enqueuing counts producers inside a lock-free
 	// enqueue so enterSlow can wait them out. waiter parks/wakes the
 	// drainer.
-	ring     *ring.Ring[filtering.Delivery]
-	slow     atomic.Int32
-	inflight atomic.Int64
-	waiter   *ring.Waiter
+	ring      *ring.Ring[filtering.Delivery]
+	slow      atomic.Int32
+	enqueuing atomic.Int64
+	waiter    *ring.Waiter
 
 	mu        sync.Mutex
 	batchSize int
@@ -106,7 +106,7 @@ func newPort(c Consumer, capacity int, async bool, dropped, selfDrop *metrics.Co
 // with no locks or callbacks inside.
 func (p *port) enterSlow() {
 	p.slow.Add(1)
-	for p.inflight.Load() != 0 {
+	for p.enqueuing.Load() != 0 {
 		runtime.Gosched()
 	}
 }
@@ -118,19 +118,19 @@ func (p *port) enterSlow() {
 //
 // Steady state is lock-free: one slow load, the ring's CAS-claimed slot,
 // a publication store and a parked-check on the waiter. A slow port
-// (gated or closing; the inflight barrier makes the switch safe) makes
+// (gated or closing; the enqueuing barrier makes the switch safe) makes
 // those decisions under mu and then admits into the same ring.
 func (p *port) enqueue(d *filtering.Delivery) bool {
 	if p.slow.Load() == 0 {
-		p.inflight.Add(1)
+		p.enqueuing.Add(1)
 		if p.slow.Load() == 0 {
 			admitted := p.admit(d)
-			p.inflight.Add(-1)
+			p.enqueuing.Add(-1)
 			return admitted
 		}
-		// enterSlow won the race: this producer is counted in inflight
+		// enterSlow won the race: this producer is counted in enqueuing
 		// but must not touch the ring without mu anymore.
-		p.inflight.Add(-1)
+		p.enqueuing.Add(-1)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -201,9 +201,9 @@ func (p *port) beginGate() {
 // are delivered inline on the calling goroutine, draining held
 // repeatedly until no new deliveries arrived while the previous batch
 // was being consumed.
-func (p *port) endGate(replay []filtering.Delivery, syncMode bool, sh *shard) {
+func (p *port) endGate(replay []filtering.Delivery, inline bool, sh *shard) {
 	p.mu.Lock()
-	if !syncMode && !p.closed {
+	if !inline && !p.closed {
 		p.ring.Adopt(replay) // every producer is slow, blocked on mu
 		if p.gateCount == 1 {
 			for i := range p.held {
@@ -215,7 +215,7 @@ func (p *port) endGate(replay []filtering.Delivery, syncMode bool, sh *shard) {
 		p.wake()
 		replay = nil
 	}
-	for syncMode && !p.closed {
+	for inline && !p.closed {
 		batch, flushed := replay, false
 		if len(batch) == 0 && p.gateCount == 1 {
 			batch, p.held, flushed = p.held, nil, true

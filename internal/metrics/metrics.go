@@ -1,6 +1,6 @@
 // Package metrics provides the small set of instrumentation primitives the
-// middleware services and the experiment harness share: atomic counters,
-// gauges and a fixed-bucket histogram for latency and error distributions.
+// middleware services and the experiment harness share: atomic counters
+// and a fixed-bucket histogram for latency and error distributions.
 // The histogram sits on production paths (every archive spill and block
 // read, every actuation ack), so it holds constant memory however long
 // the deployment runs and reports percentiles to a stated relative error
@@ -35,18 +35,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous atomic value.
-// The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // PaddedCounter is a Counter occupying a whole cache line, for per-shard
 // or per-consumer counter cells that live adjacent in one array or are

@@ -41,55 +41,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Add(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("Value = %d, want 7", got)
-	}
-	g.Add(-7)
-	if got := g.Value(); got != 0 {
-		t.Fatalf("Value after Add(-7) = %d, want 0", got)
-	}
-}
-
-// TestGaugeConcurrent exercises the pattern the Stream Store relies on:
-// per-shard gauges adjusted up and down under concurrent load, summed by
-// a Stats reader. Balanced add/remove pairs must net to zero.
-func TestGaugeConcurrent(t *testing.T) {
-	const shards, workers, perWorker = 4, 8, 1000
-	gauges := make([]Gauge, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			g := &gauges[w%shards]
-			for i := 0; i < perWorker; i++ {
-				g.Add(5)
-				g.Add(-5)
-			}
-		}(w)
-	}
-	// Concurrent summed reads must never panic or tear.
-	for i := 0; i < 100; i++ {
-		var sum int64
-		for s := range gauges {
-			sum += gauges[s].Value()
-		}
-		_ = sum
-	}
-	wg.Wait()
-	var sum int64
-	for s := range gauges {
-		sum += gauges[s].Value()
-	}
-	if sum != 0 {
-		t.Fatalf("balanced adds summed to %d, want 0", sum)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 {

@@ -223,7 +223,7 @@ func (o *Orphanage) evictStalestLocked() {
 // calls this (via the middleware facade) to recover data produced before
 // it subscribed. ok is false when the stream is not held.
 func (o *Orphanage) Claim(id wire.StreamID) (backlog []filtering.Delivery, ok bool) {
-	from, to, _, ok := o.claimCursor(id)
+	from, to, _, ok := o.ClaimCursor(id)
 	if !ok {
 		return nil, false
 	}
@@ -236,7 +236,16 @@ func (o *Orphanage) Claim(id wire.StreamID) (backlog []filtering.Delivery, ok bo
 // out of the store. n is the window's message count; ok is false when the
 // stream is not held.
 func (o *Orphanage) ClaimCursor(id wire.StreamID) (from, to uint64, n int, ok bool) {
-	return o.claimCursor(id)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	st, ok := o.streams[id]
+	if !ok {
+		return 0, 0, 0, false
+	}
+	delete(o.streams, id)
+	heap.Remove(&o.silence, int(st.heapIdx))
+	o.claims.Inc()
+	return st.firstExt, st.lastExt, int(st.buffered), true
 }
 
 // PeekCursor is ClaimCursor without the hand-off: the view stays held.
@@ -249,19 +258,6 @@ func (o *Orphanage) PeekCursor(id wire.StreamID) (from, to uint64, n int, ok boo
 	if !ok {
 		return 0, 0, 0, false
 	}
-	return st.firstExt, st.lastExt, int(st.buffered), true
-}
-
-func (o *Orphanage) claimCursor(id wire.StreamID) (from, to uint64, n int, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	st, ok := o.streams[id]
-	if !ok {
-		return 0, 0, 0, false
-	}
-	delete(o.streams, id)
-	heap.Remove(&o.silence, int(st.heapIdx))
-	o.claims.Inc()
 	return st.firstExt, st.lastExt, int(st.buffered), true
 }
 

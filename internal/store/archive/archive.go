@@ -1,8 +1,7 @@
 // Package archive defines the Stream Store's durable retention tier: a
 // pluggable block backend that receives every compressed block the store
-// seals — a block stays in the store's memory only until the backend has
-// filed it — and serves them back to the store's read path, so replay
-// stitches archive → sealed-but-unfiled → hot → live transparently.
+// seals, as it seals it, and serves them back to the store's read path, so
+// replay stitches archive → seal stage → hot → live transparently.
 //
 // The unit of exchange is the store's sealed block exactly as the codec
 // package encoded it — a self-contained byte string tagged with its
@@ -14,13 +13,14 @@
 //
 // # Contract
 //
-// Backends are safe for concurrent use: the store calls Append from its
-// per-shard archiver goroutines while readers call Open under shard
-// locks. FS has one mutex for all its shards, so its Open holds it only
-// to look the block's extent up, and reads and checks the bytes after
-// releasing it: a block read never waits behind another shard's segment
-// or manifest write. Append must copy data before returning — the store
-// recycles the buffer immediately. Blocks are addressed by their last
+// Backends are safe for concurrent use: the store calls Append from the
+// appender that sealed the block, under that stream's shard lock, so
+// appenders on different shards call it at once and pay its latency, and
+// readers call Open under shard locks. FS has one mutex for all its
+// shards, so its Open holds it only to look the block's extent up, and
+// reads and checks the bytes after releasing it: a block read never waits
+// behind another shard's segment or manifest write. Append must copy data
+// before returning — the store recycles the buffer immediately. Blocks are addressed by their last
 // extended sequence, which is immutable for the life of the block (the
 // first sequence is logical bookkeeping the store may advance as
 // retention policy trims a block's prefix; see DeleteBefore's floor).

@@ -39,14 +39,13 @@ func retentionSurvivors(all []archive.Ref, maxAge time.Duration, maxBytes int64)
 func TestArchiveRetentionBounds(t *testing.T) {
 	const n = 400 // one entry a second, 8 to a block
 	id := wire.MustStreamID(9, 0)
-	base := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, archiveSync: true}
+	base := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1}
 	payload := func(seq int) []byte { return []byte(fmt.Sprintf("reading %03d", seq)) }
 	at := func(seq int) time.Time { return epoch.Add(time.Duration(seq) * time.Second) }
 
 	twinOpts := base
 	twinOpts.Archive = archive.NewMem()
 	twin := New(twinOpts)
-	defer twin.Close()
 	for seq := 0; seq < n; seq++ {
 		twin.Append(del(id, wire.Seq(seq), at(seq), payload(seq)))
 	}
@@ -145,13 +144,11 @@ func TestArchiveRetentionBounds(t *testing.T) {
 				// A restart over the same backend recovers the survivors
 				// and nothing that was deleted.
 				archived := st.ArchivedMessages
-				s.Close()
 				closeBackend()
 				reopened, closeReopened := open()
 				defer closeReopened()
 				opts.Archive = reopened
 				s2 := New(opts)
-				defer s2.Close()
 				if got := s2.Stats().ArchiveRecovered; got != archived {
 					t.Fatalf("restart recovered %d entries, %d were archived", got, archived)
 				}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -23,15 +24,15 @@ func checkArchiveIdentity(t *testing.T, s *Store, tag string) {
 }
 
 // TestArchiveSpillStitch drives the simplest end-to-end spill: every
-// sealed block goes to the backend, and every query stitches
-// archive → stage → hot transparently.
+// sealed block goes to the backend, every query stitches
+// archive → stage → hot transparently, and streams appended in turn each
+// keep every entry once.
 func TestArchiveSpillStitch(t *testing.T) {
 	backend := archive.NewMem()
 	s := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend, archiveSync: true,
+		Archive: backend,
 	})
-	defer s.Close()
 	id := wire.MustStreamID(9, 0)
 	const n = 400
 	for seq := 0; seq < n; seq++ {
@@ -92,47 +93,68 @@ func TestArchiveSpillStitch(t *testing.T) {
 		t.Fatalf("Forget left %d blocks in the backend", len(ls.Refs))
 	}
 	checkArchiveIdentity(t, s, "after Forget")
-}
 
-// TestArchiveAsyncSpill exercises the per-shard archiver goroutines:
-// appends race the spill queue, Close drains what is left, and nothing
-// is lost or duplicated.
-func TestArchiveAsyncSpill(t *testing.T) {
-	backend := archive.NewMem()
-	s := New(Options{
-		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend,
-	})
+	// Four streams appended in turn: nothing is lost or duplicated.
 	ids := []wire.StreamID{
 		wire.MustStreamID(1, 0), wire.MustStreamID(2, 0),
 		wire.MustStreamID(3, 0), wire.MustStreamID(4, 0),
 	}
-	const n = 600
-	for seq := 0; seq < n; seq++ {
+	const m = 600
+	for seq := 0; seq < m; seq++ {
 		for _, id := range ids {
 			s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte(fmt.Sprintf("v %d", seq))))
 		}
 	}
-	s.Close() // drains every pending block synchronously
-
-	st := s.Stats()
-	if st.ArchivePendingBlocks != 0 || st.ArchiveQueueDepth != 0 {
-		t.Fatalf("Close left pending work: %+v", st)
-	}
-	if st.ArchivedMessages == 0 {
-		t.Fatalf("async archiver spilled nothing: %+v", st)
-	}
-	checkArchiveIdentity(t, s, "after close")
+	checkArchiveIdentity(t, s, "after four streams")
 	for _, id := range ids {
 		got := s.Range(id, 0, ^uint64(0))
-		if len(got) != n {
-			t.Fatalf("stream %v: Range(all) = %d entries, want %d", id, len(got), n)
+		if len(got) != m {
+			t.Fatalf("stream %v: Range(all) = %d entries, want %d", id, len(got), m)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i].StoreSeq != got[i-1].StoreSeq+1 {
 				t.Fatalf("stream %v: gap or duplicate at %d: %d after %d", id, i, got[i].StoreSeq, got[i-1].StoreSeq)
 			}
 		}
+	}
+}
+
+// TestArchiveFilesEveryBlockAsItSeals: with an archive attached, the
+// append that seals a block files it before returning, so after every
+// Append the archive holds every sealed block and nothing waits in
+// memory, over the in-memory and filesystem backends.
+func TestArchiveFilesEveryBlockAsItSeals(t *testing.T) {
+	for _, fs := range []bool{false, true} {
+		t.Run(map[bool]string{false: "mem", true: "fs"}[fs], func(t *testing.T) {
+			var backend archive.Backend = archive.NewMem()
+			if fs {
+				b, err := archive.OpenFS(t.TempDir())
+				if err != nil {
+					t.Fatalf("OpenFS: %v", err)
+				}
+				defer b.Close()
+				backend = b
+			}
+			s := New(Options{MaxMessages: 8, BlockSize: 8, Archive: backend})
+			ids := []wire.StreamID{wire.MustStreamID(3, 0), wire.MustStreamID(3, 1), wire.MustStreamID(40, 0)}
+			for seq := 0; seq < 200; seq++ {
+				for i, id := range ids {
+					payload := bytes.Repeat([]byte{byte(seq)}, 4+12*i) // the last stream's lie in the arena
+					s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), payload))
+					st := s.Stats()
+					if st.ArchivedBlocks != st.SealedBlocks || st.ColdBlocks != 0 {
+						t.Fatalf("seq %d stream %v: %d sealed, %d archived, %d held in memory",
+							seq, id, st.SealedBlocks, st.ArchivedBlocks, st.ColdBlocks)
+					}
+					if err := st.Check(); err != nil {
+						t.Fatalf("seq %d stream %v: %v", seq, id, err)
+					}
+				}
+			}
+			if st := s.Stats(); st.SealedBlocks < 3*20 {
+				t.Fatalf("only %d blocks sealed: %+v", st.SealedBlocks, st)
+			}
+		})
 	}
 }
 
@@ -147,20 +169,18 @@ func TestArchiveRecoveryRestart(t *testing.T) {
 
 	s1 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend, archiveSync: true,
+		Archive: backend,
 	})
 	for seq := 0; seq < n; seq++ {
 		s1.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte(fmt.Sprintf("r%03d", seq))))
 	}
 	st1, _ := s1.StreamStats(id)
 	archivedEnd := extBase + uint64(n-1) - uint64(st1.Count) // newest archived seq on restart boundary
-	s1.Close()
 
 	s2 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: backend, archiveSync: true,
+		Archive: backend,
 	})
-	defer s2.Close()
 
 	// The restarted store lists and serves the stream it never saw live.
 	if streams := s2.Streams(); len(streams) != 1 || streams[0] != id {
@@ -223,14 +243,12 @@ func TestArchiveRecoveryRestart(t *testing.T) {
 func TestOpeningFillAboveRecoveredHistory(t *testing.T) {
 	backend := archive.NewMem()
 	id := wire.MustStreamID(78, 0)
-	opts := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: backend, archiveSync: true}
+	opts := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: backend}
 	s1 := New(opts)
 	for seq := 0; seq < 100; seq++ {
 		s1.Append(del(id, wire.Seq(seq), epoch, nil))
 	}
-	s1.Close()
 	s2 := New(opts)
-	defer s2.Close()
 	end, ok := s2.LastSeq(id)
 	if !ok {
 		t.Fatal("nothing recovered")
@@ -267,7 +285,7 @@ func TestArchiveFSRestart(t *testing.T) {
 	}
 	s1 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: b1, archiveSync: true,
+		Archive: b1,
 	})
 	for seq := 0; seq < n; seq++ {
 		s1.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte(fmt.Sprintf("fs%03d", seq))))
@@ -277,7 +295,6 @@ func TestArchiveFSRestart(t *testing.T) {
 		t.Fatal("nothing spilled to the fs backend")
 	}
 	wantAll := s1.Range(id, 0, ^uint64(0))[:archived]
-	s1.Close()
 	if err := b1.Close(); err != nil {
 		t.Fatalf("backend close: %v", err)
 	}
@@ -289,9 +306,8 @@ func TestArchiveFSRestart(t *testing.T) {
 	defer b2.Close()
 	s2 := New(Options{
 		MaxMessages: 16, BlockSize: 8, ColdBudget: 1,
-		Archive: b2, archiveSync: true,
+		Archive: b2,
 	})
-	defer s2.Close()
 	if got := s2.Stats().ArchiveRecovered; got != archived {
 		t.Fatalf("recovered %d entries, first store archived %d", got, archived)
 	}
@@ -301,15 +317,13 @@ func TestArchiveFSRestart(t *testing.T) {
 }
 
 // TestArchiveAppendZeroAllocSteadyState holds the hot-path contract with
-// the async archiver running: sealing, spilling to the queue and the
-// archiver's own commits all recycle, so steady-state Append stays at
-// 0 allocs/op.
+// the archive attached: sealing and filing each block recycle their
+// buffers, so steady-state Append stays at 0 allocs/op.
 func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 	s := New(Options{
 		MaxMessages: 16, BlockSize: 64, ColdBudget: 4096,
 		Archive: archive.NewMem(),
 	})
-	defer s.Close()
 	id := wire.MustStreamID(1, 0)
 	payload := make([]byte, 24) // too long for a slot: the arena is in play
 	put := func(seq int) {
@@ -322,7 +336,7 @@ func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 		put(seq)
 		s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*50*time.Millisecond), payload))
 	}
-	if st := s.Stats(); st.ArchivedMessages == 0 && st.ArchivePendingBlocks == 0 {
+	if st := s.Stats(); st.ArchivedMessages == 0 {
 		t.Fatalf("warm-up never spilled: %+v", st)
 	}
 	w := watchArena(s, id)
@@ -346,18 +360,15 @@ func TestArchiveAppendZeroAllocSteadyState(t *testing.T) {
 // the frozen-tier reference byte for byte — across wire-seq wraps,
 // gaps, late fills, EvictTo cuts (straddling archived blocks) and
 // Forget, at shard counts 1, 4 and 16, over the in-memory and
-// filesystem backends, with the async archiver racing the readers and
-// one fully synchronous cell.
+// filesystem backends.
 func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 	partitions := []int{1, 4, wire.Shards}
 	cells := []struct {
 		name string
 		fs   bool
-		sync bool
 	}{
-		{name: "mem-async"},
-		{name: "mem-sync", sync: true},
-		{name: "fs-async", fs: true},
+		{name: "mem-sync"},
+		{name: "fs-sync", fs: true},
 	}
 	codecs := []string{"raw", "gorilla", "rle", "lz", "auto"}
 	for ci, codecName := range codecs {
@@ -367,9 +378,8 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 				opts := Options{
 					MaxMessages: 8,
 					Codec:       codecName,
-					ColdBudget:  1, // everything but the newest sealed block spills
+					ColdBudget:  1, // inert: with an archive every sealed block spills
 					BlockSize:   8,
-					archiveSync: cell.sync,
 				}
 				stores := make([]*Store, len(partitions))
 				for i, n := range partitions {
@@ -386,7 +396,6 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 						o.Archive = archive.NewMem()
 					}
 					stores[i] = New(o)
-					defer stores[i].Close()
 				}
 				ref := newRefStore(opts)
 				ref.freeze = true
@@ -512,12 +521,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 				// Nothing is ever lost: the archive tier catches every
 				// sealed block, so retained + archived equals the
 				// reference's frozen ∪ live totals and the conservation
-				// identity closes. Close first — it drains the async
-				// archiver's pending blocks, so the archived gauges are
-				// settled (reads stay valid after Close).
-				for _, s := range stores {
-					s.Close()
-				}
+				// identity closes.
 				var wantMsgs int64
 				for _, r := range ref.streams {
 					wantMsgs += int64(len(r.all()))
@@ -543,20 +547,18 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 	}
 }
 
-// TestForgetDuringSpillLeavesNoBackendState races Forget against a block
-// the archiver is writing: once that write returns, the forgotten stream
-// must leave nothing in the backend — no block, no floor, no manifest
-// entry. A floor filed for a forgotten stream outlives the addressing it
-// was cut against: after a restart a resumed stream's new blocks can fall
-// below it, and the next recovery drops them. A stream that resumes
-// before the write returns keeps exactly its new history, floorless.
+// TestForgetDuringSpillLeavesNoBackendState: once Forget returns, a
+// stream whose appends spilled blocks, and whose EvictTo filed a floor,
+// leaves nothing in the backend — no block, no floor, no manifest entry.
+// A floor filed for a forgotten stream outlives the addressing it was cut
+// against: after a restart a resumed stream's new blocks can fall below
+// it, and the next recovery drops them. A stream that resumes keeps
+// exactly its new history, floorless.
 func TestForgetDuringSpillLeavesNoBackendState(t *testing.T) {
 	for _, resume := range []bool{false, true} {
 		t.Run(fmt.Sprintf("resume=%v", resume), func(t *testing.T) {
 			mem := archive.NewMem()
-			gate := newGatedBackend(mem)
-			gate.set(true)
-			s := New(Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: gate})
+			s := New(Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: mem})
 			id := wire.MustStreamID(4, 0)
 			appendRun := func(from, to int) {
 				for seq := from; seq < to; seq++ {
@@ -564,15 +566,18 @@ func TestForgetDuringSpillLeavesNoBackendState(t *testing.T) {
 				}
 			}
 			appendRun(0, 40)
-			gate.awaitHeld() // the archiver is writing the first sealed block
-			if got := s.Forget(id); got != 40 {
-				t.Fatalf("Forget dropped %d, want 40", got)
+			if got := s.EvictTo(id, extBase+4); got != 4 {
+				t.Fatalf("EvictTo dropped %d, want 4", got)
+			}
+			if held, _ := mem.List(id); held.Floor != extBase+4 || len(held.Refs) == 0 {
+				t.Fatalf("before Forget the backend holds floor %d and %d blocks", held.Floor, len(held.Refs))
+			}
+			if got := s.Forget(id); got != 36 {
+				t.Fatalf("Forget dropped %d, want 36", got)
 			}
 			if resume {
 				appendRun(40, 80)
 			}
-			gate.set(false)
-			s.Close()
 
 			held, _ := mem.List(id)
 			if !resume {
@@ -599,7 +604,7 @@ func TestForgetDuringSpillLeavesNoBackendState(t *testing.T) {
 					t.Fatalf("resumed stream serves %d entries from %d, want 40 from %d", len(got), got[0].StoreSeq, extBase+40)
 				}
 			}
-			checkArchiveIdentity(t, s, "after Forget during spill")
+			checkArchiveIdentity(t, s, "after Forget")
 		})
 	}
 }

@@ -112,8 +112,7 @@ func BenchmarkStoreReplay(b *testing.B) {
 	}{{"sealed", nil}, {"archived", archive.NewMem()}} {
 		b.Run(tier.name, func(b *testing.B) {
 			s := New(Options{MaxMessages: 16, Codec: "auto", BlockSize: 16, ColdBudget: 1 << 30,
-				Archive: tier.backend, archiveSync: true})
-			defer s.Close()
+				Archive: tier.backend})
 			for i := 0; i < window; i++ {
 				s.Append(compressedDel(id, i))
 			}

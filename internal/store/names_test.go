@@ -49,7 +49,6 @@ func TestCanonicalPointer(t *testing.T) {
 
 func TestBytesZeroAllocWhenInterned(t *testing.T) {
 	s := New(Options{})
-	defer s.Close()
 	b := []byte("rx-warm")
 	s.names.bytes(b)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -101,7 +100,7 @@ func TestConcurrentConverge(t *testing.T) {
 func TestReceiverNamesArePerStore(t *testing.T) {
 	far := wire.MustStreamID(5, 0)
 	mem := archive.NewMem()
-	opts := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: mem, archiveSync: true}
+	opts := Options{MaxMessages: 16, BlockSize: 8, ColdBudget: 1, Archive: mem}
 	w := New(opts)
 	for seq := 0; seq < 100; seq++ {
 		d := del(far, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), []byte{byte(seq)})
@@ -111,18 +110,15 @@ func TestReceiverNamesArePerStore(t *testing.T) {
 	// A cut inside the first archived block: recovery decodes that block
 	// to count what survives it.
 	w.EvictTo(far, extBase+4)
-	w.Close()
 
 	held := func(s *Store) []string { return slices.Sorted(maps.Keys(s.names.cur.Load().idx)) }
 
 	a := New(Options{})
-	defer a.Close()
 	da := del(wire.MustStreamID(1, 0), 0, epoch, []byte("a"))
 	da.Receiver = "rx-a"
 	a.Append(da)
 
 	b := New(opts)
-	defer b.Close()
 	if got := held(b); !slices.Equal(got, []string{"rx-far"}) {
 		t.Fatalf("recovered store holds %q, want the receiver its archive names", got)
 	}

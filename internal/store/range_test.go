@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,51 +14,6 @@ import (
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
-
-// gatedBackend holds Append calls back while the gate is shut, so an
-// async store accumulates pending spills for as long as a test wants to
-// read through them.
-type gatedBackend struct {
-	archive.Backend
-	mu      sync.Mutex
-	cond    *sync.Cond
-	shut    bool
-	waiting int // Append calls held at the gate right now
-}
-
-func newGatedBackend(b archive.Backend) *gatedBackend {
-	g := &gatedBackend{Backend: b}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-func (g *gatedBackend) Append(stream wire.StreamID, ref archive.Ref, data []byte) error {
-	g.mu.Lock()
-	g.waiting++
-	g.cond.Broadcast()
-	for g.shut {
-		g.cond.Wait()
-	}
-	g.waiting--
-	g.mu.Unlock()
-	return g.Backend.Append(stream, ref, data)
-}
-
-// awaitHeld returns once an Append call is held at the gate.
-func (g *gatedBackend) awaitHeld() {
-	g.mu.Lock()
-	for g.waiting == 0 {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-func (g *gatedBackend) set(shut bool) {
-	g.mu.Lock()
-	g.shut = shut
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
 
 // borrowRange is the reference a Range result is held to: the borrow
 // visitor plus a copy of everything it lends.
@@ -85,25 +38,20 @@ func scribble(ds []filtering.Delivery) {
 }
 
 // TestRangeMatchesBorrowVisitorProperty is the differential for the
-// one-pass read: over mem and filesystem backends, every codec, and
-// synchronous, asynchronous and held-back (pending) spills, Range over
-// random windows — cutting through archived blocks with dead prefixes,
-// pending spills, the stage and a holey hot ring, between
+// one-pass read: over mem and filesystem backends and every codec, Range
+// over random windows — cutting through archived blocks with dead
+// prefixes, the stage and a holey hot ring, between
 // random Append/EvictTo/Forget — returns exactly what the borrow visitor
 // lends, decodes exactly the same archived entries, and owns its memory
 // in both directions: scribbling over a result changes no later read,
 // and later store activity changes no earlier result.
 func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 	cells := []struct {
-		name       string
-		fs         bool
-		sync, gate bool
+		name string
+		fs   bool
 	}{
-		{name: "mem-sync", sync: true},
-		{name: "mem-async"},
-		{name: "mem-pending", gate: true},
-		{name: "fs-sync", fs: true, sync: true},
-		{name: "fs-pending", fs: true, gate: true},
+		{name: "mem-sync"},
+		{name: "fs-sync", fs: true},
 	}
 	for ci, codecName := range []string{"raw", "gorilla", "rle", "lz", "auto"} {
 		for _, cell := range cells {
@@ -118,17 +66,13 @@ func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 					defer b.Close()
 					backend = b
 				}
-				gate := newGatedBackend(backend)
 				s := New(Options{
 					MaxMessages: 8,
 					Codec:       codecName,
 					ColdBudget:  96, // ignored: with an archive every sealed block spills
 					BlockSize:   8,
-					Archive:     gate,
-					archiveSync: cell.sync,
+					Archive:     backend,
 				})
-				defer s.Close()
-				defer gate.set(false) // Close drains through the backend
 
 				streams := make([]wire.StreamID, 3)
 				wireSeq := make([]int, len(streams))
@@ -151,68 +95,45 @@ func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 					}
 				}
 
-				// check reads one window every way and compares. The tiers
-				// move under an async archiver; when they moved between the
-				// first and the last read the amplification comparison is
-				// void and the round is retried — contents must agree
-				// regardless.
+				// check reads one window every way and compares.
 				check := func(tag string, id wire.StreamID, lo, hi uint64) {
 					t.Helper()
-					for try := 0; ; try++ {
-						st0 := s.Stats()
-						got := s.Range(id, lo, hi)
-						st1 := s.Stats()
-						want := borrowRange(s, id, lo, hi)
-						st2 := s.Stats()
-						if err := sameDeliveriesFull(got, want); err != nil {
-							t.Fatalf("%s: Range(%d,%d) vs RangeFunc: %v", tag, lo, hi, err)
-						}
-						if st0.ArchivedBlocks != st2.ArchivedBlocks || st0.ArchivePendingBlocks != st2.ArchivePendingBlocks {
-							if try > 1000 {
-								t.Fatalf("%s: archive tier never settled", tag)
-							}
-							runtime.Gosched()
-							continue
-						}
-						if a, b := st1.ArchiveReadMessages-st0.ArchiveReadMessages, st2.ArchiveReadMessages-st1.ArchiveReadMessages; a != b {
-							t.Fatalf("%s: Range(%d,%d) decoded %d archived entries, RangeFunc %d", tag, lo, hi, a, b)
-						}
+					st0 := s.Stats()
+					got := s.Range(id, lo, hi)
+					st1 := s.Stats()
+					want := borrowRange(s, id, lo, hi)
+					st2 := s.Stats()
+					if err := sameDeliveriesFull(got, want); err != nil {
+						t.Fatalf("%s: Range(%d,%d) vs RangeFunc: %v", tag, lo, hi, err)
+					}
+					if a, b := st1.ArchiveReadMessages-st0.ArchiveReadMessages, st2.ArchiveReadMessages-st1.ArchiveReadMessages; a != b {
+						t.Fatalf("%s: Range(%d,%d) decoded %d archived entries, RangeFunc %d", tag, lo, hi, a, b)
+					}
 
-						// The store does not see what happens to a result.
-						scribble(got)
-						if err := sameDeliveriesFull(s.Range(id, lo, hi), want); err != nil {
-							t.Fatalf("%s: re-read after scribbling over the result: %v", tag, err)
-						}
-						// A result does not see what happens in the store:
-						// recycle the pooled decode scratch on other streams
-						// and overwrite hot slots, then look again.
-						kept := s.Range(id, lo, hi)
-						for _, other := range streams {
-							borrowRange(s, other, 0, ^uint64(0))
-						}
-						for k := 0; k < 12; k++ {
-							si := slices.Index(streams, id)
-							s.Append(del(id, wire.Seq(wireSeq[si]), epoch, bytes.Repeat([]byte{0xEE}, 16)))
-							wireSeq[si]++
-						}
-						if err := sameDeliveriesFull(kept, want); err != nil {
-							t.Fatalf("%s: result changed under later store activity: %v", tag, err)
-						}
-						return
+					// The store does not see what happens to a result.
+					scribble(got)
+					if err := sameDeliveriesFull(s.Range(id, lo, hi), want); err != nil {
+						t.Fatalf("%s: re-read after scribbling over the result: %v", tag, err)
+					}
+					// A result does not see what happens in the store:
+					// recycle the pooled decode scratch on other streams
+					// and overwrite hot slots, then look again.
+					kept := s.Range(id, lo, hi)
+					for _, other := range streams {
+						borrowRange(s, other, 0, ^uint64(0))
+					}
+					for k := 0; k < 12; k++ {
+						si := slices.Index(streams, id)
+						s.Append(del(id, wire.Seq(wireSeq[si]), epoch, bytes.Repeat([]byte{0xEE}, 16)))
+						wireSeq[si]++
+					}
+					if err := sameDeliveriesFull(kept, want); err != nil {
+						t.Fatalf("%s: result changed under later store activity: %v", tag, err)
 					}
 				}
 
 				now := epoch
 				for step := 0; step < 300; step++ {
-					if cell.gate && step%50 == 0 {
-						shut := step%100 == 0
-						gate.set(shut) // alternate: spills held back, spills flowing
-						if !shut {
-							// File what the gate held, so later reads
-							// reach the archive tier on every schedule.
-							awaitArchived(t, s)
-						}
-					}
 					si := rng.Intn(len(streams))
 					id := streams[si]
 					now = now.Add(time.Duration(rng.Intn(3000)) * time.Millisecond)
@@ -253,32 +174,12 @@ func TestRangeMatchesBorrowVisitorProperty(t *testing.T) {
 					check(tag, qid, lo, lo+uint64(rng.Intn(40)))
 					check(tag, qid, lo, lo) // a single address, present or a hole
 				}
-				if cell.gate {
-					gate.set(false)
-				}
 				st := s.Stats()
-				if st.ArchivedMessages+st.ArchivePendingBlocks == 0 || st.ArchiveReadMessages == 0 {
+				if st.ArchivedMessages == 0 || st.ArchiveReadMessages == 0 {
 					t.Fatalf("the archive tier was never read: %+v", st)
 				}
 			})
 		}
-	}
-}
-
-// awaitArchived polls, for at most ten seconds, until the async archivers
-// have filed every pending block.
-func awaitArchived(t *testing.T, s *Store) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := s.Stats()
-		if st.ArchivePendingBlocks == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("archivers left %d blocks pending: %+v", st.ArchivePendingBlocks, st)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -292,9 +193,8 @@ func TestRangeAllocsDoNotGrowWithWindow(t *testing.T) {
 	id := wire.MustStreamID(9, 0)
 	s := New(Options{
 		MaxMessages: 32, Codec: "auto", ColdBudget: 1, BlockSize: 64,
-		Archive: archive.NewMem(), archiveSync: true,
+		Archive: archive.NewMem(),
 	})
-	defer s.Close()
 	const total = 8192
 	for i := 0; i < total; i++ {
 		s.Append(compressedDel(id, i))

@@ -82,18 +82,18 @@
 // pooled scratch reads decode into, for the codec to encode from. Where a
 // block goes from there depends on the archive:
 //
-//   - With no archive the list is the cold tier, bounded per stream by
-//     Options.ColdBudget: past it the oldest block is dropped
-//     (Stats.EvictedCold).
-//   - With an archive (Options.Archive) a block stays on the list only until
-//     the archiver has filed it in the backend. It then lives on as a
-//     durable ref, 48 bytes in memory, whose bytes a read fetches back from
-//     the backend.
+//   - With no archive it joins the stream's list of sealed blocks, the cold
+//     tier, bounded per stream by Options.ColdBudget: past it the oldest
+//     block is dropped (Stats.EvictedCold).
+//   - With an archive (Options.Archive) the appender that sealed it files it
+//     in the backend at once, under the same shard lock, and the list stays
+//     empty. The block lives on as a durable ref, 48 bytes in memory, whose
+//     bytes a read fetches back from the backend.
 //
-// A stream's history is therefore, oldest first: durable refs, the sealed
-// list, the seal stage, the hot ring. All four hang off the stream's one
+// A stream's history is therefore, oldest first: durable refs or the cold
+// list, the seal stage, the hot ring. All of it hangs off the stream's one
 // record — the ring header and, behind one pointer, its tail — and every
-// read walks them in that order (walkLocked).
+// read walks it in that order (walkLocked).
 package store
 
 import (
@@ -107,7 +107,6 @@ import (
 	"unsafe"
 
 	"github.com/garnet-middleware/garnet/internal/filtering"
-	"github.com/garnet-middleware/garnet/internal/metrics"
 	"github.com/garnet-middleware/garnet/internal/receiver"
 	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/store/codec"
@@ -190,26 +189,21 @@ type Options struct {
 	// compressed bytes, when no archive is attached; the oldest blocks
 	// are dropped (Stats.EvictedCold) past it. <= 0 selects
 	// DefaultColdBudget. The newest block always survives. With an
-	// archive every block spills as it is sealed and no budget applies.
+	// archive no block is kept in memory and no budget applies.
 	ColdBudget int64
 	// BlockSize is the number of deliveries sealed per block; <= 0
 	// selects DefaultBlockSize.
 	BlockSize int
 
-	// Archive enables the durable archive tier: every sealed block is
-	// spilled to this backend, and the read path stitches archived
-	// blocks back transparently — archive → sealed list → stage → hot,
-	// one ascending sequence. Archiving requires sealing; when Codec is
-	// empty it defaults to "auto". nil disables the tier. At construction
-	// the store recovers the backend's manifest and serves archived
-	// history for streams it has never seen live.
+	// Archive enables the durable archive tier: every block is filed in
+	// this backend by the append that seals it, under the stream's shard
+	// lock, so appends pay the backend's write latency; the read path
+	// stitches archived blocks back transparently — archive → stage →
+	// hot, one ascending sequence. Archiving requires sealing; when Codec
+	// is empty it defaults to "auto". nil disables the tier. At
+	// construction the store recovers the backend's manifest and serves
+	// archived history for streams it has never seen live.
 	Archive archive.Backend
-	// archiveSync spills synchronously under the shard lock instead of
-	// through the per-shard archiver goroutines: appends pay the
-	// backend's write latency, but tests are deterministic. Only
-	// in-package tests set it; the queue-full fallback and Close take the
-	// same synchronous path.
-	archiveSync bool
 	// ArchiveMaxAge drops archived blocks whose newest entry is older
 	// than this relative to the newest archived entry (append-side
 	// eviction, deterministic on virtual clocks); <= 0 means unbounded.
@@ -243,17 +237,16 @@ type Stats struct {
 	SealedMessages int64 // deliveries sealed into those blocks
 
 	// RetainedMessages/RetainedBytes are gauge values: what the store
-	// holds in memory right now — hot ring, seal stage and sealed list —
-	// summed across the per-shard gauges. RetainedBytes counts payload
-	// bytes as appended, regardless of how densely sealed blocks store
-	// them.
+	// holds in memory right now — hot ring, seal stage and cold list —
+	// summed across the shards. RetainedBytes counts payload bytes as
+	// appended, regardless of how densely sealed blocks store them.
 	RetainedMessages int64
 	RetainedBytes    int64
 
-	// Sealed-list gauges: compressed blocks held in memory, the
-	// compressed bytes they occupy, and the live payload bytes they
-	// represent. With an archive attached these are the blocks awaiting
-	// the archiver, the ones ArchivePendingBlocks counts.
+	// Cold-tier gauges: compressed blocks held in memory, the compressed
+	// bytes they occupy, and the live payload bytes they represent. With
+	// an archive attached every block is filed as it seals and these
+	// read 0.
 	ColdBlocks   int
 	ColdBytes    int64
 	ColdRawBytes int64
@@ -262,18 +255,19 @@ type Stats struct {
 	EvictedArchive      int64 // dropped from the archive by WithArchiveRetention bounds
 	ArchiveFailed       int64 // lost to backend append errors
 	ArchiveRecovered    int64 // recovered from the backend's manifest at construction
-	ArchiveSyncSpills   int64 // blocks spilled synchronously by the queue-full fallback
+	ArchiveSyncSpills   int64 // always 0: every block is filed by the append that seals it
 	ArchiveReadMessages int64 // entries decoded from archived blocks by reads (read amplification numerator)
 
-	// Archive-tier gauges: durable blocks live right now, their
+	// Archive-tier gauges: durable blocks live right now and their
 	// encoded/raw bytes (RawBytes/Bytes is the archived compression
-	// ratio), sealed blocks the archiver has not committed yet (the
-	// sealed list; their entries still count as retained), and the
-	// spill-queue occupancy across shards.
-	ArchivedBlocks       int64
-	ArchivedMessages     int64
-	ArchivedBytes        int64
-	ArchivedRawBytes     int64
+	// ratio).
+	ArchivedBlocks   int64
+	ArchivedMessages int64
+	ArchivedBytes    int64
+	ArchivedRawBytes int64
+	// ArchivePendingBlocks and ArchiveQueueDepth always read 0: no
+	// sealed block waits to be filed. They and ArchiveSyncSpills remain
+	// for the benchmark, which reads them.
 	ArchivePendingBlocks int64
 	ArchiveQueueDepth    int
 
@@ -321,7 +315,7 @@ type StreamStats struct {
 	FirstSeq uint64 // lowest retained extended sequence (0 when empty)
 	LastSeq  uint64 // highest retained extended sequence (0 when empty)
 	NextWire wire.Seq
-	Count    int   // retained deliveries in memory: hot + stage + sealed list
+	Count    int   // retained deliveries in memory: hot + stage + cold list
 	Bytes    int64 // their payload bytes as appended
 
 	// ResidentBytes estimates the stream's resident heap: the ring
@@ -336,9 +330,9 @@ type StreamStats struct {
 	// forgotten or idle stream shows only its header).
 	ResidentBytes int64
 
-	// Sealed-list view, zero when compression is off or no block is held
-	// in memory. ColdRawBytes/ColdBytes is the stream's compression
-	// ratio.
+	// Cold-tier view, zero when compression is off, an archive is
+	// attached or no block is held in memory. ColdRawBytes/ColdBytes is
+	// the stream's compression ratio.
 	Codec        string // codec of the newest sealed block, held or archived
 	ColdBlocks   int
 	ColdMessages int
@@ -354,7 +348,6 @@ type StreamStats struct {
 	ArchivedMessages int
 	ArchivedBytes    int64 // encoded bytes in the backend
 	ArchivedRawBytes int64 // payload bytes those blocks represent
-	ArchivePending   int   // sealed blocks not yet committed by the archiver
 	ArchiveFloor     uint64
 }
 
@@ -380,8 +373,7 @@ type Store struct {
 }
 
 type shard struct {
-	mu  sync.Mutex
-	idx int
+	mu sync.Mutex
 
 	// screen is Ingest's share of the duplicate screen for this shard's
 	// streams: the window size and the counters, mutated under mu.
@@ -399,21 +391,19 @@ type shard struct {
 	lastRx    string
 	lastRxIdx uint32
 
-	// Hot-path counters are plain ints under mu; retained totals are
-	// gauges so dashboards can read them without taking shard locks.
-	appended      int64
-	duplicates    int64
-	droppedBehind int64
-	evictedCount  int64
-	evictedBytes  int64
-	evictedAge    int64
-	evictedCold   int64
-	forgotten     int64
-	sealedBlocks  int64
-	sealedMsgs    int64
-
-	retainedMessages metrics.Gauge
-	retainedBytes    metrics.Gauge
+	// Counters are plain ints under mu, read by Stats under it too.
+	appended         int64
+	duplicates       int64
+	droppedBehind    int64
+	evictedCount     int64
+	evictedBytes     int64
+	evictedAge       int64
+	evictedCold      int64
+	forgotten        int64
+	sealedBlocks     int64
+	sealedMsgs       int64
+	retainedMessages int64
+	retainedBytes    int64
 
 	// Archive-tier counters, plain ints under mu like the rest; the
 	// per-stream archive state lives on each ring's tail.
@@ -423,7 +413,6 @@ type shard struct {
 	archivedRaw      int64
 	evictedArchive   int64
 	archiveFailed    int64
-	spillSync        int64
 	archiveRecovered int64
 	archiveReadMsgs  int64
 
@@ -525,26 +514,24 @@ type tail struct {
 	largest     uint32
 	sealedArena uint32
 
-	// Sealed history, oldest first: every sequence in refs precedes every
-	// one in blocks, which precede stage's, which precede the hot ring's,
-	// so reads stitch the four in that order. Entries leave the hot ring
-	// oldest first into stage by a copy of their slot — a longer payload
-	// stays where it was, in the arena — and a full stage seals into one
-	// immutable compressed block appended to blocks. Staged and listed
-	// entries are still retained: the shard gauges do not move when an
-	// entry is sealed, only when a block is dropped or archived.
+	// Sealed history, oldest first: every sequence in refs or blocks
+	// precedes every one in stage, which precede the hot ring's, so reads
+	// stitch them in that order. Entries leave the hot ring oldest first
+	// into stage by a copy of their slot — a longer payload stays where it
+	// was, in the arena — and a full stage seals into one immutable
+	// compressed block, filed in the archive or, without one, appended to
+	// blocks, the cold tier. Staged and cold entries are still retained:
+	// the shard's retained counts do not move when an entry is sealed,
+	// only when a block is dropped or archived.
 	stage      []slot // capacity BlockSize, allocated once
 	blocks     []block
 	blockBytes int64 // compressed bytes across blocks
 
 	// The archive tier (Options.Archive). refs are the blocks the backend
 	// holds, ascending; floor mirrors the retention cut the backend
-	// persisted; inflight is the LastSeq of the blocks head the archiver
-	// is writing right now (0 when none): droppers must not recycle that
-	// block's buffer, and the archiver reconciles against it on return.
-	refs     []archive.Ref
-	floor    uint64
-	inflight uint64
+	// persisted.
+	refs  []archive.Ref
+	floor uint64
 }
 
 // noTail is the tail of every ring that owns none. It is shared, so it
@@ -687,7 +674,7 @@ func New(opts Options) *Store {
 	s.decodeName = s.names.bytes
 	s.shards = make([]*shard, cmp.Or(opts.shards, wire.Shards))
 	for i := range s.shards {
-		s.shards[i] = &shard{idx: i, names: &s.names}
+		s.shards[i] = &shard{names: &s.names}
 		s.shards[i].screen.Init(filtering.Options{})
 	}
 	if opts.Archive != nil {
@@ -881,8 +868,8 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 		// emptied here and refilled below — and credit Duplicates so
 		// Appended − losses still reconciles with the retained gauge.
 		sh.duplicates++
-		sh.retainedBytes.Add(-r.vacateLocked(e))
-		sh.retainedMessages.Add(-1)
+		sh.retainedBytes -= r.vacateLocked(e)
+		sh.retainedMessages--
 	}
 
 	// The slot is packed field by field, and marked occupied last: making
@@ -910,8 +897,8 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 	e.ext = ext
 	r.count++
 	r.bytes += int64(len(p))
-	sh.retainedMessages.Add(1)
-	sh.retainedBytes.Add(int64(len(p)))
+	sh.retainedMessages++
+	sh.retainedBytes += int64(len(p))
 
 	// Retention bounds, oldest-first. The newest entry always survives.
 	// With compression enabled these retirements seal instead of
@@ -1058,8 +1045,8 @@ func (s *Store) retireLowestLocked(sh *shard, r *ring, id wire.StreamID, reason 
 // eviction to *reason. Caller holds mu.
 func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 	ext := r.oldestLocked()
-	sh.retainedBytes.Add(-r.vacateLocked(&r.slots[ext&r.slotMask()]))
-	sh.retainedMessages.Add(-1)
+	sh.retainedBytes -= r.vacateLocked(&r.slots[ext&r.slotMask()])
+	sh.retainedMessages--
 	*reason++
 	r.minExt = ext + 1
 	if r.count == 0 {
@@ -1070,7 +1057,7 @@ func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 // sealLowestLocked moves the oldest hot entry into the seal stage by
 // copying its slot; a payload in the arena stays there, still held. A
 // full stage seals into one compressed block. The entry stays retained
-// throughout — the shard gauges do not move. Caller holds mu.
+// throughout — the shard's retained counts do not move. Caller holds mu.
 func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
 	t := r.ownTail()
 	if t.stage == nil {
@@ -1092,11 +1079,11 @@ func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
 }
 
 // sealStageLocked encodes the staged entries into one immutable block
-// (into a recycled buffer when one is parked) and appends it to the
-// sealed list, unpacking them for the codec into pooled scratch, which it
-// clears after so the pool holds no payload. Their arena bytes go dead.
-// With an archive the block goes to the archiver at once; without one
-// the per-stream budget drops the oldest blocks past it. Caller holds mu.
+// (into a recycled buffer when one is parked), unpacking them for the
+// codec into pooled scratch, which it clears after so the pool holds no
+// payload. Their arena bytes go dead. With an archive the block is filed
+// in the backend at once; without one it joins the cold list, whose
+// per-stream budget drops the oldest blocks past it. Caller holds mu.
 func (s *Store) sealStageLocked(sh *shard, r *ring, id wire.StreamID) {
 	t := r.tail
 	ds := decodePool.Get().(*decodeScratch)
@@ -1110,25 +1097,26 @@ func (s *Store) sealStageLocked(sh *shard, r *ring, id wire.StreamID) {
 	c := s.picker(entries)
 	data := c.Encode(sh.blockBufLocked(), entries)
 	last := &entries[len(entries)-1]
-	t.blocks = append(t.blocks, block{
+	b := block{
 		Ref: archive.Ref{
 			Codec: c.ID(), FirstSeq: entries[0].StoreSeq, LastSeq: last.StoreSeq,
 			Count: int32(len(entries)), RawBytes: raw, Bytes: int64(len(data)),
 			LastUnix: last.At.UnixNano(),
 		},
 		data: data,
-	})
+	}
 	clear(entries)
 	ds.entries = entries[:0]
 	decodePool.Put(ds)
-	t.blockBytes += int64(len(data))
 	sh.sealedBlocks++
 	sh.sealedMsgs += int64(len(t.stage))
 	t.stage = t.stage[:0]
 	if s.arch != nil {
-		s.spillLocked(sh, t, id)
+		s.spillLocked(sh, t, id, b)
 		return
 	}
+	t.blocks = append(t.blocks, b)
+	t.blockBytes += b.Bytes
 	for len(t.blocks) > 1 && t.blockBytes > s.coldBudget {
 		sh.dropBlockLocked(t, &sh.evictedCold)
 	}
@@ -1146,25 +1134,15 @@ func popHead[T any](list *[]T) T {
 	return head
 }
 
-// popBlock removes the oldest block from t's sealed list and returns it;
-// t holds at least one.
-func (t *tail) popBlock() block {
+// dropBlockLocked drops the oldest cold block, crediting its live entries
+// to *reason and recycling its buffer. Caller holds mu.
+func (sh *shard) dropBlockLocked(t *tail, reason *int64) {
 	b := popHead(&t.blocks)
 	t.blockBytes -= b.Bytes
-	return b
-}
-
-// dropBlockLocked drops the oldest held block, crediting its live entries
-// to *reason and recycling its buffer — unless the archiver has it in
-// flight, which then recycles it on return. Caller holds mu.
-func (sh *shard) dropBlockLocked(t *tail, reason *int64) {
-	b := t.popBlock()
-	sh.retainedMessages.Add(-int64(b.Count))
-	sh.retainedBytes.Add(-b.RawBytes)
+	sh.retainedMessages -= int64(b.Count)
+	sh.retainedBytes -= b.RawBytes
 	*reason += int64(b.Count)
-	if t.inflight != b.LastSeq {
-		sh.recycleBufLocked(b.data)
-	}
+	sh.recycleBufLocked(b.data)
 }
 
 // dropStagePrefixLocked drops the first k staged entries, crediting
@@ -1177,15 +1155,15 @@ func (sh *shard) dropStagePrefixLocked(t *tail, k int, reason *int64) {
 	for i := range t.stage[:k] {
 		freed += t.release(&t.stage[i])
 	}
-	sh.retainedMessages.Add(-int64(k))
-	sh.retainedBytes.Add(-freed)
+	sh.retainedMessages -= int64(k)
+	sh.retainedBytes -= freed
 	*reason += int64(k)
 	t.stage = t.stage[:copy(t.stage, t.stage[k:])]
 }
 
 // evictToLocked drops every retained entry below upto, oldest first down
 // all four tiers, crediting *reason per entry. A block that straddles
-// upto, archived or held, keeps its bytes: only its live bookkeeping
+// upto, archived or cold, keeps its bytes: only its live bookkeeping
 // advances past the dead prefix (cutHeadLocked). Caller holds mu.
 func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64, reason *int64) {
 	t := r.tail
@@ -1203,8 +1181,8 @@ func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64,
 	for len(t.blocks) > 0 && t.blocks[0].FirstSeq < upto {
 		if b := &t.blocks[0]; b.LastSeq >= upto {
 			if cut, raw, ok := s.cutHeadLocked(id, &b.Ref, b.data, upto); ok {
-				sh.retainedMessages.Add(-int64(cut))
-				sh.retainedBytes.Add(-raw)
+				sh.retainedMessages -= int64(cut)
+				sh.retainedBytes -= raw
 				*reason += int64(cut)
 				break
 			}
@@ -1252,7 +1230,7 @@ func (s *Store) cutHeadLocked(id wire.StreamID, ref *archive.Ref, data []byte, u
 	return 0, 0, false
 }
 
-// lastSealed returns the highest sealed sequence — on the list, else
+// lastSealed returns the highest sealed sequence — on the cold list, else
 // archived — or 0 when the stream has none.
 func (t *tail) lastSealed() uint64 {
 	if n := len(t.blocks); n > 0 {
@@ -1323,8 +1301,8 @@ type decodeScratch struct {
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // walkLocked presents the stream's retained history that intersects
-// [from, to] in ascending sequence order: the sealed blocks — archived,
-// then held — then the stage and hot-ring entries one by one. It is the
+// [from, to] in ascending sequence order: the sealed blocks — archived
+// or cold — then the stage and hot-ring entries one by one. It is the
 // one place that knows the tier order; every range read drives it. A
 // block is handed over whole, its header and its bytes (nil for an
 // archived block, whose bytes the backend holds under ref.LastSeq): the
@@ -1610,13 +1588,11 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	}
 	before := sh.forgotten
 	t := r.tail
-	durable := len(t.refs) > 0 || t.inflight != 0
+	durable := len(t.refs) > 0
 	s.evictToLocked(sh, r, id, upto, &sh.forgotten)
 	if durable && upto > t.floor {
 		// Persist the cut: the backend deletes the blocks wholly below
-		// it, and recovery hides the dead prefix of a block it cuts into
-		// — or of the block the archiver is writing with its pre-cut
-		// header.
+		// it, and recovery hides the dead prefix of a block it cuts into.
 		t.floor = upto
 		s.arch.backend.DeleteBefore(id, upto)
 	}
@@ -1630,7 +1606,7 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 // the stream resumes. The Orphanage calls this when it evicts an
 // unclaimed stream, so Forget is the moment a dead stream's memory must
 // actually return to the heap: the slot ring and the tail — payload
-// arena, seal stage, sealed list and archived refs — are released, not
+// arena, seal stage, cold list and archived refs — are released, not
 // just emptied, leaving only the ring header behind the unwrap state and
 // the duplicate window, which a deployment has never reset either. A
 // resumed stream re-materialises its ring in appendLocked and is screened
@@ -1740,9 +1716,6 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		st.ArchivedBytes += t.refs[i].Bytes
 		st.ArchivedRawBytes += t.refs[i].RawBytes
 	}
-	if s.arch != nil {
-		st.ArchivePending = len(t.blocks)
-	}
 	if r.count > 0 {
 		st.LastSeq = r.maxExt
 	} else {
@@ -1805,12 +1778,11 @@ func (s *Store) Stats() Stats {
 				st.ColdRawBytes += r.tail.blocks[i].RawBytes
 			}
 		}
-		st.RetainedMessages += sh.retainedMessages.Value()
-		st.RetainedBytes += sh.retainedBytes.Value()
+		st.RetainedMessages += sh.retainedMessages
+		st.RetainedBytes += sh.retainedBytes
 		st.EvictedArchive += sh.evictedArchive
 		st.ArchiveFailed += sh.archiveFailed
 		st.ArchiveRecovered += sh.archiveRecovered
-		st.ArchiveSyncSpills += sh.spillSync
 		st.ArchiveReadMessages += sh.archiveReadMsgs
 		st.ArchivedBlocks += sh.archivedBlocks
 		st.ArchivedMessages += sh.archivedMsgs
@@ -1819,10 +1791,6 @@ func (s *Store) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	if s.arch != nil {
-		st.ArchivePendingBlocks = int64(st.ColdBlocks)
-		for _, q := range s.arch.queues {
-			st.ArchiveQueueDepth += q.Len()
-		}
 		if s.arch.writeLat.Count() > 0 {
 			st.ArchiveWriteP50Ms = s.arch.writeLat.Percentile(50)
 			st.ArchiveWriteP99Ms = s.arch.writeLat.Percentile(99)

@@ -526,9 +526,8 @@ func TestArchivedSealCycleAllocatesNothing(t *testing.T) {
 	backend := new(countingBackend)
 	s := New(Options{
 		MaxMessages: 16, Codec: "auto", BlockSize: block,
-		Archive: backend, archiveSync: true, ArchiveMaxBytes: 4096,
+		Archive: backend, ArchiveMaxBytes: 4096,
 	})
-	defer s.Close()
 	id := wire.MustStreamID(1, 0)
 	payload := make([]byte, 24) // too long for a slot: the arena is in play
 	seq := 0

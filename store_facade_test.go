@@ -337,7 +337,7 @@ func TestArchiveRetentionOption(t *testing.T) {
 	}
 	g.Start()
 	clock.Advance(400 * time.Second)
-	g.Stop() // drains the archiver: every spill committed, every bound applied
+	g.Stop() // no more samples; each block was filed, and bounded, as it sealed
 
 	st := g.Stats().Store
 	if st.ArchivedMessages == 0 || st.EvictedArchive == 0 {
