@@ -230,9 +230,10 @@ func inspectArchive(w io.Writer, dir string) error {
 }
 
 // inspectStore appends every decoded data frame into a fresh Stream Store
-// and dumps the retention view it produces. With a codec named, evictions
-// seal into the cold compressed tier (small blocks, so even short traces
-// seal some) and the dump grows per-stream codec and compression-ratio
+// and dumps the retention view it produces. With a codec named, the hot
+// window holds max(retain, 8) entries and a full one seals its oldest 8
+// into the cold compressed tier (small blocks, so even short traces seal
+// some), and the dump grows per-stream codec and compression-ratio
 // columns.
 func inspectStore(w io.Writer, frames [][]byte, retain int, codecName string) error {
 	st := store.New(store.Options{MaxMessages: retain, Codec: codecName, BlockSize: 8})

@@ -1,7 +1,7 @@
 // Package archive defines the Stream Store's durable retention tier: a
 // pluggable block backend that receives every compressed block the store
 // seals, as it seals it, and serves them back to the store's read path, so
-// replay stitches archive → seal stage → hot → live transparently.
+// replay stitches archive → hot → live transparently.
 //
 // The unit of exchange is the store's sealed block exactly as the codec
 // package encoded it — a self-contained byte string tagged with its

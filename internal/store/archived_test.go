@@ -423,7 +423,6 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 					stores[i] = New(o)
 				}
 				ref := newRefStore(opts)
-				ref.freeze = true
 
 				streams := make([]wire.StreamID, 4)
 				wireSeq := make([]int, len(streams))

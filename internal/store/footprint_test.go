@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -91,7 +92,7 @@ func TestSlotIsPointerFree(t *testing.T) {
 // TestIdleStreamOwnsNoTail holds the split between header and tail: a
 // stream whose payloads fit its slots and that has no codec never owns a
 // tail, one longer payload gives it one, Forget takes it back, and a
-// stream with a codec keeps its tail while it holds sealed or staged
+// stream with a codec owns one from its first seal while it holds sealed
 // entries.
 func TestIdleStreamOwnsNoTail(t *testing.T) {
 	s := New(Options{})
@@ -135,10 +136,10 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 	if owns(c, id) {
 		t.Fatal("a codec stream owns a tail before anything left its hot window")
 	}
-	for seq := 4; seq < 64; seq++ { // each append moves one entry past the 4 hot slots
+	for seq := 4; seq < 64; seq++ { // the first seals the 4 hot entries into a block
 		c.Append(del(id, wire.Seq(seq), epoch, []byte{byte(seq)}))
 		if st, _ := c.StreamStats(id); !owns(c, id) {
-			t.Fatalf("seq %d: %d cold or staged entries without a tail", seq, st.Count-4)
+			t.Fatalf("seq %d: %d cold entries without a tail", seq, st.ColdMessages)
 		}
 	}
 	if st, _ := c.StreamStats(id); st.ColdBlocks == 0 {
@@ -150,32 +151,70 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 	}
 }
 
-// TestStageFootprint pins the seal stage of a stream that has sealed: one
-// array of DefaultBlockSize slots, 64 bytes each and of the pointer-free
-// type TestSlotIsPointerFree holds, so the collector never scans it — 4 KB
-// per codec stream, whatever its payloads' size. A payload longer than a
-// slot's stays in the stream's arena, and nothing else is kept per staged
-// entry: the deliveries a seal unpacks for the codec are cleared after.
-func TestStageFootprint(t *testing.T) {
-	s := New(Options{Codec: "raw", MaxMessages: 4})
-	id := wire.MustStreamID(1, 0)
-	for seq := 0; seq < 4+DefaultBlockSize+5; seq++ { // one block sealed, five staged
-		s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, 40)))
+// TestSealingStreamFootprint pins what a stream that seals holds beyond
+// an idle one: its ring header and hot slots, and a tail of one size
+// class up to 112 bytes — the arena, then the cold blocks or the archived
+// refs. A seal unpacks the hot entries it takes into pooled scratch and
+// vacates their slots, so nothing is kept per stream for the next block:
+// no field of the tail holds slots, ResidentBytes is exactly the header,
+// the slots, the tail, the arena's capacity and the blocks or refs, the
+// arena holds only hot payloads, and the scratch goes back to the pool
+// holding nothing.
+func TestSealingStreamFootprint(t *testing.T) {
+	if got := sizeClass(unsafe.Sizeof(tail{})); got > 112 {
+		t.Fatalf("the tail is %d B (class %d), budget 112", unsafe.Sizeof(tail{}), got)
 	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tl := sh.rings.get(id).tail
-	if typ := reflect.TypeOf(tl.stage).Elem(); typ != reflect.TypeOf(slot{}) {
-		t.Fatalf("the stage holds %v, want the pointer-free slot", typ)
+	t.Logf("a sealing stream's tail is %d B", unsafe.Sizeof(tail{}))
+	typ := reflect.TypeOf(tail{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type == reflect.TypeOf([]slot(nil)) {
+			t.Fatalf("tail.%s holds slots: every sealing stream would pay for them", f.Name)
+		}
 	}
-	if got, want := uintptr(cap(tl.stage))*unsafe.Sizeof(slot{}), uintptr(DefaultBlockSize*64); len(tl.stage) != 5 || got != want {
-		t.Fatalf("stage of %d entries is %d B at capacity, want %d", len(tl.stage), got, want)
+	for _, archived := range []bool{false, true} {
+		opts := Options{Codec: "raw", MaxMessages: 4, ColdBudget: 1 << 20}
+		if archived {
+			opts.Archive = archive.NewMem()
+		}
+		s := New(opts)
+		id := wire.MustStreamID(1, 0)
+		seq := 0
+		put := func(n, size int) {
+			for ; n > 0; n-- {
+				s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, size)))
+				seq++
+			}
+		}
+		check := func(when string, hot int, held int64) {
+			t.Helper()
+			tag := fmt.Sprintf("archived=%v, %s", archived, when)
+			st, _ := s.StreamStats(id)
+			sh := s.shardFor(id)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			r := sh.rings.get(id)
+			tl := r.tail
+			if int(r.count) != hot || tl.held != held || st.Count != hot+st.ColdMessages {
+				t.Fatalf("%s: %d hot, %d B in the arena, count %d; want %d hot, %d B, %d hot + %d cold",
+					tag, r.count, tl.held, st.Count, hot, held, hot, st.ColdMessages)
+			}
+			if sealed := len(tl.blocks) + len(tl.refs); sealed == 0 || archived != (len(tl.refs) > 0) {
+				t.Fatalf("%s: %d cold blocks and %d refs", tag, len(tl.blocks), len(tl.refs))
+			}
+			want := int64(unsafe.Sizeof(ring{})) + int64(cap(r.slots))*int64(unsafe.Sizeof(slot{})) +
+				int64(unsafe.Sizeof(tail{})) + int64(cap(tl.arena)) +
+				int64(cap(tl.blocks))*int64(unsafe.Sizeof(block{})) + tl.blockBytes +
+				int64(cap(tl.refs))*int64(unsafe.Sizeof(archive.Ref{}))
+			if st.ResidentBytes != want {
+				t.Fatalf("%s: resident %d B, want %d", tag, st.ResidentBytes, want)
+			}
+		}
+		put(DefaultBlockSize+5, 40) // one block sealed, five long payloads hot
+		check("long payloads hot", 5, 5*40)
+		put(DefaultBlockSize, 8) // every long payload sealed away, five short ones hot
+		check("short payloads hot", 5, 0)
 	}
-	if want := int64(4+5) * 40; tl.held != want {
-		t.Fatalf("the arena holds %d B for the hot and staged payloads, want %d", tl.held, want)
-	}
-	// The scratch the seal unpacked into went back to the pool holding
+	// The scratch the seals unpacked into went back to the pool holding
 	// nothing: on one goroutine the pool hands the last one put back.
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)

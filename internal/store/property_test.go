@@ -29,11 +29,18 @@ type refStore struct {
 	maxAge   time.Duration
 	streams  map[wire.StreamID]*refStream
 
-	// freeze models the compressed store's cold tier: entries evicted by
-	// the retention bounds move to a frozen list instead of disappearing,
-	// exactly as the real store seals them into cold blocks. Queries
-	// return frozen ∪ live.
-	freeze bool
+	// block, when non-zero (Options.Codec set), models sealed history:
+	// entries the retention bounds retire move to a frozen list, block
+	// at a time, instead of disappearing — the block rule the store
+	// seals by: the live entries are bounded by maxMsgs =
+	// max(MaxMessages, BlockSize), an append that would take a new
+	// place in a full window first freezes the oldest block (or finds
+	// no room when it arrives behind the window, or goes behind when
+	// the block was frozen past it), the span bound freezes the oldest
+	// min(block, live) at a time, and the byte and age bounds freeze
+	// the oldest block while more than a block is live. Queries return
+	// frozen ∪ live.
+	block int
 }
 
 type refEntry struct {
@@ -43,7 +50,7 @@ type refEntry struct {
 
 type refStream struct {
 	entries  []refEntry // present entries, ascending ext
-	frozen   []refEntry // bound-evicted entries, ascending ext (freeze mode)
+	frozen   []refEntry // bound-retired entries, ascending ext (block > 0)
 	span     int        // current ring span (grows 8 → ringMax)
 	minExt   uint64
 	maxExt   uint64
@@ -56,25 +63,44 @@ func newRefStore(opts Options) *refStore {
 	if opts.MaxMessages <= 0 {
 		opts.MaxMessages = DefaultMaxMessages
 	}
-	return &refStore{
+	rs := &refStore{
 		maxMsgs:  opts.MaxMessages,
-		ringMax:  ceilPow2(opts.MaxMessages),
 		maxBytes: opts.MaxBytes,
 		maxAge:   opts.MaxAge,
 		streams:  make(map[wire.StreamID]*refStream),
 	}
+	if opts.Codec != "" {
+		rs.block = opts.BlockSize
+		if rs.block <= 0 {
+			rs.block = DefaultBlockSize
+		}
+		rs.maxMsgs = max(rs.maxMsgs, rs.block)
+	}
+	rs.ringMax = ceilPow2(rs.maxMsgs)
+	return rs
 }
 
-func (r *refStream) evictOldest(freeze bool) {
-	e := r.entries[0]
-	r.entries = r.entries[1:]
+// evictOldest drops the oldest n live entries, or freezes them when
+// freeze is set.
+func (r *refStream) evictOldest(n int, freeze bool) {
 	if freeze {
-		r.frozen = append(r.frozen, e)
+		r.frozen = append(r.frozen, r.entries[:n]...)
 	}
-	r.minExt = e.ext + 1
+	r.minExt = r.entries[n-1].ext + 1
+	r.entries = r.entries[n:]
 	if len(r.entries) == 0 {
 		r.minExt, r.maxExt = 0, 0
 	}
+}
+
+// retire takes live entries off the window's low end: the oldest one
+// dropped, or with a block size the oldest min(block, live) frozen.
+func (rs *refStore) retire(r *refStream) {
+	if rs.block == 0 {
+		r.evictOldest(1, false)
+		return
+	}
+	r.evictOldest(min(rs.block, len(r.entries)), true)
 }
 
 func (rs *refStore) append(d filtering.Delivery) uint64 {
@@ -93,6 +119,17 @@ func (rs *refStore) append(d filtering.Delivery) uint64 {
 		r.lastExt, r.lastWire = ext, d.Msg.Seq
 	}
 	r.appends++
+	at := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].ext >= ext })
+	present := at < len(r.entries) && r.entries[at].ext == ext
+	if rs.block > 0 && len(r.entries) >= rs.maxMsgs && !present {
+		if ext < r.minExt {
+			return ext // no room to open the stream behind a full window
+		}
+		r.evictOldest(rs.block, true)
+		if ext <= r.frozen[len(r.frozen)-1].ext {
+			return ext // the block was frozen past it: behind the window
+		}
+	}
 	if len(r.entries) > 0 && ext < r.minExt {
 		// Behind the window: kept only as a fill that opens the stream,
 		// with every earlier append still live and the span able to grow
@@ -114,7 +151,7 @@ func (rs *refStore) append(d filtering.Delivery) uint64 {
 		if ext-r.minExt >= uint64(r.span) {
 			target := ext - uint64(r.span) + 1
 			for len(r.entries) > 0 && r.entries[0].ext < target {
-				r.evictOldest(rs.freeze)
+				rs.retire(r)
 			}
 			if len(r.entries) > 0 && r.minExt < target {
 				r.minExt = target
@@ -127,7 +164,7 @@ func (rs *refStore) append(d filtering.Delivery) uint64 {
 	}
 	d.StoreSeq = ext
 	d.Msg.Payload = append([]byte(nil), d.Msg.Payload...)
-	at := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].ext >= ext })
+	at = sort.Search(len(r.entries), func(i int) bool { return r.entries[i].ext >= ext })
 	if at < len(r.entries) && r.entries[at].ext == ext {
 		r.entries[at] = refEntry{ext: ext, d: d}
 	} else {
@@ -136,24 +173,25 @@ func (rs *refStore) append(d filtering.Delivery) uint64 {
 		r.entries[at] = refEntry{ext: ext, d: d}
 	}
 	for len(r.entries) > rs.maxMsgs {
-		r.evictOldest(rs.freeze)
+		rs.retire(r)
 	}
+	keep := max(1, rs.block)
 	if rs.maxBytes > 0 {
-		for r.bytes() > rs.maxBytes && len(r.entries) > 1 {
-			r.evictOldest(rs.freeze)
+		for r.bytes() > rs.maxBytes && len(r.entries) > keep {
+			rs.retire(r)
 		}
 	}
 	if rs.maxAge > 0 {
 		cutoff := d.At.Add(-rs.maxAge)
-		for len(r.entries) > 1 && r.entries[0].d.At.Before(cutoff) {
-			r.evictOldest(rs.freeze)
+		for len(r.entries) > keep && r.entries[0].d.At.Before(cutoff) {
+			rs.retire(r)
 		}
 	}
 	return ext
 }
 
 // all returns frozen ∪ live in ascending extended-sequence order. Every
-// frozen entry precedes every live one: frozen entries are evicted off
+// frozen entry precedes every live one: frozen entries are retired off
 // the window's low edge, and a below-window append is kept only while
 // nothing has left the live entries.
 func (r *refStream) all() []refEntry {
@@ -178,7 +216,7 @@ func (rs *refStore) evictTo(id wire.StreamID, upto uint64) int {
 		n++
 	}
 	for len(r.entries) > 0 && r.entries[0].ext < upto {
-		r.evictOldest(false)
+		r.evictOldest(1, false)
 		n++
 	}
 	return n
@@ -462,10 +500,10 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 }
 
 // TestCompressedStoreMatchesFrozenReference is the compressed-tier
-// differential: the reference freezes bound-evicted entries instead of
-// dropping them, exactly as the store seals them into cold blocks, so
-// every query over frozen ∪ live must match the store's cold → stage →
-// hot stitching byte for byte. Each codec (and auto) runs at shard
+// differential: the reference freezes bound-retired entries by the block
+// rule instead of dropping them, exactly as the store seals them into
+// cold blocks, so every query over frozen ∪ live must match the store's
+// cold → hot stitching byte for byte. Each codec (and auto) runs at shard
 // counts 1, 4 and 16 over workloads mixing wire-seq wraps, forward
 // jumps, late fills, duplicate re-appends, per-stream payload shapes
 // chosen to favour different codecs (the noise stream's lengths run from
@@ -475,15 +513,18 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 	partitions := []int{1, 4, wire.Shards}
 	codecs := []string{"raw", "gorilla", "rle", "lz", "auto"}
 	for ci, codecName := range codecs {
-		for trial := 0; trial < 2; trial++ {
+		for trial := 0; trial < 3; trial++ {
 			rng := rand.New(rand.NewSource(int64(100*ci + trial)))
 			opts := Options{
-				MaxMessages: []int{8, 16}[trial],
-				MaxBytes:    []int64{0, 400}[trial],
-				MaxAge:      []time.Duration{0, 40 * time.Second}[trial],
+				MaxMessages: []int{8, 16, 5}[trial],
+				MaxBytes:    []int64{0, 400, 0}[trial],
+				MaxAge:      []time.Duration{0, 40 * time.Second, 0}[trial],
 				Codec:       codecName,
 				ColdBudget:  1 << 40, // effectively unbounded: the reference never thaws
-				BlockSize:   8,
+				// A block of 6 fills a window of 6 in a ring of 8, so a
+				// fill can land in a full window's gap and have its block
+				// seal the whole window past it.
+				BlockSize: []int{8, 8, 6}[trial],
 			}
 			stores := make([]*Store, len(partitions))
 			for i, n := range partitions {
@@ -492,7 +533,6 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 				stores[i] = New(o)
 			}
 			ref := newRefStore(opts)
-			ref.freeze = true
 
 			streams := make([]wire.StreamID, 4)
 			wireSeq := make([]int, len(streams))

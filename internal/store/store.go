@@ -73,14 +73,20 @@
 //
 // # Sealed history
 //
-// With a codec configured (Options.Codec), an entry the hot bounds push out
-// of the ring is not dropped: it moves to the seal stage, and a full stage
-// is encoded into one immutable block appended to the stream's one list of
-// sealed blocks. The stage is slots like the ring, BlockSize of them, and
-// an entry moves there as its slot, a payload in the arena staying where
-// it was until the block seals; only then is the stage unpacked, into the
-// pooled scratch reads decode into, for the codec to encode from. Where a
-// block goes from there depends on the archive:
+// With a codec configured (Options.Codec), entries the hot bounds push out
+// of the ring are not dropped: they are sealed straight from the ring,
+// BlockSize at a time, into one immutable block. The oldest entries are
+// unpacked into the pooled scratch reads decode into, encoded, and only
+// then vacated. The hot window holds at most T = max(MaxMessages,
+// BlockSize) entries, which bounds the uncompressed entries in memory,
+// and the ring is sized for T: an append that would take a new slot in a
+// full window first seals the oldest block, so under the count bound a
+// sealing stream keeps between T−BlockSize+1 and T entries hot, where
+// late fills and replacements still land. The byte and age bounds seal
+// the oldest block while more than one block is hot, so up to BlockSize
+// entries past them stay hot until a block is whole. A forward jump past
+// the ring's span seals what falls below it and may seal a smaller last
+// block. Where a block goes from there depends on the archive:
 //
 //   - With no archive it joins the stream's list of sealed blocks, the cold
 //     tier, bounded per stream by Options.ColdBudget: past it the oldest
@@ -91,7 +97,7 @@
 //     bytes a read fetches back from the backend.
 //
 // A stream's history is therefore, oldest first: durable refs or the cold
-// list, the seal stage, the hot ring. All of it hangs off the stream's one
+// list, then the hot ring. All of it hangs off the stream's one
 // record — the ring header and, behind one pointer, its tail — and every
 // read walks it in that order (walkLocked).
 package store
@@ -164,7 +170,9 @@ type Options struct {
 	// in-package tests set it, to hold one table against many.
 	shards int
 	// MaxMessages bounds retained deliveries per stream; <= 0 selects
-	// DefaultMaxMessages. The ring is sized to the next power of two.
+	// DefaultMaxMessages. With a codec it bounds the uncompressed hot
+	// entries instead, raised to BlockSize if below it (see Sealed
+	// history). The ring is sized to the next power of two of that bound.
 	MaxMessages int
 	// MaxBytes bounds retained payload bytes per stream; <= 0 means
 	// unbounded. The newest delivery is always retained, even when it
@@ -175,11 +183,11 @@ type Options struct {
 	// deterministic on virtual clocks); <= 0 means unbounded.
 	MaxAge time.Duration
 
-	// Codec enables sealed history: deliveries evicted from the hot ring
-	// by the count/byte/age bounds pass through the seal stage into
-	// immutable compressed blocks instead of being dropped, and the read
-	// path stitches them back transparently. A stream that has sealed
-	// keeps its stage, BlockSize pointer-free 64-byte slots, until Forget.
+	// Codec enables sealed history: deliveries the count/byte/age bounds
+	// push out of the hot ring are sealed from it, BlockSize at a time,
+	// into immutable compressed blocks instead of being dropped, and the
+	// read path stitches them back transparently. Without an archive the
+	// newest block counts against ColdBudget as soon as it seals.
 	// "" disables it (evictions drop, the pre-compression behaviour).
 	// Valid names are "auto", "gorilla", "rle", "lz" and "raw"; New panics
 	// on anything else: a config typo should not silently disable
@@ -191,15 +199,16 @@ type Options struct {
 	// DefaultColdBudget. The newest block always survives. With an
 	// archive no block is kept in memory and no budget applies.
 	ColdBudget int64
-	// BlockSize is the number of deliveries sealed per block; <= 0
-	// selects DefaultBlockSize.
+	// BlockSize is the number of deliveries sealed per block (a forward
+	// jump past the ring's span may seal fewer); <= 0 selects
+	// DefaultBlockSize.
 	BlockSize int
 
 	// Archive enables the durable archive tier: every block is filed in
 	// this backend by the append that seals it, under the stream's shard
 	// lock, so appends pay the backend's write latency; the read path
-	// stitches archived blocks back transparently — archive → stage →
-	// hot, one ascending sequence. Archiving requires sealing; when Codec
+	// stitches archived blocks back transparently — archive → hot, one
+	// ascending sequence. Archiving requires sealing; when Codec
 	// is empty it defaults to "auto". nil disables the tier. At
 	// construction the store recovers the backend's manifest and serves
 	// archived history for streams it has never seen live.
@@ -237,7 +246,7 @@ type Stats struct {
 	SealedMessages int64 // deliveries sealed into those blocks
 
 	// RetainedMessages/RetainedBytes are gauge values: what the store
-	// holds in memory right now — hot ring, seal stage and cold list —
+	// holds in memory right now — hot ring and cold list —
 	// summed across the shards. RetainedBytes counts payload bytes as
 	// appended, regardless of how densely sealed blocks store them.
 	RetainedMessages int64
@@ -315,15 +324,14 @@ type StreamStats struct {
 	FirstSeq uint64 // lowest retained extended sequence (0 when empty)
 	LastSeq  uint64 // highest retained extended sequence (0 when empty)
 	NextWire wire.Seq
-	Count    int   // retained deliveries in memory: hot + stage + cold list
+	Count    int   // retained deliveries in memory: hot + cold list
 	Bytes    int64 // their payload bytes as appended
 
 	// ResidentBytes estimates the stream's resident heap: the ring
 	// header and the hot slot array at capacity and, once the stream
-	// owns one, the tail record with its payload arena — every hot and
-	// staged payload longer than a slot — and its stage's slots at
-	// capacity, the sealed blocks' headers plus compressed data, and the
-	// archived refs' index.
+	// owns one, the tail record with its payload arena — every hot
+	// payload longer than a slot — the sealed blocks' headers plus
+	// compressed data, and the archived refs' index.
 	// Receiver names live in the store's name table and allocator
 	// rounding is not counted, so this is an estimate — but one that is
 	// comparable across streams and honest about lazy allocation (a
@@ -353,9 +361,11 @@ type StreamStats struct {
 
 // Store is the Stream Store.
 type Store struct {
-	opts    Options
-	ringMax int
-	shards  []*shard
+	opts Options
+	// hotMax bounds a stream's hot entries: MaxMessages, or with a codec
+	// max(MaxMessages, BlockSize). ringMax is its power of two.
+	hotMax, ringMax int
+	shards          []*shard
 
 	// Sealing configuration; picker is nil when compression is off.
 	picker     codec.Picker
@@ -470,9 +480,8 @@ type ring struct {
 	rest  *filtering.Rest
 
 	slots []slot
-	// tail is noTail until the stream first needs an arena, stages an
-	// entry or is recovered from the archive (ownTail); Forget hands it
-	// back.
+	// tail is noTail until the stream first needs an arena, seals a block
+	// or is recovered from the archive (ownTail); Forget hands it back.
 	tail *tail
 
 	// Retained window [minExt, maxExt], both present when count > 0.
@@ -500,30 +509,24 @@ type ring struct {
 // the shared zero tail, so every read goes through the pointer unguarded;
 // only ownTail's caller may write through it.
 type tail struct {
-	// arena holds the hot and staged payloads too long for their slots,
-	// each such slot naming its own range; held counts the bytes still
-	// named, the rest of len(arena) is dead (evicted, sealed or replaced)
-	// until the next compaction.
+	// arena holds the hot payloads too long for their slots, each such
+	// slot naming its own range; held counts the bytes still named, the
+	// rest of len(arena) is dead (evicted, sealed or replaced) until the
+	// next compaction.
 	arena []byte
 	held  int64
 	// largest is the longest payload put in the arena since the tail was
 	// allocated: appending it beside a full window needs that much arena
-	// beyond the window's own bytes. sealedArena is what the stage named
-	// in the arena when it last sealed: the next stage will likely need as
-	// much, so trimming leaves room for it.
-	largest     uint32
-	sealedArena uint32
+	// beyond the window's own bytes.
+	largest uint32
 
 	// Sealed history, oldest first: every sequence in refs or blocks
-	// precedes every one in stage, which precede the hot ring's, so reads
-	// stitch them in that order. Entries leave the hot ring oldest first
-	// into stage by a copy of their slot — a longer payload stays where it
-	// was, in the arena — and a full stage seals into one immutable
-	// compressed block, filed in the archive or, without one, appended to
-	// blocks, the cold tier. Staged and cold entries are still retained:
-	// the shard's retained counts do not move when an entry is sealed,
-	// only when a block is dropped or archived.
-	stage      []slot // capacity BlockSize, allocated once
+	// precedes every one in the hot ring, so reads stitch them in that
+	// order. Entries leave the hot ring oldest first, a block at a time,
+	// sealed into one immutable compressed block filed in the archive or,
+	// without one, appended to blocks, the cold tier. Cold entries are
+	// still retained: the shard's retained counts do not move when an
+	// entry is sealed, only when a block is dropped or archived.
 	blocks     []block
 	blockBytes int64 // compressed bytes across blocks
 
@@ -601,8 +604,8 @@ func (r *ring) vacateLocked(e *slot) int64 {
 	return n
 }
 
-// release lets go of the arena bytes a hot or staged slot names, if it
-// names any, and returns its payload's length.
+// release lets go of the arena bytes a hot slot names, if it names any,
+// and returns its payload's length.
 func (t *tail) release(e *slot) int64 {
 	n := int64(e.size)
 	if n > inlinePayload {
@@ -611,7 +614,7 @@ func (t *tail) release(e *slot) int64 {
 	return n
 }
 
-// deliveryLocked unpacks r's hot or staged entry e. Its payload is lent
+// deliveryLocked unpacks r's hot entry e. Its payload is lent
 // from the ring: valid under the shard lock, until the stream is next
 // appended to.
 func (sh *shard) deliveryLocked(r *ring, id wire.StreamID, e *slot) filtering.Delivery {
@@ -650,10 +653,7 @@ func New(opts Options) *Store {
 		// backend implies sealing.
 		opts.Codec = "auto"
 	}
-	s := &Store{
-		opts:    opts,
-		ringMax: ceilPow2(opts.MaxMessages),
-	}
+	s := &Store{opts: opts, hotMax: opts.MaxMessages}
 	if opts.Codec != "" {
 		picker, err := codec.PickerFor(opts.Codec)
 		if err != nil {
@@ -669,7 +669,9 @@ func New(opts Options) *Store {
 		if s.blockSize <= 0 {
 			s.blockSize = DefaultBlockSize
 		}
+		s.hotMax = max(s.hotMax, s.blockSize)
 	}
+	s.ringMax = ceilPow2(s.hotMax)
 	s.names.init()
 	s.decodeName = s.names.bytes
 	s.shards = make([]*shard, cmp.Or(opts.shards, wire.Shards))
@@ -782,6 +784,7 @@ func (sh *shard) recordLocked(id wire.StreamID) *ring {
 // appends d, which it only reads, to the stream's record r. Caller holds
 // sh.mu.
 func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
+	id := d.Msg.Stream
 	sh.appended++
 	if r.slots == nil {
 		// A new stream, or Forget released the ring's backing and the
@@ -807,6 +810,17 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 		ext = uint64(int64(r.lastExt) + int64(wire.Seq(r.lastExt).Distance(d.Msg.Seq)))
 	}
 	r.lastExt = max(r.lastExt, ext)
+
+	if s.picker != nil && int(r.count) >= s.hotMax && !r.presentLocked(ext) {
+		// A full sealing window: what would take a new slot first seals
+		// the oldest block out of it, or, arriving behind it, finds no room
+		// to open the stream. A fill the block sealed past goes behind.
+		if ext < r.minExt {
+			sh.droppedBehind++
+			return ext
+		}
+		s.sealOldestLocked(sh, r, id, r.oldestLocked(), s.blockSize)
+	}
 
 	if r.count > 0 && ext < r.minExt {
 		// Behind the window. A late fill that opens the stream — every
@@ -850,8 +864,12 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 		}
 		if span := uint64(len(r.slots)); ext-r.minExt >= span {
 			target := ext - span + 1
-			for r.count > 0 && r.oldestLocked() < target {
-				s.retireLowestLocked(sh, r, d.Msg.Stream, &sh.evictedCount)
+			for r.count > 0 && r.minExt < target {
+				oldest := r.oldestLocked()
+				if oldest >= target {
+					break
+				}
+				s.retireLocked(sh, r, id, oldest, &sh.evictedCount)
 			}
 			if r.count > 0 && r.minExt < target {
 				r.minExt = target
@@ -903,23 +921,28 @@ func (s *Store) appendLocked(sh *shard, r *ring, d *filtering.Delivery) uint64 {
 	// Retention bounds, oldest-first. The newest entry always survives.
 	// With compression enabled these retirements seal instead of
 	// dropping, so the hot bounds govern only the uncompressed working
-	// set.
-	for int(r.count) > s.opts.MaxMessages {
-		s.retireLowestLocked(sh, r, d.Msg.Stream, &sh.evictedCount)
+	// set. The count bound was then kept before the insert, and the byte
+	// and age bounds seal whole blocks while more than one block is hot.
+	for int(r.count) > s.hotMax {
+		s.retireLocked(sh, r, id, r.oldestLocked(), &sh.evictedCount)
+	}
+	keep := int32(1)
+	if s.picker != nil {
+		keep = int32(s.blockSize)
 	}
 	if s.opts.MaxBytes > 0 {
-		for r.bytes > s.opts.MaxBytes && r.count > 1 {
-			s.retireLowestLocked(sh, r, d.Msg.Stream, &sh.evictedBytes)
+		for r.bytes > s.opts.MaxBytes && r.count > keep {
+			s.retireLocked(sh, r, id, r.oldestLocked(), &sh.evictedBytes)
 		}
 	}
 	if s.opts.MaxAge > 0 {
 		cutoff := d.At.Add(-s.opts.MaxAge)
-		for r.count > 1 {
-			old := &r.slots[r.oldestLocked()&r.slotMask()]
-			if !old.at().Before(cutoff) {
+		for r.count > keep {
+			oldest := r.oldestLocked()
+			if !r.slots[oldest&r.slotMask()].at().Before(cutoff) {
 				break
 			}
-			s.retireLowestLocked(sh, r, d.Msg.Stream, &sh.evictedAge)
+			s.retireLocked(sh, r, id, oldest, &sh.evictedAge)
 		}
 	}
 	r.trimArenaLocked(sh)
@@ -958,44 +981,34 @@ func (r *ring) reserveLocked(sh *shard, n int) *tail {
 	return t
 }
 
-// trimArenaLocked gives back arena capacity the window and the stage have
-// shrunk away from, which bounds it on every path: cap(arena) ≤
-// 2·(held + sealedArena) + largest + arenaSlack once an append or
-// eviction returns. noTail never trims: its arena has no capacity. Caller
-// holds mu.
+// trimArenaLocked gives back arena capacity the window has shrunk away
+// from, which bounds it on every path: cap(arena) ≤ 2·(held + sealed) +
+// largest + arenaSlack once an append or eviction returns, where sealed
+// is the payload bytes of the stream's newest sealed block — the next
+// block will likely need as much before it seals, so trimming leaves room
+// for it. noTail never trims: its arena has no capacity. Caller holds mu.
 func (r *ring) trimArenaLocked(sh *shard) {
 	t := r.tail
-	if want := 2 * (int(t.held) + int(t.sealedArena)); cap(t.arena) > want+int(t.largest)+arenaSlack {
+	want := 2 * int(t.held)
+	if b := t.newest(); b != nil {
+		want += 2 * int(b.RawBytes)
+	}
+	if cap(t.arena) > want+int(t.largest)+arenaSlack {
 		r.packLocked(sh, make([]byte, want))
 	}
 }
 
-// packLocked moves the payloads the ring holds in its arena — the staged
-// ones, which are the oldest, then the hot ones — to the front of dst,
-// which becomes the arena and may be the arena's own array: each payload
-// is moved once, lowest offset first, so a move never lands on bytes
-// still to be moved. Payloads lie in arrival order, which is stage order
-// then slot order from the window's low end unless a late fill or a
-// replacement arrived out of sequence; only then is there anything to
-// sort. The order lists hot slot i as i and staged slot k as ^k. The ring
+// packLocked moves the payloads the ring holds in its arena to the front
+// of dst, which becomes the arena and may be the arena's own array: each
+// payload is moved once, lowest offset first, so a move never lands on
+// bytes still to be moved. Payloads lie in arrival order, which is slot
+// order from the window's low end unless a late fill or a replacement
+// arrived out of sequence; only then is there anything to sort. The ring
 // owns its tail. Caller holds mu.
 func (r *ring) packLocked(sh *shard, dst []byte) {
 	t := r.tail
-	at := func(i int32) *slot {
-		if i < 0 {
-			return &t.stage[^i]
-		}
-		return &r.slots[i]
-	}
 	order, mask := sh.packOrder[:0], r.slotMask()
 	last, sorted := 0, true
-	for k := range t.stage {
-		if e := &t.stage[k]; e.size > inlinePayload {
-			order = append(order, ^int32(k))
-			sorted = sorted && e.off() >= last
-			last = e.off()
-		}
-	}
 	for k := range r.slots {
 		i := (r.minExt + uint64(k)) & mask
 		if e := &r.slots[i]; e.ext != 0 && e.size > inlinePayload {
@@ -1005,11 +1018,11 @@ func (r *ring) packLocked(sh *shard, dst []byte) {
 		}
 	}
 	if !sorted {
-		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(at(a).off(), at(b).off()) })
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(r.slots[a].off(), r.slots[b].off()) })
 	}
 	n := 0
 	for _, i := range order {
-		e := at(i)
+		e := &r.slots[i]
 		p := r.payloadLocked(e)
 		e.setOff(n)
 		n += copy(dst[n:], p)
@@ -1029,22 +1042,22 @@ func (r *ring) oldestLocked() uint64 {
 	return ext
 }
 
-// retireLowestLocked removes the oldest entry from the hot ring: with
-// compression off it is evicted outright and credited to *reason; with
-// compression on it is sealed and stays retained, so no eviction counter
-// moves. Caller holds mu.
-func (s *Store) retireLowestLocked(sh *shard, r *ring, id wire.StreamID, reason *int64) {
+// retireLocked takes entries off the hot window's low end, the oldest of
+// them at ext. With compression off it drops that one, credited to
+// *reason; with it on it seals the oldest min(BlockSize, count) into one
+// block, where they stay retained, so no eviction counter moves. Caller
+// holds mu.
+func (s *Store) retireLocked(sh *shard, r *ring, id wire.StreamID, ext uint64, reason *int64) {
 	if s.picker == nil {
-		sh.dropLowestLocked(r, reason)
+		sh.dropLocked(r, ext, reason)
 		return
 	}
-	s.sealLowestLocked(sh, r, id)
+	s.sealOldestLocked(sh, r, id, ext, min(s.blockSize, int(r.count)))
 }
 
-// dropLowestLocked removes the oldest retained hot entry, crediting the
+// dropLocked removes the oldest retained hot entry, at ext, crediting the
 // eviction to *reason. Caller holds mu.
-func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
-	ext := r.oldestLocked()
+func (sh *shard) dropLocked(r *ring, ext uint64, reason *int64) {
 	sh.retainedBytes -= r.vacateLocked(&r.slots[ext&r.slotMask()])
 	sh.retainedMessages--
 	*reason++
@@ -1054,53 +1067,34 @@ func (sh *shard) dropLowestLocked(r *ring, reason *int64) {
 	}
 }
 
-// sealLowestLocked moves the oldest hot entry into the seal stage by
-// copying its slot; a payload in the arena stays there, still held. A
-// full stage seals into one compressed block. The entry stays retained
-// throughout — the shard's retained counts do not move. Caller holds mu.
-func (s *Store) sealLowestLocked(sh *shard, r *ring, id wire.StreamID) {
-	t := r.ownTail()
-	if t.stage == nil {
-		t.stage = make([]slot, 0, s.blockSize)
-	}
-	ext := r.oldestLocked()
-	e := &r.slots[ext&r.slotMask()]
-	t.stage = append(t.stage, *e)
-	r.bytes -= int64(e.size)
-	e.ext = 0
-	r.count--
-	r.minExt = ext + 1
-	if r.count == 0 {
-		r.minExt, r.maxExt = 0, 0
-	}
-	if len(t.stage) == cap(t.stage) {
-		s.sealStageLocked(sh, r, id)
-	}
-}
-
-// sealStageLocked encodes the staged entries into one immutable block
-// (into a recycled buffer when one is parked), unpacking them for the
-// codec into pooled scratch, which it clears after so the pool holds no
-// payload. Their arena bytes go dead. With an archive the block is filed
-// in the backend at once; without one it joins the cold list, whose
-// per-stream budget drops the oldest blocks past it. Caller holds mu.
-func (s *Store) sealStageLocked(sh *shard, r *ring, id wire.StreamID) {
-	t := r.tail
+// sealOldestLocked seals the n oldest hot entries, the first of them at
+// ext, into one immutable block. It unpacks them into pooled scratch for
+// the codec to encode (into a recycled buffer when one is parked), and
+// only after the encode vacates their slots, their arena bytes going
+// dead, and moves the window's low end past them; the scratch is cleared
+// so the pool holds no payload. With an archive the block is filed in the
+// backend at once; without one it joins the cold list, whose per-stream
+// budget drops the oldest blocks past it. The entries stay retained — the
+// shard's retained counts do not move. Caller holds mu; 1 ≤ n ≤ count.
+func (s *Store) sealOldestLocked(sh *shard, r *ring, id wire.StreamID, ext uint64, n int) {
 	ds := decodePool.Get().(*decodeScratch)
-	entries, held := ds.entries[:0], t.held
-	var raw int64
-	for i := range t.stage {
-		entries = append(entries, sh.deliveryLocked(r, id, &t.stage[i]))
-		raw += t.release(&t.stage[i])
+	entries := ds.entries[:0]
+	for ; len(entries) < n; ext++ {
+		if r.presentLocked(ext) {
+			entries = append(entries, sh.deliveryLocked(r, id, &r.slots[ext&r.slotMask()]))
+		}
 	}
-	t.sealedArena = uint32(held - t.held)
 	c := s.picker(entries)
 	data := c.Encode(sh.blockBufLocked(), entries)
-	last := &entries[len(entries)-1]
+	var raw int64
+	for i := range entries {
+		raw += r.vacateLocked(&r.slots[entries[i].StoreSeq&r.slotMask()])
+	}
+	last := &entries[n-1]
 	b := block{
 		Ref: archive.Ref{
 			Codec: c.ID(), FirstSeq: entries[0].StoreSeq, LastSeq: last.StoreSeq,
-			Count: int32(len(entries)), RawBytes: raw, Bytes: int64(len(data)),
+			Count: int32(n), RawBytes: raw, Bytes: int64(len(data)),
 			LastUnix: last.At.UnixNano(),
 		},
 		data: data,
@@ -1108,9 +1102,13 @@ func (s *Store) sealStageLocked(sh *shard, r *ring, id wire.StreamID) {
 	clear(entries)
 	ds.entries = entries[:0]
 	decodePool.Put(ds)
+	r.minExt = b.LastSeq + 1
+	if r.count == 0 {
+		r.minExt, r.maxExt = 0, 0
+	}
 	sh.sealedBlocks++
-	sh.sealedMsgs += int64(len(t.stage))
-	t.stage = t.stage[:0]
+	sh.sealedMsgs += int64(n)
+	t := r.ownTail()
 	if s.arch != nil {
 		s.spillLocked(sh, t, id, b)
 		return
@@ -1145,24 +1143,8 @@ func (sh *shard) dropBlockLocked(t *tail, reason *int64) {
 	sh.recycleBufLocked(b.data)
 }
 
-// dropStagePrefixLocked drops the first k staged entries, crediting
-// *reason per entry; their arena bytes go dead. Caller holds mu.
-func (sh *shard) dropStagePrefixLocked(t *tail, k int, reason *int64) {
-	if k <= 0 {
-		return
-	}
-	var freed int64
-	for i := range t.stage[:k] {
-		freed += t.release(&t.stage[i])
-	}
-	sh.retainedMessages -= int64(k)
-	sh.retainedBytes -= freed
-	*reason += int64(k)
-	t.stage = t.stage[:copy(t.stage, t.stage[k:])]
-}
-
 // evictToLocked drops every retained entry below upto, oldest first down
-// all four tiers, crediting *reason per entry. A block that straddles
+// all three tiers, crediting *reason per entry. A block that straddles
 // upto, archived or cold, keeps its bytes: only its live bookkeeping
 // advances past the dead prefix (cutHeadLocked). Caller holds mu.
 func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64, reason *int64) {
@@ -1189,13 +1171,12 @@ func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64,
 		}
 		sh.dropBlockLocked(t, reason)
 	}
-	k := 0
-	for k < len(t.stage) && t.stage[k].ext < upto {
-		k++
-	}
-	sh.dropStagePrefixLocked(t, k, reason)
-	for r.count > 0 && r.oldestLocked() < upto {
-		sh.dropLowestLocked(r, reason)
+	for r.count > 0 {
+		oldest := r.oldestLocked()
+		if oldest >= upto {
+			break
+		}
+		sh.dropLocked(r, oldest, reason)
 	}
 }
 
@@ -1230,14 +1211,23 @@ func (s *Store) cutHeadLocked(id wire.StreamID, ref *archive.Ref, data []byte, u
 	return 0, 0, false
 }
 
-// lastSealed returns the highest sealed sequence — on the cold list, else
-// archived — or 0 when the stream has none.
-func (t *tail) lastSealed() uint64 {
+// newest returns the header of the stream's newest sealed block — on the
+// cold list, else archived — or nil when it has none.
+func (t *tail) newest() *archive.Ref {
 	if n := len(t.blocks); n > 0 {
-		return t.blocks[n-1].LastSeq
+		return &t.blocks[n-1].Ref
 	}
 	if n := len(t.refs); n > 0 {
-		return t.refs[n-1].LastSeq
+		return &t.refs[n-1]
+	}
+	return nil
+}
+
+// lastSealed returns the highest sealed sequence, or 0 when the stream has
+// none.
+func (t *tail) lastSealed() uint64 {
+	if b := t.newest(); b != nil {
+		return b.LastSeq
 	}
 	return 0
 }
@@ -1250,8 +1240,6 @@ func (r *ring) firstLocked() uint64 {
 		return t.refs[0].FirstSeq
 	case len(t.blocks) > 0:
 		return t.blocks[0].FirstSeq
-	case len(t.stage) > 0:
-		return t.stage[0].ext
 	case r.count > 0:
 		return r.oldestLocked()
 	}
@@ -1261,7 +1249,7 @@ func (r *ring) firstLocked() uint64 {
 // holds reports whether the stream retains anything in any tier.
 func (r *ring) holds() bool {
 	t := r.tail
-	return r.count > 0 || len(t.stage) > 0 || len(t.blocks) > 0 || len(t.refs) > 0
+	return r.count > 0 || len(t.blocks) > 0 || len(t.refs) > 0
 }
 
 // LastSeq returns the highest extended sequence ever assigned on the
@@ -1290,8 +1278,8 @@ func (s *Store) OldestSince(id wire.StreamID, from uint64) (seq uint64, size int
 }
 
 // decodeScratch is the pooled working memory for decompressing one
-// sealed block on the read path; sealing borrows its entries to unpack a
-// stage into.
+// sealed block on the read path; sealing borrows its entries to unpack
+// the hot entries it seals into.
 type decodeScratch struct {
 	sc      codec.Scratch
 	entries []filtering.Delivery
@@ -1302,12 +1290,12 @@ var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // walkLocked presents the stream's retained history that intersects
 // [from, to] in ascending sequence order: the sealed blocks — archived
-// or cold — then the stage and hot-ring entries one by one. It is the
+// or cold — then the hot-ring entries one by one. It is the
 // one place that knows the tier order; every range read drives it. A
 // block is handed over whole, its header and its bytes (nil for an
 // archived block, whose bytes the backend holds under ref.LastSeq): the
 // header says it intersects, not which entries do. An entry's payload is
-// borrowed store memory (a staged or hot slot is unpacked for the call).
+// borrowed store memory (a hot slot is unpacked for the call).
 // Either callback returning false stops the walk. Caller holds mu.
 func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref *archive.Ref, data []byte) bool, entry func(d filtering.Delivery) bool) {
 	r := sh.rings.get(id)
@@ -1329,15 +1317,6 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref 
 			continue
 		}
 		if b.FirstSeq > to || !blockFn(&b.Ref, b.data) {
-			return
-		}
-	}
-	for i := range t.stage {
-		e := &t.stage[i]
-		if e.ext < from {
-			continue
-		}
-		if e.ext > to || !entry(sh.deliveryLocked(r, id, e)) {
 			return
 		}
 	}
@@ -1442,11 +1421,11 @@ func (s *Store) visitBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, 
 //
 // A read is one pass with one allocation of each kind. Every sealed
 // block's header carries its entry count and payload bytes, so the walk
-// first sums what intersects [from, to] — headers only, plus the stage
-// and hot entries themselves — sizes the result once and allocates one
-// payload slab; then each block decodes straight into its tail with its
-// payload bytes appended to the slab, and the stage and hot entries are
-// copied in behind them. A block is decoded whole and the entries
+// first sums what intersects [from, to] — headers only, plus the hot
+// entries themselves — sizes the result once and allocates one payload
+// slab; then each block decodes straight into its tail with its payload
+// bytes appended to the slab, and the hot entries are copied in behind
+// them. A block is decoded whole and the entries
 // outside the window trimmed in place, so the backing array may be grown
 // by up to two blocks more than the result holds. Should a header understate (a
 // retention cut leaves a block's dead prefix in its bytes), append
@@ -1606,7 +1585,7 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 // the stream resumes. The Orphanage calls this when it evicts an
 // unclaimed stream, so Forget is the moment a dead stream's memory must
 // actually return to the heap: the slot ring and the tail — payload
-// arena, seal stage, cold list and archived refs — are released, not
+// arena, cold list and archived refs — are released, not
 // just emptied, leaving only the ring header behind the unwrap state and
 // the duplicate window, which a deployment has never reset either. A
 // resumed stream re-materialises its ring in appendLocked and is screened
@@ -1695,15 +1674,12 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		Stream:         id,
 		FirstSeq:       r.firstLocked(),
 		NextWire:       wire.Seq(r.lastExt) + 1,
-		Count:          int(r.count) + len(t.stage),
+		Count:          int(r.count),
 		Bytes:          r.bytes,
 		ColdBlocks:     len(t.blocks),
 		ColdBytes:      t.blockBytes,
 		ArchivedBlocks: len(t.refs),
 		ArchiveFloor:   t.floor,
-	}
-	for i := range t.stage {
-		st.Bytes += int64(t.stage[i].size)
 	}
 	for i := range t.blocks {
 		st.ColdMessages += int(t.blocks[i].Count)
@@ -1721,13 +1697,7 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 	} else {
 		st.LastSeq = t.lastSealed()
 	}
-	var newest *archive.Ref
-	if n := len(t.blocks); n > 0 {
-		newest = &t.blocks[n-1].Ref
-	} else if n := len(t.refs); n > 0 {
-		newest = &t.refs[n-1]
-	}
-	if newest != nil {
+	if newest := t.newest(); newest != nil {
 		if c, ok := codec.ByID(newest.Codec); ok {
 			st.Codec = c.Name()
 		}
@@ -1742,7 +1712,6 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 	st.ResidentBytes = headerSize + int64(cap(r.slots))*slotSize
 	if t != noTail {
 		st.ResidentBytes += tailSize + int64(cap(t.arena)) +
-			int64(cap(t.stage))*slotSize +
 			int64(cap(t.blocks))*blockSize + t.blockBytes +
 			int64(cap(t.refs))*refSize
 	}

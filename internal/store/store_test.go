@@ -215,6 +215,44 @@ func TestLateFillThatOpensAStream(t *testing.T) {
 	}
 }
 
+// TestFillIntoAFullSealingWindow: with a codec, a fill that would take a
+// new slot in a full hot window first seals the oldest block out of it.
+// A block of 6 fills a window of 6 in a ring of 8, so the window can be
+// full with a gap: the fill into that gap seals the whole window past it
+// and is dropped behind it, and a fill behind a full window finds no room
+// to open the stream. A gap in the hot window after the seal fills again.
+func TestFillIntoAFullSealingWindow(t *testing.T) {
+	s := New(Options{Codec: "raw", MaxMessages: 6, BlockSize: 6})
+	gap, opening := wire.MustStreamID(1, 0), wire.MustStreamID(2, 0)
+	for _, seq := range []wire.Seq{0, 1, 3, 4, 5, 6} {
+		s.Append(del(gap, seq, epoch, []byte{byte(seq)}))
+	}
+	s.Append(del(gap, 2, epoch, []byte{2}))
+	seqs := func(id wire.StreamID) (out []wire.Seq) {
+		for _, d := range s.Range(id, 0, ^uint64(0)) {
+			out = append(out, d.Msg.Seq)
+		}
+		return out
+	}
+	if got, st := seqs(gap), s.Stats(); fmt.Sprint(got) != "[0 1 3 4 5 6]" || st.DroppedBehind != 1 || st.SealedBlocks != 1 {
+		t.Fatalf("fill into the gap: retained %v, %d dropped behind, %d sealed", got, st.DroppedBehind, st.SealedBlocks)
+	}
+	for _, seq := range []wire.Seq{7, 9, 8} {
+		s.Append(del(gap, seq, epoch, []byte{byte(seq)}))
+	}
+	if got := seqs(gap); fmt.Sprint(got) != "[0 1 3 4 5 6 7 8 9]" {
+		t.Fatalf("fill after the seal: retained %v", got)
+	}
+
+	for _, seq := range []wire.Seq{2, 3, 4, 5, 6, 7} {
+		s.Append(del(opening, seq, epoch, nil))
+	}
+	s.Append(del(opening, 1, epoch, nil))
+	if got, st := seqs(opening), s.Stats(); fmt.Sprint(got) != "[2 3 4 5 6 7]" || st.DroppedBehind != 2 || st.SealedBlocks != 1 {
+		t.Fatalf("fill behind a full window: retained %v, %d dropped behind, %d sealed", got, st.DroppedBehind, st.SealedBlocks)
+	}
+}
+
 func TestRangeClampsAndCopies(t *testing.T) {
 	s := New(Options{})
 	id := wire.MustStreamID(1, 0)
@@ -454,10 +492,9 @@ func TestCompressedAppendZeroAllocSteadyState(t *testing.T) {
 // TestSealCycleAllocatesNothing measures a whole seal cycle as one run.
 // AllocsPerRun divides by its runs, so an allocation once per block — an
 // arena regrown after every seal, a block buffer not recycled — reads as
-// 0/op when each run is one append. Staged payloads longer than a slot
-// stay in the arena until their block seals, so the arena keeps room for
-// the next stage instead of shrinking to the hot window's bytes at every
-// seal.
+// 0/op when each run is one append. A seal vacates a block's worth of
+// arena payloads at once, so the arena keeps room for the next block
+// instead of shrinking to the hot window's bytes at every seal.
 func TestSealCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool puts; alloc counts are meaningless")
@@ -482,6 +519,76 @@ func TestSealCycleAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a seal cycle of %d appends allocates %v times, want 0", block, allocs)
+	}
+}
+
+// TestBlockSealKeepsTheHotBound holds sealing to its block rule after
+// every append: a sealing stream keeps at most T = max(MaxMessages,
+// BlockSize) entries uncompressed, all hot with the newest among them,
+// and every block holds exactly BlockSize entries. The streams run in order with re-appends
+// behind the head but no forward jump, so the window has no gap and the
+// span bound never seals. MaxMessages below BlockSize (4 and 8 with
+// blocks of 8, as garnet-inspect -store -codec runs) raises T to the
+// block; 100 with blocks of 64 leaves T short of its ring. Under the
+// count bound alone a stream that has sealed keeps at least T−BlockSize+1
+// hot; the byte and age bounds seal whole blocks too.
+func TestBlockSealKeepsTheHotBound(t *testing.T) {
+	cases := []struct {
+		name    string
+		opts    Options
+		counted bool // only the count bound seals
+	}{
+		{"retain4-block8", Options{MaxMessages: 4, BlockSize: 8}, true},
+		{"retain8-block8", Options{MaxMessages: 8, BlockSize: 8}, true},
+		{"retain100-block64", Options{MaxMessages: 100, BlockSize: 64}, true},
+		{"default", Options{}, true},
+		{"bytes", Options{MaxMessages: 16, BlockSize: 8, MaxBytes: 300}, false},
+		{"age", Options{MaxMessages: 16, BlockSize: 8, MaxAge: 40 * time.Second}, false},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Codec, opts.ColdBudget = "raw", 1<<40 // every block stays on the cold list
+			s := New(opts)
+			hot, block := max(s.opts.MaxMessages, s.blockSize), s.blockSize
+			rng := rand.New(rand.NewSource(int64(ci)))
+			id := wire.MustStreamID(1, 0)
+			now, first, head := epoch, 100, 100
+			for step := range 3000 {
+				seq := head
+				// A re-append behind the head, sealed or hot, but never one
+				// below the first append, which would open a gap.
+				if back := rng.Intn(20) + 1; rng.Intn(5) == 0 && head-back >= first {
+					seq -= back
+				} else {
+					head++
+				}
+				now = now.Add(time.Duration(rng.Intn(3000)) * time.Millisecond)
+				d := del(id, wire.Seq(seq), now, bytes.Repeat([]byte{byte(step)}, rng.Intn(40)))
+				ext := s.Append(d)
+
+				st, _ := s.StreamStats(id)
+				all := s.Stats()
+				if all.SealedMessages != int64(block)*all.SealedBlocks {
+					t.Fatalf("step %d: %d entries sealed in %d blocks of %d", step, all.SealedMessages, all.SealedBlocks, block)
+				}
+				low := 1
+				if tc.counted && all.SealedBlocks > 0 {
+					low = hot - block + 1
+				}
+				if n := st.Count - st.ColdMessages; n > hot || n < low {
+					t.Fatalf("step %d: %d uncompressed entries, want %d..%d", step, n, low, hot)
+				}
+				if latest, _ := s.Latest(id); seq == head-1 && latest.StoreSeq != ext {
+					t.Fatalf("step %d: the newest append %d is not hot", step, ext)
+				}
+			}
+			if st := s.Stats(); st.SealedBlocks < 10 {
+				t.Fatalf("only %d blocks sealed", st.SealedBlocks)
+			} else if err := st.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -709,8 +816,8 @@ func TestForgetReleasesBacking(t *testing.T) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if r.slots != nil || r.tail != noTail {
-		t.Fatalf("Forget kept backing: slots=%d arena=%d stage=%d cold=%d",
-			len(r.slots), cap(r.tail.arena), len(r.tail.stage), len(r.tail.blocks))
+		t.Fatalf("Forget kept backing: slots=%d arena=%d cold=%d",
+			len(r.slots), cap(r.tail.arena), len(r.tail.blocks))
 	}
 	if r.lastExt == 0 {
 		t.Fatal("Forget lost the unwrap state")
@@ -726,48 +833,6 @@ func TestForgetReleasesBacking(t *testing.T) {
 	if want := int64(unsafe.Sizeof(ring{})); ss.ResidentBytes != want {
 		t.Fatalf("forgotten stream resident %d B, want header-only %d B", ss.ResidentBytes, want)
 	}
-}
-
-// TestResidentBytesCountsTheStage holds the estimate to what a stream with
-// a codec holds: a stage of slots at capacity, and an arena with every hot
-// and staged payload longer than a slot's, beside the slots, the tail and
-// the sealed blocks. Nothing else is kept per staged entry: once only
-// short payloads are staged and hot, the arena holds nothing live.
-func TestResidentBytesCountsTheStage(t *testing.T) {
-	const hot, block = 4, 8
-	s := New(Options{Codec: "raw", MaxMessages: hot, BlockSize: block, ColdBudget: 1 << 20})
-	id := wire.MustStreamID(1, 0)
-	seq := 0
-	put := func(n, size int) {
-		for ; n > 0; n-- {
-			s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, size)))
-			seq++
-		}
-	}
-	check := func(when string, staged int, held int64) {
-		t.Helper()
-		st, _ := s.StreamStats(id)
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		r := sh.rings.get(id)
-		tl := r.tail
-		if len(tl.stage) != staged || tl.held != held || st.Count != hot+staged+st.ColdMessages {
-			t.Fatalf("%s: %d staged, %d B in the arena, count %d; want %d staged, %d B, %d hot + staged + %d sealed",
-				when, len(tl.stage), tl.held, st.Count, staged, held, hot, st.ColdMessages)
-		}
-		// What the stream holds at the least: its header, slots and tail,
-		// the stage's slots, the arena's live bytes and the blocks' data.
-		floor := int64(unsafe.Sizeof(ring{})) + int64(len(r.slots)+cap(tl.stage))*int64(unsafe.Sizeof(slot{})) +
-			int64(unsafe.Sizeof(tail{})) + tl.held + tl.blockBytes
-		if st.ResidentBytes < floor {
-			t.Fatalf("%s: the estimate is %d B, below the %d B the stream holds", when, st.ResidentBytes, floor)
-		}
-	}
-	put(hot+block+5, 40) // one block sealed, five long payloads staged
-	check("long payloads staged", 5, (hot+5)*40)
-	put(2*block+hot-5, 8) // every long payload sealed away, four short ones staged
-	check("short payloads staged", 4, 0)
 }
 
 // TestAtRoundTripsEveryInstant holds the hot slot to the whole time.Time
@@ -821,13 +886,13 @@ func TestAtRoundTripsEveryInstant(t *testing.T) {
 	}
 }
 
-// checkArena holds one stream's hot tier and seal stage to their
-// invariants: the hot slots' payloads add up to the ring's byte count,
-// those too long for a slot, hot or staged, lie inside the arena and add
-// up to what the ring says it holds there, empty slots are marked empty,
-// and the arena's capacity stays within twice its live bytes and the last
-// sealed stage's, plus the stream's largest payload plus a constant —
-// whatever was appended, replaced, evicted, sealed or forgotten.
+// checkArena holds one stream's hot tier to its invariants: the hot
+// slots' payloads add up to the ring's byte count, those too long for a
+// slot lie inside the arena and add up to what the ring says it holds
+// there, empty slots are marked empty, and the arena's capacity stays
+// within twice its live bytes and the newest sealed block's payload
+// bytes, plus the stream's largest payload plus a constant — whatever was
+// appended, replaced, evicted, sealed or forgotten.
 func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 	t.Helper()
 	sh := s.shardFor(id)
@@ -854,20 +919,16 @@ func checkArena(t *testing.T, s *Store, id wire.StreamID, largest int) {
 			}
 		}
 	}
-	for i := range r.tail.stage {
-		if e := &r.tail.stage[i]; e.size > inlinePayload {
-			held += int64(e.size)
-			if got := r.payloadLocked(e); len(got) != int(e.size) { // panics when out of range
-				t.Fatalf("stream %v: staged entry %d payload is %d bytes, size says %d", id, i, len(got), e.size)
-			}
-		}
-	}
 	arena := r.tail.arena
 	if count != r.count || live != r.bytes || held != r.tail.held || held > int64(len(arena)) {
-		t.Fatalf("stream %v: slots hold %d entries/%d B, %d B of them and the stage's in the arena; ring says %d/%d, %d of the arena's %d B",
+		t.Fatalf("stream %v: slots hold %d entries/%d B, %d B of them in the arena; ring says %d/%d, %d of the arena's %d B",
 			id, count, live, held, r.count, r.bytes, r.tail.held, len(arena))
 	}
-	if bound := 2*(int(held)+int(r.tail.sealedArena)) + largest + arenaSlack; cap(arena) > bound {
+	var sealed int64
+	if b := r.tail.newest(); b != nil {
+		sealed = b.RawBytes
+	}
+	if bound := 2*(int(held)+int(sealed)) + largest + arenaSlack; cap(arena) > bound {
 		t.Fatalf("stream %v: arena cap %d for %d live bytes (largest payload %d): bound %d", id, cap(arena), held, largest, bound)
 	}
 }
