@@ -8,7 +8,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/garnet-middleware/garnet/internal/store/archive"
 	"github.com/garnet-middleware/garnet/internal/wire"
 )
 
@@ -152,14 +151,11 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 }
 
 // TestSealingStreamFootprint pins what a stream that seals holds beyond
-// an idle one: its ring header and hot slots, and a tail of one size
-// class up to 112 bytes — the arena, then the cold blocks or the archived
-// refs. A seal unpacks the hot entries it takes into pooled scratch and
-// vacates their slots, so nothing is kept per stream for the next block:
-// no field of the tail holds slots, ResidentBytes is exactly the header,
-// the slots, the tail, the arena's capacity and the blocks or refs, the
-// arena holds only hot payloads, and the scratch goes back to the pool
-// holding nothing.
+// an idle one in its tail: one size class up to 112 bytes — the arena,
+// then the cold blocks or the archived refs — and no slots. A seal
+// unpacks the hot entries it takes into pooled scratch and vacates their
+// slots, so no field of the tail keeps slots for the next block:
+// TestStageFootprint and TestResidentBytesCountsTheStage hold the rest.
 func TestSealingStreamFootprint(t *testing.T) {
 	if got := sizeClass(unsafe.Sizeof(tail{})); got > 112 {
 		t.Fatalf("the tail is %d B (class %d), budget 112", unsafe.Sizeof(tail{}), got)
@@ -171,50 +167,38 @@ func TestSealingStreamFootprint(t *testing.T) {
 			t.Fatalf("tail.%s holds slots: every sealing stream would pay for them", f.Name)
 		}
 	}
-	for _, archived := range []bool{false, true} {
-		opts := Options{Codec: "raw", MaxMessages: 4, ColdBudget: 1 << 20}
-		if archived {
-			opts.Archive = archive.NewMem()
-		}
-		s := New(opts)
-		id := wire.MustStreamID(1, 0)
-		seq := 0
-		put := func(n, size int) {
-			for ; n > 0; n-- {
-				s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, size)))
-				seq++
-			}
-		}
-		check := func(when string, hot int, held int64) {
-			t.Helper()
-			tag := fmt.Sprintf("archived=%v, %s", archived, when)
-			st, _ := s.StreamStats(id)
-			sh := s.shardFor(id)
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			r := sh.rings.get(id)
-			tl := r.tail
-			if int(r.count) != hot || tl.held != held || st.Count != hot+st.ColdMessages {
-				t.Fatalf("%s: %d hot, %d B in the arena, count %d; want %d hot, %d B, %d hot + %d cold",
-					tag, r.count, tl.held, st.Count, hot, held, hot, st.ColdMessages)
-			}
-			if sealed := len(tl.blocks) + len(tl.refs); sealed == 0 || archived != (len(tl.refs) > 0) {
-				t.Fatalf("%s: %d cold blocks and %d refs", tag, len(tl.blocks), len(tl.refs))
-			}
-			want := int64(unsafe.Sizeof(ring{})) + int64(cap(r.slots))*int64(unsafe.Sizeof(slot{})) +
-				int64(unsafe.Sizeof(tail{})) + int64(cap(tl.arena)) +
-				int64(cap(tl.blocks))*int64(unsafe.Sizeof(block{})) + tl.blockBytes +
-				int64(cap(tl.refs))*int64(unsafe.Sizeof(archive.Ref{}))
-			if st.ResidentBytes != want {
-				t.Fatalf("%s: resident %d B, want %d", tag, st.ResidentBytes, want)
-			}
-		}
-		put(DefaultBlockSize+5, 40) // one block sealed, five long payloads hot
-		check("long payloads hot", 5, 5*40)
-		put(DefaultBlockSize, 8) // every long payload sealed away, five short ones hot
-		check("short payloads hot", 5, 0)
+}
+
+// TestStageFootprint pins what a stream that has sealed keeps for its
+// next block: nothing beyond its hot ring. The seal reads the oldest
+// DefaultBlockSize hot slots in place, so the ring — DefaultBlockSize
+// slots of 64 bytes, of the pointer-free type TestSlotIsPointerFree holds
+// — is the whole of it, 4 KB per codec stream whatever its payloads'
+// size. A payload longer than a slot's stays in the stream's arena only
+// while its entry is hot, and nothing else is kept per sealed entry: the
+// deliveries a seal unpacks for the codec are cleared after.
+func TestStageFootprint(t *testing.T) {
+	s := New(Options{Codec: "raw", MaxMessages: 4})
+	id := wire.MustStreamID(1, 0)
+	const hot = 5
+	for seq := 0; seq < DefaultBlockSize+hot; seq++ { // one block sealed, five hot
+		s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, 40)))
 	}
-	// The scratch the seals unpacked into went back to the pool holding
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r := sh.rings.get(id)
+	tl := r.tail
+	if st := len(tl.blocks); st != 1 || r.count != hot {
+		t.Fatalf("%d blocks sealed and %d entries hot, want 1 and %d", st, r.count, hot)
+	}
+	if got, want := uintptr(cap(r.slots))*unsafe.Sizeof(slot{}), uintptr(DefaultBlockSize*64); got != want {
+		t.Fatalf("the hot ring is %d B at capacity, want %d", got, want)
+	}
+	if want := int64(hot) * 40; tl.held != want {
+		t.Fatalf("the arena holds %d B for the hot payloads, want %d", tl.held, want)
+	}
+	// The scratch the seal unpacked into went back to the pool holding
 	// nothing: on one goroutine the pool hands the last one put back.
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)

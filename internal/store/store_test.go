@@ -835,6 +835,58 @@ func TestForgetReleasesBacking(t *testing.T) {
 	}
 }
 
+// TestResidentBytesCountsTheStage holds the estimate to what a stream with
+// a codec holds. The stage a seal reads is the hot ring itself, so the
+// estimate is exactly the ring header and its slots, the tail, the arena
+// at capacity — which holds every hot payload longer than a slot's — and
+// the sealed blocks or archived refs. Nothing is kept per sealed entry:
+// once only short payloads are hot, the arena holds nothing live.
+func TestResidentBytesCountsTheStage(t *testing.T) {
+	for _, archived := range []bool{false, true} {
+		opts := Options{Codec: "raw", MaxMessages: 4, ColdBudget: 1 << 20}
+		if archived {
+			opts.Archive = archive.NewMem()
+		}
+		s := New(opts)
+		id := wire.MustStreamID(1, 0)
+		seq := 0
+		put := func(n, size int) {
+			for ; n > 0; n-- {
+				s.Append(del(id, wire.Seq(seq), epoch, bytes.Repeat([]byte{byte(seq)}, size)))
+				seq++
+			}
+		}
+		check := func(when string, hot int, held int64) {
+			t.Helper()
+			tag := fmt.Sprintf("archived=%v, %s", archived, when)
+			st, _ := s.StreamStats(id)
+			sh := s.shardFor(id)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			r := sh.rings.get(id)
+			tl := r.tail
+			if int(r.count) != hot || tl.held != held || st.Count != hot+st.ColdMessages {
+				t.Fatalf("%s: %d hot, %d B in the arena, count %d; want %d hot, %d B, %d hot + %d cold",
+					tag, r.count, tl.held, st.Count, hot, held, hot, st.ColdMessages)
+			}
+			if sealed := len(tl.blocks) + len(tl.refs); sealed == 0 || archived != (len(tl.refs) > 0) {
+				t.Fatalf("%s: %d cold blocks and %d refs", tag, len(tl.blocks), len(tl.refs))
+			}
+			want := int64(unsafe.Sizeof(ring{})) + int64(cap(r.slots))*int64(unsafe.Sizeof(slot{})) +
+				int64(unsafe.Sizeof(tail{})) + int64(cap(tl.arena)) +
+				int64(cap(tl.blocks))*int64(unsafe.Sizeof(block{})) + tl.blockBytes +
+				int64(cap(tl.refs))*int64(unsafe.Sizeof(archive.Ref{}))
+			if st.ResidentBytes != want {
+				t.Fatalf("%s: resident %d B, want %d", tag, st.ResidentBytes, want)
+			}
+		}
+		put(DefaultBlockSize+5, 40) // one block sealed, five long payloads hot
+		check("long payloads hot", 5, 5*40)
+		put(DefaultBlockSize, 8) // every long payload sealed away, five short ones hot
+		check("short payloads hot", 5, 0)
+	}
+}
+
 // TestAtRoundTripsEveryInstant holds the hot slot to the whole time.Time
 // range: it keeps At as Unix seconds and nanoseconds, so the zero Time,
 // instants outside the UnixNano range (before 1678, after 2262), other
