@@ -7,7 +7,7 @@
 // Stream Store and prints the resulting retention view: per-stream
 // 64-bit extended sequences (the store's wrap-free addresses), window
 // bounds, a per-stream resident-memory estimate (ring header + slot
-// backing + payloads + cold blocks) and what a replaying consumer would
+// backing + payloads + sealed blocks) and what a replaying consumer would
 // receive — the quickest way to see how a captured trace lands in the
 // retention layer, including duplicate collapse and eviction under a
 // chosen retention bound.
@@ -23,7 +23,7 @@
 //	garnet-inspect 4a00000...              # decode a data frame
 //	garnet-inspect -control 40001...       # decode a control frame
 //	garnet-inspect -store -retain 4 f1 f2  # retention view of a trace
-//	garnet-inspect -store -codec auto f1   # … with the cold compressed tier on
+//	garnet-inspect -store -codec auto f1   # … with sealed compressed history on
 //	garnet-inspect -archive ./archive      # scan a durable archive directory
 //	echo 4a0000... | garnet-inspect        # read hex from stdin
 package main
@@ -58,7 +58,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	control := fs.Bool("control", false, "decode as downlink control messages")
 	storeDump := fs.Bool("store", false, "feed data frames through a Stream Store and dump the retention view")
 	retain := fs.Int("retain", 0, "per-stream retention bound for -store (0 = default)")
-	codecName := fs.String("codec", "", "cold-tier codec for -store: auto, gorilla, rle, lz or raw (\"\" = compression off)")
+	codecName := fs.String("codec", "", "sealed-history codec for -store: auto, gorilla, rle, lz or raw (\"\" = compression off)")
 	archiveDir := fs.String("archive", "", "scan an on-disk archive directory instead of decoding frames")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -232,9 +232,11 @@ func inspectArchive(w io.Writer, dir string) error {
 // inspectStore appends every decoded data frame into a fresh Stream Store
 // and dumps the retention view it produces. With a codec named, the hot
 // window holds max(retain, 8) entries and a full one seals its oldest 8
-// into the cold compressed tier (small blocks, so even short traces seal
-// some), and the dump grows per-stream codec and compression-ratio
-// columns.
+// into a compressed block the store files in its own in-memory backend
+// (small blocks, so even short traces seal some), and the dump grows
+// per-stream codec and compression-ratio columns. "retained" counts hot
+// and sealed entries alike; the per-stream "cold" column is the sealed
+// ones.
 func inspectStore(w io.Writer, frames [][]byte, retain int, codecName string) error {
 	st := store.New(store.Options{MaxMessages: retain, Codec: codecName, BlockSize: 8})
 	for i, frame := range frames {
@@ -247,21 +249,23 @@ func inspectStore(w io.Writer, frames [][]byte, retain int, codecName string) er
 	stats := st.Stats()
 	streams := st.Streams()
 	fmt.Fprintf(w, "stream store dump: %d frames in, %d streams, %d retained messages, %d payload bytes\n",
-		stats.Appended, len(streams), stats.RetainedMessages, stats.RetainedBytes)
+		stats.Appended, len(streams), stats.RetainedMessages+stats.ArchivedMessages,
+		stats.RetainedBytes+stats.ArchivedRawBytes)
 	if evicted := stats.EvictedCount + stats.EvictedBytes + stats.EvictedAge; evicted > 0 || stats.DroppedBehind > 0 {
 		fmt.Fprintf(w, "  evicted %d, dropped-behind %d\n", evicted, stats.DroppedBehind)
 	}
 	if stats.Codec != "" {
 		fmt.Fprintf(w, "  codec %s: %d blocks sealed, %d messages, %d B compressed from %d B raw\n",
-			stats.Codec, stats.SealedBlocks, stats.SealedMessages, stats.ColdBytes, stats.ColdRawBytes)
+			stats.Codec, stats.SealedBlocks, stats.SealedMessages, stats.ArchivedBytes, stats.ArchivedRawBytes)
 	}
 	for _, id := range streams {
 		ss, _ := st.StreamStats(id)
 		fmt.Fprintf(w, "stream %v: %d retained, store seq %d..%d, next wire seq %d, %d B, ~%d B resident",
-			id, ss.Count, ss.FirstSeq, ss.LastSeq, ss.NextWire, ss.Bytes, ss.ResidentBytes)
-		if ss.ColdBlocks > 0 {
-			ratio := float64(ss.ColdRawBytes) / float64(ss.ColdBytes)
-			fmt.Fprintf(w, ", codec %s ×%.1f (%d cold in %d B)", ss.Codec, ratio, ss.ColdMessages, ss.ColdBytes)
+			id, ss.Count+ss.ArchivedMessages, ss.FirstSeq, ss.LastSeq, ss.NextWire,
+			ss.Bytes+ss.ArchivedRawBytes, ss.ResidentBytes)
+		if ss.ArchivedBlocks > 0 {
+			ratio := float64(ss.ArchivedRawBytes) / float64(ss.ArchivedBytes)
+			fmt.Fprintf(w, ", codec %s ×%.1f (%d cold in %d B)", ss.Codec, ratio, ss.ArchivedMessages, ss.ArchivedBytes)
 		}
 		fmt.Fprintln(w)
 		st.RangeFunc(id, 0, ^uint64(0), func(d filtering.Delivery) bool {

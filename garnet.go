@@ -118,14 +118,16 @@ func WithStoreRetention(maxMessages int, maxBytes int64, maxAge time.Duration) O
 // them back transparently. codec selects the block codec — "auto" picks
 // per block ("gorilla" for fixed 64-bit numeric series, "rle" for
 // repetitive payloads, "lz" for general bytes, "raw" to store
-// uncompressed); naming one pins it. coldBudget bounds the compressed
-// bytes kept in memory per stream (<= 0 keeps the default, 64 KiB) only
-// when no archive is attached: the oldest blocks are dropped past it and
-// the newest always survives. With WithArchive every sealed block goes to
-// the archive and the budget holds nothing back. New panics on an
-// unknown codec name, like a malformed retention bound would — a typo
-// here must not silently turn history off. See README, "Running at
-// scale".
+// uncompressed); naming one pins it. Without WithArchive the store files
+// its sealed blocks in its own in-memory backend, and coldBudget bounds
+// its compressed bytes per stream (<= 0 keeps the default, 64 KiB): the
+// oldest blocks are dropped past it and the newest always survives. With
+// WithArchive every sealed block goes to the archive and the budget
+// holds nothing back. Either way sealed entries count in Stats().Store's
+// Archived* gauges, not its Retained* ones, and budget drops in
+// EvictedArchive. New panics on an unknown codec name, like a malformed
+// retention bound would — a typo here must not silently turn history
+// off. See README, "Running at scale".
 func WithStoreCompression(codec string, coldBudget int64) Option {
 	return func(cfg *core.Config) {
 		cfg.Store.Codec = codec
@@ -150,18 +152,20 @@ func NewFSArchive(dir string) (ArchiveBackend, error) {
 }
 
 // NewMemArchive returns an in-memory archive backend: the full Backend
-// contract with no durability, for tests and experiments. Sharing one
-// across two deployments stands in for a restart.
+// contract with no durability, the one a store with a codec and no
+// archive keeps its sealed history in. Attached, it serves tests and
+// experiments; sharing one across two deployments stands in for a
+// restart.
 func NewMemArchive() ArchiveBackend {
 	return archive.NewMem()
 }
 
 // WithArchive attaches a durable archive tier to the Stream Store: every
 // compressed block the store seals is filed in the backend by the append
-// that sealed it, under that stream's shard lock, and none is kept in
-// memory, so WithStoreCompression's cold budget no longer bounds what is
-// kept. Range, Replay, SubscribeWithReplay and the window queries stitch
-// archive → sealed → hot → live transparently. Implies
+// that sealed it, under that stream's shard lock, in place of the store's
+// own in-memory backend, so WithStoreCompression's cold budget no longer
+// bounds what is kept. Range, Replay, SubscribeWithReplay and the window
+// queries stitch archive → hot → live transparently. Implies
 // WithStoreCompression("auto", default budget) when no codec was chosen —
 // the archive files sealed blocks, so sealing must be on. On
 // construction the store recovers the backend's manifest and serves

@@ -46,7 +46,7 @@ func TestAuditNamesTheUnbalancedLayer(t *testing.T) {
 		"Filter.Received", "Filter.Delivered", "Filter.Duplicates", "Filter.Stale",
 		"Store.RetainedMessages", "Store.ArchivedMessages", "Store.ArchiveRecovered",
 		"Store.Appended", "Store.Duplicates", "Store.DroppedBehind", "Store.EvictedCount",
-		"Store.EvictedBytes", "Store.EvictedAge", "Store.EvictedCold", "Store.EvictedArchive",
+		"Store.EvictedBytes", "Store.EvictedAge", "Store.EvictedArchive",
 		"Store.ArchiveFailed", "Store.Forgotten",
 		"Resource.Submitted", "Resource.Approved", "Resource.Modified", "Resource.Denied",
 		"Actuation.Issued", "Actuation.Acked", "Actuation.Expired", "Actuation.Cancelled",

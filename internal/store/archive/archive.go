@@ -1,7 +1,9 @@
-// Package archive defines the Stream Store's durable retention tier: a
-// pluggable block backend that receives every compressed block the store
-// seals, as it seals it, and serves them back to the store's read path, so
-// replay stitches archive → hot → live transparently.
+// Package archive defines the Stream Store's sealed tier: a pluggable
+// block backend that receives every compressed block the store seals, as
+// it seals it, and serves them back to the store's read path, so replay
+// stitches archive → hot → live transparently. FS is the durable backend;
+// Mem keeps blocks in memory, and a store with a codec and no archive
+// attached files its blocks in a Mem of its own.
 //
 // The unit of exchange is the store's sealed block exactly as the codec
 // package encoded it — a self-contained byte string tagged with its
@@ -19,8 +21,9 @@
 // readers call Open under shard locks. FS has one mutex for all its
 // shards, so its Open holds it only to look the block's extent up, and
 // reads and checks the bytes after releasing it: a block read never waits
-// behind another shard's segment or manifest write. Append must copy data
-// before returning — the store recycles the buffer immediately. Blocks are addressed by their last
+// behind another shard's segment or manifest write. Mem has one mutex per
+// wire.Shards partition. Append must copy data before returning — the
+// store reuses the buffer for its next seal. Blocks are addressed by their last
 // extended sequence, which is immutable for the life of the block (the
 // first sequence is logical bookkeeping the store may advance as
 // retention policy trims a block's prefix; see DeleteBefore's floor).
@@ -34,7 +37,8 @@
 package archive
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"github.com/garnet-middleware/garnet/internal/store/codec"
@@ -97,13 +101,30 @@ type Backend interface {
 	Forget(stream wire.StreamID) error
 }
 
-// Mem is the in-memory reference backend: the Backend contract with no
-// durability, for tests and experiments. A Mem shared between two
-// stores also stands in for a restart — the second store recovers the
-// first one's spilled history from it.
+// Mem is the in-memory backend: the Backend contract with no durability.
+// A store configured with a codec and no archive files its sealed blocks
+// in one of its own, so Mem is where that store's sealed history lives; a
+// Mem passed in as the archive serves tests and experiments, and one
+// shared between two stores stands in for a restart — the second store
+// recovers the first one's spilled history from it.
+//
+// Streams are split over wire.Shards partitions by the store's own
+// partition, id.Sensor().Shard(wire.Shards), each with its own mutex, so
+// appenders on different store shards never share a lock. A partition
+// keeps up to memFreeBufs of the buffers DeleteBefore and Forget drop and
+// Append copies into them, so a stream held at its byte budget files a
+// block into the buffer its oldest one left and allocates nothing.
 type Mem struct {
+	parts [wire.Shards]memPart
+}
+
+// memFreeBufs bounds each partition's list of dropped block buffers.
+const memFreeBufs = 64
+
+type memPart struct {
 	mu      sync.Mutex
 	streams map[wire.StreamID]*memStream
+	free    [][]byte
 }
 
 type memStream struct {
@@ -113,78 +134,103 @@ type memStream struct {
 }
 
 // NewMem returns an empty in-memory backend.
-func NewMem() *Mem {
-	return &Mem{streams: make(map[wire.StreamID]*memStream)}
+func NewMem() *Mem { return new(Mem) }
+
+func (m *Mem) part(id wire.StreamID) *memPart {
+	return &m.parts[id.Sensor().Shard(wire.Shards)]
 }
 
-func (m *Mem) stream(id wire.StreamID) *memStream {
-	ms, ok := m.streams[id]
+// stream returns id's state, creating it. Caller holds p.mu.
+func (p *memPart) stream(id wire.StreamID) *memStream {
+	ms, ok := p.streams[id]
 	if !ok {
+		if p.streams == nil {
+			p.streams = make(map[wire.StreamID]*memStream)
+		}
 		ms = &memStream{}
-		m.streams[id] = ms
+		p.streams[id] = ms
 	}
 	return ms
 }
 
+// release parks dropped block buffers for Append to reuse, up to
+// memFreeBufs. Caller holds p.mu.
+func (p *memPart) release(bufs [][]byte) {
+	for _, b := range bufs {
+		if len(p.free) == memFreeBufs {
+			return
+		}
+		p.free = append(p.free, b[:0])
+	}
+}
+
 // Append implements Backend.
 func (m *Mem) Append(stream wire.StreamID, ref Ref, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms := m.stream(stream)
+	p := m.part(stream)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var buf []byte
+	if n := len(p.free); n > 0 {
+		buf, p.free[n-1] = p.free[n-1], nil
+		p.free = p.free[:n-1]
+	}
+	ms := p.stream(stream)
 	ms.refs = append(ms.refs, ref)
-	ms.data = append(ms.data, append([]byte(nil), data...))
+	ms.data = append(ms.data, append(buf, data...))
 	return nil
 }
 
-// Open implements Backend.
+// Open implements Backend. Blocks arrive in ascending order, so the
+// block is found by binary search on its last sequence.
 func (m *Mem) Open(dst []byte, stream wire.StreamID, lastSeq uint64) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms, ok := m.streams[stream]
-	if ok {
-		for i := range ms.refs {
-			if ms.refs[i].LastSeq == lastSeq {
-				return append(dst, ms.data[i]...), nil
-			}
+	p := m.part(stream)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ms, ok := p.streams[stream]; ok {
+		if i, found := ms.find(lastSeq); found {
+			return append(dst, ms.data[i]...), nil
 		}
 	}
 	return dst, ErrNotFound
 }
 
+// find returns the index of the first block whose last sequence is at
+// least seq, and whether it is seq. Caller holds the partition's mu.
+func (ms *memStream) find(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(ms.refs, seq, func(r Ref, seq uint64) int {
+		return cmp.Compare(r.LastSeq, seq)
+	})
+}
+
+// state copies ms out as a StreamState. Caller holds the partition's mu.
+func (ms *memStream) state(id wire.StreamID) StreamState {
+	return StreamState{Stream: id, Floor: ms.floor, Refs: slices.Clone(ms.refs)}
+}
+
 // List implements Backend.
 func (m *Mem) List(stream wire.StreamID) (StreamState, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms, ok := m.streams[stream]
-	if !ok {
-		return StreamState{Stream: stream}, nil
+	p := m.part(stream)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ms, ok := p.streams[stream]; ok {
+		return ms.state(stream), nil
 	}
-	return StreamState{
-		Stream: stream,
-		Floor:  ms.floor,
-		Refs:   append([]Ref(nil), ms.refs...),
-	}, nil
+	return StreamState{Stream: stream}, nil
 }
 
 // Streams implements Backend. Streams are visited in id order so Mem
 // behaves deterministically under tests.
 func (m *Mem) Streams(fn func(StreamState) error) error {
-	m.mu.Lock()
-	ids := make([]wire.StreamID, 0, len(m.streams))
-	for id := range m.streams {
-		ids = append(ids, id)
+	var states []StreamState
+	for i := range m.parts {
+		p := &m.parts[i]
+		p.mu.Lock()
+		for id, ms := range p.streams {
+			states = append(states, ms.state(id))
+		}
+		p.mu.Unlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	states := make([]StreamState, 0, len(ids))
-	for _, id := range ids {
-		ms := m.streams[id]
-		states = append(states, StreamState{
-			Stream: id,
-			Floor:  ms.floor,
-			Refs:   append([]Ref(nil), ms.refs...),
-		})
-	}
-	m.mu.Unlock()
+	slices.SortFunc(states, func(a, b StreamState) int { return cmp.Compare(a.Stream, b.Stream) })
 	for _, st := range states {
 		if err := fn(st); err != nil {
 			return err
@@ -195,27 +241,29 @@ func (m *Mem) Streams(fn func(StreamState) error) error {
 
 // DeleteBefore implements Backend.
 func (m *Mem) DeleteBefore(stream wire.StreamID, upto uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms := m.stream(stream)
-	if upto > ms.floor {
-		ms.floor = upto
-	}
-	k := 0
-	for k < len(ms.refs) && ms.refs[k].LastSeq < upto {
-		k++
-	}
-	if k > 0 {
-		ms.refs = append(ms.refs[:0], ms.refs[k:]...)
-		ms.data = append(ms.data[:0], ms.data[k:]...)
+	p := m.part(stream)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ms := p.stream(stream)
+	ms.floor = max(ms.floor, upto)
+	if k, _ := ms.find(upto); k > 0 {
+		p.release(ms.data[:k])
+		n := copy(ms.refs, ms.refs[k:])
+		copy(ms.data, ms.data[k:])
+		clear(ms.data[n:])
+		ms.refs, ms.data = ms.refs[:n], ms.data[:n]
 	}
 	return nil
 }
 
 // Forget implements Backend.
 func (m *Mem) Forget(stream wire.StreamID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.streams, stream)
+	p := m.part(stream)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ms, ok := p.streams[stream]; ok {
+		p.release(ms.data)
+		delete(p.streams, stream)
+	}
 	return nil
 }

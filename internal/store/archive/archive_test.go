@@ -91,6 +91,32 @@ func TestBackendContract(t *testing.T) {
 			t.Fatalf("Open(25) hits no block boundary: %v, want ErrNotFound", err)
 		}
 
+		// A stream of many blocks: Open finds its first, middle and last
+		// block, and a last sequence between two refs, below the first or
+		// past the last is not found.
+		many := sid(t, 7, 2)
+		const blocksOfMany = 9
+		for i := range uint64(blocksOfMany) {
+			ref, data := blk(200+10*i, 209+10*i, byte(0x40+i), 8+int(i))
+			if err := b.Append(many, ref, data); err != nil {
+				t.Fatalf("Append(many %d): %v", i, err)
+			}
+		}
+		for _, i := range []uint64{0, blocksOfMany / 2, blocksOfMany - 1} {
+			_, want := blk(200+10*i, 209+10*i, byte(0x40+i), 8+int(i))
+			if got, err := b.Open(nil, many, 209+10*i); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Open(many block %d) = %d bytes, %v; want its %d bytes", i, len(got), err, len(want))
+			}
+		}
+		for _, last := range []uint64{244, 199, 209 + 10*blocksOfMany} {
+			if _, err := b.Open(nil, many, last); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Open(many, %d) = %v, want ErrNotFound", last, err)
+			}
+		}
+		if err := b.Forget(many); err != nil {
+			t.Fatalf("Forget(many): %v", err)
+		}
+
 		st, err := b.List(a)
 		if err != nil {
 			t.Fatalf("List: %v", err)
@@ -645,6 +671,171 @@ func TestScanFSReport(t *testing.T) {
 	for _, sr := range rep.Shards {
 		if sr.Records != 0 || sr.SegBytes != 0 {
 			t.Fatalf("missing dir scans non-empty: %+v", sr)
+		}
+	}
+}
+
+// TestMemConcurrentUse runs Mem's every method at once: appenders on
+// streams in four different partitions, readers opening their blocks, a
+// cutter advancing their floors with DeleteBefore, a forgetter filling and
+// forgetting streams in the same partitions — whose dropped buffers the
+// appenders' next blocks reuse — and a lister walking Streams. The
+// appenders pause after every 16 blocks, so the others get the CPU, and
+// keep going until every other goroutine has run 100 rounds beside them.
+// Every block appended and not deleted must open
+// byte-identical to what was appended, while the others run and once they
+// have stopped.
+func TestMemConcurrentUse(t *testing.T) {
+	const streams, minBlocks, minRounds = 4, 200, 100
+	m := NewMem()
+	var ids, churn []wire.StreamID
+	used := make(map[int]bool)
+	for sensor := uint32(1); len(ids) < streams; sensor++ {
+		if p := wire.SensorID(sensor).Shard(wire.Shards); !used[p] {
+			used[p] = true
+			ids = append(ids, sid(t, sensor, 0))
+			churn = append(churn, sid(t, sensor, 1)) // the same partition
+		}
+	}
+	// Block i of stream w covers 10i+10..10i+19; its bytes vary in length
+	// so a reused buffer is sometimes too short and sometimes too long.
+	block := func(w, i int) (Ref, []byte) {
+		data := make([]byte, 8+(i*37+w*11)%120)
+		for j := range data {
+			data[j] = byte(w*31 + i*7 + j)
+		}
+		return Ref{Codec: codec.IDRaw, FirstSeq: uint64(10*i + 10), LastSeq: uint64(10*i + 19),
+			Count: 10, Bytes: int64(len(data)), RawBytes: int64(len(data))}, data
+	}
+	// appended[w] counts the blocks Append has returned for; floor[w] is
+	// published before the DeleteBefore that enforces it.
+	var appended, floor [streams]atomic.Int64
+	// check opens block i of stream w into buf: it must open
+	// byte-identical, or be gone because the floor has passed it.
+	check := func(buf []byte, w, i int) ([]byte, error) {
+		_, want := block(w, i)
+		got, err := m.Open(buf[:0], ids[w], uint64(10*i+19))
+		switch {
+		case err == nil && !bytes.Equal(got, want):
+			return buf, fmt.Errorf("Open(%v, block %d) returned bytes that are not the block's", ids[w], i)
+		case err == nil:
+			return got, nil
+		case uint64(10*i+19) >= uint64(floor[w].Load()):
+			return buf, fmt.Errorf("Open(%v, block %d) above the floor: %v", ids[w], i, err)
+		}
+		return buf, nil
+	}
+
+	const helpers = 5 // two readers, the cutter, the forgetter, the lister
+	var rounds [helpers]atomic.Int64
+	var failed atomic.Bool // a goroutine has stopped on an error: nobody waits for its rounds
+	warmedUp := func() bool {
+		for i := range rounds {
+			if rounds[i].Load() < minRounds {
+				return false
+			}
+		}
+		return true
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, helpers+streams) // each goroutine sends at most once
+	var appenders, others sync.WaitGroup
+	for w := range streams {
+		appenders.Add(1)
+		go func() {
+			defer appenders.Done()
+			for i := 0; !failed.Load() && (i < minBlocks || !warmedUp()); i++ {
+				ref, data := block(w, i)
+				if err := m.Append(ids[w], ref, data); err != nil {
+					failed.Store(true)
+					errs <- fmt.Errorf("Append(%v, %d): %v", ids[w], i, err)
+					return
+				}
+				appended[w].Store(int64(i + 1))
+				if i%16 == 15 {
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		}()
+	}
+	helper := func(h int, round func(n int) error) {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := round(n); err != nil {
+					failed.Store(true)
+					errs <- err
+					return
+				}
+				rounds[h].Add(1)
+			}
+		}()
+	}
+	for r := range 2 { // the readers
+		var buf []byte
+		helper(r, func(n int) (err error) {
+			w := (n + r) % streams
+			if k := int(appended[w].Load()); k > 0 {
+				buf, err = check(buf, w, (n*7919)%k)
+			}
+			return err
+		})
+	}
+	helper(2, func(n int) error { // the cutter: each stream keeps its newest 32 blocks
+		w := n % streams
+		if k := int(appended[w].Load()); k > 32 {
+			upto := uint64(10*(k-32) + 10)
+			floor[w].Store(int64(upto))
+			return m.DeleteBefore(ids[w], upto)
+		}
+		return nil
+	})
+	helper(3, func(n int) error { // the forgetter
+		id := churn[n%streams]
+		for i := range 8 {
+			ref, data := block(n%streams, i+n%200)
+			ref.FirstSeq, ref.LastSeq = uint64(10*i+10), uint64(10*i+19)
+			if err := m.Append(id, ref, data); err != nil {
+				return err
+			}
+		}
+		return m.Forget(id)
+	})
+	helper(4, func(int) error { // the lister
+		return m.Streams(func(ss StreamState) error {
+			for i := 1; i < len(ss.Refs); i++ {
+				if ss.Refs[i].LastSeq <= ss.Refs[i-1].LastSeq {
+					return fmt.Errorf("Streams: %v's refs are out of order", ss.Stream)
+				}
+			}
+			return nil
+		})
+	})
+	appenders.Wait()
+	close(stop)
+	others.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	for w := range streams {
+		st, err := m.List(ids[w])
+		if err != nil || len(st.Refs) == 0 || st.Floor != uint64(floor[w].Load()) {
+			t.Fatalf("List(%v) = floor %d, %d refs, %v; want floor %d", ids[w], st.Floor, len(st.Refs), err, floor[w].Load())
+		}
+		for i := range int(appended[w].Load()) {
+			if _, err := check(nil, w, i); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

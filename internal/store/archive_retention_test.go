@@ -53,7 +53,7 @@ func TestArchiveRetentionBounds(t *testing.T) {
 	if err != nil || len(full.Refs) < 40 {
 		t.Fatalf("unbounded twin archived %d blocks, %v", len(full.Refs), err)
 	}
-	blockBytes := full.Refs[0].Bytes
+	perBlock := full.Refs[0].Bytes
 
 	bounds := []struct {
 		name     string
@@ -61,9 +61,9 @@ func TestArchiveRetentionBounds(t *testing.T) {
 		maxBytes int64
 	}{
 		{"age", 60 * time.Second, 0},
-		{"bytes", 0, 5*blockBytes + blockBytes/2},
-		{"both, age binds", 30 * time.Second, 10 * blockBytes},
-		{"both, bytes bind", 10 * time.Minute, 3 * blockBytes},
+		{"bytes", 0, 5*perBlock + perBlock/2},
+		{"both, age binds", 30 * time.Second, 10 * perBlock},
+		{"both, bytes bind", 10 * time.Minute, 3 * perBlock},
 		{"age below one block", time.Nanosecond, 0},
 		{"bytes below one block", 0, 1},
 	}
@@ -111,7 +111,7 @@ func TestArchiveRetentionBounds(t *testing.T) {
 				if st.ArchivedBlocks != int64(len(want)) {
 					t.Fatalf("ArchivedBlocks = %d, want the newest %d of %d", st.ArchivedBlocks, len(want), len(full.Refs))
 				}
-				if other := st.EvictedCount + st.EvictedBytes + st.EvictedAge + st.EvictedCold + st.ArchiveFailed; other != 0 {
+				if other := st.EvictedCount + st.EvictedBytes + st.EvictedAge + st.ArchiveFailed; other != 0 {
 					t.Fatalf("entries lost outside archive retention: %+v", st)
 				}
 				held, err := backend.List(id)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"time"
 
 	"github.com/garnet-middleware/garnet/internal/metrics"
@@ -11,19 +12,47 @@ import (
 // archiveState is the store-wide archive tier: the backend, the retention
 // policy, and the write/read latency histograms Stats snapshots. Each
 // stream's archive state — its refs and floor — lives on its ring's tail.
+// own marks the store's own in-memory backend, whose bytes are the
+// store's heap.
 type archiveState struct {
 	backend  archive.Backend
 	maxAge   time.Duration
 	maxBytes int64
+	own      bool
 
 	writeLat metrics.Histogram
 	readLat  metrics.Histogram
 }
 
-// initArchive wires the archive tier into a freshly constructed store and
+// now reads the clock before a backend call, whose latency observe then
+// records. The store's own backend is a map lookup and a copy, not timed.
+func (a *archiveState) now() time.Time {
+	if a.own {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (a *archiveState) observe(h *metrics.Histogram, start time.Time) {
+	if !a.own {
+		h.ObserveDuration(time.Since(start))
+	}
+}
+
+// initArchive wires the archive tier into a freshly constructed sealing
+// store. Without Options.Archive the store files its blocks in its own
+// archive.Mem, bounded per stream by ColdBudget alone; with one it
 // recovers the in-memory index from the backend's manifests. Called from
 // New before the store is shared, so no locks are held.
 func (s *Store) initArchive(opts Options) {
+	if opts.Archive == nil {
+		s.arch = &archiveState{
+			backend:  archive.NewMem(),
+			maxBytes: cmp.Or(max(opts.ColdBudget, 0), DefaultColdBudget),
+			own:      true,
+		}
+		return
+	}
 	s.arch = &archiveState{
 		backend:  opts.Archive,
 		maxAge:   opts.ArchiveMaxAge,
@@ -49,11 +78,12 @@ func (s *Store) recoverArchive() {
 				continue
 			}
 			if ref.FirstSeq < ss.Floor {
-				if _, _, ok := s.cutHeadLocked(ss.Stream, &ref, nil, ss.Floor); !ok {
+				if _, _, ok := s.cutHeadLocked(ss.Stream, &ref, ss.Floor); !ok {
 					continue
 				}
 			}
 			t.refs = append(t.refs, ref)
+			t.refBytes += ref.Bytes
 			sh.archivedBlocks++
 			sh.archivedMsgs += int64(ref.Count)
 			sh.archivedBytes += ref.Bytes
@@ -68,46 +98,42 @@ func (s *Store) recoverArchive() {
 	}
 }
 
-// spillLocked files a block the stream has just sealed in the backend
-// and settles it: on success its entries move from the retained counts to
-// the archived ones and its ref joins the stream's index; on failure the
-// entries are lost and credited to Stats.ArchiveFailed so the
-// conservation identity still closes. Either way the block's buffer is
-// recycled. Caller holds mu: the backend's write latency is the
-// appender's.
-func (s *Store) spillLocked(sh *shard, t *tail, id wire.StreamID, b block) {
-	start := time.Now()
-	err := s.arch.backend.Append(id, b.Ref, b.data)
-	s.arch.writeLat.ObserveDuration(time.Since(start))
-	sh.retainedMessages -= int64(b.Count)
-	sh.retainedBytes -= b.RawBytes
-	sh.recycleBufLocked(b.data)
+// spillLocked files a block the stream has just sealed, its header ref and
+// its encoded bytes data, in the backend and settles it: on success its
+// entries move from the retained counts to the archived ones and its ref
+// joins the stream's index; on failure the entries are lost and credited
+// to Stats.ArchiveFailed so the conservation identity still closes. The
+// backend copies data, so the caller may reuse it. Caller holds mu: the
+// backend's write latency is the appender's.
+func (s *Store) spillLocked(sh *shard, t *tail, id wire.StreamID, ref archive.Ref, data []byte) {
+	start := s.arch.now()
+	err := s.arch.backend.Append(id, ref, data)
+	s.arch.observe(&s.arch.writeLat, start)
+	sh.retainedMessages -= int64(ref.Count)
+	sh.retainedBytes -= ref.RawBytes
 	if err != nil {
-		sh.archiveFailed += int64(b.Count)
+		sh.archiveFailed += int64(ref.Count)
 		return
 	}
-	t.refs = append(t.refs, b.Ref)
+	t.refs = append(t.refs, ref)
+	t.refBytes += ref.Bytes
 	sh.archivedBlocks++
-	sh.archivedMsgs += int64(b.Count)
-	sh.archivedBytes += b.Bytes
-	sh.archivedRaw += b.RawBytes
-	s.enforceArchiveRetentionLocked(sh, t, id, b.LastUnix)
+	sh.archivedMsgs += int64(ref.Count)
+	sh.archivedBytes += ref.Bytes
+	sh.archivedRaw += ref.RawBytes
+	s.enforceArchiveRetentionLocked(sh, t, id, ref.LastUnix)
 }
 
-// enforceArchiveRetentionLocked applies WithArchiveRetention's bounds
-// after a spill: oldest blocks past the per-stream byte budget or the
-// age cut (relative to the newest archived entry, so virtual clocks
-// stay deterministic) are dropped and the floor persisted. The newest
-// block always survives. Caller holds mu.
+// enforceArchiveRetentionLocked applies the backend's bounds after a
+// spill — WithArchiveRetention's, or ColdBudget for the store's own:
+// oldest blocks past the per-stream byte budget or the age cut (relative
+// to the newest archived entry, so virtual clocks stay deterministic) are
+// dropped and the floor persisted. The newest block always survives.
+// Caller holds mu.
 func (s *Store) enforceArchiveRetentionLocked(sh *shard, t *tail, id wire.StreamID, nowUnix int64) {
 	dropped := false
 	if s.arch.maxBytes > 0 {
-		var total int64
-		for i := range t.refs {
-			total += t.refs[i].Bytes
-		}
-		for len(t.refs) > 1 && total > s.arch.maxBytes {
-			total -= t.refs[0].Bytes
+		for len(t.refs) > 1 && t.refBytes > s.arch.maxBytes {
 			sh.dropRefLocked(t, &sh.evictedArchive)
 			dropped = true
 		}
@@ -125,12 +151,13 @@ func (s *Store) enforceArchiveRetentionLocked(sh *shard, t *tail, id wire.Stream
 	}
 }
 
-// dropRefLocked removes the oldest archived block from the stream's
-// index, crediting its live entries to *reason. The caller deletes the
-// durable copy (one DeleteBefore or Forget covers a run of drops).
+// dropRefLocked removes the oldest sealed block from the stream's index,
+// crediting its live entries to *reason. The caller deletes the backend's
+// copy (one DeleteBefore or Forget covers a run of drops).
 // Caller holds mu.
 func (sh *shard) dropRefLocked(t *tail, reason *int64) {
 	ref := popHead(&t.refs)
+	t.refBytes -= ref.Bytes
 	sh.archivedBlocks--
 	sh.archivedMsgs -= int64(ref.Count)
 	sh.archivedBytes -= ref.Bytes

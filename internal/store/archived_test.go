@@ -43,8 +43,8 @@ func TestArchiveSpillStitch(t *testing.T) {
 	if st.ArchivedBlocks == 0 || st.ArchivedMessages == 0 {
 		t.Fatalf("nothing spilled: %+v", st)
 	}
-	if st.EvictedCold != 0 {
-		t.Fatalf("cold evictions leaked past the archive: %+v", st)
+	if st.EvictedArchive != 0 {
+		t.Fatalf("an unbounded archive evicted: %+v", st)
 	}
 	checkArchiveIdentity(t, s, "after appends")
 
@@ -167,9 +167,9 @@ func TestArchiveFilesEveryBlockAsItSeals(t *testing.T) {
 					payload := bytes.Repeat([]byte{byte(seq)}, 4+12*i) // the last stream's lie in the arena
 					s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*time.Second), payload))
 					st := s.Stats()
-					if st.ArchivedBlocks != st.SealedBlocks || st.ColdBlocks != 0 {
-						t.Fatalf("seq %d stream %v: %d sealed, %d archived, %d held in memory",
-							seq, id, st.SealedBlocks, st.ArchivedBlocks, st.ColdBlocks)
+					if st.ArchivedBlocks != st.SealedBlocks {
+						t.Fatalf("seq %d stream %v: %d sealed, %d archived",
+							seq, id, st.SealedBlocks, st.ArchivedBlocks)
 					}
 					if err := st.Check(); err != nil {
 						t.Fatalf("seq %d stream %v: %v", seq, id, err)
@@ -553,7 +553,7 @@ func TestArchivedStoreMatchesFrozenReference(t *testing.T) {
 				for i, s := range stores {
 					tag := fmt.Sprintf("shards=%d", partitions[i])
 					st := s.Stats()
-					if st.EvictedCold != 0 || st.EvictedCount != 0 || st.EvictedBytes != 0 || st.EvictedAge != 0 ||
+					if st.EvictedCount != 0 || st.EvictedBytes != 0 || st.EvictedAge != 0 ||
 						st.EvictedArchive != 0 || st.ArchiveFailed != 0 {
 						t.Fatalf("%s: archived store lost entries: %+v", tag, st)
 					}

@@ -47,7 +47,7 @@ func sizeClass(n uintptr) uintptr {
 // the ring header alone, where a window of its own in a filter table cost
 // 16 bytes and an index entry). The record holds the stream's append
 // history (a count and two instants, 32 bytes) that Discover reads, which
-// no other layer keeps; the arena and the cold tier, which an idle stream
+// no other layer keeps; the arena and sealed history, which an idle stream
 // with short payloads and no codec never uses, live in the tail behind one
 // pointer and are not counted here. The slot itself is pinned to one cache
 // line, which is what a 64-byte size class aligns it to.
@@ -138,10 +138,10 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 	for seq := 4; seq < 64; seq++ { // the first seals the 4 hot entries into a block
 		c.Append(del(id, wire.Seq(seq), epoch, []byte{byte(seq)}))
 		if st, _ := c.StreamStats(id); !owns(c, id) {
-			t.Fatalf("seq %d: %d cold entries without a tail", seq, st.ColdMessages)
+			t.Fatalf("seq %d: %d sealed entries without a tail", seq, st.ArchivedMessages)
 		}
 	}
-	if st, _ := c.StreamStats(id); st.ColdBlocks == 0 {
+	if st, _ := c.StreamStats(id); st.ArchivedBlocks == 0 {
 		t.Fatalf("nothing sealed: %+v", st)
 	}
 	c.Forget(id)
@@ -151,14 +151,15 @@ func TestIdleStreamOwnsNoTail(t *testing.T) {
 }
 
 // TestSealingStreamFootprint pins what a stream that seals holds beyond
-// an idle one in its tail: one size class up to 112 bytes — the arena,
-// then the cold blocks or the archived refs — and no slots. A seal
-// unpacks the hot entries it takes into pooled scratch and vacates their
-// slots, so no field of the tail keeps slots for the next block:
-// TestStageFootprint and TestResidentBytesCountsTheStage hold the rest.
+// an idle one in its tail: one size class up to 80 bytes — the arena,
+// then the sealed blocks' refs with their running byte total and the
+// floor — and no slots. A seal unpacks the hot entries it takes into
+// pooled scratch and vacates their slots, so no field of the tail keeps
+// slots for the next block: TestStageFootprint and
+// TestResidentBytesCountsTheStage hold the rest.
 func TestSealingStreamFootprint(t *testing.T) {
-	if got := sizeClass(unsafe.Sizeof(tail{})); got > 112 {
-		t.Fatalf("the tail is %d B (class %d), budget 112", unsafe.Sizeof(tail{}), got)
+	if got := sizeClass(unsafe.Sizeof(tail{})); got > 80 {
+		t.Fatalf("the tail is %d B (class %d), budget 80", unsafe.Sizeof(tail{}), got)
 	}
 	t.Logf("a sealing stream's tail is %d B", unsafe.Sizeof(tail{}))
 	typ := reflect.TypeOf(tail{})
@@ -189,7 +190,7 @@ func TestStageFootprint(t *testing.T) {
 	defer sh.mu.Unlock()
 	r := sh.rings.get(id)
 	tl := r.tail
-	if st := len(tl.blocks); st != 1 || r.count != hot {
+	if st := len(tl.refs); st != 1 || r.count != hot {
 		t.Fatalf("%d blocks sealed and %d entries hot, want 1 and %d", st, r.count, hot)
 	}
 	if got, want := uintptr(cap(r.slots))*unsafe.Sizeof(slot{}), uintptr(DefaultBlockSize*64); got != want {

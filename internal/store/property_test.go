@@ -691,9 +691,9 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 
 			// Final state: with compression on and an unbounded cold
 			// budget nothing is ever lost to the retention bounds — the
-			// Evicted* counters stay zero and the retained gauges equal
-			// the reference's frozen ∪ live totals, reconciling exactly
-			// with the append/loss counters.
+			// Evicted* counters stay zero and the hot and sealed gauges
+			// together equal the reference's frozen ∪ live totals,
+			// reconciling exactly with the append/loss counters.
 			var wantMsgs, wantBytes int64
 			for _, r := range ref.streams {
 				for _, e := range r.all() {
@@ -704,15 +704,14 @@ func TestCompressedStoreMatchesFrozenReference(t *testing.T) {
 			for i, s := range stores {
 				st := s.Stats()
 				tag := fmt.Sprintf("codec=%s trial %d shards=%d", codecName, trial, partitions[i])
-				if st.EvictedCount != 0 || st.EvictedBytes != 0 || st.EvictedAge != 0 || st.EvictedCold != 0 {
+				if st.EvictedCount != 0 || st.EvictedBytes != 0 || st.EvictedAge != 0 || st.EvictedArchive != 0 {
 					t.Fatalf("%s: compressed store lost entries to bounds: %+v", tag, st)
 				}
 				if st.SealedBlocks == 0 {
 					t.Fatalf("%s: no blocks sealed — the cold tier was never exercised", tag)
 				}
-				if st.RetainedMessages != wantMsgs || st.RetainedBytes != wantBytes {
-					t.Fatalf("%s: retained %d msgs/%d B, ref %d/%d",
-						tag, st.RetainedMessages, st.RetainedBytes, wantMsgs, wantBytes)
+				if msgs, b := st.RetainedMessages+st.ArchivedMessages, st.RetainedBytes+st.ArchivedRawBytes; msgs != wantMsgs || b != wantBytes {
+					t.Fatalf("%s: retained + sealed %d msgs/%d B, ref %d/%d", tag, msgs, b, wantMsgs, wantBytes)
 				}
 				if err := st.Check(); err != nil {
 					t.Fatalf("%s: %v", tag, err)

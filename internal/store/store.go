@@ -86,20 +86,18 @@
 // the oldest block while more than one block is hot, so up to BlockSize
 // entries past them stay hot until a block is whole. A forward jump past
 // the ring's span seals what falls below it and may seal a smaller last
-// block. Where a block goes from there depends on the archive:
+// block. The appender that sealed it files it in an archive backend at
+// once, under the same shard lock, and the stream keeps a ref, 48 bytes in
+// memory, whose bytes a read fetches back from the backend (Backend.Open).
+// The backend is Options.Archive when one is attached; without one the
+// store files its blocks in its own archive.Mem, bounded per stream by
+// Options.ColdBudget: past it the oldest block is dropped
+// (Stats.EvictedArchive).
 //
-//   - With no archive it joins the stream's list of sealed blocks, the cold
-//     tier, bounded per stream by Options.ColdBudget: past it the oldest
-//     block is dropped (Stats.EvictedCold).
-//   - With an archive (Options.Archive) the appender that sealed it files it
-//     in the backend at once, under the same shard lock, and the list stays
-//     empty. The block lives on as a durable ref, 48 bytes in memory, whose
-//     bytes a read fetches back from the backend.
-//
-// A stream's history is therefore, oldest first: durable refs or the cold
-// list, then the hot ring. All of it hangs off the stream's one
-// record — the ring header and, behind one pointer, its tail — and every
-// read walks it in that order (walkLocked).
+// A stream's history is therefore, oldest first: refs, then the hot ring.
+// All of it hangs off the stream's one record — the ring header and,
+// behind one pointer, its tail — and every read walks it in that order
+// (walkLocked).
 package store
 
 import (
@@ -157,9 +155,6 @@ const (
 	DefaultColdBudget = int64(1) << 16
 	// DefaultBlockSize is the number of deliveries sealed per block.
 	DefaultBlockSize = 64
-	// maxFreeBufs bounds the per-shard free list of recycled block
-	// buffers.
-	maxFreeBufs = 64
 )
 
 // Options configures a Store. The zero value selects the defaults above
@@ -194,10 +189,12 @@ type Options struct {
 	// retention.
 	Codec string
 	// ColdBudget bounds the sealed blocks kept in memory per stream, in
-	// compressed bytes, when no archive is attached; the oldest blocks
-	// are dropped (Stats.EvictedCold) past it. <= 0 selects
+	// compressed bytes, when no archive is attached: it is the byte bound
+	// of the store's own in-memory backend, whose oldest blocks are
+	// dropped (Stats.EvictedArchive) past it. <= 0 selects
 	// DefaultColdBudget. The newest block always survives. With an
-	// archive no block is kept in memory and no budget applies.
+	// archive no block is kept in memory and ArchiveMaxBytes applies
+	// instead.
 	ColdBudget int64
 	// BlockSize is the number of deliveries sealed per block (a forward
 	// jump past the ring's span may seal fewer); <= 0 selects
@@ -209,13 +206,16 @@ type Options struct {
 	// lock, so appends pay the backend's write latency; the read path
 	// stitches archived blocks back transparently — archive → hot, one
 	// ascending sequence. Archiving requires sealing; when Codec
-	// is empty it defaults to "auto". nil disables the tier. At
-	// construction the store recovers the backend's manifest and serves
-	// archived history for streams it has never seen live.
+	// is empty it defaults to "auto". nil with a codec files the blocks
+	// in the store's own archive.Mem under ColdBudget, and nil without one
+	// seals nothing. At construction the store recovers the backend's
+	// manifest and serves archived history for streams it has never seen
+	// live.
 	Archive archive.Backend
 	// ArchiveMaxAge drops archived blocks whose newest entry is older
 	// than this relative to the newest archived entry (append-side
 	// eviction, deterministic on virtual clocks); <= 0 means unbounded.
+	// It and ArchiveMaxBytes bound an attached Archive only.
 	ArchiveMaxAge time.Duration
 	// ArchiveMaxBytes bounds the archived compressed bytes per stream;
 	// the oldest blocks are dropped (Stats.EvictedArchive) past it.
@@ -226,11 +226,13 @@ type Options struct {
 // Stats is an aggregate snapshot summed across shards. Its counters obey
 // the conservation identity on Check on every snapshot. With compression
 // enabled the Evicted{Count,Bytes,Age} counters stay at zero — those
-// evictions seal instead — and EvictedCold takes over as the only
-// capacity-driven loss; with an archive backend attached EvictedCold
-// stays at zero too — every sealed block spills — leaving EvictedArchive
-// (retention policy) and ArchiveFailed (backend write errors) as the only
-// capacity losses.
+// evictions seal instead — and every sealed block is filed in a backend,
+// the attached archive or the store's own in-memory one, leaving
+// EvictedArchive (its byte and age bounds, ColdBudget for the store's
+// own) and ArchiveFailed (backend write errors) as the only capacity
+// losses. Sealed entries count as Archived*, not Retained*, with either
+// backend, and ArchiveReadMessages counts reads of the store's own backend
+// too; the latency percentiles time an attached archive only.
 type Stats struct {
 	Appended      int64 // deliveries handed to Append
 	Duplicates    int64 // re-appends of an already retained sequence (replaced in place)
@@ -238,7 +240,6 @@ type Stats struct {
 	EvictedCount  int64 // evicted by the count/ring bound
 	EvictedBytes  int64 // evicted by the byte bound
 	EvictedAge    int64 // evicted by the age bound
-	EvictedCold   int64 // dropped from the cold tier by the compressed-bytes budget
 	Forgotten     int64 // dropped by policy (Forget / EvictTo)
 
 	// Sealing counters, zero when compression is off.
@@ -246,30 +247,22 @@ type Stats struct {
 	SealedMessages int64 // deliveries sealed into those blocks
 
 	// RetainedMessages/RetainedBytes are gauge values: what the store
-	// holds in memory right now — hot ring and cold list —
-	// summed across the shards. RetainedBytes counts payload bytes as
-	// appended, regardless of how densely sealed blocks store them.
+	// holds in its hot rings right now, summed across the shards; sealed
+	// entries are in the Archived* gauges. RetainedBytes counts payload
+	// bytes as appended.
 	RetainedMessages int64
 	RetainedBytes    int64
 
-	// Cold-tier gauges: compressed blocks held in memory, the compressed
-	// bytes they occupy, and the live payload bytes they represent. With
-	// an archive attached every block is filed as it seals and these
-	// read 0.
-	ColdBlocks   int
-	ColdBytes    int64
-	ColdRawBytes int64
-
-	// Archive-tier counters, zero when no backend is attached.
+	// Archive-tier counters, zero when compression is off.
 	EvictedArchive      int64 // dropped from the archive by WithArchiveRetention bounds
 	ArchiveFailed       int64 // lost to backend append errors
 	ArchiveRecovered    int64 // recovered from the backend's manifest at construction
 	ArchiveSyncSpills   int64 // always 0: every block is filed by the append that seals it
 	ArchiveReadMessages int64 // entries decoded from archived blocks by reads (read amplification numerator)
 
-	// Archive-tier gauges: durable blocks live right now and their
-	// encoded/raw bytes (RawBytes/Bytes is the archived compression
-	// ratio).
+	// Archive-tier gauges: sealed blocks filed in the backend right now
+	// and their encoded/raw bytes (RawBytes/Bytes is the sealed
+	// compression ratio).
 	ArchivedBlocks   int64
 	ArchivedMessages int64
 	ArchivedBytes    int64
@@ -299,17 +292,17 @@ type Stats struct {
 //
 //	RetainedMessages + ArchivedMessages − ArchiveRecovered ==
 //	    Appended − Duplicates − DroppedBehind −
-//	    EvictedCount − EvictedBytes − EvictedAge − EvictedCold −
+//	    EvictedCount − EvictedBytes − EvictedAge −
 //	    EvictedArchive − ArchiveFailed − Forgotten
 //
-// each appended delivery is either still held (in memory or durably
-// archived) or accounted to exactly one of the loss reasons;
+// each appended delivery is either still held (hot or filed in the
+// backend) or accounted to exactly one of the loss reasons;
 // ArchiveRecovered discounts history inherited from a previous process's
 // manifest, which was never appended in this one.
 func (s Stats) Check() error {
 	held := s.RetainedMessages + s.ArchivedMessages - s.ArchiveRecovered
 	kept := s.Appended - s.Duplicates - s.DroppedBehind -
-		s.EvictedCount - s.EvictedBytes - s.EvictedAge - s.EvictedCold -
+		s.EvictedCount - s.EvictedBytes - s.EvictedAge -
 		s.EvictedArchive - s.ArchiveFailed - s.Forgotten
 	if held != kept {
 		return fmt.Errorf("retained %d + archived %d − recovered %d = %d held, but appended %d less losses leaves %d: %+v",
@@ -324,34 +317,28 @@ type StreamStats struct {
 	FirstSeq uint64 // lowest retained extended sequence (0 when empty)
 	LastSeq  uint64 // highest retained extended sequence (0 when empty)
 	NextWire wire.Seq
-	Count    int   // retained deliveries in memory: hot + cold list
+	Count    int   // retained deliveries in the hot ring
 	Bytes    int64 // their payload bytes as appended
 
 	// ResidentBytes estimates the stream's resident heap: the ring
 	// header and the hot slot array at capacity and, once the stream
 	// owns one, the tail record with its payload arena — every hot
-	// payload longer than a slot — the sealed blocks' headers plus
-	// compressed data, and the archived refs' index.
+	// payload longer than a slot — and the sealed blocks' refs, plus
+	// their encoded bytes when the backend is the store's own, whose
+	// bytes are the store's heap.
 	// Receiver names live in the store's name table and allocator
 	// rounding is not counted, so this is an estimate — but one that is
 	// comparable across streams and honest about lazy allocation (a
 	// forgotten or idle stream shows only its header).
 	ResidentBytes int64
 
-	// Cold-tier view, zero when compression is off, an archive is
-	// attached or no block is held in memory. ColdRawBytes/ColdBytes is
-	// the stream's compression ratio.
-	Codec        string // codec of the newest sealed block, held or archived
-	ColdBlocks   int
-	ColdMessages int
-	ColdBytes    int64 // compressed bytes held
-	ColdRawBytes int64 // payload bytes those blocks represent
+	Codec string // codec of the newest sealed block
 
-	// Archive-tier view, zero when no backend is attached or nothing
-	// has spilled. Archived entries are durable, not resident: they are
-	// excluded from Count/Bytes/ResidentBytes but included in the
-	// FirstSeq..LastSeq replayable window. ArchivedRawBytes divided by
-	// ArchivedBytes is the stream's archived compression ratio.
+	// Sealed view, zero when compression is off or nothing has sealed.
+	// Sealed entries are filed in the backend, the attached archive or
+	// the store's own: they are excluded from Count/Bytes but included in
+	// the FirstSeq..LastSeq replayable window. ArchivedRawBytes divided by
+	// ArchivedBytes is the stream's compression ratio.
 	ArchivedBlocks   int
 	ArchivedMessages int
 	ArchivedBytes    int64 // encoded bytes in the backend
@@ -368,12 +355,12 @@ type Store struct {
 	shards          []*shard
 
 	// Sealing configuration; picker is nil when compression is off.
-	picker     codec.Picker
-	codecName  string
-	coldBudget int64
-	blockSize  int
+	picker    codec.Picker
+	codecName string
+	blockSize int
 
-	// Archive tier; nil when no backend is attached.
+	// The backend sealed blocks are filed in; nil when compression is
+	// off.
 	arch *archiveState
 
 	// names numbers every receiver name the store retains or decodes;
@@ -408,7 +395,6 @@ type shard struct {
 	evictedCount     int64
 	evictedBytes     int64
 	evictedAge       int64
-	evictedCold      int64
 	forgotten        int64
 	sealedBlocks     int64
 	sealedMsgs       int64
@@ -426,31 +412,14 @@ type shard struct {
 	archiveRecovered int64
 	archiveReadMsgs  int64
 
-	// freeBufs recycles encoded-block buffers across streams so sealing
-	// allocates nothing at steady state.
-	freeBufs [][]byte
+	// sealBuf is the buffer a seal encodes into: the backend copies the
+	// block, so the next seal reuses it and sealing allocates nothing at
+	// steady state.
+	sealBuf []byte
 
 	// packOrder is scratch for compacting a ring's arena: the slots that
 	// name arena bytes, in the order they lie there (see packLocked).
 	packOrder []int32
-}
-
-// blockBufLocked pops a recycled block buffer. Caller holds mu.
-func (sh *shard) blockBufLocked() []byte {
-	if n := len(sh.freeBufs); n > 0 {
-		b := sh.freeBufs[n-1]
-		sh.freeBufs[n-1] = nil
-		sh.freeBufs = sh.freeBufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-// recycleBufLocked parks a block buffer for reuse. Caller holds mu.
-func (sh *shard) recycleBufLocked(b []byte) {
-	if b != nil && len(sh.freeBufs) < maxFreeBufs {
-		sh.freeBufs = append(sh.freeBufs, b[:0])
-	}
 }
 
 // ring is one stream's record: its duplicate screen, and its retention
@@ -520,21 +489,15 @@ type tail struct {
 	// beyond the window's own bytes.
 	largest uint32
 
-	// Sealed history, oldest first: every sequence in refs or blocks
-	// precedes every one in the hot ring, so reads stitch them in that
-	// order. Entries leave the hot ring oldest first, a block at a time,
-	// sealed into one immutable compressed block filed in the archive or,
-	// without one, appended to blocks, the cold tier. Cold entries are
-	// still retained: the shard's retained counts do not move when an
-	// entry is sealed, only when a block is dropped or archived.
-	blocks     []block
-	blockBytes int64 // compressed bytes across blocks
-
-	// The archive tier (Options.Archive). refs are the blocks the backend
-	// holds, ascending; floor mirrors the retention cut the backend
-	// persisted.
-	refs  []archive.Ref
-	floor uint64
+	// Sealed history, oldest first: every sequence in refs precedes
+	// every one in the hot ring, so reads stitch them in that order.
+	// Entries leave the hot ring oldest first, a block at a time, sealed
+	// into one immutable compressed block filed in the backend. refs are
+	// the blocks the backend holds, ascending, and refBytes their encoded
+	// bytes; floor mirrors the retention cut the backend persisted.
+	refs     []archive.Ref
+	refBytes int64
+	floor    uint64
 }
 
 // noTail is the tail of every ring that owns none. It is shared, so it
@@ -631,16 +594,6 @@ func (sh *shard) deliveryLocked(r *ring, id wire.StreamID, e *slot) filtering.De
 // slots is non-empty (count > 0, or appendLocked after re-materialise).
 func (r *ring) slotMask() uint64 { return uint64(len(r.slots)) - 1 }
 
-// block is one sealed block held in memory: the header it is filed under
-// in the archive, and its encoded bytes. FirstSeq, Count and RawBytes are
-// live bookkeeping: an EvictTo cut advances them past a dead prefix that
-// the immutable bytes still hold, and reads skip it (liveWithin). Bytes is
-// len(data).
-type block struct {
-	archive.Ref
-	data []byte
-}
-
 // New creates a Store. It panics when Options.Codec names an unknown
 // codec or when the archive backend's manifest cannot be recovered — a
 // deployment must not come up silently blind to its own history.
@@ -661,10 +614,6 @@ func New(opts Options) *Store {
 		}
 		s.picker = picker
 		s.codecName = opts.Codec
-		s.coldBudget = opts.ColdBudget
-		if s.coldBudget <= 0 {
-			s.coldBudget = DefaultColdBudget
-		}
 		s.blockSize = opts.BlockSize
 		if s.blockSize <= 0 {
 			s.blockSize = DefaultBlockSize
@@ -679,7 +628,7 @@ func New(opts Options) *Store {
 		s.shards[i] = &shard{names: &s.names}
 		s.shards[i].screen.Init(filtering.Options{})
 	}
-	if opts.Archive != nil {
+	if s.picker != nil {
 		s.initArchive(opts)
 	}
 	return s
@@ -1069,13 +1018,11 @@ func (sh *shard) dropLocked(r *ring, ext uint64, reason *int64) {
 
 // sealOldestLocked seals the n oldest hot entries, the first of them at
 // ext, into one immutable block. It unpacks them into pooled scratch for
-// the codec to encode (into a recycled buffer when one is parked), and
-// only after the encode vacates their slots, their arena bytes going
-// dead, and moves the window's low end past them; the scratch is cleared
-// so the pool holds no payload. With an archive the block is filed in the
-// backend at once; without one it joins the cold list, whose per-stream
-// budget drops the oldest blocks past it. The entries stay retained — the
-// shard's retained counts do not move. Caller holds mu; 1 ≤ n ≤ count.
+// the codec to encode into the shard's seal buffer, and only after the
+// encode vacates their slots, their arena bytes going dead, and moves the
+// window's low end past them; the scratch is cleared so the pool holds no
+// payload. The block is then filed in the backend (spillLocked). Caller
+// holds mu; 1 ≤ n ≤ count.
 func (s *Store) sealOldestLocked(sh *shard, r *ring, id wire.StreamID, ext uint64, n int) {
 	ds := decodePool.Get().(*decodeScratch)
 	entries := ds.entries[:0]
@@ -1085,39 +1032,28 @@ func (s *Store) sealOldestLocked(sh *shard, r *ring, id wire.StreamID, ext uint6
 		}
 	}
 	c := s.picker(entries)
-	data := c.Encode(sh.blockBufLocked(), entries)
+	data := c.Encode(sh.sealBuf[:0], entries)
 	var raw int64
 	for i := range entries {
 		raw += r.vacateLocked(&r.slots[entries[i].StoreSeq&r.slotMask()])
 	}
 	last := &entries[n-1]
-	b := block{
-		Ref: archive.Ref{
-			Codec: c.ID(), FirstSeq: entries[0].StoreSeq, LastSeq: last.StoreSeq,
-			Count: int32(n), RawBytes: raw, Bytes: int64(len(data)),
-			LastUnix: last.At.UnixNano(),
-		},
-		data: data,
+	ref := archive.Ref{
+		Codec: c.ID(), FirstSeq: entries[0].StoreSeq, LastSeq: last.StoreSeq,
+		Count: int32(n), RawBytes: raw, Bytes: int64(len(data)),
+		LastUnix: last.At.UnixNano(),
 	}
 	clear(entries)
 	ds.entries = entries[:0]
 	decodePool.Put(ds)
-	r.minExt = b.LastSeq + 1
+	r.minExt = ref.LastSeq + 1
 	if r.count == 0 {
 		r.minExt, r.maxExt = 0, 0
 	}
 	sh.sealedBlocks++
 	sh.sealedMsgs += int64(n)
-	t := r.ownTail()
-	if s.arch != nil {
-		s.spillLocked(sh, t, id, b)
-		return
-	}
-	t.blocks = append(t.blocks, b)
-	t.blockBytes += b.Bytes
-	for len(t.blocks) > 1 && t.blockBytes > s.coldBudget {
-		sh.dropBlockLocked(t, &sh.evictedCold)
-	}
+	s.spillLocked(sh, r.ownTail(), id, ref, data)
+	sh.sealBuf = data
 }
 
 // popHead removes and returns the first element of *list, keeping the
@@ -1132,26 +1068,15 @@ func popHead[T any](list *[]T) T {
 	return head
 }
 
-// dropBlockLocked drops the oldest cold block, crediting its live entries
-// to *reason and recycling its buffer. Caller holds mu.
-func (sh *shard) dropBlockLocked(t *tail, reason *int64) {
-	b := popHead(&t.blocks)
-	t.blockBytes -= b.Bytes
-	sh.retainedMessages -= int64(b.Count)
-	sh.retainedBytes -= b.RawBytes
-	*reason += int64(b.Count)
-	sh.recycleBufLocked(b.data)
-}
-
-// evictToLocked drops every retained entry below upto, oldest first down
-// all three tiers, crediting *reason per entry. A block that straddles
-// upto, archived or cold, keeps its bytes: only its live bookkeeping
-// advances past the dead prefix (cutHeadLocked). Caller holds mu.
+// evictToLocked drops every retained entry below upto, oldest first,
+// sealed then hot, crediting *reason per entry. A sealed block that
+// straddles upto keeps its bytes: only its live bookkeeping advances past
+// the dead prefix (cutHeadLocked). Caller holds mu.
 func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64, reason *int64) {
 	t := r.tail
 	for len(t.refs) > 0 && t.refs[0].FirstSeq < upto {
 		if t.refs[0].LastSeq >= upto {
-			if cut, raw, ok := s.cutHeadLocked(id, &t.refs[0], nil, upto); ok {
+			if cut, raw, ok := s.cutHeadLocked(id, &t.refs[0], upto); ok {
 				sh.archivedMsgs -= int64(cut)
 				sh.archivedRaw -= raw
 				*reason += int64(cut)
@@ -1159,17 +1084,6 @@ func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64,
 			}
 		}
 		sh.dropRefLocked(t, reason)
-	}
-	for len(t.blocks) > 0 && t.blocks[0].FirstSeq < upto {
-		if b := &t.blocks[0]; b.LastSeq >= upto {
-			if cut, raw, ok := s.cutHeadLocked(id, &b.Ref, b.data, upto); ok {
-				sh.retainedMessages -= int64(cut)
-				sh.retainedBytes -= raw
-				*reason += int64(cut)
-				break
-			}
-		}
-		sh.dropBlockLocked(t, reason)
 	}
 	for r.count > 0 {
 		oldest := r.oldestLocked()
@@ -1182,15 +1096,14 @@ func (s *Store) evictToLocked(sh *shard, r *ring, id wire.StreamID, upto uint64,
 
 // cutHeadLocked advances a sealed block's live bookkeeping past its
 // entries below upto and returns how many live entries and payload bytes
-// the cut took. The block is decoded once — from data, or from the
-// backend when data is nil — to count them exactly; its bytes are
-// immutable and stay as they are. ok is false when the block fails to
+// the cut took. The block is read from the backend and decoded once to
+// count them exactly; its bytes are immutable and stay as they are. ok is false when the block fails to
 // decode or nothing in it survives: the caller drops it whole. Caller
 // holds mu, or owns the store (recovery).
-func (s *Store) cutHeadLocked(id wire.StreamID, ref *archive.Ref, data []byte, upto uint64) (cut int, raw int64, ok bool) {
+func (s *Store) cutHeadLocked(id wire.StreamID, ref *archive.Ref, upto uint64) (cut int, raw int64, ok bool) {
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)
-	ds.entries, ok = s.decodeLocked(id, ref, data, ds.entries[:0], ds)
+	ds.entries, ok = s.decodeLocked(id, ref, ds.entries[:0], ds)
 	if !ok {
 		return 0, 0, false
 	}
@@ -1211,12 +1124,9 @@ func (s *Store) cutHeadLocked(id wire.StreamID, ref *archive.Ref, data []byte, u
 	return 0, 0, false
 }
 
-// newest returns the header of the stream's newest sealed block — on the
-// cold list, else archived — or nil when it has none.
+// newest returns the header of the stream's newest sealed block, or nil
+// when it has none.
 func (t *tail) newest() *archive.Ref {
-	if n := len(t.blocks); n > 0 {
-		return &t.blocks[n-1].Ref
-	}
 	if n := len(t.refs); n > 0 {
 		return &t.refs[n-1]
 	}
@@ -1238,8 +1148,6 @@ func (r *ring) firstLocked() uint64 {
 	switch t := r.tail; {
 	case len(t.refs) > 0:
 		return t.refs[0].FirstSeq
-	case len(t.blocks) > 0:
-		return t.blocks[0].FirstSeq
 	case r.count > 0:
 		return r.oldestLocked()
 	}
@@ -1248,8 +1156,7 @@ func (r *ring) firstLocked() uint64 {
 
 // holds reports whether the stream retains anything in any tier.
 func (r *ring) holds() bool {
-	t := r.tail
-	return r.count > 0 || len(t.blocks) > 0 || len(t.refs) > 0
+	return r.count > 0 || len(r.tail.refs) > 0
 }
 
 // LastSeq returns the highest extended sequence ever assigned on the
@@ -1289,34 +1196,24 @@ type decodeScratch struct {
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // walkLocked presents the stream's retained history that intersects
-// [from, to] in ascending sequence order: the sealed blocks — archived
-// or cold — then the hot-ring entries one by one. It is the
-// one place that knows the tier order; every range read drives it. A
-// block is handed over whole, its header and its bytes (nil for an
-// archived block, whose bytes the backend holds under ref.LastSeq): the
-// header says it intersects, not which entries do. An entry's payload is
-// borrowed store memory (a hot slot is unpacked for the call).
-// Either callback returning false stops the walk. Caller holds mu.
-func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref *archive.Ref, data []byte) bool, entry func(d filtering.Delivery) bool) {
+// [from, to] in ascending sequence order: the sealed blocks, then the
+// hot-ring entries one by one. It is the one place that knows the tier
+// order; every range read drives it. A block is handed over by its header,
+// whose bytes the backend holds under ref.LastSeq: the header says it
+// intersects, not which entries do. An entry's payload is borrowed store
+// memory (a hot slot is unpacked for the call). Either callback returning
+// false stops the walk. Caller holds mu.
+func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref *archive.Ref) bool, entry func(d filtering.Delivery) bool) {
 	r := sh.rings.get(id)
 	if r == nil {
 		return
 	}
 	t := r.tail
-	// A long-lived stream holds many archived blocks and a read walks
+	// A long-lived stream holds many sealed blocks and a read walks
 	// them twice (size, then decode): skip to the window by search.
 	first := sort.Search(len(t.refs), func(i int) bool { return t.refs[i].LastSeq >= from })
 	for i := first; i < len(t.refs); i++ {
-		if t.refs[i].FirstSeq > to || !blockFn(&t.refs[i], nil) {
-			return
-		}
-	}
-	for i := range t.blocks {
-		b := &t.blocks[i]
-		if b.LastSeq < from {
-			continue
-		}
-		if b.FirstSeq > to || !blockFn(&b.Ref, b.data) {
+		if t.refs[i].FirstSeq > to || !blockFn(&t.refs[i]) {
 			return
 		}
 	}
@@ -1331,25 +1228,22 @@ func (sh *shard) walkLocked(id wire.StreamID, from, to uint64, blockFn func(ref 
 	}
 }
 
-// decodeLocked appends a sealed block's physical entries to dst, payload
-// bytes going to ds.sc; an archived block (data nil) is first read from
-// the backend into ds.buf. A block that fails to open or decode — which
-// would take corruption: the store sealed it and recovery already dropped
-// torn tails — leaves dst as it was and reports false.
-func (s *Store) decodeLocked(id wire.StreamID, ref *archive.Ref, data []byte, dst []filtering.Delivery, ds *decodeScratch) ([]filtering.Delivery, bool) {
+// decodeLocked reads a sealed block from the backend into ds.buf and
+// appends its physical entries to dst, payload bytes going to ds.sc. A
+// block that fails to open or decode — which would take corruption: the
+// store sealed it and recovery already dropped torn tails — leaves dst as
+// it was and reports false.
+func (s *Store) decodeLocked(id wire.StreamID, ref *archive.Ref, dst []filtering.Delivery, ds *decodeScratch) ([]filtering.Delivery, bool) {
 	c, ok := codec.ByID(ref.Codec)
 	if !ok {
 		return dst, false
 	}
 	n := len(dst)
 	var err error
-	if data == nil {
-		ds.buf, err = s.arch.backend.Open(ds.buf[:0], id, ref.LastSeq)
-		data = ds.buf
-	}
+	ds.buf, err = s.arch.backend.Open(ds.buf[:0], id, ref.LastSeq)
 	if err == nil {
 		ds.sc.Receiver = s.decodeName
-		dst, err = c.Decode(dst, id, data, &ds.sc)
+		dst, err = c.Decode(dst, id, ds.buf, &ds.sc)
 		ds.sc.Receiver = nil // a pooled scratch must not keep this store's table alive
 	}
 	if err != nil {
@@ -1360,16 +1254,12 @@ func (s *Store) decodeLocked(id wire.StreamID, ref *archive.Ref, data []byte, ds
 }
 
 // readLocked is decodeLocked for a read, which skips a block that fails
-// rather than fail: an archived block's fetch is timed and its entries
-// counted as read amplification. Caller holds mu.
-func (s *Store) readLocked(sh *shard, id wire.StreamID, ref *archive.Ref, data []byte, dst []filtering.Delivery, ds *decodeScratch) []filtering.Delivery {
-	if data != nil {
-		dst, _ = s.decodeLocked(id, ref, data, dst, ds)
-		return dst
-	}
-	n, start := len(dst), time.Now()
-	dst, ok := s.decodeLocked(id, ref, nil, dst, ds)
-	s.arch.readLat.ObserveDuration(time.Since(start))
+// rather than fail: the block's fetch is timed and its entries counted as
+// read amplification. Caller holds mu.
+func (s *Store) readLocked(sh *shard, id wire.StreamID, ref *archive.Ref, dst []filtering.Delivery, ds *decodeScratch) []filtering.Delivery {
+	n, start := len(dst), s.arch.now()
+	dst, ok := s.decodeLocked(id, ref, dst, ds)
+	s.arch.observe(&s.arch.readLat, start)
 	if ok {
 		sh.archiveReadMsgs += int64(len(dst) - n)
 	}
@@ -1394,10 +1284,10 @@ func liveWithin(entries []filtering.Delivery, firstSeq, from, to uint64) []filte
 // live entries within [from, to], returning false when fn stopped the
 // walk. The visited deliveries borrow the scratch, valid only during fn
 // — the borrow contract RangeFunc imposes. Caller holds mu.
-func (s *Store) visitBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, data []byte, from, to uint64, fn func(d filtering.Delivery) bool) bool {
+func (s *Store) visitBlockLocked(sh *shard, id wire.StreamID, ref *archive.Ref, from, to uint64, fn func(d filtering.Delivery) bool) bool {
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)
-	ds.entries = s.readLocked(sh, id, ref, data, ds.entries[:0], ds)
+	ds.entries = s.readLocked(sh, id, ref, ds.entries[:0], ds)
 	for _, d := range liveWithin(ds.entries, ref.FirstSeq, from, to) {
 		if !fn(d) {
 			return false
@@ -1448,7 +1338,7 @@ func (s *Store) RangeFenced(id wire.StreamID, from, to uint64, fence func()) []f
 	var count int
 	var raw int64
 	sh.walkLocked(id, from, to,
-		func(ref *archive.Ref, _ []byte) bool {
+		func(ref *archive.Ref) bool {
 			count += int(ref.Count)
 			raw += ref.RawBytes
 			return true
@@ -1467,10 +1357,10 @@ func (s *Store) RangeFenced(id wire.StreamID, from, to uint64, fence func()) []f
 	ds := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(ds)
 	sh.walkLocked(id, from, to,
-		func(ref *archive.Ref, data []byte) bool {
+		func(ref *archive.Ref) bool {
 			n := len(dst)
 			ds.sc.Attach(slab)
-			dst = s.readLocked(sh, id, ref, data, dst, ds)
+			dst = s.readLocked(sh, id, ref, dst, ds)
 			slab = ds.sc.Detach()
 			block := dst[n:]
 			kept := copy(block, liveWithin(block, ref.FirstSeq, from, to))
@@ -1503,7 +1393,7 @@ func (s *Store) RangeFunc(id wire.StreamID, from, to uint64, fn func(d filtering
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.walkLocked(id, from, to,
-		func(ref *archive.Ref, data []byte) bool { return s.visitBlockLocked(sh, id, ref, data, from, to, fn) },
+		func(ref *archive.Ref) bool { return s.visitBlockLocked(sh, id, ref, from, to, fn) },
 		fn)
 }
 
@@ -1524,13 +1414,13 @@ func (s *Store) WindowStats(id wire.StreamID, from, to uint64) (count int, bytes
 		return true
 	}
 	sh.walkLocked(id, from, to,
-		func(ref *archive.Ref, data []byte) bool {
+		func(ref *archive.Ref) bool {
 			if ref.FirstSeq >= from && ref.LastSeq <= to {
 				count += int(ref.Count)
 				bytes += ref.RawBytes
 				return true
 			}
-			return s.visitBlockLocked(sh, id, ref, data, from, to, acc)
+			return s.visitBlockLocked(sh, id, ref, from, to, acc)
 		},
 		acc)
 	return count, bytes
@@ -1567,9 +1457,9 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 	}
 	before := sh.forgotten
 	t := r.tail
-	durable := len(t.refs) > 0
+	sealed := len(t.refs) > 0
 	s.evictToLocked(sh, r, id, upto, &sh.forgotten)
-	if durable && upto > t.floor {
+	if sealed && upto > t.floor {
 		// Persist the cut: the backend deletes the blocks wholly below
 		// it, and recovery hides the dead prefix of a block it cuts into.
 		t.floor = upto
@@ -1585,7 +1475,7 @@ func (s *Store) EvictTo(id wire.StreamID, upto uint64) int {
 // the stream resumes. The Orphanage calls this when it evicts an
 // unclaimed stream, so Forget is the moment a dead stream's memory must
 // actually return to the heap: the slot ring and the tail — payload
-// arena, cold list and archived refs — are released, not
+// arena and sealed refs — are released, not
 // just emptied, leaving only the ring header behind the unwrap state and
 // the duplicate window, which a deployment has never reset either. A
 // resumed stream re-materialises its ring in appendLocked and is screened
@@ -1599,9 +1489,9 @@ func (s *Store) Forget(id wire.StreamID) int {
 		return 0
 	}
 	before := sh.forgotten
-	durable := len(r.tail.refs) > 0 || r.tail.floor > 0
+	sealed := len(r.tail.refs) > 0 || r.tail.floor > 0
 	s.evictToLocked(sh, r, id, ^uint64(0), &sh.forgotten)
-	if durable {
+	if sealed {
 		s.arch.backend.Forget(id)
 	}
 	r.slots, r.tail = nil, noTail
@@ -1676,20 +1566,12 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		NextWire:       wire.Seq(r.lastExt) + 1,
 		Count:          int(r.count),
 		Bytes:          r.bytes,
-		ColdBlocks:     len(t.blocks),
-		ColdBytes:      t.blockBytes,
 		ArchivedBlocks: len(t.refs),
+		ArchivedBytes:  t.refBytes,
 		ArchiveFloor:   t.floor,
 	}
-	for i := range t.blocks {
-		st.ColdMessages += int(t.blocks[i].Count)
-		st.ColdRawBytes += t.blocks[i].RawBytes
-	}
-	st.Count += st.ColdMessages
-	st.Bytes += st.ColdRawBytes
 	for i := range t.refs {
 		st.ArchivedMessages += int(t.refs[i].Count)
-		st.ArchivedBytes += t.refs[i].Bytes
 		st.ArchivedRawBytes += t.refs[i].RawBytes
 	}
 	if r.count > 0 {
@@ -1706,14 +1588,14 @@ func (s *Store) StreamStats(id wire.StreamID) (StreamStats, bool) {
 		headerSize = int64(unsafe.Sizeof(ring{}))
 		slotSize   = int64(unsafe.Sizeof(slot{}))
 		tailSize   = int64(unsafe.Sizeof(tail{}))
-		blockSize  = int64(unsafe.Sizeof(block{}))
 		refSize    = int64(unsafe.Sizeof(archive.Ref{}))
 	)
 	st.ResidentBytes = headerSize + int64(cap(r.slots))*slotSize
 	if t != noTail {
-		st.ResidentBytes += tailSize + int64(cap(t.arena)) +
-			int64(cap(t.blocks))*blockSize + t.blockBytes +
-			int64(cap(t.refs))*refSize
+		st.ResidentBytes += tailSize + int64(cap(t.arena)) + int64(cap(t.refs))*refSize
+		if s.arch != nil && s.arch.own {
+			st.ResidentBytes += t.refBytes
+		}
 	}
 	return st, true
 }
@@ -1733,18 +1615,12 @@ func (s *Store) Stats() Stats {
 		st.EvictedCount += sh.evictedCount
 		st.EvictedBytes += sh.evictedBytes
 		st.EvictedAge += sh.evictedAge
-		st.EvictedCold += sh.evictedCold
 		st.Forgotten += sh.forgotten
 		st.SealedBlocks += sh.sealedBlocks
 		st.SealedMessages += sh.sealedMsgs
 		for _, r := range sh.rings.all() {
 			if r.holds() {
 				st.Streams++
-			}
-			st.ColdBlocks += len(r.tail.blocks)
-			st.ColdBytes += r.tail.blockBytes
-			for i := range r.tail.blocks {
-				st.ColdRawBytes += r.tail.blocks[i].RawBytes
 			}
 		}
 		st.RetainedMessages += sh.retainedMessages

@@ -445,7 +445,7 @@ func TestOldestSince(t *testing.T) {
 	}
 }
 
-// --- compressed cold tier ---
+// --- sealed history ---
 
 func compressedDel(id wire.StreamID, seq int) filtering.Delivery {
 	var payload [8]byte
@@ -454,8 +454,8 @@ func compressedDel(id wire.StreamID, seq int) filtering.Delivery {
 }
 
 // TestCompressedAppendZeroAllocSteadyState holds the hot-path contract
-// with the cold tier enabled: once the block buffers, the seal stage and
-// the cold list reach steady-state capacities, Append — including the
+// with sealing enabled: once the seal buffer, the refs and the store's
+// own backend reach steady-state capacities, Append — including the
 // amortized seal-and-encode every BlockSize appends and the cold-budget
 // evictions — recycles everything and allocates nothing.
 func TestCompressedAppendZeroAllocSteadyState(t *testing.T) {
@@ -471,7 +471,7 @@ func TestCompressedAppendZeroAllocSteadyState(t *testing.T) {
 		put(seq)
 		s.Append(del(id, wire.Seq(seq), epoch.Add(time.Duration(seq)*50*time.Millisecond), payload))
 	}
-	if st := s.Stats(); st.EvictedCold == 0 {
+	if st := s.Stats(); st.EvictedArchive == 0 {
 		t.Fatalf("warm-up never hit the cold budget: %+v", st)
 	}
 	w := watchArena(s, id)
@@ -548,7 +548,7 @@ func TestBlockSealKeepsTheHotBound(t *testing.T) {
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
-			opts.Codec, opts.ColdBudget = "raw", 1<<40 // every block stays on the cold list
+			opts.Codec, opts.ColdBudget = "raw", 1<<40 // no sealed block is dropped
 			s := New(opts)
 			hot, block := max(s.opts.MaxMessages, s.blockSize), s.blockSize
 			rng := rand.New(rand.NewSource(int64(ci)))
@@ -576,7 +576,7 @@ func TestBlockSealKeepsTheHotBound(t *testing.T) {
 				if tc.counted && all.SealedBlocks > 0 {
 					low = hot - block + 1
 				}
-				if n := st.Count - st.ColdMessages; n > hot || n < low {
+				if n := st.Count; n > hot || n < low {
 					t.Fatalf("step %d: %d uncompressed entries, want %d..%d", step, n, low, hot)
 				}
 				if latest, _ := s.Latest(id); seq == head-1 && latest.StoreSeq != ext {
@@ -662,7 +662,7 @@ func TestArchivedSealCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestCompressedBytesPerMessageRatio pins the headline win: on a smooth
-// synthetic numeric series the cold tier retains each delivery in at
+// synthetic numeric series sealed history retains each delivery in at
 // least 5× fewer bytes than the hot ring's in-memory representation
 // (slot record + payload).
 func TestCompressedBytesPerMessageRatio(t *testing.T) {
@@ -672,23 +672,24 @@ func TestCompressedBytesPerMessageRatio(t *testing.T) {
 		s.Append(compressedDel(id, seq))
 	}
 	st, ok := s.StreamStats(id)
-	if !ok || st.ColdBlocks == 0 || st.ColdMessages == 0 {
+	if !ok || st.ArchivedBlocks == 0 || st.ArchivedMessages == 0 {
 		t.Fatalf("nothing sealed: %+v (ok=%v)", st, ok)
 	}
 	slotSize := int64(unsafe.Sizeof(slot{})) + 8 // record + payload
-	hot := slotSize * int64(st.ColdMessages)
-	if st.ColdBytes*5 > hot {
-		t.Fatalf("cold tier holds %d msgs in %d B (%.1f B/msg); hot representation %d B — under 5×",
-			st.ColdMessages, st.ColdBytes, float64(st.ColdBytes)/float64(st.ColdMessages), hot)
+	hot := slotSize * int64(st.ArchivedMessages)
+	if st.ArchivedBytes*5 > hot {
+		t.Fatalf("sealed history holds %d msgs in %d B (%.1f B/msg); hot representation %d B — under 5×",
+			st.ArchivedMessages, st.ArchivedBytes, float64(st.ArchivedBytes)/float64(st.ArchivedMessages), hot)
 	}
 	if st.Codec != "gorilla" {
 		t.Fatalf("StreamStats codec = %q, want gorilla", st.Codec)
 	}
 }
 
-// TestColdBudgetEviction bounds the tier: past ColdBudget compressed
-// bytes the oldest blocks are dropped and credited to EvictedCold, the
-// newest block always survives, and the stats identity keeps reconciling.
+// TestColdBudgetEviction bounds the store's own backend: past ColdBudget
+// compressed bytes the oldest blocks are dropped and credited to
+// EvictedArchive, the newest block always survives, and the stats
+// identity keeps reconciling.
 func TestColdBudgetEviction(t *testing.T) {
 	const budget = 2048
 	s := New(Options{MaxMessages: 8, Codec: "raw", BlockSize: 8, ColdBudget: budget})
@@ -699,21 +700,21 @@ func TestColdBudgetEviction(t *testing.T) {
 		s.Append(del(id, wire.Seq(seq), epoch, payload))
 	}
 	st := s.Stats()
-	if st.EvictedCold == 0 {
+	if st.EvictedArchive == 0 {
 		t.Fatalf("budget never evicted: %+v", st)
 	}
-	if st.ColdBytes > budget {
-		t.Fatalf("cold tier holds %d B, budget %d", st.ColdBytes, budget)
+	if st.ArchivedBytes > budget {
+		t.Fatalf("sealed history holds %d B, budget %d", st.ArchivedBytes, budget)
 	}
 	ss, ok := s.StreamStats(id)
-	if !ok || ss.ColdBlocks == 0 {
-		t.Fatalf("newest cold block did not survive: %+v (ok=%v)", ss, ok)
+	if !ok || ss.ArchivedBlocks == 0 {
+		t.Fatalf("newest sealed block did not survive: %+v (ok=%v)", ss, ok)
 	}
 	if err := st.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Range(id, 0, ^uint64(0))); int64(got) != st.RetainedMessages {
-		t.Fatalf("Range sees %d entries, gauges say %d", got, st.RetainedMessages)
+	if got, held := len(s.Range(id, 0, ^uint64(0))), st.RetainedMessages+st.ArchivedMessages; int64(got) != held {
+		t.Fatalf("Range sees %d entries, gauges say %d", got, held)
 	}
 }
 
@@ -743,27 +744,43 @@ func TestDuplicateAppendStats(t *testing.T) {
 // so a concurrent Append could slide in between the counter reads and
 // the gauge reads and break the identity
 //
-//	RetainedMessages = Appended − Duplicates − DroppedBehind
-//	                 − Evicted{Count,Bytes,Age} − EvictedCold − Forgotten
+//	RetainedMessages + ArchivedMessages = Appended − Duplicates − DroppedBehind
+//	                 − Evicted{Count,Bytes,Age,Archive} − Forgotten
 //
 // With per-shard snapshots taken under the shard lock the identity holds
-// on every observation, however the appenders interleave.
+// on every observation, however the appenders interleave. The four
+// appenders' streams lie on four different shards, so they seal into the
+// store's own backend, and cut its oldest blocks, from four shards at
+// once. Observations start once every appender has landed an append, and
+// each appender pauses after every burst, so a snapshot's 16 shard locks
+// are never starved by tight append loops.
 func TestStatsInvariantUnderConcurrentAppend(t *testing.T) {
+	const appenders, burst = 4, 64
 	s := New(Options{MaxMessages: 16, Codec: "auto", BlockSize: 8, ColdBudget: 4096})
+	var ids []wire.StreamID
+	used := make(map[int]bool)
+	for sensor := wire.SensorID(1); len(ids) < appenders; sensor++ {
+		if sh := sensor.Shard(wire.Shards); !used[sh] {
+			used[sh] = true
+			ids = append(ids, wire.MustStreamID(sensor, wire.StreamIndex(len(ids))))
+		}
+	}
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	var landed, wg sync.WaitGroup
+	landed.Add(appenders)
+	for w, id := range ids {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			id := wire.MustStreamID(wire.SensorID(w+1), wire.StreamIndex(w%4))
 			rng := rand.New(rand.NewSource(int64(w)))
 			payload := make([]byte, 16)
 			for seq := 0; ; seq++ {
-				select {
-				case <-stop:
-					return
-				default:
+				if seq%burst == 0 && seq > 0 {
+					select {
+					case <-stop:
+						return
+					case <-time.After(50 * time.Microsecond):
+					}
 				}
 				rng.Read(payload)
 				q := seq
@@ -771,18 +788,30 @@ func TestStatsInvariantUnderConcurrentAppend(t *testing.T) {
 					q -= rng.Intn(8) + 1 // occasional duplicate / behind-window drop
 				}
 				s.Append(del(id, wire.Seq(q), epoch.Add(time.Duration(seq)*time.Millisecond), payload))
+				if seq == 0 {
+					landed.Done()
+				}
 			}
-		}(w)
+		}()
 	}
+	landed.Wait()
+	var first Stats
 	for i := 0; i < 300; i++ {
-		if err := s.Stats().Check(); err != nil {
+		st := s.Stats()
+		if err := st.Check(); err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatalf("observation %d (torn snapshot): %v", i, err)
 		}
+		if i == 0 {
+			first = st
+		}
 	}
 	close(stop)
 	wg.Wait()
+	st := s.Stats()
+	t.Logf("%d appends before the first observation, %d in all; %d blocks sealed, %d entries cut from the backend",
+		first.Appended, st.Appended, st.SealedBlocks, st.EvictedArchive)
 }
 
 func TestIdleStreamRingIsOneSlot(t *testing.T) {
@@ -807,17 +836,17 @@ func TestForgetReleasesBacking(t *testing.T) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	r := sh.rings.get(id)
-	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.blocks) > 0
+	populated := len(r.slots) > 0 && len(r.tail.arena) > 0 && len(r.tail.refs) > 0
 	sh.mu.Unlock()
 	if !populated {
-		t.Fatal("setup did not populate hot ring and cold tier")
+		t.Fatal("setup did not populate hot ring and sealed history")
 	}
 	s.Forget(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if r.slots != nil || r.tail != noTail {
-		t.Fatalf("Forget kept backing: slots=%d arena=%d cold=%d",
-			len(r.slots), cap(r.tail.arena), len(r.tail.blocks))
+		t.Fatalf("Forget kept backing: slots=%d arena=%d sealed=%d",
+			len(r.slots), cap(r.tail.arena), len(r.tail.refs))
 	}
 	if r.lastExt == 0 {
 		t.Fatal("Forget lost the unwrap state")
@@ -839,8 +868,9 @@ func TestForgetReleasesBacking(t *testing.T) {
 // a codec holds. The stage a seal reads is the hot ring itself, so the
 // estimate is exactly the ring header and its slots, the tail, the arena
 // at capacity — which holds every hot payload longer than a slot's — and
-// the sealed blocks or archived refs. Nothing is kept per sealed entry:
-// once only short payloads are hot, the arena holds nothing live.
+// the sealed blocks' refs, plus their encoded bytes when the backend is
+// the store's own. Nothing is kept per sealed entry: once only short
+// payloads are hot, the arena holds nothing live.
 func TestResidentBytesCountsTheStage(t *testing.T) {
 	for _, archived := range []bool{false, true} {
 		opts := Options{Codec: "raw", MaxMessages: 4, ColdBudget: 1 << 20}
@@ -865,17 +895,21 @@ func TestResidentBytesCountsTheStage(t *testing.T) {
 			defer sh.mu.Unlock()
 			r := sh.rings.get(id)
 			tl := r.tail
-			if int(r.count) != hot || tl.held != held || st.Count != hot+st.ColdMessages {
-				t.Fatalf("%s: %d hot, %d B in the arena, count %d; want %d hot, %d B, %d hot + %d cold",
-					tag, r.count, tl.held, st.Count, hot, held, hot, st.ColdMessages)
+			if int(r.count) != hot || tl.held != held || st.Count != hot {
+				t.Fatalf("%s: %d hot, %d B in the arena, count %d; want %d hot, %d B",
+					tag, r.count, tl.held, st.Count, hot, held)
 			}
-			if sealed := len(tl.blocks) + len(tl.refs); sealed == 0 || archived != (len(tl.refs) > 0) {
-				t.Fatalf("%s: %d cold blocks and %d refs", tag, len(tl.blocks), len(tl.refs))
+			if len(tl.refs) == 0 || st.ArchivedBlocks != len(tl.refs) {
+				t.Fatalf("%s: %d refs, %d sealed blocks in StreamStats", tag, len(tl.refs), st.ArchivedBlocks)
 			}
 			want := int64(unsafe.Sizeof(ring{})) + int64(cap(r.slots))*int64(unsafe.Sizeof(slot{})) +
 				int64(unsafe.Sizeof(tail{})) + int64(cap(tl.arena)) +
-				int64(cap(tl.blocks))*int64(unsafe.Sizeof(block{})) + tl.blockBytes +
 				int64(cap(tl.refs))*int64(unsafe.Sizeof(archive.Ref{}))
+			if !archived { // the store's own backend: its bytes are the store's heap
+				for _, ref := range tl.refs {
+					want += ref.Bytes
+				}
+			}
 			if st.ResidentBytes != want {
 				t.Fatalf("%s: resident %d B, want %d", tag, st.ResidentBytes, want)
 			}

@@ -268,8 +268,8 @@ func TestSubscribeWithBacklogFailurePreservesBacklog(t *testing.T) {
 }
 
 // TestStoreCompressionOption pins WithStoreCompression end to end: with
-// the cold tier on, deliveries the age bound would have dropped are
-// sealed into compressed blocks instead, and Replay and
+// sealing on, deliveries the age bound would have dropped are sealed into
+// compressed blocks in the store's own backend instead, and Replay and
 // SubscribeWithReplay recover the full history transparently — the
 // retention bounds become a working-set knob, not a history limit.
 func TestStoreCompressionOption(t *testing.T) {
@@ -300,14 +300,14 @@ func TestStoreCompressionOption(t *testing.T) {
 	}
 
 	st := g.Stats().Store
-	if st.Codec != "auto" || st.SealedBlocks == 0 || st.ColdBytes == 0 {
-		t.Fatalf("cold tier never engaged: %+v", st)
+	if st.Codec != "auto" || st.SealedBlocks == 0 || st.ArchivedBytes == 0 {
+		t.Fatalf("sealing never engaged: %+v", st)
 	}
-	if st.EvictedAge != 0 || st.RetainedMessages != 200 {
+	if st.EvictedAge != 0 || st.RetainedMessages+st.ArchivedMessages != 200 {
 		t.Fatalf("sealing lost history: %+v", st)
 	}
-	if st.ColdRawBytes <= st.ColdBytes {
-		t.Fatalf("constant series did not compress: %d raw vs %d cold B", st.ColdRawBytes, st.ColdBytes)
+	if st.ArchivedRawBytes <= st.ArchivedBytes {
+		t.Fatalf("constant series did not compress: %d raw vs %d sealed B", st.ArchivedRawBytes, st.ArchivedBytes)
 	}
 
 	// A late joiner catches up through the cold tier and rides live.
